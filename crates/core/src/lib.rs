@@ -10,7 +10,7 @@
 //! Kernels declare typed, named ports; a [`RaftMap`] wires them together
 //! ([`RaftMap::link`], with link-time type checking) and [`RaftMap::exe`]
 //! runs the graph: streams are allocated, kernels are scheduled (one OS
-//! thread each by default, or a cooperative pool), a monitor thread resizes
+//! thread each by default, or a work-stealing pool), a monitor thread resizes
 //! queues dynamically (writer blocked ≥ 3δ → grow; read request beyond
 //! capacity → grow; sustained emptiness → shrink), and eligible kernels are
 //! replicated automatically behind split/reduce adapters.

@@ -323,6 +323,34 @@ fn extract_group(graph: &CommGraph, remaining: &mut Vec<usize>, quota: usize) ->
     group
 }
 
+/// Worker placement for a pool scheduler: map `n` kernels joined by `links`
+/// (`(src, dst)` kernel indices; self-loops ignored) onto `workers`
+/// symmetric cores and return `placement[k]` = worker index of kernel `k`.
+pub(crate) fn place_on_workers(
+    n: usize,
+    links: impl IntoIterator<Item = (usize, usize)>,
+    workers: usize,
+) -> Vec<usize> {
+    let mut comm = CommGraph::new(n);
+    for (src, dst) in links {
+        if src != dst {
+            comm.add_edge(src, dst, 1);
+        }
+    }
+    let topo = Domain::symmetric_host("pool", workers.max(1), 100);
+    let cores = leaves(&topo);
+    map_kernels(&comm, &topo)
+        .assignment
+        .iter()
+        .map(|r| {
+            cores
+                .iter()
+                .position(|core| core == r)
+                .expect("the mapper assigns leaves of the topology it was given")
+        })
+        .collect()
+}
+
 /// All leaves of a topology (for round-robin fallback mapping).
 pub fn leaves(topology: &Domain) -> Vec<Resource> {
     let mut out = Vec::new();
@@ -475,6 +503,23 @@ mod tests {
             .filter(|&i| classify_link(&m.assignment[i], &m.assignment[i + 1]) == LinkAlloc::Shm)
             .count();
         assert!(crossings >= 1, "no shm edge: {m:?}");
+    }
+
+    /// A 6-kernel pipeline on 2 workers: indices in range, 3 kernels each,
+    /// exactly one edge cut; a self-loop is ignored, 0 workers means 1.
+    #[test]
+    fn place_on_workers_returns_balanced_indices() {
+        let links: Vec<(usize, usize)> = (0..5).map(|i| (i, i + 1)).chain([(2, 2)]).collect();
+        let placement = place_on_workers(6, links.iter().copied(), 2);
+        assert_eq!(placement.len(), 6);
+        assert!(placement.iter().all(|&w| w < 2), "{placement:?}");
+        assert_eq!(placement.iter().filter(|&&w| w == 0).count(), 3);
+        let cuts = links
+            .iter()
+            .filter(|(a, b)| placement[*a] != placement[*b])
+            .count();
+        assert_eq!(cuts, 1, "a pipeline bisects at one edge: {placement:?}");
+        assert_eq!(place_on_workers(3, [(0, 1), (1, 2)], 0), vec![0, 0, 0]);
     }
 
     #[test]

@@ -27,10 +27,7 @@ use crate::map::{KernelEntry, LinkEntry, RaftMap};
 use crate::monitor::{self, HealthTarget, ResizeEvent, WatchdogEvent, WidthEvent, WidthTarget};
 use crate::parallel::WidthControl;
 use crate::port::Context;
-use crate::scheduler::{
-    ChainedPool, CooperativePool, KernelRunner, KernelTelemetry, PartitionedPool, Scheduler,
-    SchedulerKind, ThreadPerKernel,
-};
+use crate::scheduler::{KernelRunner, KernelTelemetry, Scheduler, SchedulerKind, ThreadPerKernel};
 use crate::supervise::KernelOutcome;
 
 /// Named erased input endpoint plus its monitor handle.
@@ -56,7 +53,7 @@ pub struct KernelReport {
     pub name: String,
     /// Completed `run()` calls.
     pub runs: u64,
-    /// Time spent inside `run()` (zero if timing was disabled).
+    /// Time spent inside `run()`.
     pub busy: Duration,
     /// `true` if this kernel panicked at least once (even if a restart
     /// later recovered it).
@@ -343,21 +340,11 @@ pub fn execute_with_deadline(
     let mut names = Vec::with_capacity(n_kernels);
     let input_iters = inputs_of.into_iter();
     let output_iters = outputs_of.into_iter();
-    // Successor table for the cache-aware chained scheduler, plus a link
-    // snapshot the partitioned scheduler maps over.
-    let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n_kernels];
-    for link in &map.links {
-        if !successors[link.src].contains(&link.dst) {
-            successors[link.src].push(link.dst);
-        }
-    }
-    let links_snapshot: Vec<(usize, usize)> = map.links.iter().map(|l| (l.src, l.dst)).collect();
-    for ((((((entry, inputs), outputs), succ), out_fifos), journal_ports), journal_interval) in map
+    for (((((entry, inputs), outputs), out_fifos), journal_ports), journal_interval) in map
         .kernels
         .into_iter()
         .zip(input_iters)
         .zip(output_iters)
-        .zip(successors)
         .zip(out_fifos_of)
         .zip(journal_ports_of)
         .zip(journal_interval_of)
@@ -381,7 +368,6 @@ pub fn execute_with_deadline(
             ctx,
             input_fifos,
             telemetry,
-            successors: succ,
             output_fifos: out_fifos,
             policy,
             restarts: 0,
@@ -483,83 +469,21 @@ pub fn execute_with_deadline(
     };
 
     // --- run ---------------------------------------------------------------
-    let timing = true;
     let started = Instant::now();
     let sched_out = match map.cfg.scheduler {
-        SchedulerKind::ThreadPerKernel => ThreadPerKernel { timing }.execute(runners, stop.clone()),
-        SchedulerKind::Pool { workers } => CooperativePool {
+        SchedulerKind::ThreadPerKernel => ThreadPerKernel.execute(runners, stop.clone()),
+        SchedulerKind::Stealing { workers, pin } => crate::stealing::WorkStealing {
             workers,
-            timing,
-            quantum: 32,
+            pin,
+            // §4.1's mapping seeds each worker's deque; stealing then
+            // rebalances dynamically.
+            placement: crate::mapper::place_on_workers(
+                runners.len(),
+                map.links.iter().map(|l| (l.src, l.dst)),
+                workers,
+            ),
         }
         .execute(runners, stop.clone()),
-        SchedulerKind::Chained { workers } => ChainedPool {
-            workers,
-            timing,
-            quantum: 32,
-        }
-        .execute(runners, stop.clone()),
-        SchedulerKind::Partitioned { workers } => {
-            // §4.1's mapping: partition the kernel graph across workers
-            // (here each worker is one latency domain leaf).
-            let mut comm = crate::mapper::CommGraph::new(runners.len());
-            for l in &links_snapshot {
-                if l.0 != l.1 {
-                    comm.add_edge(l.0, l.1, 1);
-                }
-            }
-            let topo = crate::mapper::Domain::symmetric_host("pool", workers.max(1), 100);
-            let mapping = crate::mapper::map_kernels(&comm, &topo);
-            let partition: Vec<usize> = mapping
-                .assignment
-                .iter()
-                .map(|r| {
-                    r.name
-                        .rsplit("core")
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(0)
-                })
-                .collect();
-            PartitionedPool {
-                partition,
-                workers,
-                timing,
-                quantum: 32,
-            }
-            .execute(runners, stop.clone())
-        }
-        SchedulerKind::Stealing { workers, pin } => {
-            // Seed initial placement from the same §4.1 mapping the
-            // partitioned pool uses; stealing then rebalances dynamically.
-            let mut comm = crate::mapper::CommGraph::new(runners.len());
-            for l in &links_snapshot {
-                if l.0 != l.1 {
-                    comm.add_edge(l.0, l.1, 1);
-                }
-            }
-            let topo = crate::mapper::Domain::symmetric_host("pool", workers.max(1), 100);
-            let mapping = crate::mapper::map_kernels(&comm, &topo);
-            let placement: Vec<usize> = mapping
-                .assignment
-                .iter()
-                .map(|r| {
-                    r.name
-                        .rsplit("core")
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(0)
-                })
-                .collect();
-            crate::stealing::WorkStealing {
-                workers,
-                timing,
-                quantum: 32,
-                pin,
-                placement,
-            }
-            .execute(runners, stop.clone())
-        }
     };
     let outcomes = sched_out.outcomes;
     let workers = sched_out.workers;

@@ -5,77 +5,49 @@
 //! operating system. ... RaftLib, of course, allows the substitution of any
 //! scheduler desired." (§4.1)
 //!
-//! The schedulers ship here behind the [`Scheduler`] trait:
+//! Two schedulers ship here behind the [`Scheduler`] trait — the paper's
+//! substitution point:
 //!
-//! * [`ThreadPerKernel`] — the paper's default: every kernel is an
-//!   independent execution unit (an OS thread); blocking port operations
-//!   simply block that thread and the OS multiplexes.
-//! * [`CooperativePool`] — a fixed pool of workers that round-robin ready
-//!   kernels. "Ready" = every input stream has data or ended, so a
-//!   well-behaved kernel (consuming at most one item per input per `run`)
-//!   never blocks a worker on an empty queue. This is both the pluggable
-//!   scheduler showcase and the way to emulate k-way placement on hosts
-//!   with few cores.
-//! * [`ChainedPool`] / [`PartitionedPool`] — cache-aware and mapper-driven
-//!   variants of the cooperative pool.
-//! * [`crate::stealing::WorkStealing`] — event-driven work stealing:
-//!   readiness arrives through the FIFOs' [`raft_buffer::WakerSlot`]s as
-//!   O(1) task enqueues instead of the pools' O(kernels × ports) occupancy
-//!   sweeps; per-worker Chase–Lev deques with a global FIFO injector,
-//!   adaptive spin → yield → park idling, optional core pinning.
+//! * [`ThreadPerKernel`] — the paper's default and this runtime's reference
+//!   semantics: every kernel is an independent execution unit (an OS
+//!   thread); blocking port operations simply block that thread and the OS
+//!   multiplexes.
+//! * [`crate::stealing::WorkStealing`] — a fixed pool of workers for graphs
+//!   with more kernels than cores: readiness arrives through the FIFOs'
+//!   [`raft_buffer::WakerSlot`]s as O(1) task enqueues; per-worker Chase–Lev
+//!   deques seeded by the §4.1 mapper, a global FIFO injector, adaptive
+//!   spin → yield → park idling, optional core pinning.
+//!
+//! Both run kernels through the same lifecycle, which exists once in this
+//! module: [`drive`] (ready-gate → `run()` inside the unwind guard →
+//! supervision → journal transaction → wind-down → flush-on-idle) and
+//! [`retire`] (fatal → global stop, drop the runner so EoS propagates, name
+//! the outcome). A scheduler decides only *which* kernel a thread drives
+//! next and what it does while none is runnable.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use raft_buffer::fifo::Monitorable;
-use raft_buffer::{WaitStrategy, Waiter};
 
 use crate::kernel::{JournalCtlFn, JournalOp, KStatus, Kernel};
 use crate::port::Context;
 use crate::supervise::{KernelOutcome, SupervisorPolicy};
-
-/// Idle-wait policy shared by the polling pool workers: adaptive spin →
-/// yield, then 100 µs sleeps (the pools have no wake signal to park on, so
-/// the sleep doubles as their re-poll period). The work-stealing scheduler
-/// parks on a condvar instead and uses a much longer backstop.
-pub(crate) const POOL_IDLE: WaitStrategy =
-    WaitStrategy::parking(std::time::Duration::from_micros(100));
 
 /// Which scheduler `exe()` uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// One OS thread per kernel (the paper's default).
     ThreadPerKernel,
-    /// Cooperative pool with a fixed worker count.
-    Pool {
-        /// Number of worker threads.
-        workers: usize,
-    },
-    /// Cache-aware cooperative pool (the paper's anticipated Agrawal,
-    /// Fineman & Maglalang \[3\] direction): after a kernel produces, the
-    /// worker immediately runs its downstream consumer so freshly written
-    /// stream data is consumed while still cache-hot.
-    Chained {
-        /// Number of worker threads.
-        workers: usize,
-    },
-    /// Mapper-driven pool: the kernel graph is partitioned across workers
-    /// with the paper's latency-priority bisection (§4.1's mapping
-    /// algorithm); each worker owns its partition exclusively, so heavily
-    /// communicating kernels share a worker ("place the fewest number of
-    /// streams over high latency connections").
-    Partitioned {
-        /// Number of worker threads (= partitions).
-        workers: usize,
-    },
     /// Event-driven work-stealing pool: kernels become runnable through
     /// FIFO wakers (no occupancy polling), run from per-worker Chase–Lev
     /// deques fed by a global injector, and idle workers steal before
-    /// parking. The mapper's partition assignment seeds the initial
-    /// per-worker placement.
+    /// parking. The mapper's partition assignment (§4.1) seeds the initial
+    /// per-worker placement, and a woken consumer is enqueued LIFO on the
+    /// waking worker's own deque, so freshly written stream data is consumed
+    /// while still cache-hot.
     Stealing {
         /// Number of worker threads.
         workers: usize,
@@ -120,10 +92,6 @@ pub struct KernelRunner {
     pub input_fifos: Vec<Arc<dyn Monitorable>>,
     /// Service counters.
     pub telemetry: Arc<KernelTelemetry>,
-    /// Indices (into the runner table) of downstream kernels — used by the
-    /// cache-aware chained scheduler to run consumers right after their
-    /// producer.
-    pub successors: Vec<usize>,
     /// Monitor handles of this kernel's *output* streams: on panic the
     /// runtime posts `Signal::Error` on each, so downstream kernels can
     /// observe the failure out-of-band — the paper's "asynchronous
@@ -173,10 +141,10 @@ impl KernelRunner {
     }
 
     /// Commit whatever the open transaction holds — called whenever the
-    /// kernel stops making progress (clean completion, wind-down, an idle
-    /// park in a pool scheduler) so staged outputs never sit unpublished
-    /// while the kernel waits.
-    pub(crate) fn journal_flush(&mut self) {
+    /// kernel stops making progress (clean completion, wind-down, going
+    /// idle in [`drive`]) so staged outputs never sit unpublished while the
+    /// kernel waits.
+    fn journal_flush(&mut self) {
         if self.journal_uncommitted > 0 {
             self.journal_commit();
         }
@@ -252,15 +220,6 @@ pub struct SchedulerOutput {
     pub workers: Vec<WorkerReport>,
 }
 
-impl From<Vec<RunnerOutcome>> for SchedulerOutput {
-    fn from(outcomes: Vec<RunnerOutcome>) -> Self {
-        SchedulerOutput {
-            outcomes,
-            workers: Vec::new(),
-        }
-    }
-}
-
 /// A scheduler executes a set of kernels to completion.
 pub trait Scheduler {
     /// Run all kernels; return one outcome per kernel (plus any worker
@@ -269,18 +228,82 @@ pub trait Scheduler {
     fn execute(&self, runners: Vec<KernelRunner>, stop: Arc<AtomicBool>) -> SchedulerOutput;
 }
 
-/// Drive a kernel for one quantum. Returns `None` while it wants more
+/// `run()` calls per claim under a pool scheduler: long enough to amortize
+/// the claim, short enough that one busy kernel cannot starve its worker's
+/// deque.
+pub(crate) const QUANTUM: u32 = 32;
+
+/// The readiness rule of a gated [`drive`] and of the stealing scheduler's
+/// wake filter: sources are always ready; everything else needs data (or
+/// EoS, or a pending async signal — e.g. the `Signal::Error` a panicked
+/// upstream posts with no accompanying data) on *all* inputs, so a
+/// well-behaved kernel (consuming at most one item per input per `run`)
+/// never blocks a pool worker on an empty queue.
+pub(crate) fn inputs_ready(input_fifos: &[Arc<dyn Monitorable>]) -> bool {
+    input_fifos
+        .iter()
+        .all(|f| f.occupancy() > 0 || f.is_finished() || f.has_async())
+}
+
+/// Why [`drive`] handed the kernel back.
+pub(crate) enum Driven {
+    /// The kernel stopped, was skipped, or failed for good: [`retire`] it.
+    Done(StepDone),
+    /// Some input is empty. The open journal transaction was flushed, so
+    /// nothing staged sits unpublished while the kernel waits.
+    Idle,
+    /// The quantum ran out with every input still ready.
+    Yielded,
+}
+
+/// The kernel lifecycle bracket every scheduler runs kernels through.
+///
+/// `quantum = None` is the thread-per-kernel form: the kernel owns its
+/// thread, so there is no readiness gate (blocking port operations block)
+/// and the call returns only [`Driven::Done`]. `Some(q)` is the pool form:
+/// readiness is checked before every `run()` and once more after the `q`-th,
+/// so the caller learns whether to requeue the task or park it.
+pub(crate) fn drive(runner: &mut KernelRunner, stop: &AtomicBool, quantum: Option<u32>) -> Driven {
+    let mut left = quantum;
+    loop {
+        if let Some(left) = left.as_mut() {
+            if !inputs_ready(&runner.input_fifos) {
+                runner.journal_flush();
+                return Driven::Idle;
+            }
+            if *left == 0 {
+                return Driven::Yielded;
+            }
+            *left -= 1;
+        }
+        if let Some(done) = step(runner).or_else(|| stop_winddown(runner, stop)) {
+            return Driven::Done(done);
+        }
+    }
+}
+
+/// Retire a kernel [`drive`] reported done: a fatal outcome raises the
+/// global stop flag, and dropping the runner drops its [`Context`], closing
+/// every endpoint — EoS propagates downstream (and fires the consumers'
+/// wakers) even when `run()` panicked before its first push.
+pub(crate) fn retire(mut runner: KernelRunner, done: StepDone, stop: &AtomicBool) -> RunnerOutcome {
+    if done.fatal {
+        stop.store(true, Ordering::Relaxed);
+    }
+    let name = std::mem::take(&mut runner.name);
+    drop(runner);
+    RunnerOutcome {
+        name,
+        outcome: done.outcome,
+        fatal: done.fatal,
+    }
+}
+
+/// One `run()` invocation. Returns `None` while the kernel wants more
 /// (`Proceed`, or a panic the supervision policy absorbed), `Some(done)`
 /// when it stopped, was skipped, or failed for good.
-///
-/// Panic path invariants (regression-tested in `tests/supervision.rs`):
-/// the caller must drop (or take-and-drop) the runner on `Some(_)`, which
-/// drops its [`Context`] and closes every endpoint — so the monitor
-/// handles of a panicked kernel's output streams observe `is_finished()`
-/// even when `run()` panicked before its first push (the zero-iteration
-/// case of the drain loops below).
-pub(crate) fn step(runner: &mut KernelRunner, timing: bool) -> Option<StepDone> {
-    let started = timing.then(Instant::now);
+fn step(runner: &mut KernelRunner) -> Option<StepDone> {
+    let started = Instant::now();
     runner.telemetry.entered.fetch_add(1, Ordering::Relaxed);
     // The failpoint runs inside the unwind guard so an injected panic takes
     // exactly the policy-handled path a kernel panic would.
@@ -288,12 +311,10 @@ pub(crate) fn step(runner: &mut KernelRunner, timing: bool) -> Option<StepDone> 
         raft_buffer::failpoint!("core::scheduler::step");
         runner.kernel.run(&runner.ctx)
     }));
-    if let Some(t0) = started {
-        runner
-            .telemetry
-            .busy_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
+    runner
+        .telemetry
+        .busy_ns
+        .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
     runner.telemetry.runs.fetch_add(1, Ordering::Relaxed);
     match result {
         Ok(status) => {
@@ -302,22 +323,28 @@ pub(crate) fn step(runner: &mut KernelRunner, timing: bool) -> Option<StepDone> 
             // visible — staged outputs publish, consumed inputs are
             // acknowledged.
             runner.journal_tick();
-            if matches!(status, KStatus::Stop) {
-                runner.journal_flush();
-            }
             match status {
                 KStatus::Proceed => None,
-                KStatus::Stop => Some(StepDone {
-                    outcome: match runner.restarts {
-                        0 => KernelOutcome::Completed,
-                        n => KernelOutcome::Restarted(n),
-                    },
-                    fatal: false,
-                }),
+                KStatus::Stop => {
+                    runner.journal_flush();
+                    Some(StepDone {
+                        outcome: match runner.restarts {
+                            0 => KernelOutcome::Completed,
+                            n => KernelOutcome::Restarted(n),
+                        },
+                        fatal: false,
+                    })
+                }
             }
         }
         Err(_) => {
-            let done = handle_panic(runner);
+            // Supervision runs user code too (a `Replace` factory,
+            // `clone_replica()`), so it gets its own unwind guard: a panic
+            // there would otherwise kill the scheduler's thread with the
+            // kernel half-retired. It counts as the restart budget running
+            // out.
+            let done = catch_unwind(AssertUnwindSafe(|| handle_panic(runner)))
+                .unwrap_or_else(|_| Some(aborted(runner, false)));
             if done.is_none() {
                 // The policy absorbed the panic (Restart/Replace with
                 // budget left): roll the transaction back so the fresh
@@ -334,8 +361,8 @@ pub(crate) fn step(runner: &mut KernelRunner, timing: bool) -> Option<StepDone> 
 /// Cooperative wind-down: on global stop (watchdog deadline, fatal panic
 /// elsewhere) or a level-1 drain request, sources must finish instead of
 /// producing forever; kernels with inputs drain naturally as upstream EoS
-/// arrives. Every scheduler consults this after an inconclusive step.
-pub(crate) fn stop_winddown(runner: &mut KernelRunner, stop: &AtomicBool) -> Option<StepDone> {
+/// arrives.
+fn stop_winddown(runner: &mut KernelRunner, stop: &AtomicBool) -> Option<StepDone> {
     let wind_down = stop.load(Ordering::Relaxed) || runner.ctx.drain_requested();
     if wind_down && runner.ctx.input_count() == 0 {
         // Publish anything still staged before the runner is dropped.
@@ -349,31 +376,23 @@ pub(crate) fn stop_winddown(runner: &mut KernelRunner, stop: &AtomicBool) -> Opt
     }
 }
 
+/// Terminal panic outcome. Asynchronous error propagation (§4.2's exception
+/// pathway): downstream kernels see `Signal::Error` out-of-band, ahead of
+/// whatever data is still queued.
+fn aborted(runner: &KernelRunner, fatal: bool) -> StepDone {
+    for f in &runner.output_fifos {
+        f.post_async(raft_buffer::Signal::Error(1));
+    }
+    StepDone {
+        outcome: KernelOutcome::Aborted,
+        fatal,
+    }
+}
+
 /// Apply the runner's supervision policy to a caught panic.
 fn handle_panic(runner: &mut KernelRunner) -> Option<StepDone> {
-    let post_error = |runner: &KernelRunner| {
-        // Asynchronous error propagation (§4.2's exception pathway):
-        // downstream kernels see Signal::Error out-of-band, ahead of
-        // whatever data is still queued.
-        for f in &runner.output_fifos {
-            f.post_async(raft_buffer::Signal::Error(1));
-        }
-    };
-    let exhausted = |runner: &KernelRunner| {
-        post_error(runner);
-        Some(StepDone {
-            outcome: KernelOutcome::Aborted,
-            fatal: false,
-        })
-    };
     match runner.policy.clone() {
-        SupervisorPolicy::Abort => {
-            post_error(runner);
-            Some(StepDone {
-                outcome: KernelOutcome::Aborted,
-                fatal: true,
-            })
-        }
+        SupervisorPolicy::Abort => Some(aborted(runner, true)),
         // Skip-and-drain: no error signal — the kernel's ports close when
         // the caller drops the runner, EoS propagates, and downstream
         // stages flush whatever made it through.
@@ -383,7 +402,7 @@ fn handle_panic(runner: &mut KernelRunner) -> Option<StepDone> {
         }),
         SupervisorPolicy::Restart { max_restarts, .. } => {
             if runner.restarts >= max_restarts {
-                return exhausted(runner);
+                return Some(aborted(runner, false));
             }
             // Clean-slate restart when the kernel supports replication;
             // otherwise re-enter the surviving instance in place.
@@ -399,7 +418,7 @@ fn handle_panic(runner: &mut KernelRunner) -> Option<StepDone> {
             ..
         } => {
             if runner.restarts >= max_restarts {
-                return exhausted(runner);
+                return Some(aborted(runner, false));
             }
             runner.kernel = factory();
             backoff_and_count(runner);
@@ -418,431 +437,43 @@ fn backoff_and_count(runner: &mut KernelRunner) {
 }
 
 /// One OS thread per kernel.
-pub struct ThreadPerKernel {
-    /// Record per-run timing into [`KernelTelemetry::busy_ns`].
-    pub timing: bool,
-}
+pub struct ThreadPerKernel;
 
 impl Scheduler for ThreadPerKernel {
     fn execute(&self, runners: Vec<KernelRunner>, stop: Arc<AtomicBool>) -> SchedulerOutput {
-        let timing = self.timing;
+        // Names stay beside the join handles: a kernel thread that dies
+        // anyway (a panicking `Drop`, say) is still reported by name.
         let handles: Vec<_> = runners
             .into_iter()
             .map(|mut runner| {
                 let stop = stop.clone();
-                std::thread::Builder::new()
-                    .name(format!("raft-{}", runner.name))
-                    .spawn(move || {
-                        let done = loop {
-                            match step(&mut runner, timing) {
-                                Some(done) => break done,
-                                None => {
-                                    // Sources wind down on global stop or
-                                    // drain; other kernels drain naturally.
-                                    if let Some(done) = stop_winddown(&mut runner, &stop) {
-                                        break done;
-                                    }
-                                }
-                            }
-                        };
-                        if done.fatal {
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                        // Dropping the runner drops its Context, closing all
-                        // endpoint handles: EoS propagates downstream.
-                        let name = runner.name.clone();
-                        drop(runner);
-                        RunnerOutcome {
-                            name,
-                            outcome: done.outcome,
-                            fatal: done.fatal,
+                let name = runner.name.clone();
+                let handle = std::thread::Builder::new()
+                    .name(format!("raft-{name}"))
+                    .spawn(move || match drive(&mut runner, &stop, None) {
+                        Driven::Done(done) => retire(runner, done, &stop),
+                        Driven::Idle | Driven::Yielded => {
+                            unreachable!("an ungated drive returns only when the kernel is done")
                         }
                     })
-                    .expect("spawn kernel thread")
+                    .expect("spawn kernel thread");
+                (name, handle)
             })
             .collect();
-        handles
+        let outcomes = handles
             .into_iter()
-            .map(|h| {
+            .map(|(name, h)| {
                 h.join().unwrap_or(RunnerOutcome {
-                    name: "<unknown>".into(),
+                    name,
                     outcome: KernelOutcome::Aborted,
                     fatal: true,
                 })
             })
-            .collect::<Vec<_>>()
-            .into()
-    }
-}
-
-/// Cooperative fixed-size worker pool with readiness gating.
-pub struct CooperativePool {
-    /// Worker thread count.
-    pub workers: usize,
-    /// Record per-run timing.
-    pub timing: bool,
-    /// `run()` calls per claim (amortizes queue locking).
-    pub quantum: u32,
-}
-
-struct PoolSlot {
-    runner: Option<KernelRunner>,
-}
-
-/// The readiness rule shared by every pool-style scheduler: sources are
-/// always ready; everything else needs data (or EoS, or a pending async
-/// signal — e.g. the `Signal::Error` a panicked upstream posts with no
-/// accompanying data) on *all* inputs.
-pub(crate) fn inputs_ready(input_fifos: &[Arc<dyn Monitorable>]) -> bool {
-    if input_fifos.is_empty() {
-        return true; // sources are always ready
-    }
-    input_fifos
-        .iter()
-        .all(|f| f.occupancy() > 0 || f.is_finished() || f.has_async())
-}
-
-impl CooperativePool {
-    pub(crate) fn ready(runner: &KernelRunner) -> bool {
-        inputs_ready(&runner.input_fifos)
-    }
-}
-
-impl Scheduler for CooperativePool {
-    fn execute(&self, runners: Vec<KernelRunner>, stop: Arc<AtomicBool>) -> SchedulerOutput {
-        let n = runners.len();
-        let slots: Arc<Vec<Mutex<PoolSlot>>> = Arc::new(
-            runners
-                .into_iter()
-                .map(|r| Mutex::new(PoolSlot { runner: Some(r) }))
-                .collect(),
-        );
-        let outcomes: Arc<Mutex<Vec<RunnerOutcome>>> = Arc::new(Mutex::new(Vec::with_capacity(n)));
-        let remaining = Arc::new(AtomicU64::new(n as u64));
-        let timing = self.timing;
-        let quantum = self.quantum.max(1);
-
-        let workers: Vec<_> = (0..self.workers.max(1))
-            .map(|w| {
-                let slots = slots.clone();
-                let outcomes = outcomes.clone();
-                let remaining = remaining.clone();
-                let stop = stop.clone();
-                std::thread::Builder::new()
-                    .name(format!("raft-pool-{w}"))
-                    .spawn(move || {
-                        let mut waiter = Waiter::new(POOL_IDLE);
-                        while remaining.load(Ordering::Relaxed) > 0 {
-                            let mut progressed = false;
-                            for slot in slots.iter() {
-                                // Claim without blocking: busy slots are
-                                // being run by another worker.
-                                let Some(mut guard) = slot.try_lock() else {
-                                    continue;
-                                };
-                                let Some(runner) = guard.runner.as_mut() else {
-                                    continue;
-                                };
-                                if !Self::ready(runner) {
-                                    // Idle: don't hold staged outputs (or
-                                    // unacknowledged pops) across the wait.
-                                    runner.journal_flush();
-                                    continue;
-                                }
-                                let mut finished: Option<StepDone> = None;
-                                for _ in 0..quantum {
-                                    match step(runner, timing) {
-                                        Some(done) => {
-                                            finished = Some(done);
-                                            break;
-                                        }
-                                        None => {
-                                            progressed = true;
-                                            if let Some(done) = stop_winddown(runner, &stop) {
-                                                finished = Some(done);
-                                                break;
-                                            }
-                                            if !Self::ready(runner) {
-                                                runner.journal_flush();
-                                                break;
-                                            }
-                                        }
-                                    }
-                                }
-                                if let Some(done) = finished {
-                                    let runner = guard.runner.take().unwrap();
-                                    let name = runner.name.clone();
-                                    drop(runner); // close endpoints -> EoS
-                                    if done.fatal {
-                                        stop.store(true, Ordering::Relaxed);
-                                    }
-                                    outcomes.lock().push(RunnerOutcome {
-                                        name,
-                                        outcome: done.outcome,
-                                        fatal: done.fatal,
-                                    });
-                                    remaining.fetch_sub(1, Ordering::Relaxed);
-                                    progressed = true;
-                                }
-                            }
-                            if progressed {
-                                waiter.reset();
-                            } else {
-                                waiter.pause();
-                            }
-                        }
-                    })
-                    .expect("spawn pool worker")
-            })
             .collect();
-        for w in workers {
-            let _ = w.join();
+        SchedulerOutput {
+            outcomes,
+            workers: Vec::new(),
         }
-        // Every worker holding a clone has been joined, so this handle must
-        // be the last one — losing outcomes here would silently report an
-        // empty run (the old `try_unwrap(..).unwrap_or_default()` bug).
-        assert_eq!(
-            Arc::strong_count(&outcomes),
-            1,
-            "pool worker leaked an outcomes handle past join"
-        );
-        let collected = std::mem::take(&mut *outcomes.lock());
-        collected.into()
-    }
-}
-
-/// Mapper-partitioned pool: worker `w` exclusively runs the kernels whose
-/// partition is `w` (no cross-worker claiming, so no slot contention); each
-/// worker round-robins its own kernels with readiness gating.
-pub struct PartitionedPool {
-    /// `partition[k]` = worker index owning kernel `k`.
-    pub partition: Vec<usize>,
-    /// Number of worker threads.
-    pub workers: usize,
-    /// Record per-run timing.
-    pub timing: bool,
-    /// `run()` calls per visit.
-    pub quantum: u32,
-}
-
-impl Scheduler for PartitionedPool {
-    fn execute(&self, runners: Vec<KernelRunner>, stop: Arc<AtomicBool>) -> SchedulerOutput {
-        assert_eq!(self.partition.len(), runners.len());
-        let workers = self.workers.max(1);
-        // Group runners per worker.
-        let mut groups: Vec<Vec<KernelRunner>> = (0..workers).map(|_| Vec::new()).collect();
-        for (runner, &p) in runners.into_iter().zip(&self.partition) {
-            groups[p.min(workers - 1)].push(runner);
-        }
-        let timing = self.timing;
-        let quantum = self.quantum.max(1);
-        let threads: Vec<_> = groups
-            .into_iter()
-            .enumerate()
-            .map(|(w, mut mine)| {
-                let stop = stop.clone();
-                std::thread::Builder::new()
-                    .name(format!("raft-part-{w}"))
-                    .spawn(move || {
-                        let mut outcomes = Vec::with_capacity(mine.len());
-                        let mut waiter = Waiter::new(POOL_IDLE);
-                        while !mine.is_empty() {
-                            let mut progressed = false;
-                            let mut i = 0;
-                            while i < mine.len() {
-                                if !CooperativePool::ready(&mine[i]) {
-                                    mine[i].journal_flush();
-                                    i += 1;
-                                    continue;
-                                }
-                                let mut finished: Option<StepDone> = None;
-                                for _ in 0..quantum {
-                                    match step(&mut mine[i], timing) {
-                                        Some(done) => {
-                                            finished = Some(done);
-                                            break;
-                                        }
-                                        None => {
-                                            progressed = true;
-                                            if let Some(done) = stop_winddown(&mut mine[i], &stop) {
-                                                finished = Some(done);
-                                                break;
-                                            }
-                                            if !CooperativePool::ready(&mine[i]) {
-                                                mine[i].journal_flush();
-                                                break;
-                                            }
-                                        }
-                                    }
-                                }
-                                if let Some(done) = finished {
-                                    let runner = mine.swap_remove(i);
-                                    let name = runner.name.clone();
-                                    drop(runner);
-                                    if done.fatal {
-                                        stop.store(true, Ordering::Relaxed);
-                                    }
-                                    outcomes.push(RunnerOutcome {
-                                        name,
-                                        outcome: done.outcome,
-                                        fatal: done.fatal,
-                                    });
-                                    progressed = true;
-                                } else {
-                                    i += 1;
-                                }
-                            }
-                            if progressed {
-                                waiter.reset();
-                            } else {
-                                waiter.pause();
-                            }
-                        }
-                        outcomes
-                    })
-                    .expect("spawn partition worker")
-            })
-            .collect();
-        let mut all = Vec::new();
-        for t in threads {
-            if let Ok(mut o) = t.join() {
-                all.append(&mut o);
-            }
-        }
-        all.into()
-    }
-}
-
-/// Cache-aware chained pool: identical claiming/readiness machinery to
-/// [`CooperativePool`], but after a kernel makes progress the worker jumps
-/// straight to that kernel's successors (depth-first down the pipeline)
-/// instead of resuming the round-robin sweep — data written to a stream is
-/// consumed while the cache lines are still warm.
-pub struct ChainedPool {
-    /// Worker thread count.
-    pub workers: usize,
-    /// Record per-run timing.
-    pub timing: bool,
-    /// `run()` calls per claim.
-    pub quantum: u32,
-}
-
-impl Scheduler for ChainedPool {
-    fn execute(&self, runners: Vec<KernelRunner>, stop: Arc<AtomicBool>) -> SchedulerOutput {
-        let n = runners.len();
-        let successors: Vec<Vec<usize>> = runners.iter().map(|r| r.successors.clone()).collect();
-        let slots: Arc<Vec<Mutex<PoolSlot>>> = Arc::new(
-            runners
-                .into_iter()
-                .map(|r| Mutex::new(PoolSlot { runner: Some(r) }))
-                .collect(),
-        );
-        let outcomes: Arc<Mutex<Vec<RunnerOutcome>>> = Arc::new(Mutex::new(Vec::with_capacity(n)));
-        let remaining = Arc::new(AtomicU64::new(n as u64));
-        let timing = self.timing;
-        let quantum = self.quantum.max(1);
-        let successors = Arc::new(successors);
-
-        let workers: Vec<_> = (0..self.workers.max(1))
-            .map(|w| {
-                let slots = slots.clone();
-                let outcomes = outcomes.clone();
-                let remaining = remaining.clone();
-                let stop = stop.clone();
-                let successors = successors.clone();
-                std::thread::Builder::new()
-                    .name(format!("raft-chain-{w}"))
-                    .spawn(move || {
-                        let mut waiter = Waiter::new(POOL_IDLE);
-                        // Start each worker at a different offset so they
-                        // begin on different chains.
-                        let mut cursor = w % slots.len().max(1);
-                        while remaining.load(Ordering::Relaxed) > 0 {
-                            let mut progressed = false;
-                            // One full sweep, but each productive kernel
-                            // chains into its successors first.
-                            for probe in 0..slots.len() {
-                                let start = (cursor + probe) % slots.len();
-                                // Depth-first chain walk from `start`.
-                                let mut chain = vec![start];
-                                while let Some(i) = chain.pop() {
-                                    let Some(mut guard) = slots[i].try_lock() else {
-                                        continue;
-                                    };
-                                    let Some(runner) = guard.runner.as_mut() else {
-                                        continue;
-                                    };
-                                    if !CooperativePool::ready(runner) {
-                                        runner.journal_flush();
-                                        continue;
-                                    }
-                                    let mut finished: Option<StepDone> = None;
-                                    for _ in 0..quantum {
-                                        match step(runner, timing) {
-                                            Some(done) => {
-                                                finished = Some(done);
-                                                break;
-                                            }
-                                            None => {
-                                                progressed = true;
-                                                if let Some(done) = stop_winddown(runner, &stop) {
-                                                    finished = Some(done);
-                                                    break;
-                                                }
-                                                if !CooperativePool::ready(runner) {
-                                                    runner.journal_flush();
-                                                    break;
-                                                }
-                                            }
-                                        }
-                                    }
-                                    if let Some(done) = finished {
-                                        let runner = guard.runner.take().unwrap();
-                                        let name = runner.name.clone();
-                                        drop(runner);
-                                        if done.fatal {
-                                            stop.store(true, Ordering::Relaxed);
-                                        }
-                                        outcomes.lock().push(RunnerOutcome {
-                                            name,
-                                            outcome: done.outcome,
-                                            fatal: done.fatal,
-                                        });
-                                        remaining.fetch_sub(1, Ordering::Relaxed);
-                                        progressed = true;
-                                    } else if progressed {
-                                        // Chase the data downstream: the
-                                        // cache-aware step.
-                                        for &s in &successors[i] {
-                                            chain.push(s);
-                                        }
-                                    }
-                                    drop(guard);
-                                }
-                            }
-                            cursor = (cursor + 1) % slots.len().max(1);
-                            if progressed {
-                                waiter.reset();
-                            } else {
-                                waiter.pause();
-                            }
-                        }
-                    })
-                    .expect("spawn chained worker")
-            })
-            .collect();
-        for w in workers {
-            let _ = w.join();
-        }
-        // See CooperativePool: all clones joined, so losing outcomes here
-        // is a bug, not a condition to default away.
-        assert_eq!(
-            Arc::strong_count(&outcomes),
-            1,
-            "chained worker leaked an outcomes handle past join"
-        );
-        let collected = std::mem::take(&mut *outcomes.lock());
-        collected.into()
     }
 }
 
@@ -852,10 +483,12 @@ mod tests {
 
     #[test]
     fn scheduler_kind_is_copy() {
-        let k = SchedulerKind::Pool { workers: 2 };
+        let k = SchedulerKind::Stealing {
+            workers: 2,
+            pin: false,
+        };
         let k2 = k;
         assert_eq!(k, k2);
-        let c = SchedulerKind::Chained { workers: 1 };
-        assert_ne!(k, c);
+        assert_ne!(k, SchedulerKind::ThreadPerKernel);
     }
 }

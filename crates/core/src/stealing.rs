@@ -1,9 +1,7 @@
 //! Event-driven work-stealing scheduler.
 //!
-//! The polling pools in [`crate::scheduler`] discover runnable kernels by
-//! sweeping every slot and re-reading every input stream's occupancy —
-//! O(kernels × ports) per pass, plus a 100 µs sleep loop whenever the graph
-//! goes quiet. [`WorkStealing`] inverts the flow:
+//! [`WorkStealing`] multiplexes a graph over a fixed pool of workers without
+//! ever scanning for runnable kernels:
 //!
 //! * **Readiness is pushed, not polled.** Each kernel is a *task* with a
 //!   tiny state machine (`IDLE → QUEUED → RUNNING`). When a task blocks on
@@ -48,8 +46,8 @@ use raft_buffer::{FifoWaker, WaitAction, WaitStrategy, Waiter};
 
 use crate::affinity;
 use crate::scheduler::{
-    step, CooperativePool, KernelRunner, RunnerOutcome, Scheduler, SchedulerOutput, StepDone,
-    WorkerReport,
+    drive, inputs_ready, retire, Driven, KernelRunner, RunnerOutcome, Scheduler, SchedulerOutput,
+    StepDone, WorkerReport, QUANTUM,
 };
 use crate::supervise::KernelOutcome;
 
@@ -66,9 +64,7 @@ const NOTIFIED: u8 = 3;
 
 /// How long a parked worker sleeps before re-checking on its own — purely
 /// a safety net against scheduler bugs, not a polling period (wakes arrive
-/// through the condvar, so this can be long without adding wake latency —
-/// unlike the polling pool, whose sleep interval *is* its readiness
-/// latency).
+/// through the condvar, so this can be long without adding wake latency).
 const WORKER_PARK_TIMEOUT: Duration = Duration::from_millis(10);
 
 std::thread_local! {
@@ -197,11 +193,11 @@ impl Core {
     /// subsequent push finds a fresh arm and re-enters here. Spurious arms
     /// are absorbed at claim time (every claim disarms first).
     fn wake_task(&self, task: usize) {
-        if !crate::scheduler::inputs_ready(&self.tasks[task].inputs) {
+        if !inputs_ready(&self.tasks[task].inputs) {
             for f in &self.tasks[task].inputs {
                 f.consumer_waker().arm();
             }
-            if !crate::scheduler::inputs_ready(&self.tasks[task].inputs) {
+            if !inputs_ready(&self.tasks[task].inputs) {
                 return;
             }
         }
@@ -244,7 +240,7 @@ impl Core {
             // Skip finished kernels (runner taken); a held lock means the
             // task is mid-claim, which is not a lost wakeup.
             let live = slot.runner.try_lock().is_some_and(|g| g.is_some());
-            if live && crate::scheduler::inputs_ready(&slot.inputs) {
+            if live && inputs_ready(&slot.inputs) {
                 self.wake_task(task);
                 rescued += 1;
             }
@@ -270,27 +266,12 @@ impl FifoWaker for TaskWaker {
 pub struct WorkStealing {
     /// Worker thread count.
     pub workers: usize,
-    /// Record per-run timing into kernel telemetry.
-    pub timing: bool,
-    /// `run()` calls per claim.
-    pub quantum: u32,
     /// Pin worker `w` to core `w % cores` (best-effort).
     pub pin: bool,
     /// `placement[k]` = worker whose deque initially holds kernel `k`
     /// (typically the mapper's partition assignment). Empty = all tasks
     /// start in the injector in graph order.
     pub placement: Vec<usize>,
-}
-
-/// Per-worker mutable telemetry, folded into [`WorkerReport`] at exit.
-#[derive(Default)]
-struct WorkerStats {
-    runs: u64,
-    steals: u64,
-    parks: u64,
-    woken_tasks: u64,
-    wake_to_run_ns: u64,
-    rescues: u64,
 }
 
 impl WorkStealing {
@@ -318,17 +299,16 @@ impl WorkStealing {
         None
     }
 
-    /// Drive one claimed task for up to a quantum. Returns `true` if the
-    /// kernel finished (outcome recorded by the caller via the return).
-    #[allow(clippy::too_many_arguments)]
+    /// Drive one claimed task for up to a quantum; `Some` when the kernel
+    /// finished. The kernel lifecycle itself lives in
+    /// [`crate::scheduler::drive`] / [`retire`]; this function owns only the
+    /// task state machine around it.
     fn run_task(
         core: &Core,
         me: usize,
         task: usize,
-        timing: bool,
-        quantum: u32,
         stop: &AtomicBool,
-        stats: &mut WorkerStats,
+        stats: &mut WorkerReport,
     ) -> Option<RunnerOutcome> {
         let slot = &core.tasks[task];
         // Claim: QUEUED → RUNNING. A wake observing RUNNING from here on
@@ -356,92 +336,66 @@ impl WorkStealing {
             f.consumer_waker().disarm();
         }
 
-        let mut finished: Option<StepDone> = None;
-        for _ in 0..quantum {
-            if !CooperativePool::ready(runner) {
-                break;
-            }
-            match step(runner, timing) {
-                Some(done) => {
-                    finished = Some(done);
-                    break;
+        // Every arm below leaves the task QUEUED on our own deque, LIFO
+        // (its inputs are cache-hot).
+        let requeue = || {
+            slot.state.store(QUEUED, Release);
+            core.deques[me].push(task);
+        };
+        match drive(runner, stop, Some(QUANTUM)) {
+            Driven::Done(done) => {
+                let runner = guard.take().expect("runner present while RUNNING");
+                drop(guard);
+                // Retiring closes the runner's endpoints: EoS propagates
+                // and *their* wakers fire, re-queueing consumers.
+                let outcome = retire(runner, done, stop);
+                slot.state.store(IDLE, Release);
+                if core.remaining.fetch_sub(1, AcqRel) == 1 {
+                    // Last kernel done: release every parked worker for exit.
+                    let _g = core.park_lock.lock();
+                    core.unpark.notify_all();
                 }
-                None => {
-                    if let Some(done) = crate::scheduler::stop_winddown(runner, stop) {
-                        finished = Some(done);
-                        break;
-                    }
+                Some(outcome)
+            }
+            Driven::Yielded => {
+                // Quantum exhausted mid-stream: yield the worker but stay
+                // runnable.
+                drop(guard);
+                requeue();
+                // Kick a parked sibling only when work is piling up behind
+                // this worker — a lone requeued task is about to be
+                // re-popped right here, and the futex round trip would be
+                // pure overhead.
+                if core.deques[me].len() > 1 && core.sleepers.load(Relaxed) > 0 {
+                    core.wake_worker();
                 }
+                None
+            }
+            Driven::Idle => {
+                // Blocked on empty inputs: arm every input's waker, then
+                // re-check — the Dekker handshake that makes parking
+                // lossless (module docs).
+                for f in &runner.input_fifos {
+                    f.consumer_waker().arm();
+                }
+                let landed = inputs_ready(&runner.input_fifos);
+                drop(guard);
+                // `landed`: data (or EoS) arrived between drive's readiness
+                // check and the arms; stale arms are absorbed at the next
+                // claim. A failed CAS means NOTIFIED: a waker fired during
+                // the run window. Either way requeue rather than park, so
+                // the wake is never lost.
+                if landed
+                    || slot
+                        .state
+                        .compare_exchange(RUNNING, IDLE, AcqRel, Acquire)
+                        .is_err()
+                {
+                    requeue();
+                }
+                None
             }
         }
-
-        if let Some(done) = finished {
-            let runner = guard.take().expect("runner present while RUNNING");
-            drop(guard);
-            let name = runner.name.clone();
-            // Dropping the runner drops its Context, closing all endpoints:
-            // EoS propagates and *their* wakers fire, re-queueing consumers.
-            drop(runner);
-            slot.state.store(IDLE, Release);
-            if done.fatal {
-                stop.store(true, Relaxed);
-            }
-            if core.remaining.fetch_sub(1, AcqRel) == 1 {
-                // Last kernel done: release every parked worker for exit.
-                let _g = core.park_lock.lock();
-                core.unpark.notify_all();
-            }
-            return Some(RunnerOutcome {
-                name,
-                outcome: done.outcome,
-                fatal: done.fatal,
-            });
-        }
-
-        if CooperativePool::ready(runner) {
-            // Quantum exhausted mid-stream: yield the worker but stay
-            // runnable, LIFO on our own deque (inputs are cache-hot).
-            drop(guard);
-            slot.state.store(QUEUED, Release);
-            core.deques[me].push(task);
-            // Kick a parked sibling only when work is piling up behind this
-            // worker — a lone requeued task is about to be re-popped right
-            // here, and the futex round trip would be pure overhead.
-            if core.deques[me].len() > 1 && core.sleepers.load(Relaxed) > 0 {
-                core.wake_worker();
-            }
-            return None;
-        }
-
-        // Going idle: publish staged outputs / acknowledge pops before the
-        // task leaves the deques, so downstream never waits on data held in
-        // an open journal transaction.
-        runner.journal_flush();
-        // Blocked on empty inputs: arm every input's waker, then re-check —
-        // the Dekker handshake that makes parking lossless (module docs).
-        for f in &runner.input_fifos {
-            f.consumer_waker().arm();
-        }
-        if CooperativePool::ready(runner) {
-            // Data (or EoS) landed between the readiness check and the
-            // arms; stay queued. Stale arms are absorbed at the next claim.
-            drop(guard);
-            slot.state.store(QUEUED, Release);
-            core.deques[me].push(task);
-            return None;
-        }
-        drop(guard);
-        if slot
-            .state
-            .compare_exchange(RUNNING, IDLE, AcqRel, Acquire)
-            .is_err()
-        {
-            // NOTIFIED: a waker fired during the run window; requeue rather
-            // than park so the wake is never lost.
-            slot.state.store(QUEUED, Release);
-            core.deques[me].push(task);
-        }
-        None
     }
 }
 
@@ -503,8 +457,6 @@ impl Scheduler for WorkStealing {
             }
         }
 
-        let timing = self.timing;
-        let quantum = self.quantum.max(1);
         let pin = self.pin;
         let handles: Vec<_> = (0..workers)
             .map(|w| {
@@ -513,14 +465,16 @@ impl Scheduler for WorkStealing {
                 std::thread::Builder::new()
                     .name(format!("raft-steal-{w}"))
                     .spawn(move || {
-                        let pinned_core = if pin {
-                            let target = w % affinity::core_count();
-                            affinity::pin_current_thread(target).then_some(target)
-                        } else {
-                            None
+                        let mut stats = WorkerReport {
+                            worker: w,
+                            ..WorkerReport::default()
                         };
+                        if pin {
+                            let target = w % affinity::core_count();
+                            stats.pinned_core =
+                                affinity::pin_current_thread(target).then_some(target);
+                        }
                         WORKER_CTX.set(Some((Arc::as_ptr(&core) as usize, w)));
-                        let mut stats = WorkerStats::default();
                         let mut outcomes = Vec::new();
                         let mut waiter = Waiter::new(WORKER_IDLE);
                         while core.remaining.load(Acquire) > 0 {
@@ -529,11 +483,9 @@ impl Scheduler for WorkStealing {
                                 if stolen {
                                     stats.steals += 1;
                                 }
-                                if let Some(outcome) = WorkStealing::run_task(
-                                    &core, w, task, timing, quantum, &stop, &mut stats,
-                                ) {
-                                    outcomes.push(outcome);
-                                }
+                                outcomes.extend(WorkStealing::run_task(
+                                    &core, w, task, &stop, &mut stats,
+                                ));
                                 continue;
                             }
                             if waiter.pause_or_park() != WaitAction::Park {
@@ -570,7 +522,7 @@ impl Scheduler for WorkStealing {
                             // budget on nothing.
                         }
                         WORKER_CTX.set(None);
-                        (w, pinned_core, stats, outcomes)
+                        (stats, outcomes)
                     })
                     .expect("spawn stealing worker")
             })
@@ -579,23 +531,18 @@ impl Scheduler for WorkStealing {
         let mut outcomes = Vec::with_capacity(n);
         let mut reports = Vec::with_capacity(workers);
         for h in handles {
-            let (w, pinned_core, stats, mut mine) = h.join().unwrap_or_else(|_| {
-                // A worker thread itself panicking (not a kernel panic —
-                // those are caught in step()) is a scheduler bug; surface
-                // an empty report rather than wedging the join loop.
-                (usize::MAX, None, WorkerStats::default(), Vec::new())
+            // A worker thread itself panicking (not a kernel panic — those
+            // are caught in drive()) is a scheduler bug; surface an empty
+            // report rather than wedging the join loop.
+            let (report, mut mine) = h.join().unwrap_or_else(|_| {
+                let lost = WorkerReport {
+                    worker: usize::MAX,
+                    ..WorkerReport::default()
+                };
+                (lost, Vec::new())
             });
             outcomes.append(&mut mine);
-            reports.push(WorkerReport {
-                worker: w,
-                pinned_core,
-                runs: stats.runs,
-                steals: stats.steals,
-                parks: stats.parks,
-                woken_tasks: stats.woken_tasks,
-                wake_to_run_ns: stats.wake_to_run_ns,
-                rescues: stats.rescues,
-            });
+            reports.push(report);
         }
         reports.sort_by_key(|r| r.worker);
         // A worker-thread panic could strand runners (never popped): drain
@@ -604,13 +551,11 @@ impl Scheduler for WorkStealing {
         if outcomes.len() < n {
             for slot in &core.tasks {
                 if let Some(runner) = slot.runner.lock().take() {
-                    let name = runner.name.clone();
-                    drop(runner);
-                    outcomes.push(RunnerOutcome {
-                        name,
+                    let done = StepDone {
                         outcome: KernelOutcome::Aborted,
                         fatal: true,
-                    });
+                    };
+                    outcomes.push(retire(runner, done, &stop));
                 }
             }
         }

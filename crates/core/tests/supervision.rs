@@ -88,13 +88,12 @@ fn counting_sink() -> (impl Kernel, Arc<Mutex<Vec<u64>>>) {
     (sink, seen)
 }
 
-/// Every scheduler the supervision machinery must behave identically
-/// under. Policy handling lives in the shared `step()` path, so a
-/// regression in any scheduler's panic plumbing shows up here.
+/// Both schedulers the supervision machinery must behave identically
+/// under. Policy handling lives in the shared `drive()` bracket, so a
+/// regression in either scheduler's panic plumbing shows up here.
 fn all_schedulers() -> Vec<(&'static str, SchedulerKind)> {
     vec![
         ("thread-per-kernel", SchedulerKind::ThreadPerKernel),
-        ("pool", SchedulerKind::Pool { workers: 2 }),
         (
             "stealing",
             SchedulerKind::Stealing {
@@ -246,6 +245,97 @@ fn exhausted_restart_budget_degrades_gracefully() {
     let report = map.exe().expect("exhaustion degrades, not aborts the run");
     assert_eq!(outcome_of(&report, "flaky-forward"), KernelOutcome::Aborted);
     assert!(seen.lock().unwrap().is_empty());
+}
+
+/// Panics in `run()` and then in the `clone_replica()` a `Restart` policy
+/// calls — user code on the supervision path itself. (A replica requested
+/// before the first fault, as `exe()`'s analysis does, succeeds.)
+struct PanickyClone {
+    faulted: bool,
+}
+
+impl Kernel for PanickyClone {
+    fn ports(&self) -> PortSpec {
+        PortSpec::new().input::<u64>("in").output::<u64>("out")
+    }
+
+    fn run(&mut self, _ctx: &Context) -> KStatus {
+        self.faulted = true;
+        panic!("injected fault");
+    }
+
+    fn name(&self) -> String {
+        "flaky-forward".to_string()
+    }
+
+    fn clone_replica(&self) -> Option<Box<dyn Kernel>> {
+        assert!(!self.faulted, "replica construction failed");
+        Some(Box::new(PanickyClone { faulted: false }))
+    }
+}
+
+/// Regression: a panic inside the supervision path (a `Replace` factory,
+/// `clone_replica()`) used to escape the unwind guard and kill the
+/// scheduler's thread — `"<unknown>"` failing the run under
+/// thread-per-kernel, a task stuck `RUNNING` and a hung `exe()` under
+/// stealing. It counts as the restart budget running out: `Aborted`, the
+/// run completes, downstream sees EoS.
+#[test]
+fn panic_in_supervision_path_degrades_gracefully() {
+    type Wire = fn(&mut RaftMap) -> KernelId;
+    let cases: [(&str, Wire); 2] = [
+        ("replace factory", |map| {
+            let k = map.add(FlakyForward::new(u32::MAX));
+            // The first call is exe()'s static check validating the
+            // replacement's ports; the supervisor's calls fail.
+            let calls = AtomicU32::new(0);
+            let factory = move || match calls.fetch_add(1, Ordering::SeqCst) {
+                0 => Box::new(FlakyForward::new(0)) as Box<dyn Kernel>,
+                _ => panic!("factory failed"),
+            };
+            map.supervise(k, SupervisorPolicy::replace(3, factory));
+            k
+        }),
+        ("clone_replica", |map| {
+            let k = map.add(PanickyClone { faulted: false });
+            map.supervise(k, SupervisorPolicy::restart(3));
+            k
+        }),
+    ];
+    for_each_scheduler(|sched| {
+        for (case, wire) in cases {
+            // exe() runs on a helper thread so a hang fails the test
+            // instead of wedging the suite.
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut map = RaftMap::new();
+                map.config_mut().scheduler = sched;
+                let mut i = 0u64;
+                let src = map.add(lambda_source(move || {
+                    i += 1;
+                    (i <= 50).then_some(i)
+                }));
+                let flaky = wire(&mut map);
+                let (sink, seen) = counting_sink();
+                let dst = map.add(sink);
+                map.link(src, "0", flaky, "in").unwrap();
+                map.link(flaky, "out", dst, "0").unwrap();
+                let _ = tx.send((map.exe(), seen));
+            });
+            let (result, seen) = rx
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("[{case}] exe() hung"));
+            let report =
+                result.unwrap_or_else(|e| panic!("[{case}] degrades, not aborts the run: {e:?}"));
+            assert_eq!(
+                outcome_of(&report, "flaky-forward"),
+                KernelOutcome::Aborted,
+                "[{case}]"
+            );
+            assert_eq!(outcome_of(&report, "lambda-sink"), KernelOutcome::Completed);
+            assert!(seen.lock().unwrap().is_empty(), "[{case}]");
+        }
+    });
 }
 
 /// Default Abort policy: unchanged fail-fast behavior.

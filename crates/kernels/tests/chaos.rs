@@ -32,11 +32,10 @@ fn chaos_seed() -> u64 {
 }
 
 /// Fault handling must be scheduler-independent: every chaos scenario runs
-/// under the threaded, polling-pool, and work-stealing schedulers.
+/// under the thread-per-kernel and work-stealing schedulers.
 fn for_each_scheduler(body: impl Fn(SchedulerKind)) {
     for (label, sched) in [
         ("thread-per-kernel", SchedulerKind::ThreadPerKernel),
-        ("pool", SchedulerKind::Pool { workers: 2 }),
         (
             "stealing",
             SchedulerKind::Stealing {

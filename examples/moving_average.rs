@@ -34,6 +34,7 @@ fn main() {
         initial_capacity: 2,
         max_capacity: 1 << 10,
         min_capacity: 2,
+        ..FifoConfig::default()
     };
     let mut map = RaftMap::with_config(cfg);
     let src = map.add(Generate::new(signal.clone()));

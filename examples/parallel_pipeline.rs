@@ -33,6 +33,7 @@ fn main() {
         initial_capacity: 8, // tiny on purpose: watch the monitor grow it
         max_capacity: 1 << 16,
         min_capacity: 8,
+        ..FifoConfig::default()
     };
     cfg.monitor.shrink_enabled = false;
 

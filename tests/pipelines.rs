@@ -216,6 +216,7 @@ fn monitor_grows_queue_under_backpressure() {
         initial_capacity: 2,
         max_capacity: 1 << 12,
         min_capacity: 2,
+        ..FifoConfig::default()
     };
     cfg.monitor.shrink_enabled = false;
     let mut map = RaftMap::with_config(cfg);
@@ -264,38 +265,75 @@ fn container_integration_roundtrip() {
     );
 }
 
-/// The cooperative pool scheduler executes the same graph correctly.
+/// Scheduler × topology matrix: both schedulers execute the same graphs to
+/// the same results — a linear pipeline, a two-input kernel that must not
+/// run until both inputs hold data (the pool's readiness gate), and a
+/// replicated stage behind split/reduce adapters.
 #[test]
-fn pool_scheduler_runs_pipeline() {
-    let mut cfg = MapConfig::default();
-    cfg.scheduler = SchedulerKind::Pool { workers: 2 };
-    let mut map = RaftMap::with_config(cfg);
-    let src = map.add(Generate::new(0..10_000u64));
-    let inc = map.add(Map::new(|x: u64| x + 1));
-    let (fold, total) = Fold::new(0u64, |acc: &mut u64, v: u64| *acc += v);
-    let dst = map.add(fold);
-    map.link(src, "out", inc, "in").unwrap();
-    map.link(inc, "out", dst, "in").unwrap();
-    map.exe().unwrap();
-    assert_eq!(*total.lock().unwrap(), (1..=10_000u64).sum::<u64>());
-}
-
-/// Pool scheduler with a multi-input kernel (readiness gating).
-#[test]
-fn pool_scheduler_multi_input_kernel() {
-    let mut cfg = MapConfig::default();
-    cfg.scheduler = SchedulerKind::Pool { workers: 2 };
-    let mut map = RaftMap::with_config(cfg);
-    let a = map.add(Generate::new(0..5000i64));
-    let b = map.add(Generate::new(0..5000i64));
-    let sum = map.add(Sum);
-    let (fold, total) = Fold::new(0i64, |acc: &mut i64, v: i64| *acc += v);
-    let sink = map.add(fold);
-    map.link(a, "out", sum, "input_a").unwrap();
-    map.link(b, "out", sum, "input_b").unwrap();
-    map.link(sum, "sum", sink, "in").unwrap();
-    map.exe().unwrap();
-    assert_eq!(*total.lock().unwrap(), 5000 * 4999);
+fn schedulers_agree_on_topologies() {
+    fn pipeline(cfg: MapConfig) {
+        let mut map = RaftMap::with_config(cfg);
+        let src = map.add(Generate::new(0..10_000u64));
+        let a = map.add(Map::new(|x: u64| x + 1));
+        let b = map.add(Map::new(|x: u64| x * 2));
+        let (fold, total) = Fold::new(0u64, |acc: &mut u64, v: u64| *acc += v);
+        let dst = map.add(fold);
+        map.link(src, "out", a, "in").unwrap();
+        map.link(a, "out", b, "in").unwrap();
+        map.link(b, "out", dst, "in").unwrap();
+        map.exe().unwrap();
+        assert_eq!(
+            *total.lock().unwrap(),
+            (1..=10_000u64).map(|x| x * 2).sum::<u64>()
+        );
+    }
+    fn fan_in_sum(cfg: MapConfig) {
+        let mut map = RaftMap::with_config(cfg);
+        let a = map.add(Generate::new(0..5000i64));
+        let b = map.add(Generate::new(0..5000i64));
+        let sum = map.add(Sum);
+        let (fold, total) = Fold::new(0i64, |acc: &mut i64, v: i64| *acc += v);
+        let sink = map.add(fold);
+        map.link(a, "out", sum, "input_a").unwrap();
+        map.link(b, "out", sum, "input_b").unwrap();
+        map.link(sum, "sum", sink, "in").unwrap();
+        map.exe().unwrap();
+        assert_eq!(*total.lock().unwrap(), 5000 * 4999);
+    }
+    fn replicated(cfg: MapConfig) {
+        let mut map = RaftMap::with_config(cfg);
+        let src = map.add(Generate::new(0..5_000u64));
+        let work = map.add(Map::new(|x: u64| x ^ 0xAB));
+        let (count, n) = Count::<u64>::new();
+        let dst = map.add(count);
+        map.link_unordered(src, "out", work, "in").unwrap();
+        map.link_unordered(work, "out", dst, "in").unwrap();
+        map.prefer_width(work, 2);
+        let report = map.exe().unwrap();
+        assert_eq!(n.load(Ordering::Relaxed), 5_000);
+        assert_eq!(report.replicated.len(), 1);
+    }
+    type Topology = fn(MapConfig);
+    let topologies: [(&str, Topology); 3] = [
+        ("pipeline", pipeline),
+        ("fan_in_sum", fan_in_sum),
+        ("replicated", replicated),
+    ];
+    let kinds = [
+        SchedulerKind::ThreadPerKernel,
+        SchedulerKind::Stealing {
+            workers: 2,
+            pin: false,
+        },
+    ];
+    for kind in kinds {
+        for (name, run) in topologies {
+            eprintln!("{name} under {kind:?}");
+            let mut cfg = MapConfig::default();
+            cfg.scheduler = kind;
+            run(cfg);
+        }
+    }
 }
 
 /// Asynchronous signal is visible downstream ahead of queued data.
@@ -425,45 +463,6 @@ fn text_search_pipeline_exact_counts() {
     assert_eq!(*total.lock().unwrap(), expected);
 }
 
-/// The cache-aware chained scheduler executes the same graph correctly.
-#[test]
-fn chained_scheduler_runs_pipeline() {
-    let mut cfg = MapConfig::default();
-    cfg.scheduler = SchedulerKind::Chained { workers: 2 };
-    let mut map = RaftMap::with_config(cfg);
-    let src = map.add(Generate::new(0..10_000u64));
-    let a = map.add(Map::new(|x: u64| x + 1));
-    let b = map.add(Map::new(|x: u64| x * 2));
-    let (fold, total) = Fold::new(0u64, |acc: &mut u64, v: u64| *acc += v);
-    let dst = map.add(fold);
-    map.link(src, "out", a, "in").unwrap();
-    map.link(a, "out", b, "in").unwrap();
-    map.link(b, "out", dst, "in").unwrap();
-    map.exe().unwrap();
-    assert_eq!(
-        *total.lock().unwrap(),
-        (1..=10_000u64).map(|x| x * 2).sum::<u64>()
-    );
-}
-
-/// Chained scheduler with replication (split/reduce in the successor graph).
-#[test]
-fn chained_scheduler_with_replication() {
-    let mut cfg = MapConfig::default();
-    cfg.scheduler = SchedulerKind::Chained { workers: 2 };
-    let mut map = RaftMap::with_config(cfg);
-    let src = map.add(Generate::new(0..5_000u64));
-    let work = map.add(Map::new(|x: u64| x ^ 0xAB));
-    let (count, n) = Count::<u64>::new();
-    let dst = map.add(count);
-    map.link_unordered(src, "out", work, "in").unwrap();
-    map.link_unordered(work, "out", dst, "in").unwrap();
-    map.prefer_width(work, 2);
-    let report = map.exe().unwrap();
-    assert_eq!(n.load(Ordering::Relaxed), 5_000);
-    assert_eq!(report.replicated.len(), 1);
-}
-
 /// Dynamic bottleneck elimination: a width range starts narrow and the
 /// monitor's optimizer widens the split while the input stays backed up.
 #[test]
@@ -494,45 +493,6 @@ fn width_range_widens_under_load() {
     );
     let last = report.width_events.last().unwrap();
     assert!(last.new_width > 1, "width stayed at 1");
-}
-
-/// The mapper-driven partitioned scheduler executes graphs correctly.
-#[test]
-fn partitioned_scheduler_runs_pipeline() {
-    let mut cfg = MapConfig::default();
-    cfg.scheduler = SchedulerKind::Partitioned { workers: 2 };
-    let mut map = RaftMap::with_config(cfg);
-    let src = map.add(Generate::new(0..8_000u64));
-    let a = map.add(Map::new(|x: u64| x + 3));
-    let b = map.add(Map::new(|x: u64| x * 2));
-    let (fold, total) = Fold::new(0u64, |acc: &mut u64, v: u64| *acc += v);
-    let dst = map.add(fold);
-    map.link(src, "out", a, "in").unwrap();
-    map.link(a, "out", b, "in").unwrap();
-    map.link(b, "out", dst, "in").unwrap();
-    map.exe().unwrap();
-    assert_eq!(
-        *total.lock().unwrap(),
-        (0..8_000u64).map(|x| (x + 3) * 2).sum::<u64>()
-    );
-}
-
-/// Partitioned scheduler handles fan-out/fan-in (sum topology).
-#[test]
-fn partitioned_scheduler_sum_topology() {
-    let mut cfg = MapConfig::default();
-    cfg.scheduler = SchedulerKind::Partitioned { workers: 3 };
-    let mut map = RaftMap::with_config(cfg);
-    let a = map.add(Generate::new(0..3_000i64));
-    let b = map.add(Generate::new(0..3_000i64));
-    let sum = map.add(Sum);
-    let (fold, total) = Fold::new(0i64, |acc: &mut i64, v: i64| *acc += v);
-    let sink = map.add(fold);
-    map.link(a, "out", sum, "input_a").unwrap();
-    map.link(b, "out", sum, "input_b").unwrap();
-    map.link(sum, "sum", sink, "in").unwrap();
-    map.exe().unwrap();
-    assert_eq!(*total.lock().unwrap(), 3_000 * 2999);
 }
 
 /// Panic in an upstream kernel reaches the downstream kernel as an

@@ -10,15 +10,18 @@ use proptest::prelude::*;
 use raft_kernels::{write_each, Count, Generate, Map, SliceMap};
 use raftlib::prelude::*;
 
-fn scheduler_strategy() -> impl Strategy<Value = u8> {
-    0u8..3
+/// `0` = thread per kernel; `w > 0` = work stealing over `w` workers.
+fn scheduler_strategy() -> impl Strategy<Value = usize> {
+    0usize..=3
 }
 
-fn scheduler(kind: u8) -> SchedulerKind {
-    match kind {
+fn scheduler(workers: usize) -> SchedulerKind {
+    match workers {
         0 => SchedulerKind::ThreadPerKernel,
-        1 => SchedulerKind::Pool { workers: 2 },
-        _ => SchedulerKind::Chained { workers: 2 },
+        workers => SchedulerKind::Stealing {
+            workers,
+            pin: false,
+        },
     }
 }
 
@@ -43,6 +46,7 @@ proptest! {
             initial_capacity: cap,
             max_capacity: 1 << 14,
             min_capacity: 1,
+            ..FifoConfig::default()
         };
         let mut map = RaftMap::with_config(cfg);
         let src = map.add(Generate::new(0..n));
@@ -82,6 +86,7 @@ proptest! {
             initial_capacity: cap,
             max_capacity: 1 << 14,
             min_capacity: 1,
+            ..FifoConfig::default()
         };
         let mut map = RaftMap::with_config(cfg);
         let src = map.add(Generate::new(0..n).with_batch(src_batch));
@@ -112,6 +117,7 @@ proptest! {
             initial_capacity: cap,
             max_capacity: 1 << 14,
             min_capacity: 1,
+            ..FifoConfig::default()
         };
         let mut map = RaftMap::with_config(cfg);
         let src = map.add(Generate::new(0..n));
