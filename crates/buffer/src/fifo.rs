@@ -995,17 +995,16 @@ impl<T: Send> Producer<T> {
             Err(TryPushError::Closed(v)) => return Err(PushError(v)),
             Err(TryPushError::Full(v)) => v,
         };
-        let shared = self.shared.clone();
-        if shared.cfg.admission == AdmissionPolicy::Shed {
+        if self.shared.cfg.admission == AdmissionPolicy::Shed {
             // Full ring + shedding policy: drop now, count it, stay live.
-            shared.stats.writer.shed.fetch_add(1, Relaxed);
+            self.shared.stats.writer.shed.fetch_add(1, Relaxed);
             return Ok(());
         }
-        let deadline = match shared.cfg.admission {
+        let deadline = match self.shared.cfg.admission {
             AdmissionPolicy::BlockTimeout(t) => Some(Instant::now() + t),
             _ => None,
         };
-        shared.stats.writer_block_begin();
+        self.shared.stats.writer_block_begin();
         let mut waiter = Waiter::new(ENDPOINT_WAIT);
         let result = loop {
             match self.try_push_signal_ring(value, signal) {
@@ -1013,7 +1012,7 @@ impl<T: Send> Producer<T> {
                 Err(TryPushError::Closed(v)) => break Err(PushError(v)),
                 Err(TryPushError::Full(v)) => value = v,
             }
-            if shared.drain.load(Acquire) >= DRAIN_QUIESCED {
+            if self.shared.drain.load(Acquire) >= DRAIN_QUIESCED {
                 // Quiesced: nobody will drain this ring — fail fast rather
                 // than wedge the draining graph.
                 break Err(PushError(value));
@@ -1021,7 +1020,7 @@ impl<T: Send> Producer<T> {
             if let Some(d) = deadline {
                 if Instant::now() >= d {
                     // Burst outlasted the timeout: degrade to shedding.
-                    shared.stats.writer.shed.fetch_add(1, Relaxed);
+                    self.shared.stats.writer.shed.fetch_add(1, Relaxed);
                     break Ok(());
                 }
             }
@@ -1030,22 +1029,22 @@ impl<T: Send> Producer<T> {
             }
             // Park until a pop or a resize makes room. We are *outside* the
             // fence here, so a resize can proceed while we sleep.
-            shared.writer_waiting.store(true, Relaxed);
-            let mut g = shared.park.lock();
+            self.shared.writer_waiting.store(true, Relaxed);
+            let mut g = self.shared.park.lock();
             // Re-check under the lock to close the race with wake(). The
             // read lock (not the fence) covers the capacity read; it only
             // contends with a resizer, never the consumer.
             let full = {
-                let storage = shared.storage.read();
-                self.tail - shared.head.load(Acquire) >= storage.capacity()
+                let storage = self.shared.storage.read();
+                self.tail - self.shared.head.load(Acquire) >= storage.capacity()
             };
-            if full && !shared.consumer_closed.load(Relaxed) {
-                shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
+            if full && !self.shared.consumer_closed.load(Relaxed) {
+                self.shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
             }
             drop(g);
-            shared.writer_waiting.store(false, Relaxed);
+            self.shared.writer_waiting.store(false, Relaxed);
         };
-        shared.stats.writer_block_end();
+        self.shared.stats.writer_block_end();
         result
     }
 
@@ -1175,14 +1174,14 @@ impl<T: Send> Producer<T> {
     /// slice is dropped. Errs only if the consumer is gone.
     pub fn reserve(&mut self, n: usize) -> Result<WriteSlice<'_, T>, PushError<()>> {
         let n = n.clamp(1, self.shared.cfg.max_capacity);
-        let shared = self.shared.clone();
         let mut waiter = Waiter::new(ENDPOINT_WAIT);
         let mut began_block = false;
         loop {
-            if shared.consumer_closed.load(Relaxed) || shared.drain.load(Acquire) >= DRAIN_QUIESCED
+            if self.shared.consumer_closed.load(Relaxed)
+                || self.shared.drain.load(Acquire) >= DRAIN_QUIESCED
             {
                 if began_block {
-                    shared.stats.writer_block_end();
+                    self.shared.stats.writer_block_end();
                 }
                 return Err(PushError(()));
             }
@@ -1193,18 +1192,18 @@ impl<T: Send> Producer<T> {
                 };
                 f.grow_to(n);
             }
-            shared.arena_enter(Role::Producer);
+            self.shared.arena_enter(Role::Producer);
             // SAFETY: fence membership held; released on the failure path
             // below, or by WriteSlice::drop on success.
-            let storage = unsafe { shared.storage_unlocked() };
+            let storage = unsafe { self.shared.storage_unlocked() };
             let tail = self.tail;
             let room =
                 producer_free_slots(tail, &mut self.head_cache, storage.capacity(), n, || {
-                    shared.head.load(Acquire)
+                    self.shared.head.load(Acquire)
                 });
             if room >= n {
                 if began_block {
-                    shared.stats.writer_block_end();
+                    self.shared.stats.writer_block_end();
                 }
                 return Ok(WriteSlice {
                     producer: self,
@@ -1213,17 +1212,17 @@ impl<T: Send> Producer<T> {
                     written: 0,
                 });
             }
-            shared.arena_exit(Role::Producer);
+            self.shared.arena_exit(Role::Producer);
             if !began_block {
-                shared.stats.writer_block_begin();
+                self.shared.stats.writer_block_begin();
                 began_block = true;
             }
             if waiter.pause_or_park() == WaitAction::Park {
-                shared.writer_waiting.store(true, Relaxed);
-                let mut g = shared.park.lock();
-                shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
+                self.shared.writer_waiting.store(true, Relaxed);
+                let mut g = self.shared.park.lock();
+                self.shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
                 drop(g);
-                shared.writer_waiting.store(false, Relaxed);
+                self.shared.writer_waiting.store(false, Relaxed);
             }
         }
     }
@@ -1238,29 +1237,29 @@ impl<T: Send> Producer<T> {
     where
         T: Default,
     {
-        let shared = self.shared.clone();
         let mut waiter = Waiter::new(ENDPOINT_WAIT);
         let mut began_block = false;
         loop {
-            if shared.consumer_closed.load(Relaxed) || shared.drain.load(Acquire) >= DRAIN_QUIESCED
+            if self.shared.consumer_closed.load(Relaxed)
+                || self.shared.drain.load(Acquire) >= DRAIN_QUIESCED
             {
                 if began_block {
-                    shared.stats.writer_block_end();
+                    self.shared.stats.writer_block_end();
                 }
                 return Err(PushError(T::default()));
             }
-            shared.arena_enter(Role::Producer);
+            self.shared.arena_enter(Role::Producer);
             // SAFETY: fence membership held; released on the failure path
             // below, or by WriteGuard::drop on success.
-            let storage = unsafe { shared.storage_unlocked() };
+            let storage = unsafe { self.shared.storage_unlocked() };
             let tail = self.tail;
             let room =
                 producer_free_slots(tail, &mut self.head_cache, storage.capacity(), 1, || {
-                    shared.head.load(Acquire)
+                    self.shared.head.load(Acquire)
                 });
             if room > 0 {
                 if began_block {
-                    shared.stats.writer_block_end();
+                    self.shared.stats.writer_block_end();
                 }
                 // SAFETY: single producer; slot outside the live region.
                 unsafe { (*storage.slot(tail)).write((T::default(), Signal::None)) };
@@ -1270,17 +1269,17 @@ impl<T: Send> Producer<T> {
                     committed: false,
                 });
             }
-            shared.arena_exit(Role::Producer);
+            self.shared.arena_exit(Role::Producer);
             if !began_block {
-                shared.stats.writer_block_begin();
+                self.shared.stats.writer_block_begin();
                 began_block = true;
             }
             if waiter.pause_or_park() == WaitAction::Park {
-                shared.writer_waiting.store(true, Relaxed);
-                let mut g = shared.park.lock();
-                shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
+                self.shared.writer_waiting.store(true, Relaxed);
+                let mut g = self.shared.park.lock();
+                self.shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
                 drop(g);
-                shared.writer_waiting.store(false, Relaxed);
+                self.shared.writer_waiting.store(false, Relaxed);
             }
         }
     }
@@ -1754,8 +1753,7 @@ impl<T: Send> Consumer<T> {
             Err(TryPopError::Closed) => return Err(PopError),
             Err(TryPopError::Empty) => {}
         }
-        let shared = self.shared.clone();
-        shared.stats.reader_block_begin();
+        self.shared.stats.reader_block_begin();
         let mut waiter = Waiter::new(ENDPOINT_WAIT);
         let result = loop {
             match self.try_pop_signal() {
@@ -1766,16 +1764,16 @@ impl<T: Send> Consumer<T> {
             if waiter.pause_or_park() != WaitAction::Park {
                 continue;
             }
-            shared.reader_waiting.store(true, Relaxed);
-            let mut g = shared.park.lock();
-            let empty = self.head == shared.tail.load(Acquire);
-            if empty && !shared.producer_closed.load(Acquire) {
-                shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
+            self.shared.reader_waiting.store(true, Relaxed);
+            let mut g = self.shared.park.lock();
+            let empty = self.head == self.shared.tail.load(Acquire);
+            if empty && !self.shared.producer_closed.load(Acquire) {
+                self.shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
             }
             drop(g);
-            shared.reader_waiting.store(false, Relaxed);
+            self.shared.reader_waiting.store(false, Relaxed);
         };
-        shared.stats.reader_block_end();
+        self.shared.stats.reader_block_end();
         result
     }
 
@@ -1793,8 +1791,7 @@ impl<T: Send> Consumer<T> {
     /// Returns `Err(PopError)` if the stream closes before `n` elements are
     /// available (fewer than `n` remain, forever).
     pub fn peek_range(&mut self, n: usize) -> Result<PeekRange<'_, T>, PopError> {
-        let shared = self.shared.clone();
-        shared.stats.note_read_request(n);
+        self.shared.stats.note_read_request(n);
         let mut waiter = Waiter::new(ENDPOINT_WAIT);
         loop {
             // Grow first if the request can never be satisfied (paper: queue
@@ -1813,24 +1810,24 @@ impl<T: Send> Consumer<T> {
             if self.refresh_avail() >= n {
                 // Occupancy can only grow from here (we are the consumer),
                 // so entering the fence and taking the window is race-free.
-                shared.arena_enter(Role::Consumer);
+                self.shared.arena_enter(Role::Consumer);
                 return Ok(PeekRange {
                     consumer: self,
                     len: n,
                 });
             }
-            if shared.producer_closed.load(Acquire) && self.refresh_avail() < n {
+            if self.shared.producer_closed.load(Acquire) && self.refresh_avail() < n {
                 return Err(PopError);
             }
-            shared.stats.reader_block_begin();
+            self.shared.stats.reader_block_begin();
             if waiter.pause_or_park() == WaitAction::Park {
-                shared.reader_waiting.store(true, Relaxed);
-                let mut g = shared.park.lock();
-                shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
+                self.shared.reader_waiting.store(true, Relaxed);
+                let mut g = self.shared.park.lock();
+                self.shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
                 drop(g);
-                shared.reader_waiting.store(false, Relaxed);
+                self.shared.reader_waiting.store(false, Relaxed);
             }
-            shared.stats.reader_block_end();
+            self.shared.stats.reader_block_end();
         }
     }
 
@@ -1927,43 +1924,43 @@ impl<T: Send> Consumer<T> {
         n: usize,
         f: impl FnOnce(&SliceView<'_, T>) -> R,
     ) -> Result<R, PopError> {
-        let shared = self.shared.clone();
-        shared.stats.note_read_request(n);
+        self.shared.stats.note_read_request(n);
         let mut waiter = Waiter::new(ENDPOINT_WAIT);
         let mut began_block = false;
         let wait = loop {
             if self.refresh_avail() > 0 {
                 break Ok(());
             }
-            if shared.producer_closed.load(Acquire) {
+            if self.shared.producer_closed.load(Acquire) {
                 if self.refresh_avail() > 0 {
                     break Ok(());
                 }
                 break Err(PopError);
             }
             if !began_block {
-                shared.stats.reader_block_begin();
+                self.shared.stats.reader_block_begin();
                 began_block = true;
             }
             if waiter.pause_or_park() == WaitAction::Park {
-                shared.reader_waiting.store(true, Relaxed);
-                let mut g = shared.park.lock();
-                shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
+                self.shared.reader_waiting.store(true, Relaxed);
+                let mut g = self.shared.park.lock();
+                self.shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
                 drop(g);
-                shared.reader_waiting.store(false, Relaxed);
+                self.shared.reader_waiting.store(false, Relaxed);
             }
         };
         if began_block {
-            shared.stats.reader_block_end();
+            self.shared.stats.reader_block_end();
         }
         wait?;
+        let shared = &*self.shared;
         let head = self.head;
         let k = (self.tail_cache - head).min(n.max(1));
         // RAII: `f` is user code — membership must survive a panic inside it
         // (on unwind nothing is consumed; head stays put).
-        let arena = ArenaGuard::enter(&shared, Role::Consumer);
+        let arena = ArenaGuard::enter(shared, Role::Consumer);
         let r = f(&SliceView {
-            shared: &*shared,
+            shared,
             head,
             len: k,
         });

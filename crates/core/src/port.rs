@@ -14,7 +14,11 @@
 //!
 //! Taking a handle ([`Context::input`] / [`Context::output`]) pays the name
 //! lookup, `RefCell` borrow and `dyn Any` downcast *once*; the handle then
-//! stores the typed endpoint, so per-element calls are direct. For bulk
+//! stores the typed endpoint, so per-element calls are direct. The lookup is
+//! a linear scan over the kernel's port names — O(ports) by design: kernels
+//! have a handful of ports, and comparing a few short strings (length
+//! first) costs less than hashing one. Wide adapters index with
+//! [`Context::input_at`] / [`Context::output_at`] instead. For bulk
 //! kernels, [`OutPort::reserve`] and [`InPort::pop_slice`] expose the
 //! FIFO's zero-copy batch views: elements are written into / read out of
 //! the ring storage itself, with the queue's synchronization amortized over
@@ -25,7 +29,6 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -48,12 +51,14 @@ pub type AnyEndpoint = Box<dyn Any + Send>;
 /// panics — that is always a kernel bug.
 pub struct Context {
     inputs: Vec<RefCell<AnyEndpoint>>,
-    /// Monitor handle of each input's FIFO (for the erased
-    /// `inputs_done` check).
+    /// Monitor handle of each input's FIFO (for the erased `inputs_done`
+    /// check and the schedulers' readiness gate).
     input_fifos: Vec<Arc<dyn Monitorable>>,
-    input_names: HashMap<String, usize>,
+    /// Port names, parallel to the endpoint vectors: a name's position is
+    /// its port index.
+    input_names: Vec<String>,
     outputs: Vec<RefCell<AnyEndpoint>>,
-    output_names: HashMap<String, usize>,
+    output_names: Vec<String>,
     /// Cooperative stop flag: set by the runtime on global shutdown.
     stop: Arc<AtomicBool>,
     /// Graph-wide drain level (see `raft_buffer::DRAIN_DRAINING` /
@@ -81,20 +86,20 @@ impl Context {
         let mut ctx = Context {
             inputs: Vec::new(),
             input_fifos: Vec::new(),
-            input_names: HashMap::new(),
+            input_names: Vec::new(),
             outputs: Vec::new(),
-            output_names: HashMap::new(),
+            output_names: Vec::new(),
             stop,
             drain: Arc::new(AtomicU8::new(0)),
             kernel_name,
         };
         for (name, ep, fifo) in inputs {
-            ctx.input_names.insert(name, ctx.inputs.len());
+            ctx.input_names.push(name);
             ctx.inputs.push(RefCell::new(ep));
             ctx.input_fifos.push(fifo);
         }
         for (name, ep) in outputs {
-            ctx.output_names.insert(name, ctx.outputs.len());
+            ctx.output_names.push(name);
             ctx.outputs.push(RefCell::new(ep));
         }
         ctx
@@ -120,12 +125,10 @@ impl Context {
     /// asked for a port it never declared) or if the port handle is already
     /// taken in this `run` invocation.
     pub fn input<T: Send + 'static>(&self, name: &str) -> InPort<'_, T> {
-        let &idx = self.input_names.get(name).unwrap_or_else(|| {
+        let idx = position(&self.input_names, name).unwrap_or_else(|| {
             panic!(
                 "kernel {:?} has no input port {:?} (has {:?})",
-                self.kernel_name,
-                name,
-                self.input_names.keys().collect::<Vec<_>>()
+                self.kernel_name, name, self.input_names
             )
         });
         self.input_at(idx)
@@ -161,12 +164,10 @@ impl Context {
 
     /// Typed handle to the named output port (see [`Context::input`]).
     pub fn output<T: Send + 'static>(&self, name: &str) -> OutPort<'_, T> {
-        let &idx = self.output_names.get(name).unwrap_or_else(|| {
+        let idx = position(&self.output_names, name).unwrap_or_else(|| {
             panic!(
                 "kernel {:?} has no output port {:?} (has {:?})",
-                self.kernel_name,
-                name,
-                self.output_names.keys().collect::<Vec<_>>()
+                self.kernel_name, name, self.output_names
             )
         });
         self.output_at(idx)
@@ -232,6 +233,12 @@ impl Context {
         self.drain_level() >= raft_buffer::DRAIN_DRAINING
     }
 
+    /// Monitor handles of the input streams, parallel to the input ports.
+    /// Runtime-internal: the schedulers' readiness gate and wake filter.
+    pub(crate) fn input_fifos(&self) -> &[Arc<dyn Monitorable>] {
+        &self.input_fifos
+    }
+
     /// `true` when *every* input port is closed and drained — the usual
     /// condition for an intermediate kernel to return [`KStatus::Stop`].
     ///
@@ -239,6 +246,15 @@ impl Context {
     pub fn inputs_done(&self) -> bool {
         self.input_fifos.iter().all(|f| f.is_finished())
     }
+}
+
+/// Index of the port called `name` (names are unique per direction: the
+/// port spec rejects duplicates). `str` equality compares lengths before
+/// bytes, so a miss against a differently sized name costs one integer
+/// compare.
+#[inline]
+fn position(names: &[String], name: &str) -> Option<usize> {
+    names.iter().position(|n| n == name)
 }
 
 /// Typed reading handle for one input port, valid for the current `run`.
@@ -451,5 +467,131 @@ impl<'a, T: Send + 'static> OutPort<'a, T> {
     #[inline]
     pub fn rewind_produced(&mut self) -> usize {
         self.guard.rewind_produced()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use raft_buffer::{fifo_with, FifoConfig};
+
+    type In = (String, AnyEndpoint, Arc<dyn Monitorable>);
+
+    fn input<T: Send + 'static>(name: &str) -> (In, Producer<T>) {
+        let (fifo, p, c) = fifo_with::<T>(FifoConfig::starting_at(4));
+        ((name.to_string(), Box::new(c) as _, Arc::new(fifo) as _), p)
+    }
+
+    fn output<T: Send + 'static>(name: &str) -> ((String, AnyEndpoint), Consumer<T>) {
+        let (_fifo, p, c) = fifo_with::<T>(FifoConfig::starting_at(4));
+        ((name.to_string(), Box::new(p) as _), c)
+    }
+
+    fn two_in_one_out() -> Context {
+        let ((a, _pa), (b, _pb)) = (input::<u64>("a"), input::<u64>("b"));
+        let (sum, _c) = output::<u64>("sum");
+        Context::for_test(vec![a, b], vec![sum])
+    }
+
+    #[test]
+    #[should_panic(expected = r#"kernel "test" has no input port "c" (has ["a", "b"])"#)]
+    fn unknown_input_names_the_declared_ports() {
+        let _ = two_in_one_out().input::<u64>("c");
+    }
+
+    #[test]
+    #[should_panic(expected = r#"kernel "test" has no output port "a" (has ["sum"])"#)]
+    fn unknown_output_names_the_declared_ports() {
+        let _ = two_in_one_out().output::<u64>("a");
+    }
+
+    #[test]
+    #[should_panic(expected = "input port 1 taken twice in one run()")]
+    fn taking_an_input_twice_panics() {
+        let ctx = two_in_one_out();
+        let _first = ctx.input::<u64>("b");
+        let _second = ctx.input::<u64>("b");
+    }
+
+    #[test]
+    #[should_panic(expected = "output port 0 taken twice in one run()")]
+    fn taking_an_output_twice_panics() {
+        let ctx = two_in_one_out();
+        let _first = ctx.output::<u64>("sum");
+        let _second = ctx.output_at::<u64>(0);
+    }
+
+    #[test]
+    #[should_panic(expected = r#"kernel "test": input port 0 is not of type u32"#)]
+    fn wrong_input_type_names_the_type() {
+        let _ = two_in_one_out().input::<u32>("a");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = r#"kernel "test": output port 0 is not of type alloc::string::String"#
+    )]
+    fn wrong_output_type_names_the_type() {
+        let _ = two_in_one_out().output::<String>("sum");
+    }
+
+    #[test]
+    fn distinct_ports_are_held_together_and_retaken_after_release() {
+        let ((a, mut pa), (b, mut pb)) = (input::<u64>("a"), input::<u64>("b"));
+        let (sum, mut c) = output::<u64>("sum");
+        let ctx = Context::for_test(vec![a, b], vec![sum]);
+        assert_eq!((ctx.input_count(), ctx.output_count()), (2, 1));
+        for round in 0..3u64 {
+            pa.push(round).unwrap();
+            pb.push(10).unwrap();
+            let (mut a, mut b) = (ctx.input::<u64>("a"), ctx.input::<u64>("b"));
+            let v = a.pop().unwrap() + b.pop().unwrap();
+            ctx.output::<u64>("sum").push(v).unwrap();
+            assert_eq!(c.pop().unwrap(), round + 10);
+        }
+        assert!(!ctx.inputs_done());
+        drop((pa, pb));
+        assert!(ctx.inputs_done());
+    }
+
+    #[test]
+    fn every_name_of_a_wide_kernel_resolves_to_its_own_endpoint() {
+        let (outs, mut sinks): (Vec<_>, Vec<_>) =
+            (0..32).map(|i| output::<usize>(&format!("o{i}"))).unzip();
+        let ctx = Context::for_test(Vec::new(), outs);
+        // Names that share a length ("o10".."o31") and prefix each other
+        // ("o1", "o10") must not alias.
+        for i in (0..32).rev() {
+            ctx.output::<usize>(&format!("o{i}")).push(i).unwrap();
+        }
+        for (i, c) in sinks.iter_mut().enumerate() {
+            assert_eq!(c.try_pop().ok(), Some(i), "port o{i}");
+            assert!(c.try_pop().is_err(), "port o{i} got a second element");
+        }
+    }
+
+    proptest! {
+        /// Name lookup ≡ position in the port list, for arbitrary sets of
+        /// distinct names; names outside the set miss.
+        #[test]
+        fn lookup_is_the_port_index(
+            raw in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..5), 1..24),
+            probe in proptest::collection::vec(0u8..4, 0..5),
+        ) {
+            // Tiny alphabet, short names: plenty of shared lengths/prefixes.
+            let spell = |v: &[u8]| v.iter().map(|b| char::from(b'a' + b)).collect::<String>();
+            let mut names: Vec<String> = Vec::new();
+            for n in raw.iter().map(|v| spell(v)) {
+                if !names.contains(&n) {
+                    names.push(n);
+                }
+            }
+            for (idx, n) in names.iter().enumerate() {
+                prop_assert_eq!(position(&names, n), Some(idx));
+            }
+            let probe = spell(&probe);
+            prop_assert_eq!(position(&names, &probe).is_some(), names.contains(&probe));
+        }
     }
 }

@@ -49,17 +49,19 @@ pub fn render(report: &ExeReport) -> String {
     );
     for k in &report.kernels {
         let ns_per_run = (k.busy.as_nanos() as u64).checked_div(k.runs).unwrap_or(0);
+        // `busy` is a sampled estimate unless every run was timed.
+        let approx = if k.timed_runs < k.runs { "~" } else { "" };
         let flag = match k.outcome {
             crate::supervise::KernelOutcome::Completed => String::new(),
             other => format!("  ⚠ {other}"),
         };
         let _ = writeln!(
             out,
-            "  {:<28} {:>10} {:>12?} {:>12}{}",
+            "  {:<28} {:>10} {:>12} {:>12}{}",
             truncate(&k.name, 28),
             k.runs,
-            k.busy,
-            ns_per_run,
+            format!("{approx}{:?}", k.busy),
+            format!("{approx}{ns_per_run}"),
             flag
         );
     }
@@ -290,7 +292,7 @@ mod tests {
         }));
         let sink = map.add(lambda_sink(|_v: u64| {}));
         map.link(src, "0", sink, "0").unwrap();
-        let report = map.exe().unwrap();
+        let mut report = map.exe().unwrap();
         let text = render(&report);
         assert!(text.contains("raftlib run report"));
         assert!(text.contains("lambda-source"));
@@ -298,6 +300,21 @@ mod tests {
         assert!(text.contains("100")); // item count appears
                                        // Thread-per-kernel has no pool workers → no workers section.
         assert!(!text.contains("workers ("));
+
+        // `busy` and `ns/run` are marked approximate exactly when some run
+        // went untimed.
+        let approx_cols = |r: &ExeReport| {
+            let text = render(r);
+            let line = text.lines().find(|l| l.contains("lambda-source")).unwrap();
+            line.split_whitespace()
+                .filter(|c| c.starts_with('~'))
+                .count()
+        };
+        assert!(report.kernels[0].name.contains("lambda-source"));
+        report.kernels[0].timed_runs = report.kernels[0].runs;
+        assert_eq!(approx_cols(&report), 0);
+        report.kernels[0].timed_runs -= 1;
+        assert_eq!(approx_cols(&report), 2);
     }
 
     #[test]

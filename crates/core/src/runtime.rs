@@ -53,8 +53,12 @@ pub struct KernelReport {
     pub name: String,
     /// Completed `run()` calls.
     pub runs: u64,
-    /// Time spent inside `run()`.
+    /// Time spent inside `run()` — exact when `timed_runs == runs`,
+    /// otherwise the scheduler's sampled estimate (see
+    /// [`KernelTelemetry`]).
     pub busy: Duration,
+    /// How many of the `runs` were actually timed to back `busy`.
+    pub timed_runs: u64,
     /// `true` if this kernel panicked at least once (even if a restart
     /// later recovered it).
     pub panicked: bool,
@@ -355,8 +359,6 @@ pub fn execute_with_deadline(
             policy,
             ..
         } = entry;
-        let input_fifos: Vec<Arc<dyn Monitorable>> =
-            inputs.iter().map(|(_, _, f)| f.clone()).collect();
         let mut ctx = Context::new(name.clone(), inputs, outputs, stop.clone());
         ctx.set_drain_flag(drain_flag.clone());
         let telemetry = Arc::new(KernelTelemetry::default());
@@ -366,7 +368,6 @@ pub fn execute_with_deadline(
             name,
             kernel,
             ctx,
-            input_fifos,
             telemetry,
             output_fifos: out_fifos,
             policy,
@@ -378,6 +379,7 @@ pub fn execute_with_deadline(
                 journal_interval
             },
             journal_uncommitted: 0,
+            untimed_left: 0,
         });
     }
 
@@ -532,6 +534,7 @@ pub fn execute_with_deadline(
             KernelReport {
                 runs: t.runs.load(Ordering::Relaxed),
                 busy: Duration::from_nanos(t.busy_ns.load(Ordering::Relaxed)),
+                timed_runs: t.timed_runs.load(Ordering::Relaxed),
                 name,
                 panicked: outcome.panicked(),
                 outcome,

@@ -332,7 +332,7 @@ impl WorkStealing {
         }
         // Absorb arms left over from an earlier park round so this run's
         // consumption can't burn a stale edge later.
-        for f in &runner.input_fifos {
+        for f in runner.ctx.input_fifos() {
             f.consumer_waker().disarm();
         }
 
@@ -375,10 +375,10 @@ impl WorkStealing {
                 // Blocked on empty inputs: arm every input's waker, then
                 // re-check — the Dekker handshake that makes parking
                 // lossless (module docs).
-                for f in &runner.input_fifos {
+                for f in runner.ctx.input_fifos() {
                     f.consumer_waker().arm();
                 }
-                let landed = inputs_ready(&runner.input_fifos);
+                let landed = inputs_ready(runner.ctx.input_fifos());
                 drop(guard);
                 // `landed`: data (or EoS) arrived between drive's readiness
                 // check and the arms; stale arms are absorbed at the next
@@ -412,7 +412,7 @@ impl Scheduler for WorkStealing {
                 .map(|r| TaskSlot {
                     state: AtomicU8::new(QUEUED),
                     woken_at_ns: AtomicU64::new(0),
-                    inputs: r.input_fifos.clone(),
+                    inputs: r.ctx.input_fifos().to_vec(),
                     runner: Mutex::new(Some(r)),
                 })
                 .collect(),
@@ -438,7 +438,7 @@ impl Scheduler for WorkStealing {
                     core: core.clone(),
                     task: id,
                 });
-                for f in &r.input_fifos {
+                for f in r.ctx.input_fifos() {
                     f.consumer_waker().register(waker.clone());
                 }
             }

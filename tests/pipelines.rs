@@ -646,3 +646,91 @@ fn least_utilized_starves_the_slow_replica() {
         "least-utilized should starve the slow replica: {slow_lu} vs round-robin {slow_rr}"
     );
 }
+
+/// A 32-output kernel linked in scrambled order: through the whole runtime
+/// every port *name* still reaches the sink linked to that name, under both
+/// schedulers.
+#[test]
+fn wide_kernel_port_names_reach_their_own_sinks() {
+    const WIDTH: usize = 32;
+    const ROUNDS: u64 = 50;
+    struct Fan {
+        round: u64,
+    }
+    impl Kernel for Fan {
+        fn ports(&self) -> PortSpec {
+            (0..WIDTH).fold(PortSpec::new(), |spec, i| {
+                spec.output::<u64>(format!("o{i}"))
+            })
+        }
+        fn run(&mut self, ctx: &Context) -> KStatus {
+            for i in 0..WIDTH {
+                let v = i as u64 * 1_000 + self.round;
+                if ctx.output::<u64>(&format!("o{i}")).push(v).is_err() {
+                    return KStatus::Stop;
+                }
+            }
+            self.round += 1;
+            if self.round == ROUNDS {
+                KStatus::Stop
+            } else {
+                KStatus::Proceed
+            }
+        }
+    }
+    for scheduler in [
+        SchedulerKind::ThreadPerKernel,
+        SchedulerKind::Stealing {
+            workers: 2,
+            pin: false,
+        },
+    ] {
+        let mut cfg = MapConfig::default();
+        cfg.scheduler = scheduler;
+        let mut map = RaftMap::with_config(cfg);
+        let fan = map.add(Fan { round: 0 });
+        let mut outs = Vec::new();
+        // 13 is coprime to 32: a link order unrelated to declaration order.
+        for i in (0..WIDTH).map(|k| (k * 13 + 5) % WIDTH) {
+            let (we, out) = write_each::<u64>();
+            let sink = map.add(we);
+            map.link(fan, &format!("o{i}"), sink, "in").unwrap();
+            outs.push((i, out));
+        }
+        map.exe().unwrap();
+        for (i, out) in outs {
+            let expect: Vec<u64> = (0..ROUNDS).map(|r| i as u64 * 1_000 + r).collect();
+            assert_eq!(
+                *out.lock().unwrap(),
+                expect,
+                "port o{i} under {scheduler:?}"
+            );
+        }
+    }
+}
+
+/// Asking for a port the kernel never declared is a kernel bug: it panics
+/// inside `run()`, and the runtime reports it like any other kernel panic.
+#[test]
+fn undeclared_port_access_fails_the_map() {
+    struct Typo;
+    impl Kernel for Typo {
+        fn ports(&self) -> PortSpec {
+            PortSpec::new().input::<u64>("in")
+        }
+        fn run(&mut self, ctx: &Context) -> KStatus {
+            let _ = ctx.input::<u64>("inn").pop();
+            KStatus::Stop
+        }
+    }
+    let mut map = RaftMap::new();
+    let src = map.add(Generate::new(0..10u64));
+    let typo = map.add(Typo);
+    map.link(src, "out", typo, "in").unwrap();
+    match map.exe().unwrap_err() {
+        ExeError::KernelPanicked { kernels } => {
+            assert!(kernels.iter().any(|k| k.contains("Typo")), "{kernels:?}");
+        }
+        other => panic!("expected KernelPanicked, got {other}"),
+    }
+}
