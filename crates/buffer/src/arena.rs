@@ -22,9 +22,8 @@
 //!
 //! Freed slots flow back from the consuming side ([`ArenaRx`]) to the
 //! allocating side ([`ArenaTx`]) through an embedded SPSC **free ring** —
-//! the same head/tail protocol as every other ring in this crate (fourth
-//! user of `crate::index`), with Rx as its producer and Tx as its
-//! consumer. It is sized to the next power of two ≥ slot count, so with at
+//! the [`crate::ring`] protocol over the segment's `head`/`tail` words and
+//! the free-ring array, with Rx as its producer and Tx as its consumer. It is sized to the next power of two ≥ slot count, so with at
 //! most `capacity` slots in flight it can never overflow.
 //!
 //! ## Generations catch use-after-free
@@ -62,21 +61,16 @@
 
 use std::io;
 use std::sync::atomic::{
-    AtomicU32,
+    AtomicU32, AtomicU64,
     Ordering::{Acquire, Relaxed, Release},
 };
 use std::sync::Arc;
-use std::time::Duration;
 
-use crate::index::{consumer_ready_elems, producer_free_slots};
-use crate::shm::{JournaledShmProducer, ShmItem, ShmRingProducer, ShmSegment, SEG_KIND_ARENA};
-use crate::wait::{WaitAction, WaitStrategy, Waiter};
-
-/// Park bound for [`ArenaTx::wait_free_slot`]: the relaxed-armed futex
-/// notify admits the same narrow lost-wake window as the ring endpoints
-/// (see `futex.rs`), so one park costs at most this before a re-check.
-const ARENA_PARK_TIMEOUT: Duration = Duration::from_millis(2);
-const ARENA_WAIT: WaitStrategy = WaitStrategy::parking(ARENA_PARK_TIMEOUT);
+use crate::eventcount::{block_until, PARK_TIMEOUT};
+use crate::ring::{Backing, ConsumerCursor, ProducerCursor};
+use crate::shm::{
+    JournaledShmProducer, SegRing, ShmItem, ShmRingProducer, ShmSegment, SEG_KIND_ARENA,
+};
 
 /// Fixed-size ticket for one payload in the arena. 16 bytes, POD, crosses
 /// process boundaries through any `ShmRing<Descriptor>`.
@@ -180,15 +174,12 @@ impl ArenaCore {
         unsafe { &*(self.seg.data_ptr().add(self.geo.gen_off + slot * 4) as *const AtomicU32) }
     }
 
+    /// The free ring: `fcap` slot indices at `free_off`, counted by the
+    /// segment's `head`/`tail` words.
     #[inline]
-    fn free_entry_ptr(&self, idx: usize) -> *mut u32 {
-        // Masked by fcap-1: always inside the free-ring array.
-        let masked = idx & (self.geo.fcap - 1);
+    fn free_ring(&self) -> SegRing<'_, u32> {
         // In-bounds: free_off + fcap*4 ≤ payload_off ≤ data_len.
-        self.seg
-            .data_ptr()
-            .wrapping_add(self.geo.free_off + masked * 4)
-            .cast::<u32>()
+        self.seg.ring_at(self.geo.free_off, self.geo.fcap)
     }
 
     #[inline]
@@ -242,18 +233,10 @@ impl ShmArena {
             )
         };
         // Pre-fill the free ring with every slot: entries [0, slots),
-        // free-ring tail = slots. Single-threaded creation; the fd pass /
-        // Arc clone that shares the segment publishes these writes.
-        let core = ArenaCore {
-            seg: Arc::new(seg),
-            geo,
-        };
-        for i in 0..slots {
-            // SAFETY: index i < fcap, entry inside the free-ring array.
-            unsafe { core.free_entry_ptr(i).write(i as u32) };
-        }
-        core.seg.tail().store(slots as u64, Release);
-        let seg = Arc::try_unwrap(core.seg).ok().expect("sole owner");
+        // free-ring tail = slots (fcap ≥ slots, so all of them fit).
+        let ring = seg.ring_at::<u32>(geo.free_off, geo.fcap);
+        // SAFETY: creation is single-threaded; no other cursor exists yet.
+        unsafe { ProducerCursor::attach(&ring) }.push_some(&ring, slots, |n| 0..n as u32);
         Ok(seg)
     }
 
@@ -278,29 +261,15 @@ impl ShmArena {
 
     /// Attach to an inherited arena fd as the consuming side.
     pub fn attach_rx(fd: i32) -> io::Result<ArenaRx> {
-        let seg = Self::attach_arena(fd)?;
-        if !seg.claim_role(false) {
-            return Err(io::Error::new(
-                io::ErrorKind::AddrInUse,
-                "arena rx role already claimed",
-            ));
-        }
-        Ok(Self::rx_over(Arc::new(seg)))
+        Self::attach_arena(fd, false).map(Self::rx_over)
     }
 
     /// Attach to an inherited arena fd as the allocating side.
     pub fn attach_tx(fd: i32) -> io::Result<ArenaTx> {
-        let seg = Self::attach_arena(fd)?;
-        if !seg.claim_role(true) {
-            return Err(io::Error::new(
-                io::ErrorKind::AddrInUse,
-                "arena tx role already claimed",
-            ));
-        }
-        Ok(Self::tx_over(Arc::new(seg)))
+        Self::attach_arena(fd, true).map(Self::tx_over)
     }
 
-    fn attach_arena(fd: i32) -> io::Result<ShmSegment> {
+    fn attach_arena(fd: i32, tx: bool) -> io::Result<Arc<ShmSegment>> {
         let seg = ShmSegment::attach(fd, SEG_KIND_ARENA)?;
         let fail = |what: &str| Err(io::Error::new(io::ErrorKind::InvalidData, what.to_string()));
         // Bound the header counts with checked math BEFORE deriving a
@@ -319,28 +288,33 @@ impl ShmArena {
         if geo.data_bytes() > seg.data_len() {
             return fail("arena geometry disagrees with segment size");
         }
-        Ok(seg)
+        if !seg.claim_role(tx) {
+            return Err(io::Error::new(
+                io::ErrorKind::AddrInUse,
+                "arena role already claimed",
+            ));
+        }
+        Ok(Arc::new(seg))
     }
 
     fn tx_over(seg: Arc<ShmSegment>) -> ArenaTx {
         let geo = Geometry::of_segment(&seg);
-        let free_head = seg.head().load(Relaxed) as usize;
-        let free_tail_cache = seg.tail().load(Relaxed) as usize;
+        let core = ArenaCore { seg, geo };
         ArenaTx {
-            core: ArenaCore { seg, geo },
-            free_head,
-            free_tail_cache,
+            // SAFETY: the caller holds the segment's CAS-claimed Tx role —
+            // the free ring's only consumer; used with that ring alone.
+            free: unsafe { ConsumerCursor::attach(&core.free_ring()) },
+            core,
         }
     }
 
     fn rx_over(seg: Arc<ShmSegment>) -> ArenaRx {
         let geo = Geometry::of_segment(&seg);
-        let free_tail = seg.tail().load(Relaxed) as usize;
-        let free_head_cache = seg.head().load(Relaxed) as usize;
+        let core = ArenaCore { seg, geo };
         ArenaRx {
-            core: ArenaCore { seg, geo },
-            free_tail,
-            free_head_cache,
+            // SAFETY: as `tx_over`: the Rx role is the only producer.
+            free: unsafe { ProducerCursor::attach(&core.free_ring()) },
+            core,
         }
     }
 }
@@ -349,17 +323,15 @@ impl ShmArena {
 /// descriptor through a ring.
 pub struct ArenaTx {
     core: ArenaCore,
-    /// Free-ring consumer state (mirrors + conservative cache).
-    free_head: usize,
-    free_tail_cache: usize,
+    /// Free-ring consumer state.
+    free: ConsumerCursor,
 }
 
 /// Consuming side: `resolve` → read payload in place → `free`.
 pub struct ArenaRx {
     core: ArenaCore,
     /// Free-ring producer state.
-    free_tail: usize,
-    free_head_cache: usize,
+    free: ProducerCursor,
 }
 
 // SAFETY: single handle per side (CAS-claimed role); all shared state is
@@ -413,26 +385,12 @@ impl ArenaTx {
             return None;
         }
         // Pop one slot index off the free ring (we are its consumer).
-        let head = self.free_head;
-        let seg = &*self.core.seg;
-        let avail = consumer_ready_elems(head, &mut self.free_tail_cache, || {
-            seg.tail().load(Acquire) as usize
-        });
-        if avail == 0 {
-            return None;
-        }
-        // SAFETY: head < free tail observed via Acquire, pairing with the
-        // Rx side's Release publish of this entry; masked index in-bounds.
-        let slot = unsafe { self.core.free_entry_ptr(head).read() } as usize;
+        let slot = self.free.pop(&self.core.free_ring())? as usize;
         if slot >= self.core.geo.slots {
-            // A byzantine peer fed us garbage; drop the entry rather than
-            // index out of range.
-            seg.head().store((head + 1) as u64, Release);
-            self.free_head = head + 1;
+            // A byzantine peer fed us garbage; the entry is dropped rather
+            // than indexed out of range.
             return None;
         }
-        seg.head().store((head + 1) as u64, Release);
-        self.free_head = head + 1;
         // Free slots carry an even generation; bump to odd = live. Release
         // pairs with resolve's Acquire load.
         let gen = self.core.generation(slot);
@@ -459,7 +417,7 @@ impl ArenaTx {
     /// came back `None`. Escalates through the same spin→yield→futex-park
     /// ladder as the ring endpoints, parking on the segment's producer
     /// waker (which [`ArenaRx::free`] notifies); one park is bounded, so a
-    /// lost cross-process wake costs at most [`ARENA_PARK_TIMEOUT`].
+    /// lost cross-process wake costs at most [`PARK_TIMEOUT`].
     ///
     /// Returns `true` when the caller should retry `alloc` (a slot became
     /// visible or the bounded park elapsed) and `false` when the consuming
@@ -468,38 +426,24 @@ impl ArenaTx {
     ///
     /// [`alloc`]: ArenaTx::alloc
     pub fn wait_free_slot(&mut self) -> bool {
-        let seg = &*self.core.seg;
-        let mut waiter = Waiter::new(ARENA_WAIT);
-        loop {
-            // Refresh the free-ring tail: any entry past our head means a
-            // slot is ready for the next alloc.
-            let tail = seg.tail().load(Acquire) as usize;
-            if tail != self.free_head {
-                self.free_tail_cache = tail;
-                return true;
-            }
-            if seg.consumer_closed().load(Relaxed) == 1 {
-                return false;
-            }
-            if waiter.pause_or_park() == WaitAction::Park {
-                let w = seg.producer_waker();
-                let epoch = w.arm();
-                // Re-check under the arm: a free or close that landed
-                // before the arm's fence is visible here; one that lands
-                // after will observe the arm and notify.
-                let tail = seg.tail().load(Acquire) as usize;
-                if tail != self.free_head || seg.consumer_closed().load(Relaxed) == 1 {
-                    w.disarm();
-                    continue;
-                }
-                w.wait(epoch, Some(ARENA_PARK_TIMEOUT));
-                // Bounded contract: after one real park, hand control back
-                // so a scheduler-driven caller can observe stop requests.
-                let tail = seg.tail().load(Acquire) as usize;
-                self.free_tail_cache = tail;
-                return tail != self.free_head || seg.consumer_closed().load(Relaxed) != 1;
-            }
-        }
+        let ArenaTx { core, free } = self;
+        let (seg, ring) = (&*core.seg, core.free_ring());
+        // Bounded contract: the budget is one park long, so a scheduler-
+        // driven caller gets control back to observe stop requests. (Too
+        // short to ever count a rescue; nobody reads this counter.)
+        let unread = AtomicU64::new(0);
+        block_until(
+            &seg.producer_waker(),
+            &unread,
+            Some(PARK_TIMEOUT),
+            || false,
+            || match free.refresh(&ring) {
+                // Any entry past our head is a slot for the next alloc.
+                0 => (seg.consumer_closed().load(Relaxed) == 1).then_some(false),
+                _ => Some(true),
+            },
+        )
+        .unwrap_or(true)
     }
 
     /// Total payload slots.
@@ -515,7 +459,7 @@ impl ArenaTx {
     /// Slots currently available to allocate (telemetry estimate).
     pub fn free_slots(&self) -> usize {
         let seg = &*self.core.seg;
-        (seg.tail().load(Acquire) as usize).saturating_sub(self.free_head)
+        (seg.tail().load(Acquire) as usize).saturating_sub(self.free.head())
     }
 
     /// Reclaim slots orphaned by a dead consumer. Caller contract: the Rx
@@ -540,14 +484,18 @@ impl ArenaTx {
     /// the replacement worker resolves them as if nothing happened.
     /// Returns the number of slots re-enrolled.
     pub fn sweep_orphans(&mut self, in_flight: impl Fn(u32, u32) -> bool) -> usize {
-        let seg = &*self.core.seg;
-        let head = seg.head().load(Acquire) as usize;
-        let mut tail = seg.tail().load(Acquire) as usize;
+        let ring = self.core.free_ring();
+        // Stand in for the dead Rx as the free ring's producer, resuming at
+        // the shared tail.
+        // SAFETY: the caller contract (Rx dead and reaped, role revoked)
+        // makes this the free ring's only producer cursor.
+        let mut enroll = unsafe { ProducerCursor::attach(&ring) };
+        let head = self.core.seg.head().load(Acquire) as usize;
         let mut enrolled = vec![false; self.core.geo.slots];
-        for idx in head..tail {
-            // SAFETY: masked index inside the free-ring array; entries in
-            // [head, tail) were published by a Release store of the tail.
-            let s = unsafe { self.core.free_entry_ptr(idx).read() } as usize;
+        for idx in head..enroll.tail() {
+            // SAFETY: entries in [head, tail) were published by a Release
+            // store of the tail (u32: any bit pattern is a value).
+            let s = ring.slot(idx, |p| unsafe { (*p).assume_init_read() }) as usize;
             if s < self.core.geo.slots {
                 enrolled[s] = true;
             }
@@ -564,15 +512,12 @@ impl ArenaTx {
             } else if *slot_enrolled {
                 continue;
             }
-            // SAFETY: acting as the free-ring producer under the caller
-            // contract (Rx dead, role revoked); fcap ≥ slots bounds the
-            // enrolled count so the ring cannot overflow; masked in-bounds.
-            unsafe { self.core.free_entry_ptr(tail).write(slot as u32) };
-            tail += 1;
+            // Sound under the caller contract (Rx dead, role revoked);
+            // fcap ≥ slots bounds the enrolled count, so the push fits.
+            let pushed = enroll.push(&ring, slot as u32);
+            debug_assert!(pushed.is_ok(), "free ring overflow impossible by sizing");
             swept += 1;
         }
-        seg.tail().store(tail as u64, Release);
-        self.free_tail_cache = tail;
         swept
     }
 
@@ -625,23 +570,10 @@ impl ArenaRx {
         // Push the slot back on the free ring (we are its producer). The
         // ring can never be full: at most `slots` entries exist in flight
         // and fcap ≥ slots.
-        let tail = self.free_tail;
-        let seg = &*self.core.seg;
-        let _room = producer_free_slots(
-            tail,
-            &mut self.free_head_cache,
-            self.core.geo.fcap,
-            1,
-            || seg.head().load(Acquire) as usize,
-        );
-        debug_assert!(_room > 0, "free ring overflow impossible by sizing");
-        // SAFETY: slot entry [tail & fmask] is outside the free ring's
-        // live region; published by the Release store below.
-        unsafe { self.core.free_entry_ptr(tail).write(slot as u32) };
-        seg.tail().store((tail + 1) as u64, Release);
-        self.free_tail = tail + 1;
+        let pushed = self.free.push(&self.core.free_ring(), slot as u32);
+        debug_assert!(pushed.is_ok(), "free ring overflow impossible by sizing");
         // A producer blocked in `wait_free_slot` parks on this waker.
-        seg.producer_waker().notify_if_armed();
+        self.core.seg.producer_waker().notify_if_armed();
         Ok(())
     }
 

@@ -47,13 +47,11 @@
 //! resize, the monitor's `pending = false` Release pairs with the endpoint's
 //! Acquire re-check, so the new slot array is fully visible on re-entry.
 //!
-//! The fence is built on [`crate::sync`], so `--cfg loom` model-checks the
+//! The fence is built on `crate::sync`, so `--cfg loom` model-checks the
 //! protocol (see `tests/loom_fence.rs`).
 
-use crossbeam::utils::CachePadded;
-
 use crate::sync::{
-    AtomicBool,
+    AtomicBool, CachePadded,
     Ordering::{Acquire, Relaxed, Release, SeqCst},
 };
 

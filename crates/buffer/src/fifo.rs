@@ -1,4 +1,5 @@
-//! The production stream FIFO: lock-free SPSC fast path + dynamic resizing.
+//! The production stream FIFO: the [`crate::ring`] protocol over heap
+//! storage that a monitor can swap out while the stream runs.
 //!
 //! RaftLib resizes queues while the application runs (§4): a monitor thread
 //! wakes every δ and grows a queue when the writer has been blocked for 3δ,
@@ -7,54 +8,51 @@
 //! ring is in a *non-wrapped* position so the live region can be moved with
 //! one contiguous copy.
 //!
-//! Reproduction here:
+//! What this module adds to the ring core, and nothing else:
 //!
-//! * `head`/`tail` are monotonic atomic counters living *outside* the slot
-//!   storage (each on its own cache line), so a resize only swaps the
-//!   storage and never disturbs the producer/consumer protocol;
-//! * each endpoint keeps a local mirror of its own counter plus a stale
-//!   cache of the opposite one ([`crate::spsc`]'s cached-index scheme), so
-//!   the common-case push/pop never loads its own shared counter and only
-//!   refreshes the opposite counter when the ring looks full/empty;
-//! * push/pop are excluded from resizes by the Dekker-style
-//!   [`ResizeFence`] — one flag store + SeqCst fence + one load per
-//!   operation, no lock RMW and no shared contended lock word. The old
-//!   per-op `RwLock` read acquisition is gone from the hot path; the lock
-//!   survives only for resizer-vs-resizer exclusion and third-party
-//!   `capacity()` reads;
-//! * a resize takes the exclusive lock **and** the fence, copies the live
-//!   region (single `memcpy` when source and destination are both
-//!   non-wrapped, element-wise otherwise), and swaps storage;
-//! * blocked endpoints record `*_blocked_since` timestamps in
-//!   [`FifoStats`], which is precisely the signal the monitor's 3δ rule
-//!   consumes; parked threads are woken by the opposite endpoint or by a
-//!   resize;
-//! * zero-copy batch views: [`Producer::reserve`] hands out a
-//!   [`WriteSlice`] that is written in place and committed (published with
-//!   one counter store) on drop; [`Consumer::pop_slice`] lends the front of
-//!   the queue to a closure as a [`SliceView`] and consumes it afterwards —
-//!   both amortize the fence entry over the whole batch.
+//! * **Swappable storage.** `head`/`tail` live *outside* the slot storage,
+//!   so a resize only swaps the storage and never disturbs the cursors.
+//!   Endpoints touch slots only through an `Arena` — RAII membership in
+//!   the Dekker-style [`ResizeFence`] (one SeqCst swap + one load to enter,
+//!   one Release store to leave; free for fixed-capacity FIFOs) that doubles
+//!   as the ring's [`Backing`]. A resize takes the resizer lock **and** the
+//!   fence, copies the live region (single `memcpy` when source and
+//!   destination are both non-wrapped, element-wise otherwise) and swaps.
+//! * **Blocking endpoints.** Every wait — `push`, `push_batch`, `reserve`,
+//!   `allocate`, `pop`, `peek_range`, `pop_slice` — is one call to
+//!   `Shared::block_until`, i.e. the crate's one blocking loop
+//!   ([`crate::eventcount::block_until`]) bracketed by the `*_blocked_since`
+//!   stamps the monitor's 3δ rule consumes, ended early by drain level
+//!   `QUIESCED` or the link's admission deadline.
+//! * **Two kinds of sleeper per direction.** "Data is visible" and "space is
+//!   visible" each have a `Side`: a [`WakerSlot`] for a scheduler task and
+//!   a [`ThreadPark`] eventcount for a blocked thread, notified together.
+//! * Zero-copy batch views: [`Producer::reserve`] hands out a
+//!   [`WriteSlice`] that is written in place and published with one counter
+//!   store on drop; [`Consumer::pop_slice`] lends the front of the queue to
+//!   a closure as a [`SliceView`] and consumes it afterwards — both hold one
+//!   arena membership for the whole batch.
+//! * Staging and journaling for the exactly-once recovery contract
+//!   ([`crate::journal`]), admission policies, telemetry ([`FifoStats`]).
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::ops::{Deref, DerefMut, Index};
 use std::sync::atomic::{
-    AtomicBool, AtomicU64, AtomicU8, AtomicUsize,
+    AtomicBool, AtomicU64, AtomicU8,
     Ordering::{AcqRel, Acquire, Relaxed, Release},
 };
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use crossbeam::utils::CachePadded;
-use parking_lot::{Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Duration;
 
 use crate::error::{PopError, PushError, TryPopError, TryPushError};
+use crate::eventcount::{self, Blocked, EventCount, ThreadPark};
 use crate::fence::{ResizeFence, Role};
-use crate::index::{consumer_ready_elems, producer_free_slots};
 use crate::journal::{AdmissionPolicy, JournalConfig, ReplayWindow};
+use crate::ring::{Backing, ConsumerCursor, Counters, ProducerCursor};
 use crate::signal::Signal;
 use crate::stats::{FifoStats, StatsSnapshot};
-use crate::wait::{WaitAction, WaitStrategy, Waiter};
+use crate::sync::{AtomicUsize, CachePadded};
 use crate::waker::WakerSlot;
 
 /// Drain levels for the cooperative shutdown protocol (see
@@ -286,13 +284,47 @@ impl<T> Storage<T> {
     }
 }
 
+/// One direction of "the peer moved": `data` is notified when elements, EoS
+/// or an async signal become visible to the consumer, `space` when room (or
+/// a dead consumer) becomes visible to the producer. Either kind of sleeper
+/// may be waiting on it, so both are told, with one call.
+#[derive(Default)]
+struct Side {
+    /// Event-driven readiness hook for a scheduler task; registered/armed
+    /// by the work-stealing scheduler, a single relaxed load when unused.
+    task: WakerSlot,
+    /// Where a thread blocked in this endpoint's `block_until` parks.
+    thread: EventCount<ThreadPark>,
+}
+
+impl Side {
+    /// Per-element notify: one relaxed load per sleeper kind when nobody
+    /// waits. The thread half is the lossy `notify_if_armed` (bounded park,
+    /// rescues counted); a registered task always gets the fenced notify —
+    /// it has no timeout to fall back on.
+    #[inline]
+    fn notify(&self) {
+        self.task.notify();
+        self.thread.notify_if_armed();
+    }
+
+    /// Fenced notify for changes that will not be repeated (close, drop,
+    /// drain, async signal, resize, rewind): never loses a wake.
+    fn notify_fenced(&self) {
+        self.task.notify();
+        self.thread.notify();
+    }
+}
+
 /// State shared by producer, consumer, and monitor.
 struct Shared<T> {
-    /// Slot storage. Endpoints access it **without** taking this lock —
-    /// they hold [`ResizeFence`] membership instead and go through
-    /// [`RwLock::data_ptr`]. The lock only serializes resizers against each
-    /// other and covers third-party `capacity()` reads.
-    storage: RwLock<Storage<T>>,
+    /// Slot storage. Replaced only by [`Shared::resize`], which holds
+    /// `resizing` and the fence; endpoints reach it through an [`Arena`].
+    storage: UnsafeCell<Storage<T>>,
+    /// Serializes resizers against each other (never on an endpoint path).
+    resizing: Mutex<()>,
+    /// `storage.capacity()`, for third parties that hold no membership.
+    capacity: AtomicUsize,
     /// Dekker-style exclusion between endpoint ring access and resizes.
     fence: ResizeFence,
     /// `false` when the config pins the capacity (floor == ceiling): the
@@ -303,8 +335,8 @@ struct Shared<T> {
     /// fell back to the heap is recorded as `Heap`); surfaced per-link in
     /// `ExeReport`.
     alloc: LinkAlloc,
-    /// Next index to read (monotonic). Own cache line: the producer spins
-    /// on this only when its cached copy says the ring is full.
+    /// Next index to read (monotonic). Own cache line: the producer loads
+    /// it only when its cached copy says the ring is full.
     head: CachePadded<AtomicUsize>,
     /// Next index to write (monotonic), cache line apart from `head`.
     tail: CachePadded<AtomicUsize>,
@@ -312,19 +344,10 @@ struct Shared<T> {
     consumer_closed: AtomicBool,
     /// Out-of-band signal channel ("asynchronous signaling", §4.2).
     async_signal: AtomicU64,
-    /// Set while the producer is parked waiting for space.
-    writer_waiting: AtomicBool,
-    /// Set while the consumer is parked waiting for data.
-    reader_waiting: AtomicBool,
-    park: Mutex<()>,
-    unpark: Condvar,
-    /// Event-driven readiness hook for the consuming side: notified when
-    /// data, EoS, or an async signal becomes visible. Registered/armed by
-    /// the work-stealing scheduler; a single relaxed load when unused.
-    consumer_waker: WakerSlot,
-    /// Readiness hook for the producing side: notified when space becomes
-    /// visible (pop, batch drain, consumer drop, grow).
-    producer_waker: WakerSlot,
+    /// Sleepers waiting for data, EoS or an async signal.
+    data: Side,
+    /// Sleepers waiting for space (pop, batch drain, consumer drop, grow).
+    space: Side,
     /// Cooperative drain level ([`DRAIN_RUNNING`] / [`DRAIN_DRAINING`] /
     /// [`DRAIN_QUIESCED`]); raised monotonically by the monitor or a stop
     /// handle, never lowered.
@@ -332,7 +355,7 @@ struct Shared<T> {
     /// Elements awaiting replay after a journal rewind. Counted into
     /// [`Shared::occupancy`] so schedulers see a rewound link as ready and
     /// `is_finished` stays false until the replay is consumed.
-    journal_pending: AtomicUsize,
+    journal_pending: std::sync::atomic::AtomicUsize,
     /// Set once the consumer endpoint enabled its replay journal.
     journaled: AtomicBool,
     stats: FifoStats,
@@ -343,37 +366,88 @@ struct Shared<T> {
     shadow: crate::protocol::FifoShadow,
 }
 
-impl<T> Shared<T> {
-    /// Elements in the ring proper (excluding journal replay).
-    #[inline]
-    fn ring_occupancy(&self) -> usize {
-        self.tail
-            .load(Acquire)
-            .saturating_sub(self.head.load(Acquire))
-    }
+// SAFETY: everything but `storage` is Sync on its own. The `UnsafeCell` is
+// read only by endpoints holding fence membership (or, for fixed-capacity
+// FIFOs, always — nothing ever writes it) and written only by a resizer
+// holding `resizing` and the fence, which excludes every reader; the
+// storage itself is Send + Sync for `T: Send` (see `Storage`).
+unsafe impl<T: Send> Sync for Shared<T> {}
 
-    /// Elements observable by the consumer: ring contents plus journal
-    /// entries queued for replay after a rewind.
+impl<T> Counters for Shared<T> {
+    type Counter = AtomicUsize;
     #[inline]
-    fn occupancy(&self) -> usize {
-        self.ring_occupancy() + self.journal_pending.load(Acquire)
+    fn head(&self) -> &AtomicUsize {
+        &self.head
     }
-
-    /// Wake any parked endpoint. Cheap when nobody is waiting (one relaxed
-    /// load each).
     #[inline]
-    fn wake(&self) {
-        if self.writer_waiting.load(Relaxed) || self.reader_waiting.load(Relaxed) {
-            let _g = self.park.lock();
-            self.unpark.notify_all();
+    fn tail(&self) -> &AtomicUsize {
+        &self.tail
+    }
+}
+
+/// RAII membership in the resize fence for one role — and, because holding
+/// it is exactly what makes the storage pointer stable, the ring's
+/// [`Backing`]. Being RAII, user closures that panic (`peek`, `pop_slice`)
+/// cannot strand the monitor waiting on a raised `active` flag; the batch
+/// guards ([`WriteSlice`], [`PeekRange`]) simply own one.
+struct Arena<'a, T> {
+    shared: &'a Shared<T>,
+    role: Role,
+}
+
+impl<T> Counters for Arena<'_, T> {
+    type Counter = AtomicUsize;
+    #[inline]
+    fn head(&self) -> &AtomicUsize {
+        &self.shared.head
+    }
+    #[inline]
+    fn tail(&self) -> &AtomicUsize {
+        &self.shared.tail
+    }
+}
+
+// SAFETY: holding the arena pins the storage, so `capacity` cannot change
+// under a cursor that uses it; `Storage::slot` masks the index into its live
+// slot array, one cell per slot.
+unsafe impl<T> Backing for Arena<'_, T> {
+    type Item = (T, Signal);
+    #[inline]
+    fn capacity(&self) -> usize {
+        // SAFETY: `self` is the membership `storage` asks for.
+        unsafe { self.shared.storage() }.capacity()
+    }
+    #[inline]
+    fn slot<R>(&self, idx: usize, f: impl FnOnce(*mut MaybeUninit<(T, Signal)>) -> R) -> R {
+        // SAFETY: as in `capacity`.
+        f(unsafe { self.shared.storage() }.slot(idx))
+    }
+}
+
+impl<T> Drop for Arena<'_, T> {
+    #[inline]
+    fn drop(&mut self) {
+        let shared = self.shared;
+        #[cfg(feature = "raft_protocol_check")]
+        shared.shadow.exit(
+            self.role,
+            match self.role {
+                Role::Producer => shared.tail.load(Relaxed),
+                Role::Consumer => shared.head.load(Relaxed),
+            },
+        );
+        if shared.resizable {
+            shared.fence.exit(self.role);
         }
     }
+}
 
+impl<T> Shared<T> {
     /// Enter the ring critical section for `role`. Free for fixed-capacity
     /// FIFOs (nothing can swap the storage); one SeqCst swap + load
     /// otherwise.
     #[inline]
-    fn arena_enter(&self, role: Role) {
+    fn enter(&self, role: Role) -> Arena<'_, T> {
         if self.resizable {
             self.fence.enter(role);
         }
@@ -382,38 +456,378 @@ impl<T> Shared<T> {
         // fence already excludes.
         #[cfg(feature = "raft_protocol_check")]
         self.shadow.enter(role);
+        Arena { shared: self, role }
     }
 
-    /// Leave the ring critical section for `role`.
-    #[inline]
-    fn arena_exit(&self, role: Role) {
-        #[cfg(feature = "raft_protocol_check")]
-        self.shadow.exit(
-            role,
-            match role {
-                Role::Producer => self.tail.load(Relaxed),
-                Role::Consumer => self.head.load(Relaxed),
-            },
-        );
-        if self.resizable {
-            self.fence.exit(role);
-        }
-    }
-
-    /// Raw storage access for an endpoint *currently inside
-    /// [`arena_enter`](Self::arena_enter)*.
+    /// The slot storage, for a caller *currently holding an [`Arena`]*.
     ///
     /// # Safety
-    /// The caller must be inside an `arena_enter`/`arena_exit` pair for its
-    /// role: membership excludes any storage swap (and fixed-capacity FIFOs
-    /// can never swap), so the reference is stable for the duration of the
-    /// critical section.
+    /// An `Arena` for the caller's role must be alive for as long as the
+    /// returned reference is used: membership excludes any storage swap
+    /// (and fixed-capacity FIFOs can never swap).
     #[inline]
-    unsafe fn storage_unlocked(&self) -> &Storage<T> {
+    unsafe fn storage(&self) -> &Storage<T> {
         // SAFETY: per the function contract, no resize (the only writer)
         // can run while the caller holds membership, so a shared reference
         // to the contents cannot alias a mutation.
-        unsafe { &*self.storage.data_ptr() }
+        unsafe { &*self.storage.get() }
+    }
+
+    /// Current capacity (third-party view; endpoints inside an arena read
+    /// the storage itself).
+    #[inline]
+    fn capacity(&self) -> usize {
+        self.capacity.load(Acquire)
+    }
+
+    /// Elements observable by the consumer: ring contents plus journal
+    /// entries queued for replay after a rewind.
+    #[inline]
+    fn occupancy(&self) -> usize {
+        let ring = self
+            .tail
+            .load(Acquire)
+            .saturating_sub(self.head.load(Acquire));
+        ring + self.journal_pending.load(Acquire)
+    }
+
+    #[inline]
+    fn quiesced(&self) -> bool {
+        self.drain.load(Acquire) >= DRAIN_QUIESCED
+    }
+
+    /// Producer closed (or link quiesced) and everything consumed,
+    /// including any journal replay.
+    fn is_finished(&self) -> bool {
+        (self.producer_closed.load(Acquire) || self.quiesced()) && self.occupancy() == 0
+    }
+
+    /// The cursor just published: count it, leave the arena, tell the
+    /// consumer side.
+    #[inline]
+    fn published(&self, arena: Arena<'_, T>, tail: usize) {
+        // Single-writer counter: total pushed == tail, so a plain store
+        // replaces a fetch_add.
+        self.stats.writer.pushed.store(tail as u64, Relaxed);
+        drop(arena);
+        self.data.notify();
+    }
+
+    /// The cursor just released: count it, leave the arena, tell the
+    /// producer side.
+    #[inline]
+    fn released(&self, arena: Arena<'_, T>, head: usize) {
+        // Single-writer counter: total popped == head.
+        self.stats.reader.popped.store(head as u64, Relaxed);
+        drop(arena);
+        self.space.notify();
+    }
+
+    /// Block `role` until `ready` yields — the one place a FIFO endpoint
+    /// waits. The first poll is the (inlined) fast path and touches no
+    /// clock; only then does [`blocked`](Self::blocked) take over.
+    #[inline]
+    fn block_until<R>(
+        &self,
+        role: Role,
+        budget: Option<Duration>,
+        mut ready: impl FnMut() -> Option<R>,
+    ) -> Result<R, Blocked> {
+        match ready() {
+            Some(r) => Ok(r),
+            None => self.blocked(role, budget, ready),
+        }
+    }
+
+    /// The slow half of [`block_until`](Self::block_until): the wait is
+    /// visible to the monitor through `*_blocked_since` (3δ of continuous
+    /// writer blocking grows the queue) and runs the crate's blocking loop
+    /// on the role's [`Side`], ended early by drain level `QUIESCED` or by
+    /// `budget` (the admission deadline).
+    #[cold]
+    fn blocked<R>(
+        &self,
+        role: Role,
+        budget: Option<Duration>,
+        ready: impl FnMut() -> Option<R>,
+    ) -> Result<R, Blocked> {
+        type Stamp = fn(&FifoStats);
+        let stats = &self.stats;
+        let (side, rescues, begin, end): (_, _, Stamp, Stamp) = match role {
+            Role::Producer => (
+                &self.space,
+                &stats.writer.rescues,
+                FifoStats::writer_block_begin,
+                FifoStats::writer_block_end,
+            ),
+            Role::Consumer => (
+                &self.data,
+                &stats.reader.rescues,
+                FifoStats::reader_block_begin,
+                FifoStats::reader_block_end,
+            ),
+        };
+        begin(stats);
+        // We are *outside* the fence while parked, so a resize can proceed
+        // while we sleep.
+        let result =
+            eventcount::block_until(&side.thread, rescues, budget, || self.quiesced(), ready);
+        end(stats);
+        result
+    }
+}
+
+impl<T: Send> Shared<T> {
+    /// Non-blocking push straight to the ring.
+    #[inline]
+    fn try_push(
+        &self,
+        cursor: &mut ProducerCursor,
+        value: T,
+        signal: Signal,
+    ) -> Result<(), TryPushError<T>> {
+        if self.consumer_closed.load(Relaxed) {
+            return Err(TryPushError::Closed(value));
+        }
+        let arena = self.enter(Role::Producer);
+        match cursor.push(&arena, (value, signal)) {
+            Ok(()) => {
+                self.published(arena, cursor.tail());
+                Ok(())
+            }
+            Err((value, _)) => Err(TryPushError::Full(value)),
+        }
+    }
+
+    /// Push as many elements from the front of `items` as currently fit,
+    /// under a single arena entry and one publish; the rest stay in
+    /// `items`. `pair` attaches each element's signal.
+    #[inline]
+    fn push_some<U>(
+        &self,
+        cursor: &mut ProducerCursor,
+        items: &mut Vec<U>,
+        pair: impl Fn(U) -> (T, Signal),
+    ) -> Result<usize, PushError<()>> {
+        if items.is_empty() {
+            return Ok(0);
+        }
+        if self.consumer_closed.load(Relaxed) {
+            return Err(PushError(()));
+        }
+        let arena = self.enter(Role::Producer);
+        let n = cursor.push_some(&arena, items.len(), |n| items.drain(..n).map(&pair));
+        if n > 0 {
+            self.published(arena, cursor.tail());
+        }
+        Ok(n)
+    }
+
+    /// Blocking push straight to the ring (the commit flush path and the
+    /// unstaged common case), applying the link's admission policy: a full
+    /// ring blocks, sheds at once (`Shed` is a zero budget) or sheds when
+    /// the `BlockTimeout` budget runs out.
+    #[inline]
+    fn push(
+        &self,
+        cursor: &mut ProducerCursor,
+        value: T,
+        signal: Signal,
+    ) -> Result<(), PushError<T>> {
+        let mut held = match self.try_push(cursor, value, signal) {
+            Ok(()) => return Ok(()),
+            Err(TryPushError::Closed(v)) => return Err(PushError(v)),
+            Err(TryPushError::Full(v)) => Some(v),
+        };
+        let sent = self.block_until(Role::Producer, self.cfg.admission.budget(), || {
+            let value = held.take().expect("handed back by every failed attempt");
+            match self.try_push(cursor, value, signal) {
+                Ok(()) => Some(true),
+                Err(TryPushError::Closed(v)) => {
+                    held = Some(v);
+                    Some(false)
+                }
+                Err(TryPushError::Full(v)) => {
+                    held = Some(v);
+                    None
+                }
+            }
+        });
+        match sent {
+            Ok(true) => Ok(()),
+            Err(Blocked::TimedOut) => {
+                // The burst outlasted the budget: drop now, count it, stay
+                // live.
+                self.stats.writer.shed.fetch_add(1, Relaxed);
+                Ok(())
+            }
+            // Consumer gone, or quiesced: nobody will drain this ring —
+            // fail fast rather than wedge the draining graph.
+            Ok(false) | Err(Blocked::Abandoned) => {
+                Err(PushError(held.expect("handed back by the failed attempt")))
+            }
+        }
+    }
+
+    /// Non-blocking pop. On a journaled link, rewound elements are
+    /// re-served (as clones, in original order) before anything new is
+    /// taken from the ring, and every live pop is recorded for possible
+    /// replay.
+    #[inline]
+    fn try_pop(
+        &self,
+        cursor: &mut ConsumerCursor,
+        journal: &mut Option<Box<ConsumerJournal<T>>>,
+    ) -> Result<(T, Signal), TryPopError> {
+        if let Some(j) = journal {
+            if j.cursor < j.window.next_seq() {
+                // Replaying a rewound transaction: serve from the window
+                // without touching the ring.
+                let (v, s) = j
+                    .window
+                    .get(j.cursor)
+                    .expect("replay cursor inside retained window");
+                let pair = ((j.clone_fn)(v), *s);
+                j.cursor += 1;
+                // Saturating: the cursor can trail `next_seq` without a
+                // rewind if recording was interrupted mid-pop (failpoint or
+                // caught panic between the ring pop and the cursor bump);
+                // re-serving that entry must not underflow the counter.
+                let _ = self
+                    .journal_pending
+                    .fetch_update(AcqRel, Acquire, |v| v.checked_sub(1));
+                self.stats.reader.replayed.fetch_add(1, Relaxed);
+                return Ok(pair);
+            }
+        }
+        // Emptiness is decided on the counters alone, before paying for an
+        // arena entry. Quiesced mid-drain reports end-of-stream so a blocked
+        // consumer kernel terminates even though its producer is still
+        // alive upstream.
+        match cursor.poll(self, || self.producer_closed.load(Acquire)) {
+            Ok(_) => {}
+            Err(TryPopError::Empty) if self.quiesced() => return Err(TryPopError::Closed),
+            Err(e) => return Err(e),
+        }
+        let arena = self.enter(Role::Consumer);
+        let Some(pair) = cursor.pop(&arena) else {
+            return Err(TryPopError::Empty);
+        };
+        self.released(arena, cursor.head());
+        if let Some(j) = journal {
+            // Record the live pop for possible replay; the cursor tracks
+            // next_seq while recording.
+            j.window.append(((j.clone_fn)(&pair.0), pair.1));
+            j.cursor = j.window.next_seq();
+        }
+        Ok(pair)
+    }
+
+    /// Consume `k` ready elements through `each` under one arena entry and
+    /// one release — what `advance` and `pop_range` are.
+    #[inline]
+    fn drain(&self, cursor: &mut ConsumerCursor, k: usize, each: impl FnMut((T, Signal))) {
+        let arena = self.enter(Role::Consumer);
+        cursor.pop_some(&arena, k, each);
+        self.released(arena, cursor.head());
+    }
+
+    /// Resize the ring to `new_capacity` (clamped to config bounds and to
+    /// current occupancy). Returns the resulting capacity.
+    ///
+    /// Takes the resizer lock (vs. other resizers), then the
+    /// [`ResizeFence`] (vs. the endpoints, who retry as soon as
+    /// `end_resize` clears the pending flag). The live region is moved with
+    /// one contiguous copy when both source and destination regions are
+    /// non-wrapped (the paper's preferred resize position), element-wise
+    /// otherwise.
+    fn resize(&self, new_capacity: usize) -> usize {
+        if !self.resizable {
+            // Fixed-capacity config: endpoints skip the fence, so mutating
+            // the storage here would be unsound — and the clamp below could
+            // only ever return the current capacity anyway.
+            return self.capacity();
+        }
+        let _resizing = self.resizing.lock().unwrap_or_else(PoisonError::into_inner);
+        // Chaos hook: inject a stall (or panic) while holding the resizer
+        // lock but before the fence, the window where a wedged resize is
+        // most visible to the endpoints.
+        crate::failpoint!("buffer::fifo::resize");
+        self.fence.begin_resize();
+        // SAFETY: the fence excludes both endpoints and the lock excludes
+        // other resizers, so until `end_resize` this is the only reference
+        // to the storage.
+        let storage = unsafe { &mut *self.storage.get() };
+        // With the fence held, both endpoints are outside their critical
+        // sections; their counter stores happened-before their (acquired)
+        // fence exits, so Relaxed loads here read the settled values and
+        // nobody moves them until end_resize.
+        let head = self.head.load(Relaxed);
+        let tail = self.tail.load(Relaxed);
+        #[cfg(feature = "raft_protocol_check")]
+        self.shadow.resize_begin();
+        let live = tail - head;
+        let new_capacity = new_capacity
+            .clamp(self.cfg.min_capacity, self.cfg.max_capacity)
+            .max(live)
+            .next_power_of_two();
+        if new_capacity != storage.capacity() {
+            let new = Storage::<T>::with_capacity(new_capacity);
+            let old_mask = storage.mask;
+            if live > 0 {
+                let src_start = head & old_mask;
+                let dst_start = head & new.mask;
+                let src_contig = src_start + live <= storage.capacity();
+                let dst_contig = dst_start + live <= new.capacity();
+                // SAFETY: exclusive access (above). Source slots
+                // `[head, tail)` are initialized (live region); destination
+                // slots are freshly allocated and distinct allocations, so
+                // the ranges cannot overlap. `new_capacity >= live` (clamped
+                // above) guarantees the destination indices stay in bounds,
+                // and the bit-copy is a move: the old slots are discarded as
+                // `MaybeUninit` (never dropped) right after, so no element
+                // is duplicated or leaked.
+                unsafe {
+                    if src_contig && dst_contig {
+                        // Fast path: one memcpy of the whole live region.
+                        std::ptr::copy_nonoverlapping(
+                            storage.slot(src_start),
+                            new.slot(head),
+                            live,
+                        );
+                    } else {
+                        // Wrapped on either side: move element-wise.
+                        for i in 0..live {
+                            std::ptr::copy_nonoverlapping(
+                                storage.slot((head + i) & old_mask),
+                                new.slot(head + i),
+                                1,
+                            );
+                        }
+                    }
+                }
+            }
+            // Old slots' live elements were moved out byte-wise: discarding
+            // the old storage is safe because MaybeUninit never drops its
+            // contents.
+            *storage = new;
+            self.capacity.store(new_capacity, Release);
+            self.stats.monitor.resizes.fetch_add(1, Relaxed);
+        }
+        #[cfg(feature = "raft_protocol_check")]
+        self.shadow
+            .resize_end(head, tail, self.head.load(Relaxed), self.tail.load(Relaxed));
+        // Publish the new storage (Release inside) before endpoints re-enter.
+        self.fence.end_resize();
+        // A grow makes space visible to a parked producer.
+        self.space.notify_fenced();
+        new_capacity
+    }
+
+    /// Grow until `capacity >= target` (bounded). Returns `true` if the
+    /// final capacity satisfies the request.
+    fn grow_to(&self, target: usize) -> bool {
+        self.capacity() >= target || self.resize(target.next_power_of_two()) >= target
     }
 }
 
@@ -421,47 +835,13 @@ impl<T> Drop for Shared<T> {
     fn drop(&mut self) {
         // Last owner of the FIFO: drop whatever elements remain exactly once.
         // (Storage never drops its MaybeUninit contents itself.)
-        let storage = self.storage.write();
-        let head = self.head.load(Relaxed);
-        let tail = self.tail.load(Relaxed);
-        for i in head..tail {
+        let storage = self.storage.get_mut();
+        for i in self.head.load(Relaxed)..self.tail.load(Relaxed) {
             // SAFETY: [head, tail) is the live region; exclusive access here.
             unsafe { (*storage.slot(i)).assume_init_drop() };
         }
     }
 }
-
-/// RAII fence membership, so user closures that panic (peek, pop_slice)
-/// can't strand the monitor waiting on a raised `active` flag.
-struct ArenaGuard<'a, T> {
-    shared: &'a Shared<T>,
-    role: Role,
-}
-
-impl<'a, T> ArenaGuard<'a, T> {
-    #[inline]
-    fn enter(shared: &'a Shared<T>, role: Role) -> Self {
-        shared.arena_enter(role);
-        ArenaGuard { shared, role }
-    }
-}
-
-impl<T> Drop for ArenaGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        self.shared.arena_exit(self.role);
-    }
-}
-
-/// How long a parked endpoint sleeps before re-checking, as a missed-wakeup
-/// safety net. The event path (condvar notify + [`WakerSlot`]) is what
-/// actually delivers wakeups; this bound only papers over the inherent
-/// relaxed-flag race on the condvar path, so it is a pure safety net rather
-/// than a polling rate — stretched from the old 200 µs accordingly.
-const PARK_TIMEOUT: Duration = Duration::from_millis(2);
-
-/// Spin → yield → park schedule shared by every blocking endpoint loop.
-const ENDPOINT_WAIT: WaitStrategy = WaitStrategy::parking(PARK_TIMEOUT);
 
 /// The dynamically resizable stream FIFO. Create one with [`fifo_with`];
 /// this handle is the monitor/third-party view, [`Producer`]/[`Consumer`]
@@ -510,7 +890,9 @@ pub fn fifo_with<T: Send>(cfg: FifoConfig) -> (Fifo<T>, Producer<T>, Consumer<T>
         LinkAlloc::Heap
     };
     let shared = Arc::new(Shared {
-        storage: RwLock::new(storage),
+        capacity: AtomicUsize::new(storage.capacity()),
+        storage: UnsafeCell::new(storage),
+        resizing: Mutex::new(()),
         fence: ResizeFence::new(),
         resizable: cfg.max_capacity != cfg.min_capacity,
         alloc,
@@ -519,14 +901,10 @@ pub fn fifo_with<T: Send>(cfg: FifoConfig) -> (Fifo<T>, Producer<T>, Consumer<T>
         producer_closed: AtomicBool::new(false),
         consumer_closed: AtomicBool::new(false),
         async_signal: AtomicU64::new(0),
-        writer_waiting: AtomicBool::new(false),
-        reader_waiting: AtomicBool::new(false),
-        park: Mutex::new(()),
-        unpark: Condvar::new(),
-        consumer_waker: WakerSlot::new(),
-        producer_waker: WakerSlot::new(),
+        data: Side::default(),
+        space: Side::default(),
         drain: AtomicU8::new(DRAIN_RUNNING),
-        journal_pending: AtomicUsize::new(0),
+        journal_pending: std::sync::atomic::AtomicUsize::new(0),
         journaled: AtomicBool::new(false),
         stats: FifoStats::new(),
         cfg,
@@ -538,15 +916,16 @@ pub fn fifo_with<T: Send>(cfg: FifoConfig) -> (Fifo<T>, Producer<T>, Consumer<T>
             shared: shared.clone(),
         },
         Producer {
+            // SAFETY: a fresh FIFO gets exactly one cursor per role, each
+            // owned by a non-Clone endpoint that keeps `shared` with it.
+            cursor: unsafe { ProducerCursor::attach(&*shared) },
             shared: shared.clone(),
-            tail: 0,
-            head_cache: 0,
             staged: None,
         },
         Consumer {
+            // SAFETY: see the producer cursor above.
+            cursor: unsafe { ConsumerCursor::attach(&*shared) },
             shared,
-            head: 0,
-            tail_cache: 0,
             journal: None,
         },
     )
@@ -555,7 +934,7 @@ pub fn fifo_with<T: Send>(cfg: FifoConfig) -> (Fifo<T>, Producer<T>, Consumer<T>
 impl<T: Send> Fifo<T> {
     /// Current capacity (elements).
     pub fn capacity(&self) -> usize {
-        self.shared.storage.read().capacity()
+        self.shared.capacity()
     }
 
     /// Current occupancy (elements queued).
@@ -593,9 +972,7 @@ impl<T: Send> Fifo<T> {
     /// `true` once the producer closed (or the link quiesced) and all data —
     /// including journal entries awaiting replay — has been consumed.
     pub fn is_finished(&self) -> bool {
-        (self.shared.producer_closed.load(Acquire)
-            || self.shared.drain.load(Acquire) >= DRAIN_QUIESCED)
-            && self.shared.occupancy() == 0
+        self.shared.is_finished()
     }
 
     /// Raise the cooperative drain level (monotonic; lowering is ignored).
@@ -607,9 +984,8 @@ impl<T: Send> Fifo<T> {
         if prev < level {
             // Both endpoints may be parked on conditions that will now never
             // arrive; the new level must be actionable immediately.
-            self.shared.consumer_waker.notify();
-            self.shared.producer_waker.notify();
-            self.shared.wake();
+            self.shared.data.notify_fenced();
+            self.shared.space.notify_fenced();
         }
     }
 
@@ -627,8 +1003,7 @@ impl<T: Send> Fifo<T> {
     /// consumer regardless of queued data.
     pub fn post_async(&self, signal: Signal) {
         self.shared.async_signal.store(signal.encode(), Release);
-        self.shared.consumer_waker.notify();
-        self.shared.wake();
+        self.shared.data.notify_fenced();
     }
 
     /// Take a pending asynchronous signal, if any.
@@ -644,103 +1019,10 @@ impl<T: Send> Fifo<T> {
     }
 
     /// Resize the ring to `new_capacity` (clamped to config bounds and to
-    /// current occupancy). Returns the resulting capacity.
-    ///
-    /// Takes the exclusive storage lock (vs. other resizers and third-party
-    /// `capacity()` readers), then the [`ResizeFence`] (vs. the endpoints,
-    /// who retry as soon as `end_resize` clears the pending flag). The live
-    /// region is moved with one contiguous copy when both source and
-    /// destination regions are non-wrapped (the paper's preferred resize
-    /// position), element-wise otherwise.
+    /// current occupancy); see [`ResizeFence`] for the exclusion protocol.
+    /// Returns the resulting capacity.
     pub fn resize(&self, new_capacity: usize) -> usize {
-        let shared = &self.shared;
-        if !shared.resizable {
-            // Fixed-capacity config: endpoints skip the fence, so mutating
-            // the storage here would be unsound — and the clamp below could
-            // only ever return the current capacity anyway.
-            return self.capacity();
-        }
-        let mut guard = shared.storage.write();
-        // Chaos hook: inject a stall (or panic) while holding the storage
-        // lock but before the fence, the window where a wedged resize is
-        // most visible to the endpoints.
-        crate::failpoint!("buffer::fifo::resize");
-        shared.fence.begin_resize();
-        // With the fence held, both endpoints are outside their critical
-        // sections; their counter stores happened-before their (acquired)
-        // fence exits, so Relaxed loads here read the settled values and
-        // nobody moves them until end_resize.
-        let head = shared.head.load(Relaxed);
-        let tail = shared.tail.load(Relaxed);
-        #[cfg(feature = "raft_protocol_check")]
-        shared.shadow.resize_begin();
-        let live = tail - head;
-        let new_capacity = new_capacity
-            .clamp(shared.cfg.min_capacity, shared.cfg.max_capacity)
-            .max(live)
-            .next_power_of_two();
-        if new_capacity == guard.capacity() {
-            #[cfg(feature = "raft_protocol_check")]
-            shared.shadow.resize_end(
-                head,
-                tail,
-                shared.head.load(Relaxed),
-                shared.tail.load(Relaxed),
-            );
-            shared.fence.end_resize();
-            return new_capacity;
-        }
-        let new = Storage::<T>::with_capacity(new_capacity);
-        let old_mask = guard.mask;
-        let old_cap = guard.capacity();
-        if live > 0 {
-            let src_start = head & old_mask;
-            let dst_start = head & new.mask;
-            let src_contig = src_start + live <= old_cap;
-            let dst_contig = dst_start + live <= new.capacity();
-            // SAFETY: the fence excludes both endpoints and the write lock
-            // excludes other resizers, so nothing reads or writes either
-            // storage concurrently. Source slots `[head, tail)` are
-            // initialized (live region); destination slots are freshly
-            // allocated and distinct allocations, so the ranges cannot
-            // overlap. `new_capacity >= live` (clamped above) guarantees the
-            // destination indices stay in bounds, and the bit-copy is a
-            // move: the old slots are discarded as `MaybeUninit` (never
-            // dropped) right after, so no element is duplicated or leaked.
-            unsafe {
-                if src_contig && dst_contig {
-                    // Fast path: one memcpy of the whole live region.
-                    std::ptr::copy_nonoverlapping(guard.slot(src_start), new.slot(head), live);
-                } else {
-                    // Wrapped on either side: move element-wise.
-                    for i in 0..live {
-                        std::ptr::copy_nonoverlapping(
-                            guard.slot((head + i) & old_mask),
-                            new.slot(head + i),
-                            1,
-                        );
-                    }
-                }
-            }
-        }
-        // Old slots' live elements were moved out byte-wise: discarding the
-        // old storage is safe because MaybeUninit never drops its contents.
-        *guard = new;
-        shared.stats.monitor.resizes.fetch_add(1, Relaxed);
-        #[cfg(feature = "raft_protocol_check")]
-        shared.shadow.resize_end(
-            head,
-            tail,
-            shared.head.load(Relaxed),
-            shared.tail.load(Relaxed),
-        );
-        // Publish the new storage (Release inside) before endpoints re-enter.
-        shared.fence.end_resize();
-        drop(guard);
-        // A grow makes space visible to a parked producer-side task.
-        shared.producer_waker.notify();
-        shared.wake();
-        new_capacity
+        self.shared.resize(new_capacity)
     }
 
     /// Grow by doubling (bounded by `max_capacity`). Returns `true` if the
@@ -756,10 +1038,7 @@ impl<T: Send> Fifo<T> {
     /// Grow until `capacity >= target` (bounded). Returns `true` if the
     /// final capacity satisfies the request.
     pub fn grow_to(&self, target: usize) -> bool {
-        if self.capacity() >= target {
-            return true;
-        }
-        self.resize(target.next_power_of_two()) >= target
+        self.shared.grow_to(target)
     }
 
     /// Halve the capacity (bounded by `min_capacity` and occupancy).
@@ -868,10 +1147,10 @@ impl<T: Send> Monitorable for Fifo<T> {
         Fifo::has_async(self)
     }
     fn consumer_waker(&self) -> &WakerSlot {
-        &self.shared.consumer_waker
+        &self.shared.data.task
     }
     fn producer_waker(&self) -> &WakerSlot {
-        &self.shared.producer_waker
+        &self.shared.space.task
     }
     fn set_drain_level(&self, level: u8) {
         Fifo::set_drain_level(self, level);
@@ -884,28 +1163,19 @@ impl<T: Send> Monitorable for Fifo<T> {
     }
 }
 
-/// Producing endpoint of a [`Fifo`]. One per stream; `Send`, not `Clone`.
+/// Producing endpoint of a [`Fifo`]. One per stream; `Send` (the handle is
+/// the unique owner of the producer role, so sending it only relocates the
+/// role), not `Clone`.
 pub struct Producer<T> {
     shared: Arc<Shared<T>>,
-    /// Local mirror of `shared.tail` — exact between operations, so the
-    /// fast path never loads its own shared counter.
-    tail: usize,
-    /// Stale (conservative) copy of `shared.head`; refreshed only when the
-    /// ring looks full. Never ahead of the true head, so staleness can only
-    /// cause a spurious refresh, never an overwrite.
-    head_cache: usize,
+    /// The ring's producer-side state (exact tail, conservative head cache).
+    cursor: ProducerCursor,
     /// When `Some`, pushes are staged here instead of published to the ring;
     /// [`commit_produced`](Producer::commit_produced) flushes them,
     /// [`rewind_produced`](Producer::rewind_produced) discards them — the
     /// output half of the exactly-once contract (see [`crate::journal`]).
     staged: Option<Vec<(T, Signal)>>,
 }
-
-// SAFETY: the producer handle is the unique owner of the producer role (not
-// Clone), so sending it to another thread only relocates that role; all slot
-// access it performs is ordered by the head/tail protocol and `T: Send`
-// covers the elements that cross threads.
-unsafe impl<T: Send> Send for Producer<T> {}
 
 impl<T: Send> Producer<T> {
     /// Non-blocking push of `(value, signal)`. With staging enabled the
@@ -919,47 +1189,7 @@ impl<T: Send> Producer<T> {
             pending.push((value, signal));
             return Ok(());
         }
-        self.try_push_signal_ring(value, signal)
-    }
-
-    /// Non-blocking push straight to the ring, bypassing any staging buffer
-    /// (used by the commit flush).
-    fn try_push_signal_ring(&mut self, value: T, signal: Signal) -> Result<(), TryPushError<T>> {
-        let shared = &*self.shared;
-        if shared.consumer_closed.load(Relaxed) {
-            return Err(TryPushError::Closed(value));
-        }
-        shared.arena_enter(Role::Producer);
-        // SAFETY: fence membership held until the exit below.
-        let storage = unsafe { shared.storage_unlocked() };
-        let tail = self.tail;
-        // Shared cached-index fast path (see `crate::index`): refresh pairs
-        // Acquire with the consumer's Release store of `head`, ordering its
-        // read-out of the slot before our reuse of it.
-        let room = producer_free_slots(tail, &mut self.head_cache, storage.capacity(), 1, || {
-            shared.head.load(Acquire)
-        });
-        if room == 0 {
-            shared.arena_exit(Role::Producer);
-            return Err(TryPushError::Full(value));
-        }
-        // SAFETY: single producer; slot [tail] is outside the live region
-        // (checked against a conservative head), and the fence keeps the
-        // storage pointer stable.
-        unsafe { (*storage.slot(tail)).write((value, signal)) };
-        shared.tail.store(tail + 1, Release);
-        self.tail = tail + 1;
-        // Single-writer counter: total pushed == tail, so a plain store
-        // replaces the old fetch_add.
-        shared.stats.writer.pushed.store((tail + 1) as u64, Relaxed);
-        shared.arena_exit(Role::Producer);
-        // Event-driven readiness: hand the new element to a parked consumer
-        // task (one relaxed load when no scheduler registered a waker).
-        shared.consumer_waker.notify();
-        if shared.reader_waiting.load(Relaxed) {
-            shared.wake();
-        }
-        Ok(())
+        self.shared.try_push(&mut self.cursor, value, signal)
     }
 
     /// Non-blocking push.
@@ -984,68 +1214,7 @@ impl<T: Send> Producer<T> {
                 Err(TryPushError::Closed(v)) | Err(TryPushError::Full(v)) => Err(PushError(v)),
             };
         }
-        self.push_signal_ring(value, signal)
-    }
-
-    /// Blocking push straight to the ring (the commit flush path and the
-    /// unstaged common case). Applies the link's admission policy.
-    fn push_signal_ring(&mut self, value: T, signal: Signal) -> Result<(), PushError<T>> {
-        let mut value = match self.try_push_signal_ring(value, signal) {
-            Ok(()) => return Ok(()),
-            Err(TryPushError::Closed(v)) => return Err(PushError(v)),
-            Err(TryPushError::Full(v)) => v,
-        };
-        if self.shared.cfg.admission == AdmissionPolicy::Shed {
-            // Full ring + shedding policy: drop now, count it, stay live.
-            self.shared.stats.writer.shed.fetch_add(1, Relaxed);
-            return Ok(());
-        }
-        let deadline = match self.shared.cfg.admission {
-            AdmissionPolicy::BlockTimeout(t) => Some(Instant::now() + t),
-            _ => None,
-        };
-        self.shared.stats.writer_block_begin();
-        let mut waiter = Waiter::new(ENDPOINT_WAIT);
-        let result = loop {
-            match self.try_push_signal_ring(value, signal) {
-                Ok(()) => break Ok(()),
-                Err(TryPushError::Closed(v)) => break Err(PushError(v)),
-                Err(TryPushError::Full(v)) => value = v,
-            }
-            if self.shared.drain.load(Acquire) >= DRAIN_QUIESCED {
-                // Quiesced: nobody will drain this ring — fail fast rather
-                // than wedge the draining graph.
-                break Err(PushError(value));
-            }
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    // Burst outlasted the timeout: degrade to shedding.
-                    self.shared.stats.writer.shed.fetch_add(1, Relaxed);
-                    break Ok(());
-                }
-            }
-            if waiter.pause_or_park() != WaitAction::Park {
-                continue;
-            }
-            // Park until a pop or a resize makes room. We are *outside* the
-            // fence here, so a resize can proceed while we sleep.
-            self.shared.writer_waiting.store(true, Relaxed);
-            let mut g = self.shared.park.lock();
-            // Re-check under the lock to close the race with wake(). The
-            // read lock (not the fence) covers the capacity read; it only
-            // contends with a resizer, never the consumer.
-            let full = {
-                let storage = self.shared.storage.read();
-                self.tail - self.shared.head.load(Acquire) >= storage.capacity()
-            };
-            if full && !self.shared.consumer_closed.load(Relaxed) {
-                self.shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
-            }
-            drop(g);
-            self.shared.writer_waiting.store(false, Relaxed);
-        };
-        self.shared.stats.writer_block_end();
-        result
+        self.shared.push(&mut self.cursor, value, signal)
     }
 
     /// Blocking push; errs only if the consumer is gone.
@@ -1058,45 +1227,8 @@ impl<T: Send> Producer<T> {
     /// fence entry (the batch path split adapters and sources use). Returns
     /// the number pushed; the rest stay in `items`.
     pub fn try_push_batch(&mut self, items: &mut Vec<T>) -> Result<usize, PushError<()>> {
-        if items.is_empty() {
-            return Ok(0);
-        }
-        let shared = &*self.shared;
-        if shared.consumer_closed.load(Relaxed) {
-            return Err(PushError(()));
-        }
-        shared.arena_enter(Role::Producer);
-        // SAFETY: fence membership held until the exit below.
-        let storage = unsafe { shared.storage_unlocked() };
-        let mut tail = self.tail;
-        let room = producer_free_slots(
-            tail,
-            &mut self.head_cache,
-            storage.capacity(),
-            items.len(),
-            || shared.head.load(Acquire),
-        );
-        let n = room.min(items.len());
-        for v in items.drain(..n) {
-            // SAFETY: single producer; slots [tail, tail+n) are outside the
-            // live region, so nothing reads them until the Release store of
-            // `tail` below publishes the batch.
-            unsafe { (*storage.slot(tail)).write((v, Signal::None)) };
-            tail += 1;
-        }
-        if n > 0 {
-            shared.tail.store(tail, Release);
-            self.tail = tail;
-            shared.stats.writer.pushed.store(tail as u64, Relaxed);
-        }
-        shared.arena_exit(Role::Producer);
-        if n > 0 {
-            shared.consumer_waker.notify();
-            if shared.reader_waiting.load(Relaxed) {
-                shared.wake();
-            }
-        }
-        Ok(n)
+        self.shared
+            .push_some(&mut self.cursor, items, |v| (v, Signal::None))
     }
 
     /// Blocking batch push: pushes *all* of `items`, waiting for room as
@@ -1105,61 +1237,38 @@ impl<T: Send> Producer<T> {
     /// is buffered until commit; under a shedding admission policy a full
     /// ring drops the remainder (counted) instead of blocking.
     pub fn push_batch(&mut self, items: &mut Vec<T>) -> Result<(), PushError<()>> {
-        if let Some(pending) = self.staged.as_mut() {
-            if self.shared.consumer_closed.load(Relaxed) {
+        let Producer {
+            shared,
+            cursor,
+            staged,
+        } = self;
+        if let Some(pending) = staged {
+            if shared.consumer_closed.load(Relaxed) {
                 return Err(PushError(()));
             }
             pending.extend(items.drain(..).map(|v| (v, Signal::None)));
             return Ok(());
         }
-        let deadline = match self.shared.cfg.admission {
-            AdmissionPolicy::BlockTimeout(t) => Some(Instant::now() + t),
-            _ => None,
-        };
-        let mut waiter = Waiter::new(ENDPOINT_WAIT);
-        let mut began_block = false;
+        let budget = shared.cfg.admission.budget();
         while !items.is_empty() {
-            let pushed = self.try_push_batch(items)?;
-            if items.is_empty() {
-                break;
-            }
-            if pushed == 0 {
-                if self.shared.drain.load(Acquire) >= DRAIN_QUIESCED {
-                    if began_block {
-                        self.shared.stats.writer_block_end();
-                    }
-                    return Err(PushError(()));
+            // One wait per stretch without progress: progress restarts the
+            // backoff schedule, the blocked stamp and the admission budget.
+            let step = || match shared.push_some(cursor, items, |v| (v, Signal::None)) {
+                Ok(0) => None,
+                progress => Some(progress),
+            };
+            match shared.block_until(Role::Producer, budget, step) {
+                Ok(progress) => {
+                    progress?;
                 }
-                let shed_now = self.shared.cfg.admission == AdmissionPolicy::Shed
-                    || deadline.is_some_and(|d| Instant::now() >= d);
-                if shed_now {
+                Err(Blocked::Abandoned) => return Err(PushError(())),
+                Err(Blocked::TimedOut) => {
                     // Degrade: drop the remainder rather than block on a
                     // ring nobody is draining fast enough.
-                    self.shared
-                        .stats
-                        .writer
-                        .shed
-                        .fetch_add(items.len() as u64, Relaxed);
-                    items.clear();
-                    break;
+                    let shed = items.drain(..).count() as u64;
+                    shared.stats.writer.shed.fetch_add(shed, Relaxed);
                 }
-                if !began_block {
-                    self.shared.stats.writer_block_begin();
-                    began_block = true;
-                }
-                if waiter.pause_or_park() == WaitAction::Park {
-                    self.shared.writer_waiting.store(true, Relaxed);
-                    let mut g = self.shared.park.lock();
-                    self.shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
-                    drop(g);
-                    self.shared.writer_waiting.store(false, Relaxed);
-                }
-            } else {
-                waiter.reset();
             }
-        }
-        if began_block {
-            self.shared.stats.writer_block_end();
         }
         Ok(())
     }
@@ -1171,59 +1280,32 @@ impl<T: Send> Producer<T> {
     /// whole batch is published with a single counter store when it drops.
     ///
     /// Holding the slice holds fence membership: a resize waits until the
-    /// slice is dropped. Errs only if the consumer is gone.
+    /// slice is dropped. Errs only if the consumer is gone or the link
+    /// quiesced.
     pub fn reserve(&mut self, n: usize) -> Result<WriteSlice<'_, T>, PushError<()>> {
-        let n = n.clamp(1, self.shared.cfg.max_capacity);
-        let mut waiter = Waiter::new(ENDPOINT_WAIT);
-        let mut began_block = false;
-        loop {
-            if self.shared.consumer_closed.load(Relaxed)
-                || self.shared.drain.load(Acquire) >= DRAIN_QUIESCED
-            {
-                if began_block {
-                    self.shared.stats.writer_block_end();
-                }
-                return Err(PushError(()));
+        let shared = &*self.shared;
+        let cursor = &mut self.cursor;
+        let n = n.clamp(1, shared.cfg.max_capacity);
+        let arena = shared.block_until(Role::Producer, None, || {
+            if shared.consumer_closed.load(Relaxed) || shared.quiesced() {
+                return Some(None);
             }
-            if n > self.capacity() {
-                // Write-side on-the-spot grow (cold; resizer path).
-                let f = Fifo {
-                    shared: self.shared.clone(),
-                };
-                f.grow_to(n);
+            if n > shared.capacity() {
+                // Write-side on-the-spot grow (cold; resizer path). We are
+                // outside the arena here, so it cannot deadlock on us.
+                shared.grow_to(n);
             }
-            self.shared.arena_enter(Role::Producer);
-            // SAFETY: fence membership held; released on the failure path
-            // below, or by WriteSlice::drop on success.
-            let storage = unsafe { self.shared.storage_unlocked() };
-            let tail = self.tail;
-            let room =
-                producer_free_slots(tail, &mut self.head_cache, storage.capacity(), n, || {
-                    self.shared.head.load(Acquire)
-                });
-            if room >= n {
-                if began_block {
-                    self.shared.stats.writer_block_end();
-                }
-                return Ok(WriteSlice {
-                    producer: self,
-                    base: tail,
-                    cap: n,
-                    written: 0,
-                });
-            }
-            self.shared.arena_exit(Role::Producer);
-            if !began_block {
-                self.shared.stats.writer_block_begin();
-                began_block = true;
-            }
-            if waiter.pause_or_park() == WaitAction::Park {
-                self.shared.writer_waiting.store(true, Relaxed);
-                let mut g = self.shared.park.lock();
-                self.shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
-                drop(g);
-                self.shared.writer_waiting.store(false, Relaxed);
-            }
+            let arena = shared.enter(Role::Producer);
+            (cursor.claim(&arena, n) >= n).then_some(Some(arena))
+        });
+        match arena {
+            Ok(Some(arena)) => Ok(WriteSlice {
+                arena,
+                cursor,
+                cap: n,
+                written: 0,
+            }),
+            _ => Err(PushError(())),
         }
     }
 
@@ -1231,57 +1313,15 @@ impl<T: Send> Producer<T> {
     /// through `DerefMut` and it is committed (pushed) when the guard drops —
     /// the paper's `allocate_s` semantics. Blocks while the ring is full.
     ///
-    /// The guard holds fence membership, so a concurrent resize waits until
-    /// the guard drops.
+    /// The guard is a one-slot [`reserve`](Self::reserve): it holds fence
+    /// membership, so a concurrent resize waits until the guard drops.
     pub fn allocate(&mut self) -> Result<WriteGuard<'_, T>, PushError<T>>
     where
         T: Default,
     {
-        let mut waiter = Waiter::new(ENDPOINT_WAIT);
-        let mut began_block = false;
-        loop {
-            if self.shared.consumer_closed.load(Relaxed)
-                || self.shared.drain.load(Acquire) >= DRAIN_QUIESCED
-            {
-                if began_block {
-                    self.shared.stats.writer_block_end();
-                }
-                return Err(PushError(T::default()));
-            }
-            self.shared.arena_enter(Role::Producer);
-            // SAFETY: fence membership held; released on the failure path
-            // below, or by WriteGuard::drop on success.
-            let storage = unsafe { self.shared.storage_unlocked() };
-            let tail = self.tail;
-            let room =
-                producer_free_slots(tail, &mut self.head_cache, storage.capacity(), 1, || {
-                    self.shared.head.load(Acquire)
-                });
-            if room > 0 {
-                if began_block {
-                    self.shared.stats.writer_block_end();
-                }
-                // SAFETY: single producer; slot outside the live region.
-                unsafe { (*storage.slot(tail)).write((T::default(), Signal::None)) };
-                return Ok(WriteGuard {
-                    producer: self,
-                    tail,
-                    committed: false,
-                });
-            }
-            self.shared.arena_exit(Role::Producer);
-            if !began_block {
-                self.shared.stats.writer_block_begin();
-                began_block = true;
-            }
-            if waiter.pause_or_park() == WaitAction::Park {
-                self.shared.writer_waiting.store(true, Relaxed);
-                let mut g = self.shared.park.lock();
-                self.shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
-                drop(g);
-                self.shared.writer_waiting.store(false, Relaxed);
-            }
-        }
+        let mut slot = self.reserve(1).map_err(|_| PushError(T::default()))?;
+        slot.push(T::default());
+        Ok(WriteGuard(slot))
     }
 
     /// Stage outputs instead of publishing them: after this call every push
@@ -1312,114 +1352,60 @@ impl<T: Send> Producer<T> {
     /// published; errs if the consumer is gone, in which case the remaining
     /// staged elements are discarded.
     pub fn commit_produced(&mut self) -> Result<usize, PushError<()>> {
-        if self.staged.as_ref().is_none_or(Vec::is_empty) {
+        let Producer {
+            shared,
+            cursor,
+            staged,
+        } = self;
+        // The buffer keeps its capacity across commits: a transaction per
+        // element must not cost an allocator round-trip per commit.
+        let Some(items) = staged.as_mut().filter(|items| !items.is_empty()) else {
             return Ok(0);
-        }
-        // Take the buffer out (push_signal_ring needs `&mut self`) but put
-        // it back with its capacity intact: a transaction per element must
-        // not cost an allocator round-trip per commit.
-        let mut items = self.staged.take().expect("checked above");
+        };
         let mut published = 0;
-        let mut closed = false;
+        let mut result = Ok(());
         while !items.is_empty() {
             // Fast path: publish whatever fits as one batch — a single
             // fence entry, tail store, and consumer notify for the whole
             // run, instead of per-element publication.
-            match self.try_push_pairs(&mut items) {
+            result = match shared.push_some(cursor, items, |pair| pair) {
                 Ok(0) => {
                     // Ring full: fall back to the blocking single push,
                     // which applies the admission policy (grow, block,
                     // shed, or time out) before the loop batches again.
                     let (v, s) = items.remove(0);
-                    match self.push_signal_ring(v, s) {
-                        Ok(()) => published += 1,
-                        Err(_) => {
-                            closed = true;
-                            break;
-                        }
-                    }
+                    published += 1;
+                    shared.push(cursor, v, s).map_err(|_| PushError(()))
                 }
-                Ok(n) => published += n,
-                Err(_) => {
-                    closed = true;
-                    break;
+                Ok(n) => {
+                    published += n;
+                    Ok(())
                 }
+                Err(closed) => Err(closed),
+            };
+            if result.is_err() {
+                items.clear();
             }
         }
-        items.clear();
-        self.staged = Some(items);
-        if closed {
-            return Err(PushError(()));
-        }
-        Ok(published)
-    }
-
-    /// Batch variant of [`try_push_batch`](Self::try_push_batch) that
-    /// preserves each element's [`Signal`] — the staged-commit publish
-    /// path. Pushes as many pairs as currently fit under a single fence
-    /// entry; the rest stay in `items`.
-    fn try_push_pairs(&mut self, items: &mut Vec<(T, Signal)>) -> Result<usize, PushError<()>> {
-        if items.is_empty() {
-            return Ok(0);
-        }
-        let shared = &*self.shared;
-        if shared.consumer_closed.load(Relaxed) {
-            return Err(PushError(()));
-        }
-        shared.arena_enter(Role::Producer);
-        // SAFETY: fence membership held until the exit below.
-        let storage = unsafe { shared.storage_unlocked() };
-        let mut tail = self.tail;
-        let room = producer_free_slots(
-            tail,
-            &mut self.head_cache,
-            storage.capacity(),
-            items.len(),
-            || shared.head.load(Acquire),
-        );
-        let n = room.min(items.len());
-        for pair in items.drain(..n) {
-            // SAFETY: single producer; slots [tail, tail+n) are outside the
-            // live region, so nothing reads them until the Release store of
-            // `tail` below publishes the batch.
-            unsafe { (*storage.slot(tail)).write(pair) };
-            tail += 1;
-        }
-        if n > 0 {
-            shared.tail.store(tail, Release);
-            self.tail = tail;
-            shared.stats.writer.pushed.store(tail as u64, Relaxed);
-        }
-        shared.arena_exit(Role::Producer);
-        if n > 0 {
-            shared.consumer_waker.notify();
-            if shared.reader_waiting.load(Relaxed) {
-                shared.wake();
-            }
-        }
-        Ok(n)
+        result.map(|()| published)
     }
 
     /// Discard every staged element — the rewind half of a failed
     /// transaction. Returns how many were discarded.
     pub fn rewind_produced(&mut self) -> usize {
-        match self.staged.as_mut() {
-            Some(pending) => {
-                let n = pending.len();
-                pending.clear();
-                n
-            }
-            None => 0,
-        }
+        self.staged.as_mut().map_or(0, |pending| {
+            let n = pending.len();
+            pending.clear();
+            n
+        })
     }
 
     /// Close the stream: the consumer drains what remains, then sees
     /// `Closed`. Idempotent.
     pub fn close(&mut self) {
         self.shared.producer_closed.store(true, Release);
-        // EoS is actionable for a parked consumer-side task.
-        self.shared.consumer_waker.notify();
-        self.shared.wake();
+        // EoS is actionable for a parked consumer.
+        self.shared.data.notify_fenced();
     }
 
     /// `true` once the consumer endpoint dropped.
@@ -1429,7 +1415,7 @@ impl<T: Send> Producer<T> {
 
     /// Current capacity.
     pub fn capacity(&self) -> usize {
-        self.shared.storage.read().capacity()
+        self.shared.capacity()
     }
 
     /// Current occupancy.
@@ -1453,8 +1439,10 @@ impl<T: Send> Producer<T> {
     pub fn protocol_test_duplicate(&self) -> Producer<T> {
         Producer {
             shared: self.shared.clone(),
-            tail: self.tail,
-            head_cache: self.head_cache,
+            // SAFETY: deliberately *not* upheld — a second producer cursor
+            // is the contract violation this double exists to provoke. The
+            // shadow checker panics before the two can touch a slot.
+            cursor: unsafe { ProducerCursor::attach(&*self.shared) },
             staged: None,
         }
     }
@@ -1462,83 +1450,9 @@ impl<T: Send> Producer<T> {
 
 impl<T> Drop for Producer<T> {
     fn drop(&mut self) {
+        // Implicit EoS: a parked consumer must observe the close.
         self.shared.producer_closed.store(true, Release);
-        // Implicit EoS: a parked consumer-side task must observe the close.
-        self.shared.consumer_waker.notify();
-        self.shared.wake();
-    }
-}
-
-/// RAII guard returned by [`Producer::allocate`]; commits the element on
-/// drop (or discards it via [`WriteGuard::abort`]).
-///
-/// Holds fence membership for its lifetime: references handed out by
-/// `Deref` stay valid because any resize must wait for the guard.
-pub struct WriteGuard<'a, T: Send + Default> {
-    producer: &'a mut Producer<T>,
-    tail: usize,
-    committed: bool,
-}
-
-impl<'a, T: Send + Default> WriteGuard<'a, T> {
-    #[inline]
-    fn slot(&self) -> *mut MaybeUninit<(T, Signal)> {
-        // SAFETY: the guard holds fence membership (entered in allocate,
-        // exited in Drop), so the storage cannot be swapped under us.
-        unsafe { self.producer.shared.storage_unlocked().slot(self.tail) }
-    }
-
-    /// Attach a synchronous signal to the element being written.
-    pub fn set_signal(&mut self, signal: Signal) {
-        // SAFETY: slot was initialized in allocate() and is not yet visible
-        // to the consumer (tail not advanced); storage pinned by the fence.
-        unsafe {
-            (*self.slot()).assume_init_mut().1 = signal;
-        }
-    }
-
-    /// Abandon the element without sending it.
-    pub fn abort(mut self) {
-        // SAFETY: initialized in allocate(), never published.
-        unsafe { (*self.slot()).assume_init_drop() };
-        self.committed = true; // prevent Drop from publishing
-    }
-}
-
-impl<'a, T: Send + Default> Deref for WriteGuard<'a, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: initialized, unpublished slot, storage pinned by the fence.
-        unsafe { &(*self.slot()).assume_init_ref().0 }
-    }
-}
-
-impl<'a, T: Send + Default> DerefMut for WriteGuard<'a, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: as in Deref; single producer, so no aliasing.
-        unsafe { &mut (*self.slot()).assume_init_mut().0 }
-    }
-}
-
-impl<'a, T: Send + Default> Drop for WriteGuard<'a, T> {
-    fn drop(&mut self) {
-        let shared = &*self.producer.shared;
-        if !self.committed {
-            shared.tail.store(self.tail + 1, Release);
-            self.producer.tail = self.tail + 1;
-            shared
-                .stats
-                .writer
-                .pushed
-                .store((self.tail + 1) as u64, Relaxed);
-        }
-        shared.arena_exit(Role::Producer);
-        if !self.committed {
-            shared.consumer_waker.notify();
-            if shared.reader_waiting.load(Relaxed) {
-                shared.wake();
-            }
-        }
+        self.shared.data.notify_fenced();
     }
 }
 
@@ -1546,13 +1460,14 @@ impl<'a, T: Send + Default> Drop for WriteGuard<'a, T> {
 /// front-to-back with [`push`](WriteSlice::push); everything written is
 /// published with one counter store when the slice drops.
 pub struct WriteSlice<'a, T: Send> {
-    producer: &'a mut Producer<T>,
-    base: usize,
+    /// Membership held since `reserve`; pins the storage under the window.
+    arena: Arena<'a, T>,
+    cursor: &'a mut ProducerCursor,
     cap: usize,
     written: usize,
 }
 
-impl<'a, T: Send> WriteSlice<'a, T> {
+impl<T: Send> WriteSlice<'_, T> {
     /// Write the next element of the batch in place.
     ///
     /// # Panics
@@ -1573,14 +1488,14 @@ impl<'a, T: Send> WriteSlice<'a, T> {
             "WriteSlice overflow: reserved {} slots",
             self.cap
         );
-        let shared = &*self.producer.shared;
-        // SAFETY: the slice holds fence membership (entered in reserve,
-        // exited in Drop) so the storage is pinned; reserve checked that
-        // [base, base+cap) is outside the live region against a conservative
-        // head, and the consumer cannot see any of it until Drop publishes.
+        // SAFETY: `reserve` claimed `cap` slots against a conservative head
+        // and `written < cap` of them are filled; single producer (the
+        // slice mutably borrows its cursor); the consumer cannot see any of
+        // it until Drop publishes.
         unsafe {
-            (*shared.storage_unlocked().slot(self.base + self.written)).write((value, signal))
-        };
+            self.cursor
+                .write(&self.arena, self.written, (value, signal));
+        }
         self.written += 1;
     }
 
@@ -1603,34 +1518,78 @@ impl<'a, T: Send> WriteSlice<'a, T> {
     }
 }
 
-impl<'a, T: Send> Drop for WriteSlice<'a, T> {
+impl<T: Send> Drop for WriteSlice<'_, T> {
     fn drop(&mut self) {
-        let shared = &*self.producer.shared;
         if self.written > 0 {
-            let tail = self.base + self.written;
-            shared.tail.store(tail, Release);
-            self.producer.tail = tail;
-            shared.stats.writer.pushed.store(tail as u64, Relaxed);
+            let shared = self.arena.shared;
+            self.cursor.publish(shared, self.written);
+            shared
+                .stats
+                .writer
+                .pushed
+                .store(self.cursor.tail() as u64, Relaxed);
+            shared.data.notify();
         }
-        shared.arena_exit(Role::Producer);
-        if self.written > 0 {
-            shared.consumer_waker.notify();
-            if shared.reader_waiting.load(Relaxed) {
-                shared.wake();
-            }
-        }
+        // `arena` drops after this body: membership ends with the slice.
+    }
+}
+
+/// RAII guard returned by [`Producer::allocate`]: a one-slot [`WriteSlice`]
+/// already holding a defaulted element. Commits the element on drop (or
+/// discards it via [`WriteGuard::abort`]).
+///
+/// Holds fence membership for its lifetime: references handed out by
+/// `Deref` stay valid because any resize must wait for the guard.
+pub struct WriteGuard<'a, T: Send + Default>(WriteSlice<'a, T>);
+
+impl<T: Send + Default> WriteGuard<'_, T> {
+    #[inline]
+    fn pair(&self) -> *mut (T, Signal) {
+        let slice = &self.0;
+        // The one reserved slot, initialized by `allocate` and not yet
+        // published (the cursor's tail has not moved).
+        slice
+            .arena
+            .slot(slice.cursor.tail(), |p| p.cast::<(T, Signal)>())
+    }
+
+    /// Attach a synchronous signal to the element being written.
+    pub fn set_signal(&mut self, signal: Signal) {
+        // SAFETY: initialized in allocate(), invisible to the consumer until
+        // the slice publishes, storage pinned by the slice's membership;
+        // `&mut self` makes the access exclusive.
+        unsafe { (*self.pair()).1 = signal };
+    }
+
+    /// Abandon the element without sending it.
+    pub fn abort(mut self) {
+        // SAFETY: initialized in allocate(), never published; dropped exactly
+        // once because the slice then publishes nothing.
+        unsafe { std::ptr::drop_in_place(self.pair()) };
+        self.0.written = 0;
+    }
+}
+
+impl<T: Send + Default> Deref for WriteGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        // SAFETY: initialized, unpublished slot, storage pinned by the fence.
+        unsafe { &(*self.pair()).0 }
+    }
+}
+
+impl<T: Send + Default> DerefMut for WriteGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: as in Deref; single producer, so no aliasing.
+        unsafe { &mut (*self.pair()).0 }
     }
 }
 
 /// Consuming endpoint of a [`Fifo`]. One per stream; `Send`, not `Clone`.
 pub struct Consumer<T> {
     shared: Arc<Shared<T>>,
-    /// Local mirror of `shared.head` — exact between operations.
-    head: usize,
-    /// Stale (conservative) copy of `shared.tail`; refreshed only when the
-    /// ring looks empty. Never ahead of the true tail, so staleness can only
-    /// hide elements momentarily, never show uninitialized slots.
-    tail_cache: usize,
+    /// The ring's consumer-side state (exact head, conservative tail cache).
+    cursor: ConsumerCursor,
     /// Replay journal for the exactly-once recovery contract (see
     /// [`crate::journal`]): records a clone of every popped element until
     /// the transaction commits, re-serves them after a rewind.
@@ -1649,94 +1608,13 @@ struct ConsumerJournal<T> {
     clone_fn: fn(&T) -> T,
 }
 
-// SAFETY: same argument as `Producer` — one non-Clone handle per role.
-unsafe impl<T: Send> Send for Consumer<T> {}
-
 impl<T: Send> Consumer<T> {
-    /// Refresh `tail_cache` and return how many elements are visible.
-    #[inline]
-    fn refresh_avail(&mut self) -> usize {
-        // Acquire pairs with the producer's Release store of `tail`, making
-        // the slots it published visible before we read them. Force the
-        // shared-helper refresh path by treating the cache as spent.
-        self.tail_cache = self.head;
-        let shared = &*self.shared;
-        consumer_ready_elems(self.head, &mut self.tail_cache, || {
-            shared.tail.load(Acquire)
-        })
-    }
-
     /// Non-blocking pop of `(value, signal)`. On a journaled link,
     /// rewound elements are re-served (as clones, in original order) before
     /// anything new is taken from the ring, and every live pop is recorded
     /// for possible replay.
     pub fn try_pop_signal(&mut self) -> Result<(T, Signal), TryPopError> {
-        if let Some(j) = self.journal.as_mut() {
-            if j.cursor < j.window.next_seq() {
-                // Replaying a rewound transaction: serve from the window
-                // without touching the ring.
-                let (v, s) = j
-                    .window
-                    .get(j.cursor)
-                    .expect("replay cursor inside retained window");
-                let pair = ((j.clone_fn)(v), *s);
-                j.cursor += 1;
-                // Saturating: the cursor can trail `next_seq` without a
-                // rewind if recording was interrupted mid-pop (failpoint or
-                // caught panic between the ring pop and the cursor bump);
-                // re-serving that entry must not underflow the counter.
-                let _ = self
-                    .shared
-                    .journal_pending
-                    .fetch_update(AcqRel, Acquire, |v| v.checked_sub(1));
-                self.shared.stats.reader.replayed.fetch_add(1, Relaxed);
-                return Ok(pair);
-            }
-        }
-        let head = self.head;
-        if head == self.tail_cache && self.refresh_avail() == 0 {
-            return if self.shared.producer_closed.load(Acquire) {
-                // Re-check: the producer may have pushed between our tail
-                // load and its close.
-                if self.refresh_avail() == 0 {
-                    Err(TryPopError::Closed)
-                } else {
-                    Err(TryPopError::Empty)
-                }
-            } else if self.shared.drain.load(Acquire) >= DRAIN_QUIESCED {
-                // Quiesced mid-drain: report end-of-stream so a blocked
-                // consumer kernel terminates even though its producer is
-                // still alive upstream.
-                Err(TryPopError::Closed)
-            } else {
-                Err(TryPopError::Empty)
-            };
-        }
-        let shared = &*self.shared;
-        shared.arena_enter(Role::Consumer);
-        // SAFETY: fence membership held until the exit below.
-        let storage = unsafe { shared.storage_unlocked() };
-        // SAFETY: single consumer; `head < tail` was observed through an
-        // Acquire load of `tail`, so the slot is initialized and the
-        // producer won't touch it until our Release store of `head` below.
-        let pair = unsafe { (*storage.slot(head)).assume_init_read() };
-        shared.head.store(head + 1, Release);
-        self.head = head + 1;
-        // Single-writer counter: total popped == head.
-        shared.stats.reader.popped.store((head + 1) as u64, Relaxed);
-        shared.arena_exit(Role::Consumer);
-        if let Some(j) = self.journal.as_mut() {
-            // Record the live pop for possible replay; the cursor tracks
-            // next_seq while recording.
-            j.window.append(((j.clone_fn)(&pair.0), pair.1));
-            j.cursor = j.window.next_seq();
-        }
-        // Freed space is actionable for a parked producer-side task.
-        shared.producer_waker.notify();
-        if shared.writer_waiting.load(Relaxed) {
-            shared.wake();
-        }
-        Ok(pair)
+        self.shared.try_pop(&mut self.cursor, &mut self.journal)
     }
 
     /// Non-blocking pop.
@@ -1748,33 +1626,21 @@ impl<T: Send> Consumer<T> {
     /// Blocking pop of `(value, signal)`; errs when the stream closed and
     /// drained.
     pub fn pop_signal(&mut self) -> Result<(T, Signal), PopError> {
-        match self.try_pop_signal() {
-            Ok(p) => return Ok(p),
-            Err(TryPopError::Closed) => return Err(PopError),
-            Err(TryPopError::Empty) => {}
-        }
-        self.shared.stats.reader_block_begin();
-        let mut waiter = Waiter::new(ENDPOINT_WAIT);
-        let result = loop {
-            match self.try_pop_signal() {
-                Ok(p) => break Ok(p),
-                Err(TryPopError::Closed) => break Err(PopError),
-                Err(TryPopError::Empty) => {}
+        let Consumer {
+            shared,
+            cursor,
+            journal,
+        } = self;
+        let popped = shared.block_until(Role::Consumer, None, || {
+            match shared.try_pop(cursor, journal) {
+                Ok(pair) => Some(Some(pair)),
+                Err(TryPopError::Closed) => Some(None),
+                Err(TryPopError::Empty) => None,
             }
-            if waiter.pause_or_park() != WaitAction::Park {
-                continue;
-            }
-            self.shared.reader_waiting.store(true, Relaxed);
-            let mut g = self.shared.park.lock();
-            let empty = self.head == self.shared.tail.load(Acquire);
-            if empty && !self.shared.producer_closed.load(Acquire) {
-                self.shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
-            }
-            drop(g);
-            self.shared.reader_waiting.store(false, Relaxed);
-        };
-        self.shared.stats.reader_block_end();
-        result
+        });
+        // `Abandoned` cannot outrun `try_pop`, which already reports a
+        // quiesced empty ring as closed.
+        popped.ok().flatten().ok_or(PopError)
     }
 
     /// Blocking pop.
@@ -1788,134 +1654,100 @@ impl<T: Send> Consumer<T> {
     /// capacity the request is recorded and the ring is grown on the spot
     /// (read-side resize trigger), rather than deadlocking.
     ///
-    /// Returns `Err(PopError)` if the stream closes before `n` elements are
-    /// available (fewer than `n` remain, forever).
+    /// Returns `Err(PopError)` if the stream closes (or quiesces) before `n`
+    /// elements are available (fewer than `n` remain, forever).
     pub fn peek_range(&mut self, n: usize) -> Result<PeekRange<'_, T>, PopError> {
-        self.shared.stats.note_read_request(n);
-        let mut waiter = Waiter::new(ENDPOINT_WAIT);
-        loop {
+        let shared = &*self.shared;
+        let cursor = &mut self.cursor;
+        shared.stats.note_read_request(n);
+        let arena = shared.block_until(Role::Consumer, None, || {
             // Grow first if the request can never be satisfied (paper: queue
             // "tagged for resizing" when a read request exceeds capacity).
-            // We are outside the fence here, so the resize cannot deadlock
+            // We are outside the arena here, so the resize cannot deadlock
             // against our own membership.
-            if n > self.capacity() {
-                let f = Fifo {
-                    shared: self.shared.clone(),
-                };
-                if !f.grow_to(n) {
-                    // Request exceeds even max_capacity: impossible.
-                    return Err(PopError);
-                }
+            if n > shared.capacity() && !shared.grow_to(n) {
+                // Request exceeds even max_capacity: impossible.
+                return Some(None);
             }
-            if self.refresh_avail() >= n {
+            if cursor.refresh(shared) >= n {
                 // Occupancy can only grow from here (we are the consumer),
-                // so entering the fence and taking the window is race-free.
-                self.shared.arena_enter(Role::Consumer);
-                return Ok(PeekRange {
-                    consumer: self,
+                // so entering the arena and taking the window is race-free.
+                return Some(Some(shared.enter(Role::Consumer)));
+            }
+            (shared.producer_closed.load(Acquire) && cursor.refresh(shared) < n).then_some(None)
+        });
+        match arena {
+            Ok(Some(arena)) => Ok(PeekRange {
+                view: SliceView {
+                    shared,
+                    head: cursor.head(),
                     len: n,
-                });
-            }
-            if self.shared.producer_closed.load(Acquire) && self.refresh_avail() < n {
-                return Err(PopError);
-            }
-            self.shared.stats.reader_block_begin();
-            if waiter.pause_or_park() == WaitAction::Park {
-                self.shared.reader_waiting.store(true, Relaxed);
-                let mut g = self.shared.park.lock();
-                self.shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
-                drop(g);
-                self.shared.reader_waiting.store(false, Relaxed);
-            }
-            self.shared.stats.reader_block_end();
+                },
+                _arena: arena,
+            }),
+            _ => Err(PopError),
         }
     }
 
     /// Reference to the front element, if present (non-blocking). The
     /// closure style keeps the fence membership scoped.
     pub fn peek<R>(&mut self, f: impl FnOnce(&T, Signal) -> R) -> Option<R> {
-        let head = self.head;
-        if head == self.tail_cache && self.refresh_avail() == 0 {
+        let shared = &*self.shared;
+        if self.cursor.ready(shared) == 0 {
             return None;
         }
-        let shared = &*self.shared;
         // RAII: `f` is user code — membership must survive a panic inside it.
-        let _arena = ArenaGuard::enter(shared, Role::Consumer);
-        // SAFETY: fence membership held by `_arena`; single consumer; live
-        // slot observed through an Acquire load of `tail`.
-        let pair = unsafe { &*(*shared.storage_unlocked().slot(head)).as_ptr() };
+        let arena = shared.enter(Role::Consumer);
+        // SAFETY: membership held by `arena`; single consumer; the slot is
+        // ready (observed through an Acquire load of `tail`), so it is
+        // initialized and stays so until this consumer releases it.
+        let pair = arena.slot(self.cursor.head(), |p| unsafe { &*(*p).as_ptr() });
         Some(f(&pair.0, pair.1))
-    }
-
-    /// Pop up to `max` elements, moving them into `out` under one fence
-    /// entry. Non-blocking w.r.t. waiting for *more* data: takes what is
-    /// visible now. Returns the number moved.
-    fn bulk_pop_into(&mut self, max: usize, out: &mut Vec<T>) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        if self.journal.is_some() {
-            // Journaled link: route through the per-element path so every
-            // element is recorded (and replay is served first). Gives up the
-            // single-fence batch amortization for the recovery guarantee.
-            let mut moved = 0;
-            while moved < max {
-                match self.try_pop_signal() {
-                    Ok((v, _s)) => {
-                        out.push(v);
-                        moved += 1;
-                    }
-                    Err(_) => break,
-                }
-            }
-            return moved;
-        }
-        let head = self.head;
-        let avail = if self.tail_cache == head {
-            self.refresh_avail()
-        } else {
-            self.tail_cache - head
-        };
-        let k = avail.min(max);
-        if k == 0 {
-            return 0;
-        }
-        let shared = &*self.shared;
-        shared.arena_enter(Role::Consumer);
-        // SAFETY: fence membership held until the exit below.
-        let storage = unsafe { shared.storage_unlocked() };
-        out.reserve(k);
-        for i in 0..k {
-            // SAFETY: single consumer; `[head, head+k)` is inside the live
-            // region observed through an Acquire load of `tail`.
-            let (v, _s) = unsafe { (*storage.slot(head + i)).assume_init_read() };
-            out.push(v);
-        }
-        shared.head.store(head + k, Release);
-        self.head = head + k;
-        shared.stats.reader.popped.store((head + k) as u64, Relaxed);
-        shared.arena_exit(Role::Consumer);
-        shared.producer_waker.notify();
-        if shared.writer_waiting.load(Relaxed) {
-            shared.wake();
-        }
-        k
     }
 
     /// Pop up to `n` elements into `out`; blocks until at least one element
     /// is available or the stream ends. Returns the number popped.
+    ///
+    /// Takes what is visible once something is — it does not wait for *more*
+    /// data — under one fence entry and one release, so a producer waiting
+    /// for room is told once per call, not once per element.
     pub fn pop_range(&mut self, n: usize, out: &mut Vec<T>) -> Result<usize, PopError> {
         self.shared.stats.note_read_request(n);
-        let first = self.pop()?;
-        out.push(first);
-        Ok(1 + self.bulk_pop_into(n.saturating_sub(1), out))
+        if self.journal.is_some() {
+            // Journaled link: route through the per-element path so every
+            // element is recorded (and replay is served first). Gives up the
+            // single-fence batch amortization for the recovery guarantee.
+            let before = out.len();
+            out.push(self.pop()?);
+            out.extend(std::iter::from_fn(|| self.try_pop().ok()).take(n.saturating_sub(1)));
+            return Ok(out.len() - before);
+        }
+        let shared = &*self.shared;
+        let cursor = &mut self.cursor;
+        let ready = shared.block_until(Role::Consumer, None, || {
+            match cursor.poll(shared, || shared.producer_closed.load(Acquire)) {
+                Ok(ready) => Some(ready),
+                Err(TryPopError::Closed) => Some(0),
+                Err(TryPopError::Empty) => None,
+            }
+        });
+        match ready {
+            Ok(ready) if ready > 0 => {
+                let k = ready.min(n.max(1));
+                out.reserve(k);
+                shared.drain(cursor, k, |(v, _)| out.push(v));
+                Ok(k)
+            }
+            // Closed and drained, or quiesced.
+            _ => Err(PopError),
+        }
     }
 
     /// Lend the front of the queue to `f` as a zero-copy [`SliceView`] of up
     /// to `n` elements, then consume exactly the elements viewed. Blocks
     /// until at least one element is available; the view may hold fewer than
-    /// `n` if the stream is running dry. Errs once the stream is closed and
-    /// drained.
+    /// `n` if the stream is running dry. Errs once the stream is closed (or
+    /// quiesced) and drained.
     ///
     /// The whole batch costs one fence entry and one counter store. If `f`
     /// panics, nothing is consumed.
@@ -1924,62 +1756,32 @@ impl<T: Send> Consumer<T> {
         n: usize,
         f: impl FnOnce(&SliceView<'_, T>) -> R,
     ) -> Result<R, PopError> {
-        self.shared.stats.note_read_request(n);
-        let mut waiter = Waiter::new(ENDPOINT_WAIT);
-        let mut began_block = false;
-        let wait = loop {
-            if self.refresh_avail() > 0 {
-                break Ok(());
-            }
-            if self.shared.producer_closed.load(Acquire) {
-                if self.refresh_avail() > 0 {
-                    break Ok(());
-                }
-                break Err(PopError);
-            }
-            if !began_block {
-                self.shared.stats.reader_block_begin();
-                began_block = true;
-            }
-            if waiter.pause_or_park() == WaitAction::Park {
-                self.shared.reader_waiting.store(true, Relaxed);
-                let mut g = self.shared.park.lock();
-                self.shared.unpark.wait_for(&mut g, PARK_TIMEOUT);
-                drop(g);
-                self.shared.reader_waiting.store(false, Relaxed);
-            }
-        };
-        if began_block {
-            self.shared.stats.reader_block_end();
-        }
-        wait?;
         let shared = &*self.shared;
-        let head = self.head;
-        let k = (self.tail_cache - head).min(n.max(1));
+        let cursor = &mut self.cursor;
+        shared.stats.note_read_request(n);
+        // A full reload each poll: the view should be as large as the ring
+        // allows, not as large as a stale cache remembers.
+        let avail = shared.block_until(Role::Consumer, None, || match cursor.refresh(shared) {
+            0 if !shared.producer_closed.load(Acquire) => None,
+            // Closed: one more look, the producer may have pushed between
+            // our tail load and its close.
+            0 => Some(cursor.refresh(shared)),
+            avail => Some(avail),
+        });
+        let k = match avail {
+            Ok(avail) if avail > 0 => avail.min(n.max(1)),
+            _ => return Err(PopError),
+        };
         // RAII: `f` is user code — membership must survive a panic inside it
         // (on unwind nothing is consumed; head stays put).
-        let arena = ArenaGuard::enter(shared, Role::Consumer);
+        let arena = shared.enter(Role::Consumer);
         let r = f(&SliceView {
             shared,
-            head,
+            head: cursor.head(),
             len: k,
         });
-        // SAFETY: fence membership still held by `arena`.
-        let storage = unsafe { shared.storage_unlocked() };
-        for i in 0..k {
-            // SAFETY: single consumer; `[head, head+k)` is live (observed
-            // via Acquire above); each slot is dropped exactly once because
-            // `head` advances past all of them below.
-            unsafe { (*storage.slot(head + i)).assume_init_drop() };
-        }
-        shared.head.store(head + k, Release);
-        self.head = head + k;
-        shared.stats.reader.popped.store((head + k) as u64, Relaxed);
-        drop(arena);
-        shared.producer_waker.notify();
-        if shared.writer_waiting.load(Relaxed) {
-            shared.wake();
-        }
+        cursor.pop_some(&arena, k, drop);
+        shared.released(arena, cursor.head());
         Ok(r)
     }
 
@@ -1987,30 +1789,9 @@ impl<T: Send> Consumer<T> {
     /// dropping them under a single fence entry. Returns how many were
     /// actually available to advance past.
     pub fn advance(&mut self, n: usize) -> usize {
-        if n == 0 {
-            return 0;
-        }
-        let head = self.head;
-        let k = self.refresh_avail().min(n);
-        if k == 0 {
-            return 0;
-        }
-        let shared = &*self.shared;
-        shared.arena_enter(Role::Consumer);
-        // SAFETY: fence membership held until the exit below.
-        let storage = unsafe { shared.storage_unlocked() };
-        for i in 0..k {
-            // SAFETY: single consumer; `[head, head+k)` is live; dropped
-            // exactly once (head advances below).
-            unsafe { (*storage.slot(head + i)).assume_init_drop() };
-        }
-        shared.head.store(head + k, Release);
-        self.head = head + k;
-        shared.stats.reader.popped.store((head + k) as u64, Relaxed);
-        shared.arena_exit(Role::Consumer);
-        shared.producer_waker.notify();
-        if shared.writer_waiting.load(Relaxed) {
-            shared.wake();
+        let k = self.cursor.refresh(&*self.shared).min(n);
+        if k > 0 {
+            self.shared.drain(&mut self.cursor, k, drop);
         }
         k
     }
@@ -2085,8 +1866,7 @@ impl<T: Send> Consumer<T> {
         if pending > 0 {
             // The restarted kernel's task must observe itself as ready even
             // though the ring may be empty.
-            self.shared.consumer_waker.notify();
-            self.shared.wake();
+            self.shared.data.notify_fenced();
         }
         pending
     }
@@ -2098,7 +1878,7 @@ impl<T: Send> Consumer<T> {
 
     /// Current capacity.
     pub fn capacity(&self) -> usize {
-        self.shared.storage.read().capacity()
+        self.shared.capacity()
     }
 
     /// Current occupancy.
@@ -2109,9 +1889,7 @@ impl<T: Send> Consumer<T> {
     /// Producer closed (or link quiesced) and everything consumed,
     /// including any journal replay.
     pub fn is_finished(&self) -> bool {
-        (self.shared.producer_closed.load(Acquire)
-            || self.shared.drain.load(Acquire) >= DRAIN_QUIESCED)
-            && self.shared.occupancy() == 0
+        self.shared.is_finished()
     }
 
     /// Monitor-facing handle for this FIFO.
@@ -2125,113 +1903,49 @@ impl<T: Send> Consumer<T> {
 impl<T> Drop for Consumer<T> {
     fn drop(&mut self) {
         self.shared.consumer_closed.store(true, Release);
-        // A parked producer-side task must observe the broken stream.
-        self.shared.producer_waker.notify();
-        self.shared.wake();
+        // A parked producer must observe the broken stream.
+        self.shared.space.notify_fenced();
         // Remaining elements are dropped by Shared::drop (exactly once, with
         // exclusive access) — not here, to avoid racing a late producer push.
     }
 }
 
-/// Borrowed sliding window over the front of the queue (see
-/// [`Consumer::peek_range`]). Holding it holds fence membership: resizes
-/// wait until it is dropped.
-pub struct PeekRange<'a, T: Send> {
-    consumer: &'a mut Consumer<T>,
-    len: usize,
-}
-
-impl<'a, T: Send> PeekRange<'a, T> {
-    /// Number of elements visible in this window.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    #[inline]
-    fn slot(&self, i: usize) -> *mut MaybeUninit<(T, Signal)> {
-        assert!(
-            i < self.len,
-            "peek_range index {i} out of bounds {}",
-            self.len
-        );
-        // SAFETY: the window holds fence membership (entered in peek_range,
-        // exited in Drop), so the storage cannot be swapped under us.
-        unsafe {
-            self.consumer
-                .shared
-                .storage_unlocked()
-                .slot(self.consumer.head + i)
-        }
-    }
-
-    /// Signal attached to the `i`-th element of the window.
-    pub fn signal(&self, i: usize) -> Signal {
-        // SAFETY: elements [head, head+len) were live when the window was
-        // taken and the consumer (borrowed mutably by us) has not advanced.
-        unsafe { (*self.slot(i)).assume_init_ref().1 }
-    }
-
-    /// Iterate over the window.
-    pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
-        (0..self.len).map(move |i| &self[i])
-    }
-}
-
-impl<'a, T: Send> Index<usize> for PeekRange<'a, T> {
-    type Output = T;
-    fn index(&self, i: usize) -> &T {
-        // SAFETY: as in signal().
-        unsafe { &(*self.slot(i)).assume_init_ref().0 }
-    }
-}
-
-impl<'a, T: Send> Drop for PeekRange<'a, T> {
-    fn drop(&mut self) {
-        self.consumer.shared.arena_exit(Role::Consumer);
-    }
-}
-
-/// Zero-copy read view lent to the closure of [`Consumer::pop_slice`].
-/// Valid only inside that closure (fence membership is held around it).
+/// Zero-copy read view of the `len` elements at the front of the queue:
+/// lent to the closure of [`Consumer::pop_slice`], and what a
+/// [`PeekRange`] dereferences to. Valid only while its creator holds fence
+/// membership (around the closure / for the window's lifetime).
 pub struct SliceView<'a, T: Send> {
     shared: &'a Shared<T>,
     head: usize,
     len: usize,
 }
 
-impl<'a, T: Send> SliceView<'a, T> {
+impl<T: Send> SliceView<'_, T> {
     /// Number of elements in the view.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// `true` if the view is empty (never — pop_slice waits for data).
+    /// `true` if the view is empty (never for `pop_slice`, which waits for
+    /// data).
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     #[inline]
-    fn slot(&self, i: usize) -> *mut MaybeUninit<(T, Signal)> {
-        assert!(
-            i < self.len,
-            "SliceView index {i} out of bounds {}",
-            self.len
-        );
-        // SAFETY: pop_slice holds fence membership around the closure, so
-        // the storage cannot be swapped while the view exists.
-        unsafe { self.shared.storage_unlocked().slot(self.head + i) }
+    fn pair(&self, i: usize) -> &(T, Signal) {
+        assert!(i < self.len, "view index {i} out of bounds {}", self.len);
+        // SAFETY: whoever built the view holds consumer membership for as
+        // long as it exists, so the storage cannot be swapped; `[head, head
+        // + len)` was ready (observed via Acquire) when the view was taken
+        // and the consumer, mutably borrowed by the view's creator, does not
+        // release it before the view is gone.
+        unsafe { &*(*self.shared.storage().slot(self.head + i)).as_ptr() }
     }
 
     /// Signal attached to the `i`-th element.
     pub fn signal(&self, i: usize) -> Signal {
-        // SAFETY: [head, head+len) is the live region observed via Acquire;
-        // the consumer does not advance until the closure returns.
-        unsafe { (*self.slot(i)).assume_init_ref().1 }
+        self.pair(i).1
     }
 
     /// Iterate over the view.
@@ -2240,17 +1954,33 @@ impl<'a, T: Send> SliceView<'a, T> {
     }
 }
 
-impl<'a, T: Send> Index<usize> for SliceView<'a, T> {
+impl<T: Send> Index<usize> for SliceView<'_, T> {
     type Output = T;
     fn index(&self, i: usize) -> &T {
-        // SAFETY: as in signal().
-        unsafe { &(*self.slot(i)).assume_init_ref().0 }
+        &self.pair(i).0
+    }
+}
+
+/// Borrowed sliding window over the front of the queue (see
+/// [`Consumer::peek_range`]): a [`SliceView`] that owns its fence
+/// membership, so resizes wait until it is dropped.
+pub struct PeekRange<'a, T: Send> {
+    view: SliceView<'a, T>,
+    _arena: Arena<'a, T>,
+}
+
+impl<'a, T: Send> Deref for PeekRange<'a, T> {
+    type Target = SliceView<'a, T>;
+    fn deref(&self) -> &SliceView<'a, T> {
+        &self.view
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eventcount::Wake;
+    use std::time::Instant;
 
     fn small() -> (Fifo<u64>, Producer<u64>, Consumer<u64>) {
         fifo_with(FifoConfig {
@@ -2956,6 +2686,160 @@ mod tests {
         assert!(matches!(c.try_pop(), Err(TryPopError::Closed)));
         assert!(c.is_finished());
         assert!(f.is_finished());
+    }
+
+    /// Block `blocked` on its own thread, wait until it has armed its park
+    /// (it is asleep or about to be), then let `act` make its condition
+    /// true. Returns what `blocked` returned.
+    fn wake_once_parked<R: Send>(
+        armed: &dyn Fn() -> bool,
+        blocked: impl FnOnce() -> R + Send,
+        act: impl FnOnce(),
+    ) -> R {
+        std::thread::scope(|s| {
+            let sleeper = s.spawn(blocked);
+            while !armed() {
+                std::thread::yield_now();
+            }
+            act();
+            sleeper.join().unwrap()
+        })
+    }
+
+    fn space_armed<T>(f: &Fifo<T>) -> impl Fn() -> bool + '_ {
+        || Wake::armed(f.shared.space.thread.backend()).load(Acquire) == 1
+    }
+
+    fn data_armed<T>(f: &Fifo<T>) -> impl Fn() -> bool + '_ {
+        || Wake::armed(f.shared.data.thread.backend()).load(Acquire) == 1
+    }
+
+    /// A full fixed ring of two, for the producer-side rows.
+    fn full() -> (Fifo<u64>, Producer<u64>, Consumer<u64>) {
+        let (f, mut p, c) = fifo_with::<u64>(FifoConfig::fixed(2));
+        p.try_push(0).unwrap();
+        p.try_push(1).unwrap();
+        (f, p, c)
+    }
+
+    #[test]
+    fn no_blocking_entry_point_needs_the_park_timeout() {
+        // Every blocking entry point parks through the same arm → re-check →
+        // wait(epoch) sequence, so a peer that acts once the sleeper has
+        // armed always wakes it: the 2 ms backstop never has to. One row per
+        // entry point; each returns the rescues its link counted.
+        type Row = (&'static str, fn() -> u64);
+        let rows: [Row; 9] = [
+            ("push", || {
+                let (f, mut p, mut c) = full();
+                wake_once_parked(
+                    &space_armed(&f),
+                    || p.push(2).unwrap(),
+                    || {
+                        c.pop().unwrap();
+                    },
+                );
+                f.snapshot().rescues
+            }),
+            ("push_batch", || {
+                let (f, mut p, mut c) = full();
+                let mut items = vec![2, 3];
+                wake_once_parked(
+                    &space_armed(&f),
+                    || p.push_batch(&mut items).unwrap(),
+                    || assert_eq!(c.pop_range(2, &mut Vec::new()).unwrap(), 2),
+                );
+                f.snapshot().rescues
+            }),
+            ("reserve", || {
+                let (f, mut p, mut c) = full();
+                wake_once_parked(
+                    &space_armed(&f),
+                    || drop(p.reserve(1).unwrap()),
+                    || {
+                        c.pop().unwrap();
+                    },
+                );
+                f.snapshot().rescues
+            }),
+            ("allocate", || {
+                let (f, mut p, mut c) = full();
+                wake_once_parked(
+                    &space_armed(&f),
+                    || drop(p.allocate().unwrap()),
+                    || {
+                        c.pop().unwrap();
+                    },
+                );
+                f.snapshot().rescues
+            }),
+            ("pop", || {
+                let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig::fixed(2));
+                let got = wake_once_parked(
+                    &data_armed(&f),
+                    || c.pop().unwrap(),
+                    || {
+                        p.push(7).unwrap();
+                    },
+                );
+                assert_eq!(got, 7);
+                f.snapshot().rescues
+            }),
+            ("peek_range", || {
+                let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig::fixed(2));
+                p.push(1).unwrap();
+                let seen = wake_once_parked(
+                    &data_armed(&f),
+                    || c.peek_range(2).unwrap().iter().sum::<u64>(),
+                    || p.push(2).unwrap(),
+                );
+                assert_eq!(seen, 3);
+                f.snapshot().rescues
+            }),
+            ("pop_slice", || {
+                let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig::fixed(2));
+                let seen = wake_once_parked(
+                    &data_armed(&f),
+                    || c.pop_slice(2, |v| v[0]).unwrap(),
+                    || p.push(5).unwrap(),
+                );
+                assert_eq!(seen, 5);
+                f.snapshot().rescues
+            }),
+            ("ShmRing::push", || {
+                let (mut p, mut c) = crate::shm::ShmRing::<u64>::pair(1);
+                p.try_push(0).unwrap();
+                let seg = p.segment_shared();
+                let armed = || Wake::armed(seg.producer_waker().backend()).load(Acquire) == 1;
+                wake_once_parked(
+                    &armed,
+                    || p.push(1).unwrap(),
+                    || {
+                        c.try_pop().unwrap();
+                    },
+                );
+                p.rescues()
+            }),
+            ("ShmRing::pop", || {
+                let (mut p, mut c) = crate::shm::ShmRing::<u64>::pair(1);
+                let seg = c.segment_shared();
+                let armed = || Wake::armed(seg.consumer_waker().backend()).load(Acquire) == 1;
+                let got = wake_once_parked(
+                    &armed,
+                    || c.pop().unwrap(),
+                    || {
+                        p.try_push(4).unwrap();
+                    },
+                );
+                assert_eq!(got, 4);
+                c.rescues()
+            }),
+        ];
+        for (entry, round) in rows {
+            for n in 0..200 {
+                assert_eq!(round(), 0, "{entry}: park rescued on round {n}");
+            }
+        }
     }
 
     #[test]

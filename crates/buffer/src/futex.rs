@@ -1,47 +1,30 @@
-//! Cross-process parking over `futex(2)` — the shared-memory counterpart of
-//! the in-process [`crate::waker`] slot.
+//! Cross-process parking over `futex(2)` — the [`crate::eventcount`]
+//! backend for words that live in a mapped segment.
 //!
-//! A [`crate::waker::WakerSlot`] wakes a *task* inside one scheduler; across
-//! a process boundary there is no shared scheduler, so the only thing two
-//! processes can rendezvous on is a 32-bit word in the mapped segment. This
-//! module provides:
+//! Across a process boundary there is no shared scheduler or condvar, so
+//! the only thing two processes can rendezvous on is a 32-bit word in the
+//! segment. This module provides:
 //!
 //! * thin wrappers over the raw `FUTEX_WAIT` / `FUTEX_WAKE` syscalls
 //!   ([`futex_wait`], [`futex_wake`]) using the same no-`libc` inline-asm
 //!   idiom as `core`'s `affinity.rs`. The *non-private* futex ops are used
 //!   deliberately: `FUTEX_PRIVATE_FLAG` restricts matching to one address
 //!   space, and these words live in a `MAP_SHARED` segment.
-//! * [`FutexWaker`] — an **edge-triggered eventcount** over two in-segment
-//!   words (`armed`, `seq`) that replays the `WakerSlot` contract verbatim:
-//!   `arm` = store + `fence(SeqCst)`, `notify` = fence + `swap(armed)`,
-//!   at most one wake per arm, and an unarmed notify costs one relaxed
-//!   load. The waiter plugs into the same adaptive spin→yield→park
-//!   [`crate::wait::Waiter`] the in-process endpoints use: only when the
-//!   waiter escalates to `Park` does the futex syscall happen.
-//!
-//! ## Why an eventcount (the `seq` word)
-//!
-//! `FUTEX_WAIT` sleeps only while `*uaddr == expected` — a plain flag is
-//! racy: the notifier could set-and-wake between the waiter's recheck and
-//! its `futex_wait`, and the wake would be lost. The `seq` word is a
-//! generation counter bumped by every claimed notify; the waiter snapshots
-//! it *before* arming, so a notify that lands in the race window changes
-//! `seq` and the kernel refuses to put the waiter to sleep (`EAGAIN`).
-//! The store-buffering pairing is the same as `waker.rs`: the waiter's
-//! `armed = 1; fence; re-check stream state` cannot miss a notifier's
-//! `stream write; fence; read armed` — one of the two always observes the
-//! other (DESIGN §14).
+//! * [`Futex`] — the [`Wake`] backend over an `(armed, seq)` word pair in a
+//!   segment. The eventcount's `seq` word is exactly what `FUTEX_WAIT`
+//!   needs: the kernel sleeps only while `*seq == epoch`, so a notify that
+//!   lands between the waiter's re-check and its syscall changes `seq` and
+//!   the kernel refuses the sleep (`EAGAIN`).
 //!
 //! On non-Linux (or non-x86_64) targets the wait degrades to a bounded
 //! `yield`/`sleep`, and under miri (which cannot execute inline asm) the
 //! same fallback is compiled in — the protocol stays correct, only the
 //! parking efficiency is lost.
 
-use std::sync::atomic::{
-    fence, AtomicU32,
-    Ordering::{Relaxed, SeqCst},
-};
+use std::sync::atomic::AtomicU32;
 use std::time::Duration;
+
+use crate::eventcount::{EventCount, Wake};
 
 /// `futex(2)` op codes (non-private: these words are cross-process).
 #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
@@ -56,25 +39,28 @@ struct Timespec {
     tv_nsec: i64,
 }
 
-/// Raw 6-argument futex syscall. Returns the kernel's result (`-errno` on
+/// The crate's one raw `syscall` instruction (x86_64 Linux ABI, no `libc` —
+/// `core`'s `affinity.rs` idiom). Returns the kernel's result (`-errno` on
 /// failure).
+///
+/// # Safety
+/// `nr` and `args` must form a call whose pointer arguments are valid for
+/// everything that syscall reads and writes.
 #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
-fn sys_futex(uaddr: *const AtomicU32, op: usize, val: u32, timeout: *const Timespec) -> isize {
+pub(crate) unsafe fn syscall(nr: isize, args: [usize; 6]) -> isize {
     let ret: isize;
-    // SAFETY: futex(uaddr, op, val, timeout, NULL, 0) only dereferences
-    // `uaddr` (a live AtomicU32 borrowed by the caller) and `timeout`
-    // (either null or a live Timespec on this stack frame); the clobbers
-    // match the x86_64 Linux syscall ABI (rcx/r11 clobbered, rax returns).
+    // SAFETY: the call itself is the caller's contract; the clobbers match
+    // the x86_64 Linux syscall ABI (rcx/r11 clobbered, rax returns).
     unsafe {
         std::arch::asm!(
             "syscall",
-            inlateout("rax") 202isize => ret, // __NR_futex
-            in("rdi") uaddr,
-            in("rsi") op,
-            in("rdx") val as usize,
-            in("r10") timeout,
-            in("r8") 0usize,
-            in("r9") 0usize,
+            inlateout("rax") nr => ret,
+            in("rdi") args[0],
+            in("rsi") args[1],
+            in("rdx") args[2],
+            in("r10") args[3],
+            in("r8") args[4],
+            in("r9") args[5],
             lateout("rcx") _,
             lateout("r11") _,
             options(nostack),
@@ -83,11 +69,26 @@ fn sys_futex(uaddr: *const AtomicU32, op: usize, val: u32, timeout: *const Times
     ret
 }
 
+/// `futex(uaddr, op, val, timeout, NULL, 0)`.
+#[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+fn sys_futex(uaddr: &AtomicU32, op: usize, val: u32, timeout: *const Timespec) -> isize {
+    let args = [
+        uaddr.as_ptr() as usize,
+        op,
+        val as usize,
+        timeout as usize,
+        0,
+        0,
+    ];
+    // SAFETY: futex (202) only dereferences `uaddr` (a live AtomicU32) and
+    // `timeout` (either null or a live Timespec on the caller's stack).
+    unsafe { syscall(202, args) }
+}
+
 /// Sleep while `*word == expected`, for at most `timeout` (forever if
-/// `None`). Returns `true` if the kernel reports an actual wake and `false`
-/// for every other outcome (value already changed, timeout, signal) — the
-/// caller must re-check its condition either way, exactly like
-/// `Condvar::wait_for`.
+/// `None`). Returns `true` only if the whole timeout elapsed and `false`
+/// for every other outcome (woken, value already changed, signal) — the
+/// caller must re-check its condition either way.
 #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
 pub fn futex_wait(word: &AtomicU32, expected: u32, timeout: Option<Duration>) -> bool {
     let ts;
@@ -101,7 +102,8 @@ pub fn futex_wait(word: &AtomicU32, expected: u32, timeout: Option<Duration>) ->
         }
         None => std::ptr::null(),
     };
-    sys_futex(word, FUTEX_WAIT, expected, ts_ptr) == 0
+    const ETIMEDOUT: isize = 110;
+    sys_futex(word, FUTEX_WAIT, expected, ts_ptr) == -ETIMEDOUT
 }
 
 /// Portable fallback: no kernel parking available — bounded sleep instead.
@@ -109,7 +111,7 @@ pub fn futex_wait(word: &AtomicU32, expected: u32, timeout: Option<Duration>) ->
 /// only wake latency and idle efficiency degrade.
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
 pub fn futex_wait(word: &AtomicU32, expected: u32, timeout: Option<Duration>) -> bool {
-    if word.load(SeqCst) != expected {
+    if word.load(std::sync::atomic::Ordering::SeqCst) != expected {
         return false;
     }
     let nap = timeout.unwrap_or(Duration::from_millis(1));
@@ -141,134 +143,65 @@ pub fn futex_supported() -> bool {
     cfg!(all(target_os = "linux", target_arch = "x86_64", not(miri)))
 }
 
-/// Edge-triggered cross-process waker over two words in a mapped segment.
-///
-/// Borrowed views of the segment's control words — the struct itself holds
-/// no state, so both processes can construct one over the same mapping.
-/// Contract (mirrors [`crate::waker::WakerSlot`]):
-///
-/// * **Waiter**: `let epoch = arm();` → re-check the stream condition → if
-///   still blocked, `wait(epoch, timeout)`; if actionable, `disarm()` and
-///   carry on (a racing notify is absorbed as a spurious wake).
-/// * **Notifier**: after every stream state change the other side might be
-///   waiting on, call `notify()` — one relaxed load when unarmed, one
-///   `swap` + `seq` bump + `FUTEX_WAKE` when an arm is claimed.
+/// [`Wake`] backend over two words in a mapped segment: borrowed views of
+/// the segment's control words — the struct itself holds no state, so both
+/// processes can construct one over the same mapping.
 #[derive(Clone, Copy)]
-pub struct FutexWaker<'a> {
-    /// 1 while a waiter has announced intent to sleep.
+pub struct Futex<'a> {
     armed: &'a AtomicU32,
-    /// Eventcount generation; bumped by every claimed notify.
     seq: &'a AtomicU32,
 }
 
-impl<'a> FutexWaker<'a> {
-    /// Build a waker over an `(armed, seq)` word pair in shared memory.
-    pub fn new(armed: &'a AtomicU32, seq: &'a AtomicU32) -> Self {
-        FutexWaker { armed, seq }
+impl<'a> EventCount<Futex<'a>> {
+    /// An eventcount over an `(armed, seq)` word pair in shared memory.
+    pub fn futex(armed: &'a AtomicU32, seq: &'a AtomicU32) -> Self {
+        EventCount::over(Futex { armed, seq })
     }
+}
 
-    /// Waiter side: snapshot the eventcount and announce intent to sleep.
-    /// The `SeqCst` fence orders the `armed` store before the caller's
-    /// subsequent re-check of the stream condition (store-buffering pairing
-    /// with [`Self::notify`]).
+impl Wake for Futex<'_> {
+    type Word = AtomicU32;
     #[inline]
-    pub fn arm(&self) -> u32 {
-        let epoch = self.seq.load(Relaxed);
-        self.armed.store(1, Relaxed);
-        fence(SeqCst);
-        epoch
+    fn armed(&self) -> &AtomicU32 {
+        self.armed
     }
-
-    /// Waiter side: withdraw interest after the re-check found the stream
-    /// actionable. Returns `false` if a notifier already claimed the arm
-    /// (its wake is in flight and will be absorbed as a spurious one).
     #[inline]
-    pub fn disarm(&self) -> bool {
-        self.armed.swap(0, Relaxed) == 1
+    fn seq(&self) -> &AtomicU32 {
+        self.seq
     }
-
-    /// Waiter side: sleep until notified, the eventcount moves past
-    /// `epoch`, or `timeout` elapses. Always re-check the condition after.
     #[inline]
-    pub fn wait(&self, epoch: u32, timeout: Option<Duration>) -> bool {
-        futex_wait(self.seq, epoch, timeout)
+    fn park(&self, epoch: u32, timeout: Duration) -> bool {
+        futex_wait(self.seq, epoch, Some(timeout))
     }
-
-    /// Hot-path notify: skip even the `SeqCst` fence when no waiter looks
-    /// armed. The relaxed pre-check admits a narrow lost-wake window
-    /// (store-buffering: our stream write and the waiter's arm can miss
-    /// each other), which the waiter's bounded park timeout absorbs — the
-    /// same trade `fifo.rs` makes with its relaxed `reader_waiting` check.
-    /// Use [`Self::notify`] where a wake must never be lost (close paths).
     #[inline]
-    pub fn notify_if_armed(&self) {
-        if self.armed.load(Relaxed) == 1 {
-            self.notify();
-        }
-    }
-
-    /// Notifier side: wake the waiter if one is armed. At most one wake per
-    /// arm; an unarmed notify is one `SeqCst` fence + relaxed load.
-    #[inline]
-    pub fn notify(&self) {
-        // Dekker pairing: orders the caller's preceding stream write before
-        // the `armed` read in the SC fence order (see module docs).
-        fence(SeqCst);
-        if self.armed.load(Relaxed) == 1 && self.armed.swap(0, Relaxed) == 1 {
-            self.seq.fetch_add(1, Relaxed);
-            futex_wake(self.seq, u32::MAX);
-        }
+    fn unpark(&self) {
+        futex_wake(self.seq, u32::MAX);
     }
 }
 
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
     use std::sync::Arc;
 
     #[test]
-    fn unarmed_notify_is_silent() {
-        let armed = AtomicU32::new(0);
-        let seq = AtomicU32::new(0);
-        let w = FutexWaker::new(&armed, &seq);
-        w.notify();
-        assert_eq!(seq.load(Relaxed), 0, "no arm claimed, no seq bump");
-    }
-
-    #[test]
-    fn one_wake_per_arm() {
-        let armed = AtomicU32::new(0);
-        let seq = AtomicU32::new(0);
-        let w = FutexWaker::new(&armed, &seq);
-        let epoch = w.arm();
-        w.notify();
-        w.notify(); // second notify on the same arm must be absorbed
-        assert_eq!(seq.load(Relaxed), epoch + 1);
-        assert_eq!(armed.load(Relaxed), 0);
-    }
-
-    #[test]
-    fn disarm_reports_claimed_arm() {
-        let armed = AtomicU32::new(0);
-        let seq = AtomicU32::new(0);
-        let w = FutexWaker::new(&armed, &seq);
-        w.arm();
-        assert!(w.disarm(), "arm not yet claimed");
-        w.arm();
-        w.notify();
-        assert!(!w.disarm(), "notify already claimed the arm");
-    }
-
-    #[test]
     fn wait_returns_when_epoch_stale() {
-        let armed = AtomicU32::new(0);
         let seq = AtomicU32::new(7);
-        let w = FutexWaker::new(&armed, &seq);
-        // Expected epoch 3 ≠ current 7 → FUTEX_WAIT refuses to sleep.
+        // Expected epoch 3 ≠ current 7 → FUTEX_WAIT refuses to sleep, and
+        // that is not a timeout.
         let start = std::time::Instant::now();
-        w.wait(3, Some(Duration::from_secs(5)));
+        assert!(!futex_wait(&seq, 3, Some(Duration::from_secs(5))));
         assert!(start.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn wait_reports_a_full_timeout() {
+        if !futex_supported() {
+            return;
+        }
+        let seq = AtomicU32::new(0);
+        assert!(futex_wait(&seq, 0, Some(Duration::from_millis(2))));
     }
 
     #[test]
@@ -281,7 +214,7 @@ mod tests {
         let cond = Arc::new(AtomicU64::new(0));
         let (a2, s2, c2) = (armed.clone(), seq.clone(), cond.clone());
         let waiter = std::thread::spawn(move || {
-            let w = FutexWaker::new(&a2, &s2);
+            let w = EventCount::futex(&a2, &s2);
             let mut spins = 0u32;
             loop {
                 let epoch = w.arm();
@@ -289,7 +222,7 @@ mod tests {
                     w.disarm();
                     return true;
                 }
-                w.wait(epoch, Some(Duration::from_millis(200)));
+                w.wait(epoch, Duration::from_millis(200));
                 spins += 1;
                 if spins > 100 {
                     return false; // ~20s bound; only hit on regression
@@ -298,7 +231,7 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(50));
         cond.store(1, SeqCst);
-        FutexWaker::new(&armed, &seq).notify();
+        EventCount::futex(&armed, &seq).notify();
         assert!(waiter.join().unwrap(), "waiter observed the condition");
     }
 }

@@ -104,6 +104,16 @@ impl AdmissionPolicy {
     pub fn may_shed(&self) -> bool {
         !matches!(self, AdmissionPolicy::Block)
     }
+
+    /// How long a push may block on a full ring before it sheds: `None`
+    /// (forever) for `Block`, zero for `Shed`.
+    pub(crate) fn budget(&self) -> Option<std::time::Duration> {
+        match *self {
+            AdmissionPolicy::Block => None,
+            AdmissionPolicy::Shed => Some(std::time::Duration::ZERO),
+            AdmissionPolicy::BlockTimeout(t) => Some(t),
+        }
+    }
 }
 
 /// A bounded, sequence-numbered window of sent-but-unacknowledged entries.

@@ -5,27 +5,44 @@
 //! Ring-buffer FIFOs backing the streams of `raftlib`, a Rust reproduction of
 //! RaftLib (Beard, Li & Chamberlain, PMAM'15).
 //!
-//! The paper models every stream as a FIFO queue whose capacity is tuned
-//! *dynamically* by a monitor thread ("lock-free exclusion", resize preferred
-//! when the ring is in a non-wrapped position, §4). This crate provides:
+//! The paper models every stream as a FIFO queue whose only variable is
+//! *where its slots live* — heap, shared memory, TCP (§3) — and whose
+//! capacity is tuned *dynamically* by a monitor thread ("lock-free
+//! exclusion", resize preferred when the ring is in a non-wrapped position,
+//! §4). The crate says each protocol once:
 //!
-//! * [`spsc::BoundedSpsc`] — a fixed-capacity, lock-free single-producer /
-//!   single-consumer ring buffer. This is the baseline used by the
-//!   fixed-vs-resizable ablation bench.
-//! * [`fifo::Fifo`] — the production stream: the same lock-free SPSC fast
-//!   path (cache-padded counters, cached indices), plus dynamic resizing
-//!   excluded through the Dekker-style [`fence::ResizeFence`] — one flag
-//!   store, one SeqCst fence and one load per operation instead of a lock
-//!   acquisition; a resize raises a pending flag and waits for both
-//!   endpoints to step out. Per-element [`signal::Signal`]s are delivered
-//!   synchronously with data, push/pop block with adaptive backoff, and
-//!   low-overhead telemetry counters ([`stats::FifoStats`]) feed the
-//!   monitor thread. Zero-copy batch views ([`fifo::Producer::reserve`],
-//!   [`fifo::Consumer::pop_slice`]) amortize even that over whole batches.
+//! * [`ring`] — **the one SPSC ring**: producer/consumer cursors with cached
+//!   opposite indices (`claim`/`publish`, `ready`/`release`, the closed
+//!   double-check), generic over a [`ring::Backing`] that answers only
+//!   "where are `head`, `tail` and slot *i*".
+//! * [`eventcount`] — **the one "sleep until the peer moves"**: an
+//!   `(armed, seq)` eventcount whose Dekker fences are written once and
+//!   whose wake backend is chosen by where the words live (in-process
+//!   [`ThreadPark`], [`futex::Futex`] on segment words, the scheduler task
+//!   callback of a [`WakerSlot`]), plus the one blocking loop
+//!   ([`eventcount::block_until`]: spin → yield → park, bounded parks whose
+//!   *rescues* are counted).
 //!
-//! Elements travel as `(T, Signal)` pairs so that synchronous signals (end of
-//! stream, user signals) arrive at the consumer exactly when the accompanying
-//! element does — the paper's "synchronized signaling".
+//! The endpoint families are thin wrappers over those two:
+//!
+//! * [`spsc::BoundedSpsc`] — the ring over a fixed heap array. The baseline
+//!   of the fixed-vs-resizable ablation bench and the differential
+//!   reference for the FIFO.
+//! * [`fifo::Fifo`] — the production stream: the ring over heap storage
+//!   that the monitor can swap out under the Dekker-style
+//!   [`fence::ResizeFence`] (one flag swap and one load per operation
+//!   instead of a lock; skipped entirely for fixed-capacity FIFOs). Adds
+//!   per-element [`signal::Signal`]s delivered synchronously with data,
+//!   blocking endpoints, admission policies, staging/journaling for
+//!   exactly-once recovery ([`journal`]), zero-copy batch views
+//!   ([`fifo::Producer::reserve`], [`fifo::Consumer::pop_slice`]) and the
+//!   telemetry ([`stats::FifoStats`]) that feeds the monitor.
+//! * [`shm::ShmRing`] and the [`arena`] free list — the ring over a mapped
+//!   `memfd` segment, for links between processes.
+//!
+//! In-process elements travel as `(T, Signal)` pairs so that synchronous
+//! signals (end of stream, user signals) arrive at the consumer exactly when
+//! the accompanying element does — the paper's "synchronized signaling".
 //!
 //! ## Concurrency contract
 //!
@@ -33,18 +50,21 @@
 //! type system enforces this (the handles are `Send` but not `Clone`).
 //! A third party — the monitor — may call [`fifo::Fifo::resize`] and read
 //! stats at any time.
+//!
+//! The crate has no registry dependencies: locks and condvars are `std`'s.
 
 pub mod arena;
 pub mod error;
+pub mod eventcount;
 #[cfg(feature = "raft_failpoints")]
 pub mod failpoints;
 pub mod fence;
 pub mod fifo;
 pub mod futex;
-pub(crate) mod index;
 pub mod journal;
 #[cfg(feature = "raft_protocol_check")]
 pub mod protocol;
+pub mod ring;
 pub mod shm;
 pub mod signal;
 pub mod spsc;
@@ -57,6 +77,7 @@ pub use arena::{
     ArenaError, ArenaRx, ArenaTx, Descriptor, DescriptorSender, SendOutcome, ShmArena,
 };
 pub use error::{PopError, PushError, TryPopError, TryPushError};
+pub use eventcount::{EventCount, ThreadPark};
 pub use fence::{ResizeFence, Role};
 pub use fifo::{
     fifo_with, Consumer, Fifo, FifoConfig, LinkAlloc, PeekRange, Producer, SliceView, WriteGuard,

@@ -20,15 +20,15 @@
 //!
 //! ## The ring
 //!
-//! [`ShmRing`] places the exact `spsc.rs` protocol inside a segment:
-//! cache-line-separated head/tail counters, FastForward-style cached
-//! indices (via the shared [`crate::index`] helpers — the shm ring is the
-//! third user of that logic, not a third copy), and a single-fence batch
-//! publish ([`ShmRingProducer::try_push_batch`]) so PR 7's
-//! commit-is-one-store journaling composes. Blocking `push`/`pop` escalate
-//! through the same adaptive spin→yield→park [`crate::wait::Waiter`], with
-//! the park implemented by [`crate::futex::FutexWaker`] over words in the
-//! segment's control line.
+//! [`ShmRing`] is the [`crate::ring`] protocol over a segment: the
+//! [`SegRing`] backing says where `head`, `tail` and slot *i* live (cache-
+//! line-separated counters in the prelude, slots in the data region), and
+//! the endpoints add the closed words and the wake. Batch publish
+//! ([`ShmRingProducer::try_push_batch`]) is one Release store, so PR 7's
+//! commit-is-one-store journaling composes. Blocking `push`/`pop` are the
+//! crate's one blocking loop ([`crate::eventcount::block_until`]) parked on
+//! a [`crate::futex::Futex`] eventcount over words in the segment's control
+//! line.
 //!
 //! Elements must be [`ShmItem`] — plain-old-data that is meaningful in
 //! another address space. That excludes pointers/handles by construction;
@@ -70,6 +70,7 @@
 
 use std::io;
 use std::marker::PhantomData;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{
     AtomicU32, AtomicU64,
     Ordering::{Acquire, Relaxed, Release},
@@ -78,10 +79,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::{PopError, PushError, TryPopError, TryPushError};
-use crate::futex::FutexWaker;
-use crate::index::{consumer_ready_elems, producer_free_slots};
+use crate::eventcount::{block_until, EventCount};
+use crate::futex::Futex;
 use crate::journal::ReplayWindow;
-use crate::wait::{WaitAction, WaitStrategy, Waiter};
+use crate::ring::{Backing, ConsumerCursor, Counters, ProducerCursor};
 
 /// "RAFTSHM\0" — first eight bytes of every segment.
 pub const SEG_MAGIC: u64 = 0x5241_4654_5348_4d00;
@@ -129,12 +130,6 @@ const OFF_COMMIT: usize = 240;
 /// First data byte (for alignments ≤ 256).
 pub const DATA_OFFSET: usize = 256;
 
-/// Park bound for futex waits: a lost cross-process wake (the hot path
-/// checks `armed` with a relaxed load; see `futex.rs` module docs) costs at
-/// most one timeout, matching `fifo.rs`'s condvar bound.
-const SHM_PARK_TIMEOUT: Duration = Duration::from_millis(2);
-const SHM_ENDPOINT_WAIT: WaitStrategy = WaitStrategy::parking(SHM_PARK_TIMEOUT);
-
 const PAGE: usize = 4096;
 
 fn align_up(n: usize, a: usize) -> usize {
@@ -147,6 +142,7 @@ fn align_up(n: usize, a: usize) -> usize {
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
 mod sys {
+    use crate::futex::syscall;
     use std::io;
 
     const PROT_READ: usize = 1;
@@ -165,134 +161,53 @@ mod sys {
     /// survive exec so spawned workers can attach by inherited number.
     pub fn memfd_create() -> io::Result<i32> {
         let name = b"raft-shm\0";
-        let ret: isize;
-        // SAFETY: memfd_create reads the NUL-terminated name and takes no
-        // other pointers; clobbers match the x86_64 syscall ABI.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 319isize => ret, // __NR_memfd_create
-                in("rdi") name.as_ptr(),
-                in("rsi") 0usize,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        check(ret).map(|fd| fd as i32)
+        // SAFETY: memfd_create (319) reads the NUL-terminated name and
+        // takes no other pointers.
+        check(unsafe { syscall(319, [name.as_ptr() as usize, 0, 0, 0, 0, 0]) }).map(|fd| fd as i32)
     }
 
     pub fn ftruncate(fd: i32, len: usize) -> io::Result<()> {
-        let ret: isize;
-        // SAFETY: ftruncate takes no pointers; ABI clobbers declared.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 77isize => ret, // __NR_ftruncate
-                in("rdi") fd as usize,
-                in("rsi") len,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        check(ret).map(|_| ())
+        // SAFETY: ftruncate (77) takes no pointers.
+        check(unsafe { syscall(77, [fd as usize, len, 0, 0, 0, 0]) }).map(|_| ())
     }
 
     pub fn mmap_shared(fd: i32, len: usize) -> io::Result<*mut u8> {
-        let ret: isize;
-        // SAFETY: mmap(NULL, len, RW, SHARED, fd, 0) takes no pointers in;
-        // the kernel picks the address. ABI clobbers declared.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 9isize => ret, // __NR_mmap
-                in("rdi") 0usize,
-                in("rsi") len,
-                in("rdx") PROT_READ | PROT_WRITE,
-                in("r10") MAP_SHARED,
-                in("r8") fd as isize,
-                in("r9") 0usize,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        // mmap failures come back as -errno in [-4095, -1].
-        check(ret).map(|p| p as *mut u8)
+        let prot = PROT_READ | PROT_WRITE;
+        // SAFETY: mmap(NULL, len, RW, SHARED, fd, 0) (9) takes no pointers
+        // in; the kernel picks the address. Failures come back as -errno in
+        // [-4095, -1].
+        check(unsafe { syscall(9, [0, len, prot, MAP_SHARED, fd as usize, 0]) })
+            .map(|p| p as *mut u8)
     }
 
     /// # Safety
     /// `ptr..ptr+len` must be a live mapping created by [`mmap_shared`]
     /// and never touched again after this call.
     pub unsafe fn munmap(ptr: *mut u8, len: usize) {
-        let _ret: isize;
-        // SAFETY: caller contract — the range is a whole live mapping.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 11isize => _ret, // __NR_munmap
-                in("rdi") ptr,
-                in("rsi") len,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
+        // SAFETY: munmap (11); caller contract — the range is a whole live
+        // mapping.
+        unsafe { syscall(11, [ptr as usize, len, 0, 0, 0, 0]) };
     }
 
     /// `dup(fd)` — attach duplicates the caller's fd so every segment
     /// owns (and closes) a distinct descriptor.
     pub fn dup(fd: i32) -> io::Result<i32> {
-        let ret: isize;
-        // SAFETY: dup takes no pointers; ABI clobbers declared.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 32isize => ret, // __NR_dup
-                in("rdi") fd as usize,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        check(ret).map(|fd| fd as i32)
+        // SAFETY: dup (32) takes no pointers.
+        check(unsafe { syscall(32, [fd as usize, 0, 0, 0, 0, 0]) }).map(|fd| fd as i32)
     }
 
     pub fn close(fd: i32) {
-        let _ret: isize;
-        // SAFETY: close takes no pointers; ABI clobbers declared.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 3isize => _ret, // __NR_close
-                in("rdi") fd as usize,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
+        // SAFETY: close (3) takes no pointers.
+        unsafe { syscall(3, [fd as usize, 0, 0, 0, 0, 0]) };
     }
 
     /// `fstat(fd).st_size` — the only field we need, at byte 48 of the
     /// x86_64 `struct stat`.
     pub fn fstat_size(fd: i32) -> io::Result<usize> {
         let mut statbuf = [0u8; 144];
-        let ret: isize;
-        // SAFETY: fstat writes at most 144 bytes (sizeof struct stat on
-        // x86_64) into the live stack buffer; ABI clobbers declared.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 5isize => ret, // __NR_fstat
-                in("rdi") fd as usize,
-                in("rsi") statbuf.as_mut_ptr(),
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        check(ret)?;
+        // SAFETY: fstat (5) writes at most 144 bytes (sizeof struct stat on
+        // x86_64) into the live stack buffer.
+        check(unsafe { syscall(5, [fd as usize, statbuf.as_mut_ptr() as usize, 0, 0, 0, 0]) })?;
         let mut size = [0u8; 8];
         size.copy_from_slice(&statbuf[48..56]);
         Ok(i64::from_ne_bytes(size) as usize)
@@ -653,16 +568,35 @@ impl ShmSegment {
         self.u32_at(OFF_CONSUMER_CLOSED)
     }
 
-    /// Waker the producer notifies when data becomes visible.
+    /// Eventcount the producer notifies when data becomes visible.
     #[inline]
-    pub fn consumer_waker(&self) -> FutexWaker<'_> {
-        FutexWaker::new(self.u32_at(OFF_CONS_ARMED), self.u32_at(OFF_CONS_SEQ))
+    pub fn consumer_waker(&self) -> EventCount<Futex<'_>> {
+        EventCount::futex(self.u32_at(OFF_CONS_ARMED), self.u32_at(OFF_CONS_SEQ))
     }
 
-    /// Waker the consumer notifies when space becomes visible.
+    /// Eventcount the consumer notifies when space becomes visible.
     #[inline]
-    pub fn producer_waker(&self) -> FutexWaker<'_> {
-        FutexWaker::new(self.u32_at(OFF_PROD_ARMED), self.u32_at(OFF_PROD_SEQ))
+    pub fn producer_waker(&self) -> EventCount<Futex<'_>> {
+        EventCount::futex(self.u32_at(OFF_PROD_ARMED), self.u32_at(OFF_PROD_SEQ))
+    }
+
+    /// The ring [`Backing`] whose counters are this segment's `head`/`tail`
+    /// and whose `capacity` (a power of two) slots of `T` start `offset`
+    /// bytes into the data region.
+    ///
+    /// The caller vouches that `offset + capacity * size_of::<T>()` lies
+    /// inside the data region and that `offset` is aligned for `T` (ring
+    /// attach validates exactly this; the arena derives it from validated
+    /// geometry).
+    #[inline]
+    pub(crate) fn ring_at<T: ShmItem>(&self, offset: usize, capacity: usize) -> SegRing<'_, T> {
+        debug_assert!(capacity.is_power_of_two());
+        debug_assert!(offset + capacity * std::mem::size_of::<T>() <= self.data_len());
+        SegRing {
+            seg: self,
+            base: self.data_ptr().wrapping_add(offset).cast::<T>(),
+            mask: capacity - 1,
+        }
     }
 
     /// General-purpose mailbox word (benches use it for end-of-run acks).
@@ -750,6 +684,12 @@ impl ShmSegment {
         }
     }
 
+    /// Elements between `head` and `tail` (telemetry estimate: the two loads
+    /// are not one snapshot).
+    pub fn occupancy(&self) -> usize {
+        (self.tail().load(Acquire) as usize).saturating_sub(self.head().load(Acquire) as usize)
+    }
+
     /// Discard every un-popped element: advance `head` to `tail`, returning
     /// the number of elements dropped.
     ///
@@ -790,7 +730,8 @@ impl ShmSegment {
     }
 }
 
-/// Heartbeat eventcount over two header words — like [`FutexWaker`] but
+/// Heartbeat eventcount over two header words — like an
+/// [`EventCount`] over [`Futex`] words but
 /// **level-preserving**: every [`Heartbeat::beat`] bumps `seq` whether or
 /// not a watcher is armed, because the count itself is the liveness signal
 /// (a waker-style claimed-arm-only bump would let beats land invisibly
@@ -884,37 +825,62 @@ impl Drop for ShmSegment {
 /// turn a byzantine peer into undefined behavior.
 pub unsafe trait ShmItem: Copy + Send + 'static {}
 
-// SAFETY: fixed-width integers and floats are address-space-independent
-// and valid for every bit pattern.
-unsafe impl ShmItem for u8 {}
-// SAFETY: see u8.
-unsafe impl ShmItem for u16 {}
-// SAFETY: see u8.
-unsafe impl ShmItem for u32 {}
-// SAFETY: see u8.
-unsafe impl ShmItem for u64 {}
-// SAFETY: see u8.
-unsafe impl ShmItem for usize {}
-// SAFETY: see u8.
-unsafe impl ShmItem for i8 {}
-// SAFETY: see u8.
-unsafe impl ShmItem for i16 {}
-// SAFETY: see u8.
-unsafe impl ShmItem for i32 {}
-// SAFETY: see u8.
-unsafe impl ShmItem for i64 {}
-// SAFETY: see u8.
-unsafe impl ShmItem for isize {}
-// SAFETY: see u8.
-unsafe impl ShmItem for f32 {}
-// SAFETY: see u8.
-unsafe impl ShmItem for f64 {}
+macro_rules! shm_items {
+    ($($t:ty)*) => {$(
+        // SAFETY: fixed-width integers and floats are address-space-
+        // independent and valid for every bit pattern.
+        unsafe impl ShmItem for $t {}
+    )*};
+}
+shm_items!(u8 u16 u32 u64 usize i8 i16 i32 i64 isize f32 f64);
 // SAFETY: an array of ShmItems has no padding invariants of its own.
 unsafe impl<T: ShmItem, const N: usize> ShmItem for [T; N] {}
 
 // ---------------------------------------------------------------------------
 // Ring
 // ---------------------------------------------------------------------------
+
+/// The [`Backing`] a segment offers the ring protocol: `head`/`tail` are
+/// the prelude's counter words, the slots are `T`s somewhere in the data
+/// region (see `ShmSegment::ring_at`). Every index is masked before use,
+/// so whatever a byzantine peer does to the counters, slot pointers stay
+/// inside the region validated at attach.
+pub struct SegRing<'a, T> {
+    seg: &'a ShmSegment,
+    base: *mut T,
+    mask: usize,
+}
+
+impl<T> Counters for SegRing<'_, T> {
+    type Counter = AtomicU64;
+    #[inline]
+    fn head(&self) -> &AtomicU64 {
+        self.seg.head()
+    }
+    #[inline]
+    fn tail(&self) -> &AtomicU64 {
+        self.seg.tail()
+    }
+}
+
+// SAFETY: `mask` is fixed at construction from snapshotted geometry; `slot`
+// offsets `base` by the masked index, which `ring_at`'s caller vouched stays
+// inside the mapped data region — distinct `T`-sized cells per index.
+unsafe impl<T: ShmItem> Backing for SegRing<'_, T> {
+    type Item = T;
+    #[inline]
+    fn capacity(&self) -> usize {
+        self.mask + 1
+    }
+    #[inline]
+    fn slot<R>(&self, idx: usize, f: impl FnOnce(*mut MaybeUninit<T>) -> R) -> R {
+        // Masked index: always inside the region `ring_at` was vouched for.
+        // Slots are POD (`ShmItem`: any bit pattern is a value), so even a
+        // slot the cursor protocol was lied to about reads as garbage, not
+        // as UB.
+        f(self.base.wrapping_add(idx & self.mask).cast())
+    }
+}
 
 /// Factory for shared-memory SPSC rings of `T`.
 ///
@@ -926,22 +892,18 @@ pub struct ShmRing<T>(PhantomData<T>);
 /// CAS-claimed role word in the header.
 pub struct ShmRingProducer<T> {
     seg: Arc<ShmSegment>,
-    mask: usize,
-    /// Local mirror of the shared tail — exact between calls.
-    tail: usize,
-    /// Stale conservative copy of the shared head (see `crate::index`).
-    head_cache: usize,
+    cursor: ProducerCursor,
+    /// Bounded parks of [`push`](Self::push) that a lost wake forced.
+    rescues: AtomicU64,
     _marker: PhantomData<fn(T)>,
 }
 
 /// Consuming half of a [`ShmRing`].
 pub struct ShmRingConsumer<T> {
     seg: Arc<ShmSegment>,
-    mask: usize,
-    /// Local mirror of the shared head — exact between calls.
-    head: usize,
-    /// Stale conservative copy of the shared tail (see `crate::index`).
-    tail_cache: usize,
+    cursor: ConsumerCursor,
+    /// Bounded parks of [`pop`](Self::pop) that a lost wake forced.
+    rescues: AtomicU64,
     _marker: PhantomData<fn() -> T>,
 }
 
@@ -976,52 +938,40 @@ impl<T: ShmItem> ShmRing<T> {
         (Self::producer_over(seg.clone()), Self::consumer_over(seg))
     }
 
+    /// A fresh memfd ring with one role claimed, and its fd.
+    fn create(capacity: usize, producer: bool) -> io::Result<(Arc<ShmSegment>, i32)> {
+        let seg = Self::ring_segment(capacity, true)?;
+        let fd = seg.fd().expect("memfd segment has an fd");
+        assert!(seg.claim_role(producer), "fresh segment role");
+        Ok((Arc::new(seg), fd))
+    }
+
     /// Create a memfd ring and take the producer role; pass the returned
     /// fd to the peer process for [`ShmRing::attach_consumer`].
     pub fn create_producer(capacity: usize) -> io::Result<(ShmRingProducer<T>, i32)> {
-        let seg = Self::ring_segment(capacity, true)?;
-        let fd = seg.fd().expect("memfd segment has an fd");
-        assert!(seg.claim_role(true), "fresh segment role");
-        Ok((Self::producer_over(Arc::new(seg)), fd))
+        Self::create(capacity, true).map(|(seg, fd)| (Self::producer_over(seg), fd))
     }
 
     /// Create a memfd ring and take the consumer role (for result paths
     /// flowing child → parent).
     pub fn create_consumer(capacity: usize) -> io::Result<(ShmRingConsumer<T>, i32)> {
-        let seg = Self::ring_segment(capacity, true)?;
-        let fd = seg.fd().expect("memfd segment has an fd");
-        assert!(seg.claim_role(false), "fresh segment role");
-        Ok((Self::consumer_over(Arc::new(seg)), fd))
+        Self::create(capacity, false).map(|(seg, fd)| (Self::consumer_over(seg), fd))
     }
 
     /// Attach to an inherited fd as the producer. Validates the header
     /// (magic, schema, kind, capacity, element layout) and claims the
     /// producer role; both can fail cleanly.
     pub fn attach_producer(fd: i32) -> io::Result<ShmRingProducer<T>> {
-        let seg = Self::attach_ring(fd)?;
-        if !seg.claim_role(true) {
-            return Err(io::Error::new(
-                io::ErrorKind::AddrInUse,
-                "producer role already claimed",
-            ));
-        }
-        Ok(Self::producer_over(Arc::new(seg)))
+        Self::attach_ring(fd, true).map(Self::producer_over)
     }
 
     /// Attach to an inherited fd as the consumer (see
     /// [`ShmRing::attach_producer`]).
     pub fn attach_consumer(fd: i32) -> io::Result<ShmRingConsumer<T>> {
-        let seg = Self::attach_ring(fd)?;
-        if !seg.claim_role(false) {
-            return Err(io::Error::new(
-                io::ErrorKind::AddrInUse,
-                "consumer role already claimed",
-            ));
-        }
-        Ok(Self::consumer_over(Arc::new(seg)))
+        Self::attach_ring(fd, false).map(Self::consumer_over)
     }
 
-    fn attach_ring(fd: i32) -> io::Result<ShmSegment> {
+    fn attach_ring(fd: i32, producer: bool) -> io::Result<Arc<ShmSegment>> {
         let seg = ShmSegment::attach(fd, SEG_KIND_RING)?;
         let cap = seg.capacity();
         let fail = |what: &str| Err(io::Error::new(io::ErrorKind::InvalidData, what.to_string()));
@@ -1037,31 +987,39 @@ impl<T: ShmItem> ShmRing<T> {
             Some(bytes) if bytes <= seg.data_len() => {}
             _ => return fail("ring data region smaller than capacity"),
         }
-        Ok(seg)
+        if !seg.claim_role(producer) {
+            return Err(io::Error::new(
+                io::ErrorKind::AddrInUse,
+                "ring role already claimed",
+            ));
+        }
+        Ok(Arc::new(seg))
+    }
+
+    /// The ring backing of a ring segment: slots fill the data region.
+    #[inline]
+    fn ring(seg: &ShmSegment) -> SegRing<'_, T> {
+        seg.ring_at(0, seg.capacity())
     }
 
     fn producer_over(seg: Arc<ShmSegment>) -> ShmRingProducer<T> {
-        let mask = seg.capacity() - 1;
-        let tail = seg.tail().load(Relaxed) as usize;
-        let head_cache = seg.head().load(Relaxed) as usize;
         ShmRingProducer {
+            // SAFETY: the caller holds the segment's CAS-claimed producer
+            // role, so no other producer cursor exists, even in another
+            // process; the handle only ever builds this segment's ring.
+            cursor: unsafe { ProducerCursor::attach(&Self::ring(&seg)) },
             seg,
-            mask,
-            tail,
-            head_cache,
+            rescues: AtomicU64::new(0),
             _marker: PhantomData,
         }
     }
 
     fn consumer_over(seg: Arc<ShmSegment>) -> ShmRingConsumer<T> {
-        let mask = seg.capacity() - 1;
-        let head = seg.head().load(Relaxed) as usize;
-        let tail_cache = seg.tail().load(Relaxed) as usize;
         ShmRingConsumer {
+            // SAFETY: as `producer_over`, for the consumer role.
+            cursor: unsafe { ConsumerCursor::attach(&Self::ring(&seg)) },
             seg,
-            mask,
-            head,
-            tail_cache,
+            rescues: AtomicU64::new(0),
             _marker: PhantomData,
         }
     }
@@ -1069,39 +1027,25 @@ impl<T: ShmItem> ShmRing<T> {
 
 impl<T: ShmItem> ShmRingProducer<T> {
     #[inline]
-    fn slot_ptr(&self, idx: usize) -> *mut T {
-        // Masked index: always inside the validated data region.
-        self.seg
-            .data_ptr()
-            .cast::<T>()
-            .wrapping_add(idx & self.mask)
-    }
-
-    /// Non-blocking push (same protocol as `spsc.rs::try_push`).
-    #[inline]
-    pub fn try_push(&mut self, value: T) -> Result<(), TryPushError<T>> {
-        let seg = &*self.seg;
+    fn try_push_on(
+        seg: &ShmSegment,
+        cursor: &mut ProducerCursor,
+        value: T,
+    ) -> Result<(), TryPushError<T>> {
         if seg.consumer_closed().load(Relaxed) == 1 {
             return Err(TryPushError::Closed(value));
         }
-        let tail = self.tail;
-        // Shared cached-index fast path (see `crate::index`): refresh pairs
-        // Acquire with the consumer's Release store of `head`.
-        let room = producer_free_slots(tail, &mut self.head_cache, self.mask + 1, 1, || {
-            seg.head().load(Acquire) as usize
-        });
-        if room == 0 {
-            return Err(TryPushError::Full(value));
-        }
-        // SAFETY: slot `tail & mask` is outside the live region (checked
-        // against a conservative head), in-bounds by the attach-time size
-        // validation, and we are the sole producer (role-claimed handle,
-        // `&mut self`). The Release store below publishes the write.
-        unsafe { self.slot_ptr(tail).write(value) };
-        seg.tail().store((tail + 1) as u64, Release);
-        self.tail = tail + 1;
+        cursor
+            .push(&ShmRing::ring(seg), value)
+            .map_err(TryPushError::Full)?;
         seg.consumer_waker().notify_if_armed();
         Ok(())
+    }
+
+    /// Non-blocking push.
+    #[inline]
+    pub fn try_push(&mut self, value: T) -> Result<(), TryPushError<T>> {
+        Self::try_push_on(&self.seg, &mut self.cursor, value)
     }
 
     /// Push as many of `items` as currently fit, publishing the whole
@@ -1109,31 +1053,15 @@ impl<T: ShmItem> ShmRingProducer<T> {
     /// publish the journaling layer's commit relies on. Returns the count
     /// actually pushed.
     pub fn try_push_batch(&mut self, items: &[T]) -> usize {
-        if items.is_empty() {
-            return 0;
-        }
         let seg = &*self.seg;
-        if seg.consumer_closed().load(Relaxed) == 1 {
+        if items.is_empty() || seg.consumer_closed().load(Relaxed) == 1 {
             return 0;
         }
-        let tail = self.tail;
-        let room = producer_free_slots(
-            tail,
-            &mut self.head_cache,
-            self.mask + 1,
-            items.len(),
-            || seg.head().load(Acquire) as usize,
-        );
-        let n = room.min(items.len());
-        for (i, v) in items[..n].iter().enumerate() {
-            // SAFETY: slots [tail, tail+n) are outside the live region and
-            // in-bounds after masking; nothing reads them until the single
-            // Release store below publishes the batch.
-            unsafe { self.slot_ptr(tail + i).write(*v) };
-        }
+        let ring = ShmRing::ring(seg);
+        let n = self
+            .cursor
+            .push_some(&ring, items.len(), |n| items[..n].iter().copied());
         if n > 0 {
-            seg.tail().store((tail + n) as u64, Release);
-            self.tail = tail + n;
             seg.consumer_waker().notify_if_armed();
         }
         n
@@ -1141,41 +1069,49 @@ impl<T: ShmItem> ShmRingProducer<T> {
 
     /// Blocking push: adaptive spin→yield→futex-park until the element
     /// fits or the consumer disconnects.
-    pub fn push(&mut self, mut value: T) -> Result<(), PushError<T>> {
-        let mut waiter = Waiter::new(SHM_ENDPOINT_WAIT);
-        loop {
-            match self.try_push(value) {
-                Ok(()) => return Ok(()),
-                Err(TryPushError::Closed(v)) => return Err(PushError(v)),
-                Err(TryPushError::Full(v)) => value = v,
-            }
-            if waiter.pause_or_park() == WaitAction::Park {
-                let w = self.seg.producer_waker();
-                let epoch = w.arm();
-                // Re-check under the arm: a pop or close that landed
-                // before the arm's fence is visible here; one that lands
-                // after will observe the arm and notify.
-                let head = self.seg.head().load(Acquire) as usize;
-                if self.tail.wrapping_sub(head) < self.mask + 1
-                    || self.seg.consumer_closed().load(Relaxed) == 1
-                {
-                    w.disarm();
-                    continue;
-                }
-                w.wait(epoch, Some(SHM_PARK_TIMEOUT));
-            }
+    #[inline]
+    pub fn push(&mut self, value: T) -> Result<(), PushError<T>> {
+        match self.try_push(value) {
+            Ok(()) => Ok(()),
+            Err(TryPushError::Closed(v)) => Err(PushError(v)),
+            Err(TryPushError::Full(v)) => self.push_blocked(v),
         }
+    }
+
+    #[cold]
+    fn push_blocked(&mut self, value: T) -> Result<(), PushError<T>> {
+        let ShmRingProducer {
+            seg,
+            cursor,
+            rescues,
+            ..
+        } = self;
+        // A pop or close that lands before the park's arm is seen by its
+        // re-check; one that lands after observes the arm and notifies.
+        let poll = || match Self::try_push_on(seg, cursor, value) {
+            Ok(()) => Some(Ok(())),
+            Err(TryPushError::Closed(v)) => Some(Err(PushError(v))),
+            Err(TryPushError::Full(_)) => None,
+        };
+        block_until(&seg.producer_waker(), rescues, None, || false, poll)
+            .unwrap_or(Err(PushError(value)))
+    }
+
+    /// Parks of [`push`](Self::push) that ended by timeout and then found
+    /// room: wakes that were owed and never came. Stays 0 unless the lossy
+    /// per-element notify lost a race (or a wake syscall stalled).
+    pub fn rescues(&self) -> u64 {
+        self.rescues.load(Relaxed)
     }
 
     /// Ring capacity in elements.
     pub fn capacity(&self) -> usize {
-        self.mask + 1
+        self.seg.capacity()
     }
 
     /// Elements currently queued (telemetry estimate).
     pub fn occupancy(&self) -> usize {
-        let seg = &*self.seg;
-        (seg.tail().load(Acquire) as usize).saturating_sub(seg.head().load(Acquire) as usize)
+        self.seg.occupancy()
     }
 
     /// `true` once the consumer side is gone.
@@ -1206,65 +1142,32 @@ impl<T> Drop for ShmRingProducer<T> {
 
 impl<T: ShmItem> ShmRingConsumer<T> {
     #[inline]
-    fn slot_ptr(&self, idx: usize) -> *const T {
-        (self.seg.data_ptr() as *const T).wrapping_add(idx & self.mask)
-    }
-
-    /// Non-blocking pop (same protocol as `spsc.rs::try_pop`).
-    #[inline]
-    pub fn try_pop(&mut self) -> Result<T, TryPopError> {
-        let seg = &*self.seg;
-        let head = self.head;
-        // Shared cached-index fast path (see `crate::index`): refresh pairs
-        // Acquire with the producer's Release store of `tail`.
-        let avail = consumer_ready_elems(head, &mut self.tail_cache, || {
-            seg.tail().load(Acquire) as usize
-        });
-        if avail == 0 {
-            return if seg.producer_closed().load(Acquire) == 1 {
-                // Re-check: the producer may have pushed between our tail
-                // load and its close.
-                self.tail_cache = seg.tail().load(Acquire) as usize;
-                if self.tail_cache == head {
-                    Err(TryPopError::Closed)
-                } else {
-                    Err(TryPopError::Empty)
-                }
-            } else {
-                Err(TryPopError::Empty)
-            };
-        }
-        // SAFETY: `head < tail` observed via Acquire, pairing with the
-        // producer's Release publish — the slot holds a fully written T
-        // (POD: any bit pattern valid), in-bounds after masking, and the
-        // producer will not reuse it until our Release store of `head`.
-        let value = unsafe { self.slot_ptr(head).read() };
-        seg.head().store((head + 1) as u64, Release);
-        self.head = head + 1;
+    fn try_pop_on(seg: &ShmSegment, cursor: &mut ConsumerCursor) -> Result<T, TryPopError> {
+        let value = cursor.try_pop(&ShmRing::<T>::ring(seg), || {
+            seg.producer_closed().load(Acquire) == 1
+        })?;
         seg.producer_waker().notify_if_armed();
         Ok(value)
+    }
+
+    /// Non-blocking pop.
+    #[inline]
+    pub fn try_pop(&mut self) -> Result<T, TryPopError> {
+        Self::try_pop_on(&self.seg, &mut self.cursor)
     }
 
     /// Pop up to `out.len()` elements, freeing the whole run with one
     /// Release store of `head`. Returns the count written into `out`.
     pub fn try_pop_batch(&mut self, out: &mut [T]) -> usize {
-        if out.is_empty() {
-            return 0;
-        }
         let seg = &*self.seg;
-        let head = self.head;
-        let avail = consumer_ready_elems(head, &mut self.tail_cache, || {
-            seg.tail().load(Acquire) as usize
+        let ring = ShmRing::<T>::ring(seg);
+        self.cursor.ready(&ring);
+        let max = out.len();
+        let mut slots = out.iter_mut();
+        let n = self.cursor.pop_some(&ring, max, |v| {
+            *slots.next().expect("at most out.len() popped") = v;
         });
-        let n = avail.min(out.len());
-        for (i, slot) in out[..n].iter_mut().enumerate() {
-            // SAFETY: indices [head, head+n) are inside the live region
-            // observed through the Acquire tail load above; see try_pop.
-            *slot = unsafe { self.slot_ptr(head + i).read() };
-        }
         if n > 0 {
-            seg.head().store((head + n) as u64, Release);
-            self.head = head + n;
             seg.producer_waker().notify_if_armed();
         }
         n
@@ -1272,36 +1175,45 @@ impl<T: ShmItem> ShmRingConsumer<T> {
 
     /// Blocking pop; `Err` once the producer closed *and* the ring
     /// drained.
+    #[inline]
     pub fn pop(&mut self) -> Result<T, PopError> {
-        let mut waiter = Waiter::new(SHM_ENDPOINT_WAIT);
-        loop {
-            match self.try_pop() {
-                Ok(v) => return Ok(v),
-                Err(TryPopError::Closed) => return Err(PopError),
-                Err(TryPopError::Empty) => {}
-            }
-            if waiter.pause_or_park() == WaitAction::Park {
-                let w = self.seg.consumer_waker();
-                let epoch = w.arm();
-                let tail = self.seg.tail().load(Acquire) as usize;
-                if tail != self.head || self.seg.producer_closed().load(Relaxed) == 1 {
-                    w.disarm();
-                    continue;
-                }
-                w.wait(epoch, Some(SHM_PARK_TIMEOUT));
-            }
+        match self.try_pop() {
+            Ok(v) => Ok(v),
+            Err(TryPopError::Closed) => Err(PopError),
+            Err(TryPopError::Empty) => self.pop_blocked(),
         }
+    }
+
+    #[cold]
+    fn pop_blocked(&mut self) -> Result<T, PopError> {
+        let ShmRingConsumer {
+            seg,
+            cursor,
+            rescues,
+            ..
+        } = self;
+        let poll = || match Self::try_pop_on(seg, cursor) {
+            Ok(v) => Some(Ok(v)),
+            Err(TryPopError::Closed) => Some(Err(PopError)),
+            Err(TryPopError::Empty) => None,
+        };
+        block_until(&seg.consumer_waker(), rescues, None, || false, poll).unwrap_or(Err(PopError))
+    }
+
+    /// Parks of [`pop`](Self::pop) that ended by timeout and then found
+    /// data (see [`ShmRingProducer::rescues`]).
+    pub fn rescues(&self) -> u64 {
+        self.rescues.load(Relaxed)
     }
 
     /// Ring capacity in elements.
     pub fn capacity(&self) -> usize {
-        self.mask + 1
+        self.seg.capacity()
     }
 
     /// Elements currently queued (telemetry estimate).
     pub fn occupancy(&self) -> usize {
-        let seg = &*self.seg;
-        (seg.tail().load(Acquire) as usize).saturating_sub(seg.head().load(Acquire) as usize)
+        self.seg.occupancy()
     }
 
     /// `true` once the producer closed and the ring drained.
@@ -1327,12 +1239,6 @@ impl<T> Drop for ShmRingConsumer<T> {
         self.seg.producer_waker().notify();
     }
 }
-
-// SAFETY: one non-Clone handle per role (CAS-enforced even across
-// processes); moving it moves the role, and elements are ShmItem (POD).
-unsafe impl<T: ShmItem> Send for ShmRingProducer<T> {}
-// SAFETY: see ShmRingProducer.
-unsafe impl<T: ShmItem> Send for ShmRingConsumer<T> {}
 
 // ---------------------------------------------------------------------------
 // Journaled producer — cross-process exactly-once on top of the ring

@@ -1,152 +1,35 @@
 //! Fixed-capacity, lock-free SPSC ring buffer.
 //!
-//! This is the classic single-producer / single-consumer bounded queue:
-//! monotonically increasing `head` (next read) and `tail` (next write)
-//! counters, a power-of-two slot array indexed by `counter & mask`, and
-//! acquire/release pairs on the counters for synchronization (see *Rust
-//! Atomics and Locks*, ch. 5) — with two FastForward-style refinements:
+//! [`BoundedSpsc`] is the ring protocol of [`crate::ring`] over its fixed
+//! heap backing ([`HeapRing`]) plus the two things a queue needs beyond a
+//! ring: a closed flag per side, and blocking `push`/`pop` that spin and
+//! yield (there is no wake signal to park on). The common-case push or pop
+//! is one Relaxed load (the closed flag), the slot access, and one Release
+//! store.
 //!
-//! * `head` and `tail` are padded to separate cache lines
-//!   ([`CachePadded`]), so the producer's stores never invalidate the line
-//!   the consumer spins on (and vice versa);
-//! * each endpoint handle keeps a **local mirror of its own counter** and a
-//!   **stale cache of the opposite counter**, refreshed with an Acquire
-//!   load only when the ring *looks* full (producer) or empty (consumer).
-//!   The cache is conservative — a stale `head_cache` under-estimates how
-//!   much the consumer has freed — so the only cost of staleness is a
-//!   spurious refresh, never a protocol violation. The common-case push or
-//!   pop is one Relaxed load (the closed flag), the slot access, and one
-//!   Release store.
-//!
-//! [`BoundedSpsc`] is used directly for the FIFO ablation bench and serves as
-//! the reference protocol that [`crate::fifo::Fifo`] extends with dynamic
-//! resizing.
-//!
-//! All atomics and cells come from [`crate::sync`], so building with
-//! `RUSTFLAGS="--cfg loom"` swaps in loom's instrumented primitives and the
-//! tests in `tests/loom_spsc.rs` model-check every permitted interleaving of
-//! the head/tail protocol below — including the cached-index fast path.
-//!
-//! [`CachePadded`]: crossbeam::utils::CachePadded
+//! It is used directly for the FIFO ablation bench and is the differential
+//! reference `tests/proptest_fifo.rs` holds [`crate::fifo::Fifo`] against.
+//! All atomics and cells come from `crate::sync`, so `--cfg loom` model-
+//! checks every permitted interleaving (`tests/loom_ring.rs`).
 
-use std::mem::MaybeUninit;
-
-use crossbeam::utils::CachePadded;
-
-use crate::error::{TryPopError, TryPushError};
-use crate::index::{consumer_ready_elems, producer_free_slots};
+use crate::error::{PopError, PushError, TryPopError, TryPushError};
+use crate::ring::{Backing, ConsumerCursor, HeapRing, ProducerCursor};
 use crate::signal::Signal;
 use crate::sync::{
-    Arc, AtomicBool, AtomicUsize,
+    Arc, AtomicBool,
     Ordering::{Acquire, Relaxed, Release},
-    UnsafeCell,
 };
+use crate::wait::{WaitStrategy, Waiter};
 
-/// One ring slot: possibly-uninitialized element plus its synchronous signal.
-struct Slot<T> {
-    value: UnsafeCell<MaybeUninit<(T, Signal)>>,
-}
-
-// SAFETY: a Slot is only ever touched through the head/tail protocol: the
-// producer writes slot `i` strictly before its Release store of `tail = i+1`,
-// and the consumer reads slot `i` strictly after its Acquire load observes
-// `tail > i`. Every slot access is therefore ordered by an atomic
-// release/acquire pair, so sending or sharing the slot between the two
-// threads cannot race as long as `T: Send` (the element itself may move
-// across threads).
-unsafe impl<T: Send> Send for Slot<T> {}
-// SAFETY: see the `Send` justification above — shared access (`&Slot`) is
-// still serialized per-slot by the counter protocol.
-unsafe impl<T: Send> Sync for Slot<T> {}
-
-/// Shared state of a fixed-capacity SPSC ring.
-///
-/// The counters live on separate cache lines; the closed flags share a third
-/// line (they are written once per endpoint lifetime).
-pub(crate) struct RingCore<T> {
-    slots: Box<[Slot<T>]>,
-    mask: usize,
-    /// Next index to read; only the consumer advances it.
-    pub(crate) head: CachePadded<AtomicUsize>,
-    /// Next index to write; only the producer advances it.
-    pub(crate) tail: CachePadded<AtomicUsize>,
+/// Shared state of a fixed-capacity SPSC queue: the ring, and the closed
+/// flags on a line of their own (they are written once per endpoint
+/// lifetime).
+struct Core<T> {
+    ring: HeapRing<(T, Signal)>,
     /// Producer is gone (stream closed).
-    pub(crate) producer_closed: AtomicBool,
+    producer_closed: AtomicBool,
     /// Consumer is gone (pushes are pointless).
-    pub(crate) consumer_closed: AtomicBool,
-}
-
-impl<T> RingCore<T> {
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(1).next_power_of_two();
-        let slots: Box<[Slot<T>]> = (0..capacity)
-            .map(|_| Slot {
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
-        RingCore {
-            mask: capacity - 1,
-            slots,
-            head: CachePadded::new(AtomicUsize::new(0)),
-            tail: CachePadded::new(AtomicUsize::new(0)),
-            producer_closed: AtomicBool::new(false),
-            consumer_closed: AtomicBool::new(false),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn capacity(&self) -> usize {
-        self.mask + 1
-    }
-
-    #[inline]
-    pub(crate) fn occupancy(&self) -> usize {
-        // tail and head only grow; a torn read can momentarily under- or
-        // over-estimate, which is fine for telemetry call sites. The
-        // producer/consumer themselves track their own counter exactly.
-        self.tail
-            .load(Acquire)
-            .saturating_sub(self.head.load(Acquire))
-    }
-
-    /// `true` iff the live region `[head, tail)` does not wrap around the
-    /// slot array — the paper's preferred (fast memcpy) resize position.
-    #[allow(dead_code)] // exercised by unit tests; kept as a diagnostic
-    pub(crate) fn is_non_wrapped(&self) -> bool {
-        let head = self.head.load(Acquire);
-        let tail = self.tail.load(Acquire);
-        (head & self.mask) <= ((tail.wrapping_sub(1)) & self.mask) || head == tail
-    }
-
-    /// Drain remaining initialized elements (used on drop).
-    ///
-    /// # Safety
-    /// Caller must have exclusive access to the ring (`&mut self` plus no
-    /// outstanding element references), which `Drop` guarantees.
-    unsafe fn drain(&mut self) {
-        // Relaxed suffices: `&mut self` proves no other thread can touch the
-        // counters concurrently. (loom's atomics have no `get_mut`, so plain
-        // loads/stores keep this path identical under the model checker.)
-        let head = self.head.load(Relaxed);
-        let tail = self.tail.load(Relaxed);
-        for i in head..tail {
-            let slot = &self.slots[i & self.mask];
-            // SAFETY: every index in `[head, tail)` was written by a push and
-            // not yet consumed, so the slot is initialized; exclusive access
-            // is the caller's contract. Each slot is dropped exactly once
-            // because `head` is advanced to `tail` below.
-            slot.value.with_mut(|p| unsafe { (*p).assume_init_drop() });
-        }
-        self.head.store(tail, Relaxed);
-    }
-}
-
-impl<T> Drop for RingCore<T> {
-    fn drop(&mut self) {
-        // SAFETY: dropping grants exclusive access — both endpoint handles
-        // are gone (they hold the only Arcs) and no element refs outlive them.
-        unsafe { self.drain() };
-    }
+    consumer_closed: AtomicBool,
 }
 
 /// A fixed-capacity lock-free SPSC queue, split into producer and consumer
@@ -158,50 +41,42 @@ impl<T: Send> BoundedSpsc<T> {
     /// two) and return the two endpoint handles.
     #[allow(clippy::new_ret_no_self)] // intentionally a factory of the two halves
     pub fn new(capacity: usize) -> (SpscProducer<T>, SpscConsumer<T>) {
-        let core = Arc::new(RingCore::with_capacity(capacity));
+        let core = Arc::new(Core {
+            ring: HeapRing::with_capacity(capacity),
+            producer_closed: AtomicBool::new(false),
+            consumer_closed: AtomicBool::new(false),
+        });
+        // SAFETY: the only two cursors this ring will ever have; each lives
+        // in a non-Clone handle that keeps the ring it came from.
+        let (tx, rx) = unsafe {
+            (
+                ProducerCursor::attach(&core.ring),
+                ConsumerCursor::attach(&core.ring),
+            )
+        };
         (
             SpscProducer {
                 core: core.clone(),
-                tail: 0,
-                head_cache: 0,
+                cursor: tx,
             },
-            SpscConsumer {
-                core,
-                head: 0,
-                tail_cache: 0,
-            },
+            SpscConsumer { core, cursor: rx },
         )
     }
 }
 
-/// Producing half of a [`BoundedSpsc`]. `Send` but not `Clone`.
+/// Producing half of a [`BoundedSpsc`]. `Send` (the handle owns the producer
+/// role exclusively, so moving it only moves which thread plays producer)
+/// but not `Clone`.
 pub struct SpscProducer<T> {
-    core: Arc<RingCore<T>>,
-    /// Local mirror of `core.tail` — always equal to it between calls, so
-    /// the fast path never loads its own shared counter.
-    tail: usize,
-    /// Stale (conservative) copy of `core.head`; refreshed only when the
-    /// ring looks full.
-    head_cache: usize,
+    core: Arc<Core<T>>,
+    cursor: ProducerCursor,
 }
 
 /// Consuming half of a [`BoundedSpsc`]. `Send` but not `Clone`.
 pub struct SpscConsumer<T> {
-    core: Arc<RingCore<T>>,
-    /// Local mirror of `core.head` — always equal to it between calls.
-    head: usize,
-    /// Stale (conservative) copy of `core.tail`; refreshed only when the
-    /// ring looks empty.
-    tail_cache: usize,
+    core: Arc<Core<T>>,
+    cursor: ConsumerCursor,
 }
-
-// SAFETY: the producer handle owns the producer role exclusively (it is not
-// Clone), so moving it to another thread just moves which thread plays
-// producer; the ring itself synchronizes via the head/tail protocol and `T`
-// is required to be Send for the elements that cross.
-unsafe impl<T: Send> Send for SpscProducer<T> {}
-// SAFETY: same argument as SpscProducer — one non-Clone handle per role.
-unsafe impl<T: Send> Send for SpscConsumer<T> {}
 
 impl<T: Send> SpscProducer<T> {
     /// Attempt to enqueue without blocking.
@@ -213,45 +88,24 @@ impl<T: Send> SpscProducer<T> {
     /// Attempt to enqueue an element with a synchronous signal.
     #[inline]
     pub fn try_push_signal(&mut self, value: T, signal: Signal) -> Result<(), TryPushError<T>> {
-        let core = &*self.core;
-        if core.consumer_closed.load(Relaxed) {
+        if self.core.consumer_closed.load(Relaxed) {
             return Err(TryPushError::Closed(value));
         }
-        let tail = self.tail;
-        // Shared cached-index fast path (see `crate::index`): refresh pairs
-        // Acquire with the consumer's Release store of `head`, ordering its
-        // slot read-out before our reuse of the slot.
-        let room = producer_free_slots(tail, &mut self.head_cache, core.capacity(), 1, || {
-            core.head.load(Acquire)
-        });
-        if room == 0 {
-            return Err(TryPushError::Full(value));
-        }
-        let slot = &core.slots[tail & core.mask];
-        slot.value.with_mut(|p| {
-            // SAFETY: `tail - head < capacity` (head_cache is never ahead of
-            // the true head, and the check above passed against it), so slot
-            // `tail & mask` is outside the live region: the consumer will not
-            // touch it until our Release store below publishes it, and we are
-            // the only producer (`&mut self` on a non-Clone handle). Writing
-            // through the raw pointer is therefore exclusive.
-            unsafe { (*p).write((value, signal)) };
-        });
-        core.tail.store(tail + 1, Release);
-        self.tail = tail + 1;
-        Ok(())
+        self.cursor
+            .push(&self.core.ring, (value, signal))
+            .map_err(|(value, _)| TryPushError::Full(value))
     }
 
     /// Spin until the element fits or the consumer disconnects.
-    pub fn push(&mut self, mut value: T) -> Result<(), crate::error::PushError<T>> {
+    pub fn push(&mut self, mut value: T) -> Result<(), PushError<T>> {
         // Spin-then-yield: the SPSC ring has no parking primitive, so the
         // shared wait strategy never asks us to park (and under loom every
         // step degrades to a model-checker yield).
-        let mut waiter = crate::wait::Waiter::new(crate::wait::WaitStrategy::spinning());
+        let mut waiter = Waiter::new(WaitStrategy::spinning());
         loop {
             match self.try_push(value) {
                 Ok(()) => return Ok(()),
-                Err(TryPushError::Closed(v)) => return Err(crate::error::PushError(v)),
+                Err(TryPushError::Closed(v)) => return Err(PushError(v)),
                 Err(TryPushError::Full(v)) => {
                     value = v;
                     waiter.pause();
@@ -262,12 +116,12 @@ impl<T: Send> SpscProducer<T> {
 
     /// Queue capacity in elements.
     pub fn capacity(&self) -> usize {
-        self.core.capacity()
+        self.core.ring.capacity()
     }
 
     /// Elements currently queued.
     pub fn occupancy(&self) -> usize {
-        self.core.occupancy()
+        self.core.ring.occupancy()
     }
 
     /// `true` once the consumer half has been dropped.
@@ -293,47 +147,18 @@ impl<T: Send> SpscConsumer<T> {
     #[inline]
     pub fn try_pop_signal(&mut self) -> Result<(T, Signal), TryPopError> {
         let core = &*self.core;
-        let head = self.head;
-        // Shared cached-index fast path (see `crate::index`): refresh pairs
-        // Acquire with the producer's Release store of `tail`, making the
-        // slot contents visible before we read them out.
-        let avail = consumer_ready_elems(head, &mut self.tail_cache, || core.tail.load(Acquire));
-        if avail == 0 {
-            return if core.producer_closed.load(Acquire) {
-                // Re-check emptiness: the producer may have pushed
-                // between our tail load and its close.
-                self.tail_cache = core.tail.load(Acquire);
-                if self.tail_cache == head {
-                    Err(TryPopError::Closed)
-                } else {
-                    Err(TryPopError::Empty)
-                }
-            } else {
-                Err(TryPopError::Empty)
-            };
-        }
-        let slot = &core.slots[head & core.mask];
-        // SAFETY: `head < tail` was observed through an Acquire load of
-        // `tail` (tail_cache never runs ahead of the true tail), which
-        // synchronizes-with the producer's Release store after it initialized
-        // this slot — so the slot is initialized and the producer will not
-        // write it again until our Release store below frees it. We are the
-        // only consumer (`&mut self` on a non-Clone handle), so the read-out
-        // is exclusive.
-        let pair = slot.value.with(|p| unsafe { (*p).assume_init_read() });
-        core.head.store(head + 1, Release);
-        self.head = head + 1;
-        Ok(pair)
+        self.cursor
+            .try_pop(&core.ring, || core.producer_closed.load(Acquire))
     }
 
     /// Spin until an element arrives; `Err` once closed *and* drained.
-    pub fn pop(&mut self) -> Result<T, crate::error::PopError> {
+    pub fn pop(&mut self) -> Result<T, PopError> {
         // See `push`: shared spin-then-yield strategy, loom-safe.
-        let mut waiter = crate::wait::Waiter::new(crate::wait::WaitStrategy::spinning());
+        let mut waiter = Waiter::new(WaitStrategy::spinning());
         loop {
             match self.try_pop() {
                 Ok(v) => return Ok(v),
-                Err(TryPopError::Closed) => return Err(crate::error::PopError),
+                Err(TryPopError::Closed) => return Err(PopError),
                 Err(TryPopError::Empty) => waiter.pause(),
             }
         }
@@ -341,37 +166,36 @@ impl<T: Send> SpscConsumer<T> {
 
     /// Reference to the front element, if any (no copy).
     pub fn peek(&mut self) -> Option<&T> {
-        let core = &*self.core;
-        let head = self.head;
-        if consumer_ready_elems(head, &mut self.tail_cache, || core.tail.load(Acquire)) == 0 {
+        if self.cursor.ready(&self.core.ring) == 0 {
             return None;
         }
-        let slot = &core.slots[head & core.mask];
-        // SAFETY: `head < tail` observed via Acquire (see try_pop_signal),
-        // so the slot is initialized and inside the live region; the
-        // producer cannot reuse it until the consumer advances `head`, and
+        // SAFETY: a ready slot is initialized and inside the live region;
+        // the producer cannot reuse it until the consumer releases it, and
         // only the consumer (this handle, borrowed mutably) can do that. The
         // returned reference borrows `self`, so it dies before any `pop` by
-        // the same thread. The pointer does not escape the `with` closure —
-        // only the derived shared reference, which stays valid because the
-        // cell's contents are not moved or mutated while the live region
-        // holds this slot.
-        Some(slot.value.with(|p| unsafe { &(*p).assume_init_ref().0 }))
+        // the same thread. The pointer does not escape the closure — only
+        // the derived shared reference, which stays valid because the slot
+        // is not moved or mutated while the live region holds it.
+        Some(
+            self.core
+                .ring
+                .slot(self.cursor.head(), |p| unsafe { &(*p).assume_init_ref().0 }),
+        )
     }
 
     /// Queue capacity in elements.
     pub fn capacity(&self) -> usize {
-        self.core.capacity()
+        self.core.ring.capacity()
     }
 
     /// Elements currently queued.
     pub fn occupancy(&self) -> usize {
-        self.core.occupancy()
+        self.core.ring.occupancy()
     }
 
     /// `true` once the producer dropped and the ring drained.
     pub fn is_finished(&self) -> bool {
-        self.core.producer_closed.load(Acquire) && self.core.occupancy() == 0
+        self.core.producer_closed.load(Acquire) && self.core.ring.occupancy() == 0
     }
 }
 
@@ -492,23 +316,6 @@ mod tests {
         }
         assert_eq!(expected, N);
         producer.join().unwrap();
-    }
-
-    #[test]
-    fn non_wrapped_detection() {
-        let (mut p, mut c) = BoundedSpsc::new(4);
-        // empty ring is trivially non-wrapped
-        assert!(p.core.is_non_wrapped());
-        p.try_push(0).unwrap();
-        p.try_push(1).unwrap();
-        assert!(p.core.is_non_wrapped());
-        // advance head past two, push two more: live region [2,6) wraps
-        c.try_pop().unwrap();
-        c.try_pop().unwrap();
-        p.try_push(2).unwrap();
-        p.try_push(3).unwrap();
-        p.try_push(4).unwrap();
-        assert!(!p.core.is_non_wrapped());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! group per writing thread, each hot-path store hits a line nobody else
 //! writes; only the (rare, sampling-rate) monitor reads cross lines.
 
-use crossbeam::utils::CachePadded;
+use crate::sync::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
@@ -43,6 +43,10 @@ pub struct WriterCounters {
     /// [`Shed`]: crate::journal::AdmissionPolicy::Shed
     /// [`BlockTimeout`]: crate::journal::AdmissionPolicy::BlockTimeout
     pub shed: AtomicU64,
+    /// Parks of the blocked writer that ended by timeout and then found
+    /// room: wakes that were owed and never came (see
+    /// [`crate::eventcount::block_until`]).
+    pub rescues: AtomicU64,
 }
 
 /// Counters written only by the consumer thread (padded to its own cache
@@ -63,6 +67,8 @@ pub struct ReaderCounters {
     /// Elements served again from the consumer-side journal after a
     /// supervised restart rewound the link (exactly-once replay).
     pub replayed: AtomicU64,
+    /// Like [`WriterCounters::rescues`], for the blocked reader.
+    pub rescues: AtomicU64,
 }
 
 /// Counters written only by the monitor thread (padded to its own cache
@@ -110,6 +116,7 @@ impl FifoStats {
                 blocked_since: AtomicU64::new(0),
                 blocked_ns: AtomicU64::new(0),
                 shed: AtomicU64::new(0),
+                rescues: AtomicU64::new(0),
             }),
             reader: CachePadded::new(ReaderCounters {
                 popped: AtomicU64::new(0),
@@ -117,6 +124,7 @@ impl FifoStats {
                 blocked_ns: AtomicU64::new(0),
                 max_read_request: AtomicU64::new(0),
                 replayed: AtomicU64::new(0),
+                rescues: AtomicU64::new(0),
             }),
             monitor: CachePadded::new(MonitorCounters {
                 resizes: AtomicU64::new(0),
@@ -221,6 +229,7 @@ impl FifoStats {
             max_read_request: self.reader.max_read_request.load(Relaxed) as usize,
             shed: self.writer.shed.load(Relaxed),
             replayed: self.reader.replayed.load(Relaxed),
+            rescues: self.writer.rescues.load(Relaxed) + self.reader.rescues.load(Relaxed),
             throughput: if elapsed > 0.0 {
                 popped as f64 / elapsed
             } else {
@@ -257,6 +266,10 @@ pub struct StatsSnapshot {
     pub shed: u64,
     /// Elements re-served from the journal after a supervised restart.
     pub replayed: u64,
+    /// Bounded parks (either endpoint) that timed out and then found their
+    /// condition already true — lost wakeups the 2 ms safety net absorbed.
+    /// Stays 0 unless a wake was genuinely missed.
+    pub rescues: u64,
     /// Elements per second popped since creation.
     pub throughput: f64,
     /// Log2-bucketed occupancy histogram (see [`HIST_BUCKETS`]).

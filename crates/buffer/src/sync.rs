@@ -1,7 +1,8 @@
 //! Concurrency primitives, swappable for [loom] model checking.
 //!
-//! The lock-free code in this crate ([`crate::spsc`]) is written against
-//! this module instead of `std` directly. In a normal build it re-exports
+//! The lock-free code in this crate ([`crate::ring`], [`crate::eventcount`],
+//! [`crate::fence`], [`crate::waker`]) is written against this module
+//! instead of `std` directly. In a normal build it re-exports
 //! the `std` types (plus a zero-cost [`UnsafeCell`] wrapper exposing loom's
 //! closure-based access API). Under `RUSTFLAGS="--cfg loom"` it re-exports
 //! loom's instrumented equivalents, which exhaustively explore every
@@ -20,7 +21,7 @@
 pub(crate) use loom::{
     cell::UnsafeCell,
     sync::{
-        atomic::{fence, AtomicBool, AtomicUsize, Ordering},
+        atomic::{fence, AtomicBool, AtomicU32, AtomicUsize, Ordering},
         Arc,
     },
     thread::yield_now,
@@ -29,11 +30,32 @@ pub(crate) use loom::{
 #[cfg(not(loom))]
 pub(crate) use std::{
     sync::{
-        atomic::{fence, AtomicBool, AtomicUsize, Ordering},
+        atomic::{fence, AtomicBool, AtomicU32, AtomicUsize, Ordering},
         Arc,
     },
     thread::yield_now,
 };
+
+/// Pads and aligns a value to 128 bytes — two x86-64 cache lines, so the
+/// adjacent-line prefetcher cannot make two padded values false-share.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct CachePadded<T>(T);
+
+impl<T> CachePadded<T> {
+    /// Pad `value`.
+    pub const fn new(value: T) -> Self {
+        CachePadded(value)
+    }
+}
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 /// CPU relax hint used inside busy-wait loops. Under loom a busy spin would
 /// starve the model checker (it can only switch threads at loom operations),

@@ -1,22 +1,21 @@
 //! Unified adaptive **spin → yield → park** wait strategy.
 //!
-//! Before this module, the workspace had three hand-rolled idle loops with
-//! three different shapes: pool workers counted "idle spins" and slept a
-//! flat 100 µs, blocking FIFO endpoints ran a `crossbeam::Backoff` to
-//! completion and then parked on a condvar, and the resize fence simply
-//! `yield_now()`-looped. All of them are the same problem — *how long do I
-//! believe the condition will flip soon?* — so they share one policy now:
+//! Every wait in the workspace is the same question — *how long do I
+//! believe the condition will flip soon?* — so they share one schedule:
 //!
 //! 1. **Spin**: a handful of exponentially growing busy-spin rounds
 //!    (`pause` instructions). Wake-to-observe latency is tens of
 //!    nanoseconds; right when the other side is actively producing.
 //! 2. **Yield**: give the core away but stay runnable. Right when the other
 //!    side is running but descheduled (oversubscribed hosts).
-//! 3. **Park**: the caller should block on its real primitive (condvar,
-//!    scheduler sleep). [`Waiter::pause`] falls back to `thread::sleep`
-//!    with the strategy's timeout for callers that have none.
+//! 3. **Park**: the caller should block on its real primitive — the
+//!    eventcount in [`crate::eventcount::block_until`] for FIFO endpoints,
+//!    the scheduler's own sleep for pool workers. [`Waiter::pause`] falls
+//!    back to `thread::sleep` with the strategy's timeout for callers that
+//!    have none; strategies that never park (the resize fence and the
+//!    bare SPSC endpoints, which have no wake signal) yield forever instead.
 //!
-//! The module is built on [`crate::sync`], so `--cfg loom` builds degrade
+//! The module is built on `crate::sync`, so `--cfg loom` builds degrade
 //! every phase to a model-checker yield and the waiting code inside the
 //! loom suites stays explorable.
 
@@ -91,13 +90,6 @@ impl Waiter {
         self.round = 0;
     }
 
-    /// The strategy's park bound, for callers that park on their own
-    /// primitive (condvar `wait_for`, scheduler sleep).
-    #[inline]
-    pub fn park_timeout(&self) -> Option<Duration> {
-        self.strategy.park_timeout
-    }
-
     /// One non-blocking backoff step: spins or yields per the schedule and
     /// returns what happened. Once the budgets are spent it returns
     /// [`WaitAction::Park`] *without blocking* — the caller parks on its own
@@ -164,7 +156,6 @@ mod tests {
         for _ in 0..100 {
             assert_ne!(w.pause_or_park(), WaitAction::Park);
         }
-        assert_eq!(w.park_timeout(), None);
     }
 
     #[test]

@@ -1,49 +1,33 @@
 //! Edge-triggered wakers on the FIFO shared core.
 //!
-//! The pool schedulers used to discover readiness by *polling*: every
-//! worker pass re-read the occupancy of every input stream of every kernel
-//! (O(kernels × ports) loads per sweep) and idled through a sleep loop when
-//! nothing was ready. A [`WakerSlot`] inverts that: the scheduler parks a
-//! kernel once, **arms** the slot on each of its input streams, and the
-//! *producer side* of the stream turns readiness into an O(1) callback at
-//! the moment data (or EoS, or an async signal) arrives. The condvar
-//! `PARK_TIMEOUT` inside the FIFO stops being a polling rate and becomes a
-//! pure safety net.
+//! The work-stealing scheduler never scans for runnable kernels: it parks a
+//! kernel once, **arms** a [`WakerSlot`] on each of its input streams, and
+//! the *producer side* of the stream turns readiness into an O(1) callback
+//! at the moment data (or EoS, or an async signal) arrives.
 //!
 //! Each FIFO core owns two slots: a **consumer-side** slot notified by
 //! `push`/batch-commit/`close`/`post_async` ("data or EoS is visible") and
 //! a **producer-side** slot notified by `pop`/batch-drain/consumer-drop/
 //! resize ("space is visible").
 //!
-//! ## The lost-wakeup problem, and the fence protocol
+//! ## The lost-wakeup problem
 //!
 //! Arming and notification race on two distinct locations — the `armed`
-//! flag and the stream state (head/tail/closed) — which is the classic
-//! store-buffering (Dekker) shape, the same one
-//! [`crate::fence::ResizeFence`] solves for resizes:
+//! flag and the stream state (head/tail/closed). That is the eventcount
+//! protocol of [`crate::eventcount`], and a [`WakerSlot`] *is* an
+//! [`EventCount`] whose [`Wake`] backend ([`TaskWake`]) delivers the wake by
+//! calling the registered [`FifoWaker`] instead of waking a thread: there is
+//! **no interleaving in which the scheduler parks a task on an
+//! observed-empty queue and the notifier skips the wake**, each arm produces
+//! **at most one** callback (a stream pushing a thousand elements while its
+//! consumer is already queued costs a thousand fence + load pairs, not a
+//! thousand callbacks), and both sides "winning" costs one spurious wake,
+//! which the scheduler's task state machine absorbs.
+//! `tests/loom_eventcount.rs` model-checks exactly this window.
 //!
-//! ```text
-//! waiter  (scheduler):  armed = true;   Fw: fence(SeqCst);  read stream state
-//! notifier (endpoint):  write stream;   Fn: fence(SeqCst);  read-and-clear armed
-//! ```
-//!
-//! SeqCst fences have a single total order, so either `Fw < Fn` — the
-//! notifier's `armed` read observes the waiter's store and the waker fires
-//! — or `Fn < Fw` — the waiter's state re-check observes the notifier's
-//! write and the waiter never parks. There is **no interleaving in which
-//! the waiter parks on an observed-empty queue and the notifier skips the
-//! wake**: that would need both fences to precede each other. Both sides
-//! "winning" (state seen *and* wake fired) costs one spurious wake, which
-//! the scheduler's task state machine absorbs. `tests/loom_waker.rs`
-//! model-checks exactly this window.
-//!
-//! `armed` is read-and-cleared with a swap, so each arm produces **at most
-//! one** wake (edge-triggered): a stream pushing a thousand elements while
-//! its consumer is already queued costs a thousand `state != SET` relaxed
-//! loads, not a thousand callbacks. When no waker was ever registered
-//! (thread-per-kernel and polling-pool runs), every notify site degrades to
-//! that single relaxed load and branch — the PR 2 hot-path numbers are
-//! preserved.
+//! When no waker was ever registered (thread-per-kernel runs),
+//! [`TaskWake::listening`] is false and every notify site degrades to a
+//! single relaxed load and branch.
 
 // The waker handle is a std Arc even under loom: the Arc is payload, not
 // protocol — publication of the cell contents is ordered entirely by the
@@ -51,9 +35,10 @@
 // checker still explores every ordering that matters.
 use std::sync::Arc;
 
+use crate::eventcount::{EventCount, Wake};
 use crate::sync::{
-    fence, AtomicBool, AtomicUsize,
-    Ordering::{Relaxed, Release, SeqCst},
+    AtomicU32, AtomicUsize,
+    Ordering::{Relaxed, Release},
     UnsafeCell,
 };
 
@@ -74,55 +59,84 @@ const SET: usize = 2;
 
 /// One registration point for a [`FifoWaker`], owned by the FIFO core.
 ///
-/// Lifecycle: the scheduler [`register`](WakerSlot::register)s a waker once
+/// Lifecycle: the scheduler [`register`](EventCount::register)s a waker once
 /// per run (first caller wins; the slot stays registered for the FIFO's
 /// lifetime, so no reclamation race exists), then repeatedly
-/// [`arm`](WakerSlot::arm)s it before parking the consuming/producing task
-/// and re-checks the stream state per the module-level fence protocol.
-pub struct WakerSlot {
+/// [`arm`](EventCount::arm)s it before parking the consuming/producing task
+/// and re-checks the stream state per the eventcount protocol. The FIFO
+/// calls [`notify`](EventCount::notify) after every state change the task
+/// might be waiting on.
+pub type WakerSlot = EventCount<TaskWake>;
+
+/// [`Wake`] backend of a [`WakerSlot`]: the eventcount words plus the
+/// write-once cell holding the callback that stands in for "unpark".
+pub struct TaskWake {
+    armed: AtomicU32,
+    seq: AtomicU32,
     /// Publication state of `waker` (EMPTY → INSTALLING → SET, one-way).
     state: AtomicUsize,
-    /// Set by the waiter when it is about to park; cleared (claimed) by
-    /// exactly one notifier or by a cancelling [`disarm`](WakerSlot::disarm).
-    armed: AtomicBool,
     /// The installed waker. Written once by the INSTALLING winner, read
     /// only after observing `state == SET`.
     waker: UnsafeCell<Option<Arc<dyn FifoWaker>>>,
 }
 
-impl std::fmt::Debug for WakerSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WakerSlot")
-            .field("registered", &(self.state.load(Relaxed) == SET))
-            .field("armed", &self.armed.load(Relaxed))
-            .finish()
-    }
-}
-
 // SAFETY: the `waker` cell is written only by the single thread that wins
 // the EMPTY→INSTALLING CAS, strictly before the Release store of SET; every
-// read happens after observing SET (via the SeqCst fence in `notify`, which
-// upgrades the relaxed guard load to an acquire of that publication). The
-// cell is never written again, so shared references cannot alias a mutation.
-unsafe impl Send for WakerSlot {}
+// read happens after observing SET (via the SeqCst fence in the eventcount's
+// notify, which upgrades the relaxed `listening` load to an acquire of that
+// publication). The cell is never written again, so shared references
+// cannot alias a mutation.
+unsafe impl Send for TaskWake {}
 // SAFETY: see the `Send` justification above — all cross-thread access to
 // the cell is ordered by the state protocol.
-unsafe impl Sync for WakerSlot {}
+unsafe impl Sync for TaskWake {}
 
-impl Default for WakerSlot {
+impl Default for TaskWake {
     fn default() -> Self {
-        Self::new()
+        TaskWake {
+            armed: AtomicU32::new(0),
+            seq: AtomicU32::new(0),
+            state: AtomicUsize::new(EMPTY),
+            waker: UnsafeCell::new(None),
+        }
     }
 }
 
-impl WakerSlot {
+impl Wake for TaskWake {
+    type Word = AtomicU32;
+    #[inline]
+    fn armed(&self) -> &AtomicU32 {
+        &self.armed
+    }
+    #[inline]
+    fn seq(&self) -> &AtomicU32 {
+        &self.seq
+    }
+    /// Tasks do not sleep here: the scheduler parks them itself.
+    fn park(&self, _epoch: u32, _timeout: std::time::Duration) -> bool {
+        false
+    }
+    fn unpark(&self) {
+        self.waker.with(|p| {
+            // SAFETY: notify only gets here after `listening` observed SET
+            // and the protocol's SeqCst fence acquired it, so the INSTALLING
+            // thread's write to the cell happened-before this read; the
+            // cell is never written again after SET.
+            if let Some(w) = unsafe { (*p).as_ref() } {
+                w.wake();
+            }
+        });
+    }
+    #[inline]
+    fn listening(&self) -> bool {
+        self.state.load(Relaxed) == SET
+    }
+}
+
+impl EventCount<TaskWake> {
     /// An empty, unarmed slot.
     pub fn new() -> Self {
-        WakerSlot {
-            state: AtomicUsize::new(EMPTY),
-            armed: AtomicBool::new(false),
-            waker: UnsafeCell::new(None),
-        }
+        Self::default()
     }
 
     /// Install `waker`. Returns `false` (dropping `waker`) if a waker is
@@ -130,78 +144,28 @@ impl WakerSlot {
     /// slot lifetime, which is what makes lock-free reads on the notify
     /// path sound.
     pub fn register(&self, waker: Arc<dyn FifoWaker>) -> bool {
-        if self
+        let slot = self.backend();
+        if slot
             .state
             .compare_exchange(EMPTY, INSTALLING, Relaxed, Relaxed)
             .is_err()
         {
             return false;
         }
-        self.waker.with_mut(|p| {
+        slot.waker.with_mut(|p| {
             // SAFETY: we won the EMPTY→INSTALLING CAS, so no other thread
             // writes the cell, and no reader dereferences it until the
             // Release store of SET below publishes our write.
             unsafe { *p = Some(waker) };
         });
-        self.state.store(SET, Release);
+        slot.state.store(SET, Release);
         true
     }
 
     /// `true` once a waker is installed.
     #[inline]
     pub fn is_registered(&self) -> bool {
-        self.state.load(Relaxed) == SET
-    }
-
-    /// Waiter side: declare interest in the next notify. Call **before**
-    /// re-checking the stream state; the SeqCst fence pairs with the one in
-    /// [`notify`](WakerSlot::notify) (see the module docs for the proof).
-    #[inline]
-    pub fn arm(&self) {
-        self.armed.store(true, Relaxed);
-        fence(SeqCst);
-    }
-
-    /// Waiter side: withdraw interest (the re-check found the stream
-    /// actionable, or the task is being claimed). Returns `false` if a
-    /// notifier already claimed the arm — its wake is in flight and will be
-    /// absorbed as a spurious one.
-    #[inline]
-    pub fn disarm(&self) -> bool {
-        self.armed.swap(false, Relaxed)
-    }
-
-    /// Notifier side: fire the registered waker if the slot is armed.
-    /// Called by the FIFO after every state change the opposite endpoint
-    /// might be waiting on. One relaxed load + branch when nothing was ever
-    /// registered; fence + flag check when registered; the callback only
-    /// when an arm is actually claimed.
-    #[inline]
-    pub fn notify(&self) {
-        if self.state.load(Relaxed) != SET {
-            return;
-        }
-        self.notify_slow();
-    }
-
-    #[cold]
-    fn notify_slow(&self) {
-        // Dekker pairing: orders the caller's preceding stream write before
-        // the `armed` read in the SC fence order (module docs). Also
-        // upgrades the relaxed `state == SET` observation into an acquire
-        // of the waker publication.
-        fence(SeqCst);
-        if self.armed.load(Relaxed) && self.armed.swap(false, Relaxed) {
-            self.waker.with(|p| {
-                // SAFETY: `state == SET` was observed and acquired via the
-                // fence above, so the INSTALLING thread's write to the cell
-                // happened-before this read; the cell is never written
-                // again after SET.
-                if let Some(w) = unsafe { (*p).as_ref() } {
-                    w.wake();
-                }
-            });
-        }
+        self.backend().listening()
     }
 }
 

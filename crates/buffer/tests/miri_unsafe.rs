@@ -7,7 +7,11 @@
 //!
 //! Miri checks what loom does not: uninitialized reads, use-after-free,
 //! leaks, and Stacked/Tree Borrows aliasing violations in the
-//! `UnsafeCell<MaybeUninit<..>>` slot protocol. Thread counts and element
+//! `UnsafeCell<MaybeUninit<..>>` slot protocol. There is one unsafe ring
+//! core (`raft_buffer::ring`); the tests below drive it over each of its
+//! backings — fixed heap (`BoundedSpsc`), heap swappable behind the resize
+//! fence (`Fifo`), and a segment (`ShmRing` / the arena free list, which
+//! under Miri sit on `ShmSegment::create_heap`). Thread counts and element
 //! counts are tiny because Miri executes ~3 orders of magnitude slower than
 //! native.
 #![cfg(not(loom))]
@@ -16,6 +20,41 @@ use raft_buffer::arena::{ArenaError, ShmArena};
 use raft_buffer::shm::ShmRing;
 use raft_buffer::spsc::BoundedSpsc;
 use raft_buffer::{fifo_with, Descriptor, FifoConfig, Signal, TryPopError};
+
+/// Covers: the same fill → reject → drain → refill-across-the-wrap script
+/// through the one ring core over each of its three backings, so every
+/// slot write, read-out and reuse the cursors perform is checked against
+/// heap cells, fence-guarded swappable storage (with a resize mid-script)
+/// and raw segment memory alike.
+#[test]
+fn one_ring_core_over_heap_swappable_and_segment_backings() {
+    fn script(mut push: impl FnMut(u64) -> bool, mut pop: impl FnMut() -> Option<u64>) {
+        assert!(push(1) && push(2));
+        assert!(!push(3), "capacity 2 is full");
+        assert_eq!(pop(), Some(1));
+        assert!(push(3), "freed slot is reused across the wrap");
+        assert_eq!((pop(), pop(), pop()), (Some(2), Some(3), None));
+    }
+    let (mut p, mut c) = BoundedSpsc::new(2);
+    script(|v| p.try_push(v).is_ok(), || c.try_pop().ok());
+
+    let (fifo, mut p, mut c) = fifo_with::<u64>(FifoConfig {
+        initial_capacity: 2,
+        min_capacity: 2,
+        ..FifoConfig::default()
+    });
+    script(
+        |v| p.try_push(v).is_ok(),
+        || {
+            // Swap the storage out from under the cursors and back.
+            assert_eq!((fifo.resize(8), fifo.resize(2)), (8, 2));
+            c.try_pop().ok()
+        },
+    );
+
+    let (mut p, mut c) = ShmRing::<u64>::pair(2);
+    script(|v| p.try_push(v).is_ok(), || c.try_pop().ok());
+}
 
 /// Covers: slot write (push), slot read-out (pop), slot reuse (wraparound),
 /// and the in-place peek reference — all of the ring's raw-pointer paths.
@@ -32,7 +71,7 @@ fn spsc_slot_protocol_single_threaded() {
     }
 }
 
-/// Covers: drop-time drain of initialized slots (`RingCore::drain`) with a
+/// Covers: drop-time drain of initialized slots (`HeapRing::drop`) with a
 /// heap-owning element type, so Miri's leak checker sees any missed drop.
 #[test]
 fn spsc_drop_drains_heap_elements() {

@@ -73,16 +73,24 @@ pub fn render(report: &ExeReport) -> String {
         "edge", "alloc", "items", "cap", "mean occ", "resizes"
     );
     for e in &report.edges {
+        // A rescue is a bounded park that timed out and found its condition
+        // already true: a lost wakeup. Healthy links have none, so the row
+        // only grows when there is something to act on.
+        let rescued = match e.stats.rescues {
+            0 => String::new(),
+            n => format!("  ⚠ {n} park rescues"),
+        };
         let _ = writeln!(
             out,
-            "  {:<44} {:>5} {:>9} {:>7} {:>9.1} {:>8}  {}",
+            "  {:<44} {:>5} {:>9} {:>7} {:>9.1} {:>8}  {}{}",
             truncate(&e.name, 44),
             e.alloc,
             e.stats.popped,
             e.stats.capacity,
             e.stats.mean_occupancy,
             e.stats.resizes,
-            sparkline(&e.stats.occupancy_hist)
+            sparkline(&e.stats.occupancy_hist),
+            rescued
         );
     }
 
@@ -315,6 +323,12 @@ mod tests {
         assert_eq!(approx_cols(&report), 0);
         report.kernels[0].timed_runs -= 1;
         assert_eq!(approx_cols(&report), 2);
+
+        // Park rescues appear on the link's row only when there are any.
+        report.edges[0].stats.rescues = 0;
+        assert!(!render(&report).contains("park rescues"));
+        report.edges[0].stats.rescues = 3;
+        assert!(render(&report).contains("⚠ 3 park rescues"));
     }
 
     #[test]
