@@ -9,15 +9,15 @@
 //!   sublinearity depends on);
 //! * a needle pattern *planted* at a configurable density, so match counts
 //!   are known in advance and every system's output can be verified;
-//! * fully seeded: the same parameters always produce the same bytes.
+//! * fully seeded: the same parameters produce the same bytes on every
+//!   machine and in every build — the generator is the in-tree
+//!   [`raft_rng::Rng`], and a golden test pins one corpus' hash.
 //!
 //! The substitution preserves what the experiment measures: exact-match
 //! scanning cost as a function of text statistics and match density, with
 //! the corpus resident in memory (the paper's RAM-disk condition).
 
-use rand::distributions::Distribution;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use raft_rng::Rng;
 
 /// Parameters for corpus generation.
 #[derive(Debug, Clone)]
@@ -32,7 +32,7 @@ pub struct CorpusSpec {
     pub needle: Vec<u8>,
     /// Approximate matches per megabyte of corpus.
     pub matches_per_mb: f64,
-    /// RNG seed.
+    /// RNG seed; with the other fields it fixes the corpus byte for byte.
     pub seed: u64,
 }
 
@@ -95,18 +95,16 @@ impl Zipf {
             (1.0 + x * (1.0 - self.s)).powf(1.0 / (1.0 - self.s))
         }
     }
-}
 
-impl Distribution<usize> for Zipf {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    fn sample(&self, rng: &mut Rng) -> usize {
         loop {
-            let u = self.h_x1 + rng.gen::<f64>() * (self.h_n - self.h_x1);
+            let u = self.h_x1 + rng.f64() * (self.h_n - self.h_x1);
             let x = self.h_inv(u);
             let k = (x + 0.5).floor().clamp(1.0, self.n);
             // Acceptance test simplified: accept k with probability
             // proportional to k^-s / envelope; cheap approximation.
             let ratio = (k / x).powf(self.s);
-            if rng.gen::<f64>() < ratio.min(1.0) {
+            if rng.f64() < ratio.min(1.0) {
                 return k as usize;
             }
         }
@@ -128,7 +126,7 @@ fn word(i: usize, buf: &mut Vec<u8>) {
 /// Generate a corpus per `spec`. See module docs for guarantees.
 pub fn generate(spec: &CorpusSpec) -> Corpus {
     assert!(!spec.needle.is_empty(), "needle must be non-empty");
-    let mut rng = StdRng::seed_from_u64(spec.seed);
+    let mut rng = Rng::new(spec.seed);
     let zipf = Zipf::new(spec.vocab.max(2), spec.zipf_s);
     let mut data = Vec::with_capacity(spec.size + 64);
     let mut wordbuf = Vec::with_capacity(16);
@@ -136,7 +134,7 @@ pub fn generate(spec: &CorpusSpec) -> Corpus {
     // Plant points: Poisson-ish spacing from the target density.
     let n_matches = ((spec.size as f64 / (1024.0 * 1024.0)) * spec.matches_per_mb).round() as usize;
     let mut plant_at: Vec<usize> = (0..n_matches)
-        .map(|_| rng.gen_range(0..spec.size.max(1)))
+        .map(|_| rng.range(0..spec.size.max(1)))
         .collect();
     plant_at.sort_unstable();
     plant_at.dedup();
@@ -155,7 +153,7 @@ pub fn generate(spec: &CorpusSpec) -> Corpus {
         word(rank, &mut wordbuf);
         data.extend_from_slice(&wordbuf);
         // occasional punctuation/newlines for realism
-        match rng.gen_range(0u32..100) {
+        match rng.range(0u32..100) {
             0..=2 => data.extend_from_slice(b".\n"),
             3..=5 => data.extend_from_slice(b", "),
             _ => data.push(b' '),
@@ -234,6 +232,37 @@ mod tests {
         assert_eq!(a.planted, b.planted);
     }
 
+    /// Pinned to what the parent of the zero-dependency change produced
+    /// under the benchmark's generator: fails if the frozen `text_search`
+    /// input would drift.
+    #[test]
+    fn golden_corpus_is_pinned() {
+        let fnv1a = |data: &[u8]| {
+            data.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let c = generate(&CorpusSpec {
+            size: 64 << 10,
+            matches_per_mb: 100.0,
+            ..Default::default()
+        });
+        assert_eq!(c.data.len(), 65_544);
+        assert_eq!(c.planted.len(), 6);
+        assert_eq!(c.planted[..3], [6107, 7198, 27707]);
+        assert_eq!(fnv1a(&c.data), 0x8509_adcf_80b4_34ab);
+
+        let c = generate(&CorpusSpec {
+            size: 200_000,
+            needle: b"needle".to_vec(),
+            matches_per_mb: 40.0,
+            seed: 7,
+            ..Default::default()
+        });
+        assert_eq!((c.data.len(), c.planted.len()), (200_002, 8));
+        assert_eq!(fnv1a(&c.data), 0x2c49_515e_b572_cd70);
+    }
+
     #[test]
     fn planted_offsets_are_real_matches() {
         let spec = CorpusSpec {
@@ -282,7 +311,7 @@ mod tests {
     #[test]
     fn zipf_is_skewed() {
         let z = Zipf::new(1000, 1.05);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::new(1);
         let mut lows = 0;
         const N: usize = 10_000;
         for _ in 0..N {

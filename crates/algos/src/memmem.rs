@@ -238,16 +238,10 @@ mod tests {
     fn agrees_with_naive_across_vector_boundaries() {
         // Deterministic pseudo-random filler over a tiny alphabet so false
         // candidates (rare byte present, full window absent) are common.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut rng = raft_rng::Rng::new(0x9e37_79b9_7f4a_7c15);
         for pat in [&b"qz"[..], b"abcq", b"qqq", b"a"] {
             for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 500] {
-                let mut hay: Vec<u8> = (0..len).map(|_| b"abq"[(next() % 3) as usize]).collect();
+                let mut hay: Vec<u8> = (0..len).map(|_| b"abq"[rng.range(0..3usize)]).collect();
                 // plant an occurrence butting against the end
                 if len >= pat.len() {
                     let at = len - pat.len();

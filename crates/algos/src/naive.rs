@@ -129,16 +129,10 @@ mod tests {
     #[test]
     fn single_pattern_path_agrees_with_generic_loop() {
         let absent = [0xFEu8, 0xFD];
-        let mut state = 0x243f6a8885a308d3u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut rng = raft_rng::Rng::new(0x243f_6a88_85a3_08d3);
         for pat in [&b"ab"[..], b"aaa", b"ba", b"b"] {
             for len in [0usize, 1, 16, 17, 32, 33, 64, 65, 300] {
-                let hay: Vec<u8> = (0..len).map(|_| b"ab"[(next() % 2) as usize]).collect();
+                let hay: Vec<u8> = (0..len).map(|_| b"ab"[rng.range(0..2usize)]).collect();
                 let fast = Naive::new(&[pat]);
                 let generic = Naive::new(&[pat, &absent[..]]);
                 for min_end in [0usize, 1, len / 2] {

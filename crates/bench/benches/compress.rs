@@ -2,21 +2,18 @@
 //! compress/decompress MB/s on the synthetic text corpus and on random
 //! bytes, plus the frame wrapper's raw-fallback overhead.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use raft_algos::corpus::{generate, CorpusSpec};
+use raft_bench::measure::{bench, Throughput};
 use raft_net::compress::{compress, compress_frame, decompress};
 
-fn bench_compress(c: &mut Criterion) {
+fn main() {
     let text = generate(&CorpusSpec {
         size: 1 << 20,
         ..Default::default()
     })
     .data;
-    let random: Vec<u8> = {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(9);
-        (0..1 << 20).map(|_| rng.gen()).collect()
-    };
+    let mut rng = raft_rng::Rng::new(9);
+    let random: Vec<u8> = (0..1 << 20).map(|_| rng.range(0..=u8::MAX)).collect();
 
     let lz_text = compress(&text);
     eprintln!(
@@ -26,26 +23,13 @@ fn bench_compress(c: &mut Criterion) {
         lz_text.len()
     );
 
-    let mut g = c.benchmark_group("lz_codec");
-    g.throughput(Throughput::Bytes(text.len() as u64));
-    g.bench_function("compress_text_1mb", |b| b.iter(|| compress(&text)));
-    g.bench_function("compress_random_1mb", |b| b.iter(|| compress(&random)));
-    g.bench_function("decompress_text_1mb", |b| {
-        b.iter(|| decompress(&lz_text, text.len()).unwrap())
+    let bytes = Some(Throughput::Bytes(text.len() as u64));
+    bench("lz_codec/compress_text_1mb", bytes, || compress(&text));
+    bench("lz_codec/compress_random_1mb", bytes, || compress(&random));
+    bench("lz_codec/decompress_text_1mb", bytes, || {
+        decompress(&lz_text, text.len()).unwrap()
     });
-    g.bench_function("frame_wrapper_random_fallback", |b| {
-        let payload = bytes::Bytes::from(random.clone());
-        b.iter(|| compress_frame(&payload));
+    bench("lz_codec/frame_wrapper_random_fallback", bytes, || {
+        compress_frame(&random)
     });
-    g.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .measurement_time(std::time::Duration::from_secs(4))
-        .warm_up_time(std::time::Duration::from_millis(500))
-        .sample_size(10);
-    targets = bench_compress
-}
-criterion_main!(benches);

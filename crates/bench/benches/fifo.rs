@@ -5,8 +5,8 @@
 //! that flexibility: same workload over `BoundedSpsc` (fixed) and `Fifo`
 //! (resizable), single-threaded ping-pong and cross-thread streaming.
 
-use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use raft_bench::jsonout::{compare_results, measure_melems_per_s, parse_results, JsonReport};
+use raft_bench::measure::{bench, Throughput};
 use raft_buffer::arena::{Descriptor, ShmArena};
 use raft_buffer::shm::{ShmRing, ShmSegment};
 use raft_buffer::{fifo_with, BoundedSpsc, FifoConfig};
@@ -20,81 +20,66 @@ const PAYLOAD_4K: usize = 4096;
 /// Payload size for the descriptor-vs-inline series.
 const PAYLOAD_1K: usize = 1024;
 
-fn bench_fifo(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fifo_pingpong");
-    g.throughput(Throughput::Elements(BATCH));
+fn bench_fifo() {
+    /// Single-threaded ping-pong: push a batch, popping every fourth
+    /// element and whenever the ring is full, then drain.
+    macro_rules! pingpong {
+        ($p:ident, $cns:ident) => {
+            for i in 0..BATCH {
+                while $p.try_push(i).is_err() {
+                    let _ = $cns.try_pop();
+                }
+                if i % 4 == 0 {
+                    let _ = $cns.try_pop();
+                }
+            }
+            while $cns.try_pop().is_ok() {}
+        };
+    }
+    /// Cross-thread streaming: a producer thread pushes, this one pops.
+    macro_rules! stream {
+        ($p:ident, $cns:ident) => {
+            let t = std::thread::spawn(move || {
+                for i in 0..BATCH * 10 {
+                    $p.push(i).unwrap();
+                }
+            });
+            let mut n = 0u64;
+            while $cns.pop().is_ok() {
+                n += 1;
+            }
+            t.join().unwrap();
+            assert_eq!(n, BATCH * 10);
+        };
+    }
 
-    g.bench_function(BenchmarkId::new("bounded_spsc", BATCH), |b| {
+    let batch = Some(Throughput::Elements(BATCH));
+    let (mut p, mut cns) = BoundedSpsc::<u64>::new(1024);
+    bench(
+        &format!("fifo_pingpong/bounded_spsc/{BATCH}"),
+        batch,
+        || {
+            pingpong!(p, cns);
+        },
+    );
+    let (_f, mut p, mut cns) = fifo_with::<u64>(FifoConfig::fixed(1024));
+    bench(
+        &format!("fifo_pingpong/resizable_fifo/{BATCH}"),
+        batch,
+        || {
+            pingpong!(p, cns);
+        },
+    );
+
+    let streamed = Some(Throughput::Elements(BATCH * 10));
+    bench("fifo_cross_thread/bounded_spsc", streamed, || {
         let (mut p, mut cns) = BoundedSpsc::<u64>::new(1024);
-        b.iter(|| {
-            for i in 0..BATCH {
-                while p.try_push(i).is_err() {
-                    let _ = cns.try_pop();
-                }
-                if i % 4 == 0 {
-                    let _ = cns.try_pop();
-                }
-            }
-            while cns.try_pop().is_ok() {}
-        });
+        stream!(p, cns);
     });
-
-    g.bench_function(BenchmarkId::new("resizable_fifo", BATCH), |b| {
+    bench("fifo_cross_thread/resizable_fifo", streamed, || {
         let (_f, mut p, mut cns) = fifo_with::<u64>(FifoConfig::fixed(1024));
-        b.iter(|| {
-            for i in 0..BATCH {
-                while p.try_push(i).is_err() {
-                    let _ = cns.try_pop();
-                }
-                if i % 4 == 0 {
-                    let _ = cns.try_pop();
-                }
-            }
-            while cns.try_pop().is_ok() {}
-        });
+        stream!(p, cns);
     });
-
-    g.finish();
-
-    let mut g = c.benchmark_group("fifo_cross_thread");
-    g.throughput(Throughput::Elements(BATCH * 10));
-    g.sample_size(10);
-
-    g.bench_function("bounded_spsc", |b| {
-        b.iter(|| {
-            let (mut p, mut cns) = BoundedSpsc::<u64>::new(1024);
-            let t = std::thread::spawn(move || {
-                for i in 0..BATCH * 10 {
-                    p.push(i).unwrap();
-                }
-            });
-            let mut n = 0u64;
-            while cns.pop().is_ok() {
-                n += 1;
-            }
-            t.join().unwrap();
-            assert_eq!(n, BATCH * 10);
-        });
-    });
-
-    g.bench_function("resizable_fifo", |b| {
-        b.iter(|| {
-            let (_f, mut p, mut cns) = fifo_with::<u64>(FifoConfig::fixed(1024));
-            let t = std::thread::spawn(move || {
-                for i in 0..BATCH * 10 {
-                    p.push(i).unwrap();
-                }
-            });
-            let mut n = 0u64;
-            while cns.pop().is_ok() {
-                n += 1;
-            }
-            t.join().unwrap();
-            assert_eq!(n, BATCH * 10);
-        });
-    });
-
-    g.finish();
 }
 
 // --- cross-process workers (this binary, re-executed) ----------------------
@@ -512,18 +497,9 @@ fn assert_fifo_mode() {
     }
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .measurement_time(std::time::Duration::from_secs(3))
-        .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_fifo
-}
-
 fn main() {
     // Worker modes: this binary re-executed as the consumer process of a
-    // cross-process measurement. Must be handled before criterion sees
-    // the args.
+    // cross-process measurement.
     let args: Vec<String> = std::env::args().collect();
     match args.get(1).map(String::as_str) {
         Some("--xchild-u64") => return xchild_u64(args[2].parse().expect("ring fd")),
@@ -536,9 +512,6 @@ fn main() {
         Some("--xchild-tcp") => return xchild_tcp(&args[2]),
         _ => {}
     }
-    // `--json` / `--assert-fifo` bypass criterion (which rejects unknown
-    // flags) and do plain wall-clock runs; anything else goes through
-    // criterion as usual.
     if args.iter().any(|a| a == "--json") {
         json_mode();
         return;
@@ -547,6 +520,5 @@ fn main() {
         assert_fifo_mode();
         return;
     }
-    benches();
-    Criterion::default().configure_from_args().final_summary();
+    bench_fifo();
 }

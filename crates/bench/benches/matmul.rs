@@ -1,42 +1,25 @@
 //! Matrix-multiply kernel: blocked vs naive (the Figure 4 workload's
 //! compute core), plus the streamed pipeline cost around it.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use raft_algos::matmul::{multiply_blocked, multiply_naive, Matrix};
+use raft_bench::measure::{bench, Throughput};
 use raft_bench::pipelines::matmul_pipeline;
 
-fn bench_matmul(c: &mut Criterion) {
+fn main() {
     let n = 128usize;
     let a = Matrix::random(n, 1);
     let b = Matrix::random(n, 2);
-    let flops = (2 * n * n * n) as u64;
+    let flops = Some(Throughput::Elements((2 * n * n * n) as u64));
 
-    let mut g = c.benchmark_group("matmul_kernel");
-    g.throughput(Throughput::Elements(flops));
-    g.sample_size(10);
-    g.bench_function(BenchmarkId::new("naive", n), |bch| {
-        bch.iter(|| multiply_naive(&a, &b))
+    bench(&format!("matmul_kernel/naive/{n}"), flops, || {
+        multiply_naive(&a, &b)
     });
     for block in [16usize, 64] {
-        g.bench_with_input(BenchmarkId::new("blocked", block), &block, |bch, &blk| {
-            bch.iter(|| multiply_blocked(&a, &b, blk))
+        bench(&format!("matmul_kernel/blocked/{block}"), flops, || {
+            multiply_blocked(&a, &b, block)
         });
     }
-    g.finish();
-
-    let mut g = c.benchmark_group("matmul_pipeline");
-    g.sample_size(10);
-    g.bench_function("streamed_16x_96", |bch| {
-        bch.iter(|| matmul_pipeline(16, 96, 8))
+    bench("matmul_pipeline/streamed_16x_96", None, || {
+        matmul_pipeline(16, 96, 8)
     });
-    g.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .measurement_time(std::time::Duration::from_secs(4))
-        .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_matmul
-}
-criterion_main!(benches);

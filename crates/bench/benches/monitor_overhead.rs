@@ -8,7 +8,7 @@
 //! with the monitor disabled, so the cost of observation is measured
 //! directly.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use raft_bench::measure::{bench, Throughput};
 use raft_kernels::{Count, Generate, Map};
 use raftlib::prelude::*;
 
@@ -30,36 +30,21 @@ fn run(monitor: MonitorConfig) -> std::time::Duration {
     report.elapsed
 }
 
-fn bench_monitor(c: &mut Criterion) {
-    let mut g = c.benchmark_group("monitor_overhead");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(ITEMS));
-
-    g.bench_function("disabled", |b| {
-        b.iter(|| run(MonitorConfig::disabled()));
+fn main() {
+    let items = Some(Throughput::Elements(ITEMS));
+    bench("monitor_overhead/disabled", items, || {
+        run(MonitorConfig::disabled())
     });
     for delta_us in [10u64, 100, 1000] {
-        g.bench_with_input(
-            BenchmarkId::new("delta_us", delta_us),
-            &delta_us,
-            |b, &d| {
-                b.iter(|| {
-                    run(MonitorConfig {
-                        delta: std::time::Duration::from_micros(d),
-                        ..Default::default()
-                    })
-                });
+        bench(
+            &format!("monitor_overhead/delta_us/{delta_us}"),
+            items,
+            || {
+                run(MonitorConfig {
+                    delta: std::time::Duration::from_micros(delta_us),
+                    ..Default::default()
+                })
             },
         );
     }
-    g.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .measurement_time(std::time::Duration::from_secs(5))
-        .warm_up_time(std::time::Duration::from_secs(1));
-    targets = bench_monitor
-}
-criterion_main!(benches);

@@ -4,24 +4,21 @@
 //! per stage) and fused (the map chain collapsed into one batch-executed
 //! kernel by the fusion pass).
 
-use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
+use raft_bench::measure::{bench, Throughput};
 use raft_bench::pipelines::{
     assert_fusion_wins, depth_pipeline, ports_json_series, DEPTH_FUSION_BATCH, DEPTH_ITEMS,
 };
 
-fn bench_ports(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pipeline_depth");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(DEPTH_ITEMS));
+fn bench_ports() {
+    let items = Some(Throughput::Elements(DEPTH_ITEMS));
     for depth in [0usize, 1, 2, 4] {
-        g.bench_with_input(BenchmarkId::new("unfused", depth), &depth, |b, &d| {
-            b.iter(|| depth_pipeline(d, false, DEPTH_FUSION_BATCH));
+        bench(&format!("pipeline_depth/unfused/{depth}"), items, || {
+            depth_pipeline(depth, false, DEPTH_FUSION_BATCH)
         });
-        g.bench_with_input(BenchmarkId::new("fused", depth), &depth, |b, &d| {
-            b.iter(|| depth_pipeline(d, true, DEPTH_FUSION_BATCH));
+        bench(&format!("pipeline_depth/fused/{depth}"), items, || {
+            depth_pipeline(depth, true, DEPTH_FUSION_BATCH)
         });
     }
-    g.finish();
 }
 
 /// `--json` mode: run the depth series (fused and unfused), record
@@ -44,22 +41,11 @@ fn json_mode(assert_fusion: bool) {
     }
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .measurement_time(std::time::Duration::from_secs(5))
-        .warm_up_time(std::time::Duration::from_secs(1));
-    targets = bench_ports
-}
-
 fn main() {
-    // `--json` bypasses criterion (which rejects unknown flags) and does a
-    // plain wall-clock run; anything else goes through criterion as usual.
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--json") {
         json_mode(args.iter().any(|a| a == "--assert-fusion"));
         return;
     }
-    benches();
-    Criterion::default().configure_from_args().final_summary();
+    bench_ports();
 }

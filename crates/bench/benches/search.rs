@@ -2,13 +2,13 @@
 //! the inputs to Figure 10's flow model, measured in isolation from any
 //! pipeline machinery.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use raft_algos::corpus::{generate, CorpusSpec};
 use raft_algos::{AhoCorasick, BoyerMoore, Horspool, Matcher, MemMem};
+use raft_bench::measure::{bench, Throughput};
 
 const MB: usize = 8;
 
-fn bench_search(c: &mut Criterion) {
+fn main() {
     let corpus = generate(&CorpusSpec {
         size: MB << 20,
         matches_per_mb: 10.0,
@@ -18,10 +18,7 @@ fn bench_search(c: &mut Criterion) {
     let hay = corpus.data;
     let needle = corpus.needle.clone();
 
-    let mut g = c.benchmark_group("search_algorithms");
-    g.sample_size(20);
-    g.throughput(Throughput::Bytes(hay.len() as u64));
-
+    let bytes = Some(Throughput::Bytes(hay.len() as u64));
     let matchers: Vec<(&str, Box<dyn Matcher>)> = vec![
         ("aho_corasick", Box::new(AhoCorasick::new(&[&needle]))),
         ("boyer_moore", Box::new(BoyerMoore::new(&needle))),
@@ -29,32 +26,19 @@ fn bench_search(c: &mut Criterion) {
         ("memmem_grep_class", Box::new(MemMem::new(&needle))),
     ];
     for (name, m) in matchers {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let n = m.count(&hay);
-                assert_eq!(n, expected);
-            });
+        bench(&format!("search_algorithms/{name}"), bytes, || {
+            assert_eq!(m.count(&hay), expected);
         });
     }
-    g.finish();
 
     // Automaton construction cost (AC pays it, the shift tables are ~free).
-    let mut g = c.benchmark_group("matcher_construction");
-    g.bench_function("aho_corasick_100_patterns", |b| {
-        let patterns: Vec<String> = (0..100).map(|i| format!("pattern{i:04}")).collect();
-        b.iter(|| AhoCorasick::new(&patterns));
+    let patterns: Vec<String> = (0..100).map(|i| format!("pattern{i:04}")).collect();
+    bench(
+        "matcher_construction/aho_corasick_100_patterns",
+        None,
+        || AhoCorasick::new(&patterns),
+    );
+    bench("matcher_construction/horspool", None, || {
+        Horspool::new(&needle)
     });
-    g.bench_function("horspool", |b| {
-        b.iter(|| Horspool::new(&needle));
-    });
-    g.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .measurement_time(std::time::Duration::from_secs(5))
-        .warm_up_time(std::time::Duration::from_secs(1));
-    targets = bench_search
-}
-criterion_main!(benches);

@@ -7,7 +7,7 @@
 //! assertions) that both land in the same neighbourhood on a Figure-4-like
 //! cost bowl.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use raft_bench::measure::bench;
 use raft_model::queues::MM1K;
 use raft_model::sizing::{analytic_mm1k, branch_and_bound};
 
@@ -22,33 +22,15 @@ fn simulated_exec_time(cap: usize) -> f64 {
     base + blocking_penalty + cache_penalty
 }
 
-fn bench_sizing(c: &mut Criterion) {
-    let mut g = c.benchmark_group("buffer_sizing");
-
-    g.bench_function("branch_and_bound", |b| {
-        b.iter(|| {
-            let r = branch_and_bound(1, 1 << 16, simulated_exec_time);
-            assert!(r.capacity >= 16, "picked a blocking-heavy size: {r:?}");
-            r
-        });
+fn main() {
+    bench("buffer_sizing/branch_and_bound", None, || {
+        let r = branch_and_bound(1, 1 << 16, simulated_exec_time);
+        assert!(r.capacity >= 16, "picked a blocking-heavy size: {r:?}");
+        r
     });
-
-    g.bench_function("analytic_mm1k", |b| {
-        b.iter(|| {
-            let k = analytic_mm1k(90.0, 100.0, 1e-3, 1 << 16);
-            assert!(k >= 16);
-            k
-        });
+    bench("buffer_sizing/analytic_mm1k", None, || {
+        let k = analytic_mm1k(90.0, 100.0, 1e-3, 1 << 16);
+        assert!(k >= 16);
+        k
     });
-
-    g.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .measurement_time(std::time::Duration::from_secs(3))
-        .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_sizing
-}
-criterion_main!(benches);

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use raft_bench::measure::{bench, Throughput};
 use raft_kernels::{Count, Generate};
 use raftlib::prelude::*;
 
@@ -88,27 +88,16 @@ fn run(strategy: SplitStrategy, skew: u64) -> std::time::Duration {
     report.elapsed
 }
 
-fn bench_split(c: &mut Criterion) {
-    let mut g = c.benchmark_group("split_strategy");
-    g.sample_size(10);
-    g.sampling_mode(criterion::SamplingMode::Flat);
-    g.throughput(Throughput::Elements(ITEMS));
+fn main() {
+    let items = Some(Throughput::Elements(ITEMS));
     for skew in [1u64, 1_000, 5_000] {
-        g.bench_with_input(BenchmarkId::new("round_robin", skew), &skew, |b, &s| {
-            b.iter(|| run(SplitStrategy::RoundRobin, s))
+        bench(&format!("split_strategy/round_robin/{skew}"), items, || {
+            run(SplitStrategy::RoundRobin, skew)
         });
-        g.bench_with_input(BenchmarkId::new("least_utilized", skew), &skew, |b, &s| {
-            b.iter(|| run(SplitStrategy::LeastUtilized, s))
-        });
+        bench(
+            &format!("split_strategy/least_utilized/{skew}"),
+            items,
+            || run(SplitStrategy::LeastUtilized, skew),
+        );
     }
-    g.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .measurement_time(std::time::Duration::from_secs(6))
-        .warm_up_time(std::time::Duration::from_secs(1));
-    targets = bench_split
-}
-criterion_main!(benches);

@@ -15,34 +15,30 @@
 //! * `journaled` — Restart policies plus a replay journal on the link
 //!   (per-pop record, per-run commit: the recovery contract's dead weight).
 //!
-//! The measured pipeline lives in `raft_bench::pipelines` so the offline
-//! harness runs exactly this code.
+//! The measured pipeline lives in `raft_bench::pipelines`: the plain
+//! series and the `--json` gates run exactly the same code.
 
-use criterion::{criterion_group, Criterion, Throughput};
+use raft_bench::measure::{bench, Throughput};
 use raft_bench::pipelines::{
     assert_journal_overhead, assert_proc_overhead, proc_drain_worker, supervision_json_series,
     supervision_pipeline, SUPERVISION_ITEMS,
 };
 
-fn bench_supervision(c: &mut Criterion) {
-    let mut g = c.benchmark_group("supervision_overhead");
-    g.throughput(Throughput::Elements(SUPERVISION_ITEMS));
-    g.sample_size(10);
-
-    g.bench_function("baseline", |b| {
-        b.iter(|| assert_eq!(supervision_pipeline(false, false, false), SUPERVISION_ITEMS));
-    });
-    g.bench_function("supervised", |b| {
-        b.iter(|| assert_eq!(supervision_pipeline(true, false, false), SUPERVISION_ITEMS));
-    });
-    g.bench_function("watchdog", |b| {
-        b.iter(|| assert_eq!(supervision_pipeline(true, true, false), SUPERVISION_ITEMS));
-    });
-    g.bench_function("journaled", |b| {
-        b.iter(|| assert_eq!(supervision_pipeline(true, false, true), SUPERVISION_ITEMS));
-    });
-
-    g.finish();
+fn bench_supervision() {
+    let items = Some(Throughput::Elements(SUPERVISION_ITEMS));
+    for (name, supervised, watchdog, journaled) in [
+        ("baseline", false, false, false),
+        ("supervised", true, false, false),
+        ("watchdog", true, true, false),
+        ("journaled", true, false, true),
+    ] {
+        bench(&format!("supervision_overhead/{name}"), items, || {
+            assert_eq!(
+                supervision_pipeline(supervised, watchdog, journaled),
+                SUPERVISION_ITEMS
+            );
+        });
+    }
 }
 
 /// `--json` mode: the interleaved best-of-N series recorded at the repo
@@ -67,17 +63,9 @@ fn json_mode(gate_journal: bool, gate_proc: bool) {
     }
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .measurement_time(std::time::Duration::from_secs(3))
-        .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_supervision
-}
-
 fn main() {
     // Worker mode first: the proc series re-executes this binary with the
-    // ring fd in the environment; it must never fall through to criterion.
+    // ring fd in the environment; it must never fall through to the series.
     if let Ok(fd) = std::env::var("RAFT_BENCH_PROC_WORKER") {
         let beat = std::env::var("RAFT_BENCH_PROC_BEAT").is_ok();
         proc_drain_worker(fd.parse().expect("worker ring fd"), beat);
@@ -90,6 +78,5 @@ fn main() {
         );
         return;
     }
-    benches();
-    Criterion::default().configure_from_args().final_summary();
+    bench_supervision();
 }

@@ -2,7 +2,7 @@
 //! (§4.2's future-work feature) — on compressible (text) and
 //! incompressible (random) element streams.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use raft_bench::measure::{bench, Throughput};
 use raft_kernels::{Count, Generate};
 use raft_net::tcp_bridge;
 use raftlib::prelude::*;
@@ -47,34 +47,21 @@ fn text_payloads() -> Vec<Vec<u8>> {
 }
 
 fn random_payloads() -> Vec<Vec<u8>> {
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(5);
+    let mut rng = raft_rng::Rng::new(5);
     (0..ITEMS)
-        .map(|_| (0..72).map(|_| rng.gen::<u8>()).collect())
+        .map(|_| (0..72).map(|_| rng.range(0..=u8::MAX)).collect())
         .collect()
 }
 
-fn bench_tcp(c: &mut Criterion) {
+fn main() {
     let bytes: usize = text_payloads().iter().map(Vec::len).sum();
-    let mut g = c.benchmark_group("tcp_link");
-    g.sample_size(10);
-    g.throughput(Throughput::Bytes(bytes as u64));
+    let bytes = Some(Throughput::Bytes(bytes as u64));
     for (label, compressed) in [("raw", false), ("compressed", true)] {
-        g.bench_with_input(BenchmarkId::new("text", label), &compressed, |b, &z| {
-            b.iter(|| run(z, text_payloads()));
+        bench(&format!("tcp_link/text/{label}"), bytes, || {
+            run(compressed, text_payloads());
         });
-        g.bench_with_input(BenchmarkId::new("random", label), &compressed, |b, &z| {
-            b.iter(|| run(z, random_payloads()));
+        bench(&format!("tcp_link/random/{label}"), bytes, || {
+            run(compressed, random_payloads());
         });
     }
-    g.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .measurement_time(std::time::Duration::from_secs(5))
-        .warm_up_time(std::time::Duration::from_secs(1));
-    targets = bench_tcp
-}
-criterion_main!(benches);

@@ -15,8 +15,10 @@
 //! | `algo_swap` | §5 — AC→BMH hot swap removing the bottleneck |
 //! | `resize_trace` | §4 — dynamic queue resizing under bursty rates |
 //!
-//! Criterion benches: `fifo`, `ports`, `search`, `split_strategy`,
-//! `monitor_overhead`, `sizing`.
+//! Benches (`cargo bench -p raft-bench --bench <name>`, each series timed
+//! by [`measure::bench`]): `fifo`, `ports`, `search`, `split_strategy`,
+//! `monitor_overhead`, `sizing`, `tcp_link`, `compress`, `matmul`,
+//! `supervision`.
 //!
 //! This library holds the shared pieces: the two comparator systems the
 //! paper benchmarks against (re-implemented, see DESIGN.md §4

@@ -1,6 +1,7 @@
 //! Measurement utilities: repeated timing, summary statistics, table
-//! printing.
+//! printing, and [`bench`], the runner behind every `benches/*.rs` target.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Summary of a sample of measurements.
@@ -48,6 +49,54 @@ pub fn summarize(times: &mut [Duration]) -> Summary {
         n,
     }
 }
+
+/// Work one iteration of a [`bench`] body does, for its throughput column.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// Stream elements (or flops) per iteration.
+    Elements(u64),
+    /// Bytes per iteration.
+    Bytes(u64),
+}
+
+/// One named series of a `benches/*.rs` target: time `f` with [`sample`]
+/// and print a row — per-iteration mean, p5/p95 and throughput.
+///
+/// A body faster than [`SAMPLE_FLOOR`] is repeated inside each sample so
+/// the clock reads stay off the measurement. Without cargo's `--bench`
+/// flag, or with `-- --test` (the CI smoke mode), the body runs exactly
+/// once: the target only proves it still works.
+pub fn bench<R>(name: &str, work: Option<Throughput>, mut f: impl FnMut() -> R) {
+    let args: Vec<String> = std::env::args().collect();
+    if args.iter().any(|a| a == "--test") || !args.iter().any(|a| a == "--bench") {
+        black_box(f());
+        println!("{name}: ok");
+        return;
+    }
+    let warm_up = sample(1, || drop(black_box(f()))).mean;
+    let iters = (SAMPLE_FLOOR.as_nanos() / warm_up.as_nanos().max(1)).clamp(1, 1 << 24) as u32;
+    let s = sample(SAMPLES, || (0..iters).for_each(|_| drop(black_box(f()))));
+    let rate = |per_iter: u64, unit: &str| {
+        let per_s = per_iter as f64 * f64::from(iters) / s.mean.as_secs_f64();
+        format!("  {:>10.3} M{unit}/s", per_s / 1e6)
+    };
+    println!(
+        "{name:<44} {:>12.3?} [p5 {:.3?}, p95 {:.3?}]{}",
+        s.mean / iters,
+        s.p5 / iters,
+        s.p95 / iters,
+        match work {
+            Some(Throughput::Elements(n)) => rate(n, "elem"),
+            Some(Throughput::Bytes(n)) => rate(n, "B"),
+            None => String::new(),
+        }
+    );
+}
+
+/// Samples per [`bench`] series.
+const SAMPLES: usize = 10;
+/// Shortest sample [`bench`] will time; faster bodies are batched up to it.
+const SAMPLE_FLOOR: Duration = Duration::from_millis(10);
 
 /// Throughput in GB/s for `bytes` processed in `dt`.
 pub fn gbps(bytes: usize, dt: Duration) -> f64 {

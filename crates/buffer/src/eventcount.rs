@@ -37,11 +37,10 @@
 //! handoff for each backend. DESIGN §10 has the long form.
 
 use std::sync::atomic::AtomicU64;
-use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::sync::{
-    fence, AtomicU32,
+    fence, AtomicU32, Condvar, Mutex,
     Ordering::{self, Relaxed, SeqCst},
 };
 use crate::wait::{WaitAction, WaitStrategy, Waiter};
@@ -236,21 +235,17 @@ impl Wake for ThreadPark {
         &self.seq
     }
     fn park(&self, epoch: u32, timeout: Duration) -> bool {
-        // Nothing is protected by the mutex, so a poisoned one is harmless.
-        let guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let guard = self.lock.lock();
         if self.seq.load(Relaxed) != epoch {
             return false;
         }
         // One wait, not a loop: a spurious wake-up just sends the caller
         // round its own re-check loop.
-        let (_guard, end) = self
-            .wake
-            .wait_timeout(guard, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        end.timed_out() && self.seq.load(Relaxed) == epoch
+        let (_guard, timed_out) = self.wake.wait_timeout(guard, timeout);
+        timed_out && self.seq.load(Relaxed) == epoch
     }
     fn unpark(&self) {
-        drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
+        drop(self.lock.lock());
         self.wake.notify_all();
     }
 }

@@ -8,7 +8,7 @@
 //! (e.g. `"core::scheduler::step"`, `"buffer::fifo::resize"`,
 //! `"net::frame::write"`). Sites are disarmed by default; a test arms one
 //! with [`arm`], choosing an action and a firing rate, and every firing
-//! decision is drawn from a per-site xorshift stream seeded by
+//! decision is drawn from a per-site [`raft_rng::Rng`] stream seeded by
 //! `global seed ⊕ fnv1a(site)` — so a given `(seed, site, rate)` triple
 //! produces the same fault schedule on every run, which is what lets the CI
 //! chaos job pin three seeds and get reproducible failures.
@@ -21,6 +21,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
+
+use raft_rng::Rng;
 
 /// What an armed failpoint does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +43,7 @@ struct Site {
     /// Stop firing after this many firings (0 = unlimited).
     budget: u64,
     fired: u64,
-    rng: u64,
+    rng: Rng,
     hits: u64,
 }
 
@@ -74,15 +76,6 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
 /// Set the global chaos seed. Call before arming sites; re-seeding resets
 /// the draw streams of sites armed afterwards (already-armed sites keep
 /// their stream).
@@ -94,7 +87,7 @@ pub fn set_seed(seed: u64) {
 /// `budget` times (`0` = unlimited). Re-arming a site replaces its state.
 pub fn arm(site: &str, action: FailAction, one_in: u32, budget: u64) {
     let mut reg = registry().lock().expect("failpoint registry");
-    let rng = (reg.seed ^ fnv1a(site)).max(1);
+    let rng = Rng::new(reg.seed ^ fnv1a(site));
     let prev = reg.sites.insert(
         site.to_string(),
         Site {
@@ -151,7 +144,7 @@ pub fn check(site: &str) -> Option<FailAction> {
     if s.budget != 0 && s.fired >= s.budget {
         return None;
     }
-    if xorshift(&mut s.rng) % s.one_in as u64 != 0 {
+    if s.rng.range(0..s.one_in) != 0 {
         return None;
     }
     s.fired += 1;

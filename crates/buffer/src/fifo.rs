@@ -42,7 +42,7 @@ use std::sync::atomic::{
     AtomicBool, AtomicU64, AtomicU8,
     Ordering::{AcqRel, Acquire, Relaxed, Release},
 };
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::{PopError, PushError, TryPopError, TryPushError};
@@ -52,7 +52,7 @@ use crate::journal::{AdmissionPolicy, JournalConfig, ReplayWindow};
 use crate::ring::{Backing, ConsumerCursor, Counters, ProducerCursor};
 use crate::signal::Signal;
 use crate::stats::{FifoStats, StatsSnapshot};
-use crate::sync::{AtomicUsize, CachePadded};
+use crate::sync::{AtomicUsize, CachePadded, Mutex};
 use crate::waker::WakerSlot;
 
 /// Drain levels for the cooperative shutdown protocol (see
@@ -748,7 +748,7 @@ impl<T: Send> Shared<T> {
             // only ever return the current capacity anyway.
             return self.capacity();
         }
-        let _resizing = self.resizing.lock().unwrap_or_else(PoisonError::into_inner);
+        let _resizing = self.resizing.lock();
         // Chaos hook: inject a stall (or panic) while holding the resizer
         // lock but before the fence, the window where a wedged resize is
         // most visible to the endpoints.

@@ -51,7 +51,8 @@
 //! A third party — the monitor — may call [`fifo::Fifo::resize`] and read
 //! stats at any time.
 //!
-//! The crate has no registry dependencies: locks and condvars are `std`'s.
+//! The crate has no registry dependencies: locks and condvars are `std`'s
+//! behind the non-poisoning [`sync::Mutex`]/[`sync::Condvar`] pair.
 
 pub mod arena;
 pub mod error;
@@ -69,7 +70,7 @@ pub mod shm;
 pub mod signal;
 pub mod spsc;
 pub mod stats;
-pub(crate) mod sync;
+pub mod sync;
 pub mod wait;
 pub mod waker;
 

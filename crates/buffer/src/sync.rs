@@ -1,21 +1,30 @@
-//! Concurrency primitives, swappable for [loom] model checking.
+//! Concurrency primitives: the `std`/[loom] switch, cache padding and the
+//! workspace's one lock wrapper.
 //!
 //! The lock-free code in this crate ([`crate::ring`], [`crate::eventcount`],
 //! [`crate::fence`], [`crate::waker`]) is written against this module
 //! instead of `std` directly. In a normal build it re-exports
-//! the `std` types (plus a zero-cost [`UnsafeCell`] wrapper exposing loom's
+//! the `std` types (plus a zero-cost `UnsafeCell` wrapper exposing loom's
 //! closure-based access API). Under `RUSTFLAGS="--cfg loom"` it re-exports
 //! loom's instrumented equivalents, which exhaustively explore every
 //! interleaving the C11 memory model permits — including weak-memory
 //! reorderings a test machine may never exhibit.
 //!
-//! Run the model checks with:
+//! loom is a registry crate, so the model checks build this same source
+//! through the sibling `verify/` workspace (the root workspace resolves to
+//! path packages only):
 //!
 //! ```text
-//! RUSTFLAGS="--cfg loom" cargo test -p raft-buffer --test loom_spsc --release
+//! RUSTFLAGS="--cfg loom" cargo test --manifest-path verify/Cargo.toml --release
 //! ```
 //!
+//! [`Mutex`] and [`Condvar`] are the non-poisoning lock pair every crate in
+//! the workspace uses; they are `std`'s under either backend.
+//!
 //! [loom]: https://docs.rs/loom
+
+use std::sync::{LockResult, MutexGuard, PoisonError, TryLockError};
+use std::time::Duration;
 
 #[cfg(loom)]
 pub(crate) use loom::{
@@ -100,5 +109,105 @@ impl<T> UnsafeCell<T> {
     #[inline]
     pub(crate) fn with_mut<R>(&self, f: impl FnOnce(*mut T) -> R) -> R {
         f(self.0.get())
+    }
+}
+
+/// Kernels panic under `catch_unwind` by design, so a panic while a lock is
+/// held is an expected event and never a reason to fail the next locker:
+/// every value these locks guard is valid between any two statements.
+fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// `std::sync::Mutex` without poisoning.
+#[derive(Debug, Default)]
+pub struct Mutex<T>(std::sync::Mutex<T>);
+
+impl<T> Mutex<T> {
+    /// New unlocked mutex.
+    pub const fn new(value: T) -> Self {
+        Mutex(std::sync::Mutex::new(value))
+    }
+
+    /// Block until locked.
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        unpoisoned(self.0.lock())
+    }
+
+    /// Lock if free.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.0.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+}
+
+/// `std::sync::Condvar` for guards of [`Mutex`], without poisoning.
+#[derive(Debug, Default)]
+pub struct Condvar(std::sync::Condvar);
+
+impl Condvar {
+    /// New condition variable.
+    pub const fn new() -> Self {
+        Condvar(std::sync::Condvar::new())
+    }
+
+    /// Wait until notified or `timeout` elapses; the flag is `true` on
+    /// timeout. Spurious wake-ups happen: callers re-check their condition.
+    pub fn wait_timeout<'a, T>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        timeout: Duration,
+    ) -> (MutexGuard<'a, T>, bool) {
+        let (guard, result) = unpoisoned(self.0.wait_timeout(guard, timeout));
+        (guard, result.timed_out())
+    }
+
+    /// Wake one waiter.
+    pub fn notify_one(&self) {
+        self.0.notify_one();
+    }
+
+    /// Wake every waiter.
+    pub fn notify_all(&self) {
+        self.0.notify_all();
+    }
+}
+
+#[cfg(all(test, not(loom)))]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    /// A thread panics while holding the lock; the next `lock()` (and
+    /// `try_lock()`, and a timed wait) still succeed and see its writes.
+    #[test]
+    fn a_panic_under_the_lock_does_not_poison_it() {
+        let shared = Arc::new((Mutex::new(0u32), Condvar::new()));
+        let holder = Arc::clone(&shared);
+        let died = std::thread::spawn(move || {
+            let mut guard = holder.0.lock();
+            *guard = 7;
+            panic!("kernel panicked while holding the lock");
+        })
+        .join();
+        assert!(died.is_err());
+
+        assert_eq!(*shared.0.lock(), 7);
+        assert_eq!(shared.0.try_lock().map(|g| *g), Some(7));
+        let (guard, timed_out) = shared
+            .1
+            .wait_timeout(shared.0.lock(), Duration::from_millis(1));
+        assert!(timed_out);
+        assert_eq!(*guard, 7);
+    }
+
+    #[test]
+    fn try_lock_reports_contention_as_none() {
+        let m = Mutex::new(());
+        let _held = m.lock();
+        assert!(m.try_lock().is_none());
     }
 }

@@ -26,8 +26,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use raft_buffer::fifo::Monitorable;
+use raft_buffer::sync::Mutex;
 
 use crate::parallel::WidthControl;
 use crate::scheduler::KernelTelemetry;

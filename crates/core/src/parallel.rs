@@ -23,6 +23,8 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+use raft_buffer::{WaitStrategy, Waiter};
+
 use crate::kernel::{KStatus, Kernel, PortSpec};
 use crate::port::Context;
 
@@ -156,7 +158,7 @@ impl<T: Send + Clone + 'static> Kernel for Split<T> {
                 // broken from a rotating offset so a saturated pipeline
                 // does not convoy on replica 0.
                 let mut item = Some(item);
-                let backoff = crossbeam::utils::Backoff::new();
+                let mut waiter = Waiter::new(WaitStrategy::spinning());
                 while let Some(v) = item.take() {
                     let start = self.next_rr % active;
                     self.next_rr = (self.next_rr + 1) % active.max(1);
@@ -178,7 +180,7 @@ impl<T: Send + Clone + 'static> Kernel for Split<T> {
                             // and re-evaluate (a replica will drain first).
                             item = Some(v);
                             drop(out);
-                            backoff.snooze();
+                            waiter.pause();
                         }
                         Err(_) => return KStatus::Stop, // replica gone
                     }

@@ -64,6 +64,7 @@ use std::time::{Duration, Instant};
 
 use raft_buffer::arena::DescriptorSender;
 use raft_buffer::shm::{JournaledShmProducer, ShmItem, ShmSegment};
+use raft_rng::Rng;
 
 use crate::supervise::{KernelOutcome, SupervisorPolicy};
 
@@ -177,16 +178,11 @@ pub fn default_backoff() -> Duration {
 }
 
 /// Jitter `d` into `[0.75 d, 1.25 d)` so a fleet of workers crashing
-/// together does not respawn in lockstep. xorshift over a per-process,
+/// together does not respawn in lockstep. Drawn from a per-process,
 /// per-attempt salt — deterministic enough to test, varied enough to
 /// de-synchronize.
 fn jittered(d: Duration, salt: u64) -> Duration {
-    let mut x = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    let frac = (x % 512) as f64 / 1024.0; // [0, 0.5)
-    d.mul_f64(0.75 + frac)
+    d.mul_f64(Rng::new(salt).range(0.75..1.25))
 }
 
 /// One shared-memory attachment the worker holds, with the producer-side

@@ -17,8 +17,8 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use raft_buffer::fifo::Monitorable;
+use raft_buffer::sync::Mutex;
 use raft_buffer::{LinkAlloc, StatsSnapshot, DRAIN_DRAINING, DRAIN_QUIESCED};
 
 use crate::error::ExeError;

@@ -25,7 +25,7 @@ use std::sync::atomic::{
     Ordering::{Acquire, Relaxed, Release, SeqCst},
 };
 
-use crossbeam::utils::CachePadded;
+use raft_buffer::sync::CachePadded;
 
 /// Result of a steal attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -41,7 +41,7 @@ use std::sync::atomic::{
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use raft_buffer::sync::{Condvar, Mutex};
 use raft_buffer::{FifoWaker, WaitAction, WaitStrategy, Waiter};
 
 use crate::affinity;
@@ -502,10 +502,7 @@ impl Scheduler for WorkStealing {
                             let mut g = core.park_lock.lock();
                             let mut timed_out = false;
                             if !core.has_work() && core.remaining.load(Acquire) > 0 {
-                                timed_out = core
-                                    .unpark
-                                    .wait_for(&mut g, WORKER_PARK_TIMEOUT)
-                                    .timed_out();
+                                (g, timed_out) = core.unpark.wait_timeout(g, WORKER_PARK_TIMEOUT);
                             }
                             drop(g);
                             core.sleepers.fetch_sub(1, SeqCst);

@@ -70,11 +70,7 @@ fn main() {
 
 /// Map a chaos seed to a kill offset in the first half of the stream.
 fn kill_offset(seed: u64) -> u64 {
-    let mut x = seed ^ 0xcbf2_9ce4_8422_2325;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    1 + x % (RECORDS / 2)
+    raft_rng::Rng::new(seed).range(1..=RECORDS / 2)
 }
 
 /// SIGKILL ourselves: no drop glue, no close flags, no goodbye.

@@ -2,7 +2,7 @@
 //!
 //! Part of the `raft_failpoints` harness: wrap any kernel and the wrapper
 //! injects panics and stalls around the inner `run()` on a schedule drawn
-//! from a seeded xorshift stream — the same fault sequence on every run
+//! from a seeded [`raft_rng::Rng`] stream — the same fault sequence on every run
 //! with the same [`ChaosConfig`]. This is how the supervision test suite
 //! exercises every [`SupervisorPolicy`](raftlib::SupervisorPolicy) without
 //! writing a bespoke panicking kernel per case.
@@ -12,12 +12,13 @@
 //! the inner kernel's replica — modelling the common real-world shape
 //! where a restarted instance does not re-hit the original fault.
 
+use raft_rng::Rng;
 use raftlib::prelude::*;
 
 /// Fault schedule for one [`ChaosKernel`].
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosConfig {
-    /// Seed for the per-wrapper xorshift draw stream.
+    /// Seed for the per-wrapper draw stream.
     pub seed: u64,
     /// Panic before the inner `run()` on average once every `panic_1_in`
     /// invocations (`0` = never).
@@ -62,7 +63,7 @@ impl ChaosConfig {
 pub struct ChaosKernel<K: Kernel> {
     inner: K,
     cfg: ChaosConfig,
-    rng: u64,
+    rng: Rng,
     faults: u32,
 }
 
@@ -71,19 +72,10 @@ impl<K: Kernel> ChaosKernel<K> {
     pub fn new(inner: K, cfg: ChaosConfig) -> Self {
         ChaosKernel {
             inner,
-            rng: cfg.seed.max(1),
+            rng: Rng::new(cfg.seed),
             cfg,
             faults: 0,
         }
-    }
-
-    fn draw(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x
     }
 
     fn budget_left(&self) -> bool {
@@ -98,14 +90,14 @@ impl<K: Kernel> Kernel for ChaosKernel<K> {
 
     fn run(&mut self, ctx: &Context) -> KStatus {
         if self.cfg.panic_1_in != 0 && self.budget_left() {
-            let fire = self.draw() % self.cfg.panic_1_in as u64 == 0;
+            let fire = self.rng.range(0..self.cfg.panic_1_in) == 0;
             if fire {
                 self.faults += 1;
                 panic!("ChaosKernel injected panic (seed {})", self.cfg.seed);
             }
         }
         if self.cfg.stall_1_in != 0 && self.budget_left() {
-            let fire = self.draw() % self.cfg.stall_1_in as u64 == 0;
+            let fire = self.rng.range(0..self.cfg.stall_1_in) == 0;
             if fire {
                 self.faults += 1;
                 std::thread::sleep(self.cfg.stall);

@@ -3,16 +3,9 @@
 use std::fmt::Display;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot_shim::Mutex;
 use raftlib::prelude::*;
-
-/// `parking_lot` is not a dependency of this crate; the tiny shim keeps the
-/// lock choice local (std `Mutex` is fine for sink-side aggregation).
-mod parking_lot_shim {
-    pub use std::sync::Mutex;
-}
 
 /// The paper's `print` kernel (Figure 3): writes each item and a separator
 /// to a writer (stdout by default).

@@ -8,8 +8,7 @@
 //! the cost function is typically a [`crate::flow::FlowGraph`] analysis or
 //! a calibration run.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use raft_rng::Rng;
 
 /// One tunable dimension: an inclusive integer range.
 #[derive(Debug, Clone, Copy)]
@@ -83,7 +82,7 @@ pub fn minimize(
 ) -> AnnealResult {
     assert_eq!(ranges.len(), init.len(), "dimension mismatch");
     assert!(!ranges.is_empty(), "need at least one parameter");
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = Rng::new(cfg.seed);
     let mut cur: Vec<i64> = init.iter().zip(ranges).map(|(&v, r)| r.clamp(v)).collect();
     let mut cur_cost = cost(&cur);
     let mut best = cur.clone();
@@ -95,10 +94,10 @@ pub fn minimize(
     for _ in 0..cfg.iters {
         // Propose: perturb one random dimension by a step scaled to both
         // the range width and the current temperature fraction.
-        let d = rng.gen_range(0..ranges.len());
+        let d = rng.range(0..ranges.len());
         let frac = (temp / cfg.t0).max(0.02);
         let span = ((ranges[d].width() as f64 * frac).ceil() as i64).max(1);
-        let step = rng.gen_range(-span..=span);
+        let step = rng.range(-span..=span);
         if step == 0 {
             temp *= cfg.alpha;
             continue;
@@ -113,7 +112,7 @@ pub fn minimize(
         evaluations += 1;
         let accept = c <= cur_cost || {
             let p = ((cur_cost - c) / temp.max(1e-12)).exp();
-            rng.gen::<f64>() < p
+            rng.f64() < p
         };
         if accept {
             cur = cand;

@@ -15,8 +15,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use raft_rng::Rng;
 
 /// Service-time distribution of a station.
 #[derive(Debug, Clone, Copy)]
@@ -30,14 +29,14 @@ pub enum ServiceDist {
 }
 
 impl ServiceDist {
-    fn sample(&self, rng: &mut StdRng) -> f64 {
+    fn sample(&self, rng: &mut Rng) -> f64 {
         match *self {
             ServiceDist::Exp(rate) => {
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                let u: f64 = rng.range(f64::EPSILON..1.0);
                 -u.ln() / rate
             }
             ServiceDist::Det(t) => t,
-            ServiceDist::Uniform(lo, hi) => rng.gen_range(lo..=hi),
+            ServiceDist::Uniform(lo, hi) => rng.range(lo..=hi),
         }
     }
 
@@ -148,7 +147,7 @@ struct StationState {
 pub fn simulate(net: &Network, horizon: f64, seed: u64) -> SimReport {
     assert!(!net.stations.is_empty());
     assert!(net.arrival_rate > 0.0);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let n = net.stations.len();
     let mut state: Vec<StationState> = (0..n)
         .map(|_| StationState {
@@ -311,7 +310,7 @@ fn unblock_feeders(
     now: f64,
     cal: &mut BinaryHeap<Reverse<Entry>>,
     seq: &mut u64,
-    rng: &mut StdRng,
+    rng: &mut Rng,
     departures: &mut u64,
 ) {
     // Find a feeder of `drained` holding a blocked item.
@@ -545,7 +544,7 @@ mod tests {
     fn uniform_service_mean() {
         let d = ServiceDist::Uniform(0.5, 1.5);
         assert!((d.mean() - 1.0).abs() < 1e-12);
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = Rng::new(0);
         let avg: f64 = (0..10_000).map(|_| d.sample(&mut rng)).sum::<f64>() / 10_000.0;
         assert!((avg - 1.0).abs() < 0.02);
     }

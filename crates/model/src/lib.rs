@@ -19,24 +19,16 @@
 //! * [`anneal`] — simulated annealing over integer parameter vectors, the
 //!   search technique the paper pairs with the flow model for long-running
 //!   application tuning;
-//! * [`jackson`] — open product-form (Jackson) networks: traffic
-//!   equations plus per-station M/M/c, the "considering each queue
-//!   individually" condition §4 names for analytic buffer sizing;
 //! * [`des`] — a discrete-event simulator of finite-buffer queueing
 //!   networks with blocking-after-service: the ground truth the analytic
-//!   formulas and the flow model are validated against;
-//! * [`svm`] — the reliability classifier of Beard, Epstein & Chamberlain
-//!   (ICPE'15, the paper's ref \[10\]): a linear SVM deciding whether an
-//!   analytic queueing model can be trusted for a given observed queue.
+//!   formulas and the flow model are validated against.
 
 pub mod anneal;
 pub mod des;
 pub mod flow;
-pub mod jackson;
 pub mod queues;
 pub mod scaling;
 pub mod sizing;
-pub mod svm;
 
 pub use flow::{FlowGraph, FlowReport};
 pub use queues::{MD1, MM1, MM1K};

@@ -14,7 +14,7 @@
 //! match       : 0x01 len:varint  dist:varint     (len ≥ 4, dist ≥ 1)
 //! ```
 
-use bytes::{BufMut, Bytes, BytesMut};
+use std::borrow::Cow;
 
 /// Minimum match length worth encoding (token overhead ≥ 3 bytes).
 const MIN_MATCH: usize = 4;
@@ -29,15 +29,15 @@ fn hash4(data: &[u8], i: usize) -> usize {
     (v.wrapping_mul(2654435761) as usize >> 17) & (HASH_SIZE - 1)
 }
 
-fn put_varint(buf: &mut BytesMut, mut v: usize) {
+fn put_varint(buf: &mut Vec<u8>, mut v: usize) {
     loop {
         let b = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(b);
+            buf.push(b);
             return;
         }
-        buf.put_u8(b | 0x80);
+        buf.push(b | 0x80);
     }
 }
 
@@ -61,18 +61,18 @@ fn get_varint(data: &[u8], pos: &mut usize) -> Option<usize> {
 /// Compress `data`. Always succeeds; output may be larger than input for
 /// incompressible data (use [`compress_frame`] for the raw-fallback form).
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    let mut out = BytesMut::with_capacity(data.len() / 2 + 16);
+    let mut out = Vec::with_capacity(data.len() / 2 + 16);
     let n = data.len();
     // hash -> most recent position with that 4-byte prefix
     let mut head = vec![usize::MAX; HASH_SIZE];
     let mut i = 0usize;
     let mut literal_start = 0usize;
 
-    let flush_literals = |out: &mut BytesMut, from: usize, to: usize| {
+    let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize| {
         if to > from {
-            out.put_u8(0x00);
+            out.push(0x00);
             put_varint(out, to - from);
-            out.put_slice(&data[from..to]);
+            out.extend_from_slice(&data[from..to]);
         }
     };
 
@@ -90,7 +90,7 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         }
         if matched >= MIN_MATCH {
             flush_literals(&mut out, literal_start, i);
-            out.put_u8(0x01);
+            out.push(0x01);
             put_varint(&mut out, matched);
             put_varint(&mut out, i - cand);
             // index the skipped region sparsely (every 2nd position) to
@@ -108,7 +108,7 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         }
     }
     flush_literals(&mut out, literal_start, n);
-    out.to_vec()
+    out
 }
 
 /// Decompress a [`compress`] stream; `None` on malformed input.
@@ -149,34 +149,35 @@ pub fn decompress(data: &[u8], size_hint: usize) -> Option<Vec<u8>> {
 
 /// Frame-level wrapper: `[0x00] raw bytes` or `[0x01] varint(raw_len) lz
 /// bytes`, choosing whichever is smaller.
-pub fn compress_frame(payload: &Bytes) -> Bytes {
+pub fn compress_frame(payload: &[u8]) -> Vec<u8> {
     let lz = compress(payload);
     if lz.len() + 6 < payload.len() {
-        let mut out = BytesMut::with_capacity(lz.len() + 6);
-        out.put_u8(0x01);
+        let mut out = Vec::with_capacity(lz.len() + 6);
+        out.push(0x01);
         put_varint(&mut out, payload.len());
-        out.put_slice(&lz);
-        out.freeze()
+        out.extend_from_slice(&lz);
+        out
     } else {
-        let mut out = BytesMut::with_capacity(payload.len() + 1);
-        out.put_u8(0x00);
-        out.put_slice(payload);
-        out.freeze()
+        let mut out = Vec::with_capacity(payload.len() + 1);
+        out.push(0x00);
+        out.extend_from_slice(payload);
+        out
     }
 }
 
-/// Reverse of [`compress_frame`]; `None` on malformed input.
-pub fn decompress_frame(data: &Bytes) -> Option<Bytes> {
-    match data.first()? {
-        0x00 => Some(data.slice(1..)),
-        0x01 => {
+/// Reverse of [`compress_frame`]; `None` on malformed input. A frame that
+/// was sent raw is borrowed from `data`, not copied.
+pub fn decompress_frame(data: &[u8]) -> Option<Cow<'_, [u8]>> {
+    match data.split_first()? {
+        (0x00, raw) => Some(Cow::Borrowed(raw)),
+        (0x01, _) => {
             let mut pos = 1usize;
             let raw_len = get_varint(data, &mut pos)?;
             if raw_len > crate::frame::MAX_FRAME {
                 return None;
             }
             let out = decompress(&data[pos..], raw_len)?;
-            (out.len() == raw_len).then(|| Bytes::from(out))
+            (out.len() == raw_len).then_some(Cow::Owned(out))
         }
         _ => None,
     }
@@ -185,6 +186,7 @@ pub fn decompress_frame(data: &Bytes) -> Option<Bytes> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raft_rng::Rng;
 
     fn roundtrip(data: &[u8]) {
         let lz = compress(data);
@@ -222,13 +224,15 @@ mod tests {
         roundtrip(&data);
     }
 
+    fn noise(rng: &mut Rng, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.range(0..=u8::MAX)).collect()
+    }
+
     #[test]
     fn random_data_roundtrips() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(99);
+        let mut rng = Rng::new(99);
         for len in [10usize, 100, 1000, 65_536, 200_000] {
-            let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-            roundtrip(&data);
+            roundtrip(&noise(&mut rng, len));
         }
     }
 
@@ -248,14 +252,13 @@ mod tests {
     fn raft_algos_corpus() -> Vec<u8> {
         // A small zipfy text without depending on raft-algos: words drawn
         // from a tiny vocabulary.
-        use rand::{rngs::StdRng, Rng, SeedableRng};
         let vocab = [
             "stream", "kernel", "queue", "port", "the", "of", "a", "raft",
         ];
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::new(3);
         let mut out = Vec::new();
         while out.len() < 100_000 {
-            out.extend_from_slice(vocab[rng.gen_range(0..vocab.len())].as_bytes());
+            out.extend_from_slice(vocab[rng.range(0..vocab.len())].as_bytes());
             out.push(b' ');
         }
         out
@@ -263,20 +266,20 @@ mod tests {
 
     #[test]
     fn frame_wrapper_picks_smaller_form() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
         // compressible
-        let text = Bytes::from(b"raftlib raftlib raftlib raftlib raftlib!".repeat(50));
+        let text = b"raftlib raftlib raftlib raftlib raftlib!".repeat(50);
         let framed = compress_frame(&text);
         assert_eq!(framed[0], 0x01);
         assert!(framed.len() < text.len());
         assert_eq!(decompress_frame(&framed).unwrap(), text);
-        // incompressible
-        let mut rng = StdRng::seed_from_u64(1);
-        let noise = Bytes::from((0..256).map(|_| rng.gen::<u8>()).collect::<Vec<_>>());
+        // incompressible: sent raw, and handed back without a copy
+        let noise = noise(&mut Rng::new(1), 256);
         let framed = compress_frame(&noise);
         assert_eq!(framed[0], 0x00);
         assert_eq!(framed.len(), noise.len() + 1);
-        assert_eq!(decompress_frame(&framed).unwrap(), noise);
+        let back = decompress_frame(&framed).unwrap();
+        assert!(matches!(back, Cow::Borrowed(_)));
+        assert_eq!(back, noise);
     }
 
     #[test]
@@ -284,20 +287,19 @@ mod tests {
         assert!(decompress(&[0x01, 0x05, 0x09], 10).is_none()); // dist > out
         assert!(decompress(&[0x00, 0x7f], 10).is_none()); // literal overrun
         assert!(decompress(&[0x07], 10).is_none()); // bad tag
-        assert!(decompress_frame(&Bytes::from_static(&[0x02, 0x00])).is_none());
+        assert!(decompress_frame(&[0x02, 0x00]).is_none());
+        assert!(decompress_frame(&[]).is_none());
         // truncated varint
         assert!(decompress(&[0x00, 0x80], 10).is_none());
     }
 
     #[test]
     fn declared_length_must_match() {
-        let payload = Bytes::from_static(b"hello hello hello hello hello hello");
-        let framed = compress_frame(&payload);
+        let mut framed = compress_frame(b"hello hello hello hello hello hello");
         if framed[0] == 0x01 {
             // corrupt the declared length
-            let mut bad = framed.to_vec();
-            bad[1] = bad[1].wrapping_add(1);
-            assert!(decompress_frame(&Bytes::from(bad)).is_none());
+            framed[1] = framed[1].wrapping_add(1);
+            assert!(decompress_frame(&framed).is_none());
         }
     }
 }

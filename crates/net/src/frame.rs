@@ -14,8 +14,9 @@
 
 use std::io::{self, Read, Write};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use raft_buffer::Signal;
+
+use crate::wire::Wire;
 
 /// Frame discriminator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,26 +80,24 @@ impl FrameKind {
 pub struct Frame {
     /// What the payload means.
     pub kind: FrameKind,
-    /// Raw payload bytes.
-    pub payload: Bytes,
+    /// Raw payload bytes: one allocation per frame, which the `as_*`
+    /// accessors and [`Wire::decode`] read in place.
+    pub payload: Vec<u8>,
 }
 
 impl Frame {
     /// A data frame; encodes the signal only when present (one byte saved
     /// on the common path).
-    pub fn data(payload: Bytes, signal: Signal) -> Frame {
+    pub fn data(payload: Vec<u8>, signal: Signal) -> Frame {
         if signal == Signal::None {
             Frame {
                 kind: FrameKind::Data,
                 payload,
             }
         } else {
-            let mut buf = BytesMut::with_capacity(8 + payload.len());
-            buf.put_u64_le(signal.encode());
-            buf.put_slice(&payload);
             Frame {
                 kind: FrameKind::DataWithSignal,
-                payload: buf.freeze(),
+                payload: prefixed(&[signal.encode()], &payload),
             }
         }
     }
@@ -107,30 +106,23 @@ impl Frame {
     pub fn eos() -> Frame {
         Frame {
             kind: FrameKind::Eos,
-            payload: Bytes::new(),
+            payload: Vec::new(),
         }
     }
 
     /// A sequence-numbered data frame for resilient links. The sequence
     /// number rides in front of the element so the receiver can
     /// deduplicate replayed frames after a reconnect.
-    pub fn seq_data(seq: u64, payload: Bytes, signal: Signal) -> Frame {
+    pub fn seq_data(seq: u64, payload: &[u8], signal: Signal) -> Frame {
         if signal == Signal::None {
-            let mut buf = BytesMut::with_capacity(8 + payload.len());
-            buf.put_u64_le(seq);
-            buf.put_slice(&payload);
             Frame {
                 kind: FrameKind::SeqData,
-                payload: buf.freeze(),
+                payload: prefixed(&[seq], payload),
             }
         } else {
-            let mut buf = BytesMut::with_capacity(16 + payload.len());
-            buf.put_u64_le(seq);
-            buf.put_u64_le(signal.encode());
-            buf.put_slice(&payload);
             Frame {
                 kind: FrameKind::SeqDataWithSignal,
-                payload: buf.freeze(),
+                payload: prefixed(&[seq, signal.encode()], payload),
             }
         }
     }
@@ -140,7 +132,7 @@ impl Frame {
     pub fn ack(next_expected: u64) -> Frame {
         Frame {
             kind: FrameKind::Ack,
-            payload: seq_payload(next_expected),
+            payload: prefixed(&[next_expected], &[]),
         }
     }
 
@@ -148,28 +140,18 @@ impl Frame {
     pub fn resume_from(next_expected: u64) -> Frame {
         Frame {
             kind: FrameKind::ResumeFrom,
-            payload: seq_payload(next_expected),
+            payload: prefixed(&[next_expected], &[]),
         }
     }
 
-    /// Split a seq-data frame into `(seq, element payload, signal)`.
-    pub fn into_seq_data(self) -> Option<(u64, Bytes, Signal)> {
+    /// View a seq-data frame as `(seq, element payload, signal)`.
+    pub fn as_seq_data(&self) -> Option<(u64, &[u8], Signal)> {
+        let mut p = &self.payload[..];
         match self.kind {
-            FrameKind::SeqData => {
-                let mut p = self.payload;
-                if p.remaining() < 8 {
-                    return None;
-                }
-                let seq = p.get_u64_le();
-                Some((seq, p, Signal::None))
-            }
+            FrameKind::SeqData => Some((u64::decode(&mut p)?, p, Signal::None)),
             FrameKind::SeqDataWithSignal => {
-                let mut p = self.payload;
-                if p.remaining() < 16 {
-                    return None;
-                }
-                let seq = p.get_u64_le();
-                let sig = Signal::decode(p.get_u64_le())?;
+                let seq = u64::decode(&mut p)?;
+                let sig = Signal::decode(u64::decode(&mut p)?)?;
                 Some((seq, p, sig))
             }
             _ => None,
@@ -182,27 +164,12 @@ impl Frame {
         if !matches!(self.kind, FrameKind::Ack | FrameKind::ResumeFrom) {
             return None;
         }
-        let mut p = self.payload.clone();
-        if p.remaining() < 8 {
-            return None;
-        }
-        Some(p.get_u64_le())
+        u64::decode(&mut &self.payload[..])
     }
 
-    /// Split a data frame into `(element payload, signal)`.
-    pub fn into_data(self) -> Option<(Bytes, Signal)> {
-        match self.kind {
-            FrameKind::Data => Some((self.payload, Signal::None)),
-            FrameKind::DataWithSignal => {
-                let mut p = self.payload;
-                if p.remaining() < 8 {
-                    return None;
-                }
-                let sig = Signal::decode(p.get_u64_le())?;
-                Some((p, sig))
-            }
-            _ => None,
-        }
+    /// View a data frame as `(element payload, signal)`.
+    pub fn as_data(&self) -> Option<(&[u8], Signal)> {
+        split_data(self.kind, &self.payload)
     }
 
     /// Write this frame to a (buffered) writer.
@@ -237,18 +204,31 @@ impl Frame {
                 format!("frame of {len} bytes exceeds the {MAX_FRAME} byte cap"),
             ));
         }
-        let mut body = vec![0u8; len];
-        r.read_exact(&mut body)?;
-        let kind = FrameKind::from_u8(body[0]).ok_or_else(|| {
+        let mut kind = [0u8; 1];
+        r.read_exact(&mut kind)?;
+        let kind = FrameKind::from_u8(kind[0]).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("bad frame kind {}", body[0]),
+                format!("bad frame kind {}", kind[0]),
             )
         })?;
-        Ok(Some(Frame {
-            kind,
-            payload: Bytes::from(body).slice(1..),
-        }))
+        let mut payload = vec![0u8; len - 1];
+        r.read_exact(&mut payload)?;
+        Ok(Some(Frame { kind, payload }))
+    }
+}
+
+/// Split a data payload of `kind` into `(element payload, signal)`; the
+/// form [`Frame::as_data`] takes once a compressed frame is unwrapped.
+pub(crate) fn split_data(kind: FrameKind, payload: &[u8]) -> Option<(&[u8], Signal)> {
+    match kind {
+        FrameKind::Data => Some((payload, Signal::None)),
+        FrameKind::DataWithSignal => {
+            let mut p = payload;
+            let sig = Signal::decode(u64::decode(&mut p)?)?;
+            Some((p, sig))
+        }
+        _ => None,
     }
 }
 
@@ -256,10 +236,14 @@ impl Frame {
 /// not allocate unbounded memory.
 pub const MAX_FRAME: usize = 64 << 20;
 
-fn seq_payload(seq: u64) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8);
-    buf.put_u64_le(seq);
-    buf.freeze()
+/// `words` as `u64 LE` followed by `body`, in one exactly-sized allocation.
+fn prefixed(words: &[u64], body: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(8 * words.len() + body.len());
+    for w in words {
+        w.encode(&mut buf);
+    }
+    buf.extend_from_slice(body);
+    buf
 }
 
 /// Failpoint hook at the framing boundary: `ShortIo` surfaces as an I/O
@@ -299,59 +283,49 @@ mod tests {
 
     #[test]
     fn frames_roundtrip() {
-        roundtrip(Frame::data(Bytes::from_static(b"hello"), Signal::None));
-        roundtrip(Frame::data(Bytes::from_static(b"x"), Signal::EoS));
-        roundtrip(Frame::data(Bytes::new(), Signal::User(42)));
+        roundtrip(Frame::data(b"hello".to_vec(), Signal::None));
+        roundtrip(Frame::data(b"x".to_vec(), Signal::EoS));
+        roundtrip(Frame::data(Vec::new(), Signal::User(42)));
         roundtrip(Frame::eos());
         roundtrip(Frame {
             kind: FrameKind::Heartbeat,
-            payload: Bytes::from_static(b"node-info"),
+            payload: b"node-info".to_vec(),
         });
     }
 
     #[test]
-    fn into_data_recovers_signal() {
-        let f = Frame::data(Bytes::from_static(b"abc"), Signal::Flush);
-        let (payload, sig) = f.into_data().unwrap();
-        assert_eq!(&payload[..], b"abc");
+    fn as_data_recovers_signal() {
+        let f = Frame::data(b"abc".to_vec(), Signal::Flush);
+        let (payload, sig) = f.as_data().unwrap();
+        assert_eq!(payload, b"abc");
         assert_eq!(sig, Signal::Flush);
 
-        let f = Frame::data(Bytes::from_static(b"abc"), Signal::None);
-        let (payload, sig) = f.into_data().unwrap();
-        assert_eq!(&payload[..], b"abc");
+        let f = Frame::data(b"abc".to_vec(), Signal::None);
+        let (payload, sig) = f.as_data().unwrap();
+        assert_eq!(payload, b"abc");
         assert_eq!(sig, Signal::None);
     }
 
     #[test]
     fn seq_frames_roundtrip() {
-        roundtrip(Frame::seq_data(
-            0,
-            Bytes::from_static(b"first"),
-            Signal::None,
-        ));
-        roundtrip(Frame::seq_data(u64::MAX, Bytes::new(), Signal::EoS));
+        roundtrip(Frame::seq_data(0, b"first", Signal::None));
+        roundtrip(Frame::seq_data(u64::MAX, &[], Signal::EoS));
         roundtrip(Frame::ack(17));
         roundtrip(Frame::resume_from(0));
     }
 
     #[test]
-    fn into_seq_data_recovers_all_parts() {
-        let (seq, payload, sig) = Frame::seq_data(42, Bytes::from_static(b"xyz"), Signal::User(9))
-            .into_seq_data()
-            .unwrap();
-        assert_eq!(seq, 42);
-        assert_eq!(&payload[..], b"xyz");
-        assert_eq!(sig, Signal::User(9));
+    fn as_seq_data_recovers_all_parts() {
+        let f = Frame::seq_data(42, b"xyz", Signal::User(9));
+        assert_eq!(f.as_seq_data(), Some((42, &b"xyz"[..], Signal::User(9))));
 
-        let (seq, payload, sig) = Frame::seq_data(7, Bytes::from_static(b"p"), Signal::None)
-            .into_seq_data()
-            .unwrap();
-        assert_eq!((seq, &payload[..], sig), (7, &b"p"[..], Signal::None));
+        let f = Frame::seq_data(7, b"p", Signal::None);
+        assert_eq!(f.as_seq_data(), Some((7, &b"p"[..], Signal::None)));
 
         // non-seq frames refuse
-        assert!(Frame::eos().into_seq_data().is_none());
-        assert!(Frame::data(Bytes::from_static(b"d"), Signal::None)
-            .into_seq_data()
+        assert!(Frame::eos().as_seq_data().is_none());
+        assert!(Frame::data(b"d".to_vec(), Signal::None)
+            .as_seq_data()
             .is_none());
     }
 
@@ -360,16 +334,51 @@ mod tests {
         assert_eq!(Frame::ack(9).control_seq(), Some(9));
         assert_eq!(Frame::resume_from(3).control_seq(), Some(3));
         assert_eq!(Frame::eos().control_seq(), None);
-        assert_eq!(
-            Frame::seq_data(1, Bytes::new(), Signal::None).control_seq(),
-            None
-        );
+        assert_eq!(Frame::seq_data(1, &[], Signal::None).control_seq(), None);
         // truncated control frame is rejected, not misread
         let bogus = Frame {
             kind: FrameKind::Ack,
-            payload: Bytes::from_static(b"abc"),
+            payload: b"abc".to_vec(),
         };
         assert_eq!(bogus.control_seq(), None);
+    }
+
+    /// Every fixed-width field a payload can be too short for: each prefix
+    /// of a well-formed payload that cuts a field is a `None`, not a panic.
+    #[test]
+    fn short_payloads_are_none_not_panics() {
+        let short = |kind, len| Frame {
+            kind,
+            payload: vec![0u8; len],
+        };
+        for len in 0..8 {
+            assert_eq!(short(FrameKind::DataWithSignal, len).as_data(), None);
+            assert_eq!(short(FrameKind::SeqData, len).as_seq_data(), None);
+            assert_eq!(short(FrameKind::Ack, len).control_seq(), None);
+            assert_eq!(short(FrameKind::ResumeFrom, len).control_seq(), None);
+        }
+        for len in 0..16 {
+            assert_eq!(short(FrameKind::SeqDataWithSignal, len).as_seq_data(), None);
+        }
+        // The shortest well-formed payloads: an empty element behind them.
+        assert_eq!(
+            short(FrameKind::SeqData, 8).as_seq_data(),
+            Some((0, &[][..], Signal::None))
+        );
+        assert_eq!(
+            Frame::seq_data(0, &[], Signal::EoS).as_seq_data(),
+            Some((0, &[][..], Signal::EoS))
+        );
+    }
+
+    /// The length prefix itself: a frame that claims more bytes than the
+    /// reader holds, or no kind byte at all, is an error.
+    #[test]
+    fn forged_length_prefix_is_error() {
+        for raw in [&[0u8, 0, 0, 0][..], &[1, 0, 0, 0], &[9, 0, 0, 0, 0, 1, 2]] {
+            let mut cursor = std::io::Cursor::new(raw.to_vec());
+            assert!(Frame::read_from(&mut cursor).is_err(), "{raw:?}");
+        }
     }
 
     #[test]
@@ -380,7 +389,7 @@ mod tests {
 
     #[test]
     fn truncated_frame_is_error() {
-        let f = Frame::data(Bytes::from_static(b"hello world"), Signal::None);
+        let f = Frame::data(b"hello world".to_vec(), Signal::None);
         let mut buf = Vec::new();
         f.write_to(&mut buf).unwrap();
         buf.truncate(buf.len() - 3);
@@ -401,9 +410,7 @@ mod tests {
     fn multiple_frames_stream() {
         let mut buf = Vec::new();
         for i in 0..10u64 {
-            let mut b = BytesMut::new();
-            b.put_u64_le(i);
-            Frame::data(b.freeze(), Signal::None)
+            Frame::data(i.to_le_bytes().to_vec(), Signal::None)
                 .write_to(&mut buf)
                 .unwrap();
         }

@@ -10,14 +10,14 @@
 //! listener — the common case for tests, examples, and single-machine
 //! multi-process emulation.
 
+use std::borrow::Cow;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 
-use bytes::BytesMut;
 use raftlib::prelude::*;
 
 use crate::compress::{compress_frame, decompress_frame};
-use crate::frame::{Frame, FrameKind};
+use crate::frame::{split_data, Frame, FrameKind};
 use crate::wire::Wire;
 
 /// Sink-side kernel: forwards its input stream over a TCP socket, ending
@@ -74,16 +74,16 @@ impl<T: Wire> Kernel for TcpOut<T> {
         match input.pop_signal() {
             Ok((v, sig)) => {
                 drop(input);
-                let mut buf = BytesMut::new();
+                let mut buf = Vec::new();
                 v.encode(&mut buf);
-                let frame = Frame::data(buf.freeze(), sig);
+                let frame = Frame::data(buf, sig);
                 let frame = if self.compress {
-                    let mut payload = BytesMut::with_capacity(frame.payload.len() + 1);
-                    payload.extend_from_slice(&[frame.kind as u8]);
+                    let mut payload = Vec::with_capacity(frame.payload.len() + 2);
+                    payload.push(frame.kind as u8);
                     payload.extend_from_slice(&compress_frame(&frame.payload));
                     Frame {
                         kind: FrameKind::Compressed,
-                        payload: payload.freeze(),
+                        payload,
                     }
                 } else {
                     frame
@@ -151,24 +151,21 @@ impl<T: Wire> Kernel for TcpIn<T> {
             Ok(Some(frame)) if frame.kind == FrameKind::Eos => KStatus::Stop,
             Ok(Some(frame)) => {
                 // Transparently unwrap compressed frames.
-                let frame = if frame.kind == FrameKind::Compressed {
-                    let Some(&inner_kind) = frame.payload.first() else {
+                let (kind, payload) = if frame.kind == FrameKind::Compressed {
+                    let Some((&inner_kind, body)) = frame.payload.split_first() else {
                         return KStatus::Stop;
                     };
-                    let Some(inner) = decompress_frame(&frame.payload.slice(1..)) else {
+                    let Some(inner) = decompress_frame(body) else {
                         return KStatus::Stop;
                     };
                     let Some(kind) = frame_kind_from_u8(inner_kind) else {
                         return KStatus::Stop;
                     };
-                    Frame {
-                        kind,
-                        payload: inner,
-                    }
+                    (kind, inner)
                 } else {
-                    frame
+                    (frame.kind, Cow::Borrowed(&frame.payload[..]))
                 };
-                let Some((mut payload, sig)) = frame.into_data() else {
+                let Some((mut payload, sig)) = split_data(kind, &payload) else {
                     return KStatus::Stop; // unexpected control frame
                 };
                 let Some(v) = T::decode(&mut payload) else {

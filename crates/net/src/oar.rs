@@ -19,8 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::{BufMut, Bytes, BytesMut};
-use parking_lot::Mutex;
+use raft_buffer::sync::Mutex;
 
 use crate::frame::{Frame, FrameKind};
 use crate::wire::Wire;
@@ -39,13 +38,13 @@ pub struct NodeInfo {
 }
 
 impl Wire for NodeInfo {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.name.encode(buf);
         self.addr.encode(buf);
-        buf.put_u32_le(self.cores);
-        buf.put_u32_le(self.load);
+        self.cores.encode(buf);
+        self.load.encode(buf);
     }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
         let name = String::decode(buf)?;
         let addr = String::decode(buf)?;
         let cores = u32::decode(buf)?;
@@ -106,8 +105,7 @@ impl OarNode {
                             let mut reader = BufReader::new(stream);
                             while let Ok(Some(frame)) = Frame::read_from(&mut reader) {
                                 if frame.kind == FrameKind::Heartbeat {
-                                    let mut payload = frame.payload;
-                                    if let Some(info) = NodeInfo::decode(&mut payload) {
+                                    if let Some(info) = NodeInfo::decode(&mut &frame.payload[..]) {
                                         peers_l.lock().insert(
                                             info.name.clone(),
                                             PeerEntry {
@@ -161,11 +159,11 @@ impl OarNode {
                         peers.lock().values().map(|p| p.info.addr.clone()).collect();
                     let mut info = me.clone();
                     info.load = load.load(Ordering::Relaxed) as u32;
-                    let mut buf = BytesMut::new();
-                    info.encode(&mut buf);
+                    let mut payload = Vec::new();
+                    info.encode(&mut payload);
                     let frame = Frame {
                         kind: FrameKind::Heartbeat,
-                        payload: buf.freeze(),
+                        payload,
                     };
                     for addr in targets {
                         if let Ok(stream) = TcpStream::connect(&addr) {
@@ -285,10 +283,13 @@ mod tests {
             cores: 16,
             load: 3,
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         info.encode(&mut buf);
-        let mut bytes = buf.freeze();
-        assert_eq!(NodeInfo::decode(&mut bytes).unwrap(), info);
+        assert_eq!(NodeInfo::decode(&mut &buf[..]).unwrap(), info);
+        // every strict prefix cuts a field: clean `None`, no panic
+        for cut in 0..buf.len() {
+            assert_eq!(NodeInfo::decode(&mut &buf[..cut]), None);
+        }
     }
 
     #[test]

@@ -27,7 +27,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use bytes::BytesMut;
 use raftlib::prelude::*;
 
 use crate::frame::{Frame, FrameKind};
@@ -142,8 +141,7 @@ fn run_job<T: Wire>(stream: TcpStream, registry: &KernelRegistry) -> io::Result<
         Some(f) if f.kind == FrameKind::Job => f,
         _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "expected job")),
     };
-    let mut payload = job.payload;
-    let names = Vec::<String>::decode(&mut payload)
+    let names = Vec::<String>::decode(&mut &job.payload[..])
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad job spec"))?;
 
     let mut map = RaftMap::new();
@@ -180,6 +178,17 @@ fn run_job<T: Wire>(stream: TcpStream, registry: &KernelRegistry) -> io::Result<
     Ok(())
 }
 
+/// The job-submission frame naming `kernels`, applied in order.
+fn job_frame(kernels: &[&str]) -> Frame {
+    let names: Vec<String> = kernels.iter().map(|s| s.to_string()).collect();
+    let mut payload = Vec::new();
+    names.encode(&mut payload);
+    Frame {
+        kind: FrameKind::Job,
+        payload,
+    }
+}
+
 /// Client-side kernel: ships its input stream to a worker, which runs the
 /// named kernel chain and streams results back on this kernel's output —
 /// remote execution as a drop-in pipeline stage.
@@ -199,14 +208,7 @@ impl<T: Wire> RemoteStage<T> {
         let stream = TcpStream::connect(worker)?;
         stream.set_nodelay(true)?;
         let mut w = BufWriter::new(stream.try_clone()?);
-        let names: Vec<String> = kernels.iter().map(|s| s.to_string()).collect();
-        let mut buf = BytesMut::new();
-        names.encode(&mut buf);
-        Frame {
-            kind: FrameKind::Job,
-            payload: buf.freeze(),
-        }
-        .write_to(&mut w)?;
+        job_frame(kernels).write_to(&mut w)?;
         w.flush()?;
         Ok(RemoteStage {
             sender: Some(TcpOut::from_stream(stream.try_clone()?)?),
@@ -260,21 +262,14 @@ pub fn remote_apply<T: Wire>(
     let stream = TcpStream::connect(worker)?;
     stream.set_nodelay(true)?;
     let mut w = BufWriter::new(stream.try_clone()?);
-    let names: Vec<String> = kernels.iter().map(|s| s.to_string()).collect();
-    let mut buf = BytesMut::new();
-    names.encode(&mut buf);
-    Frame {
-        kind: FrameKind::Job,
-        payload: buf.freeze(),
-    }
-    .write_to(&mut w)?;
+    job_frame(kernels).write_to(&mut w)?;
     // Write from a separate thread so a long result stream cannot deadlock
     // against a long input stream on full socket buffers.
     let writer = std::thread::spawn(move || -> io::Result<()> {
         for v in data {
-            let mut b = BytesMut::new();
+            let mut b = Vec::new();
             v.encode(&mut b);
-            Frame::data(b.freeze(), raft_buffer::Signal::None).write_to(&mut w)?;
+            Frame::data(b, raft_buffer::Signal::None).write_to(&mut w)?;
         }
         Frame::eos().write_to(&mut w)?;
         w.flush()
@@ -286,7 +281,7 @@ pub fn remote_apply<T: Wire>(
         if frame.kind == FrameKind::Eos {
             break;
         }
-        let Some((mut payload, _sig)) = frame.into_data() else {
+        let Some((mut payload, _sig)) = frame.as_data() else {
             break;
         };
         let Some(v) = T::decode(&mut payload) else {

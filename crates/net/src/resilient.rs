@@ -28,8 +28,8 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
 use raft_buffer::ReplayWindow;
+use raft_rng::Rng;
 use raftlib::prelude::*;
 
 use crate::frame::{Frame, FrameKind};
@@ -102,7 +102,7 @@ impl NetConfig {
 
     /// Backoff before retry `attempt` (0-based): `base * 2^attempt` capped
     /// at `max_backoff`, plus 0–25% deterministic jitter from `rng`.
-    fn backoff_for(&self, attempt: u32, rng: &mut u64) -> Duration {
+    fn backoff_for(&self, attempt: u32, rng: &mut Rng) -> Duration {
         let d = self
             .base_backoff
             .saturating_mul(1u32 << attempt.min(16))
@@ -111,17 +111,8 @@ impl NetConfig {
             return d;
         }
         let span = (d.as_nanos() / 4).max(1) as u64;
-        d + Duration::from_nanos(xorshift(rng) % span)
+        d + Duration::from_nanos(rng.range(0..span))
     }
-}
-
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = (*state).max(1);
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
 }
 
 /// Connect with per-attempt timeout and bounded retry per [`NetConfig`]:
@@ -129,14 +120,14 @@ fn xorshift(state: &mut u64) -> u64 {
 /// backoff with deterministic jitter between rounds. The returned socket
 /// has nodelay set and the config's read/write timeouts applied.
 pub fn connect_with_retry(addr: impl ToSocketAddrs, cfg: &NetConfig) -> io::Result<TcpStream> {
-    let mut rng = cfg.seed;
+    let mut rng = Rng::new(cfg.seed);
     connect_with_retry_seeded(addr, cfg, &mut rng)
 }
 
 fn connect_with_retry_seeded(
     addr: impl ToSocketAddrs,
     cfg: &NetConfig,
-    rng: &mut u64,
+    rng: &mut Rng,
 ) -> io::Result<TcpStream> {
     let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
     if addrs.is_empty() {
@@ -180,7 +171,7 @@ pub struct ResilientTcpOut<T: Wire> {
     /// Unbounded here (`bound == 0`): [`Self::wait_for_window`] enforces
     /// the flow-control depth instead, so no frame is ever force-dropped.
     window: ReplayWindow<Frame>,
-    rng: u64,
+    rng: Rng,
     eos_sent: bool,
     _marker: std::marker::PhantomData<fn(T)>,
 }
@@ -194,7 +185,7 @@ impl<T: Wire> ResilientTcpOut<T> {
             .ok_or_else(|| io::Error::new(io::ErrorKind::AddrNotAvailable, "no address"))?;
         Ok(ResilientTcpOut {
             addr,
-            rng: cfg.seed ^ 0x6C62_272E_07BB_0142,
+            rng: Rng::new(cfg.seed ^ 0x6C62_272E_07BB_0142),
             cfg,
             writer: None,
             window: ReplayWindow::new(0),
@@ -369,10 +360,10 @@ impl<T: Wire> Kernel for ResilientTcpOut<T> {
         match input.pop_signal() {
             Ok((v, sig)) => {
                 drop(input);
-                let mut buf = BytesMut::new();
+                let mut buf = Vec::new();
                 v.encode(&mut buf);
                 let seq = self.window.next_seq();
-                self.window.append(Frame::seq_data(seq, buf.freeze(), sig));
+                self.window.append(Frame::seq_data(seq, &buf, sig));
                 if self.transmit().is_err() || self.wait_for_window().is_err() {
                     return KStatus::Stop; // receiver unreachable beyond retry budget
                 }
@@ -502,7 +493,7 @@ impl<T: Wire> Kernel for ResilientTcpIn<T> {
                 Ok(Some(f))
                     if matches!(f.kind, FrameKind::SeqData | FrameKind::SeqDataWithSignal) =>
                 {
-                    let Some((seq, mut payload, sig)) = f.into_seq_data() else {
+                    let Some((seq, mut payload, sig)) = f.as_seq_data() else {
                         self.drop_conn(); // malformed: force re-handshake
                         continue;
                     };
@@ -684,7 +675,7 @@ mod tests {
             ..NetConfig::default()
         };
         let schedule = |seed: u64| {
-            let mut rng = seed;
+            let mut rng = Rng::new(seed);
             (0..8)
                 .map(|a| cfg.backoff_for(a, &mut rng))
                 .collect::<Vec<_>>()
@@ -698,50 +689,10 @@ mod tests {
             jitter: false,
             ..cfg.clone()
         };
-        let mut rng = 1;
+        let mut rng = Rng::new(1);
         assert_eq!(plain.backoff_for(0, &mut rng), Duration::from_millis(10));
         assert_eq!(plain.backoff_for(2, &mut rng), Duration::from_millis(40));
         assert_eq!(plain.backoff_for(6, &mut rng), Duration::from_millis(80));
-    }
-
-    /// With `raft_failpoints`, injected short writes at the framing
-    /// boundary force real reconnects; delivery must stay exactly-once.
-    #[cfg(feature = "raft_failpoints")]
-    #[test]
-    fn injected_write_faults_do_not_lose_or_duplicate() {
-        use raft_buffer::failpoints;
-
-        let seed = std::env::var("RAFT_CHAOS_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(42u64);
-        failpoints::set_seed(seed);
-        failpoints::arm("net::frame::write", failpoints::FailAction::ShortIo, 40, 6);
-
-        let (rout, rin) = resilient_bridge::<u64>(test_cfg()).unwrap();
-        let node_a = std::thread::spawn(move || {
-            let mut map = RaftMap::new();
-            let src = map.add(Generate::new(0..2_000u64));
-            let out = map.add(rout);
-            map.link(src, "out", out, "in").unwrap();
-            map.exe().unwrap();
-        });
-        let node_b = std::thread::spawn(move || {
-            let mut map = RaftMap::new();
-            let src = map.add(rin);
-            let (we, handle) = write_each::<u64>();
-            let dst = map.add(we);
-            map.link(src, "out", dst, "in").unwrap();
-            map.exe().unwrap();
-            std::sync::Arc::try_unwrap(handle)
-                .unwrap()
-                .into_inner()
-                .unwrap()
-        });
-        node_a.join().unwrap();
-        let got = node_b.join().unwrap();
-        failpoints::reset();
-        assert_eq!(got, (0..2_000).collect::<Vec<u64>>());
     }
 
     // Single-port contexts for direct kernel driving (mirrors link.rs).

@@ -5,8 +5,11 @@
 //! endpoint"; we keep the same spirit — fixed-width little-endian encodings
 //! chosen per element type, implemented for the primitive and composite
 //! types the examples and benches stream across nodes.
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+//!
+//! Encoders append to a `Vec<u8>`; decoders advance a `&[u8]` cursor
+//! through `take` and `take_array`, whose reads are `Option`s — a short or
+//! forged buffer is a `None`, never a slice-index panic. Composite types
+//! decode field by field through their parts' [`Wire::decode`].
 
 /// A type that can cross a TCP stream link.
 ///
@@ -16,81 +19,72 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 /// clonable anyway.
 pub trait Wire: Sized + Send + Clone + 'static {
     /// Append this value's encoding to `buf`.
-    fn encode(&self, buf: &mut BytesMut);
-    /// Decode one value from `buf` (which contains exactly one payload).
-    /// `None` on malformed input.
-    fn decode(buf: &mut Bytes) -> Option<Self>;
+    fn encode(&self, buf: &mut Vec<u8>);
+    /// Decode one value from the front of `buf`, advancing it past the
+    /// bytes consumed. `None` on malformed or truncated input.
+    fn decode(buf: &mut &[u8]) -> Option<Self>;
 }
 
-macro_rules! wire_int {
-    ($($t:ty => $put:ident / $get:ident),* $(,)?) => {
-        $(
-            impl Wire for $t {
-                fn encode(&self, buf: &mut BytesMut) {
-                    buf.$put(*self);
-                }
-                fn decode(buf: &mut Bytes) -> Option<Self> {
-                    (buf.remaining() >= std::mem::size_of::<$t>()).then(|| buf.$get())
-                }
+/// Split the next `len` bytes off the front of `buf`; `None` when short.
+pub(crate) fn take<'a>(buf: &mut &'a [u8], len: usize) -> Option<&'a [u8]> {
+    let (head, rest) = buf.split_at_checked(len)?;
+    *buf = rest;
+    Some(head)
+}
+
+/// Split the next `N` bytes off the front of `buf`; `None` when short.
+pub(crate) fn take_array<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = buf.split_first_chunk::<N>()?;
+    *buf = rest;
+    Some(*head)
+}
+
+macro_rules! wire_num {
+    ($($t:ty)*) => {$(
+        impl Wire for $t {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
             }
-        )*
-    };
+            fn decode(buf: &mut &[u8]) -> Option<Self> {
+                take_array(buf).map(<$t>::from_le_bytes)
+            }
+        }
+    )*};
 }
+wire_num!(u8 u16 u32 u64 i8 i16 i32 i64 f32 f64);
 
-wire_int! {
-    u8 => put_u8 / get_u8,
-    u16 => put_u16_le / get_u16_le,
-    u32 => put_u32_le / get_u32_le,
-    u64 => put_u64_le / get_u64_le,
-    i8 => put_i8 / get_i8,
-    i16 => put_i16_le / get_i16_le,
-    i32 => put_i32_le / get_i32_le,
-    i64 => put_i64_le / get_i64_le,
-    f32 => put_f32_le / get_f32_le,
-    f64 => put_f64_le / get_f64_le,
+/// Length prefix shared by the variable-size encodings.
+fn encode_len(len: usize, buf: &mut Vec<u8>) {
+    (len as u32).encode(buf);
 }
 
 impl Wire for String {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.len() as u32);
-        buf.put_slice(self.as_bytes());
+    fn encode(&self, buf: &mut Vec<u8>) {
+        encode_len(self.len(), buf);
+        buf.extend_from_slice(self.as_bytes());
     }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        if buf.remaining() < 4 {
-            return None;
-        }
-        let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len {
-            return None;
-        }
-        let raw = buf.copy_to_bytes(len);
-        String::from_utf8(raw.to_vec()).ok()
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        String::from_utf8(Vec::<u8>::decode(buf)?).ok()
     }
 }
 
 impl Wire for Vec<u8> {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.len() as u32);
-        buf.put_slice(self);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        encode_len(self.len(), buf);
+        buf.extend_from_slice(self);
     }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        if buf.remaining() < 4 {
-            return None;
-        }
-        let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len {
-            return None;
-        }
-        Some(buf.copy_to_bytes(len).to_vec())
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        let len = u32::decode(buf)? as usize;
+        take(buf, len).map(<[u8]>::to_vec)
     }
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.0.encode(buf);
         self.1.encode(buf);
     }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
         let a = A::decode(buf)?;
         let b = B::decode(buf)?;
         Some((a, b))
@@ -101,18 +95,16 @@ impl<T: Wire> Wire for Vec<T>
 where
     Vec<T>: VecWireMarker,
 {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.len() as u32);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        encode_len(self.len(), buf);
         for v in self {
             v.encode(buf);
         }
     }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        if buf.remaining() < 4 {
-            return None;
-        }
-        let len = buf.get_u32_le() as usize;
-        let mut out = Vec::with_capacity(len.min(1 << 20));
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        let len = u32::decode(buf)? as usize;
+        // A forged length must not allocate ahead of the bytes present.
+        let mut out = Vec::with_capacity(len.min(buf.len()));
         for _ in 0..len {
             out.push(T::decode(buf)?);
         }
@@ -139,12 +131,12 @@ mod tests {
     use super::*;
 
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug + Clone>(v: T) {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         v.encode(&mut buf);
-        let mut bytes = buf.freeze();
-        let back = T::decode(&mut bytes).expect("decode");
+        let mut cursor = &buf[..];
+        let back = T::decode(&mut cursor).expect("decode");
         assert_eq!(back, v);
-        assert_eq!(bytes.remaining(), 0, "trailing bytes after decode");
+        assert!(cursor.is_empty(), "trailing bytes after decode");
     }
 
     #[test]
@@ -183,19 +175,19 @@ mod tests {
 
     #[test]
     fn truncated_input_fails_cleanly() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         "hello".to_string().encode(&mut buf);
-        let mut truncated = buf.freeze().slice(0..6);
-        assert!(String::decode(&mut truncated).is_none());
-        let mut empty = Bytes::new();
-        assert!(u64::decode(&mut empty).is_none());
+        assert!(String::decode(&mut &buf[..6]).is_none());
+        assert!(u64::decode(&mut &[][..]).is_none());
+        // A short read leaves the cursor where it was.
+        let mut cursor = &buf[..3];
+        assert!(u32::decode(&mut cursor).is_none());
+        assert_eq!(cursor.len(), 3);
     }
 
     #[test]
     fn invalid_utf8_fails_cleanly() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(2);
-        buf.put_slice(&[0xFF, 0xFE]);
-        assert!(String::decode(&mut buf.freeze()).is_none());
+        let buf = [2, 0, 0, 0, 0xFF, 0xFE];
+        assert!(String::decode(&mut &buf[..]).is_none());
     }
 }

@@ -9,14 +9,13 @@
 //! cargo run --example lambda_kernels
 //! ```
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
-
 use raft_kernels::{write_each, Print};
+use raft_rng::Rng;
 use raftlib::prelude::*;
 
 fn main() {
     // --- Figure 7: lambda random-number source -> print -------------------
-    let mut rng = StdRng::seed_from_u64(0xF16);
+    let mut rng = Rng::new(0xF16);
     let mut remaining = 5u32;
     let mut map = RaftMap::new();
     let source = map.add(lambda_source(move || {
@@ -24,7 +23,7 @@ fn main() {
             return None;
         }
         remaining -= 1;
-        Some(rng.gen::<u32>())
+        Some(rng.range(0..=u32::MAX))
     }));
     let print = map.add(Print::<u32>::new('\n'));
     map.link(source, "0", print, "in").expect("link");

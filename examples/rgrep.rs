@@ -60,6 +60,7 @@ fn main() {
             std::process::exit(1);
         })),
         None => {
+            // Same spec, same bytes, on every machine (in-tree generator).
             eprintln!("no file given; searching a generated demo corpus");
             let c = raft_algos::corpus::generate(&raft_algos::corpus::CorpusSpec {
                 size: 4 << 20,

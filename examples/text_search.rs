@@ -27,6 +27,8 @@ fn main() {
     let width: u32 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(2);
 
     // --- corpus (substitute for the paper's 30 GB RAM-disk dump) ---------
+    // The spec (default seed included) fixes the bytes and the planted
+    // match count on every machine: the generator is in-tree.
     eprintln!("generating {corpus_mb} MB corpus ...");
     let spec = CorpusSpec {
         size: corpus_mb << 20,

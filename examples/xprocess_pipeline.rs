@@ -79,15 +79,11 @@ fn main() {
     parent();
 }
 
-/// Derive the kill offset from a chaos seed: an xorshift step over the
-/// seed, mapped into the first half of the stream so the crash always
+/// Derive the kill offset from a chaos seed: one draw from the seeded
+/// generator, mapped into the first half of the stream so the crash always
 /// lands mid-flight.
 fn kill_offset(seed: u64) -> u64 {
-    let mut x = seed ^ 0xcbf2_9ce4_8422_2325;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    1 + x % (RECORDS / 2)
+    raft_rng::Rng::new(seed).range(1..=RECORDS / 2)
 }
 
 /// Deliver SIGKILL to ourselves: no drop glue, no atexit, no chance to

@@ -26,10 +26,8 @@ fn scheduler(workers: usize) -> SchedulerKind {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24, // each case runs a real multi-threaded pipeline
-        .. ProptestConfig::default()
-    })]
+    // each case runs a real multi-threaded pipeline
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// A linear pipeline of random depth with random queue capacities
     /// delivers every item exactly once, in order, under every scheduler.
