@@ -54,9 +54,9 @@
 //! revoked its role word, [`ArenaTx::sweep_orphans`] repairs both: it
 //! re-enrolls every slot that is neither free-ring-enrolled nor still
 //! referenced by a journaled in-flight descriptor. [`DescriptorSender`]
-//! packages the full producer-side recovery contract — journaled
-//! descriptor ring ([`crate::shm::JournaledShmProducer`]) plus arena
-//! sweep — so a respawned worker re-attaches and replays exactly the
+//! packages the full producer-side recovery contract — a descriptor ring
+//! whose producer retains its window for replay
+//! ([`ShmRingProducer::enable_replay`]) plus arena sweep — so a respawned worker re-attaches and replays exactly the
 //! unacknowledged suffix over payload slots the sweep left untouched.
 
 use std::io;
@@ -68,9 +68,8 @@ use std::sync::Arc;
 
 use crate::eventcount::{block_until, PARK_TIMEOUT};
 use crate::ring::{Backing, ConsumerCursor, ProducerCursor};
-use crate::shm::{
-    JournaledShmProducer, SegRing, ShmItem, ShmRingProducer, ShmSegment, SEG_KIND_ARENA,
-};
+use crate::shm::{SegRing, ShmItem, ShmRingProducer, ShmSegment, SEG_KIND_ARENA};
+use crate::stats::StatsSnapshot;
 
 /// Fixed-size ticket for one payload in the arena. 16 bytes, POD, crosses
 /// process boundaries through any `ShmRing<Descriptor>`.
@@ -620,8 +619,8 @@ pub enum SendOutcome {
 }
 
 /// Producer-side bundle for a supervised descriptor link: an [`ArenaTx`]
-/// for the payload bytes plus a journaled descriptor ring
-/// ([`JournaledShmProducer<Descriptor>`]) for exactly-once re-delivery
+/// for the payload bytes plus a descriptor ring whose producer retains its
+/// window ([`ShmRingProducer::enable_replay`]) for exactly-once re-delivery
 /// across worker deaths.
 ///
 /// The worker-side contract that recovery relies on, per descriptor:
@@ -635,17 +634,15 @@ pub enum SendOutcome {
 /// [`Self::replay`].
 pub struct DescriptorSender {
     tx: ArenaTx,
-    ring: JournaledShmProducer<Descriptor>,
+    ring: ShmRingProducer<Descriptor>,
 }
 
 impl DescriptorSender {
-    /// Bundle `tx` and `ring` with a journal bound of `journal_bound`
-    /// unacknowledged descriptors (see [`JournaledShmProducer::new`]).
-    pub fn new(tx: ArenaTx, ring: ShmRingProducer<Descriptor>, journal_bound: usize) -> Self {
-        DescriptorSender {
-            tx,
-            ring: JournaledShmProducer::new(ring, journal_bound),
-        }
+    /// Bundle `tx` and `ring` with a replay bound of `journal_bound`
+    /// unacknowledged descriptors (see [`ShmRingProducer::enable_replay`]).
+    pub fn new(tx: ArenaTx, mut ring: ShmRingProducer<Descriptor>, journal_bound: usize) -> Self {
+        ring.enable_replay(journal_bound);
+        DescriptorSender { tx, ring }
     }
 
     /// Stage `payload` into an arena slot and journal + push its
@@ -689,6 +686,13 @@ impl DescriptorSender {
         self.ring.recovering()
     }
 
+    /// Statistics of the descriptor ring's producer end: what this process
+    /// pushed, how long it was blocked, and whether a safety net fired
+    /// (`rescues`, `forced_acks`).
+    pub fn ring_snapshot(&self) -> StatsSnapshot {
+        self.ring.fifo().snapshot()
+    }
+
     /// Open the recovery window: drain the dead worker's un-popped
     /// descriptor residue, fold its final commit into the journal, and
     /// sweep arena slots not referenced by the unacknowledged suffix.
@@ -698,15 +702,17 @@ impl DescriptorSender {
     /// roles on **both** segments have been revoked.
     pub fn begin_recovery(&mut self) -> (u64, usize) {
         let drained = self.ring.begin_recovery();
-        let keep: Vec<(u32, u32)> = self
-            .ring
-            .window()
-            .iter_from(self.ring.window().acked())
-            .map(|&(_, d)| (d.slot, d.generation))
-            .collect();
+        // The generation the window will re-deliver, by slot (a live slot
+        // backs at most one unacknowledged descriptor).
+        let mut keep = vec![None; self.tx.slots()];
+        for (_, (d, _)) in self.ring.unacked() {
+            if let Some(kept) = keep.get_mut(d.slot as usize) {
+                *kept = Some(d.generation);
+            }
+        }
         let swept = self
             .tx
-            .sweep_orphans(|slot, generation| keep.contains(&(slot, generation)));
+            .sweep_orphans(|slot, generation| keep[slot as usize] == Some(generation));
         (drained, swept)
     }
 

@@ -250,6 +250,30 @@ impl Wake for ThreadPark {
     }
 }
 
+/// A borrowed backend is a backend: lets an eventcount be formed, by value,
+/// over words that live in a longer-lived structure.
+impl<W: Wake> Wake for &W {
+    type Word = W::Word;
+    #[inline]
+    fn armed(&self) -> &W::Word {
+        (**self).armed()
+    }
+    #[inline]
+    fn seq(&self) -> &W::Word {
+        (**self).seq()
+    }
+    fn park(&self, epoch: u32, timeout: Duration) -> bool {
+        (**self).park(epoch, timeout)
+    }
+    fn unpark(&self) {
+        (**self).unpark();
+    }
+    #[inline]
+    fn listening(&self) -> bool {
+        (**self).listening()
+    }
+}
+
 /// Why [`block_until`] gave up before its condition came true.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Blocked {

@@ -1,39 +1,51 @@
-//! The production stream FIFO: the [`crate::ring`] protocol over heap
-//! storage that a monitor can swap out while the stream runs.
+//! The stream FIFO: the crate's one pair of blocking ring endpoints, over
+//! whichever *home* their control words and slots live in.
 //!
-//! RaftLib resizes queues while the application runs (§4): a monitor thread
-//! wakes every δ and grows a queue when the writer has been blocked for 3δ,
-//! or when a reader asked for more items than the queue can ever hold. The
-//! resize itself uses "lock-free exclusion" and prefers the moment when the
-//! ring is in a *non-wrapped* position so the live region can be moved with
-//! one contiguous copy.
+//! A stream is one FIFO whose only variable is where its slots live (paper
+//! §3–§4). [`Producer`], [`Consumer`] and the monitor-facing [`Fifo`] are
+//! therefore written once, generic over a statically dispatched [`Home`]:
 //!
-//! What this module adds to the ring core, and nothing else:
+//! * the **heap home** ([`Heap`], the default — `Producer<T>` is it):
+//!   in-process words, a task-waker slot plus a [`ThreadPark`] eventcount
+//!   per direction, and slot storage a monitor can swap out while the
+//!   stream runs. RaftLib resizes queues at run time (§4): a monitor wakes
+//!   every δ and grows a queue whose writer has been blocked for 3δ, or
+//!   whose reader asked for more items than it can ever hold. `head`/`tail`
+//!   live *outside* the slot storage, so a resize only swaps the storage;
+//!   endpoints touch slots only under membership in the Dekker-style
+//!   [`ResizeFence`] (one SeqCst swap + one load to enter, one Release
+//!   store to leave; free for fixed-capacity FIFOs), and a resize takes the
+//!   resizer lock **and** the fence, copies the live region (one `memcpy`
+//!   when source and destination are both non-wrapped, element-wise
+//!   otherwise) and swaps;
+//! * the **segment home** ([`crate::shm::Seg`], built by the
+//!   [`crate::shm::ShmRing`] constructors): every word and slot at a fixed
+//!   offset of a mapped segment another process can attach, a
+//!   [`crate::futex::Futex`] eventcount per direction, fixed capacity — so
+//!   the fence and growth are absent by construction.
 //!
-//! * **Swappable storage.** `head`/`tail` live *outside* the slot storage,
-//!   so a resize only swaps the storage and never disturbs the cursors.
-//!   Endpoints touch slots only through an `Arena` — RAII membership in
-//!   the Dekker-style [`ResizeFence`] (one SeqCst swap + one load to enter,
-//!   one Release store to leave; free for fixed-capacity FIFOs) that doubles
-//!   as the ring's [`Backing`]. A resize takes the resizer lock **and** the
-//!   fence, copies the live region (single `memcpy` when source and
-//!   destination are both non-wrapped, element-wise otherwise) and swaps.
-//! * **Blocking endpoints.** Every wait — `push`, `push_batch`, `reserve`,
+//! What the endpoints add to the ring core, on either home:
+//!
+//! * **Blocking.** Every wait — `push`, `push_batch`, `reserve`,
 //!   `allocate`, `pop`, `peek_range`, `pop_slice` — is one call to
 //!   `Shared::block_until`, i.e. the crate's one blocking loop
 //!   ([`crate::eventcount::block_until`]) bracketed by the `*_blocked_since`
 //!   stamps the monitor's 3δ rule consumes, ended early by drain level
 //!   `QUIESCED` or the link's admission deadline.
-//! * **Two kinds of sleeper per direction.** "Data is visible" and "space is
-//!   visible" each have a `Side`: a [`WakerSlot`] for a scheduler task and
-//!   a [`ThreadPark`] eventcount for a blocked thread, notified together.
 //! * Zero-copy batch views: [`Producer::reserve`] hands out a
 //!   [`WriteSlice`] that is written in place and published with one counter
 //!   store on drop; [`Consumer::pop_slice`] lends the front of the queue to
 //!   a closure as a [`SliceView`] and consumes it afterwards — both hold one
-//!   arena membership for the whole batch.
-//! * Staging and journaling for the exactly-once recovery contract
-//!   ([`crate::journal`]), admission policies, telemetry ([`FifoStats`]).
+//!   membership for the whole batch.
+//! * **One producer-side window** for the exactly-once recovery contract
+//!   ([`crate::journal`]): everything appended to the link and not yet
+//!   acknowledged, with three cursors `acked ≤ published ≤ appended`.
+//!   *Staging* is the region `[published, appended)`; a *replay backlog* is
+//!   the same region after a rewind. On the heap home publishing moves an
+//!   element into the ring and thereby acknowledges it; on the segment home
+//!   published elements are retained until the consuming process advances
+//!   the segment's commit word.
+//! * Admission policies, telemetry ([`FifoStats`]), counted rescues.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -46,10 +58,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::{PopError, PushError, TryPopError, TryPushError};
-use crate::eventcount::{self, Blocked, EventCount, ThreadPark};
+use crate::eventcount::{self, Blocked, EventCount, ThreadPark, Wake};
 use crate::fence::{ResizeFence, Role};
 use crate::journal::{AdmissionPolicy, JournalConfig, ReplayWindow};
-use crate::ring::{Backing, ConsumerCursor, Counters, ProducerCursor};
+use crate::ring::{Backing, ConsumerCursor, Counter, Counters, ProducerCursor};
+use crate::shm::{Seg, ShmItem, ShmSegment};
+
 use crate::signal::Signal;
 use crate::stats::{FifoStats, StatsSnapshot};
 use crate::sync::{AtomicUsize, CachePadded, Mutex};
@@ -67,35 +81,22 @@ pub const DRAIN_QUIESCED: u8 = 2;
 
 /// Which allocator backs a link's element storage — the paper's three
 /// link allocators (§3): process-local heap, a shared-memory segment for
-/// co-located processes, and TCP for cross-machine edges. The mapper
-/// classifies each link from its placement (DESIGN §14 has the matrix);
-/// `RAFT_LINK_ALLOC` overrides globally.
+/// co-located processes, and TCP for cross-machine edges. A *reported*
+/// fact, never a request: it names the home the link's endpoints were
+/// constructed over ([`Fifo::link_alloc`]), and is what the mapper's pure
+/// placement function `classify_link` returns (DESIGN §14 has the matrix).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LinkAlloc {
     /// Process-local heap ring (the default; fastest within one process).
     #[default]
     Heap,
-    /// `memfd`-backed mapped segment (see [`crate::shm`]): zero-copy
-    /// between co-located processes. Implies a fixed capacity — a mapped
-    /// segment cannot be resized under a live peer. Falls back to `Heap`
-    /// (recorded as such) on platforms without `memfd`.
+    /// Mapped segment (see [`crate::shm`]): zero-copy between co-located
+    /// processes. Implies a fixed capacity — a mapped segment cannot be
+    /// resized under a live peer.
     Shm,
     /// Serialized over a TCP link (`raft-net`); the only option across
-    /// machines. In-process FIFOs treat this as `Heap` — the socket pair
-    /// lives at the graph layer, not in the ring.
+    /// machines. The socket pair lives at the graph layer, not in a ring.
     Tcp,
-}
-
-impl LinkAlloc {
-    /// Parse a `RAFT_LINK_ALLOC` value (`heap` | `shm` | `tcp`).
-    pub fn parse(s: &str) -> Option<LinkAlloc> {
-        match s.to_ascii_lowercase().as_str() {
-            "heap" => Some(LinkAlloc::Heap),
-            "shm" => Some(LinkAlloc::Shm),
-            "tcp" => Some(LinkAlloc::Tcp),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for LinkAlloc {
@@ -128,10 +129,6 @@ pub struct FifoConfig {
     /// [`AdmissionPolicy`]). `Block` preserves the paper's lossless
     /// blocking-write semantics.
     pub admission: AdmissionPolicy,
-    /// Storage allocator for the ring (see [`LinkAlloc`]). `Shm` pins the
-    /// capacity to `initial_capacity` and places the slots in a mapped
-    /// segment.
-    pub alloc: LinkAlloc,
 }
 
 impl Default for FifoConfig {
@@ -142,7 +139,6 @@ impl Default for FifoConfig {
             min_capacity: 8,
             journal: None,
             admission: AdmissionPolicy::Block,
-            alloc: LinkAlloc::Heap,
         }
     }
 }
@@ -173,12 +169,6 @@ impl FifoConfig {
         self
     }
 
-    /// Select the storage allocator for this link.
-    pub fn with_alloc(mut self, alloc: LinkAlloc) -> Self {
-        self.alloc = alloc;
-        self
-    }
-
     /// Set the overload admission policy for this link.
     pub fn with_admission(mut self, admission: AdmissionPolicy) -> Self {
         self.admission = admission;
@@ -186,27 +176,133 @@ impl FifoConfig {
     }
 }
 
-/// One storage slot: a possibly-uninitialized `(element, signal)` pair.
-type Slot<T> = UnsafeCell<MaybeUninit<(T, Signal)>>;
-
-/// What owns the slot memory. Heap rings own a boxed slice; shm rings own
-/// a mapped segment whose data region *is* the slot array. The hot path
-/// never inspects this — it goes through the cached raw pointer below.
-enum StorageOwner<T> {
-    Heap(#[allow(dead_code)] Box<[Slot<T>]>), // held for Drop, read via `ptr`
-    Seg(#[allow(dead_code)] crate::shm::ShmSegment), // held for Drop/unmap
+/// How one slot stores an element with its synchronous signal.
+pub trait Slot<T>: Sized {
+    /// The slot contents for `(value, signal)`.
+    fn pack(value: T, signal: Signal) -> Self;
+    /// The element and signal a slot holds.
+    fn unpack(self) -> (T, Signal);
+    /// The element, in place.
+    fn value(&self) -> &T;
+    /// The element, in place and writable.
+    fn value_mut(&mut self) -> &mut T;
+    /// The signal riding with the element.
+    fn signal(&self) -> Signal;
+    /// Replace the signal riding with the element.
+    fn set_signal(&mut self, signal: Signal);
 }
 
-/// Swappable slot storage; everything else lives in [`Shared`].
+/// The heap home's slot: the pair itself (nothing leaves the process, so
+/// the enum is stored as it is).
+impl<T> Slot<T> for (T, Signal) {
+    #[inline]
+    fn pack(value: T, signal: Signal) -> Self {
+        (value, signal)
+    }
+    #[inline]
+    fn unpack(self) -> (T, Signal) {
+        self
+    }
+    #[inline]
+    fn value(&self) -> &T {
+        &self.0
+    }
+    #[inline]
+    fn value_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+    #[inline]
+    fn signal(&self) -> Signal {
+        self.1
+    }
+    #[inline]
+    fn set_signal(&mut self, signal: Signal) {
+        self.1 = signal;
+    }
+}
+
+/// Where a stream's control words and slots live — the one thing that
+/// differs between an in-process link and a cross-process one. The
+/// endpoints are generic over it and statically dispatched, so
+/// `Producer<T>` (the [`Heap`] default) compiles to the heap path alone.
+///
+/// A home says *where* things are; what is done with them — the ring
+/// protocol, the notify rules, the blocking loop — is written once, above
+/// it.
+///
+/// # Safety
+/// The endpoints dereference what [`slot`](Self::slot) returns and run the
+/// [`crate::ring`] protocol over `head`/`tail`. An implementation must
+/// return the same two counters on every call; between `enter(role)` and
+/// the matching `exit(role)`, `capacity` must be a constant power of two
+/// and `slot` must return a pointer valid for reads and writes of one
+/// `Slot`, the same memory for equal `idx & (capacity - 1)` and disjoint
+/// memory otherwise.
+pub unsafe trait Home<T> {
+    /// What one slot holds.
+    type Slot: Slot<T>;
+    /// The `head`/`tail` word type.
+    type Counter: Counter;
+    /// Where the `(armed, seq)` wake words live and how a sleeper is woken.
+    type Wake<'a>: Wake
+    where
+        Self: 'a;
+    /// What a link over this home reports as its allocator.
+    const ALLOC: LinkAlloc;
+
+    /// Next index to read; only the consumer stores it.
+    fn head(&self) -> &Self::Counter;
+    /// Next index to write; only the producer stores it.
+    fn tail(&self) -> &Self::Counter;
+    /// `true` once the producer endpoint is gone (Acquire: everything it
+    /// published before closing is visible).
+    fn producer_closed(&self) -> bool;
+    /// `true` once the consumer endpoint is gone (a Relaxed hint).
+    fn consumer_closed(&self) -> bool;
+    /// Mark `role`'s endpoint gone (Release).
+    fn set_closed(&self, role: Role);
+    /// The eventcount a thread blocked as `role` parks on: the consumer
+    /// waits for data, EoS or an async signal, the producer for space or a
+    /// dead consumer.
+    fn event(&self, role: Role) -> EventCount<Self::Wake<'_>>;
+    /// The scheduler-task readiness hook for `role`, where the home has one.
+    fn task(&self, _role: Role) -> Option<&WakerSlot> {
+        None
+    }
+    /// Pin the slot storage for `role` until the matching [`exit`](Self::exit)
+    /// (nothing to do where the storage can never move).
+    #[inline]
+    fn enter(&self, _role: Role) {}
+    /// End the critical section opened by [`enter`](Self::enter).
+    #[inline]
+    fn exit(&self, _role: Role) {}
+    /// Current capacity in slots.
+    fn capacity(&self) -> usize;
+    /// The slot for monotonic index `idx`.
+    ///
+    /// # Safety
+    /// The caller must be between `enter` and `exit` for its role; whether
+    /// the slot may be read or written is the cursor protocol's business.
+    unsafe fn slot(&self, idx: usize) -> *mut MaybeUninit<Self::Slot>;
+    /// Make room for `target` slots if this home can grow (the caller is
+    /// outside its critical section); `true` if the capacity then suffices.
+    fn grow_to(&self, target: usize, _stats: &FifoStats) -> bool {
+        self.capacity() >= target
+    }
+}
+
+/// Swappable slot storage of the heap home.
 struct Storage<T> {
-    /// First slot; stride `size_of::<Slot<T>>()`, `capacity` slots long.
-    /// Cached out of `owner` so `slot()` is one add+mask, no branch on the
-    /// backing kind (and no bounds check, unlike the old boxed-slice
-    /// index).
-    ptr: *mut Slot<T>,
+    /// First slot of `slots`, cached so `slot()` is one add+mask with no
+    /// bounds check.
+    ptr: *mut HeapSlot<T>,
     mask: usize,
-    owner: StorageOwner<T>,
+    /// Held for Drop; read via `ptr`.
+    _slots: Box<[HeapSlot<T>]>,
 }
+
+/// One heap slot: a possibly-uninitialized `(element, signal)` pair.
+type HeapSlot<T> = UnsafeCell<MaybeUninit<(T, Signal)>>;
 
 // SAFETY: slots are only touched through the head/tail protocol — the
 // producer writes a slot strictly before publishing it with a Release store
@@ -222,49 +318,14 @@ unsafe impl<T: Send> Sync for Storage<T> {}
 impl<T> Storage<T> {
     fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(1).next_power_of_two();
-        let mut slots: Box<[Slot<T>]> = (0..capacity)
+        let mut slots: Box<[HeapSlot<T>]> = (0..capacity)
             .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
             .collect();
-        let ptr = slots.as_mut_ptr();
         Storage {
-            ptr,
+            ptr: slots.as_mut_ptr(),
             mask: capacity - 1,
-            owner: StorageOwner::Heap(slots),
+            _slots: slots,
         }
-    }
-
-    /// Place the slot array in a freshly created `memfd` segment — the
-    /// shared-memory link backing (fails on platforms without memfd; the
-    /// caller falls back to the heap and records the downgrade). The
-    /// segment is process-private here (only this process maps it), so
-    /// any `T` is permissible — unlike [`crate::shm::ShmRing`], nothing
-    /// is read from another address space.
-    fn with_segment(capacity: usize) -> std::io::Result<Self> {
-        let capacity = capacity.max(1).next_power_of_two();
-        let (size, align) = (
-            std::mem::size_of::<Slot<T>>(),
-            std::mem::align_of::<Slot<T>>(),
-        );
-        let seg = crate::shm::ShmSegment::create(
-            crate::shm::SEG_KIND_RING,
-            capacity as u64,
-            size,
-            align,
-            capacity * size.max(1),
-        )?;
-        let ptr = seg.data_ptr().cast::<Slot<T>>();
-        // Fresh zeroed segment: every slot starts as an uninitialized
-        // MaybeUninit, exactly like the heap path.
-        Ok(Storage {
-            ptr,
-            mask: capacity - 1,
-            owner: StorageOwner::Seg(seg),
-        })
-    }
-
-    /// `true` when the slots live in a mapped segment.
-    fn is_shm(&self) -> bool {
-        matches!(self.owner, StorageOwner::Seg(_))
     }
 
     #[inline]
@@ -275,66 +336,42 @@ impl<T> Storage<T> {
     /// Raw pointer to the slot for monotonic index `idx`.
     #[inline]
     fn slot(&self, idx: usize) -> *mut MaybeUninit<(T, Signal)> {
-        // SAFETY: the masked index is < capacity, and `ptr` points at a
-        // live array of `capacity` slots owned by `self.owner` (boxed
-        // slice or mapped segment) for exactly as long as `self` lives.
-        // Only the UnsafeCell raw pointer escapes; dereferencing it is the
-        // caller's (protocol-ordered) obligation, as before.
+        // SAFETY: the masked index is < capacity, and `ptr` points at the
+        // boxed array of `capacity` slots `self` owns. Only the UnsafeCell
+        // raw pointer escapes; dereferencing it is the caller's
+        // (protocol-ordered) obligation.
         unsafe { (*self.ptr.add(idx & self.mask)).get() }
     }
 }
 
-/// One direction of "the peer moved": `data` is notified when elements, EoS
-/// or an async signal become visible to the consumer, `space` when room (or
-/// a dead consumer) becomes visible to the producer. Either kind of sleeper
-/// may be waiting on it, so both are told, with one call.
+/// One direction of "the peer moved" on the heap home. Either kind of
+/// sleeper may be waiting on it, so both are told, with one call.
 #[derive(Default)]
 struct Side {
     /// Event-driven readiness hook for a scheduler task; registered/armed
     /// by the work-stealing scheduler, a single relaxed load when unused.
     task: WakerSlot,
     /// Where a thread blocked in this endpoint's `block_until` parks.
-    thread: EventCount<ThreadPark>,
+    thread: ThreadPark,
 }
 
-impl Side {
-    /// Per-element notify: one relaxed load per sleeper kind when nobody
-    /// waits. The thread half is the lossy `notify_if_armed` (bounded park,
-    /// rescues counted); a registered task always gets the fenced notify —
-    /// it has no timeout to fall back on.
-    #[inline]
-    fn notify(&self) {
-        self.task.notify();
-        self.thread.notify_if_armed();
-    }
-
-    /// Fenced notify for changes that will not be repeated (close, drop,
-    /// drain, async signal, resize, rewind): never loses a wake.
-    fn notify_fenced(&self) {
-        self.task.notify();
-        self.thread.notify();
-    }
-}
-
-/// State shared by producer, consumer, and monitor.
-struct Shared<T> {
-    /// Slot storage. Replaced only by [`Shared::resize`], which holds
-    /// `resizing` and the fence; endpoints reach it through an [`Arena`].
+/// The heap [`Home`]: in-process control words and slot storage that
+/// [`Fifo::resize`] can swap out under the [`ResizeFence`].
+pub struct Heap<T> {
+    /// Slot storage. Replaced only by [`Heap::resize`], which holds
+    /// `resizing` and the fence; endpoints reach it between `enter`/`exit`.
     storage: UnsafeCell<Storage<T>>,
     /// Serializes resizers against each other (never on an endpoint path).
     resizing: Mutex<()>,
-    /// `storage.capacity()`, for third parties that hold no membership.
+    /// `storage.capacity()`, written under the fence.
     capacity: AtomicUsize,
     /// Dekker-style exclusion between endpoint ring access and resizes.
     fence: ResizeFence,
-    /// `false` when the config pins the capacity (floor == ceiling): the
-    /// storage can never be swapped, so endpoints skip the fence entirely
-    /// and run at raw SPSC speed.
-    resizable: bool,
-    /// The allocator actually backing the slots (a requested `Shm` that
-    /// fell back to the heap is recorded as `Heap`); surfaced per-link in
-    /// `ExeReport`.
-    alloc: LinkAlloc,
+    /// Resize bounds; equal when the config pins the capacity — then the
+    /// storage can never be swapped, endpoints skip the fence entirely and
+    /// run at raw SPSC speed.
+    min_capacity: usize,
+    max_capacity: usize,
     /// Next index to read (monotonic). Own cache line: the producer loads
     /// it only when its cached copy says the ring is full.
     head: CachePadded<AtomicUsize>,
@@ -342,12 +379,254 @@ struct Shared<T> {
     tail: CachePadded<AtomicUsize>,
     producer_closed: AtomicBool,
     consumer_closed: AtomicBool,
-    /// Out-of-band signal channel ("asynchronous signaling", §4.2).
-    async_signal: AtomicU64,
     /// Sleepers waiting for data, EoS or an async signal.
     data: Side,
     /// Sleepers waiting for space (pop, batch drain, consumer drop, grow).
     space: Side,
+    /// Protocol shadow checker (SPSC discipline, monotonic sequences,
+    /// resize-fence transitions); driven from `enter`/`exit`/`resize`.
+    #[cfg(feature = "raft_protocol_check")]
+    shadow: crate::protocol::FifoShadow,
+}
+
+// SAFETY: everything but `storage` is Sync on its own. The `UnsafeCell` is
+// read only by endpoints holding fence membership (or, for fixed-capacity
+// FIFOs, always — nothing ever writes it) and written only by a resizer
+// holding `resizing` and the fence, which excludes every reader; the
+// storage itself is Send + Sync for `T: Send` (see `Storage`).
+unsafe impl<T: Send> Sync for Heap<T> {}
+
+impl<T> Heap<T> {
+    fn new(cfg: &FifoConfig) -> Self {
+        let storage = Storage::with_capacity(cfg.initial_capacity);
+        Heap {
+            capacity: AtomicUsize::new(storage.capacity()),
+            storage: UnsafeCell::new(storage),
+            resizing: Mutex::new(()),
+            fence: ResizeFence::new(),
+            min_capacity: cfg.min_capacity,
+            max_capacity: cfg.max_capacity,
+            head: CachePadded::new(AtomicUsize::new(0)),
+            tail: CachePadded::new(AtomicUsize::new(0)),
+            producer_closed: AtomicBool::new(false),
+            consumer_closed: AtomicBool::new(false),
+            data: Side::default(),
+            space: Side::default(),
+            #[cfg(feature = "raft_protocol_check")]
+            shadow: crate::protocol::FifoShadow::new(),
+        }
+    }
+
+    #[inline]
+    fn resizable(&self) -> bool {
+        self.min_capacity != self.max_capacity
+    }
+
+    /// The side `role` sleeps on.
+    #[inline]
+    fn side(&self, role: Role) -> &Side {
+        match role {
+            Role::Producer => &self.space,
+            Role::Consumer => &self.data,
+        }
+    }
+
+    /// Resize the ring to `new_capacity` (clamped to the bounds and to
+    /// current occupancy). Returns the resulting capacity.
+    ///
+    /// Takes the resizer lock (vs. other resizers), then the
+    /// [`ResizeFence`] (vs. the endpoints, who retry as soon as
+    /// `end_resize` clears the pending flag). The live region is moved with
+    /// one contiguous copy when both source and destination regions are
+    /// non-wrapped (the paper's preferred resize position), element-wise
+    /// otherwise.
+    fn resize(&self, new_capacity: usize, stats: &FifoStats) -> usize {
+        if !self.resizable() {
+            // Fixed-capacity config: endpoints skip the fence, so mutating
+            // the storage here would be unsound — and the clamp below could
+            // only ever return the current capacity anyway.
+            return self.capacity.load(Acquire);
+        }
+        let _resizing = self.resizing.lock();
+        // Chaos hook: inject a stall (or panic) while holding the resizer
+        // lock but before the fence, the window where a wedged resize is
+        // most visible to the endpoints.
+        crate::failpoint!("buffer::fifo::resize");
+        self.fence.begin_resize();
+        // SAFETY: the fence excludes both endpoints and the lock excludes
+        // other resizers, so until `end_resize` this is the only reference
+        // to the storage.
+        let storage = unsafe { &mut *self.storage.get() };
+        // With the fence held, both endpoints are outside their critical
+        // sections; their counter stores happened-before their (acquired)
+        // fence exits, so Relaxed loads here read the settled values and
+        // nobody moves them until end_resize.
+        let head = self.head.load(Relaxed);
+        let tail = self.tail.load(Relaxed);
+        #[cfg(feature = "raft_protocol_check")]
+        self.shadow.resize_begin();
+        let live = tail - head;
+        let new_capacity = new_capacity
+            .clamp(self.min_capacity, self.max_capacity)
+            .max(live)
+            .next_power_of_two();
+        if new_capacity != storage.capacity() {
+            let new = Storage::<T>::with_capacity(new_capacity);
+            let old_mask = storage.mask;
+            if live > 0 {
+                let src_start = head & old_mask;
+                let dst_start = head & new.mask;
+                let src_contig = src_start + live <= storage.capacity();
+                let dst_contig = dst_start + live <= new.capacity();
+                // SAFETY: exclusive access (above). Source slots
+                // `[head, tail)` are initialized (live region); destination
+                // slots are freshly allocated and distinct allocations, so
+                // the ranges cannot overlap. `new_capacity >= live` (clamped
+                // above) guarantees the destination indices stay in bounds,
+                // and the bit-copy is a move: the old slots are discarded as
+                // `MaybeUninit` (never dropped) right after, so no element
+                // is duplicated or leaked.
+                unsafe {
+                    if src_contig && dst_contig {
+                        // Fast path: one memcpy of the whole live region.
+                        std::ptr::copy_nonoverlapping(
+                            storage.slot(src_start),
+                            new.slot(head),
+                            live,
+                        );
+                    } else {
+                        // Wrapped on either side: move element-wise.
+                        for i in 0..live {
+                            std::ptr::copy_nonoverlapping(
+                                storage.slot((head + i) & old_mask),
+                                new.slot(head + i),
+                                1,
+                            );
+                        }
+                    }
+                }
+            }
+            // Old slots' live elements were moved out byte-wise: discarding
+            // the old storage is safe because MaybeUninit never drops its
+            // contents.
+            *storage = new;
+            self.capacity.store(new_capacity, Release);
+            stats.monitor.resizes.fetch_add(1, Relaxed);
+        }
+        #[cfg(feature = "raft_protocol_check")]
+        self.shadow
+            .resize_end(head, tail, self.head.load(Relaxed), self.tail.load(Relaxed));
+        // Publish the new storage (Release inside) before endpoints re-enter.
+        self.fence.end_resize();
+        new_capacity
+    }
+}
+
+// SAFETY: `head`/`tail` are fields; `capacity` and the storage change only
+// inside `resize`, which holds the fence and so runs strictly outside every
+// `enter`/`exit` bracket (a fixed-capacity heap never resizes, which is what
+// lets it skip the fence); `Storage::slot` masks the index into its live
+// slot array, one cell per slot.
+unsafe impl<T> Home<T> for Heap<T> {
+    type Slot = (T, Signal);
+    type Counter = AtomicUsize;
+    type Wake<'a>
+        = &'a ThreadPark
+    where
+        T: 'a;
+    const ALLOC: LinkAlloc = LinkAlloc::Heap;
+
+    #[inline]
+    fn head(&self) -> &AtomicUsize {
+        &self.head
+    }
+    #[inline]
+    fn tail(&self) -> &AtomicUsize {
+        &self.tail
+    }
+    #[inline]
+    fn producer_closed(&self) -> bool {
+        self.producer_closed.load(Acquire)
+    }
+    #[inline]
+    fn consumer_closed(&self) -> bool {
+        self.consumer_closed.load(Relaxed)
+    }
+    fn set_closed(&self, role: Role) {
+        match role {
+            Role::Producer => self.producer_closed.store(true, Release),
+            Role::Consumer => self.consumer_closed.store(true, Release),
+        }
+    }
+    #[inline]
+    fn event(&self, role: Role) -> EventCount<&ThreadPark> {
+        EventCount::over(&self.side(role).thread)
+    }
+    #[inline]
+    fn task(&self, role: Role) -> Option<&WakerSlot> {
+        Some(&self.side(role).task)
+    }
+    /// Free for fixed-capacity FIFOs (nothing can swap the storage); one
+    /// SeqCst swap + load otherwise.
+    #[inline]
+    fn enter(&self, role: Role) {
+        if self.resizable() {
+            self.fence.enter(role);
+        }
+        // Shadow CS strictly inside the fence CS: entered only after the
+        // fence is held, so the checker cannot flag interleavings the
+        // fence already excludes.
+        #[cfg(feature = "raft_protocol_check")]
+        self.shadow.enter(role);
+    }
+    #[inline]
+    fn exit(&self, role: Role) {
+        #[cfg(feature = "raft_protocol_check")]
+        self.shadow.exit(
+            role,
+            match role {
+                Role::Producer => self.tail.load(Relaxed),
+                Role::Consumer => self.head.load(Relaxed),
+            },
+        );
+        if self.resizable() {
+            self.fence.exit(role);
+        }
+    }
+    #[inline]
+    fn capacity(&self) -> usize {
+        self.capacity.load(Acquire)
+    }
+    #[inline]
+    unsafe fn slot(&self, idx: usize) -> *mut MaybeUninit<(T, Signal)> {
+        // SAFETY: per the function contract the caller holds membership, so
+        // no resize (the only writer) can run: a shared reference to the
+        // storage cannot alias a mutation.
+        unsafe { &*self.storage.get() }.slot(idx)
+    }
+    fn grow_to(&self, target: usize, stats: &FifoStats) -> bool {
+        self.capacity() >= target || self.resize(target.next_power_of_two(), stats) >= target
+    }
+}
+
+impl<T> Drop for Heap<T> {
+    fn drop(&mut self) {
+        // Last owner of the FIFO: drop whatever elements remain exactly once.
+        // (Storage never drops its MaybeUninit contents itself.)
+        let storage = self.storage.get_mut();
+        for i in self.head.load(Relaxed)..self.tail.load(Relaxed) {
+            // SAFETY: [head, tail) is the live region; exclusive access here.
+            unsafe { (*storage.slot(i)).assume_init_drop() };
+        }
+    }
+}
+
+/// Link state shared by producer, consumer, and monitor: the [`Home`] plus
+/// what is local to this process whichever home it is.
+struct Shared<T, H: Home<T>> {
+    home: H,
+    /// Out-of-band signal channel ("asynchronous signaling", §4.2).
+    async_signal: AtomicU64,
     /// Cooperative drain level ([`DRAIN_RUNNING`] / [`DRAIN_DRAINING`] /
     /// [`DRAIN_QUIESCED`]); raised monotonically by the monitor or a stop
     /// handle, never lowered.
@@ -360,124 +639,125 @@ struct Shared<T> {
     journaled: AtomicBool,
     stats: FifoStats,
     cfg: FifoConfig,
-    /// Protocol shadow checker (SPSC discipline, monotonic sequences,
-    /// resize-fence transitions); driven from the arena chokepoints below.
-    #[cfg(feature = "raft_protocol_check")]
-    shadow: crate::protocol::FifoShadow,
+    _elem: std::marker::PhantomData<fn(T) -> T>,
 }
 
-// SAFETY: everything but `storage` is Sync on its own. The `UnsafeCell` is
-// read only by endpoints holding fence membership (or, for fixed-capacity
-// FIFOs, always — nothing ever writes it) and written only by a resizer
-// holding `resizing` and the fence, which excludes every reader; the
-// storage itself is Send + Sync for `T: Send` (see `Storage`).
-unsafe impl<T: Send> Sync for Shared<T> {}
-
-impl<T> Counters for Shared<T> {
-    type Counter = AtomicUsize;
+impl<T, H: Home<T>> Counters for Shared<T, H> {
+    type Counter = H::Counter;
     #[inline]
-    fn head(&self) -> &AtomicUsize {
-        &self.head
+    fn head(&self) -> &H::Counter {
+        self.home.head()
     }
     #[inline]
-    fn tail(&self) -> &AtomicUsize {
-        &self.tail
+    fn tail(&self) -> &H::Counter {
+        self.home.tail()
     }
 }
 
-/// RAII membership in the resize fence for one role — and, because holding
-/// it is exactly what makes the storage pointer stable, the ring's
+/// RAII bracket of [`Home::enter`]/[`Home::exit`] for one role — and,
+/// because holding it is exactly what makes the slots stable, the ring's
 /// [`Backing`]. Being RAII, user closures that panic (`peek`, `pop_slice`)
 /// cannot strand the monitor waiting on a raised `active` flag; the batch
 /// guards ([`WriteSlice`], [`PeekRange`]) simply own one.
-struct Arena<'a, T> {
-    shared: &'a Shared<T>,
+struct Arena<'a, T, H: Home<T>> {
+    shared: &'a Shared<T, H>,
     role: Role,
 }
 
-impl<T> Counters for Arena<'_, T> {
-    type Counter = AtomicUsize;
+impl<T, H: Home<T>> Counters for Arena<'_, T, H> {
+    type Counter = H::Counter;
     #[inline]
-    fn head(&self) -> &AtomicUsize {
-        &self.shared.head
+    fn head(&self) -> &H::Counter {
+        self.shared.home.head()
     }
     #[inline]
-    fn tail(&self) -> &AtomicUsize {
-        &self.shared.tail
+    fn tail(&self) -> &H::Counter {
+        self.shared.home.tail()
     }
 }
 
-// SAFETY: holding the arena pins the storage, so `capacity` cannot change
-// under a cursor that uses it; `Storage::slot` masks the index into its live
-// slot array, one cell per slot.
-unsafe impl<T> Backing for Arena<'_, T> {
-    type Item = (T, Signal);
+// SAFETY: the arena is the `enter`/`exit` bracket under which `Home`
+// guarantees a constant capacity and valid, per-index-disjoint slots.
+unsafe impl<T, H: Home<T>> Backing for Arena<'_, T, H> {
+    type Item = H::Slot;
     #[inline]
     fn capacity(&self) -> usize {
-        // SAFETY: `self` is the membership `storage` asks for.
-        unsafe { self.shared.storage() }.capacity()
+        self.shared.home.capacity()
     }
     #[inline]
-    fn slot<R>(&self, idx: usize, f: impl FnOnce(*mut MaybeUninit<(T, Signal)>) -> R) -> R {
-        // SAFETY: as in `capacity`.
-        f(unsafe { self.shared.storage() }.slot(idx))
+    fn slot<R>(&self, idx: usize, f: impl FnOnce(*mut MaybeUninit<H::Slot>) -> R) -> R {
+        // SAFETY: `self` is the membership `slot` asks for.
+        f(unsafe { self.shared.home.slot(idx) })
     }
 }
 
-impl<T> Drop for Arena<'_, T> {
+impl<T, H: Home<T>> Drop for Arena<'_, T, H> {
     #[inline]
     fn drop(&mut self) {
-        let shared = self.shared;
-        #[cfg(feature = "raft_protocol_check")]
-        shared.shadow.exit(
-            self.role,
-            match self.role {
-                Role::Producer => shared.tail.load(Relaxed),
-                Role::Consumer => shared.head.load(Relaxed),
-            },
-        );
-        if shared.resizable {
-            shared.fence.exit(self.role);
-        }
+        self.shared.home.exit(self.role);
     }
 }
 
-impl<T> Shared<T> {
-    /// Enter the ring critical section for `role`. Free for fixed-capacity
-    /// FIFOs (nothing can swap the storage); one SeqCst swap + load
-    /// otherwise.
+impl<T, H: Home<T>> Shared<T, H> {
+    fn new(home: H, cfg: FifoConfig) -> Arc<Self> {
+        Arc::new(Shared {
+            home,
+            async_signal: AtomicU64::new(0),
+            drain: AtomicU8::new(DRAIN_RUNNING),
+            journal_pending: std::sync::atomic::AtomicUsize::new(0),
+            journaled: AtomicBool::new(false),
+            stats: FifoStats::new(),
+            cfg,
+            _elem: std::marker::PhantomData,
+        })
+    }
+
+    /// Enter the ring critical section for `role`.
     #[inline]
-    fn enter(&self, role: Role) -> Arena<'_, T> {
-        if self.resizable {
-            self.fence.enter(role);
-        }
-        // Shadow CS strictly inside the fence CS: entered only after the
-        // fence is held, so the checker cannot flag interleavings the
-        // fence already excludes.
-        #[cfg(feature = "raft_protocol_check")]
-        self.shadow.enter(role);
+    fn enter(&self, role: Role) -> Arena<'_, T, H> {
+        self.home.enter(role);
         Arena { shared: self, role }
     }
 
-    /// The slot storage, for a caller *currently holding an [`Arena`]*.
-    ///
-    /// # Safety
-    /// An `Arena` for the caller's role must be alive for as long as the
-    /// returned reference is used: membership excludes any storage swap
-    /// (and fixed-capacity FIFOs can never swap).
+    /// Per-element wake of whoever sleeps as `role`: one relaxed load per
+    /// sleeper kind when nobody waits. A parked thread gets the lossy
+    /// [`EventCount::notify_if_armed`] (bounded park, rescues counted); a
+    /// registered task always gets the fenced notify — it has no timeout to
+    /// fall back on.
     #[inline]
-    unsafe fn storage(&self) -> &Storage<T> {
-        // SAFETY: per the function contract, no resize (the only writer)
-        // can run while the caller holds membership, so a shared reference
-        // to the contents cannot alias a mutation.
-        unsafe { &*self.storage.get() }
+    fn notify(&self, role: Role) {
+        if let Some(task) = self.home.task(role) {
+            task.notify();
+        }
+        self.home.event(role).notify_if_armed();
     }
 
-    /// Current capacity (third-party view; endpoints inside an arena read
-    /// the storage itself).
-    #[inline]
-    fn capacity(&self) -> usize {
-        self.capacity.load(Acquire)
+    /// Wake for a change that will not be repeated (close, drop, drain,
+    /// async signal, resize, rewind): never loses one.
+    fn notify_fenced(&self, role: Role) {
+        if let Some(task) = self.home.task(role) {
+            task.notify();
+        }
+        self.home.event(role).notify();
+    }
+
+    /// Mark `role`'s endpoint gone and tell the other side.
+    fn close(&self, role: Role) {
+        self.home.set_closed(role);
+        self.notify_fenced(match role {
+            Role::Producer => Role::Consumer,
+            Role::Consumer => Role::Producer,
+        });
+    }
+
+    /// Grow to at least `target` slots if the home can (cold; the caller
+    /// is outside its arena, so a resize cannot deadlock on it). `true` if
+    /// the capacity then suffices.
+    fn grow_to(&self, target: usize) -> bool {
+        let satisfied = self.home.grow_to(target, &self.stats);
+        // A grow makes space visible to a parked producer.
+        self.notify_fenced(Role::Producer);
+        satisfied
     }
 
     /// Elements observable by the consumer: ring contents plus journal
@@ -485,9 +765,10 @@ impl<T> Shared<T> {
     #[inline]
     fn occupancy(&self) -> usize {
         let ring = self
-            .tail
+            .home
+            .tail()
             .load(Acquire)
-            .saturating_sub(self.head.load(Acquire));
+            .saturating_sub(self.home.head().load(Acquire));
         ring + self.journal_pending.load(Acquire)
     }
 
@@ -499,28 +780,28 @@ impl<T> Shared<T> {
     /// Producer closed (or link quiesced) and everything consumed,
     /// including any journal replay.
     fn is_finished(&self) -> bool {
-        (self.producer_closed.load(Acquire) || self.quiesced()) && self.occupancy() == 0
+        (self.home.producer_closed() || self.quiesced()) && self.occupancy() == 0
     }
 
     /// The cursor just published: count it, leave the arena, tell the
     /// consumer side.
     #[inline]
-    fn published(&self, arena: Arena<'_, T>, tail: usize) {
+    fn published(&self, arena: Arena<'_, T, H>, tail: usize) {
         // Single-writer counter: total pushed == tail, so a plain store
         // replaces a fetch_add.
         self.stats.writer.pushed.store(tail as u64, Relaxed);
         drop(arena);
-        self.data.notify();
+        self.notify(Role::Consumer);
     }
 
     /// The cursor just released: count it, leave the arena, tell the
     /// producer side.
     #[inline]
-    fn released(&self, arena: Arena<'_, T>, head: usize) {
+    fn released(&self, arena: Arena<'_, T, H>, head: usize) {
         // Single-writer counter: total popped == head.
         self.stats.reader.popped.store(head as u64, Relaxed);
         drop(arena);
-        self.space.notify();
+        self.notify(Role::Producer);
     }
 
     /// Block `role` until `ready` yields — the one place a FIFO endpoint
@@ -542,8 +823,8 @@ impl<T> Shared<T> {
     /// The slow half of [`block_until`](Self::block_until): the wait is
     /// visible to the monitor through `*_blocked_since` (3δ of continuous
     /// writer blocking grows the queue) and runs the crate's blocking loop
-    /// on the role's [`Side`], ended early by drain level `QUIESCED` or by
-    /// `budget` (the admission deadline).
+    /// on the eventcount `role` sleeps on, ended early by drain level
+    /// `QUIESCED` or by `budget` (the admission deadline).
     #[cold]
     fn blocked<R>(
         &self,
@@ -553,31 +834,27 @@ impl<T> Shared<T> {
     ) -> Result<R, Blocked> {
         type Stamp = fn(&FifoStats);
         let stats = &self.stats;
-        let (side, rescues, begin, end): (_, _, Stamp, Stamp) = match role {
+        let (rescues, begin, end): (_, Stamp, Stamp) = match role {
             Role::Producer => (
-                &self.space,
                 &stats.writer.rescues,
                 FifoStats::writer_block_begin,
                 FifoStats::writer_block_end,
             ),
             Role::Consumer => (
-                &self.data,
                 &stats.reader.rescues,
                 FifoStats::reader_block_begin,
                 FifoStats::reader_block_end,
             ),
         };
         begin(stats);
-        // We are *outside* the fence while parked, so a resize can proceed
+        // We are *outside* the arena while parked, so a resize can proceed
         // while we sleep.
-        let result =
-            eventcount::block_until(&side.thread, rescues, budget, || self.quiesced(), ready);
+        let event = self.home.event(role);
+        let result = eventcount::block_until(&event, rescues, budget, || self.quiesced(), ready);
         end(stats);
         result
     }
-}
 
-impl<T: Send> Shared<T> {
     /// Non-blocking push straight to the ring.
     #[inline]
     fn try_push(
@@ -586,60 +863,60 @@ impl<T: Send> Shared<T> {
         value: T,
         signal: Signal,
     ) -> Result<(), TryPushError<T>> {
-        if self.consumer_closed.load(Relaxed) {
+        if self.home.consumer_closed() {
             return Err(TryPushError::Closed(value));
         }
         let arena = self.enter(Role::Producer);
-        match cursor.push(&arena, (value, signal)) {
+        match cursor.push(&arena, H::Slot::pack(value, signal)) {
             Ok(()) => {
                 self.published(arena, cursor.tail());
                 Ok(())
             }
-            Err((value, _)) => Err(TryPushError::Full(value)),
+            Err(slot) => Err(TryPushError::Full(slot.unpack().0)),
         }
     }
 
-    /// Push as many elements from the front of `items` as currently fit,
-    /// under a single arena entry and one publish; the rest stay in
-    /// `items`. `pair` attaches each element's signal.
+    /// Push as many of `want` elements as currently fit, under a single
+    /// arena entry and one publish. `items` is told how many that is and
+    /// yields exactly those.
     #[inline]
-    fn push_some<U>(
+    fn push_some<I: Iterator<Item = (T, Signal)>>(
         &self,
         cursor: &mut ProducerCursor,
-        items: &mut Vec<U>,
-        pair: impl Fn(U) -> (T, Signal),
+        want: usize,
+        items: impl FnOnce(usize) -> I,
     ) -> Result<usize, PushError<()>> {
-        if items.is_empty() {
+        if want == 0 {
             return Ok(0);
         }
-        if self.consumer_closed.load(Relaxed) {
+        if self.home.consumer_closed() {
             return Err(PushError(()));
         }
         let arena = self.enter(Role::Producer);
-        let n = cursor.push_some(&arena, items.len(), |n| items.drain(..n).map(&pair));
+        let n = cursor.push_some(&arena, want, |n| items(n).map(|(v, s)| H::Slot::pack(v, s)));
         if n > 0 {
             self.published(arena, cursor.tail());
         }
         Ok(n)
     }
 
-    /// Blocking push straight to the ring (the commit flush path and the
-    /// unstaged common case), applying the link's admission policy: a full
-    /// ring blocks, sheds at once (`Shed` is a zero budget) or sheds when
-    /// the `BlockTimeout` budget runs out.
+    /// Blocking push straight to the ring, applying the link's admission
+    /// policy: a full ring blocks, sheds at once (`Shed` is a zero budget)
+    /// or sheds when the `BlockTimeout` budget runs out.
     #[inline]
     fn push(
         &self,
         cursor: &mut ProducerCursor,
         value: T,
         signal: Signal,
+        admission: AdmissionPolicy,
     ) -> Result<(), PushError<T>> {
         let mut held = match self.try_push(cursor, value, signal) {
             Ok(()) => return Ok(()),
             Err(TryPushError::Closed(v)) => return Err(PushError(v)),
             Err(TryPushError::Full(v)) => Some(v),
         };
-        let sent = self.block_until(Role::Producer, self.cfg.admission.budget(), || {
+        let sent = self.block_until(Role::Producer, admission.budget(), || {
             let value = held.take().expect("handed back by every failed attempt");
             match self.try_push(cursor, value, signal) {
                 Ok(()) => Some(true),
@@ -704,20 +981,25 @@ impl<T: Send> Shared<T> {
         // arena entry. Quiesced mid-drain reports end-of-stream so a blocked
         // consumer kernel terminates even though its producer is still
         // alive upstream.
-        match cursor.poll(self, || self.producer_closed.load(Acquire)) {
+        match cursor.poll(self, || self.home.producer_closed()) {
             Ok(_) => {}
             Err(TryPopError::Empty) if self.quiesced() => return Err(TryPopError::Closed),
             Err(e) => return Err(e),
         }
         let arena = self.enter(Role::Consumer);
-        let Some(pair) = cursor.pop(&arena) else {
+        let Some(slot) = cursor.pop(&arena) else {
             return Err(TryPopError::Empty);
         };
         self.released(arena, cursor.head());
+        let pair = slot.unpack();
         if let Some(j) = journal {
             // Record the live pop for possible replay; the cursor tracks
             // next_seq while recording.
-            j.window.append(((j.clone_fn)(&pair.0), pair.1));
+            record(
+                &mut j.window,
+                ((j.clone_fn)(&pair.0), pair.1),
+                &self.stats.reader.forced_acks,
+            );
             j.cursor = j.window.next_seq();
         }
         Ok(pair)
@@ -726,131 +1008,33 @@ impl<T: Send> Shared<T> {
     /// Consume `k` ready elements through `each` under one arena entry and
     /// one release — what `advance` and `pop_range` are.
     #[inline]
-    fn drain(&self, cursor: &mut ConsumerCursor, k: usize, each: impl FnMut((T, Signal))) {
+    fn drain(&self, cursor: &mut ConsumerCursor, k: usize, mut each: impl FnMut((T, Signal))) {
         let arena = self.enter(Role::Consumer);
-        cursor.pop_some(&arena, k, each);
+        cursor.pop_some(&arena, k, |slot| each(slot.unpack()));
         self.released(arena, cursor.head());
     }
+}
 
-    /// Resize the ring to `new_capacity` (clamped to config bounds and to
-    /// current occupancy). Returns the resulting capacity.
-    ///
-    /// Takes the resizer lock (vs. other resizers), then the
-    /// [`ResizeFence`] (vs. the endpoints, who retry as soon as
-    /// `end_resize` clears the pending flag). The live region is moved with
-    /// one contiguous copy when both source and destination regions are
-    /// non-wrapped (the paper's preferred resize position), element-wise
-    /// otherwise.
-    fn resize(&self, new_capacity: usize) -> usize {
-        if !self.resizable {
-            // Fixed-capacity config: endpoints skip the fence, so mutating
-            // the storage here would be unsound — and the clamp below could
-            // only ever return the current capacity anyway.
-            return self.capacity();
-        }
-        let _resizing = self.resizing.lock();
-        // Chaos hook: inject a stall (or panic) while holding the resizer
-        // lock but before the fence, the window where a wedged resize is
-        // most visible to the endpoints.
-        crate::failpoint!("buffer::fifo::resize");
-        self.fence.begin_resize();
-        // SAFETY: the fence excludes both endpoints and the lock excludes
-        // other resizers, so until `end_resize` this is the only reference
-        // to the storage.
-        let storage = unsafe { &mut *self.storage.get() };
-        // With the fence held, both endpoints are outside their critical
-        // sections; their counter stores happened-before their (acquired)
-        // fence exits, so Relaxed loads here read the settled values and
-        // nobody moves them until end_resize.
-        let head = self.head.load(Relaxed);
-        let tail = self.tail.load(Relaxed);
-        #[cfg(feature = "raft_protocol_check")]
-        self.shadow.resize_begin();
-        let live = tail - head;
-        let new_capacity = new_capacity
-            .clamp(self.cfg.min_capacity, self.cfg.max_capacity)
-            .max(live)
-            .next_power_of_two();
-        if new_capacity != storage.capacity() {
-            let new = Storage::<T>::with_capacity(new_capacity);
-            let old_mask = storage.mask;
-            if live > 0 {
-                let src_start = head & old_mask;
-                let dst_start = head & new.mask;
-                let src_contig = src_start + live <= storage.capacity();
-                let dst_contig = dst_start + live <= new.capacity();
-                // SAFETY: exclusive access (above). Source slots
-                // `[head, tail)` are initialized (live region); destination
-                // slots are freshly allocated and distinct allocations, so
-                // the ranges cannot overlap. `new_capacity >= live` (clamped
-                // above) guarantees the destination indices stay in bounds,
-                // and the bit-copy is a move: the old slots are discarded as
-                // `MaybeUninit` (never dropped) right after, so no element
-                // is duplicated or leaked.
-                unsafe {
-                    if src_contig && dst_contig {
-                        // Fast path: one memcpy of the whole live region.
-                        std::ptr::copy_nonoverlapping(
-                            storage.slot(src_start),
-                            new.slot(head),
-                            live,
-                        );
-                    } else {
-                        // Wrapped on either side: move element-wise.
-                        for i in 0..live {
-                            std::ptr::copy_nonoverlapping(
-                                storage.slot((head + i) & old_mask),
-                                new.slot(head + i),
-                                1,
-                            );
-                        }
-                    }
-                }
-            }
-            // Old slots' live elements were moved out byte-wise: discarding
-            // the old storage is safe because MaybeUninit never drops its
-            // contents.
-            *storage = new;
-            self.capacity.store(new_capacity, Release);
-            self.stats.monitor.resizes.fetch_add(1, Relaxed);
-        }
-        #[cfg(feature = "raft_protocol_check")]
-        self.shadow
-            .resize_end(head, tail, self.head.load(Relaxed), self.tail.load(Relaxed));
-        // Publish the new storage (Release inside) before endpoints re-enter.
-        self.fence.end_resize();
-        // A grow makes space visible to a parked producer.
-        self.space.notify_fenced();
-        new_capacity
-    }
-
-    /// Grow until `capacity >= target` (bounded). Returns `true` if the
-    /// final capacity satisfies the request.
-    fn grow_to(&self, target: usize) -> bool {
-        self.capacity() >= target || self.resize(target.next_power_of_two()) >= target
+/// Append `entry` to an endpoint's replay window, mirroring a forced
+/// acknowledgement (the bound dropped an entry that can no longer be
+/// replayed) into that endpoint's `forced_acks` counter.
+#[inline]
+fn record<E>(window: &mut ReplayWindow<E>, entry: E, forced_acks: &AtomicU64) {
+    window.append(entry);
+    let forced = window.forced_acks();
+    if forced != forced_acks.load(Relaxed) {
+        forced_acks.store(forced, Relaxed);
     }
 }
 
-impl<T> Drop for Shared<T> {
-    fn drop(&mut self) {
-        // Last owner of the FIFO: drop whatever elements remain exactly once.
-        // (Storage never drops its MaybeUninit contents itself.)
-        let storage = self.storage.get_mut();
-        for i in self.head.load(Relaxed)..self.tail.load(Relaxed) {
-            // SAFETY: [head, tail) is the live region; exclusive access here.
-            unsafe { (*storage.slot(i)).assume_init_drop() };
-        }
-    }
+/// The stream FIFO's monitor/third-party handle; [`Producer`]/[`Consumer`]
+/// are the data endpoints. Create a heap-home FIFO with [`fifo_with`], a
+/// segment-home one with the [`crate::shm::ShmRing`] constructors.
+pub struct Fifo<T, H: Home<T> = Heap<T>> {
+    shared: Arc<Shared<T, H>>,
 }
 
-/// The dynamically resizable stream FIFO. Create one with [`fifo_with`];
-/// this handle is the monitor/third-party view, [`Producer`]/[`Consumer`]
-/// are the data endpoints.
-pub struct Fifo<T> {
-    shared: Arc<Shared<T>>,
-}
-
-impl<T> Clone for Fifo<T> {
+impl<T, H: Home<T>> Clone for Fifo<T, H> {
     fn clone(&self) -> Self {
         Fifo {
             shared: self.shared.clone(),
@@ -858,10 +1042,10 @@ impl<T> Clone for Fifo<T> {
     }
 }
 
-/// Create a FIFO with the given configuration; returns the monitor-facing
-/// handle plus the two endpoints.
+/// Create a heap-home FIFO with the given configuration; returns the
+/// monitor-facing handle plus the two endpoints.
 pub fn fifo_with<T: Send>(cfg: FifoConfig) -> (Fifo<T>, Producer<T>, Consumer<T>) {
-    let mut cfg = FifoConfig {
+    let cfg = FifoConfig {
         initial_capacity: cfg
             .initial_capacity
             .clamp(1, cfg.max_capacity.max(1))
@@ -870,71 +1054,56 @@ pub fn fifo_with<T: Send>(cfg: FifoConfig) -> (Fifo<T>, Producer<T>, Consumer<T>
         min_capacity: cfg.min_capacity.max(1).next_power_of_two(),
         ..cfg
     };
-    // A mapped segment cannot be swapped out under a live peer: an shm
-    // link runs at its initial capacity, fixed (which also means the
-    // endpoints skip the resize fence and run at raw SPSC speed).
-    if cfg.alloc == LinkAlloc::Shm {
-        cfg.max_capacity = cfg.initial_capacity;
-        cfg.min_capacity = cfg.initial_capacity;
-    }
-    let storage = if cfg.alloc == LinkAlloc::Shm {
-        Storage::with_segment(cfg.initial_capacity)
-            .unwrap_or_else(|_| Storage::with_capacity(cfg.initial_capacity))
-    } else {
-        Storage::with_capacity(cfg.initial_capacity)
+    let fifo = Fifo {
+        shared: Shared::new(Heap::new(&cfg), cfg),
     };
-    // Record what actually backs the slots, not what was asked for.
-    let alloc = if storage.is_shm() {
-        LinkAlloc::Shm
-    } else {
-        LinkAlloc::Heap
-    };
-    let shared = Arc::new(Shared {
-        capacity: AtomicUsize::new(storage.capacity()),
-        storage: UnsafeCell::new(storage),
-        resizing: Mutex::new(()),
-        fence: ResizeFence::new(),
-        resizable: cfg.max_capacity != cfg.min_capacity,
-        alloc,
-        head: CachePadded::new(AtomicUsize::new(0)),
-        tail: CachePadded::new(AtomicUsize::new(0)),
-        producer_closed: AtomicBool::new(false),
-        consumer_closed: AtomicBool::new(false),
-        async_signal: AtomicU64::new(0),
-        data: Side::default(),
-        space: Side::default(),
-        drain: AtomicU8::new(DRAIN_RUNNING),
-        journal_pending: std::sync::atomic::AtomicUsize::new(0),
-        journaled: AtomicBool::new(false),
-        stats: FifoStats::new(),
-        cfg,
-        #[cfg(feature = "raft_protocol_check")]
-        shadow: crate::protocol::FifoShadow::new(),
-    });
-    (
-        Fifo {
-            shared: shared.clone(),
-        },
-        Producer {
-            // SAFETY: a fresh FIFO gets exactly one cursor per role, each
-            // owned by a non-Clone endpoint that keeps `shared` with it.
-            cursor: unsafe { ProducerCursor::attach(&*shared) },
-            shared: shared.clone(),
-            staged: None,
-        },
-        Consumer {
-            // SAFETY: see the producer cursor above.
-            cursor: unsafe { ConsumerCursor::attach(&*shared) },
-            shared,
-            journal: None,
-        },
-    )
+    // SAFETY: a fresh FIFO gets exactly one endpoint per role.
+    let (producer, consumer) = unsafe { (fifo.producer(), fifo.consumer()) };
+    (fifo, producer, consumer)
 }
 
-impl<T: Send> Fifo<T> {
+impl<T, H: Home<T>> Fifo<T, H> {
+    /// A link over a home built elsewhere in the crate (the segment
+    /// constructors), fixed at its capacity, with no endpoint yet.
+    pub(crate) fn over(home: H) -> Self {
+        let cfg = FifoConfig::fixed(home.capacity());
+        Fifo {
+            shared: Shared::new(home, cfg),
+        }
+    }
+
+    /// The producing endpoint, resuming at the ring's current counters (the
+    /// surviving values when re-attaching to a segment).
+    ///
+    /// # Safety
+    /// The single-producer contract is taken on here: no other producer
+    /// endpoint (or cursor) may exist for this link, in any process.
+    pub(crate) unsafe fn producer(&self) -> Producer<T, H> {
+        Producer {
+            // SAFETY: the caller's contract; the cursor stays with `shared`.
+            cursor: unsafe { ProducerCursor::attach(&*self.shared) },
+            shared: self.shared.clone(),
+            admission: self.shared.cfg.admission,
+            window: None,
+        }
+    }
+
+    /// The consuming endpoint, resuming at the ring's current counters.
+    ///
+    /// # Safety
+    /// The single-consumer twin of [`producer`](Self::producer).
+    pub(crate) unsafe fn consumer(&self) -> Consumer<T, H> {
+        Consumer {
+            // SAFETY: the caller's contract; the cursor stays with `shared`.
+            cursor: unsafe { ConsumerCursor::attach(&*self.shared) },
+            shared: self.shared.clone(),
+            journal: None,
+        }
+    }
+
     /// Current capacity (elements).
     pub fn capacity(&self) -> usize {
-        self.shared.capacity()
+        self.shared.home.capacity()
     }
 
     /// Current occupancy (elements queued).
@@ -954,9 +1123,10 @@ impl<T: Send> Fifo<T> {
             .snapshot(self.capacity(), self.occupancy())
     }
 
-    /// The allocator actually backing this link's slots.
+    /// The allocator backing this link: the home its endpoints were built
+    /// over.
     pub fn link_alloc(&self) -> LinkAlloc {
-        self.shared.alloc
+        H::ALLOC
     }
 
     /// The configured growth ceiling.
@@ -978,14 +1148,15 @@ impl<T: Send> Fifo<T> {
     /// Raise the cooperative drain level (monotonic; lowering is ignored).
     /// At [`DRAIN_QUIESCED`] blocked producers fail fast and pops on an
     /// empty ring observe end-of-stream, so a wedged graph still terminates.
+    /// The level is local to this process, whatever the home.
     pub fn set_drain_level(&self, level: u8) {
         crate::failpoint!("buffer::fifo::drain");
         let prev = self.shared.drain.fetch_max(level, AcqRel);
         if prev < level {
             // Both endpoints may be parked on conditions that will now never
             // arrive; the new level must be actionable immediately.
-            self.shared.data.notify_fenced();
-            self.shared.space.notify_fenced();
+            self.shared.notify_fenced(Role::Consumer);
+            self.shared.notify_fenced(Role::Producer);
         }
     }
 
@@ -1000,10 +1171,11 @@ impl<T: Send> Fifo<T> {
     }
 
     /// Post an asynchronous (out-of-band) signal, immediately visible to the
-    /// consumer regardless of queued data.
+    /// consumer regardless of queued data (process-local, like the drain
+    /// level).
     pub fn post_async(&self, signal: Signal) {
         self.shared.async_signal.store(signal.encode(), Release);
-        self.shared.data.notify_fenced();
+        self.shared.notify_fenced(Role::Consumer);
     }
 
     /// Take a pending asynchronous signal, if any.
@@ -1018,11 +1190,21 @@ impl<T: Send> Fifo<T> {
         self.shared.async_signal.load(Acquire) != 0
     }
 
+    /// Monitor tick: record an occupancy sample into the histogram.
+    pub fn sample(&self) {
+        self.shared.stats.sample_occupancy(self.occupancy());
+    }
+}
+
+impl<T> Fifo<T> {
     /// Resize the ring to `new_capacity` (clamped to config bounds and to
     /// current occupancy); see [`ResizeFence`] for the exclusion protocol.
     /// Returns the resulting capacity.
     pub fn resize(&self, new_capacity: usize) -> usize {
-        self.shared.resize(new_capacity)
+        let capacity = self.shared.home.resize(new_capacity, &self.shared.stats);
+        // A grow makes space visible to a parked producer.
+        self.shared.notify_fenced(Role::Producer);
+        capacity
     }
 
     /// Grow by doubling (bounded by `max_capacity`). Returns `true` if the
@@ -1048,11 +1230,6 @@ impl<T: Send> Fifo<T> {
             return false;
         }
         self.resize(cur / 2) < cur
-    }
-
-    /// Monitor tick: record an occupancy sample into the histogram.
-    pub fn sample(&self) {
-        self.shared.stats.sample_occupancy(self.occupancy());
     }
 }
 
@@ -1097,9 +1274,7 @@ pub trait Monitorable: Send + Sync {
         DRAIN_RUNNING
     }
     /// The allocator backing this link's storage (for `ExeReport`).
-    fn link_alloc(&self) -> LinkAlloc {
-        LinkAlloc::Heap
-    }
+    fn link_alloc(&self) -> LinkAlloc;
     /// `true` when an exactly-once replay journal records this link.
     fn journaled(&self) -> bool {
         false
@@ -1147,10 +1322,10 @@ impl<T: Send> Monitorable for Fifo<T> {
         Fifo::has_async(self)
     }
     fn consumer_waker(&self) -> &WakerSlot {
-        &self.shared.data.task
+        &self.shared.home.data.task
     }
     fn producer_waker(&self) -> &WakerSlot {
-        &self.shared.space.task
+        &self.shared.home.space.task
     }
     fn set_drain_level(&self, level: u8) {
         Fifo::set_drain_level(self, level);
@@ -1166,28 +1341,134 @@ impl<T: Send> Monitorable for Fifo<T> {
 /// Producing endpoint of a [`Fifo`]. One per stream; `Send` (the handle is
 /// the unique owner of the producer role, so sending it only relocates the
 /// role), not `Clone`.
-pub struct Producer<T> {
-    shared: Arc<Shared<T>>,
+pub struct Producer<T, H: Home<T> = Heap<T>> {
+    shared: Arc<Shared<T, H>>,
     /// The ring's producer-side state (exact tail, conservative head cache).
     cursor: ProducerCursor,
-    /// When `Some`, pushes are staged here instead of published to the ring;
-    /// [`commit_produced`](Producer::commit_produced) flushes them,
-    /// [`rewind_produced`](Producer::rewind_produced) discards them — the
-    /// output half of the exactly-once contract (see [`crate::journal`]).
-    staged: Option<Vec<(T, Signal)>>,
+    /// What a full ring does to a push (from [`FifoConfig::admission`]).
+    admission: AdmissionPolicy,
+    /// When `Some`, pushes are appended here instead of published to the
+    /// ring — the output half of the exactly-once contract (see
+    /// [`crate::journal`]) and the endpoint's one pending buffer.
+    window: Option<Box<Window<T>>>,
 }
 
-impl<T: Send> Producer<T> {
+/// Everything appended to a link and not yet acknowledged, in sequence
+/// order, under three cursors `acked ≤ published ≤ appended`:
+///
+/// * `[published, appended)` is **staged** — not yet in the ring. A
+///   transaction's uncommitted outputs, or a replay backlog after a rewind;
+/// * `[acked, published)` is **retained** — in the ring (or past it), kept
+///   until the consuming side says it will never need it again.
+///
+/// Who acknowledges depends on where a published element can still be
+/// lost. Within a process the ring itself is reliable, so handing an
+/// element to it is delivering it: publishing *moves* the entry out and
+/// acknowledges it (`retain` is `None`, the retained region stays empty, no
+/// `Clone` needed). Across a process boundary the consumer can die with
+/// the ring's contents: publishing *copies* the entry and the segment's
+/// commit word acknowledges it ([`Producer::ack_committed`]).
+struct Window<T> {
+    /// Entries `[acked, appended)`, numbered in send order from 0.
+    entries: ReplayWindow<(T, Signal)>,
+    /// Sequence number of the next entry to hand to the ring.
+    published: u64,
+    /// How to copy a retained entry into the ring; `None` moves it.
+    retain: Option<fn(&T) -> T>,
+    /// Sends are refused between [`Producer::begin_recovery`] and
+    /// [`Producer::replay_unacked`].
+    recovering: bool,
+}
+
+impl<T> Window<T> {
+    fn new(bound: usize, retain: Option<fn(&T) -> T>) -> Box<Self> {
+        Box::new(Window {
+            entries: ReplayWindow::new(bound),
+            published: 0,
+            retain,
+            recovering: false,
+        })
+    }
+
+    /// Entries appended and not yet handed to the ring.
+    fn staged(&self) -> usize {
+        (self.entries.next_seq() - self.published) as usize
+    }
+
+    /// The next staged entry, for the ring.
+    fn publish_next(&mut self) -> (T, Signal) {
+        let seq = self.published;
+        self.published += 1;
+        match self.retain {
+            // Nothing is retained, so the next staged entry is the front.
+            None => self.entries.take_front(),
+            Some(copy) => self.entries.get(seq).map(|(v, s)| (copy(v), *s)),
+        }
+        .expect("a staged entry is in the window")
+    }
+}
+
+impl<T, H: Home<T>> Producer<T, H> {
+    /// Append `(value, signal)` to the window (never `Full`), unless the
+    /// consumer is gone.
+    fn stage(&mut self, value: T, signal: Signal) -> Result<(), T> {
+        if self.shared.home.consumer_closed() {
+            return Err(value);
+        }
+        self.append(value, signal);
+        Ok(())
+    }
+
+    /// Append `(value, signal)` to the window.
+    fn append(&mut self, value: T, signal: Signal) {
+        let window = self.window.as_mut().expect("staging enabled");
+        let forced = &self.shared.stats.writer.forced_acks;
+        record(&mut window.entries, (value, signal), forced);
+        // A forced ack of a still-staged entry loses it: skip past.
+        window.published = window.published.max(window.entries.acked());
+    }
+
+    /// Hand staged entries to the ring in order, one batch — a single
+    /// arena entry, tail store and consumer notify — per stretch of room.
+    /// On a full ring, `block` waits for room under the admission policy
+    /// (grow, block, shed, or time out); otherwise the rest stays staged.
+    /// Returns the number published; errs if the consumer is gone.
+    fn flush(&mut self, block: bool) -> Result<usize, PushError<()>> {
+        let Producer {
+            shared,
+            cursor,
+            admission,
+            window,
+        } = self;
+        let Some(window) = window else {
+            return Ok(0);
+        };
+        let mut published = 0;
+        while window.staged() > 0 {
+            let staged = window.staged();
+            let entries = &mut *window;
+            let batch = move |n| std::iter::repeat_with(move || entries.publish_next()).take(n);
+            match shared.push_some(cursor, staged, batch)? {
+                0 if block => {
+                    let (v, s) = window.publish_next();
+                    shared
+                        .push(cursor, v, s, *admission)
+                        .map_err(|_| PushError(()))?;
+                    published += 1;
+                }
+                0 => break,
+                n => published += n,
+            }
+        }
+        Ok(published)
+    }
+
     /// Non-blocking push of `(value, signal)`. With staging enabled the
-    /// element lands in the pending buffer (never `Full`) and reaches the
+    /// element lands in the pending window (never `Full`) and reaches the
     /// ring at the next [`commit_produced`](Self::commit_produced).
     pub fn try_push_signal(&mut self, value: T, signal: Signal) -> Result<(), TryPushError<T>> {
-        if let Some(pending) = self.staged.as_mut() {
-            if self.shared.consumer_closed.load(Relaxed) {
-                return Err(TryPushError::Closed(value));
-            }
-            pending.push((value, signal));
-            return Ok(());
+        if self.window.is_some() {
+            return self.stage(value, signal).map_err(TryPushError::Closed);
         }
         self.shared.try_push(&mut self.cursor, value, signal)
     }
@@ -1208,13 +1489,11 @@ impl<T: Send> Producer<T> {
     /// shedding [`AdmissionPolicy`] a full ring drops the element (counted
     /// in the `shed` statistic) instead of blocking indefinitely.
     pub fn push_signal(&mut self, value: T, signal: Signal) -> Result<(), PushError<T>> {
-        if self.staged.is_some() {
-            return match self.try_push_signal(value, signal) {
-                Ok(()) => Ok(()),
-                Err(TryPushError::Closed(v)) | Err(TryPushError::Full(v)) => Err(PushError(v)),
-            };
+        if self.window.is_some() {
+            return self.stage(value, signal).map_err(PushError);
         }
-        self.shared.push(&mut self.cursor, value, signal)
+        self.shared
+            .push(&mut self.cursor, value, signal, self.admission)
     }
 
     /// Blocking push; errs only if the consumer is gone.
@@ -1227,8 +1506,9 @@ impl<T: Send> Producer<T> {
     /// fence entry (the batch path split adapters and sources use). Returns
     /// the number pushed; the rest stay in `items`.
     pub fn try_push_batch(&mut self, items: &mut Vec<T>) -> Result<usize, PushError<()>> {
-        self.shared
-            .push_some(&mut self.cursor, items, |v| (v, Signal::None))
+        self.shared.push_some(&mut self.cursor, items.len(), |n| {
+            items.drain(..n).map(|v| (v, Signal::None))
+        })
     }
 
     /// Blocking batch push: pushes *all* of `items`, waiting for room as
@@ -1237,23 +1517,23 @@ impl<T: Send> Producer<T> {
     /// is buffered until commit; under a shedding admission policy a full
     /// ring drops the remainder (counted) instead of blocking.
     pub fn push_batch(&mut self, items: &mut Vec<T>) -> Result<(), PushError<()>> {
-        let Producer {
-            shared,
-            cursor,
-            staged,
-        } = self;
-        if let Some(pending) = staged {
-            if shared.consumer_closed.load(Relaxed) {
+        if self.window.is_some() {
+            if self.shared.home.consumer_closed() {
                 return Err(PushError(()));
             }
-            pending.extend(items.drain(..).map(|v| (v, Signal::None)));
+            for v in items.drain(..) {
+                self.append(v, Signal::None);
+            }
             return Ok(());
         }
-        let budget = shared.cfg.admission.budget();
+        let budget = self.admission.budget();
+        let Producer { shared, cursor, .. } = self;
         while !items.is_empty() {
             // One wait per stretch without progress: progress restarts the
             // backoff schedule, the blocked stamp and the admission budget.
-            let step = || match shared.push_some(cursor, items, |v| (v, Signal::None)) {
+            let step = || match shared.push_some(cursor, items.len(), |n| {
+                items.drain(..n).map(|v| (v, Signal::None))
+            }) {
                 Ok(0) => None,
                 progress => Some(progress),
             };
@@ -1282,15 +1562,15 @@ impl<T: Send> Producer<T> {
     /// Holding the slice holds fence membership: a resize waits until the
     /// slice is dropped. Errs only if the consumer is gone or the link
     /// quiesced.
-    pub fn reserve(&mut self, n: usize) -> Result<WriteSlice<'_, T>, PushError<()>> {
+    pub fn reserve(&mut self, n: usize) -> Result<WriteSlice<'_, T, H>, PushError<()>> {
         let shared = &*self.shared;
         let cursor = &mut self.cursor;
         let n = n.clamp(1, shared.cfg.max_capacity);
         let arena = shared.block_until(Role::Producer, None, || {
-            if shared.consumer_closed.load(Relaxed) || shared.quiesced() {
+            if shared.home.consumer_closed() || shared.quiesced() {
                 return Some(None);
             }
-            if n > shared.capacity() {
+            if n > shared.home.capacity() {
                 // Write-side on-the-spot grow (cold; resizer path). We are
                 // outside the arena here, so it cannot deadlock on us.
                 shared.grow_to(n);
@@ -1315,7 +1595,7 @@ impl<T: Send> Producer<T> {
     ///
     /// The guard is a one-slot [`reserve`](Self::reserve): it holds fence
     /// membership, so a concurrent resize waits until the guard drops.
-    pub fn allocate(&mut self) -> Result<WriteGuard<'_, T>, PushError<T>>
+    pub fn allocate(&mut self) -> Result<WriteGuard<'_, T, H>, PushError<T>>
     where
         T: Default,
     {
@@ -1324,27 +1604,28 @@ impl<T: Send> Producer<T> {
         Ok(WriteGuard(slot))
     }
 
+    /// Replace the overload admission policy ([`FifoConfig::admission`] is
+    /// its initial value; segment links start at `Block`).
+    pub fn set_admission(&mut self, admission: AdmissionPolicy) {
+        self.admission = admission;
+    }
+
     /// Stage outputs instead of publishing them: after this call every push
-    /// lands in a pending buffer that only reaches the ring on
+    /// lands in the pending window and only reaches the ring on
     /// [`commit_produced`](Self::commit_produced) — the output half of the
     /// exactly-once recovery contract (see [`crate::journal`]). Zero-copy
     /// writes ([`reserve`](Self::reserve) / [`allocate`](Self::allocate))
     /// bypass staging and publish directly. Elements still staged when the
     /// producer closes are discarded.
     pub fn enable_staging(&mut self) {
-        if self.staged.is_none() {
-            self.staged = Some(Vec::new());
+        if self.window.is_none() {
+            self.window = Some(Window::new(0, None));
         }
-    }
-
-    /// `true` once [`enable_staging`](Self::enable_staging) was called.
-    pub fn staging_enabled(&self) -> bool {
-        self.staged.is_some()
     }
 
     /// Elements currently staged and not yet published.
     pub fn staged_len(&self) -> usize {
-        self.staged.as_ref().map_or(0, Vec::len)
+        self.window.as_ref().map_or(0, |w| w.staged())
     }
 
     /// Publish every staged element to the ring, blocking for room as
@@ -1352,70 +1633,36 @@ impl<T: Send> Producer<T> {
     /// published; errs if the consumer is gone, in which case the remaining
     /// staged elements are discarded.
     pub fn commit_produced(&mut self) -> Result<usize, PushError<()>> {
-        let Producer {
-            shared,
-            cursor,
-            staged,
-        } = self;
-        // The buffer keeps its capacity across commits: a transaction per
-        // element must not cost an allocator round-trip per commit.
-        let Some(items) = staged.as_mut().filter(|items| !items.is_empty()) else {
-            return Ok(0);
-        };
-        let mut published = 0;
-        let mut result = Ok(());
-        while !items.is_empty() {
-            // Fast path: publish whatever fits as one batch — a single
-            // fence entry, tail store, and consumer notify for the whole
-            // run, instead of per-element publication.
-            result = match shared.push_some(cursor, items, |pair| pair) {
-                Ok(0) => {
-                    // Ring full: fall back to the blocking single push,
-                    // which applies the admission policy (grow, block,
-                    // shed, or time out) before the loop batches again.
-                    let (v, s) = items.remove(0);
-                    published += 1;
-                    shared.push(cursor, v, s).map_err(|_| PushError(()))
-                }
-                Ok(n) => {
-                    published += n;
-                    Ok(())
-                }
-                Err(closed) => Err(closed),
-            };
-            if result.is_err() {
-                items.clear();
-            }
+        let committed = self.flush(true);
+        if committed.is_err() {
+            self.rewind_produced();
         }
-        result.map(|()| published)
+        committed
     }
 
     /// Discard every staged element — the rewind half of a failed
     /// transaction. Returns how many were discarded.
     pub fn rewind_produced(&mut self) -> usize {
-        self.staged.as_mut().map_or(0, |pending| {
-            let n = pending.len();
-            pending.clear();
-            n
-        })
+        self.window
+            .as_mut()
+            .map_or(0, |w| w.entries.truncate(w.published))
     }
 
     /// Close the stream: the consumer drains what remains, then sees
     /// `Closed`. Idempotent.
     pub fn close(&mut self) {
-        self.shared.producer_closed.store(true, Release);
-        // EoS is actionable for a parked consumer.
-        self.shared.data.notify_fenced();
+        // EoS is actionable for a parked consumer: the notify is fenced.
+        self.shared.close(Role::Producer);
     }
 
     /// `true` once the consumer endpoint dropped.
     pub fn is_closed(&self) -> bool {
-        self.shared.consumer_closed.load(Relaxed)
+        self.shared.home.consumer_closed()
     }
 
     /// Current capacity.
     pub fn capacity(&self) -> usize {
-        self.shared.capacity()
+        self.shared.home.capacity()
     }
 
     /// Current occupancy.
@@ -1423,8 +1670,15 @@ impl<T: Send> Producer<T> {
         self.shared.occupancy()
     }
 
+    /// Parks of this endpoint that ended by timeout and then found room:
+    /// wakes that were owed and never came. Stays 0 unless the lossy
+    /// per-element notify lost a race (or a wake syscall stalled).
+    pub fn rescues(&self) -> u64 {
+        self.shared.stats.writer.rescues.load(Relaxed)
+    }
+
     /// Monitor-facing handle for this FIFO.
-    pub fn fifo(&self) -> Fifo<T> {
+    pub fn fifo(&self) -> Fifo<T, H> {
         Fifo {
             shared: self.shared.clone(),
         }
@@ -1436,38 +1690,163 @@ impl<T: Send> Producer<T> {
     /// real use is undefined behavior by construction.
     #[cfg(feature = "raft_protocol_check")]
     #[doc(hidden)]
-    pub fn protocol_test_duplicate(&self) -> Producer<T> {
-        Producer {
-            shared: self.shared.clone(),
-            // SAFETY: deliberately *not* upheld — a second producer cursor
-            // is the contract violation this double exists to provoke. The
-            // shadow checker panics before the two can touch a slot.
-            cursor: unsafe { ProducerCursor::attach(&*self.shared) },
-            staged: None,
-        }
+    pub fn protocol_test_duplicate(&self) -> Producer<T, H> {
+        // SAFETY: deliberately *not* upheld — a second producer endpoint is
+        // the contract violation this double exists to provoke. The shadow
+        // checker panics before the two can touch a slot.
+        unsafe { self.fifo().producer() }
     }
 }
 
-impl<T> Drop for Producer<T> {
+/// Cross-process exactly-once on the segment home: the producer half of a
+/// link whose consumer is a worker *process* that can be SIGKILLed, reaped
+/// and respawned over the same segment (see `core::proc`).
+///
+/// Every sent element is appended to the window *before* it is pushed,
+/// acknowledged only when the consuming worker advances the segment's
+/// [`commit word`](ShmSegment::commit_word), and re-delivered in order by
+/// [`replay_unacked`](Self::replay_unacked) after the supervisor has reaped
+/// the dead worker, revoked its role, and drained the un-popped residue.
+/// The worker-side contract that makes the commit word safe: *publish the
+/// result of element `n`, then store `n+1`* — a death between the two
+/// re-delivers element `n`, and the duplicate result is deduplicated
+/// downstream by its sequence number.
+impl<T: ShmItem> Producer<T, Seg<T>> {
+    /// The backing segment (fd, mailbox word, …).
+    pub fn segment(&self) -> &ShmSegment {
+        self.shared.home.segment()
+    }
+
+    /// An owned handle on the backing segment — what a supervisor keeps so
+    /// it can write close flags and revoke roles while the producer handle
+    /// itself sits behind a lock.
+    pub fn segment_shared(&self) -> Arc<ShmSegment> {
+        self.shared.home.segment().clone()
+    }
+
+    /// Retain published elements for replay, at most `bound` of them
+    /// unacknowledged (0 = unbounded). The bound must cover the ring
+    /// capacity plus the worker's commit lag, or forced acks (counted in
+    /// [`StatsSnapshot::forced_acks`]) will puncture replay coverage —
+    /// `2 × capacity` is a comfortable floor. Call before the first send;
+    /// the methods below require it.
+    pub fn enable_replay(&mut self, bound: usize) {
+        self.window = Some(Window::new(bound, Some(T::clone)));
+    }
+
+    fn replay_window(&mut self) -> &mut Window<T> {
+        self.window.as_mut().expect("enable_replay() was called")
+    }
+
+    /// Append `value` and push it, blocking while the ring is full.
+    /// Returns `false` — value **not** appended, retry later — only while
+    /// a recovery window is open ([`begin_recovery`](Self::begin_recovery)
+    /// has run and [`replay_unacked`](Self::replay_unacked) has not). A
+    /// push that finds the consumer gone after the append still returns
+    /// `true`: the entry is retained, and that is exactly the window
+    /// replay covers.
+    pub fn send(&mut self, value: T) -> bool {
+        if self.recovering() {
+            return false;
+        }
+        // While a replay backlog is still draining the new entry queues
+        // behind it (window order stays delivery order) and nothing blocks.
+        let block = self.staged_len() == 0;
+        // Appended even if the consumer looks gone: a worker that died (or
+        // whose reaper wrote the flag) is what replay is for.
+        self.append(value, Signal::None);
+        let _ = self.flush(block);
+        self.ack_committed();
+        true
+    }
+
+    /// Release the entries the worker has committed and drain any replay
+    /// backlog into free ring space. Returns how many entries were
+    /// released. Call this periodically after a recovery: it is the pump
+    /// that finishes a replay too large to fit the ring in one go.
+    ///
+    /// Never blocks: a supervisor thread calls this from its reaction path,
+    /// and parking it on ring space would deadlock if the replacement
+    /// worker dies mid-replay (nobody left to reap it).
+    pub fn ack_committed(&mut self) -> usize {
+        let committed = self.segment().commit_word().load(Acquire);
+        let window = self.replay_window();
+        // Only what was handed to the ring can have been processed,
+        // whatever a byzantine worker writes.
+        let released = window.entries.ack(committed.min(window.published));
+        if !window.recovering {
+            // Full: retry on a later pump. Closed: the worker died again;
+            // the next recovery cycle rewinds the cursor.
+            let _ = self.flush(false);
+        }
+        released
+    }
+
+    /// Open the recovery window: discard the dead worker's un-popped ring
+    /// residue, fold its final commit into the window, rewind `published`
+    /// to `acked`, and refuse sends until
+    /// [`replay_unacked`](Self::replay_unacked). Returns the residue count
+    /// dropped.
+    ///
+    /// Caller contract: the worker is dead **and reaped**, and its consumer
+    /// role has been revoked — residue draining moves the shared head, which
+    /// only the (now nonexistent) consumer otherwise owns.
+    pub fn begin_recovery(&mut self) -> u64 {
+        self.replay_window().recovering = true;
+        let dropped = self.segment().drain_residue();
+        self.ack_committed();
+        let window = self.replay_window();
+        window.published = window.entries.acked();
+        dropped
+    }
+
+    /// Close the recovery window and re-push as much of the unacknowledged
+    /// suffix as fits the ring *without blocking*. Whatever does not fit
+    /// drains on subsequent [`ack_committed`](Self::ack_committed) pumps
+    /// (and ahead of any new sends), so the replacement worker still
+    /// observes strict window order. Returns entries re-pushed immediately.
+    pub fn replay_unacked(&mut self) -> usize {
+        self.replay_window().recovering = false;
+        self.flush(false).unwrap_or(0)
+    }
+
+    /// `true` while sends are refused by an open recovery window.
+    pub fn recovering(&self) -> bool {
+        self.window.as_ref().is_some_and(|w| w.recovering)
+    }
+
+    /// Entries appended and not yet committed by the worker.
+    pub fn pending(&self) -> usize {
+        self.window.as_ref().map_or(0, |w| w.entries.len())
+    }
+
+    /// The unacknowledged entries, by sequence number in send order.
+    pub(crate) fn unacked(&self) -> impl Iterator<Item = &(u64, (T, Signal))> {
+        self.window
+            .iter()
+            .flat_map(|w| w.entries.iter_from(w.entries.acked()))
+    }
+}
+
+impl<T, H: Home<T>> Drop for Producer<T, H> {
     fn drop(&mut self) {
         // Implicit EoS: a parked consumer must observe the close.
-        self.shared.producer_closed.store(true, Release);
-        self.shared.data.notify_fenced();
+        self.shared.close(Role::Producer);
     }
 }
 
 /// In-place batch write window returned by [`Producer::reserve`]. Fill it
 /// front-to-back with [`push`](WriteSlice::push); everything written is
 /// published with one counter store when the slice drops.
-pub struct WriteSlice<'a, T: Send> {
+pub struct WriteSlice<'a, T, H: Home<T> = Heap<T>> {
     /// Membership held since `reserve`; pins the storage under the window.
-    arena: Arena<'a, T>,
+    arena: Arena<'a, T, H>,
     cursor: &'a mut ProducerCursor,
     cap: usize,
     written: usize,
 }
 
-impl<T: Send> WriteSlice<'_, T> {
+impl<T, H: Home<T>> WriteSlice<'_, T, H> {
     /// Write the next element of the batch in place.
     ///
     /// # Panics
@@ -1494,7 +1873,7 @@ impl<T: Send> WriteSlice<'_, T> {
         // it until Drop publishes.
         unsafe {
             self.cursor
-                .write(&self.arena, self.written, (value, signal));
+                .write(&self.arena, self.written, H::Slot::pack(value, signal));
         }
         self.written += 1;
     }
@@ -1518,7 +1897,7 @@ impl<T: Send> WriteSlice<'_, T> {
     }
 }
 
-impl<T: Send> Drop for WriteSlice<'_, T> {
+impl<T, H: Home<T>> Drop for WriteSlice<'_, T, H> {
     fn drop(&mut self) {
         if self.written > 0 {
             let shared = self.arena.shared;
@@ -1528,7 +1907,7 @@ impl<T: Send> Drop for WriteSlice<'_, T> {
                 .writer
                 .pushed
                 .store(self.cursor.tail() as u64, Relaxed);
-            shared.data.notify();
+            shared.notify(Role::Consumer);
         }
         // `arena` drops after this body: membership ends with the slice.
     }
@@ -1540,17 +1919,17 @@ impl<T: Send> Drop for WriteSlice<'_, T> {
 ///
 /// Holds fence membership for its lifetime: references handed out by
 /// `Deref` stay valid because any resize must wait for the guard.
-pub struct WriteGuard<'a, T: Send + Default>(WriteSlice<'a, T>);
+pub struct WriteGuard<'a, T, H: Home<T> = Heap<T>>(WriteSlice<'a, T, H>);
 
-impl<T: Send + Default> WriteGuard<'_, T> {
+impl<T, H: Home<T>> WriteGuard<'_, T, H> {
     #[inline]
-    fn pair(&self) -> *mut (T, Signal) {
+    fn slot(&self) -> *mut H::Slot {
         let slice = &self.0;
         // The one reserved slot, initialized by `allocate` and not yet
         // published (the cursor's tail has not moved).
         slice
             .arena
-            .slot(slice.cursor.tail(), |p| p.cast::<(T, Signal)>())
+            .slot(slice.cursor.tail(), |p| p.cast::<H::Slot>())
     }
 
     /// Attach a synchronous signal to the element being written.
@@ -1558,36 +1937,36 @@ impl<T: Send + Default> WriteGuard<'_, T> {
         // SAFETY: initialized in allocate(), invisible to the consumer until
         // the slice publishes, storage pinned by the slice's membership;
         // `&mut self` makes the access exclusive.
-        unsafe { (*self.pair()).1 = signal };
+        unsafe { (*self.slot()).set_signal(signal) };
     }
 
     /// Abandon the element without sending it.
     pub fn abort(mut self) {
         // SAFETY: initialized in allocate(), never published; dropped exactly
         // once because the slice then publishes nothing.
-        unsafe { std::ptr::drop_in_place(self.pair()) };
+        unsafe { std::ptr::drop_in_place(self.slot()) };
         self.0.written = 0;
     }
 }
 
-impl<T: Send + Default> Deref for WriteGuard<'_, T> {
+impl<T, H: Home<T>> Deref for WriteGuard<'_, T, H> {
     type Target = T;
     fn deref(&self) -> &T {
         // SAFETY: initialized, unpublished slot, storage pinned by the fence.
-        unsafe { &(*self.pair()).0 }
+        unsafe { (*self.slot()).value() }
     }
 }
 
-impl<T: Send + Default> DerefMut for WriteGuard<'_, T> {
+impl<T, H: Home<T>> DerefMut for WriteGuard<'_, T, H> {
     fn deref_mut(&mut self) -> &mut T {
         // SAFETY: as in Deref; single producer, so no aliasing.
-        unsafe { &mut (*self.pair()).0 }
+        unsafe { (*self.slot()).value_mut() }
     }
 }
 
 /// Consuming endpoint of a [`Fifo`]. One per stream; `Send`, not `Clone`.
-pub struct Consumer<T> {
-    shared: Arc<Shared<T>>,
+pub struct Consumer<T, H: Home<T> = Heap<T>> {
+    shared: Arc<Shared<T, H>>,
     /// The ring's consumer-side state (exact head, conservative tail cache).
     cursor: ConsumerCursor,
     /// Replay journal for the exactly-once recovery contract (see
@@ -1608,7 +1987,7 @@ struct ConsumerJournal<T> {
     clone_fn: fn(&T) -> T,
 }
 
-impl<T: Send> Consumer<T> {
+impl<T, H: Home<T>> Consumer<T, H> {
     /// Non-blocking pop of `(value, signal)`. On a journaled link,
     /// rewound elements are re-served (as clones, in original order) before
     /// anything new is taken from the ring, and every live pop is recorded
@@ -1656,7 +2035,7 @@ impl<T: Send> Consumer<T> {
     ///
     /// Returns `Err(PopError)` if the stream closes (or quiesces) before `n`
     /// elements are available (fewer than `n` remain, forever).
-    pub fn peek_range(&mut self, n: usize) -> Result<PeekRange<'_, T>, PopError> {
+    pub fn peek_range(&mut self, n: usize) -> Result<PeekRange<'_, T, H>, PopError> {
         let shared = &*self.shared;
         let cursor = &mut self.cursor;
         shared.stats.note_read_request(n);
@@ -1665,7 +2044,7 @@ impl<T: Send> Consumer<T> {
             // "tagged for resizing" when a read request exceeds capacity).
             // We are outside the arena here, so the resize cannot deadlock
             // against our own membership.
-            if n > shared.capacity() && !shared.grow_to(n) {
+            if n > shared.home.capacity() && !shared.grow_to(n) {
                 // Request exceeds even max_capacity: impossible.
                 return Some(None);
             }
@@ -1674,7 +2053,7 @@ impl<T: Send> Consumer<T> {
                 // so entering the arena and taking the window is race-free.
                 return Some(Some(shared.enter(Role::Consumer)));
             }
-            (shared.producer_closed.load(Acquire) && cursor.refresh(shared) < n).then_some(None)
+            (shared.home.producer_closed() && cursor.refresh(shared) < n).then_some(None)
         });
         match arena {
             Ok(Some(arena)) => Ok(PeekRange {
@@ -1701,8 +2080,8 @@ impl<T: Send> Consumer<T> {
         // SAFETY: membership held by `arena`; single consumer; the slot is
         // ready (observed through an Acquire load of `tail`), so it is
         // initialized and stays so until this consumer releases it.
-        let pair = arena.slot(self.cursor.head(), |p| unsafe { &*(*p).as_ptr() });
-        Some(f(&pair.0, pair.1))
+        let slot = arena.slot(self.cursor.head(), |p| unsafe { &*(*p).as_ptr() });
+        Some(f(slot.value(), slot.signal()))
     }
 
     /// Pop up to `n` elements into `out`; blocks until at least one element
@@ -1725,7 +2104,7 @@ impl<T: Send> Consumer<T> {
         let shared = &*self.shared;
         let cursor = &mut self.cursor;
         let ready = shared.block_until(Role::Consumer, None, || {
-            match cursor.poll(shared, || shared.producer_closed.load(Acquire)) {
+            match cursor.poll(shared, || shared.home.producer_closed()) {
                 Ok(ready) => Some(ready),
                 Err(TryPopError::Closed) => Some(0),
                 Err(TryPopError::Empty) => None,
@@ -1754,7 +2133,7 @@ impl<T: Send> Consumer<T> {
     pub fn pop_slice<R>(
         &mut self,
         n: usize,
-        f: impl FnOnce(&SliceView<'_, T>) -> R,
+        f: impl FnOnce(&SliceView<'_, T, H>) -> R,
     ) -> Result<R, PopError> {
         let shared = &*self.shared;
         let cursor = &mut self.cursor;
@@ -1762,7 +2141,7 @@ impl<T: Send> Consumer<T> {
         // A full reload each poll: the view should be as large as the ring
         // allows, not as large as a stale cache remembers.
         let avail = shared.block_until(Role::Consumer, None, || match cursor.refresh(shared) {
-            0 if !shared.producer_closed.load(Acquire) => None,
+            0 if !shared.home.producer_closed() => None,
             // Closed: one more look, the producer may have pushed between
             // our tail load and its close.
             0 => Some(cursor.refresh(shared)),
@@ -1822,22 +2201,11 @@ impl<T: Send> Consumer<T> {
         }
     }
 
-    /// `true` once [`enable_journal`](Self::enable_journal) was called.
-    pub fn journal_enabled(&self) -> bool {
-        self.journal.is_some()
-    }
-
     /// Elements queued to be re-served after a rewind.
     pub fn replay_pending(&self) -> usize {
         self.journal
             .as_ref()
             .map_or(0, |j| (j.window.next_seq() - j.cursor) as usize)
-    }
-
-    /// Journal entries force-dropped by the replay bound — elements whose
-    /// replay coverage was lost (see [`JournalConfig::bound`]).
-    pub fn journal_forced_acks(&self) -> u64 {
-        self.journal.as_ref().map_or(0, |j| j.window.forced_acks())
     }
 
     /// Commit the current transaction: acknowledge every element popped
@@ -1866,7 +2234,7 @@ impl<T: Send> Consumer<T> {
         if pending > 0 {
             // The restarted kernel's task must observe itself as ready even
             // though the ring may be empty.
-            self.shared.data.notify_fenced();
+            self.shared.notify_fenced(Role::Consumer);
         }
         pending
     }
@@ -1878,7 +2246,7 @@ impl<T: Send> Consumer<T> {
 
     /// Current capacity.
     pub fn capacity(&self) -> usize {
-        self.shared.capacity()
+        self.shared.home.capacity()
     }
 
     /// Current occupancy.
@@ -1892,19 +2260,37 @@ impl<T: Send> Consumer<T> {
         self.shared.is_finished()
     }
 
+    /// Parks of this endpoint that ended by timeout and then found data
+    /// (see [`Producer::rescues`]).
+    pub fn rescues(&self) -> u64 {
+        self.shared.stats.reader.rescues.load(Relaxed)
+    }
+
     /// Monitor-facing handle for this FIFO.
-    pub fn fifo(&self) -> Fifo<T> {
+    pub fn fifo(&self) -> Fifo<T, H> {
         Fifo {
             shared: self.shared.clone(),
         }
     }
 }
 
-impl<T> Drop for Consumer<T> {
+impl<T: ShmItem> Consumer<T, Seg<T>> {
+    /// The backing segment (fd, mailbox word, …).
+    pub fn segment(&self) -> &ShmSegment {
+        self.shared.home.segment()
+    }
+
+    /// An owned handle on the backing segment (see
+    /// [`Producer::segment_shared`]).
+    pub fn segment_shared(&self) -> Arc<ShmSegment> {
+        self.shared.home.segment().clone()
+    }
+}
+
+impl<T, H: Home<T>> Drop for Consumer<T, H> {
     fn drop(&mut self) {
-        self.shared.consumer_closed.store(true, Release);
         // A parked producer must observe the broken stream.
-        self.shared.space.notify_fenced();
+        self.shared.close(Role::Consumer);
         // Remaining elements are dropped by Shared::drop (exactly once, with
         // exclusive access) — not here, to avoid racing a late producer push.
     }
@@ -1914,13 +2300,13 @@ impl<T> Drop for Consumer<T> {
 /// lent to the closure of [`Consumer::pop_slice`], and what a
 /// [`PeekRange`] dereferences to. Valid only while its creator holds fence
 /// membership (around the closure / for the window's lifetime).
-pub struct SliceView<'a, T: Send> {
-    shared: &'a Shared<T>,
+pub struct SliceView<'a, T, H: Home<T> = Heap<T>> {
+    shared: &'a Shared<T, H>,
     head: usize,
     len: usize,
 }
 
-impl<T: Send> SliceView<'_, T> {
+impl<T, H: Home<T>> SliceView<'_, T, H> {
     /// Number of elements in the view.
     pub fn len(&self) -> usize {
         self.len
@@ -1933,19 +2319,19 @@ impl<T: Send> SliceView<'_, T> {
     }
 
     #[inline]
-    fn pair(&self, i: usize) -> &(T, Signal) {
+    fn slot(&self, i: usize) -> &H::Slot {
         assert!(i < self.len, "view index {i} out of bounds {}", self.len);
         // SAFETY: whoever built the view holds consumer membership for as
         // long as it exists, so the storage cannot be swapped; `[head, head
         // + len)` was ready (observed via Acquire) when the view was taken
         // and the consumer, mutably borrowed by the view's creator, does not
         // release it before the view is gone.
-        unsafe { &*(*self.shared.storage().slot(self.head + i)).as_ptr() }
+        unsafe { &*(*self.shared.home.slot(self.head + i)).as_ptr() }
     }
 
     /// Signal attached to the `i`-th element.
     pub fn signal(&self, i: usize) -> Signal {
-        self.pair(i).1
+        self.slot(i).signal()
     }
 
     /// Iterate over the view.
@@ -1954,24 +2340,24 @@ impl<T: Send> SliceView<'_, T> {
     }
 }
 
-impl<T: Send> Index<usize> for SliceView<'_, T> {
+impl<T, H: Home<T>> Index<usize> for SliceView<'_, T, H> {
     type Output = T;
     fn index(&self, i: usize) -> &T {
-        &self.pair(i).0
+        self.slot(i).value()
     }
 }
 
 /// Borrowed sliding window over the front of the queue (see
 /// [`Consumer::peek_range`]): a [`SliceView`] that owns its fence
 /// membership, so resizes wait until it is dropped.
-pub struct PeekRange<'a, T: Send> {
-    view: SliceView<'a, T>,
-    _arena: Arena<'a, T>,
+pub struct PeekRange<'a, T, H: Home<T> = Heap<T>> {
+    view: SliceView<'a, T, H>,
+    _arena: Arena<'a, T, H>,
 }
 
-impl<'a, T: Send> Deref for PeekRange<'a, T> {
-    type Target = SliceView<'a, T>;
-    fn deref(&self) -> &SliceView<'a, T> {
+impl<'a, T, H: Home<T>> Deref for PeekRange<'a, T, H> {
+    type Target = SliceView<'a, T, H>;
+    fn deref(&self) -> &SliceView<'a, T, H> {
         &self.view
     }
 }
@@ -2547,36 +2933,6 @@ mod tests {
     }
 
     #[test]
-    fn shm_backed_fifo_roundtrip() {
-        let cfg = FifoConfig::fixed(8).with_alloc(LinkAlloc::Shm);
-        let (f, mut p, mut c) = fifo_with::<u64>(cfg);
-        if crate::shm::ShmSegment::memfd_supported() {
-            assert_eq!(f.link_alloc(), LinkAlloc::Shm);
-        } else {
-            assert_eq!(f.link_alloc(), LinkAlloc::Heap);
-        }
-        // Shm storage is fixed-capacity: a mapped segment cannot be
-        // resized under a live peer.
-        assert!(!f.grow());
-        for i in 0..8u64 {
-            p.try_push(i).unwrap();
-        }
-        assert!(matches!(p.try_push(99), Err(TryPushError::Full(_))));
-        // Zero-copy views work over the mapped segment too.
-        let seen = c
-            .pop_slice(8, |view| view.iter().copied().collect::<Vec<_>>())
-            .unwrap();
-        assert_eq!(seen, (0..8).collect::<Vec<_>>());
-        let mut ws = p.reserve(4).unwrap();
-        for i in 0..4u64 {
-            ws.push(i * 10);
-        }
-        drop(ws);
-        assert_eq!(c.try_pop().unwrap(), 0);
-        assert_eq!(c.try_pop().unwrap(), 10);
-    }
-
-    #[test]
     fn journal_rewind_replays_uncommitted_pops() {
         let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig::default());
         c.enable_journal(JournalConfig::default());
@@ -2706,34 +3062,56 @@ mod tests {
         })
     }
 
-    fn space_armed<T>(f: &Fifo<T>) -> impl Fn() -> bool + '_ {
-        || Wake::armed(f.shared.space.thread.backend()).load(Acquire) == 1
+    /// A home the park-timeout table can build links over and look into.
+    trait Probe: Home<u64> + Sized + Send + Sync {
+        /// A fresh fixed ring of two.
+        fn link() -> (Fifo<u64, Self>, Producer<u64, Self>, Consumer<u64, Self>);
+        /// `true` while a thread parked as `role` has armed its eventcount.
+        fn armed(&self, role: Role) -> bool;
     }
 
-    fn data_armed<T>(f: &Fifo<T>) -> impl Fn() -> bool + '_ {
-        || Wake::armed(f.shared.data.thread.backend()).load(Acquire) == 1
+    impl Probe for Heap<u64> {
+        fn link() -> (Fifo<u64>, Producer<u64>, Consumer<u64>) {
+            fifo_with(FifoConfig::fixed(2))
+        }
+        fn armed(&self, role: Role) -> bool {
+            Wake::armed(&self.side(role).thread).load(Acquire) == 1
+        }
     }
 
-    /// A full fixed ring of two, for the producer-side rows.
-    fn full() -> (Fifo<u64>, Producer<u64>, Consumer<u64>) {
-        let (f, mut p, c) = fifo_with::<u64>(FifoConfig::fixed(2));
+    impl Probe for Seg<u64> {
+        fn link() -> (Fifo<u64, Self>, Producer<u64, Self>, Consumer<u64, Self>) {
+            let (p, c) = crate::shm::ShmRing::pair(2);
+            (p.fifo(), p, c)
+        }
+        fn armed(&self, role: Role) -> bool {
+            Wake::armed(self.event(role).backend()).load(Acquire) == 1
+        }
+    }
+
+    fn armed<H: Probe>(f: &Fifo<u64, H>, role: Role) -> impl Fn() -> bool + '_ {
+        move || f.shared.home.armed(role)
+    }
+
+    /// A full ring of two, for the producer-side rows.
+    fn full<H: Probe>() -> (Fifo<u64, H>, Producer<u64, H>, Consumer<u64, H>) {
+        let (f, mut p, c) = H::link();
         p.try_push(0).unwrap();
         p.try_push(1).unwrap();
         (f, p, c)
     }
 
-    #[test]
-    fn no_blocking_entry_point_needs_the_park_timeout() {
-        // Every blocking entry point parks through the same arm → re-check →
-        // wait(epoch) sequence, so a peer that acts once the sleeper has
-        // armed always wakes it: the 2 ms backstop never has to. One row per
-        // entry point; each returns the rescues its link counted.
-        type Row = (&'static str, fn() -> u64);
-        let rows: [Row; 9] = [
+    /// A blocking entry point, and a round of it that returns the rescues
+    /// its link counted.
+    type ParkRow = (&'static str, fn() -> u64);
+
+    fn park_rows<H: Probe>() -> [ParkRow; 7] {
+        use Role::{Consumer as C, Producer as P};
+        [
             ("push", || {
-                let (f, mut p, mut c) = full();
+                let (f, mut p, mut c) = full::<H>();
                 wake_once_parked(
-                    &space_armed(&f),
+                    &armed(&f, P),
                     || p.push(2).unwrap(),
                     || {
                         c.pop().unwrap();
@@ -2742,19 +3120,19 @@ mod tests {
                 f.snapshot().rescues
             }),
             ("push_batch", || {
-                let (f, mut p, mut c) = full();
+                let (f, mut p, mut c) = full::<H>();
                 let mut items = vec![2, 3];
                 wake_once_parked(
-                    &space_armed(&f),
+                    &armed(&f, P),
                     || p.push_batch(&mut items).unwrap(),
                     || assert_eq!(c.pop_range(2, &mut Vec::new()).unwrap(), 2),
                 );
                 f.snapshot().rescues
             }),
             ("reserve", || {
-                let (f, mut p, mut c) = full();
+                let (f, mut p, mut c) = full::<H>();
                 wake_once_parked(
-                    &space_armed(&f),
+                    &armed(&f, P),
                     || drop(p.reserve(1).unwrap()),
                     || {
                         c.pop().unwrap();
@@ -2763,9 +3141,9 @@ mod tests {
                 f.snapshot().rescues
             }),
             ("allocate", || {
-                let (f, mut p, mut c) = full();
+                let (f, mut p, mut c) = full::<H>();
                 wake_once_parked(
-                    &space_armed(&f),
+                    &armed(&f, P),
                     || drop(p.allocate().unwrap()),
                     || {
                         c.pop().unwrap();
@@ -2774,9 +3152,9 @@ mod tests {
                 f.snapshot().rescues
             }),
             ("pop", || {
-                let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig::fixed(2));
+                let (f, mut p, mut c) = H::link();
                 let got = wake_once_parked(
-                    &data_armed(&f),
+                    &armed(&f, C),
                     || c.pop().unwrap(),
                     || {
                         p.push(7).unwrap();
@@ -2786,10 +3164,10 @@ mod tests {
                 f.snapshot().rescues
             }),
             ("peek_range", || {
-                let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig::fixed(2));
+                let (f, mut p, mut c) = H::link();
                 p.push(1).unwrap();
                 let seen = wake_once_parked(
-                    &data_armed(&f),
+                    &armed(&f, C),
                     || c.peek_range(2).unwrap().iter().sum::<u64>(),
                     || p.push(2).unwrap(),
                 );
@@ -2797,47 +3175,32 @@ mod tests {
                 f.snapshot().rescues
             }),
             ("pop_slice", || {
-                let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig::fixed(2));
+                let (f, mut p, mut c) = H::link();
                 let seen = wake_once_parked(
-                    &data_armed(&f),
+                    &armed(&f, C),
                     || c.pop_slice(2, |v| v[0]).unwrap(),
                     || p.push(5).unwrap(),
                 );
                 assert_eq!(seen, 5);
                 f.snapshot().rescues
             }),
-            ("ShmRing::push", || {
-                let (mut p, mut c) = crate::shm::ShmRing::<u64>::pair(1);
-                p.try_push(0).unwrap();
-                let seg = p.segment_shared();
-                let armed = || Wake::armed(seg.producer_waker().backend()).load(Acquire) == 1;
-                wake_once_parked(
-                    &armed,
-                    || p.push(1).unwrap(),
-                    || {
-                        c.try_pop().unwrap();
-                    },
-                );
-                p.rescues()
-            }),
-            ("ShmRing::pop", || {
-                let (mut p, mut c) = crate::shm::ShmRing::<u64>::pair(1);
-                let seg = c.segment_shared();
-                let armed = || Wake::armed(seg.consumer_waker().backend()).load(Acquire) == 1;
-                let got = wake_once_parked(
-                    &armed,
-                    || c.pop().unwrap(),
-                    || {
-                        p.try_push(4).unwrap();
-                    },
-                );
-                assert_eq!(got, 4);
-                c.rescues()
-            }),
-        ];
-        for (entry, round) in rows {
-            for n in 0..200 {
-                assert_eq!(round(), 0, "{entry}: park rescued on round {n}");
+        ]
+    }
+
+    #[test]
+    fn no_blocking_entry_point_needs_the_park_timeout() {
+        // Every blocking entry point parks through the same arm → re-check →
+        // wait(epoch) sequence, so a peer that acts once the sleeper has
+        // armed always wakes it: the 2 ms backstop never has to — on either
+        // home.
+        for (home, rows) in [
+            ("heap", park_rows::<Heap<u64>>()),
+            ("segment", park_rows::<Seg<u64>>()),
+        ] {
+            for (entry, round) in rows {
+                for n in 0..200 {
+                    assert_eq!(round(), 0, "{home} {entry}: park rescued on round {n}");
+                }
             }
         }
     }

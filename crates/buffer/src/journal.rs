@@ -120,8 +120,9 @@ impl AdmissionPolicy {
 ///
 /// Generic over the entry type: the in-process consumer journal stores
 /// `(T, Signal)` pairs, the resilient TCP sender stores encoded frames.
-/// Sequence numbers are monotonic from 0 and never reused; acknowledgement
-/// is cumulative (acking `n` releases every entry with `seq < n`).
+/// Sequence numbers are monotonic from 0, dense, and reused only by
+/// [`truncate`](Self::truncate); acknowledgement is cumulative (acking `n`
+/// releases every entry with `seq < n`).
 #[derive(Debug)]
 pub struct ReplayWindow<E> {
     entries: VecDeque<(u64, E)>,
@@ -197,11 +198,34 @@ impl<E> ReplayWindow<E> {
         released
     }
 
+    /// Acknowledge the oldest entry and hand it back — for a sender whose
+    /// delivery *is* the acknowledgement.
+    pub fn take_front(&mut self) -> Option<E> {
+        let (seq, entry) = self.entries.pop_front()?;
+        self.acked = seq + 1;
+        Some(entry)
+    }
+
+    /// Un-append every entry with `seq >= from` (their sequence numbers
+    /// will be assigned again). Returns how many entries were dropped.
+    pub fn truncate(&mut self, from: u64) -> usize {
+        let from = from.clamp(self.acked, self.next_seq);
+        let dropped = (self.next_seq - from) as usize;
+        self.entries.truncate(self.entries.len() - dropped);
+        self.next_seq = from;
+        dropped
+    }
+
     /// Iterate entries with `seq >= from`, in sequence order — the replay
     /// suffix retransmitted after a reconnect or rewound after a panic.
+    /// Entries are dense, so the suffix starts at an offset: acknowledged
+    /// history and the entries before `from` are not visited.
     pub fn iter_from(&self, from: u64) -> impl Iterator<Item = &(u64, E)> {
         crate::failpoint!("buffer::journal::replay");
-        self.entries.iter().filter(move |(seq, _)| *seq >= from)
+        let skip = from
+            .saturating_sub(self.acked)
+            .min(self.entries.len() as u64);
+        self.entries.range(skip as usize..)
     }
 
     /// Entry with sequence number `seq`, if still retained.
@@ -282,6 +306,38 @@ mod tests {
         assert_eq!(suffix, vec![(2, "c"), (3, "d")]);
         // iter_from below the retained range yields the whole window
         assert_eq!(w.iter_from(0).count(), 3);
+    }
+
+    #[test]
+    fn replay_suffix_starts_at_its_offset() {
+        // Dense entries: the suffix is an offset into the window, whatever
+        // was acknowledged (or forced out) before it.
+        let mut w = ReplayWindow::new(6);
+        for i in 0..10u64 {
+            w.append(i * 10); // evicts seqs 0..4
+        }
+        w.ack(6);
+        assert_eq!((w.acked(), w.forced_acks(), w.len()), (6, 4, 4));
+        let seqs = |from| w.iter_from(from).map(|&(s, e)| (s, e)).collect::<Vec<_>>();
+        assert_eq!(seqs(8), [(8, 80), (9, 90)]);
+        assert_eq!(seqs(0).len(), 4, "below the window: all of it");
+        assert!(seqs(10).is_empty() && seqs(99).is_empty());
+    }
+
+    #[test]
+    fn take_front_acks_and_truncate_unappends() {
+        let mut w = ReplayWindow::new(0);
+        for s in ["a", "b", "c", "d"] {
+            w.append(s);
+        }
+        assert_eq!(w.take_front(), Some("a"));
+        assert_eq!((w.acked(), w.get(0), w.get(1)), (1, None, Some(&"b")));
+        // Un-append from seq 2 on: "c" and "d" go, their numbers come back.
+        assert_eq!(w.truncate(2), 2);
+        assert_eq!((w.len(), w.next_seq(), w.append("e")), (1, 2, 2));
+        // Clamped to the window: nothing acknowledged can be un-appended.
+        assert_eq!(w.truncate(0), 2);
+        assert_eq!((w.acked(), w.next_seq(), w.take_front()), (1, 1, None));
     }
 
     #[test]

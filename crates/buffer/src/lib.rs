@@ -28,17 +28,20 @@
 //! * [`spsc::BoundedSpsc`] — the ring over a fixed heap array. The baseline
 //!   of the fixed-vs-resizable ablation bench and the differential
 //!   reference for the FIFO.
-//! * [`fifo::Fifo`] — the production stream: the ring over heap storage
-//!   that the monitor can swap out under the Dekker-style
-//!   [`fence::ResizeFence`] (one flag swap and one load per operation
-//!   instead of a lock; skipped entirely for fixed-capacity FIFOs). Adds
-//!   per-element [`signal::Signal`]s delivered synchronously with data,
-//!   blocking endpoints, admission policies, staging/journaling for
+//! * [`fifo::Fifo`] — the production stream and the crate's one pair of
+//!   blocking endpoints, generic over a [`fifo::Home`] that says where the
+//!   control words and slots live: the heap home ([`fifo::Heap`], storage
+//!   the monitor can swap out under the Dekker-style
+//!   [`fence::ResizeFence`] — one flag swap and one load per operation
+//!   instead of a lock; skipped entirely for fixed-capacity FIFOs) or the
+//!   segment home ([`shm::Seg`], a mapped `memfd` segment another process
+//!   attaches; [`shm::ShmRing`] holds its constructors). Adds per-element
+//!   [`signal::Signal`]s delivered synchronously with data, blocking,
+//!   admission policies, the producer window and consumer journal for
 //!   exactly-once recovery ([`journal`]), zero-copy batch views
 //!   ([`fifo::Producer::reserve`], [`fifo::Consumer::pop_slice`]) and the
 //!   telemetry ([`stats::FifoStats`]) that feeds the monitor.
-//! * [`shm::ShmRing`] and the [`arena`] free list — the ring over a mapped
-//!   `memfd` segment, for links between processes.
+//! * the [`arena`] free list — the bare ring over a mapped segment.
 //!
 //! In-process elements travel as `(T, Signal)` pairs so that synchronous
 //! signals (end of stream, user signals) arrive at the consumer exactly when
@@ -85,7 +88,7 @@ pub use fifo::{
     WriteSlice, DRAIN_DRAINING, DRAIN_QUIESCED, DRAIN_RUNNING,
 };
 pub use journal::{AdmissionPolicy, JournalConfig, ReplayWindow};
-pub use shm::{Heartbeat, JournaledShmProducer, ShmRing, ShmSegment};
+pub use shm::{Heartbeat, ShmRing, ShmSegment};
 pub use signal::Signal;
 pub use spsc::BoundedSpsc;
 pub use stats::{FifoStats, StatsSnapshot};

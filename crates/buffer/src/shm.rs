@@ -1,6 +1,6 @@
-//! Shared-memory link backing: mapped segments and a cross-process SPSC
-//! ring — the paper's second link allocator (§3 names heap, shared memory,
-//! and TCP; DESIGN §14 has the selection matrix).
+//! Shared-memory link backing: mapped segments and the *segment home* of
+//! the stream FIFO — the paper's second link allocator (§3 names heap,
+//! shared memory, and TCP; DESIGN §14 has the selection matrix).
 //!
 //! ## Segments
 //!
@@ -20,19 +20,25 @@
 //!
 //! ## The ring
 //!
-//! [`ShmRing`] is the [`crate::ring`] protocol over a segment: the
-//! [`SegRing`] backing says where `head`, `tail` and slot *i* live (cache-
-//! line-separated counters in the prelude, slots in the data region), and
-//! the endpoints add the closed words and the wake. Batch publish
-//! ([`ShmRingProducer::try_push_batch`]) is one Release store, so PR 7's
-//! commit-is-one-store journaling composes. Blocking `push`/`pop` are the
-//! crate's one blocking loop ([`crate::eventcount::block_until`]) parked on
-//! a [`crate::futex::Futex`] eventcount over words in the segment's control
-//! line.
+//! There is no shm endpoint type: [`ShmRing`]'s constructors return the
+//! crate's one [`Producer`]/[`Consumer`] pair ([`crate::fifo`]) over
+//! [`Seg`], the [`Home`] whose `head`/`tail`, closed flags and `(armed,
+//! seq)` wake words are this module's header words (cache-line-separated
+//! counters in the prelude) and whose slots fill the data region. So a
+//! cross-process link has the same `push`/`pop`, admission policies, batch
+//! views (`reserve`/`pop_slice`), statistics, counted rescues and replay
+//! window as an in-process one; blocking parks on a
+//! [`crate::futex::Futex`] eventcount over the segment's control line.
+//! The capacity is fixed at creation.
 //!
 //! Elements must be [`ShmItem`] — plain-old-data that is meaningful in
 //! another address space. That excludes pointers/handles by construction;
-//! variable-size payloads cross by descriptor through [`crate::arena`].
+//! variable-size payloads cross by descriptor through [`crate::arena`]. A
+//! slot is a [`SegSlot`]: the element, then its synchronous [`Signal`] as
+//! an encoded `u64` (never the enum itself — see the trust model).
+//!
+//! [`SegRing`] is the same data region seen as a bare ring [`Backing`] of
+//! `T`s, for the arena's free list.
 //!
 //! ### Trust model
 //!
@@ -43,8 +49,9 @@
 //! create/attach and never re-read from the mapping** — a peer rewriting
 //! the header after attach changes nothing this process computes with.
 //! Every slot index is masked before use, slot types are `Copy` POD (any
-//! bit pattern is a value, never UB), and counters are only compared with
-//! wrapping arithmetic. A byzantine peer can deliver garbage elements — it
+//! bit pattern is a value, never UB — which is why a slot's signal is a raw
+//! word decoded on the way out, an unknown word reading as `Signal::None`),
+//! and counters are only compared with wrapping arithmetic. A byzantine peer can deliver garbage elements — it
 //! cannot make this process read or write out of bounds.
 //!
 //! ## Role reclaim (generations)
@@ -65,8 +72,8 @@
 //! The header also carries a heartbeat eventcount ([`ShmSegment::heartbeat`])
 //! a worker bumps per processed item and a watcher futex-parks on, plus a
 //! cumulative commit word ([`ShmSegment::commit_word`]) — the cross-process
-//! ack cursor that lets the parent's [`JournaledShmProducer`] retire replay
-//! entries the worker has fully processed.
+//! ack cursor that lets the parent's [`Producer::ack_committed`] release
+//! window entries the worker has fully processed.
 
 use std::io;
 use std::marker::PhantomData;
@@ -78,11 +85,12 @@ use std::sync::atomic::{
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::error::{PopError, PushError, TryPopError, TryPushError};
-use crate::eventcount::{block_until, EventCount};
+use crate::eventcount::EventCount;
+use crate::fence::Role;
+use crate::fifo::{Consumer, Fifo, Home, LinkAlloc, Producer, Slot};
 use crate::futex::Futex;
-use crate::journal::ReplayWindow;
-use crate::ring::{Backing, ConsumerCursor, Counters, ProducerCursor};
+use crate::ring::{Backing, Counters};
+use crate::signal::Signal;
 
 /// "RAFTSHM\0" — first eight bytes of every segment.
 pub const SEG_MAGIC: u64 = 0x5241_4654_5348_4d00;
@@ -90,8 +98,9 @@ pub const SEG_MAGIC: u64 = 0x5241_4654_5348_4d00;
 /// equality. Schema 2 added generation-bumped role reclaim and the
 /// heartbeat/commit supervision words — a schema-1 peer would treat a
 /// revoked role word as "claimed forever", so the bump keeps mixed builds
-/// from silently disagreeing about liveness.
-pub const SEG_SCHEMA: u32 = 2;
+/// from silently disagreeing about liveness. Schema 3 widened the ring slot
+/// from a bare `T` to [`SegSlot<T>`] (element + signal word).
+pub const SEG_SCHEMA: u32 = 3;
 /// Header `kind` for an SPSC ring segment.
 pub const SEG_KIND_RING: u32 = 1;
 /// Header `kind` for an arena segment (see [`crate::arena`]).
@@ -340,19 +349,6 @@ impl ShmSegment {
         };
         seg.init_header(kind, capacity, elem_size, elem_align, data_offset);
         seg
-    }
-
-    /// Create a memfd segment when the platform has one, heap otherwise.
-    pub fn create_auto(
-        kind: u32,
-        capacity: u64,
-        elem_size: usize,
-        elem_align: usize,
-        data_bytes: usize,
-    ) -> ShmSegment {
-        Self::create(kind, capacity, elem_size, elem_align, data_bytes).unwrap_or_else(|_| {
-            Self::create_heap(kind, capacity, elem_size, elem_align, data_bytes)
-        })
     }
 
     fn init_header(
@@ -684,12 +680,6 @@ impl ShmSegment {
         }
     }
 
-    /// Elements between `head` and `tail` (telemetry estimate: the two loads
-    /// are not one snapshot).
-    pub fn occupancy(&self) -> usize {
-        (self.tail().load(Acquire) as usize).saturating_sub(self.head().load(Acquire) as usize)
-    }
-
     /// Discard every un-popped element: advance `head` to `tail`, returning
     /// the number of elements dropped.
     ///
@@ -720,7 +710,7 @@ impl ShmSegment {
 
     /// The worker's cumulative commit cursor: how many journal entries it
     /// has *fully processed* (results published). The parent acks its
-    /// [`JournaledShmProducer`] window up to this value; a worker that
+    /// producer window ([`Producer::ack_committed`]) up to this value; a worker that
     /// dies between publishing a result and bumping this word is replayed
     /// from the last commit, and the duplicate result is deduplicated by
     /// its sequence number downstream.
@@ -882,36 +872,165 @@ unsafe impl<T: ShmItem> Backing for SegRing<'_, T> {
     }
 }
 
-/// Factory for shared-memory SPSC rings of `T`.
-///
-/// Same protocol as [`crate::spsc::BoundedSpsc`]; the two handles may live
-/// in different processes, connected by the segment fd.
+/// One slot of a ring segment (schema 3): the element followed by its
+/// synchronous signal as a raw word. [`Signal`] is an enum, so it crosses
+/// the boundary through [`Signal::encode`] and comes back through
+/// [`Signal::decode`], where a word no encoder produces reads as
+/// [`Signal::None`] — a byzantine peer delivers garbage values, never an
+/// invalid discriminant.
+#[repr(C)]
+#[derive(Clone, Copy)]
+pub struct SegSlot<T> {
+    value: T,
+    signal: u64,
+}
+
+impl<T: ShmItem> Slot<T> for SegSlot<T> {
+    #[inline]
+    fn pack(value: T, signal: Signal) -> Self {
+        SegSlot {
+            value,
+            signal: signal.encode(),
+        }
+    }
+    #[inline]
+    fn unpack(self) -> (T, Signal) {
+        (self.value, self.signal())
+    }
+    #[inline]
+    fn value(&self) -> &T {
+        &self.value
+    }
+    #[inline]
+    fn value_mut(&mut self) -> &mut T {
+        &mut self.value
+    }
+    #[inline]
+    fn signal(&self) -> Signal {
+        Signal::decode(self.signal).unwrap_or_default()
+    }
+    #[inline]
+    fn set_signal(&mut self, signal: Signal) {
+        self.signal = signal.encode();
+    }
+}
+
+/// The segment [`Home`]: `head`/`tail`, the closed flags and one
+/// `(armed, seq)` futex eventcount per direction are the header words of an
+/// attached ring segment, the slots fill its data region. The capacity is
+/// fixed — a mapped segment cannot be swapped under a live peer — so there
+/// is no resize fence to enter and nothing to grow.
+pub struct Seg<T> {
+    seg: Arc<ShmSegment>,
+    /// First slot and index mask, from the geometry snapshotted at
+    /// create/attach (never re-read from the mapping).
+    base: *mut SegSlot<T>,
+    mask: usize,
+}
+
+// SAFETY: `base` points into the mapping `seg` keeps alive; slots are only
+// touched through the head/tail protocol (written strictly before the
+// Release store of `tail` that publishes them, read strictly after an
+// Acquire load observes it), so the home may move to or be shared with
+// another thread whenever the elements may.
+unsafe impl<T: Send> Send for Seg<T> {}
+// SAFETY: see `Send`.
+unsafe impl<T: Send> Sync for Seg<T> {}
+
+impl<T: ShmItem> Seg<T> {
+    /// The home over a ring segment whose data region the caller has
+    /// checked holds `capacity` (a power of two) aligned `SegSlot<T>`s.
+    fn over(seg: Arc<ShmSegment>) -> Self {
+        debug_assert!(seg.capacity().is_power_of_two());
+        debug_assert!(seg.capacity() * std::mem::size_of::<SegSlot<T>>() <= seg.data_len());
+        Seg {
+            base: seg.data_ptr().cast(),
+            mask: seg.capacity() - 1,
+            seg,
+        }
+    }
+
+    /// The backing segment.
+    pub(crate) fn segment(&self) -> &Arc<ShmSegment> {
+        &self.seg
+    }
+}
+
+// SAFETY: `head`/`tail` are fixed header words; `mask` is fixed at
+// construction from snapshotted geometry and every index is masked, so
+// whatever a byzantine peer does to the counters, slot pointers stay inside
+// the region validated at attach — distinct `SegSlot<T>` cells per index.
+// Slots are POD (`ShmItem` plus a raw word: any bit pattern is a value), so
+// even a slot the cursor protocol was lied to about reads as garbage, not
+// as UB.
+unsafe impl<T: ShmItem> Home<T> for Seg<T> {
+    type Slot = SegSlot<T>;
+    type Counter = AtomicU64;
+    type Wake<'a>
+        = Futex<'a>
+    where
+        T: 'a;
+    const ALLOC: LinkAlloc = LinkAlloc::Shm;
+
+    #[inline]
+    fn head(&self) -> &AtomicU64 {
+        self.seg.head()
+    }
+    #[inline]
+    fn tail(&self) -> &AtomicU64 {
+        self.seg.tail()
+    }
+    #[inline]
+    fn producer_closed(&self) -> bool {
+        self.seg.producer_closed().load(Acquire) == 1
+    }
+    #[inline]
+    fn consumer_closed(&self) -> bool {
+        self.seg.consumer_closed().load(Relaxed) == 1
+    }
+    fn set_closed(&self, role: Role) {
+        match role {
+            Role::Producer => self.seg.producer_closed().store(1, Release),
+            Role::Consumer => self.seg.consumer_closed().store(1, Release),
+        }
+    }
+    #[inline]
+    fn event(&self, role: Role) -> EventCount<Futex<'_>> {
+        match role {
+            Role::Producer => self.seg.producer_waker(),
+            Role::Consumer => self.seg.consumer_waker(),
+        }
+    }
+    #[inline]
+    fn capacity(&self) -> usize {
+        self.mask + 1
+    }
+    #[inline]
+    unsafe fn slot(&self, idx: usize) -> *mut MaybeUninit<SegSlot<T>> {
+        self.base.wrapping_add(idx & self.mask).cast()
+    }
+}
+
+/// Factory for shared-memory SPSC rings of `T`: constructors that return
+/// the crate's one pair of endpoints ([`Producer`]/[`Consumer`]) over the
+/// segment home. The two handles may live in different processes,
+/// connected by the segment fd.
 pub struct ShmRing<T>(PhantomData<T>);
 
 /// Producing half of a [`ShmRing`]; one per segment, enforced by a
 /// CAS-claimed role word in the header.
-pub struct ShmRingProducer<T> {
-    seg: Arc<ShmSegment>,
-    cursor: ProducerCursor,
-    /// Bounded parks of [`push`](Self::push) that a lost wake forced.
-    rescues: AtomicU64,
-    _marker: PhantomData<fn(T)>,
-}
+pub type ShmRingProducer<T> = Producer<T, Seg<T>>;
 
 /// Consuming half of a [`ShmRing`].
-pub struct ShmRingConsumer<T> {
-    seg: Arc<ShmSegment>,
-    cursor: ConsumerCursor,
-    /// Bounded parks of [`pop`](Self::pop) that a lost wake forced.
-    rescues: AtomicU64,
-    _marker: PhantomData<fn() -> T>,
-}
+pub type ShmRingConsumer<T> = Consumer<T, Seg<T>>;
 
 impl<T: ShmItem> ShmRing<T> {
     fn ring_segment(capacity: usize, memfd: bool) -> io::Result<ShmSegment> {
         let capacity = capacity.max(1).next_power_of_two();
-        let bytes = capacity * std::mem::size_of::<T>();
+        // The header records the *element's* layout (what two builds must
+        // agree on); the slot stride follows from it on both sides.
         let (size, align) = (std::mem::size_of::<T>(), std::mem::align_of::<T>());
+        let bytes = capacity * std::mem::size_of::<SegSlot<T>>();
         if memfd {
             ShmSegment::create(SEG_KIND_RING, capacity as u64, size, align, bytes)
         } else {
@@ -935,43 +1054,50 @@ impl<T: ShmItem> ShmRing<T> {
             Self::ring_segment(capacity, false).expect("heap ring segment cannot fail")
         }));
         assert!(seg.claim_role(true) && seg.claim_role(false));
-        (Self::producer_over(seg.clone()), Self::consumer_over(seg))
+        let link = Fifo::over(Seg::over(seg));
+        // SAFETY: both CAS-claimed roles of the fresh segment are ours.
+        unsafe { (link.producer(), link.consumer()) }
     }
 
     /// A fresh memfd ring with one role claimed, and its fd.
-    fn create(capacity: usize, producer: bool) -> io::Result<(Arc<ShmSegment>, i32)> {
+    fn create(capacity: usize, producer: bool) -> io::Result<(Fifo<T, Seg<T>>, i32)> {
         let seg = Self::ring_segment(capacity, true)?;
         let fd = seg.fd().expect("memfd segment has an fd");
         assert!(seg.claim_role(producer), "fresh segment role");
-        Ok((Arc::new(seg), fd))
+        Ok((Fifo::over(Seg::over(Arc::new(seg))), fd))
     }
 
     /// Create a memfd ring and take the producer role; pass the returned
     /// fd to the peer process for [`ShmRing::attach_consumer`].
     pub fn create_producer(capacity: usize) -> io::Result<(ShmRingProducer<T>, i32)> {
-        Self::create(capacity, true).map(|(seg, fd)| (Self::producer_over(seg), fd))
+        // SAFETY: `create` claimed the segment's producer role, so no other
+        // producer endpoint exists, even in another process.
+        Self::create(capacity, true).map(|(link, fd)| (unsafe { link.producer() }, fd))
     }
 
     /// Create a memfd ring and take the consumer role (for result paths
     /// flowing child → parent).
     pub fn create_consumer(capacity: usize) -> io::Result<(ShmRingConsumer<T>, i32)> {
-        Self::create(capacity, false).map(|(seg, fd)| (Self::consumer_over(seg), fd))
+        // SAFETY: as `create_producer`, for the consumer role.
+        Self::create(capacity, false).map(|(link, fd)| (unsafe { link.consumer() }, fd))
     }
 
     /// Attach to an inherited fd as the producer. Validates the header
     /// (magic, schema, kind, capacity, element layout) and claims the
     /// producer role; both can fail cleanly.
     pub fn attach_producer(fd: i32) -> io::Result<ShmRingProducer<T>> {
-        Self::attach_ring(fd, true).map(Self::producer_over)
+        // SAFETY: `attach_ring` claimed the producer role.
+        Self::attach_ring(fd, true).map(|link| unsafe { link.producer() })
     }
 
     /// Attach to an inherited fd as the consumer (see
     /// [`ShmRing::attach_producer`]).
     pub fn attach_consumer(fd: i32) -> io::Result<ShmRingConsumer<T>> {
-        Self::attach_ring(fd, false).map(Self::consumer_over)
+        // SAFETY: `attach_ring` claimed the consumer role.
+        Self::attach_ring(fd, false).map(|link| unsafe { link.consumer() })
     }
 
-    fn attach_ring(fd: i32, producer: bool) -> io::Result<Arc<ShmSegment>> {
+    fn attach_ring(fd: i32, producer: bool) -> io::Result<Fifo<T, Seg<T>>> {
         let seg = ShmSegment::attach(fd, SEG_KIND_RING)?;
         let cap = seg.capacity();
         let fail = |what: &str| Err(io::Error::new(io::ErrorKind::InvalidData, what.to_string()));
@@ -983,7 +1109,7 @@ impl<T: ShmItem> ShmRing<T> {
         {
             return fail("ring element layout mismatch");
         }
-        match cap.checked_mul(seg.elem_size()) {
+        match cap.checked_mul(std::mem::size_of::<SegSlot<T>>()) {
             Some(bytes) if bytes <= seg.data_len() => {}
             _ => return fail("ring data region smaller than capacity"),
         }
@@ -993,428 +1119,14 @@ impl<T: ShmItem> ShmRing<T> {
                 "ring role already claimed",
             ));
         }
-        Ok(Arc::new(seg))
-    }
-
-    /// The ring backing of a ring segment: slots fill the data region.
-    #[inline]
-    fn ring(seg: &ShmSegment) -> SegRing<'_, T> {
-        seg.ring_at(0, seg.capacity())
-    }
-
-    fn producer_over(seg: Arc<ShmSegment>) -> ShmRingProducer<T> {
-        ShmRingProducer {
-            // SAFETY: the caller holds the segment's CAS-claimed producer
-            // role, so no other producer cursor exists, even in another
-            // process; the handle only ever builds this segment's ring.
-            cursor: unsafe { ProducerCursor::attach(&Self::ring(&seg)) },
-            seg,
-            rescues: AtomicU64::new(0),
-            _marker: PhantomData,
-        }
-    }
-
-    fn consumer_over(seg: Arc<ShmSegment>) -> ShmRingConsumer<T> {
-        ShmRingConsumer {
-            // SAFETY: as `producer_over`, for the consumer role.
-            cursor: unsafe { ConsumerCursor::attach(&Self::ring(&seg)) },
-            seg,
-            rescues: AtomicU64::new(0),
-            _marker: PhantomData,
-        }
-    }
-}
-
-impl<T: ShmItem> ShmRingProducer<T> {
-    #[inline]
-    fn try_push_on(
-        seg: &ShmSegment,
-        cursor: &mut ProducerCursor,
-        value: T,
-    ) -> Result<(), TryPushError<T>> {
-        if seg.consumer_closed().load(Relaxed) == 1 {
-            return Err(TryPushError::Closed(value));
-        }
-        cursor
-            .push(&ShmRing::ring(seg), value)
-            .map_err(TryPushError::Full)?;
-        seg.consumer_waker().notify_if_armed();
-        Ok(())
-    }
-
-    /// Non-blocking push.
-    #[inline]
-    pub fn try_push(&mut self, value: T) -> Result<(), TryPushError<T>> {
-        Self::try_push_on(&self.seg, &mut self.cursor, value)
-    }
-
-    /// Push as many of `items` as currently fit, publishing the whole
-    /// batch with **one** Release store of `tail` — the single-fence batch
-    /// publish the journaling layer's commit relies on. Returns the count
-    /// actually pushed.
-    pub fn try_push_batch(&mut self, items: &[T]) -> usize {
-        let seg = &*self.seg;
-        if items.is_empty() || seg.consumer_closed().load(Relaxed) == 1 {
-            return 0;
-        }
-        let ring = ShmRing::ring(seg);
-        let n = self
-            .cursor
-            .push_some(&ring, items.len(), |n| items[..n].iter().copied());
-        if n > 0 {
-            seg.consumer_waker().notify_if_armed();
-        }
-        n
-    }
-
-    /// Blocking push: adaptive spin→yield→futex-park until the element
-    /// fits or the consumer disconnects.
-    #[inline]
-    pub fn push(&mut self, value: T) -> Result<(), PushError<T>> {
-        match self.try_push(value) {
-            Ok(()) => Ok(()),
-            Err(TryPushError::Closed(v)) => Err(PushError(v)),
-            Err(TryPushError::Full(v)) => self.push_blocked(v),
-        }
-    }
-
-    #[cold]
-    fn push_blocked(&mut self, value: T) -> Result<(), PushError<T>> {
-        let ShmRingProducer {
-            seg,
-            cursor,
-            rescues,
-            ..
-        } = self;
-        // A pop or close that lands before the park's arm is seen by its
-        // re-check; one that lands after observes the arm and notifies.
-        let poll = || match Self::try_push_on(seg, cursor, value) {
-            Ok(()) => Some(Ok(())),
-            Err(TryPushError::Closed(v)) => Some(Err(PushError(v))),
-            Err(TryPushError::Full(_)) => None,
-        };
-        block_until(&seg.producer_waker(), rescues, None, || false, poll)
-            .unwrap_or(Err(PushError(value)))
-    }
-
-    /// Parks of [`push`](Self::push) that ended by timeout and then found
-    /// room: wakes that were owed and never came. Stays 0 unless the lossy
-    /// per-element notify lost a race (or a wake syscall stalled).
-    pub fn rescues(&self) -> u64 {
-        self.rescues.load(Relaxed)
-    }
-
-    /// Ring capacity in elements.
-    pub fn capacity(&self) -> usize {
-        self.seg.capacity()
-    }
-
-    /// Elements currently queued (telemetry estimate).
-    pub fn occupancy(&self) -> usize {
-        self.seg.occupancy()
-    }
-
-    /// `true` once the consumer side is gone.
-    pub fn is_closed(&self) -> bool {
-        self.seg.consumer_closed().load(Relaxed) == 1
-    }
-
-    /// The backing segment (fd, mailbox word, …).
-    pub fn segment(&self) -> &ShmSegment {
-        &self.seg
-    }
-
-    /// An owned handle on the backing segment — what a supervisor keeps so
-    /// it can write close flags and revoke roles while the producer handle
-    /// itself sits behind a lock.
-    pub fn segment_shared(&self) -> Arc<ShmSegment> {
-        self.seg.clone()
-    }
-}
-
-impl<T> Drop for ShmRingProducer<T> {
-    fn drop(&mut self) {
-        self.seg.producer_closed().store(1, Release);
-        // Full-contract notify: a consumer parked right now must see EoS.
-        self.seg.consumer_waker().notify();
-    }
-}
-
-impl<T: ShmItem> ShmRingConsumer<T> {
-    #[inline]
-    fn try_pop_on(seg: &ShmSegment, cursor: &mut ConsumerCursor) -> Result<T, TryPopError> {
-        let value = cursor.try_pop(&ShmRing::<T>::ring(seg), || {
-            seg.producer_closed().load(Acquire) == 1
-        })?;
-        seg.producer_waker().notify_if_armed();
-        Ok(value)
-    }
-
-    /// Non-blocking pop.
-    #[inline]
-    pub fn try_pop(&mut self) -> Result<T, TryPopError> {
-        Self::try_pop_on(&self.seg, &mut self.cursor)
-    }
-
-    /// Pop up to `out.len()` elements, freeing the whole run with one
-    /// Release store of `head`. Returns the count written into `out`.
-    pub fn try_pop_batch(&mut self, out: &mut [T]) -> usize {
-        let seg = &*self.seg;
-        let ring = ShmRing::<T>::ring(seg);
-        self.cursor.ready(&ring);
-        let max = out.len();
-        let mut slots = out.iter_mut();
-        let n = self.cursor.pop_some(&ring, max, |v| {
-            *slots.next().expect("at most out.len() popped") = v;
-        });
-        if n > 0 {
-            seg.producer_waker().notify_if_armed();
-        }
-        n
-    }
-
-    /// Blocking pop; `Err` once the producer closed *and* the ring
-    /// drained.
-    #[inline]
-    pub fn pop(&mut self) -> Result<T, PopError> {
-        match self.try_pop() {
-            Ok(v) => Ok(v),
-            Err(TryPopError::Closed) => Err(PopError),
-            Err(TryPopError::Empty) => self.pop_blocked(),
-        }
-    }
-
-    #[cold]
-    fn pop_blocked(&mut self) -> Result<T, PopError> {
-        let ShmRingConsumer {
-            seg,
-            cursor,
-            rescues,
-            ..
-        } = self;
-        let poll = || match Self::try_pop_on(seg, cursor) {
-            Ok(v) => Some(Ok(v)),
-            Err(TryPopError::Closed) => Some(Err(PopError)),
-            Err(TryPopError::Empty) => None,
-        };
-        block_until(&seg.consumer_waker(), rescues, None, || false, poll).unwrap_or(Err(PopError))
-    }
-
-    /// Parks of [`pop`](Self::pop) that ended by timeout and then found
-    /// data (see [`ShmRingProducer::rescues`]).
-    pub fn rescues(&self) -> u64 {
-        self.rescues.load(Relaxed)
-    }
-
-    /// Ring capacity in elements.
-    pub fn capacity(&self) -> usize {
-        self.seg.capacity()
-    }
-
-    /// Elements currently queued (telemetry estimate).
-    pub fn occupancy(&self) -> usize {
-        self.seg.occupancy()
-    }
-
-    /// `true` once the producer closed and the ring drained.
-    pub fn is_finished(&self) -> bool {
-        self.seg.producer_closed().load(Acquire) == 1 && self.occupancy() == 0
-    }
-
-    /// The backing segment (fd, mailbox word, …).
-    pub fn segment(&self) -> &ShmSegment {
-        &self.seg
-    }
-
-    /// An owned handle on the backing segment (see
-    /// [`ShmRingProducer::segment_shared`]).
-    pub fn segment_shared(&self) -> Arc<ShmSegment> {
-        self.seg.clone()
-    }
-}
-
-impl<T> Drop for ShmRingConsumer<T> {
-    fn drop(&mut self) {
-        self.seg.consumer_closed().store(1, Release);
-        self.seg.producer_waker().notify();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Journaled producer — cross-process exactly-once on top of the ring
-// ---------------------------------------------------------------------------
-
-/// A [`ShmRingProducer`] with a [`ReplayWindow`] in front of it: the
-/// cross-process half of the PR 7 recovery contract.
-///
-/// Every sent element is journaled *before* it is pushed, acknowledged only
-/// when the consuming worker advances the segment's
-/// [`commit word`](ShmSegment::commit_word), and re-delivered in order by
-/// [`Self::replay_unacked`] after the supervisor has reaped the dead
-/// worker, revoked its role, and [drained](ShmSegment::drain_residue) the
-/// un-popped residue. Because an element is journaled first, a push that
-/// fails with `Closed` mid-crash is *not* a loss — the entry is retained
-/// and replayed — so [`Self::send`] treats it as sent.
-///
-/// The journal order is the delivery order: [`Self::begin_recovery`] gates
-/// new sends (they return `false`) until `replay_unacked` has re-pushed the
-/// suffix, so a replacement worker never observes a new element ordered
-/// before a replayed one. The worker-side contract that makes the commit
-/// word safe: *publish the result of element `n`, then store `n+1`* — a
-/// death between the two re-delivers element `n`, and the duplicate result
-/// is deduplicated downstream by its sequence number.
-pub struct JournaledShmProducer<T: ShmItem> {
-    ring: ShmRingProducer<T>,
-    window: ReplayWindow<T>,
-    recovering: bool,
-    /// Journal sequence of the next entry still to be re-pushed after a
-    /// recovery (`None`: no replay backlog outstanding). While a backlog
-    /// exists, new sends queue behind it — journal order is delivery
-    /// order — and it drains opportunistically on every
-    /// [`Self::ack_committed`] pump instead of blocking the caller.
-    backlog: Option<u64>,
-}
-
-impl<T: ShmItem> JournaledShmProducer<T> {
-    /// Journal `ring` with at most `bound` unacknowledged entries
-    /// (0 = unbounded). The bound must cover the ring capacity plus the
-    /// worker's commit lag, or forced acks will puncture replay coverage —
-    /// `2 × capacity` is a comfortable floor.
-    pub fn new(ring: ShmRingProducer<T>, bound: usize) -> Self {
-        JournaledShmProducer {
-            ring,
-            window: ReplayWindow::new(bound),
-            recovering: false,
-            backlog: None,
-        }
-    }
-
-    /// Journal `value` and push it, blocking while the ring is full.
-    /// Returns `false` — value **not** journaled, retry later — only while
-    /// a recovery window is open ([`Self::begin_recovery`] has run and
-    /// [`Self::replay_unacked`] has not). A `Closed` push after the journal
-    /// append still returns `true`: the entry is retained for replay.
-    pub fn send(&mut self, value: T) -> bool {
-        if self.recovering {
-            return false;
-        }
-        self.window.append(value);
-        if self.backlog.is_some() {
-            // A replay backlog is still draining: the new entry queues
-            // behind the cursor so journal order stays delivery order.
-            self.push_backlog();
-        } else {
-            // A Closed error here means the worker died (or its reaper
-            // wrote the flag) after the append — exactly the window
-            // replay covers.
-            let _ = self.ring.push(value);
-        }
-        self.ack_committed();
-        true
-    }
-
-    /// Retire journal entries the worker has committed and drain any
-    /// outstanding replay backlog into free ring space. Returns how many
-    /// entries were released. Call this periodically after a recovery: it
-    /// is the pump that finishes a replay too large to fit the ring in
-    /// one go.
-    pub fn ack_committed(&mut self) -> usize {
-        let committed = self.ring.segment().commit_word().load(Acquire);
-        let acked = self.window.ack(committed);
-        if !self.recovering && self.backlog.is_some() {
-            self.push_backlog();
-        }
-        acked
-    }
-
-    /// Re-push backlog entries with `try_push` until the backlog is gone
-    /// or the ring has no room. Never blocks: a supervisor thread calls
-    /// this from its reaction path, and parking it on ring space would
-    /// deadlock if the replacement worker dies mid-replay (nobody left to
-    /// reap it). Returns entries pushed.
-    fn push_backlog(&mut self) -> usize {
-        let mut pushed = 0;
-        while let Some(cursor) = self.backlog {
-            // Forced acks may have dropped entries at the cursor; resume
-            // from the first journaled sequence at or after it.
-            let next = self.window.iter_from(cursor).next().map(|&(s, e)| (s, e));
-            let Some((seq, entry)) = next else {
-                self.backlog = None;
-                break;
-            };
-            match self.ring.try_push(entry) {
-                Ok(()) => {
-                    self.backlog = Some(seq + 1);
-                    pushed += 1;
-                }
-                // Full: retry on a later pump. Closed: the worker died
-                // again; the next recovery cycle rewinds the cursor.
-                Err(_) => break,
-            }
-        }
-        pushed
-    }
-
-    /// Open the recovery window: discard the dead worker's un-popped ring
-    /// residue, fold its final commit into the journal, and gate new sends
-    /// until [`Self::replay_unacked`]. Returns the residue count dropped.
-    ///
-    /// Caller contract: the worker is dead **and reaped**, and its consumer
-    /// role has been revoked — residue draining moves the shared head, which
-    /// only the (now nonexistent) consumer otherwise owns.
-    pub fn begin_recovery(&mut self) -> u64 {
-        self.recovering = true;
-        let dropped = self.ring.segment().drain_residue();
-        self.ack_committed();
-        dropped
-    }
-
-    /// Rewind the replay cursor to the first unacknowledged entry, close
-    /// the recovery window, and re-push as much of the backlog as fits the
-    /// ring *without blocking*. Whatever does not fit drains on subsequent
-    /// [`Self::ack_committed`] pumps (and ahead of any new sends), so the
-    /// replacement worker still observes strict journal order. Returns
-    /// entries re-pushed immediately.
-    pub fn replay_unacked(&mut self) -> usize {
-        self.backlog = Some(self.window.acked());
-        self.recovering = false;
-        self.push_backlog()
-    }
-
-    /// `true` while sends are gated by an open recovery window.
-    pub fn recovering(&self) -> bool {
-        self.recovering
-    }
-
-    /// Journal entries not yet committed by the worker.
-    pub fn pending(&self) -> usize {
-        self.window.len()
-    }
-
-    /// The replay window (sequence numbers are send order from 0).
-    pub fn window(&self) -> &ReplayWindow<T> {
-        &self.window
-    }
-
-    /// The underlying producer.
-    pub fn ring(&mut self) -> &mut ShmRingProducer<T> {
-        &mut self.ring
-    }
-
-    /// The backing segment.
-    pub fn segment(&self) -> &ShmSegment {
-        self.ring.segment()
-    }
-
-    /// An owned handle on the backing segment.
-    pub fn segment_shared(&self) -> Arc<ShmSegment> {
-        self.ring.segment_shared()
+        Ok(Fifo::over(Seg::over(Arc::new(seg))))
     }
 }
 
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use crate::error::TryPopError;
 
     #[test]
     fn heap_segment_layout_roundtrip() {
@@ -1444,60 +1156,6 @@ mod tests {
         // attach dups the fd, so each segment closes its own descriptor.
         drop(peer);
         drop(seg);
-    }
-
-    #[test]
-    fn ring_push_pop_in_order() {
-        let (mut p, mut c) = ShmRing::<u64>::pair(4);
-        for i in 0..4u64 {
-            p.try_push(i).unwrap();
-        }
-        assert!(matches!(p.try_push(9), Err(TryPushError::Full(9))));
-        for i in 0..4u64 {
-            assert_eq!(c.try_pop().unwrap(), i);
-        }
-        assert!(matches!(c.try_pop(), Err(TryPopError::Empty)));
-    }
-
-    #[test]
-    fn ring_batch_publish_and_drain() {
-        let (mut p, mut c) = ShmRing::<u32>::pair(8);
-        let items: Vec<u32> = (0..6).collect();
-        assert_eq!(p.try_push_batch(&items), 6);
-        let mut out = [0u32; 8];
-        assert_eq!(c.try_pop_batch(&mut out), 6);
-        assert_eq!(&out[..6], &[0, 1, 2, 3, 4, 5]);
-        // Batch larger than room pushes only what fits.
-        let items: Vec<u32> = (0..20).collect();
-        assert_eq!(p.try_push_batch(&items), 8);
-    }
-
-    #[test]
-    fn ring_close_semantics() {
-        let (mut p, mut c) = ShmRing::<u64>::pair(4);
-        p.try_push(1).unwrap();
-        drop(p);
-        assert_eq!(c.try_pop().unwrap(), 1);
-        assert!(matches!(c.try_pop(), Err(TryPopError::Closed)));
-        assert!(c.is_finished());
-    }
-
-    #[test]
-    fn ring_cross_thread_blocking_transfer() {
-        let (mut p, mut c) = ShmRing::<u64>::pair(16);
-        const N: u64 = 200_000;
-        let producer = std::thread::spawn(move || {
-            for i in 0..N {
-                p.push(i).unwrap();
-            }
-        });
-        let mut expected = 0;
-        while let Ok(v) = c.pop() {
-            assert_eq!(v, expected);
-            expected += 1;
-        }
-        assert_eq!(expected, N);
-        producer.join().unwrap();
     }
 
     #[test]
@@ -1557,13 +1215,35 @@ mod tests {
     }
 
     #[test]
+    fn attach_rejects_an_older_schema() {
+        if !ShmSegment::memfd_supported() {
+            eprintln!("skipping: no memfd on this platform");
+            return;
+        }
+        // Schema 2 rings held bare `T` slots: a schema-3 attacher reading
+        // them as `SegSlot<T>` would take every other element for a signal
+        // word. The equality check refuses, and the fd stays attachable.
+        let (p, fd) = ShmRing::<u64>::create_producer(8).unwrap();
+        let schema = p.segment().u32_at(OFF_SCHEMA);
+        schema.store(2, Relaxed);
+        let refused = ShmRing::<u64>::attach_consumer(fd).err().unwrap();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+        schema.store(SEG_SCHEMA, Relaxed);
+        assert!(ShmRing::<u64>::attach_consumer(fd).is_ok());
+    }
+
+    #[test]
     fn attach_rejects_element_layout_mismatch() {
         if !ShmSegment::memfd_supported() {
             eprintln!("skipping: no memfd on this platform");
             return;
         }
+        // `SegSlot<u64>` and `SegSlot<u32>` are both 16 bytes, 8-aligned:
+        // the header records the element's own layout, so the two still
+        // disagree.
         let (_p, fd) = ShmRing::<u64>::create_producer(8).unwrap();
         assert!(ShmRing::<u32>::attach_consumer(fd).is_err());
+        assert!(ShmRing::<[u32; 2]>::attach_consumer(fd).is_err());
     }
 
     #[test]
@@ -1637,14 +1317,14 @@ mod tests {
     }
 
     #[test]
-    fn journaled_producer_replays_after_simulated_kill() {
+    fn producer_replays_after_simulated_kill() {
         if !ShmSegment::memfd_supported() {
             eprintln!("skipping: no memfd on this platform");
             return;
         }
-        let (ring, fd) = ShmRing::<u64>::create_producer(8).unwrap();
+        let (mut p, fd) = ShmRing::<u64>::create_producer(8).unwrap();
         let mut c = ShmRing::<u64>::attach_consumer(fd).unwrap();
-        let mut p = JournaledShmProducer::new(ring, 32);
+        p.enable_replay(32);
 
         for i in 0..6u64 {
             assert!(p.send(i * 10));
@@ -1661,28 +1341,34 @@ mod tests {
         let gen = p.segment().role_generation(false);
         std::mem::forget(c);
 
-        // Supervisor reap path: revoke at the observed generation, open
-        // the recovery window (drops the 2 un-popped elements, folds the
-        // final commit into the journal), reopen the closed flag.
+        // Supervisor reap path: write the dead worker's closed flag — a
+        // send that lands now is still appended (that is what replay is
+        // for) — revoke at the observed generation, open the recovery
+        // window (drops the 2 un-popped elements, folds the final commit
+        // into the window), reopen the closed flag.
+        p.segment().consumer_closed().store(1, Release);
+        assert!(p.send(55));
         assert_eq!(p.segment().revoke_role(false, gen), Ok(gen + 1));
         assert_eq!(p.begin_recovery(), 2);
-        assert_eq!(p.pending(), 2);
+        assert_eq!(p.pending(), 3);
         assert!(p.recovering());
-        // New sends are gated (not journaled) until replay closes the window.
+        // New sends are refused (not appended) until replay closes the window.
         assert!(!p.send(999));
-        assert_eq!(p.pending(), 2);
+        assert_eq!(p.pending(), 3);
         p.segment().reopen_role(false);
 
         // Respawned worker re-attaches under the reclaimed role and sees
         // exactly the unacknowledged suffix, in order.
         let mut c2 = ShmRing::<u64>::attach_consumer(fd).unwrap();
-        assert_eq!(p.replay_unacked(), 2);
+        assert_eq!(p.replay_unacked(), 3);
         assert!(!p.recovering());
         assert!(p.send(60));
-        assert_eq!(c2.try_pop().unwrap(), 40);
-        assert_eq!(c2.try_pop().unwrap(), 50);
-        assert_eq!(c2.try_pop().unwrap(), 60);
-        p.segment().commit_word().store(7, Release);
+        for v in [40, 50, 55, 60] {
+            assert_eq!(c2.try_pop().unwrap(), v);
+        }
+        let stats = p.fifo().snapshot();
+        assert_eq!((stats.forced_acks, stats.rescues), (0, 0));
+        p.segment().commit_word().store(8, Release);
         p.ack_committed();
         assert_eq!(p.pending(), 0);
     }
@@ -1697,9 +1383,9 @@ mod tests {
         // cannot fit in one go and must never block the caller — the
         // supervisor thread replays from its reaction path, and parking
         // there deadlocks if the replacement dies mid-replay.
-        let (ring, fd) = ShmRing::<u64>::create_producer(4).unwrap();
+        let (mut p, fd) = ShmRing::<u64>::create_producer(4).unwrap();
         let mut c = ShmRing::<u64>::attach_consumer(fd).unwrap();
-        let mut p = JournaledShmProducer::new(ring, 32);
+        p.enable_replay(32);
         for i in 0..8u64 {
             // Interleave pops (uncommitted) so blocking sends never park.
             assert!(p.send(i));
@@ -1739,5 +1425,65 @@ mod tests {
         assert_eq!(got, (0..9u64).collect::<Vec<_>>());
         p.ack_committed();
         assert_eq!(p.pending(), 0);
+    }
+
+    #[test]
+    fn replaying_a_full_window_touches_each_entry_once() {
+        use std::sync::atomic::AtomicUsize;
+        // The supervisor replays under its lock, and the frozen `xproc_shm`
+        // workload allows 2,048 unacknowledged entries: re-pushing that
+        // suffix must cost one copy per entry, not a scan of the window per
+        // entry. Counted by an element whose `Clone` counts.
+        static COPIES: AtomicUsize = AtomicUsize::new(0);
+        #[derive(Copy, Debug, PartialEq)]
+        struct Counted(u64);
+        #[allow(clippy::expl_impl_clone_on_copy, clippy::non_canonical_clone_impl)]
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                COPIES.fetch_add(1, Relaxed);
+                *self
+            }
+        }
+        // SAFETY: a `u64` newtype — every bit pattern is a value.
+        unsafe impl ShmItem for Counted {}
+
+        const WINDOW: u64 = 2048;
+        let (mut p, mut c) = ShmRing::<Counted>::pair(64);
+        p.enable_replay(WINDOW as usize);
+        for i in 0..WINDOW {
+            // Popped but never committed: the whole window stays unacked.
+            assert!(p.send(Counted(i)));
+            assert_eq!(c.try_pop(), Ok(Counted(i)));
+        }
+        assert_eq!(p.pending(), WINDOW as usize);
+
+        // The consumer "dies" with its role; recover over the same segment.
+        let gen = p.segment().role_generation(false);
+        std::mem::forget(c);
+        assert_eq!(p.segment().revoke_role(false, gen), Ok(gen + 1));
+        p.begin_recovery();
+        assert!(p.segment().claim_role(false));
+        // SAFETY: the consumer role was just re-claimed, the old endpoint
+        // is forgotten.
+        let mut c = unsafe { p.fifo().consumer() };
+        COPIES.store(0, Relaxed);
+        assert_eq!(p.replay_unacked(), 64);
+        let mut next = 0;
+        while next < WINDOW {
+            match c.try_pop() {
+                Ok(v) => {
+                    assert_eq!(v, Counted(next));
+                    next += 1;
+                    p.segment().commit_word().store(next, Release);
+                }
+                Err(_) => {
+                    p.ack_committed();
+                }
+            }
+        }
+        p.ack_committed();
+        assert_eq!(p.pending(), 0);
+        assert_eq!(COPIES.load(Relaxed), WINDOW as usize);
+        assert_eq!(p.fifo().snapshot().forced_acks, 0);
     }
 }

@@ -47,6 +47,10 @@ pub struct WriterCounters {
     /// room: wakes that were owed and never came (see
     /// [`crate::eventcount::block_until`]).
     pub rescues: AtomicU64,
+    /// Entries the producer-side window's bound dropped before they were
+    /// acknowledged: elements that can no longer be replayed (see
+    /// [`crate::journal::ReplayWindow::forced_acks`]).
+    pub forced_acks: AtomicU64,
 }
 
 /// Counters written only by the consumer thread (padded to its own cache
@@ -69,6 +73,8 @@ pub struct ReaderCounters {
     pub replayed: AtomicU64,
     /// Like [`WriterCounters::rescues`], for the blocked reader.
     pub rescues: AtomicU64,
+    /// Like [`WriterCounters::forced_acks`], for the consumer-side journal.
+    pub forced_acks: AtomicU64,
 }
 
 /// Counters written only by the monitor thread (padded to its own cache
@@ -117,6 +123,7 @@ impl FifoStats {
                 blocked_ns: AtomicU64::new(0),
                 shed: AtomicU64::new(0),
                 rescues: AtomicU64::new(0),
+                forced_acks: AtomicU64::new(0),
             }),
             reader: CachePadded::new(ReaderCounters {
                 popped: AtomicU64::new(0),
@@ -125,6 +132,7 @@ impl FifoStats {
                 max_read_request: AtomicU64::new(0),
                 replayed: AtomicU64::new(0),
                 rescues: AtomicU64::new(0),
+                forced_acks: AtomicU64::new(0),
             }),
             monitor: CachePadded::new(MonitorCounters {
                 resizes: AtomicU64::new(0),
@@ -230,6 +238,8 @@ impl FifoStats {
             shed: self.writer.shed.load(Relaxed),
             replayed: self.reader.replayed.load(Relaxed),
             rescues: self.writer.rescues.load(Relaxed) + self.reader.rescues.load(Relaxed),
+            forced_acks: self.writer.forced_acks.load(Relaxed)
+                + self.reader.forced_acks.load(Relaxed),
             throughput: if elapsed > 0.0 {
                 popped as f64 / elapsed
             } else {
@@ -270,6 +280,10 @@ pub struct StatsSnapshot {
     /// condition already true — lost wakeups the 2 ms safety net absorbed.
     /// Stays 0 unless a wake was genuinely missed.
     pub rescues: u64,
+    /// Entries either end's replay window force-dropped at its bound —
+    /// elements whose replay coverage was lost. Stays 0 while the journal
+    /// bound covers a commit interval.
+    pub forced_acks: u64,
     /// Elements per second popped since creation.
     pub throughput: f64,
     /// Log2-bucketed occupancy histogram (see [`HIST_BUCKETS`]).

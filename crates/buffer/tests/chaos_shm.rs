@@ -12,7 +12,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use raft_buffer::failpoints::{self, FailAction};
-use raft_buffer::shm::{ShmRing, ShmSegment};
+use raft_buffer::shm::{ShmRing, ShmSegment, DATA_OFFSET, SEG_SCHEMA};
 
 /// The failpoint registry is process-global; tests serialize on this so
 /// one test's armed sites never fire inside another's transfer.
@@ -43,12 +43,37 @@ fn rejected_attach_is_clean_and_retryable() {
     }
     let _guard = chaos_guard();
     failpoints::set_seed(chaos_seed());
+    let (mut p, fd) = ShmRing::<u64>::create_producer(8).expect("create ring");
+
+    // A segment written by a schema-2 build (bare `T` slots, no signal
+    // word) is the same kind of rejection, for real: refused by the
+    // equality check with `InvalidData`, nothing claimed, fd retryable.
+    // The schema is the u32 at byte 8 of the header, which ends where the
+    // data region of a ≤ 256-aligned element begins.
+    let header = p.segment().data_ptr().wrapping_sub(DATA_OFFSET);
+    // SAFETY: byte 8 of the mapping: in bounds, 4-aligned, only ever
+    // accessed as an atomic u32.
+    let schema = unsafe {
+        &*header
+            .wrapping_add(8)
+            .cast::<std::sync::atomic::AtomicU32>()
+    };
+    assert_eq!(
+        schema.load(std::sync::atomic::Ordering::Relaxed),
+        SEG_SCHEMA
+    );
+    schema.store(2, std::sync::atomic::Ordering::Relaxed);
+    let refused = ShmRing::<u64>::attach_consumer(fd)
+        .err()
+        .expect("schema 2 refused");
+    assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData, "{refused}");
+    schema.store(SEG_SCHEMA, std::sync::atomic::Ordering::Relaxed);
+
     // Rate 1 with a budget of 4 firings: each attach draws twice (the hit
     // macro, then the ShortIo check), so attempts 1 and 2 are rejected and
     // attempt 3 succeeds — deterministically, for every chaos seed.
     failpoints::arm("buffer::shm::attach", FailAction::ShortIo, 1, 4);
 
-    let (mut p, fd) = ShmRing::<u64>::create_producer(8).expect("create ring");
     let mut clean_failures = 0u32;
     let mut consumer = None;
     for _ in 0..8 {

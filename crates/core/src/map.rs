@@ -449,27 +449,6 @@ impl RaftMap {
         self.link_inner(src, src_port, dst, dst_port, false, Some(fifo))
     }
 
-    /// Apply a mapper placement to every link: classify each stream from
-    /// the resources its endpoints landed on
-    /// ([`crate::mapper::classify_link`] — heap within a process, shm
-    /// across processes on one machine, TCP across machines) and record
-    /// the choice in the link's FIFO configuration. Call after
-    /// [`crate::mapper::map_kernels`], before `exe()`; `assignment[k]`
-    /// is the resource of kernel `k` in insertion order.
-    /// `RAFT_LINK_ALLOC` still overrides everything at `exe()` time.
-    pub fn apply_placement(&mut self, assignment: &[crate::mapper::Resource]) {
-        let default_fifo = self.cfg.fifo;
-        for link in &mut self.links {
-            let (Some(src), Some(dst)) = (assignment.get(link.src), assignment.get(link.dst))
-            else {
-                continue;
-            };
-            let alloc = crate::mapper::classify_link(src, dst);
-            let cfg = link.fifo.get_or_insert(default_fifo);
-            cfg.alloc = alloc;
-        }
-    }
-
     /// Convenience: connect two kernels that have exactly one output and
     /// one input port respectively (most pipeline stages).
     pub fn connect(&mut self, src: KernelId, dst: KernelId) -> Result<(), LinkError> {

@@ -63,7 +63,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use raft_buffer::arena::DescriptorSender;
-use raft_buffer::shm::{JournaledShmProducer, ShmItem, ShmSegment};
+use raft_buffer::shm::{ShmItem, ShmRingProducer, ShmSegment};
 use raft_rng::Rng;
 
 use crate::supervise::{KernelOutcome, SupervisorPolicy};
@@ -215,15 +215,16 @@ pub trait ProcLink: Send {
     fn replay(&mut self) {}
 }
 
-/// A journaled element ring whose consumer side lives in the worker
-/// (producer side shared with the feeding kernel via the mutex).
+/// A replayable element ring whose consumer side lives in the worker
+/// (producer side shared with the feeding kernel via the mutex; it must
+/// have [`enable_replay`](ShmRingProducer::enable_replay) on).
 pub struct JournaledRingLink<T: ShmItem> {
-    producer: Arc<Mutex<JournaledShmProducer<T>>>,
+    producer: Arc<Mutex<ShmRingProducer<T>>>,
 }
 
 impl<T: ShmItem> JournaledRingLink<T> {
     /// Supervise the worker-consumed ring behind `producer`.
-    pub fn new(producer: Arc<Mutex<JournaledShmProducer<T>>>) -> Self {
+    pub fn new(producer: Arc<Mutex<ShmRingProducer<T>>>) -> Self {
         JournaledRingLink { producer }
     }
 }

@@ -74,12 +74,18 @@ pub fn render(report: &ExeReport) -> String {
     );
     for e in &report.edges {
         // A rescue is a bounded park that timed out and found its condition
-        // already true: a lost wakeup. Healthy links have none, so the row
-        // only grows when there is something to act on.
-        let rescued = match e.stats.rescues {
-            0 => String::new(),
-            n => format!("  ⚠ {n} park rescues"),
-        };
+        // already true: a lost wakeup. A forced ack is a replay-window entry
+        // its bound dropped: replay coverage lost. Healthy links have
+        // neither, so the row only grows when there is something to act on.
+        let mut nets = String::new();
+        for (n, what) in [
+            (e.stats.rescues, "park rescues"),
+            (e.stats.forced_acks, "forced acks"),
+        ] {
+            if n > 0 {
+                let _ = write!(nets, "  ⚠ {n} {what}");
+            }
+        }
         let _ = writeln!(
             out,
             "  {:<44} {:>5} {:>9} {:>7} {:>9.1} {:>8}  {}{}",
@@ -90,7 +96,7 @@ pub fn render(report: &ExeReport) -> String {
             e.stats.mean_occupancy,
             e.stats.resizes,
             sparkline(&e.stats.occupancy_hist),
-            rescued
+            nets
         );
     }
 
@@ -329,6 +335,10 @@ mod tests {
         assert!(!render(&report).contains("park rescues"));
         report.edges[0].stats.rescues = 3;
         assert!(render(&report).contains("⚠ 3 park rescues"));
+        // Forced acks sit beside them, under the same rule.
+        assert!(!render(&report).contains("forced acks"));
+        report.edges[0].stats.forced_acks = 2;
+        assert!(render(&report).contains("⚠ 3 park rescues  ⚠ 2 forced acks"));
     }
 
     #[test]

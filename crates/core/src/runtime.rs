@@ -238,22 +238,12 @@ pub fn execute_with_deadline(
     // Per-kernel commit interval: the min across the kernel's journaled
     // links (u32::MAX = no journaled link yet).
     let mut journal_interval_of: Vec<u32> = vec![u32::MAX; n_kernels];
-    // `RAFT_LINK_ALLOC` overrides every link's allocator choice (the
-    // paper's "link allocation type is selected" step, §4) — a deployed
-    // binary can be flipped to shm or back without recompiling. Invalid
-    // values are ignored rather than fatal, like the other RAFT_* knobs.
-    let env_alloc = std::env::var("RAFT_LINK_ALLOC")
-        .ok()
-        .and_then(|s| LinkAlloc::parse(&s));
     for link in &map.links {
         let src = &map.kernels[link.src];
         let dst = &map.kernels[link.dst];
         let out_def = &src.spec.outputs[link.src_port];
         let in_def = &dst.spec.inputs[link.dst_port];
-        let mut cfg = link.fifo.unwrap_or(map.cfg.fifo);
-        if let Some(alloc) = env_alloc {
-            cfg.alloc = alloc;
-        }
+        let cfg = link.fifo.unwrap_or(map.cfg.fifo);
         let (producer, consumer, fifo) = (out_def.fifo_factory)(cfg);
         let name = format!(
             "{}.{} -> {}.{}",

@@ -292,6 +292,12 @@ fn run_pipeline(kill_at: Option<u64>, kill_every: bool, max_restarts: u32) -> Ru
         let seg = s.ring_segment();
         seg.producer_closed().store(1, Release);
         seg.consumer_waker().notify();
+        // The replay window never dropped an entry at its bound (that
+        // would puncture replay coverage silently — except that it is
+        // counted). Park rescues are reported, not asserted: under CPU
+        // oversubscription a bounded park legitimately stands in for a
+        // late wake.
+        assert_eq!(s.ring_snapshot().forced_acks, 0, "descriptor ring");
     }
 
     let (values, distinct, dupes) = collector.join().expect("collector");

@@ -102,8 +102,22 @@ fn run_faulty_pipeline(
     map.supervise(flaky, SupervisorPolicy::restart(panic_at.len() as u32 + 2));
 
     let report = map.exe().expect("restart policy absorbs injected panics");
+    assert_no_forced_acks(&report);
     let got = Arc::try_unwrap(seen).unwrap().into_inner().unwrap();
     (got, report)
+}
+
+/// A replay window that drops entries at its bound punctures replay
+/// coverage silently — except that it is counted (ROADMAP item 6), and a
+/// recovery run must show zero on every link. Park rescues are *not*
+/// asserted here: the per-element `notify_if_armed` is lossy by design, and
+/// this suite's in-process links show one in ~2 % of runs at the parent
+/// commit too (3 of 150); the paths certified rescue-free are pinned by
+/// `no_blocking_entry_point_needs_the_park_timeout` in `raft-buffer`.
+fn assert_no_forced_acks(report: &ExeReport) {
+    for e in &report.edges {
+        assert_eq!(e.stats.forced_acks, 0, "{}: forced acks", e.name);
+    }
 }
 
 fn expected_full() -> Vec<u64> {
@@ -168,6 +182,7 @@ fn partially_journaled_kernel_commits_per_run() {
         map.supervise(flaky, SupervisorPolicy::restart(panic_at.len() as u32 + 2));
 
         let report = map.exe().expect("restart absorbs injected panics");
+        assert_no_forced_acks(&report);
         let got = Arc::try_unwrap(seen).unwrap().into_inner().unwrap();
         assert_eq!(
             got,
@@ -395,6 +410,7 @@ proptest! {
         map.supervise(flaky, SupervisorPolicy::restart(panic_at.len() as u32 + 1));
 
         let report = map.exe().expect("restart absorbs injected panics");
+        assert_no_forced_acks(&report);
         let got = Arc::try_unwrap(seen).unwrap().into_inner().unwrap();
         prop_assert_eq!(got, (0..500u64).map(|v| v * 3).collect::<Vec<u64>>());
         prop_assert_eq!(report.total_rewinds(), panic_at.len() as u64);
