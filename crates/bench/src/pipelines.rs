@@ -72,6 +72,10 @@ pub fn depth_pipeline(depth: usize, fusion: bool, batch: usize) -> std::time::Du
     let cfg = MapConfig {
         monitor: MonitorConfig::disabled(),
         fifo: FifoConfig::fixed(1024),
+        fusion: FusionConfig {
+            enabled: fusion,
+            batch,
+        },
         ..Default::default()
     };
     let mut map = RaftMap::with_config(cfg);
@@ -85,13 +89,7 @@ pub fn depth_pipeline(depth: usize, fusion: bool, batch: usize) -> std::time::Du
     let (count, n) = Count::<u64>::new();
     let sink = map.add(count);
     map.connect(prev, sink).expect("link sink");
-    let report = map
-        .exe_opts(ExeOpts {
-            fusion: Some(fusion),
-            fusion_batch: Some(batch),
-            deadline: None,
-        })
-        .expect("depth pipeline run");
+    let report = map.exe().expect("depth pipeline run");
     assert_eq!(n.load(std::sync::atomic::Ordering::Relaxed), DEPTH_ITEMS);
     if fusion && depth >= 2 {
         assert_eq!(

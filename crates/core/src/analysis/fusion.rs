@@ -37,11 +37,9 @@
 //! the fused kernel is itself stateless, single-in/single-out and
 //! replicable, the auto-parallelizer may then replicate the *whole group*.
 //!
-//! Fusion is on by default; disable per map via
-//! [`MapConfig::fusion`](crate::map::MapConfig) /
-//! [`RaftMap::exe_opts`](crate::map::RaftMap::exe_opts), or force it from
-//! the environment with `RAFT_FUSION=0` (`RAFT_FUSION_BATCH=n` overrides
-//! the batch size) for A/B benchmarking.
+//! Fusion is on by default; [`MapConfig::fusion`](crate::map::MapConfig) is
+//! the one switch (and batch size), which is also how to A/B a graph
+//! against its unfused self.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -72,26 +70,6 @@ impl Default for FusionConfig {
             batch: 512,
         }
     }
-}
-
-/// Resolve the effective fusion switches: the map's [`FusionConfig`], with
-/// `RAFT_FUSION` (`0/false/off` or `1/true/on`) and `RAFT_FUSION_BATCH`
-/// environment overrides applied on top — the no-recompile A/B knob.
-pub(crate) fn resolve(cfg: &FusionConfig) -> (bool, usize) {
-    let mut enabled = cfg.enabled;
-    if let Ok(v) = std::env::var("RAFT_FUSION") {
-        match v.trim() {
-            "0" | "false" | "off" | "no" => enabled = false,
-            "1" | "true" | "on" | "yes" => enabled = true,
-            _ => {}
-        }
-    }
-    let batch = std::env::var("RAFT_FUSION_BATCH")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(cfg.batch)
-        .max(1);
-    (enabled, batch)
 }
 
 /// One planned fusion group: a maximal chain of fusable kernels, in
@@ -192,8 +170,7 @@ pub fn plan(map: &RaftMap) -> Vec<FusionGroup> {
 /// rewrite the runtime won't perform.
 pub(crate) fn lint_fusion(a: &Analysis) -> Vec<Diagnostic> {
     let map = a.map;
-    let (enabled, _) = resolve(&map.cfg.fusion);
-    if !enabled {
+    if !map.cfg.fusion.enabled {
         return Vec::new();
     }
     plan(map)
@@ -212,8 +189,8 @@ pub(crate) fn lint_fusion(a: &Analysis) -> Vec<Diagnostic> {
                 ),
             )
             .with_help(
-                "disable via MapConfig::fusion, RaftMap::exe_opts, or \
-                 RAFT_FUSION=0 to A/B against the unfused graph",
+                "set MapConfig::fusion.enabled = false to A/B against the \
+                 unfused graph",
             );
             for &m in &g.members {
                 d = d.with_kernel(m);

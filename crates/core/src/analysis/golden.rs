@@ -322,8 +322,8 @@ fn golden_rc0011_fusion() {
         "info[RC0011] fusion: kernels FMap#1 -> FMap#2 fuse into one \
          batch-executed kernel, eliminating 1 interior stream(s) and their \
          scheduler hops; the fused group restarts as a unit\n    help: \
-         disable via MapConfig::fusion, RaftMap::exe_opts, or RAFT_FUSION=0 \
-         to A/B against the unfused graph"
+         set MapConfig::fusion.enabled = false to A/B against the unfused \
+         graph"
     );
 }
 

@@ -575,15 +575,12 @@ mod tests {
 
     #[test]
     fn port_def_batch_erasers_roundtrip() {
-        use std::sync::atomic::AtomicBool;
         let def = PortDef::of::<u64>("x");
         let (fifo, producer, consumer) = raft_buffer::fifo_with::<u64>(FifoConfig::starting_at(8));
         let monitor: Arc<dyn Monitorable> = Arc::new(fifo);
-        let in_ctx = Context::new(
-            "t".into(),
+        let in_ctx = Context::for_test(
             vec![("x".into(), Box::new(consumer), monitor)],
             vec![("x".into(), Box::new(producer))],
-            Arc::new(AtomicBool::new(false)),
         );
         assert_eq!(
             (def.batch_push)(&in_ctx, 0, Box::new(vec![7u64, 8, 9])),

@@ -96,7 +96,7 @@ pub use kernel::{
     PortSpec,
 };
 pub use lambda::{lambda_map, lambda_sink, lambda_source, LambdaKernel};
-pub use map::{ExeOpts, KernelId, MapConfig, ParallelConfig, RaftMap, StopHandle};
+pub use map::{KernelId, MapConfig, ParallelConfig, RaftMap, StopHandle};
 pub use monitor::{
     MonitorConfig, ResizeEvent, ResizeReason, WatchdogEvent, WatchdogKind, WidthEvent,
 };
@@ -124,7 +124,7 @@ pub mod prelude {
     pub use crate::error::{ExeError, LinkError, PortClosed};
     pub use crate::kernel::{BatchKernel, KStatus, Kernel, PortSpec};
     pub use crate::lambda::{lambda_map, lambda_sink, lambda_source, LambdaKernel};
-    pub use crate::map::{ExeOpts, KernelId, MapConfig, ParallelConfig, RaftMap, StopHandle};
+    pub use crate::map::{KernelId, MapConfig, ParallelConfig, RaftMap, StopHandle};
     pub use crate::monitor::{MonitorConfig, WatchdogEvent, WatchdogKind};
     pub use crate::parallel::SplitStrategy;
     pub use crate::port::{Context, InPort, OutPort};

@@ -12,7 +12,6 @@
 //! signal (§4.1: "indicated by the user at link type") that lets the
 //! auto-parallelizer replicate the kernels on either end.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,8 +24,7 @@ use crate::error::LinkError;
 use crate::kernel::{Kernel, PortSpec};
 use crate::monitor::MonitorConfig;
 use crate::parallel::SplitStrategy;
-use crate::runtime;
-use crate::runtime::ExeReport;
+use crate::runtime::{self, DrainReason, ExeReport, Shutdown};
 use crate::scheduler::SchedulerKind;
 use crate::supervise::SupervisorPolicy;
 
@@ -53,8 +51,8 @@ pub struct MapConfig {
     /// Grace period of the drain ladder: how long the runtime waits after
     /// raising drain level 1 (sources stop, in-flight data flushes) before
     /// escalating to level 2 (FIFOs fail fast) when the graph has not
-    /// finished on its own. Applies to watchdog deadlines and
-    /// [`StopHandle`] requests alike.
+    /// finished on its own. Applies to every stop reason alike
+    /// ([`DrainReason`]).
     pub drain_grace: Duration,
 }
 
@@ -87,39 +85,19 @@ impl Default for MapConfig {
 ///    2 by itself after [`MapConfig::drain_grace`].
 #[derive(Debug, Clone)]
 pub struct StopHandle {
-    requested: Arc<AtomicU8>,
+    shutdown: Arc<Shutdown>,
 }
 
 impl StopHandle {
     /// Request a cooperative drain (ladder level 1).
     pub fn drain(&self) {
-        self.requested.fetch_max(DRAIN_DRAINING, Ordering::SeqCst);
+        self.shutdown.request(DRAIN_DRAINING, DrainReason::Caller);
     }
 
     /// Request an immediate quiesce (ladder level 2).
     pub fn quiesce(&self) {
-        self.requested.fetch_max(DRAIN_QUIESCED, Ordering::SeqCst);
+        self.shutdown.request(DRAIN_QUIESCED, DrainReason::Caller);
     }
-
-    /// Highest level requested so far.
-    pub fn requested_level(&self) -> u8 {
-        self.requested.load(Ordering::SeqCst)
-    }
-}
-
-/// Per-execution overrides applied on top of [`MapConfig`] by
-/// [`RaftMap::exe_opts`] — the A/B-benchmarking surface: run the same map
-/// fused and unfused without rebuilding it or touching the environment.
-/// (`RAFT_FUSION` / `RAFT_FUSION_BATCH` environment variables override
-/// both in turn, so a deployed binary can be flipped without recompiling.)
-#[derive(Debug, Clone, Default)]
-pub struct ExeOpts {
-    /// Override [`FusionConfig::enabled`] for this run.
-    pub fusion: Option<bool>,
-    /// Override [`FusionConfig::batch`] for this run (clamped to ≥ 1).
-    pub fusion_batch: Option<usize>,
-    /// Watchdog deadline, as in [`RaftMap::exe_with_timeout`].
-    pub deadline: Option<Duration>,
 }
 
 /// Auto-parallelization settings (§4.1).
@@ -192,9 +170,9 @@ pub struct RaftMap {
     pub(crate) kernels: Vec<KernelEntry>,
     pub(crate) links: Vec<LinkEntry>,
     pub(crate) cfg: MapConfig,
-    /// Drain level requested through [`StopHandle`]s (the runtime's ladder
-    /// polls this while the graph runs).
-    pub(crate) drain_request: Arc<AtomicU8>,
+    /// The shutdown word pair [`StopHandle`]s request through and the run's
+    /// contexts and control thread share.
+    pub(crate) shutdown: Arc<Shutdown>,
 }
 
 impl Default for RaftMap {
@@ -215,7 +193,7 @@ impl RaftMap {
             kernels: Vec::new(),
             links: Vec::new(),
             cfg,
-            drain_request: Arc::new(AtomicU8::new(0)),
+            shutdown: Arc::default(),
         }
     }
 
@@ -224,7 +202,7 @@ impl RaftMap {
     /// same drain ladder.
     pub fn stop_handle(&self) -> StopHandle {
         StopHandle {
-            requested: self.drain_request.clone(),
+            shutdown: self.shutdown.clone(),
         }
     }
 
@@ -582,24 +560,12 @@ impl RaftMap {
         runtime::execute(self)
     }
 
-    /// Execute with a watchdog: if the application does not finish within
-    /// `timeout`, the cooperative stop flag is raised (sources observe it
-    /// via `Context::stop_requested`) and execution joins as soon as the
-    /// pipeline drains.
+    /// Execute with a deadline: if the application does not finish within
+    /// `timeout`, the run enters the drain ladder (sources observe level 1
+    /// via `Context::stop_requested`; after [`MapConfig::drain_grace`] the
+    /// FIFOs fail fast) and execution joins as soon as the pipeline drains.
     pub fn exe_with_timeout(self, timeout: Duration) -> Result<ExeReport, crate::error::ExeError> {
         runtime::execute_with_deadline(self, Some(timeout))
-    }
-
-    /// [`RaftMap::exe`] with per-run overrides (fusion on/off, batch size,
-    /// deadline) — see [`ExeOpts`].
-    pub fn exe_opts(mut self, opts: ExeOpts) -> Result<ExeReport, crate::error::ExeError> {
-        if let Some(enabled) = opts.fusion {
-            self.cfg.fusion.enabled = enabled;
-        }
-        if let Some(batch) = opts.fusion_batch {
-            self.cfg.fusion.batch = batch.max(1);
-        }
-        runtime::execute_with_deadline(self, opts.deadline)
     }
 }
 

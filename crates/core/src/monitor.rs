@@ -9,8 +9,15 @@
 //!
 //! One monitor thread serves the whole application ("a thread continuously
 //! monitors all the queues within the system and reallocates them as needed
-//! (either larger or smaller)", §4.2). Each tick it:
+//! (either larger or smaller)", §4.2), and it is the run's only control
+//! thread: always spawned, it also owns the drain ladder — the one path
+//! every stop reason takes (see [`Ladder`]) — and hands its event logs back
+//! by value when it is joined. Each tick it:
 //!
+//! 0. applies any requested drain level, fires the `exe` deadline and the
+//!    grace-expiry escalation, and checks the run-budget and stall
+//!    watchdogs (all of this also runs, at 1 ms, when resize monitoring is
+//!    [`MonitorConfig::disabled`]);
 //! 1. samples every queue's occupancy into its histogram (the telemetry the
 //!    paper exposes: mean occupancy, service rate, throughput, occupancy
 //!    histograms);
@@ -21,15 +28,16 @@
 //!    split adapters whose input is persistently backed up (bottleneck
 //!    elimination, §3).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use raft_buffer::fifo::Monitorable;
-use raft_buffer::sync::Mutex;
+use raft_buffer::{DRAIN_DRAINING, DRAIN_QUIESCED};
 
 use crate::parallel::WidthControl;
+use crate::runtime::{DrainEvent, DrainReason, Shutdown};
 use crate::scheduler::KernelTelemetry;
 
 /// Monitor configuration.
@@ -38,30 +46,25 @@ pub struct MonitorConfig {
     /// Sampling period δ. The paper uses 10 µs; the default here is 100 µs
     /// (kinder to small hosts), configurable down to the paper's value.
     pub delta: Duration,
-    /// Master switch. With the monitor off, queues never resize and no
-    /// occupancy histograms are collected.
+    /// Master switch for resize monitoring. With it off, queues never
+    /// resize, no occupancy histograms are collected and split widths stay
+    /// put; the watchdogs and the drain ladder keep running at a 1 ms tick.
     pub enabled: bool,
-    /// Grow a queue when its writer has been blocked ≥ 3δ.
-    pub grow_on_writer_block: bool,
-    /// Grow a queue when a read request exceeded its capacity.
-    pub grow_on_read_request: bool,
     /// Allow shrinking long-underutilized queues.
     pub shrink_enabled: bool,
     /// Consecutive low-occupancy ticks before a shrink (hysteresis).
     pub shrink_after_ticks: u32,
-    /// Enable the dynamic replication-width optimizer.
-    pub optimize_widths: bool,
     /// Consecutive backed-up ticks before widening a split.
     pub widen_after_ticks: u32,
     /// Deadline watchdog: if a single `run()` invocation exceeds this
-    /// budget, the monitor records a [`WatchdogEvent`] and raises the
-    /// cooperative stop flag so the rest of the pipeline winds down.
-    /// `None` (the default) disables the check.
+    /// budget, the monitor records a [`WatchdogEvent`] and enters the drain
+    /// ladder ([`DrainReason::RunBudget`]) so the rest of the pipeline
+    /// winds down. `None` (the default) disables the check.
     pub run_budget: Option<Duration>,
     /// Stall watchdog: if *no* stream moves any element for this long
     /// while streams are still open, the monitor records a
-    /// [`WatchdogEvent`] and raises the cooperative stop flag. `None`
-    /// (the default) disables the check.
+    /// [`WatchdogEvent`] and enters the drain ladder
+    /// ([`DrainReason::Stalled`]). `None` (the default) disables the check.
     pub stall_timeout: Option<Duration>,
 }
 
@@ -70,11 +73,8 @@ impl Default for MonitorConfig {
         MonitorConfig {
             delta: Duration::from_micros(100),
             enabled: true,
-            grow_on_writer_block: true,
-            grow_on_read_request: true,
             shrink_enabled: true,
             shrink_after_ticks: 200,
-            optimize_widths: true,
             widen_after_ticks: 20,
             run_budget: None,
             stall_timeout: None,
@@ -107,10 +107,6 @@ impl MonitorConfig {
     pub fn with_stall_timeout(mut self, timeout: Duration) -> Self {
         self.stall_timeout = Some(timeout);
         self
-    }
-
-    fn watchdog_armed(&self) -> bool {
-        self.run_budget.is_some() || self.stall_timeout.is_some()
     }
 }
 
@@ -177,11 +173,11 @@ pub enum WatchdogKind {
     StalledStreams,
 }
 
-/// One entry of the watchdog event log. Each firing also raises the
-/// cooperative stop flag (sources observe it via
-/// [`Context::stop_requested`](crate::port::Context::stop_requested)), so
-/// a wedged pipeline degrades to a drained partial result instead of a
-/// hang.
+/// One entry of the watchdog event log. Each firing also enters the drain
+/// ladder (sources observe level 1 via
+/// [`Context::stop_requested`](crate::port::Context::stop_requested); a
+/// graph that cannot drain is quiesced after the grace period), so a wedged
+/// pipeline degrades to a partial result instead of a hang.
 #[derive(Debug, Clone)]
 pub struct WatchdogEvent {
     /// Time since monitor start.
@@ -203,89 +199,98 @@ pub struct WidthEvent {
     pub new_width: u32,
 }
 
-/// Handle to the running monitor thread.
-pub(crate) struct MonitorHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<()>>,
-    events: Arc<Mutex<Vec<ResizeEvent>>>,
-    width_events: Arc<Mutex<Vec<WidthEvent>>>,
-    watchdog_events: Arc<Mutex<Vec<WatchdogEvent>>>,
+/// What the control thread hands back through its [`JoinHandle`].
+#[derive(Debug, Default)]
+pub(crate) struct ControlLog {
+    pub resizes: Vec<ResizeEvent>,
+    pub widths: Vec<WidthEvent>,
+    pub watchdog: Vec<WatchdogEvent>,
+    pub drains: Vec<DrainEvent>,
 }
 
-impl MonitorHandle {
-    /// Stop the monitor and collect its event logs.
-    pub fn finish(mut self) -> (Vec<ResizeEvent>, Vec<WidthEvent>, Vec<WatchdogEvent>) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
+/// Tick of the control thread when resize monitoring is off.
+const LADDER_TICK: Duration = Duration::from_millis(1);
+
+/// The drain ladder: the one shutdown path. Any reason → a
+/// [`Shutdown::request`] → level 1 (sources stop, in-flight data flushes)
+/// → `grace` → level 2 (FIFOs fail fast, so kernels blocked mid-push/pop
+/// unstick). A request for level 2 climbs both rungs at once.
+struct Ladder {
+    /// The control thread's epoch: every event log's `at` counts from here.
+    start: Instant,
+    grace: Duration,
+    /// `exe_with_timeout`'s deadline, until it fires.
+    deadline_at: Option<Instant>,
+    /// When level 1 runs out of grace, while level 1 is the level in force.
+    escalate_at: Option<Instant>,
+}
+
+impl Ladder {
+    /// One tick: two relaxed loads while nothing is requested, and no clock
+    /// read unless a deadline or a grace period is pending. `false` once the
+    /// run is over.
+    fn tick(
+        &mut self,
+        shutdown: &Shutdown,
+        fifos: &[(String, Arc<dyn Monitorable>)],
+        log: &mut Vec<DrainEvent>,
+    ) -> bool {
+        if self.deadline_at.is_some() || self.escalate_at.is_some() {
+            let now = Instant::now();
+            if self.deadline_at.is_some_and(|at| now >= at) {
+                self.deadline_at = None;
+                shutdown.request(DRAIN_DRAINING, DrainReason::Deadline);
+            }
+            if self.escalate_at.is_some_and(|at| now >= at) {
+                shutdown.request(DRAIN_QUIESCED, DrainReason::GraceExpired);
+            }
         }
-        (
-            std::mem::take(&mut *self.events.lock()),
-            std::mem::take(&mut *self.width_events.lock()),
-            std::mem::take(&mut *self.watchdog_events.lock()),
-        )
+        let Some((want, reason)) = shutdown.requested() else {
+            return false;
+        };
+        for level in shutdown.level() + 1..=want {
+            shutdown.apply(level);
+            for (_, f) in fifos {
+                f.set_drain_level(level);
+            }
+            self.escalate_at = (level == DRAIN_DRAINING).then(|| Instant::now() + self.grace);
+            log.push(DrainEvent {
+                at: self.start.elapsed(),
+                level,
+                reason,
+            });
+        }
+        true
     }
 }
 
-impl Drop for MonitorHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
-    }
-}
-
-/// Start the monitor over the given streams, split adapters, and watched
-/// kernels. `global_stop` is the runtime's cooperative shutdown flag; the
-/// watchdog raises it when a deadline or stall trips. The thread is spawned
-/// when resize monitoring is enabled *or* a watchdog is armed (the
-/// watchdog "rides the monitor thread"); with `enabled: false` the resize
-/// and telemetry work is skipped either way.
+/// Start the control thread over the given streams, split adapters and
+/// watched kernels. It runs until [`Shutdown::finish`] and returns its logs
+/// by value; it ticks at δ when resize monitoring is enabled and at
+/// [`LADDER_TICK`] otherwise (the resize, telemetry and width work is then
+/// skipped; the ladder and the watchdogs are not).
 pub(crate) fn spawn(
     cfg: MonitorConfig,
+    drain_grace: Duration,
+    deadline: Option<Duration>,
     fifos: Vec<(String, Arc<dyn Monitorable>)>,
     widths: Vec<WidthTarget>,
     health: Vec<HealthTarget>,
-    global_stop: Option<Arc<AtomicBool>>,
-) -> MonitorHandle {
-    let stop = Arc::new(AtomicBool::new(false));
-    let events = Arc::new(Mutex::new(Vec::new()));
-    let width_events = Arc::new(Mutex::new(Vec::new()));
-    let watchdog_events = Arc::new(Mutex::new(Vec::new()));
-    let join = if cfg.enabled || cfg.watchdog_armed() {
-        let stop2 = stop.clone();
-        let events2 = events.clone();
-        let width_events2 = width_events.clone();
-        let watchdog_events2 = watchdog_events.clone();
-        Some(
-            std::thread::Builder::new()
-                .name("raft-monitor".into())
-                .spawn(move || {
-                    monitor_loop(
-                        cfg,
-                        fifos,
-                        widths,
-                        health,
-                        global_stop,
-                        stop2,
-                        events2,
-                        width_events2,
-                        watchdog_events2,
-                    );
-                })
-                .expect("spawn monitor thread"),
-        )
-    } else {
-        None
-    };
-    MonitorHandle {
-        stop,
-        join,
-        events,
-        width_events,
-        watchdog_events,
-    }
+    shutdown: Arc<Shutdown>,
+) -> JoinHandle<ControlLog> {
+    std::thread::Builder::new()
+        .name("raft-monitor".into())
+        .spawn(move || {
+            let start = Instant::now();
+            let ladder = Ladder {
+                start,
+                grace: drain_grace,
+                deadline_at: deadline.map(|d| start + d),
+                escalate_at: None,
+            };
+            control_loop(cfg, ladder, fifos, widths, health, &shutdown)
+        })
+        .expect("spawn monitor thread")
 }
 
 /// Per-kernel watchdog bookkeeping: the `(entered, runs)` pair last seen
@@ -297,19 +302,17 @@ struct HealthState {
     fired: bool,
 }
 
-#[allow(clippy::too_many_arguments)] // internal plumbing for one spawn site
-fn monitor_loop(
+fn control_loop(
     cfg: MonitorConfig,
+    mut ladder: Ladder,
     fifos: Vec<(String, Arc<dyn Monitorable>)>,
     widths: Vec<WidthTarget>,
     health: Vec<HealthTarget>,
-    global_stop: Option<Arc<AtomicBool>>,
-    stop: Arc<AtomicBool>,
-    events: Arc<Mutex<Vec<ResizeEvent>>>,
-    width_events: Arc<Mutex<Vec<WidthEvent>>>,
-    watchdog_events: Arc<Mutex<Vec<WatchdogEvent>>>,
-) {
-    let start = Instant::now();
+    shutdown: &Shutdown,
+) -> ControlLog {
+    let mut log = ControlLog::default();
+    let start = ladder.start;
+    let tick = if cfg.enabled { cfg.delta } else { LADDER_TICK };
     let delta_ns = cfg.delta.as_nanos() as u64;
     let mut low_ticks: Vec<u32> = vec![0; fifos.len()];
     let mut backed_up_ticks: Vec<u32> = vec![0; widths.len()];
@@ -327,10 +330,10 @@ fn monitor_loop(
     let mut popped_since = start;
     let mut stall_fired = false;
 
-    while !stop.load(Ordering::Relaxed) {
-        // --- deadline watchdog (rides this thread; active even when the
-        // --- resize monitor itself is disabled) --------------------------
-        if let (Some(budget), Some(gstop)) = (cfg.run_budget, global_stop.as_ref()) {
+    while ladder.tick(shutdown, &fifos, &mut log.drains) {
+        // --- watchdogs: a trip is logged and enters the ladder, which the
+        // --- next tick applies ------------------------------------------
+        if let Some(budget) = cfg.run_budget {
             for (t, st) in health.iter().zip(health_state.iter_mut()) {
                 let entered = t.telemetry.entered.load(Ordering::Relaxed);
                 let runs = t.telemetry.runs.load(Ordering::Relaxed);
@@ -343,17 +346,17 @@ fn monitor_loop(
                     // In `run()` right now and has been, without returning,
                     // for the whole budget window.
                     st.fired = true;
-                    watchdog_events.lock().push(WatchdogEvent {
+                    log.watchdog.push(WatchdogEvent {
                         at: start.elapsed(),
                         kind: WatchdogKind::RunBudget {
                             kernel: t.name.clone(),
                         },
                     });
-                    gstop.store(true, Ordering::Relaxed);
+                    shutdown.request(DRAIN_DRAINING, DrainReason::RunBudget);
                 }
             }
         }
-        if let (Some(timeout), Some(gstop)) = (cfg.stall_timeout, global_stop.as_ref()) {
+        if let Some(timeout) = cfg.stall_timeout {
             let popped: u64 = fifos
                 .iter()
                 .map(|(_, f)| f.stats().reader.popped.load(Ordering::Relaxed))
@@ -365,11 +368,11 @@ fn monitor_loop(
                 stall_fired = false;
             } else if !stall_fired && popped_since.elapsed() >= timeout {
                 stall_fired = true;
-                watchdog_events.lock().push(WatchdogEvent {
+                log.watchdog.push(WatchdogEvent {
                     at: start.elapsed(),
                     kind: WatchdogKind::StalledStreams,
                 });
-                gstop.store(true, Ordering::Relaxed);
+                shutdown.request(DRAIN_DRAINING, DrainReason::Stalled);
             }
         }
 
@@ -384,13 +387,13 @@ fn monitor_loop(
             let stats = f.stats();
 
             // 2. writer blocked ≥ 3δ → grow
-            if cfg.grow_on_writer_block && stats.writer_blocked_for_ns() >= 3 * delta_ns {
+            if stats.writer_blocked_for_ns() >= 3 * delta_ns {
                 let old = capacity;
                 if f.grow() {
                     // Reset the blocked clock so one long block does not
                     // trigger a growth cascade within the same stall.
                     stats.writer_block_begin();
-                    events.lock().push(ResizeEvent {
+                    log.resizes.push(ResizeEvent {
                         at: start.elapsed(),
                         edge: i,
                         edge_name: name.clone(),
@@ -405,10 +408,10 @@ fn monitor_loop(
 
             // 3. read request larger than capacity → grow to fit
             let want = stats.reader.max_read_request.load(Ordering::Relaxed) as usize;
-            if cfg.grow_on_read_request && want > capacity {
+            if want > capacity {
                 let old = capacity;
                 if f.grow_to(want) {
-                    events.lock().push(ResizeEvent {
+                    log.resizes.push(ResizeEvent {
                         at: start.elapsed(),
                         edge: i,
                         edge_name: name.clone(),
@@ -433,7 +436,7 @@ fn monitor_loop(
                     if low_ticks[i] >= cfg.shrink_after_ticks {
                         let old = capacity;
                         if f.shrink() {
-                            events.lock().push(ResizeEvent {
+                            log.resizes.push(ResizeEvent {
                                 at: start.elapsed(),
                                 edge: i,
                                 edge_name: name.clone(),
@@ -451,7 +454,7 @@ fn monitor_loop(
         }
 
         // 5. dynamic replication width
-        if cfg.enabled && cfg.optimize_widths {
+        if cfg.enabled {
             for (i, t) in widths.iter().enumerate() {
                 let cur = t.control.get();
                 // Widen: split's input queue persistently > 3/4 full while
@@ -462,7 +465,7 @@ fn monitor_loop(
                     backed_up_ticks[i] += 1;
                     if backed_up_ticks[i] >= cfg.widen_after_ticks {
                         let new = t.control.widen();
-                        width_events.lock().push(WidthEvent {
+                        log.widths.push(WidthEvent {
                             at: start.elapsed(),
                             split: t.name.clone(),
                             old_width: cur,
@@ -484,7 +487,7 @@ fn monitor_loop(
                     starved_ticks[i] += 1;
                     if starved_ticks[i] >= cfg.widen_after_ticks * 8 {
                         let new = t.control.narrow();
-                        width_events.lock().push(WidthEvent {
+                        log.widths.push(WidthEvent {
                             at: start.elapsed(),
                             split: t.name.clone(),
                             old_width: cur,
@@ -499,21 +502,38 @@ fn monitor_loop(
         }
 
         // δ sleep. For very small δ a sleep overshoots; spin-sleep hybrid.
-        if cfg.delta >= Duration::from_micros(50) {
-            std::thread::sleep(cfg.delta);
+        if tick >= Duration::from_micros(50) {
+            std::thread::sleep(tick);
         } else {
-            let end = Instant::now() + cfg.delta;
+            let end = Instant::now() + tick;
             while Instant::now() < end {
                 std::hint::spin_loop();
             }
         }
     }
+    log
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use raft_buffer::{fifo_with, FifoConfig};
+
+    /// Run the control thread over `fifos` and `widths`; calling the
+    /// returned closure ends the run and yields the logs.
+    fn start(
+        cfg: MonitorConfig,
+        fifos: Vec<(String, Arc<dyn Monitorable>)>,
+        widths: Vec<WidthTarget>,
+    ) -> impl FnOnce() -> ControlLog {
+        let shutdown = Arc::new(Shutdown::default());
+        let grace = Duration::from_millis(500);
+        let handle = spawn(cfg, grace, None, fifos, widths, vec![], shutdown.clone());
+        move || {
+            shutdown.finish();
+            handle.join().unwrap()
+        }
+    }
 
     fn cfg_fast() -> MonitorConfig {
         MonitorConfig {
@@ -535,12 +555,10 @@ mod tests {
         for i in 0..4 {
             p.try_push(i).unwrap();
         }
-        let handle = spawn(
+        let finish = start(
             cfg_fast(),
             vec![("edge0".into(), Arc::new(f.clone()) as Arc<dyn Monitorable>)],
             vec![],
-            vec![],
-            None,
         );
         // Block the writer in another thread.
         let t = std::thread::spawn(move || {
@@ -548,7 +566,7 @@ mod tests {
             p
         });
         let _p = t.join().unwrap();
-        let (events, _, _) = handle.finish();
+        let events = finish().resizes;
         assert!(
             events
                 .iter()
@@ -566,16 +584,14 @@ mod tests {
             min_capacity: 4,
             ..Default::default()
         });
-        let handle = spawn(
+        let finish = start(
             cfg_fast(),
             vec![("edge0".into(), Arc::new(f.clone()) as Arc<dyn Monitorable>)],
             vec![],
-            vec![],
-            None,
         );
         // idle queue: occupancy 0 for many ticks
         std::thread::sleep(Duration::from_millis(50));
-        let (events, _, _) = handle.finish();
+        let events = finish().resizes;
         assert!(
             events.iter().any(|e| e.reason == ResizeReason::Shrink),
             "expected shrink events, got {events:?}"
@@ -594,15 +610,13 @@ mod tests {
         for i in 0..4 {
             p.try_push(i).unwrap();
         }
-        let handle = spawn(
+        let finish = start(
             MonitorConfig::disabled(),
             vec![("edge0".into(), Arc::new(f.clone()) as Arc<dyn Monitorable>)],
             vec![],
-            vec![],
-            None,
         );
         std::thread::sleep(Duration::from_millis(20));
-        let (events, _, _) = handle.finish();
+        let events = finish().resizes;
         assert!(events.is_empty());
         assert_eq!(f.capacity(), 4);
         assert_eq!(f.snapshot().mean_occupancy, 4.0); // instantaneous only
@@ -631,12 +645,12 @@ mod tests {
             shrink_enabled: false,
             ..Default::default()
         };
-        let handle = spawn(cfg, vec![], vec![target], vec![], None);
+        let finish = start(cfg, vec![], vec![target]);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while ctl.get() == 3 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        let (_, width_events, _) = handle.finish();
+        let width_events = finish().widths;
         assert!(ctl.get() < 3, "optimizer never narrowed: {width_events:?}");
         assert!(!width_events.is_empty());
     }
@@ -647,15 +661,13 @@ mod tests {
         for i in 0..3 {
             p.try_push(i).unwrap();
         }
-        let handle = spawn(
+        let finish = start(
             cfg_fast(),
             vec![("edge0".into(), Arc::new(f.clone()) as Arc<dyn Monitorable>)],
             vec![],
-            vec![],
-            None,
         );
         std::thread::sleep(Duration::from_millis(20));
-        handle.finish();
+        finish();
         let snap = f.snapshot();
         assert!(snap.occupancy_hist.iter().sum::<u64>() > 0);
         assert!(snap.mean_occupancy > 0.0);

@@ -29,7 +29,6 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use raft_buffer::fifo::Monitorable;
@@ -39,6 +38,7 @@ use raft_buffer::{
 };
 
 use crate::error::PortClosed;
+use crate::runtime::Shutdown;
 
 /// Type-erased stream endpoint (`Producer<T>` or `Consumer<T>`).
 pub type AnyEndpoint = Box<dyn Any + Send>;
@@ -59,13 +59,9 @@ pub struct Context {
     input_names: Vec<String>,
     outputs: Vec<RefCell<AnyEndpoint>>,
     output_names: Vec<String>,
-    /// Cooperative stop flag: set by the runtime on global shutdown.
-    stop: Arc<AtomicBool>,
-    /// Graph-wide drain level (see `raft_buffer::DRAIN_DRAINING` /
-    /// `DRAIN_QUIESCED`): raised by the runtime's drain ladder; level 1
-    /// asks sources to stop so in-flight data flushes, level 2 makes the
-    /// FIFOs themselves fail fast.
-    drain: Arc<AtomicU8>,
+    /// The graph's shutdown word pair: this kernel reads the level the
+    /// control thread applied, and a fatal panic requests one through it.
+    pub(crate) shutdown: Arc<Shutdown>,
     /// Kernel display name (for port-access panic messages).
     kernel_name: String,
 }
@@ -81,7 +77,7 @@ impl Context {
         kernel_name: String,
         inputs: Vec<(String, AnyEndpoint, Arc<dyn Monitorable>)>,
         outputs: Vec<(String, AnyEndpoint)>,
-        stop: Arc<AtomicBool>,
+        shutdown: Arc<Shutdown>,
     ) -> Self {
         let mut ctx = Context {
             inputs: Vec::new(),
@@ -89,8 +85,7 @@ impl Context {
             input_names: Vec::new(),
             outputs: Vec::new(),
             output_names: Vec::new(),
-            stop,
-            drain: Arc::new(AtomicU8::new(0)),
+            shutdown,
             kernel_name,
         };
         for (name, ep, fifo) in inputs {
@@ -112,12 +107,7 @@ impl Context {
         inputs: Vec<(String, AnyEndpoint, Arc<dyn Monitorable>)>,
         outputs: Vec<(String, AnyEndpoint)>,
     ) -> Self {
-        Context::new(
-            "test".to_string(),
-            inputs,
-            outputs,
-            Arc::new(AtomicBool::new(false)),
-        )
+        Context::new("test".to_string(), inputs, outputs, Arc::default())
     }
 
     /// Typed handle to the named input port. Panics if the name or type is
@@ -208,29 +198,18 @@ impl Context {
         self.outputs.len()
     }
 
-    /// `true` once the runtime asked all kernels to wind down (e.g. a
-    /// sibling kernel panicked). Long-running sources should poll this.
+    /// `true` once the runtime asked all kernels to wind down, whatever
+    /// the reason (a stop handle, a deadline, a watchdog, a sibling kernel's
+    /// fatal panic): drain level ≥ 1. Long-running sources should poll this.
     pub fn stop_requested(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
-    }
-
-    /// Share the graph-wide drain flag with this context. Runtime-internal:
-    /// every kernel of a map observes the same ladder.
-    pub(crate) fn set_drain_flag(&mut self, drain: Arc<AtomicU8>) {
-        self.drain = drain;
+        self.drain_level() >= raft_buffer::DRAIN_DRAINING
     }
 
     /// Current graph drain level: 0 = running, 1 = draining (sources asked
     /// to stop, in-flight data still flushing), 2 = quiesced (FIFOs fail
-    /// fast). Long-running sources should treat ≥ 1 like
-    /// [`Context::stop_requested`].
+    /// fast).
     pub fn drain_level(&self) -> u8 {
-        self.drain.load(Ordering::Acquire)
-    }
-
-    /// `true` once a cooperative drain has been requested (level ≥ 1).
-    pub fn drain_requested(&self) -> bool {
-        self.drain_level() >= raft_buffer::DRAIN_DRAINING
+        self.shutdown.level()
     }
 
     /// Monitor handles of the input streams, parallel to the input ports.

@@ -99,22 +99,19 @@ pub enum ProcPolicy {
     },
 }
 
+/// Base respawn backoff of [`ProcPolicy::restart`].
+const DEFAULT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How long a worker may go without a heartbeat before the supervisor kills
+/// it as wedged, unless [`WorkerSpec::wedge_timeout`] says otherwise.
+const DEFAULT_WEDGE_TIMEOUT: Duration = Duration::from_secs(30);
+
 impl ProcPolicy {
-    /// Restart up to `max_restarts` times with the env-default backoff.
+    /// Restart up to `max_restarts` times with a 10 ms base backoff.
     pub fn restart(max_restarts: u32) -> Self {
         ProcPolicy::Restart {
             max_restarts,
-            backoff: default_backoff(),
-        }
-    }
-
-    /// The `RAFT_PROC_*` environment defaults: restart up to
-    /// `RAFT_PROC_MAX_RESTARTS` (3) times with a `RAFT_PROC_BACKOFF_MS`
-    /// (10 ms) base backoff.
-    pub fn from_env() -> Self {
-        ProcPolicy::Restart {
-            max_restarts: env_u64("RAFT_PROC_MAX_RESTARTS").map_or(3, |v| v as u32),
-            backoff: default_backoff(),
+            backoff: DEFAULT_BACKOFF,
         }
     }
 
@@ -132,8 +129,9 @@ impl ProcPolicy {
 }
 
 impl Default for ProcPolicy {
+    /// Restart up to 3 times.
     fn default() -> Self {
-        ProcPolicy::from_env()
+        ProcPolicy::restart(3)
     }
 }
 
@@ -160,21 +158,6 @@ impl From<&SupervisorPolicy> for ProcPolicy {
             },
         }
     }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.parse().ok()
-}
-
-/// `RAFT_PROC_WEDGE_TIMEOUT_MS` (default 30 000 ms): how long a worker may
-/// go without a heartbeat before the supervisor kills it as wedged.
-pub fn default_wedge_timeout() -> Duration {
-    Duration::from_millis(env_u64("RAFT_PROC_WEDGE_TIMEOUT_MS").unwrap_or(30_000))
-}
-
-/// `RAFT_PROC_BACKOFF_MS` (default 10 ms): base respawn backoff.
-pub fn default_backoff() -> Duration {
-    Duration::from_millis(env_u64("RAFT_PROC_BACKOFF_MS").unwrap_or(10))
 }
 
 /// Jitter `d` into `[0.75 d, 1.25 d)` so a fleet of workers crashing
@@ -317,8 +300,8 @@ pub struct WorkerSpec {
 
 impl WorkerSpec {
     /// A worker called `name`, spawned by `factory` (which receives the
-    /// attempt number: 0 first, then 1, 2, … per respawn). Policy and
-    /// wedge timeout default from the `RAFT_PROC_*` environment.
+    /// attempt number: 0 first, then 1, 2, … per respawn). The policy
+    /// defaults to [`ProcPolicy::default`], the wedge timeout to 30 s.
     pub fn new(
         name: impl Into<String>,
         factory: impl FnMut(u32) -> Command + Send + 'static,
@@ -329,7 +312,7 @@ impl WorkerSpec {
             links: Vec::new(),
             heartbeat: None,
             policy: ProcPolicy::default(),
-            wedge_timeout: default_wedge_timeout(),
+            wedge_timeout: DEFAULT_WEDGE_TIMEOUT,
         }
     }
 

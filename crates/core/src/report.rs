@@ -177,12 +177,6 @@ pub fn render(report: &ExeReport) -> String {
             );
         }
     }
-    if !report.watchdog_events.is_empty() {
-        let _ = writeln!(out, "\nwatchdog firings:");
-        for ev in &report.watchdog_events {
-            let _ = writeln!(out, "  {:>10.3?}  {:?}", ev.at, ev.kind);
-        }
-    }
     // Recovery section: only rendered when the run had journaled links or
     // degradation policies doing something (the common fault-free,
     // unjournaled run stays visually unchanged).
@@ -207,14 +201,25 @@ pub fn render(report: &ExeReport) -> String {
             report.total_shed()
         );
     }
-    if !report.drain_events.is_empty() {
-        let _ = writeln!(out, "\ndrain ladder:");
-        for ev in &report.drain_events {
-            let what = match ev.level {
-                1 => "level 1 (draining: sources stopped)",
-                _ => "level 2 (quiesced: FIFOs fail fast)",
-            };
-            let _ = writeln!(out, "  {:>10.3?}  {}  [{:?}]", ev.at, what, ev.reason);
+    // Watchdog trips and ladder rungs share the control thread's clock, so
+    // one time-ordered block puts a cause (trip) next to its effect (rung).
+    let mut shutdown: Vec<_> = report
+        .watchdog_events
+        .iter()
+        .map(|ev| (ev.at, format!("watchdog trip: {:?}", ev.kind)))
+        .collect();
+    shutdown.extend(report.drain_events.iter().map(|ev| {
+        let what = match ev.level {
+            1 => "level 1 (draining: sources stopped)",
+            _ => "level 2 (quiesced: FIFOs fail fast)",
+        };
+        (ev.at, format!("{what}  [{:?}]", ev.reason))
+    }));
+    if !shutdown.is_empty() {
+        shutdown.sort_by_key(|(at, _)| *at);
+        let _ = writeln!(out, "\nshutdown:");
+        for (at, what) in shutdown {
+            let _ = writeln!(out, "  {at:>10.3?}  {what}");
         }
     }
     if !report.procs.is_empty() {
@@ -339,6 +344,23 @@ mod tests {
         assert!(!render(&report).contains("forced acks"));
         report.edges[0].stats.forced_acks = 2;
         assert!(render(&report).contains("⚠ 3 park rescues  ⚠ 2 forced acks"));
+
+        // Watchdog trips and ladder rungs render as one block, by time.
+        assert!(!render(&report).contains("shutdown:"));
+        report.drain_events.push(DrainEvent {
+            at: std::time::Duration::from_millis(3),
+            level: 1,
+            reason: DrainReason::Stalled,
+        });
+        report.watchdog_events.push(WatchdogEvent {
+            at: std::time::Duration::from_millis(2),
+            kind: WatchdogKind::StalledStreams,
+        });
+        let text = render(&report);
+        let block = text.split("shutdown:").nth(1).expect("shutdown block");
+        let trip = block.find("watchdog trip: StalledStreams").unwrap();
+        let rung = block.find("level 1 (draining: sources stopped)  [Stalled]");
+        assert!(trip < rung.unwrap(), "{block}");
     }
 
     #[test]

@@ -13,13 +13,12 @@
 //! parallelization (replica expansion with split/reduce insertion) → FIFO
 //! allocation → monitor start → scheduling → join → report.
 
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use raft_buffer::fifo::Monitorable;
-use raft_buffer::sync::Mutex;
-use raft_buffer::{LinkAlloc, StatsSnapshot, DRAIN_DRAINING, DRAIN_QUIESCED};
+use raft_buffer::{LinkAlloc, StatsSnapshot};
 
 use crate::error::ExeError;
 use crate::kernel::Kernel;
@@ -73,18 +72,38 @@ pub struct KernelReport {
     pub rewinds: u64,
 }
 
-/// Why the runtime raised the drain ladder.
+/// Why the runtime raised the drain ladder. Every stop reason is one of
+/// these and enters the ladder the same way ([`Shutdown::request`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DrainReason {
-    /// The `exe_with_timeout` deadline elapsed.
-    Deadline,
     /// A [`StopHandle`](crate::map::StopHandle) requested it.
     Caller,
+    /// The `exe_with_timeout` deadline elapsed.
+    Deadline,
+    /// A `run()` invocation exceeded
+    /// [`MonitorConfig::run_budget`](crate::monitor::MonitorConfig::run_budget).
+    RunBudget,
+    /// No stream moved for
+    /// [`MonitorConfig::stall_timeout`](crate::monitor::MonitorConfig::stall_timeout).
+    Stalled,
+    /// An `Abort`-policy kernel panicked; `exe()` will return
+    /// [`ExeError::KernelPanicked`].
+    KernelPanicked,
     /// Level 1 did not finish the graph within
     /// [`MapConfig`](crate::map::MapConfig)`::drain_grace`; the runtime
     /// escalated to level 2 on its own.
     GraceExpired,
 }
+
+/// [`DrainReason`] by discriminant, for unpacking a request word.
+const REASONS: [DrainReason; 6] = [
+    DrainReason::Caller,
+    DrainReason::Deadline,
+    DrainReason::RunBudget,
+    DrainReason::Stalled,
+    DrainReason::KernelPanicked,
+    DrainReason::GraceExpired,
+];
 
 /// One rung of the drain ladder being applied to the live graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,6 +115,59 @@ pub struct DrainEvent {
     pub level: u8,
     /// What triggered it.
     pub reason: DrainReason,
+}
+
+/// The graph's one shutdown word pair, shared by every [`Context`], each
+/// [`StopHandle`](crate::map::StopHandle) and the control thread.
+///
+/// Anyone may *request* a ladder level; only the control thread
+/// ([`crate::monitor`]) *applies* one — to this word and to every FIFO —
+/// and it alone escalates level 1 to level 2 when the grace period runs
+/// out. Kernels read the applied level. Neither word publishes other data,
+/// so every access is relaxed.
+#[derive(Debug, Default)]
+pub(crate) struct Shutdown {
+    /// Highest request so far as `level << 4 | reason`, raised with
+    /// `fetch_max`: a higher level always wins, and between two reasons for
+    /// the same level the later-declared [`DrainReason`] is the one logged.
+    /// `FINISHED` once the scheduler returned.
+    requested: AtomicU8,
+    /// The level in force: 0 running, 1 draining, 2 quiesced.
+    applied: AtomicU8,
+}
+
+/// `requested` value that tells the control thread the run is over.
+const FINISHED: u8 = u8::MAX;
+
+impl Shutdown {
+    /// Ask for ladder `level` (monotonic; a lower request is a no-op).
+    pub(crate) fn request(&self, level: u8, reason: DrainReason) {
+        self.requested
+            .fetch_max(level << 4 | reason as u8, Ordering::Relaxed);
+    }
+
+    /// The highest level requested and why, or `None` once [`finish`]ed.
+    ///
+    /// [`finish`]: Shutdown::finish
+    pub(crate) fn requested(&self) -> Option<(u8, DrainReason)> {
+        let word = self.requested.load(Ordering::Relaxed);
+        (word != FINISHED).then(|| (word >> 4, REASONS[usize::from(word & 0xf)]))
+    }
+
+    /// The scheduler returned: release the control thread.
+    pub(crate) fn finish(&self) {
+        self.requested.store(FINISHED, Ordering::Relaxed);
+    }
+
+    /// Put `level` in force. Control thread only.
+    pub(crate) fn apply(&self, level: u8) {
+        self.applied.store(level, Ordering::Relaxed);
+    }
+
+    /// The level in force.
+    pub(crate) fn level(&self) -> u8 {
+        self.applied.load(Ordering::Relaxed)
+    }
 }
 
 /// Everything `exe()` reports back (the paper's observable statistics:
@@ -183,8 +255,8 @@ pub fn execute(map: RaftMap) -> Result<ExeReport, ExeError> {
     execute_with_deadline(map, None)
 }
 
-/// Execute a map; if `deadline` elapses first, raise the cooperative stop
-/// flag so sources wind down.
+/// Execute a map; if `deadline` elapses first, the run enters the drain
+/// ladder ([`DrainReason::Deadline`]).
 pub fn execute_with_deadline(
     mut map: RaftMap,
     deadline: Option<Duration>,
@@ -207,9 +279,9 @@ pub fn execute_with_deadline(
     // Fuse before replica expansion so the pass sees the user's graph (and
     // the expansion planner then sees the fused kernels — a fused group is
     // itself a stateless single-in/single-out kernel it may replicate).
-    let (fusion_enabled, fusion_batch) = crate::analysis::fusion::resolve(&map.cfg.fusion);
-    let fused_infos = if fusion_enabled {
-        crate::analysis::fusion::apply(&mut map, fusion_batch)
+    let fused_infos = if map.cfg.fusion.enabled {
+        let batch = map.cfg.fusion.batch.max(1);
+        crate::analysis::fusion::apply(&mut map, batch)
     } else {
         Vec::new()
     };
@@ -226,8 +298,6 @@ pub fn execute_with_deadline(
         (0..n_kernels).map(|_| Vec::new()).collect();
     let mut edge_names: Vec<String> = Vec::new();
     let mut edge_fifos: Vec<Arc<dyn Monitorable>> = Vec::new();
-    // (edge index of split input, split kernel idx) resolution for widths
-    let mut edge_endpoints: Vec<(usize, usize)> = Vec::new(); // (src, dst)
 
     let mut out_fifos_of: Vec<Vec<Arc<dyn Monitorable>>> =
         (0..n_kernels).map(|_| Vec::new()).collect();
@@ -251,7 +321,6 @@ pub fn execute_with_deadline(
         );
         edge_names.push(name);
         edge_fifos.push(fifo.clone());
-        edge_endpoints.push((link.src, link.dst));
         if let Some(j) = cfg.journal {
             journal_ports_of[link.src].push((
                 false,
@@ -323,12 +392,7 @@ pub fn execute_with_deadline(
         .collect();
 
     // --- contexts & runners ----------------------------------------------
-    let stop = Arc::new(AtomicBool::new(false));
-    // Graph-wide drain level, shared by every context; the ladder thread
-    // below raises it.
-    let drain_flag = Arc::new(AtomicU8::new(0));
-    let drain_request = map.drain_request.clone();
-    let drain_grace = map.cfg.drain_grace;
+    let shutdown = map.shutdown.clone();
     let mut runners = Vec::with_capacity(n_kernels);
     let mut telemetries = Vec::with_capacity(n_kernels);
     let mut names = Vec::with_capacity(n_kernels);
@@ -349,8 +413,7 @@ pub fn execute_with_deadline(
             policy,
             ..
         } = entry;
-        let mut ctx = Context::new(name.clone(), inputs, outputs, stop.clone());
-        ctx.set_drain_flag(drain_flag.clone());
+        let ctx = Context::new(name.clone(), inputs, outputs, shutdown.clone());
         let telemetry = Arc::new(KernelTelemetry::default());
         telemetries.push(telemetry.clone());
         names.push(name.clone());
@@ -373,7 +436,9 @@ pub fn execute_with_deadline(
         });
     }
 
-    // --- monitor -----------------------------------------------------------
+    // --- control thread ----------------------------------------------------
+    // The run's one piece of control machinery (§4): resize, width and
+    // watchdog work at δ, plus the drain ladder every stop reason enters.
     let monitor_fifos: Vec<(String, Arc<dyn Monitorable>)> = edge_names
         .iter()
         .cloned()
@@ -387,83 +452,20 @@ pub fn execute_with_deadline(
             telemetry: t.clone(),
         })
         .collect();
-    let monitor_handle = monitor::spawn(
+    let control = monitor::spawn(
         map.cfg.monitor.clone(),
+        map.cfg.drain_grace,
+        deadline,
         monitor_fifos,
         width_targets,
         health_targets,
-        Some(stop.clone()),
+        shutdown.clone(),
     );
-
-    // --- drain ladder (watchdog deadline + StopHandle requests) ------------
-    // One thread drives the graph-wide shutdown protocol: level 1 stops the
-    // sources (cooperative, lossless — in-flight data flushes), and if the
-    // graph still hasn't finished after `drain_grace` (or a handle asked
-    // for level 2 outright), level 2 makes every FIFO fail fast so kernels
-    // blocked mid-push/pop unstick. The watchdog deadline enters the same
-    // ladder instead of just raising `stop`.
-    let drain_events: Arc<Mutex<Vec<DrainEvent>>> = Arc::new(Mutex::new(Vec::new()));
-    let ladder = {
-        let stop = stop.clone();
-        let drain_flag = drain_flag.clone();
-        let fifos: Vec<Arc<dyn Monitorable>> = edge_fifos.clone();
-        let events = drain_events.clone();
-        let cancel = Arc::new(AtomicBool::new(false));
-        let cancel2 = cancel.clone();
-        let handle = std::thread::Builder::new()
-            .name("raft-drain".into())
-            .spawn(move || {
-                let t0 = Instant::now();
-                let deadline_at = deadline.map(|d| t0 + d);
-                let mut applied: u8 = 0;
-                let mut escalate_at: Option<Instant> = None;
-                while !cancel2.load(Ordering::Relaxed) {
-                    let now = Instant::now();
-                    let mut want = drain_request.load(Ordering::SeqCst);
-                    let mut reason = DrainReason::Caller;
-                    if want < DRAIN_DRAINING && deadline_at.is_some_and(|at| now >= at) {
-                        want = DRAIN_DRAINING;
-                        reason = DrainReason::Deadline;
-                    }
-                    if want == DRAIN_DRAINING
-                        && applied >= DRAIN_DRAINING
-                        && escalate_at.is_some_and(|at| now >= at)
-                    {
-                        want = DRAIN_QUIESCED;
-                        reason = DrainReason::GraceExpired;
-                    }
-                    while applied < want.min(DRAIN_QUIESCED) {
-                        applied += 1;
-                        drain_flag.store(applied, Ordering::SeqCst);
-                        for f in &fifos {
-                            f.set_drain_level(applied);
-                        }
-                        if applied == DRAIN_DRAINING {
-                            // Level 1 doubles as the cooperative stop flag
-                            // long-running sources already poll.
-                            stop.store(true, Ordering::Relaxed);
-                            escalate_at = Some(now + drain_grace);
-                        }
-                        events.lock().push(DrainEvent {
-                            at: t0.elapsed(),
-                            level: applied,
-                            reason,
-                        });
-                    }
-                    if applied >= DRAIN_QUIESCED {
-                        return; // ladder fully applied; nothing left to do
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            })
-            .expect("spawn drain ladder");
-        (cancel, handle)
-    };
 
     // --- run ---------------------------------------------------------------
     let started = Instant::now();
     let sched_out = match map.cfg.scheduler {
-        SchedulerKind::ThreadPerKernel => ThreadPerKernel.execute(runners, stop.clone()),
+        SchedulerKind::ThreadPerKernel => ThreadPerKernel.execute(runners),
         SchedulerKind::Stealing { workers, pin } => crate::stealing::WorkStealing {
             workers,
             pin,
@@ -475,17 +477,13 @@ pub fn execute_with_deadline(
                 workers,
             ),
         }
-        .execute(runners, stop.clone()),
+        .execute(runners),
     };
     let outcomes = sched_out.outcomes;
     let workers = sched_out.workers;
     let elapsed = started.elapsed();
-    {
-        let (cancel, handle) = ladder;
-        cancel.store(true, Ordering::Relaxed);
-        let _ = handle.join();
-    }
-    let (resize_events, width_events, watchdog_events) = monitor_handle.finish();
+    shutdown.finish();
+    let log = control.join().expect("control thread panicked");
 
     // --- report ------------------------------------------------------------
     let edges = edge_names
@@ -497,7 +495,6 @@ pub fn execute_with_deadline(
             alloc: f.link_alloc(),
         })
         .collect();
-    let _ = edge_endpoints;
     // Fatal = an Abort-policy panic: those (and only those) fail `exe()`.
     // Panics absorbed by Skip/Restart/Replace policies surface through the
     // per-kernel outcomes instead — graceful degradation.
@@ -538,14 +535,14 @@ pub fn execute_with_deadline(
         elapsed,
         edges,
         kernels,
-        resize_events,
-        width_events,
-        watchdog_events,
+        resize_events: log.resizes,
+        width_events: log.widths,
+        watchdog_events: log.watchdog,
         replicated,
         kernel_classes,
         workers,
         fused: fused_infos.iter().map(|i| i.report()).collect(),
-        drain_events: std::mem::take(&mut *drain_events.lock()),
+        drain_events: log.drains,
         procs: Vec::new(),
     };
     if fatal.is_empty() {
@@ -686,4 +683,28 @@ fn push_kernel(map: &mut RaftMap, kernel: Box<dyn Kernel>, name: &str) -> usize 
         stateless: None,
     });
     map.kernels.len() - 1
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn request_word_unpacks_and_only_rises() {
+        for (code, reason) in REASONS.iter().enumerate() {
+            assert_eq!(*reason as usize, code, "REASONS is indexed by discriminant");
+        }
+        let s = Shutdown::default();
+        assert_eq!(s.requested(), Some((0, DrainReason::Caller)));
+        s.request(1, DrainReason::Stalled);
+        s.request(1, DrainReason::Caller);
+        assert_eq!(s.requested(), Some((1, DrainReason::Stalled)));
+        s.request(2, DrainReason::Caller);
+        s.request(1, DrainReason::GraceExpired);
+        assert_eq!(s.requested(), Some((2, DrainReason::Caller)));
+        assert_eq!(s.level(), 0, "requesting applies nothing");
+        s.finish();
+        s.request(2, DrainReason::GraceExpired);
+        assert_eq!(s.requested(), None);
+    }
 }

@@ -21,12 +21,12 @@
 //! Both run kernels through the same lifecycle, which exists once in this
 //! module: [`drive`] (ready-gate → `run()` inside the unwind guard →
 //! supervision → journal transaction → wind-down → flush-on-idle) and
-//! [`retire`] (fatal → global stop, drop the runner so EoS propagates, name
+//! [`retire`] (fatal → drain ladder, drop the runner so EoS propagates, name
 //! the outcome). A scheduler decides only *which* kernel a thread drives
 //! next and what it does while none is runnable.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,6 +34,7 @@ use raft_buffer::fifo::Monitorable;
 
 use crate::kernel::{JournalCtlFn, JournalOp, KStatus, Kernel};
 use crate::port::Context;
+use crate::runtime::DrainReason;
 use crate::supervise::{KernelOutcome, SupervisorPolicy};
 
 /// Which scheduler `exe()` uses.
@@ -198,8 +199,8 @@ pub struct RunnerOutcome {
     /// How the kernel's execution ended.
     pub outcome: KernelOutcome,
     /// `true` when the failure must fail the whole map (an `Abort`-policy
-    /// panic): the scheduler raises the global stop flag and `exe()`
-    /// returns `ExeError::KernelPanicked`.
+    /// panic): the scheduler enters the drain ladder and `exe()` returns
+    /// `ExeError::KernelPanicked`.
     pub fatal: bool,
 }
 
@@ -248,9 +249,8 @@ pub struct SchedulerOutput {
 /// A scheduler executes a set of kernels to completion.
 pub trait Scheduler {
     /// Run all kernels; return one outcome per kernel (plus any worker
-    /// telemetry). `stop` is the cooperative shutdown flag (set on panic or
-    /// deadline).
-    fn execute(&self, runners: Vec<KernelRunner>, stop: Arc<AtomicBool>) -> SchedulerOutput;
+    /// telemetry). Shutdown reaches the kernels through their [`Context`]s.
+    fn execute(&self, runners: Vec<KernelRunner>) -> SchedulerOutput;
 }
 
 /// `run()` calls per claim under a pool scheduler: long enough to amortize
@@ -288,7 +288,7 @@ pub(crate) enum Driven {
 /// and the call returns only [`Driven::Done`]. `Some(q)` is the pool form:
 /// readiness is checked before every `run()` and once more after the `q`-th,
 /// so the caller learns whether to requeue the task or park it.
-pub(crate) fn drive(runner: &mut KernelRunner, stop: &AtomicBool, quantum: Option<u32>) -> Driven {
+pub(crate) fn drive(runner: &mut KernelRunner, quantum: Option<u32>) -> Driven {
     let mut left = quantum;
     loop {
         if let Some(left) = left.as_mut() {
@@ -301,19 +301,20 @@ pub(crate) fn drive(runner: &mut KernelRunner, stop: &AtomicBool, quantum: Optio
             }
             *left -= 1;
         }
-        if let Some(done) = step(runner).or_else(|| stop_winddown(runner, stop)) {
+        if let Some(done) = step(runner).or_else(|| stop_winddown(runner)) {
             return Driven::Done(done);
         }
     }
 }
 
-/// Retire a kernel [`drive`] reported done: a fatal outcome raises the
-/// global stop flag, and dropping the runner drops its [`Context`], closing
+/// Retire a kernel [`drive`] reported done: a fatal outcome enters the
+/// drain ladder, and dropping the runner drops its [`Context`], closing
 /// every endpoint — EoS propagates downstream (and fires the consumers'
 /// wakers) even when `run()` panicked before its first push.
-pub(crate) fn retire(mut runner: KernelRunner, done: StepDone, stop: &AtomicBool) -> RunnerOutcome {
+pub(crate) fn retire(mut runner: KernelRunner, done: StepDone) -> RunnerOutcome {
     if done.fatal {
-        stop.store(true, Ordering::Relaxed);
+        let shutdown = &runner.ctx.shutdown;
+        shutdown.request(raft_buffer::DRAIN_DRAINING, DrainReason::KernelPanicked);
     }
     let name = std::mem::take(&mut runner.name);
     drop(runner);
@@ -426,13 +427,11 @@ fn step(runner: &mut KernelRunner) -> Option<StepDone> {
     }
 }
 
-/// Cooperative wind-down: on global stop (watchdog deadline, fatal panic
-/// elsewhere) or a level-1 drain request, sources must finish instead of
-/// producing forever; kernels with inputs drain naturally as upstream EoS
-/// arrives.
-fn stop_winddown(runner: &mut KernelRunner, stop: &AtomicBool) -> Option<StepDone> {
-    let wind_down = stop.load(Ordering::Relaxed) || runner.ctx.drain_requested();
-    if wind_down && runner.ctx.input_count() == 0 {
+/// Cooperative wind-down: once the drain ladder is at level 1 (any stop
+/// reason), sources must finish instead of producing forever; kernels with
+/// inputs drain naturally as upstream EoS arrives.
+fn stop_winddown(runner: &mut KernelRunner) -> Option<StepDone> {
+    if runner.ctx.input_count() == 0 && runner.ctx.stop_requested() {
         // Publish anything still staged before the runner is dropped.
         runner.journal_flush();
         Some(StepDone {
@@ -508,18 +507,17 @@ fn backoff_and_count(runner: &mut KernelRunner) {
 pub struct ThreadPerKernel;
 
 impl Scheduler for ThreadPerKernel {
-    fn execute(&self, runners: Vec<KernelRunner>, stop: Arc<AtomicBool>) -> SchedulerOutput {
+    fn execute(&self, runners: Vec<KernelRunner>) -> SchedulerOutput {
         // Names stay beside the join handles: a kernel thread that dies
         // anyway (a panicking `Drop`, say) is still reported by name.
         let handles: Vec<_> = runners
             .into_iter()
             .map(|mut runner| {
-                let stop = stop.clone();
                 let name = runner.name.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("raft-{name}"))
-                    .spawn(move || match drive(&mut runner, &stop, None) {
-                        Driven::Done(done) => retire(runner, done, &stop),
+                    .spawn(move || match drive(&mut runner, None) {
+                        Driven::Done(done) => retire(runner, done),
                         Driven::Idle | Driven::Yielded => {
                             unreachable!("an ungated drive returns only when the kernel is done")
                         }
@@ -629,23 +627,18 @@ mod tests {
 
     #[test]
     fn fast_runs_are_counted_exactly_and_timed_one_in_a_stride_ungated() {
-        let stop = AtomicBool::new(false);
         let mut r = runner(RUNS, Duration::ZERO);
         let before = clock_reads();
-        assert!(matches!(drive(&mut r, &stop, None), Driven::Done(_)));
+        assert!(matches!(drive(&mut r, None), Driven::Done(_)));
         assert_sampled(&r, clock_reads() - before);
     }
 
     #[test]
     fn fast_runs_are_counted_exactly_and_timed_one_in_a_stride_per_quantum() {
-        let stop = AtomicBool::new(false);
         let mut r = runner(u64::MAX, Duration::ZERO);
         let before = clock_reads();
         for _ in 0..RUNS / u64::from(QUANTUM) {
-            assert!(matches!(
-                drive(&mut r, &stop, Some(QUANTUM)),
-                Driven::Yielded
-            ));
+            assert!(matches!(drive(&mut r, Some(QUANTUM)), Driven::Yielded));
         }
         assert_sampled(&r, clock_reads() - before);
     }
@@ -653,10 +646,9 @@ mod tests {
     #[test]
     fn slow_runs_are_all_timed_and_busy_tracks_wall() {
         const SLOW_RUNS: u64 = 300;
-        let stop = AtomicBool::new(false);
         let mut r = runner(SLOW_RUNS, Duration::from_micros(50));
         let wall = Instant::now();
-        assert!(matches!(drive(&mut r, &stop, None), Driven::Done(_)));
+        assert!(matches!(drive(&mut r, None), Driven::Done(_)));
         let wall = wall.elapsed().as_nanos() as u64;
         let t = &r.telemetry;
         assert_eq!(t.runs.load(Ordering::Relaxed), SLOW_RUNS);

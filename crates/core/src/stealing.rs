@@ -35,7 +35,7 @@
 //! task is a no-op, and every claim starts by disarming the inputs.
 
 use std::sync::atomic::{
-    fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize,
+    fence, AtomicU64, AtomicU8, AtomicUsize,
     Ordering::{AcqRel, Acquire, Relaxed, Release, SeqCst},
 };
 use std::sync::Arc;
@@ -307,7 +307,6 @@ impl WorkStealing {
         core: &Core,
         me: usize,
         task: usize,
-        stop: &AtomicBool,
         stats: &mut WorkerReport,
     ) -> Option<RunnerOutcome> {
         let slot = &core.tasks[task];
@@ -342,13 +341,13 @@ impl WorkStealing {
             slot.state.store(QUEUED, Release);
             core.deques[me].push(task);
         };
-        match drive(runner, stop, Some(QUANTUM)) {
+        match drive(runner, Some(QUANTUM)) {
             Driven::Done(done) => {
                 let runner = guard.take().expect("runner present while RUNNING");
                 drop(guard);
                 // Retiring closes the runner's endpoints: EoS propagates
                 // and *their* wakers fire, re-queueing consumers.
-                let outcome = retire(runner, done, stop);
+                let outcome = retire(runner, done);
                 slot.state.store(IDLE, Release);
                 if core.remaining.fetch_sub(1, AcqRel) == 1 {
                     // Last kernel done: release every parked worker for exit.
@@ -400,7 +399,7 @@ impl WorkStealing {
 }
 
 impl Scheduler for WorkStealing {
-    fn execute(&self, runners: Vec<KernelRunner>, stop: Arc<AtomicBool>) -> SchedulerOutput {
+    fn execute(&self, runners: Vec<KernelRunner>) -> SchedulerOutput {
         let n = runners.len();
         let workers = self.workers.max(1);
         if n == 0 {
@@ -461,7 +460,6 @@ impl Scheduler for WorkStealing {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let core = core.clone();
-                let stop = stop.clone();
                 std::thread::Builder::new()
                     .name(format!("raft-steal-{w}"))
                     .spawn(move || {
@@ -483,9 +481,7 @@ impl Scheduler for WorkStealing {
                                 if stolen {
                                     stats.steals += 1;
                                 }
-                                outcomes.extend(WorkStealing::run_task(
-                                    &core, w, task, &stop, &mut stats,
-                                ));
+                                outcomes.extend(WorkStealing::run_task(&core, w, task, &mut stats));
                                 continue;
                             }
                             if waiter.pause_or_park() != WaitAction::Park {
@@ -552,7 +548,7 @@ impl Scheduler for WorkStealing {
                         outcome: KernelOutcome::Aborted,
                         fatal: true,
                     };
-                    outcomes.push(retire(runner, done, &stop));
+                    outcomes.push(retire(runner, done));
                 }
             }
         }

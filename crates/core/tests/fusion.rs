@@ -95,6 +95,10 @@ fn run_chain(
 ) -> (Vec<u64>, ExeReport) {
     let mut map = RaftMap::new();
     map.config_mut().fifo = FifoConfig::starting_at(fifo_start);
+    map.config_mut().fusion = FusionConfig {
+        enabled: fused,
+        batch,
+    };
     let mut feed = Vec::from(items).into_iter();
     let src = map.add(lambda_source(move || feed.next()));
     let mut prev = (src, "0".to_string());
@@ -110,13 +114,7 @@ fn run_chain(
     let out2 = out.clone();
     let sink = map.add(lambda_sink(move |v: u64| out2.lock().unwrap().push(v)));
     map.link(prev.0, &prev.1, sink, "0").unwrap();
-    let report = map
-        .exe_opts(ExeOpts {
-            fusion: Some(fused),
-            fusion_batch: Some(batch),
-            deadline: None,
-        })
-        .unwrap();
+    let report = map.exe().unwrap();
     let got = out.lock().unwrap().clone();
     (got, report)
 }
@@ -283,13 +281,8 @@ fn fused_group_restarts_as_a_unit() {
     // whole group restarts (stage forks) when the injected panic fires.
     map.supervise(a, SupervisorPolicy::restart(2));
     map.supervise(b, SupervisorPolicy::restart(2));
-    let report = map
-        .exe_opts(ExeOpts {
-            fusion: Some(true),
-            fusion_batch: Some(64),
-            deadline: None,
-        })
-        .unwrap();
+    map.config_mut().fusion.batch = 64;
+    let report = map.exe().unwrap();
     assert_eq!(report.fused.len(), 1, "chain must fuse despite Restart");
     let fk = report
         .kernels

@@ -533,6 +533,186 @@ fn stall_watchdog_ends_frozen_pipeline() {
     });
 }
 
+/// A split→join diamond on `FifoConfig::fixed(4)` links that deadlocks by
+/// construction: the split feeds only branch `a`, the join pops branch `b`
+/// first. Once `WEDGED_AFTER` elements left the source the split is blocked
+/// on the full `a` and the join on the empty `b` (waiting, or never ready),
+/// for good; the source then pushes one element on its `alarm` port — which
+/// the caller links — and finishes. No source is left to stop, so level 1
+/// cannot end this graph; only level 2 can. The source never blocks
+/// (`try_push`), so a pool worker stays free for the rest of the map.
+fn wedged_diamond(map: &mut RaftMap) -> KernelId {
+    /// Ring `a` + the element the split holds + the split's input ring.
+    const WEDGED_AFTER: u32 = 4 + 1 + 4;
+
+    struct Flood {
+        pushed: u32,
+    }
+    impl Kernel for Flood {
+        fn ports(&self) -> PortSpec {
+            PortSpec::new().output::<u64>("out").output::<u64>("alarm")
+        }
+        fn run(&mut self, ctx: &Context) -> KStatus {
+            match ctx.output::<u64>("out").try_push(0) {
+                Ok(None) => self.pushed += 1,
+                Ok(Some(_)) => std::thread::sleep(Duration::from_millis(1)),
+                Err(_) => return KStatus::Stop,
+            }
+            if self.pushed == WEDGED_AFTER {
+                let _ = ctx.output::<u64>("alarm").push(0);
+                return KStatus::Stop;
+            }
+            KStatus::Proceed
+        }
+        fn name(&self) -> String {
+            "flood".to_string()
+        }
+    }
+
+    struct LopsidedSplit;
+    impl Kernel for LopsidedSplit {
+        fn ports(&self) -> PortSpec {
+            PortSpec::new()
+                .input::<u64>("in")
+                .output::<u64>("a")
+                .output::<u64>("b")
+        }
+        fn run(&mut self, ctx: &Context) -> KStatus {
+            let Ok(v) = ctx.input::<u64>("in").pop() else {
+                return KStatus::Stop;
+            };
+            match ctx.output::<u64>("a").push(v) {
+                Ok(()) => KStatus::Proceed,
+                Err(_) => KStatus::Stop,
+            }
+        }
+        fn name(&self) -> String {
+            "lopsided-split".to_string()
+        }
+    }
+
+    struct BFirstJoin;
+    impl Kernel for BFirstJoin {
+        fn ports(&self) -> PortSpec {
+            PortSpec::new()
+                .input::<u64>("a")
+                .input::<u64>("b")
+                .output::<u64>("out")
+        }
+        fn run(&mut self, ctx: &Context) -> KStatus {
+            let (Ok(b), Ok(a)) = (ctx.input::<u64>("b").pop(), ctx.input::<u64>("a").pop()) else {
+                return KStatus::Stop;
+            };
+            match ctx.output::<u64>("out").push(a + b) {
+                Ok(()) => KStatus::Proceed,
+                Err(_) => KStatus::Stop,
+            }
+        }
+        fn name(&self) -> String {
+            "b-first-join".to_string()
+        }
+    }
+
+    let src = map.add(Flood { pushed: 0 });
+    let split = map.add(LopsidedSplit);
+    let join = map.add(BFirstJoin);
+    let (sink, _seen) = counting_sink();
+    let dst = map.add(sink);
+    let fixed = FifoConfig::fixed(4);
+    map.link_with(src, "out", split, "in", fixed).unwrap();
+    map.link_with(split, "a", join, "a", fixed).unwrap();
+    map.link_with(split, "b", join, "b", fixed).unwrap();
+    map.link_with(join, "out", dst, "0", fixed).unwrap();
+    src
+}
+
+/// `exe()` on a helper thread with a bounded wait, so a graph that stays
+/// wedged fails the test instead of hanging it.
+fn exe_bounded(map: RaftMap) -> Result<ExeReport, ExeError> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        // The receiver is gone only when the wait below already failed.
+        let _ = tx.send(map.exe());
+    });
+    rx.recv_timeout(Duration::from_secs(20))
+        .expect("exe() did not return: the stop reason never reached level 2")
+}
+
+/// A stall trip enters the same ladder a stop handle does: level 1, then —
+/// because this graph cannot drain — level 2 when the grace period expires.
+#[test]
+fn stall_trip_escalates_to_quiesce_on_deadlocked_diamond() {
+    for_each_scheduler(|sched| {
+        let mut map = RaftMap::new();
+        map.config_mut().scheduler = sched;
+        map.config_mut().drain_grace = Duration::from_millis(50);
+        map.config_mut().monitor =
+            MonitorConfig::default().with_stall_timeout(Duration::from_millis(50));
+        let src = wedged_diamond(&mut map);
+        let (sink, _seen) = counting_sink();
+        let dst = map.add(sink);
+        map.link(src, "alarm", dst, "0").unwrap();
+
+        let report = exe_bounded(map).expect("a quiesced graph is a graceful end");
+        let stalled = report
+            .watchdog_events
+            .iter()
+            .find(|ev| matches!(ev.kind, WatchdogKind::StalledStreams))
+            .unwrap_or_else(|| panic!("no StalledStreams in {:?}", report.watchdog_events));
+        let rungs: Vec<_> = report
+            .drain_events
+            .iter()
+            .map(|ev| (ev.level, ev.reason))
+            .collect();
+        assert_eq!(
+            rungs,
+            [(1, DrainReason::Stalled), (2, DrainReason::GraceExpired)]
+        );
+        assert!(
+            stalled.at <= report.drain_events[0].at,
+            "cause before effect"
+        );
+    });
+}
+
+/// An Abort-policy panic elsewhere in the map must still end a graph that
+/// level 1 alone would strand, and surface as the error it is.
+#[test]
+fn fatal_panic_escalates_to_quiesce_on_deadlocked_diamond() {
+    /// Panics on the alarm: once the diamond is wedged.
+    struct LateBoom;
+    impl Kernel for LateBoom {
+        fn ports(&self) -> PortSpec {
+            PortSpec::new().input::<u64>("alarm")
+        }
+        fn run(&mut self, ctx: &Context) -> KStatus {
+            match ctx.input::<u64>("alarm").pop() {
+                Ok(_) => panic!("boom once the diamond is wedged"),
+                Err(_) => KStatus::Stop,
+            }
+        }
+        fn name(&self) -> String {
+            "late-boom".to_string()
+        }
+    }
+
+    for_each_scheduler(|sched| {
+        let mut map = RaftMap::new();
+        map.config_mut().scheduler = sched;
+        map.config_mut().drain_grace = Duration::from_millis(50);
+        let src = wedged_diamond(&mut map);
+        let boom = map.add(LateBoom);
+        map.link(src, "alarm", boom, "alarm").unwrap();
+
+        match exe_bounded(map) {
+            Err(ExeError::KernelPanicked { kernels }) => {
+                assert_eq!(base_names(&kernels), vec!["late-boom"]);
+            }
+            other => panic!("expected KernelPanicked, got {other:?}"),
+        }
+    });
+}
+
 /// The work-stealing scheduler runs a multi-stage pipeline to completion
 /// with fewer workers than kernels, and surfaces per-worker telemetry in
 /// the report.

@@ -9,10 +9,10 @@
 //! The stages after the scan (extract offsets, drop empty chunks) are
 //! stateless one-in/one-out transforms, so the fusion pass collapses them
 //! into one batch-executed kernel; the fused layout is printed from the
-//! execution report. `RAFT_FUSION=0` runs the same graph unfused for A/B.
+//! execution report. `--unfused` runs the same graph unfused for A/B.
 //!
 //! ```sh
-//! cargo run --release --example rgrep -- <pattern> [path] [--algo ac|bmh|rk|mm] [--width N]
+//! cargo run --release --example rgrep -- <pattern> [path] [--algo ac|bmh|rk|mm] [--width N] [--unfused]
 //! ```
 
 use std::sync::Arc;
@@ -27,6 +27,7 @@ struct Args {
     path: Option<String>,
     algo: String,
     width: u32,
+    unfused: bool,
 }
 
 fn parse_args() -> Option<Args> {
@@ -37,11 +38,13 @@ fn parse_args() -> Option<Args> {
         path: None,
         algo: "bmh".to_string(),
         width: 2,
+        unfused: false,
     };
     while let Some(a) = args.next() {
         match a.as_str() {
             "--algo" => parsed.algo = args.next()?,
             "--width" => parsed.width = args.next()?.parse().ok()?,
+            "--unfused" => parsed.unfused = true,
             p => parsed.path = Some(p.to_string()),
         }
     }
@@ -50,7 +53,7 @@ fn parse_args() -> Option<Args> {
 
 fn main() {
     let Some(args) = parse_args() else {
-        eprintln!("usage: rgrep <pattern> [path] [--algo ac|bmh|rk|mm] [--width N]");
+        eprintln!("usage: rgrep <pattern> [path] [--algo ac|bmh|rk|mm] [--width N] [--unfused]");
         std::process::exit(2);
     };
 
@@ -87,6 +90,7 @@ fn main() {
     // Figure 8 topology, with a fusable post-processing tail.
     let overlap = matcher.overlap();
     let mut map = RaftMap::new();
+    map.config_mut().fusion.enabled = !args.unfused;
     let reader = map.add(ByteChunkSource::new(data.clone(), 1 << 20, overlap));
     let m = matcher.clone();
     let search = map.add(Map::new(move |chunk: ByteChunk| {
@@ -156,7 +160,7 @@ fn main() {
         raft_algos::simd::active_tier().name()
     );
     if report.fused.is_empty() {
-        eprintln!("fused groups: none (RAFT_FUSION=0, or no eligible chain)");
+        eprintln!("fused groups: none (--unfused, or no eligible chain)");
     } else {
         for g in &report.fused {
             eprintln!(

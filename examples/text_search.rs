@@ -6,10 +6,10 @@
 //! available, plus runtime algorithm hot-swap (§4.2's "synonymous kernel
 //! groupings"). The fusion pass collapses the stateless tail stages into
 //! one batch-executed kernel — the fused layout is printed from the
-//! execution report, and `RAFT_FUSION=0` A/Bs the unfused graph.
+//! execution report, and `--unfused` A/Bs the unfused graph.
 //!
 //! ```sh
-//! cargo run --release --example text_search -- [ac|bmh] [corpus-mb] [width]
+//! cargo run --release --example text_search -- [ac|bmh] [corpus-mb] [width] [--unfused]
 //! ```
 
 use std::sync::Arc;
@@ -21,7 +21,9 @@ use raft_kernels::{write_each, ByteChunk, ByteChunkSource, FilterMap, Map};
 use raftlib::prelude::*;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let mut args: Vec<String> = std::env::args().collect();
+    let unfused = args.iter().any(|a| a == "--unfused");
+    args.retain(|a| a != "--unfused");
     let algo = args.get(1).map(String::as_str).unwrap_or("bmh");
     let corpus_mb: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(64);
     let width: u32 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(2);
@@ -59,6 +61,7 @@ fn main() {
     // --- Figure 9's topology ----------------------------------------------
     let overlap = matcher.overlap();
     let mut map = RaftMap::new();
+    map.config_mut().fusion.enabled = !unfused;
     let filereader = map.add(ByteChunkSource::new(data, 1 << 20, overlap));
     let m = matcher.clone();
     let search = map.add(Map::new(move |chunk: ByteChunk| {
@@ -102,7 +105,7 @@ fn main() {
         report.total_items()
     );
     if report.fused.is_empty() {
-        eprintln!("fused groups: none (RAFT_FUSION=0, or no eligible chain)");
+        eprintln!("fused groups: none (--unfused, or no eligible chain)");
     } else {
         for g in &report.fused {
             eprintln!(

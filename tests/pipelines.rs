@@ -471,8 +471,6 @@ fn width_range_widens_under_load() {
     cfg.fifo = FifoConfig::fixed(16); // fixed so backpressure is visible
     cfg.monitor.delta = std::time::Duration::from_micros(100);
     cfg.monitor.widen_after_ticks = 5;
-    cfg.monitor.grow_on_read_request = false; // keep capacities stable
-    cfg.monitor.grow_on_writer_block = false;
     cfg.monitor.shrink_enabled = false;
     let mut map = RaftMap::with_config(cfg);
     let src = map.add(Generate::new(0..60_000u64).with_batch(128));
