@@ -171,11 +171,10 @@ impl<W: Wake> EventCount<W> {
 
     /// Notifier side: wake the waiter if one is armed; never loses a wake.
     /// Use where the change will not be repeated (close, drain, resize).
+    /// Returns whether this call claimed an arm (and so delivered a wake).
     #[inline]
-    pub fn notify(&self) {
-        if self.0.listening() {
-            self.claim_and_wake();
-        }
+    pub fn notify(&self) -> bool {
+        self.0.listening() && self.claim_and_wake()
     }
 
     /// Notifier side, per-element hot path: one relaxed load when nobody
@@ -189,15 +188,17 @@ impl<W: Wake> EventCount<W> {
     }
 
     #[cold]
-    fn claim_and_wake(&self) {
+    fn claim_and_wake(&self) -> bool {
         // `Fn`: orders the caller's preceding stream write before the
         // `armed` read in the SC fence order.
         fence(SeqCst);
         let armed = self.0.armed();
-        if armed.load(Relaxed) == 1 && armed.swap(0, Relaxed) == 1 {
+        let claimed = armed.load(Relaxed) == 1 && armed.swap(0, Relaxed) == 1;
+        if claimed {
             self.0.seq().fetch_add(1, Relaxed);
             self.0.unpark();
         }
+        claimed
     }
 }
 

@@ -8,12 +8,13 @@
 //!    nanoseconds; right when the other side is actively producing.
 //! 2. **Yield**: give the core away but stay runnable. Right when the other
 //!    side is running but descheduled (oversubscribed hosts).
-//! 3. **Park**: the caller should block on its real primitive — the
-//!    eventcount in [`crate::eventcount::block_until`] for FIFO endpoints,
-//!    the scheduler's own sleep for pool workers. [`Waiter::pause`] falls
-//!    back to `thread::sleep` with the strategy's timeout for callers that
-//!    have none; strategies that never park (the resize fence and the
-//!    bare SPSC endpoints, which have no wake signal) yield forever instead.
+//! 3. **Park**: the caller should block on its real primitive — an
+//!    eventcount: through [`crate::eventcount::block_until`] for FIFO
+//!    endpoints, directly for the stealing pool's workers (one
+//!    [`crate::EventCount`] each). [`Waiter::pause`] falls back to
+//!    `thread::sleep` with the strategy's timeout for callers that have
+//!    none; strategies that never park (the resize fence and the bare SPSC
+//!    endpoints, which have no wake signal) yield forever instead.
 //!
 //! The module is built on `crate::sync`, so `--cfg loom` builds degrade
 //! every phase to a model-checker yield and the waiting code inside the
@@ -115,7 +116,8 @@ impl Waiter {
 
     /// One backoff step executed fully inline: spin, yield, or sleep for
     /// the park timeout. For callers without a wake primitive of their own
-    /// (pool worker idle loops).
+    /// (`raftlib::parallel`'s least-utilized split, which waits on whichever
+    /// of several rings drains first).
     #[inline]
     pub fn pause(&mut self) {
         if self.pause_or_park() == WaitAction::Park {

@@ -30,12 +30,22 @@
 //! has loom prove exactly that; [`notify_during_running_is_never_lost`]
 //! covers the second half of the window, a notify landing while the task
 //! is RUNNING or mid-park.
+//!
+//! ## Worker parks
+//!
+//! Workers themselves sleep on the same eventcount: each owns an
+//! `EventCount<ThreadPark>`, parks by arm → re-check "any queue non-empty"
+//! → wait, and every enqueue a parked worker must see is followed by
+//! `wake_worker` (a fenced `notify` of each worker's eventcount until one
+//! claims an arm). [`worker_park_races_enqueue_and_wake`] checks that an
+//! enqueue racing a park always leaves the task claimed or the parker woken.
 #![cfg(loom)]
 
 use loom::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
-use raft_buffer::{FifoWaker, WakerSlot};
+use raft_buffer::eventcount::Wake;
+use raft_buffer::{EventCount, FifoWaker, ThreadPark, WakerSlot};
 
 const IDLE: usize = 0;
 const QUEUED: usize = 1;
@@ -256,6 +266,67 @@ fn notify_during_running_is_never_lost() {
                 task.state.load(Ordering::SeqCst),
                 QUEUED,
                 "lost wakeup: data present, task not re-queued"
+            );
+        }
+    });
+}
+
+/// The pool in miniature: one eventcount per worker, and the queues (deques
+/// + injector) collapsed into one count of claimable tasks.
+struct Pool {
+    parks: [EventCount<ThreadPark>; 2],
+    queued: AtomicUsize,
+}
+
+impl Pool {
+    /// `stealing::Core::wake_worker`: notify each worker's eventcount until
+    /// one claims an arm.
+    fn wake_worker(&self) {
+        self.parks.iter().any(EventCount::notify);
+    }
+
+    /// A claim from any queue.
+    fn claim(&self) -> bool {
+        self.queued
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |q| q.checked_sub(1))
+            .is_ok()
+    }
+}
+
+/// Worker 0 is running: it queues a task (a quantum yield into the
+/// injector, or a wake) and calls `wake_worker`, whose first notify lands
+/// on its own unarmed eventcount. Worker 1 has found nothing and parks:
+/// arm → re-check → wait. The task must end up claimed by the re-check or
+/// the parked worker woken — `seq` moved past its epoch, so `wait` cannot
+/// sleep — never neither.
+#[test]
+fn worker_park_races_enqueue_and_wake() {
+    loom::model(|| {
+        let pool = Arc::new(Pool {
+            parks: Default::default(),
+            queued: AtomicUsize::new(0),
+        });
+        let running = {
+            let pool = Arc::clone(&pool);
+            loom::thread::spawn(move || {
+                pool.queued.fetch_add(1, Ordering::Release);
+                pool.wake_worker();
+            })
+        };
+
+        let park = &pool.parks[1];
+        let epoch = park.arm();
+        let claimed = pool.claim();
+        if claimed {
+            park.disarm();
+        }
+        running.join().unwrap();
+
+        if !claimed {
+            assert_ne!(
+                park.backend().seq().load(Ordering::Relaxed),
+                epoch,
+                "lost wakeup: task queued, parked worker never woken"
             );
         }
     });

@@ -58,12 +58,13 @@
 use std::io;
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use raft_buffer::arena::DescriptorSender;
 use raft_buffer::shm::{ShmItem, ShmRingProducer, ShmSegment};
+use raft_buffer::{EventCount, ThreadPark};
 use raft_rng::Rng;
 
 use crate::supervise::{KernelOutcome, SupervisorPolicy};
@@ -364,7 +365,9 @@ pub struct ProcReport {
 
 struct Shared {
     reports: Mutex<Vec<Option<ProcReport>>>,
-    done: Condvar,
+    /// Notified after every report is written; [`ProcSupervisor::join`]
+    /// sleeps on it.
+    done: EventCount<ThreadPark>,
     halt: AtomicBool,
     /// Raised when any worker reaches a terminal outcome (its watcher
     /// ended) — see [`ProcSupervisor::terminal_flag`].
@@ -390,7 +393,7 @@ impl Default for Shared {
     fn default() -> Self {
         Shared {
             reports: Mutex::new(Vec::new()),
-            done: Condvar::new(),
+            done: EventCount::default(),
             halt: AtomicBool::new(false),
             terminal: Arc::new(AtomicBool::new(false)),
         }
@@ -454,20 +457,18 @@ impl ProcSupervisor {
     /// [`KernelOutcome::Aborted`].
     pub fn join(mut self, timeout: Duration) -> Vec<ProcReport> {
         let deadline = Instant::now() + timeout;
-        {
-            let mut reports = self.shared.reports.lock().expect("reports lock");
-            while reports.iter().any(Option::is_none) {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _) = self
-                    .shared
-                    .done
-                    .wait_timeout(reports, deadline - now)
-                    .expect("join wait");
-                reports = guard;
+        let done = &self.shared.done;
+        loop {
+            let epoch = done.arm();
+            let reports = self.shared.reports.lock().expect("reports lock");
+            let all_in = reports.iter().all(Option::is_some);
+            drop(reports);
+            let now = Instant::now();
+            if all_in || now >= deadline {
+                done.disarm();
+                break;
             }
+            done.wait(epoch, deadline - now);
         }
         self.shutdown();
         let reports = std::mem::take(&mut *self.shared.reports.lock().expect("reports lock"));
@@ -691,8 +692,7 @@ fn watch(spec: WorkerSpec, slot: usize, child: Arc<Mutex<Option<Child>>>, shared
     };
 
     shared.terminal.store(true, Relaxed);
-    let mut reports = shared.reports.lock().expect("reports lock");
-    reports[slot] = Some(ProcReport {
+    shared.reports.lock().expect("reports lock")[slot] = Some(ProcReport {
         name,
         outcome,
         crashes,
@@ -700,7 +700,7 @@ fn watch(spec: WorkerSpec, slot: usize, child: Arc<Mutex<Option<Child>>>, shared
         respawns,
         last_status,
     });
-    shared.done.notify_all();
+    shared.done.notify();
 }
 
 enum Reaction {

@@ -310,14 +310,23 @@ pub(crate) fn drive(runner: &mut KernelRunner, quantum: Option<u32>) -> Driven {
 /// Retire a kernel [`drive`] reported done: a fatal outcome enters the
 /// drain ladder, and dropping the runner drops its [`Context`], closing
 /// every endpoint — EoS propagates downstream (and fires the consumers'
-/// wakers) even when `run()` panicked before its first push.
+/// wakers) even when `run()` panicked before its first push. The drop runs
+/// user code (the kernel's `Drop`) inside an unwind guard of its own: a
+/// panic there aborts the kernel, fatally, instead of killing the thread
+/// that retires it.
 pub(crate) fn retire(mut runner: KernelRunner, done: StepDone) -> RunnerOutcome {
+    let shutdown = runner.ctx.shutdown.clone();
+    let name = std::mem::take(&mut runner.name);
+    let done = match catch_unwind(AssertUnwindSafe(|| drop(runner))) {
+        Ok(()) => done,
+        Err(_) => StepDone {
+            outcome: KernelOutcome::Aborted,
+            fatal: true,
+        },
+    };
     if done.fatal {
-        let shutdown = &runner.ctx.shutdown;
         shutdown.request(raft_buffer::DRAIN_DRAINING, DrainReason::KernelPanicked);
     }
-    let name = std::mem::take(&mut runner.name);
-    drop(runner);
     RunnerOutcome {
         name,
         outcome: done.outcome,
@@ -509,7 +518,8 @@ pub struct ThreadPerKernel;
 impl Scheduler for ThreadPerKernel {
     fn execute(&self, runners: Vec<KernelRunner>) -> SchedulerOutput {
         // Names stay beside the join handles: a kernel thread that dies
-        // anyway (a panicking `Drop`, say) is still reported by name.
+        // anyway (a scheduler bug — kernel panics, `Drop` included, are
+        // caught) is still reported by name.
         let handles: Vec<_> = runners
             .into_iter()
             .map(|mut runner| {

@@ -1,9 +1,9 @@
 //! Work-stealing queues for [`crate::scheduler::SchedulerKind::Stealing`]:
-//! a per-worker Chase–Lev deque and a bounded MPMC injector.
+//! a per-worker Chase–Lev deque and a bounded, locked FIFO injector.
 //!
 //! Both queues move **task ids** (`usize` indices into the scheduler's
-//! runner table), not boxed work items, which makes them implementable in
-//! 100% safe Rust: every slot is an `AtomicUsize`, so the racy
+//! runner table), not boxed work items. That makes the deque implementable
+//! in 100% safe Rust: every slot is an `AtomicUsize`, so the racy
 //! read-value-then-CAS shape of the Chase–Lev `steal` is an atomic load
 //! whose result is simply discarded when the CAS loses — no torn reads, no
 //! `MaybeUninit`, no reclamation.
@@ -11,21 +11,23 @@
 //! Capacity is **fixed** at construction. The scheduler's task state
 //! machine guarantees each task id is in at most one queue at a time
 //! (IDLE→QUEUED transitions are claimed by a single CAS winner), so a
-//! capacity of `n_tasks` per deque can never overflow; overflow therefore
+//! capacity of `n_tasks` per queue can never overflow; overflow therefore
 //! panics as a scheduler-invariant violation rather than growing.
 //!
 //! The deque follows Chase & Lev, "Dynamic Circular Work-Stealing Deque"
 //! (SPAA'05) with the C11 orderings from Lê et al., "Correct and Efficient
-//! Work-Stealing for Weak Memory Models" (PPoPP'13). The injector is
-//! Vyukov's bounded MPMC queue (per-slot sequence numbers), which keeps
-//! injected tasks FIFO so graph sources drain in submission order.
+//! Work-Stealing for Weak Memory Models" (PPoPP'13). The injector is a
+//! `VecDeque` under the workspace's one mutex: it carries seeds, off-pool
+//! wakes and one yield per quantum, too little traffic for a lock-free
+//! queue to pay for its proof.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{
     fence, AtomicIsize, AtomicUsize,
     Ordering::{Acquire, Relaxed, Release, SeqCst},
 };
 
-use raft_buffer::sync::CachePadded;
+use raft_buffer::sync::{CachePadded, Mutex};
 
 /// Result of a steal attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,41 +156,27 @@ impl WorkerDeque {
     }
 }
 
-/// One slot of the [`Injector`]: Vyukov sequence number + payload.
-#[derive(Debug)]
-struct InjectorSlot {
-    /// Slot generation stamp: `pos` when free for the producer of ticket
-    /// `pos`, `pos + 1` once filled, `pos + capacity` once drained.
-    seq: AtomicUsize,
-    task: AtomicUsize,
-}
-
-/// Bounded MPMC FIFO queue: the global entry point for woken tasks. Waker
-/// callbacks (running on arbitrary producer threads) push here; idle
-/// workers drain it before stealing from each other.
+/// Bounded FIFO queue: the global entry point for tasks that do not go
+/// onto a worker's own deque — initial seeds, wakes fired off the pool, and
+/// quantum yields. Workers drain it before (or, right after a yield, after)
+/// stealing from each other.
+///
+/// A plain lock around a `VecDeque`, so the fullness check is exact. A
+/// lock-free ring would not be bounded by the task count: a consumer
+/// preempted between its ticket CAS and its slot release gets lapped, and a
+/// producer then sees the ring full with fewer than `capacity` tasks live.
 #[derive(Debug)]
 pub struct Injector {
-    slots: Box<[InjectorSlot]>,
-    mask: usize,
-    enqueue_pos: CachePadded<AtomicUsize>,
-    dequeue_pos: CachePadded<AtomicUsize>,
+    queue: Mutex<VecDeque<usize>>,
+    capacity: usize,
 }
 
 impl Injector {
-    /// An injector that can hold `capacity` task ids (rounded up to a power
-    /// of two, minimum 2).
+    /// An injector that can hold `capacity` task ids.
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
         Injector {
-            slots: (0..cap)
-                .map(|i| InjectorSlot {
-                    seq: AtomicUsize::new(i),
-                    task: AtomicUsize::new(0),
-                })
-                .collect(),
-            mask: cap - 1,
-            enqueue_pos: CachePadded::new(AtomicUsize::new(0)),
-            dequeue_pos: CachePadded::new(AtomicUsize::new(0)),
+            queue: Mutex::new(VecDeque::with_capacity(capacity)),
+            capacity,
         }
     }
 
@@ -198,74 +186,23 @@ impl Injector {
     /// If the queue is full — impossible while the scheduler's
     /// one-queue-per-task invariant holds.
     pub fn push(&self, task: usize) {
-        let mut pos = self.enqueue_pos.load(Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            // Acquire: pairs with the consumer's Release seq store, ordering
-            // its drain of the previous generation before our refill.
-            let seq = slot.seq.load(Acquire);
-            let diff = seq as isize - pos as isize;
-            if diff == 0 {
-                // Slot free for this ticket; claim it.
-                match self
-                    .enqueue_pos
-                    .compare_exchange_weak(pos, pos + 1, Relaxed, Relaxed)
-                {
-                    Ok(_) => {
-                        slot.task.store(task, Relaxed);
-                        // Release: publishes the payload with the stamp.
-                        slot.seq.store(pos + 1, Release);
-                        return;
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if diff < 0 {
-                panic!(
-                    "Injector overflow: task {task} pushed into a full queue \
-                     (scheduler one-queue-per-task invariant violated)"
-                );
-            } else {
-                // Another producer claimed this ticket; take the next.
-                pos = self.enqueue_pos.load(Relaxed);
-            }
-        }
+        let mut queue = self.queue.lock();
+        assert!(
+            queue.len() < self.capacity,
+            "Injector overflow: task {task} pushed into a full queue \
+             (scheduler one-queue-per-task invariant violated)"
+        );
+        queue.push_back(task);
     }
 
     /// Dequeue the oldest task id, if any. Any thread.
     pub fn pop(&self) -> Option<usize> {
-        let mut pos = self.dequeue_pos.load(Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            // Acquire: pairs with the producer's Release seq store.
-            let seq = slot.seq.load(Acquire);
-            let diff = seq as isize - (pos + 1) as isize;
-            if diff == 0 {
-                match self
-                    .dequeue_pos
-                    .compare_exchange_weak(pos, pos + 1, Relaxed, Relaxed)
-                {
-                    Ok(_) => {
-                        let task = slot.task.load(Relaxed);
-                        // Release: frees the slot for the producer one
-                        // generation ahead.
-                        slot.seq.store(pos + self.mask + 1, Release);
-                        return Some(task);
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if diff < 0 {
-                return None;
-            } else {
-                pos = self.dequeue_pos.load(Relaxed);
-            }
-        }
+        self.queue.lock().pop_front()
     }
 
-    /// Observed emptiness (racy; for idle heuristics only).
+    /// Observed emptiness (racy once the lock is released).
     pub fn is_empty(&self) -> bool {
-        let pos = self.dequeue_pos.load(Relaxed);
-        let seq = self.slots[pos & self.mask].seq.load(Relaxed);
-        (seq as isize - (pos + 1) as isize) < 0
+        self.queue.lock().is_empty()
     }
 }
 
@@ -343,6 +280,48 @@ mod tests {
             assert_eq!(q.pop(), Some(round + 100));
             assert_eq!(q.pop(), None);
         }
+    }
+
+    /// Churn at capacity = live bound, with more threads than cores: every
+    /// thread pops an id and pushes it straight back, so the queue never
+    /// holds more than `LIVE` ids and a push must never see it full. (A
+    /// lock-free ring whose pop can be lapped while its holder is
+    /// preempted fails exactly this.)
+    #[test]
+    fn injector_churn_at_live_bound_never_overflows() {
+        const LIVE: usize = 4;
+        let q = Arc::new(Injector::new(LIVE));
+        for t in 0..LIVE {
+            q.push(t);
+        }
+        let threads = 2 * std::thread::available_parallelism().map_or(2, |n| n.get()) + 2;
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+        let churners: Vec<_> = (0..threads)
+            .map(|_| {
+                let q = q.clone();
+                std::thread::spawn(move || {
+                    let mut moved = 0u64;
+                    while std::time::Instant::now() < deadline {
+                        for _ in 0..64 {
+                            if let Some(t) = q.pop() {
+                                q.push(t);
+                                moved += 1;
+                            }
+                        }
+                    }
+                    moved
+                })
+            })
+            .collect();
+        let moved: u64 = churners.into_iter().map(|c| c.join().unwrap()).sum();
+        assert!(moved > 0);
+        let mut left: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        left.sort_unstable();
+        assert_eq!(
+            left,
+            (0..LIVE).collect::<Vec<_>>(),
+            "lost or duplicated ids"
+        );
     }
 
     /// Stress: every task id pushed (from several threads, each id once —

@@ -8,47 +8,66 @@
 //!   empty inputs, the owning worker *arms* the consumer-side
 //!   [`raft_buffer::WakerSlot`] of every input stream and steps away; the
 //!   producer endpoint that next pushes data (or EoS, or an async signal)
-//!   re-queues the task in O(1) from its own thread. The FIFO's internal
-//!   `PARK_TIMEOUT` condvar stops being a polling rate and becomes a pure
-//!   safety net.
-//! * **Per-worker deques, global injector.** A worker pushes its own
-//!   re-runnable tasks onto a Chase–Lev deque (LIFO for itself: hot
-//!   caches) and drains the FIFO injector that waker callbacks feed; idle
-//!   workers steal the *oldest* entry from a victim's deque before even
-//!   thinking about parking.
-//! * **Unified idle strategy.** Between "no work anywhere" and "parked on
-//!   the condvar" sits the same adaptive spin → yield ladder
-//!   ([`raft_buffer::Waiter`]) the blocking FIFO endpoints use.
+//!   re-queues the task in O(1) from its own thread.
+//! * **Per-worker deques, global injector.** A freshly woken task goes LIFO
+//!   onto the waking worker's Chase–Lev deque (its inputs are cache-hot);
+//!   idle workers steal the *oldest* entry from a victim's deque. Seeds,
+//!   wakes fired off the pool and quantum yields go to the FIFO injector.
+//! * **Fair yields.** A task that used up its quantum with inputs still
+//!   ready goes to the back of the injector, and the worker that yielded
+//!   claims own deque → steal → injector, so it gets the same task back
+//!   only when nothing else is claimable anywhere. Every other claim is
+//!   own deque → injector → steal. (A spinner re-queued on top of its own
+//!   deque starves what sits beneath it; one re-claimed from the injector
+//!   before stealing starves what sits on a worker that is blocked inside
+//!   a link.)
+//! * **One way to sleep.** Each worker parks on its own
+//!   `EventCount<ThreadPark>` after the endpoints' spin → yield → park
+//!   schedule, bounded by the same [`PARK_TIMEOUT`].
 //! * **Optional core pinning.** `pin: true` makes worker `w` pin itself to
 //!   core `w % cores` ([`crate::affinity`]), so the mapper-seeded initial
 //!   placement survives OS migration.
 //!
 //! ## No lost wakeups
 //!
-//! The park protocol is: arm every input's waker slot → re-check readiness
-//! → CAS `RUNNING → IDLE`. The slot's SeqCst fence pairing (see
-//! `raft-buffer`'s `waker.rs` proof) guarantees a producer that published
-//! data either is seen by the re-check or sees the arm and fires the wake;
-//! a wake firing *during* the run window lands as `NOTIFIED` and forces a
-//! self-requeue instead of parking. Spurious wakes (stale arms from an
-//! earlier park round) are absorbed by the state machine: waking a `QUEUED`
-//! task is a no-op, and every claim starts by disarming the inputs.
+//! A task parks by the eventcount waiter protocol over its inputs' waker
+//! slots: arm every input → re-check readiness → CAS `RUNNING → IDLE`. The
+//! arm's SeqCst fence pairs with the producer's fenced notify (DESIGN §10),
+//! so a producer that published data is either seen by the re-check or
+//! sees the arm and fires the wake; a wake firing *during* the run window
+//! lands as `NOTIFIED` and forces a self-requeue instead of parking.
+//! Spurious wakes (stale arms from an earlier park round) are absorbed by
+//! the state machine: waking a `QUEUED` task is a no-op, and every claim
+//! starts by disarming the inputs.
+//!
+//! A worker parks by the same protocol on its own eventcount: arm → re-check
+//! "any queue non-empty, or pool done" → wait. Every enqueue that a parked
+//! worker must see is followed by a fenced notify of the parked workers, so
+//! the queue write and the arm cannot miss each other. A park that ran its
+//! full length with its arm unclaimed sweeps for `IDLE` tasks with ready
+//! inputs; each one it re-queues is a counted rescue, and the certified
+//! paths keep that count at 0.
 
 use std::sync::atomic::{
-    fence, AtomicU64, AtomicU8, AtomicUsize,
-    Ordering::{AcqRel, Acquire, Relaxed, Release, SeqCst},
+    AtomicU64, AtomicU8, AtomicUsize,
+    Ordering::{AcqRel, Acquire, Relaxed, Release},
 };
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use raft_buffer::sync::{Condvar, Mutex};
-use raft_buffer::{FifoWaker, WaitAction, WaitStrategy, Waiter};
+use raft_buffer::eventcount::PARK_TIMEOUT;
+use raft_buffer::sync::Mutex;
+use raft_buffer::{
+    EventCount, FifoWaker, ThreadPark, WaitAction, WaitStrategy, Waiter, DRAIN_DRAINING,
+};
 
 use crate::affinity;
+use crate::runtime::{DrainReason, Shutdown};
 use crate::scheduler::{
     drive, inputs_ready, retire, Driven, KernelRunner, RunnerOutcome, Scheduler, SchedulerOutput,
     StepDone, WorkerReport, QUANTUM,
 };
+use crate::steal::{Injector, Steal, WorkerDeque};
 use crate::supervise::KernelOutcome;
 
 /// Task is not queued anywhere and not running; only a waker (or initial
@@ -62,31 +81,15 @@ const RUNNING: u8 = 2;
 /// going idle.
 const NOTIFIED: u8 = 3;
 
-/// How long a parked worker sleeps before re-checking on its own — purely
-/// a safety net against scheduler bugs, not a polling period (wakes arrive
-/// through the condvar, so this can be long without adding wake latency).
-const WORKER_PARK_TIMEOUT: Duration = Duration::from_millis(10);
-
 std::thread_local! {
     /// Set while this thread is a stealing-pool worker: the pool's `Core`
     /// address plus the worker index. Wakes that fire on a worker thread
     /// (the common case — kernels run on workers, and their pushes fire
     /// the peer's waker inline) are routed to that worker's own deque,
-    /// skipping the injector and the condvar syscall.
+    /// skipping the injector and the worker wake.
     static WORKER_CTX: std::cell::Cell<Option<(usize, usize)>> =
         const { std::cell::Cell::new(None) };
 }
-
-/// Pre-park backoff for workers: a short spin/yield ladder before touching
-/// the condvar. Fewer yield rounds than the default parking ladder — an
-/// idle worker that found nothing after spinning almost never finds work
-/// by yielding (wakes arrive through the condvar), and on a loaded box
-/// every yield is a context-switch round trip of pure overhead.
-const WORKER_IDLE: WaitStrategy = WaitStrategy {
-    spin_rounds: 6,
-    yield_rounds: 4,
-    park_timeout: Some(WORKER_PARK_TIMEOUT),
-};
 
 /// One kernel's scheduling state.
 struct TaskSlot {
@@ -109,15 +112,14 @@ struct TaskSlot {
 /// State shared by workers and waker callbacks.
 struct Core {
     tasks: Vec<TaskSlot>,
-    injector: crate::steal::Injector,
-    deques: Vec<crate::steal::WorkerDeque>,
-    /// Kernels not yet finished.
+    injector: Injector,
+    deques: Vec<WorkerDeque>,
+    /// Worker `w` sleeps on `parks[w]`.
+    parks: Vec<EventCount<ThreadPark>>,
+    /// Kernels not yet finished; zeroed early if a worker thread dies.
     remaining: AtomicUsize,
-    /// Workers currently inside the park protocol (incremented before the
-    /// under-lock recheck). Enqueuers skip the condvar entirely while 0.
-    sleepers: AtomicUsize,
-    park_lock: Mutex<()>,
-    unpark: Condvar,
+    /// The map's shutdown word, for a worker thread that dies.
+    shutdown: Arc<Shutdown>,
     /// Latency epoch for `woken_at_ns`.
     epoch: Instant,
 }
@@ -129,25 +131,32 @@ impl Core {
         (self.epoch.elapsed().as_nanos() as u64).max(1)
     }
 
-    /// Anything claimable anywhere? Racy — used only under the park lock
-    /// (where it is exact enough: a concurrent enqueuer either sees our
-    /// sleeper count or we see its queue entry) and in idle heuristics.
+    /// Anything claimable anywhere? Racy, but exact enough as the re-check
+    /// of a worker's armed park: an enqueue either lands before it or
+    /// notifies after it.
     fn has_work(&self) -> bool {
-        !self.injector.is_empty() || self.deques.iter().any(|d| !d.is_empty())
+        self.deques.iter().any(|d| !d.is_empty()) || !self.injector.is_empty()
     }
 
-    /// Wake one parked worker if any are parked. Callers must have already
-    /// made the new work visible (queue push) *before* calling; the SeqCst
-    /// fence pairs with the one in the worker's park protocol so the
-    /// sleeper-count check and the worker's work re-check cannot both miss.
+    /// Wake one armed worker, if any. Callers must have made the new work
+    /// visible (queue push) first: `notify`'s fence pairs with the worker's
+    /// arm, so either a notify claims the arm or the worker's re-check sees
+    /// the work.
     fn wake_worker(&self) {
-        fence(SeqCst);
-        if self.sleepers.load(Relaxed) > 0 {
-            // Take the lock so the notify cannot slot between a parking
-            // worker's re-check and its wait.
-            let _g = self.park_lock.lock();
-            self.unpark.notify_one();
+        self.parks.iter().any(EventCount::notify);
+    }
+
+    /// Wake every armed worker: the pool is done (or broken).
+    fn wake_all(&self) {
+        for park in &self.parks {
+            park.notify();
         }
+    }
+
+    /// Queue `task` at the back of the injector and wake a worker for it.
+    fn inject(&self, task: usize) {
+        self.injector.push(task);
+        self.wake_worker();
     }
 
     /// Move `task` to `QUEUED` and make it claimable. `via_waker` stamps
@@ -159,8 +168,10 @@ impl Core {
         // Worker-local fast path: the wake fired on one of *this* pool's
         // worker threads, so the task can go LIFO onto that worker's own
         // deque — the worker drains it before it can ever park, so no
-        // condvar wake is needed unless entries are piling up behind it
-        // (then a parked sibling is worth the futex: it can steal).
+        // worker wake is needed unless entries are piling up behind it
+        // (then a parked sibling is worth the futex: it can steal). If this
+        // worker then blocks inside a link, a parked sibling steals the
+        // entry after at most one park.
         if let Some((core_addr, me)) = WORKER_CTX.get() {
             if core_addr == self as *const Core as usize {
                 self.deques[me].push(task);
@@ -170,8 +181,7 @@ impl Core {
                 return;
             }
         }
-        self.injector.push(task);
-        self.wake_worker();
+        self.inject(task);
     }
 
     /// Waker/state-machine entry: called with the task in any state.
@@ -224,13 +234,13 @@ impl Core {
         }
     }
 
-    /// Safety-net sweep run by a worker whose park timed out: a task that
-    /// is `IDLE` with ready inputs is the signature of a lost wakeup, so
-    /// re-queue it. [`wake_task`](Self::wake_task)'s re-arm + re-check
-    /// closes every hole the loom model covers; this sweep bounds the
-    /// damage of any residual one to a single park period instead of a
-    /// permanent hang, and turns "flaky after hours" into telemetry
-    /// (`rescues` in the worker report).
+    /// Safety-net sweep run by a worker whose park ran its full length with
+    /// its arm unclaimed: a task that is `IDLE` with ready inputs is the
+    /// signature of a lost wakeup, so re-queue it.
+    /// [`wake_task`](Self::wake_task)'s re-arm + re-check closes every hole
+    /// the loom model covers; this sweep bounds the damage of any residual
+    /// one to a single park period instead of a permanent hang, and turns
+    /// "flaky after hours" into telemetry (`rescues` in the worker report).
     fn rescue_idle_ready(&self) -> u64 {
         let mut rescued = 0;
         for (task, slot) in self.tasks.iter().enumerate() {
@@ -275,40 +285,43 @@ pub struct WorkStealing {
 }
 
 impl WorkStealing {
-    /// Claim source: own deque (LIFO), then injector (FIFO), then steal
-    /// from victims round-robin. Returns the task id and whether it was
-    /// stolen.
-    fn find_task(core: &Core, me: usize) -> Option<(usize, bool)> {
+    /// Claim source: own deque (LIFO) first; then injector (FIFO) → steal,
+    /// or — right after a yield — steal → injector, so the yielded task
+    /// (at the injector's back) comes back only when nothing else is
+    /// claimable. Returns the task id and whether it was stolen.
+    fn find_task(core: &Core, me: usize, yielded: bool) -> Option<(usize, bool)> {
         if let Some(t) = core.deques[me].pop() {
             return Some((t, false));
         }
-        if let Some(t) = core.injector.pop() {
-            return Some((t, false));
-        }
-        let n = core.deques.len();
-        for i in 1..n {
-            let victim = (me + i) % n;
-            loop {
-                match core.deques[victim].steal() {
-                    crate::steal::Steal::Success(t) => return Some((t, true)),
-                    crate::steal::Steal::Retry => continue,
-                    crate::steal::Steal::Empty => break,
+        let injected = || core.injector.pop().map(|t| (t, false));
+        let stolen = || {
+            let n = core.deques.len();
+            (1..n).find_map(|i| loop {
+                match core.deques[(me + i) % n].steal() {
+                    Steal::Success(t) => break Some((t, true)),
+                    Steal::Retry => continue,
+                    Steal::Empty => break None,
                 }
-            }
+            })
+        };
+        if yielded {
+            stolen().or_else(injected)
+        } else {
+            injected().or_else(stolen)
         }
-        None
     }
 
-    /// Drive one claimed task for up to a quantum; `Some` when the kernel
-    /// finished. The kernel lifecycle itself lives in
-    /// [`crate::scheduler::drive`] / [`retire`]; this function owns only the
-    /// task state machine around it.
+    /// Drive one claimed task for up to a quantum, pushing its outcome if
+    /// the kernel finished; `true` when it yielded the quantum. The kernel
+    /// lifecycle itself lives in [`crate::scheduler::drive`] / [`retire`];
+    /// this function owns only the task state machine around it.
     fn run_task(
         core: &Core,
         me: usize,
         task: usize,
         stats: &mut WorkerReport,
-    ) -> Option<RunnerOutcome> {
+        outcomes: &mut Vec<RunnerOutcome>,
+    ) -> bool {
         let slot = &core.tasks[task];
         // Claim: QUEUED → RUNNING. A wake observing RUNNING from here on
         // lands as NOTIFIED instead of double-queueing.
@@ -320,7 +333,7 @@ impl WorkStealing {
             // Stale entry for an already-finished kernel (can't happen under
             // the one-queue invariant, but degrade gracefully).
             slot.state.store(IDLE, Release);
-            return None;
+            return false;
         };
 
         stats.runs += 1;
@@ -335,40 +348,31 @@ impl WorkStealing {
             f.consumer_waker().disarm();
         }
 
-        // Every arm below leaves the task QUEUED on our own deque, LIFO
-        // (its inputs are cache-hot).
-        let requeue = || {
-            slot.state.store(QUEUED, Release);
-            core.deques[me].push(task);
-        };
         match drive(runner, Some(QUANTUM)) {
             Driven::Done(done) => {
                 let runner = guard.take().expect("runner present while RUNNING");
                 drop(guard);
                 // Retiring closes the runner's endpoints: EoS propagates
                 // and *their* wakers fire, re-queueing consumers.
-                let outcome = retire(runner, done);
+                outcomes.push(retire(runner, done));
                 slot.state.store(IDLE, Release);
-                if core.remaining.fetch_sub(1, AcqRel) == 1 {
+                // Saturating: a dead worker may have zeroed the count.
+                let left = core
+                    .remaining
+                    .fetch_update(AcqRel, Acquire, |r| r.checked_sub(1));
+                if left == Ok(1) {
                     // Last kernel done: release every parked worker for exit.
-                    let _g = core.park_lock.lock();
-                    core.unpark.notify_all();
+                    core.wake_all();
                 }
-                Some(outcome)
+                false
             }
             Driven::Yielded => {
-                // Quantum exhausted mid-stream: yield the worker but stay
-                // runnable.
+                // Quantum exhausted mid-stream: still runnable, but behind
+                // everything else claimable (module docs).
                 drop(guard);
-                requeue();
-                // Kick a parked sibling only when work is piling up behind
-                // this worker — a lone requeued task is about to be
-                // re-popped right here, and the futex round trip would be
-                // pure overhead.
-                if core.deques[me].len() > 1 && core.sleepers.load(Relaxed) > 0 {
-                    core.wake_worker();
-                }
-                None
+                slot.state.store(QUEUED, Release);
+                core.inject(task);
+                true
             }
             Driven::Idle => {
                 // Blocked on empty inputs: arm every input's waker, then
@@ -382,18 +386,77 @@ impl WorkStealing {
                 // `landed`: data (or EoS) arrived between drive's readiness
                 // check and the arms; stale arms are absorbed at the next
                 // claim. A failed CAS means NOTIFIED: a waker fired during
-                // the run window. Either way requeue rather than park, so
-                // the wake is never lost.
+                // the run window. Either way requeue (LIFO: its inputs are
+                // cache-hot) rather than park, so the wake is never lost.
                 if landed
                     || slot
                         .state
                         .compare_exchange(RUNNING, IDLE, AcqRel, Acquire)
                         .is_err()
                 {
-                    requeue();
+                    slot.state.store(QUEUED, Release);
+                    core.deques[me].push(task);
                 }
-                None
+                false
             }
+        }
+    }
+
+    /// One worker thread: claim and run tasks until every kernel finished,
+    /// parking on `core.parks[me]` while nothing is claimable.
+    fn work(core: &Core, me: usize, stats: &mut WorkerReport) -> Vec<RunnerOutcome> {
+        let _exit = ExitOnUnwind(core);
+        let park = &core.parks[me];
+        let mut outcomes = Vec::new();
+        let mut waiter = Waiter::new(WaitStrategy::parking(PARK_TIMEOUT));
+        let mut yielded = false;
+        while core.remaining.load(Acquire) > 0 {
+            if let Some((task, stolen)) = Self::find_task(core, me, yielded) {
+                waiter.reset();
+                stats.steals += u64::from(stolen);
+                yielded = Self::run_task(core, me, task, stats, &mut outcomes);
+                continue;
+            }
+            if waiter.pause_or_park() != WaitAction::Park {
+                continue;
+            }
+            // The eventcount waiter protocol: arm, re-check, wait.
+            stats.parks += 1;
+            let epoch = park.arm();
+            if core.has_work() || core.remaining.load(Acquire) == 0 {
+                park.disarm();
+                continue;
+            }
+            let timed_out = park.wait(epoch, PARK_TIMEOUT);
+            if park.disarm() && timed_out {
+                // Nobody woke us inside a full park: sweep for lost
+                // wakeups before re-parking.
+                stats.rescues += core.rescue_idle_ready();
+            }
+            // No waiter.reset() here: a real wake makes the next find_task
+            // succeed, which resets it; after a timeout the waiter stays in
+            // its park phase, so the worker re-parks without burning the
+            // spin/yield budget on nothing.
+        }
+        outcomes
+    }
+}
+
+/// Pool exit for a worker thread that unwinds — a broken scheduler
+/// invariant, since kernel panics (lifecycle included) are caught in
+/// [`drive`] and [`retire`]: zero `remaining` and wake every worker so the
+/// survivors stop claiming, and enter the drain ladder so none stays
+/// blocked in a link. `execute` then retires the stranded runners.
+struct ExitOnUnwind<'a>(&'a Core);
+
+impl Drop for ExitOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let core = self.0;
+            core.remaining.store(0, Release);
+            core.wake_all();
+            let reason = DrainReason::KernelPanicked;
+            core.shutdown.request(DRAIN_DRAINING, reason);
         }
     }
 }
@@ -405,6 +468,7 @@ impl Scheduler for WorkStealing {
         if n == 0 {
             return SchedulerOutput::default();
         }
+        let shutdown = runners[0].ctx.shutdown.clone();
         let core = Arc::new(Core {
             tasks: runners
                 .into_iter()
@@ -415,14 +479,11 @@ impl Scheduler for WorkStealing {
                     runner: Mutex::new(Some(r)),
                 })
                 .collect(),
-            injector: crate::steal::Injector::new(n),
-            deques: (0..workers)
-                .map(|_| crate::steal::WorkerDeque::new(n))
-                .collect(),
+            injector: Injector::new(n),
+            deques: (0..workers).map(|_| WorkerDeque::new(n)).collect(),
+            parks: (0..workers).map(|_| EventCount::default()).collect(),
             remaining: AtomicUsize::new(n),
-            sleepers: AtomicUsize::new(0),
-            park_lock: Mutex::new(()),
-            unpark: Condvar::new(),
+            shutdown,
             epoch: Instant::now(),
         });
 
@@ -473,47 +534,7 @@ impl Scheduler for WorkStealing {
                                 affinity::pin_current_thread(target).then_some(target);
                         }
                         WORKER_CTX.set(Some((Arc::as_ptr(&core) as usize, w)));
-                        let mut outcomes = Vec::new();
-                        let mut waiter = Waiter::new(WORKER_IDLE);
-                        while core.remaining.load(Acquire) > 0 {
-                            if let Some((task, stolen)) = WorkStealing::find_task(&core, w) {
-                                waiter.reset();
-                                if stolen {
-                                    stats.steals += 1;
-                                }
-                                outcomes.extend(WorkStealing::run_task(&core, w, task, &mut stats));
-                                continue;
-                            }
-                            if waiter.pause_or_park() != WaitAction::Park {
-                                continue;
-                            }
-                            // Park protocol: advertise, then re-check under
-                            // the lock (enqueuers notify under the same
-                            // lock, so no wake can slip between the check
-                            // and the wait). The fence pairs with
-                            // wake_worker's — see Core::wake_worker.
-                            stats.parks += 1;
-                            core.sleepers.fetch_add(1, SeqCst);
-                            fence(SeqCst);
-                            let mut g = core.park_lock.lock();
-                            let mut timed_out = false;
-                            if !core.has_work() && core.remaining.load(Acquire) > 0 {
-                                (g, timed_out) = core.unpark.wait_timeout(g, WORKER_PARK_TIMEOUT);
-                            }
-                            drop(g);
-                            core.sleepers.fetch_sub(1, SeqCst);
-                            if timed_out {
-                                // Nobody woke us inside a full park period:
-                                // sweep for lost wakeups before re-parking.
-                                stats.rescues += core.rescue_idle_ready();
-                            }
-                            // No waiter.reset() here: if the wake was real,
-                            // find_task succeeds next iteration and resets
-                            // it; if it was the safety-net timeout, the
-                            // waiter stays in its park phase so the worker
-                            // re-parks without burning the spin/yield
-                            // budget on nothing.
-                        }
+                        let outcomes = WorkStealing::work(&core, w, &mut stats);
                         WORKER_CTX.set(None);
                         (stats, outcomes)
                     })

@@ -2,7 +2,7 @@
 //! policies, graceful degradation of `exe()`, panic-path EoS propagation,
 //! deterministic multi-panic reporting, and the deadline/stall watchdogs.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -539,8 +539,9 @@ fn stall_watchdog_ends_frozen_pipeline() {
 /// on the full `a` and the join on the empty `b` (waiting, or never ready),
 /// for good; the source then pushes one element on its `alarm` port — which
 /// the caller links — and finishes. No source is left to stop, so level 1
-/// cannot end this graph; only level 2 can. The source never blocks
-/// (`try_push`), so a pool worker stays free for the rest of the map.
+/// cannot end this graph; only level 2 can. The source never blocks: it
+/// spins (`try_push`, `Proceed` on a full ring), so under a pool it must
+/// yield its worker fairly to the split queued beneath it.
 fn wedged_diamond(map: &mut RaftMap) -> KernelId {
     /// Ring `a` + the element the split holds + the split's input ring.
     const WEDGED_AFTER: u32 = 4 + 1 + 4;
@@ -555,7 +556,7 @@ fn wedged_diamond(map: &mut RaftMap) -> KernelId {
         fn run(&mut self, ctx: &Context) -> KStatus {
             match ctx.output::<u64>("out").try_push(0) {
                 Ok(None) => self.pushed += 1,
-                Ok(Some(_)) => std::thread::sleep(Duration::from_millis(1)),
+                Ok(Some(_)) => {}
                 Err(_) => return KStatus::Stop,
             }
             if self.pushed == WEDGED_AFTER {
@@ -750,6 +751,132 @@ fn stealing_pipeline_completes_with_worker_telemetry() {
     for k in &report.kernels {
         assert_eq!(k.outcome, KernelOutcome::Completed, "{} not done", k.name);
     }
+    let rescues: u64 = report.workers.iter().map(|w| w.rescues).sum();
+    assert_eq!(
+        rescues, 0,
+        "a task wake-up was lost and caught by the sweep"
+    );
+}
+
+/// A never-blocking spinner (`try_push`, `Proceed` on a full ring) feeding
+/// a forwarder into a sink that pops twice per `run()`, on `fixed(4)` links:
+/// the sink's second pop blocks its worker inside the link, so under a
+/// two-worker pool the spinner and the forwarder share the other one. A
+/// spinner re-claimed ahead of the forwarder starves it for good.
+#[test]
+fn spinning_source_does_not_starve_the_tasks_queued_beneath_it() {
+    const N: u64 = 20_000;
+
+    struct Spinner {
+        next: u64,
+    }
+    impl Kernel for Spinner {
+        fn ports(&self) -> PortSpec {
+            PortSpec::new().output::<u64>("out")
+        }
+        fn run(&mut self, ctx: &Context) -> KStatus {
+            match ctx.output::<u64>("out").try_push(self.next) {
+                Ok(None) => self.next += 1,
+                Ok(Some(_)) => {}
+                Err(_) => return KStatus::Stop,
+            }
+            if self.next == N {
+                KStatus::Stop
+            } else {
+                KStatus::Proceed
+            }
+        }
+        fn name(&self) -> String {
+            "spinner".to_string()
+        }
+    }
+
+    struct PairSink {
+        sum: Arc<AtomicU64>,
+    }
+    impl Kernel for PairSink {
+        fn ports(&self) -> PortSpec {
+            PortSpec::new().input::<u64>("in")
+        }
+        fn run(&mut self, ctx: &Context) -> KStatus {
+            let mut input = ctx.input::<u64>("in");
+            let (Ok(a), Ok(b)) = (input.pop(), input.pop()) else {
+                return KStatus::Stop;
+            };
+            self.sum.fetch_add(a + b, Ordering::Relaxed);
+            KStatus::Proceed
+        }
+        fn name(&self) -> String {
+            "pair-sink".to_string()
+        }
+    }
+
+    for_each_scheduler(|sched| {
+        for _ in 0..10 {
+            let mut map = RaftMap::new();
+            map.config_mut().scheduler = sched;
+            let sum = Arc::new(AtomicU64::new(0));
+            let src = map.add(Spinner { next: 0 });
+            let fwd = map.add(lambda_map(|v: u64| v));
+            let dst = map.add(PairSink { sum: sum.clone() });
+            let fixed = FifoConfig::fixed(4);
+            map.link_with(src, "out", fwd, "0", fixed).unwrap();
+            map.link_with(fwd, "0", dst, "in", fixed).unwrap();
+            exe_bounded(map).expect("a spinner pipeline completes");
+            assert_eq!(sum.load(Ordering::Relaxed), N * (N - 1) / 2);
+        }
+    });
+}
+
+/// A panic that escapes a kernel's lifecycle — here its `Drop`, run when
+/// the kernel is retired — fails `exe()` like any Abort-policy panic,
+/// under every scheduler, instead of killing the thread that retired it.
+#[test]
+fn panicking_drop_fails_exe_instead_of_hanging_it() {
+    struct BoomOnDrop {
+        left: u32,
+    }
+    impl Kernel for BoomOnDrop {
+        fn ports(&self) -> PortSpec {
+            PortSpec::new().output::<u64>("out")
+        }
+        fn run(&mut self, ctx: &Context) -> KStatus {
+            if self.left == 0 || ctx.output::<u64>("out").push(0).is_err() {
+                return KStatus::Stop;
+            }
+            self.left -= 1;
+            KStatus::Proceed
+        }
+        fn name(&self) -> String {
+            "boom-on-drop".to_string()
+        }
+    }
+    impl Drop for BoomOnDrop {
+        fn drop(&mut self) {
+            panic!("boom while dropping the kernel");
+        }
+    }
+
+    for_each_scheduler(|sched| {
+        let mut map = RaftMap::new();
+        map.config_mut().scheduler = sched;
+        let src = map.add(BoomOnDrop { left: 100 });
+        let (sink, seen) = counting_sink();
+        let dst = map.add(sink);
+        map.link(src, "out", dst, "0").unwrap();
+
+        match exe_bounded(map) {
+            Err(ExeError::KernelPanicked { kernels }) => {
+                assert_eq!(base_names(&kernels), vec!["boom-on-drop"]);
+            }
+            other => panic!("expected KernelPanicked, got {other:?}"),
+        }
+        assert_eq!(
+            seen.lock().unwrap().len(),
+            100,
+            "the drop still closed the link"
+        );
+    });
 }
 
 /// The watchdog must not fire on a healthy fast pipeline.
