@@ -5,10 +5,11 @@
 //! (restart/replace policies) re-enters a panicked kernel, but historically
 //! anything the kernel had already *popped* in the failing `run()` was gone
 //! and anything it had already *pushed* was published twice on replay —
-//! "lossy panic absorption". The resilient TCP links solved the same
+//! "lossy panic absorption". The resumable TCP links solved the same
 //! problem across processes with a seq/ack replay window
-//! (`raft-net/src/resilient.rs`); [`ReplayWindow`] is that mechanism
-//! factored out so the in-process FIFOs can journal too.
+//! (`raft-net/src/link.rs`, a link built from an address);
+//! [`ReplayWindow`] is that mechanism factored out so the in-process FIFOs
+//! can journal too.
 //!
 //! ## The recovery contract
 //!
@@ -119,7 +120,7 @@ impl AdmissionPolicy {
 /// A bounded, sequence-numbered window of sent-but-unacknowledged entries.
 ///
 /// Generic over the entry type: the in-process consumer journal stores
-/// `(T, Signal)` pairs, the resilient TCP sender stores encoded frames.
+/// `(T, Signal)` pairs, the TCP sender stores encoded frames.
 /// Sequence numbers are monotonic from 0, dense, and reused only by
 /// [`truncate`](Self::truncate); acknowledgement is cumulative (acking `n`
 /// releases every entry with `seq < n`).

@@ -8,51 +8,46 @@
 //! +---------+--------+----------------+
 //! ```
 //!
-//! `len` counts `kind + payload`. Data frames carry an encoded element and
-//! the element's synchronous signal (so signal delivery stays synchronized
-//! across the hop, §4.2); control frames carry mesh traffic.
+//! `len` counts `kind + payload`. A data frame carries its sequence number,
+//! the element's synchronous signal when it has one (so signal delivery
+//! stays synchronized across the hop, §4.2), and the encoded element:
+//! `seq u64 | [signal u64] | element`. Control frames carry the resume
+//! handshake, acks, job submissions and mesh heartbeats.
 
+use std::borrow::Cow;
 use std::io::{self, Read, Write};
 
 use raft_buffer::Signal;
 
+use crate::compress::{compress_frame, decompress_frame};
 use crate::wire::Wire;
 
 /// Frame discriminator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameKind {
-    /// An element with `Signal::None`.
+    /// An element with `Signal::None`: `seq u64 LE | element`.
     Data = 0,
-    /// An element plus an encoded synchronous signal (first 8 payload
-    /// bytes).
+    /// An element with a synchronous signal:
+    /// `seq u64 LE | signal u64 LE | element`.
     DataWithSignal = 1,
     /// Stream end: the sender closed its input.
     Eos = 2,
     /// Mesh: node hello/heartbeat carrying a `NodeInfo` payload.
     Heartbeat = 3,
-    /// Mesh: request for the receiver's known-peers table.
-    PeersRequest = 4,
-    /// Mesh: peers table payload.
-    Peers = 5,
     /// A compressed data frame: payload = inner-kind byte +
     /// `compress::compress_frame` output of the inner payload.
     Compressed = 6,
     /// Remote-execution job submission (wire-encoded kernel-name list).
     Job = 7,
-    /// Resilient link: cumulative acknowledgement. Payload is the `u64 LE`
-    /// sequence number the receiver expects next — every lower sequence
-    /// has been received and pushed.
+    /// Cumulative acknowledgement. Payload is the `u64 LE` sequence number
+    /// the receiver expects next — every lower sequence has been received
+    /// and pushed.
     Ack = 8,
-    /// Resilient link: resume handshake, sent by the receiver immediately
-    /// after every (re)accept. Payload is the next expected `u64 LE`
-    /// sequence number; the sender replays from there.
+    /// Resume handshake, sent by the receiver immediately after every
+    /// (re)accept. Payload is the next expected `u64 LE` sequence number;
+    /// the sender replays from there.
     ResumeFrom = 9,
-    /// Resilient link element with `Signal::None`: `seq u64 LE | element`.
-    SeqData = 10,
-    /// Resilient link element with a synchronous signal:
-    /// `seq u64 LE | signal u64 LE | element`.
-    SeqDataWithSignal = 11,
 }
 
 impl FrameKind {
@@ -62,14 +57,10 @@ impl FrameKind {
             1 => FrameKind::DataWithSignal,
             2 => FrameKind::Eos,
             3 => FrameKind::Heartbeat,
-            4 => FrameKind::PeersRequest,
-            5 => FrameKind::Peers,
             6 => FrameKind::Compressed,
             7 => FrameKind::Job,
             8 => FrameKind::Ack,
             9 => FrameKind::ResumeFrom,
-            10 => FrameKind::SeqData,
-            11 => FrameKind::SeqDataWithSignal,
             _ => return None,
         })
     }
@@ -80,25 +71,37 @@ impl FrameKind {
 pub struct Frame {
     /// What the payload means.
     pub kind: FrameKind,
-    /// Raw payload bytes: one allocation per frame, which the `as_*`
-    /// accessors and [`Wire::decode`] read in place.
+    /// Raw payload bytes: one allocation per frame, which [`Frame::as_data`]
+    /// and [`Wire::decode`] read in place.
     pub payload: Vec<u8>,
 }
 
 impl Frame {
-    /// A data frame; encodes the signal only when present (one byte saved
-    /// on the common path).
-    pub fn data(payload: Vec<u8>, signal: Signal) -> Frame {
-        if signal == Signal::None {
-            Frame {
-                kind: FrameKind::Data,
-                payload,
-            }
+    /// The data frame numbered `seq` carrying `value`, encoded in place
+    /// behind the header; the signal word is present only when `signal` is.
+    pub fn data<T: Wire>(seq: u64, value: &T, signal: Signal) -> Frame {
+        let mut payload = Vec::new();
+        seq.encode(&mut payload);
+        let kind = if signal == Signal::None {
+            FrameKind::Data
         } else {
-            Frame {
-                kind: FrameKind::DataWithSignal,
-                payload: prefixed(&[signal.encode()], &payload),
-            }
+            signal.encode().encode(&mut payload);
+            FrameKind::DataWithSignal
+        };
+        value.encode(&mut payload);
+        Frame { kind, payload }
+    }
+
+    /// This frame wrapped as [`FrameKind::Compressed`] (§4.2 link
+    /// compression); [`Frame::as_data`] unwraps it.
+    pub fn compressed(self) -> Frame {
+        let body = compress_frame(&self.payload);
+        let mut payload = Vec::with_capacity(body.len() + 1);
+        payload.push(self.kind as u8);
+        payload.extend_from_slice(&body);
+        Frame {
+            kind: FrameKind::Compressed,
+            payload,
         }
     }
 
@@ -110,29 +113,12 @@ impl Frame {
         }
     }
 
-    /// A sequence-numbered data frame for resilient links. The sequence
-    /// number rides in front of the element so the receiver can
-    /// deduplicate replayed frames after a reconnect.
-    pub fn seq_data(seq: u64, payload: &[u8], signal: Signal) -> Frame {
-        if signal == Signal::None {
-            Frame {
-                kind: FrameKind::SeqData,
-                payload: prefixed(&[seq], payload),
-            }
-        } else {
-            Frame {
-                kind: FrameKind::SeqDataWithSignal,
-                payload: prefixed(&[seq, signal.encode()], payload),
-            }
-        }
-    }
-
     /// A cumulative ack: every frame with sequence `< next_expected` has
     /// been received and pushed downstream.
     pub fn ack(next_expected: u64) -> Frame {
         Frame {
             kind: FrameKind::Ack,
-            payload: prefixed(&[next_expected], &[]),
+            payload: next_expected.to_le_bytes().to_vec(),
         }
     }
 
@@ -140,22 +126,30 @@ impl Frame {
     pub fn resume_from(next_expected: u64) -> Frame {
         Frame {
             kind: FrameKind::ResumeFrom,
-            payload: prefixed(&[next_expected], &[]),
+            payload: next_expected.to_le_bytes().to_vec(),
         }
     }
 
-    /// View a seq-data frame as `(seq, element payload, signal)`.
-    pub fn as_seq_data(&self) -> Option<(u64, &[u8], Signal)> {
-        let mut p = &self.payload[..];
-        match self.kind {
-            FrameKind::SeqData => Some((u64::decode(&mut p)?, p, Signal::None)),
-            FrameKind::SeqDataWithSignal => {
-                let seq = u64::decode(&mut p)?;
-                let sig = Signal::decode(u64::decode(&mut p)?)?;
-                Some((seq, p, sig))
+    /// Decode a data frame — compressed or not — as `(seq, element,
+    /// signal)`. `None` for any other kind, and for a payload that is short,
+    /// malformed, or longer than its element.
+    pub fn as_data<T: Wire>(&self) -> Option<(u64, T, Signal)> {
+        let (kind, body) = match self.kind {
+            FrameKind::Compressed => {
+                let (&inner, packed) = self.payload.split_first()?;
+                (FrameKind::from_u8(inner)?, decompress_frame(packed)?)
             }
-            _ => None,
-        }
+            kind => (kind, Cow::Borrowed(&self.payload[..])),
+        };
+        let mut p = &body[..];
+        let seq = u64::decode(&mut p)?;
+        let signal = match kind {
+            FrameKind::Data => Signal::None,
+            FrameKind::DataWithSignal => Signal::decode(u64::decode(&mut p)?)?,
+            _ => return None,
+        };
+        let value = T::decode(&mut p)?;
+        p.is_empty().then_some((seq, value, signal))
     }
 
     /// The sequence number carried by an [`FrameKind::Ack`] or
@@ -167,22 +161,19 @@ impl Frame {
         u64::decode(&mut &self.payload[..])
     }
 
-    /// View a data frame as `(element payload, signal)`.
-    pub fn as_data(&self) -> Option<(&[u8], Signal)> {
-        split_data(self.kind, &self.payload)
-    }
-
     /// Write this frame to a (buffered) writer.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
         check_io_failpoint("net::frame::write", io::ErrorKind::BrokenPipe)?;
-        let len = (self.payload.len() + 1) as u32;
-        w.write_all(&len.to_le_bytes())?;
-        w.write_all(&[self.kind as u8])?;
+        let mut head = [0u8; 5];
+        head[..4].copy_from_slice(&((self.payload.len() + 1) as u32).to_le_bytes());
+        head[4] = self.kind as u8;
+        w.write_all(&head)?;
         w.write_all(&self.payload)
     }
 
     /// Read one frame from a reader. `Ok(None)` on clean EOF at a frame
-    /// boundary.
+    /// boundary. The payload buffer grows as bytes arrive, so a forged
+    /// length buys at most 64 KiB of memory before the bytes behind it do.
     pub fn read_from(r: &mut impl Read) -> io::Result<Option<Frame>> {
         check_io_failpoint("net::frame::read", io::ErrorKind::ConnectionReset)?;
         let mut len_buf = [0u8; 4];
@@ -212,23 +203,39 @@ impl Frame {
                 format!("bad frame kind {}", kind[0]),
             )
         })?;
-        let mut payload = vec![0u8; len - 1];
-        r.read_exact(&mut payload)?;
+        let mut payload = Vec::with_capacity((len - 1).min(PREALLOC));
+        r.take(len as u64 - 1).read_to_end(&mut payload)?;
+        if payload.len() != len - 1 {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
         Ok(Some(Frame { kind, payload }))
     }
 }
 
-/// Split a data payload of `kind` into `(element payload, signal)`; the
-/// form [`Frame::as_data`] takes once a compressed frame is unwrapped.
-pub(crate) fn split_data(kind: FrameKind, payload: &[u8]) -> Option<(&[u8], Signal)> {
-    match kind {
-        FrameKind::Data => Some((payload, Signal::None)),
-        FrameKind::DataWithSignal => {
-            let mut p = payload;
-            let sig = Signal::decode(u64::decode(&mut p)?)?;
-            Some((p, sig))
+/// The receive path every link shares: read frames until the element
+/// numbered `*expected`, skipping replayed duplicates below it, and advance
+/// `expected` past the element returned. `Ok(None)` is end of stream; EOF,
+/// a sequence gap, a malformed frame and a non-data frame are errors.
+pub fn read_element<T: Wire>(
+    r: &mut impl Read,
+    expected: &mut u64,
+) -> io::Result<Option<(T, Signal)>> {
+    let invalid = |what: &'static str| io::Error::new(io::ErrorKind::InvalidData, what);
+    loop {
+        let frame = Frame::read_from(r)?.ok_or(io::ErrorKind::UnexpectedEof)?;
+        if frame.kind == FrameKind::Eos {
+            return Ok(None);
         }
-        _ => None,
+        let (seq, value, signal) = frame
+            .as_data::<T>()
+            .ok_or_else(|| invalid("malformed data frame"))?;
+        if seq > *expected {
+            return Err(invalid("gap in the frame sequence"));
+        }
+        if seq == *expected {
+            *expected += 1;
+            return Ok(Some((value, signal)));
+        }
     }
 }
 
@@ -236,15 +243,10 @@ pub(crate) fn split_data(kind: FrameKind, payload: &[u8]) -> Option<(&[u8], Sign
 /// not allocate unbounded memory.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// `words` as `u64 LE` followed by `body`, in one exactly-sized allocation.
-fn prefixed(words: &[u64], body: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(8 * words.len() + body.len());
-    for w in words {
-        w.encode(&mut buf);
-    }
-    buf.extend_from_slice(body);
-    buf
-}
+/// Payload bytes [`Frame::read_from`] reserves up front (64 KiB): the whole
+/// of any ordinary frame, and all a forged length gets before its bytes
+/// arrive.
+const PREALLOC: usize = 64 << 10;
 
 /// Failpoint hook at the framing boundary: `ShortIo` surfaces as an I/O
 /// error of `kind` (exercising the reconnect path), `Panic`/`Stall` act in
@@ -283,9 +285,9 @@ mod tests {
 
     #[test]
     fn frames_roundtrip() {
-        roundtrip(Frame::data(b"hello".to_vec(), Signal::None));
-        roundtrip(Frame::data(b"x".to_vec(), Signal::EoS));
-        roundtrip(Frame::data(Vec::new(), Signal::User(42)));
+        roundtrip(Frame::data(0, &b"hello".to_vec(), Signal::None));
+        roundtrip(Frame::data(1, &b"x".to_vec(), Signal::EoS));
+        roundtrip(Frame::data(2, &Vec::<u8>::new(), Signal::User(42)));
         roundtrip(Frame::eos());
         roundtrip(Frame {
             kind: FrameKind::Heartbeat,
@@ -295,37 +297,44 @@ mod tests {
 
     #[test]
     fn as_data_recovers_signal() {
-        let f = Frame::data(b"abc".to_vec(), Signal::Flush);
-        let (payload, sig) = f.as_data().unwrap();
-        assert_eq!(payload, b"abc");
-        assert_eq!(sig, Signal::Flush);
+        let f = Frame::data(0, &"abc".to_string(), Signal::Flush);
+        assert_eq!(f.kind, FrameKind::DataWithSignal);
+        assert_eq!(f.as_data(), Some((0, "abc".to_string(), Signal::Flush)));
 
-        let f = Frame::data(b"abc".to_vec(), Signal::None);
-        let (payload, sig) = f.as_data().unwrap();
-        assert_eq!(payload, b"abc");
-        assert_eq!(sig, Signal::None);
+        let f = Frame::data(0, &"abc".to_string(), Signal::None);
+        assert_eq!(f.kind, FrameKind::Data);
+        assert_eq!(f.as_data(), Some((0, "abc".to_string(), Signal::None)));
     }
 
     #[test]
     fn seq_frames_roundtrip() {
-        roundtrip(Frame::seq_data(0, b"first", Signal::None));
-        roundtrip(Frame::seq_data(u64::MAX, &[], Signal::EoS));
+        roundtrip(Frame::data(0, &7u64, Signal::None));
+        roundtrip(Frame::data(u64::MAX, &7u64, Signal::EoS));
+        roundtrip(Frame::data(3, &7u64, Signal::None).compressed());
         roundtrip(Frame::ack(17));
         roundtrip(Frame::resume_from(0));
     }
 
     #[test]
-    fn as_seq_data_recovers_all_parts() {
-        let f = Frame::seq_data(42, b"xyz", Signal::User(9));
-        assert_eq!(f.as_seq_data(), Some((42, &b"xyz"[..], Signal::User(9))));
+    fn as_data_recovers_all_parts() {
+        let f = Frame::data(42, &9u32, Signal::User(9));
+        assert_eq!(f.as_data(), Some((42, 9u32, Signal::User(9))));
+        assert_eq!(f.compressed().as_data(), Some((42, 9u32, Signal::User(9))));
 
-        let f = Frame::seq_data(7, b"p", Signal::None);
-        assert_eq!(f.as_seq_data(), Some((7, &b"p"[..], Signal::None)));
+        let f = Frame::data(7, &b"p".to_vec(), Signal::None);
+        assert_eq!(f.as_data(), Some((7, b"p".to_vec(), Signal::None)));
+        // A long, repetitive element really is packed, and unpacks whole.
+        let text = "raftlib ".repeat(64);
+        let f = Frame::data(5, &text, Signal::None).compressed();
+        assert_eq!(f.kind, FrameKind::Compressed);
+        assert!(f.payload.len() < text.len());
+        assert_eq!(f.as_data(), Some((5, text, Signal::None)));
 
-        // non-seq frames refuse
-        assert!(Frame::eos().as_seq_data().is_none());
-        assert!(Frame::data(b"d".to_vec(), Signal::None)
-            .as_seq_data()
+        // non-data frames, and a wrong element type, refuse
+        assert!(Frame::eos().as_data::<u32>().is_none());
+        assert!(Frame::ack(1).compressed().as_data::<u32>().is_none());
+        assert!(Frame::data(0, &1u64, Signal::None)
+            .as_data::<u32>()
             .is_none());
     }
 
@@ -334,7 +343,7 @@ mod tests {
         assert_eq!(Frame::ack(9).control_seq(), Some(9));
         assert_eq!(Frame::resume_from(3).control_seq(), Some(3));
         assert_eq!(Frame::eos().control_seq(), None);
-        assert_eq!(Frame::seq_data(1, &[], Signal::None).control_seq(), None);
+        assert_eq!(Frame::data(1, &0u8, Signal::None).control_seq(), None);
         // truncated control frame is rejected, not misread
         let bogus = Frame {
             kind: FrameKind::Ack,
@@ -352,23 +361,34 @@ mod tests {
             payload: vec![0u8; len],
         };
         for len in 0..8 {
-            assert_eq!(short(FrameKind::DataWithSignal, len).as_data(), None);
-            assert_eq!(short(FrameKind::SeqData, len).as_seq_data(), None);
             assert_eq!(short(FrameKind::Ack, len).control_seq(), None);
             assert_eq!(short(FrameKind::ResumeFrom, len).control_seq(), None);
         }
-        for len in 0..16 {
-            assert_eq!(short(FrameKind::SeqDataWithSignal, len).as_seq_data(), None);
+        for len in 0..9 {
+            assert_eq!(short(FrameKind::Data, len).as_data::<u8>(), None);
         }
-        // The shortest well-formed payloads: an empty element behind them.
+        let signalled = Frame::data(0, &0u8, Signal::EoS).payload;
+        for len in 0..signalled.len() {
+            let mut f = short(FrameKind::DataWithSignal, len);
+            f.payload.copy_from_slice(&signalled[..len]);
+            assert_eq!(f.as_data::<u8>(), None);
+        }
+        for len in 0..3 {
+            assert_eq!(short(FrameKind::Compressed, len).as_data::<u8>(), None);
+        }
+        // The shortest well-formed payloads: a one-byte element behind them.
         assert_eq!(
-            short(FrameKind::SeqData, 8).as_seq_data(),
-            Some((0, &[][..], Signal::None))
+            short(FrameKind::Data, 9).as_data::<u8>(),
+            Some((0, 0, Signal::None))
         );
         assert_eq!(
-            Frame::seq_data(0, &[], Signal::EoS).as_seq_data(),
-            Some((0, &[][..], Signal::EoS))
+            Frame::data(0, &0u8, Signal::EoS).as_data::<u8>(),
+            Some((0, 0, Signal::EoS))
         );
+        // An all-zero signal word encodes no signal at all: malformed.
+        assert_eq!(short(FrameKind::DataWithSignal, 17).as_data::<u8>(), None);
+        // ...and one byte past the element is malformed too.
+        assert_eq!(short(FrameKind::Data, 10).as_data::<u8>(), None);
     }
 
     /// The length prefix itself: a frame that claims more bytes than the
@@ -389,7 +409,7 @@ mod tests {
 
     #[test]
     fn truncated_frame_is_error() {
-        let f = Frame::data(b"hello world".to_vec(), Signal::None);
+        let f = Frame::data(0, &"hello world".to_string(), Signal::None);
         let mut buf = Vec::new();
         f.write_to(&mut buf).unwrap();
         buf.truncate(buf.len() - 3);
@@ -410,9 +430,7 @@ mod tests {
     fn multiple_frames_stream() {
         let mut buf = Vec::new();
         for i in 0..10u64 {
-            Frame::data(i.to_le_bytes().to_vec(), Signal::None)
-                .write_to(&mut buf)
-                .unwrap();
+            Frame::data(i, &i, Signal::None).write_to(&mut buf).unwrap();
         }
         Frame::eos().write_to(&mut buf).unwrap();
         let mut cursor = std::io::Cursor::new(buf);
@@ -425,5 +443,39 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 10);
+    }
+
+    /// The shared receive path: duplicates below the expected sequence are
+    /// skipped, a gap above it is an error, EoS ends the stream.
+    #[test]
+    fn read_element_drops_duplicates_and_refuses_gaps() {
+        let stream = |seqs: &[u64]| {
+            let mut buf = Vec::new();
+            for &s in seqs {
+                Frame::data(s, &(s * 10), Signal::None)
+                    .write_to(&mut buf)
+                    .unwrap();
+            }
+            Frame::eos().write_to(&mut buf).unwrap();
+            std::io::Cursor::new(buf)
+        };
+        let mut r = stream(&[0, 1, 0, 1, 2]);
+        let mut expected = 0;
+        let mut got = Vec::new();
+        while let Some((v, _)) = read_element::<u64>(&mut r, &mut expected).unwrap() {
+            got.push(v);
+        }
+        assert_eq!((got, expected), (vec![0, 10, 20], 3));
+
+        let mut r = stream(&[0, 2]);
+        let mut expected = 0;
+        assert_eq!(
+            read_element::<u64>(&mut r, &mut expected).unwrap(),
+            Some((0, Signal::None))
+        );
+        assert!(read_element::<u64>(&mut r, &mut expected).is_err());
+        // EOF without EoS is an error, not a clean end.
+        let mut r = std::io::Cursor::new(Vec::new());
+        assert!(read_element::<u64>(&mut r, &mut 0).is_err());
     }
 }

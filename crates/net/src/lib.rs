@@ -13,11 +13,17 @@
 //! * [`wire`] — serde-free binary encoding for stream elements (the link
 //!   type selection in §4.2 chooses TCP when endpoints live on different
 //!   nodes; elements must then cross a byte boundary);
-//! * [`frame`] — length-prefixed message framing with data/signal/EoS
-//!   frames, so synchronous signals survive the network hop;
-//! * [`link`] — [`link::TcpOut`]/[`link::TcpIn`] kernels: drop-in stream
-//!   endpoints that forward a stream over a socket, making a pipeline
-//!   spanning two maps (two "nodes") look exactly like a local one;
+//! * [`frame`] — length-prefixed message framing: sequence-numbered
+//!   data/signal frames (so synchronous signals survive the network hop),
+//!   EoS, and the control frames, plus the one receive path every link
+//!   shares ([`frame::read_element`]);
+//! * [`link`] — the one socket endpoint pair, [`link::TcpOut`]/
+//!   [`link::TcpIn`]: drop-in stream kernels that forward a stream over a
+//!   socket, making a pipeline spanning two maps (two "nodes") look exactly
+//!   like a local one. Built from an address ([`TcpIn::bind`] +
+//!   [`TcpOut::connect`], policy in [`NetConfig`]) a link reconnects and
+//!   resumes exactly once, in order; built from a handed socket
+//!   ([`tcp_bridge`]) any socket error ends the stream;
 //! * [`oar`] — the mesh: every node heartbeats its [`oar::NodeInfo`]
 //!   (name, cores, load average proxy) to its peers, giving the optimizer
 //!   the cluster view the paper's continuous optimization consumes;
@@ -27,25 +33,17 @@
 //! * [`remote`] — oar's "remotely compile and execute kernels": workers
 //!   register named kernel factories, clients submit kernel-chain jobs and
 //!   stream data through them ([`remote::RemoteStage`] embeds the remote
-//!   hop as an ordinary pipeline stage);
-//! * [`resilient`] — fault-tolerant links: connect timeouts and bounded
-//!   retry with backoff, sequence-numbered frames with cumulative acks,
-//!   and transparent reconnect-and-resume
-//!   ([`resilient::ResilientTcpOut`]/[`resilient::ResilientTcpIn`]).
+//!   hop as an ordinary pipeline stage).
 
 pub mod compress;
 pub mod frame;
 pub mod link;
 pub mod oar;
 pub mod remote;
-pub mod resilient;
 pub mod wire;
 
 pub use frame::{Frame, FrameKind};
-pub use link::{tcp_bridge, TcpIn, TcpOut};
+pub use link::{tcp_bridge, NetConfig, TcpIn, TcpOut};
 pub use oar::{NodeInfo, OarNode};
 pub use remote::{remote_apply, KernelRegistry, RemoteStage, RemoteWorker};
-pub use resilient::{
-    connect_with_retry, resilient_bridge, NetConfig, ResilientTcpIn, ResilientTcpOut,
-};
 pub use wire::Wire;

@@ -1,4 +1,5 @@
-//! TCP stream-link kernels.
+//! TCP stream links: one sender kernel, [`TcpOut`], and one receiver
+//! kernel, [`TcpIn`].
 //!
 //! A stream between two kernels on different nodes is realized as a pair of
 //! kernels: [`TcpOut`] consumes the local stream and writes frames to a
@@ -6,54 +7,185 @@
 //! map. To the application, both maps look purely local — the paper's
 //! "no difference between a distributed and a non-distributed program".
 //!
-//! [`tcp_bridge`] builds a connected pair over an ephemeral localhost
-//! listener — the common case for tests, examples, and single-machine
-//! multi-process emulation.
+//! Every data frame carries its sequence number ([`Frame::data`]); both
+//! ends share one encode, one compression wrapper and one receive path
+//! ([`read_element`]: duplicate drop, gap check). What a link does when its
+//! socket fails depends only on how it was built:
+//!
+//! * **From an address** — [`TcpIn::bind`] + [`TcpOut::connect`]: the link
+//!   has a peer to redial, so it resumes. The sender connects lazily, with
+//!   a timeout and bounded retries under exponential backoff with
+//!   per-endpoint jitter; the receiver leads every (re)accept with a
+//!   [`ResumeFrom`](FrameKind::ResumeFrom) naming the next sequence it
+//!   expects and acks cumulatively every quarter window; the sender keeps
+//!   every unacknowledged frame in a [`ReplayWindow`], retransmits the
+//!   suffix after a resume, and blocks reading acks once `window` frames
+//!   are outstanding — the window is the backpressure. The stream arrives
+//!   exactly once, in order, across any reconnects within the retry budget.
+//! * **From a handed socket** — [`tcp_bridge`] and the remote-execution job
+//!   socket: nothing to redial. The sender keeps no window, the receiver
+//!   writes nothing back, and any socket error, malformed frame or sequence
+//!   gap ends the stream.
+//!
+//! Acks are read only at blocking points (window full, final drain), never
+//! under a read timeout mid-frame — a short read inside a frame would
+//! desynchronize the framing. Either way the sender flushes its socket
+//! buffer whenever its input runs empty (the fabric's flush-on-idle rule),
+//! so an element waits in a buffer only while others queue behind it.
 
-use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::time::{Duration, Instant};
 
+use raft_buffer::{ReplayWindow, Signal};
+use raft_rng::Rng;
 use raftlib::prelude::*;
 
-use crate::compress::{compress_frame, decompress_frame};
-use crate::frame::{split_data, Frame, FrameKind};
+use crate::frame::{read_element, Frame, FrameKind};
 use crate::wire::Wire;
 
-/// Sink-side kernel: forwards its input stream over a TCP socket, ending
-/// with an EoS frame.
+/// Connection policy of a link built from an address.
+#[derive(Debug, Clone)]
+pub struct NetConfig {
+    /// Per-attempt connect timeout; also bounds the wait for the resume
+    /// handshake.
+    pub connect_timeout: Duration,
+    /// How many times to retry a failed connect, and how many reconnect
+    /// cycles a sender attempts before giving up.
+    pub retries: u32,
+    /// First retry delay; doubles per attempt.
+    pub base_backoff: Duration,
+    /// Backoff ceiling.
+    pub max_backoff: Duration,
+    /// Replay-window bound, at least 2: the sender blocks for acks at this
+    /// depth, and the receiver acks cumulatively every `window / 4` frames
+    /// (at least 1) — so an ack is always owed before the sender can block.
+    pub window: usize,
+}
+
+impl Default for NetConfig {
+    fn default() -> Self {
+        NetConfig {
+            connect_timeout: Duration::from_secs(5),
+            retries: 5,
+            base_backoff: Duration::from_millis(50),
+            max_backoff: Duration::from_secs(2),
+            window: 128,
+        }
+    }
+}
+
+impl NetConfig {
+    fn window(&self) -> usize {
+        self.window.max(2)
+    }
+
+    /// Elements the receiver pushes between cumulative acks: a quarter of
+    /// the window, below the window by construction.
+    fn ack_stride(&self) -> u64 {
+        (self.window() / 4).max(1) as u64
+    }
+
+    /// How long a receiver waits for a sender to (re)connect before
+    /// treating the stream as ended: the full connect-retry horizon plus
+    /// one backoff ceiling of slack.
+    fn accept_patience(&self) -> Duration {
+        self.connect_timeout
+            .saturating_mul(self.retries + 1)
+            .saturating_add(self.max_backoff)
+    }
+
+    /// Backoff before retry `attempt` (0-based): `b = min(base * 2^attempt,
+    /// max_backoff)` plus a jitter of up to `b / 4` drawn from `rng`.
+    fn backoff(&self, attempt: u32, rng: &mut Rng) -> Duration {
+        let b = self
+            .base_backoff
+            .saturating_mul(1u32 << attempt.min(16))
+            .min(self.max_backoff);
+        b + Duration::from_nanos(rng.range(0..=(b.as_nanos() / 4) as u64))
+    }
+}
+
+/// A sender's way back to its peer: present only on a link built from an
+/// address.
+struct Redial {
+    addr: SocketAddr,
+    cfg: NetConfig,
+    /// Jitter stream, seeded per endpoint so that senders built from one
+    /// config do not retry in lockstep.
+    rng: Rng,
+}
+
+impl Redial {
+    /// Connect with the per-attempt timeout: `retries + 1` attempts with
+    /// backoff between them.
+    fn connect(&mut self) -> io::Result<TcpStream> {
+        let mut attempt = 0;
+        loop {
+            match TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout) {
+                Ok(stream) => return Ok(stream),
+                Err(e) if attempt >= self.cfg.retries => return Err(e),
+                Err(_) => {}
+            }
+            std::thread::sleep(self.cfg.backoff(attempt, &mut self.rng));
+            attempt += 1;
+        }
+    }
+}
+
+/// Sender kernel: forwards its input stream over TCP as numbered data
+/// frames, ending with an EoS frame.
 pub struct TcpOut<T: Wire> {
-    writer: BufWriter<TcpStream>,
-    eos_sent: bool,
+    /// `None` while disconnected: before the lazy connect, or after a
+    /// socket error.
+    writer: Option<BufWriter<TcpStream>>,
+    /// `None` for a handed socket, which cannot be redialled.
+    redial: Option<Redial>,
+    /// Unacknowledged frames in sequence order — the seq/ack
+    /// [`ReplayWindow`] the in-process journaled FIFOs use, over encoded
+    /// frames. Unbounded (`bound == 0`): [`Self::wait_for_window`] enforces
+    /// the depth, so no frame is ever force-dropped. Over a handed socket a
+    /// written frame counts as acknowledged, and the window only numbers
+    /// frames.
+    window: ReplayWindow<Frame>,
     compress: bool,
+    eos_sent: bool,
     _marker: std::marker::PhantomData<fn(T)>,
 }
 
 impl<T: Wire> TcpOut<T> {
-    /// Wrap an already-connected socket.
-    pub fn from_stream(stream: TcpStream) -> io::Result<Self> {
+    /// Wrap an already-connected socket: no redial, so any socket error
+    /// ends the stream.
+    pub(crate) fn from_stream(stream: TcpStream) -> io::Result<Self> {
         stream.set_nodelay(true)?;
-        Ok(TcpOut {
-            writer: BufWriter::new(stream),
-            eos_sent: false,
+        Ok(Self::new(Some(BufWriter::new(stream)), None))
+    }
+
+    /// A sender for the [`TcpIn::bind`] listener at `addr`, resolved now and
+    /// connected lazily on first use — so it can be built before the
+    /// receiver listens. It reconnects and resumes per `cfg`.
+    pub fn connect(addr: impl ToSocketAddrs, cfg: NetConfig) -> io::Result<Self> {
+        let addr = addr
+            .to_socket_addrs()?
+            .next()
+            .ok_or(io::ErrorKind::AddrNotAvailable)?;
+        // `RandomState` keys are random per process and distinct per
+        // instance: a jitter seed no other endpoint shares.
+        let rng = Rng::new(RandomState::new().hash_one(addr));
+        Ok(Self::new(None, Some(Redial { addr, cfg, rng })))
+    }
+
+    fn new(writer: Option<BufWriter<TcpStream>>, redial: Option<Redial>) -> Self {
+        TcpOut {
+            writer,
+            redial,
+            window: ReplayWindow::new(0),
             compress: false,
+            eos_sent: false,
             _marker: std::marker::PhantomData,
-        })
-    }
-
-    /// Connect to a listening [`TcpIn`].
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        Self::from_stream(TcpStream::connect(addr)?)
-    }
-
-    /// Connect with per-attempt timeout and bounded retry/backoff from a
-    /// [`NetConfig`](crate::resilient::NetConfig) — the robust flavour of
-    /// [`connect`](TcpOut::connect) for flaky or slow-to-listen peers.
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        cfg: &crate::resilient::NetConfig,
-    ) -> io::Result<Self> {
-        Self::from_stream(crate::resilient::connect_with_retry(addr, cfg)?)
+        }
     }
 
     /// Enable per-frame LZ compression (§4.2 future work). The receiving
@@ -61,6 +193,153 @@ impl<T: Wire> TcpOut<T> {
     pub fn compressed(mut self) -> Self {
         self.compress = true;
         self
+    }
+
+    /// Drop the current connection as if the link died. A link built from
+    /// an address reconnects on its next send and resumes, losing nothing;
+    /// over a handed socket the stream ends. Exists for fault-injection
+    /// tests and chaos harnesses.
+    pub fn break_connection(&mut self) {
+        self.writer = None;
+    }
+
+    /// Encode `value` as the next data frame and put it on the wire — the
+    /// one send path of both constructions.
+    pub(crate) fn send(&mut self, value: &T, signal: Signal) -> io::Result<()> {
+        let frame = Frame::data(self.window.next_seq(), value, signal);
+        self.window.append(if self.compress {
+            frame.compressed()
+        } else {
+            frame
+        });
+        self.retrying(|s| {
+            let had_conn = s.writer.is_some();
+            s.ensure_connected()?;
+            if had_conn {
+                // A fresh connection's handshake already replayed it.
+                let frame = s.window.get(s.window.next_seq() - 1).expect("just queued");
+                frame.write_to(s.writer.as_mut().expect("connected"))?;
+            }
+            Ok(())
+        })?;
+        if self.redial.is_none() {
+            self.window.ack_all(); // a handed socket has nothing to replay
+        }
+        self.wait_for_window()
+    }
+
+    /// Send EoS and drain acks until every frame is acknowledged.
+    pub(crate) fn finish(&mut self) -> io::Result<()> {
+        self.eos_sent = true;
+        self.retrying(|s| {
+            let had_conn = s.writer.is_some();
+            s.ensure_connected()?;
+            let writer = s.writer.as_mut().expect("connected");
+            if had_conn {
+                // A fresh connection's handshake already replayed EoS.
+                Frame::eos().write_to(writer)?;
+            }
+            writer.flush()?;
+            while !s.window.is_empty() {
+                s.read_one_ack()?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Put buffered frames on the wire — the flush-on-idle rule. A link
+    /// built from an address that fails here replays them on reconnect.
+    fn flush(&mut self) -> io::Result<()> {
+        self.retrying(|s| s.writer.as_mut().map_or(Ok(()), Write::flush))
+    }
+
+    /// Run `step` until it succeeds, dropping the connection after each
+    /// failure; give up after `retries` reconnect cycles — at once over a
+    /// handed socket.
+    fn retrying(&mut self, mut step: impl FnMut(&mut Self) -> io::Result<()>) -> io::Result<()> {
+        let retries = self.redial.as_ref().map_or(0, |r| r.cfg.retries);
+        let mut cycles = 0u32;
+        loop {
+            match step(self) {
+                Ok(()) => return Ok(()),
+                Err(e) => {
+                    self.writer = None;
+                    cycles += 1;
+                    if cycles > retries {
+                        return Err(e);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Connect (with retry), run the resume handshake, and retransmit the
+    /// unacknowledged suffix. No-op when connected.
+    fn ensure_connected(&mut self) -> io::Result<()> {
+        if self.writer.is_some() {
+            return Ok(());
+        }
+        let redial = self.redial.as_mut().ok_or(io::ErrorKind::NotConnected)?;
+        let stream = redial.connect()?;
+        stream.set_nodelay(true)?;
+        // The receiver leads with ResumeFrom{next expected seq}. Bound the
+        // wait: a handshake is one small frame, so a timed read here can't
+        // split a data frame. From here on reads happen only at blocking
+        // points.
+        stream.set_read_timeout(Some(redial.cfg.connect_timeout))?;
+        let expected = match Frame::read_from(&mut (&stream))? {
+            Some(f) if f.kind == FrameKind::ResumeFrom => f.control_seq(),
+            _ => None,
+        }
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no resume handshake"))?;
+        stream.set_read_timeout(None)?;
+
+        // Frames below `expected` were delivered before the link died.
+        self.window.ack(expected);
+        let mut writer = BufWriter::new(stream);
+        for (_, f) in self.window.iter_from(expected) {
+            f.write_to(&mut writer)?;
+        }
+        if self.eos_sent {
+            Frame::eos().write_to(&mut writer)?;
+        }
+        writer.flush()?;
+        self.writer = Some(writer);
+        Ok(())
+    }
+
+    /// Block reading acks while the replay window is full — the
+    /// backpressure point. Never blocks over a handed socket.
+    fn wait_for_window(&mut self) -> io::Result<()> {
+        let window = self.redial.as_ref().map_or(usize::MAX, |r| r.cfg.window());
+        self.retrying(|s| {
+            while s.window.len() >= window {
+                s.ensure_connected()?;
+                s.read_one_ack()?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Flush, then read one frame from the peer and absorb it if it is an
+    /// ack.
+    fn read_one_ack(&mut self) -> io::Result<()> {
+        let writer = self.writer.as_mut().ok_or(io::ErrorKind::NotConnected)?;
+        writer.flush()?;
+        match Frame::read_from(writer.get_mut())? {
+            Some(f) if f.kind == FrameKind::Ack => {
+                let n = f.control_seq().ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::InvalidData, "malformed ack frame")
+                })?;
+                self.window.ack(n);
+                Ok(())
+            }
+            Some(_) => Ok(()), // tolerate unexpected control traffic
+            None => Err(io::Error::new(
+                io::ErrorKind::ConnectionAborted,
+                "peer closed before acknowledging",
+            )),
+        }
     }
 }
 
@@ -71,36 +350,24 @@ impl<T: Wire> Kernel for TcpOut<T> {
 
     fn run(&mut self, ctx: &Context) -> KStatus {
         let mut input = ctx.input::<T>("in");
-        match input.pop_signal() {
+        // Nothing queued behind the next element: flush before blocking on
+        // the input, so the last one sent does not wait in the buffer.
+        if input.occupancy() == 0 && self.flush().is_err() {
+            return KStatus::Stop;
+        }
+        let sent = match input.pop_signal() {
             Ok((v, sig)) => {
                 drop(input);
-                let mut buf = Vec::new();
-                v.encode(&mut buf);
-                let frame = Frame::data(buf, sig);
-                let frame = if self.compress {
-                    let mut payload = Vec::with_capacity(frame.payload.len() + 2);
-                    payload.push(frame.kind as u8);
-                    payload.extend_from_slice(&compress_frame(&frame.payload));
-                    Frame {
-                        kind: FrameKind::Compressed,
-                        payload,
-                    }
-                } else {
-                    frame
-                };
-                if frame.write_to(&mut self.writer).is_err() {
-                    return KStatus::Stop;
-                }
-                KStatus::Proceed
+                self.send(&v, sig)
             }
             Err(_) => {
-                if !self.eos_sent {
-                    let _ = Frame::eos().write_to(&mut self.writer);
-                    let _ = self.writer.flush();
-                    self.eos_sent = true;
-                }
-                KStatus::Stop
+                let _ = self.finish();
+                return KStatus::Stop;
             }
+        };
+        match sent {
+            Ok(()) => KStatus::Proceed,
+            Err(_) => KStatus::Stop, // receiver unreachable beyond the retry budget
         }
     }
 
@@ -109,35 +376,129 @@ impl<T: Wire> Kernel for TcpOut<T> {
     }
 }
 
-/// Source-side kernel: produces the stream read from a TCP socket.
+/// A receiver's listener: present only on a link built from an address.
+struct Listen {
+    listener: TcpListener,
+    cfg: NetConfig,
+    /// Elements pushed since the last ack.
+    unacked: u64,
+}
+
+/// Receiver kernel: produces the stream read from a TCP socket.
 pub struct TcpIn<T: Wire> {
-    reader: BufReader<TcpStream>,
+    /// `None` while no sender is connected (links built from an address
+    /// only). Acks go out through the stream inside.
+    reader: Option<BufReader<TcpStream>>,
+    /// `None` for a handed socket: nothing to re-accept, nothing written
+    /// back.
+    listen: Option<Listen>,
+    /// Next sequence number to push downstream; doubles as the cumulative
+    /// ack value and the resume point offered on every (re)accept.
+    expected: u64,
     _marker: std::marker::PhantomData<fn() -> T>,
 }
 
 impl<T: Wire> TcpIn<T> {
-    /// Wrap an already-connected socket.
-    pub fn from_stream(stream: TcpStream) -> io::Result<Self> {
-        Ok(TcpIn {
-            reader: BufReader::new(stream),
-            _marker: std::marker::PhantomData,
-        })
+    /// Wrap an already-connected socket: any socket error ends the stream.
+    pub(crate) fn from_stream(stream: TcpStream) -> Self {
+        Self::from_reader(BufReader::new(stream))
     }
 
-    /// Wrap an existing buffered reader (the remote-job path, where the
-    /// job frame was already consumed from it).
-    pub(crate) fn from_parts(reader: BufReader<TcpStream>) -> Self {
+    /// Wrap a handed socket's buffered reader (the remote-job path, where
+    /// the job frame was already consumed from it).
+    pub(crate) fn from_reader(reader: BufReader<TcpStream>) -> Self {
+        Self::new(Some(reader), None)
+    }
+
+    /// Bind a listener for a [`TcpOut::connect`] sender, accepted lazily and
+    /// re-accepted after every link failure: the stream resumes where the
+    /// link broke.
+    pub fn bind(addr: impl ToSocketAddrs, cfg: NetConfig) -> io::Result<Self> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        let listen = Listen {
+            listener,
+            cfg,
+            unacked: 0,
+        };
+        Ok(Self::new(None, Some(listen)))
+    }
+
+    fn new(reader: Option<BufReader<TcpStream>>, listen: Option<Listen>) -> Self {
         TcpIn {
             reader,
+            listen,
+            expected: 0,
             _marker: std::marker::PhantomData,
         }
     }
 
-    /// Bind `addr`, accept exactly one sender, and wrap it.
-    pub fn listen(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let (stream, _) = listener.accept()?;
-        Self::from_stream(stream)
+    /// The address [`bind`](Self::bind) listens on, for [`TcpOut::connect`]
+    /// (an error for a handed socket).
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
+        let listen = self.listen.as_ref().ok_or(io::ErrorKind::Unsupported)?;
+        listen.listener.local_addr()
+    }
+
+    /// The next element in sequence, `Ok(None)` at end of stream — the one
+    /// receive path of both constructions.
+    pub(crate) fn recv(&mut self) -> io::Result<Option<(T, Signal)>> {
+        let reader = self.reader.as_mut().ok_or(io::ErrorKind::NotConnected)?;
+        read_element(reader, &mut self.expected)
+    }
+
+    /// Accept a sender if none is connected, waiting up to the accept
+    /// patience, then lead with the resume handshake.
+    fn ensure_accepted(&mut self) -> io::Result<()> {
+        let Some(listen) = self.listen.as_mut() else {
+            return Ok(());
+        };
+        if self.reader.is_some() {
+            return Ok(());
+        }
+        let deadline = Instant::now() + listen.cfg.accept_patience();
+        loop {
+            match listen.listener.accept() {
+                Ok((stream, _)) => {
+                    stream.set_nonblocking(false)?;
+                    stream.set_nodelay(true)?;
+                    if Frame::resume_from(self.expected)
+                        .write_to(&mut (&stream))
+                        .is_err()
+                    {
+                        continue; // link died during handshake: next connect
+                    }
+                    listen.unacked = 0;
+                    self.reader = Some(BufReader::new(stream));
+                    return Ok(());
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if Instant::now() >= deadline {
+                        return Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "no sender (re)connected within the accept window",
+                        ));
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Count one pushed element and send the cumulative ack once a stride
+    /// is owed — or at once at end of stream (`eos`). No-op over a handed
+    /// socket.
+    fn ack(&mut self, eos: bool) -> io::Result<()> {
+        let (Some(listen), Some(reader)) = (self.listen.as_mut(), self.reader.as_mut()) else {
+            return Ok(());
+        };
+        listen.unacked += 1;
+        if !eos && listen.unacked < listen.cfg.ack_stride() {
+            return Ok(());
+        }
+        listen.unacked = 0;
+        Frame::ack(self.expected).write_to(reader.get_mut())
     }
 }
 
@@ -147,37 +508,29 @@ impl<T: Wire> Kernel for TcpIn<T> {
     }
 
     fn run(&mut self, ctx: &Context) -> KStatus {
-        match Frame::read_from(&mut self.reader) {
-            Ok(Some(frame)) if frame.kind == FrameKind::Eos => KStatus::Stop,
-            Ok(Some(frame)) => {
-                // Transparently unwrap compressed frames.
-                let (kind, payload) = if frame.kind == FrameKind::Compressed {
-                    let Some((&inner_kind, body)) = frame.payload.split_first() else {
+        loop {
+            if self.ensure_accepted().is_err() {
+                return KStatus::Stop; // sender never came back: stream ends
+            }
+            match self.recv() {
+                Ok(Some((v, sig))) => {
+                    if ctx.output::<T>("out").push_signal(v, sig).is_err() {
                         return KStatus::Stop;
-                    };
-                    let Some(inner) = decompress_frame(body) else {
-                        return KStatus::Stop;
-                    };
-                    let Some(kind) = frame_kind_from_u8(inner_kind) else {
-                        return KStatus::Stop;
-                    };
-                    (kind, inner)
-                } else {
-                    (frame.kind, Cow::Borrowed(&frame.payload[..]))
-                };
-                let Some((mut payload, sig)) = split_data(kind, &payload) else {
-                    return KStatus::Stop; // unexpected control frame
-                };
-                let Some(v) = T::decode(&mut payload) else {
-                    return KStatus::Stop; // malformed element
-                };
-                let mut out = ctx.output::<T>("out");
-                if out.push_signal(v, sig).is_err() {
+                    }
+                    if self.ack(false).is_err() {
+                        self.reader = None;
+                    }
+                    return KStatus::Proceed;
+                }
+                Ok(None) => {
+                    let _ = self.ack(true); // final cumulative ack
                     return KStatus::Stop;
                 }
-                KStatus::Proceed
+                // EOF, reset, gap or malformed frame: a link built from an
+                // address re-accepts and resumes; a handed socket is done.
+                Err(_) if self.listen.is_some() => self.reader = None,
+                Err(_) => return KStatus::Stop,
             }
-            Ok(None) | Err(_) => KStatus::Stop, // peer vanished
         }
     }
 
@@ -186,16 +539,9 @@ impl<T: Wire> Kernel for TcpIn<T> {
     }
 }
 
-fn frame_kind_from_u8(v: u8) -> Option<FrameKind> {
-    Some(match v {
-        0 => FrameKind::Data,
-        1 => FrameKind::DataWithSignal,
-        _ => return None, // only data kinds are ever compressed
-    })
-}
-
 /// Build a connected `TcpOut`/`TcpIn` pair over an ephemeral localhost
 /// port — everything needed to cut one logical stream across two maps.
+/// The pair is built from a handed socket, so it does not resume.
 ///
 /// Binds retry transient `AddrInUse` (ephemeral-port churn on busy test
 /// machines), and the connect runs on the caller's thread so its error —
@@ -215,7 +561,7 @@ pub fn tcp_bridge<T: Wire>() -> io::Result<(TcpOut<T>, TcpIn<T>)> {
     })??;
     Ok((
         TcpOut::from_stream(out_stream)?,
-        TcpIn::from_stream(accepted)?,
+        TcpIn::from_stream(accepted),
     ))
 }
 
@@ -240,37 +586,54 @@ fn bind_ephemeral() -> io::Result<TcpListener> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raft_buffer::{fifo_with, FifoConfig};
     use raft_kernels::{write_each, Generate};
 
-    /// A pipeline cut across two maps in two threads: numbers generated in
-    /// "node A" arrive in "node B" in order, with signals intact.
-    #[test]
-    fn stream_crosses_tcp_in_order() {
-        let (tcp_out, tcp_in) = tcp_bridge::<u64>().unwrap();
+    fn test_cfg() -> NetConfig {
+        NetConfig {
+            connect_timeout: Duration::from_millis(500),
+            retries: 3,
+            base_backoff: Duration::from_millis(5),
+            max_backoff: Duration::from_millis(50),
+            window: 32,
+        }
+    }
 
+    /// A pair built from an address: `bind` an ephemeral port, `connect`
+    /// to it.
+    fn resumable<T: Wire>(cfg: NetConfig) -> (TcpOut<T>, TcpIn<T>) {
+        let rin = TcpIn::bind("127.0.0.1:0", cfg.clone()).unwrap();
+        let rout = TcpOut::connect(rin.local_addr().unwrap(), cfg).unwrap();
+        (rout, rin)
+    }
+
+    /// Run `tcp_out` in "node A" fed by `items` and `tcp_in` in "node B",
+    /// each map on its own thread; what node B received.
+    fn cross<T: Wire>(tcp_out: TcpOut<T>, tcp_in: TcpIn<T>, items: Vec<T>) -> Vec<T> {
         let node_a = std::thread::spawn(move || {
             let mut map = RaftMap::new();
-            let src = map.add(Generate::new(0..10_000u64));
+            let src = map.add(Generate::new(items));
             let out = map.add(tcp_out);
             map.link(src, "out", out, "in").unwrap();
             map.exe().unwrap();
         });
-
-        let node_b = std::thread::spawn(move || {
-            let mut map = RaftMap::new();
-            let src = map.add(tcp_in);
-            let (we, handle) = write_each::<u64>();
-            let dst = map.add(we);
-            map.link(src, "out", dst, "in").unwrap();
-            map.exe().unwrap();
-            std::sync::Arc::try_unwrap(handle)
-                .unwrap()
-                .into_inner()
-                .unwrap()
-        });
-
+        let mut map = RaftMap::new();
+        let src = map.add(tcp_in);
+        let (we, handle) = write_each::<T>();
+        let dst = map.add(we);
+        map.link(src, "out", dst, "in").unwrap();
+        map.exe().unwrap();
         node_a.join().unwrap();
-        let got = node_b.join().unwrap();
+        let got = handle.lock().unwrap().clone();
+        got
+    }
+
+    /// A pipeline cut across two maps in two threads: numbers generated in
+    /// "node A" arrive in "node B" in order.
+    #[test]
+    fn stream_crosses_tcp_in_order() {
+        let (tcp_out, tcp_in) = tcp_bridge::<u64>().unwrap();
+        let got = cross(tcp_out, tcp_in, (0..10_000).collect());
         assert_eq!(got, (0..10_000).collect::<Vec<u64>>());
     }
 
@@ -279,28 +642,10 @@ mod tests {
     #[test]
     fn compressed_stream_crosses_tcp() {
         let (tcp_out, tcp_in) = tcp_bridge::<String>().unwrap();
-        let tcp_out = tcp_out.compressed();
-        let node_a = std::thread::spawn(move || {
-            let mut map = RaftMap::new();
-            let src = map.add(Generate::new((0..2_000u32).map(|i| {
-                format!("raftlib stream element {} padding padding padding", i % 7)
-            })));
-            let out = map.add(tcp_out);
-            map.link(src, "out", out, "in").unwrap();
-            map.exe().unwrap();
-        });
-        let node_b = std::thread::spawn(move || {
-            let mut map = RaftMap::new();
-            let src = map.add(tcp_in);
-            let (we, handle) = write_each::<String>();
-            let dst = map.add(we);
-            map.link(src, "out", dst, "in").unwrap();
-            map.exe().unwrap();
-            let got = handle.lock().unwrap().clone();
-            got
-        });
-        node_a.join().unwrap();
-        let got = node_b.join().unwrap();
+        let items = (0..2_000u32)
+            .map(|i| format!("raftlib stream element {} padding padding padding", i % 7))
+            .collect();
+        let got = cross(tcp_out.compressed(), tcp_in, items);
         assert_eq!(got.len(), 2000);
         assert_eq!(got[8], "raftlib stream element 1 padding padding padding");
     }
@@ -309,7 +654,6 @@ mod tests {
     fn signals_survive_the_hop() {
         let (mut tcp_out, mut tcp_in) = tcp_bridge::<u32>().unwrap();
         // Drive the kernels directly with hand-built FIFOs.
-        use raft_buffer::{fifo_with, FifoConfig, Signal};
         let (_f1, mut p_in, c_in) = fifo_with::<u32>(FifoConfig::starting_at(8));
         let (f1m, p_out, mut c_out) = fifo_with::<u32>(FifoConfig::starting_at(8));
 
@@ -331,6 +675,179 @@ mod tests {
         let _ = f1m;
         assert_eq!(c_out.try_pop_signal().unwrap(), (7, Signal::User(3)));
         assert_eq!(c_out.try_pop_signal().unwrap(), (8, Signal::EoS));
+    }
+
+    /// End-to-end across two maps over a link built from an address, with a
+    /// small window, so the blocking-ack backpressure path runs constantly.
+    #[test]
+    fn resumable_stream_end_to_end_in_order() {
+        let (rout, rin) = resumable::<u64>(test_cfg());
+        let got = cross(rout, rin, (0..5_000).collect());
+        assert_eq!(got, (0..5_000).collect::<Vec<u64>>());
+    }
+
+    /// Kill the link twice mid-stream: the sender reconnects, the resume
+    /// handshake trims the replay, and every element arrives exactly once,
+    /// in order, with its signal intact.
+    fn resumes_exactly_once(compress: bool) {
+        let (mut rout, mut rin) = resumable::<u64>(test_cfg());
+        if compress {
+            rout = rout.compressed();
+        }
+        let (_fin, mut producer, consumer) = fifo_with::<u64>(FifoConfig::starting_at(2048));
+        for i in 0..1_000u64 {
+            let sig = if i == 999 { Signal::EoS } else { Signal::None };
+            producer.try_push_signal(i, sig).unwrap();
+        }
+        producer.close();
+
+        let sender = std::thread::spawn(move || {
+            let ctx = test_ctx_in(consumer);
+            let mut sent = 0u32;
+            loop {
+                if sent == 250 || sent == 700 {
+                    rout.break_connection();
+                }
+                if rout.run(&ctx) != KStatus::Proceed {
+                    break;
+                }
+                sent += 1;
+            }
+        });
+
+        let (fout, out_producer, mut out_consumer) =
+            fifo_with::<u64>(FifoConfig::starting_at(2048));
+        let receiver = std::thread::spawn(move || {
+            let ctx = test_ctx_out(out_producer);
+            while rin.run(&ctx) == KStatus::Proceed {}
+        });
+
+        sender.join().unwrap();
+        receiver.join().unwrap();
+        let _ = fout;
+        for i in 0..1_000u64 {
+            let (v, sig) = out_consumer.try_pop_signal().unwrap();
+            assert_eq!(v, i);
+            assert_eq!(sig, if i == 999 { Signal::EoS } else { Signal::None });
+        }
+        assert!(out_consumer.try_pop_signal().is_err(), "duplicates arrived");
+    }
+
+    #[test]
+    fn reconnect_resumes_exactly_once() {
+        resumes_exactly_once(false);
+    }
+
+    /// Compressed frames sit in the replay window as sent and are replayed
+    /// as they are: compression and resume compose.
+    #[test]
+    fn compressed_reconnect_resumes_exactly_once() {
+        resumes_exactly_once(true);
+    }
+
+    /// A sender pointed at a dead port gives up after its retry budget —
+    /// bounded time, no hang — and ends the stream.
+    #[test]
+    fn connect_to_dead_port_fails_bounded() {
+        let cfg = NetConfig {
+            connect_timeout: Duration::from_millis(200),
+            retries: 1,
+            base_backoff: Duration::from_millis(1),
+            ..NetConfig::default()
+        };
+        // Grab an ephemeral port, then free it: nothing listens there.
+        let dead = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = dead.local_addr().unwrap();
+        drop(dead);
+
+        let t0 = Instant::now();
+        let mut out = TcpOut::<u64>::connect(addr, cfg).unwrap();
+        assert!(out.send(&1, Signal::None).is_err());
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "retry schedule unbounded: {:?}",
+            t0.elapsed()
+        );
+    }
+
+    /// Every delay is `b = min(base * 2^attempt, max_backoff)` plus at most
+    /// a quarter of `b`, and two senders built from one config draw
+    /// different jitter — the herd the jitter exists to break up.
+    #[test]
+    fn backoff_is_capped_and_jittered_per_endpoint() {
+        let cfg = NetConfig {
+            base_backoff: Duration::from_millis(10),
+            max_backoff: Duration::from_millis(80),
+            ..NetConfig::default()
+        };
+        let schedule = || {
+            let out = TcpOut::<u64>::connect("127.0.0.1:9", cfg.clone()).unwrap();
+            let mut r = out.redial.expect("built from an address");
+            (0..8u32)
+                .map(|a| (a, r.cfg.backoff(a, &mut r.rng)))
+                .collect::<Vec<_>>()
+        };
+        let (one, two) = (schedule(), schedule());
+        assert_ne!(one, two, "two senders share a jitter stream");
+        for (a, d) in one.into_iter().chain(two) {
+            let b = Duration::from_millis(10 << a).min(Duration::from_millis(80));
+            assert!(
+                b <= d && d <= b + b / 4,
+                "attempt {a}: {d:?} outside [{b:?}, 1.25 b]"
+            );
+        }
+    }
+
+    /// An element pushed into an idle sender leaves at once, not when the
+    /// socket buffer fills or the stream ends: three elements pushed 1 s
+    /// apart each arrive within 500 ms of their push, over either
+    /// construction.
+    #[test]
+    fn idle_sender_flushes_each_element() {
+        fn paced(tcp_out: TcpOut<u64>, tcp_in: TcpIn<u64>) -> std::thread::JoinHandle<()> {
+            std::thread::spawn(move || {
+                let (pushed, arrived) = (std::sync::mpsc::channel(), std::sync::mpsc::channel());
+                let node_a = std::thread::spawn(move || {
+                    let mut map = RaftMap::new();
+                    let mut next = 0u64;
+                    let src = map.add(raftlib::lambda_source(move || {
+                        if next == 3 {
+                            return None;
+                        }
+                        if next > 0 {
+                            std::thread::sleep(Duration::from_secs(1));
+                        }
+                        pushed.0.send(Instant::now()).unwrap();
+                        next += 1;
+                        Some(next)
+                    }));
+                    let out = map.add(tcp_out);
+                    map.link(src, "0", out, "in").unwrap();
+                    map.exe().unwrap();
+                });
+                let mut map = RaftMap::new();
+                let src = map.add(tcp_in);
+                let sink = map.add(raftlib::lambda_sink(move |_: u64| {
+                    arrived.0.send(Instant::now()).unwrap();
+                }));
+                map.link(src, "out", sink, "0").unwrap();
+                map.exe().unwrap();
+                node_a.join().unwrap();
+                let late: Vec<Duration> = (pushed.1.try_iter().zip(arrived.1.try_iter()))
+                    .map(|(p, a)| a - p)
+                    .collect();
+                assert_eq!(late.len(), 3);
+                assert!(
+                    late.iter().all(|d| *d < Duration::from_millis(500)),
+                    "{late:?}"
+                );
+            })
+        }
+        let bridged = tcp_bridge::<u64>().unwrap();
+        let bridged = paced(bridged.0, bridged.1);
+        let (rout, rin) = resumable::<u64>(NetConfig::default());
+        paced(rout, rin).join().unwrap();
+        bridged.join().unwrap();
     }
 
     // Small helpers constructing single-port contexts for direct kernel

@@ -18,15 +18,21 @@
 //! worker → client : Data frames …, Eos
 //! ```
 //!
+//! Both directions share the socket, so both ends are
+//! [`link`](crate::link) endpoints over a handed socket: they never resume,
+//! and neither writes acks into the other's stream.
+//!
 //! Workers are typed (`RemoteWorker<T>`): one registry per element type,
 //! matching the link-type checking discipline of the rest of the system.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 
+use raft_buffer::Signal;
 use raftlib::prelude::*;
 
 use crate::frame::{Frame, FrameKind};
@@ -145,11 +151,9 @@ fn run_job<T: Wire>(stream: TcpStream, registry: &KernelRegistry) -> io::Result<
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad job spec"))?;
 
     let mut map = RaftMap::new();
-    // Socket halves: reader was consumed up to the first data frame; hand
-    // the buffered reader to TcpIn via its raw stream — we re-wrap the
-    // clone (the BufReader has consumed only the job frame, which is fine
-    // because we construct TcpIn from the same BufReader).
-    let src = map.add(TcpIn::<T>::from_parts(reader));
+    // The buffered reader has consumed only the job frame: the receiver
+    // takes it over, so nothing it already buffered is lost.
+    let src = map.add(TcpIn::<T>::from_reader(reader));
     let mut prev = src;
     for name in &names {
         let Some(kernel) = registry.build(name) else {
@@ -189,32 +193,65 @@ fn job_frame(kernels: &[&str]) -> Frame {
     }
 }
 
+/// Connect to `worker`, submit a job running `kernels`, and hand the job
+/// socket to a sender and a receiver (plus the socket itself). It carries
+/// both directions, so neither end may resume: the receiver must not
+/// write acks into the sender's stream.
+fn submit<T: Wire>(
+    worker: SocketAddr,
+    kernels: &[&str],
+) -> io::Result<(TcpOut<T>, TcpIn<T>, TcpStream)> {
+    let stream = TcpStream::connect(worker)?;
+    stream.set_nodelay(true)?;
+    let mut w = BufWriter::new(&stream);
+    job_frame(kernels).write_to(&mut w)?;
+    w.flush()?;
+    drop(w);
+    let sender = TcpOut::from_stream(stream.try_clone()?)?;
+    Ok((sender, TcpIn::from_stream(stream.try_clone()?), stream))
+}
+
+/// Results a [`RemoteStage`] may hold decoded ahead of its output port.
+const RESULTS_AHEAD: usize = 1024;
+
 /// Client-side kernel: ships its input stream to a worker, which runs the
 /// named kernel chain and streams results back on this kernel's output —
 /// remote execution as a drop-in pipeline stage.
 pub struct RemoteStage<T: Wire> {
+    /// `None` once the local input ended and EoS went out.
     sender: Option<TcpOut<T>>,
-    receiver: TcpIn<T>,
-    /// `run()` alternates send/receive; when the local input ends we must
-    /// still drain the remote results.
-    input_done: bool,
-    _marker: std::marker::PhantomData<fn(T)>,
+    /// Results in stream order, read off the socket by a thread of their
+    /// own: a send blocked on a full socket must never wait for this
+    /// kernel to read the results queued behind it — with both sides
+    /// blocked in `write`, a long stream wedges (`remote_apply` avoids the
+    /// same deadlock with a writer thread).
+    results: Receiver<(T, Signal)>,
+    reader: Option<std::thread::JoinHandle<()>>,
+    /// The job socket, shut down on drop so the reader thread ends with
+    /// the stage and the worker sees the stream end.
+    socket: TcpStream,
 }
 
 impl<T: Wire> RemoteStage<T> {
     /// Connect to `worker` and submit a job running `kernels` (registered
     /// names, applied in order).
     pub fn connect(worker: SocketAddr, kernels: &[&str]) -> io::Result<Self> {
-        let stream = TcpStream::connect(worker)?;
-        stream.set_nodelay(true)?;
-        let mut w = BufWriter::new(stream.try_clone()?);
-        job_frame(kernels).write_to(&mut w)?;
-        w.flush()?;
+        let (sender, mut receiver, socket) = submit::<T>(worker, kernels)?;
+        let (tx, results) = mpsc::sync_channel(RESULTS_AHEAD);
+        let reader = std::thread::Builder::new()
+            .name("remote-stage-rx".into())
+            .spawn(move || {
+                while let Ok(Some(item)) = receiver.recv() {
+                    if tx.send(item).is_err() {
+                        break;
+                    }
+                }
+            })?;
         Ok(RemoteStage {
-            sender: Some(TcpOut::from_stream(stream.try_clone()?)?),
-            receiver: TcpIn::from_stream(stream)?,
-            input_done: false,
-            _marker: std::marker::PhantomData,
+            sender: Some(sender),
+            results,
+            reader: Some(reader),
+            socket,
         })
     }
 }
@@ -225,30 +262,46 @@ impl<T: Wire> Kernel for RemoteStage<T> {
     }
 
     fn run(&mut self, ctx: &Context) -> KStatus {
-        // Phase 1: forward local input upstream → worker. TcpOut::run pops
-        // from "in" and writes; it returns Stop once the input closes (and
-        // sends Eos). We then switch to drain mode.
-        if !self.input_done {
-            let sender = self.sender.as_mut().expect("sender live until input done");
-            match sender.run(ctx) {
-                KStatus::Proceed => {
-                    // Opportunistically pull any already-available results
-                    // so the worker never blocks on a full return path...
-                    // handled by TCP buffering; just continue.
-                    return KStatus::Proceed;
-                }
-                KStatus::Stop => {
-                    self.input_done = true;
-                    self.sender = None; // flushes + keeps socket via receiver
-                }
+        // Deliver every result that has arrived before anything can block
+        // on a send.
+        let mut out = ctx.output::<T>("out");
+        while let Ok((v, sig)) = self.results.try_recv() {
+            if out.push_signal(v, sig).is_err() {
+                return KStatus::Stop;
             }
         }
-        // Phase 2: drain worker results → local output.
-        self.receiver.run(ctx)
+        drop(out);
+        if let Some(sender) = self.sender.as_mut() {
+            if sender.run(ctx) == KStatus::Proceed {
+                return KStatus::Proceed;
+            }
+            self.sender = None; // input ended: only results remain
+        }
+        let delivered = self
+            .results
+            .recv()
+            .is_ok_and(|(v, sig)| ctx.output::<T>("out").push_signal(v, sig).is_ok());
+        if delivered {
+            KStatus::Proceed
+        } else {
+            KStatus::Stop
+        }
     }
 
     fn name(&self) -> String {
         "remote-stage".to_string()
+    }
+}
+
+impl<T: Wire> Drop for RemoteStage<T> {
+    fn drop(&mut self) {
+        // The reader ends at the socket's end, once what it already read
+        // is drained.
+        let _ = self.socket.shutdown(Shutdown::Both);
+        while self.results.recv().is_ok() {}
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
     }
 }
 
@@ -259,34 +312,17 @@ pub fn remote_apply<T: Wire>(
     kernels: &[&str],
     data: Vec<T>,
 ) -> io::Result<Vec<T>> {
-    let stream = TcpStream::connect(worker)?;
-    stream.set_nodelay(true)?;
-    let mut w = BufWriter::new(stream.try_clone()?);
-    job_frame(kernels).write_to(&mut w)?;
+    let (mut sender, mut receiver, _socket) = submit::<T>(worker, kernels)?;
     // Write from a separate thread so a long result stream cannot deadlock
     // against a long input stream on full socket buffers.
     let writer = std::thread::spawn(move || -> io::Result<()> {
-        for v in data {
-            let mut b = Vec::new();
-            v.encode(&mut b);
-            Frame::data(b, raft_buffer::Signal::None).write_to(&mut w)?;
+        for v in &data {
+            sender.send(v, Signal::None)?;
         }
-        Frame::eos().write_to(&mut w)?;
-        w.flush()
+        sender.finish()
     });
-
-    let mut reader = BufReader::new(stream);
     let mut out = Vec::new();
-    while let Some(frame) = Frame::read_from(&mut reader)? {
-        if frame.kind == FrameKind::Eos {
-            break;
-        }
-        let Some((mut payload, _sig)) = frame.as_data() else {
-            break;
-        };
-        let Some(v) = T::decode(&mut payload) else {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad element"));
-        };
+    while let Some((v, _)) = receiver.recv()? {
         out.push(v);
     }
     writer
@@ -349,6 +385,30 @@ mod tests {
             *out.lock().unwrap(),
             (1..=50u64).map(|x| x * x).collect::<Vec<u64>>()
         );
+    }
+
+    /// A stream longer than the worker's buffers can hold: 8 Mi elements
+    /// is twice the worker FIFO's `max_capacity`, so results must be read
+    /// while the input is still being sent. Too slow for a debug build:
+    /// CI runs it with `--release -- --ignored`.
+    #[test]
+    #[ignore]
+    fn remote_stage_streams_past_the_worker_buffers() {
+        const N: u64 = 8 << 20;
+        let worker = RemoteWorker::<u64>::serve("127.0.0.1:0", registry()).unwrap();
+        let stage = RemoteStage::<u64>::connect(worker.addr(), &[]).unwrap();
+        let mut map = RaftMap::new();
+        let src = map.add(Generate::new(0..N));
+        let remote = map.add(stage);
+        let (fold, got) = raft_kernels::Fold::new(0u64, |next: &mut u64, v: u64| {
+            assert_eq!(v, *next, "out of order");
+            *next += 1;
+        });
+        let dst = map.add(fold);
+        map.link(src, "out", remote, "in").unwrap();
+        map.link(remote, "out", dst, "in").unwrap();
+        map.exe().unwrap();
+        assert_eq!(*got.lock().unwrap(), N);
     }
 
     #[test]

@@ -14,8 +14,7 @@
 /// A type that can cross a TCP stream link.
 ///
 /// `Clone` is part of the stream-type contract (see
-/// `raftlib::PortSpec::input`): resilient links keep replay copies of
-/// unacknowledged elements, and every encodable type here is trivially
+/// `raftlib::PortSpec::input`), and every encodable type here is trivially
 /// clonable anyway.
 pub trait Wire: Sized + Send + Clone + 'static {
     /// Append this value's encoding to `buf`.

@@ -1,10 +1,12 @@
-//! Chaos suite for the resilient TCP link: injected short writes at the
-//! framing boundary force real reconnects; delivery must stay exactly-once.
+//! Chaos suite for a TCP link built from an address (`TcpIn::bind` +
+//! `TcpOut::connect`, the construction that resumes): injected short
+//! writes at the framing boundary force real reconnects; delivery must
+//! stay exactly-once.
 //!
 //! Runs only with `--features raft_failpoints`. The failpoint registry is
 //! process-global and `net::frame::write` is a site every link in the
 //! process passes through, so this test owns a test binary: armed inside
-//! the crate's unit-test process it also fired in whatever plain-`TcpOut`
+//! the crate's unit-test process it also fired in whatever `tcp_bridge`
 //! test happened to run beside it. Reproduce a red run with
 //! `RAFT_CHAOS_SEED=<n> cargo test -p raft-net --features raft_failpoints
 //! --test chaos_net`.
@@ -14,7 +16,7 @@ use std::time::Duration;
 
 use raft_buffer::failpoints;
 use raft_kernels::{write_each, Generate};
-use raft_net::{resilient_bridge, NetConfig};
+use raft_net::{NetConfig, TcpIn, TcpOut};
 use raftlib::prelude::*;
 
 #[test]
@@ -32,7 +34,8 @@ fn injected_write_faults_do_not_lose_or_duplicate() {
         u64::from(FAULTS),
     );
 
-    // Small ack window, so the blocking-ack backpressure path runs too.
+    // Small window (acks every 8 frames), so the blocking-ack
+    // backpressure path runs too.
     // Every injected fault — on the sender's frames or the receiver's acks
     // and handshakes — can cost the sender one reconnect cycle, and a
     // reconnect's replay burst draws again, so faults do arrive back to
@@ -43,11 +46,10 @@ fn injected_write_faults_do_not_lose_or_duplicate() {
         retries: FAULTS,
         base_backoff: Duration::from_millis(5),
         max_backoff: Duration::from_millis(50),
-        ack_every: 8,
         window: 32,
-        ..NetConfig::default()
     };
-    let (rout, rin) = resilient_bridge::<u64>(cfg).unwrap();
+    let rin = TcpIn::<u64>::bind("127.0.0.1:0", cfg.clone()).unwrap();
+    let rout = TcpOut::<u64>::connect(rin.local_addr().unwrap(), cfg).unwrap();
     let node_a = std::thread::spawn(move || {
         let mut map = RaftMap::new();
         let src = map.add(Generate::new(0..2_000u64));
