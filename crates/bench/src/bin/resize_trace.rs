@@ -5,21 +5,51 @@
 //! A bursty source (fast bursts separated by idle gaps — the paper's
 //! "behavior that differs from the steady state") feeds a fixed-rate
 //! consumer through a deliberately tiny queue. The monitor grows the queue
-//! when the writer stalls ≥ 3δ and shrinks it again during quiet phases;
-//! this harness dumps the resize log and the occupancy histogram the
-//! monitor collected.
+//! when the writer has been blocked ≥ 3δ over its last six ticks and
+//! shrinks it again during quiet phases; this harness dumps the resize log
+//! and the occupancy histogram the monitor collected.
 //!
 //! ```sh
 //! cargo run -p raft-bench --release --bin resize_trace
 //! ```
 
-use raft_kernels::{Count, Generate, Map};
+use std::time::Duration;
+
+use raft_kernels::{Count, Map};
 use raftlib::prelude::*;
 
-fn main() {
-    const BURSTS: u64 = 12;
-    const BURST_LEN: u64 = 4_000;
+const BURSTS: u64 = 12;
+const BURST_LEN: u64 = 4_000;
 
+/// `BURST_LEN` items pushed one at a time at full speed, then a 15 ms gap.
+/// The gap is slept between `run()` calls, outside any ring reservation: a
+/// batch source that slept inside its reservation would hold the resize
+/// fence, and the monitor could not shrink the queue until the next burst.
+struct Bursty {
+    next: u64,
+}
+
+impl Kernel for Bursty {
+    fn ports(&self) -> PortSpec {
+        PortSpec::new().output::<u64>("out")
+    }
+
+    fn run(&mut self, ctx: &Context) -> KStatus {
+        if self.next == BURSTS * BURST_LEN {
+            return KStatus::Stop;
+        }
+        if self.next > 0 && self.next.is_multiple_of(BURST_LEN) {
+            std::thread::sleep(Duration::from_millis(15));
+        }
+        if ctx.output::<u64>("out").push(self.next).is_err() {
+            return KStatus::Stop;
+        }
+        self.next += 1;
+        KStatus::Proceed
+    }
+}
+
+fn main() {
     let mut cfg = MapConfig::default();
     cfg.fifo = FifoConfig {
         initial_capacity: 4,
@@ -27,25 +57,15 @@ fn main() {
         min_capacity: 4,
         ..Default::default()
     };
-    cfg.monitor.delta = std::time::Duration::from_micros(100);
+    cfg.monitor.delta = Duration::from_micros(100);
     cfg.monitor.shrink_after_ticks = 40; // shrink during the idle gaps
     let delta = cfg.monitor.delta;
 
     let mut map = RaftMap::with_config(cfg);
-    // Bursty source: BURST_LEN items at full speed, then a 15 ms gap.
-    let items = (0..BURSTS).flat_map(|b| (0..BURST_LEN).map(move |i| (b, i)));
-    let src = map.add(
-        Generate::new(items.map(|(b, i)| {
-            if i == 0 && b > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(15));
-            }
-            b * BURST_LEN + i
-        }))
-        .with_batch(512),
-    );
+    let src = map.add(Bursty { next: 0 });
     // Consumer with a small fixed per-item cost.
     let work = map.add(Map::new(|x: u64| {
-        std::hint::black_box((0..40).fold(x, |a, b| a.wrapping_add(b * x)))
+        std::hint::black_box((0..400).fold(x, |a, b| a.wrapping_add(b * x)))
     }));
     let (count, n) = Count::<u64>::new();
     let sink = map.add(count);

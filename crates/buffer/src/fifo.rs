@@ -821,10 +821,10 @@ impl<T, H: Home<T>> Shared<T, H> {
     }
 
     /// The slow half of [`block_until`](Self::block_until): the wait is
-    /// visible to the monitor through `*_blocked_since` (3δ of continuous
-    /// writer blocking grows the queue) and runs the crate's blocking loop
-    /// on the eventcount `role` sleeps on, ended early by drain level
-    /// `QUIESCED` or by `budget` (the admission deadline).
+    /// visible to the monitor through `*_blocked_since` (3δ of writer
+    /// blocking within six ticks grows the queue) and runs the crate's
+    /// blocking loop on the eventcount `role` sleeps on, ended early by
+    /// drain level `QUIESCED` or by `budget` (the admission deadline).
     #[cold]
     fn blocked<R>(
         &self,
@@ -2500,7 +2500,7 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(10));
         assert!(
-            f.stats().writer_blocked_for_ns() > 0,
+            f.stats().writer_blocked_total_ns() > 0,
             "writer should appear blocked"
         );
         assert!(f.grow());

@@ -16,7 +16,9 @@
 //! invalidated the consumer's line and vice versa — classic false sharing
 //! that shows up directly as cross-thread throughput loss. With one padded
 //! group per writing thread, each hot-path store hits a line nobody else
-//! writes; only the (rare, sampling-rate) monitor reads cross lines.
+//! writes; only the (rare, sampling-rate) monitor reads cross lines. The
+//! blocked-time stamps are `pub(crate)`: only the endpoints in `fifo.rs`
+//! call them, so no other thread stores into an endpoint's line.
 
 use crate::sync::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -154,13 +156,13 @@ impl FifoStats {
 
     /// Producer entered the blocked state.
     #[inline]
-    pub fn writer_block_begin(&self) {
+    pub(crate) fn writer_block_begin(&self) {
         self.writer.blocked_since.store(self.now_ns(), Relaxed);
     }
 
     /// Producer left the blocked state; accumulates blocked time.
     #[inline]
-    pub fn writer_block_end(&self) {
+    pub(crate) fn writer_block_end(&self) {
         let since = self.writer.blocked_since.swap(0, Relaxed);
         if since != 0 {
             let dt = self.now_ns().saturating_sub(since);
@@ -170,13 +172,13 @@ impl FifoStats {
 
     /// Consumer entered the blocked state.
     #[inline]
-    pub fn reader_block_begin(&self) {
+    pub(crate) fn reader_block_begin(&self) {
         self.reader.blocked_since.store(self.now_ns(), Relaxed);
     }
 
     /// Consumer left the blocked state; accumulates blocked time.
     #[inline]
-    pub fn reader_block_end(&self) {
+    pub(crate) fn reader_block_end(&self) {
         let since = self.reader.blocked_since.swap(0, Relaxed);
         if since != 0 {
             let dt = self.now_ns().saturating_sub(since);
@@ -184,14 +186,16 @@ impl FifoStats {
         }
     }
 
-    /// How long (ns) the writer has been continuously blocked, or 0.
+    /// Total nanoseconds the writer has spent blocked: every finished
+    /// episode plus the one in progress. The monitor's grow rule takes its
+    /// rise over a window of ticks. A read that races the end of an episode
+    /// may miss that episode (or count it twice) for that one read.
     #[inline]
-    pub fn writer_blocked_for_ns(&self) -> u64 {
-        let since = self.writer.blocked_since.load(Relaxed);
-        if since == 0 {
-            0
-        } else {
-            self.now_ns().saturating_sub(since)
+    pub fn writer_blocked_total_ns(&self) -> u64 {
+        let done = self.writer.blocked_ns.load(Relaxed);
+        match self.writer.blocked_since.load(Relaxed) {
+            0 => done,
+            since => done + self.now_ns().saturating_sub(since),
         }
     }
 
@@ -308,13 +312,20 @@ mod tests {
     #[test]
     fn block_accounting() {
         let s = FifoStats::new();
-        assert_eq!(s.writer_blocked_for_ns(), 0);
+        assert_eq!(s.writer_blocked_total_ns(), 0);
         s.writer_block_begin();
         std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(s.writer_blocked_for_ns() >= 1_000_000);
+        // The open episode counts before it ends...
+        assert!(s.writer_blocked_total_ns() >= 1_000_000);
         s.writer_block_end();
-        assert_eq!(s.writer_blocked_for_ns(), 0);
-        assert!(s.writer.blocked_ns.load(Relaxed) >= 1_000_000);
+        // ...and, once ended, exactly what the cumulative counter holds.
+        let first = s.writer.blocked_ns.load(Relaxed);
+        assert!(first >= 1_000_000);
+        assert_eq!(s.writer_blocked_total_ns(), first);
+        s.writer_block_begin();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        s.writer_block_end();
+        assert!(s.writer_blocked_total_ns() >= first + 1_000_000);
     }
 
     #[test]

@@ -21,7 +21,12 @@
 //! 1. samples every queue's occupancy into its histogram (the telemetry the
 //!    paper exposes: mean occupancy, service rate, throughput, occupancy
 //!    histograms);
-//! 2. grows queues whose writer has been blocked ≥ 3δ;
+//! 2. grows queues whose writer has been blocked ≥ 3δ in total over the
+//!    last six ticks (`BLOCK_WINDOW`). The paper's "blocked for a time period of
+//!    3 × δ" is counted in aggregate, not as one continuous episode: a
+//!    writer that a per-element wake frees for one slot at a time blocks in
+//!    episodes of microseconds, yet may be blocked most of the run. After a
+//!    grow the window restarts, so one stall pays for one grow;
 //! 3. grows queues whose reader requested more than the current capacity;
 //! 4. shrinks queues that stayed nearly empty for a long hysteresis window;
 //! 5. when the dynamic optimizer is enabled, adjusts the active width of
@@ -113,7 +118,7 @@ impl MonitorConfig {
 /// Why a queue was resized (for the resize trace).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResizeReason {
-    /// Writer blocked ≥ 3δ.
+    /// Writer blocked ≥ 3δ in total over the last six ticks.
     WriterBlocked,
     /// Reader requested more items than the capacity.
     ReadRequest,
@@ -210,6 +215,9 @@ pub(crate) struct ControlLog {
 
 /// Tick of the control thread when resize monitoring is off.
 const LADDER_TICK: Duration = Duration::from_millis(1);
+
+/// Ticks over which a writer's blocked time is summed for the grow rule.
+const BLOCK_WINDOW: usize = 6;
 
 /// The drain ladder: the one shutdown path. Any reason → a
 /// [`Shutdown::request`] → level 1 (sources stop, in-flight data flushes)
@@ -315,6 +323,10 @@ fn control_loop(
     let tick = if cfg.enabled { cfg.delta } else { LADDER_TICK };
     let delta_ns = cfg.delta.as_nanos() as u64;
     let mut low_ticks: Vec<u32> = vec![0; fifos.len()];
+    // Per link, the writer's blocked total at each of the last
+    // BLOCK_WINDOW ticks; `oldest` indexes the one BLOCK_WINDOW ticks back.
+    let mut blocked_window: Vec<[u64; BLOCK_WINDOW]> = vec![[0; BLOCK_WINDOW]; fifos.len()];
+    let mut oldest = 0;
     let mut backed_up_ticks: Vec<u32> = vec![0; widths.len()];
     let mut starved_ticks: Vec<u32> = vec![0; widths.len()];
     let mut health_state: Vec<HealthState> = health
@@ -386,13 +398,16 @@ fn control_loop(
             let capacity = f.capacity();
             let stats = f.stats();
 
-            // 2. writer blocked ≥ 3δ → grow
-            if stats.writer_blocked_for_ns() >= 3 * delta_ns {
+            // 2. writer blocked ≥ 3δ over the window → grow
+            let blocked = stats.writer_blocked_total_ns();
+            let window = &mut blocked_window[i];
+            let then = std::mem::replace(&mut window[oldest], blocked);
+            if blocked.saturating_sub(then) >= 3 * delta_ns {
                 let old = capacity;
                 if f.grow() {
-                    // Reset the blocked clock so one long block does not
-                    // trigger a growth cascade within the same stall.
-                    stats.writer_block_begin();
+                    // Restart the window so one long stall does not
+                    // trigger a growth cascade.
+                    *window = [blocked; BLOCK_WINDOW];
                     log.resizes.push(ResizeEvent {
                         at: start.elapsed(),
                         edge: i,
@@ -452,6 +467,7 @@ fn control_loop(
                 }
             }
         }
+        oldest = (oldest + 1) % BLOCK_WINDOW;
 
         // 5. dynamic replication width
         if cfg.enabled {
@@ -517,7 +533,7 @@ fn control_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raft_buffer::{fifo_with, FifoConfig};
+    use raft_buffer::{fifo_with, AdmissionPolicy, FifoConfig};
 
     /// Run the control thread over `fifos` and `widths`; calling the
     /// returned closure ends the run and yields the logs.
@@ -574,6 +590,145 @@ mod tests {
             "expected a writer-block resize, got {events:?}"
         );
         assert!(f.capacity() >= 8);
+    }
+
+    fn writer_block_grows(events: &[ResizeEvent]) -> usize {
+        events
+            .iter()
+            .filter(|e| e.reason == ResizeReason::WriterBlocked)
+            .count()
+    }
+
+    /// Busy-wait `d`: a sleep this short overshoots by tens of µs.
+    fn spin_for(d: Duration) {
+        let t = Instant::now();
+        while t.elapsed() < d {
+            std::hint::spin_loop();
+        }
+    }
+
+    #[test]
+    fn blocked_time_survives_grows() {
+        const MAX: usize = 1 << 16;
+        let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig {
+            initial_capacity: 4,
+            max_capacity: MAX,
+            min_capacity: 2,
+            ..Default::default()
+        });
+        let cfg = cfg_fast();
+        let delta_ns = cfg.delta.as_nanos() as u64;
+        let finish = start(
+            cfg,
+            vec![("edge0".into(), Arc::new(f.clone()) as Arc<dyn Monitorable>)],
+            vec![],
+        );
+        let writer = std::thread::spawn(move || {
+            for i in 0..=MAX as u64 {
+                p.push(i).unwrap();
+            }
+        });
+        // Nothing pops until every grow the writer can force has happened.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while f.capacity() < MAX && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(f.capacity(), MAX);
+        for i in 0..=MAX as u64 {
+            assert_eq!(c.pop().unwrap(), i);
+        }
+        writer.join().unwrap();
+        let events = finish().resizes;
+        let grows = writer_block_grows(&events) as u64;
+        // Every grow was paid for by 3δ of blocking; the counter must show it.
+        let blocked = f.snapshot().writer_blocked_ns;
+        assert!(
+            blocked >= grows * 3 * delta_ns,
+            "{grows} grows need ≥ {} ns of writer blocking, counter shows {blocked} ns",
+            grows * 3 * delta_ns
+        );
+    }
+
+    #[test]
+    fn grows_when_writer_blocks_in_short_episodes() {
+        const N: u64 = 2_000;
+        let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig::starting_at(64));
+        for i in 0..64 {
+            p.try_push(i).unwrap();
+        }
+        let go = Arc::new(std::sync::Barrier::new(2));
+        // Each pop frees one slot, which the blocked writer takes at once:
+        // the writer is blocked nearly all the time, ~20 µs at a stretch.
+        let consumer = std::thread::spawn({
+            let go = go.clone();
+            move || {
+                go.wait();
+                for i in 0..N {
+                    spin_for(Duration::from_micros(20));
+                    assert_eq!(c.pop().unwrap(), i);
+                }
+            }
+        });
+        let finish = start(
+            cfg_fast(),
+            vec![("edge0".into(), Arc::new(f.clone()) as Arc<dyn Monitorable>)],
+            vec![],
+        );
+        go.wait();
+        for i in 64..N {
+            p.push(i).unwrap();
+        }
+        consumer.join().unwrap();
+        let events = finish().resizes;
+        assert!(
+            writer_block_grows(&events) >= 1,
+            "writer blocked {} ns in short episodes, no grow: {events:?}",
+            f.snapshot().writer_blocked_ns
+        );
+    }
+
+    #[test]
+    fn keeps_size_when_writer_blocks_now_and_then() {
+        // On a full ring with a 20 µs admission budget each push blocks for
+        // the spin → yield schedule (tens of µs) and sheds. One push every
+        // 4 ms, each under half of 3δ, puts at most two episodes — < 3δ —
+        // in any window the monitor's six ticks can span unless it is
+        // starved for 8 ms. A push the host preempted for longer stretches
+        // its episode towards 3δ alone: such an attempt does not test the
+        // rule and is discarded.
+        let cfg = cfg_fast();
+        let half_3delta = cfg.delta * 3 / 2;
+        for _ in 0..8 {
+            let (f, mut p, _c) = fifo_with::<u64>(
+                FifoConfig::starting_at(64)
+                    .with_admission(AdmissionPolicy::BlockTimeout(Duration::from_micros(20))),
+            );
+            for i in 0..64 {
+                p.try_push(i).unwrap();
+            }
+            let finish = start(
+                cfg.clone(),
+                vec![("edge0".into(), Arc::new(f.clone()) as Arc<dyn Monitorable>)],
+                vec![],
+            );
+            let mut longest = Duration::ZERO;
+            let end = Instant::now() + Duration::from_millis(50);
+            while Instant::now() < end {
+                let t = Instant::now();
+                p.push(0).unwrap();
+                longest = longest.max(t.elapsed());
+                std::thread::sleep(Duration::from_millis(4));
+            }
+            let events = finish().resizes;
+            if longest >= half_3delta {
+                continue;
+            }
+            assert!(f.snapshot().shed > 0, "the writer never blocked");
+            assert_eq!(writer_block_grows(&events), 0, "{events:?}");
+            assert_eq!(f.capacity(), 64);
+            return;
+        }
+        panic!("the writer was preempted mid-episode in every attempt");
     }
 
     #[test]
