@@ -1,5 +1,5 @@
 //! Measurement utilities: repeated timing, summary statistics, table
-//! printing, and [`bench`], the runner behind every `benches/*.rs` target.
+//! printing, and [`bench()`], the runner behind every `benches/*.rs` target.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -50,7 +50,7 @@ pub fn summarize(times: &mut [Duration]) -> Summary {
     }
 }
 
-/// Work one iteration of a [`bench`] body does, for its throughput column.
+/// Work one iteration of a [`bench()`] body does, for its throughput column.
 #[derive(Debug, Clone, Copy)]
 pub enum Throughput {
     /// Stream elements (or flops) per iteration.
@@ -62,7 +62,7 @@ pub enum Throughput {
 /// One named series of a `benches/*.rs` target: time `f` with [`sample`]
 /// and print a row — per-iteration mean, p5/p95 and throughput.
 ///
-/// A body faster than [`SAMPLE_FLOOR`] is repeated inside each sample so
+/// A body faster than `SAMPLE_FLOOR` is repeated inside each sample so
 /// the clock reads stay off the measurement. Without cargo's `--bench`
 /// flag, or with `-- --test` (the CI smoke mode), the body runs exactly
 /// once: the target only proves it still works.

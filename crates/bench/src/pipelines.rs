@@ -166,10 +166,7 @@ pub fn supervision_pipeline(supervised: bool, watchdog: bool, journaled: bool) -
         sink_counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }));
     if journaled {
-        let cfg = FifoConfig {
-            journal: Some(JournalConfig::default()),
-            ..FifoConfig::default()
-        };
+        let cfg = FifoConfig::default().journaled();
         map.link_with(src, "0", dst, "0", cfg).unwrap();
     } else {
         map.link(src, "0", dst, "0").unwrap();
@@ -273,7 +270,7 @@ pub const PROC_ITEMS: u64 = 1_000_000;
 /// `RAFT_BENCH_PROC_BEAT=1`, which makes the worker honour the heartbeat
 /// contract. Beat granularity is the worker's choice — the watcher only
 /// needs progress at least once per wedge interval — so the hot path
-/// batches one beat per [`PROC_BEAT_EVERY`] pops (a beat is a fetch_add,
+/// batches one beat per `PROC_BEAT_EVERY` pops (a beat is a fetch_add,
 /// a `SeqCst` fence, and an RMW on the shared header line; per-element it
 /// would dominate an 8-byte payload) and beats on every empty poll, where
 /// a stall is what the watcher actually needs to distinguish from a wedge.

@@ -37,14 +37,16 @@
 //!   store on drop; [`Consumer::pop_slice`] lends the front of the queue to
 //!   a closure as a [`SliceView`] and consumes it afterwards — both hold one
 //!   membership for the whole batch.
-//! * **One producer-side window** for the exactly-once recovery contract
-//!   ([`crate::journal`]): everything appended to the link and not yet
-//!   acknowledged, with three cursors `acked ≤ published ≤ appended`.
-//!   *Staging* is the region `[published, appended)`; a *replay backlog* is
-//!   the same region after a rewind. On the heap home publishing moves an
-//!   element into the ring and thereby acknowledges it; on the segment home
-//!   published elements are retained until the consuming process advances
-//!   the segment's commit word.
+//! * **One window type on both endpoints** for the exactly-once recovery
+//!   contract ([`crate::journal`]): everything appended and not yet
+//!   acknowledged, with three cursors `acked ≤ cursor ≤ appended`. On a
+//!   producer the cursor is *published*: *staging* is `[cursor, appended)`,
+//!   and a *replay backlog* is the same region after a rewind; on the heap
+//!   home publishing moves an element into the ring and thereby
+//!   acknowledges it, on the segment home published elements are retained
+//!   until the consuming process advances the segment's commit word. On a
+//!   journaled consumer the cursor is *served*: every pop is copied in, a
+//!   rewind moves the cursor back to `acked`, and the commit acknowledges.
 //! * Admission policies, telemetry ([`FifoStats`]), counted rescues.
 
 use std::cell::UnsafeCell;
@@ -60,7 +62,7 @@ use std::time::Duration;
 use crate::error::{PopError, PushError, TryPopError, TryPushError};
 use crate::eventcount::{self, Blocked, EventCount, ThreadPark, Wake};
 use crate::fence::{ResizeFence, Role};
-use crate::journal::{AdmissionPolicy, JournalConfig, ReplayWindow};
+use crate::journal::{AdmissionPolicy, ReplayWindow, JOURNAL_BOUND};
 use crate::ring::{Backing, ConsumerCursor, Counter, Counters, ProducerCursor};
 use crate::shm::{Seg, ShmItem, ShmSegment};
 
@@ -70,7 +72,7 @@ use crate::sync::{AtomicUsize, CachePadded, Mutex};
 use crate::waker::WakerSlot;
 
 /// Drain levels for the cooperative shutdown protocol (see
-/// [`Fifo::set_drain_level`]). `RUNNING` is normal operation; `DRAINING`
+/// [`Monitorable::set_drain_level`]). `RUNNING` is normal operation; `DRAINING`
 /// asks sources to stop while in-flight data keeps flowing; `QUIESCED`
 /// fails blocked endpoints fast so a wedged graph still terminates.
 pub const DRAIN_RUNNING: u8 = 0;
@@ -123,8 +125,8 @@ pub struct FifoConfig {
     /// When set, the link records consumed elements in a replay journal and
     /// stages produced elements until commit — the exactly-once recovery
     /// contract (see [`crate::journal`]). Requires `T: Clone` at the wiring
-    /// layer; `None` keeps the historical lossy-restart behavior.
-    pub journal: Option<JournalConfig>,
+    /// layer; `false` keeps the historical lossy-restart behavior.
+    pub journal: bool,
     /// What the producer does when the ring is full (see
     /// [`AdmissionPolicy`]). `Block` preserves the paper's lossless
     /// blocking-write semantics.
@@ -137,7 +139,7 @@ impl Default for FifoConfig {
             initial_capacity: 64,
             max_capacity: 1 << 22,
             min_capacity: 8,
-            journal: None,
+            journal: false,
             admission: AdmissionPolicy::Block,
         }
     }
@@ -164,8 +166,8 @@ impl FifoConfig {
     }
 
     /// Enable the exactly-once replay journal on this link.
-    pub fn journaled(mut self, journal: JournalConfig) -> Self {
-        self.journal = Some(journal);
+    pub fn journaled(mut self) -> Self {
+        self.journal = true;
         self
     }
 
@@ -635,8 +637,6 @@ struct Shared<T, H: Home<T>> {
     /// [`Shared::occupancy`] so schedulers see a rewound link as ready and
     /// `is_finished` stays false until the replay is consumed.
     journal_pending: std::sync::atomic::AtomicUsize,
-    /// Set once the consumer endpoint enabled its replay journal.
-    journaled: AtomicBool,
     stats: FifoStats,
     cfg: FifoConfig,
     _elem: std::marker::PhantomData<fn(T) -> T>,
@@ -705,7 +705,6 @@ impl<T, H: Home<T>> Shared<T, H> {
             async_signal: AtomicU64::new(0),
             drain: AtomicU8::new(DRAIN_RUNNING),
             journal_pending: std::sync::atomic::AtomicUsize::new(0),
-            journaled: AtomicBool::new(false),
             stats: FifoStats::new(),
             cfg,
             _elem: std::marker::PhantomData,
@@ -954,28 +953,21 @@ impl<T, H: Home<T>> Shared<T, H> {
     fn try_pop(
         &self,
         cursor: &mut ConsumerCursor,
-        journal: &mut Option<Box<ConsumerJournal<T>>>,
+        window: &mut Option<Box<Window<T>>>,
     ) -> Result<(T, Signal), TryPopError> {
-        if let Some(j) = journal {
-            if j.cursor < j.window.next_seq() {
-                // Replaying a rewound transaction: serve from the window
-                // without touching the ring.
-                let (v, s) = j
-                    .window
-                    .get(j.cursor)
-                    .expect("replay cursor inside retained window");
-                let pair = ((j.clone_fn)(v), *s);
-                j.cursor += 1;
-                // Saturating: the cursor can trail `next_seq` without a
-                // rewind if recording was interrupted mid-pop (failpoint or
-                // caught panic between the ring pop and the cursor bump);
-                // re-serving that entry must not underflow the counter.
-                let _ = self
-                    .journal_pending
-                    .fetch_update(AcqRel, Acquire, |v| v.checked_sub(1));
-                self.stats.reader.replayed.fetch_add(1, Relaxed);
-                return Ok(pair);
-            }
+        if let Some(w) = window.as_deref_mut().filter(|w| w.staged() > 0) {
+            // Replaying a rewound transaction: serve from the window
+            // without touching the ring.
+            let pair = w.next();
+            // Saturating: the cursor can trail the window without a rewind
+            // if recording was interrupted mid-pop (failpoint or caught
+            // panic between the ring pop and the cursor move); re-serving
+            // that entry must not underflow the counter.
+            let _ = self
+                .journal_pending
+                .fetch_update(AcqRel, Acquire, |v| v.checked_sub(1));
+            self.stats.reader.replayed.fetch_add(1, Relaxed);
+            return Ok(pair);
         }
         // Emptiness is decided on the counters alone, before paying for an
         // arena entry. Quiesced mid-drain reports end-of-stream so a blocked
@@ -991,18 +983,14 @@ impl<T, H: Home<T>> Shared<T, H> {
             return Err(TryPopError::Empty);
         };
         self.released(arena, cursor.head());
-        let pair = slot.unpack();
-        if let Some(j) = journal {
-            // Record the live pop for possible replay; the cursor tracks
-            // next_seq while recording.
-            record(
-                &mut j.window,
-                ((j.clone_fn)(&pair.0), pair.1),
-                &self.stats.reader.forced_acks,
-            );
-            j.cursor = j.window.next_seq();
-        }
-        Ok(pair)
+        let (value, signal) = slot.unpack();
+        // By value, not `&value`: a borrow here would put the popped pair
+        // through memory on every pop, journaled or not (~3x per pop).
+        let value = match window {
+            Some(w) => w.serve_live(value, signal, &self.stats.reader.forced_acks),
+            None => value,
+        };
+        Ok((value, signal))
     }
 
     /// Consume `k` ready elements through `each` under one arena entry and
@@ -1012,18 +1000,6 @@ impl<T, H: Home<T>> Shared<T, H> {
         let arena = self.enter(Role::Consumer);
         cursor.pop_some(&arena, k, |slot| each(slot.unpack()));
         self.released(arena, cursor.head());
-    }
-}
-
-/// Append `entry` to an endpoint's replay window, mirroring a forced
-/// acknowledgement (the bound dropped an entry that can no longer be
-/// replayed) into that endpoint's `forced_acks` counter.
-#[inline]
-fn record<E>(window: &mut ReplayWindow<E>, entry: E, forced_acks: &AtomicU64) {
-    window.append(entry);
-    let forced = window.forced_acks();
-    if forced != forced_acks.load(Relaxed) {
-        forced_acks.store(forced, Relaxed);
     }
 }
 
@@ -1097,7 +1073,7 @@ impl<T, H: Home<T>> Fifo<T, H> {
             // SAFETY: the caller's contract; the cursor stays with `shared`.
             cursor: unsafe { ConsumerCursor::attach(&*self.shared) },
             shared: self.shared.clone(),
-            journal: None,
+            window: None,
         }
     }
 
@@ -1129,70 +1105,10 @@ impl<T, H: Home<T>> Fifo<T, H> {
         H::ALLOC
     }
 
-    /// The configured growth ceiling.
-    pub fn max_capacity(&self) -> usize {
-        self.shared.cfg.max_capacity
-    }
-
-    /// The configured shrink floor.
-    pub fn min_capacity(&self) -> usize {
-        self.shared.cfg.min_capacity
-    }
-
     /// `true` once the producer closed (or the link quiesced) and all data —
     /// including journal entries awaiting replay — has been consumed.
     pub fn is_finished(&self) -> bool {
         self.shared.is_finished()
-    }
-
-    /// Raise the cooperative drain level (monotonic; lowering is ignored).
-    /// At [`DRAIN_QUIESCED`] blocked producers fail fast and pops on an
-    /// empty ring observe end-of-stream, so a wedged graph still terminates.
-    /// The level is local to this process, whatever the home.
-    pub fn set_drain_level(&self, level: u8) {
-        crate::failpoint!("buffer::fifo::drain");
-        let prev = self.shared.drain.fetch_max(level, AcqRel);
-        if prev < level {
-            // Both endpoints may be parked on conditions that will now never
-            // arrive; the new level must be actionable immediately.
-            self.shared.notify_fenced(Role::Consumer);
-            self.shared.notify_fenced(Role::Producer);
-        }
-    }
-
-    /// Current cooperative drain level.
-    pub fn drain_level(&self) -> u8 {
-        self.shared.drain.load(Acquire)
-    }
-
-    /// `true` once the consumer endpoint enabled its replay journal.
-    pub fn journaled(&self) -> bool {
-        self.shared.journaled.load(Acquire)
-    }
-
-    /// Post an asynchronous (out-of-band) signal, immediately visible to the
-    /// consumer regardless of queued data (process-local, like the drain
-    /// level).
-    pub fn post_async(&self, signal: Signal) {
-        self.shared.async_signal.store(signal.encode(), Release);
-        self.shared.notify_fenced(Role::Consumer);
-    }
-
-    /// Take a pending asynchronous signal, if any.
-    pub fn take_async(&self) -> Option<Signal> {
-        Signal::decode(self.shared.async_signal.swap(0, Acquire))
-    }
-
-    /// `true` while an asynchronous signal is posted and unconsumed. Part
-    /// of the readiness predicate: an async signal is actionable input for
-    /// a consumer kernel even when no data is queued.
-    pub fn has_async(&self) -> bool {
-        self.shared.async_signal.load(Acquire) != 0
-    }
-
-    /// Monitor tick: record an occupancy sample into the histogram.
-    pub fn sample(&self) {
-        self.shared.stats.sample_occupancy(self.occupancy());
     }
 }
 
@@ -1206,35 +1122,11 @@ impl<T> Fifo<T> {
         self.shared.notify_fenced(Role::Producer);
         capacity
     }
-
-    /// Grow by doubling (bounded by `max_capacity`). Returns `true` if the
-    /// capacity changed.
-    pub fn grow(&self) -> bool {
-        let cur = self.capacity();
-        if cur >= self.shared.cfg.max_capacity {
-            return false;
-        }
-        self.resize(cur * 2) > cur
-    }
-
-    /// Grow until `capacity >= target` (bounded). Returns `true` if the
-    /// final capacity satisfies the request.
-    pub fn grow_to(&self, target: usize) -> bool {
-        self.shared.grow_to(target)
-    }
-
-    /// Halve the capacity (bounded by `min_capacity` and occupancy).
-    pub fn shrink(&self) -> bool {
-        let cur = self.capacity();
-        if cur <= self.shared.cfg.min_capacity {
-            return false;
-        }
-        self.resize(cur / 2) < cur
-    }
 }
 
 /// Monitor-facing, type-erased view of a FIFO — what the runtime's monitor
-/// thread holds for every stream in the application.
+/// thread, the schedulers' readiness gate and the stealing wakers hold for
+/// every stream in the application.
 pub trait Monitorable: Send + Sync {
     /// Current capacity (elements).
     fn capacity(&self) -> usize;
@@ -1242,51 +1134,48 @@ pub trait Monitorable: Send + Sync {
     fn occupancy(&self) -> usize;
     /// Telemetry counters.
     fn stats(&self) -> &FifoStats;
-    /// Double the capacity; `true` if changed.
+    /// Double the capacity (bounded by `max_capacity`); `true` if changed.
     fn grow(&self) -> bool;
-    /// Grow to at least `target`; `true` if satisfied.
+    /// Grow to at least `target` (bounded); `true` if satisfied.
     fn grow_to(&self, target: usize) -> bool;
-    /// Halve the capacity; `true` if changed.
+    /// Halve the capacity (bounded by `min_capacity` and occupancy); `true`
+    /// if changed.
     fn shrink(&self) -> bool;
-    /// Record an occupancy sample.
+    /// Monitor tick: record an occupancy sample into the histogram.
     fn sample(&self);
-    /// Growth ceiling.
+    /// The configured growth ceiling.
     fn max_capacity(&self) -> usize;
     /// Statistics snapshot.
     fn snapshot(&self) -> StatsSnapshot;
-    /// Producer closed and drained.
+    /// Producer closed (or link quiesced) and drained, journal replay
+    /// included.
     fn is_finished(&self) -> bool;
-    /// Post an asynchronous signal to the consumer side.
+    /// Post an asynchronous (out-of-band) signal, immediately visible to
+    /// the consumer regardless of queued data (process-local, like the
+    /// drain level).
     fn post_async(&self, signal: Signal);
-    /// `true` while an asynchronous signal is posted and unconsumed.
-    fn has_async(&self) -> bool {
-        false
-    }
+    /// `true` while an asynchronous signal is posted and unconsumed. Part
+    /// of the readiness predicate: an async signal is actionable input for
+    /// a consumer kernel even when no data is queued.
+    fn has_async(&self) -> bool;
     /// Waker slot notified when data/EoS becomes visible to the consumer.
     fn consumer_waker(&self) -> &WakerSlot;
     /// Waker slot notified when space becomes visible to the producer.
     fn producer_waker(&self) -> &WakerSlot;
-    /// Raise the cooperative drain level (no-op for links without drain
-    /// support).
-    fn set_drain_level(&self, _level: u8) {}
+    /// Raise the cooperative drain level (monotonic; lowering is ignored).
+    /// At [`DRAIN_QUIESCED`] blocked producers fail fast and pops on an
+    /// empty ring observe end-of-stream, so a wedged graph still
+    /// terminates.
+    fn set_drain_level(&self, level: u8);
     /// Current cooperative drain level.
-    fn drain_level(&self) -> u8 {
-        DRAIN_RUNNING
-    }
+    fn drain_level(&self) -> u8;
     /// The allocator backing this link's storage (for `ExeReport`).
     fn link_alloc(&self) -> LinkAlloc;
-    /// `true` when an exactly-once replay journal records this link.
-    fn journaled(&self) -> bool {
-        false
-    }
 }
 
 impl<T: Send> Monitorable for Fifo<T> {
     fn capacity(&self) -> usize {
         Fifo::capacity(self)
-    }
-    fn link_alloc(&self) -> LinkAlloc {
-        Fifo::link_alloc(self)
     }
     fn occupancy(&self) -> usize {
         Fifo::occupancy(self)
@@ -1295,19 +1184,21 @@ impl<T: Send> Monitorable for Fifo<T> {
         Fifo::stats(self)
     }
     fn grow(&self) -> bool {
-        Fifo::grow(self)
+        let cur = self.capacity();
+        cur < self.shared.cfg.max_capacity && self.resize(cur * 2) > cur
     }
     fn grow_to(&self, target: usize) -> bool {
-        Fifo::grow_to(self, target)
+        self.shared.grow_to(target)
     }
     fn shrink(&self) -> bool {
-        Fifo::shrink(self)
+        let cur = self.capacity();
+        cur > self.shared.cfg.min_capacity && self.resize(cur / 2) < cur
     }
     fn sample(&self) {
-        Fifo::sample(self);
+        self.shared.stats.sample_occupancy(self.occupancy());
     }
     fn max_capacity(&self) -> usize {
-        Fifo::max_capacity(self)
+        self.shared.cfg.max_capacity
     }
     fn snapshot(&self) -> StatsSnapshot {
         Fifo::snapshot(self)
@@ -1316,10 +1207,11 @@ impl<T: Send> Monitorable for Fifo<T> {
         Fifo::is_finished(self)
     }
     fn post_async(&self, signal: Signal) {
-        Fifo::post_async(self, signal);
+        self.shared.async_signal.store(signal.encode(), Release);
+        self.shared.notify_fenced(Role::Consumer);
     }
     fn has_async(&self) -> bool {
-        Fifo::has_async(self)
+        self.shared.async_signal.load(Acquire) != 0
     }
     fn consumer_waker(&self) -> &WakerSlot {
         &self.shared.home.data.task
@@ -1328,13 +1220,20 @@ impl<T: Send> Monitorable for Fifo<T> {
         &self.shared.home.space.task
     }
     fn set_drain_level(&self, level: u8) {
-        Fifo::set_drain_level(self, level);
+        crate::failpoint!("buffer::fifo::drain");
+        let prev = self.shared.drain.fetch_max(level, AcqRel);
+        if prev < level {
+            // Both endpoints may be parked on conditions that will now never
+            // arrive; the new level must be actionable immediately.
+            self.shared.notify_fenced(Role::Consumer);
+            self.shared.notify_fenced(Role::Producer);
+        }
     }
     fn drain_level(&self) -> u8 {
-        Fifo::drain_level(self)
+        self.shared.drain.load(Acquire)
     }
-    fn journaled(&self) -> bool {
-        Fifo::journaled(self)
+    fn link_alloc(&self) -> LinkAlloc {
+        Fifo::link_alloc(self)
     }
 }
 
@@ -1353,27 +1252,35 @@ pub struct Producer<T, H: Home<T> = Heap<T>> {
     window: Option<Box<Window<T>>>,
 }
 
-/// Everything appended to a link and not yet acknowledged, in sequence
-/// order, under three cursors `acked ≤ published ≤ appended`:
+/// Everything appended to one endpoint and not yet acknowledged, in
+/// sequence order, under three cursors `acked ≤ cursor ≤ appended`. Both
+/// endpoints keep their pending entries in one:
 ///
-/// * `[published, appended)` is **staged** — not yet in the ring. A
-///   transaction's uncommitted outputs, or a replay backlog after a rewind;
-/// * `[acked, published)` is **retained** — in the ring (or past it), kept
-///   until the consuming side says it will never need it again.
+/// * on a **producer** the middle cursor is *published*: `[cursor,
+///   appended)` is **staged** — not yet in the ring (a transaction's
+///   uncommitted outputs, or a replay backlog after a rewind) — and
+///   `[acked, cursor)` is **retained** — in the ring (or past it), kept
+///   until the consuming side says it will never need it again;
+/// * on a journaled **consumer** the middle cursor is *served*: `[acked,
+///   cursor)` is what the open transaction popped, and `[cursor,
+///   appended)` is what a rewind queued to be served again.
 ///
-/// Who acknowledges depends on where a published element can still be
-/// lost. Within a process the ring itself is reliable, so handing an
-/// element to it is delivering it: publishing *moves* the entry out and
-/// acknowledges it (`retain` is `None`, the retained region stays empty, no
-/// `Clone` needed). Across a process boundary the consumer can die with
-/// the ring's contents: publishing *copies* the entry and the segment's
-/// commit word acknowledges it ([`Producer::ack_committed`]).
+/// Rewinding either end is `cursor ← acked`, and handing out the entry at
+/// the cursor either moves it or copies it (`retain`). Who acknowledges
+/// depends on where a handed-out element can still be lost. Within a
+/// process the ring itself is reliable, so handing an element to it is
+/// delivering it: publishing *moves* the entry out and acknowledges it
+/// (`retain` is `None`, the retained region stays empty, no `Clone`
+/// needed). Across a process boundary the consumer can die with the ring's
+/// contents: publishing *copies* the entry and the segment's commit word
+/// acknowledges it ([`Producer::ack_committed`]). A consumer copies every
+/// pop into its window, and the transaction commit acknowledges it.
 struct Window<T> {
-    /// Entries `[acked, appended)`, numbered in send order from 0.
+    /// Entries `[acked, appended)`, numbered in append order from 0.
     entries: ReplayWindow<(T, Signal)>,
-    /// Sequence number of the next entry to hand to the ring.
-    published: u64,
-    /// How to copy a retained entry into the ring; `None` moves it.
+    /// Sequence number of the next entry to hand out.
+    cursor: u64,
+    /// How to copy a retained entry when handing it out; `None` moves it.
     retain: Option<fn(&T) -> T>,
     /// Sends are refused between [`Producer::begin_recovery`] and
     /// [`Producer::replay_unacked`].
@@ -1384,27 +1291,54 @@ impl<T> Window<T> {
     fn new(bound: usize, retain: Option<fn(&T) -> T>) -> Box<Self> {
         Box::new(Window {
             entries: ReplayWindow::new(bound),
-            published: 0,
+            cursor: 0,
             retain,
             recovering: false,
         })
     }
 
-    /// Entries appended and not yet handed to the ring.
+    /// Entries appended and not yet handed out.
     fn staged(&self) -> usize {
-        (self.entries.next_seq() - self.published) as usize
+        (self.entries.next_seq() - self.cursor) as usize
     }
 
-    /// The next staged entry, for the ring.
-    fn publish_next(&mut self) -> (T, Signal) {
-        let seq = self.published;
-        self.published += 1;
+    /// The entry at the cursor, for the ring (producer) or the kernel
+    /// (consumer).
+    fn next(&mut self) -> (T, Signal) {
+        let seq = self.cursor;
+        self.cursor += 1;
         match self.retain {
-            // Nothing is retained, so the next staged entry is the front.
+            // Nothing is retained, so the entry at the cursor is the front.
             None => self.entries.take_front(),
             Some(copy) => self.entries.get(seq).map(|(v, s)| (copy(v), *s)),
         }
-        .expect("a staged entry is in the window")
+        .expect("the cursor is inside the window")
+    }
+
+    /// Append `entry`, mirroring a forced acknowledgement (the bound
+    /// dropped an entry that can no longer be replayed) into the endpoint's
+    /// `forced_acks` counter.
+    fn append(&mut self, entry: (T, Signal), forced_acks: &AtomicU64) {
+        self.entries.append(entry);
+        let forced = self.entries.forced_acks();
+        if forced != forced_acks.load(Relaxed) {
+            forced_acks.store(forced, Relaxed);
+        }
+        // A forced ack of an entry not yet handed out loses it: skip past.
+        self.cursor = self.cursor.max(self.entries.acked());
+    }
+
+    /// A consumer's live pop: keep a copy for replay, serve the original.
+    fn serve_live(&mut self, value: T, signal: Signal, forced_acks: &AtomicU64) -> T {
+        let copy = self.retain.expect("a consumer window copies");
+        self.append((copy(&value), signal), forced_acks);
+        self.cursor = self.entries.next_seq();
+        value
+    }
+
+    /// Hand everything unacknowledged out again, oldest first.
+    fn rewind(&mut self) {
+        self.cursor = self.entries.acked();
     }
 }
 
@@ -1422,10 +1356,7 @@ impl<T, H: Home<T>> Producer<T, H> {
     /// Append `(value, signal)` to the window.
     fn append(&mut self, value: T, signal: Signal) {
         let window = self.window.as_mut().expect("staging enabled");
-        let forced = &self.shared.stats.writer.forced_acks;
-        record(&mut window.entries, (value, signal), forced);
-        // A forced ack of a still-staged entry loses it: skip past.
-        window.published = window.published.max(window.entries.acked());
+        window.append((value, signal), &self.shared.stats.writer.forced_acks);
     }
 
     /// Hand staged entries to the ring in order, one batch — a single
@@ -1447,10 +1378,10 @@ impl<T, H: Home<T>> Producer<T, H> {
         while window.staged() > 0 {
             let staged = window.staged();
             let entries = &mut *window;
-            let batch = move |n| std::iter::repeat_with(move || entries.publish_next()).take(n);
+            let batch = move |n| std::iter::repeat_with(move || entries.next()).take(n);
             match shared.push_some(cursor, staged, batch)? {
                 0 if block => {
-                    let (v, s) = window.publish_next();
+                    let (v, s) = window.next();
                     shared
                         .push(cursor, v, s, *admission)
                         .map_err(|_| PushError(()))?;
@@ -1623,6 +1554,12 @@ impl<T, H: Home<T>> Producer<T, H> {
         }
     }
 
+    /// `true` once staging (or replay) is enabled: pushes go through the
+    /// pending window.
+    pub fn journaled(&self) -> bool {
+        self.window.is_some()
+    }
+
     /// Elements currently staged and not yet published.
     pub fn staged_len(&self) -> usize {
         self.window.as_ref().map_or(0, |w| w.staged())
@@ -1645,7 +1582,7 @@ impl<T, H: Home<T>> Producer<T, H> {
     pub fn rewind_produced(&mut self) -> usize {
         self.window
             .as_mut()
-            .map_or(0, |w| w.entries.truncate(w.published))
+            .map_or(0, |w| w.entries.truncate(w.cursor))
     }
 
     /// Close the stream: the consumer drains what remains, then sees
@@ -1773,7 +1710,7 @@ impl<T: ShmItem> Producer<T, Seg<T>> {
         let window = self.replay_window();
         // Only what was handed to the ring can have been processed,
         // whatever a byzantine worker writes.
-        let released = window.entries.ack(committed.min(window.published));
+        let released = window.entries.ack(committed.min(window.cursor));
         if !window.recovering {
             // Full: retry on a later pump. Closed: the worker died again;
             // the next recovery cycle rewinds the cursor.
@@ -1795,8 +1732,7 @@ impl<T: ShmItem> Producer<T, Seg<T>> {
         self.replay_window().recovering = true;
         let dropped = self.segment().drain_residue();
         self.ack_committed();
-        let window = self.replay_window();
-        window.published = window.entries.acked();
+        self.replay_window().rewind();
         dropped
     }
 
@@ -1971,20 +1907,9 @@ pub struct Consumer<T, H: Home<T> = Heap<T>> {
     cursor: ConsumerCursor,
     /// Replay journal for the exactly-once recovery contract (see
     /// [`crate::journal`]): records a clone of every popped element until
-    /// the transaction commits, re-serves them after a rewind.
-    journal: Option<Box<ConsumerJournal<T>>>,
-}
-
-/// Consumer-side journal state (boxed: the unjournaled common case pays one
-/// pointer of space and a null check per pop).
-struct ConsumerJournal<T> {
-    window: ReplayWindow<(T, Signal)>,
-    /// Next sequence number to serve. Equal to `window.next_seq()` while
-    /// recording (live); behind it while replaying after a rewind.
-    cursor: u64,
-    /// Captured at [`Consumer::enable_journal`], where `T: Clone` is known;
-    /// keeps the `Clone` bound off the `Consumer` type itself.
-    clone_fn: fn(&T) -> T,
+    /// the transaction commits, re-serves them after a rewind. Boxed: the
+    /// unjournaled common case pays one pointer and a null check per pop.
+    window: Option<Box<Window<T>>>,
 }
 
 impl<T, H: Home<T>> Consumer<T, H> {
@@ -1993,7 +1918,7 @@ impl<T, H: Home<T>> Consumer<T, H> {
     /// anything new is taken from the ring, and every live pop is recorded
     /// for possible replay.
     pub fn try_pop_signal(&mut self) -> Result<(T, Signal), TryPopError> {
-        self.shared.try_pop(&mut self.cursor, &mut self.journal)
+        self.shared.try_pop(&mut self.cursor, &mut self.window)
     }
 
     /// Non-blocking pop.
@@ -2008,10 +1933,10 @@ impl<T, H: Home<T>> Consumer<T, H> {
         let Consumer {
             shared,
             cursor,
-            journal,
+            window,
         } = self;
         let popped = shared.block_until(Role::Consumer, None, || {
-            match shared.try_pop(cursor, journal) {
+            match shared.try_pop(cursor, window) {
                 Ok(pair) => Some(Some(pair)),
                 Err(TryPopError::Closed) => Some(None),
                 Err(TryPopError::Empty) => None,
@@ -2092,7 +2017,7 @@ impl<T, H: Home<T>> Consumer<T, H> {
     /// for room is told once per call, not once per element.
     pub fn pop_range(&mut self, n: usize, out: &mut Vec<T>) -> Result<usize, PopError> {
         self.shared.stats.note_read_request(n);
-        if self.journal.is_some() {
+        if self.window.is_some() {
             // Journaled link: route through the per-element path so every
             // element is recorded (and replay is served first). Gives up the
             // single-fence batch amortization for the recovery guarantee.
@@ -2177,47 +2102,38 @@ impl<T, H: Home<T>> Consumer<T, H> {
 
     /// Enable the consumer-side replay journal — the input half of the
     /// exactly-once recovery contract (see [`crate::journal`]). Every pop
-    /// records a clone; [`commit_consumed`](Self::commit_consumed)
-    /// acknowledges them, [`rewind_consumed`](Self::rewind_consumed) queues
-    /// them for replay. Call once at wiring time, before the first pop.
+    /// records a clone (at most [`JOURNAL_BOUND`] unacknowledged);
+    /// [`commit_consumed`](Self::commit_consumed) acknowledges them,
+    /// [`rewind_consumed`](Self::rewind_consumed) queues them for replay.
+    /// Call once at wiring time, before the first pop.
     ///
     /// Zero-copy read paths (`pop_slice`, `peek_range` + `advance`) bypass
     /// the journal; journaled links must consume through the per-element or
     /// `pop_range` paths (the runtime's supervised wiring does).
-    pub fn enable_journal(&mut self, cfg: JournalConfig)
+    pub fn enable_journal(&mut self)
     where
         T: Clone,
     {
-        fn clone_of<T: Clone>(v: &T) -> T {
-            v.clone()
+        if self.window.is_none() {
+            self.window = Some(Window::new(JOURNAL_BOUND, Some(T::clone)));
         }
-        if self.journal.is_none() {
-            self.journal = Some(Box::new(ConsumerJournal {
-                window: ReplayWindow::new(cfg.bound),
-                cursor: 0,
-                clone_fn: clone_of::<T>,
-            }));
-            self.shared.journaled.store(true, Release);
-        }
+    }
+
+    /// `true` once the replay journal is enabled.
+    pub fn journaled(&self) -> bool {
+        self.window.is_some()
     }
 
     /// Elements queued to be re-served after a rewind.
     pub fn replay_pending(&self) -> usize {
-        self.journal
-            .as_ref()
-            .map_or(0, |j| (j.window.next_seq() - j.cursor) as usize)
+        self.window.as_ref().map_or(0, |w| w.staged())
     }
 
-    /// Commit the current transaction: acknowledge every element popped
+    /// Commit the current transaction: acknowledge every element served
     /// since the last commit, releasing it from the replay window. Returns
     /// how many entries were released.
     pub fn commit_consumed(&mut self) -> usize {
-        let Some(j) = self.journal.as_mut() else {
-            return 0;
-        };
-        j.cursor = j.window.next_seq();
-        self.shared.journal_pending.store(0, Release);
-        j.window.ack_all()
+        self.window.as_mut().map_or(0, |w| w.entries.ack(w.cursor))
     }
 
     /// Rewind the current transaction: every unacknowledged element will be
@@ -2225,11 +2141,11 @@ impl<T, H: Home<T>> Consumer<T, H> {
     /// Returns how many elements were queued for replay. A second panic
     /// before the next commit replays the same elements again.
     pub fn rewind_consumed(&mut self) -> usize {
-        let Some(j) = self.journal.as_mut() else {
+        let Some(w) = self.window.as_mut() else {
             return 0;
         };
-        j.cursor = j.window.acked();
-        let pending = j.window.len();
+        w.rewind();
+        let pending = w.staged();
         self.shared.journal_pending.store(pending, Release);
         if pending > 0 {
             // The restarted kernel's task must observe itself as ready even
@@ -2935,8 +2851,8 @@ mod tests {
     #[test]
     fn journal_rewind_replays_uncommitted_pops() {
         let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig::default());
-        c.enable_journal(JournalConfig::default());
-        assert!(f.journaled());
+        c.enable_journal();
+        assert!(c.journaled());
         for i in 0..4 {
             p.try_push(i).unwrap();
         }
@@ -2964,7 +2880,7 @@ mod tests {
     #[test]
     fn journal_is_finished_waits_for_replay() {
         let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig::default());
-        c.enable_journal(JournalConfig::default());
+        c.enable_journal();
         p.try_push(7).unwrap();
         p.close();
         drop(p);
@@ -2974,6 +2890,25 @@ mod tests {
         assert_eq!(c.pop().unwrap(), 7);
         c.commit_consumed();
         assert!(f.is_finished());
+    }
+
+    #[test]
+    fn journal_bound_forces_the_oldest_pops_out_and_replays_the_rest() {
+        // One transaction pops past the constant bound: the three oldest
+        // pops can no longer be replayed, and the reader side says so.
+        const N: u64 = JOURNAL_BOUND as u64 + 3;
+        let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig::default());
+        c.enable_journal();
+        for i in 0..N {
+            p.push(i).unwrap();
+            assert_eq!(c.pop().unwrap(), i);
+        }
+        assert_eq!(f.stats().reader.forced_acks.load(Relaxed), 3);
+        assert_eq!(f.snapshot().forced_acks, 3);
+        assert_eq!(c.rewind_consumed(), JOURNAL_BOUND);
+        let replayed: Vec<u64> = (0..JOURNAL_BOUND).map(|_| c.pop().unwrap()).collect();
+        assert_eq!(replayed, (3..N).collect::<Vec<_>>());
+        assert_eq!(c.try_pop(), Err(TryPopError::Empty));
     }
 
     #[test]

@@ -31,57 +31,18 @@
 //! a fault-free run. Entries stay in the window until acknowledged, so a
 //! second panic replays again.
 //!
-//! The window is bounded ([`JournalConfig::bound`]); a run that pops more
-//! than `bound` elements force-acknowledges the oldest entries (those can
-//! no longer be replayed — the safety valve is recorded in the
-//! `forced_acks` counter so the loss is visible, never silent).
+//! The consumer's window is bounded ([`JOURNAL_BOUND`]); a transaction that
+//! pops more than that force-acknowledges the oldest entries (those can no
+//! longer be replayed — the safety valve is recorded in the `forced_acks`
+//! counter so the loss is visible, never silent).
 
 use std::collections::VecDeque;
 
-/// Per-link journal configuration (see [`crate::FifoConfig::journal`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournalConfig {
-    /// Maximum unacknowledged entries retained for replay. A committed
-    /// transaction acknowledges everything it consumed, so the bound only
-    /// has to cover the pops of a single commit interval.
-    pub bound: usize,
-    /// How many successful `run()` invocations the scheduler folds into one
-    /// transaction before committing (publishing staged outputs and
-    /// acknowledging consumed inputs). `1` commits after every run — the
-    /// tightest replay window, but per-element commit cost. Larger values
-    /// amortize the commit across many runs; a rewind then replays up to
-    /// `commit_interval` runs' worth of pops, all of whose outputs were
-    /// still staged (never published), so exactly-once observability is
-    /// unchanged. Schedulers flush early whenever the kernel goes idle,
-    /// finishes, or winds down, so batching adds bounded latency only while
-    /// the kernel is actively running.
-    pub commit_interval: u32,
-}
-
-impl Default for JournalConfig {
-    fn default() -> Self {
-        JournalConfig {
-            bound: 4096,
-            commit_interval: 32,
-        }
-    }
-}
-
-impl JournalConfig {
-    /// Journal with the given replay bound.
-    pub fn bounded(bound: usize) -> Self {
-        JournalConfig {
-            bound: bound.max(1),
-            ..JournalConfig::default()
-        }
-    }
-
-    /// Override the scheduler commit interval (clamped to at least 1).
-    pub fn with_commit_interval(mut self, runs: u32) -> Self {
-        self.commit_interval = runs.max(1);
-        self
-    }
-}
+/// Unacknowledged pops a journaled consumer retains for replay (see
+/// [`crate::FifoConfig::journal`]). A committed transaction acknowledges
+/// everything it consumed, so the bound only has to cover the pops of one
+/// commit interval, which the scheduler keeps at 32 runs.
+pub const JOURNAL_BOUND: usize = 4096;
 
 /// What a producer does when its queue is full — the paper's blocking
 /// write, or an overload-degradation policy (see
@@ -119,7 +80,7 @@ impl AdmissionPolicy {
 
 /// A bounded, sequence-numbered window of sent-but-unacknowledged entries.
 ///
-/// Generic over the entry type: the in-process consumer journal stores
+/// Generic over the entry type: the FIFO endpoints' windows store
 /// `(T, Signal)` pairs, the TCP sender stores encoded frames.
 /// Sequence numbers are monotonic from 0, dense, and reused only by
 /// [`truncate`](Self::truncate); acknowledgement is cumulative (acking `n`
@@ -175,28 +136,17 @@ impl<E> ReplayWindow<E> {
     /// next_expected`. Returns how many entries were released.
     pub fn ack(&mut self, next_expected: u64) -> usize {
         crate::failpoint!("buffer::journal::ack");
-        let mut released = 0;
-        while let Some(&(seq, _)) = self.entries.front() {
-            if seq < next_expected {
-                self.entries.pop_front();
-                released += 1;
-            } else {
-                break;
-            }
-        }
-        self.acked = self.acked.max(next_expected.min(self.next_seq));
+        // Entries are dense from `acked`: the released prefix is a range.
+        let upto = next_expected.clamp(self.acked, self.next_seq);
+        let released = (upto - self.acked) as usize;
+        self.entries.drain(..released);
+        self.acked = upto;
         released
     }
 
-    /// Acknowledge everything currently recorded. Equivalent to
-    /// `ack(next_seq)` but skips the per-entry front probes — this is the
-    /// transaction-commit hot path.
+    /// Acknowledge everything currently recorded.
     pub fn ack_all(&mut self) -> usize {
-        crate::failpoint!("buffer::journal::ack");
-        let released = self.entries.len();
-        self.entries.clear();
-        self.acked = self.next_seq;
-        released
+        self.ack(self.next_seq)
     }
 
     /// Acknowledge the oldest entry and hand it back — for a sender whose
@@ -384,11 +334,5 @@ mod tests {
         assert!(AdmissionPolicy::Shed.may_shed());
         assert!(AdmissionPolicy::BlockTimeout(std::time::Duration::from_millis(1)).may_shed());
         assert_eq!(AdmissionPolicy::default(), AdmissionPolicy::Block);
-    }
-
-    #[test]
-    fn journal_config_bound_floor() {
-        assert_eq!(JournalConfig::bounded(0).bound, 1);
-        assert_eq!(JournalConfig::default().bound, 4096);
     }
 }

@@ -37,8 +37,8 @@
 //!   segment home ([`shm::Seg`], a mapped `memfd` segment another process
 //!   attaches; [`shm::ShmRing`] holds its constructors). Adds per-element
 //!   [`signal::Signal`]s delivered synchronously with data, blocking,
-//!   admission policies, the producer window and consumer journal for
-//!   exactly-once recovery ([`journal`]), zero-copy batch views
+//!   admission policies, one pending window per endpoint for exactly-once
+//!   recovery ([`journal`]), zero-copy batch views
 //!   ([`fifo::Producer::reserve`], [`fifo::Consumer::pop_slice`]) and the
 //!   telemetry ([`stats::FifoStats`]) that feeds the monitor.
 //! * the [`arena`] free list — the bare ring over a mapped segment.
@@ -87,7 +87,7 @@ pub use fifo::{
     fifo_with, Consumer, Fifo, FifoConfig, LinkAlloc, PeekRange, Producer, SliceView, WriteGuard,
     WriteSlice, DRAIN_DRAINING, DRAIN_QUIESCED, DRAIN_RUNNING,
 };
-pub use journal::{AdmissionPolicy, JournalConfig, ReplayWindow};
+pub use journal::{AdmissionPolicy, ReplayWindow};
 pub use shm::{Heartbeat, ShmRing, ShmSegment};
 pub use signal::Signal;
 pub use spsc::BoundedSpsc;

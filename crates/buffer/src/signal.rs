@@ -6,7 +6,7 @@
 //! *asynchronous* signals that bypass the queue. This module defines the
 //! signal vocabulary; synchronous delivery is implemented by storing a
 //! [`Signal`] in every ring-buffer slot, asynchronous delivery by an atomic
-//! side-channel on the FIFO ([`crate::fifo::Fifo::post_async`]).
+//! side-channel on the FIFO ([`crate::fifo::Monitorable::post_async`]).
 
 /// A signal that rides alongside a stream element (synchronous) or is posted
 /// out-of-band (asynchronous).

@@ -2,6 +2,7 @@
 //! resize schedule may ever lose, duplicate, or reorder elements.
 
 use proptest::prelude::*;
+use raft_buffer::fifo::Monitorable;
 use raft_buffer::{fifo_with, BoundedSpsc, FifoConfig, Signal};
 
 /// Ops the "driver" can perform against a FIFO, derived from a proptest

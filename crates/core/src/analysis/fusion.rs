@@ -9,17 +9,21 @@
 //! chains of adjacent single-input/single-output *fusable* kernels compile
 //! into one [`FusedKernel`] that executes the whole chain over owned
 //! batches — a batched pop at the head (one blocking wait and one queue
-//! protocol entry per batch, via [`PortDef::batch_pop`]), a tight per-stage
+//! protocol entry per batch, via [`InEnd::pop_batch`]), a tight per-stage
 //! loop over the batch in the middle, and a `reserve`/`WriteSlice` publish
-//! at the tail ([`PortDef::batch_push`]). Interior FIFOs, their monitor
+//! at the tail ([`OutEnd::push_batch`]). Interior FIFOs, their monitor
 //! entries, and their scheduler hops disappear entirely.
+//!
+//! [`InEnd::pop_batch`]: crate::port::InEnd::pop_batch
+//! [`OutEnd::push_batch`]: crate::port::OutEnd::push_batch
 //!
 //! A kernel joins a chain when all of the following hold:
 //!
 //! * it has exactly one input and one output port;
 //! * [`Kernel::is_fusable`] is true and it compiles into a batch stage
 //!   ([`Kernel::batch_stage`]);
-//! * it is stateless ([`crate::map::KernelEntry::is_stateless`]) — fused
+//! * it is stateless ([`Kernel::is_stateless`], or declared so with
+//!   [`RaftMap::declare_stateless`](crate::map::RaftMap::declare_stateless)) — fused
 //!   stages see the stream batch-at-a-time, so cross-item state would
 //!   observe different `run()` boundaries than the unfused kernel;
 //! * its supervision policy is `Abort` or `Restart` and identical across
@@ -32,7 +36,7 @@
 //!   (the Figure 4 harness semantics), so it must stay materialized.
 //!
 //! The pass is planned once ([`plan`]) and consumed twice: the `RC0011`
-//! info lint reports the planned groups pre-`exe()`, and [`apply`] rewrites
+//! info lint reports the planned groups pre-`exe()`, and `apply` rewrites
 //! the kernel/link tables in place right before replica expansion. Because
 //! the fused kernel is itself stateless, single-in/single-out and
 //! replicable, the auto-parallelizer may then replicate the *whole group*.
@@ -125,7 +129,7 @@ fn kernel_fusable(map: &RaftMap, k: usize) -> bool {
 }
 
 /// Compute the maximal fusable chains of `map`, in deterministic (head
-/// index) order. Shared by the `RC0011` lint and [`apply`], so the planned
+/// index) order. Shared by the `RC0011` lint and `apply`, so the planned
 /// groups reported pre-`exe()` are exactly the groups the runtime fuses.
 pub fn plan(map: &RaftMap) -> Vec<FusionGroup> {
     let n = map.kernels.len();
@@ -271,13 +275,13 @@ impl Kernel for FusedKernel {
     }
 
     fn run(&mut self, ctx: &Context) -> KStatus {
-        let Some((mut batch, n_in)) = (self.in_def.batch_pop)(ctx, 0, self.batch) else {
+        let Some((mut batch, n_in)) = ctx.pop_batch(0, self.batch) else {
             return KStatus::Stop;
         };
         for stage in &mut self.stages {
             batch = stage.run_batch_erased(batch);
         }
-        match (self.out_def.batch_push)(ctx, 0, batch) {
+        match ctx.push_batch(0, batch) {
             Some(n_out) => {
                 self.stats.batches.fetch_add(1, Ordering::Relaxed);
                 self.stats

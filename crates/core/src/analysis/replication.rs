@@ -16,7 +16,7 @@
 //!   consumer (an ordered reduce fed by unordered replicas).
 //!
 //! The inferred per-kernel classification is exported through
-//! [`crate::report::ExeReport::kernel_classes`] so later passes (fusion,
+//! [`crate::runtime::ExeReport::kernel_classes`] so later passes (fusion,
 //! autoscaling) consume inferred facts instead of trusting declarations.
 
 use crate::diagnostics::Diagnostic;
@@ -27,7 +27,7 @@ use super::Analysis;
 
 /// Inferred replication/fusion facts for one kernel, computed before
 /// replica expansion and exported via
-/// [`crate::report::ExeReport::kernel_classes`].
+/// [`crate::runtime::ExeReport::kernel_classes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelClassification {
     /// Kernel display name (`Type#idx`).

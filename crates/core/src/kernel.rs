@@ -7,77 +7,24 @@
 //! [`KStatus::Stop`].
 //!
 //! Port declarations are *typed*: [`PortSpec::input`]/[`PortSpec::output`]
-//! capture the element type's `TypeId` plus monomorphized factory functions
-//! so the (type-erased) runtime can later allocate the right FIFO and the
-//! right split/reduce adapters for each link — the reproduction of C++
-//! RaftLib's template machinery.
+//! capture the element type's `TypeId` plus two monomorphized factory
+//! functions so the (type-erased) runtime can later allocate the right FIFO
+//! and the right split/reduce adapters for each link — the reproduction of
+//! C++ RaftLib's template machinery. Everything else the runtime does to a
+//! port without knowing its type is a method of the erased end the FIFO
+//! factory returns ([`InEnd`] / [`OutEnd`]).
 
 use std::any::{Any, TypeId};
 
-use raft_buffer::fifo::Monitorable;
 use raft_buffer::{fifo_with, FifoConfig};
-use std::sync::Arc;
 
 use crate::parallel::{adapter_factories, AdapterFactories};
-use crate::port::{AnyEndpoint, Context};
+use crate::port::{Context, InEnd, OutEnd};
 
 /// A type-erased owned batch of stream elements: a `Vec<T>` behind
 /// `dyn Any`, handed from stage to stage inside a fused chain with no FIFO
 /// protocol in between (see [`crate::analysis::fusion`]).
 pub type AnyBatch = Box<dyn Any + Send>;
-
-/// Monomorphized batched-input eraser captured on a [`PortDef`]: pop up to
-/// `n` elements from input port `idx` into one owned batch — a single
-/// blocking wait and a single queue-protocol entry for the whole batch.
-/// Returns the erased batch and its length; `None` once the stream is
-/// closed and drained.
-pub type BatchPopFn = fn(&Context, usize, usize) -> Option<(AnyBatch, usize)>;
-
-/// Monomorphized batched-output eraser captured on a [`PortDef`]: publish
-/// an owned batch through output port `idx` via [`crate::port::OutPort::reserve`] —
-/// elements are moved straight into reserved ring slots and released under
-/// one fence entry per reservation. Returns the element count, or `None`
-/// if the consumer is gone.
-pub type BatchPushFn = fn(&Context, usize, AnyBatch) -> Option<usize>;
-
-fn batch_pop<T: Send + 'static>(ctx: &Context, idx: usize, n: usize) -> Option<(AnyBatch, usize)> {
-    let mut port = ctx.input_at::<T>(idx);
-    let mut buf: Vec<T> = Vec::with_capacity(n);
-    match port.pop_range(n, &mut buf) {
-        Ok(got) => Some((Box::new(buf), got)),
-        Err(_) => None,
-    }
-}
-
-fn batch_push<T: Send + 'static>(ctx: &Context, idx: usize, batch: AnyBatch) -> Option<usize> {
-    let batch = batch
-        .downcast::<Vec<T>>()
-        .expect("fused chain tail: output batch element type mismatch");
-    let n = batch.len();
-    if n == 0 {
-        return Some(0);
-    }
-    let mut port = ctx.output_at::<T>(idx);
-    let mut iter = batch.into_iter();
-    let mut left = n;
-    // reserve() clamps each grant to the ring's maximum capacity, so a
-    // batch larger than the ring is published across several reservations.
-    while left > 0 {
-        let mut slice = port.reserve(left).ok()?;
-        let take = left.min(slice.remaining());
-        if take == 0 {
-            continue;
-        }
-        for _ in 0..take {
-            match iter.next() {
-                Some(v) => slice.push(v),
-                None => break,
-            }
-        }
-        left -= take;
-    }
-    Some(n)
-}
 
 /// What a kernel's `run()` tells the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,57 +35,21 @@ pub enum KStatus {
     Stop,
 }
 
-/// Type-erased FIFO construction result: `(producer, consumer, monitor
-/// handle)`. The producer/consumer boxes hold `raft_buffer::Producer<T>` /
-/// `Consumer<T>` and are downcast inside [`Context`].
-pub type ErasedFifo = (AnyEndpoint, AnyEndpoint, Arc<dyn Monitorable>);
+/// Type-erased FIFO construction result: the link's two ends.
+pub type ErasedFifo = (Box<dyn OutEnd>, Box<dyn InEnd>);
 
 /// Monomorphized FIFO factory, captured at port-declaration time.
 pub type FifoFactory = fn(FifoConfig) -> ErasedFifo;
 
 fn make_fifo<T: Send + Clone + 'static>(cfg: FifoConfig) -> ErasedFifo {
-    let (fifo, mut producer, mut consumer) = fifo_with::<T>(cfg);
-    if let Some(journal) = cfg.journal {
+    let (_fifo, mut producer, mut consumer) = fifo_with::<T>(cfg);
+    if cfg.journal {
         // Exactly-once link: pops are recorded for replay, pushes staged
         // until the transaction commits (see `raft_buffer::journal`).
-        consumer.enable_journal(journal);
+        consumer.enable_journal();
         producer.enable_staging();
     }
-    (Box::new(producer), Box::new(consumer), Arc::new(fifo))
-}
-
-/// Transaction verbs applied to a journaled endpoint at the end of one
-/// `run()` (see `raft_buffer::journal`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalOp {
-    /// Acknowledge consumed elements / publish staged outputs.
-    Commit,
-    /// Queue consumed elements for replay / discard staged outputs.
-    Rewind,
-}
-
-/// Monomorphized journal-control eraser captured on a [`PortDef`]: apply
-/// `op` to the input (`is_input == true`) or output port `idx` of `ctx`.
-/// Returns how many elements were affected (acked/queued/published/
-/// discarded).
-pub type JournalCtlFn = fn(&Context, bool, usize, JournalOp) -> u64;
-
-fn journal_ctl<T: Send + 'static>(ctx: &Context, is_input: bool, idx: usize, op: JournalOp) -> u64 {
-    if is_input {
-        let mut port = ctx.input_at::<T>(idx);
-        match op {
-            JournalOp::Commit => port.commit_consumed() as u64,
-            JournalOp::Rewind => port.rewind_consumed() as u64,
-        }
-    } else {
-        let mut port = ctx.output_at::<T>(idx);
-        match op {
-            // A commit that fails (consumer gone) drops the staged elements,
-            // exactly as an unjournaled push to a closed consumer would.
-            JournalOp::Commit => port.commit_produced().unwrap_or(0) as u64,
-            JournalOp::Rewind => port.rewind_produced() as u64,
-        }
-    }
+    (Box::new(producer), Box::new(consumer))
 }
 
 /// Declaration of one port: name, element type, and the factories the
@@ -156,13 +67,6 @@ pub struct PortDef {
     /// Split/reduce adapter constructors for this element type (used when
     /// the auto-parallelizer replicates the kernel behind this port).
     pub adapters: fn() -> AdapterFactories,
-    /// Batched-input eraser for this element type (fused-chain head I/O).
-    pub batch_pop: BatchPopFn,
-    /// Batched-output eraser for this element type (fused-chain tail I/O).
-    pub batch_push: BatchPushFn,
-    /// Journal-transaction eraser for this element type (exactly-once
-    /// recovery: commit/rewind through the type-erased [`Context`]).
-    pub journal_ctl: JournalCtlFn,
 }
 
 impl std::fmt::Debug for PortDef {
@@ -187,9 +91,6 @@ impl PortDef {
             type_name: std::any::type_name::<T>(),
             fifo_factory: make_fifo::<T>,
             adapters: adapter_factories::<T>,
-            batch_pop: batch_pop::<T>,
-            batch_push: batch_push::<T>,
-            journal_ctl: journal_ctl::<T>,
         }
     }
 }
@@ -197,7 +98,7 @@ impl PortDef {
 /// One type-erased stage of a fused chain: consumes an owned input batch
 /// and produces an owned output batch, with no queue in between.
 ///
-/// Obtained from a kernel via [`Kernel::into_batch_stage`]; usually
+/// Obtained from a kernel via [`Kernel::batch_stage`]; usually
 /// implemented through the typed [`BatchKernel`] trait (blanket-erased
 /// here) rather than directly.
 pub trait ErasedBatchStage: Send {
@@ -533,9 +434,14 @@ mod tests {
     #[test]
     fn fifo_factory_produces_working_endpoints() {
         let def = PortDef::of::<String>("s");
-        let (prod, cons, monitor) = (def.fifo_factory)(FifoConfig::starting_at(4));
-        let mut p = prod.downcast::<raft_buffer::Producer<String>>().unwrap();
-        let mut c = cons.downcast::<raft_buffer::Consumer<String>>().unwrap();
+        let (prod, cons) = (def.fifo_factory)(FifoConfig::starting_at(4));
+        let monitor = cons.link();
+        let mut p = (prod as Box<dyn Any>)
+            .downcast::<raft_buffer::Producer<String>>()
+            .unwrap();
+        let mut c = (cons as Box<dyn Any>)
+            .downcast::<raft_buffer::Consumer<String>>()
+            .unwrap();
         p.try_push("hi".to_string()).unwrap();
         assert_eq!(monitor.occupancy(), 1);
         assert_eq!(c.try_pop().unwrap(), "hi");
@@ -574,20 +480,24 @@ mod tests {
     }
 
     #[test]
-    fn port_def_batch_erasers_roundtrip() {
+    fn fifo_factory_ends_move_whole_batches() {
         let def = PortDef::of::<u64>("x");
-        let (fifo, producer, consumer) = raft_buffer::fifo_with::<u64>(FifoConfig::starting_at(8));
-        let monitor: Arc<dyn Monitorable> = Arc::new(fifo);
-        let in_ctx = Context::for_test(
-            vec![("x".into(), Box::new(consumer), monitor)],
-            vec![("x".into(), Box::new(producer))],
-        );
+        let (mut out, mut input) = (def.fifo_factory)(FifoConfig::starting_at(8));
+        assert_eq!(out.push_batch(Box::new(vec![7u64, 8, 9])), Some(3));
+        // Larger than the ring: the reservation grows it on the spot.
         assert_eq!(
-            (def.batch_push)(&in_ctx, 0, Box::new(vec![7u64, 8, 9])),
-            Some(3)
+            out.push_batch(Box::new((10..30).collect::<Vec<u64>>())),
+            Some(20)
         );
-        let (batch, n) = (def.batch_pop)(&in_ctx, 0, 16).unwrap();
-        assert_eq!(n, 3);
-        assert_eq!(*batch.downcast::<Vec<u64>>().unwrap(), vec![7, 8, 9]);
+        let (batch, n) = input.pop_batch(16).unwrap();
+        assert_eq!(n, 16);
+        let batch = *batch.downcast::<Vec<u64>>().unwrap();
+        assert_eq!(
+            batch,
+            [7, 8, 9].into_iter().chain(10..23).collect::<Vec<_>>()
+        );
+        drop(out);
+        assert_eq!(input.pop_batch(16).unwrap().1, 7);
+        assert!(input.pop_batch(16).is_none(), "closed and drained");
     }
 }

@@ -112,7 +112,7 @@ pub use scheduler::{SchedulerKind, WorkerReport};
 pub use supervise::{KernelOutcome, SupervisorPolicy};
 
 // Re-export the signal and FIFO config types users meet at the API surface.
-pub use raft_buffer::{AdmissionPolicy, FifoConfig, JournalConfig, LinkAlloc, Signal};
+pub use raft_buffer::{AdmissionPolicy, FifoConfig, LinkAlloc, Signal};
 
 /// Everything needed to write and run a streaming application.
 pub mod prelude {
@@ -132,5 +132,5 @@ pub mod prelude {
     pub use crate::runtime::{DrainEvent, DrainReason, ExeReport};
     pub use crate::scheduler::SchedulerKind;
     pub use crate::supervise::{KernelOutcome, SupervisorPolicy};
-    pub use raft_buffer::{AdmissionPolicy, FifoConfig, JournalConfig, LinkAlloc, Signal};
+    pub use raft_buffer::{AdmissionPolicy, FifoConfig, LinkAlloc, Signal};
 }

@@ -11,7 +11,7 @@
 //! monitors all the queues within the system and reallocates them as needed
 //! (either larger or smaller)", §4.2), and it is the run's only control
 //! thread: always spawned, it also owns the drain ladder — the one path
-//! every stop reason takes (see [`Ladder`]) — and hands its event logs back
+//! every stop reason takes (`Ladder`) — and hands its event logs back
 //! by value when it is joined. Each tick it:
 //!
 //! 0. applies any requested drain level, fires the `exe` deadline and the

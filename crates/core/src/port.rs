@@ -12,8 +12,13 @@
 //! the monitor's 3δ grow rule watches for); `peek_range` gives the sliding
 //! window pattern.
 //!
-//! Taking a handle ([`Context::input`] / [`Context::output`]) pays the name
-//! lookup, `RefCell` borrow and `dyn Any` downcast *once*; the handle then
+//! Each port end is held type-erased exactly once, as an [`InEnd`] /
+//! [`OutEnd`] trait object over the link's `Consumer<T>` / `Producer<T>`.
+//! What the runtime does to a port without knowing `T` — the fused chain's
+//! batch I/O, the journal transaction's commit and rewind, the abort
+//! signal — is a method on that object. Taking a typed handle
+//! ([`Context::input`] / [`Context::output`]) pays the name lookup,
+//! `RefCell` borrow and `dyn Any` downcast *once*; the handle then
 //! stores the typed endpoint, so per-element calls are direct. The lookup is
 //! a linear scan over the kernel's port names — O(ports) by design: kernels
 //! have a handful of ports, and comparing a few short strings (length
@@ -28,7 +33,7 @@
 //! zero-copy path *is* the shared-memory path, no extra marshalling layer.
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::sync::Arc;
 
 use raft_buffer::fifo::Monitorable;
@@ -38,10 +43,107 @@ use raft_buffer::{
 };
 
 use crate::error::PortClosed;
+use crate::kernel::AnyBatch;
 use crate::runtime::Shutdown;
+use crate::scheduler::QUANTUM;
 
-/// Type-erased stream endpoint (`Producer<T>` or `Consumer<T>`).
-pub type AnyEndpoint = Box<dyn Any + Send>;
+/// The input end of one stream with its element type erased: a
+/// `Consumer<T>`, implemented once for every `T`. A typed handle downcasts
+/// it once ([`Context::input`]); the runtime drives it through these
+/// methods without knowing `T`.
+pub trait InEnd: Any + Send {
+    /// Monitor-facing handle of the link this end reads.
+    fn link(&self) -> Arc<dyn Monitorable>;
+    /// `true` when every pop is journaled for replay.
+    fn journaled(&self) -> bool;
+    /// Pop up to `n` elements into one owned batch (a `Vec<T>`): a single
+    /// blocking wait and queue-protocol entry for the whole batch — the
+    /// fused chain's head. Returns the batch and its length; `None` once
+    /// the stream is closed and drained.
+    fn pop_batch(&mut self, n: usize) -> Option<(AnyBatch, usize)>;
+    /// Acknowledge every pop served since the last commit (no-op when not
+    /// journaled).
+    fn commit(&mut self);
+    /// Queue every unacknowledged pop for redelivery, oldest first, ahead
+    /// of new ring data (no-op when not journaled).
+    fn rewind(&mut self);
+}
+
+/// The output end of one stream with its element type erased: a
+/// `Producer<T>` (see [`InEnd`]).
+pub trait OutEnd: Any + Send {
+    /// `true` when pushes are staged until the transaction commits.
+    fn journaled(&self) -> bool;
+    /// Publish an owned batch (a `Vec<T>`) through reserved ring slots —
+    /// the fused chain's tail. Returns the element count, or `None` if the
+    /// consumer is gone.
+    fn push_batch(&mut self, batch: AnyBatch) -> Option<usize>;
+    /// Publish everything staged since the last commit (no-op when not
+    /// journaled).
+    fn commit(&mut self);
+    /// Discard everything staged since the last commit (no-op when not
+    /// journaled).
+    fn rewind(&mut self);
+    /// Tell the consumer, out of band, that this kernel failed for good —
+    /// the paper's asynchronous signaling pathway for global exception
+    /// handling (§4.2).
+    fn post_error(&self);
+}
+
+impl<T: Send + 'static> InEnd for Consumer<T> {
+    fn link(&self) -> Arc<dyn Monitorable> {
+        Arc::new(self.fifo())
+    }
+    fn journaled(&self) -> bool {
+        Consumer::journaled(self)
+    }
+    fn pop_batch(&mut self, n: usize) -> Option<(AnyBatch, usize)> {
+        let mut batch: Vec<T> = Vec::with_capacity(n);
+        let got = self.pop_range(n, &mut batch).ok()?;
+        Some((Box::new(batch), got))
+    }
+    fn commit(&mut self) {
+        self.commit_consumed();
+    }
+    fn rewind(&mut self) {
+        self.rewind_consumed();
+    }
+}
+
+impl<T: Send + 'static> OutEnd for Producer<T> {
+    fn journaled(&self) -> bool {
+        Producer::journaled(self)
+    }
+    fn push_batch(&mut self, batch: AnyBatch) -> Option<usize> {
+        let batch = batch
+            .downcast::<Vec<T>>()
+            .expect("fused chain tail: output batch element type mismatch");
+        let n = batch.len();
+        let mut items = batch.into_iter();
+        let mut left = n;
+        // reserve() clamps each grant to the ring's maximum capacity, so a
+        // batch larger than the ring is published across several
+        // reservations.
+        while left > 0 {
+            let mut slice = self.reserve(left).ok()?;
+            let take = left.min(slice.remaining());
+            items.by_ref().take(take).for_each(|v| slice.push(v));
+            left -= take;
+        }
+        Some(n)
+    }
+    fn commit(&mut self) {
+        // A commit that fails (consumer gone) drops the staged elements,
+        // exactly as an unjournaled push to a closed consumer would.
+        let _ = self.commit_produced();
+    }
+    fn rewind(&mut self) {
+        self.rewind_produced();
+    }
+    fn post_error(&self) {
+        self.fifo().post_async(Signal::Error(1));
+    }
+}
 
 /// Where a kernel's ports live during execution.
 ///
@@ -50,15 +152,17 @@ pub type AnyEndpoint = Box<dyn Any + Send>;
 /// and pushes one output in a single `run`). Taking the same port twice
 /// panics — that is always a kernel bug.
 pub struct Context {
-    inputs: Vec<RefCell<AnyEndpoint>>,
+    inputs: Vec<RefCell<Box<dyn InEnd>>>,
     /// Monitor handle of each input's FIFO (for the erased `inputs_done`
     /// check and the schedulers' readiness gate).
     input_fifos: Vec<Arc<dyn Monitorable>>,
     /// Port names, parallel to the endpoint vectors: a name's position is
     /// its port index.
     input_names: Vec<String>,
-    outputs: Vec<RefCell<AnyEndpoint>>,
+    outputs: Vec<RefCell<Box<dyn OutEnd>>>,
     output_names: Vec<String>,
+    /// What [`Context::commit_every`] returns, fixed at construction.
+    commit_every: u32,
     /// The graph's shutdown word pair: this kernel reads the level the
     /// control thread applied, and a fatal panic requests one through it.
     pub(crate) shutdown: Arc<Shutdown>,
@@ -75,8 +179,8 @@ impl Context {
     /// Assemble a context from named endpoints. Runtime-internal.
     pub(crate) fn new(
         kernel_name: String,
-        inputs: Vec<(String, AnyEndpoint, Arc<dyn Monitorable>)>,
-        outputs: Vec<(String, AnyEndpoint)>,
+        inputs: Vec<(String, Box<dyn InEnd>)>,
+        outputs: Vec<(String, Box<dyn OutEnd>)>,
         shutdown: Arc<Shutdown>,
     ) -> Self {
         let mut ctx = Context {
@@ -85,18 +189,20 @@ impl Context {
             input_names: Vec::new(),
             outputs: Vec::new(),
             output_names: Vec::new(),
+            commit_every: 0,
             shutdown,
             kernel_name,
         };
-        for (name, ep, fifo) in inputs {
+        for (name, ep) in inputs {
             ctx.input_names.push(name);
+            ctx.input_fifos.push(ep.link());
             ctx.inputs.push(RefCell::new(ep));
-            ctx.input_fifos.push(fifo);
         }
         for (name, ep) in outputs {
             ctx.output_names.push(name);
             ctx.outputs.push(RefCell::new(ep));
         }
+        ctx.commit_every = ctx.cadence();
         ctx
     }
 
@@ -104,10 +210,35 @@ impl Context {
     /// outside a `RaftMap` (unit tests, custom harnesses).
     #[doc(hidden)]
     pub fn for_test(
-        inputs: Vec<(String, AnyEndpoint, Arc<dyn Monitorable>)>,
-        outputs: Vec<(String, AnyEndpoint)>,
+        inputs: Vec<(String, Box<dyn InEnd>)>,
+        outputs: Vec<(String, Box<dyn OutEnd>)>,
     ) -> Self {
         Context::new("test".to_string(), inputs, outputs, Arc::default())
+    }
+
+    /// The commit cadence of this kernel's journal transaction. Batched
+    /// commits are sound only for a *fully* journaled kernel: if an input
+    /// is unjournaled, a rewind cannot re-serve the pops of the open
+    /// transaction's earlier runs; if an output is unjournaled, those runs
+    /// already published, so replaying their inputs would duplicate them.
+    /// A partially journaled kernel therefore commits every run. A fully
+    /// journaled one commits every [`QUANTUM`] runs, held to half of each
+    /// input ring's ceiling: unacknowledged pops leave the ring but not the
+    /// transaction, and a batching consumer must never wedge a producer
+    /// blocked on a fixed-capacity ring.
+    fn cadence(&self) -> u32 {
+        let journaled_in = self.inputs.iter().filter(|e| e.borrow().journaled());
+        let journaled_out = self.outputs.iter().filter(|e| e.borrow().journaled());
+        match (journaled_in.count(), journaled_out.count()) {
+            (0, 0) => 0,
+            (i, o) if i < self.inputs.len() || o < self.outputs.len() => 1,
+            _ => self
+                .input_fifos
+                .iter()
+                .map(|f| f.max_capacity() / 2)
+                .fold(QUANTUM as usize, usize::min)
+                .max(1) as u32,
+        }
     }
 
     /// Typed handle to the named input port. Panics if the name or type is
@@ -141,7 +272,8 @@ impl Context {
         // the mapped RefMut stores the typed endpoint pointer, so every
         // port operation below is a plain field access.
         let kernel_name = &self.kernel_name;
-        let guard = std::cell::RefMut::map(guard, |ep| {
+        let guard = RefMut::map(guard, |ep| {
+            let ep: &mut dyn Any = &mut **ep;
             ep.downcast_mut::<Consumer<T>>().unwrap_or_else(|| {
                 panic!(
                     "kernel {kernel_name:?}: input port {idx} is not of type {}",
@@ -177,7 +309,8 @@ impl Context {
             .unwrap_or_else(|_| panic!("output port {idx} taken twice in one run()"));
         // As for inputs: downcast once, then every push is direct.
         let kernel_name = &self.kernel_name;
-        let guard = std::cell::RefMut::map(guard, |ep| {
+        let guard = RefMut::map(guard, |ep| {
+            let ep: &mut dyn Any = &mut **ep;
             ep.downcast_mut::<Producer<T>>().unwrap_or_else(|| {
                 panic!(
                     "kernel {kernel_name:?}: output port {idx} is not of type {}",
@@ -224,6 +357,42 @@ impl Context {
     /// [`KStatus::Stop`]: crate::kernel::KStatus::Stop
     pub fn inputs_done(&self) -> bool {
         self.input_fifos.iter().all(|f| f.is_finished())
+    }
+
+    /// Successful `run()` invocations the scheduler folds into one journal
+    /// transaction (see `cadence`); `0` for a kernel without a journaled
+    /// port, whose transaction the scheduler skips.
+    pub(crate) fn commit_every(&self) -> u32 {
+        self.commit_every
+    }
+
+    /// Commit the open transaction on every port: publish staged outputs,
+    /// then acknowledge consumed inputs.
+    pub(crate) fn commit(&self) {
+        self.outputs.iter().for_each(|e| e.borrow_mut().commit());
+        self.inputs.iter().for_each(|e| e.borrow_mut().commit());
+    }
+
+    /// Abort the open transaction on every port: discard staged outputs,
+    /// queue consumed inputs for replay.
+    pub(crate) fn rewind(&self) {
+        self.outputs.iter().for_each(|e| e.borrow_mut().rewind());
+        self.inputs.iter().for_each(|e| e.borrow_mut().rewind());
+    }
+
+    /// Post the abort signal on every output (see [`OutEnd::post_error`]).
+    pub(crate) fn post_error(&self) {
+        self.outputs.iter().for_each(|e| e.borrow().post_error());
+    }
+
+    /// Batched pop from input `idx` (see [`InEnd::pop_batch`]).
+    pub(crate) fn pop_batch(&self, idx: usize, n: usize) -> Option<(AnyBatch, usize)> {
+        self.inputs[idx].borrow_mut().pop_batch(n)
+    }
+
+    /// Batched push to output `idx` (see [`OutEnd::push_batch`]).
+    pub(crate) fn push_batch(&self, idx: usize, batch: AnyBatch) -> Option<usize> {
+        self.outputs[idx].borrow_mut().push_batch(batch)
     }
 }
 
@@ -333,22 +502,6 @@ impl<'a, T: Send + 'static> InPort<'a, T> {
     pub fn is_finished(&self) -> bool {
         self.guard.is_finished()
     }
-
-    /// Acknowledge everything popped since the last commit: the elements
-    /// can no longer be replayed. No-op on unjournaled links. Called by the
-    /// scheduler after a successful `run()`; kernels with internal
-    /// checkpoints may also call it directly.
-    #[inline]
-    pub fn commit_consumed(&mut self) -> usize {
-        self.guard.commit_consumed()
-    }
-
-    /// Queue every unacknowledged popped element for redelivery (oldest
-    /// first, before any new ring data). No-op on unjournaled links.
-    #[inline]
-    pub fn rewind_consumed(&mut self) -> usize {
-        self.guard.rewind_consumed()
-    }
 }
 
 /// Typed writing handle for one output port, valid for the current `run`.
@@ -431,22 +584,6 @@ impl<'a, T: Send + 'static> OutPort<'a, T> {
     pub fn is_closed(&self) -> bool {
         self.guard.is_closed()
     }
-
-    /// Publish every element staged since the last commit. Returns the
-    /// count published; `Err` if the consumer is gone (staged elements are
-    /// dropped, as an unjournaled push to a closed stream would be). No-op
-    /// on links without staging.
-    #[inline]
-    pub fn commit_produced(&mut self) -> Result<usize, PortClosed> {
-        self.guard.commit_produced().map_err(|_| PortClosed)
-    }
-
-    /// Discard every staged element — the aborted transaction's outputs
-    /// never become visible downstream. No-op on links without staging.
-    #[inline]
-    pub fn rewind_produced(&mut self) -> usize {
-        self.guard.rewind_produced()
-    }
 }
 
 #[cfg(test)]
@@ -455,16 +592,44 @@ mod tests {
     use proptest::prelude::*;
     use raft_buffer::{fifo_with, FifoConfig};
 
-    type In = (String, AnyEndpoint, Arc<dyn Monitorable>);
-
-    fn input<T: Send + 'static>(name: &str) -> (In, Producer<T>) {
-        let (fifo, p, c) = fifo_with::<T>(FifoConfig::starting_at(4));
-        ((name.to_string(), Box::new(c) as _, Arc::new(fifo) as _), p)
+    fn input<T: Send + 'static>(name: &str) -> ((String, Box<dyn InEnd>), Producer<T>) {
+        let (_fifo, p, c) = fifo_with::<T>(FifoConfig::starting_at(4));
+        ((name.to_string(), Box::new(c)), p)
     }
 
-    fn output<T: Send + 'static>(name: &str) -> ((String, AnyEndpoint), Consumer<T>) {
+    fn output<T: Send + 'static>(name: &str) -> ((String, Box<dyn OutEnd>), Consumer<T>) {
         let (_fifo, p, c) = fifo_with::<T>(FifoConfig::starting_at(4));
-        ((name.to_string(), Box::new(p) as _), c)
+        ((name.to_string(), Box::new(p)), c)
+    }
+
+    /// The commit cadence of a kernel whose inputs and outputs are links
+    /// built from `ins` and `outs`.
+    fn cadence(ins: &[FifoConfig], outs: &[FifoConfig]) -> u32 {
+        let link = |i: usize, cfg| {
+            let (o, n) = (crate::kernel::PortDef::of::<u64>("x").fifo_factory)(cfg);
+            ((format!("p{i}"), o), (format!("p{i}"), n))
+        };
+        let inputs = ins.iter().enumerate().map(|(i, &c)| link(i, c).1);
+        let outputs = outs.iter().enumerate().map(|(i, &c)| link(i, c).0);
+        Context::for_test(inputs.collect(), outputs.collect()).commit_every()
+    }
+
+    #[test]
+    fn commit_cadence_follows_the_journaled_ports() {
+        let (plain, journaled) = (FifoConfig::default(), FifoConfig::default().journaled());
+        // Every port journaled: one transaction per scheduler quantum.
+        assert_eq!(cadence(&[journaled, journaled], &[journaled]), QUANTUM);
+        assert_eq!(QUANTUM, 32);
+        // A journaled input on a fixed ring of four: half the ring.
+        let fixed = FifoConfig::fixed(4).journaled();
+        assert_eq!(cadence(&[journaled, fixed], &[journaled]), 2);
+        assert_eq!(cadence(&[FifoConfig::fixed(1).journaled()], &[]), 1);
+        // One unjournaled port, on either side: every run.
+        assert_eq!(cadence(&[journaled, plain], &[journaled]), 1);
+        assert_eq!(cadence(&[journaled], &[plain]), 1);
+        // No journaled port: no transaction at all.
+        assert_eq!(cadence(&[plain], &[plain]), 0);
+        assert_eq!(cadence(&[], &[]), 0);
     }
 
     fn two_in_one_out() -> Context {

@@ -7,7 +7,7 @@
 //! descriptors, see `examples/xprocess_pipeline.rs`), watches each one
 //! through a heartbeat eventcount in the shared segment header, and applies
 //! the same `Abort`/`Skip`/`Restart` reaction surface as
-//! [`SupervisorPolicy`](crate::supervise::SupervisorPolicy) when a worker
+//! [`SupervisorPolicy`] when a worker
 //! crashes or wedges — kill, reap, revoke its shm role claims at the
 //! generation it held, drain/sweep what it left behind, respawn with capped
 //! jittered backoff, and replay the journal so the replacement resumes

@@ -25,12 +25,9 @@ use crate::kernel::Kernel;
 use crate::map::{KernelEntry, LinkEntry, RaftMap};
 use crate::monitor::{self, HealthTarget, ResizeEvent, WatchdogEvent, WidthEvent, WidthTarget};
 use crate::parallel::WidthControl;
-use crate::port::Context;
+use crate::port::{Context, InEnd, OutEnd};
 use crate::scheduler::{KernelRunner, KernelTelemetry, Scheduler, SchedulerKind, ThreadPerKernel};
 use crate::supervise::KernelOutcome;
-
-/// Named erased input endpoint plus its monitor handle.
-type InputBinding = (String, crate::port::AnyEndpoint, Arc<dyn Monitorable>);
 
 /// Final statistics of one stream.
 #[derive(Debug, Clone)]
@@ -73,7 +70,7 @@ pub struct KernelReport {
 }
 
 /// Why the runtime raised the drain ladder. Every stop reason is one of
-/// these and enters the ladder the same way ([`Shutdown::request`]).
+/// these and enters the ladder the same way (`Shutdown::request`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DrainReason {
     /// A [`StopHandle`](crate::map::StopHandle) requested it.
@@ -293,77 +290,25 @@ pub fn execute_with_deadline(
 
     // --- allocate one FIFO per link -------------------------------------
     let n_kernels = map.kernels.len();
-    let mut inputs_of: Vec<Vec<InputBinding>> = (0..n_kernels).map(|_| Vec::new()).collect();
-    let mut outputs_of: Vec<Vec<(String, crate::port::AnyEndpoint)>> =
+    let mut inputs_of: Vec<Vec<(String, Box<dyn InEnd>)>> =
+        (0..n_kernels).map(|_| Vec::new()).collect();
+    let mut outputs_of: Vec<Vec<(String, Box<dyn OutEnd>)>> =
         (0..n_kernels).map(|_| Vec::new()).collect();
     let mut edge_names: Vec<String> = Vec::new();
     let mut edge_fifos: Vec<Arc<dyn Monitorable>> = Vec::new();
-
-    let mut out_fifos_of: Vec<Vec<Arc<dyn Monitorable>>> =
-        (0..n_kernels).map(|_| Vec::new()).collect();
-    // Journaled endpoints per kernel: `(is_input, port_index, eraser)` —
-    // handed to the runners so one `run()` becomes one transaction.
-    let mut journal_ports_of: Vec<Vec<(bool, usize, crate::kernel::JournalCtlFn)>> =
-        (0..n_kernels).map(|_| Vec::new()).collect();
-    // Per-kernel commit interval: the min across the kernel's journaled
-    // links (u32::MAX = no journaled link yet).
-    let mut journal_interval_of: Vec<u32> = vec![u32::MAX; n_kernels];
     for link in &map.links {
         let src = &map.kernels[link.src];
         let dst = &map.kernels[link.dst];
         let out_def = &src.spec.outputs[link.src_port];
         let in_def = &dst.spec.inputs[link.dst_port];
-        let cfg = link.fifo.unwrap_or(map.cfg.fifo);
-        let (producer, consumer, fifo) = (out_def.fifo_factory)(cfg);
-        let name = format!(
+        let (producer, consumer) = (out_def.fifo_factory)(link.fifo.unwrap_or(map.cfg.fifo));
+        edge_names.push(format!(
             "{}.{} -> {}.{}",
             src.name, out_def.name, dst.name, in_def.name
-        );
-        edge_names.push(name);
-        edge_fifos.push(fifo.clone());
-        if let Some(j) = cfg.journal {
-            journal_ports_of[link.src].push((
-                false,
-                outputs_of[link.src].len(),
-                out_def.journal_ctl,
-            ));
-            journal_ports_of[link.dst].push((true, inputs_of[link.dst].len(), in_def.journal_ctl));
-            let interval = j.commit_interval.max(1);
-            // Producer side: staged outputs live outside the ring, so the
-            // interval needs no capacity clamp.
-            let src_iv = &mut journal_interval_of[link.src];
-            *src_iv = (*src_iv).min(interval);
-            // Consumer side: unacknowledged pops still count into the
-            // link's occupancy. Clamp the open transaction to half the
-            // ring's ceiling so a batching consumer can never wedge a
-            // blocked producer on a fixed-capacity link, and to the replay
-            // bound so a full interval is always replayable.
-            let cap = cfg.max_capacity.min(u32::MAX as usize) as u32;
-            let bound = j.bound.min(u32::MAX as usize) as u32;
-            let dst_iv = &mut journal_interval_of[link.dst];
-            *dst_iv = (*dst_iv).min(interval).min((cap / 2).max(1)).min(bound);
-        }
+        ));
+        edge_fifos.push(consumer.link());
         outputs_of[link.src].push((out_def.name.clone(), producer));
-        out_fifos_of[link.src].push(fifo.clone());
-        inputs_of[link.dst].push((in_def.name.clone(), consumer, fifo));
-    }
-
-    // Batched commits are only sound for *fully* journaled kernels: if any
-    // input link is unjournaled, a rewind cannot re-serve pops made in the
-    // open transaction's earlier runs (their loss window would widen from
-    // one run to the whole interval); if any output link is unjournaled,
-    // those earlier runs already published their outputs, so replaying
-    // their inputs would duplicate them. Partially journaled kernels keep
-    // the one-run transaction of the base contract.
-    for k in 0..n_kernels {
-        if journal_ports_of[k].is_empty() {
-            continue;
-        }
-        let jin = journal_ports_of[k].iter().filter(|(i, _, _)| *i).count();
-        let jout = journal_ports_of[k].len() - jin;
-        if jin < inputs_of[k].len() || jout < outputs_of[k].len() {
-            journal_interval_of[k] = 1;
-        }
+        inputs_of[link.dst].push((in_def.name.clone(), consumer));
     }
 
     // --- width targets for the optimizer ---------------------------------
@@ -396,17 +341,7 @@ pub fn execute_with_deadline(
     let mut runners = Vec::with_capacity(n_kernels);
     let mut telemetries = Vec::with_capacity(n_kernels);
     let mut names = Vec::with_capacity(n_kernels);
-    let input_iters = inputs_of.into_iter();
-    let output_iters = outputs_of.into_iter();
-    for (((((entry, inputs), outputs), out_fifos), journal_ports), journal_interval) in map
-        .kernels
-        .into_iter()
-        .zip(input_iters)
-        .zip(output_iters)
-        .zip(out_fifos_of)
-        .zip(journal_ports_of)
-        .zip(journal_interval_of)
-    {
+    for ((entry, inputs), outputs) in map.kernels.into_iter().zip(inputs_of).zip(outputs_of) {
         let KernelEntry {
             kernel,
             name,
@@ -422,15 +357,8 @@ pub fn execute_with_deadline(
             kernel,
             ctx,
             telemetry,
-            output_fifos: out_fifos,
             policy,
             restarts: 0,
-            journal_ports,
-            journal_interval: if journal_interval == u32::MAX {
-                1
-            } else {
-                journal_interval
-            },
             journal_uncommitted: 0,
             untimed_left: 0,
         });
@@ -601,8 +529,6 @@ fn expand_replicas(map: &mut RaftMap) -> Vec<PlannedSplit> {
         let out_def = &map.kernels[k].spec.outputs[0];
         let in_adapters = (in_def.adapters)();
         let out_adapters = (out_def.adapters)();
-        let in_port_name = in_def.name.clone();
-        let out_port_name = out_def.name.clone();
 
         // Build adapters.
         let (split_kernel, control) = (in_adapters.split)(width as usize, strategy);
@@ -658,7 +584,6 @@ fn expand_replicas(map: &mut RaftMap) -> Vec<PlannedSplit> {
                 fifo: out_fifo,
             });
         }
-        let _ = (in_port_name, out_port_name);
 
         planned.push(PlannedSplit {
             split_idx,

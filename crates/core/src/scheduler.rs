@@ -19,9 +19,9 @@
 //!   spin → yield → park idling, optional core pinning.
 //!
 //! Both run kernels through the same lifecycle, which exists once in this
-//! module: [`drive`] (ready-gate → `run()` inside the unwind guard →
+//! module: `drive` (ready-gate → `run()` inside the unwind guard →
 //! supervision → journal transaction → wind-down → flush-on-idle) and
-//! [`retire`] (fatal → drain ladder, drop the runner so EoS propagates, name
+//! `retire` (fatal → drain ladder, drop the runner so EoS propagates, name
 //! the outcome). A scheduler decides only *which* kernel a thread drives
 //! next and what it does while none is runnable.
 
@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use raft_buffer::fifo::Monitorable;
 
-use crate::kernel::{JournalCtlFn, JournalOp, KStatus, Kernel};
+use crate::kernel::{KStatus, Kernel};
 use crate::port::Context;
 use crate::runtime::DrainReason;
 use crate::supervise::{KernelOutcome, SupervisorPolicy};
@@ -115,28 +115,16 @@ pub struct KernelRunner {
     pub ctx: Context,
     /// Service counters.
     pub telemetry: Arc<KernelTelemetry>,
-    /// Monitor handles of this kernel's *output* streams: on panic the
-    /// runtime posts `Signal::Error` on each, so downstream kernels can
-    /// observe the failure out-of-band — the paper's "asynchronous
-    /// signaling pathway for global exception handling" (§4.2).
-    pub output_fifos: Vec<Arc<dyn Monitorable>>,
     /// What to do when `run()` panics (default: abort the map).
     pub policy: SupervisorPolicy,
     /// Restarts consumed so far under a `Restart`/`Replace` policy.
     pub restarts: u32,
-    /// Journaled endpoints of this kernel as `(is_input, port_index,
-    /// eraser)`: one `run()` is one transaction over all of them —
-    /// committed after a clean return, rewound when a panic is absorbed by
-    /// a `Restart`/`Replace` policy. Empty for kernels without journaled
-    /// links (the overwhelmingly common case), which skips the whole path.
-    pub journal_ports: Vec<(bool, usize, JournalCtlFn)>,
-    /// Successful `run()` calls folded into one journal transaction before
-    /// the scheduler commits (min of the journaled links'
-    /// [`raft_buffer::JournalConfig::commit_interval`], clamped so
-    /// unacknowledged pops can never fill a fixed-capacity input ring).
-    /// `1` = commit every run; irrelevant when `journal_ports` is empty.
-    pub journal_interval: u32,
-    /// Successful runs since the last commit (the open transaction's size).
+    /// Successful runs since the last commit (the open journal
+    /// transaction's size). A kernel with a journaled port folds
+    /// `ctx.commit_every()` clean runs into one transaction — committed
+    /// when it fills, rewound when a `Restart`/`Replace` policy absorbs a
+    /// panic; a kernel without one (the overwhelmingly common case) skips
+    /// the whole path.
     pub journal_uncommitted: u32,
     /// Runs left in the current sampling stride that go untimed; `0` = the
     /// next run is timed (the initial value).
@@ -147,9 +135,7 @@ impl KernelRunner {
     /// Commit the open transaction: publish staged outputs, acknowledge
     /// consumed inputs.
     fn journal_commit(&mut self) {
-        for &(is_input, idx, ctl) in &self.journal_ports {
-            ctl(&self.ctx, is_input, idx, JournalOp::Commit);
-        }
+        self.ctx.commit();
         self.journal_uncommitted = 0;
         bump(&self.telemetry.commits, 1);
     }
@@ -157,11 +143,12 @@ impl KernelRunner {
     /// Count one successful run into the open transaction, committing when
     /// the interval fills.
     fn journal_tick(&mut self) {
-        if self.journal_ports.is_empty() {
+        let every = self.ctx.commit_every();
+        if every == 0 {
             return;
         }
         self.journal_uncommitted += 1;
-        if self.journal_uncommitted >= self.journal_interval {
+        if self.journal_uncommitted >= every {
             self.journal_commit();
         }
     }
@@ -181,13 +168,12 @@ impl KernelRunner {
     /// elements the failed (and any earlier uncommitted) invocations
     /// consumed, oldest first; none of their outputs were published.
     fn journal_rewind(&mut self) {
-        for &(is_input, idx, ctl) in &self.journal_ports {
-            ctl(&self.ctx, is_input, idx, JournalOp::Rewind);
+        if self.ctx.commit_every() == 0 {
+            return;
         }
+        self.ctx.rewind();
         self.journal_uncommitted = 0;
-        if !self.journal_ports.is_empty() {
-            bump(&self.telemetry.rewinds, 1);
-        }
+        bump(&self.telemetry.rewinds, 1);
     }
 }
 
@@ -456,9 +442,7 @@ fn stop_winddown(runner: &mut KernelRunner) -> Option<StepDone> {
 /// pathway): downstream kernels see `Signal::Error` out-of-band, ahead of
 /// whatever data is still queued.
 fn aborted(runner: &KernelRunner, fatal: bool) -> StepDone {
-    for f in &runner.output_fifos {
-        f.post_async(raft_buffer::Signal::Error(1));
-    }
+    runner.ctx.post_error();
     StepDone {
         outcome: KernelOutcome::Aborted,
         fatal,
@@ -603,11 +587,8 @@ mod tests {
             }),
             ctx: Context::for_test(Vec::new(), Vec::new()),
             telemetry: Arc::default(),
-            output_fifos: Vec::new(),
             policy: SupervisorPolicy::Abort,
             restarts: 0,
-            journal_ports: Vec::new(),
-            journal_interval: 1,
             journal_uncommitted: 0,
             untimed_left: 0,
         }
@@ -668,5 +649,22 @@ mod tests {
             busy <= wall && busy >= wall - wall / 10,
             "busy {busy} ns vs wall {wall} ns"
         );
+    }
+
+    #[test]
+    fn transactions_commit_at_the_context_cadence_or_not_at_all() {
+        let commits = |r: &KernelRunner| r.telemetry.commits.load(Ordering::Relaxed);
+        // No journaled port: the transaction path is skipped.
+        let mut r = runner(100, Duration::ZERO);
+        assert!(matches!(drive(&mut r, None), Driven::Done(_)));
+        assert_eq!(commits(&r), 0);
+        // One journaled output: a commit per QUANTUM runs, and the Stop
+        // flushes the rest.
+        let def = crate::kernel::PortDef::of::<u64>("out");
+        let (out, _input) = (def.fifo_factory)(raft_buffer::FifoConfig::default().journaled());
+        let mut r = runner(100, Duration::ZERO);
+        r.ctx = Context::for_test(Vec::new(), vec![("out".into(), out)]);
+        assert!(matches!(drive(&mut r, None), Driven::Done(_)));
+        assert_eq!(commits(&r), 100 / u64::from(QUANTUM) + 1);
     }
 }

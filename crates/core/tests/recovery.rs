@@ -36,10 +36,7 @@ fn panic_once_map(panic_at: &[u64]) -> impl Kernel {
 }
 
 fn journaled() -> FifoConfig {
-    FifoConfig {
-        journal: Some(JournalConfig::default()),
-        ..FifoConfig::default()
-    }
+    FifoConfig::default().journaled()
 }
 
 fn all_schedulers() -> Vec<(&'static str, SchedulerKind)> {

@@ -230,10 +230,8 @@ mod tests {
             p_in.try_push((seq, seq as u32)).unwrap();
         }
         p_in.close();
-        let fifo_in: std::sync::Arc<dyn raft_buffer::fifo::Monitorable> =
-            std::sync::Arc::new(c_in.fifo());
         let ctx = Context::for_test(
-            vec![("in".to_string(), Box::new(c_in) as _, fifo_in)],
+            vec![("in".to_string(), Box::new(c_in) as _)],
             vec![("out".to_string(), Box::new(p_out) as _)],
         );
         let mut k = Resequence::<u32>::new();

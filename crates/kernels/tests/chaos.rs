@@ -187,10 +187,7 @@ fn journal_append_crash_is_replayed_exactly_once() {
         let stage = map.add(lambda_map(|v: u64| v));
         let (we, handle) = write_each::<u64>();
         let dst = map.add(we);
-        let journaled = FifoConfig {
-            journal: Some(JournalConfig::default()),
-            ..FifoConfig::default()
-        };
+        let journaled = FifoConfig::default().journaled();
         map.link_with(src, "out", stage, "0", journaled).unwrap();
         map.link(stage, "0", dst, "in").unwrap();
         map.supervise(stage, SupervisorPolicy::restart(5));
@@ -242,10 +239,7 @@ fn journal_ack_stall_is_harmless() {
         let stage = map.add(lambda_map(|v: u64| v));
         let (we, handle) = write_each::<u64>();
         let dst = map.add(we);
-        let journaled = FifoConfig {
-            journal: Some(JournalConfig::default()),
-            ..FifoConfig::default()
-        };
+        let journaled = FifoConfig::default().journaled();
         map.link_with(src, "out", stage, "0", journaled).unwrap();
         map.link(stage, "0", dst, "in").unwrap();
         map.supervise(stage, SupervisorPolicy::restart(2));

@@ -853,9 +853,7 @@ mod tests {
     // Small helpers constructing single-port contexts for direct kernel
     // driving (unit-test only; applications go through RaftMap).
     fn test_ctx_in<T: Send + 'static>(c: raft_buffer::Consumer<T>) -> Context {
-        let fifo: std::sync::Arc<dyn raft_buffer::fifo::Monitorable> =
-            std::sync::Arc::new(c.fifo());
-        Context::for_test(vec![("in".to_string(), Box::new(c) as _, fifo)], vec![])
+        Context::for_test(vec![("in".to_string(), Box::new(c) as _)], vec![])
     }
 
     fn test_ctx_out<T: Send + 'static>(p: raft_buffer::Producer<T>) -> Context {

@@ -207,7 +207,7 @@ pub mod collection {
         VecStrategy(element, size)
     }
 
-    /// [`vec`]'s result.
+    /// [`vec()`]'s result.
     pub struct VecStrategy<S>(S, Range<usize>);
 
     impl<S: Strategy> Strategy for VecStrategy<S> {

@@ -339,7 +339,7 @@ fn schedulers_agree_on_topologies() {
 /// Asynchronous signal is visible downstream ahead of queued data.
 #[test]
 fn async_signals_bypass_data() {
-    use raft_buffer::{fifo_with, FifoConfig, Signal};
+    use raft_buffer::{fifo::Monitorable, fifo_with, FifoConfig, Signal};
     let (fifo, mut p, mut c) = fifo_with::<u64>(FifoConfig::starting_at(8));
     for i in 0..5 {
         p.try_push(i).unwrap();
