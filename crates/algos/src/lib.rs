@@ -5,16 +5,14 @@
 //! From-scratch implementations of every algorithm the RaftLib PMAM'15
 //! evaluation exercises:
 //!
-//! * exact string matching — [`aho_corasick::AhoCorasick`] (multi-pattern
-//!   automaton; the paper's first RaftLib search kernel),
-//!   [`horspool::Horspool`] (Boyer-Moore-Horspool; the paper's fast
-//!   single-pattern kernel), [`boyer_moore::BoyerMoore`] (full Boyer-Moore;
-//!   what the paper's Apache Spark comparator ran), and
-//!   [`memmem::MemMem`] (a grep-class scanner: memchr skip loop + BMH,
-//!   standing in for GNU grep's core loop), all behind the common
-//!   [`Matcher`] trait with a [`naive`] oracle for testing, plus
-//!   [`rabin_karp::RabinKarp`] (rolling hash) for the multi-pattern
-//!   ablation;
+//! * exact string matching — [`AhoCorasick`] (multi-pattern automaton; the
+//!   paper's first RaftLib search kernel), [`Horspool`]
+//!   (Boyer-Moore-Horspool; the paper's fast single-pattern kernel),
+//!   [`BoyerMoore`] (full Boyer-Moore; what the paper's Apache Spark
+//!   comparator ran), and [`MemMem`] (a grep-class scanner: memchr skip
+//!   loop + BMH, standing in for GNU grep's core loop), all behind the
+//!   common [`Matcher`] trait with a [`naive`] oracle for testing, plus
+//!   [`RabinKarp`] (rolling hash) for the multi-pattern ablation;
 //! * [`matmul`] — blocked dense matrix multiply, the workload behind the
 //!   paper's Figure 4 queue-sizing experiment;
 //! * [`corpus`] — seeded synthetic text generation (Zipf-weighted word
@@ -26,14 +24,14 @@
 //! A/B runs). Every tier returns byte-identical matches; only the speed of
 //! the hunt differs.
 
-pub mod aho_corasick;
-pub mod boyer_moore;
+mod aho_corasick;
+mod boyer_moore;
 pub mod corpus;
-pub mod horspool;
+mod horspool;
 pub mod matmul;
-pub mod memmem;
+mod memmem;
 pub mod naive;
-pub mod rabin_karp;
+mod rabin_karp;
 pub mod simd;
 
 pub use aho_corasick::AhoCorasick;

@@ -260,15 +260,6 @@ impl ShmArena {
 
     /// Attach to an inherited arena fd as the consuming side.
     pub fn attach_rx(fd: i32) -> io::Result<ArenaRx> {
-        Self::attach_arena(fd, false).map(Self::rx_over)
-    }
-
-    /// Attach to an inherited arena fd as the allocating side.
-    pub fn attach_tx(fd: i32) -> io::Result<ArenaTx> {
-        Self::attach_arena(fd, true).map(Self::tx_over)
-    }
-
-    fn attach_arena(fd: i32, tx: bool) -> io::Result<Arc<ShmSegment>> {
         let seg = ShmSegment::attach(fd, SEG_KIND_ARENA)?;
         let fail = |what: &str| Err(io::Error::new(io::ErrorKind::InvalidData, what.to_string()));
         // Bound the header counts with checked math BEFORE deriving a
@@ -287,13 +278,13 @@ impl ShmArena {
         if geo.data_bytes() > seg.data_len() {
             return fail("arena geometry disagrees with segment size");
         }
-        if !seg.claim_role(tx) {
+        if !seg.claim_role(false) {
             return Err(io::Error::new(
                 io::ErrorKind::AddrInUse,
                 "arena role already claimed",
             ));
         }
-        Ok(Arc::new(seg))
+        Ok(Self::rx_over(Arc::new(seg)))
     }
 
     fn tx_over(seg: Arc<ShmSegment>) -> ArenaTx {

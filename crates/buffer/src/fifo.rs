@@ -38,7 +38,7 @@
 //!   a closure as a [`SliceView`] and consumes it afterwards — both hold one
 //!   membership for the whole batch.
 //! * **One window type on both endpoints** for the exactly-once recovery
-//!   contract ([`crate::journal`]): everything appended and not yet
+//!   contract ([`FifoConfig::journal`]): everything appended and not yet
 //!   acknowledged, with three cursors `acked ≤ cursor ≤ appended`. On a
 //!   producer the cursor is *published*: *staging* is `[cursor, appended)`,
 //!   and a *replay backlog* is the same region after a rewind; on the heap
@@ -122,10 +122,14 @@ pub struct FifoConfig {
     pub max_capacity: usize,
     /// Shrink floor.
     pub min_capacity: usize,
-    /// When set, the link records consumed elements in a replay journal and
-    /// stages produced elements until commit — the exactly-once recovery
-    /// contract (see [`crate::journal`]). Requires `T: Clone` at the wiring
-    /// layer; `false` keeps the historical lossy-restart behavior.
+    /// When set, the link takes part in the exactly-once recovery contract:
+    /// one `run()` is a transaction. Elements popped are recorded (a clone;
+    /// at most `JOURNAL_BOUND` = 4096 unacknowledged, older ones are
+    /// force-acknowledged and counted in `forced_acks`) and elements pushed
+    /// are staged. A commit acknowledges the pops and publishes the pushes;
+    /// a rewind after a panic the supervision policy absorbed discards the
+    /// pushes and re-serves the pops, in order. Requires `T: Clone` at the
+    /// wiring layer; `false` keeps the historical lossy-restart behavior.
     pub journal: bool,
     /// What the producer does when the ring is full (see
     /// [`AdmissionPolicy`]). `Block` preserves the paper's lossless
@@ -1544,10 +1548,10 @@ impl<T, H: Home<T>> Producer<T, H> {
     /// Stage outputs instead of publishing them: after this call every push
     /// lands in the pending window and only reaches the ring on
     /// [`commit_produced`](Self::commit_produced) — the output half of the
-    /// exactly-once recovery contract (see [`crate::journal`]). Zero-copy
-    /// writes ([`reserve`](Self::reserve) / [`allocate`](Self::allocate))
-    /// bypass staging and publish directly. Elements still staged when the
-    /// producer closes are discarded.
+    /// exactly-once recovery contract (see [`FifoConfig::journal`]).
+    /// Zero-copy writes ([`reserve`](Self::reserve) /
+    /// [`allocate`](Self::allocate)) bypass staging and publish directly.
+    /// Elements still staged when the producer closes are discarded.
     pub fn enable_staging(&mut self) {
         if self.window.is_none() {
             self.window = Some(Window::new(0, None));
@@ -2101,8 +2105,8 @@ impl<T, H: Home<T>> Consumer<T, H> {
     }
 
     /// Enable the consumer-side replay journal — the input half of the
-    /// exactly-once recovery contract (see [`crate::journal`]). Every pop
-    /// records a clone (at most [`JOURNAL_BOUND`] unacknowledged);
+    /// exactly-once recovery contract (see [`FifoConfig::journal`]). Every
+    /// pop records a clone (at most `JOURNAL_BOUND` unacknowledged);
     /// [`commit_consumed`](Self::commit_consumed) acknowledges them,
     /// [`rewind_consumed`](Self::rewind_consumed) queues them for replay.
     /// Call once at wiring time, before the first pop.

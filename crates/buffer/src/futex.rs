@@ -138,11 +138,6 @@ pub fn futex_wake(_word: &AtomicU32, _n: u32) -> usize {
     0
 }
 
-/// `true` when real kernel futex parking is compiled in.
-pub fn futex_supported() -> bool {
-    cfg!(all(target_os = "linux", target_arch = "x86_64", not(miri)))
-}
-
 /// [`Wake`] backend over two words in a mapped segment: borrowed views of
 /// the segment's control words — the struct itself holds no state, so both
 /// processes can construct one over the same mapping.
@@ -197,7 +192,8 @@ mod tests {
 
     #[test]
     fn wait_reports_a_full_timeout() {
-        if !futex_supported() {
+        // Only real kernel parking times out; the fallback naps and returns.
+        if !cfg!(all(target_os = "linux", target_arch = "x86_64", not(miri))) {
             return;
         }
         let seq = AtomicU32::new(0);

@@ -18,29 +18,29 @@
 //! * [`eventcount`] — **the one "sleep until the peer moves"**: an
 //!   `(armed, seq)` eventcount whose Dekker fences are written once and
 //!   whose wake backend is chosen by where the words live (in-process
-//!   [`ThreadPark`], [`futex::Futex`] on segment words, the scheduler task
+//!   [`ThreadPark`], [`Futex`] on segment words, the scheduler task
 //!   callback of a [`WakerSlot`]), plus the one blocking loop
 //!   ([`eventcount::block_until`]: spin → yield → park, bounded parks whose
 //!   *rescues* are counted).
 //!
 //! The endpoint families are thin wrappers over those two:
 //!
-//! * [`spsc::BoundedSpsc`] — the ring over a fixed heap array. The baseline
-//!   of the fixed-vs-resizable ablation bench and the differential
-//!   reference for the FIFO.
-//! * [`fifo::Fifo`] — the production stream and the crate's one pair of
+//! * [`BoundedSpsc`] — the ring over a fixed heap array. The baseline of
+//!   the fixed-vs-resizable ablation bench and the differential reference
+//!   for the FIFO.
+//! * [`Fifo`] — the production stream and the crate's one pair of
 //!   blocking endpoints, generic over a [`fifo::Home`] that says where the
 //!   control words and slots live: the heap home ([`fifo::Heap`], storage
-//!   the monitor can swap out under the Dekker-style
-//!   [`fence::ResizeFence`] — one flag swap and one load per operation
-//!   instead of a lock; skipped entirely for fixed-capacity FIFOs) or the
-//!   segment home ([`shm::Seg`], a mapped `memfd` segment another process
-//!   attaches; [`shm::ShmRing`] holds its constructors). Adds per-element
-//!   [`signal::Signal`]s delivered synchronously with data, blocking,
-//!   admission policies, one pending window per endpoint for exactly-once
-//!   recovery ([`journal`]), zero-copy batch views
-//!   ([`fifo::Producer::reserve`], [`fifo::Consumer::pop_slice`]) and the
-//!   telemetry ([`stats::FifoStats`]) that feeds the monitor.
+//!   the monitor can swap out under the Dekker-style [`ResizeFence`] — one
+//!   flag swap and one load per operation instead of a lock; skipped
+//!   entirely for fixed-capacity FIFOs) or the segment home ([`shm::Seg`],
+//!   a mapped `memfd` segment another process attaches; [`ShmRing`] holds
+//!   its constructors). Adds per-element [`Signal`]s delivered
+//!   synchronously with data, blocking, admission policies, one pending
+//!   window per endpoint for exactly-once recovery
+//!   ([`FifoConfig::journal`]), zero-copy batch views
+//!   ([`Producer::reserve`], [`Consumer::pop_slice`]) and the telemetry
+//!   ([`FifoStats`]) that feeds the monitor.
 //! * the [`arena`] free list — the bare ring over a mapped segment.
 //!
 //! In-process elements travel as `(T, Signal)` pairs so that synchronous
@@ -51,30 +51,30 @@
 //!
 //! Each FIFO has exactly one producer handle and one consumer handle; the
 //! type system enforces this (the handles are `Send` but not `Clone`).
-//! A third party — the monitor — may call [`fifo::Fifo::resize`] and read
+//! A third party — the monitor — may call [`Fifo::resize`] and read
 //! stats at any time.
 //!
 //! The crate has no registry dependencies: locks and condvars are `std`'s
 //! behind the non-poisoning [`sync::Mutex`]/[`sync::Condvar`] pair.
 
 pub mod arena;
-pub mod error;
+mod error;
 pub mod eventcount;
 #[cfg(feature = "raft_failpoints")]
 pub mod failpoints;
-pub mod fence;
+mod fence;
 pub mod fifo;
-pub mod futex;
-pub mod journal;
+mod futex;
+mod journal;
 #[cfg(feature = "raft_protocol_check")]
 pub mod protocol;
 pub mod ring;
 pub mod shm;
-pub mod signal;
-pub mod spsc;
-pub mod stats;
+mod signal;
+mod spsc;
+mod stats;
 pub mod sync;
-pub mod wait;
+mod wait;
 pub mod waker;
 
 pub use arena::{
@@ -87,10 +87,11 @@ pub use fifo::{
     fifo_with, Consumer, Fifo, FifoConfig, LinkAlloc, PeekRange, Producer, SliceView, WriteGuard,
     WriteSlice, DRAIN_DRAINING, DRAIN_QUIESCED, DRAIN_RUNNING,
 };
+pub use futex::Futex;
 pub use journal::{AdmissionPolicy, ReplayWindow};
 pub use shm::{Heartbeat, ShmRing, ShmSegment};
 pub use signal::Signal;
-pub use spsc::BoundedSpsc;
+pub use spsc::{BoundedSpsc, SpscConsumer, SpscProducer};
 pub use stats::{FifoStats, StatsSnapshot};
 pub use wait::{WaitAction, WaitStrategy, Waiter};
 pub use waker::{FifoWaker, WakerSlot};

@@ -97,10 +97,9 @@ pub unsafe trait Backing: Counters {
     fn slot<R>(&self, idx: usize, f: impl FnOnce(*mut MaybeUninit<Self::Item>) -> R) -> R;
 }
 
-/// The fixed heap backing ([`crate::spsc`] wraps it as `BoundedSpsc`): a
-/// boxed power-of-two slot array with `head` and `tail` on separate cache
-/// lines, so one side's stores never invalidate the line the other spins
-/// on. The cells are `crate::sync` cells: loom checks every slot access.
+/// The fixed heap backing ([`crate::BoundedSpsc`] wraps it): a boxed
+/// power-of-two slot array with `head` and `tail` on separate cache lines,
+/// so one side's stores never invalidate the line the other spins on. The cells are `crate::sync` cells: loom checks every slot access.
 pub struct HeapRing<I> {
     slots: Box<[UnsafeCell<MaybeUninit<I>>]>,
     head: CachePadded<AtomicUsize>,

@@ -101,11 +101,11 @@ pub struct MonitorCounters {
 #[derive(Debug)]
 pub struct FifoStats {
     /// Producer-written counters, on their own cache line.
-    pub writer: CachePadded<WriterCounters>,
+    pub(crate) writer: CachePadded<WriterCounters>,
     /// Consumer-written counters, on their own cache line.
-    pub reader: CachePadded<ReaderCounters>,
+    pub(crate) reader: CachePadded<ReaderCounters>,
     /// Monitor-written counters, on their own cache line.
-    pub monitor: CachePadded<MonitorCounters>,
+    pub(crate) monitor: CachePadded<MonitorCounters>,
     epoch: Instant,
 }
 
@@ -150,7 +150,7 @@ impl FifoStats {
     /// timebase for the `blocked_since` fields (0 is reserved for "not
     /// blocked", so we offset by 1).
     #[inline]
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64 + 1
     }
 
@@ -199,15 +199,28 @@ impl FifoStats {
         }
     }
 
+    /// Total elements ever popped.
+    #[inline]
+    pub fn popped(&self) -> u64 {
+        self.reader.popped.load(Relaxed)
+    }
+
+    /// Largest item count a reader has requested at once (`peek_range` /
+    /// `pop_range`): the monitor grows the ring to fit it.
+    #[inline]
+    pub fn max_read_request(&self) -> usize {
+        self.reader.max_read_request.load(Relaxed) as usize
+    }
+
     /// Record a reader's multi-item request size (monitor may grow the ring
     /// past it).
     #[inline]
-    pub fn note_read_request(&self, n: usize) {
+    pub(crate) fn note_read_request(&self, n: usize) {
         self.reader.max_read_request.fetch_max(n as u64, Relaxed);
     }
 
     /// Called by the monitor each tick with the observed occupancy.
-    pub fn sample_occupancy(&self, occ: usize) {
+    pub(crate) fn sample_occupancy(&self, occ: usize) {
         let bucket = if occ == 0 {
             0
         } else {
@@ -220,7 +233,7 @@ impl FifoStats {
     }
 
     /// Snapshot all derived statistics.
-    pub fn snapshot(&self, capacity: usize, occupancy: usize) -> StatsSnapshot {
+    pub(crate) fn snapshot(&self, capacity: usize, occupancy: usize) -> StatsSnapshot {
         let samples = self.monitor.occupancy_samples.load(Relaxed);
         let mean_occupancy = if samples == 0 {
             occupancy as f64
@@ -238,7 +251,7 @@ impl FifoStats {
             resizes: self.monitor.resizes.load(Relaxed),
             writer_blocked_ns: self.writer.blocked_ns.load(Relaxed),
             reader_blocked_ns: self.reader.blocked_ns.load(Relaxed),
-            max_read_request: self.reader.max_read_request.load(Relaxed) as usize,
+            max_read_request: self.max_read_request(),
             shed: self.writer.shed.load(Relaxed),
             replayed: self.reader.replayed.load(Relaxed),
             rescues: self.writer.rescues.load(Relaxed) + self.reader.rescues.load(Relaxed),
@@ -290,7 +303,8 @@ pub struct StatsSnapshot {
     pub forced_acks: u64,
     /// Elements per second popped since creation.
     pub throughput: f64,
-    /// Log2-bucketed occupancy histogram (see [`HIST_BUCKETS`]).
+    /// Log2-bucketed occupancy histogram: bucket `i` counts samples with
+    /// occupancy in `[2^(i-1), 2^i)` (bucket 0 = occupancy 0).
     pub occupancy_hist: [u64; HIST_BUCKETS],
 }
 

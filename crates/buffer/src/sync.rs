@@ -2,7 +2,7 @@
 //! workspace's one lock wrapper.
 //!
 //! The lock-free code in this crate ([`crate::ring`], [`crate::eventcount`],
-//! [`crate::fence`], [`crate::waker`]) is written against this module
+//! [`crate::ResizeFence`], [`crate::waker`]) is written against this module
 //! instead of `std` directly. In a normal build it re-exports
 //! the `std` types (plus a zero-cost `UnsafeCell` wrapper exposing loom's
 //! closure-based access API). Under `RUSTFLAGS="--cfg loom"` it re-exports

@@ -116,7 +116,7 @@ impl Waiter {
 
     /// One backoff step executed fully inline: spin, yield, or sleep for
     /// the park timeout. For callers without a wake primitive of their own
-    /// (`raftlib::parallel`'s least-utilized split, which waits on whichever
+    /// (`raftlib`'s least-utilized split adapter, which waits on whichever
     /// of several rings drains first).
     #[inline]
     pub fn pause(&mut self) {

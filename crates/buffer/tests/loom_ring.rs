@@ -37,8 +37,7 @@ use loom::sync::atomic::{AtomicU32, AtomicUsize, Ordering::Acquire, Ordering::Re
 use loom::sync::Arc;
 use loom::thread;
 use raft_buffer::ring::{Backing, ConsumerCursor, Counters, HeapRing, ProducerCursor};
-use raft_buffer::spsc::BoundedSpsc;
-use raft_buffer::{Signal, TryPopError, TryPushError};
+use raft_buffer::{BoundedSpsc, Signal, TryPopError, TryPushError};
 
 /// A segment's ring words and data region, in loom types.
 struct SegWords {

@@ -18,8 +18,7 @@
 
 use raft_buffer::arena::{ArenaError, ShmArena};
 use raft_buffer::shm::ShmRing;
-use raft_buffer::spsc::BoundedSpsc;
-use raft_buffer::{fifo_with, Descriptor, FifoConfig, Signal, TryPopError};
+use raft_buffer::{fifo_with, BoundedSpsc, Descriptor, FifoConfig, Signal, TryPopError};
 
 /// Covers: the same fill → reject → drain → refill-across-the-wrap script
 /// through the one ring core over each of its three backings, so every

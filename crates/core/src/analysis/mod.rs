@@ -18,22 +18,23 @@
 //!   rewrite that collapses fusable chains into one batch-executed kernel.
 //!
 //! The registry itself (codes, names, ordering) stays in
-//! [`crate::check`], which is the stable public facade.
+//! [`crate::check`]; callers see it as [`crate::passes`].
 
-pub mod capacity;
-pub mod fusion;
-pub mod graph;
-pub mod replication;
-pub mod structure;
-pub mod supervision;
+pub(crate) mod capacity;
+pub(crate) mod fusion;
+mod graph;
+pub(crate) mod replication;
+pub(crate) mod structure;
+pub(crate) mod supervision;
 
 #[cfg(test)]
 mod golden;
 
-pub use capacity::{CycleInfo, CycleVerdict};
-pub use fusion::{FusedGroupReport, FusionConfig, FusionGroup};
-pub use graph::GraphView;
-pub use replication::{classify, KernelClassification};
+use capacity::CycleInfo;
+pub use fusion::{FusedGroupReport, FusionConfig};
+use graph::GraphView;
+pub(crate) use replication::classify;
+pub use replication::KernelClassification;
 
 use crate::map::RaftMap;
 

@@ -23,13 +23,16 @@ use crate::supervise::SupervisorPolicy;
 use super::graph::kname;
 use super::Analysis;
 
-/// RC0010: supervision-policy soundness. Restart/Skip findings use
-/// [`crate::check::CheckConfig::supervision_severity`] (default Warn);
-/// Replace port mismatches are always [`Severity::Error`] — a replacement
-/// with different port types can never be wired into the live streams.
+/// Severity of the Restart/Skip findings: the policy is legal but may
+/// corrupt a run, so the graph still runs.
+const SEVERITY: Severity = Severity::Warn;
+
+/// RC0010: supervision-policy soundness. Restart/Skip findings are
+/// warnings; Replace port mismatches are always [`Severity::Error`] — a
+/// replacement with different port types can never be wired into the live
+/// streams.
 pub(crate) fn lint_supervision_soundness(a: &Analysis) -> Vec<Diagnostic> {
     let map = a.map;
-    let severity = map.cfg.check.supervision_severity;
     let mut out = Vec::new();
 
     for (k, entry) in map.kernels.iter().enumerate() {
@@ -44,7 +47,7 @@ pub(crate) fn lint_supervision_soundness(a: &Analysis) -> Vec<Diagnostic> {
                         Diagnostic::new(
                             "RC0010",
                             "supervision-soundness",
-                            severity,
+                            SEVERITY,
                             format!(
                                 "Restart policy on stateful kernel {}: without \
                                  clone_replica the scheduler re-enters the \
@@ -73,7 +76,7 @@ pub(crate) fn lint_supervision_soundness(a: &Analysis) -> Vec<Diagnostic> {
                             Diagnostic::new(
                                 "RC0010",
                                 "supervision-soundness",
-                                severity,
+                                SEVERITY,
                                 format!(
                                     "Skip policy on {} starves one of {} \
                                      inputs of downstream merge {}: a \

@@ -21,7 +21,7 @@
 //! | `RC0007` | `capacity`               | warn             | configured capacity cannot sustain declared rates |
 //! | `RC0008` | `feedback-deadlock`      | error (config)   | certify-or-counterexample for every bounded-FIFO cycle |
 //! | `RC0009` | `replication-safety`     | warn (config)    | statelessness/ordering contradictions around replication |
-//! | `RC0010` | `supervision-soundness`  | warn (config)    | recovery policy unsound for the kernel or graph shape |
+//! | `RC0010` | `supervision-soundness`  | warn             | recovery policy unsound for the kernel or graph shape |
 //! | `RC0011` | `fusion`                 | info             | chains the fusion pass will collapse into one batch kernel |
 //!
 //! [`RaftMap::check`] runs every pass and returns the findings in a
@@ -61,10 +61,6 @@ pub struct CheckConfig {
     /// degrades safely (it skips expansion); raise to [`Severity::Error`]
     /// to make `exe()` refuse such graphs.
     pub replication_severity: Severity,
-    /// Severity of `RC0010` supervision-soundness findings, except Replace
-    /// factory port mismatches which are always [`Severity::Error`].
-    /// Defaults to [`Severity::Warn`].
-    pub supervision_severity: Severity,
 }
 
 impl Default for CheckConfig {
@@ -73,7 +69,6 @@ impl Default for CheckConfig {
             cycle_severity: Severity::Error,
             capacity_blocking_warn: 0.05,
             replication_severity: Severity::Warn,
-            supervision_severity: Severity::Warn,
         }
     }
 }

@@ -75,7 +75,7 @@ impl std::error::Error for LinkError {}
 pub enum ExeError {
     /// The static checker found blocking problems (the paper: the graph is
     /// "checked to ensure it is fully connected" before running; see
-    /// [`crate::check`] for the full lint registry). Carries every
+    /// [`passes`](crate::passes) for the full lint registry). Carries every
     /// diagnostic from the run — warnings included — so callers can render
     /// the whole picture; at least one entry has
     /// [`Severity::Error`](crate::diagnostics::Severity::Error).

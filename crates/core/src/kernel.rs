@@ -23,7 +23,7 @@ use crate::port::{Context, InEnd, OutEnd};
 
 /// A type-erased owned batch of stream elements: a `Vec<T>` behind
 /// `dyn Any`, handed from stage to stage inside a fused chain with no FIFO
-/// protocol in between (see [`crate::analysis::fusion`]).
+/// protocol in between (see [`ErasedBatchStage`]).
 pub type AnyBatch = Box<dyn Any + Send>;
 
 /// What a kernel's `run()` tells the scheduler.
@@ -36,10 +36,10 @@ pub enum KStatus {
 }
 
 /// Type-erased FIFO construction result: the link's two ends.
-pub type ErasedFifo = (Box<dyn OutEnd>, Box<dyn InEnd>);
+pub(crate) type ErasedFifo = (Box<dyn OutEnd>, Box<dyn InEnd>);
 
 /// Monomorphized FIFO factory, captured at port-declaration time.
-pub type FifoFactory = fn(FifoConfig) -> ErasedFifo;
+pub(crate) type FifoFactory = fn(FifoConfig) -> ErasedFifo;
 
 fn make_fifo<T: Send + Clone + 'static>(cfg: FifoConfig) -> ErasedFifo {
     let (_fifo, mut producer, mut consumer) = fifo_with::<T>(cfg);
@@ -63,10 +63,10 @@ pub struct PortDef {
     /// Human-readable element type (for error messages).
     pub type_name: &'static str,
     /// FIFO constructor for this element type.
-    pub fifo_factory: FifoFactory,
+    pub(crate) fifo_factory: FifoFactory,
     /// Split/reduce adapter constructors for this element type (used when
     /// the auto-parallelizer replicates the kernel behind this port).
-    pub adapters: fn() -> AdapterFactories,
+    pub(crate) adapters: fn() -> AdapterFactories,
 }
 
 impl std::fmt::Debug for PortDef {
@@ -80,11 +80,7 @@ impl std::fmt::Debug for PortDef {
 
 impl PortDef {
     /// Declare a port of element type `T`.
-    ///
-    /// `T: Clone` mirrors C++ RaftLib's requirement that stream types be
-    /// copy-constructible; it is what lets a journaled link keep a replay
-    /// copy of each in-flight element.
-    pub fn of<T: Send + Clone + 'static>(name: impl Into<String>) -> Self {
+    pub(crate) fn of<T: Send + Clone + 'static>(name: impl Into<String>) -> Self {
         PortDef {
             name: name.into(),
             type_id: TypeId::of::<T>(),
@@ -98,9 +94,8 @@ impl PortDef {
 /// One type-erased stage of a fused chain: consumes an owned input batch
 /// and produces an owned output batch, with no queue in between.
 ///
-/// Obtained from a kernel via [`Kernel::batch_stage`]; usually
-/// implemented through the typed [`BatchKernel`] trait (blanket-erased
-/// here) rather than directly.
+/// Obtained from a kernel via [`Kernel::batch_stage`]; built from a
+/// per-element transform with [`per_element`] / [`per_element_filter`].
 pub trait ErasedBatchStage: Send {
     /// Element type consumed by this stage.
     fn in_type(&self) -> TypeId;
@@ -116,152 +111,110 @@ pub trait ErasedBatchStage: Send {
     fn fork(&self) -> Option<Box<dyn ErasedBatchStage>>;
 }
 
-/// Typed batch-transform body: what a fusable kernel compiles into.
-///
-/// `run_batch` receives the whole input batch by value and appends its
-/// results to `out` — order-preserving, possibly shrinking (filters) or
-/// growing (flat-maps) the batch. A blanket impl erases every
-/// `BatchKernel` into an [`ErasedBatchStage`]; per-element kernels can
-/// skip implementing this entirely via [`per_element`] /
-/// [`per_element_filter`].
-pub trait BatchKernel: Send + 'static {
-    /// Element type consumed.
-    type In: Send + 'static;
-    /// Element type produced.
-    type Out: Send + 'static;
-
-    /// Transform `input`, appending results to `out` in order.
-    fn run_batch(&mut self, input: Vec<Self::In>, out: &mut Vec<Self::Out>);
-
-    /// Display name (fused-group reports). Defaults to the type name.
-    fn stage_name(&self) -> String {
-        let full = std::any::type_name::<Self>();
-        full.rsplit("::").next().unwrap_or(full).to_string()
-    }
-
-    /// Clean-slate copy for restart-as-a-unit; `None` (the default) if the
-    /// stage cannot be rebuilt.
-    fn fork(&self) -> Option<Self>
-    where
-        Self: Sized,
-    {
-        None
-    }
-}
-
-impl<B: BatchKernel> ErasedBatchStage for B {
-    fn in_type(&self) -> TypeId {
-        TypeId::of::<B::In>()
-    }
-    fn out_type(&self) -> TypeId {
-        TypeId::of::<B::Out>()
-    }
-    fn stage_name(&self) -> String {
-        BatchKernel::stage_name(self)
-    }
-    fn run_batch_erased(&mut self, input: AnyBatch) -> AnyBatch {
-        let input = input
-            .downcast::<Vec<B::In>>()
-            .expect("fused chain: stage input batch element type mismatch");
-        let mut out = Vec::with_capacity(input.len());
-        self.run_batch(*input, &mut out);
-        Box::new(out)
-    }
-    fn fork(&self) -> Option<Box<dyn ErasedBatchStage>> {
-        BatchKernel::fork(self).map(|b| Box::new(b) as Box<dyn ErasedBatchStage>)
-    }
-}
-
-/// Blanket per-element adapter: lifts an `FnMut(A) -> B` into a
-/// [`BatchKernel`] whose `run_batch` is the obvious tight loop — the bridge
-/// that lets `Map`-style kernels join fused chains without writing batch
-/// code.
-pub struct PerElement<A, B, F> {
+/// The stage [`per_element`] (`FILTER = false`, `F: FnMut(A) -> B`) and
+/// [`per_element_filter`] (`FILTER = true`, `F: FnMut(A) -> Option<B>`)
+/// build: a transform closure lifted to whole batches by the obvious tight
+/// loop — the bridge that lets `Map`-style kernels join fused chains
+/// without writing batch code.
+struct PerElement<A, B, F, const FILTER: bool> {
     f: F,
     label: &'static str,
     _marker: std::marker::PhantomData<fn(A) -> B>,
 }
 
-impl<A, B, F> BatchKernel for PerElement<A, B, F>
+impl<A, B, F, const FILTER: bool> PerElement<A, B, F, FILTER> {
+    fn boxed(label: &'static str, f: F) -> Box<Self> {
+        Box::new(PerElement {
+            f,
+            label,
+            _marker: std::marker::PhantomData,
+        })
+    }
+
+    /// Unpack a batch of `A`s, append `each`'s results to a fresh `Vec<B>`.
+    fn run_typed(
+        &mut self,
+        input: AnyBatch,
+        each: impl FnOnce(&mut F, Vec<A>, &mut Vec<B>),
+    ) -> AnyBatch
+    where
+        A: 'static,
+        B: Send + 'static,
+    {
+        let input = input
+            .downcast::<Vec<A>>()
+            .expect("fused chain: stage input batch element type mismatch");
+        let mut out = Vec::with_capacity(input.len());
+        each(&mut self.f, *input, &mut out);
+        Box::new(out)
+    }
+}
+
+impl<A, B, F> ErasedBatchStage for PerElement<A, B, F, false>
 where
     A: Send + 'static,
     B: Send + 'static,
     F: FnMut(A) -> B + Clone + Send + 'static,
 {
-    type In = A;
-    type Out = B;
-    fn run_batch(&mut self, input: Vec<A>, out: &mut Vec<B>) {
-        out.extend(input.into_iter().map(&mut self.f));
+    fn in_type(&self) -> TypeId {
+        TypeId::of::<A>()
+    }
+    fn out_type(&self) -> TypeId {
+        TypeId::of::<B>()
     }
     fn stage_name(&self) -> String {
         self.label.to_string()
     }
-    fn fork(&self) -> Option<Self> {
-        Some(PerElement {
-            f: self.f.clone(),
-            label: self.label,
-            _marker: std::marker::PhantomData,
-        })
+    fn run_batch_erased(&mut self, input: AnyBatch) -> AnyBatch {
+        self.run_typed(input, |f, v, out| out.extend(v.into_iter().map(f)))
+    }
+    fn fork(&self) -> Option<Box<dyn ErasedBatchStage>> {
+        Some(Self::boxed(self.label, self.f.clone()))
     }
 }
 
-/// Erased per-element stage from a transform closure (see [`PerElement`]).
+impl<A, B, F> ErasedBatchStage for PerElement<A, B, F, true>
+where
+    A: Send + 'static,
+    B: Send + 'static,
+    F: FnMut(A) -> Option<B> + Clone + Send + 'static,
+{
+    fn in_type(&self) -> TypeId {
+        TypeId::of::<A>()
+    }
+    fn out_type(&self) -> TypeId {
+        TypeId::of::<B>()
+    }
+    fn stage_name(&self) -> String {
+        self.label.to_string()
+    }
+    fn run_batch_erased(&mut self, input: AnyBatch) -> AnyBatch {
+        self.run_typed(input, |f, v, out| out.extend(v.into_iter().filter_map(f)))
+    }
+    fn fork(&self) -> Option<Box<dyn ErasedBatchStage>> {
+        Some(Self::boxed(self.label, self.f.clone()))
+    }
+}
+
+/// Erased per-element stage from a transform closure.
 pub fn per_element<A, B, F>(label: &'static str, f: F) -> Box<dyn ErasedBatchStage>
 where
     A: Send + 'static,
     B: Send + 'static,
     F: FnMut(A) -> B + Clone + Send + 'static,
 {
-    Box::new(PerElement {
-        f,
-        label,
-        _marker: std::marker::PhantomData,
-    })
+    PerElement::<A, B, F, false>::boxed(label, f)
 }
 
-/// Filtering counterpart of [`PerElement`]: items mapped to `None` are
-/// dropped from the batch.
-pub struct PerElementFilter<A, B, F> {
-    f: F,
-    label: &'static str,
-    _marker: std::marker::PhantomData<fn(A) -> B>,
-}
-
-impl<A, B, F> BatchKernel for PerElementFilter<A, B, F>
-where
-    A: Send + 'static,
-    B: Send + 'static,
-    F: FnMut(A) -> Option<B> + Clone + Send + 'static,
-{
-    type In = A;
-    type Out = B;
-    fn run_batch(&mut self, input: Vec<A>, out: &mut Vec<B>) {
-        out.extend(input.into_iter().filter_map(&mut self.f));
-    }
-    fn stage_name(&self) -> String {
-        self.label.to_string()
-    }
-    fn fork(&self) -> Option<Self> {
-        Some(PerElementFilter {
-            f: self.f.clone(),
-            label: self.label,
-            _marker: std::marker::PhantomData,
-        })
-    }
-}
-
-/// Erased filtering per-element stage (see [`PerElementFilter`]).
+/// Erased filtering per-element stage: items mapped to `None` are dropped
+/// from the batch.
 pub fn per_element_filter<A, B, F>(label: &'static str, f: F) -> Box<dyn ErasedBatchStage>
 where
     A: Send + 'static,
     B: Send + 'static,
     F: FnMut(A) -> Option<B> + Clone + Send + 'static,
 {
-    Box::new(PerElementFilter {
-        f,
-        label,
-        _marker: std::marker::PhantomData,
-    })
+    PerElement::<A, B, F, true>::boxed(label, f)
 }
 
 /// A kernel's full port declaration.
@@ -282,7 +235,9 @@ impl PortSpec {
 
     /// Add an input port of element type `T` — the analog of
     /// `input.addPort<T>("name")` in the paper's Figure 2. `T: Clone` is
-    /// the stream-type contract (see [`PortDef::of`]).
+    /// the stream-type contract: it mirrors C++ RaftLib's requirement that
+    /// stream types be copy-constructible, and it is what lets a journaled
+    /// link keep a replay copy of each in-flight element.
     pub fn input<T: Send + Clone + 'static>(mut self, name: impl Into<String>) -> Self {
         let def = PortDef::of::<T>(name);
         assert!(
@@ -295,7 +250,7 @@ impl PortSpec {
     }
 
     /// Add an output port of element type `T`. `T: Clone` is the
-    /// stream-type contract (see [`PortDef::of`]).
+    /// stream-type contract (see [`PortSpec::input`]).
     pub fn output<T: Send + Clone + 'static>(mut self, name: impl Into<String>) -> Self {
         let def = PortDef::of::<T>(name);
         assert!(
@@ -347,9 +302,10 @@ pub trait Kernel: Send + 'static {
     }
 
     /// Whether this kernel can compile into a batch stage of a fused chain
-    /// (see [`crate::analysis::fusion`]). Contract: returning `true` here
-    /// promises that [`Kernel::batch_stage`] returns `Some`. Defaults to
-    /// `false`; per-element transforms implement it via [`per_element`].
+    /// (see [`FusionConfig`](crate::FusionConfig)). Contract: returning
+    /// `true` here promises that [`Kernel::batch_stage`] returns `Some`.
+    /// Defaults to `false`; per-element transforms implement it via
+    /// [`per_element`].
     fn is_fusable(&self) -> bool {
         false
     }

@@ -21,7 +21,7 @@
 //! compile error here. Closures that are also `Clone` yield replicable
 //! lambda kernels automatically.
 
-use crate::kernel::{KStatus, Kernel, PortSpec};
+use crate::kernel::{per_element, ErasedBatchStage, KStatus, Kernel, PortSpec};
 use crate::port::Context;
 
 /// A kernel defined by a closure over the raw [`Context`].
@@ -107,7 +107,7 @@ where
 
 /// Map lambda: one input, one output, item-at-a-time transform. If the
 /// closure is `Clone`, the kernel is replicable by the auto-parallelizer.
-pub fn lambda_map<A, B, F>(f: F) -> MapLambda<A, B, F>
+pub fn lambda_map<A, B, F>(f: F) -> impl Kernel
 where
     A: Send + Clone + 'static,
     B: Send + Clone + 'static,
@@ -119,8 +119,7 @@ where
     }
 }
 
-/// See [`lambda_map`].
-pub struct MapLambda<A, B, F> {
+struct MapLambda<A, B, F> {
     f: F,
     _marker: std::marker::PhantomData<fn(A) -> B>,
 }
@@ -168,8 +167,8 @@ where
         true
     }
 
-    fn batch_stage(&mut self) -> Option<Box<dyn crate::kernel::ErasedBatchStage>> {
-        Some(crate::kernel::per_element("lambda-map", self.f.clone()))
+    fn batch_stage(&mut self) -> Option<Box<dyn ErasedBatchStage>> {
+        Some(per_element("lambda-map", self.f.clone()))
     }
 }
 

@@ -56,81 +56,71 @@
 //! assert_eq!(report.edge("sum").unwrap().stats.popped, 5);
 //! ```
 //!
+//! Every item is exported at the crate root; [`prelude`] re-exports the
+//! ones a typical application names.
+//!
 //! The crates around this one complete the reproduction: `raft-buffer`
 //! (resizable lock-free FIFOs), `raft-kernels` (standard kernel library),
 //! `raft-algos` (search algorithms & workloads), `raft-model` (queueing /
 //! flow models), `raft-net` (TCP links and the "oar" mesh), `raft-bench`
 //! (every table and figure of the paper's evaluation).
 
-pub mod affinity;
-pub mod algoset;
-pub mod analysis;
-pub mod check;
-pub mod diagnostics;
-pub mod error;
-pub mod kernel;
-pub mod lambda;
-pub mod map;
-pub mod mapper;
-pub mod monitor;
-pub mod parallel;
-pub mod port;
-pub mod proc;
-pub mod report;
-pub mod runtime;
-pub mod scheduler;
-pub mod steal;
-pub mod stealing;
-pub mod supervise;
+mod affinity;
+mod algoset;
+mod analysis;
+mod check;
+mod diagnostics;
+mod error;
+mod kernel;
+mod lambda;
+mod map;
+mod mapper;
+mod monitor;
+mod parallel;
+mod port;
+mod proc;
+mod report;
+mod runtime;
+mod scheduler;
+mod steal;
+mod stealing;
+mod supervise;
 
 pub use algoset::{AlgoSet, AlgoSwitch};
-pub use analysis::{
-    classify, Analysis, CycleInfo, CycleVerdict, FusedGroupReport, FusionConfig, FusionGroup,
-    GraphView, KernelClassification,
-};
+pub use analysis::{FusedGroupReport, FusionConfig, KernelClassification};
 pub use check::{passes, CheckConfig, LintPass};
 pub use diagnostics::{Diagnostic, Severity};
 pub use error::{ExeError, LinkError, PortClosed};
 pub use kernel::{
-    per_element, per_element_filter, BatchKernel, ErasedBatchStage, KStatus, Kernel, PortDef,
-    PortSpec,
+    per_element, per_element_filter, AnyBatch, ErasedBatchStage, KStatus, Kernel, PortDef, PortSpec,
 };
 pub use lambda::{lambda_map, lambda_sink, lambda_source, LambdaKernel};
 pub use map::{KernelId, MapConfig, ParallelConfig, RaftMap, StopHandle};
+pub use mapper::{classify_link, map_kernels, CommGraph, Domain, Mapping, Resource};
 pub use monitor::{
     MonitorConfig, ResizeEvent, ResizeReason, WatchdogEvent, WatchdogKind, WidthEvent,
 };
-pub use parallel::{Reduce, Split, SplitStrategy, WidthControl};
+pub use parallel::SplitStrategy;
 pub use port::{Context, InPort, OutPort};
 pub use proc::{
-    DescLink, JournaledRingLink, ProcLink, ProcPolicy, ProcReport, ProcSupervisor, SegmentLink,
-    WorkerSpec,
+    DescLink, ProcLink, ProcPolicy, ProcReport, ProcSupervisor, SegmentLink, WorkerSpec,
 };
 pub use report::render as render_report;
 pub use runtime::{DrainEvent, DrainReason, EdgeReport, ExeReport, KernelReport};
 pub use scheduler::{SchedulerKind, WorkerReport};
-pub use supervise::{KernelOutcome, SupervisorPolicy};
+pub use supervise::{KernelFactory, KernelOutcome, SupervisorPolicy};
 
 // Re-export the signal and FIFO config types users meet at the API surface.
 pub use raft_buffer::{AdmissionPolicy, FifoConfig, LinkAlloc, Signal};
 
 /// Everything needed to write and run a streaming application.
 pub mod prelude {
-    pub use crate::algoset::{AlgoSet, AlgoSwitch};
-    pub use crate::analysis::KernelClassification;
-    pub use crate::analysis::{FusedGroupReport, FusionConfig};
-    pub use crate::check::CheckConfig;
-    pub use crate::diagnostics::{Diagnostic, Severity};
-    pub use crate::error::{ExeError, LinkError, PortClosed};
-    pub use crate::kernel::{BatchKernel, KStatus, Kernel, PortSpec};
-    pub use crate::lambda::{lambda_map, lambda_sink, lambda_source, LambdaKernel};
-    pub use crate::map::{KernelId, MapConfig, ParallelConfig, RaftMap, StopHandle};
-    pub use crate::monitor::{MonitorConfig, WatchdogEvent, WatchdogKind};
-    pub use crate::parallel::SplitStrategy;
-    pub use crate::port::{Context, InPort, OutPort};
-    pub use crate::proc::{ProcPolicy, ProcReport, ProcSupervisor, WorkerSpec};
-    pub use crate::runtime::{DrainEvent, DrainReason, ExeReport};
-    pub use crate::scheduler::SchedulerKind;
-    pub use crate::supervise::{KernelOutcome, SupervisorPolicy};
-    pub use raft_buffer::{AdmissionPolicy, FifoConfig, LinkAlloc, Signal};
+    pub use crate::{
+        lambda_map, lambda_sink, lambda_source, AdmissionPolicy, AlgoSet, CheckConfig, Context,
+        DrainReason, ExeError, ExeReport, FifoConfig, FusionConfig, InPort, KStatus, Kernel,
+        KernelId, KernelOutcome, LambdaKernel, LinkAlloc, LinkError, MapConfig, MonitorConfig,
+        OutPort, PortClosed, PortSpec, ProcPolicy, ProcReport, ProcSupervisor, RaftMap,
+        SchedulerKind, Severity, Signal, SplitStrategy, StopHandle, SupervisorPolicy, WatchdogKind,
+        WorkerSpec,
+    };
 }

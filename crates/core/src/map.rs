@@ -415,31 +415,12 @@ impl RaftMap {
         self.link_inner(src, src_port, dst, dst_port, true, Some(fifo))
     }
 
-    /// Unordered link with a per-stream FIFO configuration.
-    pub fn link_unordered_with(
-        &mut self,
-        src: KernelId,
-        src_port: &str,
-        dst: KernelId,
-        dst_port: &str,
-        fifo: FifoConfig,
-    ) -> Result<(), LinkError> {
-        self.link_inner(src, src_port, dst, dst_port, false, Some(fifo))
-    }
-
     /// Convenience: connect two kernels that have exactly one output and
     /// one input port respectively (most pipeline stages).
     pub fn connect(&mut self, src: KernelId, dst: KernelId) -> Result<(), LinkError> {
         let sp = self.single_port_name(src, false)?;
         let dp = self.single_port_name(dst, true)?;
         self.link(src, &sp, dst, &dp)
-    }
-
-    /// [`RaftMap::connect`] with an out-of-order-safe stream.
-    pub fn connect_unordered(&mut self, src: KernelId, dst: KernelId) -> Result<(), LinkError> {
-        let sp = self.single_port_name(src, false)?;
-        let dp = self.single_port_name(dst, true)?;
-        self.link_unordered(src, &sp, dst, &dp)
     }
 
     fn single_port_name(&self, id: KernelId, is_input: bool) -> Result<String, LinkError> {
@@ -557,7 +538,7 @@ impl RaftMap {
     /// Validate, optimize, execute, and wait for completion — the paper's
     /// `map.exe()`. Consumes the map.
     pub fn exe(self) -> Result<ExeReport, crate::error::ExeError> {
-        runtime::execute(self)
+        runtime::execute(self, None)
     }
 
     /// Execute with a deadline: if the application does not finish within
@@ -565,7 +546,7 @@ impl RaftMap {
     /// via `Context::stop_requested`; after [`MapConfig::drain_grace`] the
     /// FIFOs fail fast) and execution joins as soon as the pipeline drains.
     pub fn exe_with_timeout(self, timeout: Duration) -> Result<ExeReport, crate::error::ExeError> {
-        runtime::execute_with_deadline(self, Some(timeout))
+        runtime::execute(self, Some(timeout))
     }
 }
 

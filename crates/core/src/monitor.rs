@@ -88,12 +88,6 @@ impl Default for MonitorConfig {
 }
 
 impl MonitorConfig {
-    /// The paper's exact δ = 10 µs.
-    pub fn paper_delta(mut self) -> Self {
-        self.delta = Duration::from_micros(10);
-        self
-    }
-
     /// Fully disabled monitor (for the monitoring-overhead ablation).
     pub fn disabled() -> Self {
         MonitorConfig {
@@ -369,10 +363,7 @@ fn control_loop(
             }
         }
         if let Some(timeout) = cfg.stall_timeout {
-            let popped: u64 = fifos
-                .iter()
-                .map(|(_, f)| f.stats().reader.popped.load(Ordering::Relaxed))
-                .sum();
+            let popped: u64 = fifos.iter().map(|(_, f)| f.stats().popped()).sum();
             let all_finished = fifos.iter().all(|(_, f)| f.is_finished());
             if popped != last_popped || all_finished {
                 last_popped = popped;
@@ -422,7 +413,7 @@ fn control_loop(
             }
 
             // 3. read request larger than capacity → grow to fit
-            let want = stats.reader.max_read_request.load(Ordering::Relaxed) as usize;
+            let want = stats.max_read_request();
             if want > capacity {
                 let old = capacity;
                 if f.grow_to(want) {
@@ -445,7 +436,7 @@ fn control_loop(
             // (grow/shrink oscillation).
             if cfg.shrink_enabled {
                 let occ = f.occupancy();
-                let floor = stats.reader.max_read_request.load(Ordering::Relaxed) as usize;
+                let floor = stats.max_read_request();
                 if occ * 8 < capacity && capacity > 1 && capacity / 2 >= floor {
                     low_ticks[i] += 1;
                     if low_ticks[i] >= cfg.shrink_after_ticks {

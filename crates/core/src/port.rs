@@ -194,26 +194,48 @@ impl Context {
             kernel_name,
         };
         for (name, ep) in inputs {
-            ctx.input_names.push(name);
-            ctx.input_fifos.push(ep.link());
-            ctx.inputs.push(RefCell::new(ep));
+            ctx.bind_input(name, ep);
         }
         for (name, ep) in outputs {
-            ctx.output_names.push(name);
-            ctx.outputs.push(RefCell::new(ep));
+            ctx.bind_output(name, ep);
         }
         ctx.commit_every = ctx.cadence();
         ctx
     }
 
-    /// Construct a context directly from endpoints — for driving a kernel
-    /// outside a `RaftMap` (unit tests, custom harnesses).
+    fn bind_input(&mut self, name: String, ep: Box<dyn InEnd>) {
+        self.input_names.push(name);
+        self.input_fifos.push(ep.link());
+        self.inputs.push(RefCell::new(ep));
+    }
+
+    fn bind_output(&mut self, name: String, ep: Box<dyn OutEnd>) {
+        self.output_names.push(name);
+        self.outputs.push(RefCell::new(ep));
+    }
+
+    /// A context named `"test"` with no ports yet — for driving a kernel
+    /// outside a `RaftMap` (unit tests, custom harnesses). Bind endpoints
+    /// with [`Context::with_input`] / [`Context::with_output`].
     #[doc(hidden)]
-    pub fn for_test(
-        inputs: Vec<(String, Box<dyn InEnd>)>,
-        outputs: Vec<(String, Box<dyn OutEnd>)>,
-    ) -> Self {
-        Context::new("test".to_string(), inputs, outputs, Arc::default())
+    pub fn for_test() -> Self {
+        Context::new("test".to_string(), Vec::new(), Vec::new(), Arc::default())
+    }
+
+    /// Bind `end` as the next input port, called `name`.
+    #[doc(hidden)]
+    pub fn with_input<T: Send + 'static>(mut self, name: &str, end: Consumer<T>) -> Self {
+        self.bind_input(name.to_string(), Box::new(end));
+        self.commit_every = self.cadence();
+        self
+    }
+
+    /// Bind `end` as the next output port, called `name`.
+    #[doc(hidden)]
+    pub fn with_output<T: Send + 'static>(mut self, name: &str, end: Producer<T>) -> Self {
+        self.bind_output(name.to_string(), Box::new(end));
+        self.commit_every = self.cadence();
+        self
     }
 
     /// The commit cadence of this kernel's journal transaction. Batched
@@ -592,6 +614,13 @@ mod tests {
     use proptest::prelude::*;
     use raft_buffer::{fifo_with, FifoConfig};
 
+    fn test_ctx(
+        ins: Vec<(String, Box<dyn InEnd>)>,
+        outs: Vec<(String, Box<dyn OutEnd>)>,
+    ) -> Context {
+        Context::new("test".to_string(), ins, outs, Arc::default())
+    }
+
     fn input<T: Send + 'static>(name: &str) -> ((String, Box<dyn InEnd>), Producer<T>) {
         let (_fifo, p, c) = fifo_with::<T>(FifoConfig::starting_at(4));
         ((name.to_string(), Box::new(c)), p)
@@ -611,7 +640,7 @@ mod tests {
         };
         let inputs = ins.iter().enumerate().map(|(i, &c)| link(i, c).1);
         let outputs = outs.iter().enumerate().map(|(i, &c)| link(i, c).0);
-        Context::for_test(inputs.collect(), outputs.collect()).commit_every()
+        test_ctx(inputs.collect(), outputs.collect()).commit_every()
     }
 
     #[test]
@@ -635,7 +664,7 @@ mod tests {
     fn two_in_one_out() -> Context {
         let ((a, _pa), (b, _pb)) = (input::<u64>("a"), input::<u64>("b"));
         let (sum, _c) = output::<u64>("sum");
-        Context::for_test(vec![a, b], vec![sum])
+        test_ctx(vec![a, b], vec![sum])
     }
 
     #[test]
@@ -684,7 +713,7 @@ mod tests {
     fn distinct_ports_are_held_together_and_retaken_after_release() {
         let ((a, mut pa), (b, mut pb)) = (input::<u64>("a"), input::<u64>("b"));
         let (sum, mut c) = output::<u64>("sum");
-        let ctx = Context::for_test(vec![a, b], vec![sum]);
+        let ctx = test_ctx(vec![a, b], vec![sum]);
         assert_eq!((ctx.input_count(), ctx.output_count()), (2, 1));
         for round in 0..3u64 {
             pa.push(round).unwrap();
@@ -703,7 +732,7 @@ mod tests {
     fn every_name_of_a_wide_kernel_resolves_to_its_own_endpoint() {
         let (outs, mut sinks): (Vec<_>, Vec<_>) =
             (0..32).map(|i| output::<usize>(&format!("o{i}"))).unzip();
-        let ctx = Context::for_test(Vec::new(), outs);
+        let ctx = test_ctx(Vec::new(), outs);
         // Names that share a length ("o10".."o31") and prefix each other
         // ("o1", "o10") must not alias.
         for i in (0..32).rev() {

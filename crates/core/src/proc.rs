@@ -43,12 +43,11 @@
 //!
 //! ## What SIGKILL can and cannot lose
 //!
-//! Links registered on the [`WorkerSpec`] carry the recovery contract.
-//! A [`JournaledRingLink`] / [`DescLink`] re-delivers every element the
-//! dead worker consumed but did not commit (the journal is acked only by
-//! the segment's commit word, which the worker bumps *after* publishing
-//! each result); descriptors' payload slots survive the arena sweep while
-//! journal-referenced. What SIGKILL *can* produce is a duplicate result —
+//! Links registered on the [`WorkerSpec`] carry the recovery contract. A
+//! [`DescLink`] re-delivers every element the dead worker consumed but did
+//! not commit (the journal is acked only by the segment's commit word,
+//! which the worker bumps *after* publishing each result); descriptors'
+//! payload slots survive the arena sweep while journal-referenced. What SIGKILL *can* produce is a duplicate result —
 //! a worker that died between publishing result `n` and committing `n+1`
 //! re-emits it — which is why results carry their sequence number and the
 //! parent deduplicates. It cannot lose an uncommitted element, and it
@@ -63,7 +62,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use raft_buffer::arena::DescriptorSender;
-use raft_buffer::shm::{ShmItem, ShmRingProducer, ShmSegment};
+use raft_buffer::shm::ShmSegment;
 use raft_buffer::{EventCount, ThreadPark};
 use raft_rng::Rng;
 
@@ -73,7 +72,7 @@ use crate::supervise::{KernelOutcome, SupervisorPolicy};
 /// spawn, then 1, 2, … per respawn). The attempt number lets a factory
 /// vary the command per retry — different verbosity, a replacement binary —
 /// which is what `Replace` means at process scope.
-pub type CommandFactory = Box<dyn FnMut(u32) -> Command + Send>;
+type CommandFactory = Box<dyn FnMut(u32) -> Command + Send>;
 
 /// What the supervisor does when a worker process crashes or wedges —
 /// the process-scope mirror of [`SupervisorPolicy`].
@@ -87,11 +86,11 @@ pub enum ProcPolicy {
     /// [`KernelOutcome::Skipped`].
     Skip,
     /// Kill/reap, revoke the dead worker's shm roles, recover the links,
-    /// and respawn via the [`CommandFactory`] — up to `max_restarts`
-    /// times, sleeping a jittered `backoff * 2^attempt` (capped at 1 s)
-    /// between attempts. Exhausting the budget escalates to
-    /// [`KernelOutcome::Aborted`]. Every respawn is built fresh by the
-    /// factory, so this also covers `Replace` semantics.
+    /// and respawn via the worker's command factory ([`WorkerSpec::new`]) —
+    /// up to `max_restarts` times, sleeping a jittered
+    /// `backoff * 2^attempt` (capped at 1 s) between attempts. Exhausting
+    /// the budget escalates to [`KernelOutcome::Aborted`]. Every respawn is
+    /// built fresh by the factory, so this also covers `Replace` semantics.
     Restart {
         /// Maximum respawns before giving up.
         max_restarts: u32,
@@ -139,7 +138,7 @@ impl Default for ProcPolicy {
 impl From<&SupervisorPolicy> for ProcPolicy {
     /// Project the kernel-scope policy onto process scope. `Replace` maps
     /// to `Restart`: a respawned process is *always* built fresh by the
-    /// [`CommandFactory`] (there is no in-place state to re-enter), so the
+    /// command factory (there is no in-place state to re-enter), so the
     /// two variants coincide here.
     fn from(p: &SupervisorPolicy) -> ProcPolicy {
         match p {
@@ -197,37 +196,6 @@ pub trait ProcLink: Send {
     /// Re-deliver journaled state to the respawned worker. Default:
     /// nothing to do.
     fn replay(&mut self) {}
-}
-
-/// A replayable element ring whose consumer side lives in the worker
-/// (producer side shared with the feeding kernel via the mutex; it must
-/// have [`enable_replay`](ShmRingProducer::enable_replay) on).
-pub struct JournaledRingLink<T: ShmItem> {
-    producer: Arc<Mutex<ShmRingProducer<T>>>,
-}
-
-impl<T: ShmItem> JournaledRingLink<T> {
-    /// Supervise the worker-consumed ring behind `producer`.
-    pub fn new(producer: Arc<Mutex<ShmRingProducer<T>>>) -> Self {
-        JournaledRingLink { producer }
-    }
-}
-
-impl<T: ShmItem> ProcLink for JournaledRingLink<T> {
-    fn segments(&self) -> Vec<(Arc<ShmSegment>, bool)> {
-        vec![(
-            self.producer.lock().expect("link lock").segment_shared(),
-            false,
-        )]
-    }
-
-    fn prepare_respawn(&mut self) {
-        self.producer.lock().expect("link lock").begin_recovery();
-    }
-
-    fn replay(&mut self) {
-        self.producer.lock().expect("link lock").replay_unacked();
-    }
 }
 
 /// A descriptor ring + payload arena pair whose consumer sides live in the

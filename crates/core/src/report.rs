@@ -17,7 +17,7 @@ const SPARKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█
 
 /// Render a log2 occupancy histogram as a sparkline (one glyph per
 /// occupied bucket range, `·` for empty buckets up to the last used one).
-pub fn sparkline(hist: &[u64]) -> String {
+fn sparkline(hist: &[u64]) -> String {
     let last_used = match hist.iter().rposition(|&c| c > 0) {
         Some(i) => i,
         None => return String::from("(no samples)"),
@@ -301,8 +301,8 @@ mod tests {
 
     #[test]
     fn renders_a_real_report() {
-        use crate::lambda::{lambda_sink, lambda_source};
         use crate::prelude::*;
+        use crate::{DrainEvent, WatchdogEvent};
         let mut map = RaftMap::new();
         let mut i = 0u64;
         let src = map.add(lambda_source(move || {
@@ -365,7 +365,6 @@ mod tests {
 
     #[test]
     fn report_exposes_replication_classification() {
-        use crate::lambda::{lambda_map, lambda_sink, lambda_source};
         use crate::prelude::*;
         let mut map = RaftMap::new();
         let mut i = 0u64;
@@ -395,7 +394,6 @@ mod tests {
 
     #[test]
     fn renders_worker_telemetry_under_stealing() {
-        use crate::lambda::{lambda_sink, lambda_source};
         use crate::prelude::*;
         let mut map = RaftMap::new();
         map.config_mut().scheduler = SchedulerKind::Stealing {

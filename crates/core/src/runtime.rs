@@ -26,7 +26,8 @@ use crate::map::{KernelEntry, LinkEntry, RaftMap};
 use crate::monitor::{self, HealthTarget, ResizeEvent, WatchdogEvent, WidthEvent, WidthTarget};
 use crate::parallel::WidthControl;
 use crate::port::{Context, InEnd, OutEnd};
-use crate::scheduler::{KernelRunner, KernelTelemetry, Scheduler, SchedulerKind, ThreadPerKernel};
+use crate::scheduler::{thread_per_kernel, KernelRunner, KernelTelemetry, SchedulerKind};
+use crate::stealing::work_stealing;
 use crate::supervise::KernelOutcome;
 
 /// Final statistics of one stream.
@@ -50,8 +51,10 @@ pub struct KernelReport {
     /// Completed `run()` calls.
     pub runs: u64,
     /// Time spent inside `run()` — exact when `timed_runs == runs`,
-    /// otherwise the scheduler's sampled estimate (see
-    /// [`KernelTelemetry`]).
+    /// otherwise the scheduler's sampled estimate: every run is timed while
+    /// runs are few (the first 64) or slow (≥ ~4 µs), otherwise one run in
+    /// 64 stands for its stride, so the estimate is biased low for a kernel
+    /// whose rare slow runs hide among fast ones.
     pub busy: Duration,
     /// How many of the `runs` were actually timed to back `busy`.
     pub timed_runs: u64,
@@ -190,7 +193,7 @@ pub struct ExeReport {
     /// The `RC0009` replication-safety classification of every kernel in
     /// the pre-expansion graph: statelessness, replicability, planned
     /// width, and whether the kernel sits behind an out-of-order split
-    /// (see [`crate::analysis::classify`]).
+    /// (see [`KernelClassification`](crate::KernelClassification)).
     pub kernel_classes: Vec<crate::analysis::KernelClassification>,
     /// Per-worker scheduler telemetry (steals, parks, wake-to-run latency);
     /// empty for schedulers that don't report it.
@@ -198,7 +201,7 @@ pub struct ExeReport {
     /// Kernel chains the fusion pass collapsed into single batch-executed
     /// kernels, with per-group batch telemetry (empty when fusion is
     /// disabled or nothing was fusable). See
-    /// [`crate::analysis::fusion`].
+    /// [`FusionConfig`](crate::FusionConfig).
     pub fused: Vec<crate::analysis::fusion::FusedGroupReport>,
     /// Drain-ladder rungs applied during this execution (empty when the
     /// graph finished on its own).
@@ -247,17 +250,9 @@ impl ExeReport {
     }
 }
 
-/// Execute a map to completion (no deadline).
-pub fn execute(map: RaftMap) -> Result<ExeReport, ExeError> {
-    execute_with_deadline(map, None)
-}
-
-/// Execute a map; if `deadline` elapses first, the run enters the drain
-/// ladder ([`DrainReason::Deadline`]).
-pub fn execute_with_deadline(
-    mut map: RaftMap,
-    deadline: Option<Duration>,
-) -> Result<ExeReport, ExeError> {
+/// Execute a map to completion; if `deadline` elapses first, the run enters
+/// the drain ladder ([`DrainReason::Deadline`]).
+pub(crate) fn execute(mut map: RaftMap, deadline: Option<Duration>) -> Result<ExeReport, ExeError> {
     if map.kernels.is_empty() {
         return Err(ExeError::EmptyMap);
     }
@@ -393,19 +388,17 @@ pub fn execute_with_deadline(
     // --- run ---------------------------------------------------------------
     let started = Instant::now();
     let sched_out = match map.cfg.scheduler {
-        SchedulerKind::ThreadPerKernel => ThreadPerKernel.execute(runners),
-        SchedulerKind::Stealing { workers, pin } => crate::stealing::WorkStealing {
-            workers,
-            pin,
+        SchedulerKind::ThreadPerKernel => thread_per_kernel(runners),
+        SchedulerKind::Stealing { workers, pin } => {
             // §4.1's mapping seeds each worker's deque; stealing then
             // rebalances dynamically.
-            placement: crate::mapper::place_on_workers(
+            let placement = crate::mapper::place_on_workers(
                 runners.len(),
                 map.links.iter().map(|l| (l.src, l.dst)),
                 workers,
-            ),
+            );
+            work_stealing(runners, workers, pin, &placement)
         }
-        .execute(runners),
     };
     let outcomes = sched_out.outcomes;
     let workers = sched_out.workers;

@@ -5,14 +5,13 @@
 //! operating system. ... RaftLib, of course, allows the substitution of any
 //! scheduler desired." (§4.1)
 //!
-//! Two schedulers ship here behind the [`Scheduler`] trait — the paper's
-//! substitution point:
+//! Two schedulers ship, one function each, chosen by [`SchedulerKind`]:
 //!
-//! * [`ThreadPerKernel`] — the paper's default and this runtime's reference
-//!   semantics: every kernel is an independent execution unit (an OS
-//!   thread); blocking port operations simply block that thread and the OS
-//!   multiplexes.
-//! * [`crate::stealing::WorkStealing`] — a fixed pool of workers for graphs
+//! * [`thread_per_kernel`] — the paper's default and this runtime's
+//!   reference semantics: every kernel is an independent execution unit (an
+//!   OS thread); blocking port operations simply block that thread and the
+//!   OS multiplexes.
+//! * [`crate::stealing::work_stealing`] — a fixed pool of workers for graphs
 //!   with more kernels than cores: readiness arrives through the FIFOs'
 //!   [`raft_buffer::WakerSlot`]s as O(1) task enqueues; per-worker Chase–Lev
 //!   deques seeded by the §4.1 mapper, a global FIFO injector, adaptive
@@ -198,7 +197,7 @@ pub(crate) struct StepDone {
 }
 
 /// Per-worker execution telemetry reported by pool-style schedulers
-/// (currently populated by [`crate::stealing::WorkStealing`]).
+/// (currently only [`SchedulerKind::Stealing`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerReport {
     /// Worker index.
@@ -223,20 +222,14 @@ pub struct WorkerReport {
 }
 
 /// Everything a scheduler hands back to `exe()`: one outcome per kernel
-/// plus optional per-worker telemetry.
+/// plus optional per-worker telemetry. Shutdown reaches the kernels through
+/// their [`Context`]s.
 #[derive(Debug, Default)]
 pub struct SchedulerOutput {
     /// One entry per kernel.
     pub outcomes: Vec<RunnerOutcome>,
     /// Per-worker telemetry; empty for schedulers that don't track it.
     pub workers: Vec<WorkerReport>,
-}
-
-/// A scheduler executes a set of kernels to completion.
-pub trait Scheduler {
-    /// Run all kernels; return one outcome per kernel (plus any worker
-    /// telemetry). Shutdown reaches the kernels through their [`Context`]s.
-    fn execute(&self, runners: Vec<KernelRunner>) -> SchedulerOutput;
 }
 
 /// `run()` calls per claim under a pool scheduler: long enough to amortize
@@ -496,44 +489,40 @@ fn backoff_and_count(runner: &mut KernelRunner) {
     runner.restarts += 1;
 }
 
-/// One OS thread per kernel.
-pub struct ThreadPerKernel;
-
-impl Scheduler for ThreadPerKernel {
-    fn execute(&self, runners: Vec<KernelRunner>) -> SchedulerOutput {
-        // Names stay beside the join handles: a kernel thread that dies
-        // anyway (a scheduler bug — kernel panics, `Drop` included, are
-        // caught) is still reported by name.
-        let handles: Vec<_> = runners
-            .into_iter()
-            .map(|mut runner| {
-                let name = runner.name.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("raft-{name}"))
-                    .spawn(move || match drive(&mut runner, None) {
-                        Driven::Done(done) => retire(runner, done),
-                        Driven::Idle | Driven::Yielded => {
-                            unreachable!("an ungated drive returns only when the kernel is done")
-                        }
-                    })
-                    .expect("spawn kernel thread");
-                (name, handle)
-            })
-            .collect();
-        let outcomes = handles
-            .into_iter()
-            .map(|(name, h)| {
-                h.join().unwrap_or(RunnerOutcome {
-                    name,
-                    outcome: KernelOutcome::Aborted,
-                    fatal: true,
+/// Run every kernel to completion on an OS thread of its own.
+pub(crate) fn thread_per_kernel(runners: Vec<KernelRunner>) -> SchedulerOutput {
+    // Names stay beside the join handles: a kernel thread that dies
+    // anyway (a scheduler bug — kernel panics, `Drop` included, are
+    // caught) is still reported by name.
+    let handles: Vec<_> = runners
+        .into_iter()
+        .map(|mut runner| {
+            let name = runner.name.clone();
+            let handle = std::thread::Builder::new()
+                .name(format!("raft-{name}"))
+                .spawn(move || match drive(&mut runner, None) {
+                    Driven::Done(done) => retire(runner, done),
+                    Driven::Idle | Driven::Yielded => {
+                        unreachable!("an ungated drive returns only when the kernel is done")
+                    }
                 })
+                .expect("spawn kernel thread");
+            (name, handle)
+        })
+        .collect();
+    let outcomes = handles
+        .into_iter()
+        .map(|(name, h)| {
+            h.join().unwrap_or(RunnerOutcome {
+                name,
+                outcome: KernelOutcome::Aborted,
+                fatal: true,
             })
-            .collect();
-        SchedulerOutput {
-            outcomes,
-            workers: Vec::new(),
-        }
+        })
+        .collect();
+    SchedulerOutput {
+        outcomes,
+        workers: Vec::new(),
     }
 }
 
@@ -585,7 +574,7 @@ mod tests {
                 stop_at,
                 nap,
             }),
-            ctx: Context::for_test(Vec::new(), Vec::new()),
+            ctx: Context::for_test(),
             telemetry: Arc::default(),
             policy: SupervisorPolicy::Abort,
             restarts: 0,
@@ -663,7 +652,12 @@ mod tests {
         let def = crate::kernel::PortDef::of::<u64>("out");
         let (out, _input) = (def.fifo_factory)(raft_buffer::FifoConfig::default().journaled());
         let mut r = runner(100, Duration::ZERO);
-        r.ctx = Context::for_test(Vec::new(), vec![("out".into(), out)]);
+        r.ctx = Context::new(
+            "test".into(),
+            Vec::new(),
+            vec![("out".into(), out)],
+            Arc::default(),
+        );
         assert!(matches!(drive(&mut r, None), Driven::Done(_)));
         assert_eq!(commits(&r), 100 / u64::from(QUANTUM) + 1);
     }

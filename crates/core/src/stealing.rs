@@ -1,6 +1,6 @@
 //! Event-driven work-stealing scheduler.
 //!
-//! [`WorkStealing`] multiplexes a graph over a fixed pool of workers without
+//! [`work_stealing`] multiplexes a graph over a fixed pool of workers without
 //! ever scanning for runnable kernels:
 //!
 //! * **Readiness is pushed, not polled.** Each kernel is a *task* with a
@@ -64,8 +64,8 @@ use raft_buffer::{
 use crate::affinity;
 use crate::runtime::{DrainReason, Shutdown};
 use crate::scheduler::{
-    drive, inputs_ready, retire, Driven, KernelRunner, RunnerOutcome, Scheduler, SchedulerOutput,
-    StepDone, WorkerReport, QUANTUM,
+    drive, inputs_ready, retire, Driven, KernelRunner, RunnerOutcome, SchedulerOutput, StepDone,
+    WorkerReport, QUANTUM,
 };
 use crate::steal::{Injector, Steal, WorkerDeque};
 use crate::supervise::KernelOutcome;
@@ -272,174 +272,160 @@ impl FifoWaker for TaskWaker {
     }
 }
 
-/// Event-driven work-stealing scheduler (see the module docs).
-pub struct WorkStealing {
-    /// Worker thread count.
-    pub workers: usize,
-    /// Pin worker `w` to core `w % cores` (best-effort).
-    pub pin: bool,
-    /// `placement[k]` = worker whose deque initially holds kernel `k`
-    /// (typically the mapper's partition assignment). Empty = all tasks
-    /// start in the injector in graph order.
-    pub placement: Vec<usize>,
+/// Claim source: own deque (LIFO) first; then injector (FIFO) → steal,
+/// or — right after a yield — steal → injector, so the yielded task
+/// (at the injector's back) comes back only when nothing else is
+/// claimable. Returns the task id and whether it was stolen.
+fn find_task(core: &Core, me: usize, yielded: bool) -> Option<(usize, bool)> {
+    if let Some(t) = core.deques[me].pop() {
+        return Some((t, false));
+    }
+    let injected = || core.injector.pop().map(|t| (t, false));
+    let stolen = || {
+        let n = core.deques.len();
+        (1..n).find_map(|i| loop {
+            match core.deques[(me + i) % n].steal() {
+                Steal::Success(t) => break Some((t, true)),
+                Steal::Retry => continue,
+                Steal::Empty => break None,
+            }
+        })
+    };
+    if yielded {
+        stolen().or_else(injected)
+    } else {
+        injected().or_else(stolen)
+    }
 }
 
-impl WorkStealing {
-    /// Claim source: own deque (LIFO) first; then injector (FIFO) → steal,
-    /// or — right after a yield — steal → injector, so the yielded task
-    /// (at the injector's back) comes back only when nothing else is
-    /// claimable. Returns the task id and whether it was stolen.
-    fn find_task(core: &Core, me: usize, yielded: bool) -> Option<(usize, bool)> {
-        if let Some(t) = core.deques[me].pop() {
-            return Some((t, false));
-        }
-        let injected = || core.injector.pop().map(|t| (t, false));
-        let stolen = || {
-            let n = core.deques.len();
-            (1..n).find_map(|i| loop {
-                match core.deques[(me + i) % n].steal() {
-                    Steal::Success(t) => break Some((t, true)),
-                    Steal::Retry => continue,
-                    Steal::Empty => break None,
-                }
-            })
-        };
-        if yielded {
-            stolen().or_else(injected)
-        } else {
-            injected().or_else(stolen)
-        }
+/// Drive one claimed task for up to a quantum, pushing its outcome if the
+/// kernel finished; `true` when it yielded the quantum. The kernel
+/// lifecycle itself lives in [`drive`] / [`retire`]; this function owns
+/// only the task state machine around it.
+fn run_task(
+    core: &Core,
+    me: usize,
+    task: usize,
+    stats: &mut WorkerReport,
+    outcomes: &mut Vec<RunnerOutcome>,
+) -> bool {
+    let slot = &core.tasks[task];
+    // Claim: QUEUED → RUNNING. A wake observing RUNNING from here on
+    // lands as NOTIFIED instead of double-queueing.
+    let prev = slot.state.swap(RUNNING, AcqRel);
+    debug_assert_eq!(prev, QUEUED, "claimed task {task} was not QUEUED");
+
+    let mut guard = slot.runner.lock();
+    let Some(runner) = guard.as_mut() else {
+        // Stale entry for an already-finished kernel (can't happen under
+        // the one-queue invariant, but degrade gracefully).
+        slot.state.store(IDLE, Release);
+        return false;
+    };
+
+    stats.runs += 1;
+    let woken_at = slot.woken_at_ns.swap(0, Relaxed);
+    if woken_at != 0 {
+        stats.woken_tasks += 1;
+        stats.wake_to_run_ns += core.now_ns().saturating_sub(woken_at);
+    }
+    // Absorb arms left over from an earlier park round so this run's
+    // consumption can't burn a stale edge later.
+    for f in runner.ctx.input_fifos() {
+        f.consumer_waker().disarm();
     }
 
-    /// Drive one claimed task for up to a quantum, pushing its outcome if
-    /// the kernel finished; `true` when it yielded the quantum. The kernel
-    /// lifecycle itself lives in [`crate::scheduler::drive`] / [`retire`];
-    /// this function owns only the task state machine around it.
-    fn run_task(
-        core: &Core,
-        me: usize,
-        task: usize,
-        stats: &mut WorkerReport,
-        outcomes: &mut Vec<RunnerOutcome>,
-    ) -> bool {
-        let slot = &core.tasks[task];
-        // Claim: QUEUED → RUNNING. A wake observing RUNNING from here on
-        // lands as NOTIFIED instead of double-queueing.
-        let prev = slot.state.swap(RUNNING, AcqRel);
-        debug_assert_eq!(prev, QUEUED, "claimed task {task} was not QUEUED");
-
-        let mut guard = slot.runner.lock();
-        let Some(runner) = guard.as_mut() else {
-            // Stale entry for an already-finished kernel (can't happen under
-            // the one-queue invariant, but degrade gracefully).
+    match drive(runner, Some(QUANTUM)) {
+        Driven::Done(done) => {
+            let runner = guard.take().expect("runner present while RUNNING");
+            drop(guard);
+            // Retiring closes the runner's endpoints: EoS propagates
+            // and *their* wakers fire, re-queueing consumers.
+            outcomes.push(retire(runner, done));
             slot.state.store(IDLE, Release);
-            return false;
-        };
-
-        stats.runs += 1;
-        let woken_at = slot.woken_at_ns.swap(0, Relaxed);
-        if woken_at != 0 {
-            stats.woken_tasks += 1;
-            stats.wake_to_run_ns += core.now_ns().saturating_sub(woken_at);
-        }
-        // Absorb arms left over from an earlier park round so this run's
-        // consumption can't burn a stale edge later.
-        for f in runner.ctx.input_fifos() {
-            f.consumer_waker().disarm();
-        }
-
-        match drive(runner, Some(QUANTUM)) {
-            Driven::Done(done) => {
-                let runner = guard.take().expect("runner present while RUNNING");
-                drop(guard);
-                // Retiring closes the runner's endpoints: EoS propagates
-                // and *their* wakers fire, re-queueing consumers.
-                outcomes.push(retire(runner, done));
-                slot.state.store(IDLE, Release);
-                // Saturating: a dead worker may have zeroed the count.
-                let left = core
-                    .remaining
-                    .fetch_update(AcqRel, Acquire, |r| r.checked_sub(1));
-                if left == Ok(1) {
-                    // Last kernel done: release every parked worker for exit.
-                    core.wake_all();
-                }
-                false
+            // Saturating: a dead worker may have zeroed the count.
+            let left = core
+                .remaining
+                .fetch_update(AcqRel, Acquire, |r| r.checked_sub(1));
+            if left == Ok(1) {
+                // Last kernel done: release every parked worker for exit.
+                core.wake_all();
             }
-            Driven::Yielded => {
-                // Quantum exhausted mid-stream: still runnable, but behind
-                // everything else claimable (module docs).
-                drop(guard);
+            false
+        }
+        Driven::Yielded => {
+            // Quantum exhausted mid-stream: still runnable, but behind
+            // everything else claimable (module docs).
+            drop(guard);
+            slot.state.store(QUEUED, Release);
+            core.inject(task);
+            true
+        }
+        Driven::Idle => {
+            // Blocked on empty inputs: arm every input's waker, then
+            // re-check — the Dekker handshake that makes parking
+            // lossless (module docs).
+            for f in runner.ctx.input_fifos() {
+                f.consumer_waker().arm();
+            }
+            let landed = inputs_ready(runner.ctx.input_fifos());
+            drop(guard);
+            // `landed`: data (or EoS) arrived between drive's readiness
+            // check and the arms; stale arms are absorbed at the next
+            // claim. A failed CAS means NOTIFIED: a waker fired during
+            // the run window. Either way requeue (LIFO: its inputs are
+            // cache-hot) rather than park, so the wake is never lost.
+            if landed
+                || slot
+                    .state
+                    .compare_exchange(RUNNING, IDLE, AcqRel, Acquire)
+                    .is_err()
+            {
                 slot.state.store(QUEUED, Release);
-                core.inject(task);
-                true
+                core.deques[me].push(task);
             }
-            Driven::Idle => {
-                // Blocked on empty inputs: arm every input's waker, then
-                // re-check — the Dekker handshake that makes parking
-                // lossless (module docs).
-                for f in runner.ctx.input_fifos() {
-                    f.consumer_waker().arm();
-                }
-                let landed = inputs_ready(runner.ctx.input_fifos());
-                drop(guard);
-                // `landed`: data (or EoS) arrived between drive's readiness
-                // check and the arms; stale arms are absorbed at the next
-                // claim. A failed CAS means NOTIFIED: a waker fired during
-                // the run window. Either way requeue (LIFO: its inputs are
-                // cache-hot) rather than park, so the wake is never lost.
-                if landed
-                    || slot
-                        .state
-                        .compare_exchange(RUNNING, IDLE, AcqRel, Acquire)
-                        .is_err()
-                {
-                    slot.state.store(QUEUED, Release);
-                    core.deques[me].push(task);
-                }
-                false
-            }
+            false
         }
     }
+}
 
-    /// One worker thread: claim and run tasks until every kernel finished,
-    /// parking on `core.parks[me]` while nothing is claimable.
-    fn work(core: &Core, me: usize, stats: &mut WorkerReport) -> Vec<RunnerOutcome> {
-        let _exit = ExitOnUnwind(core);
-        let park = &core.parks[me];
-        let mut outcomes = Vec::new();
-        let mut waiter = Waiter::new(WaitStrategy::parking(PARK_TIMEOUT));
-        let mut yielded = false;
-        while core.remaining.load(Acquire) > 0 {
-            if let Some((task, stolen)) = Self::find_task(core, me, yielded) {
-                waiter.reset();
-                stats.steals += u64::from(stolen);
-                yielded = Self::run_task(core, me, task, stats, &mut outcomes);
-                continue;
-            }
-            if waiter.pause_or_park() != WaitAction::Park {
-                continue;
-            }
-            // The eventcount waiter protocol: arm, re-check, wait.
-            stats.parks += 1;
-            let epoch = park.arm();
-            if core.has_work() || core.remaining.load(Acquire) == 0 {
-                park.disarm();
-                continue;
-            }
-            let timed_out = park.wait(epoch, PARK_TIMEOUT);
-            if park.disarm() && timed_out {
-                // Nobody woke us inside a full park: sweep for lost
-                // wakeups before re-parking.
-                stats.rescues += core.rescue_idle_ready();
-            }
-            // No waiter.reset() here: a real wake makes the next find_task
-            // succeed, which resets it; after a timeout the waiter stays in
-            // its park phase, so the worker re-parks without burning the
-            // spin/yield budget on nothing.
+/// One worker thread: claim and run tasks until every kernel finished,
+/// parking on `core.parks[me]` while nothing is claimable.
+fn work(core: &Core, me: usize, stats: &mut WorkerReport) -> Vec<RunnerOutcome> {
+    let _exit = ExitOnUnwind(core);
+    let park = &core.parks[me];
+    let mut outcomes = Vec::new();
+    let mut waiter = Waiter::new(WaitStrategy::parking(PARK_TIMEOUT));
+    let mut yielded = false;
+    while core.remaining.load(Acquire) > 0 {
+        if let Some((task, stolen)) = find_task(core, me, yielded) {
+            waiter.reset();
+            stats.steals += u64::from(stolen);
+            yielded = run_task(core, me, task, stats, &mut outcomes);
+            continue;
         }
-        outcomes
+        if waiter.pause_or_park() != WaitAction::Park {
+            continue;
+        }
+        // The eventcount waiter protocol: arm, re-check, wait.
+        stats.parks += 1;
+        let epoch = park.arm();
+        if core.has_work() || core.remaining.load(Acquire) == 0 {
+            park.disarm();
+            continue;
+        }
+        let timed_out = park.wait(epoch, PARK_TIMEOUT);
+        if park.disarm() && timed_out {
+            // Nobody woke us inside a full park: sweep for lost
+            // wakeups before re-parking.
+            stats.rescues += core.rescue_idle_ready();
+        }
+        // No waiter.reset() here: a real wake makes the next find_task
+        // succeed, which resets it; after a timeout the waiter stays in
+        // its park phase, so the worker re-parks without burning the
+        // spin/yield budget on nothing.
     }
+    outcomes
 }
 
 /// Pool exit for a worker thread that unwinds — a broken scheduler
@@ -461,121 +447,127 @@ impl Drop for ExitOnUnwind<'_> {
     }
 }
 
-impl Scheduler for WorkStealing {
-    fn execute(&self, runners: Vec<KernelRunner>) -> SchedulerOutput {
-        let n = runners.len();
-        let workers = self.workers.max(1);
-        if n == 0 {
-            return SchedulerOutput::default();
-        }
-        let shutdown = runners[0].ctx.shutdown.clone();
-        let core = Arc::new(Core {
-            tasks: runners
-                .into_iter()
-                .map(|r| TaskSlot {
-                    state: AtomicU8::new(QUEUED),
-                    woken_at_ns: AtomicU64::new(0),
-                    inputs: r.ctx.input_fifos().to_vec(),
-                    runner: Mutex::new(Some(r)),
-                })
-                .collect(),
-            injector: Injector::new(n),
-            deques: (0..workers).map(|_| WorkerDeque::new(n)).collect(),
-            parks: (0..workers).map(|_| EventCount::default()).collect(),
-            remaining: AtomicUsize::new(n),
-            shutdown,
-            epoch: Instant::now(),
-        });
-
-        // Install a waker on every input stream. The Arc chain
-        // (fifo → TaskWaker → Core → runner → fifo) is cyclic only while
-        // the runner is alive; taking the runner out on completion breaks
-        // it, so everything frees at map teardown.
-        for (id, slot) in core.tasks.iter().enumerate() {
-            let guard = slot.runner.lock();
-            if let Some(r) = guard.as_ref() {
-                let waker: Arc<dyn FifoWaker> = Arc::new(TaskWaker {
-                    core: core.clone(),
-                    task: id,
-                });
-                for f in r.ctx.input_fifos() {
-                    f.consumer_waker().register(waker.clone());
-                }
-            }
-        }
-
-        // Seed initial placement: every task starts QUEUED. Workers have
-        // not been spawned yet, so pushing into their deques from here is
-        // single-threaded (the spawn below provides the happens-before).
-        if self.placement.len() == n {
-            for (id, &p) in self.placement.iter().enumerate() {
-                core.deques[p % workers].push(id);
-            }
-        } else {
-            for id in 0..n {
-                core.injector.push(id);
-            }
-        }
-
-        let pin = self.pin;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let core = core.clone();
-                std::thread::Builder::new()
-                    .name(format!("raft-steal-{w}"))
-                    .spawn(move || {
-                        let mut stats = WorkerReport {
-                            worker: w,
-                            ..WorkerReport::default()
-                        };
-                        if pin {
-                            let target = w % affinity::core_count();
-                            stats.pinned_core =
-                                affinity::pin_current_thread(target).then_some(target);
-                        }
-                        WORKER_CTX.set(Some((Arc::as_ptr(&core) as usize, w)));
-                        let outcomes = WorkStealing::work(&core, w, &mut stats);
-                        WORKER_CTX.set(None);
-                        (stats, outcomes)
-                    })
-                    .expect("spawn stealing worker")
+/// Run every kernel to completion on a pool of `workers` threads (see the
+/// module docs). `placement[k]` is the worker whose deque initially holds
+/// kernel `k` (the mapper's partition assignment); with any other length
+/// every task starts in the injector, in graph order. `pin` pins worker `w`
+/// to core `w % cores` (best-effort).
+pub(crate) fn work_stealing(
+    runners: Vec<KernelRunner>,
+    workers: usize,
+    pin: bool,
+    placement: &[usize],
+) -> SchedulerOutput {
+    let n = runners.len();
+    let workers = workers.max(1);
+    if n == 0 {
+        return SchedulerOutput::default();
+    }
+    let shutdown = runners[0].ctx.shutdown.clone();
+    let core = Arc::new(Core {
+        tasks: runners
+            .into_iter()
+            .map(|r| TaskSlot {
+                state: AtomicU8::new(QUEUED),
+                woken_at_ns: AtomicU64::new(0),
+                inputs: r.ctx.input_fifos().to_vec(),
+                runner: Mutex::new(Some(r)),
             })
-            .collect();
+            .collect(),
+        injector: Injector::new(n),
+        deques: (0..workers).map(|_| WorkerDeque::new(n)).collect(),
+        parks: (0..workers).map(|_| EventCount::default()).collect(),
+        remaining: AtomicUsize::new(n),
+        shutdown,
+        epoch: Instant::now(),
+    });
 
-        let mut outcomes = Vec::with_capacity(n);
-        let mut reports = Vec::with_capacity(workers);
-        for h in handles {
-            // A worker thread itself panicking (not a kernel panic — those
-            // are caught in drive()) is a scheduler bug; surface an empty
-            // report rather than wedging the join loop.
-            let (report, mut mine) = h.join().unwrap_or_else(|_| {
-                let lost = WorkerReport {
-                    worker: usize::MAX,
-                    ..WorkerReport::default()
-                };
-                (lost, Vec::new())
+    // Install a waker on every input stream. The Arc chain
+    // (fifo → TaskWaker → Core → runner → fifo) is cyclic only while
+    // the runner is alive; taking the runner out on completion breaks
+    // it, so everything frees at map teardown.
+    for (id, slot) in core.tasks.iter().enumerate() {
+        let guard = slot.runner.lock();
+        if let Some(r) = guard.as_ref() {
+            let waker: Arc<dyn FifoWaker> = Arc::new(TaskWaker {
+                core: core.clone(),
+                task: id,
             });
-            outcomes.append(&mut mine);
-            reports.push(report);
-        }
-        reports.sort_by_key(|r| r.worker);
-        // A worker-thread panic could strand runners (never popped): drain
-        // them as aborted so the outcome count always matches the kernel
-        // count and their Contexts drop (EoS downstream).
-        if outcomes.len() < n {
-            for slot in &core.tasks {
-                if let Some(runner) = slot.runner.lock().take() {
-                    let done = StepDone {
-                        outcome: KernelOutcome::Aborted,
-                        fatal: true,
-                    };
-                    outcomes.push(retire(runner, done));
-                }
+            for f in r.ctx.input_fifos() {
+                f.consumer_waker().register(waker.clone());
             }
         }
-        SchedulerOutput {
-            outcomes,
-            workers: reports,
+    }
+
+    // Seed initial placement: every task starts QUEUED. Workers have
+    // not been spawned yet, so pushing into their deques from here is
+    // single-threaded (the spawn below provides the happens-before).
+    if placement.len() == n {
+        for (id, &p) in placement.iter().enumerate() {
+            core.deques[p % workers].push(id);
         }
+    } else {
+        for id in 0..n {
+            core.injector.push(id);
+        }
+    }
+
+    let handles: Vec<_> = (0..workers)
+        .map(|w| {
+            let core = core.clone();
+            std::thread::Builder::new()
+                .name(format!("raft-steal-{w}"))
+                .spawn(move || {
+                    let mut stats = WorkerReport {
+                        worker: w,
+                        ..WorkerReport::default()
+                    };
+                    if pin {
+                        let target = w % affinity::core_count();
+                        stats.pinned_core = affinity::pin_current_thread(target).then_some(target);
+                    }
+                    WORKER_CTX.set(Some((Arc::as_ptr(&core) as usize, w)));
+                    let outcomes = work(&core, w, &mut stats);
+                    WORKER_CTX.set(None);
+                    (stats, outcomes)
+                })
+                .expect("spawn stealing worker")
+        })
+        .collect();
+
+    let mut outcomes = Vec::with_capacity(n);
+    let mut reports = Vec::with_capacity(workers);
+    for h in handles {
+        // A worker thread itself panicking (not a kernel panic — those
+        // are caught in drive()) is a scheduler bug; surface an empty
+        // report rather than wedging the join loop.
+        let (report, mut mine) = h.join().unwrap_or_else(|_| {
+            let lost = WorkerReport {
+                worker: usize::MAX,
+                ..WorkerReport::default()
+            };
+            (lost, Vec::new())
+        });
+        outcomes.append(&mut mine);
+        reports.push(report);
+    }
+    reports.sort_by_key(|r| r.worker);
+    // A worker-thread panic could strand runners (never popped): drain
+    // them as aborted so the outcome count always matches the kernel
+    // count and their Contexts drop (EoS downstream).
+    if outcomes.len() < n {
+        for slot in &core.tasks {
+            if let Some(runner) = slot.runner.lock().take() {
+                let done = StepDone {
+                    outcome: KernelOutcome::Aborted,
+                    fatal: true,
+                };
+                outcomes.push(retire(runner, done));
+            }
+        }
+    }
+    SchedulerOutput {
+        outcomes,
+        workers: reports,
     }
 }

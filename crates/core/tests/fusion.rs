@@ -7,9 +7,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use raftlib::kernel::ErasedBatchStage;
 use raftlib::prelude::*;
-use raftlib::{per_element_filter, ExeReport};
+use raftlib::{per_element_filter, ErasedBatchStage, ExeReport};
 
 /// One pure per-item transform a chain stage applies.
 #[derive(Clone, Debug)]

@@ -4,9 +4,8 @@
 //! placement function that says which of the two a link *should* be.
 
 use raft_buffer::shm::ShmRing;
-use raftlib::lambda::{lambda_sink, lambda_source};
-use raftlib::mapper::{classify_link, map_kernels, CommGraph, Domain};
 use raftlib::prelude::*;
+use raftlib::{classify_link, lambda_sink, lambda_source, map_kernels, CommGraph, Domain};
 
 fn counting_pipeline(n: u64) -> (RaftMap, KernelId, KernelId) {
     let mut map = RaftMap::new();
@@ -34,7 +33,7 @@ fn rendered_report_shows_alloc_column() {
     let (mut map, src, sink) = counting_pipeline(10);
     map.link(src, "0", sink, "0").unwrap();
     let report = map.exe().unwrap();
-    let text = raftlib::report::render(&report);
+    let text = raftlib::render_report(&report);
     assert!(text.contains("alloc"), "{text}");
     assert!(text.contains("heap"), "{text}");
 }

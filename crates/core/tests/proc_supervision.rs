@@ -258,7 +258,7 @@ fn run_pipeline(kill_at: Option<u64>, kill_every: bool, max_restarts: u32) -> Ru
 
     let mut map = RaftMap::new();
     let mut i = 0u64;
-    let src = map.add(raftlib::lambda::lambda_source(move || {
+    let src = map.add(raftlib::lambda_source(move || {
         i += 1;
         (i <= RECORDS).then_some(i)
     }));

@@ -136,7 +136,7 @@ mod tests {
     fn panic_schedule_is_deterministic() {
         let fire_pattern = |seed| {
             let mut k = ChaosKernel::new(Nop, ChaosConfig::panics(seed, 3, 0));
-            let ctx = Context::for_test(vec![], vec![]);
+            let ctx = Context::for_test();
             (0..32)
                 .map(|_| {
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| k.run(&ctx))).is_err()
@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn budget_limits_faults() {
         let mut k = ChaosKernel::new(Nop, ChaosConfig::panics(1, 1, 2));
-        let ctx = Context::for_test(vec![], vec![]);
+        let ctx = Context::for_test();
         let fired = (0..10)
             .filter(|_| {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| k.run(&ctx))).is_err()
@@ -163,7 +163,7 @@ mod tests {
     #[test]
     fn stall_config_sleeps() {
         let mut k = ChaosKernel::new(Nop, ChaosConfig::stalls(5, 1, Duration::from_millis(20), 1));
-        let ctx = Context::for_test(vec![], vec![]);
+        let ctx = Context::for_test();
         let t0 = std::time::Instant::now();
         let _ = k.run(&ctx);
         assert!(t0.elapsed() >= Duration::from_millis(20));

@@ -20,7 +20,7 @@
 //! * [`DescShip`] — journaled cross-process shipper: encodes elements into
 //!   arena slots and sends descriptors through a
 //!   [`raft_buffer::arena::DescriptorSender`], surviving worker-process
-//!   respawns under `raftlib::proc` supervision.
+//!   respawns under `raftlib::ProcSupervisor`.
 //!
 //! The Tx and Rx endpoints of one arena live in *different* kernels — the
 //! descriptors themselves travel through an ordinary stream, whose
@@ -153,7 +153,7 @@ impl Kernel for DescCount {
 /// process**: encode it to bytes, stage the bytes in the arena, and
 /// journal-and-push the descriptor through the [`DescriptorSender`] — the
 /// producer-side half of cross-process exactly-once delivery
-/// (`raftlib::proc`).
+/// (`raftlib::ProcSupervisor`).
 ///
 /// The sender is shared with the supervisor's recovery path behind a
 /// mutex, so the lock is taken once per send *attempt* and never held
@@ -353,7 +353,7 @@ mod tests {
 
         let mut map = RaftMap::new();
         let mut i = 0u64;
-        let src = map.add(raftlib::lambda::lambda_source(move || {
+        let src = map.add(raftlib::lambda_source(move || {
             i += 1;
             (i <= N).then_some(i - 1)
         }));

@@ -6,55 +6,53 @@
 //! the RaftLib paper uses in its examples and benchmark (§4.2, Figures 3,
 //! 5, 6, 9):
 //!
-//! * [`generate::Generate`] — bounded sources from iterators or generator
-//!   closures (the paper's random-number `generate` kernel);
-//! * [`sinks::Print`] / [`sinks::Collect`] / [`sinks::Count`] — stream
-//!   sinks, including the paper's `print` kernel;
-//! * [`containers::ReadEach`] / [`containers::WriteEach`] — C++
-//!   standard-library container integration (Figure 5): feed a stream from
-//!   any iterator, collect a stream back into a `Vec` the caller keeps a
-//!   handle to;
-//! * [`containers::ForEach`] — the zero-copy array source of Figure 6: the
-//!   array is shared (`Arc`), and what streams are `(range, Arc)` slices —
-//!   no element copying;
-//! * [`transforms::Map`] / [`transforms::FilterMap`] / [`transforms::Fold`]
-//!   — per-item transforms and the `reduce`-to-a-value kernel of Figure 6;
-//!   [`transforms::SliceMap`] — the batch variant, transforming zero-copy
-//!   slices borrowed straight from the input ring;
-//! * [`bytes::ByteChunkSource`] / [`bytes::ByteChunk`] — the "read file &
-//!   distribute" kernel of the text-search topology (Figure 8): shares one
-//!   in-memory corpus and streams zero-copy chunk descriptors;
-//! * [`descriptors::DescChunkSource`] / [`descriptors::DescCount`] — the
-//!   cross-process variant: payload bytes live in a shared-memory arena
-//!   and streams carry 16-byte [`raft_buffer::Descriptor`]s, so the same
-//!   zero-copy pattern survives a process boundary;
-//! * [`routing::Tee`] / [`routing::Zip`] / [`routing::Take`] — stream
-//!   duplication, element-wise joining, truncation;
-//! * [`windows::SlidingWindow`] — the §3 sliding-window access pattern,
-//!   built on `peek_range`; [`windows::Batch`] / [`windows::Flatten`] —
-//!   grouping and ungrouping;
-//! * [`sequence::Stamp`] / [`sequence::Resequence`] — §4.1's third stream
-//!   discipline: process out of order (replicated), re-order downstream.
+//! * [`Generate`] — bounded sources from iterators or generator closures
+//!   (the paper's random-number `generate` kernel);
+//! * [`Print`] / [`Collect`] / [`Count`] — stream sinks, including the
+//!   paper's `print` kernel;
+//! * [`ReadEach`] / [`WriteEach`] — C++ standard-library container
+//!   integration (Figure 5): feed a stream from any iterator, collect a
+//!   stream back into a `Vec` the caller keeps a handle to;
+//! * [`ForEach`] — the zero-copy array source of Figure 6: the array is
+//!   shared (`Arc`), and what streams are `(range, Arc)` slices
+//!   ([`ArraySlice`]) — no element copying;
+//! * [`Map`] / [`FilterMap`] / [`Fold`] — per-item transforms and the
+//!   `reduce`-to-a-value kernel of Figure 6; [`SliceMap`] — the batch
+//!   variant, transforming zero-copy slices borrowed straight from the
+//!   input ring;
+//! * [`ByteChunkSource`] / [`ByteChunk`] — the "read file & distribute"
+//!   kernel of the text-search topology (Figure 8): shares one in-memory
+//!   corpus and streams zero-copy chunk descriptors;
+//! * [`DescChunkSource`] / [`DescCount`] — the cross-process variant:
+//!   payload bytes live in a shared-memory arena and streams carry 16-byte
+//!   [`raft_buffer::Descriptor`]s, so the same zero-copy pattern survives a
+//!   process boundary;
+//! * [`Tee`] / [`Zip`] / [`Take`] — stream duplication, element-wise
+//!   joining, truncation;
+//! * [`SlidingWindow`] — the §3 sliding-window access pattern, built on
+//!   `peek_range`; [`Batch`] / [`Flatten`] — grouping and ungrouping;
+//! * [`Stamp`] / [`Resequence`] — §4.1's third stream discipline: process
+//!   out of order (replicated), re-order downstream.
 
 #[cfg(feature = "raft_failpoints")]
-pub mod chaos;
+mod chaos;
 
-pub mod bytes;
-pub mod containers;
-pub mod descriptors;
-pub mod generate;
-pub mod routing;
-pub mod sequence;
-pub mod sinks;
-pub mod transforms;
-pub mod windows;
+mod bytes;
+mod containers;
+mod descriptors;
+mod generate;
+mod routing;
+mod sequence;
+mod sinks;
+mod transforms;
+mod windows;
 
 #[cfg(feature = "raft_failpoints")]
 pub use chaos::{ChaosConfig, ChaosKernel};
 
 pub use bytes::{ByteChunk, ByteChunkSource};
 pub use containers::{
-    for_each, read_each, write_each, CollectHandle, ForEach, ReadEach, WriteEach,
+    for_each, read_each, write_each, ArraySlice, CollectHandle, ForEach, ReadEach, WriteEach,
 };
 pub use descriptors::{DescChunkSource, DescCount, DescFree, DescShip};
 pub use generate::Generate;

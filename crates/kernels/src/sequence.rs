@@ -230,10 +230,9 @@ mod tests {
             p_in.try_push((seq, seq as u32)).unwrap();
         }
         p_in.close();
-        let ctx = Context::for_test(
-            vec![("in".to_string(), Box::new(c_in) as _)],
-            vec![("out".to_string(), Box::new(p_out) as _)],
-        );
+        let ctx = Context::for_test()
+            .with_input("in", c_in)
+            .with_output("out", p_out);
         let mut k = Resequence::<u32>::new();
         while k.run(&ctx) == KStatus::Proceed {}
         let hw = k.high_water();

@@ -10,40 +10,40 @@
 //! developer. A separate system called 'oar' is a mesh of network clients
 //! that continually feed system information to each other."
 //!
-//! * [`wire`] — serde-free binary encoding for stream elements (the link
+//! * [`Wire`] — serde-free binary encoding for stream elements (the link
 //!   type selection in §4.2 chooses TCP when endpoints live on different
 //!   nodes; elements must then cross a byte boundary);
 //! * [`frame`] — length-prefixed message framing: sequence-numbered
 //!   data/signal frames (so synchronous signals survive the network hop),
 //!   EoS, and the control frames, plus the one receive path every link
 //!   shares ([`frame::read_element`]);
-//! * [`link`] — the one socket endpoint pair, [`link::TcpOut`]/
-//!   [`link::TcpIn`]: drop-in stream kernels that forward a stream over a
-//!   socket, making a pipeline spanning two maps (two "nodes") look exactly
-//!   like a local one. Built from an address ([`TcpIn::bind`] +
-//!   [`TcpOut::connect`], policy in [`NetConfig`]) a link reconnects and
-//!   resumes exactly once, in order; built from a handed socket
-//!   ([`tcp_bridge`]) any socket error ends the stream;
-//! * [`oar`] — the mesh: every node heartbeats its [`oar::NodeInfo`]
+//! * [`TcpOut`]/[`TcpIn`] — the one socket endpoint pair: drop-in stream
+//!   kernels that forward a stream over a socket, making a pipeline
+//!   spanning two maps (two "nodes") look exactly like a local one. Built
+//!   from an address ([`TcpIn::bind`] + [`TcpOut::connect`], policy in
+//!   [`NetConfig`]) a link reconnects and resumes exactly once, in order;
+//!   built from a handed socket ([`tcp_bridge`]) any socket error ends the
+//!   stream;
+//! * [`OarNode`] — the mesh: every node heartbeats its [`NodeInfo`]
 //!   (name, cores, load average proxy) to its peers, giving the optimizer
 //!   the cluster view the paper's continuous optimization consumes;
 //! * [`compress`] — §4.2's future-work link compression: an LZ77-family
 //!   codec applied per frame, with a raw fallback for incompressible
-//!   payloads (used by [`link::TcpOut::compressed`]);
-//! * [`remote`] — oar's "remotely compile and execute kernels": workers
-//!   register named kernel factories, clients submit kernel-chain jobs and
-//!   stream data through them ([`remote::RemoteStage`] embeds the remote
-//!   hop as an ordinary pipeline stage).
+//!   payloads (used by [`TcpOut::compressed`]);
+//! * [`RemoteWorker`] — oar's "remotely compile and execute kernels":
+//!   workers register named kernel factories ([`KernelRegistry`]), clients
+//!   submit kernel-chain jobs and stream data through them
+//!   ([`RemoteStage`] embeds the remote hop as an ordinary pipeline stage).
 
 pub mod compress;
 pub mod frame;
-pub mod link;
-pub mod oar;
-pub mod remote;
-pub mod wire;
+mod link;
+mod oar;
+mod remote;
+mod wire;
 
 pub use frame::{Frame, FrameKind};
 pub use link::{tcp_bridge, NetConfig, TcpIn, TcpOut};
 pub use oar::{NodeInfo, OarNode};
 pub use remote::{remote_apply, KernelRegistry, RemoteStage, RemoteWorker};
-pub use wire::Wire;
+pub use wire::{VecWireMarker, Wire};

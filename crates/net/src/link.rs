@@ -853,10 +853,10 @@ mod tests {
     // Small helpers constructing single-port contexts for direct kernel
     // driving (unit-test only; applications go through RaftMap).
     fn test_ctx_in<T: Send + 'static>(c: raft_buffer::Consumer<T>) -> Context {
-        Context::for_test(vec![("in".to_string(), Box::new(c) as _)], vec![])
+        Context::for_test().with_input("in", c)
     }
 
     fn test_ctx_out<T: Send + 'static>(p: raft_buffer::Producer<T>) -> Context {
-        Context::for_test(vec![], vec![("out".to_string(), Box::new(p) as _)])
+        Context::for_test().with_output("out", p)
     }
 }

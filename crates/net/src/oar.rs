@@ -9,8 +9,8 @@
 //! [`NodeInfo`] (name, core count, a load proxy) to every known peer on a
 //! fixed period. Received heartbeats update the local registry; peers going
 //! quiet for a staleness window are marked dead. The registry is what a
-//! distributed mapper ([`raftlib::mapper`]) consumes to build its latency
-//! domain tree.
+//! distributed mapper ([`raftlib::map_kernels`]) consumes as its latency
+//! domain tree ([`raftlib::Domain`]).
 
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
@@ -239,26 +239,26 @@ impl OarNode {
 
     /// Build a mapper topology from the current mesh view: this node plus
     /// every live peer becomes a symmetric host; hosts are joined by a
-    /// network domain. Feed the result to [`raftlib::mapper::map_kernels`].
+    /// network domain. Feed the result to [`raftlib::map_kernels`].
     pub fn cluster_topology(
         &self,
         staleness: Duration,
         core_latency_ns: u64,
         network_latency_ns: u64,
-    ) -> raftlib::mapper::Domain {
-        let mut hosts = vec![raftlib::mapper::Domain::symmetric_host(
+    ) -> raftlib::Domain {
+        let mut hosts = vec![raftlib::Domain::symmetric_host(
             &self.name,
             self.cores as usize,
             core_latency_ns,
         )];
         for p in self.live_peers(staleness) {
-            hosts.push(raftlib::mapper::Domain::symmetric_host(
+            hosts.push(raftlib::Domain::symmetric_host(
                 &p.name,
                 p.cores.max(1) as usize,
                 core_latency_ns,
             ));
         }
-        raftlib::mapper::Domain::cluster(hosts, network_latency_ns)
+        raftlib::Domain::cluster(hosts, network_latency_ns)
     }
 }
 

@@ -40,7 +40,7 @@ use crate::link::{TcpIn, TcpOut};
 use crate::wire::Wire;
 
 /// Factory producing a fresh kernel instance per job.
-pub type KernelFactory = Box<dyn Fn() -> Box<dyn Kernel> + Send + Sync>;
+type KernelFactory = Box<dyn Fn() -> Box<dyn Kernel> + Send + Sync>;
 
 /// Named kernel factories available on a worker.
 #[derive(Default)]

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use raft_buffer::Signal;
 use raft_net::compress::{compress, compress_frame, decompress, decompress_frame};
 use raft_net::frame::{read_element, Frame};
-use raft_net::wire::Wire;
+use raft_net::Wire;
 
 /// `n` elements, repetitive enough to compress, every third one signalled.
 fn elements(n: u64) -> Vec<(String, Signal)> {

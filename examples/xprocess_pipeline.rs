@@ -34,7 +34,7 @@ use raft_buffer::shm::{ShmItem, ShmRing, ShmSegment};
 use raft_buffer::{Descriptor, TryPopError};
 use raft_kernels::DescShip;
 use raftlib::prelude::*;
-use raftlib::{report, DescLink, SegmentLink};
+use raftlib::{render_report, DescLink, SegmentLink};
 
 const RECORDS: u64 = 50_000;
 const RING_CAP: usize = 256;
@@ -197,7 +197,7 @@ fn parent() {
     // hides behind the DescShip sink.
     let mut map = RaftMap::new();
     let mut i = 0u64;
-    let src = map.add(raftlib::lambda::lambda_source(move || {
+    let src = map.add(raftlib::lambda_source(move || {
         i += 1;
         (i <= RECORDS).then_some(i)
     }));
@@ -268,7 +268,7 @@ fn parent() {
     println!(
         "worker: sum of even records = {sum} (expected {expected}, {dupes} replays deduplicated) ✓"
     );
-    print!("{}", report::render(&exe_report));
+    print!("{}", render_report(&exe_report));
 }
 
 /// The worker process: attach the segments by inherited fd, then parse

@@ -125,7 +125,7 @@ fn two_remote_stages_in_one_pipeline() {
 /// decision (§4.1's mapping + oar integration).
 #[test]
 fn mesh_topology_feeds_mapper() {
-    use raftlib::mapper::{map_kernels, CommGraph};
+    use raftlib::{map_kernels, CommGraph};
     let hb = Duration::from_millis(15);
     let a = OarNode::start("map-a", "127.0.0.1:0", 2, hb).unwrap();
     let b = OarNode::start("map-b", "127.0.0.1:0", 2, hb).unwrap();
