@@ -281,7 +281,7 @@ pub enum Blocked {
     /// The stream was abandoned (drain level `QUIESCED`): nobody will ever
     /// make the condition true.
     Abandoned,
-    /// The caller's time budget (admission deadline) ran out.
+    /// The caller's time budget ran out.
     TimedOut,
 }
 
@@ -318,15 +318,13 @@ pub fn block_until<W: Wake, R>(
             // The clock is read when the budget starts (the first failed
             // poll — a wait that never blocks never reads it) and then only
             // on the re-check before a park, not on every spin.
-            None => match (budget, deadline) {
-                (Some(b), None) => {
+            None => {
+                if let (Some(b), None) = (budget, deadline) {
                     deadline = Some(Instant::now() + b);
-                    b.is_zero()
                 }
-                (Some(_), Some(d)) => armed.is_some() && Instant::now() >= d,
-                (None, _) => false,
+                (armed.is_some() && deadline.is_some_and(|d| Instant::now() >= d))
+                    .then_some(Err(Blocked::TimedOut))
             }
-            .then_some(Err(Blocked::TimedOut)),
         };
         if let Some(outcome) = outcome {
             if armed.is_some() {
@@ -450,11 +448,6 @@ mod tests {
             Err(Blocked::TimedOut)
         );
         assert!(t0.elapsed() >= Duration::from_millis(5));
-        assert_eq!(
-            block_until(&ec, &rescues, Some(Duration::ZERO), || false, never),
-            Err(Blocked::TimedOut),
-            "a zero budget sheds on the first failed poll"
-        );
         assert_eq!(
             block_until(&ec, &rescues, None, || true, never),
             Err(Blocked::Abandoned)

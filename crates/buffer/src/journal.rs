@@ -44,40 +44,6 @@ use std::collections::VecDeque;
 /// commit interval, which the scheduler keeps at 32 runs.
 pub const JOURNAL_BOUND: usize = 4096;
 
-/// What a producer does when its queue is full — the paper's blocking
-/// write, or an overload-degradation policy (see
-/// [`crate::FifoConfig::admission`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionPolicy {
-    /// Block until the consumer makes room (the default; lossless).
-    #[default]
-    Block,
-    /// Drop the element immediately when the ring is full and count it in
-    /// the `shed` statistic — load shedding for pipelines that prefer
-    /// freshness over completeness.
-    Shed,
-    /// Block up to the given timeout, then shed. A middle ground: absorbs
-    /// short bursts losslessly, degrades under sustained overload.
-    BlockTimeout(std::time::Duration),
-}
-
-impl AdmissionPolicy {
-    /// `true` for any policy that may drop elements.
-    pub fn may_shed(&self) -> bool {
-        !matches!(self, AdmissionPolicy::Block)
-    }
-
-    /// How long a push may block on a full ring before it sheds: `None`
-    /// (forever) for `Block`, zero for `Shed`.
-    pub(crate) fn budget(&self) -> Option<std::time::Duration> {
-        match *self {
-            AdmissionPolicy::Block => None,
-            AdmissionPolicy::Shed => Some(std::time::Duration::ZERO),
-            AdmissionPolicy::BlockTimeout(t) => Some(t),
-        }
-    }
-}
-
 /// A bounded, sequence-numbered window of sent-but-unacknowledged entries.
 ///
 /// Generic over the entry type: the FIFO endpoints' windows store
@@ -326,13 +292,5 @@ mod tests {
         assert!(w.is_empty());
         assert_eq!(w.acked(), 2);
         assert_eq!(w.forced_acks(), 0);
-    }
-
-    #[test]
-    fn admission_policy_classification() {
-        assert!(!AdmissionPolicy::Block.may_shed());
-        assert!(AdmissionPolicy::Shed.may_shed());
-        assert!(AdmissionPolicy::BlockTimeout(std::time::Duration::from_millis(1)).may_shed());
-        assert_eq!(AdmissionPolicy::default(), AdmissionPolicy::Block);
     }
 }

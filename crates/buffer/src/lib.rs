@@ -36,7 +36,8 @@
 //!   entirely for fixed-capacity FIFOs) or the segment home ([`shm::Seg`],
 //!   a mapped `memfd` segment another process attaches; [`ShmRing`] holds
 //!   its constructors). Adds per-element [`Signal`]s delivered
-//!   synchronously with data, blocking, admission policies, one pending
+//!   synchronously with data, blocking (a full ring blocks the writer;
+//!   only drain level `QUIESCED` ends the wait early), one pending
 //!   window per endpoint for exactly-once recovery
 //!   ([`FifoConfig::journal`]), zero-copy batch views
 //!   ([`Producer::reserve`], [`Consumer::pop_slice`]) and the telemetry
@@ -88,7 +89,7 @@ pub use fifo::{
     WriteSlice, DRAIN_DRAINING, DRAIN_QUIESCED, DRAIN_RUNNING,
 };
 pub use futex::Futex;
-pub use journal::{AdmissionPolicy, ReplayWindow};
+pub use journal::ReplayWindow;
 pub use shm::{Heartbeat, ShmRing, ShmSegment};
 pub use signal::Signal;
 pub use spsc::{BoundedSpsc, SpscConsumer, SpscProducer};

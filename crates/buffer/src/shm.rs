@@ -25,7 +25,7 @@
 //! [`Seg`], the [`Home`] whose `head`/`tail`, closed flags and `(armed,
 //! seq)` wake words are this module's header words (cache-line-separated
 //! counters in the prelude) and whose slots fill the data region. So a
-//! cross-process link has the same `push`/`pop`, admission policies, batch
+//! cross-process link has the same blocking `push`/`pop`, batch
 //! views (`reserve`/`pop_slice`), statistics, counted rescues and replay
 //! window as an in-process one; blocking parks on a
 //! [`crate::futex::Futex`] eventcount over the segment's control line.
@@ -110,7 +110,7 @@ pub const SEG_KIND_ARENA: u32 = 2;
 /// first cache line; the head and tail counters each get their own line
 /// (the producer's tail stores must not invalidate the line the consumer
 /// spins on); the fourth line holds the close flags, futex waker words,
-/// role-claim words and a general-purpose mailbox. Data begins at
+/// role-claim words and the supervision words. Data begins at
 /// [`DATA_OFFSET`] (or higher if the element alignment demands it).
 const OFF_MAGIC: usize = 0;
 const OFF_SCHEMA: usize = 8;
@@ -130,9 +130,9 @@ const OFF_PROD_ARMED: usize = 208;
 const OFF_PROD_SEQ: usize = 212;
 const OFF_CLAIM_PRODUCER: usize = 216;
 const OFF_CLAIM_CONSUMER: usize = 220;
-const OFF_USER_WORD: usize = 224;
 /// Supervision words (schema 2): heartbeat eventcount (armed + seq) and
-/// the worker's cumulative commit cursor. Bytes 248–255 remain reserved.
+/// the worker's cumulative commit cursor. Bytes 224–231 and 248–255 are
+/// reserved.
 const OFF_HB_ARMED: usize = 232;
 const OFF_HB_SEQ: usize = 236;
 const OFF_COMMIT: usize = 240;
@@ -593,12 +593,6 @@ impl ShmSegment {
             base: self.data_ptr().wrapping_add(offset).cast::<T>(),
             mask: capacity - 1,
         }
-    }
-
-    /// General-purpose mailbox word (benches use it for end-of-run acks).
-    #[inline]
-    pub fn user_word(&self) -> &AtomicU64 {
-        self.u64_at(OFF_USER_WORD)
     }
 
     #[inline]
@@ -1146,10 +1140,10 @@ mod tests {
         }
         let seg = ShmSegment::create(SEG_KIND_RING, 16, 4, 4, 64).unwrap();
         let fd = seg.fd().unwrap();
-        seg.user_word().store(0xBEEF, Release);
+        seg.commit_word().store(0xBEEF, Release);
         // Second mapping of the same fd sees the first one's writes.
         let peer = ShmSegment::attach(fd, SEG_KIND_RING).unwrap();
-        assert_eq!(peer.user_word().load(Acquire), 0xBEEF);
+        assert_eq!(peer.commit_word().load(Acquire), 0xBEEF);
         assert_eq!(peer.capacity(), 16);
         // Kind mismatch rejected.
         assert!(ShmSegment::attach(fd, SEG_KIND_ARENA).is_err());

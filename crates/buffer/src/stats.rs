@@ -39,12 +39,6 @@ pub struct WriterCounters {
     pub blocked_since: AtomicU64,
     /// Cumulative nanoseconds the writer spent blocked.
     pub blocked_ns: AtomicU64,
-    /// Elements dropped by a [`Shed`]/[`BlockTimeout`] admission policy on
-    /// a full ring (see [`crate::journal::AdmissionPolicy`]).
-    ///
-    /// [`Shed`]: crate::journal::AdmissionPolicy::Shed
-    /// [`BlockTimeout`]: crate::journal::AdmissionPolicy::BlockTimeout
-    pub shed: AtomicU64,
     /// Parks of the blocked writer that ended by timeout and then found
     /// room: wakes that were owed and never came (see
     /// [`crate::eventcount::block_until`]).
@@ -123,7 +117,6 @@ impl FifoStats {
                 pushed: AtomicU64::new(0),
                 blocked_since: AtomicU64::new(0),
                 blocked_ns: AtomicU64::new(0),
-                shed: AtomicU64::new(0),
                 rescues: AtomicU64::new(0),
                 forced_acks: AtomicU64::new(0),
             }),
@@ -252,7 +245,6 @@ impl FifoStats {
             writer_blocked_ns: self.writer.blocked_ns.load(Relaxed),
             reader_blocked_ns: self.reader.blocked_ns.load(Relaxed),
             max_read_request: self.max_read_request(),
-            shed: self.writer.shed.load(Relaxed),
             replayed: self.reader.replayed.load(Relaxed),
             rescues: self.writer.rescues.load(Relaxed) + self.reader.rescues.load(Relaxed),
             forced_acks: self.writer.forced_acks.load(Relaxed)
@@ -289,8 +281,6 @@ pub struct StatsSnapshot {
     pub reader_blocked_ns: u64,
     /// Largest multi-item read request observed.
     pub max_read_request: usize,
-    /// Elements dropped by the link's admission policy on overload.
-    pub shed: u64,
     /// Elements re-served from the journal after a supervised restart.
     pub replayed: u64,
     /// Bounded parks (either endpoint) that timed out and then found their

@@ -6,13 +6,9 @@
 //! the suite that says so.
 #![cfg(not(loom))]
 
-use std::time::{Duration, Instant};
-
 use raft_buffer::fifo::Home;
 use raft_buffer::shm::ShmRing;
-use raft_buffer::{
-    fifo_with, AdmissionPolicy, Consumer, FifoConfig, Producer, Signal, TryPopError, TryPushError,
-};
+use raft_buffer::{fifo_with, Consumer, FifoConfig, Producer, Signal, TryPopError, TryPushError};
 
 /// A fresh fixed-capacity link of `u64`s over home `H`.
 type Link<H> = fn(usize) -> (Producer<u64, H>, Consumer<u64, H>);
@@ -85,9 +81,12 @@ fn batch_views<H: Home<u64>>(link: Link<H>) {
     assert_eq!(out, [40]);
     // A request no fixed ring can ever hold fails instead of wedging.
     assert!(c.peek_range(64).is_err());
-    let mut items: Vec<u64> = (0..12).collect();
-    let fit = p.try_push_batch(&mut items).unwrap();
-    assert_eq!((fit, items.len()), (c.capacity().min(12), 12 - fit));
+    // A batch that fills the ring exactly goes in whole, without blocking.
+    let mut items: Vec<u64> = (0..c.capacity() as u64).collect();
+    p.push_batch(&mut items).unwrap();
+    assert!(items.is_empty());
+    assert_eq!(c.occupancy(), c.capacity());
+    assert!(matches!(p.try_push(99), Err(TryPushError::Full(99))));
 }
 
 fn eos_on_drop_and_close<H: Home<u64>>(link: Link<H>) {
@@ -121,32 +120,6 @@ fn signal_round_trip<H: Home<u64>>(link: Link<H>) {
     assert_eq!(c.pop_signal(), Ok((3, Signal::Error(u32::MAX))));
 }
 
-fn admission_on_a_full_ring<H: Home<u64>>(link: Link<H>) {
-    let (mut p, _c) = link(2);
-    p.set_admission(AdmissionPolicy::Shed);
-    for i in 0..2 {
-        p.push(i).unwrap();
-    }
-    // Ring full, consumer idle: Block would hang here — Shed returns.
-    p.push(9).unwrap();
-    let mut batch = vec![1, 2, 3];
-    p.push_batch(&mut batch).unwrap();
-    assert!(batch.is_empty());
-    assert_eq!((p.occupancy(), p.fifo().snapshot().shed), (2, 4));
-
-    let (mut p, _c) = link(2);
-    p.set_admission(AdmissionPolicy::BlockTimeout(Duration::from_millis(5)));
-    p.push(0).unwrap();
-    p.push(1).unwrap();
-    let t0 = Instant::now();
-    p.push(2).unwrap(); // blocks ~5 ms, then sheds
-    assert!(t0.elapsed() >= Duration::from_millis(4));
-    let stats = p.fifo().snapshot();
-    assert_eq!((stats.shed, stats.pushed), (1, 2));
-    // A deadline that ran out is not a wake that never came.
-    assert_eq!((stats.rescues, stats.forced_acks), (0, 0));
-}
-
 fn stats_reach_the_link<H: Home<u64>>(link: Link<H>) {
     let (mut p, mut c) = link(4);
     for i in 0..3 {
@@ -159,13 +132,12 @@ fn stats_reach_the_link<H: Home<u64>>(link: Link<H>) {
 }
 
 fn table<H: Home<u64> + Send + Sync + 'static>(link: Link<H>) {
-    let rows: [Row<H>; 7] = [
+    let rows: [Row<H>; 6] = [
         ("in-order push/pop across threads", in_order_across_threads),
         ("try_* Full/Empty/Closed", try_full_empty_closed),
         ("reserve/pop_slice/peek_range batch views", batch_views),
         ("EoS on drop and on close()", eos_on_drop_and_close),
         ("signals ride with their element", signal_round_trip),
-        ("Shed and BlockTimeout admission", admission_on_a_full_ring),
         ("stats snapshot", stats_reach_the_link),
     ];
     for (name, row) in rows {

@@ -111,16 +111,15 @@ pub use scheduler::{SchedulerKind, WorkerReport};
 pub use supervise::{KernelFactory, KernelOutcome, SupervisorPolicy};
 
 // Re-export the signal and FIFO config types users meet at the API surface.
-pub use raft_buffer::{AdmissionPolicy, FifoConfig, LinkAlloc, Signal};
+pub use raft_buffer::{FifoConfig, LinkAlloc, Signal};
 
 /// Everything needed to write and run a streaming application.
 pub mod prelude {
     pub use crate::{
-        lambda_map, lambda_sink, lambda_source, AdmissionPolicy, AlgoSet, CheckConfig, Context,
-        DrainReason, ExeError, ExeReport, FifoConfig, FusionConfig, InPort, KStatus, Kernel,
-        KernelId, KernelOutcome, LambdaKernel, LinkAlloc, LinkError, MapConfig, MonitorConfig,
-        OutPort, PortClosed, PortSpec, ProcPolicy, ProcReport, ProcSupervisor, RaftMap,
-        SchedulerKind, Severity, Signal, SplitStrategy, StopHandle, SupervisorPolicy, WatchdogKind,
-        WorkerSpec,
+        lambda_map, lambda_sink, lambda_source, AlgoSet, CheckConfig, Context, DrainReason,
+        ExeError, ExeReport, FifoConfig, FusionConfig, InPort, KStatus, Kernel, KernelId,
+        KernelOutcome, LambdaKernel, LinkAlloc, LinkError, MapConfig, MonitorConfig, OutPort,
+        PortClosed, PortSpec, ProcPolicy, ProcReport, ProcSupervisor, RaftMap, SchedulerKind,
+        Severity, Signal, SplitStrategy, StopHandle, SupervisorPolicy, WatchdogKind, WorkerSpec,
     };
 }

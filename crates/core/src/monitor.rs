@@ -524,7 +524,7 @@ fn control_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raft_buffer::{fifo_with, AdmissionPolicy, FifoConfig};
+    use raft_buffer::{fifo_with, FifoConfig};
 
     /// Run the control thread over `fifos` and `widths`; calling the
     /// returned closure ends the run and yields the logs.
@@ -680,20 +680,19 @@ mod tests {
 
     #[test]
     fn keeps_size_when_writer_blocks_now_and_then() {
-        // On a full ring with a 20 µs admission budget each push blocks for
-        // the spin → yield schedule (tens of µs) and sheds. One push every
-        // 4 ms, each under half of 3δ, puts at most two episodes — < 3δ —
-        // in any window the monitor's six ticks can span unless it is
-        // starved for 8 ms. A push the host preempted for longer stretches
-        // its episode towards 3δ alone: such an attempt does not test the
-        // rule and is discarded.
+        // Every 4 ms the consumer lets the writer start one push on the full
+        // ring, waits until it is about to push, spins 20 µs and pops one
+        // element: each episode is ~20 µs plus a wake-up, under half of 3δ,
+        // so at most two episodes — < 3δ — fall in any window the
+        // monitor's six ticks can span unless it is starved for 8 ms. A
+        // push the host preempted for longer stretches its episode towards
+        // 3δ alone: such an attempt does not test the rule and is
+        // discarded.
+        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
         let cfg = cfg_fast();
         let half_3delta = cfg.delta * 3 / 2;
         for _ in 0..8 {
-            let (f, mut p, _c) = fifo_with::<u64>(
-                FifoConfig::starting_at(64)
-                    .with_admission(AdmissionPolicy::BlockTimeout(Duration::from_micros(20))),
-            );
+            let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig::starting_at(64));
             for i in 0..64 {
                 p.try_push(i).unwrap();
             }
@@ -702,19 +701,40 @@ mod tests {
                 vec![("edge0".into(), Arc::new(f.clone()) as Arc<dyn Monitorable>)],
                 vec![],
             );
+            let (go, turns) = std::sync::mpsc::channel();
+            let pushing = Arc::new(AtomicBool::new(false));
+            let consumer = std::thread::spawn({
+                let pushing = pushing.clone();
+                move || {
+                    for _ in 0..12 {
+                        std::thread::sleep(Duration::from_millis(4));
+                        go.send(()).unwrap();
+                        while !pushing.swap(false, SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        spin_for(Duration::from_micros(20));
+                        c.pop().unwrap();
+                    }
+                    c // hung up, but still there for the last push
+                }
+            });
             let mut longest = Duration::ZERO;
-            let end = Instant::now() + Duration::from_millis(50);
-            while Instant::now() < end {
+            // Ends when the consumer has made its last turn and hung up.
+            while turns.recv().is_ok() {
+                pushing.store(true, SeqCst);
                 let t = Instant::now();
                 p.push(0).unwrap();
                 longest = longest.max(t.elapsed());
-                std::thread::sleep(Duration::from_millis(4));
             }
+            let _c = consumer.join().unwrap();
             let events = finish().resizes;
             if longest >= half_3delta {
                 continue;
             }
-            assert!(f.snapshot().shed > 0, "the writer never blocked");
+            assert!(
+                f.snapshot().writer_blocked_ns > 0,
+                "the writer never blocked"
+            );
             assert_eq!(writer_block_grows(&events), 0, "{events:?}");
             assert_eq!(f.capacity(), 64);
             return;

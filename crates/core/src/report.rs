@@ -177,11 +177,11 @@ pub fn render(report: &ExeReport) -> String {
             );
         }
     }
-    // Recovery section: only rendered when the run had journaled links or
-    // degradation policies doing something (the common fault-free,
-    // unjournaled run stays visually unchanged).
+    // Recovery section: only rendered when the run had journaled links
+    // doing something (the common fault-free, unjournaled run stays
+    // visually unchanged).
     let commits: u64 = report.kernels.iter().map(|k| k.commits).sum();
-    if commits > 0 || report.total_rewinds() > 0 || report.total_shed() > 0 {
+    if commits > 0 || report.total_rewinds() > 0 {
         let _ = writeln!(out, "\nrecovery (journaled links):");
         let _ = writeln!(out, "  {:<28} {:>9} {:>9}", "kernel", "commits", "rewinds");
         for k in report.kernels.iter().filter(|k| k.commits + k.rewinds > 0) {
@@ -195,10 +195,9 @@ pub fn render(report: &ExeReport) -> String {
         }
         let _ = writeln!(
             out,
-            "  totals: {} rewinds, {} elements replayed, {} shed",
+            "  totals: {} rewinds, {} elements replayed",
             report.total_rewinds(),
-            report.total_replayed(),
-            report.total_shed()
+            report.total_replayed()
         );
     }
     // Watchdog trips and ladder rungs share the control thread's clock, so

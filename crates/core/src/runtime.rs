@@ -239,11 +239,6 @@ impl ExeReport {
         self.edges.iter().map(|e| e.stats.replayed).sum()
     }
 
-    /// Total elements dropped by `Shed`/`BlockTimeout` admission policies.
-    pub fn total_shed(&self) -> u64 {
-        self.edges.iter().map(|e| e.stats.shed).sum()
-    }
-
     /// Total journal rewinds (recovery events) across all kernels.
     pub fn total_rewinds(&self) -> u64 {
         self.kernels.iter().map(|k| k.rewinds).sum()

@@ -1,6 +1,6 @@
 //! Exactly-once recovery integration tests: the journaled-link contract
-//! under mid-`run()` panics, the drain/quiesce ladder driven by a
-//! [`StopHandle`], and overload-degradation admission policies.
+//! under mid-`run()` panics and the drain/quiesce ladder driven by a
+//! [`StopHandle`].
 //!
 //! The load-bearing distinction from `supervision.rs`: the faults here
 //! fire *after* the kernel has popped an element — the element is in
@@ -299,76 +299,6 @@ fn stop_handle_quiesce_unsticks_blocked_producer() {
             "quiesce must terminate a blocked producer promptly"
         );
     });
-}
-
-/// `AdmissionPolicy::Shed` on an overloaded link: the fast producer drops
-/// instead of blocking, the drops are counted in the report, and what does
-/// arrive is an in-order subsequence (shedding never reorders or
-/// duplicates).
-#[test]
-fn shed_admission_degrades_and_reports() {
-    let mut map = RaftMap::new();
-    let mut i = 0u64;
-    let src = map.add(lambda_source(move || {
-        let v = i;
-        i += 1;
-        (v < 5_000).then_some(v)
-    }));
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let sink_seen = seen.clone();
-    let dst = map.add(lambda_sink(move |v: u64| {
-        // Slow consumer: ~1 µs of spinning per element keeps the ring full.
-        let t = std::time::Instant::now();
-        while t.elapsed() < Duration::from_micros(20) {
-            std::hint::spin_loop();
-        }
-        sink_seen.lock().unwrap().push(v);
-    }));
-    let cfg = FifoConfig {
-        admission: AdmissionPolicy::Shed,
-        ..FifoConfig::fixed(8)
-    };
-    map.link_with(src, "0", dst, "0", cfg).unwrap();
-
-    let report = map.exe().expect("shedding is degradation, not failure");
-    let got = Arc::try_unwrap(seen).unwrap().into_inner().unwrap();
-
-    assert!(report.total_shed() > 0, "overloaded link never shed");
-    assert_eq!(
-        got.len() as u64 + report.total_shed(),
-        5_000,
-        "every element is either delivered or counted as shed"
-    );
-    assert!(
-        got.windows(2).all(|w| w[0] < w[1]),
-        "shed output must stay strictly increasing (no reorder, no dup)"
-    );
-}
-
-/// `BlockTimeout` falls back to shedding only under sustained overload: a
-/// generous timeout on a briefly-full ring behaves like `Block` (lossless).
-#[test]
-fn block_timeout_is_lossless_when_consumer_keeps_up() {
-    let mut map = RaftMap::new();
-    let mut i = 0u64;
-    let src = map.add(lambda_source(move || {
-        let v = i;
-        i += 1;
-        (v < 2_000).then_some(v)
-    }));
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let sink_seen = seen.clone();
-    let dst = map.add(lambda_sink(move |v: u64| sink_seen.lock().unwrap().push(v)));
-    let cfg = FifoConfig {
-        admission: AdmissionPolicy::BlockTimeout(Duration::from_secs(5)),
-        ..FifoConfig::fixed(16)
-    };
-    map.link_with(src, "0", dst, "0", cfg).unwrap();
-
-    let report = map.exe().expect("clean run");
-    let got = Arc::try_unwrap(seen).unwrap().into_inner().unwrap();
-    assert_eq!(report.total_shed(), 0, "healthy consumer, nothing shed");
-    assert_eq!(got, (0..2_000).collect::<Vec<u64>>());
 }
 
 proptest! {

@@ -224,6 +224,42 @@ mod tests {
     }
 
     #[test]
+    fn window_wider_than_the_ceiling_stops_instead_of_wedging() {
+        // A ceiling of 4 under the default floor of 8: no grow can fit an
+        // 8-wide window, so `peek_range` fails and the window stops. Left
+        // unordered, the floor made the read-side grow panic with the resize
+        // fence held, and `exe()` never returned.
+        use crate::sinks::Count;
+        use std::sync::atomic::Ordering::Relaxed;
+        let cfg = MapConfig {
+            fifo: FifoConfig {
+                max_capacity: 4,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let (done, result) = std::sync::mpsc::channel();
+        // Joined only once it has reported: a wedged `exe()` fails the
+        // test by timeout instead of hanging it.
+        let run = std::thread::spawn(move || {
+            let mut map = RaftMap::with_config(cfg);
+            let src = map.add(Generate::new(0..64u64));
+            let win = map.add(SlidingWindow::<u64>::new(8, 8));
+            let (count, windows) = Count::<Vec<u64>>::new();
+            let dst = map.add(count);
+            map.link(src, "out", win, "in").unwrap();
+            map.link(win, "out", dst, "in").unwrap();
+            let _ = done.send(map.exe().map(|_| windows.load(Relaxed)));
+        });
+        let windows = result
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("exe() wedged")
+            .expect("exe() failed");
+        run.join().unwrap();
+        assert_eq!(windows, 0, "no 8-wide window fits a ring of 4");
+    }
+
+    #[test]
     fn batch_and_flatten_roundtrip() {
         let mut map = RaftMap::new();
         let src = map.add(Generate::new(0..100u32));
