@@ -2113,6 +2113,19 @@ impl<T, H: Home<T>> Consumer<T, H> {
         self.shared.is_finished()
     }
 
+    /// `true` when the next pop (or [`take_async`](Self::take_async)) has
+    /// something to act on: data visible through this endpoint's cursor, a
+    /// replay backlog, a posted async signal, or the end of the stream. The
+    /// shared `tail` is loaded only when the cursor's cached view is empty,
+    /// so a consumer with data in view touches only its own cache lines.
+    #[inline]
+    pub fn ready(&mut self) -> bool {
+        self.cursor.ready(&*self.shared) > 0
+            || self.window.as_deref().is_some_and(|w| w.staged() > 0)
+            || self.shared.async_signal.load(Acquire) != 0
+            || self.shared.is_finished()
+    }
+
     /// Parks of this endpoint that ended by timeout and then found data
     /// (see [`Producer::rescues`]).
     pub fn rescues(&self) -> u64 {
@@ -2457,6 +2470,30 @@ mod tests {
         assert_eq!(c.take_async(), Some(Signal::Flush));
         assert_eq!(c.take_async(), None);
         assert_eq!(c.try_pop().unwrap(), 1);
+    }
+
+    /// `ready` is the pool's per-run gate: false only on an empty, open
+    /// ring with nothing to replay and no signal posted.
+    #[test]
+    fn consumer_ready_covers_data_replay_signal_and_end() {
+        let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig::default());
+        c.enable_journal();
+        assert!(!c.ready(), "empty open ring");
+        p.try_push(1).unwrap();
+        assert!(c.ready(), "data in the ring");
+        assert_eq!(c.pop().unwrap(), 1);
+        assert!(!c.ready(), "drained");
+        assert_eq!(c.rewind_consumed(), 1);
+        assert!(c.ready(), "rewound journal backlog");
+        assert_eq!(c.pop().unwrap(), 1);
+        c.commit_consumed();
+        assert!(!c.ready());
+        f.post_async(Signal::Flush);
+        assert!(c.ready(), "posted async signal");
+        assert_eq!(c.take_async(), Some(Signal::Flush));
+        assert!(!c.ready());
+        p.close();
+        assert!(c.ready(), "closed and drained");
     }
 
     #[test]

@@ -56,6 +56,9 @@ pub trait InEnd: Any + Send {
     fn link(&self) -> Arc<dyn Monitorable>;
     /// `true` when every pop is journaled for replay.
     fn journaled(&self) -> bool;
+    /// `true` when a pop (or `take_async`) has something to act on, judged
+    /// through this end's own cursor ([`Consumer::ready`]).
+    fn ready(&mut self) -> bool;
     /// Pop up to `n` elements into one owned batch (a `Vec<T>`): a single
     /// blocking wait and queue-protocol entry for the whole batch — the
     /// fused chain's head. Returns the batch and its length; `None` once
@@ -96,6 +99,9 @@ impl<T: Send + 'static> InEnd for Consumer<T> {
     }
     fn journaled(&self) -> bool {
         Consumer::journaled(self)
+    }
+    fn ready(&mut self) -> bool {
+        Consumer::ready(self)
     }
     fn pop_batch(&mut self, n: usize) -> Option<(AnyBatch, usize)> {
         let mut batch: Vec<T> = Vec::with_capacity(n);
@@ -368,9 +374,17 @@ impl Context {
     }
 
     /// Monitor handles of the input streams, parallel to the input ports.
-    /// Runtime-internal: the schedulers' readiness gate and wake filter.
+    /// Runtime-internal: the stealing scheduler's off-thread readiness
+    /// checks and its input wakers.
     pub(crate) fn input_fifos(&self) -> &[Arc<dyn Monitorable>] {
         &self.input_fifos
+    }
+
+    /// [`crate::scheduler::inputs_ready`] judged through each input's own
+    /// cursor ([`InEnd::ready`]): a consumer with data in view reads no
+    /// shared ring counter. The per-run gate of a pooled `drive`.
+    pub(crate) fn inputs_ready(&self) -> bool {
+        self.inputs.iter().all(|e| e.borrow_mut().ready())
     }
 
     /// `true` when *every* input port is closed and drained — the usual

@@ -385,8 +385,8 @@ pub(crate) fn execute(mut map: RaftMap, deadline: Option<Duration>) -> Result<Ex
     let sched_out = match map.cfg.scheduler {
         SchedulerKind::ThreadPerKernel => thread_per_kernel(runners),
         SchedulerKind::Stealing { workers, pin } => {
-            // §4.1's mapping seeds each worker's deque; stealing then
-            // rebalances dynamically.
+            // §4.1's mapping gives each kernel its home worker; stealing
+            // then rebalances dynamically.
             let placement = crate::mapper::place_on_workers(
                 runners.len(),
                 map.links.iter().map(|l| (l.src, l.dst)),

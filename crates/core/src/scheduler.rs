@@ -13,9 +13,9 @@
 //!   OS multiplexes.
 //! * [`crate::stealing::work_stealing`] — a fixed pool of workers for graphs
 //!   with more kernels than cores: readiness arrives through the FIFOs'
-//!   [`raft_buffer::WakerSlot`]s as O(1) task enqueues; per-worker Chase–Lev
-//!   deques seeded by the §4.1 mapper, a global FIFO injector, adaptive
-//!   spin → yield → park idling, optional core pinning.
+//!   [`raft_buffer::WakerSlot`]s as O(1) task enqueues onto the kernel's
+//!   home worker's run queue (homes seeded by the §4.1 mapper), stealing
+//!   when idle, adaptive spin → yield → park idling, optional core pinning.
 //!
 //! Both run kernels through the same lifecycle, which exists once in this
 //! module: `drive` (ready-gate → `run()` inside the unwind guard →
@@ -42,12 +42,12 @@ pub enum SchedulerKind {
     /// One OS thread per kernel (the paper's default).
     ThreadPerKernel,
     /// Event-driven work-stealing pool: kernels become runnable through
-    /// FIFO wakers (no occupancy polling), run from per-worker Chase–Lev
-    /// deques fed by a global injector, and idle workers steal before
-    /// parking. The mapper's partition assignment (§4.1) seeds the initial
-    /// per-worker placement, and a woken consumer is enqueued LIFO on the
-    /// waking worker's own deque, so freshly written stream data is consumed
-    /// while still cache-hot.
+    /// FIFO wakers (no occupancy polling) and run from per-worker FIFO run
+    /// queues; idle workers steal before parking. The mapper's partition
+    /// assignment (§4.1) gives each kernel a home worker, and a woken
+    /// kernel is queued on its home worker's queue, so a kernel leaves its
+    /// core only when an idle sibling steals it, and stream data crosses
+    /// cores only on the links the partition cuts.
     Stealing {
         /// Number of worker threads.
         workers: usize,
@@ -207,7 +207,7 @@ pub struct WorkerReport {
     pub pinned_core: Option<usize>,
     /// Task claims executed (quanta, not kernel `run()` calls).
     pub runs: u64,
-    /// Tasks obtained by stealing from another worker's deque.
+    /// Tasks obtained by stealing from another worker's run queue.
     pub steals: u64,
     /// Times the worker parked after exhausting spin and yield budgets.
     pub parks: u64,
@@ -234,15 +234,18 @@ pub struct SchedulerOutput {
 
 /// `run()` calls per claim under a pool scheduler: long enough to amortize
 /// the claim, short enough that one busy kernel cannot starve its worker's
-/// deque.
+/// queue.
 pub(crate) const QUANTUM: u32 = 32;
 
-/// The readiness rule of a gated [`drive`] and of the stealing scheduler's
-/// wake filter: sources are always ready; everything else needs data (or
-/// EoS, or a pending async signal — e.g. the `Signal::Error` a panicked
+/// The readiness rule: sources are always ready; everything else needs data
+/// (or EoS, or a pending async signal — e.g. the `Signal::Error` a panicked
 /// upstream posts with no accompanying data) on *all* inputs, so a
 /// well-behaved kernel (consuming at most one item per input per `run`)
-/// never blocks a pool worker on an empty queue.
+/// never blocks a pool worker on an empty queue. This form reads the shared
+/// ring counters afresh, for the stealing scheduler's checks made off the
+/// kernel's own cursors (the wake filter, the re-check after arming, the
+/// sweep); a gated [`drive`] asks the same question through the cursors
+/// (`Context::inputs_ready`).
 pub(crate) fn inputs_ready(input_fifos: &[Arc<dyn Monitorable>]) -> bool {
     input_fifos
         .iter()
@@ -271,7 +274,7 @@ pub(crate) fn drive(runner: &mut KernelRunner, quantum: Option<u32>) -> Driven {
     let mut left = quantum;
     loop {
         if let Some(left) = left.as_mut() {
-            if !inputs_ready(runner.ctx.input_fifos()) {
+            if !runner.ctx.inputs_ready() {
                 runner.journal_flush();
                 return Driven::Idle;
             }

@@ -9,18 +9,19 @@
 //!   [`raft_buffer::WakerSlot`] of every input stream and steps away; the
 //!   producer endpoint that next pushes data (or EoS, or an async signal)
 //!   re-queues the task in O(1) from its own thread.
-//! * **Per-worker deques, global injector.** A freshly woken task goes LIFO
-//!   onto the waking worker's Chase–Lev deque (its inputs are cache-hot);
-//!   idle workers steal the *oldest* entry from a victim's deque. Seeds,
-//!   wakes fired off the pool and quantum yields go to the FIFO injector.
+//! * **Kernels stay home.** Each worker owns one FIFO run queue, and each
+//!   task has a *home* worker, seeded from the mapper's partition (§4.1), so
+//!   only the links the partition cuts carry data between cores. A wake
+//!   queues the task on its home queue, whichever thread fires it; a yield
+//!   or an idle re-queue goes to the back of the running worker's own
+//!   queue. A worker claims the front of its own queue, then steals the
+//!   front of a sibling's; a steal makes the thief the task's new home.
 //! * **Fair yields.** A task that used up its quantum with inputs still
-//!   ready goes to the back of the injector, and the worker that yielded
-//!   claims own deque → steal → injector, so it gets the same task back
-//!   only when nothing else is claimable anywhere. Every other claim is
-//!   own deque → injector → steal. (A spinner re-queued on top of its own
-//!   deque starves what sits beneath it; one re-claimed from the injector
-//!   before stealing starves what sits on a worker that is blocked inside
-//!   a link.)
+//!   ready goes to the back of its queue. If the worker then finds that
+//!   same task at the front (nothing else was queued there), it tries one
+//!   steal round first and re-queues the yielder if a steal succeeds: a
+//!   spinner cannot starve a task stranded on a worker that is blocked
+//!   inside a link.
 //! * **One way to sleep.** Each worker parks on its own
 //!   `EventCount<ThreadPark>` after the endpoints' spin → yield → park
 //!   schedule, bounded by the same [`PARK_TIMEOUT`].
@@ -42,11 +43,12 @@
 //!
 //! A worker parks by the same protocol on its own eventcount: arm → re-check
 //! "any queue non-empty, or pool done" → wait. Every enqueue that a parked
-//! worker must see is followed by a fenced notify of the parked workers, so
-//! the queue write and the arm cannot miss each other. A park that ran its
-//! full length with its arm unclaimed sweeps for `IDLE` tasks with ready
-//! inputs; each one it re-queues is a counted rescue, and the certified
-//! paths keep that count at 0.
+//! worker must see is followed by a fenced notify — of the home worker
+//! first, then of any parked sibling that could steal — so the queue write
+//! and the arm cannot miss each other. A park that ran its full length with
+//! its arm unclaimed sweeps for `IDLE` tasks with ready inputs; each one it
+//! re-queues itself is a counted rescue, and the certified paths keep that
+//! count at 0.
 
 use std::sync::atomic::{
     AtomicU64, AtomicU8, AtomicUsize,
@@ -67,13 +69,13 @@ use crate::scheduler::{
     drive, inputs_ready, retire, Driven, KernelRunner, RunnerOutcome, SchedulerOutput, StepDone,
     WorkerReport, QUANTUM,
 };
-use crate::steal::{Injector, Steal, WorkerDeque};
+use crate::steal::RunQueue;
 use crate::supervise::KernelOutcome;
 
 /// Task is not queued anywhere and not running; only a waker (or initial
 /// seeding) may move it to `QUEUED`.
 const IDLE: u8 = 0;
-/// Task sits in exactly one queue (a worker deque or the injector).
+/// Task sits in exactly one worker's run queue.
 const QUEUED: u8 = 1;
 /// A worker holds the task's runner right now.
 const RUNNING: u8 = 2;
@@ -83,10 +85,9 @@ const NOTIFIED: u8 = 3;
 
 std::thread_local! {
     /// Set while this thread is a stealing-pool worker: the pool's `Core`
-    /// address plus the worker index. Wakes that fire on a worker thread
-    /// (the common case — kernels run on workers, and their pushes fire
-    /// the peer's waker inline) are routed to that worker's own deque,
-    /// skipping the injector and the worker wake.
+    /// address plus the worker index. A wake that fires on its task's home
+    /// worker (a kernel feeding a consumer in the same partition) needs no
+    /// worker wake: that worker drains its queue before it can park.
     static WORKER_CTX: std::cell::Cell<Option<(usize, usize)>> =
         const { std::cell::Cell::new(None) };
 }
@@ -95,6 +96,11 @@ std::thread_local! {
 struct TaskSlot {
     /// `IDLE`/`QUEUED`/`RUNNING`/`NOTIFIED` — see the constants above.
     state: AtomicU8,
+    /// The worker whose queue a wake puts this task on. Only the worker
+    /// that claims the task writes it (a steal moves it to the thief), and
+    /// a waker reads it after its `IDLE → QUEUED` CAS, which the claimant's
+    /// later release of the state orders after the write.
+    home: AtomicUsize,
     /// The runner, present until the kernel finishes. The mutex is
     /// uncontended in steady state (the state machine admits one claimant);
     /// it exists so a claim that races a stale queue entry blocks briefly
@@ -112,8 +118,8 @@ struct TaskSlot {
 /// State shared by workers and waker callbacks.
 struct Core {
     tasks: Vec<TaskSlot>,
-    injector: Injector,
-    deques: Vec<WorkerDeque>,
+    /// Worker `w` claims from `queues[w]` first; siblings steal from it.
+    queues: Vec<RunQueue>,
     /// Worker `w` sleeps on `parks[w]`.
     parks: Vec<EventCount<ThreadPark>>,
     /// Kernels not yet finished; zeroed early if a worker thread dies.
@@ -125,6 +131,37 @@ struct Core {
 }
 
 impl Core {
+    /// `workers` empty run queues over `tasks`, each a runner (`None` for a
+    /// finished kernel) and its home worker; every task starts `QUEUED`,
+    /// for the caller to seed.
+    fn new(
+        tasks: impl ExactSizeIterator<Item = (Option<KernelRunner>, usize)>,
+        workers: usize,
+        shutdown: Arc<Shutdown>,
+    ) -> Core {
+        let n = tasks.len();
+        Core {
+            tasks: tasks
+                .map(|(r, home)| TaskSlot {
+                    state: AtomicU8::new(QUEUED),
+                    home: AtomicUsize::new(home % workers),
+                    woken_at_ns: AtomicU64::new(0),
+                    inputs: r
+                        .iter()
+                        .flat_map(|r| r.ctx.input_fifos())
+                        .cloned()
+                        .collect(),
+                    runner: Mutex::new(r),
+                })
+                .collect(),
+            queues: (0..workers).map(|_| RunQueue::new(n)).collect(),
+            parks: (0..workers).map(|_| EventCount::default()).collect(),
+            remaining: AtomicUsize::new(n),
+            shutdown,
+            epoch: Instant::now(),
+        }
+    }
+
     #[inline]
     fn now_ns(&self) -> u64 {
         // Saturate to 1 so a 0 timestamp still means "self-requeue".
@@ -135,7 +172,14 @@ impl Core {
     /// of a worker's armed park: an enqueue either lands before it or
     /// notifies after it.
     fn has_work(&self) -> bool {
-        self.deques.iter().any(|d| !d.is_empty()) || !self.injector.is_empty()
+        self.queues.iter().any(|q| !q.is_empty())
+    }
+
+    /// The index of the calling thread if it is one of this pool's workers.
+    fn this_worker(&self) -> Option<usize> {
+        WORKER_CTX
+            .get()
+            .and_then(|(core, me)| (core == self as *const Core as usize).then_some(me))
     }
 
     /// Wake one armed worker, if any. Callers must have made the new work
@@ -153,38 +197,36 @@ impl Core {
         }
     }
 
-    /// Queue `task` at the back of the injector and wake a worker for it.
-    fn inject(&self, task: usize) {
-        self.injector.push(task);
-        self.wake_worker();
+    /// Queue `task` (already `QUEUED`) at the back of worker `me`'s queue,
+    /// from `me`'s own thread. `me` drains its queue before it can park, so
+    /// a worker wake is worth its futex only once entries pile up behind
+    /// the one it runs next: then a parked sibling can steal.
+    fn requeue_local(&self, me: usize, task: usize) {
+        if self.queues[me].push(task) > 1 {
+            self.wake_worker();
+        }
     }
 
-    /// Move `task` to `QUEUED` and make it claimable. `via_waker` stamps
-    /// the wake time for latency telemetry.
-    fn enqueue(&self, task: usize, via_waker: bool) {
-        if via_waker {
-            self.tasks[task].woken_at_ns.store(self.now_ns(), Relaxed);
+    /// A wake moved `task` to `QUEUED`: put it on its home queue, stamping
+    /// the wake time for latency telemetry. Off the home worker's thread,
+    /// wake the home worker; if it is not parked (busy, or blocked inside a
+    /// link), wake any parked sibling so it can steal the task instead.
+    fn enqueue(&self, task: usize) {
+        let slot = &self.tasks[task];
+        slot.woken_at_ns.store(self.now_ns(), Relaxed);
+        let home = slot.home.load(Relaxed);
+        if self.this_worker() == Some(home) {
+            self.requeue_local(home, task);
+            return;
         }
-        // Worker-local fast path: the wake fired on one of *this* pool's
-        // worker threads, so the task can go LIFO onto that worker's own
-        // deque — the worker drains it before it can ever park, so no
-        // worker wake is needed unless entries are piling up behind it
-        // (then a parked sibling is worth the futex: it can steal). If this
-        // worker then blocks inside a link, a parked sibling steals the
-        // entry after at most one park.
-        if let Some((core_addr, me)) = WORKER_CTX.get() {
-            if core_addr == self as *const Core as usize {
-                self.deques[me].push(task);
-                if self.deques[me].len() > 1 {
-                    self.wake_worker();
-                }
-                return;
-            }
+        self.queues[home].push(task);
+        if !self.parks[home].notify() {
+            self.wake_worker();
         }
-        self.inject(task);
     }
 
     /// Waker/state-machine entry: called with the task in any state.
+    /// Returns `true` when this call moved the task `IDLE → QUEUED`.
     ///
     /// Wake-side readiness filter: a waker fires when *one* input gains
     /// data, but a multi-input kernel (join, reduce) is only runnable when
@@ -202,13 +244,13 @@ impl Core {
     /// re-check sees the data and we fall through to enqueue, or any
     /// subsequent push finds a fresh arm and re-enters here. Spurious arms
     /// are absorbed at claim time (every claim disarms first).
-    fn wake_task(&self, task: usize) {
+    fn wake_task(&self, task: usize) -> bool {
         if !inputs_ready(&self.tasks[task].inputs) {
             for f in &self.tasks[task].inputs {
                 f.consumer_waker().arm();
             }
             if !inputs_ready(&self.tasks[task].inputs) {
-                return;
+                return false;
             }
         }
         let state = &self.tasks[task].state;
@@ -217,19 +259,19 @@ impl Core {
             match cur {
                 IDLE => match state.compare_exchange_weak(IDLE, QUEUED, AcqRel, Relaxed) {
                     Ok(_) => {
-                        self.enqueue(task, true);
-                        return;
+                        self.enqueue(task);
+                        return true;
                     }
                     Err(c) => cur = c,
                 },
                 RUNNING => match state.compare_exchange_weak(RUNNING, NOTIFIED, AcqRel, Relaxed) {
                     // The running worker sees NOTIFIED at park time and
                     // requeues; nothing to push here.
-                    Ok(_) => return,
+                    Ok(_) => return false,
                     Err(c) => cur = c,
                 },
                 // Already queued or already flagged: the wake is coalesced.
-                _ => return,
+                _ => return false,
             }
         }
     }
@@ -241,6 +283,9 @@ impl Core {
     /// the loom model covers; this sweep bounds the damage of any residual
     /// one to a single park period instead of a permanent hang, and turns
     /// "flaky after hours" into telemetry (`rescues` in the worker report).
+    /// Only a task this sweep itself queued counts: one whose wake is in
+    /// flight on another thread (its arm claimed, its CAS not yet run) was
+    /// not lost.
     fn rescue_idle_ready(&self) -> u64 {
         let mut rescued = 0;
         for (task, slot) in self.tasks.iter().enumerate() {
@@ -251,8 +296,7 @@ impl Core {
             // task is mid-claim, which is not a lost wakeup.
             let live = slot.runner.try_lock().is_some_and(|g| g.is_some());
             if live && inputs_ready(&slot.inputs) {
-                self.wake_task(task);
-                rescued += 1;
+                rescued += u64::from(self.wake_task(task));
             }
         }
         rescued
@@ -272,29 +316,30 @@ impl FifoWaker for TaskWaker {
     }
 }
 
-/// Claim source: own deque (LIFO) first; then injector (FIFO) → steal,
-/// or — right after a yield — steal → injector, so the yielded task
-/// (at the injector's back) comes back only when nothing else is
-/// claimable. Returns the task id and whether it was stolen.
-fn find_task(core: &Core, me: usize, yielded: bool) -> Option<(usize, bool)> {
-    if let Some(t) = core.deques[me].pop() {
-        return Some((t, false));
-    }
-    let injected = || core.injector.pop().map(|t| (t, false));
-    let stolen = || {
-        let n = core.deques.len();
-        (1..n).find_map(|i| loop {
-            match core.deques[(me + i) % n].steal() {
-                Steal::Success(t) => break Some((t, true)),
-                Steal::Retry => continue,
-                Steal::Empty => break None,
+/// One steal round: the front of the first sibling queue that has one,
+/// scanning from `me + 1`. The thief becomes the task's home.
+fn steal(core: &Core, me: usize) -> Option<usize> {
+    let n = core.queues.len();
+    let task = (1..n).find_map(|i| core.queues[(me + i) % n].pop())?;
+    core.tasks[task].home.store(me, Relaxed);
+    Some(task)
+}
+
+/// Claim source: the front of `me`'s own queue, else a steal. If the front
+/// is `yielded` — the task `me` just ran for a full quantum, so nothing
+/// else was queued here — try a steal first and put the yielder back if it
+/// succeeds (module docs). Returns the task id and whether it was stolen.
+fn find_task(core: &Core, me: usize, yielded: Option<usize>) -> Option<(usize, bool)> {
+    match core.queues[me].pop() {
+        Some(t) if Some(t) == yielded => match steal(core, me) {
+            Some(s) => {
+                core.queues[me].push(t);
+                Some((s, true))
             }
-        })
-    };
-    if yielded {
-        stolen().or_else(injected)
-    } else {
-        injected().or_else(stolen)
+            None => Some((t, false)),
+        },
+        Some(t) => Some((t, false)),
+        None => steal(core, me).map(|t| (t, true)),
     }
 }
 
@@ -355,10 +400,10 @@ fn run_task(
         }
         Driven::Yielded => {
             // Quantum exhausted mid-stream: still runnable, but behind
-            // everything else claimable (module docs).
+            // everything else queued here (module docs).
             drop(guard);
             slot.state.store(QUEUED, Release);
-            core.inject(task);
+            core.requeue_local(me, task);
             true
         }
         Driven::Idle => {
@@ -373,8 +418,8 @@ fn run_task(
             // `landed`: data (or EoS) arrived between drive's readiness
             // check and the arms; stale arms are absorbed at the next
             // claim. A failed CAS means NOTIFIED: a waker fired during
-            // the run window. Either way requeue (LIFO: its inputs are
-            // cache-hot) rather than park, so the wake is never lost.
+            // the run window. Either way requeue rather than park, so the
+            // wake is never lost.
             if landed
                 || slot
                     .state
@@ -382,7 +427,7 @@ fn run_task(
                     .is_err()
             {
                 slot.state.store(QUEUED, Release);
-                core.deques[me].push(task);
+                core.requeue_local(me, task);
             }
             false
         }
@@ -396,12 +441,12 @@ fn work(core: &Core, me: usize, stats: &mut WorkerReport) -> Vec<RunnerOutcome> 
     let park = &core.parks[me];
     let mut outcomes = Vec::new();
     let mut waiter = Waiter::new(WaitStrategy::parking(PARK_TIMEOUT));
-    let mut yielded = false;
+    let mut yielded = None;
     while core.remaining.load(Acquire) > 0 {
         if let Some((task, stolen)) = find_task(core, me, yielded) {
             waiter.reset();
             stats.steals += u64::from(stolen);
-            yielded = run_task(core, me, task, stats, &mut outcomes);
+            yielded = run_task(core, me, task, stats, &mut outcomes).then_some(task);
             continue;
         }
         if waiter.pause_or_park() != WaitAction::Park {
@@ -448,10 +493,10 @@ impl Drop for ExitOnUnwind<'_> {
 }
 
 /// Run every kernel to completion on a pool of `workers` threads (see the
-/// module docs). `placement[k]` is the worker whose deque initially holds
-/// kernel `k` (the mapper's partition assignment); with any other length
-/// every task starts in the injector, in graph order. `pin` pins worker `w`
-/// to core `w % cores` (best-effort).
+/// module docs). `placement[k]` is kernel `k`'s initial home worker (the
+/// mapper's partition assignment); with any other length kernel `k` starts
+/// on worker `k % workers`. `pin` pins worker `w` to core `w % cores`
+/// (best-effort).
 pub(crate) fn work_stealing(
     runners: Vec<KernelRunner>,
     workers: usize,
@@ -464,23 +509,10 @@ pub(crate) fn work_stealing(
         return SchedulerOutput::default();
     }
     let shutdown = runners[0].ctx.shutdown.clone();
-    let core = Arc::new(Core {
-        tasks: runners
-            .into_iter()
-            .map(|r| TaskSlot {
-                state: AtomicU8::new(QUEUED),
-                woken_at_ns: AtomicU64::new(0),
-                inputs: r.ctx.input_fifos().to_vec(),
-                runner: Mutex::new(Some(r)),
-            })
-            .collect(),
-        injector: Injector::new(n),
-        deques: (0..workers).map(|_| WorkerDeque::new(n)).collect(),
-        parks: (0..workers).map(|_| EventCount::default()).collect(),
-        remaining: AtomicUsize::new(n),
-        shutdown,
-        epoch: Instant::now(),
-    });
+    let seeded = placement.len() == n;
+    let homes = (0..n).map(|k| if seeded { placement[k] } else { k });
+    let tasks = runners.into_iter().map(Some).zip(homes);
+    let core = Arc::new(Core::new(tasks, workers, shutdown));
 
     // Install a waker on every input stream. The Arc chain
     // (fifo → TaskWaker → Core → runner → fifo) is cyclic only while
@@ -499,17 +531,11 @@ pub(crate) fn work_stealing(
         }
     }
 
-    // Seed initial placement: every task starts QUEUED. Workers have
-    // not been spawned yet, so pushing into their deques from here is
-    // single-threaded (the spawn below provides the happens-before).
-    if placement.len() == n {
-        for (id, &p) in placement.iter().enumerate() {
-            core.deques[p % workers].push(id);
-        }
-    } else {
-        for id in 0..n {
-            core.injector.push(id);
-        }
+    // Seed: every task starts QUEUED on its home queue, in graph order.
+    // Workers have not been spawned yet (the spawn below provides the
+    // happens-before).
+    for (id, slot) in core.tasks.iter().enumerate() {
+        core.queues[slot.home.load(Relaxed)].push(id);
     }
 
     let handles: Vec<_> = (0..workers)
@@ -569,5 +595,120 @@ pub(crate) fn work_stealing(
     SchedulerOutput {
         outcomes,
         workers: reports,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernel::{KStatus, Kernel, PortSpec};
+    use crate::port::Context;
+    use crate::supervise::SupervisorPolicy;
+
+    /// A pool of `workers` runner-less tasks, task `k` homed on `homes[k]`,
+    /// all `IDLE` with nothing queued.
+    fn idle_core(homes: &[usize], workers: usize) -> Core {
+        let core = Core::new(homes.iter().map(|&h| (None, h)), workers, Arc::default());
+        for slot in &core.tasks {
+            slot.state.store(IDLE, Relaxed);
+        }
+        core
+    }
+
+    #[test]
+    fn a_wake_lands_on_the_home_queue_from_any_thread() {
+        let core = idle_core(&[1, 1, 1], 2);
+        // Off the pool, the home worker's park is notified first ...
+        let _ = core.parks[1].arm();
+        assert!(core.wake_task(0));
+        assert!(!core.parks[1].disarm(), "the parked home worker was woken");
+        // ... and a parked sibling when the home worker is not parked.
+        let _ = core.parks[0].arm();
+        assert!(core.wake_task(1));
+        assert!(!core.parks[0].disarm(), "a parked sibling was woken");
+        // On a sibling's own thread the task still goes home.
+        WORKER_CTX.set(Some((&core as *const Core as usize, 0)));
+        assert!(core.wake_task(2));
+        WORKER_CTX.set(None);
+        assert!(core.queues[0].is_empty());
+        let home: Vec<_> = std::iter::from_fn(|| core.queues[1].pop()).collect();
+        assert_eq!(home, [0, 1, 2]);
+    }
+
+    #[test]
+    fn a_steal_moves_the_home_to_the_thief() {
+        let core = idle_core(&[0], 2);
+        core.tasks[0].state.store(QUEUED, Relaxed);
+        core.queues[0].push(0);
+        assert_eq!(find_task(&core, 1, None), Some((0, true)));
+        assert_eq!(core.tasks[0].home.load(Relaxed), 1);
+        // The next wake follows it to the thief.
+        core.tasks[0].state.store(IDLE, Relaxed);
+        assert!(core.wake_task(0));
+        assert_eq!(core.queues[1].pop(), Some(0));
+        assert!(core.queues[0].is_empty());
+    }
+
+    #[test]
+    fn a_lone_yielder_is_claimed_only_after_a_steal_attempt() {
+        let core = idle_core(&[0, 1], 2);
+        // Nothing to steal: the yielder comes straight back.
+        core.queues[0].push(0);
+        assert_eq!(find_task(&core, 0, Some(0)), Some((0, false)));
+        // A sibling's task is stealable: it runs first, and the yielder
+        // goes back to its queue.
+        core.queues[0].push(0);
+        core.queues[1].push(1);
+        assert_eq!(find_task(&core, 0, Some(0)), Some((1, true)));
+        assert_eq!(core.queues[0].pop(), Some(0));
+        assert!(core.queues[1].is_empty());
+        // Any other front is claimed without a steal attempt.
+        core.queues[0].push(0);
+        core.queues[1].push(1);
+        assert_eq!(find_task(&core, 0, None), Some((0, false)));
+        assert_eq!(core.queues[1].pop(), Some(1));
+    }
+
+    struct Nop;
+
+    impl Kernel for Nop {
+        fn ports(&self) -> PortSpec {
+            PortSpec::new()
+        }
+        fn run(&mut self, _: &Context) -> KStatus {
+            KStatus::Stop
+        }
+    }
+
+    fn runner() -> Option<KernelRunner> {
+        Some(KernelRunner {
+            name: "nop".into(),
+            kernel: Box::new(Nop),
+            ctx: Context::for_test(),
+            telemetry: Arc::default(),
+            policy: SupervisorPolicy::Abort,
+            restarts: 0,
+            journal_uncommitted: 0,
+            untimed_left: 0,
+        })
+    }
+
+    #[test]
+    fn the_sweep_counts_only_tasks_it_queued_itself() {
+        let tasks = [(runner(), 0), (runner(), 0), (None, 0)];
+        let core = Core::new(tasks.into_iter(), 1, Arc::default());
+        // Task 0 is lost (idle, ready, live); task 1 runs; task 2 finished.
+        core.tasks[0].state.store(IDLE, Relaxed);
+        core.tasks[1].state.store(RUNNING, Relaxed);
+        core.tasks[2].state.store(IDLE, Relaxed);
+        assert_eq!(core.rescue_idle_ready(), 1);
+        assert_eq!(core.queues[0].pop(), Some(0));
+        assert!(core.queues[0].is_empty());
+        // A wake that already queued the task leaves the sweep nothing to
+        // count: the sweep counts `wake_task`'s own verdict.
+        core.tasks[0].state.store(IDLE, Relaxed);
+        assert!(core.wake_task(0));
+        assert!(!core.wake_task(0), "a second wake is coalesced");
+        assert_eq!(core.rescue_idle_ready(), 0);
     }
 }
