@@ -1093,8 +1093,9 @@ impl<T, H: Home<T>> Fifo<T, H> {
 
 impl<T> Fifo<T> {
     /// Resize the ring to `new_capacity` (clamped to config bounds and to
-    /// current occupancy); see [`ResizeFence`] for the exclusion protocol.
-    /// Returns the resulting capacity.
+    /// current occupancy, rounded up to a power of two); see
+    /// [`ResizeFence`] for the exclusion protocol. Returns the resulting
+    /// capacity.
     pub fn resize(&self, new_capacity: usize) -> usize {
         let capacity = self.shared.home.resize(new_capacity, &self.shared.stats);
         // A grow makes space visible to a parked producer.
@@ -1113,17 +1114,14 @@ pub trait Monitorable: Send + Sync {
     fn occupancy(&self) -> usize;
     /// Telemetry counters.
     fn stats(&self) -> &FifoStats;
-    /// Double the capacity (bounded by `max_capacity`); `true` if changed.
-    fn grow(&self) -> bool;
-    /// Grow to at least `target` (bounded); `true` if satisfied.
-    fn grow_to(&self, target: usize) -> bool;
-    /// Halve the capacity (bounded by `min_capacity` and occupancy); `true`
-    /// if changed.
-    fn shrink(&self) -> bool;
-    /// Monitor tick: record an occupancy sample into the histogram.
-    fn sample(&self);
-    /// The configured growth ceiling.
-    fn max_capacity(&self) -> usize;
+    /// Resize toward `target` slots (see [`Fifo::resize`]); returns the
+    /// resulting capacity.
+    fn resize(&self, target: usize) -> usize;
+    /// The `(min, max)` capacity bounds, powers of two.
+    fn bounds(&self) -> (usize, usize);
+    /// Monitor tick: record an occupancy sample into the histogram and
+    /// return it.
+    fn sample(&self) -> usize;
     /// Statistics snapshot.
     fn snapshot(&self) -> StatsSnapshot;
     /// Producer closed (or link quiesced) and drained, journal replay
@@ -1162,22 +1160,16 @@ impl<T: Send> Monitorable for Fifo<T> {
     fn stats(&self) -> &FifoStats {
         Fifo::stats(self)
     }
-    fn grow(&self) -> bool {
-        let cur = self.capacity();
-        cur < self.shared.cfg.max_capacity && self.resize(cur * 2) > cur
+    fn resize(&self, target: usize) -> usize {
+        Fifo::resize(self, target)
     }
-    fn grow_to(&self, target: usize) -> bool {
-        self.shared.grow_to(target)
+    fn bounds(&self) -> (usize, usize) {
+        (self.shared.cfg.min_capacity, self.shared.cfg.max_capacity)
     }
-    fn shrink(&self) -> bool {
-        let cur = self.capacity();
-        cur > self.shared.cfg.min_capacity && self.resize(cur / 2) < cur
-    }
-    fn sample(&self) {
-        self.shared.stats.sample_occupancy(self.occupancy());
-    }
-    fn max_capacity(&self) -> usize {
-        self.shared.cfg.max_capacity
+    fn sample(&self) -> usize {
+        let occupancy = self.occupancy();
+        self.shared.stats.sample_occupancy(occupancy);
+        occupancy
     }
     fn snapshot(&self) -> StatsSnapshot {
         Fifo::snapshot(self)
@@ -2261,7 +2253,7 @@ mod tests {
             p.try_push(i).unwrap();
         }
         assert!(matches!(p.try_push(99), Err(TryPushError::Full(99))));
-        assert!(f.grow());
+        assert!(f.resize(4 * 2) > 4);
         assert_eq!(f.capacity(), 8);
         for i in 4..8 {
             p.try_push(i).unwrap();
@@ -2283,7 +2275,7 @@ mod tests {
         p.try_push(4).unwrap();
         p.try_push(5).unwrap();
         // live = [2,3,4,5] with head index 2 of 4 -> wrapped
-        assert!(f.grow());
+        assert!(f.resize(4 * 2) > 4);
         for i in 2..6 {
             assert_eq!(c.try_pop().unwrap(), i);
         }
@@ -2369,7 +2361,7 @@ mod tests {
             f.stats().writer_blocked_total_ns() > 0,
             "writer should appear blocked"
         );
-        assert!(f.grow());
+        assert!(f.resize(4 * 2) > 4);
         let _p = t.join().unwrap();
         for i in 0..5 {
             assert_eq!(c.pop().unwrap(), i);
@@ -2684,9 +2676,9 @@ mod tests {
                 // Aggressively resize up and down while traffic flows.
                 for i in 0..500 {
                     if i % 2 == 0 {
-                        f.grow();
+                        f.resize(f.capacity() * 2);
                     } else {
-                        f.shrink();
+                        f.resize(f.capacity() / 2);
                     }
                     std::thread::sleep(Duration::from_micros(50));
                 }
@@ -2723,9 +2715,9 @@ mod tests {
             std::thread::spawn(move || {
                 for i in 0..300 {
                     if i % 2 == 0 {
-                        f.grow();
+                        f.resize(f.capacity() * 2);
                     } else {
-                        f.shrink();
+                        f.resize(f.capacity() / 2);
                     }
                     std::thread::sleep(Duration::from_micros(50));
                 }
@@ -2810,8 +2802,8 @@ mod tests {
         for i in 0..8 {
             p.try_push(i).unwrap();
         }
-        assert!(!f.grow());
-        assert!(!f.shrink());
+        assert_eq!(f.resize(8 * 2), 8);
+        assert_eq!(f.resize(8 / 2), 8);
         assert_eq!(f.capacity(), 8);
     }
 
@@ -2909,7 +2901,6 @@ mod tests {
             p.try_push(i).unwrap();
         }
         assert_eq!(f.resize(8), 4);
-        assert!(!f.grow());
         // The fence was released: the endpoints still get in.
         p.try_push(3).unwrap();
         assert_eq!(

@@ -2,7 +2,6 @@
 //! resize schedule may ever lose, duplicate, or reorder elements.
 
 use proptest::prelude::*;
-use raft_buffer::fifo::Monitorable;
 use raft_buffer::{fifo_with, BoundedSpsc, FifoConfig, Signal};
 
 /// Ops the "driver" can perform against a FIFO, derived from a proptest
@@ -146,7 +145,8 @@ proptest! {
         });
         let monitor = std::thread::spawn(move || {
             for i in 0..resizes {
-                if i % 2 == 0 { f.grow(); } else { f.shrink(); }
+                let cap = f.capacity();
+                f.resize(if i % 2 == 0 { cap * 2 } else { cap / 2 });
                 std::thread::yield_now();
             }
         });
@@ -183,7 +183,8 @@ proptest! {
         });
         let monitor = std::thread::spawn(move || {
             for i in 0..resizes {
-                if i % 2 == 0 { f.grow(); } else { f.shrink(); }
+                let cap = f.capacity();
+                f.resize(if i % 2 == 0 { cap * 2 } else { cap / 2 });
                 std::thread::yield_now();
             }
         });

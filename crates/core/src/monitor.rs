@@ -12,26 +12,34 @@
 //! (either larger or smaller)", §4.2), and it is the run's only control
 //! thread: always spawned, it also owns the drain ladder — the one path
 //! every stop reason takes (`Ladder`) — and hands its event logs back
-//! by value when it is joined. Each tick it:
+//! by value when it is joined. Each tick, after the ladder, it works per
+//! target in three steps:
 //!
-//! 0. applies any requested drain level, fires the `exe` deadline and the
-//!    grace-expiry escalation, and checks the run-budget and stall
-//!    watchdogs (all of this also runs, at 1 ms, when resize monitoring is
-//!    [`MonitorConfig::disabled`]);
-//! 1. samples every queue's occupancy into its histogram (the telemetry the
-//!    paper exposes: mean occupancy, service rate, throughput, occupancy
-//!    histograms);
-//! 2. grows queues whose writer has been blocked ≥ 3δ in total over the
-//!    last six ticks (`BLOCK_WINDOW`). The paper's "blocked for a time period of
-//!    3 × δ" is counted in aggregate, not as one continuous episode: a
-//!    writer that a per-element wake frees for one slot at a time blocks in
-//!    episodes of microseconds, yet may be blocked most of the run. After a
-//!    grow the window restarts, so one stall pays for one grow;
-//! 3. grows queues whose reader requested more than the current capacity;
-//! 4. shrinks queues that stayed nearly empty for a long hysteresis window;
-//! 5. when the dynamic optimizer is enabled, adjusts the active width of
-//!    split adapters whose input is persistently backed up (bottleneck
-//!    elimination, §3).
+//! 1. **observe:** read each link once into a `LinkSample` (the writer's
+//!    blocked total, the largest read request, occupancy — also recorded
+//!    into the occupancy histogram, the telemetry the paper exposes —,
+//!    capacity and bounds), each split once into a `SplitSample`, and each
+//!    watched kernel's `(entered, runs)` pair and the links' popped total;
+//! 2. **decide:** pure functions of the sample and the target's own state
+//!    (no clock, no atomic, no thread):
+//!    * `LinkRules::decide` grows a link whose writer has been blocked
+//!      ≥ 3δ in total over the last six ticks (`BLOCK_WINDOW`) — the
+//!      paper's "blocked for a time period of 3 × δ" counted in aggregate,
+//!      since a writer that a per-element wake frees one slot at a time
+//!      blocks in episodes of microseconds yet may be blocked most of the
+//!      run; the window restarts after a grow, so one stall pays for one
+//!      grow —, else grows one whose reader requested more than its
+//!      capacity, else shrinks one that stayed nearly empty for
+//!      [`MonitorConfig::shrink_after_ticks`];
+//!    * `SplitRules::decide` widens a split whose input stays backed up
+//!      (bottleneck elimination, §3) and narrows one that stays idle;
+//!    * `Unchanged::trips` fires the run-budget and stall watchdogs;
+//! 3. **apply:** one `Monitorable::resize` per decision (logged when the
+//!    capacity changed), one width step, or a watchdog event plus a drain
+//!    request.
+//!
+//! When resize monitoring is [`MonitorConfig::disabled`] the loop ticks at
+//! 1 ms and runs only the ladder and the watchdogs.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -55,8 +63,6 @@ pub struct MonitorConfig {
     /// resize, no occupancy histograms are collected and split widths stay
     /// put; the watchdogs and the drain ladder keep running at a 1 ms tick.
     pub enabled: bool,
-    /// Allow shrinking long-underutilized queues.
-    pub shrink_enabled: bool,
     /// Consecutive low-occupancy ticks before a shrink (hysteresis).
     pub shrink_after_ticks: u32,
     /// Consecutive backed-up ticks before widening a split.
@@ -78,7 +84,6 @@ impl Default for MonitorConfig {
         MonitorConfig {
             delta: Duration::from_micros(100),
             enabled: true,
-            shrink_enabled: true,
             shrink_after_ticks: 200,
             widen_after_ticks: 20,
             run_budget: None,
@@ -295,13 +300,131 @@ pub(crate) fn spawn(
         .expect("spawn monitor thread")
 }
 
-/// Per-kernel watchdog bookkeeping: the `(entered, runs)` pair last seen
-/// and when it last changed.
-struct HealthState {
-    last_entered: u64,
-    last_runs: u64,
+/// One tick's reading of a link.
+#[derive(Debug, Clone, Copy)]
+struct LinkSample {
+    /// The writer's blocked total, ns (`FifoStats::writer_blocked_total_ns`).
+    blocked_ns: u64,
+    /// The largest batch a reader ever requested.
+    want: usize,
+    occupancy: usize,
+    capacity: usize,
+    /// `(min, max)` capacity, powers of two.
+    bounds: (usize, usize),
+}
+
+/// A link's rule state: the writer's blocked total at each of the last
+/// [`BLOCK_WINDOW`] ticks, and the current low-occupancy streak.
+#[derive(Debug, Default, Clone)]
+struct LinkRules {
+    blocked: [u64; BLOCK_WINDOW],
+    low_ticks: u32,
+}
+
+impl LinkRules {
+    /// The resize this sample calls for, if any; `oldest` indexes the
+    /// window slot written [`BLOCK_WINDOW`] ticks ago.
+    fn decide(
+        &mut self,
+        s: LinkSample,
+        oldest: usize,
+        cfg: &MonitorConfig,
+    ) -> Option<(usize, ResizeReason)> {
+        let (min, max) = s.bounds;
+        let then = std::mem::replace(&mut self.blocked[oldest], s.blocked_ns);
+        if s.capacity < max && s.blocked_ns.saturating_sub(then) >= 3 * cfg.delta.as_nanos() as u64
+        {
+            // Restart the window so one long stall does not trigger a
+            // growth cascade.
+            self.blocked = [s.blocked_ns; BLOCK_WINDOW];
+            self.low_ticks = 0;
+            return Some((s.capacity * 2, ResizeReason::WriterBlocked));
+        }
+        if s.capacity < max && s.want > s.capacity {
+            self.low_ticks = 0;
+            return Some((s.want, ResizeReason::ReadRequest));
+        }
+        // Never shrink below the largest batch a reader ever requested, or
+        // the read-request rule would grow it straight back.
+        let low = s.occupancy * 8 < s.capacity && s.capacity > min && s.capacity / 2 >= s.want;
+        streak(&mut self.low_ticks, low, cfg.shrink_after_ticks)
+            .then_some((s.capacity / 2, ResizeReason::Shrink))
+    }
+}
+
+/// Extend the streak `n` of ticks on which `on` held, or end it; `true` when
+/// it reaches `len`, which starts it over.
+fn streak(n: &mut u32, on: bool, len: u32) -> bool {
+    *n = if on { *n + 1 } else { 0 };
+    let done = on && *n >= len;
+    if done {
+        *n = 0;
+    }
+    done
+}
+
+/// One tick's reading of a split adapter.
+#[derive(Debug, Clone, Copy)]
+struct SplitSample {
+    width: u32,
+    max_width: u32,
+    /// The split's input is at least 3/4 full.
+    backed_up: bool,
+    /// The split's input and every active replica's input are empty.
+    idle: bool,
+}
+
+/// A split's rule state: the current backed-up and idle streaks.
+#[derive(Debug, Default, Clone)]
+struct SplitRules {
+    backed_up: u32,
+    idle: u32,
+}
+
+impl SplitRules {
+    /// `Some(true)` to widen by one replica, `Some(false)` to narrow by
+    /// one: widen after `widen_after` backed-up ticks, narrow after eight
+    /// times as many idle ones.
+    fn decide(&mut self, s: SplitSample, widen_after: u32) -> Option<bool> {
+        let widen = streak(
+            &mut self.backed_up,
+            s.backed_up && s.width < s.max_width,
+            widen_after,
+        );
+        let narrow = streak(&mut self.idle, s.idle && s.width > 1, widen_after * 8);
+        (widen || narrow).then_some(widen)
+    }
+}
+
+/// A watchdog over a key that should keep changing: it trips once when the
+/// key has stood still for a whole budget while armed.
+#[derive(Debug, Clone)]
+struct Unchanged<K> {
+    key: K,
     since: Instant,
     fired: bool,
+}
+
+impl<K: PartialEq> Unchanged<K> {
+    fn new(key: K, now: Instant) -> Self {
+        Unchanged {
+            key,
+            since: now,
+            fired: false,
+        }
+    }
+
+    /// `true` the first time `key`, `armed` throughout, has not changed for
+    /// `budget`; a new key or a disarmed tick starts over.
+    fn trips(&mut self, key: K, armed: bool, now: Instant, budget: Duration) -> bool {
+        if key != self.key || !armed {
+            *self = Unchanged::new(key, now);
+            return false;
+        }
+        let trip = !self.fired && now.duration_since(self.since) >= budget;
+        self.fired |= trip;
+        trip
+    }
 }
 
 fn control_loop(
@@ -315,195 +438,94 @@ fn control_loop(
     let mut log = ControlLog::default();
     let start = ladder.start;
     let tick = if cfg.enabled { cfg.delta } else { LADDER_TICK };
-    let delta_ns = cfg.delta.as_nanos() as u64;
-    let mut low_ticks: Vec<u32> = vec![0; fifos.len()];
-    // Per link, the writer's blocked total at each of the last
-    // BLOCK_WINDOW ticks; `oldest` indexes the one BLOCK_WINDOW ticks back.
-    let mut blocked_window: Vec<[u64; BLOCK_WINDOW]> = vec![[0; BLOCK_WINDOW]; fifos.len()];
+    let mut links = vec![LinkRules::default(); fifos.len()];
     let mut oldest = 0;
-    let mut backed_up_ticks: Vec<u32> = vec![0; widths.len()];
-    let mut starved_ticks: Vec<u32> = vec![0; widths.len()];
-    let mut health_state: Vec<HealthState> = health
-        .iter()
-        .map(|_| HealthState {
-            last_entered: 0,
-            last_runs: 0,
-            since: start,
-            fired: false,
-        })
-        .collect();
-    let mut last_popped: u64 = 0;
-    let mut popped_since = start;
-    let mut stall_fired = false;
+    let mut splits = vec![SplitRules::default(); widths.len()];
+    let mut in_run = vec![Unchanged::new((0, 0), start); health.len()];
+    let mut stalled = Unchanged::new(0, start);
 
     while ladder.tick(shutdown, &fifos, &mut log.drains) {
-        // --- watchdogs: a trip is logged and enters the ladder, which the
-        // --- next tick applies ------------------------------------------
+        // Watchdogs: a trip is logged and enters the ladder, which the next
+        // tick applies.
+        let mut trip = |kind, reason| {
+            log.watchdog.push(WatchdogEvent {
+                at: start.elapsed(),
+                kind,
+            });
+            shutdown.request(DRAIN_DRAINING, reason);
+        };
         if let Some(budget) = cfg.run_budget {
-            for (t, st) in health.iter().zip(health_state.iter_mut()) {
+            let now = Instant::now();
+            for (t, dog) in health.iter().zip(&mut in_run) {
                 let entered = t.telemetry.entered.load(Ordering::Relaxed);
                 let runs = t.telemetry.runs.load(Ordering::Relaxed);
-                if entered != st.last_entered || runs != st.last_runs {
-                    st.last_entered = entered;
-                    st.last_runs = runs;
-                    st.since = Instant::now();
-                    st.fired = false;
-                } else if entered > runs && !st.fired && st.since.elapsed() >= budget {
-                    // In `run()` right now and has been, without returning,
-                    // for the whole budget window.
-                    st.fired = true;
-                    log.watchdog.push(WatchdogEvent {
-                        at: start.elapsed(),
-                        kind: WatchdogKind::RunBudget {
-                            kernel: t.name.clone(),
-                        },
-                    });
-                    shutdown.request(DRAIN_DRAINING, DrainReason::RunBudget);
+                // Inside `run()` and has been, without returning, for the
+                // whole budget.
+                if dog.trips((entered, runs), entered > runs, now, budget) {
+                    let kernel = t.name.clone();
+                    trip(WatchdogKind::RunBudget { kernel }, DrainReason::RunBudget);
                 }
             }
         }
         if let Some(timeout) = cfg.stall_timeout {
             let popped: u64 = fifos.iter().map(|(_, f)| f.stats().popped()).sum();
-            let all_finished = fifos.iter().all(|(_, f)| f.is_finished());
-            if popped != last_popped || all_finished {
-                last_popped = popped;
-                popped_since = Instant::now();
-                stall_fired = false;
-            } else if !stall_fired && popped_since.elapsed() >= timeout {
-                stall_fired = true;
-                log.watchdog.push(WatchdogEvent {
-                    at: start.elapsed(),
-                    kind: WatchdogKind::StalledStreams,
-                });
-                shutdown.request(DRAIN_DRAINING, DrainReason::Stalled);
+            let open = !fifos.iter().all(|(_, f)| f.is_finished());
+            if stalled.trips(popped, open, Instant::now(), timeout) {
+                trip(WatchdogKind::StalledStreams, DrainReason::Stalled);
             }
         }
 
-        for (i, (name, f)) in fifos.iter().enumerate() {
-            if !cfg.enabled {
-                break;
-            }
-            // 1. occupancy histogram sample
-            f.sample();
-
-            let capacity = f.capacity();
-            let stats = f.stats();
-
-            // 2. writer blocked ≥ 3δ over the window → grow
-            let blocked = stats.writer_blocked_total_ns();
-            let window = &mut blocked_window[i];
-            let then = std::mem::replace(&mut window[oldest], blocked);
-            if blocked.saturating_sub(then) >= 3 * delta_ns {
-                let old = capacity;
-                if f.grow() {
-                    // Restart the window so one long stall does not
-                    // trigger a growth cascade.
-                    *window = [blocked; BLOCK_WINDOW];
-                    log.resizes.push(ResizeEvent {
-                        at: start.elapsed(),
-                        edge: i,
-                        edge_name: name.clone(),
-                        old_capacity: old,
-                        new_capacity: f.capacity(),
-                        reason: ResizeReason::WriterBlocked,
-                    });
-                    low_ticks[i] = 0;
-                    continue;
-                }
-            }
-
-            // 3. read request larger than capacity → grow to fit
-            let want = stats.max_read_request();
-            if want > capacity {
-                let old = capacity;
-                if f.grow_to(want) {
-                    log.resizes.push(ResizeEvent {
-                        at: start.elapsed(),
-                        edge: i,
-                        edge_name: name.clone(),
-                        old_capacity: old,
-                        new_capacity: f.capacity(),
-                        reason: ResizeReason::ReadRequest,
-                    });
-                    low_ticks[i] = 0;
-                    continue;
-                }
-            }
-
-            // 4. sustained low occupancy → shrink (hysteresis). Never
-            // shrink below the largest batch a reader ever requested, or
-            // the read-request trigger would immediately grow again
-            // (grow/shrink oscillation).
-            if cfg.shrink_enabled {
-                let occ = f.occupancy();
-                let floor = stats.max_read_request();
-                if occ * 8 < capacity && capacity > 1 && capacity / 2 >= floor {
-                    low_ticks[i] += 1;
-                    if low_ticks[i] >= cfg.shrink_after_ticks {
-                        let old = capacity;
-                        if f.shrink() {
-                            log.resizes.push(ResizeEvent {
-                                at: start.elapsed(),
-                                edge: i,
-                                edge_name: name.clone(),
-                                old_capacity: old,
-                                new_capacity: f.capacity(),
-                                reason: ResizeReason::Shrink,
-                            });
-                        }
-                        low_ticks[i] = 0;
-                    }
-                } else {
-                    low_ticks[i] = 0;
-                }
-            }
-        }
-        oldest = (oldest + 1) % BLOCK_WINDOW;
-
-        // 5. dynamic replication width
         if cfg.enabled {
-            for (i, t) in widths.iter().enumerate() {
-                let cur = t.control.get();
-                // Widen: split's input queue persistently > 3/4 full while
-                // not all replicas are active.
-                let in_occ = t.input.occupancy();
-                let in_cap = t.input.capacity().max(1);
-                if cur < t.control.max() && in_occ * 4 >= in_cap * 3 {
-                    backed_up_ticks[i] += 1;
-                    if backed_up_ticks[i] >= cfg.widen_after_ticks {
-                        let new = t.control.widen();
-                        log.widths.push(WidthEvent {
-                            at: start.elapsed(),
-                            split: t.name.clone(),
-                            old_width: cur,
-                            new_width: new,
-                        });
-                        backed_up_ticks[i] = 0;
-                    }
-                } else {
-                    backed_up_ticks[i] = 0;
+            for (edge, ((name, f), rules)) in fifos.iter().zip(&mut links).enumerate() {
+                let stats = f.stats();
+                let s = LinkSample {
+                    blocked_ns: stats.writer_blocked_total_ns(),
+                    want: stats.max_read_request(),
+                    occupancy: f.sample(),
+                    capacity: f.capacity(),
+                    bounds: f.bounds(),
+                };
+                let Some((target, reason)) = rules.decide(s, oldest, &cfg) else {
+                    continue;
+                };
+                let new_capacity = f.resize(target);
+                if new_capacity != s.capacity {
+                    log.resizes.push(ResizeEvent {
+                        at: start.elapsed(),
+                        edge,
+                        edge_name: name.clone(),
+                        old_capacity: s.capacity,
+                        new_capacity,
+                        reason,
+                    });
                 }
-                // Narrow: input empty and all active replica queues empty
-                // for a long stretch.
-                let all_idle = in_occ == 0
-                    && t.replica_inputs
-                        .iter()
-                        .take(cur as usize)
-                        .all(|r| r.occupancy() == 0);
-                if cur > 1 && all_idle {
-                    starved_ticks[i] += 1;
-                    if starved_ticks[i] >= cfg.widen_after_ticks * 8 {
-                        let new = t.control.narrow();
-                        log.widths.push(WidthEvent {
-                            at: start.elapsed(),
-                            split: t.name.clone(),
-                            old_width: cur,
-                            new_width: new,
-                        });
-                        starved_ticks[i] = 0;
-                    }
-                } else {
-                    starved_ticks[i] = 0;
+            }
+            oldest = (oldest + 1) % BLOCK_WINDOW;
+
+            for (t, rules) in widths.iter().zip(&mut splits) {
+                let width = t.control.get();
+                let in_occ = t.input.occupancy();
+                let s = SplitSample {
+                    width,
+                    max_width: t.control.max(),
+                    backed_up: in_occ * 4 >= t.input.capacity().max(1) * 3,
+                    idle: in_occ == 0
+                        && t.replica_inputs
+                            .iter()
+                            .take(width as usize)
+                            .all(|r| r.occupancy() == 0),
+                };
+                if let Some(widen) = rules.decide(s, cfg.widen_after_ticks) {
+                    log.widths.push(WidthEvent {
+                        at: start.elapsed(),
+                        split: t.name.clone(),
+                        old_width: width,
+                        new_width: if widen {
+                            t.control.widen()
+                        } else {
+                            t.control.narrow()
+                        },
+                    });
                 }
             }
         }
@@ -808,7 +830,6 @@ mod tests {
         let cfg = MonitorConfig {
             delta: Duration::from_micros(100),
             widen_after_ticks: 2, // narrow threshold = 8x this
-            shrink_enabled: false,
             ..Default::default()
         };
         let finish = start(cfg, vec![], vec![target]);
@@ -837,5 +858,259 @@ mod tests {
         let snap = f.snapshot();
         assert!(snap.occupancy_hist.iter().sum::<u64>() > 0);
         assert!(snap.mean_occupancy > 0.0);
+    }
+
+    /// A read request above the ceiling grows the link to the ceiling once,
+    /// with a log entry, and then leaves it alone: no later tick takes the
+    /// resize lock and fence again.
+    #[test]
+    fn read_request_above_the_ceiling_grows_once_and_logs_it() {
+        let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig {
+            initial_capacity: 8,
+            max_capacity: 256,
+            min_capacity: 8,
+            ..Default::default()
+        });
+        p.try_push(0).unwrap();
+        assert_eq!(c.pop_range(512, &mut Vec::new()).unwrap(), 1);
+        #[cfg(feature = "raft_failpoints")]
+        {
+            use raft_buffer::failpoints::{arm, FailAction};
+            arm(
+                "buffer::fifo::resize",
+                FailAction::Stall(Duration::ZERO),
+                1,
+                0,
+            );
+        }
+        let finish = start(
+            MonitorConfig::default(),
+            vec![("edge0".into(), Arc::new(f.clone()) as Arc<dyn Monitorable>)],
+            vec![],
+        );
+        std::thread::sleep(Duration::from_millis(30));
+        let events = finish().resizes;
+        let snap = f.snapshot();
+        assert_eq!(
+            snap.resizes,
+            events.len() as u64,
+            "unlogged resize: {events:?}"
+        );
+        assert!(
+            matches!(
+                events[..],
+                [ResizeEvent {
+                    reason: ResizeReason::ReadRequest,
+                    old_capacity: 8,
+                    new_capacity: 256,
+                    ..
+                }]
+            ),
+            "{events:?}"
+        );
+        #[cfg(feature = "raft_failpoints")]
+        {
+            // The registry is process-wide, so resizes by tests running
+            // alongside count too: compare with the ticks (one histogram
+            // sample each) rather than expect exactly one hit.
+            let hits = raft_buffer::failpoints::hits("buffer::fifo::resize");
+            raft_buffer::failpoints::reset();
+            let ticks: u64 = snap.occupancy_hist.iter().sum();
+            assert!(hits < ticks / 2, "{hits} resizes over {ticks} ticks");
+        }
+    }
+
+    // ---- the rules alone: synthetic samples, no thread, no clock -------
+
+    const DELTA_NS: u64 = 100_000;
+    const TENTH: u64 = DELTA_NS / 10;
+
+    /// A link of capacity 64 within `2..=1024`, full, nothing requested.
+    fn link(blocked_ns: u64) -> LinkSample {
+        LinkSample {
+            blocked_ns,
+            want: 0,
+            occupancy: 64,
+            capacity: 64,
+            bounds: (2, 1 << 10),
+        }
+    }
+
+    /// Feed `samples` tick by tick to fresh rules; the ticks that resized.
+    fn feed(samples: impl IntoIterator<Item = LinkSample>) -> Vec<(usize, usize, ResizeReason)> {
+        let cfg = cfg_fast();
+        assert_eq!(cfg.delta.as_nanos() as u64, DELTA_NS);
+        let mut rules = LinkRules::default();
+        samples
+            .into_iter()
+            .enumerate()
+            .filter_map(|(t, s)| {
+                let (target, reason) = rules.decide(s, t % BLOCK_WINDOW, &cfg)?;
+                Some((t, target, reason))
+            })
+            .collect()
+    }
+
+    /// The writer's blocked total per tick, from each tick's blocking in
+    /// tenths of δ.
+    fn blocked(tenths: &[u64]) -> impl Iterator<Item = LinkSample> + '_ {
+        tenths.iter().scan(0, |total, t| {
+            *total += t * TENTH;
+            Some(link(*total))
+        })
+    }
+
+    #[test]
+    fn rule_grows_on_short_episodes_summing_to_3_delta_within_six_ticks() {
+        // δ/2 of blocking on six consecutive ticks: 3δ by the sixth.
+        let grows = feed(blocked(&[5, 5, 5, 5, 5, 5, 0, 0]));
+        assert_eq!(grows, [(5, 128, ResizeReason::WriterBlocked)]);
+        // The same 3δ, one δ/2 episode every other tick, spans eleven.
+        assert_eq!(feed(blocked(&[5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 0])), []);
+    }
+
+    #[test]
+    fn rule_grows_once_per_3_delta() {
+        // One 3δ stall: after the grow the window restarts at the current
+        // total, so the same blocked time does not pay for a second grow
+        // while it is still in the window; a fresh 3δ grows again.
+        let mut tenths = vec![30];
+        tenths.extend([0; 8]);
+        tenths.push(30);
+        let grows = feed(blocked(&tenths));
+        assert_eq!(
+            grows,
+            [
+                (0, 128, ResizeReason::WriterBlocked),
+                (9, 128, ResizeReason::WriterBlocked)
+            ]
+        );
+    }
+
+    #[test]
+    fn rule_never_grows_at_the_ceiling() {
+        let at_max = blocked(&[30, 30, 30]).map(|s| LinkSample {
+            capacity: 1 << 10,
+            occupancy: 1 << 10,
+            ..s
+        });
+        assert_eq!(feed(at_max), []);
+    }
+
+    #[test]
+    fn rule_grows_to_a_read_request_below_the_ceiling_only() {
+        let want = |want, capacity| LinkSample {
+            want,
+            capacity,
+            ..link(0)
+        };
+        assert_eq!(feed([want(100, 64)]), [(0, 100, ResizeReason::ReadRequest)]);
+        assert_eq!(feed([want(4096, 1 << 10); 3]), []);
+    }
+
+    #[test]
+    fn rule_shrinks_after_a_low_streak_only() {
+        let shrink_after = cfg_fast().shrink_after_ticks as usize;
+        let low = LinkSample {
+            occupancy: 0,
+            ..link(0)
+        };
+        assert_eq!(
+            feed(vec![low; shrink_after]),
+            [(shrink_after - 1, 32, ResizeReason::Shrink)]
+        );
+        // A busy tick restarts the streak.
+        let mut interrupted = vec![low; shrink_after - 1];
+        interrupted.push(link(0));
+        interrupted.extend(vec![low; shrink_after - 1]);
+        assert_eq!(feed(interrupted), []);
+        // Never below a read request, never below the floor.
+        let requested = LinkSample { want: 40, ..low };
+        assert_eq!(feed(vec![requested; 5 * shrink_after]), []);
+        let at_min = LinkSample {
+            bounds: (64, 1 << 10),
+            ..low
+        };
+        assert_eq!(feed(vec![at_min; 5 * shrink_after]), []);
+    }
+
+    /// Feed `samples` to fresh split rules; the ticks that changed width.
+    fn feed_split(samples: &[SplitSample], widen_after: u32) -> Vec<(usize, bool)> {
+        let mut rules = SplitRules::default();
+        let ticks = samples.iter().enumerate();
+        ticks
+            .filter_map(|(t, s)| Some((t, rules.decide(*s, widen_after)?)))
+            .collect()
+    }
+
+    #[test]
+    fn rule_widens_a_backed_up_split_and_narrows_an_idle_one() {
+        let backed_up = SplitSample {
+            width: 1,
+            max_width: 4,
+            backed_up: true,
+            idle: false,
+        };
+        let calm = SplitSample {
+            backed_up: false,
+            ..backed_up
+        };
+        assert_eq!(feed_split(&[backed_up; 3], 3), [(2, true)]);
+        assert_eq!(
+            feed_split(&[backed_up, backed_up, calm, backed_up, backed_up], 3),
+            []
+        );
+        let at_max = SplitSample {
+            width: 4,
+            ..backed_up
+        };
+        assert_eq!(feed_split(&[at_max; 10], 3), []);
+
+        let idle = SplitSample {
+            width: 3,
+            idle: true,
+            ..calm
+        };
+        assert_eq!(feed_split(&[idle; 24], 3), [(23, false)]);
+        assert_eq!(feed_split(&[idle; 23], 3), []);
+        let narrowest = SplitSample { width: 1, ..idle };
+        assert_eq!(feed_split(&[narrowest; 100], 3), []);
+    }
+
+    #[test]
+    fn run_budget_trips_once_per_standstill_inside_run() {
+        let t0 = Instant::now();
+        let ms = |n| t0 + Duration::from_millis(n);
+        let budget = Duration::from_millis(10);
+        let mut dog = Unchanged::new((0u64, 0u64), t0);
+        let mut trips =
+            |entered, runs, at| dog.trips((entered, runs), entered > runs, ms(at), budget);
+        // Enters `run()` at 1 ms and stays: trips at 11 ms, once.
+        assert!(!trips(1, 0, 1));
+        assert!(!trips(1, 0, 10));
+        assert!(trips(1, 0, 11));
+        assert!(!trips(1, 0, 50));
+        // Returns and is stuck in the next invocation: a new standstill.
+        assert!(!trips(2, 1, 51));
+        assert!(trips(2, 1, 61));
+        // Between invocations (entered == runs) it never trips.
+        assert!(!trips(2, 2, 62));
+        assert!(!trips(2, 2, 1_000));
+    }
+
+    #[test]
+    fn stall_trips_once_and_never_after_every_link_finished() {
+        let t0 = Instant::now();
+        let ms = |n| t0 + Duration::from_millis(n);
+        let timeout = Duration::from_millis(10);
+        let mut dog = Unchanged::new(0u64, t0);
+        assert!(!dog.trips(5, true, ms(1), timeout));
+        assert!(!dog.trips(5, true, ms(10), timeout));
+        assert!(dog.trips(5, true, ms(11), timeout));
+        assert!(!dog.trips(5, true, ms(30), timeout));
+        // Moving again, then standing still with every link finished.
+        assert!(!dog.trips(9, true, ms(31), timeout));
+        assert!(!dog.trips(9, false, ms(32), timeout));
+        assert!(!dog.trips(9, false, ms(1_000), timeout));
     }
 }

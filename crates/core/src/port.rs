@@ -263,7 +263,7 @@ impl Context {
             _ => self
                 .input_fifos
                 .iter()
-                .map(|f| f.max_capacity() / 2)
+                .map(|f| f.bounds().1 / 2)
                 .fold(QUANTUM as usize, usize::min)
                 .max(1) as u32,
         }

@@ -35,7 +35,6 @@ fn main() {
         min_capacity: 8,
         ..FifoConfig::default()
     };
-    cfg.monitor.shrink_enabled = false;
 
     let mut map = RaftMap::with_config(cfg);
     let src = map.add(Generate::new(0..N).with_batch(128));

@@ -218,7 +218,6 @@ fn monitor_grows_queue_under_backpressure() {
         min_capacity: 2,
         ..FifoConfig::default()
     };
-    cfg.monitor.shrink_enabled = false;
     let mut map = RaftMap::with_config(cfg);
     let src = map.add(Generate::new(0..20_000u64).with_batch(256));
     // Slow consumer: burn a little time per item.
@@ -373,19 +372,23 @@ fn algoset_hot_swap_mid_stream() {
     let sw = set.switch();
     let mut map = RaftMap::new();
     let src = map.add(Generate::new(0..100_000u64).with_batch(16));
+    // Swap from algorithm 0 to 1 while the app runs, once the stream has
+    // made progress: a stage ahead of the set selects when it sees element
+    // 10,000, so the swap lands mid-stream however fast the build is.
+    let swapper = sw.clone();
+    let progress = map.add(Map::new(move |x: u64| {
+        if x == 10_000 {
+            swapper.select(1);
+        }
+        x
+    }));
     let work = map.add(set);
     let (we, out) = write_each::<u64>();
     let dst = map.add(we);
-    map.link(src, "out", work, "in").unwrap();
+    map.link(src, "out", progress, "in").unwrap();
+    map.link(progress, "out", work, "in").unwrap();
     map.link(work, "out", dst, "in").unwrap();
-    // Swap from algorithm 0 to 1 while the app runs.
-    let swapper = std::thread::spawn(move || {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        sw.select(1);
-        sw
-    });
     map.exe().unwrap();
-    let sw = swapper.join().unwrap();
     assert_eq!(sw.active(), 1);
     let got = out.lock().unwrap();
     let tag1 = got.iter().filter(|v| *v % 10 == 1).count();
@@ -471,12 +474,18 @@ fn width_range_widens_under_load() {
     cfg.fifo = FifoConfig::fixed(16); // fixed so backpressure is visible
     cfg.monitor.delta = std::time::Duration::from_micros(100);
     cfg.monitor.widen_after_ticks = 5;
-    cfg.monitor.shrink_enabled = false;
     let mut map = RaftMap::with_config(cfg);
-    let src = map.add(Generate::new(0..60_000u64).with_batch(128));
-    // Slow enough that one replica cannot keep up with the source.
+    // The source tops the split's input up one element at a time: a batch
+    // waits for that many free slots, so a 128-batch (clamped to the ring)
+    // would refill it only once it ran empty, and it would never stay
+    // backed up.
+    let src = map.add(Generate::new(0..10_000u64).with_batch(1));
+    // Slow enough that one replica cannot keep up with the source. It
+    // waits instead of spinning, so on a two-core host the source and the
+    // split still get a core to keep its input full.
     let work = map.add(Map::new(|x: u64| {
-        std::hint::black_box((0..200).fold(x, |a, b| a.wrapping_add(b * 31)))
+        std::thread::sleep(std::time::Duration::from_micros(20));
+        x
     }));
     let (count, n) = Count::<u64>::new();
     let sink = map.add(count);
@@ -484,7 +493,7 @@ fn width_range_widens_under_load() {
     map.link_unordered(work, "out", sink, "in").unwrap();
     map.prefer_width_range(work, 1, 4); // built to 4, starts at 1
     let report = map.exe().unwrap();
-    assert_eq!(n.load(Ordering::Relaxed), 60_000);
+    assert_eq!(n.load(Ordering::Relaxed), 10_000);
     assert!(
         !report.width_events.is_empty(),
         "optimizer never widened the split: {report:?}"
@@ -581,11 +590,16 @@ fn least_utilized_starves_the_slow_replica() {
                 Ok(v) => {
                     drop(input);
                     // replica 0 is drastically slower (well above the
-                    // per-item framework overhead, so the skew is visible)
-                    let spins = if self.replica == 0 { 300_000 } else { 100 };
+                    // per-item framework overhead, so the skew is visible).
+                    // It waits instead of spinning: a spinning replica holds
+                    // a core, and on a two-core host that slows the "fast"
+                    // replicas to its own rate, leaving no skew to route by.
+                    if self.replica == 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
                     // black_box inside the fold so release builds cannot
                     // collapse the sum to a closed form
-                    let r = (0..spins).fold(v, |a, b| a.wrapping_add(std::hint::black_box(b)));
+                    let r = (0..100).fold(v, |a, b| a.wrapping_add(std::hint::black_box(b)));
                     let mut out = ctx.output::<u64>("out");
                     if out.push(r).is_err() {
                         return KStatus::Stop;
