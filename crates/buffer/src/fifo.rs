@@ -13,8 +13,9 @@
 //!   whose reader asked for more items than it can ever hold. `head`/`tail`
 //!   live *outside* the slot storage, so a resize only swaps the storage;
 //!   endpoints touch slots only under membership in the Dekker-style
-//!   [`ResizeFence`] (one SeqCst swap + one load to enter, one Release
-//!   store to leave; free for fixed-capacity FIFOs), and a resize takes the
+//!   [`ResizeFence`] (a plain store, a compiler barrier and one load to
+//!   enter, one Release store to leave — the resizer pays the
+//!   `membarrier`; free for fixed-capacity FIFOs), and a resize takes the
 //!   resizer lock **and** the fence, copies the live region (one `memcpy`
 //!   when source and destination are both non-wrapped, element-wise
 //!   otherwise) and swaps;
@@ -360,11 +361,12 @@ pub struct Heap<T> {
     resizing: Mutex<()>,
     /// `storage.capacity()`, written under the fence.
     capacity: AtomicUsize,
-    /// Dekker-style exclusion between endpoint ring access and resizes.
-    fence: ResizeFence,
-    /// Resize bounds; equal when the config pins the capacity — then the
+    /// Dekker-style exclusion between endpoint ring access and resizes;
+    /// `None` when the config pins the capacity (equal bounds) — then the
     /// storage can never be swapped, endpoints skip the fence entirely and
     /// run at raw SPSC speed.
+    fence: Option<ResizeFence>,
+    /// Resize bounds.
     min_capacity: usize,
     max_capacity: usize,
     /// Next index to read (monotonic). Own cache line: the producer loads
@@ -398,7 +400,9 @@ impl<T> Heap<T> {
             capacity: AtomicUsize::new(storage.capacity()),
             storage: UnsafeCell::new(storage),
             resizing: Mutex::new(()),
-            fence: ResizeFence::new(),
+            // A fixed ring builds no fence, so a process whose links are
+            // all fixed never registers for `membarrier`.
+            fence: (cfg.min_capacity != cfg.max_capacity).then(ResizeFence::new),
             min_capacity: cfg.min_capacity,
             max_capacity: cfg.max_capacity,
             head: CachePadded::new(AtomicUsize::new(0)),
@@ -410,11 +414,6 @@ impl<T> Heap<T> {
             #[cfg(feature = "raft_protocol_check")]
             shadow: crate::protocol::FifoShadow::new(),
         }
-    }
-
-    #[inline]
-    fn resizable(&self) -> bool {
-        self.min_capacity != self.max_capacity
     }
 
     /// The side `role` sleeps on.
@@ -436,18 +435,18 @@ impl<T> Heap<T> {
     /// non-wrapped (the paper's preferred resize position), element-wise
     /// otherwise.
     fn resize(&self, new_capacity: usize, stats: &FifoStats) -> usize {
-        if !self.resizable() {
+        let Some(fence) = &self.fence else {
             // Fixed-capacity config: endpoints skip the fence, so mutating
             // the storage here would be unsound — and the clamp below could
             // only ever return the current capacity anyway.
             return self.capacity.load(Acquire);
-        }
+        };
         let _resizing = self.resizing.lock();
         // Chaos hook: inject a stall (or panic) while holding the resizer
         // lock but before the fence, the window where a wedged resize is
         // most visible to the endpoints.
         crate::failpoint!("buffer::fifo::resize");
-        self.fence.begin_resize();
+        fence.begin_resize();
         // SAFETY: the fence excludes both endpoints and the lock excludes
         // other resizers, so until `end_resize` this is the only reference
         // to the storage.
@@ -512,7 +511,7 @@ impl<T> Heap<T> {
         self.shadow
             .resize_end(head, tail, self.head.load(Relaxed), self.tail.load(Relaxed));
         // Publish the new storage (Release inside) before endpoints re-enter.
-        self.fence.end_resize();
+        fence.end_resize();
         new_capacity
     }
 }
@@ -561,12 +560,12 @@ unsafe impl<T> Home<T> for Heap<T> {
     fn task(&self, role: Role) -> Option<&WakerSlot> {
         Some(&self.side(role).task)
     }
-    /// Free for fixed-capacity FIFOs (nothing can swap the storage); one
-    /// SeqCst swap + load otherwise.
+    /// Free for fixed-capacity FIFOs (nothing can swap the storage); a
+    /// plain store, a compiler barrier and a load otherwise.
     #[inline]
     fn enter(&self, role: Role) {
-        if self.resizable() {
-            self.fence.enter(role);
+        if let Some(fence) = &self.fence {
+            fence.enter(role);
         }
         // Shadow CS strictly inside the fence CS: entered only after the
         // fence is held, so the checker cannot flag interleavings the
@@ -584,8 +583,8 @@ unsafe impl<T> Home<T> for Heap<T> {
                 Role::Consumer => self.head.load(Relaxed),
             },
         );
-        if self.resizable() {
-            self.fence.exit(role);
+        if let Some(fence) = &self.fence {
+            fence.exit(role);
         }
     }
     #[inline]
@@ -630,6 +629,10 @@ struct Shared<T, H: Home<T>> {
     /// [`Shared::occupancy`] so schedulers see a rewound link as ready and
     /// `is_finished` stays false until the replay is consumed.
     journal_pending: std::sync::atomic::AtomicUsize,
+    /// One-off changes (EoS, async signal, drain level) made visible to
+    /// the consumer whose notify has not returned yet (see
+    /// [`Shared::announcing`]).
+    announcing: std::sync::atomic::AtomicUsize,
     stats: FifoStats,
     cfg: FifoConfig,
     _elem: std::marker::PhantomData<fn(T) -> T>,
@@ -698,6 +701,7 @@ impl<T, H: Home<T>> Shared<T, H> {
             async_signal: AtomicU64::new(0),
             drain: AtomicU8::new(DRAIN_RUNNING),
             journal_pending: std::sync::atomic::AtomicUsize::new(0),
+            announcing: std::sync::atomic::AtomicUsize::new(0),
             stats: FifoStats::new(),
             cfg,
             _elem: std::marker::PhantomData,
@@ -733,12 +737,27 @@ impl<T, H: Home<T>> Shared<T, H> {
         self.home.event(role).notify();
     }
 
+    /// Run `change`, a one-off change that makes the consumer ready and
+    /// then notifies it, counted as under way until it returns: the
+    /// change's own Release store orders the count before it, so whoever
+    /// acquires the change and then reads 0 knows its notify returned
+    /// ([`Monitorable::announced`]).
+    fn announcing<R>(&self, change: impl FnOnce() -> R) -> R {
+        self.announcing.fetch_add(1, AcqRel);
+        let result = change();
+        self.announcing.fetch_sub(1, Release);
+        result
+    }
+
     /// Mark `role`'s endpoint gone and tell the other side.
     fn close(&self, role: Role) {
-        self.home.set_closed(role);
-        self.notify_fenced(match role {
-            Role::Producer => Role::Consumer,
-            Role::Consumer => Role::Producer,
+        self.announcing(|| {
+            self.home.set_closed(role);
+            crate::failpoint!("buffer::fifo::close");
+            self.notify_fenced(match role {
+                Role::Producer => Role::Consumer,
+                Role::Consumer => Role::Producer,
+            });
         });
     }
 
@@ -775,15 +794,26 @@ impl<T, H: Home<T>> Shared<T, H> {
         (self.home.producer_closed() || self.quiesced()) && self.occupancy() == 0
     }
 
-    /// The cursor just published: count it, leave the arena, tell the
-    /// consumer side.
+    /// The cursor just published: leave the arena, tell the consumer side,
+    /// count it.
     #[inline]
     fn published(&self, arena: Arena<'_, T, H>, tail: usize) {
-        // Single-writer counter: total pushed == tail, so a plain store
-        // replaces a fetch_add.
-        self.stats.writer.pushed.store(tail as u64, Relaxed);
         drop(arena);
+        self.announce_pushed(tail);
+    }
+
+    /// Tell the consumer side that the ring holds `tail` elements ever
+    /// pushed, then count them. The count is stored only once the notify
+    /// has returned, so `pushed` is the elements whose wake-up has been
+    /// delivered ([`Monitorable::announced`]); a single-writer counter equal
+    /// to the tail, so a plain store replaces a fetch_add.
+    #[inline]
+    fn announce_pushed(&self, tail: usize) {
+        // Chaos hook: the producer descheduled between publishing and
+        // notifying, a window a rescue sweep must not count as a lost wake.
+        crate::failpoint!("buffer::fifo::publish");
         self.notify(Role::Consumer);
+        self.stats.writer.pushed.store(tail as u64, Relaxed);
     }
 
     /// The cursor just released: count it, leave the arena, tell the
@@ -1135,6 +1165,14 @@ pub trait Monitorable: Send + Sync {
     /// of the readiness predicate: an async signal is actionable input for
     /// a consumer kernel even when no data is queued.
     fn has_async(&self) -> bool;
+    /// `true` when the consumer has input to act on whose notify has
+    /// returned: an element counted in `pushed` (stored only after the
+    /// publish's notify) and not yet popped, a replay backlog, or an async
+    /// signal, end of stream or drain level with no one-off notify under
+    /// way. A consumer task found idle with only unannounced input is
+    /// about to be woken, not forgotten: its producer was descheduled
+    /// between publishing and notifying.
+    fn announced(&self) -> bool;
     /// Waker slot notified when data/EoS becomes visible to the consumer.
     fn consumer_waker(&self) -> &WakerSlot;
     /// Waker slot notified when space becomes visible to the producer.
@@ -1178,11 +1216,22 @@ impl<T: Send> Monitorable for Fifo<T> {
         Fifo::is_finished(self)
     }
     fn post_async(&self, signal: Signal) {
-        self.shared.async_signal.store(signal.encode(), Release);
-        self.shared.notify_fenced(Role::Consumer);
+        self.shared.announcing(|| {
+            self.shared.async_signal.store(signal.encode(), Release);
+            self.shared.notify_fenced(Role::Consumer);
+        });
     }
     fn has_async(&self) -> bool {
         self.shared.async_signal.load(Acquire) != 0
+    }
+    fn announced(&self) -> bool {
+        let shared = &self.shared;
+        let (writer, reader) = (&shared.stats.writer, &shared.stats.reader);
+        writer.pushed.load(Relaxed) > reader.popped.load(Relaxed)
+            || shared.journal_pending.load(Acquire) > 0
+            // The change first, then the count: see `Shared::announcing`.
+            || ((self.has_async() || self.is_finished())
+                && shared.announcing.load(Acquire) == 0)
     }
     fn consumer_waker(&self) -> &WakerSlot {
         &self.shared.home.data.task
@@ -1192,13 +1241,15 @@ impl<T: Send> Monitorable for Fifo<T> {
     }
     fn set_drain_level(&self, level: u8) {
         crate::failpoint!("buffer::fifo::drain");
-        let prev = self.shared.drain.fetch_max(level, AcqRel);
-        if prev < level {
-            // Both endpoints may be parked on conditions that will now never
-            // arrive; the new level must be actionable immediately.
-            self.shared.notify_fenced(Role::Consumer);
-            self.shared.notify_fenced(Role::Producer);
-        }
+        self.shared.announcing(|| {
+            let prev = self.shared.drain.fetch_max(level, AcqRel);
+            if prev < level {
+                // Both endpoints may be parked on conditions that will now
+                // never arrive; the new level must be actionable immediately.
+                self.shared.notify_fenced(Role::Consumer);
+                self.shared.notify_fenced(Role::Producer);
+            }
+        });
     }
     fn drain_level(&self) -> u8 {
         self.shared.drain.load(Acquire)
@@ -1774,12 +1825,7 @@ impl<T, H: Home<T>> Drop for WriteSlice<'_, T, H> {
         if self.written > 0 {
             let shared = self.arena.shared;
             self.cursor.publish(shared, self.written);
-            shared
-                .stats
-                .writer
-                .pushed
-                .store(self.cursor.tail() as u64, Relaxed);
-            shared.notify(Role::Consumer);
+            shared.announce_pushed(self.cursor.tail());
         }
         // `arena` drops after this body: membership ends with the slice.
     }

@@ -31,8 +31,9 @@
 //! * [`Fifo`] — the production stream and the crate's one pair of
 //!   blocking endpoints, generic over a [`fifo::Home`] that says where the
 //!   control words and slots live: the heap home ([`fifo::Heap`], storage
-//!   the monitor can swap out under the Dekker-style [`ResizeFence`] — one
-//!   flag swap and one load per operation instead of a lock; skipped
+//!   the monitor can swap out under the asymmetric Dekker [`ResizeFence`] —
+//!   a plain flag store, a compiler barrier and one load per operation
+//!   instead of a lock, the resizer paying one `membarrier`; skipped
 //!   entirely for fixed-capacity FIFOs) or the segment home ([`shm::Seg`],
 //!   a mapped `memfd` segment another process attaches; [`ShmRing`] holds
 //!   its constructors). Adds per-element [`Signal`]s delivered

@@ -45,6 +45,111 @@ pub(crate) use std::{
     thread::yield_now,
 };
 
+/// Where the store→load barrier of an asymmetric Dekker handshake can be
+/// `membarrier(2)`: a real kernel, reached through the crate's one raw
+/// `syscall`.
+#[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri), not(loom)))]
+mod membarrier {
+    /// `membarrier(2)` on x86_64.
+    const SYS_MEMBARRIER: isize = 324;
+    const CMD_PRIVATE_EXPEDITED: usize = 1 << 3;
+    const CMD_REGISTER_PRIVATE_EXPEDITED: usize = 1 << 4;
+
+    fn membarrier(cmd: usize) -> isize {
+        // SAFETY: membarrier (324) takes `(cmd, flags, cpu_id)` by value and
+        // dereferences no pointer.
+        unsafe { crate::futex::syscall(SYS_MEMBARRIER, [cmd, 0, 0, 0, 0, 0]) }
+    }
+
+    /// Register this process for the private expedited command, once per
+    /// process; `false` if the kernel refuses (too old, or filtered).
+    pub(super) fn registered() -> bool {
+        static REGISTERED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *REGISTERED.get_or_init(|| membarrier(CMD_REGISTER_PRIVATE_EXPEDITED) == 0)
+    }
+
+    /// A full memory barrier on every CPU running a thread of this process.
+    pub(super) fn expedited() {
+        let ret = membarrier(CMD_PRIVATE_EXPEDITED);
+        // The light side only has a compiler barrier, so a failed call
+        // cannot be patched over with a local fence. After a successful
+        // registration the kernel documents no failure.
+        assert_eq!(
+            ret, 0,
+            "membarrier(PRIVATE_EXPEDITED) failed after registering"
+        );
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri), not(loom))))]
+mod membarrier {
+    pub(super) fn registered() -> bool {
+        false
+    }
+
+    pub(super) fn expedited() {
+        unreachable!("membarrier is never registered on this target");
+    }
+}
+
+/// The two barriers of an asymmetric Dekker handshake (Dice, Huang & Yang,
+/// "Asymmetric Dekker Synchronization", 2001): each side stores its flag,
+/// takes its barrier, then loads the other side's flag, and at least one
+/// side sees the other's store. The frequent side takes
+/// [`light_barrier`](Self::light_barrier), the rare side
+/// [`heavy_barrier`](Self::heavy_barrier).
+///
+/// Where the process registered for `membarrier(2)`'s private expedited
+/// command, the light barrier is a compiler barrier and the heavy one a
+/// `membarrier` call, which runs a full barrier on every CPU that is running
+/// a thread of this process (a thread that is not running was ordered by
+/// its context switch). Whatever point of the light side's program that
+/// barrier lands on, it orders the light side's store before its load (or
+/// both after the heavy side's store), exactly as a `fence(SeqCst)` there
+/// would. Under loom or miri, off Linux x86_64, or if registration fails,
+/// both barriers are `fence(SeqCst)` — the symmetric protocol the loom
+/// models check.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Barriers {
+    membarrier: bool,
+}
+
+impl Barriers {
+    /// The pair this process can use. Registers for `membarrier` on the
+    /// first call in the process (~2 µs single-threaded, ~10 ms once other
+    /// threads exist), so call it on a set-up path, never per operation.
+    pub(crate) fn new() -> Self {
+        Barriers {
+            membarrier: membarrier::registered(),
+        }
+    }
+
+    /// `true` when the pair is the compiler barrier plus `membarrier`.
+    #[cfg(all(test, not(loom)))]
+    pub(crate) fn asymmetric(self) -> bool {
+        self.membarrier
+    }
+
+    /// The frequent side's store→load barrier.
+    #[inline]
+    pub(crate) fn light_barrier(self) {
+        if self.membarrier {
+            std::sync::atomic::compiler_fence(Ordering::SeqCst);
+        } else {
+            fence(Ordering::SeqCst);
+        }
+    }
+
+    /// The rare side's store→load barrier.
+    pub(crate) fn heavy_barrier(self) {
+        if self.membarrier {
+            membarrier::expedited();
+        } else {
+            fence(Ordering::SeqCst);
+        }
+    }
+}
+
 /// Pads and aligns a value to 128 bytes — two x86-64 cache lines, so the
 /// adjacent-line prefetcher cannot make two padded values false-share.
 #[derive(Debug, Default)]

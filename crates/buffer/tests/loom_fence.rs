@@ -15,6 +15,12 @@
 //! instrumented `UnsafeCell`: if any interleaving lets an endpoint's cell
 //! access overlap the resizer's `with_mut`, loom reports the race even when
 //! the data happens to come out right.
+//!
+//! Under loom the fence takes `fence(SeqCst)` on both sides of the
+//! handshake (`sync::Barriers`'s symmetric form); a native build on Linux
+//! x86_64 replaces the endpoint's fence with a compiler barrier and the
+//! resizer's with `membarrier(2)`, which loom cannot model and
+//! `fence::tests` stress-tests on hardware instead.
 #![cfg(loom)]
 
 use loom::cell::UnsafeCell;

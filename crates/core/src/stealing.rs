@@ -46,9 +46,9 @@
 //! worker must see is followed by a fenced notify — of the home worker
 //! first, then of any parked sibling that could steal — so the queue write
 //! and the arm cannot miss each other. A park that ran its full length with
-//! its arm unclaimed sweeps for `IDLE` tasks with ready inputs; each one it
-//! re-queues itself is a counted rescue, and the certified paths keep that
-//! count at 0.
+//! its arm unclaimed sweeps for `IDLE` tasks with ready inputs and re-queues
+//! them. One it re-queued itself, whose inputs' notifies had all returned,
+//! is a counted rescue, and the certified paths keep that count at 0.
 
 use std::sync::atomic::{
     AtomicU64, AtomicU8, AtomicUsize,
@@ -283,9 +283,15 @@ impl Core {
     /// the loom model covers; this sweep bounds the damage of any residual
     /// one to a single park period instead of a permanent hang, and turns
     /// "flaky after hours" into telemetry (`rescues` in the worker report).
-    /// Only a task this sweep itself queued counts: one whose wake is in
-    /// flight on another thread (its arm claimed, its CAS not yet run) was
-    /// not lost.
+    /// Every such task is re-queued, but only a wake that was really lost
+    /// counts: one this sweep itself queued (a wake in flight on another
+    /// thread — its arm claimed, its CAS not yet run — was not lost) for a
+    /// task whose every input was announced, i.e. whose readiness was
+    /// already notified ([`Monitorable::announced`]). A producer
+    /// descheduled between publishing and notifying has a wake still to
+    /// deliver, however long the sweep waited for it.
+    ///
+    /// [`Monitorable::announced`]: raft_buffer::fifo::Monitorable::announced
     fn rescue_idle_ready(&self) -> u64 {
         let mut rescued = 0;
         for (task, slot) in self.tasks.iter().enumerate() {
@@ -296,7 +302,10 @@ impl Core {
             // task is mid-claim, which is not a lost wakeup.
             let live = slot.runner.try_lock().is_some_and(|g| g.is_some());
             if live && inputs_ready(&slot.inputs) {
-                rescued += u64::from(self.wake_task(task));
+                // Read before the wake: a notify returning after it must
+                // not make this wake look owed.
+                let owed = slot.inputs.iter().all(|f| f.announced());
+                rescued += u64::from(self.wake_task(task) && owed);
             }
         }
         rescued
@@ -710,5 +719,70 @@ mod tests {
         assert!(core.wake_task(0));
         assert!(!core.wake_task(0), "a second wake is coalesced");
         assert_eq!(core.rescue_idle_ready(), 0);
+    }
+
+    /// A one-task pool whose task consumes `consumer`, idle and armed.
+    fn idle_consumer(consumer: raft_buffer::Consumer<u64>) -> Core {
+        let mut runner = runner();
+        if let Some(r) = &mut runner {
+            r.ctx = Context::for_test().with_input("in", consumer);
+        }
+        let core = Core::new([(runner, 0)].into_iter(), 1, Arc::default());
+        core.tasks[0].state.store(IDLE, Relaxed);
+        core.tasks[0].inputs[0].consumer_waker().arm();
+        core
+    }
+
+    #[test]
+    fn the_sweep_counts_an_idle_task_whose_element_was_announced() {
+        let (_fifo, mut producer, consumer) =
+            raft_buffer::fifo_with::<u64>(raft_buffer::FifoConfig::default());
+        let core = idle_consumer(consumer);
+        // The push's notify returned (no waker was installed to fire), so
+        // the element is announced and the wake-up is owed.
+        producer.push(7).unwrap();
+        assert!(core.tasks[0].inputs[0].announced());
+        assert_eq!(core.rescue_idle_ready(), 1);
+        assert_eq!(core.queues[0].pop(), Some(0));
+    }
+
+    #[test]
+    fn the_sweep_requeues_but_does_not_count_an_unannounced_element() {
+        /// A task waker that holds the producer inside its notify until
+        /// the test has swept: the producer published, then stalled.
+        struct Stalled(std::sync::Barrier);
+        impl FifoWaker for Stalled {
+            fn wake(&self) {
+                self.0.wait(); // notify under way
+                self.0.wait(); // swept
+            }
+        }
+
+        let (_fifo, mut producer, consumer) =
+            raft_buffer::fifo_with::<u64>(raft_buffer::FifoConfig::default());
+        let core = idle_consumer(consumer);
+        let stalled = Arc::new(Stalled(std::sync::Barrier::new(2)));
+        assert!(core.tasks[0].inputs[0]
+            .consumer_waker()
+            .register(stalled.clone()));
+        let pushing = std::thread::spawn(move || {
+            producer.push(7).unwrap();
+            producer
+        });
+        stalled.0.wait();
+        assert!(!core.tasks[0].inputs[0].announced());
+        assert_eq!(core.rescue_idle_ready(), 0, "a late wake is not a lost one");
+        assert_eq!(
+            core.queues[0].pop(),
+            Some(0),
+            "the task is re-queued anyway"
+        );
+        stalled.0.wait();
+        let producer = pushing.join().unwrap();
+        assert!(core.tasks[0].inputs[0].announced());
+        // End of stream whose notify returned is announced too.
+        core.tasks[0].state.store(IDLE, Relaxed);
+        drop(producer);
+        assert!(core.tasks[0].inputs[0].announced());
     }
 }

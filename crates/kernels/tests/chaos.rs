@@ -342,3 +342,54 @@ fn injected_stall_trips_watchdog() {
         drop(handle);
     });
 }
+
+/// A producer descheduled between publishing an element (or closing the
+/// stream) and notifying the consumer — stalled there for 5 ms, longer
+/// than a pool worker's 2 ms park — leaves the consumer task idle with
+/// input whose wake-up is still on its way. A worker that times out and
+/// sweeps re-queues the task, but counts no rescue: the wake was late, not
+/// lost. The stream still arrives complete and in order.
+#[test]
+fn stalled_notify_is_not_counted_as_a_lost_wakeup() {
+    const N: u64 = 20_000;
+    let _guard = chaos_guard();
+    failpoints::set_seed(chaos_seed());
+    let stall = FailAction::Stall(Duration::from_millis(5));
+    failpoints::arm("buffer::fifo::publish", stall, 500, 8);
+    failpoints::arm("buffer::fifo::close", stall, 1, 0);
+
+    let mut map = RaftMap::new();
+    map.config_mut().scheduler = SchedulerKind::Stealing {
+        workers: 2,
+        pin: false,
+    };
+    let mut i = 0u64;
+    let src = map.add(lambda_source(move || {
+        i += 1;
+        (i <= N).then_some(i)
+    }));
+    let stage = map.add(lambda_map(|v: u64| v * 3));
+    let (we, handle) = write_each::<u64>();
+    let dst = map.add(we);
+    map.link(src, "0", stage, "0").unwrap();
+    map.link(stage, "0", dst, "in").unwrap();
+
+    let report = map.exe();
+    let fired = (
+        failpoints::fired("buffer::fifo::publish"),
+        failpoints::fired("buffer::fifo::close"),
+    );
+    failpoints::reset();
+    let report = report.expect("stalled notifies only delay the stream");
+    assert!(
+        fired.0 > 0 && fired.1 > 0,
+        "stall sites never fired: {fired:?}"
+    );
+    let got = std::sync::Arc::try_unwrap(handle)
+        .unwrap()
+        .into_inner()
+        .unwrap();
+    assert_eq!(got, (1..=N).map(|v| v * 3).collect::<Vec<u64>>());
+    let rescues: u64 = report.workers.iter().map(|w| w.rescues).sum();
+    assert_eq!(rescues, 0, "a late wake-up was counted as a lost one");
+}
