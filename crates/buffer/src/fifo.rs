@@ -28,7 +28,8 @@
 //! What the endpoints add to the ring core, on either home:
 //!
 //! * **Blocking.** Every wait — `push`, `push_batch`, `reserve`,
-//!   `allocate`, `pop`, `peek_range`, `pop_slice` — is one call to
+//!   `allocate`, and the reads' one `Shared::wait_ready` behind `pop`,
+//!   `pop_range`, `pop_slice` and `peek_range` — is one call to
 //!   `Shared::block_until`, i.e. the crate's one blocking loop
 //!   ([`crate::eventcount::block_until`]) bracketed by the `*_blocked_since`
 //!   stamps the monitor's 3δ rule consumes. A full ring blocks the writer
@@ -39,16 +40,18 @@
 //!   store on drop; [`Consumer::pop_slice`] lends the front of the queue to
 //!   a closure as a [`SliceView`] and consumes it afterwards — both hold one
 //!   membership for the whole batch.
-//! * **One window type on both endpoints** for the exactly-once recovery
-//!   contract ([`FifoConfig::journal`]): everything appended and not yet
-//!   acknowledged, with three cursors `acked ≤ cursor ≤ appended`. On a
-//!   producer the cursor is *published*: *staging* is `[cursor, appended)`,
-//!   and a *replay backlog* is the same region after a rewind; on the heap
-//!   home publishing moves an element into the ring and thereby
-//!   acknowledges it, on the segment home published elements are retained
-//!   until the consuming process advances the segment's commit word. On a
-//!   journaled consumer the cursor is *served*: every pop is copied in, a
-//!   rewind moves the cursor back to `acked`, and the commit acknowledges.
+//! * The exactly-once recovery contract ([`FifoConfig::journal`]). A
+//!   journaled **consumer** keeps no copy: the ring is its journal. Every
+//!   read path — pop, `pop_range`, `pop_slice`, `peek_range` + `advance` —
+//!   reads past its elements and *holds* their slots instead of handing
+//!   them back; the commit releases them (one `head` store), a rewind moves
+//!   the read head back onto them. A **producer** stages into a window
+//!   with cursors `acked ≤ published ≤ appended`: *staging* is `[published,
+//!   appended)`, and a *replay backlog* is the same region after a rewind;
+//!   on the heap home publishing moves an element into the ring and
+//!   thereby acknowledges it, on the segment home published elements are
+//!   retained until the consuming process advances the segment's commit
+//!   word.
 //! * Telemetry ([`FifoStats`]), counted rescues.
 
 use std::cell::UnsafeCell;
@@ -63,7 +66,7 @@ use std::sync::Arc;
 use crate::error::{PopError, PushError, TryPopError, TryPushError};
 use crate::eventcount::{self, Blocked, EventCount, ThreadPark, Wake};
 use crate::fence::{ResizeFence, Role};
-use crate::journal::{ReplayWindow, JOURNAL_BOUND};
+use crate::journal::ReplayWindow;
 use crate::ring::{Backing, ConsumerCursor, Counter, Counters, ProducerCursor};
 use crate::shm::{Seg, ShmItem, ShmSegment};
 
@@ -124,13 +127,14 @@ pub struct FifoConfig {
     /// Shrink floor.
     pub min_capacity: usize,
     /// When set, the link takes part in the exactly-once recovery contract:
-    /// one `run()` is a transaction. Elements popped are recorded (a clone;
-    /// at most `JOURNAL_BOUND` = 4096 unacknowledged, older ones are
-    /// force-acknowledged and counted in `forced_acks`) and elements pushed
-    /// are staged. A commit acknowledges the pops and publishes the pushes;
-    /// a rewind after a panic the supervision policy absorbed discards the
-    /// pushes and re-serves the pops, in order. Requires `T: Clone` at the
-    /// wiring layer; `false` keeps the historical lossy-restart behavior.
+    /// one `run()` is a transaction, on every read and write path. Elements
+    /// read stay in their slots, held, and elements written are staged. A
+    /// commit releases the reads and publishes the writes; a rewind after a
+    /// panic the supervision policy absorbed discards the writes and
+    /// re-serves the reads, in order. A transaction that would hold more
+    /// than the ring's ceiling lets its oldest reads go early, counted in
+    /// `forced_acks`. Requires `T: Clone` at the wiring layer; `false`
+    /// keeps the historical lossy-restart behavior.
     pub journal: bool,
 }
 
@@ -280,10 +284,10 @@ pub unsafe trait Home<T> {
     /// The caller must be between `enter` and `exit` for its role; whether
     /// the slot may be read or written is the cursor protocol's business.
     unsafe fn slot(&self, idx: usize) -> *mut MaybeUninit<Self::Slot>;
-    /// Make room for `target` slots if this home can grow (the caller is
-    /// outside its critical section); `true` if the capacity then suffices.
-    fn grow_to(&self, target: usize, _stats: &FifoStats) -> bool {
-        self.capacity() >= target
+    /// Resize toward `target` slots if this home can (the caller is outside
+    /// its critical section). Returns the resulting capacity.
+    fn resize(&self, _target: usize, _stats: &FifoStats) -> usize {
+        self.capacity()
     }
 }
 
@@ -424,9 +428,25 @@ impl<T> Heap<T> {
             Role::Consumer => &self.data,
         }
     }
+}
 
-    /// Resize the ring to `new_capacity` (clamped to the bounds and to
-    /// current occupancy). Returns the resulting capacity.
+// SAFETY: `head`/`tail` are fields; `capacity` and the storage change only
+// inside `resize`, which holds the fence and so runs strictly outside every
+// `enter`/`exit` bracket (a fixed-capacity heap never resizes, which is what
+// lets it skip the fence); `Storage::slot` masks the index into its live
+// slot array, one cell per slot.
+unsafe impl<T> Home<T> for Heap<T> {
+    type Slot = (T, Signal);
+    type Counter = AtomicUsize;
+    type Wake<'a>
+        = &'a ThreadPark
+    where
+        T: 'a;
+    const ALLOC: LinkAlloc = LinkAlloc::Heap;
+
+    /// Resize the ring to `new_capacity` (clamped to the bounds and to the
+    /// live region `[head, tail)`, which takes in any slots a journaled
+    /// consumer holds). Returns the resulting capacity.
     ///
     /// Takes the resizer lock (vs. other resizers), then the
     /// [`ResizeFence`] (vs. the endpoints, who retry as soon as
@@ -514,22 +534,6 @@ impl<T> Heap<T> {
         fence.end_resize();
         new_capacity
     }
-}
-
-// SAFETY: `head`/`tail` are fields; `capacity` and the storage change only
-// inside `resize`, which holds the fence and so runs strictly outside every
-// `enter`/`exit` bracket (a fixed-capacity heap never resizes, which is what
-// lets it skip the fence); `Storage::slot` masks the index into its live
-// slot array, one cell per slot.
-unsafe impl<T> Home<T> for Heap<T> {
-    type Slot = (T, Signal);
-    type Counter = AtomicUsize;
-    type Wake<'a>
-        = &'a ThreadPark
-    where
-        T: 'a;
-    const ALLOC: LinkAlloc = LinkAlloc::Heap;
-
     #[inline]
     fn head(&self) -> &AtomicUsize {
         &self.head
@@ -598,9 +602,6 @@ unsafe impl<T> Home<T> for Heap<T> {
         // storage cannot alias a mutation.
         unsafe { &*self.storage.get() }.slot(idx)
     }
-    fn grow_to(&self, target: usize, stats: &FifoStats) -> bool {
-        self.capacity() >= target || self.resize(target.next_power_of_two(), stats) >= target
-    }
 }
 
 impl<T> Drop for Heap<T> {
@@ -625,10 +626,6 @@ struct Shared<T, H: Home<T>> {
     /// [`DRAIN_QUIESCED`]); raised monotonically by the monitor or a stop
     /// handle, never lowered.
     drain: AtomicU8,
-    /// Elements awaiting replay after a journal rewind. Counted into
-    /// [`Shared::occupancy`] so schedulers see a rewound link as ready and
-    /// `is_finished` stays false until the replay is consumed.
-    journal_pending: std::sync::atomic::AtomicUsize,
     /// One-off changes (EoS, async signal, drain level) made visible to
     /// the consumer whose notify has not returned yet (see
     /// [`Shared::announcing`]).
@@ -700,7 +697,6 @@ impl<T, H: Home<T>> Shared<T, H> {
             home,
             async_signal: AtomicU64::new(0),
             drain: AtomicU8::new(DRAIN_RUNNING),
-            journal_pending: std::sync::atomic::AtomicUsize::new(0),
             announcing: std::sync::atomic::AtomicUsize::new(0),
             stats: FifoStats::new(),
             cfg,
@@ -761,26 +757,23 @@ impl<T, H: Home<T>> Shared<T, H> {
         });
     }
 
-    /// Grow to at least `target` slots if the home can (cold; the caller
-    /// is outside its arena, so a resize cannot deadlock on it). `true` if
-    /// the capacity then suffices.
-    fn grow_to(&self, target: usize) -> bool {
-        let satisfied = self.home.grow_to(target, &self.stats);
-        // A grow makes space visible to a parked producer.
+    /// Resize toward `target` slots if the home can (cold; the caller is
+    /// outside its arena, so a resize cannot deadlock on it), and tell a
+    /// parked producer about any space that made. Returns the capacity.
+    fn resize(&self, target: usize) -> usize {
+        let capacity = self.home.resize(target, &self.stats);
         self.notify_fenced(Role::Producer);
-        satisfied
+        capacity
     }
 
-    /// Elements observable by the consumer: ring contents plus journal
-    /// entries queued for replay after a rewind.
+    /// Elements in the ring and not yet acknowledged: unread, or held by a
+    /// journaled consumer's open transaction.
     #[inline]
     fn occupancy(&self) -> usize {
-        let ring = self
-            .home
+        self.home
             .tail()
             .load(Acquire)
-            .saturating_sub(self.home.head().load(Acquire));
-        ring + self.journal_pending.load(Acquire)
+            .saturating_sub(self.home.head().load(Acquire))
     }
 
     #[inline]
@@ -788,8 +781,8 @@ impl<T, H: Home<T>> Shared<T, H> {
         self.drain.load(Acquire) >= DRAIN_QUIESCED
     }
 
-    /// Producer closed (or link quiesced) and everything consumed,
-    /// including any journal replay.
+    /// Producer closed (or link quiesced) and everything consumed and
+    /// acknowledged.
     fn is_finished(&self) -> bool {
         (self.home.producer_closed() || self.quiesced()) && self.occupancy() == 0
     }
@@ -952,30 +945,14 @@ impl<T, H: Home<T>> Shared<T, H> {
         }
     }
 
-    /// Non-blocking pop. On a journaled link, rewound elements are
-    /// re-served (as clones, in original order) before anything new is
-    /// taken from the ring, and every live pop is recorded for possible
-    /// replay.
+    /// Non-blocking pop: the element at the cursor, moved out — or, for a
+    /// journaled consumer (`copy`), copied out of the slot it then holds.
     #[inline]
     fn try_pop(
         &self,
         cursor: &mut ConsumerCursor,
-        window: &mut Option<Box<Window<T>>>,
+        copy: Option<fn(&T) -> T>,
     ) -> Result<(T, Signal), TryPopError> {
-        if let Some(w) = window.as_deref_mut().filter(|w| w.staged() > 0) {
-            // Replaying a rewound transaction: serve from the window
-            // without touching the ring.
-            let pair = w.next();
-            // Saturating: the cursor can trail the window without a rewind
-            // if recording was interrupted mid-pop (failpoint or caught
-            // panic between the ring pop and the cursor move); re-serving
-            // that entry must not underflow the counter.
-            let _ = self
-                .journal_pending
-                .fetch_update(AcqRel, Acquire, |v| v.checked_sub(1));
-            self.stats.reader.replayed.fetch_add(1, Relaxed);
-            return Ok(pair);
-        }
         // Emptiness is decided on the counters alone, before paying for an
         // arena entry. Quiesced mid-drain reports end-of-stream so a blocked
         // consumer kernel terminates even though its producer is still
@@ -986,27 +963,104 @@ impl<T, H: Home<T>> Shared<T, H> {
             Err(e) => return Err(e),
         }
         let arena = self.enter(Role::Consumer);
-        let Some(slot) = cursor.pop(&arena) else {
-            return Err(TryPopError::Empty);
-        };
-        self.released(arena, cursor.head());
-        let (value, signal) = slot.unpack();
-        // By value, not `&value`: a borrow here would put the popped pair
-        // through memory on every pop, journaled or not (~3x per pop).
-        let value = match window {
-            Some(w) => w.serve_live(value, signal, &self.stats.reader.forced_acks),
-            None => value,
-        };
-        Ok((value, signal))
+        // By value, not through a borrow: a borrow here would put the popped
+        // pair through memory on every pop (~3x per pop).
+        let pair = Self::take(&arena, cursor, 0, copy);
+        self.consume(arena, cursor, 1, copy.is_some(), false);
+        Ok(pair)
     }
 
-    /// Consume `k` ready elements through `each` under one arena entry and
-    /// one release — what `advance` and `pop_range` are.
+    /// The element at ready offset `i` from the cursor: moved out of its
+    /// slot, or copied with `copy` and left there for the cursor to hold.
     #[inline]
-    fn drain(&self, cursor: &mut ConsumerCursor, k: usize, mut each: impl FnMut((T, Signal))) {
-        let arena = self.enter(Role::Consumer);
-        cursor.pop_some(&arena, k, |slot| each(slot.unpack()));
+    fn take(
+        arena: &Arena<'_, T, H>,
+        cursor: &ConsumerCursor,
+        i: usize,
+        copy: Option<fn(&T) -> T>,
+    ) -> (T, Signal) {
+        match copy {
+            // SAFETY: `i` is ready, and the caller's `consume` releases the
+            // slot without reading it again.
+            None => unsafe { cursor.read(arena, i) }.unpack(),
+            Some(copy) => arena.slot(cursor.head() + i, |p| {
+                // SAFETY: ready, so initialized; the caller's `consume`
+                // holds the slot, and nothing moves the element out of it.
+                let slot = unsafe { (*p).assume_init_ref() };
+                (copy(slot.value()), slot.signal())
+            }),
+        }
+    }
+
+    /// End a read of the `k` elements at the cursor — every consuming path
+    /// does: hold them until commit (`hold`), or hand their slots back,
+    /// dropping them first if they are still there (`in_place`: viewed, or
+    /// held until now).
+    #[inline]
+    fn consume(
+        &self,
+        arena: Arena<'_, T, H>,
+        cursor: &mut ConsumerCursor,
+        k: usize,
+        hold: bool,
+        in_place: bool,
+    ) {
+        if hold {
+            return cursor.hold(k);
+        }
+        if in_place && std::mem::needs_drop::<H::Slot>() {
+            for i in 0..k {
+                // SAFETY: ready, so initialized, and never read out (a view
+                // or a copy only borrowed it); dropped once, then released.
+                arena.slot(cursor.head() + i, |p| unsafe { (*p).assume_init_drop() });
+            }
+        }
+        cursor.release(&arena, k);
         self.released(arena, cursor.head());
+    }
+
+    /// Drop the elements the cursor holds in place and release their slots:
+    /// one `head` store and one producer notify. Returns how many.
+    fn release_held(&self, cursor: &mut ConsumerCursor) -> usize {
+        let held = cursor.unhold(self);
+        if held > 0 {
+            self.consume(self.enter(Role::Consumer), cursor, held, false, true);
+        }
+        held
+    }
+
+    /// Block until `min` elements are ready at the cursor — the one wait of
+    /// every blocking read. The ring must hold them behind whatever the
+    /// cursor holds: if it cannot, it grows on the spot (the paper's
+    /// read-side trigger); at its ceiling the held elements are released
+    /// early and counted in `forced_acks` (they can no longer be replayed);
+    /// a request no ring can hold fails. Every poll reloads `tail`, so a
+    /// batch read sees all that is there, not what a stale cache shows.
+    /// Returns the count ready; errs once a closed (or quiesced) stream
+    /// leaves it below `min` for good.
+    fn wait_ready(&self, cursor: &mut ConsumerCursor, min: usize) -> Result<usize, PopError> {
+        let ready = self.block_until(Role::Consumer, || {
+            let need = min + cursor.held(self);
+            let capacity = self.home.capacity();
+            // At the ceiling already: a resize would end where it started.
+            if need > capacity && (capacity >= self.cfg.max_capacity || self.resize(need) < need) {
+                if min > self.home.capacity() {
+                    return Some(None);
+                }
+                let forced = self.release_held(cursor) as u64;
+                self.stats.reader.forced_acks.fetch_add(forced, Relaxed);
+            }
+            match cursor.refresh(self) {
+                ready if ready >= min => Some(Some(ready)),
+                // Closed: one more look, the producer may have pushed
+                // between our tail load and its close.
+                _ if self.home.producer_closed() => {
+                    Some(Some(cursor.refresh(self)).filter(|&ready| ready >= min))
+                }
+                _ => None,
+            }
+        });
+        ready.ok().flatten().ok_or(PopError)
     }
 }
 
@@ -1082,7 +1136,7 @@ impl<T, H: Home<T>> Fifo<T, H> {
             // SAFETY: the caller's contract; the cursor stays with `shared`.
             cursor: unsafe { ConsumerCursor::attach(&*self.shared) },
             shared: self.shared.clone(),
-            window: None,
+            copy: None,
         }
     }
 
@@ -1114,23 +1168,18 @@ impl<T, H: Home<T>> Fifo<T, H> {
         H::ALLOC
     }
 
-    /// `true` once the producer closed (or the link quiesced) and all data —
-    /// including journal entries awaiting replay — has been consumed.
+    /// `true` once the producer closed (or the link quiesced) and all data
+    /// has been consumed and acknowledged.
     pub fn is_finished(&self) -> bool {
         self.shared.is_finished()
     }
-}
 
-impl<T> Fifo<T> {
     /// Resize the ring to `new_capacity` (clamped to config bounds and to
-    /// current occupancy, rounded up to a power of two); see
-    /// [`ResizeFence`] for the exclusion protocol. Returns the resulting
-    /// capacity.
+    /// current occupancy, rounded up to a power of two; a segment's ring
+    /// keeps its size); see [`ResizeFence`] for the exclusion protocol.
+    /// Returns the resulting capacity.
     pub fn resize(&self, new_capacity: usize) -> usize {
-        let capacity = self.shared.home.resize(new_capacity, &self.shared.stats);
-        // A grow makes space visible to a parked producer.
-        self.shared.notify_fenced(Role::Producer);
-        capacity
+        self.shared.resize(new_capacity)
     }
 }
 
@@ -1154,8 +1203,8 @@ pub trait Monitorable: Send + Sync {
     fn sample(&self) -> usize;
     /// Statistics snapshot.
     fn snapshot(&self) -> StatsSnapshot;
-    /// Producer closed (or link quiesced) and drained, journal replay
-    /// included.
+    /// Producer closed (or link quiesced) and drained, every element
+    /// acknowledged.
     fn is_finished(&self) -> bool;
     /// Post an asynchronous (out-of-band) signal, immediately visible to
     /// the consumer regardless of queued data (process-local, like the
@@ -1167,11 +1216,11 @@ pub trait Monitorable: Send + Sync {
     fn has_async(&self) -> bool;
     /// `true` when the consumer has input to act on whose notify has
     /// returned: an element counted in `pushed` (stored only after the
-    /// publish's notify) and not yet popped, a replay backlog, or an async
-    /// signal, end of stream or drain level with no one-off notify under
-    /// way. A consumer task found idle with only unannounced input is
-    /// about to be woken, not forgotten: its producer was descheduled
-    /// between publishing and notifying.
+    /// publish's notify) and not yet acknowledged (`popped`; a rewound
+    /// element is not), or an async signal, end of stream or drain level
+    /// with no one-off notify under way. A consumer task found idle with
+    /// only unannounced input is about to be woken, not forgotten: its
+    /// producer was descheduled between publishing and notifying.
     fn announced(&self) -> bool;
     /// Waker slot notified when data/EoS becomes visible to the consumer.
     fn consumer_waker(&self) -> &WakerSlot;
@@ -1228,7 +1277,6 @@ impl<T: Send> Monitorable for Fifo<T> {
         let shared = &self.shared;
         let (writer, reader) = (&shared.stats.writer, &shared.stats.reader);
         writer.pushed.load(Relaxed) > reader.popped.load(Relaxed)
-            || shared.journal_pending.load(Acquire) > 0
             // The change first, then the count: see `Shared::announcing`.
             || ((self.has_async() || self.is_finished())
                 && shared.announcing.load(Acquire) == 0)
@@ -1272,29 +1320,22 @@ pub struct Producer<T, H: Home<T> = Heap<T>> {
     window: Option<Box<Window<T>>>,
 }
 
-/// Everything appended to one endpoint and not yet acknowledged, in
-/// sequence order, under three cursors `acked ≤ cursor ≤ appended`. Both
-/// endpoints keep their pending entries in one:
+/// Everything appended to a producer and not yet acknowledged, in sequence
+/// order, under three cursors `acked ≤ cursor ≤ appended`. The middle
+/// cursor is *published*: `[cursor, appended)` is **staged** — not yet in
+/// the ring (a transaction's uncommitted outputs, or a replay backlog after
+/// a segment consumer died) — and `[acked, cursor)` is **retained** — in
+/// the ring (or past it), kept until the consuming side says it will never
+/// need it again.
 ///
-/// * on a **producer** the middle cursor is *published*: `[cursor,
-///   appended)` is **staged** — not yet in the ring (a transaction's
-///   uncommitted outputs, or a replay backlog after a rewind) — and
-///   `[acked, cursor)` is **retained** — in the ring (or past it), kept
-///   until the consuming side says it will never need it again;
-/// * on a journaled **consumer** the middle cursor is *served*: `[acked,
-///   cursor)` is what the open transaction popped, and `[cursor,
-///   appended)` is what a rewind queued to be served again.
-///
-/// Rewinding either end is `cursor ← acked`, and handing out the entry at
-/// the cursor either moves it or copies it (`retain`). Who acknowledges
-/// depends on where a handed-out element can still be lost. Within a
-/// process the ring itself is reliable, so handing an element to it is
-/// delivering it: publishing *moves* the entry out and acknowledges it
-/// (`retain` is `None`, the retained region stays empty, no `Clone`
-/// needed). Across a process boundary the consumer can die with the ring's
-/// contents: publishing *copies* the entry and the segment's commit word
-/// acknowledges it ([`Producer::ack_committed`]). A consumer copies every
-/// pop into its window, and the transaction commit acknowledges it.
+/// Publishing either moves the entry at the cursor or copies it (`retain`).
+/// Who acknowledges depends on where a published element can still be
+/// lost. Within a process the ring itself is reliable, so handing an
+/// element to it is delivering it: publishing *moves* the entry out and
+/// acknowledges it (`retain` is `None`, the retained region stays empty, no
+/// `Clone` needed). Across a process boundary the consumer can die with the
+/// ring's contents: publishing *copies* the entry and the segment's commit
+/// word acknowledges it ([`Producer::ack_committed`]).
 struct Window<T> {
     /// Entries `[acked, appended)`, numbered in append order from 0.
     entries: ReplayWindow<(T, Signal)>,
@@ -1322,8 +1363,7 @@ impl<T> Window<T> {
         (self.entries.next_seq() - self.cursor) as usize
     }
 
-    /// The entry at the cursor, for the ring (producer) or the kernel
-    /// (consumer).
+    /// The entry at the cursor, for the ring.
     fn next(&mut self) -> (T, Signal) {
         let seq = self.cursor;
         self.cursor += 1;
@@ -1346,19 +1386,6 @@ impl<T> Window<T> {
         }
         // A forced ack of an entry not yet handed out loses it: skip past.
         self.cursor = self.cursor.max(self.entries.acked());
-    }
-
-    /// A consumer's live pop: keep a copy for replay, serve the original.
-    fn serve_live(&mut self, value: T, signal: Signal, forced_acks: &AtomicU64) -> T {
-        let copy = self.retain.expect("a consumer window copies");
-        self.append((copy(&value), signal), forced_acks);
-        self.cursor = self.entries.next_seq();
-        value
-    }
-
-    /// Hand everything unacknowledged out again, oldest first.
-    fn rewind(&mut self) {
-        self.cursor = self.entries.acked();
     }
 }
 
@@ -1482,7 +1509,9 @@ impl<T, H: Home<T>> Producer<T, H> {
     /// free (growing the ring on the spot if `n` exceeds its capacity,
     /// bounded by `max_capacity` — larger requests are clamped). The
     /// returned [`WriteSlice`] is filled with [`WriteSlice::push`] and the
-    /// whole batch is published with a single counter store when it drops.
+    /// whole batch is published with a single counter store when it drops
+    /// — on a staging producer, staged behind earlier pushes instead
+    /// (published at [`commit_produced`](Self::commit_produced)).
     ///
     /// Holding the slice holds fence membership: a resize waits until the
     /// slice is dropped. Errs only if the consumer is gone or the link
@@ -1498,7 +1527,7 @@ impl<T, H: Home<T>> Producer<T, H> {
             if n > shared.home.capacity() {
                 // Write-side on-the-spot grow (cold; resizer path). We are
                 // outside the arena here, so it cannot deadlock on us.
-                shared.grow_to(n);
+                shared.resize(n);
             }
             let arena = shared.enter(Role::Producer);
             (cursor.claim(&arena, n) >= n).then_some(Some(arena))
@@ -1507,6 +1536,7 @@ impl<T, H: Home<T>> Producer<T, H> {
             Ok(Some(arena)) => Ok(WriteSlice {
                 arena,
                 cursor,
+                window: self.window.as_deref_mut(),
                 cap: n,
                 written: 0,
             }),
@@ -1532,10 +1562,10 @@ impl<T, H: Home<T>> Producer<T, H> {
     /// Stage outputs instead of publishing them: after this call every push
     /// lands in the pending window and only reaches the ring on
     /// [`commit_produced`](Self::commit_produced) — the output half of the
-    /// exactly-once recovery contract (see [`FifoConfig::journal`]).
-    /// Zero-copy writes ([`reserve`](Self::reserve) /
-    /// [`allocate`](Self::allocate)) bypass staging and publish directly.
-    /// Elements still staged when the producer closes are discarded.
+    /// exactly-once recovery contract (see [`FifoConfig::journal`]). What a
+    /// [`reserve`](Self::reserve) or [`allocate`](Self::allocate) wrote is
+    /// staged when it drops, behind earlier pushes. Elements still staged
+    /// when the producer closes are discarded.
     pub fn enable_staging(&mut self) {
         if self.window.is_none() {
             self.window = Some(Window::new(0, None));
@@ -1719,7 +1749,8 @@ impl<T: ShmItem> Producer<T, Seg<T>> {
         self.replay_window().recovering = true;
         let dropped = self.segment().drain_residue();
         self.ack_committed();
-        self.replay_window().rewind();
+        let window = self.replay_window();
+        window.cursor = window.entries.acked();
         dropped
     }
 
@@ -1760,11 +1791,14 @@ impl<T, H: Home<T>> Drop for Producer<T, H> {
 
 /// In-place batch write window returned by [`Producer::reserve`]. Fill it
 /// front-to-back with [`push`](WriteSlice::push); everything written is
-/// published with one counter store when the slice drops.
+/// published with one counter store when the slice drops — or, on a
+/// staging producer, staged like a push.
 pub struct WriteSlice<'a, T, H: Home<T> = Heap<T>> {
     /// Membership held since `reserve`; pins the storage under the window.
     arena: Arena<'a, T, H>,
     cursor: &'a mut ProducerCursor,
+    /// The producer's staging window, if it has one.
+    window: Option<&'a mut Window<T>>,
     cap: usize,
     written: usize,
 }
@@ -1822,8 +1856,19 @@ impl<T, H: Home<T>> WriteSlice<'_, T, H> {
 
 impl<T, H: Home<T>> Drop for WriteSlice<'_, T, H> {
     fn drop(&mut self) {
-        if self.written > 0 {
-            let shared = self.arena.shared;
+        let shared = self.arena.shared;
+        if let Some(window) = self.window.as_deref_mut() {
+            // Staging: the written slots were scratch; move what they hold
+            // into the window, unpublished.
+            for i in 0..self.written {
+                let slot = self.arena.slot(self.cursor.tail() + i, |p| {
+                    // SAFETY: written by `push_signal`, never published, and
+                    // moved out once here.
+                    unsafe { (*p).assume_init_read() }
+                });
+                window.append(slot.unpack(), &shared.stats.writer.forced_acks);
+            }
+        } else if self.written > 0 {
             self.cursor.publish(shared, self.written);
             shared.announce_pushed(self.cursor.tail());
         }
@@ -1887,20 +1932,17 @@ pub struct Consumer<T, H: Home<T> = Heap<T>> {
     shared: Arc<Shared<T, H>>,
     /// The ring's consumer-side state (exact head, conservative tail cache).
     cursor: ConsumerCursor,
-    /// Replay journal for the exactly-once recovery contract (see
-    /// [`crate::journal`]): records a clone of every popped element until
-    /// the transaction commits, re-serves them after a rewind. Boxed: the
-    /// unjournaled common case pays one pointer and a null check per pop.
-    window: Option<Box<Window<T>>>,
+    /// Set by [`enable_journal`](Self::enable_journal): how a pop copies an
+    /// element out of the slot the cursor then holds until commit. `None`
+    /// moves it out and releases the slot at once.
+    copy: Option<fn(&T) -> T>,
 }
 
 impl<T, H: Home<T>> Consumer<T, H> {
-    /// Non-blocking pop of `(value, signal)`. On a journaled link,
-    /// rewound elements are re-served (as clones, in original order) before
-    /// anything new is taken from the ring, and every live pop is recorded
-    /// for possible replay.
+    /// Non-blocking pop of `(value, signal)`. On a journaled link the
+    /// element stays in its slot until commit, and a rewind serves it again.
     pub fn try_pop_signal(&mut self) -> Result<(T, Signal), TryPopError> {
-        self.shared.try_pop(&mut self.cursor, &mut self.window)
+        self.shared.try_pop(&mut self.cursor, self.copy)
     }
 
     /// Non-blocking pop.
@@ -1912,19 +1954,14 @@ impl<T, H: Home<T>> Consumer<T, H> {
     /// Blocking pop of `(value, signal)`; errs when the stream closed and
     /// drained.
     pub fn pop_signal(&mut self) -> Result<(T, Signal), PopError> {
-        let Consumer {
-            shared,
-            cursor,
-            window,
-        } = self;
-        let popped = shared.block_until(Role::Consumer, || match shared.try_pop(cursor, window) {
-            Ok(pair) => Some(Some(pair)),
-            Err(TryPopError::Closed) => Some(None),
-            Err(TryPopError::Empty) => None,
-        });
-        // `Abandoned` cannot outrun `try_pop`, which already reports a
-        // quiesced empty ring as closed.
-        popped.ok().flatten().ok_or(PopError)
+        // One poll before the shared wait: most pops find data, and the
+        // wait's capacity and held-slot checks stay off their path.
+        match self.try_pop_signal() {
+            Err(TryPopError::Empty) => {}
+            popped => return popped.map_err(|_| PopError),
+        }
+        self.shared.wait_ready(&mut self.cursor, 1)?;
+        self.try_pop_signal().map_err(|_| PopError)
     }
 
     /// Blocking pop.
@@ -1942,35 +1979,18 @@ impl<T, H: Home<T>> Consumer<T, H> {
     /// elements are available (fewer than `n` remain, forever).
     pub fn peek_range(&mut self, n: usize) -> Result<PeekRange<'_, T, H>, PopError> {
         let shared = &*self.shared;
-        let cursor = &mut self.cursor;
         shared.stats.note_read_request(n);
-        let arena = shared.block_until(Role::Consumer, || {
-            // Grow first if the request can never be satisfied (paper: queue
-            // "tagged for resizing" when a read request exceeds capacity).
-            // We are outside the arena here, so the resize cannot deadlock
-            // against our own membership.
-            if n > shared.home.capacity() && !shared.grow_to(n) {
-                // Request exceeds even max_capacity: impossible.
-                return Some(None);
-            }
-            if cursor.refresh(shared) >= n {
-                // Occupancy can only grow from here (we are the consumer),
-                // so entering the arena and taking the window is race-free.
-                return Some(Some(shared.enter(Role::Consumer)));
-            }
-            (shared.home.producer_closed() && cursor.refresh(shared) < n).then_some(None)
-        });
-        match arena {
-            Ok(Some(arena)) => Ok(PeekRange {
-                view: SliceView {
-                    shared,
-                    head: cursor.head(),
-                    len: n,
-                },
-                _arena: arena,
-            }),
-            _ => Err(PopError),
-        }
+        shared.wait_ready(&mut self.cursor, n)?;
+        Ok(PeekRange {
+            // Ready elements only grow from here (we are the consumer), so
+            // the view taken now stays valid under the membership below.
+            view: SliceView {
+                shared,
+                head: self.cursor.head(),
+                len: n,
+            },
+            _arena: shared.enter(Role::Consumer),
+        })
     }
 
     /// Reference to the front element, if present (non-blocking). The
@@ -1996,35 +2016,16 @@ impl<T, H: Home<T>> Consumer<T, H> {
     /// data — under one fence entry and one release, so a producer waiting
     /// for room is told once per call, not once per element.
     pub fn pop_range(&mut self, n: usize, out: &mut Vec<T>) -> Result<usize, PopError> {
-        self.shared.stats.note_read_request(n);
-        if self.window.is_some() {
-            // Journaled link: route through the per-element path so every
-            // element is recorded (and replay is served first). Gives up the
-            // single-fence batch amortization for the recovery guarantee.
-            let before = out.len();
-            out.push(self.pop()?);
-            out.extend(std::iter::from_fn(|| self.try_pop().ok()).take(n.saturating_sub(1)));
-            return Ok(out.len() - before);
-        }
         let shared = &*self.shared;
-        let cursor = &mut self.cursor;
-        let ready = shared.block_until(Role::Consumer, || {
-            match cursor.poll(shared, || shared.home.producer_closed()) {
-                Ok(ready) => Some(ready),
-                Err(TryPopError::Closed) => Some(0),
-                Err(TryPopError::Empty) => None,
-            }
-        });
-        match ready {
-            Ok(ready) if ready > 0 => {
-                let k = ready.min(n.max(1));
-                out.reserve(k);
-                shared.drain(cursor, k, |(v, _)| out.push(v));
-                Ok(k)
-            }
-            // Closed and drained, or quiesced.
-            _ => Err(PopError),
+        shared.stats.note_read_request(n);
+        let k = shared.wait_ready(&mut self.cursor, 1)?.min(n.max(1));
+        out.reserve(k);
+        let arena = shared.enter(Role::Consumer);
+        for i in 0..k {
+            out.push(Shared::take(&arena, &self.cursor, i, self.copy).0);
         }
+        shared.consume(arena, &mut self.cursor, k, self.copy.is_some(), false);
+        Ok(k)
     }
 
     /// Lend the front of the queue to `f` as a zero-copy [`SliceView`] of up
@@ -2041,93 +2042,75 @@ impl<T, H: Home<T>> Consumer<T, H> {
         f: impl FnOnce(&SliceView<'_, T, H>) -> R,
     ) -> Result<R, PopError> {
         let shared = &*self.shared;
-        let cursor = &mut self.cursor;
         shared.stats.note_read_request(n);
-        // A full reload each poll: the view should be as large as the ring
-        // allows, not as large as a stale cache remembers.
-        let avail = shared.block_until(Role::Consumer, || match cursor.refresh(shared) {
-            0 if !shared.home.producer_closed() => None,
-            // Closed: one more look, the producer may have pushed between
-            // our tail load and its close.
-            0 => Some(cursor.refresh(shared)),
-            avail => Some(avail),
-        });
-        let k = match avail {
-            Ok(avail) if avail > 0 => avail.min(n.max(1)),
-            _ => return Err(PopError),
-        };
+        let k = shared.wait_ready(&mut self.cursor, 1)?.min(n.max(1));
         // RAII: `f` is user code — membership must survive a panic inside it
         // (on unwind nothing is consumed; head stays put).
         let arena = shared.enter(Role::Consumer);
         let r = f(&SliceView {
             shared,
-            head: cursor.head(),
+            head: self.cursor.head(),
             len: k,
         });
-        cursor.pop_some(&arena, k, drop);
-        shared.released(arena, cursor.head());
+        shared.consume(arena, &mut self.cursor, k, self.copy.is_some(), true);
         Ok(r)
     }
 
-    /// Advance past `n` elements previously inspected via `peek_range`,
-    /// dropping them under a single fence entry. Returns how many were
-    /// actually available to advance past.
+    /// Advance past `n` elements previously inspected via `peek_range`
+    /// under a single fence entry. Returns how many were actually available
+    /// to advance past.
     pub fn advance(&mut self, n: usize) -> usize {
-        let k = self.cursor.refresh(&*self.shared).min(n);
+        let shared = &*self.shared;
+        let k = self.cursor.refresh(shared).min(n);
         if k > 0 {
-            self.shared.drain(&mut self.cursor, k, drop);
+            let arena = shared.enter(Role::Consumer);
+            shared.consume(arena, &mut self.cursor, k, self.copy.is_some(), true);
         }
         k
     }
 
-    /// Enable the consumer-side replay journal — the input half of the
+    /// Enable the consumer-side journal — the input half of the
     /// exactly-once recovery contract (see [`FifoConfig::journal`]). Every
-    /// pop records a clone (at most `JOURNAL_BOUND` unacknowledged);
-    /// [`commit_consumed`](Self::commit_consumed) acknowledges them,
-    /// [`rewind_consumed`](Self::rewind_consumed) queues them for replay.
-    /// Call once at wiring time, before the first pop.
-    ///
-    /// Zero-copy read paths (`pop_slice`, `peek_range` + `advance`) bypass
-    /// the journal; journaled links must consume through the per-element or
-    /// `pop_range` paths (the runtime's supervised wiring does).
+    /// read path then holds the slots it reads (a pop serves a copy);
+    /// [`commit_consumed`](Self::commit_consumed) releases them,
+    /// [`rewind_consumed`](Self::rewind_consumed) serves them again. Call
+    /// once at wiring time, before the first pop.
     pub fn enable_journal(&mut self)
     where
         T: Clone,
     {
-        if self.window.is_none() {
-            self.window = Some(Window::new(JOURNAL_BOUND, Some(T::clone)));
-        }
+        self.copy = Some(T::clone);
     }
 
-    /// `true` once the replay journal is enabled.
+    /// `true` once the journal is enabled.
     pub fn journaled(&self) -> bool {
-        self.window.is_some()
+        self.copy.is_some()
     }
 
-    /// Commit the current transaction: acknowledge every element served
-    /// since the last commit, releasing it from the replay window. Returns
-    /// how many entries were released.
+    /// Elements read since the last commit, still held in their slots (0
+    /// unless journaled).
+    pub fn held(&self) -> usize {
+        self.cursor.held(&*self.shared)
+    }
+
+    /// Commit the current transaction: drop every element read since the
+    /// last commit and release its slot. Returns how many were released.
     pub fn commit_consumed(&mut self) -> usize {
-        self.window.as_mut().map_or(0, |w| w.entries.ack(w.cursor))
+        self.shared.release_held(&mut self.cursor)
     }
 
-    /// Rewind the current transaction: every unacknowledged element will be
-    /// re-served (as a clone, in original order) by subsequent pops.
-    /// Returns how many elements were queued for replay. A second panic
-    /// before the next commit replays the same elements again.
+    /// Rewind the current transaction: every element read since the last
+    /// commit is served again, in order, by the next reads. Returns how
+    /// many. A second panic before the next commit replays them again.
     pub fn rewind_consumed(&mut self) -> usize {
-        let Some(w) = self.window.as_mut() else {
-            return 0;
-        };
-        w.rewind();
-        let pending = w.staged();
-        self.shared.journal_pending.store(pending, Release);
-        if pending > 0 {
-            // The restarted kernel's task must observe itself as ready even
-            // though the ring may be empty.
+        let rewound = self.cursor.unhold(&*self.shared);
+        if rewound > 0 {
+            let replayed = &self.shared.stats.reader.replayed;
+            replayed.fetch_add(rewound as u64, Relaxed);
+            // The restarted kernel's task must observe itself as ready.
             self.shared.notify_fenced(Role::Consumer);
         }
-        pending
+        rewound
     }
 
     /// Take a pending asynchronous signal, if any.
@@ -2140,26 +2123,32 @@ impl<T, H: Home<T>> Consumer<T, H> {
         self.shared.home.capacity()
     }
 
-    /// Current occupancy.
+    /// Elements this endpoint has yet to read: queued behind its cursor,
+    /// rewound ones included, held ones not — `occupancy() > 0` means the
+    /// next read finds data. [`Fifo::occupancy`] counts the whole ring.
     pub fn occupancy(&self) -> usize {
-        self.shared.occupancy()
+        self.shared
+            .home
+            .tail()
+            .load(Acquire)
+            .wrapping_sub(self.cursor.head())
     }
 
-    /// Producer closed (or link quiesced) and everything consumed,
-    /// including any journal replay.
+    /// Producer closed (or link quiesced) and everything consumed and
+    /// acknowledged.
     pub fn is_finished(&self) -> bool {
         self.shared.is_finished()
     }
 
     /// `true` when the next pop (or [`take_async`](Self::take_async)) has
-    /// something to act on: data visible through this endpoint's cursor, a
-    /// replay backlog, a posted async signal, or the end of the stream. The
-    /// shared `tail` is loaded only when the cursor's cached view is empty,
-    /// so a consumer with data in view touches only its own cache lines.
+    /// something to act on: data visible through this endpoint's cursor
+    /// (rewound elements included), a posted async signal, or the end of
+    /// the stream. The shared `tail` is loaded only when the cursor's cached
+    /// view is empty, so a consumer with data in view touches only its own
+    /// cache lines.
     #[inline]
     pub fn ready(&mut self) -> bool {
         self.cursor.ready(&*self.shared) > 0
-            || self.window.as_deref().is_some_and(|w| w.staged() > 0)
             || self.shared.async_signal.load(Acquire) != 0
             || self.shared.is_finished()
     }
@@ -2896,23 +2885,126 @@ mod tests {
         assert!(f.is_finished());
     }
 
-    #[test]
-    fn journal_bound_forces_the_oldest_pops_out_and_replays_the_rest() {
-        // One transaction pops past the constant bound: the three oldest
-        // pops can no longer be replayed, and the reader side says so.
-        const N: u64 = JOURNAL_BOUND as u64 + 3;
-        let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig::default());
+    /// A journaled consumer reading through `read`, rewound, reads the same
+    /// elements again; commit releases them and the ring drains.
+    fn rewind_replays(read: impl Fn(&mut Consumer<u64>) -> Vec<u64>) {
+        let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig::starting_at(8));
         c.enable_journal();
-        for i in 0..N {
-            p.push(i).unwrap();
+        for i in 0..6 {
+            p.try_push(i).unwrap();
+        }
+        let first = read(&mut c);
+        assert!(!first.is_empty());
+        assert_eq!(f.occupancy(), 6, "held slots stay in the ring");
+        assert_eq!(c.rewind_consumed(), first.len());
+        assert_eq!(read(&mut c), first, "a rewind re-serves the same reads");
+        assert_eq!(c.commit_consumed(), first.len());
+        assert_eq!(c.rewind_consumed(), 0, "committed reads stay acknowledged");
+        assert_eq!(f.occupancy(), 6 - first.len());
+        assert_eq!(f.snapshot().popped, first.len() as u64);
+    }
+
+    #[test]
+    fn journal_rewind_replays_pop_range() {
+        rewind_replays(|c| {
+            let mut out = Vec::new();
+            c.pop_range(4, &mut out).unwrap();
+            out
+        });
+    }
+
+    #[test]
+    fn journal_rewind_replays_pop_slice() {
+        rewind_replays(|c| c.pop_slice(4, |v| v.iter().copied().collect()).unwrap());
+    }
+
+    #[test]
+    fn journal_rewind_replays_peek_range_and_advance() {
+        rewind_replays(|c| {
+            let window: Vec<u64> = c.peek_range(3).unwrap().iter().copied().collect();
+            assert_eq!(c.advance(2), 2);
+            let next = c.peek(|v, _| *v).unwrap();
+            assert_eq!(next, window[2], "the advance moved the read head");
+            window[..2].to_vec()
+        });
+    }
+
+    #[test]
+    fn journal_held_elements_drop_exactly_once() {
+        let token = Arc::new(());
+        let (f, mut p, mut c) = fifo_with::<Arc<()>>(FifoConfig::default());
+        c.enable_journal();
+        for _ in 0..6 {
+            p.push(token.clone()).unwrap();
+        }
+        drop(c.pop().unwrap());
+        c.pop_slice(2, |_| ()).unwrap();
+        assert_eq!(Arc::strong_count(&token), 7, "a pop serves a copy");
+        c.rewind_consumed();
+        drop(c.pop().unwrap());
+        assert_eq!(c.commit_consumed(), 1);
+        assert_eq!(Arc::strong_count(&token), 6, "commit drops in place");
+        assert_eq!(c.advance(2), 2);
+        drop((f, p, c));
+        assert_eq!(Arc::strong_count(&token), 1, "the drain drops held slots");
+    }
+
+    #[test]
+    fn journal_staged_reserve_and_allocate_publish_only_at_commit() {
+        let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig::default());
+        p.enable_staging();
+        p.push(1).unwrap();
+        {
+            let mut slice = p.reserve(2).unwrap();
+            slice.push(2);
+            slice.push(3);
+        }
+        *p.allocate().unwrap() = 4;
+        p.allocate().unwrap().abort();
+        assert_eq!((f.occupancy(), p.staged_len()), (0, 4), "nothing published");
+        assert_eq!(p.rewind_produced(), 4, "a rewind discards the writes");
+        *p.allocate().unwrap() = 5;
+        p.reserve(1).unwrap().push(6);
+        p.push(7).unwrap();
+        assert_eq!(p.commit_produced().unwrap(), 3);
+        let got: Vec<u64> = (0..3).map(|_| c.pop().unwrap()).collect();
+        assert_eq!(got, [5, 6, 7], "staged in write order");
+        assert_eq!(c.try_pop(), Err(TryPopError::Empty));
+    }
+
+    /// One transaction reads `n` elements from a producer thread; returns
+    /// the link after the reads, the consumer and its forced acks.
+    fn journal_one_transaction(cfg: FifoConfig, n: u64) -> (Fifo<u64>, Consumer<u64>, u64) {
+        let (f, mut p, mut c) = fifo_with::<u64>(cfg);
+        c.enable_journal();
+        let producer = std::thread::spawn(move || (0..n).for_each(|i| p.push(i).unwrap()));
+        for i in 0..n {
             assert_eq!(c.pop().unwrap(), i);
         }
-        assert_eq!(f.stats().reader.forced_acks.load(Relaxed), 3);
-        assert_eq!(f.snapshot().forced_acks, 3);
-        assert_eq!(c.rewind_consumed(), JOURNAL_BOUND);
-        let replayed: Vec<u64> = (0..JOURNAL_BOUND).map(|_| c.pop().unwrap()).collect();
-        assert_eq!(replayed, (3..N).collect::<Vec<_>>());
-        assert_eq!(c.try_pop(), Err(TryPopError::Empty));
+        producer.join().unwrap();
+        let forced = f.snapshot().forced_acks;
+        (f, c, forced)
+    }
+
+    #[test]
+    fn journal_ceiling_valve_grows_a_resizable_ring() {
+        let (f, mut c, forced) = journal_one_transaction(FifoConfig::starting_at(8), 300);
+        assert_eq!(forced, 0, "the ring grew to hold the transaction");
+        assert!(f.capacity() >= 300, "capacity {}", f.capacity());
+        assert_eq!(c.rewind_consumed(), 300);
+        assert!((0..300).all(|i| c.pop().unwrap() == i));
+        assert_eq!(c.commit_consumed(), 300);
+    }
+
+    #[test]
+    fn journal_ceiling_valve_forces_whole_rings_on_a_fixed_ring() {
+        // Each time 8 held elements fill the ring and the next read needs a
+        // slot, the valve releases all 8: 24 of 32 lose replay coverage.
+        let (_f, mut c, forced) = journal_one_transaction(FifoConfig::fixed(8), 32);
+        assert_eq!(forced, 24);
+        assert_eq!(c.rewind_consumed(), 8, "the last full ring is still held");
+        assert!((24..32).all(|i| c.pop().unwrap() == i));
+        assert_eq!(c.try_pop(), Err(TryPopError::Closed));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! In-flight journaling: the sequence-numbered replay window behind the
-//! exactly-once recovery contract.
+//! exactly-once recovery contract's producer side.
 //!
 //! The paper's runtime assumes kernels never fail; our supervision layer
 //! (restart/replace policies) re-enters a panicked kernel, but historically
@@ -15,34 +15,27 @@
 //!
 //! A journaled link treats one `run()` invocation as a transaction:
 //!
-//! * every element popped during the run is **recorded** (a clone) in the
-//!   consumer-side window, unacknowledged;
-//! * every element pushed during the run is **staged** producer-side and
-//!   not yet published to the ring;
-//! * if the run returns, the scheduler **commits**: consumed entries are
-//!   acknowledged (dropped from the window), staged outputs are published;
+//! * every element read during the run stays in its ring slot, **held** by
+//!   the consumer's cursor — within a process the ring survives a kernel
+//!   panic, so it is the consumer's journal and no copy is kept;
+//! * every element written during the run is **staged** producer-side in a
+//!   [`ReplayWindow`] and not yet published to the ring;
+//! * if the run returns, the scheduler **commits**: held slots are
+//!   released, staged outputs are published;
 //! * if the run panics under a restart/replace policy, the scheduler
-//!   **rewinds**: staged outputs are discarded, and the window's replay
-//!   cursor moves back so the restarted kernel re-pops the exact same
-//!   elements, in order.
+//!   **rewinds**: staged outputs are discarded, and the consumer's read
+//!   head moves back onto its held slots so the restarted kernel reads the
+//!   exact same elements, in order.
 //!
 //! For a deterministic kernel this yields exactly-once *observable*
 //! processing: downstream sees each input's effect once, byte-identical to
-//! a fault-free run. Entries stay in the window until acknowledged, so a
-//! second panic replays again.
-//!
-//! The consumer's window is bounded ([`JOURNAL_BOUND`]); a transaction that
-//! pops more than that force-acknowledges the oldest entries (those can no
-//! longer be replayed — the safety valve is recorded in the `forced_acks`
-//! counter so the loss is visible, never silent).
+//! a fault-free run. Held slots stay held until committed, so a second
+//! panic replays again. A transaction cannot hold more than the ring's
+//! ceiling: past it the held elements are released early (they can no
+//! longer be replayed — the valve is counted in `forced_acks`, so the loss
+//! is visible, never silent).
 
 use std::collections::VecDeque;
-
-/// Unacknowledged pops a journaled consumer retains for replay (see
-/// [`crate::FifoConfig::journal`]). A committed transaction acknowledges
-/// everything it consumed, so the bound only has to cover the pops of one
-/// commit interval, which the scheduler keeps at 32 runs.
-pub const JOURNAL_BOUND: usize = 4096;
 
 /// A bounded, sequence-numbered window of sent-but-unacknowledged entries.
 ///

@@ -296,7 +296,8 @@ impl ConsumerCursor {
         }
     }
 
-    /// Next index this consumer will read (== elements ever released).
+    /// Next index this consumer will read (== elements ever released, plus
+    /// any [`held`](Self::held)).
     #[inline]
     pub fn head(&self) -> usize {
         self.head
@@ -356,12 +357,39 @@ impl ConsumerCursor {
         ring.slot(self.head + offset, |p| unsafe { (*p).assume_init_read() })
     }
 
-    /// Hand the first `n` ready slots back to the producer: one **Release**
-    /// store of `head`, whatever `n`.
+    /// Hand the first `n` ready slots back to the producer, with every
+    /// [`held`](Self::held) one before them: one **Release** store of
+    /// `head`, whatever `n`.
     #[inline]
     pub fn release(&mut self, ring: &impl Counters, n: usize) {
         self.head += n;
         ring.head().store(self.head, Release);
+    }
+
+    /// Read past the first `n` ready slots without handing them back: they
+    /// stay in the ring, initialized and out of the producer's reach, until
+    /// a [`release`](Self::release) frees them or [`unhold`](Self::unhold)
+    /// makes them ready again.
+    #[inline]
+    pub fn hold(&mut self, n: usize) {
+        self.head += n;
+    }
+
+    /// Slots read past and not yet released: this cursor's `head` minus the
+    /// ring's, which only this consumer stores (a Relaxed load reads its
+    /// own last store).
+    #[inline]
+    pub fn held(&self, ring: &impl Counters) -> usize {
+        self.head.wrapping_sub(ring.head().load(Ordering::Relaxed))
+    }
+
+    /// Step back over the held slots, so they are read again; returns how
+    /// many.
+    #[inline]
+    pub fn unhold(&mut self, ring: &impl Counters) -> usize {
+        let held = self.held(ring);
+        self.head = self.head.wrapping_sub(held);
+        held
     }
 
     /// Pop one item, if any is ready.
@@ -382,27 +410,6 @@ impl ConsumerCursor {
         let item = unsafe { self.read(ring, 0) };
         self.release(ring, 1);
         Ok(item)
-    }
-
-    /// Pop up to `max` of the items already seen ready (no reload of
-    /// `tail`) through `each`, released together. Returns the count.
-    #[inline]
-    pub fn pop_some<B: Backing>(
-        &mut self,
-        ring: &B,
-        max: usize,
-        mut each: impl FnMut(B::Item),
-    ) -> usize {
-        let n = max.min(self.tail_cache.wrapping_sub(self.head));
-        for i in 0..n {
-            // SAFETY: `n` elements are ready; each is read out once and the
-            // whole run is released below.
-            each(unsafe { self.read(ring, i) });
-        }
-        if n > 0 {
-            self.release(ring, n);
-        }
-        n
     }
 }
 
@@ -551,13 +558,34 @@ mod tests {
         );
         assert_eq!(pc.push(ring, 9), Err(9));
         assert_eq!(cc.poll(ring, || false), Ok(4));
-        let mut got = Vec::new();
-        assert_eq!(cc.pop_some(ring, 3, |v| got.push(v)), 3);
+        // SAFETY: 3 of the 4 ready slots, each read out once, then released.
+        let got: Vec<u32> = (0..3).map(|i| unsafe { cc.read(ring, i) }).collect();
+        cc.release(ring, 3);
         assert_eq!(got, vec![0, 1, 2]);
         assert_eq!((cc.pop(ring), cc.pop(ring)), (Some(3), None));
-        assert_eq!(cc.pop_some(ring, 3, |_| unreachable!()), 0);
         assert_eq!(cc.poll(ring, || false), Err(TryPopError::Empty));
         assert_eq!(cc.poll(ring, || true), Err(TryPopError::Closed));
         assert_eq!((pc.tail(), cc.head(), ring.occupancy()), (4, 4, 0));
+    }
+
+    #[test]
+    fn held_slots_stay_out_of_the_producers_reach_until_released() {
+        let ring = &HeapRing::<u32>::with_capacity(4);
+        // SAFETY: the only cursors on this ring, used with it alone.
+        let (mut pc, mut cc) =
+            unsafe { (ProducerCursor::attach(ring), ConsumerCursor::attach(ring)) };
+        assert_eq!(pc.push_some(ring, 4, |n| 0..n as u32), 4);
+        assert_eq!(cc.ready(ring), 4);
+        cc.hold(2);
+        assert_eq!(
+            (cc.held(ring), cc.ready(ring), pc.claim(ring, 1)),
+            (2, 2, 0)
+        );
+        assert_eq!(cc.unhold(ring), 2);
+        assert_eq!((cc.head(), cc.ready(ring)), (0, 4), "held slots read again");
+        cc.hold(2);
+        cc.release(ring, 0);
+        assert_eq!((cc.held(ring), pc.claim(ring, 1)), (0, 2));
+        assert_eq!((cc.pop(ring), ring.occupancy()), (Some(2), 1));
     }
 }

@@ -53,7 +53,8 @@ pub struct WriterCounters {
 /// line inside [`FifoStats`]).
 #[derive(Debug)]
 pub struct ReaderCounters {
-    /// Total elements ever popped.
+    /// Total elements ever popped and acknowledged: a journaled consumer's
+    /// reads count once their transaction commits.
     pub popped: AtomicU64,
     /// Like [`WriterCounters::blocked_since`], for a reader blocked on an
     /// empty ring or an unsatisfiable `peek_range`.
@@ -64,12 +65,14 @@ pub struct ReaderCounters {
     /// `pop_range`); the monitor grows the ring if this exceeds capacity —
     /// the paper's read-side resize trigger.
     pub max_read_request: AtomicU64,
-    /// Elements served again from the consumer-side journal after a
-    /// supervised restart rewound the link (exactly-once replay).
+    /// Elements a supervised restart rewound, to be read again from their
+    /// held slots (exactly-once replay).
     pub replayed: AtomicU64,
     /// Like [`WriterCounters::rescues`], for the blocked reader.
     pub rescues: AtomicU64,
-    /// Like [`WriterCounters::forced_acks`], for the consumer-side journal.
+    /// Held elements a journaled consumer released before its commit
+    /// because the ring could not grow past its ceiling to hold them and the
+    /// next read: elements that can no longer be replayed.
     pub forced_acks: AtomicU64,
 }
 
@@ -265,7 +268,8 @@ impl FifoStats {
 pub struct StatsSnapshot {
     /// Total elements pushed so far.
     pub pushed: u64,
-    /// Total elements popped so far.
+    /// Total elements popped and acknowledged so far (a journaled
+    /// consumer's reads count at commit).
     pub popped: u64,
     /// Current ring capacity (elements).
     pub capacity: usize,
@@ -281,15 +285,16 @@ pub struct StatsSnapshot {
     pub reader_blocked_ns: u64,
     /// Largest multi-item read request observed.
     pub max_read_request: usize,
-    /// Elements re-served from the journal after a supervised restart.
+    /// Elements rewound by a supervised restart, to be read again.
     pub replayed: u64,
     /// Bounded parks (either endpoint) that timed out and then found their
     /// condition already true — lost wakeups the 2 ms safety net absorbed.
     /// Stays 0 unless a wake was genuinely missed.
     pub rescues: u64,
-    /// Entries either end's replay window force-dropped at its bound —
-    /// elements whose replay coverage was lost. Stays 0 while the journal
-    /// bound covers a commit interval.
+    /// Elements whose replay coverage was lost: dropped by a producer
+    /// window's bound, or released early by a journaled consumer whose
+    /// transaction outgrew the ring's ceiling. Under the scheduler, stays 0
+    /// unless a single `run()` reads more than half the ceiling.
     pub forced_acks: u64,
     /// Elements per second popped since creation.
     pub throughput: f64,

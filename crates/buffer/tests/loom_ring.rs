@@ -25,7 +25,8 @@
 //! Each `loom::model` body is executed once per interleaving the C11 memory
 //! model allows for its threads, so models are kept tiny (capacity 1-2, 2-3
 //! operations) — enough to cover every acquire/release pair in the head/tail
-//! protocol, the close/drain double-check, and slot reuse on wraparound.
+//! protocol, the close/drain double-check, slot reuse on wraparound, and the
+//! held slots a journaled consumer releases late.
 //! The endpoint-level models at the bottom add what `BoundedSpsc` owns on
 //! top of the ring: closed flags driven by handle drops.
 #![cfg(loom)]
@@ -161,7 +162,9 @@ fn wraparound_transfer_preserves_order<B: Model>() {
 }
 
 /// A batch published with one Release store must arrive whole and in order,
-/// whatever prefix of it the consumer's cached tail reveals first.
+/// whatever prefix of it the consumer's cached tail reveals first; the
+/// consumer reads what it sees ready and releases it with one store, the
+/// way a FIFO batch read does.
 fn batch_publish_is_one_store<B: Model>() {
     loom::model(|| {
         let (link, mut p, mut c) = link::<B>(2);
@@ -173,10 +176,15 @@ fn batch_publish_is_one_store<B: Model>() {
         };
         let mut got = Vec::new();
         while got.len() < 2 {
-            c.ready(&link.ring);
-            if c.pop_some(&link.ring, 2, |v| got.push(v)) == 0 {
+            let n = c.ready(&link.ring);
+            if n == 0 {
                 thread::yield_now();
+                continue;
             }
+            // SAFETY: `n` slots are ready; each is read out once, then the
+            // run is released together.
+            got.extend((0..n).map(|i| unsafe { c.read(&link.ring, i) }));
+            c.release(&link.ring, n);
         }
         assert_eq!(got, vec![7, 8]);
         producer.join().unwrap();
@@ -206,6 +214,64 @@ fn close_delivers_only_after_drain<B: Model>() {
         assert_eq!(got, vec![7]);
         producer.join().unwrap();
     });
+}
+
+/// A journaled consumer's transaction: it reads two elements in place and
+/// *holds* their slots, reads them again after stepping back (a rewind),
+/// and releases both late (the commit). The producer, pushing a third
+/// element into a ring of two, must not write a held slot before that
+/// release — loom's cells flag any write racing the in-place reads.
+fn held_slots_are_never_overwritten<B: Model>() {
+    loom::model(|| {
+        let (link, mut p, mut c) = link::<B>(2);
+        let producer = {
+            let link = link.clone();
+            thread::spawn(move || {
+                for i in 1..=3u64 {
+                    while p.push(&link.ring, i).is_err() {
+                        thread::yield_now();
+                    }
+                }
+            })
+        };
+        // SAFETY: only called on a ready slot, which is read in place
+        // (`u64` is `Copy`) and never moved out.
+        let at_head = |c: &ConsumerCursor| {
+            link.ring
+                .slot(c.head(), |slot| unsafe { (*slot).assume_init_read() })
+        };
+        let mut got = Vec::new();
+        while got.len() < 2 {
+            if c.ready(&link.ring) == 0 {
+                thread::yield_now();
+                continue;
+            }
+            got.push(at_head(&c));
+            c.hold(1);
+        }
+        assert_eq!((got.as_slice(), c.held(&link.ring)), (&[1, 2][..], 2));
+        assert_eq!(c.unhold(&link.ring), 2);
+        assert_eq!(at_head(&c), 1, "a held slot reads the same again");
+        c.hold(2);
+        c.release(&link.ring, 0);
+        loop {
+            match try_pop(&link, &mut c) {
+                Ok(v) => break assert_eq!(v, 3),
+                Err(_) => thread::yield_now(),
+            }
+        }
+        producer.join().unwrap();
+    });
+}
+
+#[test]
+fn heap_held_slots_are_never_overwritten() {
+    held_slots_are_never_overwritten::<HeapRing<u64>>();
+}
+
+#[test]
+fn segment_held_slots_are_never_overwritten() {
+    held_slots_are_never_overwritten::<SegWords>();
 }
 
 #[test]

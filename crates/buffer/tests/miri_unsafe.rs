@@ -269,3 +269,31 @@ fn write_guard_and_peek_range_under_miri() {
     assert_eq!(c.advance(2), 2);
     assert_eq!(c.pop().unwrap(), "2");
 }
+
+/// Covers: a journaled consumer's held slots — pops served as copies of
+/// slots the cursor keeps, a `pop_slice` and a `peek_range` + `advance`
+/// that only hold, the rewind reading them again, a resize moving them with
+/// the live region, the commit dropping them in place, and the storage
+/// drain dropping what is still held when the FIFO goes. Heap-owning
+/// elements let Miri catch a double drop or a leak.
+#[test]
+fn journal_held_slots_under_miri() {
+    let (fifo, mut p, mut c) = fifo_with::<String>(FifoConfig {
+        initial_capacity: 4,
+        ..FifoConfig::default()
+    });
+    c.enable_journal();
+    for i in 0..4 {
+        p.push(i.to_string()).unwrap();
+    }
+    assert_eq!(c.pop().unwrap(), "0");
+    assert_eq!(c.pop_slice(2, |view| view[1].clone()).unwrap(), "2");
+    assert_eq!(c.rewind_consumed(), 3);
+    assert_eq!(c.pop().unwrap(), "0", "a rewind serves the held slot again");
+    assert_eq!(fifo.resize(16), 16);
+    assert_eq!(c.commit_consumed(), 1);
+    assert_eq!(&c.peek_range(2).unwrap()[0], "1");
+    assert_eq!(c.advance(2), 2);
+    // "1" and "2" held, "3" unread: the storage drain drops all three.
+    drop((p, c, fifo));
+}

@@ -44,7 +44,7 @@ pub(crate) type FifoFactory = fn(FifoConfig) -> ErasedFifo;
 fn make_fifo<T: Send + Clone + 'static>(cfg: FifoConfig) -> ErasedFifo {
     let (_fifo, mut producer, mut consumer) = fifo_with::<T>(cfg);
     if cfg.journal {
-        // Exactly-once link: pops are recorded for replay, pushes staged
+        // Exactly-once link: reads hold their slots for replay, pushes staged
         // until the transaction commits (see `raft_buffer::journal`).
         consumer.enable_journal();
         producer.enable_staging();
@@ -237,7 +237,7 @@ impl PortSpec {
     /// `input.addPort<T>("name")` in the paper's Figure 2. `T: Clone` is
     /// the stream-type contract: it mirrors C++ RaftLib's requirement that
     /// stream types be copy-constructible, and it is what lets a journaled
-    /// link keep a replay copy of each in-flight element.
+    /// link serve a copy of each element it holds for replay.
     pub fn input<T: Send + Clone + 'static>(mut self, name: impl Into<String>) -> Self {
         let def = PortDef::of::<T>(name);
         assert!(

@@ -331,6 +331,35 @@ mod tests {
         assert_eq!(ctl.widen(), 4); // saturates at max
     }
 
+    /// The join sizes its batch read by what its input has left to read.
+    /// On a journaled input the element it just popped stays held in the
+    /// ring; counting it would make that read wait, inside `run()`, for an
+    /// element nobody has sent.
+    #[test]
+    fn reduce_does_not_wait_on_its_own_held_element() {
+        use raft_buffer::{fifo_with, FifoConfig};
+        let (_f0, mut p0, mut c0) = fifo_with::<u32>(FifoConfig::default());
+        let (_f1, _p1, mut c1) = fifo_with::<u32>(FifoConfig::default());
+        let (_fo, po, mut co) = fifo_with::<u32>(FifoConfig::default());
+        c0.enable_journal();
+        c1.enable_journal();
+        p0.push(7).unwrap();
+        let (done, ran) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let ctx = Context::for_test()
+                .with_input("0", c0)
+                .with_input("1", c1)
+                .with_output("out", po);
+            let status = Reduce::<u32>::new(2).run(&ctx);
+            done.send(status).unwrap();
+        });
+        let status = ran
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("run() returns with both inputs open and empty");
+        assert_eq!(status, KStatus::Proceed);
+        assert_eq!(co.try_pop(), Ok(7));
+    }
+
     #[test]
     fn factories_build_consistent_adapters() {
         let f = adapter_factories::<String>();

@@ -54,7 +54,7 @@ use crate::scheduler::QUANTUM;
 pub trait InEnd: Any + Send {
     /// Monitor-facing handle of the link this end reads.
     fn link(&self) -> Arc<dyn Monitorable>;
-    /// `true` when every pop is journaled for replay.
+    /// `true` when every read is journaled for replay.
     fn journaled(&self) -> bool;
     /// `true` when a pop (or `take_async`) has something to act on, judged
     /// through this end's own cursor ([`Consumer::ready`]).
@@ -64,12 +64,15 @@ pub trait InEnd: Any + Send {
     /// fused chain's head. Returns the batch and its length; `None` once
     /// the stream is closed and drained.
     fn pop_batch(&mut self, n: usize) -> Option<(AnyBatch, usize)>;
-    /// Acknowledge every pop served since the last commit (no-op when not
+    /// Release every element read since the last commit (no-op when not
     /// journaled).
     fn commit(&mut self);
-    /// Queue every unacknowledged pop for redelivery, oldest first, ahead
-    /// of new ring data (no-op when not journaled).
+    /// Serve every element read since the last commit again, oldest first,
+    /// ahead of new ring data (no-op when not journaled).
     fn rewind(&mut self);
+    /// Elements read since the last commit and still held in the ring for
+    /// replay (0 when not journaled).
+    fn held(&self) -> usize;
 }
 
 /// The output end of one stream with its element type erased: a
@@ -113,6 +116,9 @@ impl<T: Send + 'static> InEnd for Consumer<T> {
     }
     fn rewind(&mut self) {
         self.rewind_consumed();
+    }
+    fn held(&self) -> usize {
+        Consumer::held(self)
     }
 }
 
@@ -250,22 +256,15 @@ impl Context {
     /// transaction's earlier runs; if an output is unjournaled, those runs
     /// already published, so replaying their inputs would duplicate them.
     /// A partially journaled kernel therefore commits every run. A fully
-    /// journaled one commits every [`QUANTUM`] runs, held to half of each
-    /// input ring's ceiling: unacknowledged pops leave the ring but not the
-    /// transaction, and a batching consumer must never wedge a producer
-    /// blocked on a fixed-capacity ring.
+    /// journaled one commits every [`QUANTUM`] runs, or sooner once an
+    /// input holds half its ring ([`inputs_half_held`](Self::inputs_half_held)).
     fn cadence(&self) -> u32 {
         let journaled_in = self.inputs.iter().filter(|e| e.borrow().journaled());
         let journaled_out = self.outputs.iter().filter(|e| e.borrow().journaled());
         match (journaled_in.count(), journaled_out.count()) {
             (0, 0) => 0,
             (i, o) if i < self.inputs.len() || o < self.outputs.len() => 1,
-            _ => self
-                .input_fifos
-                .iter()
-                .map(|f| f.bounds().1 / 2)
-                .fold(QUANTUM as usize, usize::min)
-                .max(1) as u32,
+            _ => QUANTUM,
         }
     }
 
@@ -400,6 +399,18 @@ impl Context {
     /// port, whose transaction the scheduler skips.
     pub(crate) fn commit_every(&self) -> u32 {
         self.commit_every
+    }
+
+    /// `true` once some input holds half its ring's ceiling in the open
+    /// transaction. A journaled input keeps what the transaction read in
+    /// its ring; committing now keeps the next run's reads clear of the
+    /// ceiling, where the ring would release them early and unreplayable
+    /// (`forced_acks`) — unless that one run reads more than half the ring.
+    pub(crate) fn inputs_half_held(&self) -> bool {
+        self.inputs
+            .iter()
+            .zip(&self.input_fifos)
+            .any(|(e, f)| 2 * e.borrow().held() >= f.bounds().1)
     }
 
     /// Commit the open transaction on every port: publish staged outputs,
@@ -663,16 +674,30 @@ mod tests {
         // Every port journaled: one transaction per scheduler quantum.
         assert_eq!(cadence(&[journaled, journaled], &[journaled]), QUANTUM);
         assert_eq!(QUANTUM, 32);
-        // A journaled input on a fixed ring of four: half the ring.
+        // A small ring does not change the cadence; what an input holds
+        // does (`a_journaled_input_commits_once_it_holds_half_its_ring`).
         let fixed = FifoConfig::fixed(4).journaled();
-        assert_eq!(cadence(&[journaled, fixed], &[journaled]), 2);
-        assert_eq!(cadence(&[FifoConfig::fixed(1).journaled()], &[]), 1);
+        assert_eq!(cadence(&[journaled, fixed], &[journaled]), QUANTUM);
         // One unjournaled port, on either side: every run.
         assert_eq!(cadence(&[journaled, plain], &[journaled]), 1);
         assert_eq!(cadence(&[journaled], &[plain]), 1);
         // No journaled port: no transaction at all.
         assert_eq!(cadence(&[plain], &[plain]), 0);
         assert_eq!(cadence(&[], &[]), 0);
+    }
+
+    #[test]
+    fn a_journaled_input_commits_once_it_holds_half_its_ring() {
+        let (_f, mut p, mut c) = fifo_with::<u64>(FifoConfig::fixed(4));
+        c.enable_journal();
+        (0..4).for_each(|v| p.push(v).unwrap());
+        let ctx = test_ctx(vec![("in".to_string(), Box::new(c))], vec![]);
+        assert_eq!(ctx.input::<u64>("in").pop(), Ok(0));
+        assert!(!ctx.inputs_half_held(), "1 of 4 held");
+        assert_eq!(ctx.input::<u64>("in").pop(), Ok(1));
+        assert!(ctx.inputs_half_held(), "2 of 4 held");
+        ctx.commit();
+        assert!(!ctx.inputs_half_held(), "the commit released them");
     }
 
     fn two_in_one_out() -> Context {

@@ -140,14 +140,14 @@ impl KernelRunner {
     }
 
     /// Count one successful run into the open transaction, committing when
-    /// the interval fills.
+    /// the interval fills or an input holds half its ring.
     fn journal_tick(&mut self) {
         let every = self.ctx.commit_every();
         if every == 0 {
             return;
         }
         self.journal_uncommitted += 1;
-        if self.journal_uncommitted >= every {
+        if self.journal_uncommitted >= every || self.ctx.inputs_half_held() {
             self.journal_commit();
         }
     }

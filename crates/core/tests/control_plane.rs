@@ -9,28 +9,52 @@
 #![cfg(target_os = "linux")]
 
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use raftlib::prelude::*;
 
-/// `comm` of every thread of this process.
-fn thread_names() -> Vec<String> {
-    std::fs::read_dir("/proc/self/task")
-        .expect("thread table")
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .map(|comm| comm.trim_end().to_string())
-        .collect()
+/// `comm` of every thread of this process once the table has settled,
+/// sorted. One pass over `/proc/self/task` is no snapshot: a thread ending
+/// while it is read (a joined thread of the run before, still leaving the
+/// thread list) makes the kernel's walk skip live threads after it. And a
+/// new thread names itself only once it first runs, carrying its spawner's
+/// `comm` until then. So the table is read until two passes in a row agree
+/// and no thread but `spawner` itself carries its name (or 5 s pass).
+fn thread_names(spawner: &str) -> Vec<String> {
+    let pass = || {
+        let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .expect("thread table")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|comm| comm.trim_end().to_string())
+            .collect();
+        names.sort();
+        names
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut last = pass();
+    loop {
+        std::thread::yield_now();
+        let next = pass();
+        let unnamed = next.iter().filter(|name| *name == spawner).count();
+        if (next == last && unnamed == 1) || Instant::now() > deadline {
+            return next;
+        }
+        last = next;
+    }
 }
 
 /// Run an infinite source into a sink under `monitor`, drain it from
 /// outside after 30 ms, and return the thread names the sink saw on its
 /// first element plus the report. At that point every thread of the run
 /// exists: the control thread is spawned before the scheduler's, the source
-/// thread produced the element and the sink thread is looking at it.
+/// thread produced the element and the sink thread is looking at it. The
+/// run's threads are spawned from this one, which is why the controller
+/// gets a name of its own.
 fn drained_run(monitor: MonitorConfig) -> (Vec<String>, ExeReport) {
     let mut map = RaftMap::new();
     map.config_mut().monitor = monitor;
     let names = Arc::new(Mutex::new(Vec::new()));
+    let spawner = std::fs::read_to_string("/proc/thread-self/comm").expect("own comm");
     let src = map.add(lambda_source(|| {
         std::thread::sleep(Duration::from_micros(200));
         Some(1u64)
@@ -39,16 +63,19 @@ fn drained_run(monitor: MonitorConfig) -> (Vec<String>, ExeReport) {
     let dst = map.add(lambda_sink(move |_: u64| {
         let mut seen = seen.lock().unwrap();
         if seen.is_empty() {
-            *seen = thread_names();
+            *seen = thread_names(spawner.trim_end());
         }
     }));
     map.link(src, "0", dst, "0").unwrap();
 
     let handle = map.stop_handle();
-    let controller = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(30));
-        handle.drain();
-    });
+    let controller = std::thread::Builder::new()
+        .name("controller".into())
+        .spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            handle.drain();
+        })
+        .unwrap();
     // The deadline is only this test's safety net: a drain that is never
     // served shows up as a `Deadline` rung below instead of a hang.
     let report = map

@@ -15,6 +15,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use proptest::prelude::*;
+use raft_kernels::{Map, SliceMap, SlidingWindow};
 use raftlib::prelude::*;
 
 const N: u64 = 2_000;
@@ -25,14 +26,23 @@ const N: u64 = 2_000;
 /// element passes through on redelivery: deterministic faults, value- not
 /// time-based, identical under every scheduler.
 fn panic_once_map(panic_at: &[u64]) -> impl Kernel {
-    let panic_at: HashSet<u64> = panic_at.iter().copied().collect();
-    let fired = Arc::new(Mutex::new(HashSet::new()));
+    let fault = panic_once(panic_at);
     lambda_map(move |v: u64| {
+        fault(v);
+        v * 3
+    })
+}
+
+/// The fault of [`panic_once_map`] on its own: panics the first time it
+/// sees each value in `panic_at`, across restarts and clones.
+fn panic_once(panic_at: &[u64]) -> impl Fn(u64) + Clone + Send + 'static {
+    let panic_at: Arc<HashSet<u64>> = Arc::new(panic_at.iter().copied().collect());
+    let fired = Arc::new(Mutex::new(HashSet::new()));
+    move |v| {
         if panic_at.contains(&v) && fired.lock().unwrap().insert(v) {
             panic!("injected in-flight fault at {v}");
         }
-        v * 3
-    })
+    }
 }
 
 fn journaled() -> FifoConfig {
@@ -301,15 +311,184 @@ fn stop_handle_quiesce_unsticks_blocked_producer() {
     });
 }
 
+/// Runs `inner` after panicking, once each, before the runs whose ordinals
+/// (from 0) are in `before`: the panic lands between runs, so what it
+/// rewinds is the earlier runs of the open transaction. Re-entered in place
+/// on restart, so the run count survives it.
+struct PanicBeforeRun<K> {
+    inner: K,
+    before: HashSet<u64>,
+    runs: u64,
+}
+
+impl<K: Kernel> Kernel for PanicBeforeRun<K> {
+    fn ports(&self) -> PortSpec {
+        self.inner.ports()
+    }
+
+    fn run(&mut self, ctx: &Context) -> KStatus {
+        let run = self.runs;
+        self.runs += 1;
+        if self.before.remove(&run) {
+            panic!("injected fault before run {run}");
+        }
+        self.inner.run(ctx)
+    }
+}
+
+/// Reads up to 8 elements per run with `pop_range` and forwards each × 3,
+/// calling `fault` on each before it is sent.
+struct BatchMap<F> {
+    fault: F,
+    batch: Vec<u64>,
+}
+
+impl<F: Fn(u64) + Send + 'static> Kernel for BatchMap<F> {
+    fn ports(&self) -> PortSpec {
+        PortSpec::new().input::<u64>("in").output::<u64>("out")
+    }
+
+    fn run(&mut self, ctx: &Context) -> KStatus {
+        // Re-entered in place on restart: drop what the failed run read.
+        self.batch.clear();
+        if ctx
+            .input::<u64>("in")
+            .pop_range(8, &mut self.batch)
+            .is_err()
+        {
+            return KStatus::Stop;
+        }
+        let mut out = ctx.output::<u64>("out");
+        for &v in &self.batch {
+            (self.fault)(v);
+            if out.push(v * 3).is_err() {
+                return KStatus::Stop;
+            }
+        }
+        KStatus::Proceed
+    }
+}
+
+/// The kernel shapes [`journaled_output_matches_fault_free`] runs between
+/// a source of `0..N` and a sink, one per stream access pattern: a lambda
+/// map (per-element pop and push), `SliceMap` (`pop_slice` + `push_batch`),
+/// `SlidingWindow(4, 4)` (`peek_range` + `advance`), a fused `Map → Map`
+/// (`pop_range` in, `reserve` out), and [`BatchMap`] reading whole rings
+/// of a `fixed(8)` link with `pop_range(8)`.
+const SHAPES: [&str; 5] = [
+    "lambda-map",
+    "slice-map",
+    "window",
+    "fused-maps",
+    "fixed-batch",
+];
+
+/// Build source → `shape` → sink with every link journaled through
+/// the map-wide `FifoConfig` (so the fusable chain still fuses), inject the
+/// faults `panic_at` names, run under Restart, and return the sink's output
+/// (windows flattened), the fault-free output, the number of faults that
+/// fire, and the report.
+fn run_shape(
+    shape: &str,
+    sched: SchedulerKind,
+    panic_at: &[u64],
+) -> (Vec<u64>, Vec<u64>, u64, ExeReport) {
+    let mut map = RaftMap::new();
+    map.config_mut().scheduler = sched;
+    map.config_mut().fifo = journaled();
+    let mut i = 0u64;
+    let src = map.add(lambda_source(move || {
+        let v = i;
+        i += 1;
+        (v < N).then_some(v)
+    }));
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink_seen = seen.clone();
+    let restart = SupervisorPolicy::restart(panic_at.len() as u32 + 1);
+    let inputs = 0..N;
+    let (faults, expected): (u64, Vec<u64>) = match shape {
+        "lambda-map" | "slice-map" => {
+            let (k, (k_in, k_out)) = if shape == "lambda-map" {
+                (map.add(panic_once_map(panic_at)), ("0", "0"))
+            } else {
+                let fault = panic_once(panic_at);
+                let k = map.add(SliceMap::new(move |v: &u64| {
+                    fault(*v);
+                    v * 3
+                }));
+                (k, ("in", "out"))
+            };
+            let dst = map.add(lambda_sink(move |v: u64| sink_seen.lock().unwrap().push(v)));
+            map.link(src, "0", k, k_in).unwrap();
+            map.link(k, k_out, dst, "0").unwrap();
+            map.supervise(k, restart);
+            (panic_at.len() as u64, inputs.map(|v| v * 3).collect())
+        }
+        "window" => {
+            // One window per run: the fault for `v` comes before the run
+            // that reads the window holding `v`.
+            let before: HashSet<u64> = panic_at.iter().map(|v| v / 4).collect();
+            let faults = before.len() as u64;
+            let k = map.add(PanicBeforeRun {
+                inner: SlidingWindow::<u64>::new(4, 4),
+                before,
+                runs: 0,
+            });
+            let dst = map.add(lambda_sink(move |w: Vec<u64>| {
+                sink_seen.lock().unwrap().extend(w);
+            }));
+            map.link(src, "0", k, "in").unwrap();
+            map.link(k, "out", dst, "0").unwrap();
+            map.supervise(k, restart);
+            (faults, inputs.collect())
+        }
+        "fixed-batch" => {
+            let k = map.add(BatchMap {
+                fault: panic_once(panic_at),
+                batch: Vec::new(),
+            });
+            let dst = map.add(lambda_sink(move |v: u64| sink_seen.lock().unwrap().push(v)));
+            // One read can fill the ring: the transaction must commit before
+            // the next read meets the ceiling, or the valve forces acks.
+            let fixed = FifoConfig::fixed(8).journaled();
+            map.link_with(src, "0", k, "in", fixed).unwrap();
+            map.link(k, "out", dst, "0").unwrap();
+            map.supervise(k, restart);
+            (panic_at.len() as u64, inputs.map(|v| v * 3).collect())
+        }
+        _ => {
+            let fault = panic_once(panic_at);
+            let head = map.add(Map::new(move |v: u64| {
+                fault(v);
+                v * 3
+            }));
+            let tail = map.add(Map::new(|v: u64| v + 1));
+            let dst = map.add(lambda_sink(move |v: u64| sink_seen.lock().unwrap().push(v)));
+            map.link(src, "0", head, "in").unwrap();
+            map.link(head, "out", tail, "in").unwrap();
+            map.link(tail, "out", dst, "0").unwrap();
+            map.supervise(head, restart.clone());
+            map.supervise(tail, restart);
+            (panic_at.len() as u64, inputs.map(|v| v * 3 + 1).collect())
+        }
+    };
+    let report = map.exe().expect("restart absorbs injected panics");
+    if shape == "fused-maps" {
+        assert_eq!(report.fused.len(), 1, "the two maps fuse");
+    }
+    let got = Arc::try_unwrap(seen).unwrap().into_inner().unwrap();
+    (got, expected, faults, report)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Satellite property: for ANY set of injected in-flight panic values
-    /// and any scheduler, a journaled pipeline under Restart produces
-    /// output byte-identical to the fault-free run.
+    /// Satellite property: for ANY set of injected panics, any scheduler
+    /// and every stream access pattern ([`SHAPES`]), a journaled pipeline
+    /// under Restart produces output byte-identical to the fault-free run.
     #[test]
     fn journaled_output_matches_fault_free(
-        panic_at in proptest::collection::vec(0..500u64, 0..6),
+        panic_at in proptest::collection::vec(0..N, 0..6),
         sched_idx in 0..2usize,
     ) {
         // Dedupe: each distinct value fires at most one injected panic.
@@ -319,27 +498,50 @@ proptest! {
             .into_iter()
             .collect();
         let sched = all_schedulers()[sched_idx].1;
+        for shape in SHAPES {
+            let (got, expected, faults, report) = run_shape(shape, sched, &panic_at);
+            assert_no_forced_acks(&report);
+            prop_assert_eq!(got, expected, "shape {}", shape);
+            prop_assert_eq!(report.total_rewinds(), faults, "shape {}", shape);
+        }
+    }
+}
 
+/// A replicated region with every link journaled completes on one stealing
+/// worker, where a join that waited inside `run()` would wedge the pool:
+/// nothing else could run to feed it (the join's own rule is pinned by
+/// `parallel::tests::reduce_does_not_wait_on_its_own_held_element`).
+#[test]
+fn journaled_replicated_region_completes_on_one_stealing_worker() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
         let mut map = RaftMap::new();
-        map.config_mut().scheduler = sched;
+        map.config_mut().scheduler = SchedulerKind::Stealing {
+            workers: 1,
+            pin: false,
+        };
+        map.config_mut().fifo = journaled();
         let mut i = 0u64;
         let src = map.add(lambda_source(move || {
             let v = i;
             i += 1;
-            (v < 500).then_some(v)
+            (v < N).then_some(v)
         }));
-        let flaky = map.add(panic_once_map(&panic_at));
+        let work = map.add(Map::new(|v: u64| v * 3));
         let seen = Arc::new(Mutex::new(Vec::new()));
         let sink_seen = seen.clone();
         let dst = map.add(lambda_sink(move |v: u64| sink_seen.lock().unwrap().push(v)));
-        map.link_with(src, "0", flaky, "0", journaled()).unwrap();
-        map.link_with(flaky, "0", dst, "0", journaled()).unwrap();
-        map.supervise(flaky, SupervisorPolicy::restart(panic_at.len() as u32 + 1));
-
-        let report = map.exe().expect("restart absorbs injected panics");
-        assert_no_forced_acks(&report);
-        let got = Arc::try_unwrap(seen).unwrap().into_inner().unwrap();
-        prop_assert_eq!(got, (0..500u64).map(|v| v * 3).collect::<Vec<u64>>());
-        prop_assert_eq!(report.total_rewinds(), panic_at.len() as u64);
-    }
+        map.link_unordered(src, "0", work, "in").unwrap();
+        map.link_unordered(work, "out", dst, "0").unwrap();
+        map.prefer_width(work, 2);
+        let report = map.exe().expect("the region runs to completion");
+        let got = std::mem::take(&mut *seen.lock().unwrap());
+        done.send((report.replicated.len(), got)).unwrap();
+    });
+    let (replicated, mut got) = finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a journaled replicated region completes on one worker");
+    assert_eq!(replicated, 1, "the region was replicated");
+    got.sort_unstable();
+    assert_eq!(got, (0..N).map(|v| v * 3).collect::<Vec<u64>>());
 }

@@ -850,6 +850,42 @@ mod tests {
         bridged.join().unwrap();
     }
 
+    /// A sender reading a journaled input flushes once nothing is left to
+    /// read, though the element it sent is still held for replay: a lone
+    /// element reaches the peer while the stream is still open.
+    #[test]
+    fn journaled_sender_flushes_a_lone_element_before_eos() {
+        let (mut tcp_out, mut tcp_in) = tcp_bridge::<u64>().unwrap();
+        let (_f_in, mut p_in, mut c_in) = fifo_with::<u64>(FifoConfig::starting_at(8));
+        let (_f_out, p_out, mut c_out) = fifo_with::<u64>(FifoConfig::starting_at(8));
+        c_in.enable_journal();
+        p_in.push(7).unwrap();
+        let sender = std::thread::spawn(move || {
+            let ctx = test_ctx_in(c_in);
+            while tcp_out.run(&ctx) == KStatus::Proceed {}
+        });
+        let receiver = std::thread::spawn(move || {
+            let ctx = test_ctx_out(p_out);
+            while tcp_in.run(&ctx) == KStatus::Proceed {}
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let early = loop {
+            match c_out.try_pop() {
+                Ok(v) => break Some(v),
+                Err(_) if Instant::now() > deadline => break None,
+                Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            }
+        };
+        p_in.close();
+        sender.join().unwrap();
+        receiver.join().unwrap();
+        assert_eq!(
+            early,
+            Some(7),
+            "the element arrived before the stream ended"
+        );
+    }
+
     // Small helpers constructing single-port contexts for direct kernel
     // driving (unit-test only; applications go through RaftMap).
     fn test_ctx_in<T: Send + 'static>(c: raft_buffer::Consumer<T>) -> Context {
