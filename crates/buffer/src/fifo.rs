@@ -27,14 +27,17 @@
 //!
 //! What the endpoints add to the ring core, on either home:
 //!
-//! * **Blocking.** Every wait — `push`, `push_batch`, `reserve`,
-//!   `allocate`, and the reads' one `Shared::wait_ready` behind `pop`,
-//!   `pop_range`, `pop_slice` and `peek_range` — is one call to
+//! * **Blocking.** There are two waits: the writes' `Shared::wait_room`
+//!   behind `push`, `push_batch`, `reserve`, `allocate` and the staged
+//!   flush, and the reads' `Shared::wait_ready` behind `pop`, `pop_range`,
+//!   `pop_slice` and `peek_range`. Each is one call to
 //!   `Shared::block_until`, i.e. the crate's one blocking loop
 //!   ([`crate::eventcount::block_until`]) bracketed by the `*_blocked_since`
-//!   stamps the monitor's 3δ rule consumes. A full ring blocks the writer
-//!   and an empty one the reader; only drain level `QUIESCED` ends a wait
-//!   early, so no element is ever dropped.
+//!   stamps the monitor's 3δ rule consumes. Every write publishes through
+//!   the one `Shared::publish`. A full ring blocks the writer and an empty
+//!   one the reader; only drain level `QUIESCED` ends a wait early — an
+//!   operation that does not wait succeeds at any level — so no element is
+//!   ever dropped.
 //! * Zero-copy batch views: [`Producer::reserve`] hands out a
 //!   [`WriteSlice`] that is written in place and published with one counter
 //!   store on drop; [`Consumer::pop_slice`] lends the front of the queue to
@@ -82,7 +85,9 @@ use crate::waker::WakerSlot;
 pub const DRAIN_RUNNING: u8 = 0;
 /// Sources stop, in-flight elements still flow (see [`DRAIN_RUNNING`]).
 pub const DRAIN_DRAINING: u8 = 1;
-/// Blocked pushes fail fast and pops on an empty ring report end-of-stream.
+/// Every wait ends: a write that finds the ring full fails fast (one that
+/// finds room succeeds, on every write path), and a pop on an empty ring
+/// reports end-of-stream.
 pub const DRAIN_QUIESCED: u8 = 2;
 
 /// Which allocator backs a link's element storage — the paper's three
@@ -657,6 +662,10 @@ struct Arena<'a, T, H: Home<T>> {
     role: Role,
 }
 
+/// What a producer's poll finds: its arena, entered, and the slots free
+/// from its tail.
+type Room<'a, T, H> = (Arena<'a, T, H>, usize);
+
 impl<T, H: Home<T>> Counters for Arena<'_, T, H> {
     type Counter = H::Counter;
     #[inline]
@@ -787,28 +796,6 @@ impl<T, H: Home<T>> Shared<T, H> {
         (self.home.producer_closed() || self.quiesced()) && self.occupancy() == 0
     }
 
-    /// The cursor just published: leave the arena, tell the consumer side,
-    /// count it.
-    #[inline]
-    fn published(&self, arena: Arena<'_, T, H>, tail: usize) {
-        drop(arena);
-        self.announce_pushed(tail);
-    }
-
-    /// Tell the consumer side that the ring holds `tail` elements ever
-    /// pushed, then count them. The count is stored only once the notify
-    /// has returned, so `pushed` is the elements whose wake-up has been
-    /// delivered ([`Monitorable::announced`]); a single-writer counter equal
-    /// to the tail, so a plain store replaces a fetch_add.
-    #[inline]
-    fn announce_pushed(&self, tail: usize) {
-        // Chaos hook: the producer descheduled between publishing and
-        // notifying, a window a rescue sweep must not count as a lost wake.
-        crate::failpoint!("buffer::fifo::publish");
-        self.notify(Role::Consumer);
-        self.stats.writer.pushed.store(tail as u64, Relaxed);
-    }
-
     /// The cursor just released: count it, leave the arena, tell the
     /// producer side.
     #[inline]
@@ -821,8 +808,10 @@ impl<T, H: Home<T>> Shared<T, H> {
 
     /// Block `role` until `ready` yields — the one place a FIFO endpoint
     /// waits. The first poll is the (inlined) fast path and touches no
-    /// clock; only then does [`blocked`](Self::blocked) take over.
-    #[inline]
+    /// clock; only then does [`blocked`](Self::blocked) take over. Always
+    /// inlined: `wait_room` runs every write's fast path through here, and
+    /// outlined it returns the entered arena through memory on each push.
+    #[inline(always)]
     fn block_until<R>(
         &self,
         role: Role,
@@ -864,85 +853,92 @@ impl<T, H: Home<T>> Shared<T, H> {
         result
     }
 
-    /// Non-blocking push straight to the ring.
+    /// Publish the `n` slots written since the last publish — the one
+    /// publish of every write path: one `tail` store, then tell the
+    /// consumer side; the caller leaves `arena` afterwards. `pushed` is
+    /// stored only once the notify has returned, so it counts the elements
+    /// whose wake-up has been delivered ([`Monitorable::announced`]); a
+    /// single-writer counter equal to the tail, so a plain store replaces a
+    /// fetch_add.
     #[inline]
-    fn try_push(
-        &self,
-        cursor: &mut ProducerCursor,
-        value: T,
-        signal: Signal,
-    ) -> Result<(), TryPushError<T>> {
-        if self.home.consumer_closed() {
-            return Err(TryPushError::Closed(value));
+    fn publish(&self, arena: &Arena<'_, T, H>, cursor: &mut ProducerCursor, n: usize) {
+        if n == 0 {
+            return;
         }
-        let arena = self.enter(Role::Producer);
-        match cursor.push(&arena, H::Slot::pack(value, signal)) {
-            Ok(()) => {
-                self.published(arena, cursor.tail());
-                Ok(())
-            }
-            Err(slot) => Err(TryPushError::Full(slot.unpack().0)),
-        }
+        cursor.publish(arena, n);
+        // Chaos hook: the producer descheduled between publishing and
+        // notifying, a window a rescue sweep must not count as a lost wake.
+        crate::failpoint!("buffer::fifo::publish");
+        self.notify(Role::Consumer);
+        self.stats
+            .writer
+            .pushed
+            .store(cursor.tail() as u64, Relaxed);
     }
 
-    /// Push as many of `want` elements as currently fit, under a single
-    /// arena entry and one publish. `items` is told how many that is and
-    /// yields exactly those.
+    /// Write `items` into the slots `room` found free, in order and no more
+    /// than it found, then [`publish`](Self::publish) them. Returns how
+    /// many.
     #[inline]
-    fn push_some<I: Iterator<Item = (T, Signal)>>(
+    fn fill(
+        &self,
+        (arena, free): Room<'_, T, H>,
+        cursor: &mut ProducerCursor,
+        items: impl IntoIterator<Item = (T, Signal)>,
+    ) -> usize {
+        let mut n = 0;
+        for (value, signal) in items.into_iter().take(free) {
+            // SAFETY: `room` claimed `free` slots from the tail, and the
+            // `n < free` before this one are the only ones written.
+            unsafe { cursor.write(&arena, n, H::Slot::pack(value, signal)) };
+            n += 1;
+        }
+        self.publish(&arena, cursor, n);
+        n
+    }
+
+    /// The non-blocking poll of every write: errs once the consumer is
+    /// gone, `None` while fewer than `min` slots are free, else the entered
+    /// arena and the free count.
+    #[inline]
+    fn room(
         &self,
         cursor: &mut ProducerCursor,
-        want: usize,
-        items: impl FnOnce(usize) -> I,
-    ) -> Result<usize, PushError<()>> {
-        if want == 0 {
-            return Ok(0);
-        }
+        min: usize,
+    ) -> Result<Option<Room<'_, T, H>>, PushError<()>> {
         if self.home.consumer_closed() {
             return Err(PushError(()));
         }
         let arena = self.enter(Role::Producer);
-        let n = cursor.push_some(&arena, want, |n| items(n).map(|(v, s)| H::Slot::pack(v, s)));
-        if n > 0 {
-            self.published(arena, cursor.tail());
-        }
-        Ok(n)
+        let free = cursor.claim(&arena, min);
+        // Too few: the arena drops with the tuple, leaving the section.
+        Ok((free >= min).then_some((arena, free)))
     }
 
-    /// Blocking push straight to the ring: a full ring blocks until the
-    /// consumer makes room.
+    /// Block until `min` slots are free for a write of `want ≥ min`
+    /// elements — the one wait of every blocking write. A write larger than
+    /// the ring grows it on the spot first (the write-side twin of
+    /// `wait_ready`'s trigger), so a reservation can be met and a batch
+    /// moves whole; the caller clamps `want` to the ceiling. Errs once the
+    /// consumer is gone, or when drain level `QUIESCED` ends the wait: a
+    /// write that finds room succeeds at any level.
     #[inline]
-    fn push(
+    fn wait_room(
         &self,
         cursor: &mut ProducerCursor,
-        value: T,
-        signal: Signal,
-    ) -> Result<(), PushError<T>> {
-        let mut held = match self.try_push(cursor, value, signal) {
-            Ok(()) => return Ok(()),
-            Err(TryPushError::Closed(v)) => return Err(PushError(v)),
-            Err(TryPushError::Full(v)) => Some(v),
-        };
-        let sent = self.block_until(Role::Producer, || {
-            let value = held.take().expect("handed back by every failed attempt");
-            match self.try_push(cursor, value, signal) {
-                Ok(()) => Some(true),
-                Err(TryPushError::Closed(v)) => {
-                    held = Some(v);
-                    Some(false)
-                }
-                Err(TryPushError::Full(v)) => {
-                    held = Some(v);
-                    None
-                }
+        min: usize,
+        want: usize,
+    ) -> Result<Room<'_, T, H>, PushError<()>> {
+        let room = self.block_until(Role::Producer, || {
+            // One element always fits, so a single write never loads the
+            // capacity here. We are outside the arena: the resize cannot
+            // deadlock on us.
+            if want > 1 && want > self.home.capacity() {
+                self.resize(want);
             }
+            self.room(cursor, min).transpose()
         });
-        match sent {
-            Ok(true) => Ok(()),
-            // Consumer gone, or quiesced: nobody will drain this ring —
-            // fail fast rather than wedge the draining graph.
-            Ok(false) | Err(_) => Err(PushError(held.expect("handed back by the failed attempt"))),
-        }
+        room.unwrap_or(Err(PushError(())))
     }
 
     /// Non-blocking pop: the element at the cursor, moved out — or, for a
@@ -1421,18 +1417,15 @@ impl<T, H: Home<T>> Producer<T, H> {
         };
         let mut published = 0;
         while window.staged() > 0 {
-            let staged = window.staged();
-            let entries = &mut *window;
-            let batch = move |n| std::iter::repeat_with(move || entries.next()).take(n);
-            match shared.push_some(cursor, staged, batch)? {
-                0 if block => {
-                    let (v, s) = window.next();
-                    shared.push(cursor, v, s).map_err(|_| PushError(()))?;
-                    published += 1;
-                }
-                0 => break,
-                n => published += n,
-            }
+            let room = if block {
+                Some(shared.wait_room(cursor, 1, 1)?)
+            } else {
+                shared.room(cursor, 1)?
+            };
+            let Some(room) = room else { break };
+            let n = room.1.min(window.staged());
+            let batch = std::iter::repeat_with(|| window.next()).take(n);
+            published += shared.fill(room, cursor, batch);
         }
         Ok(published)
     }
@@ -1444,7 +1437,14 @@ impl<T, H: Home<T>> Producer<T, H> {
         if self.window.is_some() {
             return self.stage(value, signal).map_err(TryPushError::Closed);
         }
-        self.shared.try_push(&mut self.cursor, value, signal)
+        match self.shared.room(&mut self.cursor, 1) {
+            Ok(Some(room)) => {
+                self.shared.fill(room, &mut self.cursor, [(value, signal)]);
+                Ok(())
+            }
+            Ok(None) => Err(TryPushError::Full(value)),
+            Err(_) => Err(TryPushError::Closed(value)),
+        }
     }
 
     /// Non-blocking push.
@@ -1454,8 +1454,9 @@ impl<T, H: Home<T>> Producer<T, H> {
     }
 
     /// Blocking push of `(value, signal)`; errs only if the consumer is gone
-    /// (or the link quiesced mid-drain). With staging enabled the element is
-    /// buffered instead — see [`try_push_signal`](Self::try_push_signal).
+    /// (or the link quiesced while the ring was full). With staging enabled
+    /// the element is buffered instead — see
+    /// [`try_push_signal`](Self::try_push_signal).
     ///
     /// While blocked, the producer is visible to the monitor through
     /// `writer_blocked_since` — after 3δ of continuous blocking the monitor
@@ -1464,7 +1465,13 @@ impl<T, H: Home<T>> Producer<T, H> {
         if self.window.is_some() {
             return self.stage(value, signal).map_err(PushError);
         }
-        self.shared.push(&mut self.cursor, value, signal)
+        match self.shared.wait_room(&mut self.cursor, 1, 1) {
+            Ok(room) => {
+                self.shared.fill(room, &mut self.cursor, [(value, signal)]);
+                Ok(())
+            }
+            Err(_) => Err(PushError(value)),
+        }
     }
 
     /// Blocking push; errs only if the consumer is gone.
@@ -1474,10 +1481,12 @@ impl<T, H: Home<T>> Producer<T, H> {
     }
 
     /// Blocking batch push: pushes *all* of `items`, as many as fit under
-    /// one fence entry at a time, waiting for room as needed. Errs only if
+    /// one fence entry at a time, waiting for room as needed. A batch
+    /// larger than the ring grows it on the spot (bounded by
+    /// `max_capacity`), as [`reserve`](Self::reserve) does. Errs only if
     /// the consumer is gone (remaining items stay in `items`) or the link
-    /// quiesced. With staging enabled the whole batch is buffered until
-    /// commit.
+    /// quiesced while the ring was full. With staging enabled the whole
+    /// batch is buffered until commit.
     pub fn push_batch(&mut self, items: &mut Vec<T>) -> Result<(), PushError<()>> {
         if self.window.is_some() {
             if self.shared.home.consumer_closed() {
@@ -1490,17 +1499,10 @@ impl<T, H: Home<T>> Producer<T, H> {
         }
         let Producer { shared, cursor, .. } = self;
         while !items.is_empty() {
-            // One wait per stretch without progress: progress restarts the
-            // backoff schedule and the blocked stamp.
-            let step = || match shared.push_some(cursor, items.len(), |n| {
-                items.drain(..n).map(|v| (v, Signal::None))
-            }) {
-                Ok(0) => None,
-                progress => Some(progress),
-            };
-            shared
-                .block_until(Role::Producer, step)
-                .map_err(|_| PushError(()))??;
+            let want = items.len().min(shared.cfg.max_capacity);
+            let room = shared.wait_room(cursor, 1, want)?;
+            let n = room.1.min(items.len());
+            shared.fill(room, cursor, items.drain(..n).map(|v| (v, Signal::None)));
         }
         Ok(())
     }
@@ -1508,40 +1510,24 @@ impl<T, H: Home<T>> Producer<T, H> {
     /// Reserve `n` slots for in-place batch writing; blocks until they are
     /// free (growing the ring on the spot if `n` exceeds its capacity,
     /// bounded by `max_capacity` — larger requests are clamped). The
-    /// returned [`WriteSlice`] is filled with [`WriteSlice::push`] and the
-    /// whole batch is published with a single counter store when it drops
-    /// — on a staging producer, staged behind earlier pushes instead
-    /// (published at [`commit_produced`](Self::commit_produced)).
+    /// returned [`WriteSlice`] is filled with [`WriteSlice::push`]; when it
+    /// drops, what was written is published with a single counter store —
+    /// or, on a staging producer, staged behind earlier pushes (published
+    /// at [`commit_produced`](Self::commit_produced)).
     ///
     /// Holding the slice holds fence membership: a resize waits until the
-    /// slice is dropped. Errs only if the consumer is gone or the link
-    /// quiesced.
+    /// slice is dropped. Errs only if the consumer is gone, or the link
+    /// quiesced while the slots were not free.
     pub fn reserve(&mut self, n: usize) -> Result<WriteSlice<'_, T, H>, PushError<()>> {
-        let shared = &*self.shared;
-        let cursor = &mut self.cursor;
-        let n = n.clamp(1, shared.cfg.max_capacity);
-        let arena = shared.block_until(Role::Producer, || {
-            if shared.home.consumer_closed() || shared.quiesced() {
-                return Some(None);
-            }
-            if n > shared.home.capacity() {
-                // Write-side on-the-spot grow (cold; resizer path). We are
-                // outside the arena here, so it cannot deadlock on us.
-                shared.resize(n);
-            }
-            let arena = shared.enter(Role::Producer);
-            (cursor.claim(&arena, n) >= n).then_some(Some(arena))
-        });
-        match arena {
-            Ok(Some(arena)) => Ok(WriteSlice {
-                arena,
-                cursor,
-                window: self.window.as_deref_mut(),
-                cap: n,
-                written: 0,
-            }),
-            _ => Err(PushError(())),
-        }
+        let n = n.clamp(1, self.shared.cfg.max_capacity);
+        let (arena, _) = self.shared.wait_room(&mut self.cursor, n, n)?;
+        Ok(WriteSlice {
+            arena,
+            cursor: &mut self.cursor,
+            window: self.window.as_deref_mut(),
+            cap: n,
+            written: 0,
+        })
     }
 
     /// In-place write: returns a guard holding a defaulted element; mutate it
@@ -1790,9 +1776,9 @@ impl<T, H: Home<T>> Drop for Producer<T, H> {
 }
 
 /// In-place batch write window returned by [`Producer::reserve`]. Fill it
-/// front-to-back with [`push`](WriteSlice::push); everything written is
-/// published with one counter store when the slice drops — or, on a
-/// staging producer, staged like a push.
+/// front-to-back with [`push`](WriteSlice::push); when the slice drops,
+/// what was written is published through the producer's one publish (one
+/// counter store) — or, on a staging producer, staged like a push.
 pub struct WriteSlice<'a, T, H: Home<T> = Heap<T>> {
     /// Membership held since `reserve`; pins the storage under the window.
     arena: Arena<'a, T, H>,
@@ -1868,9 +1854,8 @@ impl<T, H: Home<T>> Drop for WriteSlice<'_, T, H> {
                 });
                 window.append(slot.unpack(), &shared.stats.writer.forced_acks);
             }
-        } else if self.written > 0 {
-            self.cursor.publish(shared, self.written);
-            shared.announce_pushed(self.cursor.tail());
+        } else {
+            shared.publish(&self.arena, self.cursor, self.written);
         }
         // `arena` drops after this body: membership ends with the slice.
     }
@@ -3089,6 +3074,9 @@ mod tests {
         fn link() -> (Fifo<u64, Self>, Producer<u64, Self>, Consumer<u64, Self>);
         /// `true` while a thread parked as `role` has armed its eventcount.
         fn armed(&self, role: Role) -> bool;
+        /// The park-table row of the blocking write only this home's
+        /// callers make.
+        fn own_row() -> ParkRow;
     }
 
     impl Probe for Heap<u64> {
@@ -3097,6 +3085,21 @@ mod tests {
         }
         fn armed(&self, role: Role) -> bool {
             Wake::armed(&self.side(role).thread).load(Acquire) == 1
+        }
+        fn own_row() -> ParkRow {
+            ("staged commit_produced", || {
+                let (f, mut p, mut c) = full::<Self>();
+                p.enable_staging();
+                p.push(2).unwrap();
+                wake_once_parked(
+                    &armed(&f, Role::Producer),
+                    || assert_eq!(p.commit_produced().unwrap(), 1),
+                    || {
+                        c.pop().unwrap();
+                    },
+                );
+                f.snapshot().rescues
+            })
         }
     }
 
@@ -3107,6 +3110,21 @@ mod tests {
         }
         fn armed(&self, role: Role) -> bool {
             Wake::armed(self.event(role).backend()).load(Acquire) == 1
+        }
+        fn own_row() -> ParkRow {
+            ("send", || {
+                let (f, mut p, mut c) = Self::link();
+                p.enable_replay(0);
+                assert!(p.send(0) && p.send(1), "the ring of two is now full");
+                wake_once_parked(
+                    &armed(&f, Role::Producer),
+                    || assert!(p.send(2)),
+                    || {
+                        c.pop().unwrap();
+                    },
+                );
+                f.snapshot().rescues
+            })
         }
     }
 
@@ -3126,7 +3144,7 @@ mod tests {
     /// its link counted.
     type ParkRow = (&'static str, fn() -> u64);
 
-    fn park_rows<H: Probe>() -> [ParkRow; 7] {
+    fn park_rows<H: Probe>() -> [ParkRow; 8] {
         use Role::{Consumer as C, Producer as P};
         [
             ("push", || {
@@ -3205,6 +3223,7 @@ mod tests {
                 assert_eq!(seen, 5);
                 f.snapshot().rescues
             }),
+            H::own_row(),
         ]
     }
 
@@ -3224,6 +3243,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn quiesce_fails_only_the_writes_that_would_wait() {
+        // Drain level `QUIESCED` ends waits; a write that finds room does
+        // not wait, so it succeeds — on every write path, on either home.
+        fn check<H: Probe>(home: &str) {
+            type Write<H> = fn(&mut Producer<u64, H>) -> bool;
+            let rows: [(&str, Write<H>); 4] = [
+                ("push", |p| p.push(2).is_ok()),
+                ("push_batch", |p| p.push_batch(&mut vec![2]).is_ok()),
+                ("reserve", |p| p.reserve(1).is_ok()),
+                ("allocate", |p| p.allocate().is_ok()),
+            ];
+            for (entry, write) in rows {
+                for (full, (f, mut p, _c)) in [(false, H::link()), (true, full::<H>())] {
+                    f.shared.drain.fetch_max(DRAIN_QUIESCED, AcqRel);
+                    assert_eq!(write(&mut p), !full, "{home} {entry}, full ring: {full}");
+                }
+            }
+        }
+        check::<Heap<u64>>("heap");
+        check::<Seg<u64>>("segment");
     }
 
     #[test]

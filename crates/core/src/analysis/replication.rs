@@ -60,25 +60,23 @@ pub(crate) fn requested_width(map: &RaftMap, k: usize) -> u32 {
     }
 }
 
-/// Mirror of `runtime::expand_replicas` eligibility *shape*: exactly one
-/// input and one output port, both connected, both streams out-of-order
-/// safe. (Replicability is checked separately so diagnostics can tell the
-/// two failure modes apart.)
-pub(crate) fn shape_allows_replication(map: &RaftMap, k: usize) -> bool {
+/// The replication eligibility *shape*, which `runtime::expand_replicas`
+/// expands by: exactly one input and one output port, both connected, both
+/// streams out-of-order safe. Returns the input and output link indices
+/// when it holds. (Replicability is checked separately so diagnostics can
+/// tell the two failure modes apart.)
+pub(crate) fn replication_links(map: &RaftMap, k: usize) -> Option<(usize, usize)> {
     if map.kernels[k].spec.inputs.len() != 1 || map.kernels[k].spec.outputs.len() != 1 {
-        return false;
+        return None;
     }
-    let in_link = map.links.iter().position(|l| l.dst == k);
-    let out_link = map.links.iter().position(|l| l.src == k);
-    let (Some(in_idx), Some(out_idx)) = (in_link, out_link) else {
-        return false;
-    };
-    !map.links[in_idx].ordered && !map.links[out_idx].ordered
+    let in_idx = map.links.iter().position(|l| l.dst == k)?;
+    let out_idx = map.links.iter().position(|l| l.src == k)?;
+    (!map.links[in_idx].ordered && !map.links[out_idx].ordered).then_some((in_idx, out_idx))
 }
 
 /// Kernels the planner will actually replicate at `exe()`.
 pub(crate) fn will_replicate(map: &RaftMap, k: usize, replicable: bool) -> bool {
-    requested_width(map, k) > 1 && replicable && shape_allows_replication(map, k)
+    requested_width(map, k) > 1 && replicable && replication_links(map, k).is_some()
 }
 
 /// Compute the per-kernel classification for `map` (pre-expansion).
@@ -109,7 +107,7 @@ pub(crate) fn classify_with(map: &RaftMap, graph: &GraphView) -> Vec<KernelClass
     (0..n)
         .map(|k| {
             let e = &map.kernels[k];
-            let safe = replicable[k] && shape_allows_replication(map, k);
+            let safe = replicable[k] && replication_links(map, k).is_some();
             KernelClassification {
                 name: e.name.clone(),
                 stateless: e.is_stateless(),
@@ -163,7 +161,7 @@ pub(crate) fn lint_replication_safety(a: &Analysis) -> Vec<Diagnostic> {
         }
         // Contradiction 2: replication requested but an attached stream is
         // declared ordered, so the planner will silently skip expansion.
-        if explicit && width > 1 && class.replicable && !shape_allows_replication(map, k) {
+        if explicit && width > 1 && class.replicable && replication_links(map, k).is_none() {
             out.push(
                 Diagnostic::new(
                     "RC0009",

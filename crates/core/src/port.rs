@@ -80,8 +80,8 @@ pub trait InEnd: Any + Send {
 pub trait OutEnd: Any + Send {
     /// `true` when pushes are staged until the transaction commits.
     fn journaled(&self) -> bool;
-    /// Publish an owned batch (a `Vec<T>`) through reserved ring slots —
-    /// the fused chain's tail. Returns the element count, or `None` if the
+    /// Push an owned batch (a `Vec<T>`) with `Producer::push_batch` — the
+    /// fused chain's tail. Returns the element count, or `None` if the
     /// consumer is gone.
     fn push_batch(&mut self, batch: AnyBatch) -> Option<usize>;
     /// Publish everything staged since the last commit (no-op when not
@@ -127,21 +127,11 @@ impl<T: Send + 'static> OutEnd for Producer<T> {
         Producer::journaled(self)
     }
     fn push_batch(&mut self, batch: AnyBatch) -> Option<usize> {
-        let batch = batch
+        let mut batch = batch
             .downcast::<Vec<T>>()
             .expect("fused chain tail: output batch element type mismatch");
         let n = batch.len();
-        let mut items = batch.into_iter();
-        let mut left = n;
-        // reserve() clamps each grant to the ring's maximum capacity, so a
-        // batch larger than the ring is published across several
-        // reservations.
-        while left > 0 {
-            let mut slice = self.reserve(left).ok()?;
-            let take = left.min(slice.remaining());
-            items.by_ref().take(take).for_each(|v| slice.push(v));
-            left -= take;
-        }
+        Producer::push_batch(self, &mut batch).ok()?;
         Some(n)
     }
     fn commit(&mut self) {

@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 use raft_buffer::fifo::Monitorable;
 use raft_buffer::{LinkAlloc, StatsSnapshot};
 
+use crate::analysis::replication::{replication_links, requested_width};
 use crate::error::ExeError;
 use crate::kernel::Kernel;
 use crate::map::{KernelEntry, LinkEntry, RaftMap};
@@ -479,34 +480,19 @@ struct PlannedSplit {
 /// adapters (§4.1). Mutates the map's kernel and link tables in place.
 fn expand_replicas(map: &mut RaftMap) -> Vec<PlannedSplit> {
     let mut planned = Vec::new();
-    let auto = map.cfg.parallel.enabled;
-    let default_width = map.cfg.parallel.max_width.max(1);
     let strategy = map.cfg.parallel.strategy;
 
     // Snapshot candidate list first; expansion appends kernels/links.
     let candidates: Vec<usize> = (0..map.kernels.len()).collect();
     for k in candidates {
-        let width = match map.kernels[k].width_hint {
-            Some(w) => w,
-            None if auto => default_width,
-            None => 1,
-        };
+        let width = requested_width(map, k);
         if width <= 1 {
             continue;
         }
-        // Eligibility: exactly one input and one output...
-        if map.kernels[k].spec.inputs.len() != 1 || map.kernels[k].spec.outputs.len() != 1 {
-            continue;
-        }
-        // ...whose streams are both out-of-order safe...
-        let in_link = map.links.iter().position(|l| l.dst == k);
-        let out_link = map.links.iter().position(|l| l.src == k);
-        let (Some(in_idx), Some(out_idx)) = (in_link, out_link) else {
+        // Eligibility: the shape RC0009 reports on...
+        let Some((in_idx, out_idx)) = replication_links(map, k) else {
             continue;
         };
-        if map.links[in_idx].ordered || map.links[out_idx].ordered {
-            continue;
-        }
         // ...and the kernel can produce replicas.
         let Some(first_replica) = map.kernels[k].kernel.clone_replica() else {
             continue;
