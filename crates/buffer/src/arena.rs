@@ -54,10 +54,10 @@
 //! revoked its role word, [`ArenaTx::sweep_orphans`] repairs both: it
 //! re-enrolls every slot that is neither free-ring-enrolled nor still
 //! referenced by a journaled in-flight descriptor. [`DescriptorSender`]
-//! packages the full producer-side recovery contract — a descriptor ring
-//! whose producer retains its window for replay
-//! ([`ShmRingProducer::enable_replay`]) plus arena sweep — so a respawned worker re-attaches and replays exactly the
-//! unacknowledged suffix over payload slots the sweep left untouched.
+//! packages the full producer-side recovery contract — a descriptor ring,
+//! the replay window of every descriptor sent and not yet committed, and
+//! the arena sweep — so a respawned worker re-attaches and receives exactly
+//! the unacknowledged suffix over payload slots the sweep left untouched.
 
 use std::io;
 use std::sync::atomic::{
@@ -67,6 +67,7 @@ use std::sync::atomic::{
 use std::sync::Arc;
 
 use crate::eventcount::{block_until, PARK_TIMEOUT};
+use crate::journal::ReplayWindow;
 use crate::ring::{Backing, ConsumerCursor, ProducerCursor};
 use crate::shm::{SegRing, ShmItem, ShmRingProducer, ShmSegment, SEG_KIND_ARENA};
 use crate::stats::StatsSnapshot;
@@ -610,15 +611,22 @@ pub enum SendOutcome {
 }
 
 /// Producer-side bundle for a supervised descriptor link: an [`ArenaTx`]
-/// for the payload bytes plus a descriptor ring whose producer retains its
-/// window ([`ShmRingProducer::enable_replay`]) for exactly-once re-delivery
-/// across worker deaths.
+/// for the payload bytes, a descriptor ring, and the replay window that
+/// makes delivery exactly-once across worker deaths — the cross-process
+/// half of the recovery contract, kept here, at the boundary that can lose
+/// what the ring held.
 ///
-/// The worker-side contract that recovery relies on, per descriptor:
-/// resolve → process → *publish the result* → bump the ring segment's
-/// [`commit word`](ShmSegment::commit_word) to `seq + 1` → **then** free
-/// the slot. Freeing before committing would let a sweep-surviving replay
-/// hand the replacement worker a stale descriptor.
+/// Every descriptor is appended to the window *before* it is pushed,
+/// acknowledged only when the worker advances the ring segment's
+/// [`commit word`](ShmSegment::commit_word) (clamped to what was pushed),
+/// and re-pushed in order by [`Self::replay`] after the supervisor has
+/// reaped the dead worker. The worker-side contract that recovery relies
+/// on, per descriptor: resolve → process → *publish the result* → bump the
+/// commit word to `seq + 1` → **then** free the slot. A death between the
+/// publish and the bump re-delivers the descriptor, and the duplicate
+/// result is deduplicated downstream by its sequence number; freeing before
+/// committing would let a sweep-surviving replay hand the replacement
+/// worker a stale descriptor.
 ///
 /// Supervisor recovery sequence after kill + reap + role revocation (both
 /// segments): [`Self::begin_recovery`] → reopen roles → respawn →
@@ -626,34 +634,61 @@ pub enum SendOutcome {
 pub struct DescriptorSender {
     tx: ArenaTx,
     ring: ShmRingProducer<Descriptor>,
+    /// Descriptors sent and not yet committed, by sequence number:
+    /// `[acked, next)` went to the ring, `[next, next_seq)` is a backlog
+    /// still to push (a replay larger than the ring, or sends behind it).
+    window: ReplayWindow<Descriptor>,
+    /// Sequence number of the next descriptor to push.
+    next: u64,
+    /// Sends are refused between [`Self::begin_recovery`] and
+    /// [`Self::replay`].
+    recovering: bool,
 }
 
 impl DescriptorSender {
-    /// Bundle `tx` and `ring` with a replay bound of `journal_bound`
-    /// unacknowledged descriptors (see [`ShmRingProducer::enable_replay`]).
-    pub fn new(tx: ArenaTx, mut ring: ShmRingProducer<Descriptor>, journal_bound: usize) -> Self {
-        ring.enable_replay(journal_bound);
-        DescriptorSender { tx, ring }
+    /// Bundle `tx` and `ring` with a replay window of at most
+    /// `journal_bound` unacknowledged descriptors (0 = unbounded). The bound
+    /// must cover the ring capacity plus the worker's commit lag, or forced
+    /// acks (counted in the ring's [`StatsSnapshot::forced_acks`]) puncture
+    /// replay coverage — `2 × capacity` is a comfortable floor.
+    pub fn new(tx: ArenaTx, ring: ShmRingProducer<Descriptor>, journal_bound: usize) -> Self {
+        DescriptorSender {
+            tx,
+            ring,
+            window: ReplayWindow::new(journal_bound),
+            next: 0,
+            recovering: false,
+        }
     }
 
-    /// Stage `payload` into an arena slot and journal + push its
-    /// descriptor. [`SendOutcome::Busy`] (arena full or recovering) leaves
-    /// no trace — the caller retries, typically after
-    /// [`Self::wait_arena_slot`].
+    /// Write `payload` into an arena slot, journal its descriptor and push
+    /// it, blocking while the ring is full — unless a backlog is still
+    /// draining: then the descriptor queues behind it (window order stays
+    /// delivery order) and nothing blocks. A worker found gone leaves it
+    /// journaled, which is exactly what replay covers.
+    /// [`SendOutcome::Busy`] (arena full or recovering) leaves no trace —
+    /// the caller retries, typically after [`Self::wait_arena_slot`].
     pub fn send_bytes(&mut self, payload: &[u8]) -> SendOutcome {
-        if self.ring.recovering() {
+        if self.recovering {
             return SendOutcome::Busy;
         }
-        match self.tx.push_bytes(payload) {
-            Some(d) => {
-                // Cannot return false: the recovering gate was checked
-                // above and nothing in between opens a window.
-                let sent = self.ring.send(d);
-                debug_assert!(sent);
-                SendOutcome::Sent
-            }
-            None => SendOutcome::Busy,
+        let Some(d) = self.tx.push_bytes(payload) else {
+            return SendOutcome::Busy;
+        };
+        let forced = self.window.forced_acks();
+        self.window.append(d);
+        let now_forced = self.window.forced_acks();
+        if now_forced != forced {
+            let ring = self.ring.fifo();
+            ring.stats().writer.forced_acks.store(now_forced, Relaxed);
         }
+        // A forced ack of a descriptor not yet pushed loses it: skip past.
+        self.next = self.next.max(self.window.acked());
+        if self.next + 1 == self.window.next_seq() && self.ring.push(d).is_ok() {
+            self.next += 1;
+        }
+        self.ack_committed();
+        SendOutcome::Sent
     }
 
     /// Park until a recycled arena slot is probably available; `false`
@@ -662,19 +697,48 @@ impl DescriptorSender {
         self.tx.wait_free_slot()
     }
 
-    /// Retire journal entries the worker has committed.
+    /// Retire the descriptors the worker has committed and push any replay
+    /// backlog into free ring space. Returns how many were retired. Call
+    /// this periodically after a recovery: it is the pump that finishes a
+    /// replay too large to fit the ring in one go.
+    ///
+    /// Never blocks: a supervisor thread calls this from its reaction path,
+    /// and parking it on ring space would deadlock if the replacement
+    /// worker dies mid-replay (nobody left to reap it).
     pub fn ack_committed(&mut self) -> usize {
-        self.ring.ack_committed()
+        let committed = self.ring.segment().commit_word().load(Acquire);
+        // Only what was pushed can have been processed, whatever a
+        // byzantine worker writes.
+        let released = self.window.ack(committed.min(self.next));
+        if !self.recovering {
+            self.pump();
+        }
+        released
+    }
+
+    /// Push the backlog in window order while the ring has room. Stops at
+    /// a full ring (a later pump retries) or a gone worker (the next
+    /// recovery rewinds `next`). Returns how many were pushed.
+    fn pump(&mut self) -> usize {
+        let mut pushed = 0;
+        for &(_, d) in self.window.iter_from(self.next) {
+            if self.ring.try_push(d).is_err() {
+                break;
+            }
+            pushed += 1;
+        }
+        self.next += pushed as u64;
+        pushed
     }
 
     /// Descriptors journaled but not yet committed by the worker.
     pub fn pending(&self) -> usize {
-        self.ring.pending()
+        self.window.len()
     }
 
     /// `true` while sends are gated by an open recovery window.
     pub fn recovering(&self) -> bool {
-        self.ring.recovering()
+        self.recovering
     }
 
     /// Statistics of the descriptor ring's producer end: what this process
@@ -685,18 +749,25 @@ impl DescriptorSender {
     }
 
     /// Open the recovery window: drain the dead worker's un-popped
-    /// descriptor residue, fold its final commit into the journal, and
-    /// sweep arena slots not referenced by the unacknowledged suffix.
-    /// Returns `(ring residue drained, arena slots swept)`.
+    /// descriptor residue, fold its final commit into the journal, rewind
+    /// the push cursor to the first unacknowledged descriptor, refuse sends
+    /// until [`Self::replay`], and sweep arena slots not referenced by the
+    /// unacknowledged suffix. Returns `(ring residue drained, arena slots
+    /// swept)`.
     ///
     /// Caller contract: the worker is dead and reaped, and its consumer
-    /// roles on **both** segments have been revoked.
+    /// roles on **both** segments have been revoked — residue draining
+    /// moves the shared head, which only the (now nonexistent) consumer
+    /// otherwise owns.
     pub fn begin_recovery(&mut self) -> (u64, usize) {
-        let drained = self.ring.begin_recovery();
+        self.recovering = true;
+        let drained = self.ring.segment().drain_residue();
+        self.ack_committed();
+        self.next = self.window.acked();
         // The generation the window will re-deliver, by slot (a live slot
         // backs at most one unacknowledged descriptor).
         let mut keep = vec![None; self.tx.slots()];
-        for (_, (d, _)) in self.ring.unacked() {
+        for (_, d) in self.window.iter_from(self.next) {
             if let Some(kept) = keep.get_mut(d.slot as usize) {
                 *kept = Some(d.generation);
             }
@@ -707,10 +778,14 @@ impl DescriptorSender {
         (drained, swept)
     }
 
-    /// Re-push the unacknowledged descriptors in journal order and close
-    /// the recovery window. Returns descriptors re-pushed.
+    /// Close the recovery window and re-push as much of the unacknowledged
+    /// suffix as fits the ring *without blocking*. Whatever does not fit
+    /// drains on later [`Self::ack_committed`] pumps, ahead of any new
+    /// send, so the replacement worker still observes strict window order.
+    /// Returns the descriptors re-pushed now.
     pub fn replay(&mut self) -> usize {
-        self.ring.replay_unacked()
+        self.recovering = false;
+        self.pump()
     }
 
     /// The descriptor ring's backing segment (roles, commit word,
@@ -743,6 +818,7 @@ impl DescriptorSender {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use crate::shm::{ShmRing, ShmRingConsumer};
 
     #[test]
     fn alloc_publish_resolve_free_roundtrip() {
@@ -843,7 +919,6 @@ mod tests {
 
     #[test]
     fn descriptors_cross_a_ring() {
-        use crate::shm::ShmRing;
         // The intended composition: payload in the arena, descriptor
         // through the ring, consumer resolves in place then frees.
         let (mut tx, mut rx) = ShmArena::pair(8, 128);
@@ -907,7 +982,6 @@ mod tests {
 
     #[test]
     fn descriptor_sender_busy_when_arena_full() {
-        use crate::shm::ShmRing;
         let (arena_tx, arena_rx) = ShmArena::pair(2, 32);
         let (ring_p, mut ring_c) = ShmRing::<Descriptor>::pair(8);
         // pair() claims both arena roles; we only exercise the Tx side.
@@ -925,67 +999,235 @@ mod tests {
         assert_eq!(sender.send_bytes(b"c"), SendOutcome::Sent);
     }
 
-    #[test]
-    fn descriptor_sender_recovers_across_simulated_kill() {
-        use crate::shm::ShmRing;
+    /// A worker's ends of a supervised descriptor link: the ring's
+    /// consumer and the arena's Rx.
+    type Worker = (ShmRingConsumer<Descriptor>, ArenaRx);
+
+    /// A [`DescriptorSender`] over memfd segments — a ring of `ring` slots,
+    /// an arena of `slots` — with its worker attached and the two fds a
+    /// respawned worker attaches by; `None` without memfd.
+    fn supervised(
+        ring: usize,
+        slots: usize,
+        journal_bound: usize,
+    ) -> Option<(DescriptorSender, Worker, (i32, i32))> {
         if !ShmSegment::memfd_supported() {
             eprintln!("skipping: no memfd on this platform");
-            return;
+            return None;
         }
-        let (arena_tx, arena_fd) = ShmArena::create_tx(8, 32).unwrap();
-        let (ring_p, ring_fd) = ShmRing::<Descriptor>::create_producer(8).unwrap();
-        let mut sender = DescriptorSender::new(arena_tx, ring_p, 32);
-        let mut rx = ShmArena::attach_rx(arena_fd).unwrap();
-        let mut c = ShmRing::<Descriptor>::attach_consumer(ring_fd).unwrap();
+        let (tx, arena_fd) = ShmArena::create_tx(slots, 32).unwrap();
+        let (ring_p, ring_fd) = ShmRing::<Descriptor>::create_producer(ring).unwrap();
+        let sender = DescriptorSender::new(tx, ring_p, journal_bound);
+        let fds = (ring_fd, arena_fd);
+        Some((sender, attach(fds), fds))
+    }
 
+    fn attach((ring_fd, arena_fd): (i32, i32)) -> Worker {
+        let c = ShmRing::<Descriptor>::attach_consumer(ring_fd).unwrap();
+        (c, ShmArena::attach_rx(arena_fd).unwrap())
+    }
+
+    /// SIGKILL the worker — no drop glue runs, so its closed flags stay
+    /// unset — and revoke its roles on both segments, as the reaper does.
+    fn kill(sender: &DescriptorSender, worker: Worker) {
+        let ring_gen = sender.ring_segment().role_generation(false);
+        let arena_gen = sender.arena_segment().role_generation(false);
+        std::mem::forget(worker);
+        sender.ring_segment().revoke_role(false, ring_gen).unwrap();
+        let arena = sender.arena_segment();
+        arena.revoke_role(false, arena_gen).unwrap();
+    }
+
+    fn reopen(sender: &DescriptorSender) {
+        sender.ring_segment().reopen_role(false);
+        sender.arena_segment().reopen_role(false);
+    }
+
+    /// The worker contract for the next descriptor: resolve, check the
+    /// payload (`[seq as u8; 8]`), commit `seq + 1`, then free. `false`
+    /// when the ring is empty.
+    fn process(sender: &DescriptorSender, (c, rx): &mut Worker, seq: u64) -> bool {
+        let Ok(d) = c.try_pop() else {
+            return false;
+        };
+        assert_eq!(rx.resolve(&d).unwrap(), &[seq as u8; 8][..]);
+        sender.ring_segment().commit_word().store(seq + 1, Release);
+        rx.free(d).unwrap();
+        true
+    }
+
+    #[test]
+    fn descriptor_sender_recovers_across_simulated_kill() {
+        let Some((mut sender, mut worker, fds)) = supervised(8, 8, 32) else {
+            return;
+        };
         for i in 0..6u8 {
             assert_eq!(sender.send_bytes(&[i; 8]), SendOutcome::Sent);
         }
-        // Worker contract: resolve → publish result → commit → free.
-        for i in 0..3u8 {
-            let d = c.try_pop().unwrap();
-            assert_eq!(rx.resolve(&d).unwrap(), &[i; 8][..]);
-            sender
-                .ring_segment()
-                .commit_word()
-                .store(i as u64 + 1, Release);
-            rx.free(d).unwrap();
+        for i in 0..3 {
+            assert!(process(&sender, &mut worker, i));
         }
         // Pops one more, then dies before committing it: that descriptor
         // and the two un-popped ones are the unacknowledged suffix.
-        let _in_flight = c.try_pop().unwrap();
-        let ring_gen = sender.ring_segment().role_generation(false);
-        let arena_gen = sender.arena_segment().role_generation(false);
-        std::mem::forget(c);
-        std::mem::forget(rx);
+        let _in_flight = worker.0.try_pop().unwrap();
+        kill(&sender, worker);
 
-        // Supervisor path: revoke both consumer roles, recover, reopen.
-        sender.ring_segment().revoke_role(false, ring_gen).unwrap();
-        sender
-            .arena_segment()
-            .revoke_role(false, arena_gen)
-            .unwrap();
         let (drained, swept) = sender.begin_recovery();
         assert_eq!(drained, 2, "two descriptors never popped");
         assert_eq!(swept, 0, "every live slot is journal-referenced");
         assert_eq!(sender.pending(), 3);
         assert_eq!(sender.send_bytes(b"zz"), SendOutcome::Busy);
-        sender.ring_segment().reopen_role(false);
-        sender.arena_segment().reopen_role(false);
+        reopen(&sender);
 
         // Respawned worker re-attaches and receives exactly the
         // unacknowledged suffix, payload bytes intact.
-        let mut c2 = ShmRing::<Descriptor>::attach_consumer(ring_fd).unwrap();
-        let mut rx2 = ShmArena::attach_rx(arena_fd).unwrap();
+        let mut worker = attach(fds);
         assert_eq!(sender.replay(), 3);
-        for i in 3..6u8 {
-            let d = c2.try_pop().unwrap();
-            assert_eq!(rx2.resolve(&d).unwrap(), &[i; 8][..]);
-            sender
-                .ring_segment()
-                .commit_word()
-                .store(i as u64 + 1, Release);
-            rx2.free(d).unwrap();
+        for i in 3..6 {
+            assert!(process(&sender, &mut worker, i));
+        }
+        sender.ack_committed();
+        assert_eq!(sender.pending(), 0);
+    }
+
+    #[test]
+    fn producer_replays_after_simulated_kill() {
+        let Some((mut sender, mut worker, fds)) = supervised(8, 8, 32) else {
+            return;
+        };
+        for i in 0..6u8 {
+            assert_eq!(sender.send_bytes(&[i; 8]), SendOutcome::Sent);
+        }
+        assert_eq!(sender.pending(), 6);
+        // The worker consumes and commits four, then is SIGKILL'd.
+        for i in 0..4 {
+            assert!(process(&sender, &mut worker, i));
+        }
+        kill(&sender, worker);
+
+        // The reaper writes the dead worker's closed flag: a send that
+        // lands now is still journaled — that is what replay is for.
+        sender.ring_segment().consumer_closed().store(1, Release);
+        assert_eq!(sender.send_bytes(&[6; 8]), SendOutcome::Sent);
+        // Recovery drops the two un-popped descriptors and folds the final
+        // commit into the window.
+        assert_eq!(sender.begin_recovery(), (2, 0));
+        assert_eq!(sender.pending(), 3);
+        assert!(sender.recovering());
+        // New sends are refused (not journaled) until replay.
+        assert_eq!(sender.send_bytes(b"zz"), SendOutcome::Busy);
+        assert_eq!(sender.pending(), 3);
+        reopen(&sender);
+
+        // Respawned worker re-attaches and sees exactly the
+        // unacknowledged suffix in order, then what is sent after replay.
+        let mut worker = attach(fds);
+        assert_eq!(sender.replay(), 3);
+        assert!(!sender.recovering());
+        assert_eq!(sender.send_bytes(&[7; 8]), SendOutcome::Sent);
+        for i in 4..8 {
+            assert!(process(&sender, &mut worker, i));
+        }
+        let stats = sender.ring_snapshot();
+        assert_eq!((stats.forced_acks, stats.rescues), (0, 0));
+        sender.ack_committed();
+        assert_eq!(sender.pending(), 0);
+    }
+
+    #[test]
+    fn replay_backlog_drains_without_blocking() {
+        // Unacked window (8) larger than the ring (4): a full replay
+        // cannot fit in one go and must never block the caller — the
+        // supervisor thread replays from its reaction path, and parking
+        // there deadlocks if the replacement dies mid-replay.
+        let Some((mut sender, mut worker, fds)) = supervised(4, 16, 32) else {
+            return;
+        };
+        for i in 0..8u8 {
+            // Interleave pops (uncommitted) so blocking sends never park.
+            assert_eq!(sender.send_bytes(&[i; 8]), SendOutcome::Sent);
+            assert!(worker.0.try_pop().is_ok());
+        }
+        assert_eq!(sender.pending(), 8);
+        kill(&sender, worker);
+        assert_eq!(sender.begin_recovery(), (0, 0));
+        reopen(&sender);
+        let mut worker = attach(fds);
+
+        // Only the ring's worth fits immediately; the rest is backlog.
+        assert_eq!(sender.replay(), 4);
+        assert!(!sender.recovering());
+        // New sends while a backlog drains queue *behind* it.
+        assert_eq!(sender.send_bytes(&[8; 8]), SendOutcome::Sent);
+        assert_eq!(sender.pending(), 9);
+
+        // The replacement drains; ack pumps push the backlog in journal
+        // order until everything (including the queued new send) arrives.
+        let mut got = 0;
+        while got < 9 {
+            if process(&sender, &mut worker, got) {
+                got += 1;
+            } else {
+                sender.ack_committed();
+            }
+        }
+        sender.ack_committed();
+        assert_eq!(sender.pending(), 0);
+    }
+
+    #[test]
+    fn replaying_a_full_window_touches_each_entry_once() {
+        // The supervisor replays under its lock, and the frozen `xproc_shm`
+        // workload allows 2,048 unacknowledged entries: the replay pushes
+        // each entry of that suffix once, in order, and loses none.
+        const WINDOW: u64 = 2048;
+        let Some((mut sender, mut worker, fds)) = supervised(64, WINDOW as usize, 2048) else {
+            return;
+        };
+        for i in 0..WINDOW {
+            // Popped but never committed: the whole window stays unacked.
+            assert_eq!(sender.send_bytes(&[i as u8; 8]), SendOutcome::Sent);
+            assert!(worker.0.try_pop().is_ok());
+        }
+        assert_eq!(sender.pending(), WINDOW as usize);
+
+        kill(&sender, worker);
+        sender.begin_recovery();
+        reopen(&sender);
+        let mut worker = attach(fds);
+        let pushed = sender.ring_snapshot().pushed;
+        assert_eq!(sender.replay(), 64);
+        let mut next = 0;
+        while next < WINDOW {
+            if process(&sender, &mut worker, next) {
+                next += 1;
+            } else {
+                sender.ack_committed();
+            }
+        }
+        sender.ack_committed();
+        assert_eq!(sender.pending(), 0);
+        let stats = sender.ring_snapshot();
+        assert_eq!(stats.pushed - pushed, WINDOW, "one push per entry");
+        assert_eq!(stats.forced_acks, 0);
+    }
+
+    #[test]
+    fn a_journal_bound_below_the_in_flight_count_counts_forced_acks() {
+        // Eight descriptors in flight over a bound of five: the three
+        // oldest drop out of the window unacknowledged, and the ring's
+        // producer statistics say so.
+        let Some((mut sender, mut worker, _fds)) = supervised(8, 8, 5) else {
+            return;
+        };
+        for i in 0..8u8 {
+            assert_eq!(sender.send_bytes(&[i; 8]), SendOutcome::Sent);
+        }
+        assert_eq!(sender.pending(), 5);
+        assert_eq!(sender.ring_snapshot().forced_acks, 3);
+        // Delivery itself is untouched: the worker still sees all eight.
+        for i in 0..8 {
+            assert!(process(&sender, &mut worker, i));
         }
         sender.ack_committed();
         assert_eq!(sender.pending(), 0);

@@ -29,7 +29,7 @@
 //!
 //! * **Blocking.** There are two waits: the writes' `Shared::wait_room`
 //!   behind `push`, `push_batch`, `reserve`, `allocate` and the staged
-//!   flush, and the reads' `Shared::wait_ready` behind `pop`, `pop_range`,
+//!   commit, and the reads' `Shared::wait_ready` behind `pop`, `pop_range`,
 //!   `pop_slice` and `peek_range`. Each is one call to
 //!   `Shared::block_until`, i.e. the crate's one blocking loop
 //!   ([`crate::eventcount::block_until`]) bracketed by the `*_blocked_since`
@@ -43,18 +43,16 @@
 //!   store on drop; [`Consumer::pop_slice`] lends the front of the queue to
 //!   a closure as a [`SliceView`] and consumes it afterwards — both hold one
 //!   membership for the whole batch.
-//! * The exactly-once recovery contract ([`FifoConfig::journal`]). A
-//!   journaled **consumer** keeps no copy: the ring is its journal. Every
-//!   read path — pop, `pop_range`, `pop_slice`, `peek_range` + `advance` —
-//!   reads past its elements and *holds* their slots instead of handing
-//!   them back; the commit releases them (one `head` store), a rewind moves
-//!   the read head back onto them. A **producer** stages into a window
-//!   with cursors `acked ≤ published ≤ appended`: *staging* is `[published,
-//!   appended)`, and a *replay backlog* is the same region after a rewind;
-//!   on the heap home publishing moves an element into the ring and
-//!   thereby acknowledges it, on the segment home published elements are
-//!   retained until the consuming process advances the segment's commit
-//!   word.
+//! * The exactly-once recovery contract, stated once at
+//!   [`FifoConfig::journal`]. A journaled **consumer** keeps no copy: the
+//!   ring is its journal. Every read path — pop, `pop_range`, `pop_slice`,
+//!   `peek_range` + `advance` — reads past its elements and *holds* their
+//!   slots instead of handing them back; the commit releases them (one
+//!   `head` store), a rewind moves the read head back onto them. A staging
+//!   **producer** keeps its uncommitted writes in a plain pending batch;
+//!   the commit publishes it in order, a rewind clears it. Replay across a
+//!   process boundary, where the ring can die with its consumer, is kept by
+//!   the sender that crosses it ([`crate::arena::DescriptorSender`]).
 //! * Telemetry ([`FifoStats`]), counted rescues.
 
 use std::cell::UnsafeCell;
@@ -69,7 +67,6 @@ use std::sync::Arc;
 use crate::error::{PopError, PushError, TryPopError, TryPushError};
 use crate::eventcount::{self, Blocked, EventCount, ThreadPark, Wake};
 use crate::fence::{ResizeFence, Role};
-use crate::journal::ReplayWindow;
 use crate::ring::{Backing, ConsumerCursor, Counter, Counters, ProducerCursor};
 use crate::shm::{Seg, ShmItem, ShmSegment};
 
@@ -131,15 +128,29 @@ pub struct FifoConfig {
     pub max_capacity: usize,
     /// Shrink floor.
     pub min_capacity: usize,
-    /// When set, the link takes part in the exactly-once recovery contract:
-    /// one `run()` is a transaction, on every read and write path. Elements
-    /// read stay in their slots, held, and elements written are staged. A
-    /// commit releases the reads and publishes the writes; a rewind after a
-    /// panic the supervision policy absorbed discards the writes and
-    /// re-serves the reads, in order. A transaction that would hold more
-    /// than the ring's ceiling lets its oldest reads go early, counted in
-    /// `forced_acks`. Requires `T: Clone` at the wiring layer; `false`
-    /// keeps the historical lossy-restart behavior.
+    /// When set, the link takes part in the exactly-once recovery contract
+    /// (this is its one statement for in-process links). One `run()` is a
+    /// transaction, on every read and write path:
+    ///
+    /// * every element read stays in its ring slot, **held** by the
+    ///   consumer's cursor — within a process the ring survives a kernel
+    ///   panic, so it is the consumer's journal and no copy is kept;
+    /// * every element written is **staged** on the producer, unpublished;
+    /// * if the run returns, the scheduler **commits**: the held slots are
+    ///   released and the staged writes published, in order;
+    /// * if the run panics under a restart/replace policy, the scheduler
+    ///   **rewinds**: the staged writes are discarded and the read head
+    ///   moves back onto the held slots, so the restarted kernel reads the
+    ///   exact same elements, in order.
+    ///
+    /// For a deterministic kernel this is exactly-once *observable*
+    /// processing: downstream sees each input's effect once, byte-identical
+    /// to a fault-free run. Held slots stay held until committed, so a
+    /// second panic replays again. A transaction that would hold more than
+    /// the ring's ceiling lets its oldest reads go early, counted in
+    /// `forced_acks` — the loss is visible, never silent. Requires
+    /// `T: Clone` at the wiring layer; `false` keeps the historical
+    /// lossy-restart behavior.
     pub journal: bool,
 }
 
@@ -1002,7 +1013,12 @@ impl<T, H: Home<T>> Shared<T, H> {
         in_place: bool,
     ) {
         if hold {
-            return cursor.hold(k);
+            cursor.hold(k);
+            // Chaos hook: a crash right after a read is recorded, the
+            // element copied out and its slot held — a rewind must replay
+            // it.
+            crate::failpoint!("buffer::fifo::hold");
+            return;
         }
         if in_place && std::mem::needs_drop::<H::Slot>() {
             for i in 0..k {
@@ -1018,6 +1034,8 @@ impl<T, H: Home<T>> Shared<T, H> {
     /// Drop the elements the cursor holds in place and release their slots:
     /// one `head` store and one producer notify. Returns how many.
     fn release_held(&self, cursor: &mut ConsumerCursor) -> usize {
+        // Chaos hook: a commit delayed before it lets go of anything.
+        crate::failpoint!("buffer::fifo::commit");
         let held = cursor.unhold(self);
         if held > 0 {
             self.consume(self.enter(Role::Consumer), cursor, held, false, true);
@@ -1119,7 +1137,7 @@ impl<T, H: Home<T>> Fifo<T, H> {
             // SAFETY: the caller's contract; the cursor stays with `shared`.
             cursor: unsafe { ProducerCursor::attach(&*self.shared) },
             shared: self.shared.clone(),
-            window: None,
+            staged: None,
         }
     }
 
@@ -1310,132 +1328,23 @@ pub struct Producer<T, H: Home<T> = Heap<T>> {
     shared: Arc<Shared<T, H>>,
     /// The ring's producer-side state (exact tail, conservative head cache).
     cursor: ProducerCursor,
-    /// When `Some`, pushes are appended here instead of published to the
-    /// ring — the output half of the exactly-once contract (see
-    /// [`crate::journal`]) and the endpoint's one pending buffer.
-    window: Option<Box<Window<T>>>,
-}
-
-/// Everything appended to a producer and not yet acknowledged, in sequence
-/// order, under three cursors `acked ≤ cursor ≤ appended`. The middle
-/// cursor is *published*: `[cursor, appended)` is **staged** — not yet in
-/// the ring (a transaction's uncommitted outputs, or a replay backlog after
-/// a segment consumer died) — and `[acked, cursor)` is **retained** — in
-/// the ring (or past it), kept until the consuming side says it will never
-/// need it again.
-///
-/// Publishing either moves the entry at the cursor or copies it (`retain`).
-/// Who acknowledges depends on where a published element can still be
-/// lost. Within a process the ring itself is reliable, so handing an
-/// element to it is delivering it: publishing *moves* the entry out and
-/// acknowledges it (`retain` is `None`, the retained region stays empty, no
-/// `Clone` needed). Across a process boundary the consumer can die with the
-/// ring's contents: publishing *copies* the entry and the segment's commit
-/// word acknowledges it ([`Producer::ack_committed`]).
-struct Window<T> {
-    /// Entries `[acked, appended)`, numbered in append order from 0.
-    entries: ReplayWindow<(T, Signal)>,
-    /// Sequence number of the next entry to hand out.
-    cursor: u64,
-    /// How to copy a retained entry when handing it out; `None` moves it.
-    retain: Option<fn(&T) -> T>,
-    /// Sends are refused between [`Producer::begin_recovery`] and
-    /// [`Producer::replay_unacked`].
-    recovering: bool,
-}
-
-impl<T> Window<T> {
-    fn new(bound: usize, retain: Option<fn(&T) -> T>) -> Box<Self> {
-        Box::new(Window {
-            entries: ReplayWindow::new(bound),
-            cursor: 0,
-            retain,
-            recovering: false,
-        })
-    }
-
-    /// Entries appended and not yet handed out.
-    fn staged(&self) -> usize {
-        (self.entries.next_seq() - self.cursor) as usize
-    }
-
-    /// The entry at the cursor, for the ring.
-    fn next(&mut self) -> (T, Signal) {
-        let seq = self.cursor;
-        self.cursor += 1;
-        match self.retain {
-            // Nothing is retained, so the entry at the cursor is the front.
-            None => self.entries.take_front(),
-            Some(copy) => self.entries.get(seq).map(|(v, s)| (copy(v), *s)),
-        }
-        .expect("the cursor is inside the window")
-    }
-
-    /// Append `entry`, mirroring a forced acknowledgement (the bound
-    /// dropped an entry that can no longer be replayed) into the endpoint's
-    /// `forced_acks` counter.
-    fn append(&mut self, entry: (T, Signal), forced_acks: &AtomicU64) {
-        self.entries.append(entry);
-        let forced = self.entries.forced_acks();
-        if forced != forced_acks.load(Relaxed) {
-            forced_acks.store(forced, Relaxed);
-        }
-        // A forced ack of an entry not yet handed out loses it: skip past.
-        self.cursor = self.cursor.max(self.entries.acked());
-    }
+    /// When `Some`, writes are staged here instead of published to the ring
+    /// until [`commit_produced`](Self::commit_produced) — the output half of
+    /// the exactly-once recovery contract ([`FifoConfig::journal`]).
+    staged: Option<Vec<(T, Signal)>>,
 }
 
 impl<T, H: Home<T>> Producer<T, H> {
-    /// Append `(value, signal)` to the window (never `Full`), unless the
-    /// consumer is gone.
-    fn stage(&mut self, value: T, signal: Signal) -> Result<(), T> {
-        if self.shared.home.consumer_closed() {
-            return Err(value);
-        }
-        self.append(value, signal);
-        Ok(())
-    }
-
-    /// Append `(value, signal)` to the window.
-    fn append(&mut self, value: T, signal: Signal) {
-        let window = self.window.as_mut().expect("staging enabled");
-        window.append((value, signal), &self.shared.stats.writer.forced_acks);
-    }
-
-    /// Hand staged entries to the ring in order, one batch — a single
-    /// arena entry, tail store and consumer notify — per stretch of room.
-    /// On a full ring, `block` waits for room; otherwise the rest stays
-    /// staged. Returns the number published; errs if the consumer is gone.
-    fn flush(&mut self, block: bool) -> Result<usize, PushError<()>> {
-        let Producer {
-            shared,
-            cursor,
-            window,
-        } = self;
-        let Some(window) = window else {
-            return Ok(0);
-        };
-        let mut published = 0;
-        while window.staged() > 0 {
-            let room = if block {
-                Some(shared.wait_room(cursor, 1, 1)?)
-            } else {
-                shared.room(cursor, 1)?
-            };
-            let Some(room) = room else { break };
-            let n = room.1.min(window.staged());
-            let batch = std::iter::repeat_with(|| window.next()).take(n);
-            published += shared.fill(room, cursor, batch);
-        }
-        Ok(published)
-    }
-
     /// Non-blocking push of `(value, signal)`. With staging enabled the
-    /// element lands in the pending window (never `Full`) and reaches the
-    /// ring at the next [`commit_produced`](Self::commit_produced).
+    /// element is staged (never `Full`) and reaches the ring at the next
+    /// [`commit_produced`](Self::commit_produced).
     pub fn try_push_signal(&mut self, value: T, signal: Signal) -> Result<(), TryPushError<T>> {
-        if self.window.is_some() {
-            return self.stage(value, signal).map_err(TryPushError::Closed);
+        if let Some(staged) = &mut self.staged {
+            if self.shared.home.consumer_closed() {
+                return Err(TryPushError::Closed(value));
+            }
+            staged.push((value, signal));
+            return Ok(());
         }
         match self.shared.room(&mut self.cursor, 1) {
             Ok(Some(room)) => {
@@ -1462,8 +1371,11 @@ impl<T, H: Home<T>> Producer<T, H> {
     /// `writer_blocked_since` — after 3δ of continuous blocking the monitor
     /// grows this queue (the paper's write-side resize trigger).
     pub fn push_signal(&mut self, value: T, signal: Signal) -> Result<(), PushError<T>> {
-        if self.window.is_some() {
-            return self.stage(value, signal).map_err(PushError);
+        if self.staged.is_some() {
+            // Staging never waits: only a gone consumer fails it.
+            return self
+                .try_push_signal(value, signal)
+                .map_err(|e| PushError(e.into_inner()));
         }
         match self.shared.wait_room(&mut self.cursor, 1, 1) {
             Ok(room) => {
@@ -1488,13 +1400,11 @@ impl<T, H: Home<T>> Producer<T, H> {
     /// quiesced while the ring was full. With staging enabled the whole
     /// batch is buffered until commit.
     pub fn push_batch(&mut self, items: &mut Vec<T>) -> Result<(), PushError<()>> {
-        if self.window.is_some() {
+        if let Some(staged) = &mut self.staged {
             if self.shared.home.consumer_closed() {
                 return Err(PushError(()));
             }
-            for v in items.drain(..) {
-                self.append(v, Signal::None);
-            }
+            staged.extend(items.drain(..).map(|v| (v, Signal::None)));
             return Ok(());
         }
         let Producer { shared, cursor, .. } = self;
@@ -1524,7 +1434,7 @@ impl<T, H: Home<T>> Producer<T, H> {
         Ok(WriteSlice {
             arena,
             cursor: &mut self.cursor,
-            window: self.window.as_deref_mut(),
+            staged: self.staged.as_mut(),
             cap: n,
             written: 0,
         })
@@ -1546,46 +1456,58 @@ impl<T, H: Home<T>> Producer<T, H> {
     }
 
     /// Stage outputs instead of publishing them: after this call every push
-    /// lands in the pending window and only reaches the ring on
+    /// is staged on the producer and only reaches the ring on
     /// [`commit_produced`](Self::commit_produced) — the output half of the
     /// exactly-once recovery contract (see [`FifoConfig::journal`]). What a
     /// [`reserve`](Self::reserve) or [`allocate`](Self::allocate) wrote is
     /// staged when it drops, behind earlier pushes. Elements still staged
     /// when the producer closes are discarded.
     pub fn enable_staging(&mut self) {
-        if self.window.is_none() {
-            self.window = Some(Window::new(0, None));
-        }
+        self.staged.get_or_insert_with(Vec::new);
     }
 
-    /// `true` once staging (or replay) is enabled: pushes go through the
-    /// pending window.
+    /// `true` once staging is enabled: pushes are staged until commit.
     pub fn journaled(&self) -> bool {
-        self.window.is_some()
+        self.staged.is_some()
     }
 
     /// Elements currently staged and not yet published.
     pub fn staged_len(&self) -> usize {
-        self.window.as_ref().map_or(0, |w| w.staged())
+        self.staged.as_ref().map_or(0, Vec::len)
     }
 
-    /// Publish every staged element to the ring, blocking for room as
-    /// needed. Returns the number published; errs if the consumer is gone,
-    /// in which case the remaining staged elements are discarded.
+    /// Publish every staged element to the ring in order, blocking for room
+    /// as needed — one batch (a single arena entry, tail store and consumer
+    /// notify) per stretch of room; the ring does not grow for a commit.
+    /// Returns the number published; errs if the consumer is gone, in which
+    /// case the remaining staged elements are discarded.
     pub fn commit_produced(&mut self) -> Result<usize, PushError<()>> {
-        let committed = self.flush(true);
-        if committed.is_err() {
-            self.rewind_produced();
+        let Producer {
+            shared,
+            cursor,
+            staged: Some(staged),
+        } = self
+        else {
+            return Ok(0);
+        };
+        // Whatever is left in the drain when it drops is discarded.
+        let mut items = staged.drain(..);
+        let mut published = 0;
+        while items.len() > 0 {
+            let room = shared.wait_room(cursor, 1, 1)?;
+            published += shared.fill(room, cursor, items.by_ref());
         }
-        committed
+        Ok(published)
     }
 
     /// Discard every staged element — the rewind half of a failed
     /// transaction. Returns how many were discarded.
     pub fn rewind_produced(&mut self) -> usize {
-        self.window
-            .as_mut()
-            .map_or(0, |w| w.entries.truncate(w.cursor))
+        self.staged.as_mut().map_or(0, |staged| {
+            let discarded = staged.len();
+            staged.clear();
+            discarded
+        })
     }
 
     /// Close the stream: the consumer drains what remains, then sees
@@ -1638,19 +1560,8 @@ impl<T, H: Home<T>> Producer<T, H> {
     }
 }
 
-/// Cross-process exactly-once on the segment home: the producer half of a
-/// link whose consumer is a worker *process* that can be SIGKILLed, reaped
-/// and respawned over the same segment (see `core::proc`).
-///
-/// Every sent element is appended to the window *before* it is pushed,
-/// acknowledged only when the consuming worker advances the segment's
-/// [`commit word`](ShmSegment::commit_word), and re-delivered in order by
-/// [`replay_unacked`](Self::replay_unacked) after the supervisor has reaped
-/// the dead worker, revoked its role, and drained the un-popped residue.
-/// The worker-side contract that makes the commit word safe: *publish the
-/// result of element `n`, then store `n+1`* — a death between the two
-/// re-delivers element `n`, and the duplicate result is deduplicated
-/// downstream by its sequence number.
+/// The segment behind a segment-home producer, for the supervision layer
+/// that recovers its consuming process (see [`crate::arena::DescriptorSender`]).
 impl<T: ShmItem> Producer<T, Seg<T>> {
     /// The backing segment (fd, commit word, heartbeat, …).
     pub fn segment(&self) -> &ShmSegment {
@@ -1662,109 +1573,6 @@ impl<T: ShmItem> Producer<T, Seg<T>> {
     /// itself sits behind a lock.
     pub fn segment_shared(&self) -> Arc<ShmSegment> {
         self.shared.home.segment().clone()
-    }
-
-    /// Retain published elements for replay, at most `bound` of them
-    /// unacknowledged (0 = unbounded). The bound must cover the ring
-    /// capacity plus the worker's commit lag, or forced acks (counted in
-    /// [`StatsSnapshot::forced_acks`]) will puncture replay coverage —
-    /// `2 × capacity` is a comfortable floor. Call before the first send;
-    /// the methods below require it.
-    pub fn enable_replay(&mut self, bound: usize) {
-        self.window = Some(Window::new(bound, Some(T::clone)));
-    }
-
-    fn replay_window(&mut self) -> &mut Window<T> {
-        self.window.as_mut().expect("enable_replay() was called")
-    }
-
-    /// Append `value` and push it, blocking while the ring is full.
-    /// Returns `false` — value **not** appended, retry later — only while
-    /// a recovery window is open ([`begin_recovery`](Self::begin_recovery)
-    /// has run and [`replay_unacked`](Self::replay_unacked) has not). A
-    /// push that finds the consumer gone after the append still returns
-    /// `true`: the entry is retained, and that is exactly the window
-    /// replay covers.
-    pub fn send(&mut self, value: T) -> bool {
-        if self.recovering() {
-            return false;
-        }
-        // While a replay backlog is still draining the new entry queues
-        // behind it (window order stays delivery order) and nothing blocks.
-        let block = self.staged_len() == 0;
-        // Appended even if the consumer looks gone: a worker that died (or
-        // whose reaper wrote the flag) is what replay is for.
-        self.append(value, Signal::None);
-        let _ = self.flush(block);
-        self.ack_committed();
-        true
-    }
-
-    /// Release the entries the worker has committed and drain any replay
-    /// backlog into free ring space. Returns how many entries were
-    /// released. Call this periodically after a recovery: it is the pump
-    /// that finishes a replay too large to fit the ring in one go.
-    ///
-    /// Never blocks: a supervisor thread calls this from its reaction path,
-    /// and parking it on ring space would deadlock if the replacement
-    /// worker dies mid-replay (nobody left to reap it).
-    pub fn ack_committed(&mut self) -> usize {
-        let committed = self.segment().commit_word().load(Acquire);
-        let window = self.replay_window();
-        // Only what was handed to the ring can have been processed,
-        // whatever a byzantine worker writes.
-        let released = window.entries.ack(committed.min(window.cursor));
-        if !window.recovering {
-            // Full: retry on a later pump. Closed: the worker died again;
-            // the next recovery cycle rewinds the cursor.
-            let _ = self.flush(false);
-        }
-        released
-    }
-
-    /// Open the recovery window: discard the dead worker's un-popped ring
-    /// residue, fold its final commit into the window, rewind `published`
-    /// to `acked`, and refuse sends until
-    /// [`replay_unacked`](Self::replay_unacked). Returns the residue count
-    /// dropped.
-    ///
-    /// Caller contract: the worker is dead **and reaped**, and its consumer
-    /// role has been revoked — residue draining moves the shared head, which
-    /// only the (now nonexistent) consumer otherwise owns.
-    pub fn begin_recovery(&mut self) -> u64 {
-        self.replay_window().recovering = true;
-        let dropped = self.segment().drain_residue();
-        self.ack_committed();
-        let window = self.replay_window();
-        window.cursor = window.entries.acked();
-        dropped
-    }
-
-    /// Close the recovery window and re-push as much of the unacknowledged
-    /// suffix as fits the ring *without blocking*. Whatever does not fit
-    /// drains on subsequent [`ack_committed`](Self::ack_committed) pumps
-    /// (and ahead of any new sends), so the replacement worker still
-    /// observes strict window order. Returns entries re-pushed immediately.
-    pub fn replay_unacked(&mut self) -> usize {
-        self.replay_window().recovering = false;
-        self.flush(false).unwrap_or(0)
-    }
-
-    /// `true` while sends are refused by an open recovery window.
-    pub fn recovering(&self) -> bool {
-        self.window.as_ref().is_some_and(|w| w.recovering)
-    }
-
-    /// Entries appended and not yet committed by the worker.
-    pub fn pending(&self) -> usize {
-        self.window.as_ref().map_or(0, |w| w.entries.len())
-    }
-
-    /// The unacknowledged entries, by sequence number in send order.
-    pub(crate) fn unacked(&self) -> impl Iterator<Item = &(u64, (T, Signal))> {
-        self.window
-            .iter()
-            .flat_map(|w| w.entries.iter_from(w.entries.acked()))
     }
 }
 
@@ -1783,8 +1591,8 @@ pub struct WriteSlice<'a, T, H: Home<T> = Heap<T>> {
     /// Membership held since `reserve`; pins the storage under the window.
     arena: Arena<'a, T, H>,
     cursor: &'a mut ProducerCursor,
-    /// The producer's staging window, if it has one.
-    window: Option<&'a mut Window<T>>,
+    /// The producer's staged writes, if it stages.
+    staged: Option<&'a mut Vec<(T, Signal)>>,
     cap: usize,
     written: usize,
 }
@@ -1842,20 +1650,21 @@ impl<T, H: Home<T>> WriteSlice<'_, T, H> {
 
 impl<T, H: Home<T>> Drop for WriteSlice<'_, T, H> {
     fn drop(&mut self) {
-        let shared = self.arena.shared;
-        if let Some(window) = self.window.as_deref_mut() {
+        if let Some(staged) = self.staged.as_deref_mut() {
             // Staging: the written slots were scratch; move what they hold
-            // into the window, unpublished.
+            // behind the staged writes, unpublished.
             for i in 0..self.written {
                 let slot = self.arena.slot(self.cursor.tail() + i, |p| {
                     // SAFETY: written by `push_signal`, never published, and
                     // moved out once here.
                     unsafe { (*p).assume_init_read() }
                 });
-                window.append(slot.unpack(), &shared.stats.writer.forced_acks);
+                staged.push(slot.unpack());
             }
         } else {
-            shared.publish(&self.arena, self.cursor, self.written);
+            self.arena
+                .shared
+                .publish(&self.arena, self.cursor, self.written);
         }
         // `arena` drops after this body: membership ends with the slice.
     }
@@ -3011,6 +2820,51 @@ mod tests {
     }
 
     #[test]
+    fn staging_commits_in_order_without_growing_and_errs_once_the_consumer_is_gone() {
+        // A stage larger than the ring commits in order, one stretch of
+        // room at a time. The ring may grow, so the capacity check has
+        // teeth: a commit does not grow it.
+        let cfg = FifoConfig {
+            initial_capacity: 8,
+            ..FifoConfig::default()
+        };
+        let (f, mut p, mut c) = fifo_with::<u64>(cfg);
+        p.enable_staging();
+        for i in 0..40 {
+            p.push(i).unwrap();
+        }
+        for i in 40..60 {
+            p.try_push(i).unwrap();
+        }
+        p.push_batch(&mut (60..100).collect()).unwrap();
+        assert_eq!((p.staged_len(), f.occupancy()), (100, 0));
+        let reader = std::thread::spawn(move || -> Vec<u64> {
+            (0..100).map(|_| c.pop().unwrap()).collect()
+        });
+        assert_eq!(p.commit_produced().unwrap(), 100);
+        assert_eq!(reader.join().unwrap(), (0..100).collect::<Vec<_>>());
+        assert_eq!(f.capacity(), 8, "a commit does not grow the ring");
+
+        // The consumer gone: every staging write errs.
+        let (_f, mut p, c) = fifo_with::<u64>(FifoConfig::fixed(8));
+        p.enable_staging();
+        drop(c);
+        assert_eq!(p.push(1), Err(PushError(1)));
+        assert_eq!(p.try_push(2), Err(TryPushError::Closed(2)));
+        assert_eq!(p.push_batch(&mut vec![3]), Err(PushError(())));
+
+        // A commit that finds it gone, after publishing a ring's worth,
+        // discards the rest.
+        let (_f, mut p, mut c) = fifo_with::<u64>(FifoConfig::fixed(8));
+        p.enable_staging();
+        p.push_batch(&mut (0..20).collect()).unwrap();
+        let reader = std::thread::spawn(move || c.pop().unwrap());
+        assert!(p.commit_produced().is_err());
+        assert_eq!(reader.join().unwrap(), 0);
+        assert_eq!(p.staged_len(), 0, "the rest is discarded");
+    }
+
+    #[test]
     fn ceiling_below_the_default_floor_lowers_the_floor() {
         // `min_capacity` stays at its default 8 above a ceiling of 4: the
         // floor follows the ceiling down, so a resize past the ceiling
@@ -3074,9 +2928,6 @@ mod tests {
         fn link() -> (Fifo<u64, Self>, Producer<u64, Self>, Consumer<u64, Self>);
         /// `true` while a thread parked as `role` has armed its eventcount.
         fn armed(&self, role: Role) -> bool;
-        /// The park-table row of the blocking write only this home's
-        /// callers make.
-        fn own_row() -> ParkRow;
     }
 
     impl Probe for Heap<u64> {
@@ -3085,21 +2936,6 @@ mod tests {
         }
         fn armed(&self, role: Role) -> bool {
             Wake::armed(&self.side(role).thread).load(Acquire) == 1
-        }
-        fn own_row() -> ParkRow {
-            ("staged commit_produced", || {
-                let (f, mut p, mut c) = full::<Self>();
-                p.enable_staging();
-                p.push(2).unwrap();
-                wake_once_parked(
-                    &armed(&f, Role::Producer),
-                    || assert_eq!(p.commit_produced().unwrap(), 1),
-                    || {
-                        c.pop().unwrap();
-                    },
-                );
-                f.snapshot().rescues
-            })
         }
     }
 
@@ -3110,21 +2946,6 @@ mod tests {
         }
         fn armed(&self, role: Role) -> bool {
             Wake::armed(self.event(role).backend()).load(Acquire) == 1
-        }
-        fn own_row() -> ParkRow {
-            ("send", || {
-                let (f, mut p, mut c) = Self::link();
-                p.enable_replay(0);
-                assert!(p.send(0) && p.send(1), "the ring of two is now full");
-                wake_once_parked(
-                    &armed(&f, Role::Producer),
-                    || assert!(p.send(2)),
-                    || {
-                        c.pop().unwrap();
-                    },
-                );
-                f.snapshot().rescues
-            })
         }
     }
 
@@ -3223,7 +3044,19 @@ mod tests {
                 assert_eq!(seen, 5);
                 f.snapshot().rescues
             }),
-            H::own_row(),
+            ("staged commit_produced", || {
+                let (f, mut p, mut c) = full::<H>();
+                p.enable_staging();
+                p.push(2).unwrap();
+                wake_once_parked(
+                    &armed(&f, P),
+                    || assert_eq!(p.commit_produced().unwrap(), 1),
+                    || {
+                        c.pop().unwrap();
+                    },
+                );
+                f.snapshot().rescues
+            }),
         ]
     }
 

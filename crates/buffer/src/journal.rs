@@ -1,49 +1,33 @@
-//! In-flight journaling: the sequence-numbered replay window behind the
-//! exactly-once recovery contract's producer side.
+//! The sender-side replay window: what a sender keeps of every element it
+//! put across a boundary that can lose what the ring (or socket) held.
 //!
-//! The paper's runtime assumes kernels never fail; our supervision layer
-//! (restart/replace policies) re-enters a panicked kernel, but historically
-//! anything the kernel had already *popped* in the failing `run()` was gone
-//! and anything it had already *pushed* was published twice on replay —
-//! "lossy panic absorption". The resumable TCP links solved the same
-//! problem across processes with a seq/ack replay window
-//! (`raft-net/src/link.rs`, a link built from an address);
-//! [`ReplayWindow`] is that mechanism factored out so the in-process FIFOs
-//! can journal too.
+//! Within a process the ring survives a kernel panic, so it is the
+//! consumer's journal and nothing else is kept (the in-process recovery
+//! contract is [`crate::fifo::FifoConfig::journal`]). Across a boundary
+//! that is no longer true: a worker *process* can die with a segment ring's
+//! contents, a TCP connection with its kernel buffers. There the sender
+//! keeps every element it sent in a [`ReplayWindow`] until the far side
+//! acknowledges it, and re-sends the unacknowledged suffix, in order, to
+//! the far side's replacement. Its two clients:
 //!
-//! ## The recovery contract
+//! * [`crate::arena::DescriptorSender`] — the descriptor ring to a
+//!   supervised worker process; the acknowledgement is the segment's
+//!   commit word;
+//! * `raft-net`'s resumable TCP sender — encoded frames, acknowledged by
+//!   the receiver's ack frames.
 //!
-//! A journaled link treats one `run()` invocation as a transaction:
-//!
-//! * every element read during the run stays in its ring slot, **held** by
-//!   the consumer's cursor — within a process the ring survives a kernel
-//!   panic, so it is the consumer's journal and no copy is kept;
-//! * every element written during the run is **staged** producer-side in a
-//!   [`ReplayWindow`] and not yet published to the ring;
-//! * if the run returns, the scheduler **commits**: held slots are
-//!   released, staged outputs are published;
-//! * if the run panics under a restart/replace policy, the scheduler
-//!   **rewinds**: staged outputs are discarded, and the consumer's read
-//!   head moves back onto its held slots so the restarted kernel reads the
-//!   exact same elements, in order.
-//!
-//! For a deterministic kernel this yields exactly-once *observable*
-//! processing: downstream sees each input's effect once, byte-identical to
-//! a fault-free run. Held slots stay held until committed, so a second
-//! panic replays again. A transaction cannot hold more than the ring's
-//! ceiling: past it the held elements are released early (they can no
-//! longer be replayed — the valve is counted in `forced_acks`, so the loss
-//! is visible, never silent).
+//! A bounded window force-acknowledges its oldest entry to make room; each
+//! such entry can no longer be replayed, so the loss is counted
+//! ([`ReplayWindow::forced_acks`]), never silent.
 
 use std::collections::VecDeque;
 
 /// A bounded, sequence-numbered window of sent-but-unacknowledged entries.
 ///
-/// Generic over the entry type: the FIFO endpoints' windows store
-/// `(T, Signal)` pairs, the TCP sender stores encoded frames.
-/// Sequence numbers are monotonic from 0, dense, and reused only by
-/// [`truncate`](Self::truncate); acknowledgement is cumulative (acking `n`
-/// releases every entry with `seq < n`).
+/// Generic over the entry type: the descriptor sender stores descriptors,
+/// the TCP sender encoded frames. Sequence numbers are monotonic from 0 and
+/// dense; acknowledgement is cumulative (acking `n` releases every entry
+/// with `seq < n`).
 #[derive(Debug)]
 pub struct ReplayWindow<E> {
     entries: VecDeque<(u64, E)>,
@@ -82,19 +66,12 @@ impl<E> ReplayWindow<E> {
         let seq = self.next_seq;
         self.entries.push_back((seq, entry));
         self.next_seq += 1;
-        // After the record: an injected crash here models dying right after
-        // the journal write — the recoverable half of the window (the entry
-        // is retained, a rewind replays it). Crashing *before* the record
-        // would lose the element the caller already took from the ring, so
-        // the site sits on the committed side.
-        crate::failpoint!("buffer::journal::append");
         seq
     }
 
     /// Cumulative acknowledgement: drop every entry with `seq <
     /// next_expected`. Returns how many entries were released.
     pub fn ack(&mut self, next_expected: u64) -> usize {
-        crate::failpoint!("buffer::journal::ack");
         // Entries are dense from `acked`: the released prefix is a range.
         let upto = next_expected.clamp(self.acked, self.next_seq);
         let released = (upto - self.acked) as usize;
@@ -108,30 +85,11 @@ impl<E> ReplayWindow<E> {
         self.ack(self.next_seq)
     }
 
-    /// Acknowledge the oldest entry and hand it back — for a sender whose
-    /// delivery *is* the acknowledgement.
-    pub fn take_front(&mut self) -> Option<E> {
-        let (seq, entry) = self.entries.pop_front()?;
-        self.acked = seq + 1;
-        Some(entry)
-    }
-
-    /// Un-append every entry with `seq >= from` (their sequence numbers
-    /// will be assigned again). Returns how many entries were dropped.
-    pub fn truncate(&mut self, from: u64) -> usize {
-        let from = from.clamp(self.acked, self.next_seq);
-        let dropped = (self.next_seq - from) as usize;
-        self.entries.truncate(self.entries.len() - dropped);
-        self.next_seq = from;
-        dropped
-    }
-
     /// Iterate entries with `seq >= from`, in sequence order — the replay
-    /// suffix retransmitted after a reconnect or rewound after a panic.
+    /// suffix re-sent after a reconnect or a worker's death.
     /// Entries are dense, so the suffix starts at an offset: acknowledged
     /// history and the entries before `from` are not visited.
     pub fn iter_from(&self, from: u64) -> impl Iterator<Item = &(u64, E)> {
-        crate::failpoint!("buffer::journal::replay");
         let skip = from
             .saturating_sub(self.acked)
             .min(self.entries.len() as u64);
@@ -232,22 +190,6 @@ mod tests {
         assert_eq!(seqs(8), [(8, 80), (9, 90)]);
         assert_eq!(seqs(0).len(), 4, "below the window: all of it");
         assert!(seqs(10).is_empty() && seqs(99).is_empty());
-    }
-
-    #[test]
-    fn take_front_acks_and_truncate_unappends() {
-        let mut w = ReplayWindow::new(0);
-        for s in ["a", "b", "c", "d"] {
-            w.append(s);
-        }
-        assert_eq!(w.take_front(), Some("a"));
-        assert_eq!((w.acked(), w.get(0), w.get(1)), (1, None, Some(&"b")));
-        // Un-append from seq 2 on: "c" and "d" go, their numbers come back.
-        assert_eq!(w.truncate(2), 2);
-        assert_eq!((w.len(), w.next_seq(), w.append("e")), (1, 2, 2));
-        // Clamped to the window: nothing acknowledged can be un-appended.
-        assert_eq!(w.truncate(0), 2);
-        assert_eq!((w.acked(), w.next_seq(), w.take_front()), (1, 1, None));
     }
 
     #[test]

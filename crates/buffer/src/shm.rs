@@ -72,8 +72,9 @@
 //! The header also carries a heartbeat eventcount ([`ShmSegment::heartbeat`])
 //! a worker bumps per processed item and a watcher futex-parks on, plus a
 //! cumulative commit word ([`ShmSegment::commit_word`]) — the cross-process
-//! ack cursor that lets the parent's [`Producer::ack_committed`] release
-//! window entries the worker has fully processed.
+//! ack cursor that lets the parent's
+//! [`DescriptorSender::ack_committed`](crate::arena::DescriptorSender::ack_committed)
+//! release replay-window entries the worker has fully processed.
 
 use std::io;
 use std::marker::PhantomData;
@@ -704,10 +705,11 @@ impl ShmSegment {
 
     /// The worker's cumulative commit cursor: how many journal entries it
     /// has *fully processed* (results published). The parent acks its
-    /// producer window ([`Producer::ack_committed`]) up to this value; a worker that
-    /// dies between publishing a result and bumping this word is replayed
-    /// from the last commit, and the duplicate result is deduplicated by
-    /// its sequence number downstream.
+    /// replay window
+    /// ([`DescriptorSender::ack_committed`](crate::arena::DescriptorSender::ack_committed))
+    /// up to this value; a worker that dies between publishing a result and
+    /// bumping this word is replayed from the last commit, and the duplicate
+    /// result is deduplicated by its sequence number downstream.
     #[inline]
     pub fn commit_word(&self) -> &AtomicU64 {
         self.u64_at(OFF_COMMIT)
@@ -1308,176 +1310,5 @@ mod tests {
         // An armed watcher whose epoch is already stale must not block.
         assert!(!hb.wait(epoch, Duration::from_millis(50)) || hb.count() != epoch);
         hb.disarm();
-    }
-
-    #[test]
-    fn producer_replays_after_simulated_kill() {
-        if !ShmSegment::memfd_supported() {
-            eprintln!("skipping: no memfd on this platform");
-            return;
-        }
-        let (mut p, fd) = ShmRing::<u64>::create_producer(8).unwrap();
-        let mut c = ShmRing::<u64>::attach_consumer(fd).unwrap();
-        p.enable_replay(32);
-
-        for i in 0..6u64 {
-            assert!(p.send(i * 10));
-        }
-        assert_eq!(p.pending(), 6);
-
-        // Worker consumes 4 and commits them (publish-then-commit order),
-        // then is SIGKILL'd: no drop glue runs, so simulate with forget —
-        // the closed flag stays unset and the role stays claimed.
-        for i in 0..4u64 {
-            assert_eq!(c.try_pop().unwrap(), i * 10);
-        }
-        p.segment().commit_word().store(4, Release);
-        let gen = p.segment().role_generation(false);
-        std::mem::forget(c);
-
-        // Supervisor reap path: write the dead worker's closed flag — a
-        // send that lands now is still appended (that is what replay is
-        // for) — revoke at the observed generation, open the recovery
-        // window (drops the 2 un-popped elements, folds the final commit
-        // into the window), reopen the closed flag.
-        p.segment().consumer_closed().store(1, Release);
-        assert!(p.send(55));
-        assert_eq!(p.segment().revoke_role(false, gen), Ok(gen + 1));
-        assert_eq!(p.begin_recovery(), 2);
-        assert_eq!(p.pending(), 3);
-        assert!(p.recovering());
-        // New sends are refused (not appended) until replay closes the window.
-        assert!(!p.send(999));
-        assert_eq!(p.pending(), 3);
-        p.segment().reopen_role(false);
-
-        // Respawned worker re-attaches under the reclaimed role and sees
-        // exactly the unacknowledged suffix, in order.
-        let mut c2 = ShmRing::<u64>::attach_consumer(fd).unwrap();
-        assert_eq!(p.replay_unacked(), 3);
-        assert!(!p.recovering());
-        assert!(p.send(60));
-        for v in [40, 50, 55, 60] {
-            assert_eq!(c2.try_pop().unwrap(), v);
-        }
-        let stats = p.fifo().snapshot();
-        assert_eq!((stats.forced_acks, stats.rescues), (0, 0));
-        p.segment().commit_word().store(8, Release);
-        p.ack_committed();
-        assert_eq!(p.pending(), 0);
-    }
-
-    #[test]
-    fn replay_backlog_drains_without_blocking() {
-        if !ShmSegment::memfd_supported() {
-            eprintln!("skipping: no memfd on this platform");
-            return;
-        }
-        // Unacked window (8) larger than the ring (4): a full replay
-        // cannot fit in one go and must never block the caller — the
-        // supervisor thread replays from its reaction path, and parking
-        // there deadlocks if the replacement dies mid-replay.
-        let (mut p, fd) = ShmRing::<u64>::create_producer(4).unwrap();
-        let mut c = ShmRing::<u64>::attach_consumer(fd).unwrap();
-        p.enable_replay(32);
-        for i in 0..8u64 {
-            // Interleave pops (uncommitted) so blocking sends never park.
-            assert!(p.send(i));
-            assert_eq!(c.try_pop().unwrap(), i);
-        }
-        assert_eq!(p.pending(), 8);
-
-        let gen = p.segment().role_generation(false);
-        std::mem::forget(c);
-        assert_eq!(p.segment().revoke_role(false, gen), Ok(gen + 1));
-        assert_eq!(p.begin_recovery(), 0);
-        p.segment().reopen_role(false);
-        let mut c2 = ShmRing::<u64>::attach_consumer(fd).unwrap();
-
-        // Only the ring's worth fits immediately; the rest is backlog.
-        assert_eq!(p.replay_unacked(), 4);
-        assert!(!p.recovering());
-        // New sends while a backlog drains queue *behind* it.
-        assert!(p.send(8));
-        assert_eq!(p.pending(), 9);
-
-        // The replacement drains; ack pumps push the backlog in journal
-        // order until everything (including the queued new send) arrives.
-        let mut got = Vec::new();
-        while got.len() < 9 {
-            match c2.try_pop() {
-                Ok(v) => {
-                    got.push(v);
-                    p.segment().commit_word().store(got.len() as u64, Release);
-                }
-                Err(TryPopError::Empty) => {
-                    p.ack_committed();
-                }
-                Err(TryPopError::Closed) => panic!("ring closed unexpectedly"),
-            }
-        }
-        assert_eq!(got, (0..9u64).collect::<Vec<_>>());
-        p.ack_committed();
-        assert_eq!(p.pending(), 0);
-    }
-
-    #[test]
-    fn replaying_a_full_window_touches_each_entry_once() {
-        use std::sync::atomic::AtomicUsize;
-        // The supervisor replays under its lock, and the frozen `xproc_shm`
-        // workload allows 2,048 unacknowledged entries: re-pushing that
-        // suffix must cost one copy per entry, not a scan of the window per
-        // entry. Counted by an element whose `Clone` counts.
-        static COPIES: AtomicUsize = AtomicUsize::new(0);
-        #[derive(Copy, Debug, PartialEq)]
-        struct Counted(u64);
-        #[allow(clippy::expl_impl_clone_on_copy, clippy::non_canonical_clone_impl)]
-        impl Clone for Counted {
-            fn clone(&self) -> Self {
-                COPIES.fetch_add(1, Relaxed);
-                *self
-            }
-        }
-        // SAFETY: a `u64` newtype — every bit pattern is a value.
-        unsafe impl ShmItem for Counted {}
-
-        const WINDOW: u64 = 2048;
-        let (mut p, mut c) = ShmRing::<Counted>::pair(64);
-        p.enable_replay(WINDOW as usize);
-        for i in 0..WINDOW {
-            // Popped but never committed: the whole window stays unacked.
-            assert!(p.send(Counted(i)));
-            assert_eq!(c.try_pop(), Ok(Counted(i)));
-        }
-        assert_eq!(p.pending(), WINDOW as usize);
-
-        // The consumer "dies" with its role; recover over the same segment.
-        let gen = p.segment().role_generation(false);
-        std::mem::forget(c);
-        assert_eq!(p.segment().revoke_role(false, gen), Ok(gen + 1));
-        p.begin_recovery();
-        assert!(p.segment().claim_role(false));
-        // SAFETY: the consumer role was just re-claimed, the old endpoint
-        // is forgotten.
-        let mut c = unsafe { p.fifo().consumer() };
-        COPIES.store(0, Relaxed);
-        assert_eq!(p.replay_unacked(), 64);
-        let mut next = 0;
-        while next < WINDOW {
-            match c.try_pop() {
-                Ok(v) => {
-                    assert_eq!(v, Counted(next));
-                    next += 1;
-                    p.segment().commit_word().store(next, Release);
-                }
-                Err(_) => {
-                    p.ack_committed();
-                }
-            }
-        }
-        p.ack_committed();
-        assert_eq!(p.pending(), 0);
-        assert_eq!(COPIES.load(Relaxed), WINDOW as usize);
-        assert_eq!(p.fifo().snapshot().forced_acks, 0);
     }
 }

@@ -43,9 +43,9 @@ pub struct WriterCounters {
     /// room: wakes that were owed and never came (see
     /// [`crate::eventcount::block_until`]).
     pub rescues: AtomicU64,
-    /// Entries the producer-side window's bound dropped before they were
-    /// acknowledged: elements that can no longer be replayed (see
-    /// [`crate::journal::ReplayWindow::forced_acks`]).
+    /// Entries a sender's replay window dropped at its bound before they
+    /// were acknowledged: elements that can no longer be replayed (see
+    /// [`crate::arena::DescriptorSender::new`]).
     pub forced_acks: AtomicU64,
 }
 
@@ -291,8 +291,8 @@ pub struct StatsSnapshot {
     /// condition already true — lost wakeups the 2 ms safety net absorbed.
     /// Stays 0 unless a wake was genuinely missed.
     pub rescues: u64,
-    /// Elements whose replay coverage was lost: dropped by a producer
-    /// window's bound, or released early by a journaled consumer whose
+    /// Elements whose replay coverage was lost: dropped by a sender's
+    /// replay-window bound, or released early by a journaled consumer whose
     /// transaction outgrew the ring's ceiling. Under the scheduler, stays 0
     /// unless a single `run()` reads more than half the ceiling.
     pub forced_acks: u64,

@@ -45,7 +45,7 @@ fn make_fifo<T: Send + Clone + 'static>(cfg: FifoConfig) -> ErasedFifo {
     let (_fifo, mut producer, mut consumer) = fifo_with::<T>(cfg);
     if cfg.journal {
         // Exactly-once link: reads hold their slots for replay, pushes staged
-        // until the transaction commits (see `raft_buffer::journal`).
+        // until the transaction commits (see `FifoConfig::journal`).
         consumer.enable_journal();
         producer.enable_staging();
     }

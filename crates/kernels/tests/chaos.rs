@@ -167,19 +167,19 @@ fn scheduler_step_failpoint_is_policy_handled() {
     });
 }
 
-/// A crash injected right after the journal records a pop (the
-/// `buffer::journal::append` site): the entry is retained, the scheduler
-/// rewinds the transaction, and the restarted kernel re-pops it from the
-/// replay window — the stream arrives byte-identical with one rewind per
+/// A crash injected right after a journaled read holds its slot (the
+/// `buffer::fifo::hold` site): the element stays in the ring, the scheduler
+/// rewinds the transaction, and the restarted kernel reads it again from
+/// its held slot — the stream arrives byte-identical with one rewind per
 /// injected crash. `one_in = 1` makes the firing schedule deterministic
-/// regardless of seed: the first `budget` live pops crash (replay serves
-/// don't consult the site, so each crash hits a fresh element).
+/// regardless of seed: the first `budget` reads crash (a re-read consults
+/// the site too, so the crashes may all hit the first element).
 #[test]
 fn journal_append_crash_is_replayed_exactly_once() {
     let _guard = chaos_guard();
     for_each_scheduler(|sched| {
         failpoints::set_seed(chaos_seed());
-        failpoints::arm("buffer::journal::append", FailAction::Panic, 1, 3);
+        failpoints::arm("buffer::fifo::hold", FailAction::Panic, 1, 3);
 
         let mut map = RaftMap::new();
         map.config_mut().scheduler = sched;
@@ -193,10 +193,10 @@ fn journal_append_crash_is_replayed_exactly_once() {
         map.supervise(stage, SupervisorPolicy::restart(5));
 
         let report = map.exe();
-        let hits = failpoints::hits("buffer::journal::append");
+        let hits = failpoints::hits("buffer::fifo::hold");
         failpoints::reset();
-        let report = report.expect("journal-site crashes are absorbed by restart");
-        assert!(hits > 0, "append failpoint site was never consulted");
+        let report = report.expect("hold-site crashes are absorbed by restart");
+        assert!(hits > 0, "hold failpoint site was never consulted");
         assert_eq!(
             report.total_rewinds(),
             3,
@@ -218,16 +218,16 @@ fn journal_append_crash_is_replayed_exactly_once() {
     });
 }
 
-/// A stall injected at the acknowledgement site (`buffer::journal::ack`,
-/// consulted by the scheduler's post-run commit, outside the unwind
-/// guard): commits slow down but nothing is lost and nothing rewinds.
+/// A stall injected at the commit site (`buffer::fifo::commit`, consulted
+/// by the scheduler's post-run commit, outside the unwind guard): commits
+/// slow down but nothing is lost and nothing rewinds.
 #[test]
 fn journal_ack_stall_is_harmless() {
     let _guard = chaos_guard();
     for_each_scheduler(|sched| {
         failpoints::set_seed(chaos_seed());
         failpoints::arm(
-            "buffer::journal::ack",
+            "buffer::fifo::commit",
             FailAction::Stall(Duration::from_millis(5)),
             100,
             4,
@@ -245,10 +245,10 @@ fn journal_ack_stall_is_harmless() {
         map.supervise(stage, SupervisorPolicy::restart(2));
 
         let report = map.exe();
-        let hits = failpoints::hits("buffer::journal::ack");
+        let hits = failpoints::hits("buffer::fifo::commit");
         failpoints::reset();
         let report = report.expect("ack stalls only delay commits");
-        assert!(hits > 0, "ack failpoint site was never consulted");
+        assert!(hits > 0, "commit failpoint site was never consulted");
         assert_eq!(report.total_rewinds(), 0, "stalls are not crashes");
         let got = std::sync::Arc::try_unwrap(handle)
             .unwrap()
