@@ -6,12 +6,13 @@
 //! therefore written once, generic over a statically dispatched [`Home`]:
 //!
 //! * the **heap home** ([`Heap`], the default — `Producer<T>` is it):
-//!   in-process words, a task-waker slot plus a [`ThreadPark`] eventcount
-//!   per direction, and slot storage a monitor can swap out while the
-//!   stream runs. RaftLib resizes queues at run time (§4): a monitor wakes
-//!   every δ and grows a queue whose writer has been blocked for 3δ, or
-//!   whose reader asked for more items than it can ever hold. `head`/`tail`
-//!   live *outside* the slot storage, so a resize only swaps the storage;
+//!   in-process words, a [`ThreadPark`] eventcount per direction plus a
+//!   task-waker slot on the data side, and slot storage a monitor can
+//!   swap out while the stream runs. RaftLib resizes queues at run time
+//!   (§4): a monitor wakes every δ and grows a queue whose writer has
+//!   been blocked for 3δ, or whose reader asked for more items than it
+//!   can ever hold. `head`/`tail` live *outside* the slot storage, so a
+//!   resize only swaps the storage;
 //!   endpoints touch slots only under membership in the Dekker-style
 //!   [`ResizeFence`] (a plain store, a compiler barrier and one load to
 //!   enter, one Release store to leave — the resizer pays the
@@ -360,17 +361,6 @@ impl<T> Storage<T> {
     }
 }
 
-/// One direction of "the peer moved" on the heap home. Either kind of
-/// sleeper may be waiting on it, so both are told, with one call.
-#[derive(Default)]
-struct Side {
-    /// Event-driven readiness hook for a scheduler task; registered/armed
-    /// by the work-stealing scheduler, a single relaxed load when unused.
-    task: WakerSlot,
-    /// Where a thread blocked in this endpoint's `block_until` parks.
-    thread: ThreadPark,
-}
-
 /// The heap [`Home`]: in-process control words and slot storage that
 /// [`Fifo::resize`] can swap out under the [`ResizeFence`].
 pub struct Heap<T> {
@@ -396,10 +386,17 @@ pub struct Heap<T> {
     tail: CachePadded<AtomicUsize>,
     producer_closed: AtomicBool,
     consumer_closed: AtomicBool,
-    /// Sleepers waiting for data, EoS or an async signal.
-    data: Side,
-    /// Sleepers waiting for space (pop, batch drain, consumer drop, grow).
-    space: Side,
+    /// Where a consumer thread waiting for data, EoS or an async signal
+    /// parks.
+    data: ThreadPark,
+    /// Readiness hook for a consumer's scheduler task, told with `data`;
+    /// registered/armed by the work-stealing scheduler, a single relaxed
+    /// load when unused. The pool parks a task only on its inputs, so the
+    /// space side has no such hook.
+    task: WakerSlot,
+    /// Where a producer thread waiting for space (pop, batch drain,
+    /// consumer drop, grow) parks.
+    space: ThreadPark,
     /// Protocol shadow checker (SPSC discipline, monotonic sequences,
     /// resize-fence transitions); driven from `enter`/`exit`/`resize`.
     #[cfg(feature = "raft_protocol_check")]
@@ -429,16 +426,17 @@ impl<T> Heap<T> {
             tail: CachePadded::new(AtomicUsize::new(0)),
             producer_closed: AtomicBool::new(false),
             consumer_closed: AtomicBool::new(false),
-            data: Side::default(),
-            space: Side::default(),
+            data: ThreadPark::default(),
+            task: WakerSlot::new(),
+            space: ThreadPark::default(),
             #[cfg(feature = "raft_protocol_check")]
             shadow: crate::protocol::FifoShadow::new(),
         }
     }
 
-    /// The side `role` sleeps on.
+    /// Where a thread blocked as `role` parks.
     #[inline]
-    fn side(&self, role: Role) -> &Side {
+    fn side(&self, role: Role) -> &ThreadPark {
         match role {
             Role::Producer => &self.space,
             Role::Consumer => &self.data,
@@ -574,11 +572,14 @@ unsafe impl<T> Home<T> for Heap<T> {
     }
     #[inline]
     fn event(&self, role: Role) -> EventCount<&ThreadPark> {
-        EventCount::over(&self.side(role).thread)
+        EventCount::over(self.side(role))
     }
     #[inline]
     fn task(&self, role: Role) -> Option<&WakerSlot> {
-        Some(&self.side(role).task)
+        match role {
+            Role::Consumer => Some(&self.task),
+            Role::Producer => None,
+        }
     }
     /// Free for fixed-capacity FIFOs (nothing can swap the storage); a
     /// plain store, a compiler barrier and a load otherwise.
@@ -1238,8 +1239,6 @@ pub trait Monitorable: Send + Sync {
     fn announced(&self) -> bool;
     /// Waker slot notified when data/EoS becomes visible to the consumer.
     fn consumer_waker(&self) -> &WakerSlot;
-    /// Waker slot notified when space becomes visible to the producer.
-    fn producer_waker(&self) -> &WakerSlot;
     /// Raise the cooperative drain level (monotonic; lowering is ignored).
     /// At [`DRAIN_QUIESCED`] blocked producers fail fast and pops on an
     /// empty ring observe end-of-stream, so a wedged graph still
@@ -1296,10 +1295,7 @@ impl<T: Send> Monitorable for Fifo<T> {
                 && shared.announcing.load(Acquire) == 0)
     }
     fn consumer_waker(&self) -> &WakerSlot {
-        &self.shared.home.data.task
-    }
-    fn producer_waker(&self) -> &WakerSlot {
-        &self.shared.home.space.task
+        &self.shared.home.task
     }
     fn set_drain_level(&self, level: u8) {
         crate::failpoint!("buffer::fifo::drain");
@@ -2935,7 +2931,7 @@ mod tests {
             fifo_with(FifoConfig::fixed(2))
         }
         fn armed(&self, role: Role) -> bool {
-            Wake::armed(&self.side(role).thread).load(Acquire) == 1
+            Wake::armed(self.side(role)).load(Acquire) == 1
         }
     }
 

@@ -5,10 +5,11 @@
 //! the *producer side* of the stream turns readiness into an O(1) callback
 //! at the moment data (or EoS, or an async signal) arrives.
 //!
-//! Each FIFO core owns two slots: a **consumer-side** slot notified by
-//! `push`/batch-commit/`close`/`post_async` ("data or EoS is visible") and
-//! a **producer-side** slot notified by `pop`/batch-drain/consumer-drop/
-//! resize ("space is visible").
+//! Each heap FIFO owns one slot, on the **consumer side**, notified by
+//! `push`/batch-commit/`close`/`post_async` ("data or EoS is visible"). A
+//! task is parked only on its inputs: a producer waiting for space blocks
+//! its thread on the FIFO's [`crate::eventcount::ThreadPark`] instead, so
+//! the space side has no slot to notify.
 //!
 //! ## The lost-wakeup problem
 //!
@@ -62,7 +63,7 @@ const SET: usize = 2;
 /// Lifecycle: the scheduler [`register`](EventCount::register)s a waker once
 /// per run (first caller wins; the slot stays registered for the FIFO's
 /// lifetime, so no reclamation race exists), then repeatedly
-/// [`arm`](EventCount::arm)s it before parking the consuming/producing task
+/// [`arm`](EventCount::arm)s it before parking the consuming task
 /// and re-checks the stream state per the eventcount protocol. The FIFO
 /// calls [`notify`](EventCount::notify) after every state change the task
 /// might be waiting on.

@@ -1,9 +1,10 @@
 //! Queueing-model passes: `RC0007` capacity feasibility and `RC0008`
-//! feedback-deadlock certification.
+//! feedback-deadlock certification, the one cycle pass.
 //!
-//! Both reuse `raft-model`'s M/M/1/K estimates. RC0007 warns per stream
-//! when the configured capacity ceiling cannot sustain the declared rates.
-//! RC0008 goes further for feedback cycles. A bounded-FIFO cycle deadlocks
+//! Both reuse `raft-model`'s M/M/1/K estimates against one threshold,
+//! [`BLOCKING_WARN`]. RC0007 warns per stream when the configured capacity
+//! ceiling cannot sustain the declared rates. RC0008 reports every
+//! bounded-FIFO feedback cycle once. A bounded-FIFO cycle deadlocks
 //! only when *every* queue on it is full (each kernel blocked pushing to
 //! the next); conversely, one stream that provably never stays full breaks
 //! the deadlock condition. Around any cycle the utilizations multiply to 1
@@ -14,6 +15,8 @@
 //! threshold. The solver finds the minimal such assignment, and the pass
 //! emits either the certificate or a concrete counterexample token-flow
 //! showing how the cycle wedges — the certify-or-counterexample contract.
+//! A cycle with a kernel of undeclared rate gets neither: it is reported
+//! as a plain deadlock risk, naming the kernels to rate.
 
 use raft_model::queues::{min_capacity_for_blocking, MM1K};
 
@@ -22,6 +25,10 @@ use crate::map::RaftMap;
 
 use super::graph::{kname, link_label, GraphView};
 use super::Analysis;
+
+/// Steady-state producer blocking probability above which `RC0007` warns
+/// and below which an `RC0008` witness stream keeps a cycle certified.
+const BLOCKING_WARN: f64 = 0.05;
 
 /// Verdict of the `RC0008` solver for one feedback cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,7 +52,8 @@ pub enum CycleVerdict {
         repairs: Vec<(usize, u32, u32)>,
     },
     /// Some cycle kernel has no declared service rate, so the solver has
-    /// nothing to model; the plain `RC0003` cycle finding stands.
+    /// nothing to model; `RC0008` reports the cycle as a deadlock risk and
+    /// names these kernels.
     Unknown {
         /// Cycle members without a declared rate.
         missing_rates: Vec<usize>,
@@ -70,10 +78,9 @@ pub(crate) fn link_capacity(map: &RaftMap, li: usize) -> u32 {
 }
 
 /// Run the RC0008 solver over every cyclic SCC: for each intra-cycle link
-/// compute the minimal capacity keeping steady-state blocking under the
-/// RC0007 threshold, and compare against the configured ceiling.
+/// compute the minimal capacity keeping steady-state blocking under
+/// [`BLOCKING_WARN`], and compare against the configured ceiling.
 pub(crate) fn certify_cycles(map: &RaftMap, graph: &GraphView) -> Vec<CycleInfo> {
-    let threshold = map.cfg.check.capacity_blocking_warn;
     let mut out = Vec::new();
     for members in graph.cyclic_sccs() {
         let links: Vec<usize> = map
@@ -98,7 +105,7 @@ pub(crate) fn certify_cycles(map: &RaftMap, graph: &GraphView) -> Vec<CycleInfo>
                 let lambda = map.kernels[l.src].service_rate.expect("checked above");
                 let mu = map.kernels[l.dst].service_rate.expect("checked above");
                 let cap = link_capacity(map, li);
-                match min_capacity_for_blocking(lambda, mu, threshold) {
+                match min_capacity_for_blocking(lambda, mu, BLOCKING_WARN) {
                     Some(k) if cap >= k => witnesses.push((li, cap, k)),
                     Some(k) => repairs.push((li, cap, k)),
                     None => {}
@@ -125,12 +132,11 @@ pub(crate) fn certify_cycles(map: &RaftMap, graph: &GraphView) -> Vec<CycleInfo>
 /// RC0007: capacity feasibility. For every stream whose two kernels have
 /// declared service rates, model the queue as M/M/1/K at the stream's
 /// capacity *ceiling* and warn when the steady-state producer blocking
-/// probability exceeds the configured threshold — the static version of
+/// probability exceeds [`BLOCKING_WARN`] — the static version of
 /// the monitor's 3δ "writer blocked" resize trigger. The computed minimum
 /// feasible capacity is attached as a `help:` line.
 pub(crate) fn lint_capacity(a: &Analysis) -> Vec<Diagnostic> {
     let map = a.map;
-    let threshold = map.cfg.check.capacity_blocking_warn;
     let mut out = Vec::new();
     for (li, l) in map.links.iter().enumerate() {
         let (Some(lambda), Some(mu)) = (
@@ -144,14 +150,14 @@ pub(crate) fn lint_capacity(a: &Analysis) -> Vec<Diagnostic> {
         }
         let cap = link_capacity(map, li);
         let blocking = MM1K::new(lambda, mu, cap).blocking_probability();
-        if blocking <= threshold {
+        if blocking <= BLOCKING_WARN {
             continue;
         }
-        let help = match min_capacity_for_blocking(lambda, mu, threshold) {
+        let help = match min_capacity_for_blocking(lambda, mu, BLOCKING_WARN) {
             Some(k) => format!(
                 "a capacity ceiling of {k} would keep blocking under {:.0}% \
                  (e.g. link_with(.., FifoConfig::fixed({k})))",
-                threshold * 100.0
+                BLOCKING_WARN * 100.0
             ),
             None => "no finite capacity suffices (λ ≥ μ): widen the consumer \
                      or lower the producer rate"
@@ -178,21 +184,43 @@ pub(crate) fn lint_capacity(a: &Analysis) -> Vec<Diagnostic> {
     out
 }
 
-/// RC0008: feedback-deadlock certification. For every bounded-FIFO cycle
-/// the Tarjan pass found, either certify the minimal capacity assignment
-/// under which the cycle cannot deadlock (an [`Severity::Info`] finding
-/// carrying the certificate) or emit a concrete counterexample token-flow
-/// showing how the cycle wedges. Cycles whose kernels lack declared rates
-/// stay `Unknown` and produce no RC0008 finding (RC0003 still reports the
-/// cycle at its configured severity).
+/// RC0008: feedback-deadlock certification, one finding per bounded-FIFO
+/// cycle the Tarjan pass found: an [`Severity::Info`] certificate naming
+/// the witness streams, or — at
+/// [`crate::check::CheckConfig::cycle_severity`] — a concrete
+/// counterexample token-flow with the cheapest repair, or, when some cycle
+/// kernel has no declared rate, the plain deadlock risk and the kernels to
+/// rate.
 pub(crate) fn lint_deadlock_certification(a: &Analysis) -> Vec<Diagnostic> {
     let map = a.map;
-    let threshold = map.cfg.check.capacity_blocking_warn;
     let mut out = Vec::new();
     for cycle in &a.cycles {
         let names: Vec<&str> = cycle.members.iter().map(|&i| kname(map, i)).collect();
         match &cycle.verdict {
-            CycleVerdict::Unknown { .. } => {}
+            CycleVerdict::Unknown { missing_rates } => {
+                let missing: Vec<&str> = missing_rates.iter().map(|&i| kname(map, i)).collect();
+                out.push(
+                    Diagnostic::new(
+                        "RC0008",
+                        "feedback-deadlock",
+                        map.cfg.check.cycle_severity,
+                        format!(
+                            "cycle of bounded streams through {{{}}}: once every \
+                             queue on the cycle fills, all {} kernels block \
+                             forever (downgrade via \
+                             MapConfig::check.cycle_severity if the feedback \
+                             edge is provably drained); declare service rates \
+                             on {{{}}} to let RC0008 attempt a deadlock-freedom \
+                             certificate",
+                            names.join(", "),
+                            cycle.members.len(),
+                            missing.join(", "),
+                        ),
+                    )
+                    .with_kernels(cycle.members.iter().copied())
+                    .with_links(cycle.links.iter().copied()),
+                );
+            }
             CycleVerdict::Certified { witnesses } => {
                 let terms: Vec<String> = witnesses
                     .iter()
@@ -202,7 +230,7 @@ pub(crate) fn lint_deadlock_certification(a: &Analysis) -> Vec<Diagnostic> {
                              steady-state blocking ≤ {:.0}% and can never \
                              stay full",
                             link_label(map, li),
-                            threshold * 100.0,
+                            BLOCKING_WARN * 100.0,
                         )
                     })
                     .collect();

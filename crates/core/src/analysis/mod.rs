@@ -7,10 +7,11 @@
 //! cycle solver verdicts — and every registered pass consumes it. Passes
 //! live in submodules by theme:
 //!
-//! * [`structure`] — `RC0001`–`RC0006`: connectivity, endpoints, cycles,
-//!   reachability, link-table integrity, element types;
-//! * [`capacity`] — `RC0007` capacity feasibility and `RC0008`
-//!   feedback-deadlock certification (certify-or-counterexample);
+//! * [`structure`] — `RC0001`, `RC0002`, `RC0004`: connectivity,
+//!   endpoints, reachability;
+//! * [`capacity`] — `RC0007` capacity feasibility and `RC0008`, the one
+//!   cycle pass: feedback-deadlock certification
+//!   (certify-or-counterexample), or the deadlock risk of an unrated cycle;
 //! * [`replication`] — `RC0009` replication/fusion-safety inference and
 //!   the [`KernelClassification`] export;
 //! * [`supervision`] — `RC0010` supervision-policy soundness;

@@ -1,14 +1,12 @@
-//! Structural lint passes `RC0001`–`RC0006`: connectivity, endpoints,
-//! cycles, reachability, link-table integrity, and element types. Ported
-//! from the original `check.rs` onto the shared [`super::Analysis`]
-//! substrate; the cycle pass additionally consults the `RC0008` solver
-//! verdicts so a certified feedback loop is reported as informational
-//! rather than fatal.
+//! Structural lint passes `RC0001`, `RC0002` and `RC0004`: connectivity,
+//! endpoints and reachability, over the shared [`super::Analysis`]
+//! substrate. Cycles are `RC0008`'s ([`super::capacity`]); a shared port
+//! end and an element-type mismatch never reach a check, because
+//! `RaftMap::link` refuses both.
 
 use crate::diagnostics::{Diagnostic, Severity};
 
-use super::capacity::CycleVerdict;
-use super::graph::{kname, link_label};
+use super::graph::kname;
 use super::Analysis;
 
 /// RC0001: every declared input and output port must be linked (the seed's
@@ -89,58 +87,6 @@ pub(crate) fn lint_missing_endpoints(a: &Analysis) -> Vec<Diagnostic> {
     out
 }
 
-/// RC0003: Tarjan-SCC cycle detection. A directed cycle of bounded FIFOs
-/// deadlocks as soon as every queue on the cycle fills (each kernel blocks
-/// pushing to the next). Severity comes from
-/// [`crate::check::CheckConfig::cycle_severity`] — unless the `RC0008`
-/// solver certified the cycle deadlock-free under the declared rates, in
-/// which case the finding is downgraded to [`Severity::Info`].
-pub(crate) fn lint_cycles(a: &Analysis) -> Vec<Diagnostic> {
-    let map = a.map;
-    let mut out = Vec::new();
-    for cycle in &a.cycles {
-        let names: Vec<&str> = cycle.members.iter().map(|&i| kname(map, i)).collect();
-        let (severity, extra) = match &cycle.verdict {
-            CycleVerdict::Certified { .. } => (
-                Severity::Info,
-                "; RC0008 certifies this cycle deadlock-free under the \
-                 declared service rates, so the finding is informational"
-                    .to_string(),
-            ),
-            CycleVerdict::Unknown { missing_rates } => {
-                let missing: Vec<&str> = missing_rates.iter().map(|&i| kname(map, i)).collect();
-                (
-                    map.cfg.check.cycle_severity,
-                    format!(
-                        "; declare service rates on {{{}}} to let RC0008 \
-                         attempt a deadlock-freedom certificate",
-                        missing.join(", ")
-                    ),
-                )
-            }
-            CycleVerdict::Refuted { .. } => (map.cfg.check.cycle_severity, String::new()),
-        };
-        out.push(
-            Diagnostic::new(
-                "RC0003",
-                "cycle",
-                severity,
-                format!(
-                    "cycle of bounded streams through {{{}}}: once every queue \
-                     on the cycle fills, all {} kernels block forever \
-                     (downgrade via MapConfig::check.cycle_severity if the \
-                     feedback edge is provably drained){extra}",
-                    names.join(", "),
-                    cycle.members.len(),
-                ),
-            )
-            .with_kernels(cycle.members.iter().copied())
-            .with_links(cycle.links.iter().copied()),
-        );
-    }
-    out
-}
-
 /// RC0004: BFS from the sources; kernels no token can ever reach will
 /// starve forever. Skipped when the graph has no sources at all — RC0002
 /// already reports that, and flagging every kernel would be noise.
@@ -166,193 +112,4 @@ pub(crate) fn lint_unreachable(a: &Analysis) -> Vec<Diagnostic> {
         ),
     )
     .with_kernels(unreached)]
-}
-
-/// RC0005: no two streams may share a port endpoint. `link()` enforces
-/// this at construction; the pass is defense in depth for maps assembled
-/// or rewritten through crate-internal paths (e.g. replica expansion).
-pub(crate) fn lint_duplicate_links(a: &Analysis) -> Vec<Diagnostic> {
-    use std::collections::HashMap;
-    let map = a.map;
-    let mut out = Vec::new();
-    let mut by_src: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut by_dst: HashMap<(usize, usize), usize> = HashMap::new();
-    for (li, l) in map.links.iter().enumerate() {
-        if let Some(&prev) = by_src.get(&(l.src, l.src_port)) {
-            out.push(
-                Diagnostic::new(
-                    "RC0005",
-                    "duplicate-link",
-                    Severity::Error,
-                    format!(
-                        "output port {:?} of kernel {:?} feeds two streams \
-                         ({} and {})",
-                        map.kernels[l.src].spec.outputs[l.src_port].name,
-                        kname(map, l.src),
-                        link_label(map, prev),
-                        link_label(map, li),
-                    ),
-                )
-                .with_kernel(l.src)
-                .with_links([prev, li]),
-            );
-        } else {
-            by_src.insert((l.src, l.src_port), li);
-        }
-        if let Some(&prev) = by_dst.get(&(l.dst, l.dst_port)) {
-            out.push(
-                Diagnostic::new(
-                    "RC0005",
-                    "duplicate-link",
-                    Severity::Error,
-                    format!(
-                        "input port {:?} of kernel {:?} is fed by two streams \
-                         ({} and {}): an ordered port admits exactly one \
-                         producer",
-                        map.kernels[l.dst].spec.inputs[l.dst_port].name,
-                        kname(map, l.dst),
-                        link_label(map, prev),
-                        link_label(map, li),
-                    ),
-                )
-                .with_kernel(l.dst)
-                .with_links([prev, li]),
-            );
-        } else {
-            by_dst.insert((l.dst, l.dst_port), li);
-        }
-    }
-    out
-}
-
-/// RC0006: re-verify element types across every stream. `link()` checks
-/// this too; the pass re-runs the comparison on the final link table with
-/// kernel+port names in the message.
-pub(crate) fn lint_type_mismatches(a: &Analysis) -> Vec<Diagnostic> {
-    let map = a.map;
-    let mut out = Vec::new();
-    for (li, l) in map.links.iter().enumerate() {
-        let so = &map.kernels[l.src].spec.outputs[l.src_port];
-        let di = &map.kernels[l.dst].spec.inputs[l.dst_port];
-        if so.type_id != di.type_id {
-            out.push(
-                Diagnostic::new(
-                    "RC0006",
-                    "type-mismatch",
-                    Severity::Error,
-                    format!(
-                        "stream {}.{} -> {}.{} connects element type {} to {}",
-                        kname(map, l.src),
-                        so.name,
-                        kname(map, l.dst),
-                        di.name,
-                        so.type_name,
-                        di.type_name,
-                    ),
-                )
-                .with_kernels([l.src, l.dst])
-                .with_link(li),
-            );
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::kernel::{KStatus, Kernel, PortSpec};
-    use crate::map::{LinkEntry, RaftMap};
-    use crate::port::Context;
-
-    struct Src;
-    impl Kernel for Src {
-        fn ports(&self) -> PortSpec {
-            PortSpec::new().output::<u32>("out")
-        }
-        fn run(&mut self, _ctx: &Context) -> KStatus {
-            KStatus::Stop
-        }
-    }
-
-    struct Sink;
-    impl Kernel for Sink {
-        fn ports(&self) -> PortSpec {
-            PortSpec::new().input::<u32>("in")
-        }
-        fn run(&mut self, _ctx: &Context) -> KStatus {
-            KStatus::Stop
-        }
-    }
-
-    struct SinkI64;
-    impl Kernel for SinkI64 {
-        fn ports(&self) -> PortSpec {
-            PortSpec::new().input::<i64>("in")
-        }
-        fn run(&mut self, _ctx: &Context) -> KStatus {
-            KStatus::Stop
-        }
-    }
-
-    /// Duplicate-link and type-mismatch findings require a malformed link
-    /// table, which the public API refuses to build — push raw entries.
-    #[test]
-    fn duplicate_link_pass_flags_shared_endpoints() {
-        let mut m = RaftMap::new();
-        let s = m.add(Src);
-        let a = m.add(Sink);
-        let b = m.add(Sink);
-        let s2 = m.add(Src);
-        m.link(s, "out", a, "in").unwrap();
-        // Bypass link(): second stream from s's already-used output, and a
-        // second stream (from s2) into a's already-fed input.
-        m.links.push(LinkEntry {
-            src: s.0,
-            src_port: 0,
-            dst: b.0,
-            dst_port: 0,
-            ordered: true,
-            fifo: None,
-        });
-        m.links.push(LinkEntry {
-            src: s2.0,
-            src_port: 0,
-            dst: a.0,
-            dst_port: 0,
-            ordered: true,
-            fifo: None,
-        });
-        let analysis = Analysis::new(&m);
-        let dups = lint_duplicate_links(&analysis);
-        assert_eq!(dups.len(), 2, "{dups:?}");
-        assert!(dups.iter().all(|d| d.code == "RC0005"));
-        assert!(dups.iter().any(|d| d.message.contains("feeds two streams")));
-        assert!(dups
-            .iter()
-            .any(|d| d.message.contains("fed by two streams")));
-    }
-
-    #[test]
-    fn type_mismatch_pass_names_kernels_and_ports() {
-        let mut m = RaftMap::new();
-        let s = m.add(Src);
-        let t = m.add(SinkI64);
-        // link() would reject; push the raw entry.
-        m.links.push(LinkEntry {
-            src: s.0,
-            src_port: 0,
-            dst: t.0,
-            dst_port: 0,
-            ordered: true,
-            fifo: None,
-        });
-        let analysis = Analysis::new(&m);
-        let diags = lint_type_mismatches(&analysis);
-        assert_eq!(diags.len(), 1);
-        let msg = &diags[0].message;
-        assert!(msg.contains("Src#0.out"), "{msg}");
-        assert!(msg.contains("SinkI64#1.in"), "{msg}");
-        assert!(msg.contains("u32") && msg.contains("i64"), "{msg}");
-    }
 }

@@ -13,16 +13,18 @@
 //! | code     | lint                     | default severity | finding |
 //! |----------|--------------------------|------------------|---------|
 //! | `RC0001` | `unconnected-port`       | error            | a declared port has no stream |
-//! | `RC0002` | `missing-endpoint`       | error            | graph has no source / no sink |
-//! | `RC0003` | `cycle`                  | error (config)   | a directed cycle of bounded FIFOs (deadlock risk) |
+//! | `RC0002` | `missing-endpoint`       | error            | graph is empty, or has no source / no sink |
 //! | `RC0004` | `unreachable`            | error            | kernel not reachable from any source |
-//! | `RC0005` | `duplicate-link`         | error            | two streams share a port endpoint |
-//! | `RC0006` | `type-mismatch`          | error            | stream endpoint element types differ |
 //! | `RC0007` | `capacity`               | warn             | configured capacity cannot sustain declared rates |
-//! | `RC0008` | `feedback-deadlock`      | error (config)   | certify-or-counterexample for every bounded-FIFO cycle |
+//! | `RC0008` | `feedback-deadlock`      | error (config)   | a bounded-FIFO cycle: certified (info), refuted, or unrated |
 //! | `RC0009` | `replication-safety`     | warn (config)    | statelessness/ordering contradictions around replication |
 //! | `RC0010` | `supervision-soundness`  | warn             | recovery policy unsound for the kernel or graph shape |
 //! | `RC0011` | `fusion`                 | info             | chains the fusion pass will collapse into one batch kernel |
+//!
+//! Retired codes are never reused: `RC0003` (`cycle`) folded into
+//! `RC0008`, and `RC0005` (`duplicate-link`) and `RC0006`
+//! (`type-mismatch`) went because [`RaftMap::link`] refuses both defects
+//! ([`crate::error::LinkError`]) before a map can be checked.
 //!
 //! [`RaftMap::check`] runs every pass and returns the findings in a
 //! deterministic order (severity, then code, then involved kernels/links,
@@ -30,12 +32,13 @@
 //! refuses to run when any [`Severity::Error`] finding exists
 //! ([`crate::error::ExeError::CheckFailed`]).
 //!
-//! `RC0008` implements the certify-or-counterexample contract: for every
-//! bounded-FIFO cycle, `raft-model`'s `min_capacity_for_blocking` solves
-//! for the minimal capacity assignment under which no cycle stream can
-//! stay full, and the pass emits either an informational certificate (the
-//! `RC0003` finding then downgrades to info) or a concrete token-flow
-//! showing how the cycle wedges.
+//! `RC0008` reports each bounded-FIFO cycle exactly once, under the
+//! certify-or-counterexample contract: `raft-model`'s
+//! `min_capacity_for_blocking` solves for the minimal capacity assignment
+//! under which no cycle stream can stay full, and the pass emits either an
+//! informational certificate or a concrete token-flow showing how the
+//! cycle wedges. A cycle with a kernel of undeclared rate cannot be
+//! solved and is reported as a plain deadlock risk.
 
 use crate::analysis::Analysis;
 use crate::diagnostics::{Diagnostic, Severity};
@@ -45,17 +48,13 @@ use crate::map::RaftMap;
 /// [`crate::map::MapConfig`]).
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
-    /// Severity of the `RC0003` cycle lint (and of a *refuted* `RC0008`
-    /// certification). A cycle of bounded FIFOs is a deadlock risk, so
+    /// Severity of an `RC0008` finding on a cycle that is *refuted* or has
+    /// undeclared rates. A cycle of bounded FIFOs is a deadlock risk, so
     /// this defaults to [`Severity::Error`]; downgrade to
     /// [`Severity::Warn`] for graphs with feedback edges that are known to
     /// be drained (e.g. credit loops). A cycle `RC0008` *certifies*
     /// deadlock-free is reported at [`Severity::Info`] regardless.
     pub cycle_severity: Severity,
-    /// `RC0007` warns (and the `RC0008` solver certifies) when the
-    /// steady-state producer blocking probability at the configured
-    /// capacity ceiling exceeds this fraction.
-    pub capacity_blocking_warn: f64,
     /// Severity of `RC0009` replication-safety findings. Defaults to
     /// [`Severity::Warn`]: the contradictions are real but the runtime
     /// degrades safely (it skips expansion); raise to [`Severity::Error`]
@@ -67,7 +66,6 @@ impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
             cycle_severity: Severity::Error,
-            capacity_blocking_warn: 0.05,
             replication_severity: Severity::Warn,
         }
     }
@@ -75,9 +73,9 @@ impl Default for CheckConfig {
 
 /// One named lint pass in the registry.
 pub struct LintPass {
-    /// Stable code, e.g. `"RC0003"`.
+    /// Stable code, e.g. `"RC0008"`.
     pub code: &'static str,
-    /// Short name, e.g. `"cycle"`.
+    /// Short name, e.g. `"feedback-deadlock"`.
     pub name: &'static str,
     /// One-line description of what the pass finds.
     pub summary: &'static str,
@@ -89,7 +87,7 @@ pub fn passes() -> &'static [LintPass] {
     &PASSES
 }
 
-static PASSES: [LintPass; 11] = [
+static PASSES: [LintPass; 8] = [
     LintPass {
         code: "RC0001",
         name: "unconnected-port",
@@ -103,28 +101,10 @@ static PASSES: [LintPass; 11] = [
         run: crate::analysis::structure::lint_missing_endpoints,
     },
     LintPass {
-        code: "RC0003",
-        name: "cycle",
-        summary: "a directed cycle of bounded FIFOs can deadlock",
-        run: crate::analysis::structure::lint_cycles,
-    },
-    LintPass {
         code: "RC0004",
         name: "unreachable",
         summary: "every kernel must be reachable from a source",
         run: crate::analysis::structure::lint_unreachable,
-    },
-    LintPass {
-        code: "RC0005",
-        name: "duplicate-link",
-        summary: "no two streams may share a port endpoint",
-        run: crate::analysis::structure::lint_duplicate_links,
-    },
-    LintPass {
-        code: "RC0006",
-        name: "type-mismatch",
-        summary: "stream endpoints must carry the same element type",
-        run: crate::analysis::structure::lint_type_mismatches,
     },
     LintPass {
         code: "RC0007",
@@ -135,8 +115,8 @@ static PASSES: [LintPass; 11] = [
     LintPass {
         code: "RC0008",
         name: "feedback-deadlock",
-        summary: "every bounded-FIFO cycle is certified deadlock-free or refuted \
-                  with a counterexample token-flow",
+        summary: "every bounded-FIFO cycle is certified deadlock-free, refuted \
+                  with a counterexample token-flow, or reported unrated",
         run: crate::analysis::capacity::lint_deadlock_certification,
     },
     LintPass {
@@ -189,9 +169,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_has_eleven_distinct_codes() {
+    fn registry_has_eight_distinct_codes() {
         let codes: std::collections::BTreeSet<&str> = passes().iter().map(|p| p.code).collect();
-        assert_eq!(codes.len(), 11, "expected 11 lint passes, got {codes:?}");
+        assert_eq!(codes.len(), 8, "expected 8 lint passes, got {codes:?}");
         assert_eq!(codes.len(), passes().len(), "codes must be unique");
         for p in passes() {
             assert!(p.code.starts_with("RC"), "{}", p.code);

@@ -3,7 +3,7 @@
 //! The paper's `exe()` "checks the graph to ensure it is fully connected,
 //! then type checking is performed across each link" before anything runs.
 //! [`crate::check`] generalizes that into a registry of named lint passes;
-//! each finding is a [`Diagnostic`]: a stable lint code (`RC0003`), a
+//! each finding is a [`Diagnostic`]: a stable lint code (`RC0008`), a
 //! [`Severity`], a rendered message, and the kernel/link indices involved so
 //! tooling (DOT export, dashboards) can highlight the offending subgraph.
 
@@ -33,10 +33,10 @@ impl fmt::Display for Severity {
 /// One finding from a lint pass over a [`crate::map::RaftMap`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable lint code, e.g. `"RC0003"`. Codes never change meaning across
-    /// releases; new lints get new codes.
+    /// Stable lint code, e.g. `"RC0008"`. Codes never change meaning across
+    /// releases; new lints get new codes, and a retired code is not reused.
     pub code: &'static str,
-    /// Short lint name, e.g. `"cycle"`.
+    /// Short lint name, e.g. `"feedback-deadlock"`.
     pub lint: &'static str,
     /// Severity of this particular finding.
     pub severity: Severity,
@@ -136,14 +136,19 @@ mod tests {
 
     #[test]
     fn display_includes_code_lint_and_message() {
-        let d = Diagnostic::new("RC0003", "cycle", Severity::Error, "a -> b -> a")
-            .with_kernel(0)
-            .with_kernel(1)
-            .with_link(2);
+        let d = Diagnostic::new(
+            "RC0008",
+            "feedback-deadlock",
+            Severity::Error,
+            "a -> b -> a",
+        )
+        .with_kernel(0)
+        .with_kernel(1)
+        .with_link(2);
         let s = d.to_string();
         assert!(s.contains("error"), "{s}");
-        assert!(s.contains("RC0003"), "{s}");
-        assert!(s.contains("cycle"), "{s}");
+        assert!(s.contains("RC0008"), "{s}");
+        assert!(s.contains("feedback-deadlock"), "{s}");
         assert!(s.contains("a -> b -> a"), "{s}");
         assert_eq!(d.kernels, vec![0, 1]);
         assert_eq!(d.links, vec![2]);

@@ -83,8 +83,6 @@ pub enum ExeError {
         /// All findings from [`crate::map::RaftMap::check`].
         diagnostics: Vec<crate::diagnostics::Diagnostic>,
     },
-    /// The map contains no kernels.
-    EmptyMap,
     /// One or more kernels with the default
     /// [`Abort`](crate::supervise::SupervisorPolicy::Abort) policy panicked
     /// during execution. Panics absorbed by `Skip`/`Restart`/`Replace`
@@ -108,7 +106,6 @@ impl fmt::Display for ExeError {
                 }
                 Ok(())
             }
-            ExeError::EmptyMap => write!(f, "map contains no kernels"),
             ExeError::KernelPanicked { kernels } => {
                 write!(f, "kernel(s) panicked during execution: {kernels:?}")
             }

@@ -736,8 +736,8 @@ mod tests {
         m.link(p, "out", c, "in").unwrap();
         let diags = vec![
             crate::diagnostics::Diagnostic::new(
-                "RC0003",
-                "cycle",
+                "RC0008",
+                "feedback-deadlock",
                 crate::diagnostics::Severity::Error,
                 "test",
             )

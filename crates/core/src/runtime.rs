@@ -249,12 +249,9 @@ impl ExeReport {
 /// Execute a map to completion; if `deadline` elapses first, the run enters
 /// the drain ladder ([`DrainReason::Deadline`]).
 pub(crate) fn execute(mut map: RaftMap, deadline: Option<Duration>) -> Result<ExeReport, ExeError> {
-    if map.kernels.is_empty() {
-        return Err(ExeError::EmptyMap);
-    }
     // Static analysis before anything is allocated or spawned: the lint
-    // registry in `crate::check` (connectivity, reachability, cycles,
-    // types, capacity feasibility). Any Error-severity finding aborts —
+    // registry in `crate::check` (an empty map, connectivity, reachability,
+    // cycles, capacity feasibility). Any Error-severity finding aborts —
     // turning would-be runtime hangs into fast, explained failures.
     let diagnostics = map.check();
     if diagnostics.iter().any(|d| d.is_error()) {

@@ -63,7 +63,7 @@ impl Kernel for Map1 {
 }
 
 /// src -> a(Stage) -> b(FbStage) -> sink, with b.fb -> a.fb closing a cycle
-/// {a, b}. Every port is connected, so RC0003 is the only error.
+/// {a, b}. Every port is connected, so RC0008 is the only error.
 fn cyclic_map() -> RaftMap {
     let mut map = RaftMap::new();
     let src = map.add(Src);
@@ -77,11 +77,13 @@ fn cyclic_map() -> RaftMap {
     map
 }
 
+/// An unrated cycle gets the text of the retired `RC0003` `cycle` pass,
+/// now reported under RC0008.
 #[test]
 fn cycle_is_diagnosed_with_rc0003() {
     let map = cyclic_map();
     let diags = map.check();
-    let cycles: Vec<_> = diags.iter().filter(|d| d.code == "RC0003").collect();
+    let cycles: Vec<_> = diags.iter().filter(|d| d.code == "RC0008").collect();
     assert_eq!(cycles.len(), 1, "{diags:?}");
     let d = cycles[0];
     assert_eq!(d.severity, Severity::Error);
@@ -100,7 +102,7 @@ fn exe_refuses_cyclic_map_fast() {
     assert!(started.elapsed() < std::time::Duration::from_secs(5));
     match err {
         ExeError::CheckFailed { diagnostics } => {
-            assert!(diagnostics.iter().any(|d| d.code == "RC0003"));
+            assert!(diagnostics.iter().any(|d| d.code == "RC0008"));
             assert!(diagnostics.iter().any(|d| d.is_error()));
         }
         other => panic!("expected CheckFailed, got {other:?}"),
@@ -112,7 +114,7 @@ fn cycle_severity_is_configurable() {
     let mut map = cyclic_map();
     map.config_mut().check.cycle_severity = Severity::Warn;
     let diags = map.check();
-    let cycle = diags.iter().find(|d| d.code == "RC0003").unwrap();
+    let cycle = diags.iter().find(|d| d.code == "RC0008").unwrap();
     assert_eq!(cycle.severity, Severity::Warn);
     assert!(!diags.iter().any(|d| d.is_error()), "{diags:?}");
     // Downgraded to a warning, the gate lets the graph through the static
@@ -183,7 +185,7 @@ fn graph_without_source_or_sink_is_diagnosed_with_rc0002() {
     assert_eq!(endpoints.len(), 2, "{diags:?}");
     assert!(endpoints.iter().any(|d| d.message.contains("no source")));
     assert!(endpoints.iter().any(|d| d.message.contains("no sink")));
-    assert!(diags.iter().any(|d| d.code == "RC0003"));
+    assert!(diags.iter().any(|d| d.code == "RC0008"));
 }
 
 #[test]
@@ -261,10 +263,67 @@ fn rc0008_refutes_bad_cycle_and_certifies_corrected_one() {
         "{}",
         rc8.message
     );
-    // The certificate also downgrades RC0003, so nothing blocks exe().
-    let rc3 = diags.iter().find(|d| d.code == "RC0003").unwrap();
-    assert_eq!(rc3.severity, Severity::Info, "{rc3}");
+    // The certificate is the cycle's one finding, so nothing blocks exe().
+    let on_cycle = diags.iter().filter(|d| d.links == rc8.links).count();
+    assert_eq!(on_cycle, 1, "{diags:?}");
     assert!(!diags.iter().any(|d| d.is_error()), "{diags:?}");
+}
+
+/// Each bounded-FIFO cycle yields exactly one finding, whatever the solver
+/// concludes: the unrated cycle a deadlock risk at `cycle_severity`, the
+/// rated one a certificate when its forward stream holds the minimal
+/// capacity (2) and a counterexample when it does not. `exe()` follows the
+/// severity: it refuses the errors and runs the rest.
+#[test]
+fn each_cycle_yields_one_finding() {
+    use Severity::{Error, Info, Warn};
+    let rated = Some((10.0, 100.0));
+    // (rates, forward-stream capacity, cycle_severity) ->
+    // (severity, what the message says).
+    let rows = [
+        (None, 4, Error, Error, "declare service rates"),
+        (None, 4, Warn, Warn, "declare service rates"),
+        (rated, 2, Error, Info, "certified"),
+        (rated, 1, Error, Error, "counterexample"),
+    ];
+    for (rates, cap, cycle_severity, severity, says) in rows {
+        let mut map = RaftMap::new();
+        let src = map.add(Src);
+        let a = map.add(Stage);
+        let b = map.add(FbStage);
+        let sink = map.add(Sink);
+        map.link(src, "out", a, "in").unwrap();
+        map.link_with(a, "out", b, "in", FifoConfig::fixed(cap))
+            .unwrap();
+        map.link(b, "out", sink, "in").unwrap();
+        map.link_with(b, "fb", a, "fb", FifoConfig::fixed(1))
+            .unwrap();
+        if let Some((ra, rb)) = rates {
+            map.declare_service_rate(a, ra);
+            map.declare_service_rate(b, rb);
+        }
+        map.config_mut().check.cycle_severity = cycle_severity;
+        let row = format!("rates {rates:?}, capacity {cap}, {cycle_severity:?}");
+
+        // A finding on the cycle names both of its streams (a -> b is link
+        // 1, b -> a link 3); RC0007 may flag one of them on its own.
+        let diags = map.check();
+        let found: Vec<_> = diags.iter().filter(|d| d.links == [1, 3]).collect();
+        assert_eq!(found.len(), 1, "{row}: {diags:#?}");
+        let d = found[0];
+        assert_eq!(d.code, "RC0008", "{row}: {d}");
+        assert_eq!(d.severity, severity, "{row}: {d}");
+        assert_eq!(d.kernels, [1, 2], "{row}: {d}");
+        assert!(d.message.contains(says), "{row}: {d}");
+
+        match map.exe() {
+            Ok(_) => assert!(!d.is_error(), "{row}: ran despite {d}"),
+            Err(ExeError::CheckFailed { diagnostics }) => {
+                assert!(d.is_error(), "{row}: refused: {diagnostics:?}");
+            }
+            Err(other) => panic!("{row}: {other}"),
+        }
+    }
 }
 
 /// RC0009: a stateful kernel replicated behind an out-of-order split is

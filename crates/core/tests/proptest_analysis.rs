@@ -7,7 +7,7 @@ use raft_model::des::{simulate, single_station, ServiceDist};
 use raft_model::queues::min_capacity_for_blocking;
 use raftlib::prelude::*;
 
-/// Mirrors `CheckConfig::capacity_blocking_warn`'s default.
+/// Mirrors the blocking threshold RC0007 and RC0008 share.
 const THRESHOLD: f64 = 0.05;
 
 proptest! {

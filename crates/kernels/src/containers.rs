@@ -11,58 +11,20 @@ use std::sync::{Arc, Mutex};
 
 use raftlib::prelude::*;
 
+use crate::generate::Generate;
+
 /// Handle to the output container of a [`WriteEach`] kernel; read it after
 /// `exe()` returns.
 pub type CollectHandle<T> = Arc<Mutex<Vec<T>>>;
 
-/// Stream the items of an iterator — `read_each(v.begin(), v.end())`.
-pub struct ReadEach<I: Iterator> {
-    iter: I,
-    batch: usize,
-}
-
-/// Build a [`ReadEach`] from anything iterable.
-pub fn read_each<I>(iter: impl IntoIterator<IntoIter = I>) -> ReadEach<I>
+/// Stream the items of an iterator — `read_each(v.begin(), v.end())`: a
+/// [`Generate`] over `iter`, writing one reserved batch per `run()`.
+pub fn read_each<I>(iter: impl IntoIterator<IntoIter = I>) -> Generate<I>
 where
     I: Iterator + Send + 'static,
     I::Item: Send + Clone + 'static,
 {
-    ReadEach {
-        iter: iter.into_iter(),
-        batch: 64,
-    }
-}
-
-impl<I> Kernel for ReadEach<I>
-where
-    I: Iterator + Send + 'static,
-    I::Item: Send + Clone + 'static,
-{
-    fn ports(&self) -> PortSpec {
-        PortSpec::new().output::<I::Item>("out")
-    }
-
-    fn run(&mut self, ctx: &Context) -> KStatus {
-        if ctx.stop_requested() {
-            return KStatus::Stop;
-        }
-        let mut out = ctx.output::<I::Item>("out");
-        for _ in 0..self.batch {
-            match self.iter.next() {
-                Some(v) => {
-                    if out.push(v).is_err() {
-                        return KStatus::Stop;
-                    }
-                }
-                None => return KStatus::Stop,
-            }
-        }
-        KStatus::Proceed
-    }
-
-    fn name(&self) -> String {
-        "read_each".to_string()
-    }
+    Generate::new(iter)
 }
 
 /// Collect a stream into a `Vec` — `write_each(std::back_inserter(o))`.

@@ -300,7 +300,6 @@ impl Kernel for DescFree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sinks::Collect;
     use raft_buffer::arena::ShmArena;
 
     #[test]
@@ -316,7 +315,7 @@ mod tests {
         let mut map = RaftMap::new();
         let src = map.add(DescChunkSource::new(tx, data, 4096));
         let scan = map.add(DescCount::new(rx, b'x'));
-        let (sink, got) = Collect::<u64>::new();
+        let (sink, got) = crate::containers::write_each::<u64>();
         let sink = map.add(sink);
         map.link(src, "out", scan, "in").unwrap();
         map.link(scan, "out", sink, "in").unwrap();

@@ -6,16 +6,13 @@ use raftlib::prelude::*;
 /// port `"out"` — the paper's `generate` kernel (Figure 3) generalized to
 /// any iterator.
 ///
-/// Replicable only when the iterator is `Clone` *and* replication is
-/// explicitly requested via [`Generate::replicable`]: blindly replicating a
-/// source would duplicate the data, which is rarely what an application
-/// means (the paper replicates compute kernels, not sources).
+/// Never replicated: a replica would duplicate the data, which is rarely
+/// what an application means (the paper replicates compute kernels, not
+/// sources).
 pub struct Generate<I: Iterator> {
     iter: I,
     /// Items per `run()` quantum (amortizes scheduling overhead).
     batch: usize,
-    replicable: bool,
-    template: Option<I>,
 }
 
 impl<I> Generate<I>
@@ -28,28 +25,12 @@ where
         Generate {
             iter: iter.into_iter(),
             batch: 64,
-            replicable: false,
-            template: None,
         }
     }
 
     /// Set the number of items emitted per scheduling quantum.
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.batch = batch.max(1);
-        self
-    }
-}
-
-impl<I> Generate<I>
-where
-    I: Iterator + Clone + Send + 'static,
-    I::Item: Send + Clone + 'static,
-{
-    /// Allow the auto-parallelizer to replicate this source; every replica
-    /// produces the full sequence.
-    pub fn replicable(mut self) -> Self {
-        self.template = Some(self.iter.clone());
-        self.replicable = true;
         self
     }
 }
@@ -97,12 +78,6 @@ where
 
     fn name(&self) -> String {
         "generate".to_string()
-    }
-
-    fn clone_replica(&self) -> Option<Box<dyn Kernel>> {
-        // Only Clone iterators registered a template; without one the
-        // source stays sequential.
-        None
     }
 }
 

@@ -8,11 +8,12 @@
 //!
 //! * [`Generate`] — bounded sources from iterators or generator closures
 //!   (the paper's random-number `generate` kernel);
-//! * [`Print`] / [`Collect`] / [`Count`] — stream sinks, including the
-//!   paper's `print` kernel;
-//! * [`ReadEach`] / [`WriteEach`] — C++ standard-library container
-//!   integration (Figure 5): feed a stream from any iterator, collect a
-//!   stream back into a `Vec` the caller keeps a handle to;
+//! * [`Print`] / [`Count`] — stream sinks, including the paper's `print`
+//!   kernel;
+//! * [`read_each`] / [`write_each`] — C++ standard-library container
+//!   integration (Figure 5): feed a stream from any iterator (a
+//!   [`Generate`]), collect a stream back into a `Vec` the caller keeps a
+//!   handle to;
 //! * [`ForEach`] — the zero-copy array source of Figure 6: the array is
 //!   shared (`Arc`), and what streams are `(range, Arc)` slices
 //!   ([`ArraySlice`]) — no element copying;
@@ -52,12 +53,12 @@ pub use chaos::{ChaosConfig, ChaosKernel};
 
 pub use bytes::{ByteChunk, ByteChunkSource};
 pub use containers::{
-    for_each, read_each, write_each, ArraySlice, CollectHandle, ForEach, ReadEach, WriteEach,
+    for_each, read_each, write_each, ArraySlice, CollectHandle, ForEach, WriteEach,
 };
 pub use descriptors::{DescChunkSource, DescCount, DescFree, DescShip};
 pub use generate::Generate;
 pub use routing::{Take, Tee, Zip};
 pub use sequence::{map_seq, Resequence, Seq, Stamp};
-pub use sinks::{Collect, Count, Print};
+pub use sinks::{Count, Print};
 pub use transforms::{FilterMap, Fold, FoldHandle, Map, SliceMap};
 pub use windows::{Batch, Flatten, SlidingWindow};

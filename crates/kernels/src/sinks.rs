@@ -1,9 +1,9 @@
-//! Stream sinks: print, collect, count.
+//! Stream sinks: print, count.
 
 use std::fmt::Display;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use raftlib::prelude::*;
 
@@ -61,44 +61,6 @@ impl<T: Display + Send + Clone + 'static> Kernel for Print<T> {
     }
 }
 
-/// Collects the stream into a `Vec` the caller holds a handle to.
-pub struct Collect<T: Send + Clone + 'static> {
-    out: Arc<Mutex<Vec<T>>>,
-}
-
-impl<T: Send + Clone + 'static> Collect<T> {
-    /// Create the kernel plus the handle from which the result is read
-    /// after `exe()` returns.
-    pub fn new() -> (Self, Arc<Mutex<Vec<T>>>) {
-        let out = Arc::new(Mutex::new(Vec::new()));
-        (Collect { out: out.clone() }, out)
-    }
-}
-
-impl<T: Send + Clone + 'static> Kernel for Collect<T> {
-    fn ports(&self) -> PortSpec {
-        PortSpec::new().input::<T>("in")
-    }
-
-    fn run(&mut self, ctx: &Context) -> KStatus {
-        let mut input = ctx.input::<T>("in");
-        // Batch-drain to cut lock traffic.
-        let mut local = Vec::new();
-        match input.pop_range(256, &mut local) {
-            Ok(_) => {
-                drop(input);
-                self.out.lock().unwrap().append(&mut local);
-                KStatus::Proceed
-            }
-            Err(_) => KStatus::Stop,
-        }
-    }
-
-    fn name(&self) -> String {
-        "collect".to_string()
-    }
-}
-
 /// Counts items (and nothing else) — the cheapest possible sink, used by
 /// benchmarks so sink cost never pollutes a measurement.
 pub struct Count<T: Send + Clone + 'static> {
@@ -146,12 +108,13 @@ impl<T: Send + Clone + 'static> Kernel for Count<T> {
 mod tests {
     use super::*;
     use crate::generate::Generate;
+    use std::sync::Mutex;
 
     #[test]
     fn collect_preserves_order() {
         let mut map = RaftMap::new();
         let src = map.add(Generate::new(0..100u32));
-        let (collect, handle) = Collect::<u32>::new();
+        let (collect, handle) = crate::containers::write_each::<u32>();
         let sink = map.add(collect);
         map.link(src, "out", sink, "in").unwrap();
         map.exe().unwrap();

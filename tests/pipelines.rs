@@ -74,7 +74,15 @@ fn unconnected_port_fails_validation() {
 #[test]
 fn empty_map_fails() {
     let map = RaftMap::new();
-    assert!(matches!(map.exe().unwrap_err(), ExeError::EmptyMap));
+    match map.exe().unwrap_err() {
+        ExeError::CheckFailed { diagnostics } => {
+            assert!(
+                diagnostics.iter().any(|d| d.code == "RC0002"),
+                "{diagnostics:?}"
+            );
+        }
+        other => panic!("expected CheckFailed, got {other}"),
+    }
 }
 
 #[test]
