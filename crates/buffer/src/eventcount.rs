@@ -20,11 +20,13 @@
 //! claimed notify, and a backend only sleeps while `seq == epoch`, so a
 //! notify between the re-check and the sleep is never slept through.
 //!
-//! Only *where the two words live and how a sleeper is woken* differs, and
-//! that is the [`Wake`] backend: [`ThreadPark`] (in-process words, mutex +
-//! condvar), [`crate::futex::Futex`] (words in a mapped segment, `futex(2)`
-//! on `seq`), [`crate::waker::TaskWake`] (in-process words, a scheduler
-//! task callback).
+//! Only *where the two words live and who sleeps on them* differs, and
+//! that is the [`Wake`] backend. A thread always sleeps the same way —
+//! `futex(2)` on `seq`, which the kernel refuses while `seq != epoch` —
+//! over words either owned ([`ThreadPark`], fields of an in-process
+//! structure) or mapped ([`crate::futex::Futex`], a segment's words). A
+//! scheduler task does not sleep: [`crate::waker::TaskWake`]'s wake is a
+//! callback that re-queues it.
 //!
 //! Which of the two notify strengths a call site uses is part of the
 //! protocol: [`EventCount::notify`] runs `Fn` and never loses a wake;
@@ -40,7 +42,7 @@ use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
 
 use crate::sync::{
-    fence, AtomicU32, Condvar, Mutex,
+    fence, AtomicU32,
     Ordering::{self, Relaxed, SeqCst},
 };
 use crate::wait::{WaitAction, WaitStrategy, Waiter};
@@ -51,9 +53,6 @@ use crate::wait::{WaitAction, WaitStrategy, Waiter};
 /// the chaos suites, stalled wake syscalls), so it is a safety net, not a
 /// polling rate.
 pub const PARK_TIMEOUT: Duration = Duration::from_millis(2);
-
-/// Spin → yield → park schedule shared by every blocking endpoint.
-const ENDPOINT_WAIT: WaitStrategy = WaitStrategy::parking(PARK_TIMEOUT);
 
 /// A 32-bit eventcount word, wherever it lives: a `crate::sync` atomic in
 /// this process (loom-instrumented under `--cfg loom`) or a `std` atomic at
@@ -202,27 +201,17 @@ impl<W: Wake> EventCount<W> {
     }
 }
 
-/// In-process backend: the words are fields, the sleeper is a thread on a
-/// condvar. The mutex makes "check `seq`, then sleep" atomic against
-/// [`unpark`](Wake::unpark), which takes it between bumping `seq` and
-/// signalling — so the sleeper either sees the bump or is already waiting.
-#[derive(Debug)]
+/// In-process backend: the words are fields, and a sleeper waits on `seq`
+/// with `futex(2)` exactly as a [`crate::futex::Futex`] sleeper waits on a
+/// segment's word — the kernel sleeps only while `seq == epoch`, so a
+/// claimed notify between the re-check and the syscall is never slept
+/// through. Off x86_64 Linux and under miri the wait is `futex.rs`'s
+/// fallback nap; under loom it is a model-checker yield, and the models
+/// decide from `seq` whether the kernel would have slept.
+#[derive(Debug, Default)]
 pub struct ThreadPark {
     armed: AtomicU32,
     seq: AtomicU32,
-    lock: Mutex<()>,
-    wake: Condvar,
-}
-
-impl Default for ThreadPark {
-    fn default() -> Self {
-        ThreadPark {
-            armed: AtomicU32::new(0),
-            seq: AtomicU32::new(0),
-            lock: Mutex::new(()),
-            wake: Condvar::new(),
-        }
-    }
 }
 
 impl Wake for ThreadPark {
@@ -235,20 +224,21 @@ impl Wake for ThreadPark {
     fn seq(&self) -> &AtomicU32 {
         &self.seq
     }
+    #[cfg(not(loom))]
     fn park(&self, epoch: u32, timeout: Duration) -> bool {
-        let guard = self.lock.lock();
-        if self.seq.load(Relaxed) != epoch {
-            return false;
-        }
-        // One wait, not a loop: a spurious wake-up just sends the caller
-        // round its own re-check loop.
-        let (_guard, timed_out) = self.wake.wait_timeout(guard, timeout);
-        timed_out && self.seq.load(Relaxed) == epoch
+        crate::futex::futex_wait(&self.seq, epoch, Some(timeout))
     }
+    #[cfg(loom)]
+    fn park(&self, _epoch: u32, _timeout: Duration) -> bool {
+        crate::sync::yield_now();
+        false
+    }
+    #[cfg(not(loom))]
     fn unpark(&self) {
-        drop(self.lock.lock());
-        self.wake.notify_all();
+        crate::futex::futex_wake(&self.seq, u32::MAX);
     }
+    #[cfg(loom)]
+    fn unpark(&self) {}
 }
 
 /// A borrowed backend is a backend: lets an eventcount be formed, by value,
@@ -304,7 +294,7 @@ pub fn block_until<W: Wake, R>(
     abandoned: impl Fn() -> bool,
     mut ready: impl FnMut() -> Option<R>,
 ) -> Result<R, Blocked> {
-    let mut waiter = Waiter::new(ENDPOINT_WAIT);
+    let mut waiter = Waiter::new(WaitStrategy::Parking);
     let mut deadline = None;
     // The epoch of a standing arm, and whether the last park timed out
     // with that arm still unclaimed.
@@ -362,97 +352,154 @@ pub fn block_until<W: Wake, R>(
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use crate::shm::{ShmSegment, SEG_KIND_RING};
     use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
+
+    /// Runs `$check(home, &event)` over an eventcount in each home its
+    /// words can have: owned by a [`ThreadPark`], and mapped — a heap
+    /// segment's consumer words under [`EventCount::futex`]. Both sleep
+    /// with `futex(2)` on `seq`.
+    macro_rules! over_both_homes {
+        ($check:ident) => {{
+            $check("owned", &EventCount::over(ThreadPark::default()));
+            let seg = ShmSegment::create_heap(SEG_KIND_RING, 8, 8, 8, 64);
+            $check("mapped", &seg.consumer_waker());
+        }};
+    }
+
+    fn seq<W: Wake>(ec: &EventCount<W>) -> u32 {
+        ec.backend().seq().load(Relaxed)
+    }
+
+    fn armed<W: Wake>(ec: &EventCount<W>) -> u32 {
+        ec.backend().armed().load(SeqCst)
+    }
 
     #[test]
     fn unarmed_notify_is_silent_and_one_wake_per_arm() {
-        let ec = EventCount::over(ThreadPark::default());
-        ec.notify();
-        assert_eq!(ec.0.seq.load(Relaxed), 0, "no arm claimed, no seq bump");
-        let epoch = ec.arm();
-        ec.notify();
-        ec.notify_if_armed(); // second notify on the same arm is absorbed
-        assert_eq!(ec.0.seq.load(Relaxed), epoch + 1);
-        assert!(!ec.disarm(), "notify already claimed the arm");
-        ec.arm();
-        assert!(ec.disarm(), "arm not yet claimed");
+        fn check<W: Wake>(home: &str, ec: &EventCount<W>) {
+            ec.notify();
+            assert_eq!(seq(ec), 0, "{home}: no arm claimed, no seq bump");
+            let epoch = ec.arm();
+            ec.notify();
+            ec.notify_if_armed(); // second notify on the same arm is absorbed
+            assert_eq!(seq(ec), epoch + 1, "{home}");
+            assert!(!ec.disarm(), "{home}: notify already claimed the arm");
+            ec.arm();
+            assert!(ec.disarm(), "{home}: arm not yet claimed");
+        }
+        over_both_homes!(check);
     }
 
     #[test]
     fn wait_returns_at_once_when_epoch_is_stale() {
-        let ec = EventCount::over(ThreadPark::default());
-        let epoch = ec.arm();
-        ec.notify();
-        let t0 = Instant::now();
-        assert!(!ec.wait(epoch, Duration::from_secs(5)), "not a timeout");
-        assert!(t0.elapsed() < Duration::from_secs(1));
+        fn check<W: Wake>(home: &str, ec: &EventCount<W>) {
+            let epoch = ec.arm();
+            ec.notify();
+            let t0 = Instant::now();
+            assert!(
+                !ec.wait(epoch, Duration::from_secs(5)),
+                "{home}: not a timeout"
+            );
+            assert!(t0.elapsed() < Duration::from_secs(1), "{home}");
+        }
+        over_both_homes!(check);
     }
 
     #[test]
     fn block_until_parks_and_is_woken_without_a_rescue() {
-        let ec = Arc::new(EventCount::over(ThreadPark::default()));
-        let flag = Arc::new(AtomicBool::new(false));
-        let rescues = AtomicU64::new(0);
-        let peer = {
-            let (ec, flag) = (ec.clone(), flag.clone());
-            std::thread::spawn(move || {
-                // Act only once the sleeper has armed (it is parked or about
-                // to be): the fenced notify then cannot be missed.
-                while ec.0.armed.load(SeqCst) == 0 {
-                    std::thread::yield_now();
-                }
-                flag.store(true, SeqCst);
-                ec.notify();
-            })
-        };
-        let got = block_until(
-            &ec,
-            &rescues,
-            None,
-            || false,
-            || flag.load(SeqCst).then_some(7),
-        );
-        peer.join().unwrap();
-        assert_eq!(got, Ok(7));
-        assert_eq!(rescues.load(Relaxed), 0);
+        // A peer that acts once the sleeper has armed (it is parked or about
+        // to be) wakes it with the fenced notify. A missed arm shows as a
+        // rescue (a park that ran its full `PARK_TIMEOUT` unclaimed); an arm
+        // claimed but a wake that never reaches the sleeping thread shows
+        // only in the last round, as a park that sleeps out its whole 5 s.
+        fn check<W: Wake + Sync>(home: &str, ec: &EventCount<W>) {
+            let rescues = AtomicU64::new(0);
+            for round in 0..50 {
+                let flag = AtomicBool::new(false);
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        while armed(ec) == 0 {
+                            std::thread::yield_now();
+                        }
+                        flag.store(true, SeqCst);
+                        ec.notify();
+                    });
+                    let got = block_until(
+                        ec,
+                        &rescues,
+                        None,
+                        || false,
+                        || flag.load(SeqCst).then_some(round),
+                    );
+                    assert_eq!(got, Ok(round), "{home}");
+                });
+            }
+            assert_eq!(rescues.load(Relaxed), 0, "{home}: a park was rescued");
+            std::thread::scope(|s| {
+                let epoch = ec.arm();
+                s.spawn(|| {
+                    std::thread::sleep(Duration::from_millis(10));
+                    ec.notify();
+                });
+                let t0 = Instant::now();
+                assert!(!ec.wait(epoch, Duration::from_secs(5)), "{home}: timed out");
+                assert!(t0.elapsed() < Duration::from_secs(2), "{home}");
+            });
+        }
+        over_both_homes!(check);
     }
 
     #[test]
     fn block_until_counts_a_rescue_when_the_wake_never_comes() {
-        let ec = EventCount::over(ThreadPark::default());
-        let rescues = AtomicU64::new(0);
-        let t0 = Instant::now();
-        // The condition turns true by itself and nobody notifies: only the
-        // bounded park can end the wait, and it must say so.
-        let got = block_until(
-            &ec,
-            &rescues,
-            None,
-            || false,
-            || (t0.elapsed() > Duration::from_millis(1)).then_some(()),
-        );
-        assert_eq!(got, Ok(()));
-        assert_eq!(rescues.load(Relaxed), 1);
+        // Only real kernel parking reports a full timeout; the fallback naps
+        // and returns as if woken.
+        if !cfg!(all(target_os = "linux", target_arch = "x86_64", not(miri))) {
+            return;
+        }
+        fn check<W: Wake>(home: &str, ec: &EventCount<W>) {
+            let rescues = AtomicU64::new(0);
+            let t0 = Instant::now();
+            // The condition turns true by itself and nobody notifies: only
+            // the bounded park can end the wait, and it must say so.
+            let got = block_until(
+                ec,
+                &rescues,
+                None,
+                || false,
+                || (t0.elapsed() > Duration::from_millis(1)).then_some(()),
+            );
+            assert_eq!(got, Ok(()), "{home}");
+            assert_eq!(rescues.load(Relaxed), 1, "{home}");
+        }
+        over_both_homes!(check);
     }
 
     #[test]
     fn block_until_honours_budget_and_abandonment() {
-        let ec = EventCount::over(ThreadPark::default());
-        let rescues = AtomicU64::new(0);
-        let never = || None::<()>;
-        let t0 = Instant::now();
-        let budget = Some(Duration::from_millis(5));
-        assert_eq!(
-            block_until(&ec, &rescues, budget, || false, never),
-            Err(Blocked::TimedOut)
-        );
-        assert!(t0.elapsed() >= Duration::from_millis(5));
-        assert_eq!(
-            block_until(&ec, &rescues, None, || true, never),
-            Err(Blocked::Abandoned)
-        );
-        assert_eq!(rescues.load(Relaxed), 0, "giving up is not a rescue");
-        assert_eq!(ec.0.armed.load(Relaxed), 0, "no arm left standing");
+        fn check<W: Wake>(home: &str, ec: &EventCount<W>) {
+            let rescues = AtomicU64::new(0);
+            let never = || None::<()>;
+            let t0 = Instant::now();
+            let budget = Some(Duration::from_millis(5));
+            assert_eq!(
+                block_until(ec, &rescues, budget, || false, never),
+                Err(Blocked::TimedOut),
+                "{home}"
+            );
+            assert!(t0.elapsed() >= Duration::from_millis(5), "{home}");
+            assert_eq!(
+                block_until(ec, &rescues, None, || true, never),
+                Err(Blocked::Abandoned),
+                "{home}"
+            );
+            assert_eq!(
+                rescues.load(Relaxed),
+                0,
+                "{home}: giving up is not a rescue"
+            );
+            assert_eq!(armed(ec), 0, "{home}: no arm left standing");
+        }
+        over_both_homes!(check);
     }
 }

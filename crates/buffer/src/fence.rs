@@ -152,7 +152,7 @@ impl ResizeFence {
     #[cold]
     fn back_off(&self, active: &AtomicBool) {
         active.store(false, Release);
-        let mut waiter = crate::wait::Waiter::new(crate::wait::WaitStrategy::spinning());
+        let mut waiter = crate::wait::Waiter::new(crate::wait::WaitStrategy::Spinning);
         while self.pending.load(Acquire) {
             waiter.pause();
         }
@@ -181,7 +181,7 @@ impl ResizeFence {
         // access before our mutation.
         self.pending.store(true, Relaxed);
         self.barriers.heavy_barrier();
-        let mut waiter = crate::wait::Waiter::new(crate::wait::WaitStrategy::spinning());
+        let mut waiter = crate::wait::Waiter::new(crate::wait::WaitStrategy::Spinning);
         while self.producer_active.load(Acquire) {
             waiter.pause();
         }

@@ -34,7 +34,8 @@
 //!   `pop_slice` and `peek_range`. Each is one call to
 //!   `Shared::block_until`, i.e. the crate's one blocking loop
 //!   ([`crate::eventcount::block_until`]) bracketed by the `*_blocked_since`
-//!   stamps the monitor's 3δ rule consumes. Every write publishes through
+//!   stamps the monitor's 3δ rule consumes; on either home its park is a
+//!   `futex(2)` wait on the eventcount's `seq` word. Every write publishes through
 //!   the one `Shared::publish`. A full ring blocks the writer and an empty
 //!   one the reader; only drain level `QUIESCED` ends a wait early — an
 //!   operation that does not wait succeeds at any level — so no element is

@@ -1,25 +1,26 @@
-//! Cross-process parking over `futex(2)` — the [`crate::eventcount`]
-//! backend for words that live in a mapped segment.
+//! `futex(2)` parking — how every thread that sleeps in this crate sleeps.
 //!
-//! Across a process boundary there is no shared scheduler or condvar, so
-//! the only thing two processes can rendezvous on is a 32-bit word in the
-//! segment. This module provides:
+//! An eventcount's `seq` word is exactly what `FUTEX_WAIT` needs: the
+//! kernel sleeps only while `*seq == epoch`, so a notify that lands between
+//! the waiter's re-check and its syscall changes `seq` and the kernel
+//! refuses the sleep (`EAGAIN`). Both homes an eventcount's words can have
+//! park this way: owned words ([`crate::eventcount::ThreadPark`], a field
+//! of an in-process structure) and mapped words ([`Futex`], a pair at a
+//! fixed offset of a segment another process may share). This module
+//! provides:
 //!
 //! * thin wrappers over the raw `FUTEX_WAIT` / `FUTEX_WAKE` syscalls
 //!   ([`futex_wait`], [`futex_wake`]) using the same no-`libc` inline-asm
 //!   idiom as `core`'s `affinity.rs`. The *non-private* futex ops are used
 //!   deliberately: `FUTEX_PRIVATE_FLAG` restricts matching to one address
-//!   space, and these words live in a `MAP_SHARED` segment.
-//! * [`Futex`] — the [`Wake`] backend over an `(armed, seq)` word pair in a
-//!   segment. The eventcount's `seq` word is exactly what `FUTEX_WAIT`
-//!   needs: the kernel sleeps only while `*seq == epoch`, so a notify that
-//!   lands between the waiter's re-check and its syscall changes `seq` and
-//!   the kernel refuses the sleep (`EAGAIN`).
+//!   space, and mapped words live in a `MAP_SHARED` segment.
+//! * [`Futex`] — the [`Wake`] backend over an `(armed, seq)` word pair
+//!   borrowed from a segment.
 //!
-//! On non-Linux (or non-x86_64) targets the wait degrades to a bounded
-//! `yield`/`sleep`, and under miri (which cannot execute inline asm) the
-//! same fallback is compiled in — the protocol stays correct, only the
-//! parking efficiency is lost.
+//! On non-Linux (or non-x86_64) targets the wait degrades to a nap of at
+//! most 1 ms, and under miri (which cannot execute inline asm) the same
+//! fallback is compiled in — the protocol stays correct, only the parking
+//! efficiency is lost.
 
 use std::sync::atomic::AtomicU32;
 use std::time::Duration;
@@ -177,8 +178,6 @@ impl Wake for Futex<'_> {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
-    use std::sync::Arc;
 
     #[test]
     fn wait_returns_when_epoch_stale() {
@@ -198,36 +197,5 @@ mod tests {
         }
         let seq = AtomicU32::new(0);
         assert!(futex_wait(&seq, 0, Some(Duration::from_millis(2))));
-    }
-
-    #[test]
-    fn cross_thread_park_and_wake() {
-        // A real park-and-wake handshake: the consumer thread arms and
-        // sleeps on the futex; the producer flips the condition and
-        // notifies. Bounded by timeouts so a regression fails, not hangs.
-        let armed = Arc::new(AtomicU32::new(0));
-        let seq = Arc::new(AtomicU32::new(0));
-        let cond = Arc::new(AtomicU64::new(0));
-        let (a2, s2, c2) = (armed.clone(), seq.clone(), cond.clone());
-        let waiter = std::thread::spawn(move || {
-            let w = EventCount::futex(&a2, &s2);
-            let mut spins = 0u32;
-            loop {
-                let epoch = w.arm();
-                if c2.load(SeqCst) == 1 {
-                    w.disarm();
-                    return true;
-                }
-                w.wait(epoch, Duration::from_millis(200));
-                spins += 1;
-                if spins > 100 {
-                    return false; // ~20s bound; only hit on regression
-                }
-            }
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        cond.store(1, SeqCst);
-        EventCount::futex(&armed, &seq).notify();
-        assert!(waiter.join().unwrap(), "waiter observed the condition");
     }
 }

@@ -16,12 +16,12 @@
 //!   double-check), generic over a [`ring::Backing`] that answers only
 //!   "where are `head`, `tail` and slot *i*".
 //! * [`eventcount`] — **the one "sleep until the peer moves"**: an
-//!   `(armed, seq)` eventcount whose Dekker fences are written once and
-//!   whose wake backend is chosen by where the words live (in-process
-//!   [`ThreadPark`], [`Futex`] on segment words, the scheduler task
-//!   callback of a [`WakerSlot`]), plus the one blocking loop
-//!   ([`eventcount::block_until`]: spin → yield → park, bounded parks whose
-//!   *rescues* are counted).
+//!   `(armed, seq)` eventcount whose Dekker fences are written once. A
+//!   thread sleeps one way, `futex(2)` on `seq`, over words owned
+//!   ([`ThreadPark`]) or mapped from a segment ([`Futex`]); a scheduler
+//!   task is woken by the callback of a [`WakerSlot`] instead. Plus the one
+//!   blocking loop ([`eventcount::block_until`]: spin → yield → park,
+//!   bounded parks whose *rescues* are counted).
 //!
 //! The endpoint families are thin wrappers over those two:
 //!
@@ -56,8 +56,8 @@
 //! A third party — the monitor — may call [`Fifo::resize`] and read
 //! stats at any time.
 //!
-//! The crate has no registry dependencies: locks and condvars are `std`'s
-//! behind the non-poisoning [`sync::Mutex`]/[`sync::Condvar`] pair.
+//! The crate has no registry dependencies: the one lock is `std`'s behind
+//! the non-poisoning [`sync::Mutex`], and sleeps are raw `futex(2)` calls.
 
 pub mod arena;
 mod error;

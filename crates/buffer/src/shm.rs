@@ -84,9 +84,8 @@ use std::sync::atomic::{
     Ordering::{Acquire, Relaxed, Release},
 };
 use std::sync::Arc;
-use std::time::Duration;
 
-use crate::eventcount::EventCount;
+use crate::eventcount::{EventCount, Wake};
 use crate::fence::Role;
 use crate::fifo::{Consumer, Fifo, Home, LinkAlloc, Producer, Slot};
 use crate::futex::Futex;
@@ -697,10 +696,7 @@ impl ShmSegment {
     /// Cross-process heartbeat over the header's eventcount words.
     #[inline]
     pub fn heartbeat(&self) -> Heartbeat<'_> {
-        Heartbeat {
-            armed: self.u32_at(OFF_HB_ARMED),
-            seq: self.u32_at(OFF_HB_SEQ),
-        }
+        EventCount::futex(self.u32_at(OFF_HB_ARMED), self.u32_at(OFF_HB_SEQ))
     }
 
     /// The worker's cumulative commit cursor: how many journal entries it
@@ -716,63 +712,34 @@ impl ShmSegment {
     }
 }
 
-/// Heartbeat eventcount over two header words — like an
-/// [`EventCount`] over [`Futex`] words but
-/// **level-preserving**: every [`Heartbeat::beat`] bumps `seq` whether or
-/// not a watcher is armed, because the count itself is the liveness signal
-/// (a waker-style claimed-arm-only bump would let beats land invisibly
+/// The segment's heartbeat: an [`EventCount`] over two header words, the
+/// same [`Futex`] backend the ring's wakers use, plus a
+/// **level-preserving** [`beat`](EventCount::beat): every beat bumps `seq`
+/// whether or not a watcher is armed, because the count itself is the
+/// liveness signal (a claimed-arm-only bump would let beats land invisibly
 /// between arms and a healthy worker would read as wedged).
 ///
-/// Watcher protocol: `let epoch = arm();` → if `epoch` moved since the last
-/// observation the worker is alive (disarm and record it); otherwise
-/// `wait(epoch, slice)` futex-parks until the next beat or the bounded
-/// slice elapses. The arm/fence pairing with `beat` is the same Dekker
-/// store-buffering argument as `futex.rs`: a beat that misses the armed
-/// flag is visible in the epoch the watcher re-reads, and vice versa.
-#[derive(Clone, Copy)]
-pub struct Heartbeat<'a> {
-    armed: &'a AtomicU32,
-    seq: &'a AtomicU32,
-}
+/// Watcher protocol: the eventcount's own — `let epoch = arm();` if
+/// `epoch` moved since the last observation the worker is alive (`disarm`
+/// and record it), otherwise `wait(epoch, slice)` futex-parks until the
+/// next beat or the bounded slice elapses. The kernel sleeps only while
+/// `seq == epoch`, so a beat that lands after the arm is never slept
+/// through.
+pub type Heartbeat<'a> = EventCount<Futex<'a>>;
 
-impl Heartbeat<'_> {
-    /// Worker side: bump the count and wake an armed watcher.
+impl EventCount<Futex<'_>> {
+    /// Worker side: bump the count, then wake an armed watcher. An
+    /// unarmed beat costs the `fetch_add`, a fence and one load.
     #[inline]
     pub fn beat(&self) {
-        self.seq.fetch_add(1, Release);
-        std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
-        if self.armed.swap(0, Relaxed) == 1 {
-            crate::futex::futex_wake(self.seq, u32::MAX);
-        }
+        self.backend().seq().fetch_add(1, Release);
+        self.notify();
     }
 
     /// Current beat count.
     #[inline]
     pub fn count(&self) -> u32 {
-        self.seq.load(Acquire)
-    }
-
-    /// Watcher side: announce intent to sleep, returning the epoch to
-    /// compare/wait against. Any beat ordered before the fence is visible
-    /// in the returned epoch.
-    #[inline]
-    pub fn arm(&self) -> u32 {
-        self.armed.store(1, Relaxed);
-        std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
-        self.seq.load(Relaxed)
-    }
-
-    /// Watcher side: withdraw interest (the re-check found a fresh beat).
-    #[inline]
-    pub fn disarm(&self) {
-        self.armed.store(0, Relaxed);
-    }
-
-    /// Watcher side: sleep until the count moves past `epoch` or `timeout`
-    /// elapses; always re-read [`Self::count`] after.
-    #[inline]
-    pub fn wait(&self, epoch: u32, timeout: Duration) -> bool {
-        crate::futex::futex_wait(self.seq, epoch, Some(timeout))
+        self.backend().seq().load(Acquire)
     }
 }
 
@@ -1123,6 +1090,7 @@ impl<T: ShmItem> ShmRing<T> {
 mod tests {
     use super::*;
     use crate::error::TryPopError;
+    use std::time::Duration;
 
     #[test]
     fn heap_segment_layout_roundtrip() {

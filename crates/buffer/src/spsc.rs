@@ -101,7 +101,7 @@ impl<T: Send> SpscProducer<T> {
         // Spin-then-yield: the SPSC ring has no parking primitive, so the
         // shared wait strategy never asks us to park (and under loom every
         // step degrades to a model-checker yield).
-        let mut waiter = Waiter::new(WaitStrategy::spinning());
+        let mut waiter = Waiter::new(WaitStrategy::Spinning);
         loop {
             match self.try_push(value) {
                 Ok(()) => return Ok(()),
@@ -154,7 +154,7 @@ impl<T: Send> SpscConsumer<T> {
     /// Spin until an element arrives; `Err` once closed *and* drained.
     pub fn pop(&mut self) -> Result<T, PopError> {
         // See `push`: shared spin-then-yield strategy, loom-safe.
-        let mut waiter = Waiter::new(WaitStrategy::spinning());
+        let mut waiter = Waiter::new(WaitStrategy::Spinning);
         loop {
             match self.try_pop() {
                 Ok(v) => return Ok(v),

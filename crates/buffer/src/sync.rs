@@ -1,5 +1,5 @@
 //! Concurrency primitives: the `std`/[loom] switch, cache padding and the
-//! workspace's one lock wrapper.
+//! workspace's one lock.
 //!
 //! The lock-free code in this crate ([`crate::ring`], [`crate::eventcount`],
 //! [`crate::ResizeFence`], [`crate::waker`]) is written against this module
@@ -18,13 +18,13 @@
 //! RUSTFLAGS="--cfg loom" cargo test --manifest-path verify/Cargo.toml --release
 //! ```
 //!
-//! [`Mutex`] and [`Condvar`] are the non-poisoning lock pair every crate in
-//! the workspace uses; they are `std`'s under either backend.
+//! [`Mutex`] is the non-poisoning lock every crate in the workspace uses;
+//! it is `std`'s under either backend. There is no condition variable: a
+//! thread that sleeps parks on an eventcount ([`crate::eventcount`]).
 //!
 //! [loom]: https://docs.rs/loom
 
 use std::sync::{LockResult, MutexGuard, PoisonError, TryLockError};
-use std::time::Duration;
 
 #[cfg(loom)]
 pub(crate) use loom::{
@@ -249,64 +249,27 @@ impl<T> Mutex<T> {
     }
 }
 
-/// `std::sync::Condvar` for guards of [`Mutex`], without poisoning.
-#[derive(Debug, Default)]
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// New condition variable.
-    pub const fn new() -> Self {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    /// Wait until notified or `timeout` elapses; the flag is `true` on
-    /// timeout. Spurious wake-ups happen: callers re-check their condition.
-    pub fn wait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        timeout: Duration,
-    ) -> (MutexGuard<'a, T>, bool) {
-        let (guard, result) = unpoisoned(self.0.wait_timeout(guard, timeout));
-        (guard, result.timed_out())
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    /// Wake every waiter.
-    pub fn notify_all(&self) {
-        self.0.notify_all();
-    }
-}
-
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
     use std::sync::Arc;
 
     /// A thread panics while holding the lock; the next `lock()` (and
-    /// `try_lock()`, and a timed wait) still succeed and see its writes.
+    /// `try_lock()`) still succeed and see its writes.
     #[test]
     fn a_panic_under_the_lock_does_not_poison_it() {
-        let shared = Arc::new((Mutex::new(0u32), Condvar::new()));
+        let shared = Arc::new(Mutex::new(0u32));
         let holder = Arc::clone(&shared);
         let died = std::thread::spawn(move || {
-            let mut guard = holder.0.lock();
+            let mut guard = holder.lock();
             *guard = 7;
             panic!("kernel panicked while holding the lock");
         })
         .join();
         assert!(died.is_err());
 
-        assert_eq!(*shared.0.lock(), 7);
-        assert_eq!(shared.0.try_lock().map(|g| *g), Some(7));
-        let (guard, timed_out) = shared
-            .1
-            .wait_timeout(shared.0.lock(), Duration::from_millis(1));
-        assert!(timed_out);
-        assert_eq!(*guard, 7);
+        assert_eq!(*shared.lock(), 7);
+        assert_eq!(shared.try_lock().map(|g| *g), Some(7));
     }
 
     #[test]

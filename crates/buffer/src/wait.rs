@@ -8,53 +8,38 @@
 //!    nanoseconds; right when the other side is actively producing.
 //! 2. **Yield**: give the core away but stay runnable. Right when the other
 //!    side is running but descheduled (oversubscribed hosts).
-//! 3. **Park**: the caller should block on its real primitive — an
-//!    eventcount: through [`crate::eventcount::block_until`] for FIFO
-//!    endpoints, directly for the stealing pool's workers (one
-//!    [`crate::EventCount`] each). [`Waiter::pause`] falls back to
-//!    `thread::sleep` with the strategy's timeout for callers that have
-//!    none; strategies that never park (the resize fence and the bare SPSC
-//!    endpoints, which have no wake signal) yield forever instead.
+//! 3. **Park**: the caller blocks on its eventcount — through
+//!    [`crate::eventcount::block_until`] for FIFO endpoints and
+//!    `ProcSupervisor::join`, directly for the stealing pool's workers (one
+//!    [`crate::EventCount`] each) — and every such park is a `futex(2)`
+//!    wait on the eventcount's `seq` word. Only a
+//!    [`WaitStrategy::Parking`] waiter gets here; a
+//!    [`WaitStrategy::Spinning`] one (the resize fence, the bare SPSC
+//!    endpoints and the least-utilized split adapter, which have no wake
+//!    signal) yields forever instead.
 //!
 //! The module is built on `crate::sync`, so `--cfg loom` builds degrade
 //! every phase to a model-checker yield and the waiting code inside the
 //! loom suites stays explorable.
 
-use std::time::Duration;
+/// Busy-spin rounds before yielding; round `n` executes `2^n` CPU relax
+/// hints, so the spin budget is `2^SPIN_ROUNDS` pauses.
+const SPIN_ROUNDS: u32 = 6;
+/// `yield_now` rounds after spinning before a [`WaitStrategy::Parking`]
+/// waiter asks its caller to park.
+const YIELD_ROUNDS: u32 = 16;
 
-/// Tuning knobs for a [`Waiter`]. Copy-cheap; typically a `const`.
+/// The two backoff schedules a [`Waiter`] follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitStrategy {
-    /// Busy-spin rounds before yielding; round `n` executes `2^n` CPU
-    /// relax hints, so the total spin budget is `2^spin_rounds` pauses.
-    pub spin_rounds: u32,
-    /// `yield_now` rounds after spinning, before parking.
-    pub yield_rounds: u32,
-    /// How long one park may last before the caller must re-check its
-    /// condition (the missed-wakeup safety net). `None` means this waiter
-    /// never parks: after the spin budget it yields forever (the resize
-    /// fence and SPSC endpoints, which have no wake signal to park on).
-    pub park_timeout: Option<Duration>,
-}
-
-impl WaitStrategy {
-    /// Spin-then-yield strategy for waits with no parking primitive.
-    pub const fn spinning() -> Self {
-        WaitStrategy {
-            spin_rounds: 6,
-            yield_rounds: 0,
-            park_timeout: None,
-        }
-    }
-
-    /// Full spin → yield → park strategy; `park_timeout` bounds one park.
-    pub const fn parking(park_timeout: Duration) -> Self {
-        WaitStrategy {
-            spin_rounds: 6,
-            yield_rounds: 16,
-            park_timeout: Some(park_timeout),
-        }
-    }
+pub enum WaitStrategy {
+    /// Spin, then yield forever: for waits with no wake signal to park on
+    /// (the resize fence, the bare SPSC endpoints, the least-utilized split
+    /// adapter).
+    Spinning,
+    /// Spin, yield, then [`WaitAction::Park`] on the caller's eventcount,
+    /// one [`PARK_TIMEOUT`](crate::eventcount::PARK_TIMEOUT)-bounded park
+    /// at a time.
+    Parking,
 }
 
 /// What a [`Waiter`] did (or asks the caller to do) for one idle round.
@@ -64,8 +49,8 @@ pub enum WaitAction {
     Spun,
     /// Yielded the core; re-check on reschedule.
     Yielded,
-    /// Spin and yield budgets are exhausted: block on your wake primitive
-    /// (bounded by [`WaitStrategy::park_timeout`]), then re-check.
+    /// Spin and yield budgets are exhausted: block on your eventcount, then
+    /// re-check.
     Park,
 }
 
@@ -97,8 +82,7 @@ impl Waiter {
     /// primitive (or keeps yielding if the strategy never parks).
     #[inline]
     pub fn pause_or_park(&mut self) -> WaitAction {
-        let s = &self.strategy;
-        if self.round < s.spin_rounds {
+        if self.round < SPIN_ROUNDS {
             // Exponential spin: 1, 2, 4, ... relax hints per round.
             for _ in 0..(1u32 << self.round) {
                 crate::sync::spin_loop();
@@ -106,7 +90,7 @@ impl Waiter {
             self.round += 1;
             return WaitAction::Spun;
         }
-        if self.round < s.spin_rounds + s.yield_rounds || s.park_timeout.is_none() {
+        if self.round < SPIN_ROUNDS + YIELD_ROUNDS || self.strategy == WaitStrategy::Spinning {
             self.round = self.round.saturating_add(1);
             crate::sync::yield_now();
             return WaitAction::Yielded;
@@ -114,19 +98,12 @@ impl Waiter {
         WaitAction::Park
     }
 
-    /// One backoff step executed fully inline: spin, yield, or sleep for
-    /// the park timeout. For callers without a wake primitive of their own
-    /// (`raftlib`'s least-utilized split adapter, which waits on whichever
-    /// of several rings drains first).
+    /// One backoff step of a [`WaitStrategy::Spinning`] waiter, which never
+    /// parks: spin, then yield.
     #[inline]
     pub fn pause(&mut self) {
-        if self.pause_or_park() == WaitAction::Park {
-            // Reachable only when park_timeout is Some (see pause_or_park).
-            #[cfg(not(loom))]
-            std::thread::sleep(self.strategy.park_timeout.unwrap_or(Duration::ZERO));
-            #[cfg(loom)]
-            crate::sync::yield_now();
-        }
+        let action = self.pause_or_park();
+        debug_assert_ne!(action, WaitAction::Park, "pause() is for spinning waiters");
     }
 }
 
@@ -136,15 +113,13 @@ mod tests {
 
     #[test]
     fn phases_progress_in_order() {
-        let mut w = Waiter::new(WaitStrategy {
-            spin_rounds: 2,
-            yield_rounds: 2,
-            park_timeout: Some(Duration::from_micros(1)),
-        });
-        assert_eq!(w.pause_or_park(), WaitAction::Spun);
-        assert_eq!(w.pause_or_park(), WaitAction::Spun);
-        assert_eq!(w.pause_or_park(), WaitAction::Yielded);
-        assert_eq!(w.pause_or_park(), WaitAction::Yielded);
+        let mut w = Waiter::new(WaitStrategy::Parking);
+        for _ in 0..SPIN_ROUNDS {
+            assert_eq!(w.pause_or_park(), WaitAction::Spun);
+        }
+        for _ in 0..YIELD_ROUNDS {
+            assert_eq!(w.pause_or_park(), WaitAction::Yielded);
+        }
         assert_eq!(w.pause_or_park(), WaitAction::Park);
         // Park is sticky until reset.
         assert_eq!(w.pause_or_park(), WaitAction::Park);
@@ -154,21 +129,9 @@ mod tests {
 
     #[test]
     fn spinning_strategy_never_parks() {
-        let mut w = Waiter::new(WaitStrategy::spinning());
+        let mut w = Waiter::new(WaitStrategy::Spinning);
         for _ in 0..100 {
             assert_ne!(w.pause_or_park(), WaitAction::Park);
         }
-    }
-
-    #[test]
-    fn pause_inline_sleeps_in_park_phase() {
-        let mut w = Waiter::new(WaitStrategy {
-            spin_rounds: 0,
-            yield_rounds: 0,
-            park_timeout: Some(Duration::from_millis(2)),
-        });
-        let t0 = std::time::Instant::now();
-        w.pause();
-        assert!(t0.elapsed() >= Duration::from_millis(1));
     }
 }

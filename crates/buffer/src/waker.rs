@@ -8,8 +8,9 @@
 //! Each heap FIFO owns one slot, on the **consumer side**, notified by
 //! `push`/batch-commit/`close`/`post_async` ("data or EoS is visible"). A
 //! task is parked only on its inputs: a producer waiting for space blocks
-//! its thread on the FIFO's [`crate::eventcount::ThreadPark`] instead, so
-//! the space side has no slot to notify.
+//! its thread on the FIFO's [`crate::eventcount::ThreadPark`] instead (a
+//! `futex(2)` wait on its `seq` word), so the space side has no slot to
+//! notify. A [`TaskWake`] is the one backend nobody sleeps on.
 //!
 //! ## The lost-wakeup problem
 //!

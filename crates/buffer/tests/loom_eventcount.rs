@@ -15,54 +15,32 @@
 //! observed empty" and "park". The fence pairing is written once, in
 //! `EventCount::{arm, notify}`; what differs per backend is only where the
 //! two words live and what "wake" means, so each model is a generic
-//! function instantiated three times:
+//! function instantiated once per kind of sleeper:
 //!
-//! * [`ThreadPark`] — in-process words, wake = condvar signal;
-//! * [`SegWords`] — a loom-typed stand-in for the futex backend (the real
-//!   `Futex` borrows `std` atomics out of an `mmap`, which loom cannot
-//!   instrument). The `FUTEX_WAKE` itself needs no modelling: a waiter
-//!   sleeps only while `seq == epoch`, so the bump *is* the wake;
+//! * [`ThreadPark`] — the futex-words model. Every sleeping thread, over
+//!   owned words or a segment's, waits with `FUTEX_WAIT` on `seq`, and the
+//!   `FUTEX_WAKE` needs no modelling: the kernel sleeps only while
+//!   `seq == epoch`, so the bump *is* the wake (under loom `ThreadPark`
+//!   skips the syscall). The mapped `Futex` backend borrows `std` atomics
+//!   out of an `mmap`, which loom cannot instrument, and runs the same
+//!   `EventCount` code over them;
 //! * [`TaskWake`] — the `WakerSlot` the work-stealing scheduler arms, wake
 //!   = the registered callback.
 //!
-//! For all three, "the wake was delivered" is observable as `seq` having
+//! For both, "the wake was delivered" is observable as `seq` having
 //! moved past the waiter's epoch; the task backend is additionally checked
 //! through its callback. The lossy `notify_if_armed` hot path is *not*
 //! modelled as lost-wakeup free — it is not; its bounded park is counted
 //! (`rescues`) instead.
 #![cfg(loom)]
 
-use std::time::Duration;
-
-use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use loom::thread;
 use std::sync::Arc;
 
 use raft_buffer::eventcount::{EventCount, ThreadPark, Wake, Word};
 use raft_buffer::waker::TaskWake;
 use raft_buffer::{FifoWaker, WakerSlot};
-
-/// A segment's `(armed, seq)` word pair, in loom types.
-struct SegWords {
-    /// `OFF_CONS_ARMED` / `OFF_PROD_ARMED`.
-    armed: AtomicU32,
-    /// `OFF_CONS_SEQ` / `OFF_PROD_SEQ`.
-    seq: AtomicU32,
-}
-
-impl Wake for SegWords {
-    type Word = AtomicU32;
-    fn armed(&self) -> &AtomicU32 {
-        &self.armed
-    }
-    fn seq(&self) -> &AtomicU32 {
-        &self.seq
-    }
-    fn park(&self, _epoch: u32, _timeout: Duration) -> bool {
-        unreachable!("the models decide from `seq` whether the kernel would sleep")
-    }
-    fn unpark(&self) {}
-}
 
 /// Records wake delivery; stands in for the scheduler's "enqueue task".
 struct FlagWaker(AtomicBool);
@@ -82,16 +60,6 @@ trait Backend: Wake + Send + Sync + Sized + 'static {
 impl Backend for ThreadPark {
     fn make() -> (EventCount<Self>, Box<dyn Fn() -> bool>) {
         (EventCount::over(ThreadPark::default()), Box::new(|| true))
-    }
-}
-
-impl Backend for SegWords {
-    fn make() -> (EventCount<Self>, Box<dyn Fn() -> bool>) {
-        let words = SegWords {
-            armed: AtomicU32::new(0),
-            seq: AtomicU32::new(0),
-        };
-        (EventCount::over(words), Box::new(|| true))
     }
 }
 
@@ -144,8 +112,8 @@ fn no_lost_wakeup_between_recheck_and_park<W: Backend>() {
         if parked {
             // The re-check missed the data, so the producer's fence came
             // later in the SC order — its armed read cannot have missed our
-            // arm: the claim bumped `seq` (a futex/condvar wait on `epoch`
-            // would refuse to sleep) and fired the callback.
+            // arm: the claim bumped `seq` (a futex wait on `epoch` would
+            // refuse to sleep) and fired the callback.
             assert_ne!(
                 seq_of(&event),
                 epoch,
@@ -188,11 +156,6 @@ fn thread_park_no_lost_wakeup() {
 }
 
 #[test]
-fn segment_words_no_lost_wakeup() {
-    no_lost_wakeup_between_recheck_and_park::<SegWords>();
-}
-
-#[test]
 fn task_callback_no_lost_wakeup() {
     no_lost_wakeup_between_recheck_and_park::<TaskWake>();
 }
@@ -200,11 +163,6 @@ fn task_callback_no_lost_wakeup() {
 #[test]
 fn thread_park_arm_is_claimed_exactly_once() {
     arm_is_claimed_exactly_once::<ThreadPark>();
-}
-
-#[test]
-fn segment_words_arm_is_claimed_exactly_once() {
-    arm_is_claimed_exactly_once::<SegWords>();
 }
 
 #[test]

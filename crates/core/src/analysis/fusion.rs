@@ -20,8 +20,7 @@
 //! A kernel joins a chain when all of the following hold:
 //!
 //! * it has exactly one input and one output port;
-//! * [`Kernel::is_fusable`] is true and it compiles into a batch stage
-//!   ([`Kernel::batch_stage`]);
+//! * it compiles into a batch stage ([`Kernel::batch_stage`] returns one);
 //! * it is stateless ([`Kernel::is_stateless`], or declared so with
 //!   [`RaftMap::declare_stateless`](crate::map::RaftMap::declare_stateless)) — fused
 //!   stages see the stream batch-at-a-time, so cross-item state would
@@ -113,7 +112,7 @@ fn kernel_fusable(map: &RaftMap, k: usize) -> bool {
     if e.spec.inputs.len() != 1 || e.spec.outputs.len() != 1 {
         return false;
     }
-    if !e.kernel.is_fusable() || !e.is_stateless() {
+    if e.kernel.batch_stage().is_none() || !e.is_stateless() {
         return false;
     }
     if !matches!(
@@ -334,19 +333,16 @@ pub(crate) fn apply(map: &mut RaftMap, batch: usize) -> Vec<FusedGroupInfo> {
     let mut dead_kernels = vec![false; map.kernels.len()];
     let mut dead_links = vec![false; map.links.len()];
     for g in &groups {
-        // Compile every member. `is_fusable` promises a stage; if an
-        // implementation breaks that contract, abandon the group with the
-        // map untouched (stages were cloned out, members still run as-is).
-        let mut stages = Vec::with_capacity(g.members.len());
-        for &m in &g.members {
-            match map.kernels[m].kernel.batch_stage() {
-                Some(s) => stages.push(s),
-                None => break,
-            }
-        }
-        if stages.len() != g.members.len() {
-            continue;
-        }
+        let stages: Vec<_> = g
+            .members
+            .iter()
+            .map(|&m| {
+                map.kernels[m]
+                    .kernel
+                    .batch_stage()
+                    .expect("plan admits only kernels with a batch stage")
+            })
+            .collect();
         let head = g.members[0];
         let tail = *g.members.last().unwrap();
         let in_def = map.kernels[head].spec.inputs[0].clone();
@@ -476,10 +472,7 @@ mod tests {
         fn is_stateless(&self) -> bool {
             true
         }
-        fn is_fusable(&self) -> bool {
-            true
-        }
-        fn batch_stage(&mut self) -> Option<Box<dyn ErasedBatchStage>> {
+        fn batch_stage(&self) -> Option<Box<dyn ErasedBatchStage>> {
             Some(per_element("add1", |v: u64| v + 1))
         }
     }

@@ -246,10 +246,7 @@ fn golden_rc0011_fusion() {
         fn is_stateless(&self) -> bool {
             true
         }
-        fn is_fusable(&self) -> bool {
-            true
-        }
-        fn batch_stage(&mut self) -> Option<Box<dyn crate::kernel::ErasedBatchStage>> {
+        fn batch_stage(&self) -> Option<Box<dyn crate::kernel::ErasedBatchStage>> {
             Some(crate::kernel::per_element("fmap", |v: u32| v))
         }
     }

@@ -301,20 +301,12 @@ pub trait Kernel: Send + 'static {
         false
     }
 
-    /// Whether this kernel can compile into a batch stage of a fused chain
-    /// (see [`FusionConfig`](crate::FusionConfig)). Contract: returning
-    /// `true` here promises that [`Kernel::batch_stage`] returns `Some`.
-    /// Defaults to `false`; per-element transforms implement it via
-    /// [`per_element`].
-    fn is_fusable(&self) -> bool {
-        false
-    }
-
-    /// Produce this kernel's batch-stage body for fusion, or `None` (the
-    /// default). The fusion pass calls this at most once and then discards
-    /// the kernel, so implementations may move or clone their transform
-    /// into the stage.
-    fn batch_stage(&mut self) -> Option<Box<dyn ErasedBatchStage>> {
+    /// This kernel's batch-stage body for a fused chain (see
+    /// [`FusionConfig`](crate::FusionConfig)), or `None` (the default): a
+    /// kernel is fusable exactly when this returns a stage. Per-element
+    /// transforms build it with [`per_element`] over a clone of their
+    /// closure; the fusion pass may call it more than once.
+    fn batch_stage(&self) -> Option<Box<dyn ErasedBatchStage>> {
         None
     }
 }
@@ -335,10 +327,7 @@ impl Kernel for Box<dyn Kernel> {
     fn is_stateless(&self) -> bool {
         (**self).is_stateless()
     }
-    fn is_fusable(&self) -> bool {
-        (**self).is_fusable()
-    }
-    fn batch_stage(&mut self) -> Option<Box<dyn ErasedBatchStage>> {
+    fn batch_stage(&self) -> Option<Box<dyn ErasedBatchStage>> {
         (**self).batch_stage()
     }
 }
@@ -410,7 +399,6 @@ mod tests {
 
     #[test]
     fn default_kernel_is_not_fusable() {
-        assert!(!Nop.is_fusable());
         assert!(Nop.batch_stage().is_none());
     }
 

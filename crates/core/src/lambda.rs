@@ -163,11 +163,7 @@ where
 
     // Fusable once the user asserts purity via `declare_stateless` (the
     // closure's `Clone` bound alone does not promise it is stateless).
-    fn is_fusable(&self) -> bool {
-        true
-    }
-
-    fn batch_stage(&mut self) -> Option<Box<dyn ErasedBatchStage>> {
+    fn batch_stage(&self) -> Option<Box<dyn ErasedBatchStage>> {
         Some(per_element("lambda-map", self.f.clone()))
     }
 }

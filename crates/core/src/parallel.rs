@@ -158,7 +158,7 @@ impl<T: Send + Clone + 'static> Kernel for Split<T> {
                 // broken from a rotating offset so a saturated pipeline
                 // does not convoy on replica 0.
                 let mut item = Some(item);
-                let mut waiter = Waiter::new(WaitStrategy::spinning());
+                let mut waiter = Waiter::new(WaitStrategy::Spinning);
                 while let Some(v) = item.take() {
                     let start = self.next_rr % active;
                     self.next_rr = (self.next_rr + 1) % active.max(1);

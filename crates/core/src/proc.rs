@@ -36,10 +36,11 @@
 //! at least once per wedge interval **including while idle** — a worker
 //! that blocks indefinitely without beating is indistinguishable from a
 //! wedged one and will be killed and respawned. Granularity above that
-//! floor is the worker's choice: a beat is a `fetch_add`, a `SeqCst`
-//! fence, and an RMW on the shared header line, so throughput-sensitive
-//! workers batch (e.g. one beat per 1 024 elements) and beat on every
-//! empty poll, while latency-insensitive ones simply beat per iteration.
+//! floor is the worker's choice: a beat is a `fetch_add` on the shared
+//! header line and a `SeqCst` fence (plus a wake only while the watcher is
+//! armed), so throughput-sensitive workers batch (e.g. one beat per 1 024
+//! elements) and beat on every empty poll, while latency-insensitive ones
+//! simply beat per iteration.
 //!
 //! ## What SIGKILL can and cannot lose
 //!
@@ -56,12 +57,13 @@
 
 use std::io;
 use std::process::{Child, Command};
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use raft_buffer::arena::DescriptorSender;
+use raft_buffer::eventcount::block_until;
 use raft_buffer::shm::ShmSegment;
 use raft_buffer::{EventCount, ThreadPark};
 use raft_rng::Rng;
@@ -424,20 +426,14 @@ impl ProcSupervisor {
     /// at the deadline are killed, reaped, and reported as
     /// [`KernelOutcome::Aborted`].
     pub fn join(mut self, timeout: Duration) -> Vec<ProcReport> {
-        let deadline = Instant::now() + timeout;
-        let done = &self.shared.done;
-        loop {
-            let epoch = done.arm();
+        // Every report is followed by a fenced `notify`, so nothing is ever
+        // rescued here; the count is not reported.
+        let rescues = AtomicU64::new(0);
+        let all_in = || {
             let reports = self.shared.reports.lock().expect("reports lock");
-            let all_in = reports.iter().all(Option::is_some);
-            drop(reports);
-            let now = Instant::now();
-            if all_in || now >= deadline {
-                done.disarm();
-                break;
-            }
-            done.wait(epoch, deadline - now);
-        }
+            reports.iter().all(Option::is_some).then_some(())
+        };
+        let _ = block_until(&self.shared.done, &rescues, Some(timeout), || false, all_in);
         self.shutdown();
         let reports = std::mem::take(&mut *self.shared.reports.lock().expect("reports lock"));
         reports
@@ -571,15 +567,68 @@ fn watch(spec: WorkerSpec, slot: usize, child: Arc<Mutex<Option<Child>>>, shared
                 None => break 'run KernelOutcome::Aborted,
             }
         };
-        if let Some(status) = exited {
-            last_status = status.code();
-            if status.success() {
+        let crashed = match exited {
+            Some(status) if status.success() => {
+                last_status = status.code();
                 break 'run if respawns > 0 {
                     KernelOutcome::Restarted(respawns)
                 } else {
                     KernelOutcome::Completed
                 };
             }
+            Some(status) => {
+                last_status = status.code();
+                true
+            }
+            None if shared.halt.load(Relaxed) => {
+                kill_and_reap(&child);
+                break 'run KernelOutcome::Aborted;
+            }
+            // Heartbeat / wedge detection, in two gears. Hot gear: an
+            // *unarmed* count read once per slice — a streaming worker's
+            // beats stay syscall-free (beat only futex-wakes when armed)
+            // and this thread sleeps through the traffic instead of waking
+            // per element. Stall gear: only when a whole slice passed with
+            // no progress does the watcher arm and futex-park, so a
+            // recovering worker's very next beat wakes it immediately.
+            None => match &heartbeat {
+                Some(seg) => {
+                    let hb = seg.heartbeat();
+                    let count = hb.count();
+                    if count != last_count {
+                        last_count = count;
+                        last_progress = Instant::now();
+                        std::thread::sleep(slice);
+                        continue 'run;
+                    }
+                    let epoch = hb.arm();
+                    if epoch != last_count {
+                        hb.disarm();
+                        last_count = epoch;
+                        last_progress = Instant::now();
+                        continue 'run;
+                    }
+                    if last_progress.elapsed() < wedge_timeout {
+                        hb.wait(epoch, slice);
+                        hb.disarm();
+                        false
+                    } else {
+                        // Wedged: kill, reap, and take the crash path below.
+                        hb.disarm();
+                        wedges += 1;
+                        if let Some(status) = kill_and_reap(&child) {
+                            last_status = status.code();
+                        }
+                        true
+                    }
+                }
+                None => {
+                    std::thread::sleep(slice);
+                    false
+                }
+            },
+        };
+        if crashed {
             crashes += 1;
             match crash_reaction(
                 &policy,
@@ -594,68 +643,9 @@ fn watch(spec: WorkerSpec, slot: usize, child: Arc<Mutex<Option<Child>>>, shared
                     respawns += 1;
                     last_progress = Instant::now();
                     last_count = heartbeat.as_ref().map_or(0, |s| s.heartbeat().count());
-                    continue 'run;
                 }
                 Reaction::Ended(outcome) => break 'run outcome,
             }
-        }
-        if shared.halt.load(Relaxed) {
-            kill_and_reap(&child);
-            break 'run KernelOutcome::Aborted;
-        }
-        // Heartbeat / wedge detection, in two gears. Hot gear: an
-        // *unarmed* count read once per slice — a streaming worker's
-        // beats stay syscall-free (beat only futex-wakes when armed) and
-        // this thread sleeps through the traffic instead of waking per
-        // element. Stall gear: only when a whole slice passed with no
-        // progress does the watcher arm and futex-park, so a recovering
-        // worker's very next beat wakes it immediately.
-        match &heartbeat {
-            Some(seg) => {
-                let hb = seg.heartbeat();
-                let count = hb.count();
-                if count != last_count {
-                    last_count = count;
-                    last_progress = Instant::now();
-                    std::thread::sleep(slice);
-                    continue 'run;
-                }
-                let epoch = hb.arm();
-                if epoch != last_count {
-                    hb.disarm();
-                    last_count = epoch;
-                    last_progress = Instant::now();
-                    continue 'run;
-                }
-                if last_progress.elapsed() >= wedge_timeout {
-                    hb.disarm();
-                    wedges += 1;
-                    crashes += 1;
-                    if let Some(status) = kill_and_reap(&child) {
-                        last_status = status.code();
-                    }
-                    match crash_reaction(
-                        &policy,
-                        respawns,
-                        &segments,
-                        &mut links,
-                        &mut factory,
-                        &child,
-                        &shared,
-                    ) {
-                        Reaction::Respawned => {
-                            respawns += 1;
-                            last_progress = Instant::now();
-                            last_count = seg.heartbeat().count();
-                            continue 'run;
-                        }
-                        Reaction::Ended(outcome) => break 'run outcome,
-                    }
-                }
-                hb.wait(epoch, slice);
-                hb.disarm();
-            }
-            None => std::thread::sleep(slice),
         }
     };
 

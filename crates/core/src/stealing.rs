@@ -24,7 +24,8 @@
 //!   inside a link.
 //! * **One way to sleep.** Each worker parks on its own
 //!   `EventCount<ThreadPark>` after the endpoints' spin → yield → park
-//!   schedule, bounded by the same [`PARK_TIMEOUT`].
+//!   schedule, bounded by the same [`PARK_TIMEOUT`] — a `futex(2)` wait on
+//!   the eventcount's `seq` word, as every blocked endpoint's is.
 //! * **Optional core pinning.** `pin: true` makes worker `w` pin itself to
 //!   core `w % cores` ([`crate::affinity`]), so the mapper-seeded initial
 //!   placement survives OS migration.
@@ -449,7 +450,7 @@ fn work(core: &Core, me: usize, stats: &mut WorkerReport) -> Vec<RunnerOutcome> 
     let _exit = ExitOnUnwind(core);
     let park = &core.parks[me];
     let mut outcomes = Vec::new();
-    let mut waiter = Waiter::new(WaitStrategy::parking(PARK_TIMEOUT));
+    let mut waiter = Waiter::new(WaitStrategy::Parking);
     let mut yielded = None;
     while core.remaining.load(Acquire) > 0 {
         if let Some((task, stolen)) = find_task(core, me, yielded) {

@@ -66,13 +66,10 @@ impl Kernel for OpKernel {
         true
     }
 
-    fn is_fusable(&self) -> bool {
-        self.fusable
-    }
-
-    fn batch_stage(&mut self) -> Option<Box<dyn ErasedBatchStage>> {
+    fn batch_stage(&self) -> Option<Box<dyn ErasedBatchStage>> {
         let op = self.op.clone();
-        Some(per_element_filter("op", move |v: u64| op.apply(v)))
+        self.fusable
+            .then(|| per_element_filter("op", move |v: u64| op.apply(v)))
     }
 
     fn clone_replica(&self) -> Option<Box<dyn Kernel>> {
@@ -236,10 +233,7 @@ impl Kernel for PanicOnce {
     fn is_stateless(&self) -> bool {
         true
     }
-    fn is_fusable(&self) -> bool {
-        true
-    }
-    fn batch_stage(&mut self) -> Option<Box<dyn ErasedBatchStage>> {
+    fn batch_stage(&self) -> Option<Box<dyn ErasedBatchStage>> {
         let fired = self.fired.clone();
         let trigger = self.trigger;
         Some(raftlib::per_element("panic-once", move |v: u64| {

@@ -71,11 +71,7 @@ where
         true
     }
 
-    fn is_fusable(&self) -> bool {
-        true
-    }
-
-    fn batch_stage(&mut self) -> Option<Box<dyn raftlib::ErasedBatchStage>> {
+    fn batch_stage(&self) -> Option<Box<dyn raftlib::ErasedBatchStage>> {
         Some(raftlib::per_element("map", self.f.clone()))
     }
 }
@@ -173,11 +169,7 @@ where
         true
     }
 
-    fn is_fusable(&self) -> bool {
-        true
-    }
-
-    fn batch_stage(&mut self) -> Option<Box<dyn raftlib::ErasedBatchStage>> {
+    fn batch_stage(&self) -> Option<Box<dyn raftlib::ErasedBatchStage>> {
         // In a fused chain the batch is owned, so the by-reference
         // transform runs over each element in place.
         let mut f = self.f.clone();
@@ -252,11 +244,7 @@ where
         true
     }
 
-    fn is_fusable(&self) -> bool {
-        true
-    }
-
-    fn batch_stage(&mut self) -> Option<Box<dyn raftlib::ErasedBatchStage>> {
+    fn batch_stage(&self) -> Option<Box<dyn raftlib::ErasedBatchStage>> {
         Some(raftlib::per_element_filter("filter_map", self.f.clone()))
     }
 }
