@@ -178,6 +178,8 @@ impl Wake for Futex<'_> {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+    use std::sync::Arc;
 
     #[test]
     fn wait_returns_when_epoch_stale() {
@@ -197,5 +199,36 @@ mod tests {
         }
         let seq = AtomicU32::new(0);
         assert!(futex_wait(&seq, 0, Some(Duration::from_millis(2))));
+    }
+
+    #[test]
+    fn cross_thread_park_and_wake() {
+        // A real park-and-wake handshake: the consumer thread arms and
+        // sleeps on the futex; the producer flips the condition and
+        // notifies. Bounded by timeouts so a regression fails, not hangs.
+        let armed = Arc::new(AtomicU32::new(0));
+        let seq = Arc::new(AtomicU32::new(0));
+        let cond = Arc::new(AtomicU64::new(0));
+        let (a2, s2, c2) = (armed.clone(), seq.clone(), cond.clone());
+        let waiter = std::thread::spawn(move || {
+            let w = EventCount::futex(&a2, &s2);
+            let mut spins = 0u32;
+            loop {
+                let epoch = w.arm();
+                if c2.load(SeqCst) == 1 {
+                    w.disarm();
+                    return true;
+                }
+                w.wait(epoch, Duration::from_millis(200));
+                spins += 1;
+                if spins > 100 {
+                    return false; // ~20s bound; only hit on regression
+                }
+            }
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        cond.store(1, SeqCst);
+        EventCount::futex(&armed, &seq).notify();
+        assert!(waiter.join().unwrap(), "waiter observed the condition");
     }
 }
