@@ -53,11 +53,12 @@
 //! entry never published). After the supervisor has reaped the worker and
 //! revoked its role word, [`ArenaTx::sweep_orphans`] repairs both: it
 //! re-enrolls every slot that is neither free-ring-enrolled nor still
-//! referenced by a journaled in-flight descriptor. [`DescriptorSender`]
-//! packages the full producer-side recovery contract — a descriptor ring,
-//! the replay window of every descriptor sent and not yet committed, and
-//! the arena sweep — so a respawned worker re-attaches and receives exactly
-//! the unacknowledged suffix over payload slots the sweep left untouched.
+//! referenced by an uncommitted descriptor. [`DescriptorSender`] packages
+//! the full producer-side recovery contract — a descriptor ring that holds
+//! every descriptor until the worker commits it, its rewind to the commit
+//! word, and the arena sweep — so a respawned worker re-attaches and reads
+//! exactly the uncommitted suffix over payload slots the sweep left
+//! untouched.
 
 use std::io;
 use std::sync::atomic::{
@@ -67,7 +68,6 @@ use std::sync::atomic::{
 use std::sync::Arc;
 
 use crate::eventcount::{block_until, PARK_TIMEOUT};
-use crate::journal::ReplayWindow;
 use crate::ring::{Backing, ConsumerCursor, ProducerCursor};
 use crate::shm::{SegRing, ShmItem, ShmRingProducer, ShmSegment, SEG_KIND_ARENA};
 use crate::stats::StatsSnapshot;
@@ -288,6 +288,37 @@ impl ShmArena {
         Ok(Self::rx_over(Arc::new(seg)))
     }
 
+    /// Block until a recycled slot is probably available in the arena on
+    /// `seg` ([`ArenaTx::segment`]) — the arena-full analogue of the ring's
+    /// blocking push, for callers whose [`ArenaTx::alloc`] came back
+    /// `None`. The free ring's shared `head`/`tail` words say whether a
+    /// slot is free, so the wait needs no [`ArenaTx`]: a caller that keeps
+    /// it behind a lock parks without holding it. Escalates through the
+    /// same spin→yield→futex-park ladder as the ring endpoints, parking on
+    /// the segment's producer waker (which [`ArenaRx::free`] notifies); one
+    /// park is bounded, so a lost cross-process wake costs at most
+    /// [`PARK_TIMEOUT`].
+    ///
+    /// Returns `true` when the caller should retry `alloc` (a slot became
+    /// visible or the bounded park elapsed) and `false` when the consuming
+    /// side is gone — no slot will ever come back, so allocation can never
+    /// succeed again.
+    pub fn wait_free_slot(seg: &ShmSegment) -> bool {
+        // Bounded contract: the budget is one park long, so a scheduler-
+        // driven caller gets control back to observe stop requests. (Too
+        // short to ever count a rescue; nobody reads this counter.)
+        let unread = AtomicU64::new(0);
+        let poll = || {
+            // Any entry between the shared head and tail is a free slot.
+            if seg.tail().load(Acquire) != seg.head().load(Relaxed) {
+                return Some(true);
+            }
+            (seg.consumer_closed().load(Relaxed) == 1).then_some(false)
+        };
+        let parked = Some(PARK_TIMEOUT);
+        block_until(&seg.producer_waker(), &unread, parked, || false, poll).unwrap_or(true)
+    }
+
     fn tx_over(seg: Arc<ShmSegment>) -> ArenaTx {
         let geo = Geometry::of_segment(&seg);
         let core = ArenaCore { seg, geo };
@@ -403,40 +434,6 @@ impl ArenaTx {
         Some(w.publish())
     }
 
-    /// Block until a recycled slot is probably available — the arena-full
-    /// analogue of the ring's blocking push, for callers whose [`alloc`]
-    /// came back `None`. Escalates through the same spin→yield→futex-park
-    /// ladder as the ring endpoints, parking on the segment's producer
-    /// waker (which [`ArenaRx::free`] notifies); one park is bounded, so a
-    /// lost cross-process wake costs at most [`PARK_TIMEOUT`].
-    ///
-    /// Returns `true` when the caller should retry `alloc` (a slot became
-    /// visible or the bounded park elapsed) and `false` when the consuming
-    /// side is gone — no slot will ever come back, so allocation can never
-    /// succeed again.
-    ///
-    /// [`alloc`]: ArenaTx::alloc
-    pub fn wait_free_slot(&mut self) -> bool {
-        let ArenaTx { core, free } = self;
-        let (seg, ring) = (&*core.seg, core.free_ring());
-        // Bounded contract: the budget is one park long, so a scheduler-
-        // driven caller gets control back to observe stop requests. (Too
-        // short to ever count a rescue; nobody reads this counter.)
-        let unread = AtomicU64::new(0);
-        block_until(
-            &seg.producer_waker(),
-            &unread,
-            Some(PARK_TIMEOUT),
-            || false,
-            || match free.refresh(&ring) {
-                // Any entry past our head is a slot for the next alloc.
-                0 => (seg.consumer_closed().load(Relaxed) == 1).then_some(false),
-                _ => Some(true),
-            },
-        )
-        .unwrap_or(true)
-    }
-
     /// Total payload slots.
     pub fn slots(&self) -> usize {
         self.core.geo.slots
@@ -470,8 +467,8 @@ impl ArenaTx {
     /// * **torn enrollment** — an entry written at the shared tail whose
     ///   publish never landed: overwritten by the re-enrollment there.
     ///
-    /// `in_flight(slot, generation)` must return `true` for descriptors a
-    /// journal will re-deliver: their payload bytes survive untouched, so
+    /// `in_flight(slot, generation)` must return `true` for descriptors
+    /// the ring will re-deliver: their payload bytes survive untouched, so
     /// the replacement worker resolves them as if nothing happened.
     /// Returns the number of slots re-enrolled.
     pub fn sweep_orphans(&mut self, in_flight: impl Fn(u32, u32) -> bool) -> usize {
@@ -563,7 +560,8 @@ impl ArenaRx {
         // and fcap ≥ slots.
         let pushed = self.free.push(&self.core.free_ring(), slot as u32);
         debug_assert!(pushed.is_ok(), "free ring overflow impossible by sizing");
-        // A producer blocked in `wait_free_slot` parks on this waker.
+        // A producer blocked in `ShmArena::wait_free_slot` parks on this
+        // waker.
         self.core.seg.producer_waker().notify_if_armed();
         Ok(())
     }
@@ -593,8 +591,9 @@ impl ArenaRx {
 impl Drop for ArenaRx {
     fn drop(&mut self) {
         self.core.seg.consumer_closed().store(1, Release);
-        // Full-contract notify: a producer parked in `wait_free_slot` right
-        // now must see that no slot will ever come back.
+        // Full-contract notify: a producer parked in
+        // `ShmArena::wait_free_slot` right now must see that no slot will
+        // ever come back.
         self.core.seg.producer_waker().notify();
     }
 }
@@ -602,190 +601,151 @@ impl Drop for ArenaRx {
 /// What [`DescriptorSender::send_bytes`] did with the payload.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SendOutcome {
-    /// Journaled and pushed (or retained for replay if the ring closed
-    /// mid-push — either way the payload will reach a worker).
+    /// In an arena slot, its descriptor in the ring — which keeps it until
+    /// the worker commits it, so it reaches a worker whatever happens.
     Sent,
-    /// Not accepted *yet*: every arena slot is in flight, or a recovery
-    /// window is open. Nothing was journaled; retry the same payload.
+    /// Not accepted *yet*: every arena slot is in flight, or the worker is
+    /// gone (its ring consumer is closed while it respawns, or for good).
+    /// Nothing was sent; retry the same payload.
     Busy,
 }
 
 /// Producer-side bundle for a supervised descriptor link: an [`ArenaTx`]
-/// for the payload bytes, a descriptor ring, and the replay window that
-/// makes delivery exactly-once across worker deaths — the cross-process
-/// half of the recovery contract, kept here, at the boundary that can lose
-/// what the ring held.
+/// for the payload bytes and the descriptor ring, which is the link's
+/// journal across worker deaths — the cross-process half of the recovery
+/// contract.
 ///
-/// Every descriptor is appended to the window *before* it is pushed,
-/// acknowledged only when the worker advances the ring segment's
-/// [`commit word`](ShmSegment::commit_word) (clamped to what was pushed),
-/// and re-pushed in order by [`Self::replay`] after the supervisor has
-/// reaped the dead worker. The worker-side contract that recovery relies
-/// on, per descriptor: resolve → process → *publish the result* → bump the
+/// Nothing is pushed twice, so a descriptor's ring position is its
+/// sequence number, and the worker's cumulative
+/// [`commit word`](ShmSegment::commit_word) is the position of the first
+/// descriptor it has not fully processed. The commit word is the
+/// producer's release bound: a send waits while `capacity` descriptors are
+/// uncommitted, so ring slots `[commit, tail)` are never overwritten and
+/// hold exactly what a dead worker left undone. The worker-side contract,
+/// per descriptor: resolve → process → *publish the result* → bump the
 /// commit word to `seq + 1` → **then** free the slot. A death between the
 /// publish and the bump re-delivers the descriptor, and the duplicate
 /// result is deduplicated downstream by its sequence number; freeing before
-/// committing would let a sweep-surviving replay hand the replacement
-/// worker a stale descriptor.
+/// committing would let the rewound ring hand the replacement worker a
+/// stale descriptor.
 ///
-/// Supervisor recovery sequence after kill + reap + role revocation (both
-/// segments): [`Self::begin_recovery`] → reopen roles → respawn →
-/// [`Self::replay`].
+/// Supervisor recovery after kill + reap + role revocation (both
+/// segments): [`Self::begin_recovery`] rewinds the ring and sweeps the
+/// arena → reopen roles → respawn. The replacement reads the uncommitted
+/// suffix from the ring.
 pub struct DescriptorSender {
     tx: ArenaTx,
     ring: ShmRingProducer<Descriptor>,
-    /// Descriptors sent and not yet committed, by sequence number:
-    /// `[acked, next)` went to the ring, `[next, next_seq)` is a backlog
-    /// still to push (a replay larger than the ring, or sends behind it).
-    window: ReplayWindow<Descriptor>,
-    /// Sequence number of the next descriptor to push.
-    next: u64,
-    /// Sends are refused between [`Self::begin_recovery`] and
-    /// [`Self::replay`].
-    recovering: bool,
+    /// The highest commit observed: a commit word below it (a byzantine
+    /// worker) reads as it.
+    acked: u64,
 }
 
 impl DescriptorSender {
-    /// Bundle `tx` and `ring` with a replay window of at most
-    /// `journal_bound` unacknowledged descriptors (0 = unbounded). The bound
-    /// must cover the ring capacity plus the worker's commit lag, or forced
-    /// acks (counted in the ring's [`StatsSnapshot::forced_acks`]) puncture
-    /// replay coverage — `2 × capacity` is a comfortable floor.
-    pub fn new(tx: ArenaTx, ring: ShmRingProducer<Descriptor>, journal_bound: usize) -> Self {
-        DescriptorSender {
-            tx,
-            ring,
-            window: ReplayWindow::new(journal_bound),
-            next: 0,
-            recovering: false,
-        }
+    /// Bundle `tx` and `ring`. The journal bound is ignored: the ring is
+    /// the journal, so at most its capacity of descriptors is uncommitted.
+    pub fn new(tx: ArenaTx, ring: ShmRingProducer<Descriptor>, _journal_bound: usize) -> Self {
+        DescriptorSender { tx, ring, acked: 0 }
     }
 
-    /// Write `payload` into an arena slot, journal its descriptor and push
-    /// it, blocking while the ring is full — unless a backlog is still
-    /// draining: then the descriptor queues behind it (window order stays
-    /// delivery order) and nothing blocks. A worker found gone leaves it
-    /// journaled, which is exactly what replay covers.
-    /// [`SendOutcome::Busy`] (arena full or recovering) leaves no trace —
-    /// the caller retries, typically after [`Self::wait_arena_slot`].
+    /// The ring tail and the commit word, clamped to what it can honestly
+    /// be, whatever a byzantine worker writes: no more than was pushed, and
+    /// no less than the last commit observed or `tail − capacity` (every
+    /// push found room below the commit).
+    fn positions(&self) -> (u64, u64) {
+        let seg = self.ring.segment();
+        let tail = seg.tail().load(Relaxed).max(self.acked);
+        let floor = tail.saturating_sub(self.ring.capacity() as u64);
+        let commit = seg.commit_word().load(Acquire);
+        (tail, commit.clamp(floor.max(self.acked), tail))
+    }
+
+    /// Write `payload` into an arena slot and push its descriptor, first
+    /// waiting while `capacity` descriptors are uncommitted. The wait parks
+    /// on the ring's producer eventcount, which the worker's next pop
+    /// notifies (it commits before it pops again; a ring of one slot has no
+    /// next pop, so there the bounded park ends the wait); a park the wake
+    /// missed counts in the ring's `rescues`. [`SendOutcome::Busy`] (arena full,
+    /// worker gone) leaves no trace — the caller retries, typically after
+    /// [`ShmArena::wait_free_slot`].
     pub fn send_bytes(&mut self, payload: &[u8]) -> SendOutcome {
-        if self.recovering {
+        let (seg, capacity) = (self.ring.segment(), self.ring.capacity() as u64);
+        let room = || {
+            if seg.consumer_closed().load(Acquire) == 1 {
+                return Some(false);
+            }
+            let (tail, commit) = self.positions();
+            (tail - commit < capacity).then_some(true)
+        };
+        let room = room().unwrap_or_else(|| {
+            let ring = self.ring.fifo();
+            let rescues = &ring.stats().writer.rescues;
+            block_until(&seg.producer_waker(), rescues, None, || false, room).unwrap_or(false)
+        });
+        if !room {
             return SendOutcome::Busy;
         }
         let Some(d) = self.tx.push_bytes(payload) else {
             return SendOutcome::Busy;
         };
-        let forced = self.window.forced_acks();
-        self.window.append(d);
-        let now_forced = self.window.forced_acks();
-        if now_forced != forced {
-            let ring = self.ring.fifo();
-            ring.stats().writer.forced_acks.store(now_forced, Relaxed);
+        // Room below the commit is room in the ring (the true head is at or
+        // past the commit). Only a worker gone since the wait fails this;
+        // its slot stays live until the recovery sweep re-enrolls it.
+        match self.ring.try_push(d) {
+            Ok(()) => SendOutcome::Sent,
+            Err(_) => SendOutcome::Busy,
         }
-        // A forced ack of a descriptor not yet pushed loses it: skip past.
-        self.next = self.next.max(self.window.acked());
-        if self.next + 1 == self.window.next_seq() && self.ring.push(d).is_ok() {
-            self.next += 1;
-        }
-        self.ack_committed();
-        SendOutcome::Sent
     }
 
-    /// Park until a recycled arena slot is probably available; `false`
-    /// means the consuming side is gone (see [`ArenaTx::wait_free_slot`]).
-    pub fn wait_arena_slot(&mut self) -> bool {
-        self.tx.wait_free_slot()
-    }
-
-    /// Retire the descriptors the worker has committed and push any replay
-    /// backlog into free ring space. Returns how many were retired. Call
-    /// this periodically after a recovery: it is the pump that finishes a
-    /// replay too large to fit the ring in one go.
-    ///
-    /// Never blocks: a supervisor thread calls this from its reaction path,
-    /// and parking it on ring space would deadlock if the replacement
-    /// worker dies mid-replay (nobody left to reap it).
+    /// Count what the worker committed since the last call.
     pub fn ack_committed(&mut self) -> usize {
-        let committed = self.ring.segment().commit_word().load(Acquire);
-        // Only what was pushed can have been processed, whatever a
-        // byzantine worker writes.
-        let released = self.window.ack(committed.min(self.next));
-        if !self.recovering {
-            self.pump();
-        }
-        released
+        let (_, commit) = self.positions();
+        let released = commit - self.acked;
+        self.acked = commit;
+        released as usize
     }
 
-    /// Push the backlog in window order while the ring has room. Stops at
-    /// a full ring (a later pump retries) or a gone worker (the next
-    /// recovery rewinds `next`). Returns how many were pushed.
-    fn pump(&mut self) -> usize {
-        let mut pushed = 0;
-        for &(_, d) in self.window.iter_from(self.next) {
-            if self.ring.try_push(d).is_err() {
-                break;
-            }
-            pushed += 1;
-        }
-        self.next += pushed as u64;
-        pushed
-    }
-
-    /// Descriptors journaled but not yet committed by the worker.
+    /// Descriptors pushed but not yet committed by the worker.
     pub fn pending(&self) -> usize {
-        self.window.len()
+        let (tail, commit) = self.positions();
+        (tail - commit) as usize
     }
 
-    /// `true` while sends are gated by an open recovery window.
+    /// `true` while the worker's ring consumer is closed: from its death
+    /// (the reaper writes the flag) until the roles reopen, or for good.
     pub fn recovering(&self) -> bool {
-        self.recovering
+        self.ring_segment().consumer_closed().load(Acquire) == 1
     }
 
     /// Statistics of the descriptor ring's producer end: what this process
-    /// pushed, how long it was blocked, and whether a safety net fired
-    /// (`rescues`, `forced_acks`).
+    /// pushed, how long it was blocked, and how many parks a wake missed
+    /// (`rescues`).
     pub fn ring_snapshot(&self) -> StatsSnapshot {
         self.ring.fifo().snapshot()
     }
 
-    /// Open the recovery window: drain the dead worker's un-popped
-    /// descriptor residue, fold its final commit into the journal, rewind
-    /// the push cursor to the first unacknowledged descriptor, refuse sends
-    /// until [`Self::replay`], and sweep arena slots not referenced by the
-    /// unacknowledged suffix. Returns `(ring residue drained, arena slots
-    /// swept)`.
+    /// Rewind the ring to the dead worker's commit and sweep the arena:
+    /// `head := commit`, then re-enroll every arena slot that no descriptor
+    /// in ring slots `[commit, tail)` references. Never blocks. Returns the
+    /// arena slots swept; [`Self::pending`] is what the replacement reads.
     ///
     /// Caller contract: the worker is dead and reaped, and its consumer
-    /// roles on **both** segments have been revoked — residue draining
-    /// moves the shared head, which only the (now nonexistent) consumer
-    /// otherwise owns.
-    pub fn begin_recovery(&mut self) -> (u64, usize) {
-        self.recovering = true;
-        let drained = self.ring.segment().drain_residue();
+    /// roles on **both** segments have been revoked — the rewind stores the
+    /// shared head, which only the (now nonexistent) consumer otherwise
+    /// owns.
+    pub fn begin_recovery(&mut self) -> usize {
         self.ack_committed();
-        self.next = self.window.acked();
-        // The generation the window will re-deliver, by slot (a live slot
-        // backs at most one unacknowledged descriptor).
+        let suffix = self.ring.rewind_head(self.acked as usize);
+        // The generation each uncommitted descriptor needs, by slot (a live
+        // slot backs at most one of them).
         let mut keep = vec![None; self.tx.slots()];
-        for (_, d) in self.window.iter_from(self.next) {
+        for d in suffix {
             if let Some(kept) = keep.get_mut(d.slot as usize) {
                 *kept = Some(d.generation);
             }
         }
-        let swept = self
-            .tx
-            .sweep_orphans(|slot, generation| keep[slot as usize] == Some(generation));
-        (drained, swept)
-    }
-
-    /// Close the recovery window and re-push as much of the unacknowledged
-    /// suffix as fits the ring *without blocking*. Whatever does not fit
-    /// drains on later [`Self::ack_committed`] pumps, ahead of any new
-    /// send, so the replacement worker still observes strict window order.
-    /// Returns the descriptors re-pushed now.
-    pub fn replay(&mut self) -> usize {
-        self.recovering = false;
-        self.pump()
+        self.tx
+            .sweep_orphans(|slot, generation| keep[slot as usize] == Some(generation))
     }
 
     /// The descriptor ring's backing segment (roles, commit word,
@@ -808,17 +768,13 @@ impl DescriptorSender {
     pub fn arena_segment_shared(&self) -> Arc<ShmSegment> {
         self.tx.segment_shared()
     }
-
-    /// The underlying arena allocator.
-    pub fn arena(&mut self) -> &mut ArenaTx {
-        &mut self.tx
-    }
 }
 
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
     use crate::shm::{ShmRing, ShmRingConsumer};
+    use crate::sync::Mutex;
 
     #[test]
     fn alloc_publish_resolve_free_roundtrip() {
@@ -894,7 +850,7 @@ mod tests {
         // consumer frees the slot and then allocate successfully.
         let waiter = std::thread::spawn(move || {
             while tx.alloc(1).is_none() {
-                if !tx.wait_free_slot() {
+                if !ShmArena::wait_free_slot(tx.segment()) {
                     return false;
                 }
             }
@@ -913,7 +869,7 @@ mod tests {
         // The slot can never come back: the wait must report that rather
         // than spin forever (bounded by the park timeout regardless).
         let t0 = std::time::Instant::now();
-        assert!(!tx.wait_free_slot());
+        assert!(!ShmArena::wait_free_slot(tx.segment()));
         assert!(t0.elapsed() < std::time::Duration::from_secs(1));
     }
 
@@ -955,7 +911,7 @@ mod tests {
         }
         let (mut tx, fd) = ShmArena::create_tx(4, 32).unwrap();
         let mut rx = ShmArena::attach_rx(fd).unwrap();
-        // d1 stays in flight (a journal would replay it), d2 is orphaned
+        // d1 stays in flight (a ring would re-deliver it), d2 is orphaned
         // live, d3 was freed properly before the "kill".
         let d1 = tx.push_bytes(b"keep").unwrap();
         let d2 = tx.push_bytes(b"orphan").unwrap();
@@ -995,7 +951,7 @@ mod tests {
         let d = ring_c.try_pop().unwrap();
         assert_eq!(rx.resolve(&d).unwrap(), b"a");
         rx.free(d).unwrap();
-        assert!(sender.wait_arena_slot());
+        assert!(ShmArena::wait_free_slot(sender.arena_segment()));
         assert_eq!(sender.send_bytes(b"c"), SendOutcome::Sent);
     }
 
@@ -1003,23 +959,26 @@ mod tests {
     /// consumer and the arena's Rx.
     type Worker = (ShmRingConsumer<Descriptor>, ArenaRx);
 
+    /// The ring and arena segments, as the supervisor holds them.
+    type Segments = [Arc<ShmSegment>; 2];
+
     /// A [`DescriptorSender`] over memfd segments — a ring of `ring` slots,
-    /// an arena of `slots` — with its worker attached and the two fds a
-    /// respawned worker attaches by; `None` without memfd.
+    /// an arena of `slots` — with its worker attached, its segments and
+    /// the two fds a respawned worker attaches by; `None` without memfd.
     fn supervised(
         ring: usize,
         slots: usize,
-        journal_bound: usize,
-    ) -> Option<(DescriptorSender, Worker, (i32, i32))> {
+    ) -> Option<(DescriptorSender, Worker, Segments, (i32, i32))> {
         if !ShmSegment::memfd_supported() {
             eprintln!("skipping: no memfd on this platform");
             return None;
         }
         let (tx, arena_fd) = ShmArena::create_tx(slots, 32).unwrap();
         let (ring_p, ring_fd) = ShmRing::<Descriptor>::create_producer(ring).unwrap();
-        let sender = DescriptorSender::new(tx, ring_p, journal_bound);
+        let sender = DescriptorSender::new(tx, ring_p, 0);
+        let segs = [sender.ring_segment_shared(), sender.arena_segment_shared()];
         let fds = (ring_fd, arena_fd);
-        Some((sender, attach(fds), fds))
+        Some((sender, attach(fds), segs, fds))
     }
 
     fn attach((ring_fd, arena_fd): (i32, i32)) -> Worker {
@@ -1027,72 +986,88 @@ mod tests {
         (c, ShmArena::attach_rx(arena_fd).unwrap())
     }
 
-    /// SIGKILL the worker — no drop glue runs, so its closed flags stay
-    /// unset — and revoke its roles on both segments, as the reaper does.
-    fn kill(sender: &DescriptorSender, worker: Worker) {
-        let ring_gen = sender.ring_segment().role_generation(false);
-        let arena_gen = sender.arena_segment().role_generation(false);
-        std::mem::forget(worker);
-        sender.ring_segment().revoke_role(false, ring_gen).unwrap();
-        let arena = sender.arena_segment();
-        arena.revoke_role(false, arena_gen).unwrap();
+    /// The reaper's part after a SIGKILL (no drop glue ran, so the worker's
+    /// closed flags are unset and its roles claimed): write the closed
+    /// flags, wake whoever waits, revoke the roles on both segments.
+    fn reap(segs: &Segments) {
+        for seg in segs {
+            seg.consumer_closed().store(1, Release);
+            seg.producer_waker().notify();
+            seg.revoke_role(false, seg.role_generation(false)).unwrap();
+        }
     }
 
-    fn reopen(sender: &DescriptorSender) {
-        sender.ring_segment().reopen_role(false);
-        sender.arena_segment().reopen_role(false);
+    fn kill(segs: &Segments, worker: Worker) {
+        std::mem::forget(worker);
+        reap(segs);
+    }
+
+    fn reopen(segs: &Segments) {
+        for seg in segs {
+            seg.reopen_role(false);
+        }
     }
 
     /// The worker contract for the next descriptor: resolve, check the
     /// payload (`[seq as u8; 8]`), commit `seq + 1`, then free. `false`
     /// when the ring is empty.
-    fn process(sender: &DescriptorSender, (c, rx): &mut Worker, seq: u64) -> bool {
+    fn process(segs: &Segments, (c, rx): &mut Worker, seq: u64) -> bool {
         let Ok(d) = c.try_pop() else {
             return false;
         };
         assert_eq!(rx.resolve(&d).unwrap(), &[seq as u8; 8][..]);
-        sender.ring_segment().commit_word().store(seq + 1, Release);
+        segs[0].commit_word().store(seq + 1, Release);
         rx.free(d).unwrap();
         true
     }
 
+    /// Spin until a thread parks on (or is about to park on) the ring's
+    /// producer eventcount.
+    fn until_parked(ring: &ShmSegment) {
+        use crate::eventcount::Wake;
+        while ring.producer_waker().backend().armed().load(Acquire) == 0 {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn descriptor_sender_recovers_across_simulated_kill() {
-        let Some((mut sender, mut worker, fds)) = supervised(8, 8, 32) else {
+        let Some((mut sender, mut worker, segs, fds)) = supervised(8, 8) else {
             return;
         };
         for i in 0..6u8 {
             assert_eq!(sender.send_bytes(&[i; 8]), SendOutcome::Sent);
         }
         for i in 0..3 {
-            assert!(process(&sender, &mut worker, i));
+            assert!(process(&segs, &mut worker, i));
         }
         // Pops one more, then dies before committing it: that descriptor
-        // and the two un-popped ones are the unacknowledged suffix.
+        // and the two un-popped ones are the uncommitted suffix.
         let _in_flight = worker.0.try_pop().unwrap();
-        kill(&sender, worker);
+        kill(&segs, worker);
 
-        let (drained, swept) = sender.begin_recovery();
-        assert_eq!(drained, 2, "two descriptors never popped");
-        assert_eq!(swept, 0, "every live slot is journal-referenced");
+        assert_eq!(sender.begin_recovery(), 0, "every live slot is in the ring");
         assert_eq!(sender.pending(), 3);
+        assert!(sender.recovering());
         assert_eq!(sender.send_bytes(b"zz"), SendOutcome::Busy);
-        reopen(&sender);
+        assert_eq!(sender.pending(), 3);
+        reopen(&segs);
+        assert!(!sender.recovering());
 
         // Respawned worker re-attaches and receives exactly the
-        // unacknowledged suffix, payload bytes intact.
+        // uncommitted suffix, payload bytes intact — and nothing else.
         let mut worker = attach(fds);
-        assert_eq!(sender.replay(), 3);
         for i in 3..6 {
-            assert!(process(&sender, &mut worker, i));
+            assert!(process(&segs, &mut worker, i));
         }
-        sender.ack_committed();
+        assert!(!process(&segs, &mut worker, 6));
+        assert_eq!(sender.ack_committed(), 3);
         assert_eq!(sender.pending(), 0);
     }
 
     #[test]
     fn producer_replays_after_simulated_kill() {
-        let Some((mut sender, mut worker, fds)) = supervised(8, 8, 32) else {
+        let Some((mut sender, mut worker, segs, fds)) = supervised(8, 8) else {
             return;
         };
         for i in 0..6u8 {
@@ -1101,135 +1076,228 @@ mod tests {
         assert_eq!(sender.pending(), 6);
         // The worker consumes and commits four, then is SIGKILL'd.
         for i in 0..4 {
-            assert!(process(&sender, &mut worker, i));
+            assert!(process(&segs, &mut worker, i));
         }
-        kill(&sender, worker);
+        std::mem::forget(worker);
 
-        // The reaper writes the dead worker's closed flag: a send that
-        // lands now is still journaled — that is what replay is for.
-        sender.ring_segment().consumer_closed().store(1, Release);
+        // A send that lands before the reaper writes the closed flag goes
+        // into the ring, which keeps it for the replacement.
         assert_eq!(sender.send_bytes(&[6; 8]), SendOutcome::Sent);
-        // Recovery drops the two un-popped descriptors and folds the final
-        // commit into the window.
-        assert_eq!(sender.begin_recovery(), (2, 0));
+        reap(&segs);
+        // The rewind keeps the two un-popped descriptors and that send.
+        assert_eq!(sender.begin_recovery(), 0);
         assert_eq!(sender.pending(), 3);
         assert!(sender.recovering());
-        // New sends are refused (not journaled) until replay.
+        // New sends are refused (nothing sent) until the roles reopen.
         assert_eq!(sender.send_bytes(b"zz"), SendOutcome::Busy);
         assert_eq!(sender.pending(), 3);
-        reopen(&sender);
+        reopen(&segs);
 
-        // Respawned worker re-attaches and sees exactly the
-        // unacknowledged suffix in order, then what is sent after replay.
+        // Respawned worker re-attaches and sees exactly the uncommitted
+        // suffix in order, then what is sent after the reopen.
         let mut worker = attach(fds);
-        assert_eq!(sender.replay(), 3);
         assert!(!sender.recovering());
         assert_eq!(sender.send_bytes(&[7; 8]), SendOutcome::Sent);
         for i in 4..8 {
-            assert!(process(&sender, &mut worker, i));
+            assert!(process(&segs, &mut worker, i));
         }
-        let stats = sender.ring_snapshot();
-        assert_eq!((stats.forced_acks, stats.rescues), (0, 0));
+        assert!(!process(&segs, &mut worker, 8));
+        assert_eq!(sender.ring_snapshot().rescues, 0);
         sender.ack_committed();
         assert_eq!(sender.pending(), 0);
     }
 
     #[test]
     fn replay_backlog_drains_without_blocking() {
-        // Unacked window (8) larger than the ring (4): a full replay
-        // cannot fit in one go and must never block the caller — the
-        // supervisor thread replays from its reaction path, and parking
-        // there deadlocks if the replacement dies mid-replay.
-        let Some((mut sender, mut worker, fds)) = supervised(4, 16, 32) else {
+        // A ring (4) full of popped, uncommitted descriptors: the next send
+        // waits for a commit. The supervisor's reaction never blocks on it:
+        // it writes the closed flags before it takes the sender lock, which
+        // ends that wait with `Busy`, and the rewind only stores words.
+        let Some((sender, mut worker, segs, fds)) = supervised(4, 16) else {
             return;
         };
-        for i in 0..8u8 {
-            // Interleave pops (uncommitted) so blocking sends never park.
-            assert_eq!(sender.send_bytes(&[i; 8]), SendOutcome::Sent);
+        let sender = Mutex::new(sender);
+        for i in 0..4u8 {
+            assert_eq!(sender.lock().send_bytes(&[i; 8]), SendOutcome::Sent);
             assert!(worker.0.try_pop().is_ok());
         }
-        assert_eq!(sender.pending(), 8);
-        kill(&sender, worker);
-        assert_eq!(sender.begin_recovery(), (0, 0));
-        reopen(&sender);
+        assert_eq!(sender.lock().pending(), 4);
+        std::thread::scope(|s| {
+            let waiting = s.spawn(|| sender.lock().send_bytes(&[4; 8]));
+            until_parked(&segs[0]);
+            kill(&segs, worker);
+            assert_eq!(waiting.join().unwrap(), SendOutcome::Busy);
+        });
+        let mut sender = sender.lock();
+        assert_eq!(sender.begin_recovery(), 0);
+        reopen(&segs);
         let mut worker = attach(fds);
 
-        // Only the ring's worth fits immediately; the rest is backlog.
-        assert_eq!(sender.replay(), 4);
+        // The whole ring is the uncommitted suffix, still in its slots.
+        assert_eq!(sender.pending(), 4);
         assert!(!sender.recovering());
-        // New sends while a backlog drains queue *behind* it.
-        assert_eq!(sender.send_bytes(&[8; 8]), SendOutcome::Sent);
-        assert_eq!(sender.pending(), 9);
-
-        // The replacement drains; ack pumps push the backlog in journal
-        // order until everything (including the queued new send) arrives.
-        let mut got = 0;
-        while got < 9 {
-            if process(&sender, &mut worker, got) {
-                got += 1;
-            } else {
-                sender.ack_committed();
-            }
+        // A send queues behind the suffix once a commit frees a slot.
+        assert!(process(&segs, &mut worker, 0));
+        assert_eq!(sender.send_bytes(&[4; 8]), SendOutcome::Sent);
+        assert_eq!(sender.pending(), 4);
+        for i in 1..5 {
+            assert!(process(&segs, &mut worker, i));
         }
+        assert!(!process(&segs, &mut worker, 5));
         sender.ack_committed();
         assert_eq!(sender.pending(), 0);
     }
 
     #[test]
     fn replaying_a_full_window_touches_each_entry_once() {
-        // The supervisor replays under its lock, and the frozen `xproc_shm`
-        // workload allows 2,048 unacknowledged entries: the replay pushes
-        // each entry of that suffix once, in order, and loses none.
-        const WINDOW: u64 = 2048;
-        let Some((mut sender, mut worker, fds)) = supervised(64, WINDOW as usize, 2048) else {
+        // 2,048 payloads through a 64-slot ring whose worker pops and never
+        // commits: only the ring's capacity can be uncommitted, so the 65th
+        // send waits — seen from this second thread. The worker dies; its
+        // replacement receives every descriptor exactly once, in order, and
+        // each was pushed once.
+        const N: u64 = 2048;
+        let Some((sender, mut worker, segs, fds)) = supervised(64, N as usize) else {
             return;
         };
-        for i in 0..WINDOW {
-            // Popped but never committed: the whole window stays unacked.
-            assert_eq!(sender.send_bytes(&[i as u8; 8]), SendOutcome::Sent);
-            assert!(worker.0.try_pop().is_ok());
-        }
-        assert_eq!(sender.pending(), WINDOW as usize);
-
-        kill(&sender, worker);
-        sender.begin_recovery();
-        reopen(&sender);
-        let mut worker = attach(fds);
-        let pushed = sender.ring_snapshot().pushed;
-        assert_eq!(sender.replay(), 64);
-        let mut next = 0;
-        while next < WINDOW {
-            if process(&sender, &mut worker, next) {
-                next += 1;
-            } else {
-                sender.ack_committed();
+        let sender = Mutex::new(sender);
+        let ring = &segs[0];
+        std::thread::scope(|s| {
+            let shipper = s.spawn(|| {
+                let mut sent = 0;
+                while sent < N {
+                    match sender.lock().send_bytes(&[sent as u8; 8]) {
+                        SendOutcome::Sent => sent += 1,
+                        SendOutcome::Busy => std::thread::yield_now(),
+                    }
+                }
+            });
+            let mut popped = 0;
+            while popped < 64 {
+                popped += u64::from(worker.0.try_pop().is_ok());
             }
-        }
+            until_parked(ring);
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!shipper.is_finished());
+            assert_eq!(ring.tail().load(Acquire), 64, "the 65th send waits");
+            kill(&segs, worker);
+            assert_eq!(sender.lock().begin_recovery(), 0);
+            assert_eq!(ring.head().load(Acquire), 0, "rewound to the commit");
+            reopen(&segs);
+            let mut worker = attach(fds);
+            let mut next = 0;
+            while next < N {
+                if process(&segs, &mut worker, next) {
+                    next += 1;
+                }
+            }
+            shipper.join().unwrap();
+            assert!(!process(&segs, &mut worker, N));
+        });
+        let mut sender = sender.lock();
         sender.ack_committed();
         assert_eq!(sender.pending(), 0);
-        let stats = sender.ring_snapshot();
-        assert_eq!(stats.pushed - pushed, WINDOW, "one push per entry");
-        assert_eq!(stats.forced_acks, 0);
+        assert_eq!(sender.ring_snapshot().pushed, N, "one push per entry");
     }
 
     #[test]
-    fn a_journal_bound_below_the_in_flight_count_counts_forced_acks() {
-        // Eight descriptors in flight over a bound of five: the three
-        // oldest drop out of the window unacknowledged, and the ring's
-        // producer statistics say so.
-        let Some((mut sender, mut worker, _fds)) = supervised(8, 8, 5) else {
+    fn a_kill_with_ring_and_arena_full_delivers_every_payload_once() {
+        // Ring and arena both 8: the worker commits two, the sender refills
+        // both to the brim, and the worker dies holding three popped,
+        // uncommitted descriptors while a send waits for a commit. After the
+        // rewind every payload arrives exactly once, in order and
+        // byte-identical (payloads fill their whole 32-byte slot).
+        const N: u64 = 24;
+        let Some((sender, mut worker, segs, fds)) = supervised(8, 8) else {
             return;
         };
-        for i in 0..8u8 {
+        let payload = |i: u64| -> Vec<u8> { (0..32).map(|b| (i * 37 + b) as u8).collect() };
+        let sender = Mutex::new(sender);
+        // Pop one descriptor; if `commit`, collect its payload, commit, free.
+        fn take(segs: &Segments, got: &mut Vec<u8>, worker: &mut Worker, commit: bool) -> bool {
+            let Ok(d) = worker.0.try_pop() else {
+                return false;
+            };
+            if commit {
+                got.extend_from_slice(worker.1.resolve(&d).unwrap());
+                segs[0].commit_word().store(got.len() as u64 / 32, Release);
+                worker.1.free(d).unwrap();
+            }
+            true
+        }
+        let mut got = Vec::new();
+        std::thread::scope(|s| {
+            let shipper = s.spawn(|| {
+                let mut sent = 0;
+                while sent < N {
+                    match sender.lock().send_bytes(&payload(sent)) {
+                        SendOutcome::Sent => sent += 1,
+                        SendOutcome::Busy => {
+                            let _ = ShmArena::wait_free_slot(&segs[1]);
+                            std::thread::yield_now();
+                        }
+                    }
+                }
+            });
+            until_parked(&segs[0]);
+            for commit in [true, true, false, false, false] {
+                assert!(take(&segs, &mut got, &mut worker, commit));
+            }
+            // Positions [2, 10) fill the ring (by commit) and the arena.
+            while segs[0].tail().load(Acquire) < 10 {
+                std::thread::yield_now();
+            }
+            until_parked(&segs[0]);
+            assert_eq!(segs[1].tail().load(Acquire), segs[1].head().load(Acquire));
+            kill(&segs, worker);
+            let mut sender = sender.lock();
+            assert_eq!(sender.begin_recovery(), 0, "all eight slots in flight");
+            assert_eq!(sender.pending(), 8);
+            reopen(&segs);
+            drop(sender);
+            let mut worker = attach(fds);
+            while got.len() < N as usize * 32 {
+                take(&segs, &mut got, &mut worker, true);
+            }
+            shipper.join().unwrap();
+            assert!(!take(&segs, &mut got, &mut worker, true));
+        });
+        let expected: Vec<u8> = (0..N).flat_map(payload).collect();
+        assert!(got == expected, "delivery diverged from the sent bytes");
+        assert_eq!(sender.lock().pending(), 0);
+    }
+
+    #[test]
+    fn a_byzantine_commit_word_is_clamped() {
+        let Some((mut sender, mut worker, segs, fds)) = supervised(8, 8) else {
+            return;
+        };
+        for i in 0..12u8 {
             assert_eq!(sender.send_bytes(&[i; 8]), SendOutcome::Sent);
+            if i < 8 {
+                assert!(process(&segs, &mut worker, i.into()));
+            }
         }
-        assert_eq!(sender.pending(), 5);
-        assert_eq!(sender.ring_snapshot().forced_acks, 3);
-        // Delivery itself is untouched: the worker still sees all eight.
-        for i in 0..8 {
-            assert!(process(&sender, &mut worker, i));
-        }
-        sender.ack_committed();
-        assert_eq!(sender.pending(), 0);
+        // A commit taken back below what every push saw reads as that
+        // floor: never more than the ring's capacity is uncommitted…
+        segs[0].commit_word().store(0, Release);
+        assert_eq!(sender.pending(), 8);
+        segs[0].commit_word().store(8, Release);
+        assert_eq!(sender.ack_committed(), 8);
+        // …a commit behind the last one observed takes nothing back…
+        segs[0].commit_word().store(1, Release);
+        assert_eq!((sender.ack_committed(), sender.pending()), (0, 4));
+        // …and one past the tail counts only what was pushed.
+        segs[0].commit_word().store(u64::MAX, Release);
+        assert_eq!((sender.ack_committed(), sender.pending()), (4, 0));
+        // The rewind lands on the tail: nothing is re-delivered, and the
+        // four skipped descriptors' slots are swept back.
+        kill(&segs, worker);
+        assert_eq!(sender.begin_recovery(), 4);
+        reopen(&segs);
+        let mut worker = attach(fds);
+        segs[0].commit_word().store(12, Release);
+        assert_eq!(sender.send_bytes(&[12; 8]), SendOutcome::Sent);
+        assert!(process(&segs, &mut worker, 12));
+        assert!(!process(&segs, &mut worker, 13));
     }
 }

@@ -103,7 +103,7 @@ pub trait Wake {
     /// Generation counter; bumped by every claimed notify.
     fn seq(&self) -> &Self::Word;
     /// Sleep while `seq == epoch`, for at most `timeout`. Returns `true`
-    /// only if the whole timeout elapsed with `seq` unmoved; the caller
+    /// only if the whole timeout elapsed without a wake; the caller
     /// re-checks its condition either way.
     fn park(&self, epoch: u32, timeout: Duration) -> bool;
     /// Deliver the wake for an arm that was just claimed (`seq` is already
@@ -282,9 +282,10 @@ pub enum Blocked {
 ///
 /// Parking follows the eventcount waiter protocol on `event` — arm,
 /// re-check, `wait(epoch)` — with each park bounded by [`PARK_TIMEOUT`];
-/// once parking, every poll is made under an arm. A park that ends by
-/// timeout with its arm unclaimed and then finds `ready` true was
-/// **rescued**: the wake it was owed never came. Rescues are counted in
+/// once parking, every poll is made under an arm. A full-length park that
+/// ends by timeout and then finds `ready` true was **rescued**: the wake it
+/// was owed never came — its arm went unclaimed, or was claimed by a
+/// notifier whose wake never reached the sleeper. Rescues are counted in
 /// `rescues`; on a path that only uses [`EventCount::notify`] the count
 /// must stay 0.
 pub fn block_until<W: Wake, R>(
@@ -337,12 +338,15 @@ pub fn block_until<W: Wake, R>(
                     d.saturating_duration_since(Instant::now())
                         .min(PARK_TIMEOUT)
                 });
-                let timed_out = event.wait(epoch, park);
-                // Disarm so a claimed arm is told apart from an unclaimed
-                // one; only the latter, after a full-length park, can be a
-                // rescue. The schedule stays in its park phase, so re-arm at
-                // once: every further poll is the re-check before a sleep.
-                unwoken = event.disarm() && timed_out && park == PARK_TIMEOUT;
+                // A full-length park that timed out was not woken, whether
+                // nobody claimed the arm (a missed notify) or a notifier
+                // claimed it — `seq` moved — and its wake never reached the
+                // sleeper. Either way, if the next poll succeeds, the timeout
+                // did the wake's job: a rescue. The schedule stays in its
+                // park phase, so re-arm at once: every further poll is the
+                // re-check before a sleep.
+                unwoken = event.wait(epoch, park) && park == PARK_TIMEOUT;
+                event.disarm();
                 armed = Some(event.arm());
             }
         }
@@ -409,10 +413,10 @@ mod tests {
     #[test]
     fn block_until_parks_and_is_woken_without_a_rescue() {
         // A peer that acts once the sleeper has armed (it is parked or about
-        // to be) wakes it with the fenced notify. A missed arm shows as a
-        // rescue (a park that ran its full `PARK_TIMEOUT` unclaimed); an arm
-        // claimed but a wake that never reaches the sleeping thread shows
-        // only in the last round, as a park that sleeps out its whole 5 s.
+        // to be) wakes it with the fenced notify. A missed arm, or an arm
+        // claimed whose wake never reaches the sleeping thread, shows as a
+        // rescue (a park that ran its full `PARK_TIMEOUT`), and in the last
+        // round as a park that sleeps out its whole 5 s.
         fn check<W: Wake + Sync>(home: &str, ec: &EventCount<W>) {
             let rescues = AtomicU64::new(0);
             for round in 0..50 {

@@ -52,9 +52,10 @@
 //!   slots instead of handing them back; the commit releases them (one
 //!   `head` store), a rewind moves the read head back onto them. A staging
 //!   **producer** keeps its uncommitted writes in a plain pending batch;
-//!   the commit publishes it in order, a rewind clears it. Replay across a
-//!   process boundary, where the ring can die with its consumer, is kept by
-//!   the sender that crosses it ([`crate::arena::DescriptorSender`]).
+//!   the commit publishes it in order, a rewind clears it. Across a
+//!   process boundary the segment ring outlives its consumer, so it stays
+//!   the journal there too: the worker's commit word bounds the producer,
+//!   and recovery rewinds `head` to it ([`crate::arena::DescriptorSender`]).
 //! * Telemetry ([`FifoStats`]), counted rescues.
 
 use std::cell::UnsafeCell;
@@ -1570,6 +1571,30 @@ impl<T: ShmItem> Producer<T, Seg<T>> {
     /// itself sits behind a lock.
     pub fn segment_shared(&self) -> Arc<ShmSegment> {
         self.shared.home.segment().clone()
+    }
+
+    /// Move the shared `head` back to `to` — the rewind of a supervised
+    /// ring whose consumer died — and return the elements of `[to, tail)`
+    /// in order: they are still in their slots, and a respawned consumer
+    /// reads them again from `to`. `head` moves backward here and nowhere
+    /// else, so the head cache is re-read with it: it must never run ahead
+    /// of the true head, or a later claim would reach a slot of
+    /// `[to, old head)`.
+    ///
+    /// Caller contract: the consumer is dead and its role revoked (its
+    /// cursor died with it), and `to ≤ tail` lies at or after the oldest
+    /// slot not yet overwritten, `tail − capacity`.
+    pub(crate) fn rewind_head(&mut self, to: usize) -> Vec<T> {
+        let home = &self.shared.home;
+        home.head().store(to as u64, Release);
+        // SAFETY: replaces this producer's own cursor: still the one cursor.
+        self.cursor = unsafe { ProducerCursor::attach(&*self.shared) };
+        (to..self.cursor.tail())
+            // SAFETY: a segment home needs no membership; slots in
+            // `[to, tail)` hold what this producer published there (the
+            // contract), and a slot's bits are a value whatever they are.
+            .map(|i| unsafe { (*home.slot(i)).assume_init_read() }.unpack().0)
+            .collect()
     }
 }
 

@@ -38,10 +38,10 @@
 //!   a mapped `memfd` segment another process attaches; [`ShmRing`] holds
 //!   its constructors). Adds per-element [`Signal`]s delivered
 //!   synchronously with data, blocking (a full ring blocks the writer;
-//!   only drain level `QUIESCED` ends the wait early), one pending
-//!   window per endpoint for exactly-once recovery
-//!   ([`FifoConfig::journal`]), zero-copy batch views
-//!   ([`Producer::reserve`], [`Consumer::pop_slice`]) and the telemetry
+//!   only drain level `QUIESCED` ends the wait early), exactly-once
+//!   recovery with the ring as the journal ([`FifoConfig::journal`]),
+//!   zero-copy batch views ([`Producer::reserve`],
+//!   [`Consumer::pop_slice`]) and the telemetry
 //!   ([`FifoStats`]) that feeds the monitor.
 //! * the [`arena`] free list — the bare ring over a mapped segment.
 //!
@@ -67,7 +67,6 @@ pub mod failpoints;
 mod fence;
 pub mod fifo;
 mod futex;
-mod journal;
 #[cfg(feature = "raft_protocol_check")]
 pub mod protocol;
 pub mod ring;
@@ -90,7 +89,6 @@ pub use fifo::{
     WriteSlice, DRAIN_DRAINING, DRAIN_QUIESCED, DRAIN_RUNNING,
 };
 pub use futex::Futex;
-pub use journal::ReplayWindow;
 pub use shm::{Heartbeat, ShmRing, ShmSegment};
 pub use signal::Signal;
 pub use spsc::{BoundedSpsc, SpscConsumer, SpscProducer};

@@ -26,8 +26,8 @@
 //! seq)` wake words are this module's header words (cache-line-separated
 //! counters in the prelude) and whose slots fill the data region. So a
 //! cross-process link has the same blocking `push`/`pop`, batch
-//! views (`reserve`/`pop_slice`), statistics, counted rescues and replay
-//! window as an in-process one; blocking parks on a
+//! views (`reserve`/`pop_slice`), statistics, counted rescues and consumer
+//! journal as an in-process one; blocking parks on a
 //! [`crate::futex::Futex`] eventcount over the segment's control line.
 //! The capacity is fixed at creation.
 //!
@@ -65,16 +65,17 @@
 //! stolen out from under it. A respawned worker then claims the next odd
 //! generation and resumes over the same mapping. Anything the dead worker
 //! left behind fails cleanly against the new epoch: its arena descriptors
-//! carry stale slot generations, its futex arms cost at most one bounded
-//! park, and its un-popped ring residue is discarded by
-//! [`ShmSegment::drain_residue`] before the journal replays it.
+//! carry stale slot generations, and its futex arms cost at most one
+//! bounded park. What it popped but never committed is still in its ring
+//! slots: recovery rewinds `head` to the commit word and the replacement
+//! reads it again.
 //!
 //! The header also carries a heartbeat eventcount ([`ShmSegment::heartbeat`])
 //! a worker bumps per processed item and a watcher futex-parks on, plus a
 //! cumulative commit word ([`ShmSegment::commit_word`]) — the cross-process
-//! ack cursor that lets the parent's
-//! [`DescriptorSender::ack_committed`](crate::arena::DescriptorSender::ack_committed)
-//! release replay-window entries the worker has fully processed.
+//! ack cursor that bounds the parent's
+//! [`DescriptorSender`](crate::arena::DescriptorSender): a ring slot is
+//! reused only once the worker has committed what it held.
 
 use std::io;
 use std::marker::PhantomData;
@@ -674,38 +675,21 @@ impl ShmSegment {
         }
     }
 
-    /// Discard every un-popped element: advance `head` to `tail`, returning
-    /// the number of elements dropped.
-    ///
-    /// Only meaningful on a **ring** segment whose consumer role is dead
-    /// and revoked — the residue is what the dead worker never popped, and
-    /// the journal replays it (plus anything popped-but-uncommitted) to the
-    /// replacement, so dropping it here is what prevents duplicates. The
-    /// producer side only ever observes head moving forward (more room),
-    /// which its cached index absorbs like any other pop.
-    pub fn drain_residue(&self) -> u64 {
-        let tail = self.tail().load(Acquire);
-        let head = self.head().load(Acquire);
-        let n = tail.saturating_sub(head);
-        if n > 0 {
-            self.head().store(tail, Release);
-        }
-        n
-    }
-
     /// Cross-process heartbeat over the header's eventcount words.
     #[inline]
     pub fn heartbeat(&self) -> Heartbeat<'_> {
         EventCount::futex(self.u32_at(OFF_HB_ARMED), self.u32_at(OFF_HB_SEQ))
     }
 
-    /// The worker's cumulative commit cursor: how many journal entries it
-    /// has *fully processed* (results published). The parent acks its
-    /// replay window
-    /// ([`DescriptorSender::ack_committed`](crate::arena::DescriptorSender::ack_committed))
-    /// up to this value; a worker that dies between publishing a result and
-    /// bumping this word is replayed from the last commit, and the duplicate
-    /// result is deduplicated by its sequence number downstream.
+    /// The worker's cumulative commit cursor: how many ring elements it
+    /// has *fully processed* (results published), i.e. the ring position of
+    /// the first it has not. The parent's
+    /// [`DescriptorSender`](crate::arena::DescriptorSender) overwrites no
+    /// ring slot at or after it and rewinds `head` to it when the worker
+    /// dies; a worker
+    /// that dies between publishing a result and bumping this word is
+    /// re-delivered the element, and the duplicate result is deduplicated by
+    /// its sequence number downstream.
     #[inline]
     pub fn commit_word(&self) -> &AtomicU64 {
         self.u64_at(OFF_COMMIT)
@@ -1089,7 +1073,7 @@ impl<T: ShmItem> ShmRing<T> {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use crate::error::TryPopError;
+    use crate::error::TryPushError;
     use std::time::Duration;
 
     #[test]
@@ -1234,32 +1218,37 @@ mod tests {
     }
 
     #[test]
-    fn drain_residue_discards_unpopped_elements() {
+    fn rewound_head_keeps_pushes_off_the_uncommitted_slots() {
         if !ShmSegment::memfd_supported() {
             eprintln!("skipping: no memfd on this platform");
             return;
         }
-        // drain_residue moves the *shared* head, which only a consumer
-        // whose local mirror is gone (dead + revoked) can tolerate — so
+        // The rewind moves the *shared* head backward, which only a
+        // consumer whose cursor is gone (dead + revoked) can tolerate — so
         // the test follows the real reap sequence, not a live consumer.
-        let (mut p, fd) = ShmRing::<u64>::create_producer(8).unwrap();
+        let (mut p, fd) = ShmRing::<u64>::create_producer(4).unwrap();
         let mut c = ShmRing::<u64>::attach_consumer(fd).unwrap();
-        for i in 0..5u64 {
+        for i in 0..6u64 {
             p.try_push(i).unwrap();
+            if i < 4 {
+                assert_eq!(c.try_pop().unwrap(), i);
+            }
         }
-        assert_eq!(c.try_pop().unwrap(), 0);
-        assert_eq!(c.try_pop().unwrap(), 1);
         let gen = p.segment().role_generation(false);
         std::mem::forget(c);
         assert_eq!(p.segment().revoke_role(false, gen), Ok(gen + 1));
-        // 3 un-popped elements discarded; a fresh attach reads empty.
-        assert_eq!(p.segment().drain_residue(), 3);
+        // 2.. were never committed: the ring still holds them in order.
+        assert_eq!(p.rewind_head(2), [2, 3, 4, 5]);
+        // Full again. The producer last read head at 4: a head cache left
+        // there would see room and overwrite 2 and 3.
+        assert!(matches!(p.try_push(6), Err(TryPushError::Full(6))));
         p.segment().reopen_role(false);
         let mut c2 = ShmRing::<u64>::attach_consumer(fd).unwrap();
-        assert!(matches!(c2.try_pop(), Err(TryPopError::Empty)));
-        // The ring stays usable: new pushes land after the drained gap.
-        p.try_push(40).unwrap();
-        assert_eq!(c2.try_pop().unwrap(), 40);
+        for i in 2..6u64 {
+            assert_eq!(c2.try_pop().unwrap(), i);
+        }
+        p.try_push(6).unwrap();
+        assert_eq!(c2.try_pop().unwrap(), 6);
     }
 
     #[test]

@@ -43,10 +43,6 @@ pub struct WriterCounters {
     /// room: wakes that were owed and never came (see
     /// [`crate::eventcount::block_until`]).
     pub rescues: AtomicU64,
-    /// Entries a sender's replay window dropped at its bound before they
-    /// were acknowledged: elements that can no longer be replayed (see
-    /// [`crate::arena::DescriptorSender::new`]).
-    pub forced_acks: AtomicU64,
 }
 
 /// Counters written only by the consumer thread (padded to its own cache
@@ -121,7 +117,6 @@ impl FifoStats {
                 blocked_since: AtomicU64::new(0),
                 blocked_ns: AtomicU64::new(0),
                 rescues: AtomicU64::new(0),
-                forced_acks: AtomicU64::new(0),
             }),
             reader: CachePadded::new(ReaderCounters {
                 popped: AtomicU64::new(0),
@@ -250,8 +245,7 @@ impl FifoStats {
             max_read_request: self.max_read_request(),
             replayed: self.reader.replayed.load(Relaxed),
             rescues: self.writer.rescues.load(Relaxed) + self.reader.rescues.load(Relaxed),
-            forced_acks: self.writer.forced_acks.load(Relaxed)
-                + self.reader.forced_acks.load(Relaxed),
+            forced_acks: self.reader.forced_acks.load(Relaxed),
             throughput: if elapsed > 0.0 {
                 popped as f64 / elapsed
             } else {
@@ -291,10 +285,10 @@ pub struct StatsSnapshot {
     /// condition already true — lost wakeups the 2 ms safety net absorbed.
     /// Stays 0 unless a wake was genuinely missed.
     pub rescues: u64,
-    /// Elements whose replay coverage was lost: dropped by a sender's
-    /// replay-window bound, or released early by a journaled consumer whose
-    /// transaction outgrew the ring's ceiling. Under the scheduler, stays 0
-    /// unless a single `run()` reads more than half the ceiling.
+    /// Elements whose replay coverage was lost: released early by a
+    /// journaled consumer whose transaction outgrew the ring's ceiling.
+    /// Under the scheduler, stays 0 unless a single `run()` reads more than
+    /// half the ceiling.
     pub forced_acks: u64,
     /// Elements per second popped since creation.
     pub throughput: f64,

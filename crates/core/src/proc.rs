@@ -1,5 +1,5 @@
 //! Worker-*process* supervision: respawn, segment re-attach, and
-//! cross-process replay over shared-memory links.
+//! cross-process recovery over shared-memory links.
 //!
 //! [`crate::supervise`] confines a panicking kernel; this module confines a
 //! dying **process**. A [`ProcSupervisor`] owns a fleet of worker processes
@@ -9,9 +9,9 @@
 //! the same `Abort`/`Skip`/`Restart` reaction surface as
 //! [`SupervisorPolicy`] when a worker
 //! crashes or wedges — kill, reap, revoke its shm role claims at the
-//! generation it held, drain/sweep what it left behind, respawn with capped
-//! jittered backoff, and replay the journal so the replacement resumes
-//! exactly once.
+//! generation it held, rewind its input ring to the commit word and sweep
+//! what it left behind, and respawn with capped jittered backoff: the
+//! replacement resumes exactly once from the uncommitted suffix.
 //!
 //! ## Watching in two gears
 //!
@@ -46,14 +46,16 @@
 //!
 //! Links registered on the [`WorkerSpec`] carry the recovery contract. A
 //! [`DescLink`] re-delivers every element the dead worker consumed but did
-//! not commit (the journal is acked only by the segment's commit word,
-//! which the worker bumps *after* publishing each result); descriptors'
-//! payload slots survive the arena sweep while journal-referenced. What SIGKILL *can* produce is a duplicate result —
-//! a worker that died between publishing result `n` and committing `n+1`
-//! re-emits it — which is why results carry their sequence number and the
-//! parent deduplicates. It cannot lose an uncommitted element, and it
-//! cannot corrupt the segment: everything the dead worker held is keyed to
-//! a role generation that the revoke makes stale.
+//! not commit: a ring slot is reused only past the segment's commit word,
+//! which the worker bumps *after* publishing each result, so recovery
+//! rewinds the ring's head to it; descriptors' payload slots survive the
+//! arena sweep while the ring still holds them. What SIGKILL *can* produce
+//! is a duplicate result — a worker that died between publishing result
+//! `n` and committing `n+1` re-emits it — which is why results carry their
+//! sequence number and the parent deduplicates. It cannot lose an
+//! uncommitted element, and it cannot corrupt the segment: everything the
+//! dead worker held is keyed to a role generation that the revoke makes
+//! stale.
 
 use std::io;
 use std::process::{Child, Command};
@@ -180,12 +182,12 @@ fn jittered(d: Duration, salt: u64) -> Duration {
 /// 2. *(restart only)* each role the worker held is revoked at the
 ///    generation currently in the word ([`ShmSegment::revoke_role`] —
 ///    a mismatch means the role is not the dead worker's to take and the
-///    worker is aborted instead);
-/// 3. *(restart only)* [`ProcLink::prepare_respawn`] — drain residue, ack
-///    committed journal entries, sweep orphaned arena slots;
-/// 4. *(restart only)* close flags are cleared
-///    ([`ShmSegment::reopen_role`]), the replacement is spawned, and
-///    [`ProcLink::replay`] re-delivers the unacknowledged suffix.
+///    worker is aborted instead), then [`ProcLink::prepare_respawn`]
+///    recovers each link — for a [`DescLink`], rewind the ring to the
+///    commit word and sweep orphaned arena slots;
+/// 3. *(restart only)* close flags are cleared
+///    ([`ShmSegment::reopen_role`]) and the replacement is spawned; it
+///    reads the uncommitted suffix from the rewound ring.
 pub trait ProcLink: Send {
     /// The segments this link spans, with the role the **worker** holds on
     /// each (`true` = producer side).
@@ -194,10 +196,6 @@ pub trait ProcLink: Send {
     /// Recover producer-side state after the dead worker is reaped and its
     /// roles revoked; called before the respawn. Default: nothing to do.
     fn prepare_respawn(&mut self) {}
-
-    /// Re-deliver journaled state to the respawned worker. Default:
-    /// nothing to do.
-    fn replay(&mut self) {}
 }
 
 /// A descriptor ring + payload arena pair whose consumer sides live in the
@@ -224,10 +222,6 @@ impl ProcLink for DescLink {
 
     fn prepare_respawn(&mut self) {
         self.sender.lock().expect("link lock").begin_recovery();
-    }
-
-    fn replay(&mut self) {
-        self.sender.lock().expect("link lock").replay();
     }
 }
 
@@ -707,9 +701,6 @@ fn crash_reaction(
             *child.lock().expect("child lock") = Some(c);
         }
         Err(_) => return Reaction::Ended(KernelOutcome::Aborted),
-    }
-    for link in links.iter_mut() {
-        link.replay();
     }
     Reaction::Respawned
 }

@@ -29,7 +29,6 @@ const RING_CAP: usize = 128;
 const ARENA_SLOTS: usize = 256;
 const SLOT_SIZE: usize = 64;
 const RESULT_CAP: usize = 512;
-const JOURNAL_BOUND: usize = 1024;
 
 /// Per-record result shipped worker → parent; `seq` is the worker's
 /// commit cursor for the record, which the parent uses to deduplicate
@@ -182,7 +181,7 @@ fn run_pipeline(kill_at: Option<u64>, kill_every: bool, max_restarts: u32) -> Ru
     let (tx, arena_fd) = ShmArena::create_tx(ARENA_SLOTS, SLOT_SIZE).expect("arena");
     let (mut results, result_fd) =
         ShmRing::<ResultRec>::create_consumer(RESULT_CAP).expect("result ring");
-    let sender = Arc::new(Mutex::new(DescriptorSender::new(tx, ring, JOURNAL_BOUND)));
+    let sender = Arc::new(Mutex::new(DescriptorSender::new(tx, ring, 0)));
     let hb_seg = sender.lock().unwrap().ring_segment_shared();
     let result_seg = results.segment_shared();
 
@@ -292,12 +291,13 @@ fn run_pipeline(kill_at: Option<u64>, kill_every: bool, max_restarts: u32) -> Ru
         let seg = s.ring_segment();
         seg.producer_closed().store(1, Release);
         seg.consumer_waker().notify();
-        // The replay window never dropped an entry at its bound (that
-        // would puncture replay coverage silently — except that it is
-        // counted). Park rescues are reported, not asserted: under CPU
-        // oversubscription a bounded park legitimately stands in for a
-        // late wake.
-        assert_eq!(s.ring_snapshot().forced_acks, 0, "descriptor ring");
+        // Nothing the ring holds is left uncommitted (unless the worker
+        // is terminally gone). Park rescues are reported, not asserted:
+        // under CPU oversubscription a bounded park legitimately stands in
+        // for a late wake.
+        if !terminal.load(Relaxed) {
+            assert_eq!(s.pending(), 0, "descriptor ring");
+        }
     }
 
     let (values, distinct, dupes) = collector.join().expect("collector");
@@ -314,8 +314,8 @@ fn run_pipeline(kill_at: Option<u64>, kill_every: bool, max_restarts: u32) -> Ru
 // --- scenarios -------------------------------------------------------------
 
 /// A worker SIGKILL'd mid-stream at each seeded offset is respawned,
-/// re-attaches via generation reclaim, and replays from the journal: the
-/// collected output is byte-identical to the fault-free run.
+/// re-attaches via generation reclaim, and resumes from the rewound ring:
+/// the collected output is byte-identical to the fault-free run.
 fn byte_identical_output_across_seeded_kills() {
     let baseline = run_pipeline(None, false, 3);
     assert_eq!(baseline.distinct, RECORDS, "fault-free run incomplete");

@@ -32,7 +32,8 @@
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
-use raft_buffer::arena::{ArenaRx, ArenaTx, Descriptor, DescriptorSender, SendOutcome};
+use raft_buffer::arena::{ArenaRx, ArenaTx, Descriptor, DescriptorSender, SendOutcome, ShmArena};
+use raft_buffer::ShmSegment;
 use raftlib::prelude::*;
 
 /// Source kernel: stages a shared corpus into arena slots, `chunk` bytes
@@ -78,7 +79,7 @@ impl Kernel for DescChunkSource {
             // scheduler; the consumer's free wakes us. A `false` return
             // means the consuming side is gone and no slot will ever come
             // back, so emitting further descriptors is pointless.
-            if self.tx.wait_free_slot() {
+            if ShmArena::wait_free_slot(self.tx.segment()) {
                 return KStatus::Proceed;
             }
             return KStatus::Stop;
@@ -150,21 +151,23 @@ impl Kernel for DescCount {
 }
 
 /// Sink kernel that ships each input element to a **supervised worker
-/// process**: encode it to bytes, stage the bytes in the arena, and
-/// journal-and-push the descriptor through the [`DescriptorSender`] — the
-/// producer-side half of cross-process exactly-once delivery
-/// (`raftlib::ProcSupervisor`).
+/// process**: encode it to bytes, stage the bytes in the arena, and push
+/// the descriptor through the [`DescriptorSender`] — the producer-side half
+/// of cross-process exactly-once delivery (`raftlib::ProcSupervisor`).
 ///
 /// The sender is shared with the supervisor's recovery path behind a
-/// mutex, so the lock is taken once per send *attempt* and never held
-/// while yielding back to the scheduler — a worker respawn can always
-/// grab it between attempts. A [`SendOutcome::Busy`] attempt (arena full,
-/// or a recovery window open while the worker respawns) is retried on the
-/// next `run`; the `halt` flag (typically
+/// mutex, so the lock is taken once per send *attempt* and held neither
+/// while parking on a full arena nor while yielding back to the scheduler
+/// — a worker respawn can always grab it between attempts. A
+/// [`SendOutcome::Busy`] attempt (arena full, or the worker gone while it
+/// respawns) is retried on the next `run`; the `halt` flag (typically
 /// `ProcSupervisor::terminal_flag`) breaks the retry loop once the worker
 /// is terminally gone and the `Busy` can never clear.
 pub struct DescShip<T, F> {
     sender: Arc<Mutex<DescriptorSender>>,
+    /// The arena's segment, taken at construction: a full arena is waited
+    /// out on it without the sender lock.
+    arena: Arc<ShmSegment>,
     encode: F,
     halt: Option<Arc<AtomicBool>>,
     buf: Vec<u8>,
@@ -185,8 +188,10 @@ where
         encode: F,
         halt: Option<Arc<AtomicBool>>,
     ) -> Self {
+        let arena = sender.lock().expect("sender lock").arena_segment_shared();
         DescShip {
             sender,
+            arena,
             encode,
             halt,
             buf: Vec::new(),
@@ -235,18 +240,12 @@ where
                 if self.halted() || ctx.stop_requested() {
                     return KStatus::Stop;
                 }
-                // Arena full: park on the recycle waker (bounded) unless a
-                // recovery window is open — then the slot drought clears
-                // when the respawned worker starts freeing, so just come
-                // back. The wait's `false` ("consumer gone") is advisory
-                // here: during a restart the closed flag is transiently
-                // set, so the halt flag above is the real stop signal.
-                {
-                    let mut s = self.sender.lock().expect("sender lock");
-                    if !s.recovering() {
-                        let _ = s.wait_arena_slot();
-                    }
-                }
+                // Arena full: park on the recycle waker (bounded), outside
+                // the lock. A gone worker returns at once; the wait's
+                // `false` is advisory here: during a restart the closed
+                // flag is transiently set, so the halt flag above is the
+                // real stop signal.
+                let _ = ShmArena::wait_free_slot(&self.arena);
                 std::thread::yield_now();
                 KStatus::Proceed
             }

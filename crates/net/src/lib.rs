@@ -37,6 +37,7 @@
 
 pub mod compress;
 pub mod frame;
+mod journal;
 mod link;
 mod oar;
 mod remote;

@@ -18,7 +18,7 @@
 //!   per-endpoint jitter; the receiver leads every (re)accept with a
 //!   [`ResumeFrom`](FrameKind::ResumeFrom) naming the next sequence it
 //!   expects and acks cumulatively every quarter window; the sender keeps
-//!   every unacknowledged frame in a [`ReplayWindow`], retransmits the
+//!   every unacknowledged frame in a `ReplayWindow`, retransmits the
 //!   suffix after a resume, and blocks reading acks once `window` frames
 //!   are outstanding — the window is the backpressure. The stream arrives
 //!   exactly once, in order, across any reconnects within the retry budget.
@@ -39,11 +39,12 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use raft_buffer::{ReplayWindow, Signal};
+use raft_buffer::Signal;
 use raft_rng::Rng;
 use raftlib::prelude::*;
 
 use crate::frame::{read_element, Frame, FrameKind};
+use crate::journal::ReplayWindow;
 use crate::wire::Wire;
 
 /// Connection policy of a link built from an address.
@@ -143,12 +144,10 @@ pub struct TcpOut<T: Wire> {
     writer: Option<BufWriter<TcpStream>>,
     /// `None` for a handed socket, which cannot be redialled.
     redial: Option<Redial>,
-    /// Unacknowledged frames in sequence order — the seq/ack
-    /// [`ReplayWindow`] the in-process journaled FIFOs use, over encoded
-    /// frames. Unbounded (`bound == 0`): [`Self::wait_for_window`] enforces
-    /// the depth, so no frame is ever force-dropped. Over a handed socket a
-    /// written frame counts as acknowledged, and the window only numbers
-    /// frames.
+    /// Unacknowledged frames in sequence order, as encoded. Unbounded:
+    /// [`Self::wait_for_window`] enforces the depth, so no frame is ever
+    /// dropped unacknowledged. Over a handed socket a written frame counts
+    /// as acknowledged, and the window only numbers frames.
     window: ReplayWindow<Frame>,
     compress: bool,
     eos_sent: bool,
@@ -181,7 +180,7 @@ impl<T: Wire> TcpOut<T> {
         TcpOut {
             writer,
             redial,
-            window: ReplayWindow::new(0),
+            window: ReplayWindow::new(),
             compress: false,
             eos_sent: false,
             _marker: std::marker::PhantomData,

@@ -12,11 +12,12 @@
 //! The worker runs under [`ProcSupervisor`]: a heartbeat word in the
 //! descriptor ring's header proves liveness (futex-parked watcher, no
 //! polling), and a crashed worker is reaped, its segment roles reclaimed
-//! by generation bump, and a replacement respawned which resumes from
-//! the journaled replay window. Set `RAFT_XPROC_KILL_SEED=<n>` to make
+//! by generation bump, the descriptor ring rewound to the worker's commit
+//! word, and a replacement respawned which resumes from the uncommitted
+//! descriptors still in the ring. Set `RAFT_XPROC_KILL_SEED=<n>` to make
 //! the first worker incarnation SIGKILL itself mid-stream at a seeded
 //! offset; the run still completes with the exact fault-free sum because
-//! consumed-but-uncommitted records are replayed to the replacement and
+//! consumed-but-uncommitted records are re-delivered to the replacement and
 //! the parent deduplicates results by sequence number.
 //!
 //! ```sh
@@ -41,9 +42,6 @@ const RING_CAP: usize = 256;
 const ARENA_SLOTS: usize = 512;
 const SLOT_SIZE: usize = 64;
 const RESULT_CAP: usize = 1024;
-/// Journal bound: comfortably above the maximum unacked window (bounded
-/// by arena slots in flight plus ring occupancy).
-const JOURNAL_BOUND: usize = 2048;
 
 /// One per-record result shipped worker → parent. `seq` is the worker's
 /// commit cursor for the record (its position in the descriptor stream),
@@ -124,7 +122,7 @@ fn parent() {
     let (mut results, result_fd) =
         ShmRing::<ResultRec>::create_consumer(RESULT_CAP).expect("create result ring");
 
-    let sender = Arc::new(Mutex::new(DescriptorSender::new(tx, ring, JOURNAL_BOUND)));
+    let sender = Arc::new(Mutex::new(DescriptorSender::new(tx, ring, 0)));
     let hb_seg = sender.lock().unwrap().ring_segment_shared();
     let result_seg = results.segment_shared();
 
@@ -212,9 +210,9 @@ fn parent() {
     let started = Instant::now();
     let mut exe_report = map.exe().expect("parent graph");
 
-    // Every record is journaled and pushed. Wait for the worker to
-    // commit them all (acks drain the replay window), then signal
-    // end-of-stream by closing the producer side of the descriptor ring.
+    // Every record is in the ring. Wait for the worker to commit them
+    // all, then signal end-of-stream by closing the producer side of the
+    // descriptor ring.
     loop {
         {
             let mut s = sender.lock().unwrap();
@@ -233,12 +231,13 @@ fn parent() {
         let seg = s.ring_segment();
         seg.producer_closed().store(1, Release);
         seg.consumer_waker().notify();
-        // The replay window never dropped an entry at its bound (that
-        // would puncture replay coverage silently — except that it is
-        // counted). Park rescues are reported, not asserted: under CPU
-        // oversubscription a bounded park legitimately stands in for a
-        // late wake.
-        assert_eq!(s.ring_snapshot().forced_acks, 0, "descriptor ring");
+        // Nothing the ring holds is left uncommitted (unless the worker
+        // is terminally gone). Park rescues are reported, not asserted:
+        // under CPU oversubscription a bounded park legitimately stands in
+        // for a late wake.
+        if !terminal.load(Relaxed) {
+            assert_eq!(s.pending(), 0, "descriptor ring");
+        }
     }
 
     let (distinct, sum, dupes) = collector.join().expect("collector thread");
@@ -260,7 +259,7 @@ fn parent() {
     );
     if let Some(seed) = kill_seed {
         println!(
-            "chaos: seed {} killed the worker after {} records; replay re-delivered the window",
+            "chaos: seed {} killed the worker after {} records; the rewound ring re-delivered the rest",
             seed,
             kill_offset(seed)
         );
@@ -277,7 +276,7 @@ fn parent() {
 /// The exactly-once contract per record: pop the descriptor, resolve and
 /// process the payload, *publish the result*, then advance the commit
 /// word, then free the arena slot, then beat the heartbeat. A crash
-/// before the commit means the record is replayed to the replacement (a
+/// before the commit means the record is re-delivered to the replacement (a
 /// duplicate result is possible — the parent dedups by `seq`); a crash
 /// after means the parent acks it and never re-sends it.
 fn worker(ring_fd: i32, arena_fd: i32, result_fd: i32) {
@@ -297,7 +296,7 @@ fn worker(ring_fd: i32, arena_fd: i32, result_fd: i32) {
 
     // Resume point: the commit word survives us. A replacement worker
     // starts numbering where its predecessor's last committed record
-    // left off, which is exactly where the parent's replay restarts.
+    // left off, which is exactly where the parent rewinds the ring.
     let mut seq = seg.commit_word().load(Acquire);
     let mut processed_this_run = 0u64;
 
