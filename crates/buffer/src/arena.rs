@@ -62,7 +62,7 @@
 
 use std::io;
 use std::sync::atomic::{
-    AtomicU32, AtomicU64,
+    AtomicU32,
     Ordering::{Acquire, Relaxed, Release},
 };
 use std::sync::Arc;
@@ -70,7 +70,7 @@ use std::sync::Arc;
 use crate::eventcount::{block_until, PARK_TIMEOUT};
 use crate::ring::{Backing, ConsumerCursor, ProducerCursor};
 use crate::shm::{SegRing, ShmItem, ShmRingProducer, ShmSegment, SEG_KIND_ARENA};
-use crate::stats::StatsSnapshot;
+use crate::stats::{Blocking, StatsSnapshot};
 
 /// Fixed-size ticket for one payload in the arena. 16 bytes, POD, crosses
 /// process boundaries through any `ShmRing<Descriptor>`.
@@ -306,8 +306,8 @@ impl ShmArena {
     pub fn wait_free_slot(seg: &ShmSegment) -> bool {
         // Bounded contract: the budget is one park long, so a scheduler-
         // driven caller gets control back to observe stop requests. (Too
-        // short to ever count a rescue; nobody reads this counter.)
-        let unread = AtomicU64::new(0);
+        // short to ever count a rescue; nobody reads this record.)
+        let unread = Blocking::default();
         let poll = || {
             // Any entry between the shared head and tail is a free slot.
             if seg.tail().load(Acquire) != seg.head().load(Relaxed) {
@@ -664,9 +664,10 @@ impl DescriptorSender {
     /// waiting while `capacity` descriptors are uncommitted. The wait parks
     /// on the ring's producer eventcount, which the worker's next pop
     /// notifies (it commits before it pops again; a ring of one slot has no
-    /// next pop, so there the bounded park ends the wait); a park the wake
-    /// missed counts in the ring's `rescues`. [`SendOutcome::Busy`] (arena full,
-    /// worker gone) leaves no trace — the caller retries, typically after
+    /// next pop, so there the bounded park ends the wait). The wait is the
+    /// ring writer's blocked time, and a park the wake missed counts in the
+    /// ring's `rescues`. [`SendOutcome::Busy`] (arena full, worker gone)
+    /// leaves no trace — the caller retries, typically after
     /// [`ShmArena::wait_free_slot`].
     pub fn send_bytes(&mut self, payload: &[u8]) -> SendOutcome {
         let (seg, capacity) = (self.ring.segment(), self.ring.capacity() as u64);
@@ -679,8 +680,8 @@ impl DescriptorSender {
         };
         let room = room().unwrap_or_else(|| {
             let ring = self.ring.fifo();
-            let rescues = &ring.stats().writer.rescues;
-            block_until(&seg.producer_waker(), rescues, None, || false, room).unwrap_or(false)
+            let record = &ring.stats().writer.blocked;
+            block_until(&seg.producer_waker(), record, None, || false, room).unwrap_or(false)
         });
         if !room {
             return SendOutcome::Busy;
@@ -1146,6 +1147,29 @@ mod tests {
         assert!(!process(&segs, &mut worker, 5));
         sender.ack_committed();
         assert_eq!(sender.pending(), 0);
+    }
+
+    #[test]
+    fn a_commit_full_wait_is_writer_blocked_time() {
+        let Some((sender, mut worker, segs, _)) = supervised(2, 8) else {
+            return;
+        };
+        let sender = Mutex::new(sender);
+        for i in 0..2u8 {
+            assert_eq!(sender.lock().send_bytes(&[i; 8]), SendOutcome::Sent);
+        }
+        std::thread::scope(|s| {
+            let waiting = s.spawn(|| sender.lock().send_bytes(&[2; 8]));
+            until_parked(&segs[0]);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            // A commit, then the next pop: the wake the worker owes.
+            assert!(process(&segs, &mut worker, 0));
+            assert!(worker.0.try_pop().is_ok());
+            assert_eq!(waiting.join().unwrap(), SendOutcome::Sent);
+        });
+        let ring = sender.lock().ring_snapshot();
+        assert!(ring.writer_blocked_ns >= 1_000_000, "{ring:?}");
+        assert_eq!(ring.writer_blocked_hist.iter().sum::<u64>(), 1);
     }
 
     #[test]

@@ -38,9 +38,9 @@
 //! Built on `crate::sync`: `tests/loom_eventcount.rs` model-checks the
 //! handoff for each backend. DESIGN §10 has the long form.
 
-use std::sync::atomic::AtomicU64;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use crate::stats::{now_ns, Blocking};
 use crate::sync::{
     fence, AtomicU32,
     Ordering::{self, Relaxed, SeqCst},
@@ -280,23 +280,30 @@ pub enum Blocked {
 /// `budget` (measured from the first failed poll, checked before each park)
 /// runs out.
 ///
+/// The wait is recorded in `record`, the one site that records blocked
+/// time: the first failed poll opens an episode (`since`; a wait whose first
+/// poll succeeds reads no clock), and the return closes it into
+/// `episodes`, whatever the outcome.
+///
 /// Parking follows the eventcount waiter protocol on `event` — arm,
 /// re-check, `wait(epoch)` — with each park bounded by [`PARK_TIMEOUT`];
 /// once parking, every poll is made under an arm. A full-length park that
 /// ends by timeout and then finds `ready` true was **rescued**: the wake it
 /// was owed never came — its arm went unclaimed, or was claimed by a
 /// notifier whose wake never reached the sleeper. Rescues are counted in
-/// `rescues`; on a path that only uses [`EventCount::notify`] the count
-/// must stay 0.
+/// `record`; on a path that only uses [`EventCount::notify`] the count must
+/// stay 0.
 pub fn block_until<W: Wake, R>(
     event: &EventCount<W>,
-    rescues: &AtomicU64,
+    record: &Blocking,
     budget: Option<Duration>,
     abandoned: impl Fn() -> bool,
     mut ready: impl FnMut() -> Option<R>,
 ) -> Result<R, Blocked> {
     let mut waiter = Waiter::new(WaitStrategy::Parking);
-    let mut deadline = None;
+    // When the episode opened (0 until the first failed poll) and when the
+    // budget runs out, both on the `now_ns` clock.
+    let (mut since, mut deadline) = (0, None);
     // The epoch of a standing arm, and whether the last park timed out
     // with that arm still unclaimed.
     let (mut armed, mut unwoken) = (None, false);
@@ -306,23 +313,27 @@ pub fn block_until<W: Wake, R>(
         let outcome = match ready() {
             Some(r) => Some(Ok(r)),
             None if abandoned() => Some(Err(Blocked::Abandoned)),
-            // The clock is read when the budget starts (the first failed
-            // poll — a wait that never blocks never reads it) and then only
-            // on the re-check before a park, not on every spin.
-            None => {
-                if let (Some(b), None) = (budget, deadline) {
-                    deadline = Some(Instant::now() + b);
-                }
-                (armed.is_some() && deadline.is_some_and(|d| Instant::now() >= d))
-                    .then_some(Err(Blocked::TimedOut))
+            // The clock is read when the episode opens and then only on the
+            // re-check before a park, not on every spin.
+            None if since == 0 => {
+                since = now_ns();
+                record.since.store(since, Relaxed);
+                deadline = budget.map(|b| since.saturating_add(b.as_nanos() as u64));
+                None
             }
+            None => (armed.is_some() && deadline.is_some_and(|d| now_ns() >= d))
+                .then_some(Err(Blocked::TimedOut)),
         };
         if let Some(outcome) = outcome {
             if armed.is_some() {
                 event.disarm();
             }
             if unwoken && outcome.is_ok() {
-                rescues.fetch_add(1, Relaxed);
+                record.rescues.fetch_add(1, Relaxed);
+            }
+            if since != 0 {
+                record.episodes.record(now_ns().saturating_sub(since), 1);
+                record.since.store(0, Relaxed);
             }
             return outcome;
         }
@@ -334,9 +345,8 @@ pub fn block_until<W: Wake, R>(
                 }
             }
             Some(epoch) => {
-                let park = deadline.map_or(PARK_TIMEOUT, |d: Instant| {
-                    d.saturating_duration_since(Instant::now())
-                        .min(PARK_TIMEOUT)
+                let park = deadline.map_or(PARK_TIMEOUT, |d: u64| {
+                    Duration::from_nanos(d.saturating_sub(now_ns())).min(PARK_TIMEOUT)
                 });
                 // A full-length park that timed out was not woken, whether
                 // nobody claimed the arm (a missed notify) or a notifier
@@ -358,6 +368,7 @@ mod tests {
     use super::*;
     use crate::shm::{ShmSegment, SEG_KIND_RING};
     use std::sync::atomic::AtomicBool;
+    use std::time::Instant;
 
     /// Runs `$check(home, &event)` over an eventcount in each home its
     /// words can have: owned by a [`ThreadPark`], and mapped — a heap
@@ -418,7 +429,7 @@ mod tests {
         // rescue (a park that ran its full `PARK_TIMEOUT`), and in the last
         // round as a park that sleeps out its whole 5 s.
         fn check<W: Wake + Sync>(home: &str, ec: &EventCount<W>) {
-            let rescues = AtomicU64::new(0);
+            let record = Blocking::default();
             for round in 0..50 {
                 let flag = AtomicBool::new(false);
                 std::thread::scope(|s| {
@@ -431,7 +442,7 @@ mod tests {
                     });
                     let got = block_until(
                         ec,
-                        &rescues,
+                        &record,
                         None,
                         || false,
                         || flag.load(SeqCst).then_some(round),
@@ -439,7 +450,11 @@ mod tests {
                     assert_eq!(got, Ok(round), "{home}");
                 });
             }
-            assert_eq!(rescues.load(Relaxed), 0, "{home}: a park was rescued");
+            assert_eq!(
+                record.rescues.load(Relaxed),
+                0,
+                "{home}: a park was rescued"
+            );
             std::thread::scope(|s| {
                 let epoch = ec.arm();
                 s.spawn(|| {
@@ -462,19 +477,28 @@ mod tests {
             return;
         }
         fn check<W: Wake>(home: &str, ec: &EventCount<W>) {
-            let rescues = AtomicU64::new(0);
-            let t0 = Instant::now();
-            // The condition turns true by itself and nobody notifies: only
-            // the bounded park can end the wait, and it must say so.
-            let got = block_until(
-                ec,
-                &rescues,
-                None,
-                || false,
-                || (t0.elapsed() > Duration::from_millis(1)).then_some(()),
-            );
+            let record = Blocking::default();
+            // The condition turns true by itself, 1 ms after the waiter
+            // armed (however long its spin and yield phases took), and
+            // nobody notifies: only the bounded park can end the wait, and
+            // it must say so.
+            let armed_at = std::cell::Cell::new(None);
+            let ready = || {
+                let at = armed_at
+                    .get()
+                    .or_else(|| (armed(ec) == 1).then(Instant::now));
+                armed_at.set(at);
+                at.is_some_and(|t| t.elapsed() > Duration::from_millis(1))
+                    .then_some(())
+            };
+            let got = block_until(ec, &record, None, || false, ready);
             assert_eq!(got, Ok(()), "{home}");
-            assert_eq!(rescues.load(Relaxed), 1, "{home}");
+            assert_eq!(record.rescues.load(Relaxed), 1, "{home}");
+            // The same record holds the episode, opened at the first failed
+            // poll and closed on return.
+            assert_eq!(record.episodes.count(), 1, "{home}");
+            assert!(record.episodes.sum() >= 1_000_000, "{home}");
+            assert_eq!(record.since.load(Relaxed), 0, "{home}");
         }
         over_both_homes!(check);
     }
@@ -482,23 +506,25 @@ mod tests {
     #[test]
     fn block_until_honours_budget_and_abandonment() {
         fn check<W: Wake>(home: &str, ec: &EventCount<W>) {
-            let rescues = AtomicU64::new(0);
+            let record = Blocking::default();
             let never = || None::<()>;
             let t0 = Instant::now();
             let budget = Some(Duration::from_millis(5));
             assert_eq!(
-                block_until(ec, &rescues, budget, || false, never),
+                block_until(ec, &record, budget, || false, never),
                 Err(Blocked::TimedOut),
                 "{home}"
             );
             assert!(t0.elapsed() >= Duration::from_millis(5), "{home}");
+            // A wait that gave up is an episode too.
+            assert!(record.episodes.sum() >= 5_000_000, "{home}");
             assert_eq!(
-                block_until(ec, &rescues, None, || true, never),
+                block_until(ec, &record, None, || true, never),
                 Err(Blocked::Abandoned),
                 "{home}"
             );
             assert_eq!(
-                rescues.load(Relaxed),
+                record.rescues.load(Relaxed),
                 0,
                 "{home}: giving up is not a rescue"
             );

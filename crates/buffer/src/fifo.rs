@@ -33,8 +33,8 @@
 //!   commit, and the reads' `Shared::wait_ready` behind `pop`, `pop_range`,
 //!   `pop_slice` and `peek_range`. Each is one call to
 //!   `Shared::block_until`, i.e. the crate's one blocking loop
-//!   ([`crate::eventcount::block_until`]) bracketed by the `*_blocked_since`
-//!   stamps the monitor's 3δ rule consumes; on either home its park is a
+//!   ([`crate::eventcount::block_until`]), which records each blocked
+//!   episode the monitor's 3δ rule consumes; on either home its park is a
 //!   `futex(2)` wait on the eventcount's `seq` word. Every write publishes through
 //!   the one `Shared::publish`. A full ring blocks the writer and an empty
 //!   one the reader; only drain level `QUIESCED` ends a wait early — an
@@ -837,34 +837,20 @@ impl<T, H: Home<T>> Shared<T, H> {
         }
     }
 
-    /// The slow half of [`block_until`](Self::block_until): the wait is
-    /// visible to the monitor through `*_blocked_since` (3δ of writer
-    /// blocking within six ticks grows the queue) and runs the crate's
-    /// blocking loop on the eventcount `role` sleeps on, ended early only
-    /// by drain level `QUIESCED`.
+    /// The slow half of [`block_until`](Self::block_until): the crate's
+    /// blocking loop on the eventcount `role` sleeps on, recording into
+    /// `role`'s [`crate::Blocking`] (3δ of writer blocking within six ticks
+    /// grows the queue), ended early only by drain level `QUIESCED`.
     #[cold]
     fn blocked<R>(&self, role: Role, ready: impl FnMut() -> Option<R>) -> Result<R, Blocked> {
-        type Stamp = fn(&FifoStats);
-        let stats = &self.stats;
-        let (rescues, begin, end): (_, Stamp, Stamp) = match role {
-            Role::Producer => (
-                &stats.writer.rescues,
-                FifoStats::writer_block_begin,
-                FifoStats::writer_block_end,
-            ),
-            Role::Consumer => (
-                &stats.reader.rescues,
-                FifoStats::reader_block_begin,
-                FifoStats::reader_block_end,
-            ),
+        let record = match role {
+            Role::Producer => &self.stats.writer.blocked,
+            Role::Consumer => &self.stats.reader.blocked,
         };
-        begin(stats);
         // We are *outside* the arena while parked, so a resize can proceed
         // while we sleep.
         let event = self.home.event(role);
-        let result = eventcount::block_until(&event, rescues, None, || self.quiesced(), ready);
-        end(stats);
-        result
+        eventcount::block_until(&event, record, None, || self.quiesced(), ready)
     }
 
     /// Publish the `n` slots written since the last publish — the one
@@ -1269,8 +1255,8 @@ impl<T: Send> Monitorable for Fifo<T> {
         (self.shared.cfg.min_capacity, self.shared.cfg.max_capacity)
     }
     fn sample(&self) -> usize {
-        let occupancy = self.occupancy();
-        self.shared.stats.sample_occupancy(occupancy);
+        let (occupancy, stats) = (self.occupancy(), &self.shared.stats);
+        stats.monitor.occupancy.record(occupancy as u64, 1);
         occupancy
     }
     fn snapshot(&self) -> StatsSnapshot {
@@ -1365,9 +1351,9 @@ impl<T, H: Home<T>> Producer<T, H> {
     /// the element is buffered instead — see
     /// [`try_push_signal`](Self::try_push_signal).
     ///
-    /// While blocked, the producer is visible to the monitor through
-    /// `writer_blocked_since` — after 3δ of continuous blocking the monitor
-    /// grows this queue (the paper's write-side resize trigger).
+    /// While blocked, the producer's open episode is visible to the monitor
+    /// ([`FifoStats::writer_blocked_total_ns`]) — after 3δ of blocking the
+    /// monitor grows this queue (the paper's write-side resize trigger).
     pub fn push_signal(&mut self, value: T, signal: Signal) -> Result<(), PushError<T>> {
         if self.staged.is_some() {
             // Staging never waits: only a gone consumer fails it.
@@ -1534,7 +1520,7 @@ impl<T, H: Home<T>> Producer<T, H> {
     /// wakes that were owed and never came. Stays 0 unless the lossy
     /// per-element notify lost a race (or a wake syscall stalled).
     pub fn rescues(&self) -> u64 {
-        self.shared.stats.writer.rescues.load(Relaxed)
+        self.shared.stats.writer.blocked.rescues.load(Relaxed)
     }
 
     /// Monitor-facing handle for this FIFO.
@@ -1972,7 +1958,7 @@ impl<T, H: Home<T>> Consumer<T, H> {
     /// Parks of this endpoint that ended by timeout and then found data
     /// (see [`Producer::rescues`]).
     pub fn rescues(&self) -> u64 {
-        self.shared.stats.reader.rescues.load(Relaxed)
+        self.shared.stats.reader.blocked.rescues.load(Relaxed)
     }
 
     /// Monitor-facing handle for this FIFO.

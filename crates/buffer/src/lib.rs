@@ -92,7 +92,7 @@ pub use futex::Futex;
 pub use shm::{Heartbeat, ShmRing, ShmSegment};
 pub use signal::Signal;
 pub use spsc::{BoundedSpsc, SpscConsumer, SpscProducer};
-pub use stats::{FifoStats, StatsSnapshot};
+pub use stats::{Blocking, FifoStats, LogHist, StatsSnapshot, HIST_BUCKETS};
 pub use wait::{WaitAction, WaitStrategy, Waiter};
 pub use waker::{FifoWaker, WakerSlot};
 

@@ -17,46 +17,124 @@
 //! that shows up directly as cross-thread throughput loss. With one padded
 //! group per writing thread, each hot-path store hits a line nobody else
 //! writes; only the (rare, sampling-rate) monitor reads cross lines. The
-//! blocked-time stamps are `pub(crate)`: only the endpoints in `fifo.rs`
-//! call them, so no other thread stores into an endpoint's line.
+//! blocked-time records are written by [`crate::eventcount::block_until`],
+//! the one blocking loop, on the blocked endpoint's own thread; the
+//! occupancy histogram by the monitor's sampling tick.
+//!
+//! ## One recorder
+//!
+//! Every distribution here is a [`LogHist`]: occupancy samples, the length
+//! of each blocked episode ([`Blocking`]), and — in `raftlib` — each
+//! kernel's sampled service times. Its sum is the total the monitor's rules
+//! and the report read; its buckets are the shape.
 
 use crate::sync::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Number of log2 occupancy-histogram buckets; bucket `i` counts samples
-/// with occupancy in `[2^(i-1), 2^i)` (bucket 0 = occupancy 0).
+/// Number of [`LogHist`] buckets: bucket 0 holds the value 0, bucket `i`
+/// the values in `[2^(i-1), 2^i)`, and the last bucket is open-ended.
 pub const HIST_BUCKETS: usize = 32;
+
+/// Nanoseconds since a process-wide epoch, plus one: the timebase of
+/// [`Blocking::since`], where 0 means "no open episode".
+#[inline]
+pub(crate) fn now_ns() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64 + 1
+}
+
+/// Single-writer increment: a relaxed load + store, not a locked
+/// `fetch_add`.
+#[inline]
+fn bump(counter: &AtomicU64, by: u64) {
+    counter.store(counter.load(Relaxed) + by, Relaxed);
+}
+
+/// A log2-bucketed histogram with the weighted sum of what it recorded.
+/// Fixed and inline: no allocation. One writer at a time — the thread that
+/// owns the measured thing — so a record is relaxed loads and stores; any
+/// thread may read.
+#[derive(Debug, Default)]
+pub struct LogHist {
+    buckets: [AtomicU64; HIST_BUCKETS],
+    sum: AtomicU64,
+}
+
+impl LogHist {
+    /// Count the value `v` `weight` times.
+    #[inline]
+    pub fn record(&self, v: u64, weight: u64) {
+        let bucket = ((u64::BITS - v.leading_zeros()) as usize).min(HIST_BUCKETS - 1);
+        bump(&self.buckets[bucket], weight);
+        bump(&self.sum, v * weight);
+    }
+
+    /// The weighted sum of every recorded value.
+    #[inline]
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Relaxed)
+    }
+
+    /// The weighted number of records: the sum of the buckets.
+    pub fn count(&self) -> u64 {
+        self.buckets().iter().sum()
+    }
+
+    /// A copy of the buckets.
+    pub fn buckets(&self) -> [u64; HIST_BUCKETS] {
+        std::array::from_fn(|i| self.buckets[i].load(Relaxed))
+    }
+}
+
+/// One endpoint side's blocked time, written only by
+/// [`crate::eventcount::block_until`] on the blocked thread.
+#[derive(Debug, Default)]
+pub struct Blocking {
+    /// When the open episode's first poll failed, in ns since a process-wide
+    /// epoch (plus one); 0 = no episode open.
+    pub(crate) since: AtomicU64,
+    /// Nanoseconds per finished episode: its sum is the total blocked time.
+    pub(crate) episodes: LogHist,
+    /// Parks that ended by timeout and then found the condition true:
+    /// wakes that were owed and never came.
+    pub(crate) rescues: AtomicU64,
+}
+
+impl Blocking {
+    /// Every finished episode plus the one in progress. A read that races
+    /// the end of an episode may miss that episode (or count it twice) for
+    /// that one read.
+    #[inline]
+    pub(crate) fn total_ns(&self) -> u64 {
+        let done = self.episodes.sum();
+        match self.since.load(Relaxed) {
+            0 => done,
+            since => done + now_ns().saturating_sub(since),
+        }
+    }
+}
 
 /// Counters written only by the producer thread (padded to its own cache
 /// line inside [`FifoStats`]).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WriterCounters {
     /// Total elements ever pushed.
     pub pushed: AtomicU64,
-    /// Nanoseconds (since [`FifoStats::now_ns`]'s epoch) at which the writer
-    /// started blocking on a full ring; 0 = writer not currently blocked.
-    pub blocked_since: AtomicU64,
-    /// Cumulative nanoseconds the writer spent blocked.
-    pub blocked_ns: AtomicU64,
-    /// Parks of the blocked writer that ended by timeout and then found
-    /// room: wakes that were owed and never came (see
-    /// [`crate::eventcount::block_until`]).
-    pub rescues: AtomicU64,
+    /// The writer's waits for room (on a descriptor ring: for the commit).
+    pub blocked: Blocking,
 }
 
 /// Counters written only by the consumer thread (padded to its own cache
 /// line inside [`FifoStats`]).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ReaderCounters {
     /// Total elements ever popped and acknowledged: a journaled consumer's
     /// reads count once their transaction commits.
     pub popped: AtomicU64,
-    /// Like [`WriterCounters::blocked_since`], for a reader blocked on an
-    /// empty ring or an unsatisfiable `peek_range`.
-    pub blocked_since: AtomicU64,
-    /// Cumulative nanoseconds the reader spent blocked.
-    pub blocked_ns: AtomicU64,
+    /// The reader's waits for data.
+    pub blocked: Blocking,
     /// Largest item count a reader has requested at once (`peek_range` /
     /// `pop_range`); the monitor grows the ring if this exceeds capacity —
     /// the paper's read-side resize trigger.
@@ -64,8 +142,6 @@ pub struct ReaderCounters {
     /// Elements a supervised restart rewound, to be read again from their
     /// held slots (exactly-once replay).
     pub replayed: AtomicU64,
-    /// Like [`WriterCounters::rescues`], for the blocked reader.
-    pub rescues: AtomicU64,
     /// Held elements a journaled consumer released before its commit
     /// because the ring could not grow past its ceiling to hold them and the
     /// next read: elements that can no longer be replayed.
@@ -74,16 +150,12 @@ pub struct ReaderCounters {
 
 /// Counters written only by the monitor thread (padded to its own cache
 /// line inside [`FifoStats`]).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MonitorCounters {
     /// Number of resize operations performed on this FIFO.
     pub resizes: AtomicU64,
-    /// Occupancy histogram, filled by the monitor at each sampling tick.
-    pub occupancy_hist: [AtomicU64; HIST_BUCKETS],
-    /// Sum of sampled occupancies (for mean occupancy).
-    pub occupancy_sum: AtomicU64,
-    /// Number of occupancy samples taken.
-    pub occupancy_samples: AtomicU64,
+    /// Occupancy, sampled by the monitor at each tick.
+    pub occupancy: LogHist,
 }
 
 /// Shared counters between one FIFO's producer, consumer, and the monitor,
@@ -112,82 +184,19 @@ impl FifoStats {
     /// Fresh, zeroed stats with `epoch = now`.
     pub fn new() -> Self {
         FifoStats {
-            writer: CachePadded::new(WriterCounters {
-                pushed: AtomicU64::new(0),
-                blocked_since: AtomicU64::new(0),
-                blocked_ns: AtomicU64::new(0),
-                rescues: AtomicU64::new(0),
-            }),
-            reader: CachePadded::new(ReaderCounters {
-                popped: AtomicU64::new(0),
-                blocked_since: AtomicU64::new(0),
-                blocked_ns: AtomicU64::new(0),
-                max_read_request: AtomicU64::new(0),
-                replayed: AtomicU64::new(0),
-                rescues: AtomicU64::new(0),
-                forced_acks: AtomicU64::new(0),
-            }),
-            monitor: CachePadded::new(MonitorCounters {
-                resizes: AtomicU64::new(0),
-                occupancy_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-                occupancy_sum: AtomicU64::new(0),
-                occupancy_samples: AtomicU64::new(0),
-            }),
+            writer: CachePadded::default(),
+            reader: CachePadded::default(),
+            monitor: CachePadded::default(),
             epoch: Instant::now(),
-        }
-    }
-
-    /// Nanoseconds elapsed since this FIFO's stats were created. Used as the
-    /// timebase for the `blocked_since` fields (0 is reserved for "not
-    /// blocked", so we offset by 1).
-    #[inline]
-    pub(crate) fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64 + 1
-    }
-
-    /// Producer entered the blocked state.
-    #[inline]
-    pub(crate) fn writer_block_begin(&self) {
-        self.writer.blocked_since.store(self.now_ns(), Relaxed);
-    }
-
-    /// Producer left the blocked state; accumulates blocked time.
-    #[inline]
-    pub(crate) fn writer_block_end(&self) {
-        let since = self.writer.blocked_since.swap(0, Relaxed);
-        if since != 0 {
-            let dt = self.now_ns().saturating_sub(since);
-            self.writer.blocked_ns.fetch_add(dt, Relaxed);
-        }
-    }
-
-    /// Consumer entered the blocked state.
-    #[inline]
-    pub(crate) fn reader_block_begin(&self) {
-        self.reader.blocked_since.store(self.now_ns(), Relaxed);
-    }
-
-    /// Consumer left the blocked state; accumulates blocked time.
-    #[inline]
-    pub(crate) fn reader_block_end(&self) {
-        let since = self.reader.blocked_since.swap(0, Relaxed);
-        if since != 0 {
-            let dt = self.now_ns().saturating_sub(since);
-            self.reader.blocked_ns.fetch_add(dt, Relaxed);
         }
     }
 
     /// Total nanoseconds the writer has spent blocked: every finished
     /// episode plus the one in progress. The monitor's grow rule takes its
-    /// rise over a window of ticks. A read that races the end of an episode
-    /// may miss that episode (or count it twice) for that one read.
+    /// rise over a window of ticks.
     #[inline]
     pub fn writer_blocked_total_ns(&self) -> u64 {
-        let done = self.writer.blocked_ns.load(Relaxed);
-        match self.writer.blocked_since.load(Relaxed) {
-            0 => done,
-            since => done + self.now_ns().saturating_sub(since),
-        }
+        self.writer.blocked.total_ns()
     }
 
     /// Total elements ever popped.
@@ -210,26 +219,12 @@ impl FifoStats {
         self.reader.max_read_request.fetch_max(n as u64, Relaxed);
     }
 
-    /// Called by the monitor each tick with the observed occupancy.
-    pub(crate) fn sample_occupancy(&self, occ: usize) {
-        let bucket = if occ == 0 {
-            0
-        } else {
-            (usize::BITS - occ.leading_zeros()) as usize
-        }
-        .min(HIST_BUCKETS - 1);
-        self.monitor.occupancy_hist[bucket].fetch_add(1, Relaxed);
-        self.monitor.occupancy_sum.fetch_add(occ as u64, Relaxed);
-        self.monitor.occupancy_samples.fetch_add(1, Relaxed);
-    }
-
     /// Snapshot all derived statistics.
     pub(crate) fn snapshot(&self, capacity: usize, occupancy: usize) -> StatsSnapshot {
-        let samples = self.monitor.occupancy_samples.load(Relaxed);
-        let mean_occupancy = if samples == 0 {
-            occupancy as f64
-        } else {
-            self.monitor.occupancy_sum.load(Relaxed) as f64 / samples as f64
+        let occ = &self.monitor.occupancy;
+        let mean_occupancy = match occ.count() {
+            0 => occupancy as f64,
+            samples => occ.sum() as f64 / samples as f64,
         };
         let elapsed = self.epoch.elapsed().as_secs_f64();
         let popped = self.reader.popped.load(Relaxed);
@@ -240,18 +235,21 @@ impl FifoStats {
             occupancy,
             mean_occupancy,
             resizes: self.monitor.resizes.load(Relaxed),
-            writer_blocked_ns: self.writer.blocked_ns.load(Relaxed),
-            reader_blocked_ns: self.reader.blocked_ns.load(Relaxed),
+            writer_blocked_ns: self.writer.blocked.episodes.sum(),
+            reader_blocked_ns: self.reader.blocked.episodes.sum(),
             max_read_request: self.max_read_request(),
             replayed: self.reader.replayed.load(Relaxed),
-            rescues: self.writer.rescues.load(Relaxed) + self.reader.rescues.load(Relaxed),
+            rescues: self.writer.blocked.rescues.load(Relaxed)
+                + self.reader.blocked.rescues.load(Relaxed),
             forced_acks: self.reader.forced_acks.load(Relaxed),
             throughput: if elapsed > 0.0 {
                 popped as f64 / elapsed
             } else {
                 0.0
             },
-            occupancy_hist: std::array::from_fn(|i| self.monitor.occupancy_hist[i].load(Relaxed)),
+            occupancy_hist: occ.buckets(),
+            writer_blocked_hist: self.writer.blocked.episodes.buckets(),
+            reader_blocked_hist: self.reader.blocked.episodes.buckets(),
         }
     }
 }
@@ -292,9 +290,14 @@ pub struct StatsSnapshot {
     pub forced_acks: u64,
     /// Elements per second popped since creation.
     pub throughput: f64,
-    /// Log2-bucketed occupancy histogram: bucket `i` counts samples with
-    /// occupancy in `[2^(i-1), 2^i)` (bucket 0 = occupancy 0).
+    /// Occupancy samples by [`LogHist`] bucket: bucket `i` counts samples
+    /// with occupancy in `[2^(i-1), 2^i)` (bucket 0 = occupancy 0).
     pub occupancy_hist: [u64; HIST_BUCKETS],
+    /// The writer's blocked episodes by length in ns, by [`LogHist`] bucket;
+    /// they sum to `writer_blocked_ns`.
+    pub writer_blocked_hist: [u64; HIST_BUCKETS],
+    /// The reader's blocked episodes, like `writer_blocked_hist`.
+    pub reader_blocked_hist: [u64; HIST_BUCKETS],
 }
 
 impl StatsSnapshot {
@@ -308,61 +311,65 @@ impl StatsSnapshot {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use crate::eventcount::{block_until, EventCount, ThreadPark};
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+    use std::time::Duration;
 
     #[test]
     fn block_accounting() {
-        let s = FifoStats::new();
+        let (s, event) = (FifoStats::new(), EventCount::over(ThreadPark::default()));
+        let record = &s.writer.blocked;
         assert_eq!(s.writer_blocked_total_ns(), 0);
-        s.writer_block_begin();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        // The open episode counts before it ends...
-        assert!(s.writer_blocked_total_ns() >= 1_000_000);
-        s.writer_block_end();
-        // ...and, once ended, exactly what the cumulative counter holds.
-        let first = s.writer.blocked_ns.load(Relaxed);
+        let go = AtomicBool::new(false);
+        let ready = || go.load(SeqCst).then_some(());
+        std::thread::scope(|scope| {
+            scope.spawn(|| block_until(&event, record, None, || false, ready));
+            while record.since.load(Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(2));
+            // The open episode counts before it ends...
+            assert!(s.writer_blocked_total_ns() >= 1_000_000);
+            go.store(true, SeqCst);
+            event.notify();
+        });
+        // ...and, once ended, exactly what the histogram sums.
+        let first = record.episodes.sum();
         assert!(first >= 1_000_000);
         assert_eq!(s.writer_blocked_total_ns(), first);
-        s.writer_block_begin();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        s.writer_block_end();
+        let t0 = Instant::now();
+        let later = || (t0.elapsed() >= Duration::from_millis(2)).then_some(());
+        assert_eq!(block_until(&event, record, None, || false, later), Ok(()));
         assert!(s.writer_blocked_total_ns() >= first + 1_000_000);
-    }
-
-    #[test]
-    fn block_end_without_begin_is_noop() {
-        let s = FifoStats::new();
-        s.writer_block_end();
-        s.reader_block_end();
-        assert_eq!(s.writer.blocked_ns.load(Relaxed), 0);
-        assert_eq!(s.reader.blocked_ns.load(Relaxed), 0);
+        assert_eq!(record.episodes.count(), 2);
+        assert_eq!(s.snapshot(1, 0).writer_blocked_hist.iter().sum::<u64>(), 2);
     }
 
     #[test]
     fn occupancy_histogram_buckets() {
-        let s = FifoStats::new();
-        s.sample_occupancy(0); // bucket 0
-        s.sample_occupancy(1); // bucket 1  [1,2)
-        s.sample_occupancy(2); // bucket 2  [2,4)
-        s.sample_occupancy(3); // bucket 2
-        s.sample_occupancy(4); // bucket 3  [4,8)
-        s.sample_occupancy(1024); // bucket 11
-        let snap = s.snapshot(2048, 0);
-        assert_eq!(snap.occupancy_hist[0], 1);
-        assert_eq!(snap.occupancy_hist[1], 1);
-        assert_eq!(snap.occupancy_hist[2], 2);
-        assert_eq!(snap.occupancy_hist[3], 1);
-        assert_eq!(snap.occupancy_hist[11], 1);
-        assert_eq!(snap.occupancy_samples_total(), 6);
+        let h = LogHist::default();
+        h.record(0, 1); // bucket 0
+        h.record(1, 1); // bucket 1  [1,2)
+        h.record(2, 2); // bucket 2  [2,4)
+        h.record(3, 1); // bucket 2
+        h.record(4, 1); // bucket 3  [4,8)
+        h.record(1024, 3); // bucket 11
+        h.record(1 << 40, 1); // the last bucket is open-ended
+        let b = h.buckets();
+        assert_eq!((b[0], b[1], b[2], b[3], b[11]), (1, 1, 3, 1, 3));
+        assert_eq!(b[HIST_BUCKETS - 1], 1);
+        assert_eq!(h.count(), 10);
+        assert_eq!(h.sum(), 1 + 2 * 2 + 3 + 4 + 3 * 1024 + (1 << 40));
     }
 
     #[test]
     fn mean_occupancy() {
         let s = FifoStats::new();
-        s.sample_occupancy(10);
-        s.sample_occupancy(20);
+        s.monitor.occupancy.record(10, 1);
+        s.monitor.occupancy.record(20, 1);
         let snap = s.snapshot(64, 15);
         assert!((snap.mean_occupancy - 15.0).abs() < 1e-9);
     }
@@ -395,11 +402,5 @@ mod tests {
         assert!(pushed.abs_diff(popped) >= 64);
         assert!(popped.abs_diff(resizes) >= 64);
         assert!(pushed.abs_diff(resizes) >= 64);
-    }
-
-    impl StatsSnapshot {
-        fn occupancy_samples_total(&self) -> u64 {
-            self.occupancy_hist.iter().sum()
-        }
     }
 }

@@ -59,7 +59,7 @@
 
 use std::io;
 use std::process::{Child, Command};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -67,7 +67,7 @@ use std::time::{Duration, Instant};
 use raft_buffer::arena::DescriptorSender;
 use raft_buffer::eventcount::block_until;
 use raft_buffer::shm::ShmSegment;
-use raft_buffer::{EventCount, ThreadPark};
+use raft_buffer::{Blocking, EventCount, ThreadPark};
 use raft_rng::Rng;
 
 use crate::supervise::{KernelOutcome, SupervisorPolicy};
@@ -202,22 +202,25 @@ pub trait ProcLink: Send {
 /// worker (see [`DescriptorSender`]).
 pub struct DescLink {
     sender: Arc<Mutex<DescriptorSender>>,
+    /// Ring and arena segments, read once in `new`: a `send_bytes` waiting
+    /// for the worker's commit holds the sender lock.
+    segments: [Arc<ShmSegment>; 2],
 }
 
 impl DescLink {
     /// Supervise the worker-consumed descriptor link behind `sender`.
     pub fn new(sender: Arc<Mutex<DescriptorSender>>) -> Self {
-        DescLink { sender }
+        let s = sender.lock().expect("link lock");
+        let segments = [s.ring_segment_shared(), s.arena_segment_shared()];
+        drop(s);
+        DescLink { sender, segments }
     }
 }
 
 impl ProcLink for DescLink {
     fn segments(&self) -> Vec<(Arc<ShmSegment>, bool)> {
-        let s = self.sender.lock().expect("link lock");
-        vec![
-            (s.ring_segment_shared(), false),
-            (s.arena_segment_shared(), false),
-        ]
+        let [ring, arena] = &self.segments;
+        vec![(ring.clone(), false), (arena.clone(), false)]
     }
 
     fn prepare_respawn(&mut self) {
@@ -421,13 +424,13 @@ impl ProcSupervisor {
     /// [`KernelOutcome::Aborted`].
     pub fn join(mut self, timeout: Duration) -> Vec<ProcReport> {
         // Every report is followed by a fenced `notify`, so nothing is ever
-        // rescued here; the count is not reported.
-        let rescues = AtomicU64::new(0);
+        // rescued here; the record is not reported.
+        let record = Blocking::default();
         let all_in = || {
             let reports = self.shared.reports.lock().expect("reports lock");
             reports.iter().all(Option::is_some).then_some(())
         };
-        let _ = block_until(&self.shared.done, &rescues, Some(timeout), || false, all_in);
+        let _ = block_until(&self.shared.done, &record, Some(timeout), || false, all_in);
         self.shutdown();
         let reports = std::mem::take(&mut *self.shared.reports.lock().expect("reports lock"));
         reports
@@ -643,6 +646,11 @@ fn watch(spec: WorkerSpec, slot: usize, child: Arc<Mutex<Option<Child>>>, shared
         }
     };
 
+    // An aborted worker is gone for good, however it ended (shutdown, halt,
+    // or a crash the policy would not respawn): its peers must not wait on.
+    if outcome == KernelOutcome::Aborted {
+        write_close_flags(&segments);
+    }
     shared.terminal.store(true, Relaxed);
     shared.reports.lock().expect("reports lock")[slot] = Some(ProcReport {
         name,
@@ -757,6 +765,22 @@ mod tests {
             let j = jittered(Duration::from_millis(100), salt);
             assert!(j >= Duration::from_millis(75) && j < Duration::from_millis(125));
         }
+    }
+
+    #[test]
+    fn desc_link_segments_need_no_sender_lock() {
+        let (ring, _worker) = raft_buffer::ShmRing::<raft_buffer::Descriptor>::pair(2);
+        let (tx, _rx) = raft_buffer::ShmArena::pair(2, 8);
+        let sender = Arc::new(Mutex::new(DescriptorSender::new(tx, ring, 0)));
+        let link = DescLink::new(sender.clone());
+        // A send waiting on a commit-full ring holds the lock like this.
+        let _held = sender.lock().unwrap();
+        let (done, got) = std::sync::mpsc::channel();
+        // Joined only once it answered: a call that waits on the lock fails
+        // the check instead of hanging the test.
+        let asking = std::thread::spawn(move || done.send(link.segments().len()));
+        assert_eq!(got.recv_timeout(Duration::from_secs(1)), Ok(2));
+        asking.join().unwrap().unwrap();
     }
 
     #[test]

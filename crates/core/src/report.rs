@@ -4,19 +4,20 @@
 //! ability to act upon it" (§4.1).
 //!
 //! [`render`] turns an [`ExeReport`] into a fixed-width text dashboard:
-//! per-kernel service statistics, per-stream occupancy (mean, utilization,
-//! log2 histogram sparkline), the resize and width-change logs. Everything
+//! per-kernel service times, per-stream occupancy and blocked time (log2
+//! histogram sparklines), the resize and width-change logs. Everything
 //! is plain text so it works in terminals, logs, and CI output.
 
 use std::fmt::Write as _;
+use std::time::Duration;
 
 use crate::runtime::ExeReport;
 
-/// Bars used for the occupancy-histogram sparkline (8 levels).
+/// Bars used for the histogram sparklines (8 levels).
 const SPARKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
-/// Render a log2 occupancy histogram as a sparkline (one glyph per
-/// occupied bucket range, `·` for empty buckets up to the last used one).
+/// Render a log2 histogram as a sparkline (one glyph per bucket, `·` for
+/// empty buckets up to the last used one).
 fn sparkline(hist: &[u64]) -> String {
     let last_used = match hist.iter().rposition(|&c| c > 0) {
         Some(i) => i,
@@ -44,7 +45,7 @@ pub fn render(report: &ExeReport) -> String {
     let _ = writeln!(out, "\nkernels ({}):", report.kernels.len());
     let _ = writeln!(
         out,
-        "  {:<28} {:>10} {:>12} {:>12}",
+        "  {:<28} {:>10} {:>12} {:>12}  service (log2 ns buckets)",
         "name", "runs", "busy", "ns/run"
     );
     for k in &report.kernels {
@@ -57,11 +58,12 @@ pub fn render(report: &ExeReport) -> String {
         };
         let _ = writeln!(
             out,
-            "  {:<28} {:>10} {:>12} {:>12}{}",
+            "  {:<28} {:>10} {:>12} {:>12}  {}{}",
             truncate(&k.name, 28),
             k.runs,
             format!("{approx}{:?}", k.busy),
             format!("{approx}{ns_per_run}"),
+            sparkline(&k.service_hist),
             flag
         );
     }
@@ -72,6 +74,7 @@ pub fn render(report: &ExeReport) -> String {
         "  {:<44} {:>5} {:>9} {:>7} {:>9} {:>8}  occupancy (log2 buckets)",
         "edge", "alloc", "items", "cap", "mean occ", "resizes"
     );
+    let waits = |ns, hist: &[u64]| format!("{:?} {}", Duration::from_nanos(ns), sparkline(hist));
     for e in &report.edges {
         // A rescue is a bounded park that timed out and found its condition
         // already true: a lost wakeup. A forced ack is a replay-window entry
@@ -98,6 +101,14 @@ pub fn render(report: &ExeReport) -> String {
             sparkline(&e.stats.occupancy_hist),
             nets
         );
+        // Blocked time, total and episode lengths per side, on a line of
+        // its own under a link that had any.
+        let s = &e.stats;
+        if s.writer_blocked_ns + s.reader_blocked_ns > 0 {
+            let w = waits(s.writer_blocked_ns, &s.writer_blocked_hist);
+            let r = waits(s.reader_blocked_ns, &s.reader_blocked_hist);
+            let _ = writeln!(out, "    blocked (log2 ns buckets): writer {w}  reader {r}");
+        }
     }
 
     if !report.replicated.is_empty() {
@@ -333,6 +344,19 @@ mod tests {
         assert_eq!(approx_cols(&report), 0);
         report.kernels[0].timed_runs -= 1;
         assert_eq!(approx_cols(&report), 2);
+
+        // Blocked time gets a line of its own only when there is any.
+        let stats = &mut report.edges[0].stats;
+        (stats.writer_blocked_ns, stats.reader_blocked_ns) = (0, 0);
+        stats.writer_blocked_hist = [0; raft_buffer::HIST_BUCKETS];
+        stats.reader_blocked_hist = [0; raft_buffer::HIST_BUCKETS];
+        assert!(!render(&report).contains("blocked"));
+        report.edges[0].stats.writer_blocked_ns = 3_000;
+        report.edges[0].stats.writer_blocked_hist[12] = 1;
+        let text = render(&report);
+        let want =
+            "\n    blocked (log2 ns buckets): writer 3µs ············█  reader 0ns (no samples)\n";
+        assert!(text.contains(want), "{text}");
 
         // Park rescues appear on the link's row only when there are any.
         report.edges[0].stats.rescues = 0;

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use raft_buffer::fifo::Monitorable;
-use raft_buffer::{LinkAlloc, StatsSnapshot};
+use raft_buffer::{LinkAlloc, StatsSnapshot, HIST_BUCKETS};
 
 use crate::analysis::replication::{replication_links, requested_width};
 use crate::error::ExeError;
@@ -51,14 +51,16 @@ pub struct KernelReport {
     pub name: String,
     /// Completed `run()` calls.
     pub runs: u64,
-    /// Time spent inside `run()` — exact when `timed_runs == runs`,
-    /// otherwise the scheduler's sampled estimate: every run is timed while
-    /// runs are few (the first 64) or slow (≥ ~4 µs), otherwise one run in
-    /// 64 stands for its stride, so the estimate is biased low for a kernel
-    /// whose rare slow runs hide among fast ones.
+    /// Time spent inside `run()`, the sum of `service_hist` — exact when
+    /// `timed_runs == runs`, otherwise the scheduler's sampled estimate: every
+    /// run is timed while runs are few (the first 64) or slow (≥ ~4 µs), else
+    /// one run in 64 stands for its stride, so the estimate is biased low for
+    /// a kernel whose rare slow runs hide among fast ones.
     pub busy: Duration,
     /// How many of the `runs` were actually timed to back `busy`.
     pub timed_runs: u64,
+    /// `busy` as ns per run by log2 bucket, weighted as `busy` is.
+    pub service_hist: [u64; HIST_BUCKETS],
     /// `true` if this kernel panicked at least once (even if a restart
     /// later recovered it).
     pub panicked: bool,
@@ -434,8 +436,9 @@ pub(crate) fn execute(mut map: RaftMap, deadline: Option<Duration>) -> Result<Ex
             let outcome = outcome_of(&name);
             KernelReport {
                 runs: t.runs.load(Ordering::Relaxed),
-                busy: Duration::from_nanos(t.busy_ns.load(Ordering::Relaxed)),
+                busy: Duration::from_nanos(t.service.sum()),
                 timed_runs: t.timed_runs.load(Ordering::Relaxed),
+                service_hist: t.service.buckets(),
                 name,
                 panicked: outcome.panicked(),
                 outcome,

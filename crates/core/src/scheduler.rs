@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use raft_buffer::fifo::Monitorable;
+use raft_buffer::{fifo::Monitorable, LogHist};
 
 use crate::kernel::{KStatus, Kernel};
 use crate::port::Context;
@@ -67,26 +67,27 @@ pub enum SchedulerKind {
 /// the final report only read. Under the stealing scheduler successive
 /// drivers are ordered by the task claim hand-off.
 ///
-/// `runs`, `entered`, `commits` and `rewinds` are exact. `busy_ns` is a
-/// sampled service-time estimate (after Beard & Chamberlain's run-time
+/// `runs`, `entered`, `commits` and `rewinds` are exact. `service` is a
+/// sampled service-time histogram (after Beard & Chamberlain's run-time
 /// service-rate approximation): a run is timed while runs are few (the
 /// first 64) or slow (the last timed run took ≥ ~4 µs, so the clock pair is
-/// under ~2 % of it); otherwise one run in 64 is timed and its elapsed time
-/// stands for its whole stride. A kernel whose runs are all slow, or that
-/// runs only a handful of times, is measured exactly; a kernel firing a
-/// million sub-microsecond runs pays one clock pair per 64. The estimate is
-/// biased low for bimodal kernels: a rare slow run (one that blocks on a
-/// port, say) inside an untimed stride is counted at the stride's fast
-/// sample. `timed_runs` says how many runs back the estimate.
+/// under ~2 % of it); otherwise one run in 64 is timed and recorded with
+/// weight 64, standing for its whole stride. Its sum estimates the time
+/// spent inside `run()` and its count the runs. A kernel whose runs are all
+/// slow, or that runs only a handful of times, is measured exactly; a
+/// kernel firing a million sub-microsecond runs pays one clock pair per 64.
+/// The estimate is biased low for bimodal kernels: a rare slow run (one
+/// that blocks on a port, say) inside an untimed stride is counted at the
+/// stride's fast sample. `timed_runs` says how many runs back the estimate.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub struct KernelTelemetry {
     /// Number of completed `run()` invocations.
     pub runs: AtomicU64,
-    /// Estimated nanoseconds spent inside `run()`: the timed runs' elapsed
-    /// time, each weighted by the number of runs it stands for.
-    pub busy_ns: AtomicU64,
-    /// How many `run()` invocations were actually timed; `busy_ns` is exact
+    /// Nanoseconds per timed `run()`, each weighted by the number of runs
+    /// it stands for.
+    pub service: LogHist,
+    /// How many `run()` invocations were actually timed; `service` is exact
     /// when this equals `runs`.
     pub timed_runs: AtomicU64,
     /// Number of *entered* `run()` invocations. `entered > runs` means the
@@ -316,7 +317,7 @@ pub(crate) fn retire(mut runner: KernelRunner, done: StepDone) -> RunnerOutcome 
     }
 }
 
-/// The `busy_ns` sampling rule's two constants (see [`KernelTelemetry`]):
+/// The `service` sampling rule's two constants (see [`KernelTelemetry`]):
 /// the first `SAMPLE_STRIDE` runs are all timed, then one run per
 /// `SAMPLE_STRIDE` is — unless the last timed run took at least
 /// `SLOW_RUN_NS`, which keeps the next one timed too.
@@ -372,7 +373,7 @@ fn step(runner: &mut KernelRunner) -> Option<StepDone> {
             runner.untimed_left = SAMPLE_STRIDE - 1;
             u64::from(SAMPLE_STRIDE)
         };
-        bump(&runner.telemetry.busy_ns, ns * stands_for);
+        runner.telemetry.service.record(ns, stands_for);
         bump(&runner.telemetry.timed_runs, 1);
     }
     runner.telemetry.runs.store(ordinal, Ordering::Relaxed);
@@ -636,7 +637,8 @@ mod tests {
         let t = &r.telemetry;
         assert_eq!(t.runs.load(Ordering::Relaxed), SLOW_RUNS);
         assert_eq!(t.timed_runs.load(Ordering::Relaxed), SLOW_RUNS);
-        let busy = t.busy_ns.load(Ordering::Relaxed);
+        let busy = t.service.sum();
+        assert_eq!(t.service.count(), SLOW_RUNS);
         assert!(
             busy <= wall && busy >= wall - wall / 10,
             "busy {busy} ns vs wall {wall} ns"

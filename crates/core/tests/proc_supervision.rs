@@ -14,7 +14,8 @@ use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use raft_buffer::arena::{DescriptorSender, ShmArena};
+use raft_buffer::arena::{DescriptorSender, SendOutcome, ShmArena};
+use raft_buffer::eventcount::Wake;
 use raft_buffer::shm::{ShmItem, ShmRing, ShmSegment};
 use raft_buffer::{Descriptor, TryPopError};
 use raft_kernels::DescShip;
@@ -64,6 +65,7 @@ fn main() {
     restart_budget_exhaustion_escalates_to_abort();
     stale_generation_reclaim_is_refused();
     killed_blocked_producer_unparks_promptly();
+    abort_ends_a_send_waiting_on_the_commit();
     println!("proc_supervision: all scenarios passed");
 }
 
@@ -452,4 +454,45 @@ fn killed_blocked_producer_unparks_promptly() {
         "blocked producer took {elapsed:?} to observe the reaped consumer"
     );
     println!("killed_blocked_producer_unparks_promptly ✓ ({elapsed:?})");
+}
+
+/// Shutdown writes the close flags too: a send waiting on a commit-full
+/// descriptor ring (holding the sender lock) returns `Busy` once the fleet
+/// is aborted, instead of re-parking for ever. The send and `abort()` run
+/// on threads of their own, joined only after the check, so a send or a
+/// shutdown that blocks fails the check instead of hanging the run.
+fn abort_ends_a_send_waiting_on_the_commit() {
+    let (ring, _ring_fd) = ShmRing::<Descriptor>::create_producer(2).expect("ring");
+    let (tx, _arena_fd) = ShmArena::create_tx(8, SLOT_SIZE).expect("arena");
+    let sender = Arc::new(Mutex::new(DescriptorSender::new(tx, ring, 0)));
+    let ring_seg = sender.lock().unwrap().ring_segment_shared();
+    let mut sup = ProcSupervisor::new();
+    sup.spawn(
+        WorkerSpec::new("never-commits", |_| {
+            let mut cmd = Command::new("sh");
+            cmd.args(["-c", "sleep 30"]);
+            cmd
+        })
+        .policy(ProcPolicy::Abort)
+        .link(DescLink::new(sender.clone())),
+    )
+    .expect("spawn worker");
+    for i in 0..2u8 {
+        assert_eq!(sender.lock().unwrap().send_bytes(&[i]), SendOutcome::Sent);
+    }
+    let (done, sent) = std::sync::mpsc::channel();
+    let third = sender.clone();
+    let sending = std::thread::spawn(move || done.send(third.lock().unwrap().send_bytes(&[2])));
+    while ring_seg.producer_waker().backend().armed().load(Acquire) == 0 {
+        std::thread::yield_now();
+    }
+    let aborting = std::thread::spawn(move || sup.abort());
+    assert_eq!(
+        sent.recv_timeout(Duration::from_secs(1)),
+        Ok(SendOutcome::Busy),
+        "a send waiting on the commit outlived the fleet's abort"
+    );
+    sending.join().unwrap().unwrap();
+    aborting.join().unwrap();
+    println!("abort_ends_a_send_waiting_on_the_commit ✓");
 }
