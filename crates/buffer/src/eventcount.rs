@@ -428,17 +428,27 @@ mod tests {
         // claimed whose wake never reaches the sleeping thread, shows as a
         // rescue (a park that ran its full `PARK_TIMEOUT`), and in the last
         // round as a park that sleeps out its whole 5 s.
+        //
+        // A rescue is also what a late wake looks like: a peer descheduled
+        // for a whole `PARK_TIMEOUT` lets the park time out before its
+        // notify. That park began after the round did, so its rescue is
+        // legitimate only if the notify returned at least `PARK_TIMEOUT`
+        // after the round began; such a round is excused, and no other.
         fn check<W: Wake + Sync>(home: &str, ec: &EventCount<W>) {
             let record = Blocking::default();
+            let mut excused = 0u64;
             for round in 0..50 {
                 let flag = AtomicBool::new(false);
-                std::thread::scope(|s| {
-                    s.spawn(|| {
+                let rescues = record.rescues.load(Relaxed);
+                let begun = Instant::now();
+                let notified_after = std::thread::scope(|s| {
+                    let peer = s.spawn(|| {
                         while armed(ec) == 0 {
                             std::thread::yield_now();
                         }
                         flag.store(true, SeqCst);
                         ec.notify();
+                        begun.elapsed()
                     });
                     let got = block_until(
                         ec,
@@ -448,12 +458,19 @@ mod tests {
                         || flag.load(SeqCst).then_some(round),
                     );
                     assert_eq!(got, Ok(round), "{home}");
+                    peer.join().unwrap()
                 });
+                let late = notified_after >= PARK_TIMEOUT;
+                excused += u64::from(late);
+                assert!(
+                    late || record.rescues.load(Relaxed) == rescues,
+                    "{home}: round {round} was rescued, its notify returned {notified_after:?} in"
+                );
             }
-            assert_eq!(
-                record.rescues.load(Relaxed),
-                0,
-                "{home}: a park was rescued"
+            assert!(
+                record.rescues.load(Relaxed) <= excused && excused < 50,
+                "{home}: {} rescues, {excused} late rounds",
+                record.rescues.load(Relaxed)
             );
             std::thread::scope(|s| {
                 let epoch = ec.arm();

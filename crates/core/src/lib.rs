@@ -62,8 +62,8 @@
 //! The crates around this one complete the reproduction: `raft-buffer`
 //! (resizable lock-free FIFOs), `raft-kernels` (standard kernel library),
 //! `raft-algos` (search algorithms & workloads), `raft-model` (queueing /
-//! flow models), `raft-net` (TCP links and the "oar" mesh), `raft-bench`
-//! (every table and figure of the paper's evaluation).
+//! flow models), `raft-net` (TCP links and remote kernel execution),
+//! `raft-bench` (every table and figure of the paper's evaluation).
 
 mod affinity;
 mod algoset;

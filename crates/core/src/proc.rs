@@ -70,7 +70,7 @@ use raft_buffer::shm::ShmSegment;
 use raft_buffer::{Blocking, EventCount, ThreadPark};
 use raft_rng::Rng;
 
-use crate::supervise::{KernelOutcome, SupervisorPolicy};
+use crate::supervise::{backoff, KernelOutcome, SupervisorPolicy};
 
 /// Builds the [`Command`] for spawn attempt `attempt` (0 for the first
 /// spawn, then 1, 2, … per respawn). The attempt number lets a factory
@@ -117,18 +117,6 @@ impl ProcPolicy {
             max_restarts,
             backoff: DEFAULT_BACKOFF,
         }
-    }
-
-    /// Backoff before respawn attempt `attempt` (0-based), doubling per
-    /// attempt and saturating at 1 s — same curve as the kernel-scope
-    /// policy.
-    fn backoff_for(&self, attempt: u32) -> Duration {
-        let ProcPolicy::Restart { backoff, .. } = self else {
-            return Duration::ZERO;
-        };
-        backoff
-            .saturating_mul(1u32 << attempt.min(16))
-            .min(Duration::from_secs(1))
     }
 }
 
@@ -680,10 +668,13 @@ fn crash_reaction(
 ) -> Reaction {
     // Under every policy: unblock the peers the dead worker was wired to.
     write_close_flags(segments);
-    let max_restarts = match policy {
+    let (max_restarts, base) = match policy {
         ProcPolicy::Abort => return Reaction::Ended(KernelOutcome::Aborted),
         ProcPolicy::Skip => return Reaction::Ended(KernelOutcome::Skipped),
-        ProcPolicy::Restart { max_restarts, .. } => *max_restarts,
+        ProcPolicy::Restart {
+            max_restarts,
+            backoff,
+        } => (*max_restarts, *backoff),
     };
     if attempt >= max_restarts {
         return Reaction::Ended(KernelOutcome::Aborted);
@@ -697,7 +688,7 @@ fn crash_reaction(
         link.prepare_respawn();
     }
     let salt = u64::from(std::process::id()) ^ (u64::from(attempt) << 32);
-    std::thread::sleep(jittered(policy.backoff_for(attempt), salt));
+    std::thread::sleep(jittered(backoff(base, attempt), salt));
     if shared.halt.load(Relaxed) {
         return Reaction::Ended(KernelOutcome::Aborted);
     }
@@ -754,16 +745,14 @@ mod tests {
 
     #[test]
     fn backoff_doubles_caps_and_jitters_in_band() {
-        let p = ProcPolicy::Restart {
-            max_restarts: 8,
-            backoff: Duration::from_millis(2),
-        };
-        assert_eq!(p.backoff_for(0), Duration::from_millis(2));
-        assert_eq!(p.backoff_for(3), Duration::from_millis(16));
-        assert_eq!(p.backoff_for(30), Duration::from_secs(1));
-        for salt in 0..64u64 {
-            let j = jittered(Duration::from_millis(100), salt);
-            assert!(j >= Duration::from_millis(75) && j < Duration::from_millis(125));
+        // A respawn sleeps the shared curve (its table is in `supervise`),
+        // jittered within ±25 % at every point, the 1 s cap included.
+        for attempt in [0, 3, 30] {
+            let mid = backoff(Duration::from_millis(100), attempt);
+            for salt in 0..64u64 {
+                let j = jittered(mid, salt);
+                assert!(j >= mid * 3 / 4 && j < mid * 5 / 4, "{j:?} around {mid:?}");
+            }
         }
     }
 

@@ -105,19 +105,23 @@ impl SupervisorPolicy {
         }
     }
 
-    /// Backoff before restart attempt `attempt` (0-based), doubling per
-    /// attempt and saturating at 1 s.
+    /// [`backoff`] before restart attempt `attempt`, if this policy
+    /// restarts.
     pub(crate) fn backoff_for(&self, attempt: u32) -> Option<Duration> {
-        let base = match self {
-            SupervisorPolicy::Restart { backoff, .. }
-            | SupervisorPolicy::Replace { backoff, .. } => *backoff,
-            _ => return None,
-        };
-        Some(
-            base.saturating_mul(1u32 << attempt.min(16))
-                .min(Duration::from_secs(1)),
-        )
+        match self {
+            SupervisorPolicy::Restart { backoff: base, .. }
+            | SupervisorPolicy::Replace { backoff: base, .. } => Some(backoff(*base, attempt)),
+            _ => None,
+        }
     }
+}
+
+/// The delay before restart attempt `attempt` (0-based) from base delay
+/// `base`: doubling per attempt and saturating at 1 s. The one backoff curve
+/// of both supervision scopes, kernels and worker processes.
+pub(crate) fn backoff(base: Duration, attempt: u32) -> Duration {
+    base.saturating_mul(1u32 << attempt.min(16))
+        .min(Duration::from_secs(1))
 }
 
 impl fmt::Debug for SupervisorPolicy {
@@ -179,11 +183,18 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_saturates() {
-        let p = SupervisorPolicy::restart_with_backoff(8, Duration::from_millis(2));
-        assert_eq!(p.backoff_for(0), Some(Duration::from_millis(2)));
-        assert_eq!(p.backoff_for(1), Some(Duration::from_millis(4)));
-        assert_eq!(p.backoff_for(3), Some(Duration::from_millis(16)));
-        assert_eq!(p.backoff_for(30), Some(Duration::from_secs(1)));
+        let ms = Duration::from_millis;
+        for (attempt, delay) in [
+            (0, ms(2)),
+            (1, ms(4)),
+            (3, ms(16)),
+            (9, ms(1000)),
+            (30, ms(1000)),
+        ] {
+            assert_eq!(backoff(ms(2), attempt), delay, "attempt {attempt}");
+        }
+        let p = SupervisorPolicy::restart_with_backoff(8, ms(2));
+        assert_eq!(p.backoff_for(3), Some(ms(16)));
         assert_eq!(SupervisorPolicy::Abort.backoff_for(0), None);
     }
 

@@ -12,7 +12,7 @@
 //! the element's synchronous signal when it has one (so signal delivery
 //! stays synchronized across the hop, §4.2), and the encoded element:
 //! `seq u64 | [signal u64] | element`. Control frames carry the resume
-//! handshake, acks, job submissions and mesh heartbeats.
+//! handshake, acks and job submissions.
 
 use std::borrow::Cow;
 use std::io::{self, Read, Write};
@@ -33,8 +33,6 @@ pub enum FrameKind {
     DataWithSignal = 1,
     /// Stream end: the sender closed its input.
     Eos = 2,
-    /// Mesh: node hello/heartbeat carrying a `NodeInfo` payload.
-    Heartbeat = 3,
     /// A compressed data frame: payload = inner-kind byte +
     /// `compress::compress_frame` output of the inner payload.
     Compressed = 6,
@@ -56,7 +54,6 @@ impl FrameKind {
             0 => FrameKind::Data,
             1 => FrameKind::DataWithSignal,
             2 => FrameKind::Eos,
-            3 => FrameKind::Heartbeat,
             6 => FrameKind::Compressed,
             7 => FrameKind::Job,
             8 => FrameKind::Ack,
@@ -289,10 +286,11 @@ mod tests {
         roundtrip(Frame::data(1, &b"x".to_vec(), Signal::EoS));
         roundtrip(Frame::data(2, &Vec::<u8>::new(), Signal::User(42)));
         roundtrip(Frame::eos());
-        roundtrip(Frame {
-            kind: FrameKind::Heartbeat,
-            payload: b"node-info".to_vec(),
-        });
+        // Kind byte 3 names no frame: `len | 3 | payload` is refused.
+        assert_eq!(FrameKind::from_u8(3), None);
+        let mut cursor = std::io::Cursor::new([2u8, 0, 0, 0, 3, 0]);
+        let err = Frame::read_from(&mut cursor).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

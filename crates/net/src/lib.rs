@@ -2,13 +2,16 @@
 
 //! # raft-net
 //!
-//! TCP stream links and the "oar" node mesh for distributed `raftlib`
-//! execution.
+//! TCP stream links and remote kernel execution for distributed `raftlib`
+//! programs.
 //!
 //! The paper (§4.1): "With RaftLib there is no difference between a
 //! distributed and a non-distributed program from the perspective of the
 //! developer. A separate system called 'oar' is a mesh of network clients
-//! that continually feed system information to each other."
+//! that continually feed system information to each other." Only oar's
+//! remote execution is reproduced here. The information mesh is not,
+//! because nothing reads that information: placement
+//! ([`raftlib::map_kernels`]) takes its [`raftlib::Domain`] from the caller.
 //!
 //! * [`Wire`] — serde-free binary encoding for stream elements (the link
 //!   type selection in §4.2 chooses TCP when endpoints live on different
@@ -24,9 +27,6 @@
 //!   [`NetConfig`]) a link reconnects and resumes exactly once, in order;
 //!   built from a handed socket ([`tcp_bridge`]) any socket error ends the
 //!   stream;
-//! * [`OarNode`] — the mesh: every node heartbeats its [`NodeInfo`]
-//!   (name, cores, load average proxy) to its peers, giving the optimizer
-//!   the cluster view the paper's continuous optimization consumes;
 //! * [`compress`] — §4.2's future-work link compression: an LZ77-family
 //!   codec applied per frame, with a raw fallback for incompressible
 //!   payloads (used by [`TcpOut::compressed`]);
@@ -39,12 +39,10 @@ pub mod compress;
 pub mod frame;
 mod journal;
 mod link;
-mod oar;
 mod remote;
 mod wire;
 
 pub use frame::{Frame, FrameKind};
 pub use link::{tcp_bridge, NetConfig, TcpIn, TcpOut};
-pub use oar::{NodeInfo, OarNode};
 pub use remote::{remote_apply, KernelRegistry, RemoteStage, RemoteWorker};
 pub use wire::{VecWireMarker, Wire};

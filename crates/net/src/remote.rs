@@ -1,4 +1,4 @@
-//! Remote kernel execution — the second half of "oar" (§4.1): "The 'oar'
+//! Remote kernel execution — the half of "oar" (§4.1) reproduced here: "The 'oar'
 //! system also provides a means to remotely compile and execute kernels so
 //! that a user can have a simple compile and forget experience."
 //!

@@ -1,10 +1,7 @@
-//! Distributed execution: two "nodes" joined by a TCP stream link and the
-//! "oar" info mesh (§4.1).
+//! Distributed execution: two "nodes" joined by a TCP stream link (§4.1).
 //!
 //! Node A generates numbers and squares them; the stream then crosses a
-//! real TCP socket to node B, which filters and folds. Both nodes also run
-//! oar mesh members that discover each other and exchange system info —
-//! the feed the paper's continuous optimizer consumes. In the paper's
+//! real TCP socket to node B, which filters and folds. In the paper's
 //! words: "the same code can be run on multi-cores in a distributed network
 //! without the programmer having to do anything differently."
 //!
@@ -12,27 +9,13 @@
 //! cargo run --example distributed
 //! ```
 
-use std::time::Duration;
-
 use raft_kernels::{Fold, Generate, Map};
-use raft_net::{tcp_bridge, OarNode};
+use raft_net::tcp_bridge;
 use raftlib::prelude::*;
 
 fn main() {
     const N: u64 = 10_000;
 
-    // --- the oar mesh -------------------------------------------------------
-    let node_a = OarNode::start("node-a", "127.0.0.1:0", 4, Duration::from_millis(20))
-        .expect("start node-a");
-    let node_b = OarNode::start("node-b", "127.0.0.1:0", 8, Duration::from_millis(20))
-        .expect("start node-b");
-    node_a.add_peer("node-b", node_b.addr().to_string());
-    let peers = node_a.await_peers(1, Duration::from_secs(5));
-    println!("node-a discovered peers: {peers:?}");
-    let topo = node_a.cluster_topology(Duration::from_secs(5), 100, 50_000);
-    println!("cluster capacity from mesh view: {} cores", topo.capacity());
-
-    // --- the stream link -----------------------------------------------------
     let (tcp_out, tcp_in) = tcp_bridge::<u64>().expect("bridge");
 
     // Node A: generate -> square -> tcp-out
@@ -75,6 +58,4 @@ fn main() {
         report_a.edges.len(),
         report_a.elapsed
     );
-    node_a.set_load(0);
-    node_b.set_load(0);
 }

@@ -1,11 +1,9 @@
-//! Distributed integration tests: pipelines spanning TCP links, the oar
-//! mesh, remote kernel execution, and their combinations with the local
-//! runtime features (replication, compression, signals).
-
-use std::time::Duration;
+//! Distributed integration tests: pipelines spanning TCP links, remote
+//! kernel execution, and their combinations with the local runtime
+//! features (replication, compression).
 
 use raft_kernels::{write_each, Count, Generate, Map};
-use raft_net::{tcp_bridge, KernelRegistry, OarNode, RemoteStage, RemoteWorker};
+use raft_net::{tcp_bridge, KernelRegistry, RemoteStage, RemoteWorker};
 use raftlib::prelude::*;
 
 /// Replicated local stage feeding a TCP hop: out-of-order local processing,
@@ -70,27 +68,6 @@ fn compressed_hop_preserves_data() {
     assert_eq!(n.load(std::sync::atomic::Ordering::Relaxed), N as u64);
 }
 
-/// Three-node oar mesh converges to a full view from a single chain of
-/// introductions (a→b, b→c).
-#[test]
-fn three_node_mesh_converges() {
-    let hb = Duration::from_millis(15);
-    let a = OarNode::start("mesh-a", "127.0.0.1:0", 2, hb).unwrap();
-    let b = OarNode::start("mesh-b", "127.0.0.1:0", 4, hb).unwrap();
-    let c = OarNode::start("mesh-c", "127.0.0.1:0", 8, hb).unwrap();
-    a.add_peer("b", b.addr().to_string());
-    b.add_peer("c", c.addr().to_string());
-    // b hears from both a (heartbeats to b) and c (c heartbeats back after
-    // learning b).
-    let peers_b = b.await_peers(2, Duration::from_secs(10));
-    let names: Vec<&str> = peers_b.iter().map(|p| p.name.as_str()).collect();
-    assert!(names.contains(&"mesh-a"), "{names:?}");
-    assert!(names.contains(&"mesh-c"), "{names:?}");
-    // topology reflects all cores b knows about: its own 4 + a's 2 + c's 8
-    let topo = b.cluster_topology(Duration::from_secs(10), 100, 10_000);
-    assert_eq!(topo.capacity(), 14);
-}
-
 /// Remote stage chained with local replication, and two remote stages in
 /// one pipeline.
 #[test]
@@ -119,41 +96,6 @@ fn two_remote_stages_in_one_pipeline() {
         *out.lock().unwrap(),
         (1..=1000u64).map(|x| x * 2 - 1).collect::<Vec<u64>>()
     );
-}
-
-/// Mesh-derived topology drives the mapper for a distributed placement
-/// decision (§4.1's mapping + oar integration).
-#[test]
-fn mesh_topology_feeds_mapper() {
-    use raftlib::{map_kernels, CommGraph};
-    let hb = Duration::from_millis(15);
-    let a = OarNode::start("map-a", "127.0.0.1:0", 2, hb).unwrap();
-    let b = OarNode::start("map-b", "127.0.0.1:0", 2, hb).unwrap();
-    a.add_peer("b", b.addr().to_string());
-    a.await_peers(1, Duration::from_secs(10));
-    let topo = a.cluster_topology(Duration::from_secs(10), 100, 50_000);
-    assert_eq!(topo.capacity(), 4);
-
-    // 4-stage pipeline across the 2-node/4-core mesh view: exactly one
-    // stream crosses the network.
-    let mut g = CommGraph::new(4);
-    g.add_edge(0, 1, 10);
-    g.add_edge(1, 2, 10);
-    g.add_edge(2, 3, 10);
-    let mapping = map_kernels(&g, &topo);
-    let host = |i: usize| {
-        mapping.assignment[i]
-            .name
-            .split('/')
-            .next()
-            .unwrap()
-            .to_string()
-    };
-    let cross = (0..3).filter(|&i| host(i) != host(i + 1)).count();
-    assert_eq!(cross, 1, "assignment: {:?}", mapping.assignment);
-    // both mesh nodes used
-    let hosts: std::collections::HashSet<String> = (0..4).map(host).collect();
-    assert_eq!(hosts.len(), 2);
 }
 
 /// Arc-shared corpus + remote worker: a text-search stage offloaded to a
