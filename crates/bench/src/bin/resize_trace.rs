@@ -22,9 +22,9 @@ const BURSTS: u64 = 12;
 const BURST_LEN: u64 = 4_000;
 
 /// `BURST_LEN` items pushed one at a time at full speed, then a 15 ms gap.
-/// The gap is slept between `run()` calls, outside any ring reservation: a
-/// batch source that slept inside its reservation would hold the resize
-/// fence, and the monitor could not shrink the queue until the next burst.
+/// The gap is slept between `run()` calls, outside any ring reservation. A
+/// shrink the monitor posts in the gap is what the link reports at once;
+/// the producer seals into the smaller ring at its next head refresh.
 struct Bursty {
     next: u64,
 }

@@ -7,24 +7,24 @@
 //!
 //! * the **heap home** ([`Heap`], the default — `Producer<T>` is it):
 //!   in-process words, a [`ThreadPark`] eventcount per direction plus a
-//!   task-waker slot on the data side, and slot storage a monitor can
-//!   swap out while the stream runs. RaftLib resizes queues at run time
-//!   (§4): a monitor wakes every δ and grows a queue whose writer has
-//!   been blocked for 3δ, or whose reader asked for more items than it
-//!   can ever hold. `head`/`tail` live *outside* the slot storage, so a
-//!   resize only swaps the storage;
-//!   endpoints touch slots only under membership in the Dekker-style
-//!   [`ResizeFence`] (a plain store, a compiler barrier and one load to
-//!   enter, one Release store to leave — the resizer pays the
-//!   `membarrier`; free for fixed-capacity FIFOs), and a resize takes the
-//!   resizer lock **and** the fence, copies the live region (one `memcpy`
-//!   when source and destination are both non-wrapped, element-wise
-//!   otherwise) and swaps;
+//!   task-waker slot on the data side, and a chain of fixed heap rings.
+//!   RaftLib resizes queues at run time (§4): a monitor wakes every δ and
+//!   grows a queue whose writer has been blocked for 3δ, or whose reader
+//!   asked for more items than it can ever hold. No ring is resized in
+//!   place. A resize is a *request*: [`Fifo::resize`] posts a target
+//!   capacity in one word of the link. The producer *seals* its ring when
+//!   it next refreshes its head cache (a publish boundary): it starts a
+//!   new ring of the target size, records there the tail it sealed at, and
+//!   links it from the old ring last. The consumer *follows* when it next
+//!   refreshes its tail cache: it moves its live region — held slots and
+//!   unread ones — into the new ring at the same indices and frees the old
+//!   one. `head`/`tail` live outside the rings, so indices stay global and
+//!   each endpoint only ever touches its own ring;
 //! * the **segment home** ([`crate::shm::Seg`], built by the
 //!   [`crate::shm::ShmRing`] constructors): every word and slot at a fixed
 //!   offset of a mapped segment another process can attach, a
 //!   [`crate::futex::Futex`] eventcount per direction, fixed capacity — so
-//!   the fence and growth are absent by construction.
+//!   a resize request never changes it.
 //!
 //! What the endpoints add to the ring core, on either home:
 //!
@@ -43,8 +43,7 @@
 //! * Zero-copy batch views: [`Producer::reserve`] hands out a
 //!   [`WriteSlice`] that is written in place and published with one counter
 //!   store on drop; [`Consumer::pop_slice`] lends the front of the queue to
-//!   a closure as a [`SliceView`] and consumes it afterwards — both hold one
-//!   membership for the whole batch.
+//!   a closure as a [`SliceView`] and consumes it afterwards.
 //! * The exactly-once recovery contract, stated once at
 //!   [`FifoConfig::journal`]. A journaled **consumer** keeps no copy: the
 //!   ring is its journal. Every read path — pop, `pop_range`, `pop_slice`,
@@ -69,13 +68,12 @@ use std::sync::Arc;
 
 use crate::error::{PopError, PushError, TryPopError, TryPushError};
 use crate::eventcount::{self, Blocked, EventCount, ThreadPark, Wake};
-use crate::fence::{ResizeFence, Role};
 use crate::ring::{Backing, ConsumerCursor, Counter, Counters, ProducerCursor};
 use crate::shm::{Seg, ShmItem, ShmSegment};
 
 use crate::signal::Signal;
 use crate::stats::{FifoStats, StatsSnapshot};
-use crate::sync::{AtomicUsize, CachePadded, Mutex};
+use crate::sync::{AtomicPtr, AtomicUsize, CachePadded};
 use crate::waker::WakerSlot;
 
 /// Drain levels for the cooperative shutdown protocol (see
@@ -240,6 +238,16 @@ impl<T> Slot<T> for (T, Signal) {
     }
 }
 
+/// Which endpoint of a link an operation concerns; `role as usize`
+/// indexes per-role pairs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// The producing endpoint.
+    Producer,
+    /// The consuming endpoint.
+    Consumer,
+}
+
 /// Where a stream's control words and slots live — the one thing that
 /// differs between an in-process link and a cross-process one. The
 /// endpoints are generic over it and statically dispatched, so
@@ -252,11 +260,13 @@ impl<T> Slot<T> for (T, Signal) {
 /// # Safety
 /// The endpoints dereference what [`slot`](Self::slot) returns and run the
 /// [`crate::ring`] protocol over `head`/`tail`. An implementation must
-/// return the same two counters on every call; between `enter(role)` and
-/// the matching `exit(role)`, `capacity` must be a constant power of two
-/// and `slot` must return a pointer valid for reads and writes of one
-/// `Slot`, the same memory for equal `idx & (capacity - 1)` and disjoint
-/// memory otherwise.
+/// return the same two counters on every call. Each role reaches one ring
+/// at a time: `capacity(role)` is a power of two, and `slot(role, idx)` a
+/// pointer valid for reads and writes of one `Slot`, the same memory for
+/// equal `idx & (capacity(role) - 1)` and disjoint memory otherwise. Both
+/// stay so until that role's own [`seal`](Self::seal) (producer) or
+/// [`follow`](Self::follow) (consumer) changes them, and whatever is in the
+/// live region `[head, tail)` keeps its index across the change.
 pub unsafe trait Home<T> {
     /// What one slot holds.
     type Slot: Slot<T>;
@@ -288,62 +298,81 @@ pub unsafe trait Home<T> {
     fn task(&self, _role: Role) -> Option<&WakerSlot> {
         None
     }
-    /// Pin the slot storage for `role` until the matching [`exit`](Self::exit)
-    /// (nothing to do where the storage can never move).
-    #[inline]
-    fn enter(&self, _role: Role) {}
-    /// End the critical section opened by [`enter`](Self::enter).
-    #[inline]
-    fn exit(&self, _role: Role) {}
-    /// Current capacity in slots.
-    fn capacity(&self) -> usize;
-    /// The slot for monotonic index `idx`.
+    /// Slots in the ring `role` reaches.
+    fn capacity(&self, role: Role) -> usize;
+    /// The slot for monotonic index `idx` in the ring `role` reaches.
     ///
     /// # Safety
-    /// The caller must be between `enter` and `exit` for its role; whether
-    /// the slot may be read or written is the cursor protocol's business.
-    unsafe fn slot(&self, idx: usize) -> *mut MaybeUninit<Self::Slot>;
-    /// Resize toward `target` slots if this home can (the caller is outside
-    /// its critical section). Returns the resulting capacity.
-    fn resize(&self, _target: usize, _stats: &FifoStats) -> usize {
-        self.capacity()
-    }
-}
-
-/// Swappable slot storage of the heap home.
-struct Storage<T> {
-    /// First slot of `slots`, cached so `slot()` is one add+mask with no
-    /// bounds check.
-    ptr: *mut HeapSlot<T>,
-    mask: usize,
-    /// Held for Drop; read via `ptr`.
-    _slots: Box<[HeapSlot<T>]>,
+    /// The caller is `role`'s one endpoint; whether the slot may be read or
+    /// written is the cursor protocol's business.
+    unsafe fn slot(&self, role: Role, idx: usize) -> *mut MaybeUninit<Self::Slot>;
+    /// Where the producer's ring differs from `target` slots, start a new
+    /// ring of `max(target, tail - head)` slots and hand the old one to the
+    /// consumer (nothing to do where the capacity is fixed).
+    ///
+    /// # Safety
+    /// The caller is the one producer, at a publish boundary: every slot
+    /// below `tail` is published and none above is written; `head` is a
+    /// committed head it loaded (Acquire).
+    #[inline]
+    unsafe fn seal(&self, _target: usize, _tail: usize, _head: usize) {}
+    /// Move onto every ring the producer sealed the consumer's into, taking
+    /// the consumer's live region along; called right after the consumer
+    /// loaded `tail` (Acquire).
+    ///
+    /// # Safety
+    /// The caller is the one consumer, holding no reference into a slot.
+    #[inline]
+    unsafe fn follow(&self) {}
 }
 
 /// One heap slot: a possibly-uninitialized `(element, signal)` pair.
 type HeapSlot<T> = UnsafeCell<MaybeUninit<(T, Signal)>>;
 
-// SAFETY: slots are only touched through the head/tail protocol — the
-// producer writes a slot strictly before publishing it with a Release store
-// of `tail`, the consumer reads it strictly after an Acquire load of `tail`,
-// and a resize holds the fence (both endpoints outside their critical
-// sections, their exits acquired) while it mutates. Every access is
-// therefore ordered, so the storage may move to (Send) or be shared with
-// (Sync) other threads whenever the elements themselves are Send.
-unsafe impl<T: Send> Send for Storage<T> {}
-// SAFETY: see the `Send` justification above.
-unsafe impl<T: Send> Sync for Storage<T> {}
+/// One fixed ring of the heap home, and the ring its producer sealed it
+/// into. Aligned to its own cache lines: the consumer loads `next` at every
+/// tail refresh, so no hot word may share them.
+#[repr(align(128))]
+struct Ring<T> {
+    slots: Box<[HeapSlot<T>]>,
+    /// The tail at the seal that started this ring: the first index the
+    /// producer wrote here (0 for a link's first ring).
+    sealed_at: usize,
+    /// The ring the producer moved on to; null while it writes here. Stored
+    /// once, Release, after the producer's last write to this ring.
+    next: AtomicPtr<Ring<T>>,
+}
 
-impl<T> Storage<T> {
-    fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(1).next_power_of_two();
-        let mut slots: Box<[HeapSlot<T>]> = (0..capacity)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect();
-        Storage {
-            ptr: slots.as_mut_ptr(),
-            mask: capacity - 1,
-            _slots: slots,
+impl<T> Ring<T> {
+    /// A ring of `capacity` slots (a power of two), leaked to its owner.
+    fn alloc(capacity: usize, sealed_at: usize) -> *mut Ring<T> {
+        Box::into_raw(Box::new(Ring {
+            slots: (0..capacity)
+                .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
+                .collect(),
+            sealed_at,
+            next: AtomicPtr::new(std::ptr::null_mut()),
+        }))
+    }
+}
+
+/// One endpoint's ring as it reaches its slots: the ring, its first slot
+/// and its index mask, cached so `slot()` is one add+mask.
+struct View<T> {
+    ring: *mut Ring<T>,
+    base: *const HeapSlot<T>,
+    mask: usize,
+}
+
+impl<T> View<T> {
+    fn of(ring: *mut Ring<T>) -> Self {
+        // SAFETY: a live ring; shared, since the producer may be writing
+        // its slots (through their cells) already.
+        let slots = unsafe { &(*ring).slots };
+        View {
+            ring,
+            base: slots.as_ptr(),
+            mask: slots.len() - 1,
         }
     }
 
@@ -355,102 +384,74 @@ impl<T> Storage<T> {
     /// Raw pointer to the slot for monotonic index `idx`.
     #[inline]
     fn slot(&self, idx: usize) -> *mut MaybeUninit<(T, Signal)> {
-        // SAFETY: the masked index is < capacity, and `ptr` points at the
-        // boxed array of `capacity` slots `self` owns. Only the UnsafeCell
-        // raw pointer escapes; dereferencing it is the caller's
+        // SAFETY: the masked index is < capacity, and `base` points at the
+        // ring's boxed array of `capacity` slots. Only the UnsafeCell raw
+        // pointer escapes; dereferencing it is the caller's
         // (protocol-ordered) obligation.
-        unsafe { (*self.ptr.add(idx & self.mask)).get() }
+        unsafe { (*self.base.add(idx & self.mask)).get() }
     }
 }
 
-/// The heap [`Home`]: in-process control words and slot storage that
-/// [`Fifo::resize`] can swap out under the [`ResizeFence`].
+/// The heap [`Home`]: in-process control words and a chain of fixed rings.
+/// The producer writes the newest ring and the consumer reads the oldest;
+/// they are the same ring except between a seal and the consumer's follow.
 pub struct Heap<T> {
-    /// Slot storage. Replaced only by [`Heap::resize`], which holds
-    /// `resizing` and the fence; endpoints reach it between `enter`/`exit`.
-    storage: UnsafeCell<Storage<T>>,
-    /// Serializes resizers against each other (never on an endpoint path).
-    resizing: Mutex<()>,
-    /// `storage.capacity()`, written under the fence.
-    capacity: AtomicUsize,
-    /// Dekker-style exclusion between endpoint ring access and resizes;
-    /// `None` when the config pins the capacity (equal bounds) — then the
-    /// storage can never be swapped, endpoints skip the fence entirely and
-    /// run at raw SPSC speed.
-    fence: Option<ResizeFence>,
-    /// Resize bounds.
-    min_capacity: usize,
-    max_capacity: usize,
+    /// The producer's ring and the consumer's, by [`Role`]; each read and
+    /// replaced only by its endpoint. Read at every slot access, so padded
+    /// away from the wake words both sides write.
+    views: CachePadded<[UnsafeCell<View<T>>; 2]>,
     /// Next index to read (monotonic). Own cache line: the producer loads
     /// it only when its cached copy says the ring is full.
     head: CachePadded<AtomicUsize>,
     /// Next index to write (monotonic), cache line apart from `head`.
     tail: CachePadded<AtomicUsize>,
-    producer_closed: AtomicBool,
-    consumer_closed: AtomicBool,
-    /// Where a consumer thread waiting for data, EoS or an async signal
-    /// parks.
-    data: ThreadPark,
-    /// Readiness hook for a consumer's scheduler task, told with `data`;
+    /// Each [`Role`]'s endpoint is gone.
+    closed: [AtomicBool; 2],
+    /// Where a thread blocked as each [`Role`] parks: a producer waiting
+    /// for space (pop, batch drain, consumer drop, grow), a consumer for
+    /// data, EoS or an async signal.
+    parks: [ThreadPark; 2],
+    /// Readiness hook for a consumer's scheduler task, told with its park;
     /// registered/armed by the work-stealing scheduler, a single relaxed
     /// load when unused. The pool parks a task only on its inputs, so the
     /// space side has no such hook.
     task: WakerSlot,
-    /// Where a producer thread waiting for space (pop, batch drain,
-    /// consumer drop, grow) parks.
-    space: ThreadPark,
-    /// Protocol shadow checker (SPSC discipline, monotonic sequences,
-    /// resize-fence transitions); driven from `enter`/`exit`/`resize`.
-    #[cfg(feature = "raft_protocol_check")]
-    shadow: crate::protocol::FifoShadow,
 }
 
-// SAFETY: everything but `storage` is Sync on its own. The `UnsafeCell` is
-// read only by endpoints holding fence membership (or, for fixed-capacity
-// FIFOs, always — nothing ever writes it) and written only by a resizer
-// holding `resizing` and the fence, which excludes every reader; the
-// storage itself is Send + Sync for `T: Send` (see `Storage`).
+// SAFETY: each ring is reached through one endpoint's view at a time: the
+// producer's until it seals it (its Release store of `next` orders every
+// write before the handoff), then the consumer's, whose Acquire load of
+// `next` precedes its move. Slots in between are touched only through the
+// head/tail protocol. Elements only ever move between threads, so the
+// home may be sent and shared whenever they may be sent.
+unsafe impl<T: Send> Send for Heap<T> {}
+// SAFETY: see `Send`.
 unsafe impl<T: Send> Sync for Heap<T> {}
 
 impl<T> Heap<T> {
     fn new(cfg: &FifoConfig) -> Self {
-        let storage = Storage::with_capacity(cfg.initial_capacity);
+        let ring = Ring::alloc(cfg.initial_capacity, 0);
         Heap {
-            capacity: AtomicUsize::new(storage.capacity()),
-            storage: UnsafeCell::new(storage),
-            resizing: Mutex::new(()),
-            // A fixed ring builds no fence, so a process whose links are
-            // all fixed never registers for `membarrier`.
-            fence: (cfg.min_capacity != cfg.max_capacity).then(ResizeFence::new),
-            min_capacity: cfg.min_capacity,
-            max_capacity: cfg.max_capacity,
+            views: CachePadded::new([
+                UnsafeCell::new(View::of(ring)),
+                UnsafeCell::new(View::of(ring)),
+            ]),
             head: CachePadded::new(AtomicUsize::new(0)),
             tail: CachePadded::new(AtomicUsize::new(0)),
-            producer_closed: AtomicBool::new(false),
-            consumer_closed: AtomicBool::new(false),
-            data: ThreadPark::default(),
+            closed: Default::default(),
+            parks: Default::default(),
             task: WakerSlot::new(),
-            space: ThreadPark::default(),
-            #[cfg(feature = "raft_protocol_check")]
-            shadow: crate::protocol::FifoShadow::new(),
-        }
-    }
-
-    /// Where a thread blocked as `role` parks.
-    #[inline]
-    fn side(&self, role: Role) -> &ThreadPark {
-        match role {
-            Role::Producer => &self.space,
-            Role::Consumer => &self.data,
         }
     }
 }
 
-// SAFETY: `head`/`tail` are fields; `capacity` and the storage change only
-// inside `resize`, which holds the fence and so runs strictly outside every
-// `enter`/`exit` bracket (a fixed-capacity heap never resizes, which is what
-// lets it skip the fence); `Storage::slot` masks the index into its live
-// slot array, one cell per slot.
+// SAFETY: `head`/`tail` are fields. A view changes only in its own
+// endpoint's `seal`/`follow`; `View::slot` masks the index into the view's
+// ring, one cell per slot. A seal leaves every live index in the old ring,
+// which the consumer reads until its follow moves `[head, sealed_at)` to
+// the same indices of the new ring — disjoint from the producer's writes
+// there, `[sealed_at, head + capacity)`, because the new ring holds
+// `sealed_at - head` (see `seal`).
 unsafe impl<T> Home<T> for Heap<T> {
     type Slot = (T, Signal);
     type Counter = AtomicUsize;
@@ -460,96 +461,6 @@ unsafe impl<T> Home<T> for Heap<T> {
         T: 'a;
     const ALLOC: LinkAlloc = LinkAlloc::Heap;
 
-    /// Resize the ring to `new_capacity` (clamped to the bounds and to the
-    /// live region `[head, tail)`, which takes in any slots a journaled
-    /// consumer holds). Returns the resulting capacity.
-    ///
-    /// Takes the resizer lock (vs. other resizers), then the
-    /// [`ResizeFence`] (vs. the endpoints, who retry as soon as
-    /// `end_resize` clears the pending flag). The live region is moved with
-    /// one contiguous copy when both source and destination regions are
-    /// non-wrapped (the paper's preferred resize position), element-wise
-    /// otherwise.
-    fn resize(&self, new_capacity: usize, stats: &FifoStats) -> usize {
-        let Some(fence) = &self.fence else {
-            // Fixed-capacity config: endpoints skip the fence, so mutating
-            // the storage here would be unsound — and the clamp below could
-            // only ever return the current capacity anyway.
-            return self.capacity.load(Acquire);
-        };
-        let _resizing = self.resizing.lock();
-        // Chaos hook: inject a stall (or panic) while holding the resizer
-        // lock but before the fence, the window where a wedged resize is
-        // most visible to the endpoints.
-        crate::failpoint!("buffer::fifo::resize");
-        fence.begin_resize();
-        // SAFETY: the fence excludes both endpoints and the lock excludes
-        // other resizers, so until `end_resize` this is the only reference
-        // to the storage.
-        let storage = unsafe { &mut *self.storage.get() };
-        // With the fence held, both endpoints are outside their critical
-        // sections; their counter stores happened-before their (acquired)
-        // fence exits, so Relaxed loads here read the settled values and
-        // nobody moves them until end_resize.
-        let head = self.head.load(Relaxed);
-        let tail = self.tail.load(Relaxed);
-        #[cfg(feature = "raft_protocol_check")]
-        self.shadow.resize_begin();
-        let live = tail - head;
-        let new_capacity = new_capacity
-            .clamp(self.min_capacity, self.max_capacity)
-            .max(live)
-            .next_power_of_two();
-        if new_capacity != storage.capacity() {
-            let new = Storage::<T>::with_capacity(new_capacity);
-            let old_mask = storage.mask;
-            if live > 0 {
-                let src_start = head & old_mask;
-                let dst_start = head & new.mask;
-                let src_contig = src_start + live <= storage.capacity();
-                let dst_contig = dst_start + live <= new.capacity();
-                // SAFETY: exclusive access (above). Source slots
-                // `[head, tail)` are initialized (live region); destination
-                // slots are freshly allocated and distinct allocations, so
-                // the ranges cannot overlap. `new_capacity >= live` (clamped
-                // above) guarantees the destination indices stay in bounds,
-                // and the bit-copy is a move: the old slots are discarded as
-                // `MaybeUninit` (never dropped) right after, so no element
-                // is duplicated or leaked.
-                unsafe {
-                    if src_contig && dst_contig {
-                        // Fast path: one memcpy of the whole live region.
-                        std::ptr::copy_nonoverlapping(
-                            storage.slot(src_start),
-                            new.slot(head),
-                            live,
-                        );
-                    } else {
-                        // Wrapped on either side: move element-wise.
-                        for i in 0..live {
-                            std::ptr::copy_nonoverlapping(
-                                storage.slot((head + i) & old_mask),
-                                new.slot(head + i),
-                                1,
-                            );
-                        }
-                    }
-                }
-            }
-            // Old slots' live elements were moved out byte-wise: discarding
-            // the old storage is safe because MaybeUninit never drops its
-            // contents.
-            *storage = new;
-            self.capacity.store(new_capacity, Release);
-            stats.monitor.resizes.fetch_add(1, Relaxed);
-        }
-        #[cfg(feature = "raft_protocol_check")]
-        self.shadow
-            .resize_end(head, tail, self.head.load(Relaxed), self.tail.load(Relaxed));
-        // Publish the new storage (Release inside) before endpoints re-enter.
-        fence.end_resize();
-        new_capacity
-    }
     #[inline]
     fn head(&self) -> &AtomicUsize {
         &self.head
@@ -560,21 +471,18 @@ unsafe impl<T> Home<T> for Heap<T> {
     }
     #[inline]
     fn producer_closed(&self) -> bool {
-        self.producer_closed.load(Acquire)
+        self.closed[Role::Producer as usize].load(Acquire)
     }
     #[inline]
     fn consumer_closed(&self) -> bool {
-        self.consumer_closed.load(Relaxed)
+        self.closed[Role::Consumer as usize].load(Relaxed)
     }
     fn set_closed(&self, role: Role) {
-        match role {
-            Role::Producer => self.producer_closed.store(true, Release),
-            Role::Consumer => self.consumer_closed.store(true, Release),
-        }
+        self.closed[role as usize].store(true, Release);
     }
     #[inline]
     fn event(&self, role: Role) -> EventCount<&ThreadPark> {
-        EventCount::over(self.side(role))
+        EventCount::over(&self.parks[role as usize])
     }
     #[inline]
     fn task(&self, role: Role) -> Option<&WakerSlot> {
@@ -583,54 +491,115 @@ unsafe impl<T> Home<T> for Heap<T> {
             Role::Producer => None,
         }
     }
-    /// Free for fixed-capacity FIFOs (nothing can swap the storage); a
-    /// plain store, a compiler barrier and a load otherwise.
     #[inline]
-    fn enter(&self, role: Role) {
-        if let Some(fence) = &self.fence {
-            fence.enter(role);
+    fn capacity(&self, role: Role) -> usize {
+        // SAFETY: only `role`'s endpoint replaces its view, and it is the
+        // caller.
+        unsafe { &*self.views[role as usize].get() }.capacity()
+    }
+    #[inline]
+    unsafe fn slot(&self, role: Role, idx: usize) -> *mut MaybeUninit<(T, Signal)> {
+        // SAFETY: the caller is `role`'s endpoint, the view's only writer.
+        unsafe { &*self.views[role as usize].get() }.slot(idx)
+    }
+
+    /// Seal the producer's ring into one of `max(target, tail - head)`
+    /// slots. Both bounds hold for the consumer's follow: the new ring has
+    /// room for the whole live region `[head, tail)` at the same indices,
+    /// and `claim` keeps every later write within `head + capacity` of the
+    /// committed head, so the producer's writes and the consumer's move
+    /// never share a slot. Out of line: inlined into `claim`, it bloats
+    /// every write's fast path.
+    #[cold]
+    unsafe fn seal(&self, target: usize, tail: usize, head: usize) {
+        // SAFETY: the caller is the producer, the view's only writer.
+        let view = unsafe { &mut *self.views[Role::Producer as usize].get() };
+        let capacity = target.max(tail - head).next_power_of_two();
+        if target == view.capacity() || capacity == view.capacity() {
+            return;
         }
-        // Shadow CS strictly inside the fence CS: entered only after the
-        // fence is held, so the checker cannot flag interleavings the
-        // fence already excludes.
-        #[cfg(feature = "raft_protocol_check")]
-        self.shadow.enter(role);
+        // Chaos hook: a stall (or panic) as the producer hands off.
+        crate::failpoint!("buffer::fifo::resize");
+        let ring = Ring::alloc(capacity, tail);
+        // Last, Release: the consumer that acquires it sees `sealed_at` and
+        // every slot written before the seal. The producer never touches
+        // the old ring again.
+        // SAFETY: the producer's ring is live until the consumer frees it,
+        // which it does only after loading this pointer.
+        unsafe { &*view.ring }.next.store(ring, Release);
+        *view = View::of(ring);
     }
+
     #[inline]
-    fn exit(&self, role: Role) {
-        #[cfg(feature = "raft_protocol_check")]
-        self.shadow.exit(
-            role,
-            match role {
-                Role::Producer => self.tail.load(Relaxed),
-                Role::Consumer => self.head.load(Relaxed),
-            },
-        );
-        if let Some(fence) = &self.fence {
-            fence.exit(role);
+    unsafe fn follow(&self) {
+        // SAFETY: the caller is the consumer, the view's only writer.
+        let view = unsafe { &*self.views[Role::Consumer as usize].get() };
+        // SAFETY: the consumer's ring is live until it follows past it.
+        if !unsafe { &*view.ring }.next.load(Acquire).is_null() {
+            // SAFETY: the caller's contract.
+            unsafe { self.move_on() };
         }
     }
-    #[inline]
-    fn capacity(&self) -> usize {
-        self.capacity.load(Acquire)
-    }
-    #[inline]
-    unsafe fn slot(&self, idx: usize) -> *mut MaybeUninit<(T, Signal)> {
-        // SAFETY: per the function contract the caller holds membership, so
-        // no resize (the only writer) can run: a shared reference to the
-        // storage cannot alias a mutation.
-        unsafe { &*self.storage.get() }.slot(idx)
+}
+
+impl<T> Heap<T> {
+    /// The consumer's follow, once its ring is sealed: out of line, since
+    /// every tail refresh checks for it.
+    ///
+    /// # Safety
+    /// As [`Home::follow`].
+    #[cold]
+    unsafe fn move_on(&self) {
+        // SAFETY: the caller is the consumer, the view's only writer.
+        let view = unsafe { &mut *self.views[Role::Consumer as usize].get() };
+        loop {
+            // SAFETY: the consumer's ring is live until it frees it below.
+            let next = unsafe { &*view.ring }.next.load(Acquire);
+            if next.is_null() {
+                return;
+            }
+            let new = View::of(next);
+            // SAFETY: `sealed_at` was written before the Release store the
+            // load above acquired, and never again.
+            let sealed_at = unsafe { (*next).sealed_at };
+            // Held and unread slots alike: everything not yet released.
+            for i in self.head.load(Relaxed)..sealed_at {
+                // SAFETY: `[head, sealed_at)` is initialized in the old ring
+                // (published before the seal) and free in the new one (see
+                // `seal`); the bit-copy is a move, since the old slots are
+                // freed as `MaybeUninit` without a drop.
+                unsafe { std::ptr::copy_nonoverlapping(view.slot(i), new.slot(i), 1) };
+            }
+            // SAFETY: sealed, so the producer is done with it, and no view
+            // of it is left.
+            drop(unsafe { Box::from_raw(view.ring) });
+            *view = new;
+        }
     }
 }
 
 impl<T> Drop for Heap<T> {
     fn drop(&mut self) {
-        // Last owner of the FIFO: drop whatever elements remain exactly once.
-        // (Storage never drops its MaybeUninit contents itself.)
-        let storage = self.storage.get_mut();
-        for i in self.head.load(Relaxed)..self.tail.load(Relaxed) {
-            // SAFETY: [head, tail) is the live region; exclusive access here.
-            unsafe { (*storage.slot(i)).assume_init_drop() };
+        // Last owner of the FIFO: drop whatever elements remain exactly
+        // once, walking from the consumer's ring along every seal it did
+        // not follow. Rings never drop their `MaybeUninit` contents.
+        let (mut from, tail) = (self.head.load(Relaxed), self.tail.load(Relaxed));
+        // SAFETY: exclusive access.
+        let mut ring = unsafe { (*self.views[Role::Consumer as usize].get()).ring };
+        while !ring.is_null() {
+            // SAFETY: exclusive access; each ring of the chain is live,
+            // visited once and then freed.
+            let owned = unsafe { Box::from_raw(ring) };
+            ring = owned.next.load(Relaxed);
+            // SAFETY: a non-null `next` is the live ring after this one.
+            let to = unsafe { ring.as_ref() }.map_or(tail, |next| next.sealed_at);
+            let mask = owned.slots.len() - 1;
+            for i in from..to {
+                // SAFETY: `[from, to)` is the part of the live region this
+                // ring holds, each slot initialized and dropped once.
+                unsafe { (*owned.slots[i & mask].get()).assume_init_drop() };
+            }
+            from = to;
         }
     }
 }
@@ -639,6 +608,9 @@ impl<T> Drop for Heap<T> {
 /// what is local to this process whichever home it is.
 struct Shared<T, H: Home<T>> {
     home: H,
+    /// The posted capacity: what the link reports, and what the producer's
+    /// next seal makes its ring ([`Fifo::resize`]).
+    target: AtomicUsize,
     /// Out-of-band signal channel ("asynchronous signaling", §4.2).
     async_signal: AtomicU64,
     /// Cooperative drain level ([`DRAIN_RUNNING`] / [`DRAIN_DRAINING`] /
@@ -651,6 +623,10 @@ struct Shared<T, H: Home<T>> {
     announcing: std::sync::atomic::AtomicUsize,
     stats: FifoStats,
     cfg: FifoConfig,
+    /// Protocol shadow checker (SPSC discipline, monotonic sequences);
+    /// driven from `enter` and the arena's drop.
+    #[cfg(feature = "raft_protocol_check")]
+    shadow: crate::protocol::FifoShadow,
     _elem: std::marker::PhantomData<fn(T) -> T>,
 }
 
@@ -664,20 +640,29 @@ impl<T, H: Home<T>> Counters for Shared<T, H> {
     fn tail(&self) -> &H::Counter {
         self.home.tail()
     }
+    /// The consumer's tail refresh, and then the one extra Acquire load of
+    /// its ring's `next`: a seal precedes every `tail` store past it.
+    #[inline]
+    fn refresh_tail(&self) -> usize {
+        let tail = self.home.tail().load(Acquire);
+        // SAFETY: only a consumer cursor refreshes its tail cache, and a
+        // link has one (its `attach` contract); between its operations it
+        // holds no slot reference.
+        unsafe { self.home.follow() };
+        tail
+    }
 }
 
-/// RAII bracket of [`Home::enter`]/[`Home::exit`] for one role — and,
-/// because holding it is exactly what makes the slots stable, the ring's
-/// [`Backing`]. Being RAII, user closures that panic (`peek`, `pop_slice`)
-/// cannot strand the monitor waiting on a raised `active` flag; the batch
-/// guards ([`WriteSlice`], [`PeekRange`]) simply own one.
+/// One endpoint's hold on its ring — the ring's [`Backing`] for `role`,
+/// and the chokepoint where the shadow checker sees the endpoint take its
+/// ring and let it go.
 struct Arena<'a, T, H: Home<T>> {
     shared: &'a Shared<T, H>,
     role: Role,
 }
 
-/// What a producer's poll finds: its arena, entered, and the slots free
-/// from its tail.
+/// What a producer's poll finds: its arena and the slots free from its
+/// tail.
 type Room<'a, T, H> = (Arena<'a, T, H>, usize);
 
 impl<T, H: Home<T>> Counters for Arena<'_, T, H> {
@@ -692,25 +677,39 @@ impl<T, H: Home<T>> Counters for Arena<'_, T, H> {
     }
 }
 
-// SAFETY: the arena is the `enter`/`exit` bracket under which `Home`
-// guarantees a constant capacity and valid, per-index-disjoint slots.
+// SAFETY: an arena is taken by `role`'s one endpoint, and `Home` keeps that
+// role's ring constant and its slots valid and per-index-disjoint until
+// the endpoint's own seal — the one `claim` makes, at a publish boundary.
 unsafe impl<T, H: Home<T>> Backing for Arena<'_, T, H> {
     type Item = H::Slot;
     #[inline]
     fn capacity(&self) -> usize {
-        self.shared.home.capacity()
+        self.shared.home.capacity(self.role)
     }
     #[inline]
     fn slot<R>(&self, idx: usize, f: impl FnOnce(*mut MaybeUninit<H::Slot>) -> R) -> R {
-        // SAFETY: `self` is the membership `slot` asks for.
-        f(unsafe { self.shared.home.slot(idx) })
+        // SAFETY: the arena's role is the caller's.
+        f(unsafe { self.shared.home.slot(self.role, idx) })
+    }
+    #[inline]
+    fn seal(&self, tail: usize, head: usize) -> usize {
+        debug_assert_eq!(self.role, Role::Producer);
+        let target = self.shared.target.load(Relaxed);
+        // SAFETY: only `claim` seals, on the one producer's cursor at a
+        // publish boundary, right after its Acquire load of `head`.
+        unsafe { self.shared.home.seal(target, tail, head) };
+        self.capacity()
     }
 }
 
+#[cfg(feature = "raft_protocol_check")]
 impl<T, H: Home<T>> Drop for Arena<'_, T, H> {
-    #[inline]
     fn drop(&mut self) {
-        self.shared.home.exit(self.role);
+        let published = match self.role {
+            Role::Producer => self.tail().load(Relaxed),
+            Role::Consumer => self.head().load(Relaxed),
+        };
+        self.shared.shadow.exit(self.role, published);
     }
 }
 
@@ -718,19 +717,23 @@ impl<T, H: Home<T>> Shared<T, H> {
     fn new(home: H, cfg: FifoConfig) -> Arc<Self> {
         Arc::new(Shared {
             home,
+            target: AtomicUsize::new(cfg.initial_capacity),
             async_signal: AtomicU64::new(0),
             drain: AtomicU8::new(DRAIN_RUNNING),
             announcing: std::sync::atomic::AtomicUsize::new(0),
             stats: FifoStats::new(),
             cfg,
+            #[cfg(feature = "raft_protocol_check")]
+            shadow: Default::default(),
             _elem: std::marker::PhantomData,
         })
     }
 
-    /// Enter the ring critical section for `role`.
+    /// Take `role`'s ring.
     #[inline]
     fn enter(&self, role: Role) -> Arena<'_, T, H> {
-        self.home.enter(role);
+        #[cfg(feature = "raft_protocol_check")]
+        self.shadow.enter(role);
         Arena { shared: self, role }
     }
 
@@ -780,13 +783,28 @@ impl<T, H: Home<T>> Shared<T, H> {
         });
     }
 
-    /// Resize toward `target` slots if the home can (cold; the caller is
-    /// outside its arena, so a resize cannot deadlock on it), and tell a
-    /// parked producer about any space that made. Returns the capacity.
+    /// Post `target` slots — clamped to the bounds and to the occupancy,
+    /// rounded up to a power of two — as the capacity, counting a change,
+    /// and tell a parked producer: its next poll seals. Returns the posted
+    /// capacity. Out of line: `wait_room`'s poll names it, and inlined
+    /// there it bloats every write's fast path.
+    #[cold]
     fn resize(&self, target: usize) -> usize {
-        let capacity = self.home.resize(target, &self.stats);
+        let target = target
+            .clamp(self.cfg.min_capacity, self.cfg.max_capacity)
+            .max(self.occupancy())
+            .next_power_of_two();
+        if self.target.swap(target, Relaxed) != target {
+            self.stats.monitor.resizes.fetch_add(1, Relaxed);
+        }
         self.notify_fenced(Role::Producer);
-        capacity
+        target
+    }
+
+    /// The posted capacity.
+    #[inline]
+    fn capacity(&self) -> usize {
+        self.target.load(Relaxed)
     }
 
     /// Elements in the ring and not yet acknowledged: unread, or held by a
@@ -810,21 +828,11 @@ impl<T, H: Home<T>> Shared<T, H> {
         (self.home.producer_closed() || self.quiesced()) && self.occupancy() == 0
     }
 
-    /// The cursor just released: count it, leave the arena, tell the
-    /// producer side.
-    #[inline]
-    fn released(&self, arena: Arena<'_, T, H>, head: usize) {
-        // Single-writer counter: total popped == head.
-        self.stats.reader.popped.store(head as u64, Relaxed);
-        drop(arena);
-        self.notify(Role::Producer);
-    }
-
     /// Block `role` until `ready` yields — the one place a FIFO endpoint
     /// waits. The first poll is the (inlined) fast path and touches no
     /// clock; only then does [`blocked`](Self::blocked) take over. Always
     /// inlined: `wait_room` runs every write's fast path through here, and
-    /// outlined it returns the entered arena through memory on each push.
+    /// outlined it returns the arena through memory on each push.
     #[inline(always)]
     fn block_until<R>(
         &self,
@@ -847,15 +855,13 @@ impl<T, H: Home<T>> Shared<T, H> {
             Role::Producer => &self.stats.writer.blocked,
             Role::Consumer => &self.stats.reader.blocked,
         };
-        // We are *outside* the arena while parked, so a resize can proceed
-        // while we sleep.
         let event = self.home.event(role);
         eventcount::block_until(&event, record, None, || self.quiesced(), ready)
     }
 
     /// Publish the `n` slots written since the last publish — the one
     /// publish of every write path: one `tail` store, then tell the
-    /// consumer side; the caller leaves `arena` afterwards. `pushed` is
+    /// consumer side. `pushed` is
     /// stored only once the notify has returned, so it counts the elements
     /// whose wake-up has been delivered ([`Monitorable::announced`]); a
     /// single-writer counter equal to the tail, so a plain store replaces a
@@ -898,8 +904,8 @@ impl<T, H: Home<T>> Shared<T, H> {
     }
 
     /// The non-blocking poll of every write: errs once the consumer is
-    /// gone, `None` while fewer than `min` slots are free, else the entered
-    /// arena and the free count.
+    /// gone, `None` while fewer than `min` slots are free, else the
+    /// producer's arena and the free count.
     #[inline]
     fn room(
         &self,
@@ -911,15 +917,15 @@ impl<T, H: Home<T>> Shared<T, H> {
         }
         let arena = self.enter(Role::Producer);
         let free = cursor.claim(&arena, min);
-        // Too few: the arena drops with the tuple, leaving the section.
         Ok((free >= min).then_some((arena, free)))
     }
 
     /// Block until `min` slots are free for a write of `want ≥ min`
     /// elements — the one wait of every blocking write. A write larger than
-    /// the ring grows it on the spot first (the write-side twin of
-    /// `wait_ready`'s trigger), so a reservation can be met and a batch
-    /// moves whole; the caller clamps `want` to the ceiling. Errs once the
+    /// the ring requests a larger one first (the write-side twin of
+    /// `wait_ready`'s trigger), which the claim that finds too little room
+    /// seals into, so a reservation can be met; the caller clamps `want` to
+    /// the ceiling. Errs once the
     /// consumer is gone, or when drain level `QUIESCED` ends the wait: a
     /// write that finds room succeeds at any level.
     #[inline]
@@ -931,9 +937,8 @@ impl<T, H: Home<T>> Shared<T, H> {
     ) -> Result<Room<'_, T, H>, PushError<()>> {
         let room = self.block_until(Role::Producer, || {
             // One element always fits, so a single write never loads the
-            // capacity here. We are outside the arena: the resize cannot
-            // deadlock on us.
-            if want > 1 && want > self.home.capacity() {
+            // capacity here.
+            if want > 1 && want > self.capacity() {
                 self.resize(want);
             }
             self.room(cursor, min).transpose()
@@ -949,8 +954,8 @@ impl<T, H: Home<T>> Shared<T, H> {
         cursor: &mut ConsumerCursor,
         copy: Option<fn(&T) -> T>,
     ) -> Result<(T, Signal), TryPopError> {
-        // Emptiness is decided on the counters alone, before paying for an
-        // arena entry. Quiesced mid-drain reports end-of-stream so a blocked
+        // Emptiness is decided on the counters alone, before taking the
+        // ring. Quiesced mid-drain reports end-of-stream so a blocked
         // consumer kernel terminates even though its producer is still
         // alive upstream.
         match cursor.poll(self, || self.home.producer_closed()) {
@@ -1017,7 +1022,12 @@ impl<T, H: Home<T>> Shared<T, H> {
             }
         }
         cursor.release(&arena, k);
-        self.released(arena, cursor.head());
+        // Single-writer counter: total popped == head.
+        self.stats
+            .reader
+            .popped
+            .store(cursor.head() as u64, Relaxed);
+        self.notify(Role::Producer);
     }
 
     /// Drop the elements the cursor holds in place and release their slots:
@@ -1034,8 +1044,8 @@ impl<T, H: Home<T>> Shared<T, H> {
 
     /// Block until `min` elements are ready at the cursor — the one wait of
     /// every blocking read. The ring must hold them behind whatever the
-    /// cursor holds: if it cannot, it grows on the spot (the paper's
-    /// read-side trigger); at its ceiling the held elements are released
+    /// cursor holds: if it cannot, it requests a larger ring (the paper's
+    /// read-side trigger), which the producer seals into; at its ceiling the held elements are released
     /// early and counted in `forced_acks` (they can no longer be replayed);
     /// a request no ring can hold fails. Every poll reloads `tail`, so a
     /// batch read sees all that is there, not what a stale cache shows.
@@ -1044,10 +1054,10 @@ impl<T, H: Home<T>> Shared<T, H> {
     fn wait_ready(&self, cursor: &mut ConsumerCursor, min: usize) -> Result<usize, PopError> {
         let ready = self.block_until(Role::Consumer, || {
             let need = min + cursor.held(self);
-            let capacity = self.home.capacity();
+            let capacity = self.capacity();
             // At the ceiling already: a resize would end where it started.
             if need > capacity && (capacity >= self.cfg.max_capacity || self.resize(need) < need) {
-                if min > self.home.capacity() {
+                if min > self.capacity() {
                     return Some(None);
                 }
                 let forced = self.release_held(cursor) as u64;
@@ -1109,7 +1119,7 @@ impl<T, H: Home<T>> Fifo<T, H> {
     /// A link over a home built elsewhere in the crate (the segment
     /// constructors), fixed at its capacity, with no endpoint yet.
     pub(crate) fn over(home: H) -> Self {
-        let cfg = FifoConfig::fixed(home.capacity());
+        let cfg = FifoConfig::fixed(home.capacity(Role::Producer));
         Fifo {
             shared: Shared::new(home, cfg),
         }
@@ -1143,9 +1153,10 @@ impl<T, H: Home<T>> Fifo<T, H> {
         }
     }
 
-    /// Current capacity (elements).
+    /// Current capacity (elements): the posted target of the last
+    /// [`resize`](Self::resize), which the rings follow.
     pub fn capacity(&self) -> usize {
-        self.shared.home.capacity()
+        self.shared.capacity()
     }
 
     /// Current occupancy (elements queued).
@@ -1177,10 +1188,12 @@ impl<T, H: Home<T>> Fifo<T, H> {
         self.shared.is_finished()
     }
 
-    /// Resize the ring to `new_capacity` (clamped to config bounds and to
-    /// current occupancy, rounded up to a power of two; a segment's ring
-    /// keeps its size); see [`ResizeFence`] for the exclusion protocol.
-    /// Returns the resulting capacity.
+    /// Request a ring of `new_capacity` slots: clamped to the config bounds
+    /// and to the current occupancy, rounded up to a power of two, and
+    /// posted as what [`capacity`](Self::capacity) reports. No slot is
+    /// touched here: the producer seals its ring into one of that size at
+    /// its next head refresh, and the consumer follows (a segment's ring
+    /// keeps its size — its bounds are equal). Returns the posted capacity.
     pub fn resize(&self, new_capacity: usize) -> usize {
         self.shared.resize(new_capacity)
     }
@@ -1376,9 +1389,9 @@ impl<T, H: Home<T>> Producer<T, H> {
         self.push_signal(value, Signal::None)
     }
 
-    /// Blocking batch push: pushes *all* of `items`, as many as fit under
-    /// one fence entry at a time, waiting for room as needed. A batch
-    /// larger than the ring grows it on the spot (bounded by
+    /// Blocking batch push: pushes *all* of `items`, as many as fit with
+    /// one publish at a time, waiting for room as needed. A batch
+    /// larger than the ring requests a larger one (bounded by
     /// `max_capacity`), as [`reserve`](Self::reserve) does. Errs only if
     /// the consumer is gone (remaining items stay in `items`) or the link
     /// quiesced while the ring was full. With staging enabled the whole
@@ -1402,16 +1415,16 @@ impl<T, H: Home<T>> Producer<T, H> {
     }
 
     /// Reserve `n` slots for in-place batch writing; blocks until they are
-    /// free (growing the ring on the spot if `n` exceeds its capacity,
-    /// bounded by `max_capacity` — larger requests are clamped). The
+    /// free (requesting a larger ring if `n` exceeds its capacity, which
+    /// this claim seals into, bounded by `max_capacity` — larger requests
+    /// are clamped). The
     /// returned [`WriteSlice`] is filled with [`WriteSlice::push`]; when it
     /// drops, what was written is published with a single counter store —
     /// or, on a staging producer, staged behind earlier pushes (published
     /// at [`commit_produced`](Self::commit_produced)).
     ///
-    /// Holding the slice holds fence membership: a resize waits until the
-    /// slice is dropped. Errs only if the consumer is gone, or the link
-    /// quiesced while the slots were not free.
+    /// Errs only if the consumer is gone, or the link quiesced while the
+    /// slots were not free.
     pub fn reserve(&mut self, n: usize) -> Result<WriteSlice<'_, T, H>, PushError<()>> {
         let n = n.clamp(1, self.shared.cfg.max_capacity);
         let (arena, _) = self.shared.wait_room(&mut self.cursor, n, n)?;
@@ -1428,8 +1441,7 @@ impl<T, H: Home<T>> Producer<T, H> {
     /// through `DerefMut` and it is committed (pushed) when the guard drops —
     /// the paper's `allocate_s` semantics. Blocks while the ring is full.
     ///
-    /// The guard is a one-slot [`reserve`](Self::reserve): it holds fence
-    /// membership, so a concurrent resize waits until the guard drops.
+    /// The guard is a one-slot [`reserve`](Self::reserve).
     pub fn allocate(&mut self) -> Result<WriteGuard<'_, T, H>, PushError<T>>
     where
         T: Default,
@@ -1461,8 +1473,8 @@ impl<T, H: Home<T>> Producer<T, H> {
     }
 
     /// Publish every staged element to the ring in order, blocking for room
-    /// as needed — one batch (a single arena entry, tail store and consumer
-    /// notify) per stretch of room; the ring does not grow for a commit.
+    /// as needed — one batch (a single tail store and consumer notify) per
+    /// stretch of room; the ring does not grow for a commit.
     /// Returns the number published; errs if the consumer is gone, in which
     /// case the remaining staged elements are discarded.
     pub fn commit_produced(&mut self) -> Result<usize, PushError<()>> {
@@ -1508,7 +1520,7 @@ impl<T, H: Home<T>> Producer<T, H> {
 
     /// Current capacity.
     pub fn capacity(&self) -> usize {
-        self.shared.home.capacity()
+        self.shared.capacity()
     }
 
     /// Current occupancy.
@@ -1576,10 +1588,13 @@ impl<T: ShmItem> Producer<T, Seg<T>> {
         // SAFETY: replaces this producer's own cursor: still the one cursor.
         self.cursor = unsafe { ProducerCursor::attach(&*self.shared) };
         (to..self.cursor.tail())
-            // SAFETY: a segment home needs no membership; slots in
-            // `[to, tail)` hold what this producer published there (the
-            // contract), and a slot's bits are a value whatever they are.
-            .map(|i| unsafe { (*home.slot(i)).assume_init_read() }.unpack().0)
+            .map(|i| {
+                // SAFETY: the producer's own ring; slots in `[to, tail)`
+                // hold what this producer published there (the contract),
+                // and a slot's bits are a value whatever they are.
+                let slot = unsafe { (*home.slot(Role::Producer, i)).assume_init_read() };
+                slot.unpack().0
+            })
             .collect()
     }
 }
@@ -1596,7 +1611,8 @@ impl<T, H: Home<T>> Drop for Producer<T, H> {
 /// what was written is published through the producer's one publish (one
 /// counter store) — or, on a staging producer, staged like a push.
 pub struct WriteSlice<'a, T, H: Home<T> = Heap<T>> {
-    /// Membership held since `reserve`; pins the storage under the window.
+    /// The producer's ring, taken by `reserve`: it stays put until the
+    /// next claim, after this slice.
     arena: Arena<'a, T, H>,
     cursor: &'a mut ProducerCursor,
     /// The producer's staged writes, if it stages.
@@ -1674,7 +1690,6 @@ impl<T, H: Home<T>> Drop for WriteSlice<'_, T, H> {
                 .shared
                 .publish(&self.arena, self.cursor, self.written);
         }
-        // `arena` drops after this body: membership ends with the slice.
     }
 }
 
@@ -1682,8 +1697,8 @@ impl<T, H: Home<T>> Drop for WriteSlice<'_, T, H> {
 /// already holding a defaulted element. Commits the element on drop (or
 /// discards it via [`WriteGuard::abort`]).
 ///
-/// Holds fence membership for its lifetime: references handed out by
-/// `Deref` stay valid because any resize must wait for the guard.
+/// References handed out by `Deref` stay valid: the producer's ring stays
+/// put until its next claim, after the guard.
 pub struct WriteGuard<'a, T, H: Home<T> = Heap<T>>(WriteSlice<'a, T, H>);
 
 impl<T, H: Home<T>> WriteGuard<'_, T, H> {
@@ -1700,7 +1715,7 @@ impl<T, H: Home<T>> WriteGuard<'_, T, H> {
     /// Attach a synchronous signal to the element being written.
     pub fn set_signal(&mut self, signal: Signal) {
         // SAFETY: initialized in allocate(), invisible to the consumer until
-        // the slice publishes, storage pinned by the slice's membership;
+        // the slice publishes, in a ring that stays put under the slice;
         // `&mut self` makes the access exclusive.
         unsafe { (*self.slot()).set_signal(signal) };
     }
@@ -1717,7 +1732,7 @@ impl<T, H: Home<T>> WriteGuard<'_, T, H> {
 impl<T, H: Home<T>> Deref for WriteGuard<'_, T, H> {
     type Target = T;
     fn deref(&self) -> &T {
-        // SAFETY: initialized, unpublished slot, storage pinned by the fence.
+        // SAFETY: initialized, unpublished slot of a ring that stays put.
         unsafe { (*self.slot()).value() }
     }
 }
@@ -1774,7 +1789,7 @@ impl<T, H: Home<T>> Consumer<T, H> {
 
     /// Blocking sliding-window view of the next `n` elements without
     /// consuming them — the paper's `peek_range`. If `n` exceeds the current
-    /// capacity the request is recorded and the ring is grown on the spot
+    /// capacity the request is recorded and a larger ring requested
     /// (read-side resize trigger), rather than deadlocking.
     ///
     /// Returns `Err(PopError)` if the stream closes (or quiesces) before `n`
@@ -1784,8 +1799,8 @@ impl<T, H: Home<T>> Consumer<T, H> {
         shared.stats.note_read_request(n);
         shared.wait_ready(&mut self.cursor, n)?;
         Ok(PeekRange {
-            // Ready elements only grow from here (we are the consumer), so
-            // the view taken now stays valid under the membership below.
+            // Ready elements only grow from here (we are the consumer), and
+            // the consumer cannot follow a seal while the view borrows it.
             view: SliceView {
                 shared,
                 head: self.cursor.head(),
@@ -1796,17 +1811,16 @@ impl<T, H: Home<T>> Consumer<T, H> {
     }
 
     /// Reference to the front element, if present (non-blocking). The
-    /// closure style keeps the fence membership scoped.
+    /// closure style keeps the borrow scoped.
     pub fn peek<R>(&mut self, f: impl FnOnce(&T, Signal) -> R) -> Option<R> {
         let shared = &*self.shared;
         if self.cursor.ready(shared) == 0 {
             return None;
         }
-        // RAII: `f` is user code — membership must survive a panic inside it.
         let arena = shared.enter(Role::Consumer);
-        // SAFETY: membership held by `arena`; single consumer; the slot is
-        // ready (observed through an Acquire load of `tail`), so it is
-        // initialized and stays so until this consumer releases it.
+        // SAFETY: single consumer; the slot is ready (observed through an
+        // Acquire load of `tail`), so it is initialized and stays so until
+        // this consumer releases it.
         let slot = arena.slot(self.cursor.head(), |p| unsafe { &*(*p).as_ptr() });
         Some(f(slot.value(), slot.signal()))
     }
@@ -1815,7 +1829,7 @@ impl<T, H: Home<T>> Consumer<T, H> {
     /// is available or the stream ends. Returns the number popped.
     ///
     /// Takes what is visible once something is — it does not wait for *more*
-    /// data — under one fence entry and one release, so a producer waiting
+    /// data — with one release, so a producer waiting
     /// for room is told once per call, not once per element.
     pub fn pop_range(&mut self, n: usize, out: &mut Vec<T>) -> Result<usize, PopError> {
         let shared = &*self.shared;
@@ -1836,8 +1850,8 @@ impl<T, H: Home<T>> Consumer<T, H> {
     /// `n` if the stream is running dry. Errs once the stream is closed (or
     /// quiesced) and drained.
     ///
-    /// The whole batch costs one fence entry and one counter store. If `f`
-    /// panics, nothing is consumed.
+    /// The whole batch costs one counter store. If `f` panics, nothing is
+    /// consumed.
     pub fn pop_slice<R>(
         &mut self,
         n: usize,
@@ -1846,8 +1860,7 @@ impl<T, H: Home<T>> Consumer<T, H> {
         let shared = &*self.shared;
         shared.stats.note_read_request(n);
         let k = shared.wait_ready(&mut self.cursor, 1)?.min(n.max(1));
-        // RAII: `f` is user code — membership must survive a panic inside it
-        // (on unwind nothing is consumed; head stays put).
+        // `f` is user code: on unwind nothing is consumed; head stays put.
         let arena = shared.enter(Role::Consumer);
         let r = f(&SliceView {
             shared,
@@ -1859,7 +1872,7 @@ impl<T, H: Home<T>> Consumer<T, H> {
     }
 
     /// Advance past `n` elements previously inspected via `peek_range`
-    /// under a single fence entry. Returns how many were actually available
+    /// with one release. Returns how many were actually available
     /// to advance past.
     pub fn advance(&mut self, n: usize) -> usize {
         let shared = &*self.shared;
@@ -1922,7 +1935,7 @@ impl<T, H: Home<T>> Consumer<T, H> {
 
     /// Current capacity.
     pub fn capacity(&self) -> usize {
-        self.shared.home.capacity()
+        self.shared.capacity()
     }
 
     /// Elements this endpoint has yet to read: queued behind its cursor,
@@ -1993,8 +2006,9 @@ impl<T, H: Home<T>> Drop for Consumer<T, H> {
 
 /// Zero-copy read view of the `len` elements at the front of the queue:
 /// lent to the closure of [`Consumer::pop_slice`], and what a
-/// [`PeekRange`] dereferences to. Valid only while its creator holds fence
-/// membership (around the closure / for the window's lifetime).
+/// [`PeekRange`] dereferences to. It borrows the consumer (around the
+/// closure / for the window's lifetime), so the consumer's ring stays put
+/// under it.
 pub struct SliceView<'a, T, H: Home<T> = Heap<T>> {
     shared: &'a Shared<T, H>,
     head: usize,
@@ -2016,12 +2030,12 @@ impl<T, H: Home<T>> SliceView<'_, T, H> {
     #[inline]
     fn slot(&self, i: usize) -> &H::Slot {
         assert!(i < self.len, "view index {i} out of bounds {}", self.len);
-        // SAFETY: whoever built the view holds consumer membership for as
-        // long as it exists, so the storage cannot be swapped; `[head, head
-        // + len)` was ready (observed via Acquire) when the view was taken
+        // SAFETY: whoever built the view borrows the consumer for as long as
+        // it exists, so the consumer's ring stays put; `[head, head + len)`
+        // was ready (observed via Acquire) when the view was taken
         // and the consumer, mutably borrowed by the view's creator, does not
         // release it before the view is gone.
-        unsafe { &*(*self.shared.home.slot(self.head + i)).as_ptr() }
+        unsafe { &*(*self.shared.home.slot(Role::Consumer, self.head + i)).as_ptr() }
     }
 
     /// Signal attached to the `i`-th element.
@@ -2043,8 +2057,8 @@ impl<T, H: Home<T>> Index<usize> for SliceView<'_, T, H> {
 }
 
 /// Borrowed sliding window over the front of the queue (see
-/// [`Consumer::peek_range`]): a [`SliceView`] that owns its fence
-/// membership, so resizes wait until it is dropped.
+/// [`Consumer::peek_range`]): a [`SliceView`] that holds the consumer's
+/// ring until it is dropped.
 pub struct PeekRange<'a, T, H: Home<T> = Heap<T>> {
     view: SliceView<'a, T, H>,
     _arena: Arena<'a, T, H>,
@@ -2140,6 +2154,115 @@ mod tests {
         let before = f.snapshot().resizes;
         f.resize(4);
         assert_eq!(f.snapshot().resizes, before);
+    }
+
+    /// The producer's ring and the consumer's, by capacity.
+    fn rings<T>(f: &Fifo<T>) -> (usize, usize) {
+        let home = &f.shared.home;
+        (home.capacity(Role::Producer), home.capacity(Role::Consumer))
+    }
+
+    #[test]
+    fn journal_holds_across_a_seal_then_the_new_ring_fills_whole() {
+        let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig {
+            initial_capacity: 4,
+            max_capacity: 64,
+            min_capacity: 4,
+            ..Default::default()
+        });
+        c.enable_journal();
+        for i in 0..4 {
+            p.push(i).unwrap();
+        }
+        assert_eq!((c.pop().unwrap(), c.pop().unwrap()), (0, 1));
+        assert_eq!(f.resize(16), 16);
+        assert_eq!(rings(&f), (4, 4), "a request touches no ring");
+        // The ring is full (held slots count): the claim refreshes and seals.
+        p.push(4).unwrap();
+        assert_eq!(rings(&f), (16, 4), "sealed, not yet followed");
+        assert_eq!((c.pop().unwrap(), c.pop().unwrap()), (2, 3));
+        // The next tail refresh follows, moving the four held slots along.
+        assert_eq!(c.pop().unwrap(), 4);
+        assert_eq!(rings(&f), (16, 16));
+        assert_eq!(c.rewind_consumed(), 5);
+        let replay: Vec<u64> = (0..5).map(|_| c.pop().unwrap()).collect();
+        assert_eq!(replay, [0, 1, 2, 3, 4], "the moved slots replay in order");
+        assert_eq!(c.commit_consumed(), 5);
+        for i in 5..21 {
+            p.try_push(i).unwrap();
+        }
+        assert_eq!(p.try_push(21), Err(TryPushError::Full(21)));
+        assert_eq!(f.occupancy(), 16, "the new ring fills to its capacity");
+        assert!((5..21).all(|i| c.pop().unwrap() == i));
+    }
+
+    #[test]
+    fn peek_range_spans_the_seal() {
+        let (f, mut p, mut c) = small();
+        for i in 0..4 {
+            p.try_push(i).unwrap();
+        }
+        assert_eq!(c.pop().unwrap(), 0);
+        assert_eq!(f.resize(8), 8);
+        for i in 4..7 {
+            p.try_push(i).unwrap();
+        }
+        assert_eq!(rings(&f), (8, 4), "sealed at index 4");
+        let window: Vec<u64> = c.peek_range(5).unwrap().iter().copied().collect();
+        assert_eq!(window, [1, 2, 3, 4, 5]);
+        assert_eq!(rings(&f), (8, 8));
+        assert_eq!(c.advance(5), 5);
+        assert_eq!(c.pop().unwrap(), 6);
+    }
+
+    #[test]
+    fn two_seals_before_one_follow_drop_each_element_once() {
+        use std::sync::atomic::AtomicUsize;
+        /// Counts its own drops.
+        struct Counted<'a>(&'a AtomicUsize);
+        impl Drop for Counted<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Relaxed);
+            }
+        }
+        type Link<'a> = (
+            Fifo<Counted<'a>>,
+            Producer<Counted<'a>>,
+            Consumer<Counted<'a>>,
+        );
+        /// Index 0 popped; 1 in the first ring, 2..5 in the second (sealed
+        /// at 2), 5 in the third (sealed at 5); the consumer still on the
+        /// first.
+        fn sealed_twice(drops: &[AtomicUsize; 6]) -> Link<'_> {
+            let (f, mut p, mut c) = fifo_with(FifoConfig {
+                initial_capacity: 2,
+                max_capacity: 64,
+                min_capacity: 2,
+                ..Default::default()
+            });
+            let mut push = |r: std::ops::Range<usize>| {
+                r.for_each(|i| assert!(p.try_push(Counted(&drops[i])).is_ok()));
+            };
+            push(0..2);
+            drop(c.pop().unwrap());
+            f.resize(4);
+            push(2..5);
+            f.resize(16);
+            push(5..6);
+            assert_eq!(rings(&f), (16, 2), "two seals, no follow");
+            (f, p, c)
+        }
+        let once = |drops: &[AtomicUsize; 6]| drops.iter().all(|d| d.load(Relaxed) == 1);
+        let drops = Default::default();
+        drop(sealed_twice(&drops));
+        assert!(once(&drops), "the drop walks the unfollowed chain");
+        let drops = Default::default();
+        let (f, p, mut c) = sealed_twice(&drops);
+        drop(c.pop().unwrap()); // index 1, still in the first ring
+        drop(c.pop().unwrap()); // index 2: one refresh follows both seals
+        assert_eq!(rings(&f), (16, 16));
+        drop((f, p, c));
+        assert!(once(&drops), "every element dropped once");
     }
 
     #[test]
@@ -2493,7 +2616,7 @@ mod tests {
             let _ = c.pop_slice(2, |_| panic!("boom"));
         }));
         assert!(r.is_err());
-        // nothing consumed, and the fence was released (resize still works)
+        // nothing consumed, and the consumer reads on
         assert_eq!(c.occupancy(), 2);
         assert_eq!(c.try_pop().unwrap(), 1);
     }
@@ -2876,7 +2999,7 @@ mod tests {
     fn ceiling_below_the_default_floor_lowers_the_floor() {
         // `min_capacity` stays at its default 8 above a ceiling of 4: the
         // floor follows the ceiling down, so a resize past the ceiling
-        // clamps instead of panicking with the resize fence held.
+        // clamps instead of panicking.
         let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig {
             max_capacity: 4,
             ..Default::default()
@@ -2886,7 +3009,6 @@ mod tests {
             p.try_push(i).unwrap();
         }
         assert_eq!(f.resize(8), 4);
-        // The fence was released: the endpoints still get in.
         p.try_push(3).unwrap();
         assert_eq!(
             (0..4).map(|_| c.pop().unwrap()).collect::<Vec<_>>(),
@@ -2943,7 +3065,7 @@ mod tests {
             fifo_with(FifoConfig::fixed(2))
         }
         fn armed(&self, role: Role) -> bool {
-            Wake::armed(self.side(role)).load(Acquire) == 1
+            Wake::armed(&self.parks[role as usize]).load(Acquire) == 1
         }
     }
 

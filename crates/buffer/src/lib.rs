@@ -30,14 +30,13 @@
 //!   for the FIFO.
 //! * [`Fifo`] — the production stream and the crate's one pair of
 //!   blocking endpoints, generic over a [`fifo::Home`] that says where the
-//!   control words and slots live: the heap home ([`fifo::Heap`], storage
-//!   the monitor can swap out under the asymmetric Dekker [`ResizeFence`] —
-//!   a plain flag store, a compiler barrier and one load per operation
-//!   instead of a lock, the resizer paying one `membarrier`; skipped
-//!   entirely for fixed-capacity FIFOs) or the segment home ([`shm::Seg`],
-//!   a mapped `memfd` segment another process attaches; [`ShmRing`] holds
-//!   its constructors). Adds per-element [`Signal`]s delivered
-//!   synchronously with data, blocking (a full ring blocks the writer;
+//!   control words and slots live: the heap home ([`fifo::Heap`], a chain
+//!   of fixed rings — a resize posts a target, the producer seals its ring
+//!   and starts one of that size, and the consumer follows, moving its
+//!   live region across; no element operation pays for it) or the segment
+//!   home ([`shm::Seg`], a mapped `memfd` segment another process attaches;
+//!   [`ShmRing`] holds its constructors). Adds per-element [`Signal`]s
+//!   delivered synchronously with data, blocking (a full ring blocks the writer;
 //!   only drain level `QUIESCED` ends the wait early), exactly-once
 //!   recovery with the ring as the journal ([`FifoConfig::journal`]),
 //!   zero-copy batch views ([`Producer::reserve`],
@@ -54,7 +53,8 @@
 //! Each FIFO has exactly one producer handle and one consumer handle; the
 //! type system enforces this (the handles are `Send` but not `Clone`).
 //! A third party — the monitor — may call [`Fifo::resize`] and read
-//! stats at any time.
+//! stats at any time; a resize only posts a target, which the producer
+//! acts on.
 //!
 //! The crate has no registry dependencies: the one lock is `std`'s behind
 //! the non-poisoning [`sync::Mutex`], and sleeps are raw `futex(2)` calls.
@@ -64,7 +64,6 @@ mod error;
 pub mod eventcount;
 #[cfg(feature = "raft_failpoints")]
 pub mod failpoints;
-mod fence;
 pub mod fifo;
 mod futex;
 #[cfg(feature = "raft_protocol_check")]
@@ -83,10 +82,9 @@ pub use arena::{
 };
 pub use error::{PopError, PushError, TryPopError, TryPushError};
 pub use eventcount::{EventCount, ThreadPark};
-pub use fence::{ResizeFence, Role};
 pub use fifo::{
-    fifo_with, Consumer, Fifo, FifoConfig, LinkAlloc, PeekRange, Producer, SliceView, WriteGuard,
-    WriteSlice, DRAIN_DRAINING, DRAIN_QUIESCED, DRAIN_RUNNING,
+    fifo_with, Consumer, Fifo, FifoConfig, LinkAlloc, PeekRange, Producer, Role, SliceView,
+    WriteGuard, WriteSlice, DRAIN_DRAINING, DRAIN_QUIESCED, DRAIN_RUNNING,
 };
 pub use futex::Futex;
 pub use shm::{Heartbeat, ShmRing, ShmSegment};

@@ -2,40 +2,34 @@
 //! (`raft_protocol_check` feature).
 //!
 //! The hot path in [`crate::fifo`] is lock-free and `unsafe`: its soundness
-//! argument rests on a protocol — exactly one producer and one consumer
-//! inside their ring critical sections at a time, monotonic published
-//! counters, and resizes strictly excluded from both endpoints by the
-//! [`crate::fence::ResizeFence`]. This module turns that argument into
-//! executable assertions. Each FIFO carries a [`FifoShadow`]; the arena
-//! enter/exit chokepoints and the resize path drive it. The shadow critical
-//! section is entered strictly *after* the fence is acquired and exited
-//! strictly *before* the fence is released, so the checker can never
-//! report a violation the fence itself would have prevented (no false
-//! positives from benign interleavings).
+//! argument rests on a protocol — exactly one producer and one consumer,
+//! each reaching only its own ring between taking it and letting it go,
+//! and monotonic published counters. A resize never touches a slot under a
+//! live endpoint: the producer seals its own ring and the consumer follows
+//! on its own, so there is no third party to check. This module turns that
+//! argument into executable assertions. Each FIFO carries a
+//! [`FifoShadow`], driven from the one chokepoint where an endpoint takes
+//! its ring (`Shared::enter`) and the one where it lets it go (the arena's
+//! drop).
 //!
 //! Checks:
 //!
-//! * **SPSC discipline** — at most one thread inside the producer critical
-//!   section, at most one inside the consumer critical section. A second
-//!   entrant (e.g. a duplicated producer handle) is reported with both
-//!   thread ids.
+//! * **SPSC discipline** — at most one thread holds the producer's ring,
+//!   at most one the consumer's. A second holder (e.g. a duplicated
+//!   producer handle) is reported with both thread ids.
 //! * **Monotonic sequence** — the producer's published `tail` and the
-//!   consumer's published `head` never decrease across critical sections.
-//!   Each role is checked only against its *own* counter (cross-role
-//!   comparisons would race against legitimate concurrent progress).
-//! * **Legal resize-fence transitions** — a resize may begin only with both
-//!   endpoints outside their critical sections, resizes never nest, no
-//!   endpoint enters during an active resize, and `head`/`tail` are
-//!   unchanged across the resize.
+//!   consumer's published `head` never decrease across holds. Each role is
+//!   checked only against its *own* counter (cross-role comparisons would
+//!   race against legitimate concurrent progress).
 //!
 //! A violation increments [`violations`] and panics with a message prefixed
 //! `raft_protocol_check violation:` — under chaos CI any violation fails
 //! the run. The checker costs a few atomics per operation and exists for
 //! test/CI builds only; the feature is off by default.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use crate::fence::Role;
+use crate::fifo::Role;
 
 /// Process-wide count of detected protocol violations (each one also
 /// panics; the counter survives `catch_unwind` for test assertions).
@@ -62,51 +56,21 @@ fn violation(msg: String) -> ! {
 }
 
 /// Shadow state attached to every FIFO when the checker is compiled in.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct FifoShadow {
-    /// Thread id currently inside the producer critical section (0 = none).
-    producer_cs: AtomicU64,
-    /// Thread id currently inside the consumer critical section (0 = none).
-    consumer_cs: AtomicU64,
-    /// Set while a resize holds the fence.
-    resizing: AtomicBool,
-    /// Highest `tail` the producer has published at a critical-section exit.
-    tail_seq: AtomicUsize,
-    /// Highest `head` the consumer has published at a critical-section exit.
-    head_seq: AtomicUsize,
+    /// Thread id currently holding each [`Role`]'s ring (0 = none).
+    holders: [AtomicU64; 2],
+    /// Highest counter each [`Role`] has published (`tail` for the
+    /// producer, `head` for the consumer) when letting its ring go.
+    published: [AtomicUsize; 2],
 }
 
 impl FifoShadow {
-    pub(crate) fn new() -> Self {
-        FifoShadow {
-            producer_cs: AtomicU64::new(0),
-            consumer_cs: AtomicU64::new(0),
-            resizing: AtomicBool::new(false),
-            tail_seq: AtomicUsize::new(0),
-            head_seq: AtomicUsize::new(0),
-        }
-    }
-
-    fn cs(&self, role: Role) -> &AtomicU64 {
-        match role {
-            Role::Producer => &self.producer_cs,
-            Role::Consumer => &self.consumer_cs,
-        }
-    }
-
-    /// Called immediately *after* the fence is entered for `role`.
+    /// Called as `role`'s endpoint takes its ring.
     pub(crate) fn enter(&self, role: Role) {
-        if self.resizing.load(Ordering::SeqCst) {
-            violation(format!(
-                "{role:?} entered the ring critical section during an active \
-                 resize (fence transition violated)"
-            ));
-        }
         let tid = current_tid();
-        if let Err(prev) =
-            self.cs(role)
-                .compare_exchange(0, tid, Ordering::SeqCst, Ordering::SeqCst)
-        {
+        let holder = &self.holders[role as usize];
+        if let Err(prev) = holder.compare_exchange(0, tid, Ordering::SeqCst, Ordering::SeqCst) {
             violation(format!(
                 "two {role:?} endpoints inside the critical section at once \
                  (thread {prev} already inside, thread {tid} entered): the \
@@ -116,16 +80,11 @@ impl FifoShadow {
         }
     }
 
-    /// Called immediately *before* the fence is exited for `role`.
-    /// `published` is the role's own monotonic counter (`tail` for the
-    /// producer, `head` for the consumer) as published by this critical
-    /// section.
+    /// Called as `role`'s endpoint lets its ring go. `published` is the
+    /// role's own monotonic counter (`tail` for the producer, `head` for
+    /// the consumer) as published by this hold.
     pub(crate) fn exit(&self, role: Role, published: usize) {
-        let seq = match role {
-            Role::Producer => &self.tail_seq,
-            Role::Consumer => &self.head_seq,
-        };
-        let prev = seq.swap(published, Ordering::SeqCst);
+        let prev = self.published[role as usize].swap(published, Ordering::SeqCst);
         if published < prev {
             violation(format!(
                 "{role:?} published a non-monotonic sequence: counter moved \
@@ -133,49 +92,12 @@ impl FifoShadow {
             ));
         }
         let tid = current_tid();
-        let owner = self.cs(role).swap(0, Ordering::SeqCst);
+        let owner = self.holders[role as usize].swap(0, Ordering::SeqCst);
         if owner != tid {
             violation(format!(
                 "{role:?} critical-section exit by thread {tid} but the \
                  section was owned by thread {owner}"
             ));
-        }
-    }
-
-    /// Called with the resize fence held, before the storage is touched.
-    pub(crate) fn resize_begin(&self) {
-        if self.resizing.swap(true, Ordering::SeqCst) {
-            violation("two resizes inside the fence at once".to_string());
-        }
-        let p = self.producer_cs.load(Ordering::SeqCst);
-        let c = self.consumer_cs.load(Ordering::SeqCst);
-        if p != 0 || c != 0 {
-            violation(format!(
-                "resize began while an endpoint was inside its critical \
-                 section (producer thread {p}, consumer thread {c}): the \
-                 fence must drain both endpoints first"
-            ));
-        }
-    }
-
-    /// Called with the fence still held, after the storage swap. `head` and
-    /// `tail` are the counters as reloaded at the end of the resize; a
-    /// resize moves storage, never the protocol counters.
-    pub(crate) fn resize_end(
-        &self,
-        head_at_begin: usize,
-        tail_at_begin: usize,
-        head: usize,
-        tail: usize,
-    ) {
-        if head != head_at_begin || tail != tail_at_begin {
-            violation(format!(
-                "head/tail moved during a resize (head {head_at_begin} -> \
-                 {head}, tail {tail_at_begin} -> {tail}) despite the fence"
-            ));
-        }
-        if !self.resizing.swap(false, Ordering::SeqCst) {
-            violation("resize_end without a matching resize_begin".to_string());
         }
     }
 }

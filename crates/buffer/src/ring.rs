@@ -4,9 +4,10 @@
 //! §3–§4). So the protocol is written once, against a [`Backing`] that
 //! answers only "where are `head`, `tail` and slot *i*", and the endpoint
 //! families are thin wrappers: [`crate::spsc::BoundedSpsc`] (fixed heap
-//! array), [`crate::fifo::Fifo`] (heap array swappable behind the
-//! [`crate::fence::ResizeFence`]), [`crate::shm::ShmRing`] and the
-//! [`crate::arena`] free list (a mapped segment).
+//! array), [`crate::fifo::Fifo`] (a chain of fixed heap arrays: the
+//! producer seals one and starts the next at [`Backing::seal`], the
+//! consumer follows at [`Counters::refresh_tail`]), [`crate::shm::ShmRing`]
+//! and the [`crate::arena`] free list (a mapped segment).
 //!
 //! `head` (next read) and `tail` (next write) are monotonically increasing
 //! counters compared with wrapping subtraction; slot *i* is `i` masked by
@@ -76,6 +77,13 @@ pub trait Counters {
     fn head(&self) -> &Self::Counter;
     /// Next index to write; only the producer stores it.
     fn tail(&self) -> &Self::Counter;
+    /// The consumer's refresh of its `tail` cache: one **Acquire** load. A
+    /// ring whose producer can seal it and move on follows the producer
+    /// here, after the load (see [`Backing::seal`]).
+    #[inline]
+    fn refresh_tail(&self) -> usize {
+        self.tail().load(Acquire)
+    }
 }
 
 /// Where a ring's slots live.
@@ -83,10 +91,12 @@ pub trait Counters {
 /// # Safety
 /// The cursors dereference what `slot` hands out. An implementation must
 /// return the same two counters from `head`/`tail` on every call, make
-/// `capacity` a constant power of two for as long as a cursor may use the
-/// backing, and `slot` must pass a pointer that is valid for reads and
-/// writes of one `Item` for the duration of the call, the same memory for
-/// equal `idx & (capacity - 1)` and disjoint memory otherwise.
+/// `capacity` a power of two, and `slot` must pass a pointer that is valid
+/// for reads and writes of one `Item` for the duration of the call, the
+/// same memory for equal `idx & (capacity - 1)` and disjoint memory
+/// otherwise. Both may change only across the producer's
+/// [`seal`](Self::seal) and the consumer's [`Counters::refresh_tail`], and
+/// a change keeps every live item at its index.
 pub unsafe trait Backing: Counters {
     /// What one slot holds.
     type Item;
@@ -95,6 +105,16 @@ pub unsafe trait Backing: Counters {
     /// Run `f` on the slot for monotonic index `idx` (masked by the
     /// backing); whether it may be read or written is the cursors' business.
     fn slot<R>(&self, idx: usize, f: impl FnOnce(*mut MaybeUninit<Self::Item>) -> R) -> R;
+    /// Called by [`ProducerCursor::claim`] right after it refreshed its
+    /// head cache to `head`, with every slot below `tail` published and
+    /// none above written: a backing whose capacity can change starts the
+    /// producer on a new ring here, sealing the old one for the consumer to
+    /// follow at its next [`Counters::refresh_tail`]. Returns the capacity
+    /// to claim against.
+    #[inline]
+    fn seal(&self, _tail: usize, _head: usize) -> usize {
+        self.capacity()
+    }
 }
 
 /// The fixed heap backing ([`crate::BoundedSpsc`] wraps it): a boxed
@@ -208,11 +228,12 @@ impl ProducerCursor {
     /// cache only if fewer than `want` appear free. `0`: full at refresh.
     #[inline]
     pub fn claim<B: Backing>(&mut self, ring: &B, want: usize) -> usize {
-        let capacity = ring.capacity();
+        let mut capacity = ring.capacity();
         if self.tail.wrapping_sub(self.head_cache) + want > capacity {
             // The new value is the true head or older, so the room we
             // report stays conservative.
             self.head_cache = ring.head().load(Acquire);
+            capacity = ring.seal(self.tail, self.head_cache);
         }
         capacity.saturating_sub(self.tail.wrapping_sub(self.head_cache))
     }
@@ -309,7 +330,7 @@ impl ConsumerCursor {
     pub fn ready(&mut self, ring: &impl Counters) -> usize {
         if self.head == self.tail_cache {
             // tail only grows: the refreshed value can only reveal more.
-            self.tail_cache = ring.tail().load(Acquire);
+            self.tail_cache = ring.refresh_tail();
         }
         self.tail_cache.wrapping_sub(self.head)
     }

@@ -87,8 +87,7 @@ use std::sync::atomic::{
 use std::sync::Arc;
 
 use crate::eventcount::{EventCount, Wake};
-use crate::fence::Role;
-use crate::fifo::{Consumer, Fifo, Home, LinkAlloc, Producer, Slot};
+use crate::fifo::{Consumer, Fifo, Home, LinkAlloc, Producer, Role, Slot};
 use crate::futex::Futex;
 use crate::ring::{Backing, Counters};
 use crate::signal::Signal;
@@ -866,7 +865,7 @@ impl<T: ShmItem> Slot<T> for SegSlot<T> {
 /// `(armed, seq)` futex eventcount per direction are the header words of an
 /// attached ring segment, the slots fill its data region. The capacity is
 /// fixed — a mapped segment cannot be swapped under a live peer — so there
-/// is no resize fence to enter and nothing to grow.
+/// is nothing to seal or follow.
 pub struct Seg<T> {
     seg: Arc<ShmSegment>,
     /// First slot and index mask, from the geometry snapshotted at
@@ -949,11 +948,11 @@ unsafe impl<T: ShmItem> Home<T> for Seg<T> {
         }
     }
     #[inline]
-    fn capacity(&self) -> usize {
+    fn capacity(&self, _role: Role) -> usize {
         self.mask + 1
     }
     #[inline]
-    unsafe fn slot(&self, idx: usize) -> *mut MaybeUninit<SegSlot<T>> {
+    unsafe fn slot(&self, _role: Role, idx: usize) -> *mut MaybeUninit<SegSlot<T>> {
         self.base.wrapping_add(idx & self.mask).cast()
     }
 }

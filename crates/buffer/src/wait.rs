@@ -14,9 +14,9 @@
 //!    [`crate::EventCount`] each) — and every such park is a `futex(2)`
 //!    wait on the eventcount's `seq` word. Only a
 //!    [`WaitStrategy::Parking`] waiter gets here; a
-//!    [`WaitStrategy::Spinning`] one (the resize fence, the bare SPSC
-//!    endpoints and the least-utilized split adapter, which have no wake
-//!    signal) yields forever instead.
+//!    [`WaitStrategy::Spinning`] one (the bare SPSC endpoints and the
+//!    least-utilized split adapter, which have no wake signal) yields
+//!    forever instead.
 //!
 //! The module is built on `crate::sync`, so `--cfg loom` builds degrade
 //! every phase to a model-checker yield and the waiting code inside the
@@ -33,8 +33,7 @@ const YIELD_ROUNDS: u32 = 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaitStrategy {
     /// Spin, then yield forever: for waits with no wake signal to park on
-    /// (the resize fence, the bare SPSC endpoints, the least-utilized split
-    /// adapter).
+    /// (the bare SPSC endpoints, the least-utilized split adapter).
     Spinning,
     /// Spin, yield, then [`WaitAction::Park`] on the caller's eventcount,
     /// one [`PARK_TIMEOUT`](crate::eventcount::PARK_TIMEOUT)-bounded park

@@ -9,8 +9,8 @@
 //! leaks, and Stacked/Tree Borrows aliasing violations in the
 //! `UnsafeCell<MaybeUninit<..>>` slot protocol. There is one unsafe ring
 //! core (`raft_buffer::ring`); the tests below drive it over each of its
-//! backings — fixed heap (`BoundedSpsc`), heap swappable behind the resize
-//! fence (`Fifo`), and a segment (`ShmRing` / the arena free list, which
+//! backings — fixed heap (`BoundedSpsc`), a chain of fixed heap rings the
+//! producer seals and the consumer follows (`Fifo`), and a segment (`ShmRing` / the arena free list, which
 //! under Miri sit on `ShmSegment::create_heap`). Thread counts and element
 //! counts are tiny because Miri executes ~3 orders of magnitude slower than
 //! native.
@@ -23,8 +23,8 @@ use raft_buffer::{fifo_with, BoundedSpsc, Descriptor, FifoConfig, Signal, TryPop
 /// Covers: the same fill → reject → drain → refill-across-the-wrap script
 /// through the one ring core over each of its three backings, so every
 /// slot write, read-out and reuse the cursors perform is checked against
-/// heap cells, fence-guarded swappable storage (with a resize mid-script)
-/// and raw segment memory alike.
+/// heap cells, a heap ring whose capacity is requested mid-script and raw
+/// segment memory alike.
 #[test]
 fn one_ring_core_over_heap_swappable_and_segment_backings() {
     fn script(mut push: impl FnMut(u64) -> bool, mut pop: impl FnMut() -> Option<u64>) {
@@ -45,7 +45,7 @@ fn one_ring_core_over_heap_swappable_and_segment_backings() {
     script(
         |v| p.try_push(v).is_ok(),
         || {
-            // Swap the storage out from under the cursors and back.
+            // Post a larger capacity and the old one back, under the cursors.
             assert_eq!((fifo.resize(8), fifo.resize(2)), (8, 2));
             c.try_pop().ok()
         },
@@ -102,8 +102,8 @@ fn spsc_cross_thread_handoff() {
     producer.join().unwrap();
 }
 
-/// Covers: the resizable FIFO's unsafe storage paths (raw slot copy during
-/// resize, write guards, peek ranges) under Miri.
+/// Covers: the resizable FIFO's unsafe handoff paths (the producer's seal,
+/// the consumer's raw slot move when it follows) under Miri.
 #[test]
 fn fifo_resize_copy_under_miri() {
     let (fifo, mut p, mut c) = fifo_with::<u32>(FifoConfig {
@@ -113,7 +113,8 @@ fn fifo_resize_copy_under_miri() {
     for i in 0..2 {
         p.push(i).unwrap();
     }
-    // Resize while the ring is full: forces the element-copy path.
+    // Request while the ring is full: the next push seals, and the first
+    // pop's tail refresh follows, moving both elements.
     fifo.resize(8);
     for i in 2..6 {
         p.push(i).unwrap();
@@ -272,9 +273,10 @@ fn write_guard_and_peek_range_under_miri() {
 
 /// Covers: a journaled consumer's held slots — pops served as copies of
 /// slots the cursor keeps, a `pop_slice` and a `peek_range` + `advance`
-/// that only hold, the rewind reading them again, a resize moving them with
-/// the live region, the commit dropping them in place, and the storage
-/// drain dropping what is still held when the FIFO goes. Heap-owning
+/// that only hold, the rewind reading them again, a seal the consumer
+/// follows while they are held, moving them with the live region, the
+/// commit dropping them in place, and the drain dropping what is still held
+/// when the FIFO goes. Heap-owning
 /// elements let Miri catch a double drop or a leak.
 #[test]
 fn journal_held_slots_under_miri() {
@@ -291,9 +293,16 @@ fn journal_held_slots_under_miri() {
     assert_eq!(c.rewind_consumed(), 3);
     assert_eq!(c.pop().unwrap(), "0", "a rewind serves the held slot again");
     assert_eq!(fifo.resize(16), 16);
+    // The ring is full: this push seals it. Reading past its four slots
+    // follows, moving the held "0".."3" into the new ring.
+    p.push("4".to_string()).unwrap();
+    let read: Vec<String> = (0..4).map(|_| c.pop().unwrap()).collect();
+    assert_eq!(read, ["1", "2", "3", "4"]);
+    assert_eq!(c.rewind_consumed(), 5);
+    assert_eq!(c.pop().unwrap(), "0", "the moved slot is served again");
     assert_eq!(c.commit_consumed(), 1);
     assert_eq!(&c.peek_range(2).unwrap()[0], "1");
     assert_eq!(c.advance(2), 2);
-    // "1" and "2" held, "3" unread: the storage drain drops all three.
+    // "1" and "2" held, "3" and "4" unread: the drain drops all four.
     drop((p, c, fifo));
 }

@@ -53,8 +53,10 @@ proptest! {
                     if p.try_push(v).is_ok() {
                         model.push_back(v);
                     } else {
-                        // only legal failure is Full
-                        prop_assert!(f.occupancy() == f.capacity());
+                        // Only legal failure is Full: a full ring, at least
+                        // the posted capacity (the producer keeps a larger
+                        // one while the live region needs it).
+                        prop_assert!(f.occupancy() >= f.capacity());
                     }
                 }
                 Op::Pop => {

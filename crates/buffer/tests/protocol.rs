@@ -1,6 +1,7 @@
 //! Integration tests for the `raft_protocol_check` shadow checker: clean
-//! SPSC traffic (with concurrent resizes) stays violation-free, and a
-//! deliberately duplicated producer handle is caught.
+//! SPSC traffic (with concurrent resizes, so the producer seals and the
+//! consumer follows) stays violation-free, and a deliberately duplicated
+//! producer handle is caught.
 
 #![cfg(feature = "raft_protocol_check")]
 
@@ -25,7 +26,8 @@ fn clean_spsc_traffic_with_resizes_has_no_violations() {
         }
     });
     let resizer = std::thread::spawn(move || {
-        // Exercise the resize-fence transitions while traffic flows.
+        // Post targets while traffic flows: the producer seals into each
+        // and the consumer follows.
         for step in 0..200 {
             let cap = if step % 2 == 0 { 1 << 10 } else { 16 };
             fifo.resize(cap);
@@ -50,15 +52,14 @@ fn clean_spsc_traffic_with_resizes_has_no_violations() {
 
 #[test]
 fn duplicated_producer_handle_is_caught() {
-    // Fixed capacity: the resize fence is skipped entirely, so the shadow
-    // checker is the only thing standing between the duplicate handle and
-    // silent slot corruption.
+    // Nothing else stands between the duplicate handle and silent slot
+    // corruption: the shadow checker is the only guard.
     let (_fifo, mut tx, _rx) = fifo_with::<u64>(FifoConfig::fixed(8));
 
     let before = violations();
     let mut dup = tx.protocol_test_duplicate();
-    // Hold the producer critical section open with a zero-copy batch view,
-    // then drive the second handle into it.
+    // Hold the producer's ring with a zero-copy batch view, then drive the
+    // second handle into it.
     let slice = tx.reserve(2).unwrap();
     let result = catch_unwind(AssertUnwindSafe(|| {
         let _ = dup.try_push(42);

@@ -34,9 +34,9 @@
 //!    * `SplitRules::decide` widens a split whose input stays backed up
 //!      (bottleneck elimination, §3) and narrows one that stays idle;
 //!    * `Unchanged::trips` fires the run-budget and stall watchdogs;
-//! 3. **apply:** one `Monitorable::resize` per decision (logged when the
-//!    capacity changed), one width step, or a watchdog event plus a drain
-//!    request.
+//! 3. **apply:** one `Monitorable::resize` per decision — a posted target
+//!    the link's producer seals its ring into, logged when it changed —
+//!    one width step, or a watchdog event plus a drain request.
 //!
 //! When resize monitoring is [`MonitorConfig::disabled`] the loop ticks at
 //! 1 ms and runs only the ladder and the watchdogs.
@@ -861,8 +861,8 @@ mod tests {
     }
 
     /// A read request above the ceiling grows the link to the ceiling once,
-    /// with a log entry, and then leaves it alone: no later tick takes the
-    /// resize lock and fence again.
+    /// with a log entry, and then leaves it alone: no later tick posts the
+    /// target again. The failpoint counts the producer's seals.
     #[test]
     fn read_request_above_the_ceiling_grows_once_and_logs_it() {
         let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig {
@@ -910,13 +910,13 @@ mod tests {
         );
         #[cfg(feature = "raft_failpoints")]
         {
-            // The registry is process-wide, so resizes by tests running
+            // The registry is process-wide, so seals by tests running
             // alongside count too: compare with the ticks (one histogram
             // sample each) rather than expect exactly one hit.
             let hits = raft_buffer::failpoints::hits("buffer::fifo::resize");
             raft_buffer::failpoints::reset();
             let ticks: u64 = snap.occupancy_hist.iter().sum();
-            assert!(hits < ticks / 2, "{hits} resizes over {ticks} ticks");
+            assert!(hits < ticks / 2, "{hits} seals over {ticks} ticks");
         }
     }
 

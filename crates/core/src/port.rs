@@ -494,7 +494,7 @@ impl<'a, T: Send + 'static> InPort<'a, T> {
     /// as a [`SliceView`] borrowed straight from the ring, then consume
     /// exactly the elements viewed. Blocks for the first element; the view
     /// may be shorter than `n` if the stream is running dry. The whole
-    /// batch costs one resize-fence entry and one counter store.
+    /// batch costs one counter store.
     #[inline]
     pub fn pop_slice<R>(
         &mut self,
@@ -586,9 +586,9 @@ impl<'a, T: Send + 'static> OutPort<'a, T> {
     /// Zero-copy batch write: reserve `n` contiguous ring slots and fill
     /// them in place through the returned [`WriteSlice`] — elements are
     /// constructed directly in the queue's storage and published together
-    /// when the slice drops, under one resize-fence entry for the whole
-    /// batch. Blocks while the ring lacks room (growing it if `n` exceeds
-    /// capacity); errs only if the downstream kernel is gone.
+    /// when the slice drops, with one counter store for the whole batch.
+    /// Blocks while the ring lacks room (requesting a larger ring if `n`
+    /// exceeds capacity); errs only if the downstream kernel is gone.
     #[inline]
     pub fn reserve(&mut self, n: usize) -> Result<WriteSlice<'_, T>, PortClosed> {
         self.guard.reserve(n).map_err(|_| PortClosed)

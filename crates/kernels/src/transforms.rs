@@ -134,7 +134,7 @@ where
         let mut input = ctx.input::<A>("in");
         let f = &mut self.f;
         let scratch = &mut self.scratch;
-        // One fence entry lends the whole front of the input ring to the
+        // One view lends the whole front of the input ring to the
         // transform; the elements are consumed when the view returns.
         let popped = input.pop_slice(self.batch, |view| {
             scratch.extend(view.iter().map(&mut *f));

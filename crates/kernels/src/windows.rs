@@ -227,8 +227,8 @@ mod tests {
     fn window_wider_than_the_ceiling_stops_instead_of_wedging() {
         // A ceiling of 4 under the default floor of 8: no grow can fit an
         // 8-wide window, so `peek_range` fails and the window stops. Left
-        // unordered, the floor made the read-side grow panic with the resize
-        // fence held, and `exe()` never returned.
+        // unordered, the floor made the read-side grow panic, and `exe()`
+        // never returned.
         use crate::sinks::Count;
         use std::sync::atomic::Ordering::Relaxed;
         let cfg = MapConfig {
