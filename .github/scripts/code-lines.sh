@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Count non-test code lines: per file and per crate, the lines before the
-# first `#[cfg(test)]` / `#[cfg(all(test` that are neither blank nor
-# `//`-comments (doc comments included). "Measured as code, not comments"
+# Count non-test code lines: per file and per crate, the lines that are
+# neither blank nor `//`-comments (doc comments included), up to the first
+# inline test module — a `#[cfg(test)]` / `#[cfg(all(test` that precedes
+# `mod name {` (other attributes may sit between). The same attribute on
+# any other item (a test-only helper, a `thread_local!`) is counted like
+# the item and does not end the count. "Measured as code, not comments"
 # as one command, so a line target cannot be met by moving prose around.
 # A file whose own `mod` declaration sits under `#[cfg(test)]` (a test-only
 # module such as `analysis/golden.rs`), and everything beneath it, is test
-# code and is skipped.
+# code and is skipped; so are the lines of that declaration.
 #
 #   code-lines.sh [<dir>...]      default: every crates/*/src
 set -euo pipefail
@@ -44,9 +47,13 @@ for dir in "$@"; do
       case "$file" in "$prefix.rs" | "$prefix"/*) continue 2 ;; esac
     done
     awk -v file="$file" '
-      /^[[:space:]]*#\[cfg\((all\()?test/ { exit }
       /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
-      { n++ }
+      # A test attribute and the attributes after it wait for their item.
+      /^[[:space:]]*#\[cfg\((all\()?test/ { held = 1; next }
+      held && /^[[:space:]]*#\[/ { held++; next }
+      held && /^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z_0-9]+[[:space:]]*\{/ { exit }
+      held && /^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z_0-9]+;/ { held = 0; next }
+      { n += held + 1; held = 0 }
       END { printf "%7d  %s\n", n, file }
     ' "$file"
   done | awk -v dir="$dir" '{ print; total += $1 } END { printf "%7d  %s (total)\n\n", total, dir }'

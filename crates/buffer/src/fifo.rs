@@ -124,8 +124,12 @@ impl std::fmt::Display for LinkAlloc {
 pub struct FifoConfig {
     /// Starting capacity in elements (rounded up to a power of two).
     pub initial_capacity: usize,
-    /// Growth ceiling — the paper's "buffer cap" engineering solution for
-    /// queues that would otherwise grow without bound.
+    /// Hard ceiling — the paper's "buffer cap" engineering solution for
+    /// queues that would otherwise grow without bound. Requests that come
+    /// from a real need (a read window, a `reserve`, a batch larger than
+    /// the ring) grow up to it; the monitor's writer-blocked doubling, a
+    /// guess, stops earlier, at about 1 MiB of slots (never below
+    /// `min_capacity`).
     pub max_capacity: usize,
     /// Shrink floor.
     pub min_capacity: usize,
@@ -1214,6 +1218,9 @@ pub trait Monitorable: Send + Sync {
     fn resize(&self, target: usize) -> usize;
     /// The `(min, max)` capacity bounds, powers of two.
     fn bounds(&self) -> (usize, usize);
+    /// Bytes per ring slot (an element with its signal): what one more
+    /// slot of capacity costs.
+    fn slot_bytes(&self) -> usize;
     /// Monitor tick: record an occupancy sample into the histogram and
     /// return it.
     fn sample(&self) -> usize;
@@ -1266,6 +1273,9 @@ impl<T: Send> Monitorable for Fifo<T> {
     }
     fn bounds(&self) -> (usize, usize) {
         (self.shared.cfg.min_capacity, self.shared.cfg.max_capacity)
+    }
+    fn slot_bytes(&self) -> usize {
+        std::mem::size_of::<<Heap<T> as Home<T>>::Slot>()
     }
     fn sample(&self) -> usize {
         let (occupancy, stats) = (self.occupancy(), &self.shared.stats);

@@ -22,6 +22,7 @@ use raft_model::queues::{min_capacity_for_blocking, MM1K};
 
 use crate::diagnostics::{Diagnostic, Severity};
 use crate::map::RaftMap;
+use crate::monitor::grow_ceiling;
 
 use super::graph::{kname, link_label, GraphView};
 use super::Analysis;
@@ -71,15 +72,20 @@ pub struct CycleInfo {
     pub verdict: CycleVerdict,
 }
 
-/// Configured capacity ceiling of link `li`, clamped to `u32`.
+/// Capacity ceiling of link `li` under a sustained blocked writer — the
+/// monitor's growth ceiling for its configured bounds and element size —
+/// clamped to `u32`.
 pub(crate) fn link_capacity(map: &RaftMap, li: usize) -> u32 {
-    let cap = map.links[li].fifo.unwrap_or(map.cfg.fifo).max_capacity;
+    let l = &map.links[li];
+    let cfg = l.fifo.unwrap_or(map.cfg.fifo);
+    let slot_bytes = map.kernels[l.src].spec.outputs[l.src_port].slot_bytes;
+    let cap = grow_ceiling((cfg.min_capacity, cfg.max_capacity), slot_bytes);
     cap.clamp(1, u32::MAX as usize) as u32
 }
 
 /// Run the RC0008 solver over every cyclic SCC: for each intra-cycle link
 /// compute the minimal capacity keeping steady-state blocking under
-/// [`BLOCKING_WARN`], and compare against the configured ceiling.
+/// [`BLOCKING_WARN`], and compare against the link's growth ceiling.
 pub(crate) fn certify_cycles(map: &RaftMap, graph: &GraphView) -> Vec<CycleInfo> {
     let mut out = Vec::new();
     for members in graph.cyclic_sccs() {
@@ -130,10 +136,11 @@ pub(crate) fn certify_cycles(map: &RaftMap, graph: &GraphView) -> Vec<CycleInfo>
 }
 
 /// RC0007: capacity feasibility. For every stream whose two kernels have
-/// declared service rates, model the queue as M/M/1/K at the stream's
-/// capacity *ceiling* and warn when the steady-state producer blocking
-/// probability exceeds [`BLOCKING_WARN`] — the static version of
-/// the monitor's 3δ "writer blocked" resize trigger. The computed minimum
+/// declared service rates, model the queue as M/M/1/K at the capacity the
+/// monitor's 3δ "writer blocked" resize trigger grows it to at most
+/// (`link_capacity`) and warn when the steady-state producer blocking
+/// probability exceeds [`BLOCKING_WARN`] — the static version of that
+/// trigger. The computed minimum
 /// feasible capacity is attached as a `help:` line.
 pub(crate) fn lint_capacity(a: &Analysis) -> Vec<Diagnostic> {
     let map = a.map;

@@ -173,6 +173,27 @@ fn golden_rc0007_capacity() {
     );
 }
 
+/// A default link is modelled at the monitor's growth ceiling — the
+/// 1 MiB byte budget in `(u32, Signal)` slots — not at `max_capacity`.
+#[test]
+fn golden_rc0007_default_link_at_the_byte_budget() {
+    let mut m = RaftMap::new();
+    let src = m.add(Src);
+    let sink = m.add(Sink);
+    m.link(src, "out", sink, "in").unwrap();
+    m.declare_service_rate(src, 100.0);
+    m.declare_service_rate(sink, 10.0);
+    let d = find(&m.check(), "RC0007");
+    assert_eq!(
+        d.to_string(),
+        "warning[RC0007] capacity: stream Src#0.out -> Sink#1.in (capacity \
+         ceiling 65536) cannot sustain the declared rates λ=100/s -> μ=10/s: \
+         steady-state producer blocking ≈ 90.0%\n    help: no finite \
+         capacity suffices (λ ≥ μ): widen the consumer or lower the \
+         producer rate"
+    );
+}
+
 #[test]
 fn golden_rc0008_certified() {
     let (mut m, a, b) = cyclic_map(4);

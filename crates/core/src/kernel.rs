@@ -16,7 +16,7 @@
 
 use std::any::{Any, TypeId};
 
-use raft_buffer::{fifo_with, FifoConfig};
+use raft_buffer::{fifo_with, FifoConfig, Signal};
 
 use crate::parallel::{adapter_factories, AdapterFactories};
 use crate::port::{Context, InEnd, OutEnd};
@@ -67,6 +67,9 @@ pub struct PortDef {
     /// Split/reduce adapter constructors for this element type (used when
     /// the auto-parallelizer replicates the kernel behind this port).
     pub(crate) adapters: fn() -> AdapterFactories,
+    /// Bytes per ring slot of this element type (the element with its
+    /// signal), which the monitor's growth ceiling is counted in.
+    pub(crate) slot_bytes: usize,
 }
 
 impl std::fmt::Debug for PortDef {
@@ -87,6 +90,7 @@ impl PortDef {
             type_name: std::any::type_name::<T>(),
             fifo_factory: make_fifo::<T>,
             adapters: adapter_factories::<T>,
+            slot_bytes: std::mem::size_of::<(T, Signal)>(),
         }
     }
 }

@@ -18,19 +18,22 @@
 //! 1. **observe:** read each link once into a `LinkSample` (the writer's
 //!    blocked total, the largest read request, occupancy — also recorded
 //!    into the occupancy histogram, the telemetry the paper exposes —,
-//!    capacity and bounds), each split once into a `SplitSample`, and each
+//!    capacity, bounds and bytes per slot), each split once into a
+//!    `SplitSample`, and each
 //!    watched kernel's `(entered, runs)` pair and the links' popped total;
 //! 2. **decide:** pure functions of the sample and the target's own state
 //!    (no clock, no atomic, no thread):
-//!    * `LinkRules::decide` grows a link whose writer has been blocked
+//!    * `LinkRules::decide` doubles a link whose writer has been blocked
 //!      ≥ 3δ in total over the last six ticks (`BLOCK_WINDOW`) — the
 //!      paper's "blocked for a time period of 3 × δ" counted in aggregate,
 //!      since a writer that a per-element wake frees one slot at a time
 //!      blocks in episodes of microseconds yet may be blocked most of the
 //!      run; the window restarts after a grow, so one stall pays for one
-//!      grow —, else grows one whose reader requested more than its
-//!      capacity, else shrinks one that stayed nearly empty for
-//!      [`MonitorConfig::shrink_after_ticks`];
+//!      grow — but only up to `GROW_BYTES` (1 MiB) of slots, since a
+//!      writer blocked by a descheduled consumer is not ended by any ring
+//!      size; else grows one whose reader requested more than its capacity,
+//!      up to `max_capacity` (a real need, not a guess); else shrinks one
+//!      that stayed nearly empty for [`MonitorConfig::shrink_after_ticks`];
 //!    * `SplitRules::decide` widens a split whose input stays backed up
 //!      (bottleneck elimination, §3) and narrows one that stays idle;
 //!    * `Unchanged::trips` fires the run-budget and stall watchdogs;
@@ -117,7 +120,9 @@ impl MonitorConfig {
 /// Why a queue was resized (for the resize trace).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResizeReason {
-    /// Writer blocked ≥ 3δ in total over the last six ticks.
+    /// Writer blocked ≥ 3δ in total over the last six ticks; doubles the
+    /// link while it stays within about 1 MiB of slots (never below the
+    /// floor, never above `max_capacity`).
     WriterBlocked,
     /// Reader requested more items than the capacity.
     ReadRequest,
@@ -218,6 +223,22 @@ const LADDER_TICK: Duration = Duration::from_millis(1);
 /// Ticks over which a writer's blocked time is summed for the grow rule.
 const BLOCK_WINDOW: usize = 6;
 
+/// Bytes of slots the writer-blocked rule may grow a ring to. A blocked
+/// writer is a guess that the ring is too small: with fewer cores than
+/// kernels a writer also blocks whenever its consumer is descheduled, which
+/// no ring size ends. So the guess stops where a ring and its successor
+/// during a handoff still fit one core's L2, well below the ~8 MB knee of
+/// the paper's Figure 4.
+const GROW_BYTES: usize = 1 << 20;
+
+/// The capacity the writer-blocked rule grows a link to at most: the
+/// largest power of two of `slot_bytes`-byte slots within [`GROW_BYTES`],
+/// never below `min` and never above `max`.
+pub(crate) fn grow_ceiling((min, max): (usize, usize), slot_bytes: usize) -> usize {
+    let fits = (GROW_BYTES / slot_bytes).max(1);
+    (1 << fits.ilog2()).max(min).min(max)
+}
+
 /// The drain ladder: the one shutdown path. Any reason → a
 /// [`Shutdown::request`] → level 1 (sources stop, in-flight data flushes)
 /// → `grace` → level 2 (FIFOs fail fast, so kernels blocked mid-push/pop
@@ -311,6 +332,8 @@ struct LinkSample {
     capacity: usize,
     /// `(min, max)` capacity, powers of two.
     bounds: (usize, usize),
+    /// Bytes per slot (`Monitorable::slot_bytes`).
+    slot_bytes: usize,
 }
 
 /// A link's rule state: the writer's blocked total at each of the last
@@ -332,7 +355,9 @@ impl LinkRules {
     ) -> Option<(usize, ResizeReason)> {
         let (min, max) = s.bounds;
         let then = std::mem::replace(&mut self.blocked[oldest], s.blocked_ns);
-        if s.capacity < max && s.blocked_ns.saturating_sub(then) >= 3 * cfg.delta.as_nanos() as u64
+        let ceiling = grow_ceiling(s.bounds, s.slot_bytes);
+        if s.capacity < ceiling
+            && s.blocked_ns.saturating_sub(then) >= 3 * cfg.delta.as_nanos() as u64
         {
             // Restart the window so one long stall does not trigger a
             // growth cascade.
@@ -484,6 +509,7 @@ fn control_loop(
                     occupancy: f.sample(),
                     capacity: f.capacity(),
                     bounds: f.bounds(),
+                    slot_bytes: f.slot_bytes(),
                 };
                 let Some((target, reason)) = rules.decide(s, oldest, &cfg) else {
                     continue;
@@ -660,6 +686,71 @@ mod tests {
             "{grows} grows need ≥ {} ns of writer blocking, counter shows {blocked} ns",
             grows * 3 * delta_ns
         );
+    }
+
+    /// A default `u64` link whose consumer stalls: the blocked writer grows
+    /// it to the byte budget's 2^16 slots and no further, however long it
+    /// stays blocked there.
+    #[test]
+    fn stalled_consumer_settles_at_the_byte_budget() {
+        const SETTLED: usize = 1 << 16;
+        let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig::default());
+        let finish = start(
+            cfg_fast(),
+            vec![("edge0".into(), Arc::new(f.clone()) as Arc<dyn Monitorable>)],
+            vec![],
+        );
+        // One element more than the settled ring holds: the writer ends
+        // blocked on a full ring.
+        let writer = std::thread::spawn(move || {
+            for i in 0..=SETTLED as u64 {
+                p.push(i).unwrap();
+            }
+        });
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while f.capacity() < SETTLED && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(f.capacity(), SETTLED);
+        // Hundreds of 3δ windows with the writer blocked at the budget.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(f.capacity(), SETTLED);
+        for i in 0..=SETTLED as u64 {
+            assert_eq!(c.pop().unwrap(), i);
+        }
+        writer.join().unwrap();
+        let events = finish().resizes;
+        assert!(writer_block_grows(&events) > 0, "{events:?}");
+        assert!(
+            events.iter().all(|e| e.new_capacity <= SETTLED),
+            "grew past the byte budget: {events:?}"
+        );
+    }
+
+    /// A read window wider than the byte budget is a real need: it still
+    /// opens on a default link, with the monitor running.
+    #[test]
+    fn a_read_window_wider_than_the_budget_still_opens() {
+        const N: usize = 1 << 18;
+        let (f, mut p, mut c) = fifo_with::<u64>(FifoConfig::default());
+        let finish = start(
+            cfg_fast(),
+            vec![("edge0".into(), Arc::new(f.clone()) as Arc<dyn Monitorable>)],
+            vec![],
+        );
+        let writer = std::thread::spawn(move || {
+            for i in 0..N as u64 {
+                p.push(i).unwrap();
+            }
+        });
+        {
+            let w = c.peek_range(N).unwrap();
+            assert_eq!(w.len(), N);
+            assert_eq!((w[0], w[N - 1]), (0, N as u64 - 1));
+        }
+        writer.join().unwrap();
+        finish();
+        assert!(f.capacity() >= N);
     }
 
     #[test]
@@ -933,6 +1024,7 @@ mod tests {
             occupancy: 64,
             capacity: 64,
             bounds: (2, 1 << 10),
+            slot_bytes: 16,
         }
     }
 
@@ -1006,6 +1098,49 @@ mod tests {
         };
         assert_eq!(feed([want(100, 64)]), [(0, 100, ResizeReason::ReadRequest)]);
         assert_eq!(feed([want(4096, 1 << 10); 3]), []);
+    }
+
+    /// Bytes per slot of a 4 KiB element.
+    const PAGE_SLOT: usize = std::mem::size_of::<([u8; 4096], raft_buffer::Signal)>();
+
+    #[test]
+    fn rule_stops_a_blocked_writer_at_the_byte_budget() {
+        let bounds = FifoConfig::default();
+        let bounds = (bounds.min_capacity, bounds.max_capacity);
+        assert_eq!(grow_ceiling(bounds, 16), 1 << 16);
+        assert_eq!(grow_ceiling(bounds, PAGE_SLOT), 128);
+        // Never below the floor, never above the ceiling.
+        assert_eq!(grow_ceiling((1 << 10, 1 << 22), PAGE_SLOT), 1 << 10);
+        assert_eq!(grow_ceiling((2, 64), 16), 64);
+        let blocked_at = |capacity, slot_bytes| {
+            blocked(&[30]).map(move |s| LinkSample {
+                capacity,
+                occupancy: capacity,
+                bounds,
+                slot_bytes,
+                ..s
+            })
+        };
+        let grow = |to| [(0, to, ResizeReason::WriterBlocked)];
+        assert_eq!(feed(blocked_at(1 << 15, 16)), grow(1 << 16));
+        assert_eq!(feed(blocked_at(1 << 16, 16)), []);
+        assert_eq!(feed(blocked_at(64, PAGE_SLOT)), grow(128));
+        assert_eq!(feed(blocked_at(128, PAGE_SLOT)), []);
+    }
+
+    #[test]
+    fn rule_grows_to_a_read_request_above_the_budget() {
+        // At the budget with the writer blocked too: the request still
+        // takes the link past it, up to `max_capacity`.
+        let s = blocked(&[30]).next().unwrap();
+        let at_budget = LinkSample {
+            want: 1 << 18,
+            capacity: 1 << 16,
+            occupancy: 1 << 16,
+            bounds: (8, 1 << 22),
+            ..s
+        };
+        assert_eq!(feed([at_budget]), [(0, 1 << 18, ResizeReason::ReadRequest)]);
     }
 
     #[test]
