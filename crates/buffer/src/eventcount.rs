@@ -30,10 +30,15 @@
 //!
 //! Which of the two notify strengths a call site uses is part of the
 //! protocol: [`EventCount::notify`] runs `Fn` and never loses a wake;
-//! [`EventCount::notify_if_armed`] — the per-element hot path — reads
-//! `armed` relaxed first and skips `Fn` on 0, admitting a narrow window in
-//! which the stream write and the arm miss each other. The bounded park in
-//! [`block_until`] exists for that window, and counts every rescue.
+//! [`EventCount::notify_if_armed`] — the per-element wake of a *sleeping
+//! thread* — reads `armed` relaxed first and skips `Fn` on 0, admitting a
+//! narrow window in which the stream write and the arm miss each other. The
+//! bounded park in [`block_until`] exists for that window, and counts every
+//! rescue. A scheduler task has no bounded park to fall back on, so its wake
+//! is always `Fn`-fenced: per element outside a pool claim, and once per link
+//! side per claim inside one ([`crate::waker::ClaimWakes`]) — `Fn` orders
+//! every counter store the claim made before it, so one fence stands for
+//! them all.
 //!
 //! Built on `crate::sync`: `tests/loom_eventcount.rs` model-checks the
 //! handoff for each backend. DESIGN §10 has the long form.

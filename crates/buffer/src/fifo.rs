@@ -7,7 +7,8 @@
 //!
 //! * the **heap home** ([`Heap`], the default — `Producer<T>` is it):
 //!   in-process words, a [`ThreadPark`] eventcount per direction plus a
-//!   task-waker slot on the data side, and a chain of fixed heap rings.
+//!   task-waker slot per direction (data and room), and a chain of fixed
+//!   heap rings.
 //!   RaftLib resizes queues at run time (§4): a monitor wakes every δ and
 //!   grows a queue whose writer has been blocked for 3δ, or whose reader
 //!   asked for more items than it can ever hold. No ring is resized in
@@ -415,11 +416,14 @@ pub struct Heap<T> {
     /// for space (pop, batch drain, consumer drop, grow), a consumer for
     /// data, EoS or an async signal.
     parks: [ThreadPark; 2],
-    /// Readiness hook for a consumer's scheduler task, told with its park;
-    /// registered/armed by the work-stealing scheduler, a single relaxed
-    /// load when unused. The pool parks a task only on its inputs, so the
-    /// space side has no such hook.
-    task: WakerSlot,
+    /// Readiness hooks for a scheduler task waiting as each [`Role`] — the
+    /// producer's for room, the consumer's for data — told with the park of
+    /// the same role; registered/armed by the work-stealing scheduler, a
+    /// single relaxed load when unused.
+    tasks: [WakerSlot; 2],
+    /// The producer's ring capacity, mirrored for the room checks made off
+    /// its thread ([`Monitorable::has_room`]); stored by each seal.
+    producer_capacity: AtomicUsize,
 }
 
 // SAFETY: each ring is reached through one endpoint's view at a time: the
@@ -444,7 +448,8 @@ impl<T> Heap<T> {
             tail: CachePadded::new(AtomicUsize::new(0)),
             closed: Default::default(),
             parks: Default::default(),
-            task: WakerSlot::new(),
+            tasks: Default::default(),
+            producer_capacity: AtomicUsize::new(cfg.initial_capacity),
         }
     }
 }
@@ -490,10 +495,7 @@ unsafe impl<T> Home<T> for Heap<T> {
     }
     #[inline]
     fn task(&self, role: Role) -> Option<&WakerSlot> {
-        match role {
-            Role::Consumer => Some(&self.task),
-            Role::Producer => None,
-        }
+        Some(&self.tasks[role as usize])
     }
     #[inline]
     fn capacity(&self, role: Role) -> usize {
@@ -532,6 +534,7 @@ unsafe impl<T> Home<T> for Heap<T> {
         // which it does only after loading this pointer.
         unsafe { &*view.ring }.next.store(ring, Release);
         *view = View::of(ring);
+        self.producer_capacity.store(capacity, Release);
     }
 
     #[inline]
@@ -625,6 +628,10 @@ struct Shared<T, H: Home<T>> {
     /// the consumer whose notify has not returned yet (see
     /// [`Shared::announcing`]).
     announcing: std::sync::atomic::AtomicUsize,
+    /// Each [`Role`]'s task wake is owed by the claim running on that
+    /// endpoint's thread ([`crate::ClaimWakes`]); only that thread stores
+    /// it.
+    owed: [AtomicBool; 2],
     stats: FifoStats,
     cfg: FifoConfig,
     /// Protocol shadow checker (SPSC discipline, monotonic sequences);
@@ -725,6 +732,7 @@ impl<T, H: Home<T>> Shared<T, H> {
             async_signal: AtomicU64::new(0),
             drain: AtomicU8::new(DRAIN_RUNNING),
             announcing: std::sync::atomic::AtomicUsize::new(0),
+            owed: Default::default(),
             stats: FifoStats::new(),
             cfg,
             #[cfg(feature = "raft_protocol_check")]
@@ -741,25 +749,98 @@ impl<T, H: Home<T>> Shared<T, H> {
         Arena { shared: self, role }
     }
 
-    /// Per-element wake of whoever sleeps as `role`: one relaxed load per
-    /// sleeper kind when nobody waits. A parked thread gets the lossy
-    /// [`EventCount::notify_if_armed`] (bounded park, rescues counted); a
-    /// registered task always gets the fenced notify — it has no timeout to
-    /// fall back on.
+    /// Per-element wake of whoever waits as `role`, then the announcement
+    /// that `count` (the new `tail` for the consumer, `head` for the
+    /// producer) was told: one relaxed load per sleeper kind when nobody
+    /// waits. A parked thread gets the lossy [`EventCount::notify_if_armed`]
+    /// (bounded park, rescues counted); a registered task gets the fenced
+    /// notify — it has no timeout to fall back on — or, inside a pool
+    /// claim, is owed it (`wake_task`).
     #[inline]
-    fn notify(&self, role: Role) {
+    fn announce(&self, role: Role, count: usize) {
+        self.home.event(role).notify_if_armed();
+        match self.home.task(role) {
+            // Owed already: this claim pays one wake for the whole side.
+            Some(task) if task.is_registered() => {
+                if !self.owed[role as usize].load(Relaxed) {
+                    self.wake_task(role, count);
+                }
+            }
+            _ => self.count_announced(role, count),
+        }
+    }
+
+    /// Store the announcement of `role`'s side: `pushed` = `count` for the
+    /// consumer, `popped` for the producer — single-writer counters equal
+    /// to the ring's counters, so a plain store replaces a fetch_add.
+    #[inline]
+    fn count_announced(&self, role: Role, count: usize) {
+        let counter = match role {
+            Role::Consumer => &self.stats.writer.pushed,
+            Role::Producer => &self.stats.reader.popped,
+        };
+        counter.store(count as u64, Relaxed);
+    }
+
+    /// The registered task wake of `role`'s side, not owed yet: delivered
+    /// and announced now, or — inside a pool claim — owed until the claim
+    /// pays it (`pay_owed`). Out of line, off the thread-per-kernel push and
+    /// pop.
+    #[inline(never)]
+    fn wake_task(&self, role: Role, count: usize) {
+        if !crate::waker::deferring() {
+            self.notify_task(role);
+            return self.count_announced(role, count);
+        }
+        self.owed[role as usize].store(true, Relaxed);
+        let link: *const Self = self;
+        // SAFETY: a `Shared` only ever lives in an `Arc` (`Shared::new`);
+        // the strong count taken here keeps it alive until the wake is
+        // paid, once, on this thread, which drops the count again.
+        unsafe {
+            Arc::increment_strong_count(link);
+            let pay = match role {
+                Role::Consumer => Self::pay_owed::<{ Role::Consumer as usize }>,
+                Role::Producer => Self::pay_owed::<{ Role::Producer as usize }>,
+            };
+            crate::waker::owe(link.cast(), pay);
+        }
+    }
+
+    /// Pay the task wake owed on `link`'s side `ROLE`: the fenced notify
+    /// covers every counter store the claim made before it, and the
+    /// announcement follows it.
+    ///
+    /// # Safety
+    /// `link` is a `Shared<T, H>` whose strong count the owing
+    /// `wake_task` took; this drops it.
+    unsafe fn pay_owed<const ROLE: usize>(link: *const ()) {
+        let link: *const Self = link.cast();
+        // SAFETY: the caller's contract keeps it alive until the end.
+        let shared = unsafe { &*link };
+        let role = [Role::Producer, Role::Consumer][ROLE];
+        shared.owed[ROLE].store(false, Relaxed);
+        shared.notify_task(role);
+        let count = match role {
+            Role::Consumer => shared.home.tail().load(Relaxed),
+            Role::Producer => shared.home.head().load(Relaxed),
+        };
+        shared.count_announced(role, count);
+        // SAFETY: the count `wake_task` took.
+        unsafe { Arc::decrement_strong_count(link) };
+    }
+
+    /// The fenced notify of `role`'s task slot, if the home has one.
+    fn notify_task(&self, role: Role) {
         if let Some(task) = self.home.task(role) {
             task.notify();
         }
-        self.home.event(role).notify_if_armed();
     }
 
     /// Wake for a change that will not be repeated (close, drop, drain,
     /// async signal, resize, rewind): never loses one.
     fn notify_fenced(&self, role: Role) {
-        if let Some(task) = self.home.task(role) {
-            task.notify();
-        }
+        self.notify_task(role);
         self.home.event(role).notify();
     }
 
@@ -775,8 +856,10 @@ impl<T, H: Home<T>> Shared<T, H> {
         result
     }
 
-    /// Mark `role`'s endpoint gone and tell the other side.
+    /// Mark `role`'s endpoint gone and tell the other side — after paying
+    /// the task wakes this thread owes, so none outlives the endpoint.
     fn close(&self, role: Role) {
+        crate::waker::pay_owed();
         self.announcing(|| {
             self.home.set_closed(role);
             crate::failpoint!("buffer::fifo::close");
@@ -852,9 +935,12 @@ impl<T, H: Home<T>> Shared<T, H> {
     /// The slow half of [`block_until`](Self::block_until): the crate's
     /// blocking loop on the eventcount `role` sleeps on, recording into
     /// `role`'s [`crate::Blocking`] (3δ of writer blocking within six ticks
-    /// grows the queue), ended early only by drain level `QUIESCED`.
+    /// grows the queue), ended early only by drain level `QUIESCED`. A
+    /// thread waits nowhere while it owes a task wake: the task it owes may
+    /// be the one that ends this wait.
     #[cold]
     fn blocked<R>(&self, role: Role, ready: impl FnMut() -> Option<R>) -> Result<R, Blocked> {
+        crate::waker::pay_owed();
         let record = match role {
             Role::Producer => &self.stats.writer.blocked,
             Role::Consumer => &self.stats.reader.blocked,
@@ -865,11 +951,9 @@ impl<T, H: Home<T>> Shared<T, H> {
 
     /// Publish the `n` slots written since the last publish — the one
     /// publish of every write path: one `tail` store, then tell the
-    /// consumer side. `pushed` is
-    /// stored only once the notify has returned, so it counts the elements
-    /// whose wake-up has been delivered ([`Monitorable::announced`]); a
-    /// single-writer counter equal to the tail, so a plain store replaces a
-    /// fetch_add.
+    /// consumer side. `pushed` is stored only once the notify has returned
+    /// (or the owed one is paid), so it counts the elements whose wake-up
+    /// has been delivered ([`Monitorable::announced`]).
     #[inline]
     fn publish(&self, arena: &Arena<'_, T, H>, cursor: &mut ProducerCursor, n: usize) {
         if n == 0 {
@@ -879,11 +963,7 @@ impl<T, H: Home<T>> Shared<T, H> {
         // Chaos hook: the producer descheduled between publishing and
         // notifying, a window a rescue sweep must not count as a lost wake.
         crate::failpoint!("buffer::fifo::publish");
-        self.notify(Role::Consumer);
-        self.stats
-            .writer
-            .pushed
-            .store(cursor.tail() as u64, Relaxed);
+        self.announce(Role::Consumer, cursor.tail());
     }
 
     /// Write `items` into the slots `room` found free, in order and no more
@@ -1026,12 +1106,8 @@ impl<T, H: Home<T>> Shared<T, H> {
             }
         }
         cursor.release(&arena, k);
-        // Single-writer counter: total popped == head.
-        self.stats
-            .reader
-            .popped
-            .store(cursor.head() as u64, Relaxed);
-        self.notify(Role::Producer);
+        // Total popped == head, announced once the producer side is told.
+        self.announce(Role::Producer, cursor.head());
     }
 
     /// Drop the elements the cursor holds in place and release their slots:
@@ -1141,6 +1217,7 @@ impl<T, H: Home<T>> Fifo<T, H> {
             cursor: unsafe { ProducerCursor::attach(&*self.shared) },
             shared: self.shared.clone(),
             staged: None,
+            waiting: false,
         }
     }
 
@@ -1245,8 +1322,21 @@ pub trait Monitorable: Send + Sync {
     /// only unannounced input is about to be woken, not forgotten: its
     /// producer was descheduled between publishing and notifying.
     fn announced(&self) -> bool;
+    /// `true` when a write would not wait: the producer finds a free slot
+    /// once its next claim refreshes its view of the ring (resealing it at
+    /// the posted capacity), or the consumer is gone, or the link
+    /// quiesced. Read off the producer's thread, from the shared counters.
+    fn has_room(&self) -> bool;
+    /// The room-side twin of [`announced`](Self::announced): room whose
+    /// notify has returned — a slot freed by a release counted in `popped`
+    /// (stored only after the release's notify), or a consumer drop or
+    /// drain level with no one-off notify under way.
+    fn room_announced(&self) -> bool;
     /// Waker slot notified when data/EoS becomes visible to the consumer.
     fn consumer_waker(&self) -> &WakerSlot;
+    /// Waker slot notified when room becomes visible to the producer (a
+    /// release, a consumer drop, a resize, a drain level).
+    fn producer_waker(&self) -> &WakerSlot;
     /// Raise the cooperative drain level (monotonic; lowering is ignored).
     /// At [`DRAIN_QUIESCED`] blocked producers fail fast and pops on an
     /// empty ring observe end-of-stream, so a wedged graph still
@@ -1305,8 +1395,31 @@ impl<T: Send> Monitorable for Fifo<T> {
             || ((self.has_async() || self.is_finished())
                 && shared.announcing.load(Acquire) == 0)
     }
+    fn has_room(&self) -> bool {
+        let shared = &self.shared;
+        // `tail` before the capacity: a tail stored after a seal makes
+        // that seal's capacity visible.
+        let occupancy = shared.occupancy();
+        let capacity = shared.home.producer_capacity.load(Acquire);
+        shared.home.consumer_closed()
+            || shared.quiesced()
+            || occupancy < capacity.max(shared.capacity())
+    }
+    fn room_announced(&self) -> bool {
+        let shared = &self.shared;
+        let tail = shared.home.tail().load(Acquire) as u64;
+        let popped = shared.stats.reader.popped.load(Relaxed);
+        let capacity = shared.home.producer_capacity.load(Acquire);
+        popped + capacity.max(shared.capacity()) as u64 > tail
+            // The change first, then the count: see `Shared::announcing`.
+            || ((shared.home.consumer_closed() || shared.quiesced())
+                && shared.announcing.load(Acquire) == 0)
+    }
     fn consumer_waker(&self) -> &WakerSlot {
-        &self.shared.home.task
+        &self.shared.home.tasks[Role::Consumer as usize]
+    }
+    fn producer_waker(&self) -> &WakerSlot {
+        &self.shared.home.tasks[Role::Producer as usize]
     }
     fn set_drain_level(&self, level: u8) {
         crate::failpoint!("buffer::fifo::drain");
@@ -1339,6 +1452,8 @@ pub struct Producer<T, H: Home<T> = Heap<T>> {
     /// until [`commit_produced`](Self::commit_produced) — the output half of
     /// the exactly-once recovery contract ([`FifoConfig::journal`]).
     staged: Option<Vec<(T, Signal)>>,
+    /// [`ready`](Self::ready) last found the ring full: a room wait is open.
+    waiting: bool,
 }
 
 impl<T, H: Home<T>> Producer<T, H> {
@@ -1492,6 +1607,7 @@ impl<T, H: Home<T>> Producer<T, H> {
             shared,
             cursor,
             staged: Some(staged),
+            ..
         } = self
         else {
             return Ok(0);
@@ -1526,6 +1642,34 @@ impl<T, H: Home<T>> Producer<T, H> {
     /// `true` once the consumer endpoint dropped.
     pub fn is_closed(&self) -> bool {
         self.shared.home.consumer_closed()
+    }
+
+    /// `true` when the next single write does not wait: a slot is free in
+    /// this endpoint's view of the ring, or the write fails at once (the
+    /// consumer is gone, the link quiesced). The shared `head` is loaded
+    /// only when the cached view looks full — the write side's twin of
+    /// [`Consumer::ready`].
+    ///
+    /// A caller that waits elsewhere instead of blocking in a write — the
+    /// work-stealing pool parks the task — is a blocked writer all the
+    /// same: the time from a call that finds the ring full to the next
+    /// that finds room counts toward the monitor's grow rule
+    /// ([`FifoStats::writer_blocked_total_ns`]).
+    pub fn ready(&mut self) -> bool {
+        let ready = match self.shared.room(&mut self.cursor, 1) {
+            Ok(None) => self.shared.quiesced(),
+            Ok(Some(_)) | Err(_) => true,
+        };
+        if ready == self.waiting {
+            self.waiting = !ready;
+            let parked = &self.shared.stats.writer.parked;
+            if ready {
+                parked.close();
+            } else {
+                parked.open();
+            }
+        }
+        ready
     }
 
     /// Current capacity.
@@ -1611,6 +1755,10 @@ impl<T: ShmItem> Producer<T, Seg<T>> {
 
 impl<T, H: Home<T>> Drop for Producer<T, H> {
     fn drop(&mut self) {
+        // A writer that is gone waits for nothing.
+        if self.waiting {
+            self.shared.stats.writer.parked.close();
+        }
         // Implicit EoS: a parked consumer must observe the close.
         self.shared.close(Role::Producer);
     }

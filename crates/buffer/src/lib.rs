@@ -92,7 +92,7 @@ pub use signal::Signal;
 pub use spsc::{BoundedSpsc, SpscConsumer, SpscProducer};
 pub use stats::{Blocking, FifoStats, LogHist, StatsSnapshot, HIST_BUCKETS};
 pub use wait::{WaitAction, WaitStrategy, Waiter};
-pub use waker::{FifoWaker, WakerSlot};
+pub use waker::{ClaimWakes, FifoWaker, WakerSlot};
 
 /// Consult a failpoint site, executing panic/stall actions in place.
 ///

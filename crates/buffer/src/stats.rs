@@ -18,8 +18,10 @@
 //! group per writing thread, each hot-path store hits a line nobody else
 //! writes; only the (rare, sampling-rate) monitor reads cross lines. The
 //! blocked-time records are written by [`crate::eventcount::block_until`],
-//! the one blocking loop, on the blocked endpoint's own thread; the
-//! occupancy histogram by the monitor's sampling tick.
+//! the one blocking loop, on the blocked endpoint's own thread — or, for a
+//! pool task waiting for room off its worker, by the producer's readiness
+//! gate ([`crate::Producer::ready`]); the occupancy histogram by the
+//! monitor's sampling tick.
 //!
 //! ## One recorder
 //!
@@ -103,6 +105,19 @@ pub struct Blocking {
 }
 
 impl Blocking {
+    /// Open an episode now (a wait's first failed poll).
+    #[cold]
+    pub(crate) fn open(&self) {
+        self.since.store(now_ns(), Relaxed);
+    }
+
+    /// Close the open episode into `episodes`.
+    #[cold]
+    pub(crate) fn close(&self) {
+        let since = self.since.swap(0, Relaxed);
+        self.episodes.record(now_ns().saturating_sub(since), 1);
+    }
+
     /// Every finished episode plus the one in progress. A read that races
     /// the end of an episode may miss that episode (or count it twice) for
     /// that one read.
@@ -124,6 +139,9 @@ pub struct WriterCounters {
     pub pushed: AtomicU64,
     /// The writer's waits for room (on a descriptor ring: for the commit).
     pub blocked: Blocking,
+    /// A pool task's waits for room off its worker: from the readiness
+    /// gate finding the ring full to the gate finding room again.
+    pub parked: Blocking,
 }
 
 /// Counters written only by the consumer thread (padded to its own cache
@@ -191,12 +209,13 @@ impl FifoStats {
         }
     }
 
-    /// Total nanoseconds the writer has spent blocked: every finished
-    /// episode plus the one in progress. The monitor's grow rule takes its
-    /// rise over a window of ticks.
+    /// Total nanoseconds the writer has spent blocked for room — a thread
+    /// inside the link, or a pool task parked off its worker: every
+    /// finished episode plus the ones in progress. The monitor's grow rule
+    /// takes its rise over a window of ticks.
     #[inline]
     pub fn writer_blocked_total_ns(&self) -> u64 {
-        self.writer.blocked.total_ns()
+        self.writer.blocked.total_ns() + self.writer.parked.total_ns()
     }
 
     /// Total elements ever popped.

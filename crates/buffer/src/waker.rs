@@ -1,16 +1,20 @@
 //! Edge-triggered wakers on the FIFO shared core.
 //!
 //! The work-stealing scheduler never scans for runnable kernels: it parks a
-//! kernel once, **arms** a [`WakerSlot`] on each of its input streams, and
-//! the *producer side* of the stream turns readiness into an O(1) callback
-//! at the moment data (or EoS, or an async signal) arrives.
+//! kernel once, **arms** a [`WakerSlot`] on each side it waits on, and the
+//! *other* endpoint of that stream turns readiness into an O(1) callback
+//! when it changes the stream.
 //!
-//! Each heap FIFO owns one slot, on the **consumer side**, notified by
-//! `push`/batch-commit/`close`/`post_async` ("data or EoS is visible"). A
-//! task is parked only on its inputs: a producer waiting for space blocks
-//! its thread on the FIFO's [`crate::eventcount::ThreadPark`] instead (a
-//! `futex(2)` wait on its `seq` word), so the space side has no slot to
-//! notify. A [`TaskWake`] is the one backend nobody sleeps on.
+//! Each heap FIFO owns two slots, one per side a task can wait on: the
+//! **data side** (the consumer's), notified by `push`/batch-commit/`close`/
+//! `post_async` ("data or EoS is visible"), and the **room side** (the
+//! producer's), notified by every release of slots, a consumer drop, a
+//! resize and a drain ("a write would not wait"). A pool task waits for
+//! input on the first and for room on the second, so a kernel that moves at
+//! most one element per port per run never parks its worker inside a link;
+//! a thread blocked in a link waits on the FIFO's
+//! [`crate::eventcount::ThreadPark`] instead (a `futex(2)` wait on its `seq`
+//! word). A [`TaskWake`] is the one backend nobody sleeps on.
 //!
 //! ## The lost-wakeup problem
 //!
@@ -20,12 +24,27 @@
 //! [`EventCount`] whose [`Wake`] backend ([`TaskWake`]) delivers the wake by
 //! calling the registered [`FifoWaker`] instead of waking a thread: there is
 //! **no interleaving in which the scheduler parks a task on an
-//! observed-empty queue and the notifier skips the wake**, each arm produces
-//! **at most one** callback (a stream pushing a thousand elements while its
-//! consumer is already queued costs a thousand fence + load pairs, not a
-//! thousand callbacks), and both sides "winning" costs one spurious wake,
-//! which the scheduler's task state machine absorbs.
-//! `tests/loom_eventcount.rs` model-checks exactly this window.
+//! observed-empty (or observed-full) queue and the notifier skips the
+//! wake**, each arm produces **at most one** callback, and both sides
+//! "winning" costs one spurious wake, which the scheduler's task state
+//! machine absorbs. `tests/loom_eventcount.rs` model-checks exactly this
+//! window.
+//!
+//! ## One wake per link per claim
+//!
+//! The fence that makes a notify lossless is the expensive part of it, and
+//! a stream that moves a thousand elements while its peer is queued needs
+//! none of the thousand. So a pool worker runs each claim under
+//! [`ClaimWakes`]: inside it, a push or a pop still stores `tail` / `head`
+//! per element (the peer sees every element at once), but only *owes* its
+//! task wake — the first touch of a link side records it in one
+//! thread-local list, and the owed wakes are paid (one fenced notify per
+//! link side, then the `pushed` / `popped` announcement) when the claim
+//! ends and before the thread waits anywhere (`Shared::blocked`, a close).
+//! The stream writes precede the fence in program order, so the deferred
+//! notify pairs with the parked task's arm exactly as an immediate one
+//! would (`tests/loom_stealing.rs`). Outside a claim — thread-per-kernel
+//! runs, user threads — every notify is immediate.
 //!
 //! When no waker was ever registered (thread-per-kernel runs),
 //! [`TaskWake::listening`] is false and every notify site degrades to a
@@ -35,6 +54,8 @@
 // protocol — publication of the cell contents is ordered entirely by the
 // (loom-instrumented) `state` atomic and SeqCst fences below, so the model
 // checker still explores every ordering that matters.
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::eventcount::{EventCount, Wake};
@@ -64,10 +85,10 @@ const SET: usize = 2;
 /// Lifecycle: the scheduler [`register`](EventCount::register)s a waker once
 /// per run (first caller wins; the slot stays registered for the FIFO's
 /// lifetime, so no reclamation race exists), then repeatedly
-/// [`arm`](EventCount::arm)s it before parking the consuming task
-/// and re-checks the stream state per the eventcount protocol. The FIFO
-/// calls [`notify`](EventCount::notify) after every state change the task
-/// might be waiting on.
+/// [`arm`](EventCount::arm)s it before parking the task that waits on this
+/// side and re-checks the stream state per the eventcount protocol. The
+/// FIFO calls [`notify`](EventCount::notify) after every state change the
+/// task might be waiting on — or, inside a [`ClaimWakes`], owes it.
 pub type WakerSlot = EventCount<TaskWake>;
 
 /// [`Wake`] backend of a [`WakerSlot`]: the eventcount words plus the
@@ -169,6 +190,82 @@ impl EventCount<TaskWake> {
     pub fn is_registered(&self) -> bool {
         self.backend().listening()
     }
+}
+
+std::thread_local! {
+    /// Set while this thread runs a pool claim ([`ClaimWakes`]).
+    static DEFERRING: Cell<bool> = const { Cell::new(false) };
+    /// The task wakes this thread owes, one per link side.
+    static OWED: RefCell<Vec<Owed>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One owed task wake: the link it is owed on, and how to pay it.
+struct Owed {
+    link: *const (),
+    pay: unsafe fn(*const ()),
+}
+
+/// Task wakes deferred for one pool claim (module docs): while a
+/// `ClaimWakes` lives, every per-element task wake on this thread is owed
+/// instead of delivered, once per link side, and dropping it pays them.
+/// One-off changes (close, async signal, drain, resize, rewind) still
+/// notify at once.
+#[must_use = "dropping it pays the owed wakes and ends the deferral"]
+pub struct ClaimWakes {
+    /// Tied to the thread whose wakes it defers.
+    _thread: PhantomData<*const ()>,
+}
+
+impl ClaimWakes {
+    /// Start deferring this thread's task wakes.
+    pub fn begin() -> Self {
+        DEFERRING.set(true);
+        ClaimWakes {
+            _thread: PhantomData,
+        }
+    }
+}
+
+impl Drop for ClaimWakes {
+    fn drop(&mut self) {
+        DEFERRING.set(false);
+        pay_owed();
+    }
+}
+
+/// `true` inside a [`ClaimWakes`]: task wakes are owed, not delivered.
+#[inline]
+pub(crate) fn deferring() -> bool {
+    DEFERRING.get()
+}
+
+/// Record a task wake owed on `link`, paid later by `pay(link)`.
+///
+/// # Safety
+/// `link` must stay valid until `pay` runs, and `pay(link)` must be sound
+/// to call once, on this thread.
+pub(crate) unsafe fn owe(link: *const (), pay: unsafe fn(*const ())) {
+    OWED.with_borrow_mut(|owed| owed.push(Owed { link, pay }));
+}
+
+/// Pay every task wake this thread owes, oldest first. Paying runs the
+/// registered wakers, so the list is taken out while they run.
+pub(crate) fn pay_owed() {
+    let mut owed = OWED.with_borrow_mut(std::mem::take);
+    if owed.is_empty() {
+        return;
+    }
+    for o in &owed {
+        // SAFETY: `owe`'s contract; each entry is paid once and dropped.
+        unsafe { (o.pay)(o.link) };
+    }
+    owed.clear();
+    // Keep the allocation unless a waker owed something meanwhile.
+    OWED.with_borrow_mut(|cur| {
+        if cur.is_empty() {
+            *cur = owed;
+        }
+    });
 }
 
 #[cfg(all(test, not(loom)))]

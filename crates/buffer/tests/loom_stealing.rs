@@ -39,6 +39,14 @@
 //! `wake_worker` (a fenced `notify` of each worker's eventcount until one
 //! claims an arm). [`worker_park_races_enqueue_and_wake`] checks that an
 //! enqueue racing a park always leaves the task claimed or the parker woken.
+//!
+//! ## One wake per link per claim
+//!
+//! Inside a pool claim a push stores `tail` (a pop `head`) per element but
+//! pays its task wake once, at claim end. [`claim_end_wake_covers_every_push_of_the_claim`]
+//! and its room-side twin [`claim_end_room_wake_covers_every_release_of_the_claim`]
+//! check that one fence after many counter stores still pairs with the
+//! parking task's arm.
 #![cfg(loom)]
 
 use loom::sync::atomic::{AtomicUsize, Ordering};
@@ -266,6 +274,88 @@ fn notify_during_running_is_never_lost() {
                 task.state.load(Ordering::SeqCst),
                 QUEUED,
                 "lost wakeup: data present, task not re-queued"
+            );
+        }
+    });
+}
+
+/// One claim of a producer task, racing a consumer task that parks: the
+/// producer stores `tail` per element (two pushes) but only owes its task
+/// wake, and pays it once at claim end — one fenced notify after both
+/// stores — while the consumer, running, drains what it sees and parks
+/// (arm → re-check → CAS). An element the drain missed is seen by the
+/// re-check or the claim-end notify finds the arm: the task is never left
+/// IDLE over data, however the two stores and the one fence interleave
+/// with the arm.
+#[test]
+fn claim_end_wake_covers_every_push_of_the_claim() {
+    loom::model(|| {
+        let task = Arc::new(Task::<1>::new());
+        install_waker(&task);
+        task.state.store(QUEUED, Ordering::SeqCst);
+
+        let producer = {
+            let task = Arc::clone(&task);
+            loom::thread::spawn(move || {
+                // Two pushes: a `tail` store each, the wake owed.
+                task.occupancy[0].fetch_add(1, Ordering::AcqRel);
+                task.occupancy[0].fetch_add(1, Ordering::AcqRel);
+                // Claim end: the one owed wake is paid.
+                task.slots[0].notify();
+            })
+        };
+        task.claim();
+        task.run_drain();
+        task.park();
+        producer.join().unwrap();
+
+        if task.occupancy[0].load(Ordering::SeqCst) > 0 {
+            assert_eq!(
+                task.state.load(Ordering::SeqCst),
+                QUEUED,
+                "lost wakeup: data left by the claim, consumer task not re-queued"
+            );
+        }
+    });
+}
+
+/// The room-side twin: a producer task that found its ring full parks on
+/// its room slot (arm → re-check → CAS) while the consumer's claim releases
+/// slots per element (a `head` store each) and pays its owed room wake once,
+/// at claim end. Here the task's one "port" counts free slots: the
+/// producer's run fills every slot it sees, the consumer's releases free
+/// them. Room freed by the claim is seen by the re-check or the claim-end
+/// notify finds the arm: the producer is never left IDLE with room to fill.
+#[test]
+fn claim_end_room_wake_covers_every_release_of_the_claim() {
+    loom::model(|| {
+        let producer = Arc::new(Task::<1>::new());
+        install_waker(&producer);
+        producer.state.store(QUEUED, Ordering::SeqCst);
+        let free = |t: &Task<1>| t.occupancy[0].load(Ordering::SeqCst);
+
+        let consumer = {
+            let producer = Arc::clone(&producer);
+            loom::thread::spawn(move || {
+                // Two pops: a `head` store each, the room wake owed.
+                producer.occupancy[0].fetch_add(1, Ordering::AcqRel);
+                producer.occupancy[0].fetch_add(1, Ordering::AcqRel);
+                // Claim end: the one owed room wake is paid.
+                producer.slots[0].notify();
+            })
+        };
+        // The producer's claim fills what room it sees, then finds the
+        // ring full and parks on room.
+        producer.claim();
+        producer.run_drain();
+        producer.park();
+        consumer.join().unwrap();
+
+        if free(&producer) > 0 {
+            assert_eq!(
+                producer.state.load(Ordering::SeqCst),
+                QUEUED,
+                "lost wakeup: room freed by the claim, producer task not re-queued"
             );
         }
     });

@@ -78,6 +78,11 @@ pub trait InEnd: Any + Send {
 /// The output end of one stream with its element type erased: a
 /// `Producer<T>` (see [`InEnd`]).
 pub trait OutEnd: Any + Send {
+    /// Monitor-facing handle of the link this end writes.
+    fn link(&self) -> Arc<dyn Monitorable>;
+    /// `true` when a push would not wait, judged through this end's own
+    /// cursor ([`Producer::ready`]).
+    fn ready(&mut self) -> bool;
     /// `true` when pushes are staged until the transaction commits.
     fn journaled(&self) -> bool;
     /// Push an owned batch (a `Vec<T>`) with `Producer::push_batch` — the
@@ -123,6 +128,12 @@ impl<T: Send + 'static> InEnd for Consumer<T> {
 }
 
 impl<T: Send + 'static> OutEnd for Producer<T> {
+    fn link(&self) -> Arc<dyn Monitorable> {
+        Arc::new(self.fifo())
+    }
+    fn ready(&mut self) -> bool {
+        Producer::ready(self)
+    }
     fn journaled(&self) -> bool {
         Producer::journaled(self)
     }
@@ -162,6 +173,8 @@ pub struct Context {
     /// its port index.
     input_names: Vec<String>,
     outputs: Vec<RefCell<Box<dyn OutEnd>>>,
+    /// Monitor handle of each output's FIFO (the pool's room checks).
+    output_fifos: Vec<Arc<dyn Monitorable>>,
     output_names: Vec<String>,
     /// What [`Context::commit_every`] returns, fixed at construction.
     commit_every: u32,
@@ -190,6 +203,7 @@ impl Context {
             input_fifos: Vec::new(),
             input_names: Vec::new(),
             outputs: Vec::new(),
+            output_fifos: Vec::new(),
             output_names: Vec::new(),
             commit_every: 0,
             shutdown,
@@ -213,6 +227,7 @@ impl Context {
 
     fn bind_output(&mut self, name: String, ep: Box<dyn OutEnd>) {
         self.output_names.push(name);
+        self.output_fifos.push(ep.link());
         self.outputs.push(RefCell::new(ep));
     }
 
@@ -364,16 +379,24 @@ impl Context {
 
     /// Monitor handles of the input streams, parallel to the input ports.
     /// Runtime-internal: the stealing scheduler's off-thread readiness
-    /// checks and its input wakers.
+    /// checks and its data-side wakers.
     pub(crate) fn input_fifos(&self) -> &[Arc<dyn Monitorable>] {
         &self.input_fifos
     }
 
-    /// [`crate::scheduler::inputs_ready`] judged through each input's own
-    /// cursor ([`InEnd::ready`]): a consumer with data in view reads no
-    /// shared ring counter. The per-run gate of a pooled `drive`.
-    pub(crate) fn inputs_ready(&self) -> bool {
+    /// Monitor handles of the output streams, parallel to the output
+    /// ports: the stealing scheduler's room checks and room-side wakers.
+    pub(crate) fn output_fifos(&self) -> &[Arc<dyn Monitorable>] {
+        &self.output_fifos
+    }
+
+    /// The readiness rule ([`crate::scheduler::task_ready`]) judged
+    /// through each port's own cursor ([`InEnd::ready`],
+    /// [`OutEnd::ready`]): an end with data or room in view reads no shared
+    /// ring counter. The per-run gate of a pooled `drive`.
+    pub(crate) fn ready(&self) -> bool {
         self.inputs.iter().all(|e| e.borrow_mut().ready())
+            && self.outputs.iter().all(|e| e.borrow_mut().ready())
     }
 
     /// `true` when *every* input port is closed and drained — the usual

@@ -259,18 +259,36 @@ pub fn render(report: &ExeReport) -> String {
         let _ = writeln!(out, "\nworkers ({}):", report.workers.len());
         let _ = writeln!(
             out,
-            "  {:<8} {:>6} {:>10} {:>8} {:>7} {:>7} {:>8} {:>14}",
-            "worker", "core", "runs", "steals", "parks", "wakes", "rescues", "wake→run ns"
+            "  {:<8} {:>6} {:>10} {:>10} {:>8} {:>7} {:>7} {:>8} {:>14}",
+            "worker",
+            "core",
+            "claims",
+            "runs/claim",
+            "steals",
+            "parks",
+            "wakes",
+            "rescues",
+            "wake→run ns"
         );
         for w in &report.workers {
             let mean_wake_ns = w.wake_to_run_ns.checked_div(w.woken_tasks).unwrap_or(0);
+            // `runs` counts claims; `kernel_runs` the `run()` calls in them.
+            let runs_per_claim = w.kernel_runs as f64 / w.runs.max(1) as f64;
             let core = w
                 .pinned_core
                 .map_or_else(|| "-".to_string(), |c| c.to_string());
             let _ = writeln!(
                 out,
-                "  {:<8} {:>6} {:>10} {:>8} {:>7} {:>7} {:>8} {:>14}",
-                w.worker, core, w.runs, w.steals, w.parks, w.woken_tasks, w.rescues, mean_wake_ns
+                "  {:<8} {:>6} {:>10} {:>10.1} {:>8} {:>7} {:>7} {:>8} {:>14}",
+                w.worker,
+                core,
+                w.runs,
+                runs_per_claim,
+                w.steals,
+                w.parks,
+                w.woken_tasks,
+                w.rescues,
+                mean_wake_ns
             );
         }
     }
@@ -433,6 +451,13 @@ mod tests {
         let report = map.exe().unwrap();
         let text = render(&report);
         assert!(text.contains("workers (2):"));
+        assert!(text.contains("claims") && text.contains("runs/claim"));
         assert!(text.contains("wake→run ns"));
+        // Every kernel run happened inside some worker's claim.
+        let in_claims: u64 = report.workers.iter().map(|w| w.kernel_runs).sum();
+        assert_eq!(
+            in_claims,
+            report.kernels.iter().map(|k| k.runs).sum::<u64>()
+        );
     }
 }

@@ -12,10 +12,12 @@
 //!   OS thread); blocking port operations simply block that thread and the
 //!   OS multiplexes.
 //! * [`crate::stealing::work_stealing`] — a fixed pool of workers for graphs
-//!   with more kernels than cores: readiness arrives through the FIFOs'
-//!   [`raft_buffer::WakerSlot`]s as O(1) task enqueues onto the kernel's
-//!   home worker's run queue (homes seeded by the §4.1 mapper), stealing
-//!   when idle, adaptive spin → yield → park idling, optional core pinning.
+//!   with more kernels than cores: readiness (data on every input, room on
+//!   every output) arrives through the FIFOs' [`raft_buffer::WakerSlot`]s
+//!   as O(1) task enqueues onto the kernel's home worker's run queue (homes
+//!   seeded by the §4.1 mapper), a claim runs the kernel for a time slice,
+//!   stealing when idle, adaptive spin → yield → park idling, optional core
+//!   pinning.
 //!
 //! Both run kernels through the same lifecycle, which exists once in this
 //! module: `drive` (ready-gate → `run()` inside the unwind guard →
@@ -27,7 +29,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use raft_buffer::{fifo::Monitorable, LogHist};
 
@@ -206,8 +208,10 @@ pub struct WorkerReport {
     /// Core this worker pinned itself to, if pinning was requested and
     /// succeeded.
     pub pinned_core: Option<usize>,
-    /// Task claims executed (quanta, not kernel `run()` calls).
+    /// Task claims executed (time slices, not kernel `run()` calls).
     pub runs: u64,
+    /// Kernel `run()` calls made inside those claims.
+    pub kernel_runs: u64,
     /// Tasks obtained by stealing from another worker's run queue.
     pub steals: u64,
     /// Times the worker parked after exhausting spin and yield budgets.
@@ -233,57 +237,83 @@ pub struct SchedulerOutput {
     pub workers: Vec<WorkerReport>,
 }
 
-/// `run()` calls per claim under a pool scheduler: long enough to amortize
-/// the claim, short enough that one busy kernel cannot starve its worker's
-/// queue.
+/// One round of a pool claim, in `run()` calls: a claim reads the clock
+/// once per round, so a round is the floor of a claim's length; also a
+/// fully journaled kernel's commit cadence (`Context::commit_every`).
 pub(crate) const QUANTUM: u32 = 32;
 
-/// The readiness rule: sources are always ready; everything else needs data
-/// (or EoS, or a pending async signal — e.g. the `Signal::Error` a panicked
-/// upstream posts with no accompanying data) on *all* inputs, so a
-/// well-behaved kernel (consuming at most one item per input per `run`)
-/// never blocks a pool worker on an empty queue. This form reads the shared
-/// ring counters afresh, for the stealing scheduler's checks made off the
-/// kernel's own cursors (the wake filter, the re-check after arming, the
-/// sweep); a gated [`drive`] asks the same question through the cursors
-/// (`Context::inputs_ready`).
-pub(crate) fn inputs_ready(input_fifos: &[Arc<dyn Monitorable>]) -> bool {
-    input_fifos
-        .iter()
-        .all(|f| f.occupancy() > 0 || f.is_finished() || f.has_async())
+/// How long a pool claim runs: it ends at the first round boundary past
+/// this slice. Long enough that a fast kernel's claim is hundreds of runs,
+/// amortizing the claim and its one task wake per link; short enough that
+/// one busy kernel cannot starve its worker's queue. A slow kernel's claim
+/// is one round.
+pub(crate) const SLICE: Duration = Duration::from_micros(25);
+
+/// The readiness rule, input side: data (or EoS, or a pending async signal
+/// — e.g. the `Signal::Error` a panicked upstream posts with no
+/// accompanying data) on the stream.
+pub(crate) fn input_ready(f: &dyn Monitorable) -> bool {
+    f.occupancy() > 0 || f.is_finished() || f.has_async()
+}
+
+/// The readiness rule: data on *all* inputs and room on *all* outputs
+/// ([`Monitorable::has_room`]), so a well-behaved kernel (moving at most
+/// one item per port per `run`) never blocks a pool worker inside a link,
+/// on an empty queue or a full one. Sources need only room, sinks only
+/// data. This form reads the shared ring counters afresh, for the stealing
+/// scheduler's checks made off the kernel's own cursors (the wake filter,
+/// the re-check after arming, the sweep); a gated [`drive`] asks the same
+/// question through the cursors (`Context::ready`).
+pub(crate) fn task_ready(
+    inputs: &[Arc<dyn Monitorable>],
+    outputs: &[Arc<dyn Monitorable>],
+) -> bool {
+    inputs.iter().all(|f| input_ready(&**f)) && outputs.iter().all(|f| f.has_room())
 }
 
 /// Why [`drive`] handed the kernel back.
 pub(crate) enum Driven {
     /// The kernel stopped, was skipped, or failed for good: [`retire`] it.
     Done(StepDone),
-    /// Some input is empty. The open journal transaction was flushed, so
-    /// nothing staged sits unpublished while the kernel waits.
+    /// Some input is empty or some output full. The open journal
+    /// transaction was flushed, so nothing staged sits unpublished while
+    /// the kernel waits.
     Idle,
-    /// The quantum ran out with every input still ready.
+    /// The slice ran out with the kernel still ready.
     Yielded,
 }
 
 /// The kernel lifecycle bracket every scheduler runs kernels through.
 ///
-/// `quantum = None` is the thread-per-kernel form: the kernel owns its
+/// `slice = None` is the thread-per-kernel form: the kernel owns its
 /// thread, so there is no readiness gate (blocking port operations block)
-/// and the call returns only [`Driven::Done`]. `Some(q)` is the pool form:
-/// readiness is checked before every `run()` and once more after the `q`-th,
-/// so the caller learns whether to requeue the task or park it.
-pub(crate) fn drive(runner: &mut KernelRunner, quantum: Option<u32>) -> Driven {
-    let mut left = quantum;
-    loop {
-        if let Some(left) = left.as_mut() {
-            if !runner.ctx.inputs_ready() {
-                runner.journal_flush();
-                return Driven::Idle;
+/// and the call returns only [`Driven::Done`]. `Some(slice)` is the pool
+/// form, one claim: readiness is checked before every `run()`, and the
+/// runs go in rounds of [`QUANTUM`]; at each round boundary one clock read
+/// ends the claim once `slice` has passed since it began, so the caller
+/// learns whether to requeue the task or park it.
+pub(crate) fn drive(runner: &mut KernelRunner, slice: Option<Duration>) -> Driven {
+    let Some(slice) = slice else {
+        loop {
+            if let Some(done) = step(runner).or_else(|| stop_winddown(runner)) {
+                return Driven::Done(done);
             }
-            if *left == 0 {
+        }
+    };
+    // When the claim ends, and runs left in this round.
+    let (ends, mut left) = (now() + slice, QUANTUM);
+    loop {
+        if !runner.ctx.ready() {
+            runner.journal_flush();
+            return Driven::Idle;
+        }
+        if left == 0 {
+            if now() >= ends {
                 return Driven::Yielded;
             }
-            *left -= 1;
+            left = QUANTUM;
         }
+        left -= 1;
         if let Some(done) = step(runner).or_else(|| stop_winddown(runner)) {
             return Driven::Done(done);
         }
@@ -347,7 +377,10 @@ fn bump(counter: &AtomicU64, by: u64) {
 
 /// One `run()` invocation. Returns `None` while the kernel wants more
 /// (`Proceed`, or a panic the supervision policy absorbed), `Some(done)`
-/// when it stopped, was skipped, or failed for good.
+/// when it stopped, was skipped, or failed for good. Always inlined, into
+/// both of [`drive`]'s loops: each scheduler's loop then compiles around
+/// the whole bracket, as the one loop did before the pool's got its gate.
+#[inline(always)]
 fn step(runner: &mut KernelRunner) -> Option<StepDone> {
     // This run's ordinal; `runs` catches up to it when the run returns, so
     // `entered > runs` exactly while the kernel is inside `run()`.
@@ -619,12 +652,47 @@ mod tests {
 
     #[test]
     fn fast_runs_are_counted_exactly_and_timed_one_in_a_stride_per_quantum() {
+        // A zero slice ends every claim at its first round boundary: one
+        // round of QUANTUM runs, and two clock reads (the claim's start and
+        // that boundary) on top of the sampled runs' pairs.
         let mut r = runner(u64::MAX, Duration::ZERO);
         let before = clock_reads();
-        for _ in 0..RUNS / u64::from(QUANTUM) {
-            assert!(matches!(drive(&mut r, Some(QUANTUM)), Driven::Yielded));
+        let claims = RUNS / u64::from(QUANTUM);
+        for _ in 0..claims {
+            assert!(matches!(
+                drive(&mut r, Some(Duration::ZERO)),
+                Driven::Yielded
+            ));
         }
-        assert_sampled(&r, clock_reads() - before);
+        assert_sampled(&r, clock_reads() - before - 2 * claims);
+    }
+
+    #[test]
+    fn a_claim_lasts_its_slice_in_whole_rounds_with_one_clock_read_each() {
+        // Trivial runs: a claim is many rounds, one clock read per round.
+        let mut r = runner(u64::MAX, Duration::ZERO);
+        let before = clock_reads();
+        let slice = Duration::from_millis(2);
+        let began = Instant::now();
+        assert!(matches!(drive(&mut r, Some(slice)), Driven::Yielded));
+        assert!(began.elapsed() >= slice);
+        let runs = r.telemetry.runs.load(Ordering::Relaxed);
+        assert_eq!(
+            runs % u64::from(QUANTUM),
+            0,
+            "{runs} runs: not whole rounds"
+        );
+        assert!(
+            runs > 4 * u64::from(QUANTUM),
+            "{runs} trivial runs in a 2 ms slice"
+        );
+        let timed = r.telemetry.timed_runs.load(Ordering::Relaxed);
+        let rounds = runs / u64::from(QUANTUM);
+        assert_eq!(clock_reads() - before, 2 * timed + 1 + rounds);
+        // Slow runs: the claim ends at its first round boundary.
+        let mut r = runner(u64::MAX, Duration::from_micros(50));
+        assert!(matches!(drive(&mut r, Some(SLICE)), Driven::Yielded));
+        assert_eq!(r.telemetry.runs.load(Ordering::Relaxed), u64::from(QUANTUM));
     }
 
     #[test]

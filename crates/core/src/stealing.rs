@@ -3,12 +3,29 @@
 //! [`work_stealing`] multiplexes a graph over a fixed pool of workers without
 //! ever scanning for runnable kernels:
 //!
-//! * **Readiness is pushed, not polled.** Each kernel is a *task* with a
-//!   tiny state machine (`IDLE → QUEUED → RUNNING`). When a task blocks on
-//!   empty inputs, the owning worker *arms* the consumer-side
-//!   [`raft_buffer::WakerSlot`] of every input stream and steps away; the
-//!   producer endpoint that next pushes data (or EoS, or an async signal)
-//!   re-queues the task in O(1) from its own thread.
+//! * **Readiness is pushed, not polled, on both sides.** Each kernel is a
+//!   *task* with a tiny state machine (`IDLE → QUEUED → RUNNING`). A run
+//!   starts only when every input has data (or EoS, or an async signal)
+//!   and every output has a free slot, judged through the kernel's own
+//!   cursors. When a task is not ready, the owning worker *arms* the
+//!   [`raft_buffer::WakerSlot`] of every side it waits on — the data side
+//!   of an empty input, the room side of a full output — and steps away;
+//!   the other endpoint, when it next pushes (or closes, or posts a
+//!   signal) or releases slots, re-queues the task in O(1) from its own
+//!   thread. So a kernel that moves at most one element per port per run
+//!   never parks its worker inside a link. A task waiting for room is a
+//!   blocked writer all the same: the gate times the wait, and the
+//!   monitor's grow rule counts it ([`raft_buffer::Producer::ready`]).
+//! * **Claims are time slices.** A claim runs the kernel in rounds of
+//!   [`QUANTUM`](crate::scheduler::QUANTUM) runs and ends at the first
+//!   round boundary past [`SLICE`] (one clock read per round): a fast
+//!   kernel's claim is hundreds of runs, a slow one's a single round.
+//! * **One task wake per link per claim.** Inside a claim the kernel's
+//!   pushes and pops still move `tail` / `head` per element, but only owe
+//!   their task wake ([`raft_buffer::ClaimWakes`]): the claim pays one
+//!   fenced notify per link side it touched when it ends — before the task
+//!   changes state — and the thread pays what it owes before it waits
+//!   anywhere.
 //! * **Kernels stay home.** Each worker owns one FIFO run queue, and each
 //!   task has a *home* worker, seeded from the mapper's partition (§4.1), so
 //!   only the links the partition cuts carry data between cores. A wake
@@ -16,12 +33,12 @@
 //!   or an idle re-queue goes to the back of the running worker's own
 //!   queue. A worker claims the front of its own queue, then steals the
 //!   front of a sibling's; a steal makes the thief the task's new home.
-//! * **Fair yields.** A task that used up its quantum with inputs still
-//!   ready goes to the back of its queue. If the worker then finds that
-//!   same task at the front (nothing else was queued there), it tries one
-//!   steal round first and re-queues the yielder if a steal succeeds: a
-//!   spinner cannot starve a task stranded on a worker that is blocked
-//!   inside a link.
+//! * **Fair yields.** A task that used up its slice still ready goes to
+//!   the back of its queue. If the worker then finds that same task at the
+//!   front (nothing else was queued there), it tries one steal round first
+//!   and re-queues the yielder if a steal succeeds: a spinner cannot starve
+//!   a task stranded on a worker that is blocked inside a link (a kernel
+//!   that moves more than one element per run can still block there).
 //! * **One way to sleep.** Each worker parks on its own
 //!   `EventCount<ThreadPark>` after the endpoints' spin → yield → park
 //!   schedule, bounded by the same [`PARK_TIMEOUT`] — a `futex(2)` wait on
@@ -32,23 +49,27 @@
 //!
 //! ## No lost wakeups
 //!
-//! A task parks by the eventcount waiter protocol over its inputs' waker
-//! slots: arm every input → re-check readiness → CAS `RUNNING → IDLE`. The
-//! arm's SeqCst fence pairs with the producer's fenced notify (DESIGN §10),
-//! so a producer that published data is either seen by the re-check or
-//! sees the arm and fires the wake; a wake firing *during* the run window
-//! lands as `NOTIFIED` and forces a self-requeue instead of parking.
-//! Spurious wakes (stale arms from an earlier park round) are absorbed by
-//! the state machine: waking a `QUEUED` task is a no-op, and every claim
-//! starts by disarming the inputs.
+//! A task parks by the eventcount waiter protocol over its ports' waker
+//! slots: arm every side that is not ready → re-check readiness → CAS
+//! `RUNNING → IDLE`. A side that is ready stays ready while the task is
+//! off its worker (only the task itself consumes its inputs or fills its
+//! outputs), so arming the others is enough. The arm's SeqCst fence pairs
+//! with the peer's fenced notify (DESIGN §10) — made at once, or owed and
+//! paid at the end of the peer's claim, after every counter store it
+//! covers — so a peer that published data or freed room is either seen by
+//! the re-check or sees the arm and fires the wake; a wake firing *during*
+//! the run window lands as `NOTIFIED` and forces a self-requeue instead of
+//! parking. Spurious wakes (stale arms from an earlier park round) are
+//! absorbed by the state machine: waking a `QUEUED` task is a no-op, and
+//! every claim starts by disarming every port.
 //!
 //! A worker parks by the same protocol on its own eventcount: arm → re-check
 //! "any queue non-empty, or pool done" → wait. Every enqueue that a parked
 //! worker must see is followed by a fenced notify — of the home worker
 //! first, then of any parked sibling that could steal — so the queue write
 //! and the arm cannot miss each other. A park that ran its full length with
-//! its arm unclaimed sweeps for `IDLE` tasks with ready inputs and re-queues
-//! them. One it re-queued itself, whose inputs' notifies had all returned,
+//! its arm unclaimed sweeps for `IDLE` tasks that are ready and re-queues
+//! them. One it re-queued itself, whose ports' notifies had all returned,
 //! is a counted rescue, and the certified paths keep that count at 0.
 
 use std::sync::atomic::{
@@ -59,16 +80,17 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use raft_buffer::eventcount::PARK_TIMEOUT;
+use raft_buffer::fifo::Monitorable;
 use raft_buffer::sync::Mutex;
 use raft_buffer::{
-    EventCount, FifoWaker, ThreadPark, WaitAction, WaitStrategy, Waiter, DRAIN_DRAINING,
+    ClaimWakes, EventCount, FifoWaker, ThreadPark, WaitAction, WaitStrategy, Waiter, DRAIN_DRAINING,
 };
 
 use crate::affinity;
 use crate::runtime::{DrainReason, Shutdown};
 use crate::scheduler::{
-    drive, inputs_ready, retire, Driven, KernelRunner, RunnerOutcome, SchedulerOutput, StepDone,
-    WorkerReport, QUANTUM,
+    drive, input_ready, retire, task_ready, Driven, KernelRunner, RunnerOutcome, SchedulerOutput,
+    StepDone, WorkerReport, SLICE,
 };
 use crate::steal::RunQueue;
 use crate::supervise::KernelOutcome;
@@ -110,10 +132,51 @@ struct TaskSlot {
     /// Nanoseconds-since-epoch timestamp of the wake that queued this task;
     /// 0 = queued by self-requeue (not a waker). Feeds wake-to-run latency.
     woken_at_ns: AtomicU64,
-    /// Monitor handles of the task's input streams, readable without the
-    /// runner mutex — the wake-side readiness filter (see [`Core::wake_task`])
-    /// checks these on every waker fire.
-    inputs: Vec<Arc<dyn raft_buffer::fifo::Monitorable>>,
+    /// Monitor handles of the task's input and output streams, readable
+    /// without the runner mutex — the wake-side readiness filter (see
+    /// [`Core::wake_task`]) checks these on every waker fire.
+    inputs: Vec<Arc<dyn Monitorable>>,
+    outputs: Vec<Arc<dyn Monitorable>>,
+}
+
+impl TaskSlot {
+    /// The readiness rule over the shared counters ([`task_ready`]).
+    fn ready(&self) -> bool {
+        task_ready(&self.inputs, &self.outputs)
+    }
+
+    /// The waiter's arm + re-check: arm the waker slot of every side that
+    /// is not ready — an input's data side, an output's room side — then
+    /// re-check. `true` when the task is ready after all and must not park.
+    fn arm_unready(&self) -> bool {
+        let mut armed = false;
+        for f in self.inputs.iter().filter(|f| !input_ready(&***f)) {
+            f.consumer_waker().arm();
+            armed = true;
+        }
+        for f in self.outputs.iter().filter(|f| !f.has_room()) {
+            f.producer_waker().arm();
+            armed = true;
+        }
+        !armed || self.ready()
+    }
+
+    /// Withdraw every arm: a claim absorbs those left from an earlier park
+    /// round, so its own traffic cannot burn a stale edge later.
+    fn disarm(&self) {
+        for f in &self.inputs {
+            f.consumer_waker().disarm();
+        }
+        for f in &self.outputs {
+            f.producer_waker().disarm();
+        }
+    }
+
+    /// Every port's readiness was notified ([`Monitorable::announced`],
+    /// [`Monitorable::room_announced`]).
+    fn announced(&self) -> bool {
+        self.inputs.iter().all(|f| f.announced()) && self.outputs.iter().all(|f| f.room_announced())
+    }
 }
 
 /// State shared by workers and waker callbacks.
@@ -150,6 +213,11 @@ impl Core {
                     inputs: r
                         .iter()
                         .flat_map(|r| r.ctx.input_fifos())
+                        .cloned()
+                        .collect(),
+                    outputs: r
+                        .iter()
+                        .flat_map(|r| r.ctx.output_fifos())
                         .cloned()
                         .collect(),
                     runner: Mutex::new(r),
@@ -229,30 +297,26 @@ impl Core {
     /// Waker/state-machine entry: called with the task in any state.
     /// Returns `true` when this call moved the task `IDLE → QUEUED`.
     ///
-    /// Wake-side readiness filter: a waker fires when *one* input gains
-    /// data, but a multi-input kernel (join, reduce) is only runnable when
-    /// *all* inputs have data — enqueueing early just burns a claim → not
-    /// ready → re-arm → park cycle per lane (O(width²) churn across a
-    /// row).
+    /// Wake-side readiness filter: a waker fires when *one* side becomes
+    /// ready, but a task is only runnable when *all* inputs have data and
+    /// all outputs room — enqueueing early just burns a claim → not ready
+    /// → re-arm → park cycle per port (O(width²) churn across a join row).
     ///
     /// Dropping the wake is only lossless if somebody is guaranteed to fire
-    /// again: the notify that got us here already *consumed* this input's
-    /// arm, so if the filter's view was stale (the data IS there, or lands
-    /// right after the check) no later push would ever re-fire — the
-    /// certified claim-time-disarm lost wakeup (`loom_stealing.rs`). So on
-    /// filter failure we re-arm every input (the arm's SeqCst fence pairs
-    /// with the producer's notify fence) and re-check once: either the
-    /// re-check sees the data and we fall through to enqueue, or any
-    /// subsequent push finds a fresh arm and re-enters here. Spurious arms
-    /// are absorbed at claim time (every claim disarms first).
+    /// again: the notify that got us here already *consumed* this side's
+    /// arm, so if the filter's view was stale (the data or room IS there,
+    /// or lands right after the check) no later change would ever re-fire
+    /// — the certified claim-time-disarm lost wakeup (`loom_stealing.rs`).
+    /// So on filter failure we re-arm every side that is not ready (the
+    /// arm's SeqCst fence pairs with the peer's notify fence) and re-check
+    /// once: either the re-check sees readiness and we fall through to
+    /// enqueue, or any subsequent change finds a fresh arm and re-enters
+    /// here. Spurious arms are absorbed at claim time (every claim disarms
+    /// first).
     fn wake_task(&self, task: usize) -> bool {
-        if !inputs_ready(&self.tasks[task].inputs) {
-            for f in &self.tasks[task].inputs {
-                f.consumer_waker().arm();
-            }
-            if !inputs_ready(&self.tasks[task].inputs) {
-                return false;
-            }
+        let slot = &self.tasks[task];
+        if !slot.ready() && !slot.arm_unready() {
+            return false;
         }
         let state = &self.tasks[task].state;
         let mut cur = state.load(Relaxed);
@@ -278,8 +342,8 @@ impl Core {
     }
 
     /// Safety-net sweep run by a worker whose park ran its full length with
-    /// its arm unclaimed: a task that is `IDLE` with ready inputs is the
-    /// signature of a lost wakeup, so re-queue it.
+    /// its arm unclaimed: a task that is `IDLE` and ready is the signature
+    /// of a lost wakeup, so re-queue it.
     /// [`wake_task`](Self::wake_task)'s re-arm + re-check closes every hole
     /// the loom model covers; this sweep bounds the damage of any residual
     /// one to a single park period instead of a permanent hang, and turns
@@ -287,12 +351,11 @@ impl Core {
     /// Every such task is re-queued, but only a wake that was really lost
     /// counts: one this sweep itself queued (a wake in flight on another
     /// thread — its arm claimed, its CAS not yet run — was not lost) for a
-    /// task whose every input was announced, i.e. whose readiness was
-    /// already notified ([`Monitorable::announced`]). A producer
-    /// descheduled between publishing and notifying has a wake still to
-    /// deliver, however long the sweep waited for it.
-    ///
-    /// [`Monitorable::announced`]: raft_buffer::fifo::Monitorable::announced
+    /// task whose every port was announced, i.e. whose readiness was
+    /// already notified ([`TaskSlot::announced`]). A peer descheduled
+    /// between publishing and notifying, or still inside the claim that
+    /// owes the wake, has a wake still to deliver, however long the sweep
+    /// waited for it.
     fn rescue_idle_ready(&self) -> u64 {
         let mut rescued = 0;
         for (task, slot) in self.tasks.iter().enumerate() {
@@ -302,10 +365,10 @@ impl Core {
             // Skip finished kernels (runner taken); a held lock means the
             // task is mid-claim, which is not a lost wakeup.
             let live = slot.runner.try_lock().is_some_and(|g| g.is_some());
-            if live && inputs_ready(&slot.inputs) {
+            if live && slot.ready() {
                 // Read before the wake: a notify returning after it must
                 // not make this wake look owed.
-                let owed = slot.inputs.iter().all(|f| f.announced());
+                let owed = slot.announced();
                 rescued += u64::from(self.wake_task(task) && owed);
             }
         }
@@ -313,8 +376,9 @@ impl Core {
     }
 }
 
-/// The waker installed on every input stream of task `task`: an O(1)
-/// enqueue running inline on the *producer's* thread.
+/// The waker installed on every port of task `task` — an input's data side,
+/// an output's room side: an O(1) enqueue running inline on the peer
+/// endpoint's thread.
 struct TaskWaker {
     core: Arc<Core>,
     task: usize,
@@ -336,7 +400,7 @@ fn steal(core: &Core, me: usize) -> Option<usize> {
 }
 
 /// Claim source: the front of `me`'s own queue, else a steal. If the front
-/// is `yielded` — the task `me` just ran for a full quantum, so nothing
+/// is `yielded` — the task `me` just ran for a full slice, so nothing
 /// else was queued here — try a steal first and put the yielder back if it
 /// succeeds (module docs). Returns the task id and whether it was stolen.
 fn find_task(core: &Core, me: usize, yielded: Option<usize>) -> Option<(usize, bool)> {
@@ -353,10 +417,10 @@ fn find_task(core: &Core, me: usize, yielded: Option<usize>) -> Option<(usize, b
     }
 }
 
-/// Drive one claimed task for up to a quantum, pushing its outcome if the
-/// kernel finished; `true` when it yielded the quantum. The kernel
+/// Drive one claimed task for up to a slice, pushing its outcome if the
+/// kernel finished; `true` when it yielded the slice. The kernel
 /// lifecycle itself lives in [`drive`] / [`retire`]; this function owns
-/// only the task state machine around it.
+/// only the task state machine around it, and the claim's owed wakes.
 fn run_task(
     core: &Core,
     me: usize,
@@ -384,13 +448,16 @@ fn run_task(
         stats.woken_tasks += 1;
         stats.wake_to_run_ns += core.now_ns().saturating_sub(woken_at);
     }
-    // Absorb arms left over from an earlier park round so this run's
-    // consumption can't burn a stale edge later.
-    for f in runner.ctx.input_fifos() {
-        f.consumer_waker().disarm();
-    }
+    slot.disarm();
+    let runs_before = runner.telemetry.runs.load(Relaxed);
+    let wakes = ClaimWakes::begin();
+    let driven = drive(runner, Some(SLICE));
+    // Pay the claim's owed task wakes before the task changes state (or
+    // retires and closes its links).
+    drop(wakes);
+    stats.kernel_runs += runner.telemetry.runs.load(Relaxed) - runs_before;
 
-    match drive(runner, Some(QUANTUM)) {
+    match driven {
         Driven::Done(done) => {
             let runner = guard.take().expect("runner present while RUNNING");
             drop(guard);
@@ -409,7 +476,7 @@ fn run_task(
             false
         }
         Driven::Yielded => {
-            // Quantum exhausted mid-stream: still runnable, but behind
+            // Slice used up mid-stream: still runnable, but behind
             // everything else queued here (module docs).
             drop(guard);
             slot.state.store(QUEUED, Release);
@@ -417,16 +484,13 @@ fn run_task(
             true
         }
         Driven::Idle => {
-            // Blocked on empty inputs: arm every input's waker, then
-            // re-check — the Dekker handshake that makes parking
-            // lossless (module docs).
-            for f in runner.ctx.input_fifos() {
-                f.consumer_waker().arm();
-            }
-            let landed = inputs_ready(runner.ctx.input_fifos());
+            // An empty input or a full output: arm the waker of every side
+            // not ready, then re-check — the Dekker handshake that makes
+            // parking lossless (module docs).
+            let landed = slot.arm_unready();
             drop(guard);
-            // `landed`: data (or EoS) arrived between drive's readiness
-            // check and the arms; stale arms are absorbed at the next
+            // `landed`: data (or EoS) or room arrived between drive's
+            // readiness check and the arms; stale arms are absorbed at the next
             // claim. A failed CAS means NOTIFIED: a waker fired during
             // the run window. Either way requeue rather than park, so the
             // wake is never lost.
@@ -524,10 +588,10 @@ pub(crate) fn work_stealing(
     let tasks = runners.into_iter().map(Some).zip(homes);
     let core = Arc::new(Core::new(tasks, workers, shutdown));
 
-    // Install a waker on every input stream. The Arc chain
-    // (fifo → TaskWaker → Core → runner → fifo) is cyclic only while
-    // the runner is alive; taking the runner out on completion breaks
-    // it, so everything frees at map teardown.
+    // Install a waker on every port: an input's data side, an output's
+    // room side. The Arc chain (fifo → TaskWaker → Core → runner → fifo)
+    // is cyclic only while the runner is alive; taking the runner out on
+    // completion breaks it, so everything frees at map teardown.
     for (id, slot) in core.tasks.iter().enumerate() {
         let guard = slot.runner.lock();
         if let Some(r) = guard.as_ref() {
@@ -537,6 +601,9 @@ pub(crate) fn work_stealing(
             });
             for f in r.ctx.input_fifos() {
                 f.consumer_waker().register(waker.clone());
+            }
+            for f in r.ctx.output_fifos() {
+                f.producer_waker().register(waker.clone());
             }
         }
     }

@@ -535,16 +535,18 @@ fn stall_watchdog_ends_frozen_pipeline() {
 
 /// A split→join diamond on `FifoConfig::fixed(4)` links that deadlocks by
 /// construction: the split feeds only branch `a`, the join pops branch `b`
-/// first. Once `WEDGED_AFTER` elements left the source the split is blocked
-/// on the full `a` and the join on the empty `b` (waiting, or never ready),
-/// for good; the source then pushes one element on its `alarm` port — which
-/// the caller links — and finishes. No source is left to stop, so level 1
+/// first. Once `WEDGED_AFTER` elements left the source, `a` is full — the
+/// split blocked in its push under thread-per-kernel (holding one more), or
+/// never ready under a pool — and the join waits on the empty `b`, for good;
+/// the source then pushes one element on its `alarm` port — which the
+/// caller links — and finishes. No source is left to stop, so level 1
 /// cannot end this graph; only level 2 can. The source never blocks: it
 /// spins (`try_push`, `Proceed` on a full ring), so under a pool it must
 /// yield its worker fairly to the split queued beneath it.
 fn wedged_diamond(map: &mut RaftMap) -> KernelId {
-    /// Ring `a` + the element the split holds + the split's input ring.
-    const WEDGED_AFTER: u32 = 4 + 1 + 4;
+    /// Ring `a` + the split's input ring: all a pool lets through, since
+    /// its split never takes an element it has no room for.
+    const WEDGED_AFTER: u32 = 4 + 4;
 
     struct Flood {
         pushed: u32,

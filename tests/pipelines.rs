@@ -754,3 +754,97 @@ fn undeclared_port_access_fails_the_map() {
         other => panic!("expected KernelPanicked, got {other}"),
     }
 }
+
+/// Four stateful kernels — `source → hop → hop → sink`, one element per
+/// port per run — on 4-slot rings under the work-stealing pool, for 1, 2
+/// and 3 workers: every element arrives, in order, with no rescue, and no
+/// writer ever blocks inside a link. The pool runs a kernel only when every
+/// input has data and every output room, so a full ring parks the task off
+/// its worker instead of the worker in the ring; a worker held in a full
+/// ring would starve the consumer queued behind it. A wedge fails the test
+/// through a watchdog instead of hanging the suite.
+#[test]
+fn pool_chain_on_fixed_rings_never_parks_a_worker_in_a_link() {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use std::time::Duration;
+
+    const N: u64 = 1 << 16;
+
+    /// Counts up from 0 to `N`.
+    struct Source(u64);
+    impl Kernel for Source {
+        fn ports(&self) -> PortSpec {
+            PortSpec::new().output::<u64>("out")
+        }
+        fn run(&mut self, ctx: &Context) -> KStatus {
+            if self.0 == N || ctx.output::<u64>("out").push(self.0).is_err() {
+                return KStatus::Stop;
+            }
+            self.0 += 1;
+            KStatus::Proceed
+        }
+    }
+
+    /// Forwards each element, checking it follows the last one it saw.
+    struct Hop(u64);
+    impl Kernel for Hop {
+        fn ports(&self) -> PortSpec {
+            PortSpec::new().input::<u64>("in").output::<u64>("out")
+        }
+        fn run(&mut self, ctx: &Context) -> KStatus {
+            let Ok(v) = ctx.input::<u64>("in").pop() else {
+                return KStatus::Stop;
+            };
+            assert_eq!(v, self.0, "hop saw an element out of order");
+            self.0 += 1;
+            match ctx.output::<u64>("out").push(v) {
+                Ok(()) => KStatus::Proceed,
+                Err(_) => KStatus::Stop,
+            }
+        }
+    }
+
+    let cases = std::thread::spawn(|| {
+        for workers in 1..=3 {
+            let mut map = RaftMap::new();
+            map.config_mut().scheduler = SchedulerKind::Stealing {
+                workers,
+                pin: false,
+            };
+            let src = map.add(Source(0));
+            let (a, b) = (map.add(Hop(0)), map.add(Hop(0)));
+            let (we, out) = write_each::<u64>();
+            let dst = map.add(we);
+            let fixed = FifoConfig::fixed(4);
+            map.link_with(src, "out", a, "in", fixed).unwrap();
+            map.link_with(a, "out", b, "in", fixed).unwrap();
+            map.link_with(b, "out", dst, "in", fixed).unwrap();
+            let report = map.exe().unwrap();
+            assert!(
+                *out.lock().unwrap() == (0..N).collect::<Vec<_>>(),
+                "{workers} workers: elements lost or reordered"
+            );
+            assert_eq!(report.workers.len(), workers);
+            let rescues: u64 = report.workers.iter().map(|w| w.rescues).sum();
+            assert_eq!(rescues, 0, "{workers} workers: {:?}", report.workers);
+            for e in &report.edges {
+                let episodes: u64 = e.stats.writer_blocked_hist.iter().sum();
+                assert_eq!(
+                    episodes, 0,
+                    "{workers} workers: a writer blocked inside {}",
+                    e.name
+                );
+            }
+        }
+    });
+    let (done, finished) = channel();
+    std::thread::spawn(move || done.send(cases.join()));
+    match finished.recv_timeout(Duration::from_secs(60)) {
+        Ok(Ok(())) => {}
+        Ok(Err(panic)) => std::panic::resume_unwind(panic),
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("the pool chain on 4-slot rings did not finish within 60 s")
+        }
+        Err(RecvTimeoutError::Disconnected) => unreachable!("the joiner always sends"),
+    }
+}

@@ -25,6 +25,29 @@ fn scheduler(workers: usize) -> SchedulerKind {
     }
 }
 
+/// A stateful relay: one pop and one push per run, adding one. Its state
+/// (what it passed on) keeps the fusion pass away, so every hop is its own
+/// kernel on its own link — under the pool, its own task.
+struct Relay {
+    passed: u64,
+}
+
+impl Kernel for Relay {
+    fn ports(&self) -> PortSpec {
+        PortSpec::new().input::<u64>("in").output::<u64>("out")
+    }
+    fn run(&mut self, ctx: &Context) -> KStatus {
+        let Ok(v) = ctx.input::<u64>("in").pop() else {
+            return KStatus::Stop;
+        };
+        self.passed += 1;
+        match ctx.output::<u64>("out").push(v.wrapping_add(1)) {
+            Ok(()) => KStatus::Proceed,
+            Err(_) => KStatus::Stop,
+        }
+    }
+}
+
 proptest! {
     // each case runs a real multi-threaded pipeline
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -58,6 +81,39 @@ proptest! {
         let sink = map.add(we);
         map.connect(prev, sink).unwrap();
         map.exe().unwrap();
+        let got = out.lock().unwrap();
+        let expect: Vec<u64> = (0..n).map(|x| x + depth as u64).collect();
+        prop_assert_eq!(&*got, &expect);
+    }
+
+    /// The stateful twin of `linear_pipeline_conserves_order`: a chain of
+    /// relays that nothing fuses, on fixed rings of any small size, so every
+    /// hop is a task of its own and a full or empty ring is the common case
+    /// — every item still arrives exactly once, in order, under every
+    /// scheduler. The source writes one element per run, like the relays:
+    /// a kernel the pool's readiness rule covers on every port.
+    #[test]
+    fn stateful_relay_chain_on_fixed_rings_conserves_order(
+        n in 1u64..5_000,
+        depth in 1usize..4,
+        cap in 1usize..64,
+        sched in scheduler_strategy(),
+    ) {
+        let mut cfg = MapConfig::default();
+        cfg.scheduler = scheduler(sched);
+        cfg.fifo = FifoConfig::fixed(cap);
+        let mut map = RaftMap::with_config(cfg);
+        let mut prev = map.add(Generate::new(0..n).with_batch(1));
+        for _ in 0..depth {
+            let k = map.add(Relay { passed: 0 });
+            map.connect(prev, k).unwrap();
+            prev = k;
+        }
+        let (we, out) = write_each::<u64>();
+        let sink = map.add(we);
+        map.connect(prev, sink).unwrap();
+        let report = map.exe().unwrap();
+        prop_assert!(report.fused.is_empty());
         let got = out.lock().unwrap();
         let expect: Vec<u64> = (0..n).map(|x| x + depth as u64).collect();
         prop_assert_eq!(&*got, &expect);
