@@ -1993,11 +1993,10 @@ impl<T, H: Home<T>> Consumer<T, H> {
         let shared = &*self.shared;
         shared.stats.note_read_request(n);
         let k = shared.wait_ready(&mut self.cursor, 1)?.min(n.max(1));
-        out.reserve(k);
         let arena = shared.enter(Role::Consumer);
-        for i in 0..k {
-            out.push(Shared::take(&arena, &self.cursor, i, self.copy).0);
-        }
+        // One extend of known length: `out` reserves once and sets its
+        // length once, not per element.
+        out.extend((0..k).map(|i| Shared::take(&arena, &self.cursor, i, self.copy).0));
         shared.consume(arena, &mut self.cursor, k, self.copy.is_some(), false);
         Ok(k)
     }

@@ -7,15 +7,16 @@
 //! composable units precisely so the runtime may rewrite the graph for
 //! performance (§3–4); this pass is that rewrite: at `exe()` time, maximal
 //! chains of adjacent single-input/single-output *fusable* kernels compile
-//! into one [`FusedKernel`] that executes the whole chain over owned
-//! batches — a batched pop at the head (one blocking wait and one queue
-//! protocol entry per batch, via [`InEnd::pop_batch`]), a tight per-stage
-//! loop over the batch in the middle, and a `reserve`/`WriteSlice` publish
-//! at the tail ([`OutEnd::push_batch`]). Interior FIFOs, their monitor
-//! entries, and their scheduler hops disappear entirely.
+//! into one [`FusedKernel`] that executes the whole chain over batches in
+//! buffers it owns — a batched pop at the head (one blocking wait and one
+//! queue protocol entry per batch, via [`InEnd::pop_into`]), a tight
+//! per-stage loop over the batch in the middle (in place when a stage keeps
+//! the element type), and one batch publish at the tail
+//! ([`OutEnd::push_from`]). Interior FIFOs, their monitor entries, and
+//! their scheduler hops disappear entirely, and no batch allocates.
 //!
-//! [`InEnd::pop_batch`]: crate::port::InEnd::pop_batch
-//! [`OutEnd::push_batch`]: crate::port::OutEnd::push_batch
+//! [`InEnd::pop_into`]: crate::port::InEnd::pop_into
+//! [`OutEnd::push_from`]: crate::port::OutEnd::push_from
 //!
 //! A kernel joins a chain when all of the following hold:
 //!
@@ -48,7 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::diagnostics::{Diagnostic, Severity};
-use crate::kernel::{ErasedBatchStage, KStatus, Kernel, PortDef, PortSpec};
+use crate::kernel::{AnyBatch, ErasedBatchStage, KStatus, Kernel, PortDef, PortSpec};
 use crate::map::RaftMap;
 use crate::port::Context;
 use crate::supervise::SupervisorPolicy;
@@ -258,6 +259,11 @@ impl FusedGroupInfo {
 /// streams, regardless of how long the original chain was.
 pub struct FusedKernel {
     stages: Vec<Box<dyn ErasedBatchStage>>,
+    /// The group's batch buffers, allocated with the kernel and reused for
+    /// every batch: the head pops into the first, a stage that keeps the
+    /// element type rewrites the current one in place, any other drains it
+    /// into the next, and the tail publishes from the last.
+    bufs: Vec<AnyBatch>,
     in_def: PortDef,
     out_def: PortDef,
     batch: usize,
@@ -274,13 +280,20 @@ impl Kernel for FusedKernel {
     }
 
     fn run(&mut self, ctx: &Context) -> KStatus {
-        let Some((mut batch, n_in)) = ctx.pop_batch(0, self.batch) else {
+        let Some(n_in) = ctx.pop_into(0, self.batch, &mut *self.bufs[0]) else {
             return KStatus::Stop;
         };
+        let mut at = 0;
         for stage in &mut self.stages {
-            batch = stage.run_batch_erased(batch);
+            if stage.in_type() == stage.out_type() {
+                stage.run_batch(&mut *self.bufs[at], None);
+            } else {
+                let (done, next) = self.bufs.split_at_mut(at + 1);
+                stage.run_batch(&mut *done[at], Some(&mut *next[0]));
+                at += 1;
+            }
         }
-        match ctx.push_batch(0, batch) {
+        match ctx.push_from(0, &mut *self.bufs[at]) {
             Some(n_out) => {
                 self.stats.batches.fetch_add(1, Ordering::Relaxed);
                 self.stats
@@ -309,8 +322,10 @@ impl Kernel for FusedKernel {
     /// shared so the report aggregates across instances.
     fn clone_replica(&self) -> Option<Box<dyn Kernel>> {
         let stages: Option<Vec<_>> = self.stages.iter().map(|s| s.fork()).collect();
+        let stages = stages?;
         Some(Box::new(FusedKernel {
-            stages: stages?,
+            bufs: buffers(&stages),
+            stages,
             in_def: self.in_def.clone(),
             out_def: self.out_def.clone(),
             batch: self.batch,
@@ -318,6 +333,15 @@ impl Kernel for FusedKernel {
             stats: self.stats.clone(),
         }))
     }
+}
+
+/// The buffers a group of `stages` (head first) owns: one of the head's
+/// input type, then one per stage that changes the element type.
+fn buffers(stages: &[Box<dyn ErasedBatchStage>]) -> Vec<AnyBatch> {
+    let changes = stages.iter().filter(|s| s.in_type() != s.out_type());
+    std::iter::once(stages[0].in_buffer())
+        .chain(changes.map(|s| s.out_buffer()))
+        .collect()
 }
 
 /// Rewrite `map` in place: compile every planned group into a
@@ -358,6 +382,7 @@ pub(crate) fn apply(map: &mut RaftMap, batch: usize) -> Vec<FusedGroupInfo> {
         let name = format!("{label}#{head}");
         let stats = Arc::new(FusedStats::default());
         let fused = FusedKernel {
+            bufs: buffers(&stages),
             stages,
             in_def: in_def.clone(),
             out_def: out_def.clone(),

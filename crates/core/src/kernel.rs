@@ -21,8 +21,8 @@ use raft_buffer::{fifo_with, FifoConfig, Signal};
 use crate::parallel::{adapter_factories, AdapterFactories};
 use crate::port::{Context, InEnd, OutEnd};
 
-/// A type-erased owned batch of stream elements: a `Vec<T>` behind
-/// `dyn Any`, handed from stage to stage inside a fused chain with no FIFO
+/// A type-erased batch buffer: a `Vec<T>` behind `dyn Any`, which a fused
+/// chain owns for its life and passes from stage to stage with no FIFO
 /// protocol in between (see [`ErasedBatchStage`]).
 pub type AnyBatch = Box<dyn Any + Send>;
 
@@ -95,8 +95,8 @@ impl PortDef {
     }
 }
 
-/// One type-erased stage of a fused chain: consumes an owned input batch
-/// and produces an owned output batch, with no queue in between.
+/// One type-erased stage of a fused chain: transforms a batch the group
+/// owns, with no queue in between.
 ///
 /// Obtained from a kernel via [`Kernel::batch_stage`]; built from a
 /// per-element transform with [`per_element`] / [`per_element_filter`].
@@ -107,77 +107,47 @@ pub trait ErasedBatchStage: Send {
     fn out_type(&self) -> TypeId;
     /// Display name of the stage (for fused-group reports).
     fn stage_name(&self) -> String;
-    /// Transform one owned batch. `input` holds a `Vec<In>`; the result
-    /// must hold a `Vec<Out>` (any length — filters may shrink it).
-    fn run_batch_erased(&mut self, input: AnyBatch) -> AnyBatch;
+    /// An empty `Vec<In>`: the buffer a fused group allocates once for
+    /// its head stage's input, and reuses for every batch.
+    fn in_buffer(&self) -> AnyBatch;
+    /// An empty `Vec<Out>`: the buffer a fused group allocates once for
+    /// this stage's output when the stage changes the element type.
+    fn out_buffer(&self) -> AnyBatch;
+    /// Transform the batch in `batch`, a `Vec<In>` (a filter may shrink
+    /// it). With `out` `None` — which the group passes exactly when `In`
+    /// and `Out` are one type — the stage rewrites `batch` in place;
+    /// otherwise it drains `batch` into `out`, a `Vec<Out>`. Either way no
+    /// element is dropped twice if the transform panics.
+    fn run_batch(&mut self, batch: &mut dyn Any, out: Option<&mut dyn Any>);
     /// Clean-slate copy, for restarting (or replicating) a fused group as
     /// a unit. `None` if the stage cannot be rebuilt.
     fn fork(&self) -> Option<Box<dyn ErasedBatchStage>>;
 }
 
-/// The stage [`per_element`] (`FILTER = false`, `F: FnMut(A) -> B`) and
-/// [`per_element_filter`] (`FILTER = true`, `F: FnMut(A) -> Option<B>`)
-/// build: a transform closure lifted to whole batches by the obvious tight
-/// loop — the bridge that lets `Map`-style kernels join fused chains
-/// without writing batch code.
-struct PerElement<A, B, F, const FILTER: bool> {
+/// The stage [`per_element`] and [`per_element_filter`] build: a
+/// filtering transform closure (`per_element` wraps its result in `Some`)
+/// lifted to whole batches by the obvious tight loop — the bridge that
+/// lets `Map`-style kernels join fused chains without writing batch code.
+///
+/// In place, the batch is taken out of the group's buffer and collected
+/// back into the same allocation (`Vec`'s in-place `collect` over its own
+/// `IntoIter`), so a panicking transform leaves an empty buffer: the
+/// iterator drops each element it had not reached, and the collect each
+/// output it had written, once.
+struct PerElement<A, B, F> {
     f: F,
     label: &'static str,
     _marker: std::marker::PhantomData<fn(A) -> B>,
 }
 
-impl<A, B, F, const FILTER: bool> PerElement<A, B, F, FILTER> {
-    fn boxed(label: &'static str, f: F) -> Box<Self> {
-        Box::new(PerElement {
-            f,
-            label,
-            _marker: std::marker::PhantomData,
-        })
-    }
-
-    /// Unpack a batch of `A`s, append `each`'s results to a fresh `Vec<B>`.
-    fn run_typed(
-        &mut self,
-        input: AnyBatch,
-        each: impl FnOnce(&mut F, Vec<A>, &mut Vec<B>),
-    ) -> AnyBatch
-    where
-        A: 'static,
-        B: Send + 'static,
-    {
-        let input = input
-            .downcast::<Vec<A>>()
-            .expect("fused chain: stage input batch element type mismatch");
-        let mut out = Vec::with_capacity(input.len());
-        each(&mut self.f, *input, &mut out);
-        Box::new(out)
-    }
+/// The batch `Vec<A>` behind `batch`.
+fn typed<A: 'static>(batch: &mut dyn Any) -> &mut Vec<A> {
+    batch
+        .downcast_mut()
+        .expect("fused chain: stage batch element type mismatch")
 }
 
-impl<A, B, F> ErasedBatchStage for PerElement<A, B, F, false>
-where
-    A: Send + 'static,
-    B: Send + 'static,
-    F: FnMut(A) -> B + Clone + Send + 'static,
-{
-    fn in_type(&self) -> TypeId {
-        TypeId::of::<A>()
-    }
-    fn out_type(&self) -> TypeId {
-        TypeId::of::<B>()
-    }
-    fn stage_name(&self) -> String {
-        self.label.to_string()
-    }
-    fn run_batch_erased(&mut self, input: AnyBatch) -> AnyBatch {
-        self.run_typed(input, |f, v, out| out.extend(v.into_iter().map(f)))
-    }
-    fn fork(&self) -> Option<Box<dyn ErasedBatchStage>> {
-        Some(Self::boxed(self.label, self.f.clone()))
-    }
-}
-
-impl<A, B, F> ErasedBatchStage for PerElement<A, B, F, true>
+impl<A, B, F> ErasedBatchStage for PerElement<A, B, F>
 where
     A: Send + 'static,
     B: Send + 'static,
@@ -192,22 +162,35 @@ where
     fn stage_name(&self) -> String {
         self.label.to_string()
     }
-    fn run_batch_erased(&mut self, input: AnyBatch) -> AnyBatch {
-        self.run_typed(input, |f, v, out| out.extend(v.into_iter().filter_map(f)))
+    fn in_buffer(&self) -> AnyBatch {
+        Box::new(Vec::<A>::new())
+    }
+    fn out_buffer(&self) -> AnyBatch {
+        Box::new(Vec::<B>::new())
+    }
+    fn run_batch(&mut self, batch: &mut dyn Any, out: Option<&mut dyn Any>) {
+        let f = &mut self.f;
+        match out {
+            None => {
+                let input = std::mem::take(typed::<A>(batch));
+                *typed(batch) = input.into_iter().filter_map(f).collect::<Vec<B>>();
+            }
+            Some(out) => typed(out).extend(typed::<A>(batch).drain(..).filter_map(f)),
+        }
     }
     fn fork(&self) -> Option<Box<dyn ErasedBatchStage>> {
-        Some(Self::boxed(self.label, self.f.clone()))
+        Some(per_element_filter(self.label, self.f.clone()))
     }
 }
 
 /// Erased per-element stage from a transform closure.
-pub fn per_element<A, B, F>(label: &'static str, f: F) -> Box<dyn ErasedBatchStage>
+pub fn per_element<A, B, F>(label: &'static str, mut f: F) -> Box<dyn ErasedBatchStage>
 where
     A: Send + 'static,
     B: Send + 'static,
     F: FnMut(A) -> B + Clone + Send + 'static,
 {
-    PerElement::<A, B, F, false>::boxed(label, f)
+    per_element_filter(label, move |a| Some(f(a)))
 }
 
 /// Erased filtering per-element stage: items mapped to `None` are dropped
@@ -218,7 +201,11 @@ where
     B: Send + 'static,
     F: FnMut(A) -> Option<B> + Clone + Send + 'static,
 {
-    PerElement::<A, B, F, true>::boxed(label, f)
+    Box::new(PerElement {
+        f,
+        label,
+        _marker: std::marker::PhantomData,
+    })
 }
 
 /// A kernel's full port declaration.
@@ -412,40 +399,52 @@ mod tests {
         assert_eq!(stage.in_type(), TypeId::of::<u32>());
         assert_eq!(stage.out_type(), TypeId::of::<u64>());
         assert_eq!(stage.stage_name(), "dbl");
-        let out = stage.run_batch_erased(Box::new(vec![1u32, 2, 3]));
-        assert_eq!(*out.downcast::<Vec<u64>>().unwrap(), vec![2, 4, 6]);
+        let (mut batch, mut out) = (stage.in_buffer(), stage.out_buffer());
+        *batch.downcast_mut::<Vec<u32>>().unwrap() = vec![1, 2, 3];
+        stage.run_batch(&mut *batch, Some(&mut *out));
+        assert_eq!(*out.downcast_ref::<Vec<u64>>().unwrap(), vec![2, 4, 6]);
+        // A type-changing stage drains its input and keeps the buffer.
+        let input = batch.downcast_ref::<Vec<u32>>().unwrap();
+        assert!(input.is_empty() && input.capacity() >= 3);
         // fork gives an independent, equivalent stage
         let mut forked = stage.fork().expect("Clone closure forks");
-        let out = forked.run_batch_erased(Box::new(vec![5u32]));
-        assert_eq!(*out.downcast::<Vec<u64>>().unwrap(), vec![10]);
+        *batch.downcast_mut::<Vec<u32>>().unwrap() = vec![5];
+        out.downcast_mut::<Vec<u64>>().unwrap().clear();
+        forked.run_batch(&mut *batch, Some(&mut *out));
+        assert_eq!(*out.downcast_ref::<Vec<u64>>().unwrap(), vec![10]);
     }
 
     #[test]
     fn per_element_filter_drops_none() {
         let mut stage = per_element_filter("evens", |x: u32| x.is_multiple_of(2).then_some(x));
-        let out = stage.run_batch_erased(Box::new(vec![1u32, 2, 3, 4]));
-        assert_eq!(*out.downcast::<Vec<u32>>().unwrap(), vec![2, 4]);
+        let mut batch: AnyBatch = Box::new(vec![1u32, 2, 3, 4]);
+        let before = batch.downcast_ref::<Vec<u32>>().unwrap().as_ptr();
+        stage.run_batch(&mut *batch, None);
+        let after = batch.downcast_ref::<Vec<u32>>().unwrap();
+        assert_eq!(*after, vec![2, 4]);
+        // In place: the survivors sit in the batch's own allocation.
+        assert_eq!(after.as_ptr(), before);
     }
 
     #[test]
     fn fifo_factory_ends_move_whole_batches() {
         let def = PortDef::of::<u64>("x");
         let (mut out, mut input) = (def.fifo_factory)(FifoConfig::starting_at(8));
-        assert_eq!(out.push_batch(Box::new(vec![7u64, 8, 9])), Some(3));
+        let mut batch: Vec<u64> = vec![7, 8, 9];
+        assert_eq!(out.push_from(&mut batch), Some(3));
         // Larger than the ring: the reservation grows it on the spot.
-        assert_eq!(
-            out.push_batch(Box::new((10..30).collect::<Vec<u64>>())),
-            Some(20)
-        );
-        let (batch, n) = input.pop_batch(16).unwrap();
-        assert_eq!(n, 16);
-        let batch = *batch.downcast::<Vec<u64>>().unwrap();
+        batch.extend(10..30);
+        assert_eq!(out.push_from(&mut batch), Some(20));
+        assert!(batch.is_empty(), "the tail drains the buffer it publishes");
+        assert_eq!(input.pop_into(16, &mut batch), Some(16));
         assert_eq!(
             batch,
             [7, 8, 9].into_iter().chain(10..23).collect::<Vec<_>>()
         );
         drop(out);
-        assert_eq!(input.pop_batch(16).unwrap().1, 7);
-        assert!(input.pop_batch(16).is_none(), "closed and drained");
+        // The head refills the same buffer: it clears what it held first.
+        assert_eq!(input.pop_into(16, &mut batch), Some(7));
+        assert_eq!(batch, (23..30).collect::<Vec<_>>());
+        assert_eq!(input.pop_into(16, &mut batch), None, "closed and drained");
     }
 }

@@ -43,7 +43,6 @@ use raft_buffer::{
 };
 
 use crate::error::PortClosed;
-use crate::kernel::AnyBatch;
 use crate::runtime::Shutdown;
 use crate::scheduler::QUANTUM;
 
@@ -59,11 +58,11 @@ pub trait InEnd: Any + Send {
     /// `true` when a pop (or `take_async`) has something to act on, judged
     /// through this end's own cursor ([`Consumer::ready`]).
     fn ready(&mut self) -> bool;
-    /// Pop up to `n` elements into one owned batch (a `Vec<T>`): a single
-    /// blocking wait and queue-protocol entry for the whole batch — the
-    /// fused chain's head. Returns the batch and its length; `None` once
-    /// the stream is closed and drained.
-    fn pop_batch(&mut self, n: usize) -> Option<(AnyBatch, usize)>;
+    /// Clear `batch` (a `Vec<T>` the caller keeps) and pop up to `n`
+    /// elements into it: a single blocking wait and queue-protocol entry
+    /// for the whole batch — the fused chain's head. Returns the count;
+    /// `None` once the stream is closed and drained.
+    fn pop_into(&mut self, n: usize, batch: &mut dyn Any) -> Option<usize>;
     /// Release every element read since the last commit (no-op when not
     /// journaled).
     fn commit(&mut self);
@@ -85,10 +84,10 @@ pub trait OutEnd: Any + Send {
     fn ready(&mut self) -> bool;
     /// `true` when pushes are staged until the transaction commits.
     fn journaled(&self) -> bool;
-    /// Push an owned batch (a `Vec<T>`) with `Producer::push_batch` — the
-    /// fused chain's tail. Returns the element count, or `None` if the
-    /// consumer is gone.
-    fn push_batch(&mut self, batch: AnyBatch) -> Option<usize>;
+    /// Push every element of `batch` (a `Vec<T>` the caller keeps, left
+    /// empty) with `Producer::push_batch` — the fused chain's tail.
+    /// Returns the element count, or `None` if the consumer is gone.
+    fn push_from(&mut self, batch: &mut dyn Any) -> Option<usize>;
     /// Publish everything staged since the last commit (no-op when not
     /// journaled).
     fn commit(&mut self);
@@ -111,10 +110,12 @@ impl<T: Send + 'static> InEnd for Consumer<T> {
     fn ready(&mut self) -> bool {
         Consumer::ready(self)
     }
-    fn pop_batch(&mut self, n: usize) -> Option<(AnyBatch, usize)> {
-        let mut batch: Vec<T> = Vec::with_capacity(n);
-        let got = self.pop_range(n, &mut batch).ok()?;
-        Some((Box::new(batch), got))
+    fn pop_into(&mut self, n: usize, batch: &mut dyn Any) -> Option<usize> {
+        let batch: &mut Vec<T> = batch
+            .downcast_mut()
+            .expect("fused chain head: input batch element type mismatch");
+        batch.clear();
+        self.pop_range(n, batch).ok()
     }
     fn commit(&mut self) {
         self.commit_consumed();
@@ -137,12 +138,12 @@ impl<T: Send + 'static> OutEnd for Producer<T> {
     fn journaled(&self) -> bool {
         Producer::journaled(self)
     }
-    fn push_batch(&mut self, batch: AnyBatch) -> Option<usize> {
-        let mut batch = batch
-            .downcast::<Vec<T>>()
+    fn push_from(&mut self, batch: &mut dyn Any) -> Option<usize> {
+        let batch: &mut Vec<T> = batch
+            .downcast_mut()
             .expect("fused chain tail: output batch element type mismatch");
         let n = batch.len();
-        Producer::push_batch(self, &mut batch).ok()?;
+        Producer::push_batch(self, batch).ok()?;
         Some(n)
     }
     fn commit(&mut self) {
@@ -445,14 +446,14 @@ impl Context {
         self.outputs.iter().for_each(|e| e.borrow().post_error());
     }
 
-    /// Batched pop from input `idx` (see [`InEnd::pop_batch`]).
-    pub(crate) fn pop_batch(&self, idx: usize, n: usize) -> Option<(AnyBatch, usize)> {
-        self.inputs[idx].borrow_mut().pop_batch(n)
+    /// Batched pop from input `idx` into `batch` (see [`InEnd::pop_into`]).
+    pub(crate) fn pop_into(&self, idx: usize, n: usize, batch: &mut dyn Any) -> Option<usize> {
+        self.inputs[idx].borrow_mut().pop_into(n, batch)
     }
 
-    /// Batched push to output `idx` (see [`OutEnd::push_batch`]).
-    pub(crate) fn push_batch(&self, idx: usize, batch: AnyBatch) -> Option<usize> {
-        self.outputs[idx].borrow_mut().push_batch(batch)
+    /// Batched push of `batch` to output `idx` (see [`OutEnd::push_from`]).
+    pub(crate) fn push_from(&self, idx: usize, batch: &mut dyn Any) -> Option<usize> {
+        self.outputs[idx].borrow_mut().push_from(batch)
     }
 }
 

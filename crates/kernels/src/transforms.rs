@@ -254,10 +254,14 @@ pub type FoldHandle<B> = Arc<Mutex<B>>;
 
 /// Reduce a stream to a single value — the paper's Figure 6 `reduce< int,
 /// func >( val )`: "val now has the result".
+///
+/// Each `run()` pops up to 256 elements into a buffer the kernel keeps
+/// across runs and moves them into the fold function, so reading the
+/// stream allocates nothing per run.
 pub struct Fold<A, B, F> {
     f: F,
     acc: FoldHandle<B>,
-    _marker: std::marker::PhantomData<fn(A)>,
+    buf: Vec<A>,
 }
 
 impl<A, B, F> Fold<A, B, F>
@@ -274,7 +278,7 @@ where
             Fold {
                 f,
                 acc: acc.clone(),
-                _marker: std::marker::PhantomData,
+                buf: Vec::new(),
             },
             acc,
         )
@@ -293,12 +297,14 @@ where
 
     fn run(&mut self, ctx: &Context) -> KStatus {
         let mut input = ctx.input::<A>("in");
-        let mut local = Vec::new();
-        match input.pop_range(256, &mut local) {
+        // Empty unless a panic inside the last read left elements behind;
+        // a restart reuses this instance, and they are not this run's.
+        self.buf.clear();
+        match input.pop_range(256, &mut self.buf) {
             Ok(_) => {
                 drop(input);
                 let mut acc = self.acc.lock().unwrap();
-                for v in local {
+                for v in self.buf.drain(..) {
                     (self.f)(&mut acc, v);
                 }
                 KStatus::Proceed
